@@ -12,7 +12,7 @@ FUZZ_TARGETS := \
 	./internal/serve:FuzzDecodeJournalEntry
 FUZZTIME ?= 10s
 
-.PHONY: build test race lint bench bench-json bench-smoke serve cluster scenarios fuzz cover clean
+.PHONY: build test race lint bench bench-e2e bench-json bench-smoke serve cluster scenarios fuzz cover clean
 
 build:
 	@mkdir -p $(BIN)
@@ -37,6 +37,12 @@ lint:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ . ./internal/sparse ./internal/e2sf ./internal/serve
+
+# The repository's benchmark (BENCHMARK.json): every workload, then the
+# per-layer profile. bench/ is its own module, so this — and CI's
+# vet/test of it — is what notices an API change that breaks it.
+bench-e2e:
+	bash bench/run.sh
 
 # Serialized-vs-batched serving comparison plus per-stage allocation
 # profile: emits BENCH_serve.json (virtual throughput, p50/p99, batch

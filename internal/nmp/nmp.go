@@ -397,9 +397,14 @@ func (mp *Mapper) Search() (*Result, error) {
 		}
 	}
 
-	best, _, err := mp.evolve(r, pop, mp.cfg.Generations, res)
+	best, bestFeasible, err := mp.evolve(r, pop, mp.cfg.Generations, res)
 	if err != nil {
 		return nil, err
+	}
+	// The penalty only steers the search: a member a hair over budget
+	// can outscore every feasible one, and must not be what is deployed.
+	if bestFeasible.asg != nil {
+		best = bestFeasible
 	}
 	return mp.finish(res, best.asg, best.ev), nil
 }

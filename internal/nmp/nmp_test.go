@@ -294,3 +294,32 @@ func TestCacheAblation(t *testing.T) {
 		t.Fatal("disabled cache reported hits")
 	}
 }
+
+// TestSearchPrefersFeasible: at this seed the fittest member of the
+// final population overspends SpikeFlowNet's Table 2 budget by 0.2 %
+// (delta 0.03006 against 0.03), and its small penalty still leaves it
+// ahead of every feasible candidate. Search promises the best feasible
+// candidate whenever one was seen — the seeded all-GPU mapping always
+// is — so the overspender must not be returned.
+func TestSearchPrefersFeasible(t *testing.T) {
+	db, m := workload(t, nn.SpikeFlowNet)
+	mp, err := NewMapper(db, m, quickCfg(36))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := mp.Search()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Feasible {
+		t.Fatalf("Search returned an infeasible assignment: deltas %v, budgets %v", res.Deltas, mp.Budgets())
+	}
+	if res.Deltas[0] > mp.Budgets()[0] {
+		t.Fatalf("delta %g over budget %g", res.Deltas[0], mp.Budgets()[0])
+	}
+	// The history still records what the search optimized: the
+	// penalized fitness, which the infeasible member won.
+	if last := res.FitnessHistory[len(res.FitnessHistory)-1]; last >= res.LatencyUS {
+		t.Fatalf("final penalized fitness %g is not below the feasible result's latency %g: this seed no longer exercises the case", last, res.LatencyUS)
+	}
+}

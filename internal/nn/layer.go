@@ -10,6 +10,11 @@
 // sparsity (SNNs spike sparsely; that is why they gain the most from
 // sparse execution), and a per-layer quantization-sensitivity profile
 // that drives the accuracy-degradation model calibrated to Table 2.
+//
+// The numeric Runtime owns its activations: the map Forward returns and
+// every tensor in it belong to the Runtime, are the same objects on
+// every call, and hold a frame's outputs only until the next Forward
+// overwrites them. Copy what must outlive that.
 package nn
 
 import "fmt"

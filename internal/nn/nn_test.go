@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -178,7 +179,11 @@ func runtimeInputs(rt *Runtime, seed int64, density float64) map[int]*sparse.Ten
 	for _, id := range rt.InputLayerIDs() {
 		c, h, w := rt.InputShape(id)
 		x := sparse.NewTensor(c, h, w)
-		x.FillRandomSparse(r, density)
+		if density >= 1 {
+			x.FillRandom(r)
+		} else {
+			x.FillRandomSparse(r, density)
+		}
 		ins[id] = x
 	}
 	return ins
@@ -257,17 +262,7 @@ func TestRuntimeParallelBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s parallel: %v", n.Name, err)
 			}
-			for id := range a {
-				if len(a[id].Data) != len(b[id].Data) {
-					t.Fatalf("%s layer %d: shape mismatch", n.Name, id)
-				}
-				for i := range a[id].Data {
-					if math.Float32bits(a[id].Data[i]) != math.Float32bits(b[id].Data[i]) {
-						t.Fatalf("%s mode %v layer %d elem %d: parallel %g != serial %g",
-							n.Name, mode, id, i, b[id].Data[i], a[id].Data[i])
-					}
-				}
-			}
+			sameBits(t, fmt.Sprintf("%s mode %d, parallel vs serial:", n.Name, mode), n, b, a)
 		}
 	}
 }
@@ -349,5 +344,217 @@ func TestTaskAndMetricStrings(t *testing.T) {
 	l := MustByName(DOTIE).Layers[0]
 	if l.String() == "" || l.Kind.String() == "" || l.Domain.String() == "" {
 		t.Fatal("layer strings empty")
+	}
+}
+
+// referenceForward is Forward as it was before the site-list runtime:
+// a fresh tensor per layer, full-volume kernels, LIF with the timestep
+// loop outermost over v/rate tensors, and an allocating channel
+// concat. It is the definition the runtime must match bit for bit.
+func referenceForward(rt *Runtime, inputs map[int]*sparse.Tensor) (map[int]*sparse.Tensor, error) {
+	conv := func(i int, in *sparse.Tensor) (*sparse.Tensor, error) {
+		if rt.Mode == SparseExec {
+			return sparse.SparseConv2D(in, rt.layers[i].filter)
+		}
+		return sparse.Conv2D(in, rt.layers[i].filter)
+	}
+	outs := make(map[int]*sparse.Tensor, len(rt.Net.Layers))
+	for i, l := range rt.Net.Layers {
+		var in *sparse.Tensor
+		switch preds := rt.Net.Preds[i]; len(preds) {
+		case 0:
+			in = inputs[i]
+		case 1:
+			in = outs[preds[0]]
+		default:
+			c := 0
+			for _, p := range preds {
+				c += outs[p].C
+			}
+			in = sparse.NewTensor(c, outs[preds[0]].H, outs[preds[0]].W)
+			off := 0
+			for _, p := range preds {
+				off += copy(in.Data[off:], outs[p].Data)
+			}
+		}
+		drive, err := conv(i, in)
+		if err != nil {
+			return nil, err
+		}
+		if l.Domain != SNN {
+			outs[i] = drive.ReLU()
+			continue
+		}
+		v := sparse.NewTensor(drive.C, drive.H, drive.W)
+		rate := sparse.NewTensor(drive.C, drive.H, drive.W)
+		T := l.Timesteps
+		for t := 0; t < T; t++ {
+			for i := range v.Data {
+				v.Data[i] = v.Data[i]*rt.Leak + drive.Data[i]
+				if v.Data[i] >= rt.VThresh {
+					rate.Data[i]++
+					v.Data[i] -= rt.VThresh
+				}
+			}
+		}
+		outs[i] = rate.Scale(1 / float32(T))
+	}
+	return outs, nil
+}
+
+func sameBits(t *testing.T, tag string, net *Network, got, want map[int]*sparse.Tensor) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d layer outputs, want %d", tag, len(got), len(want))
+	}
+	for id, w := range want {
+		g := got[id]
+		if g.C != w.C || g.H != w.H || g.W != w.W {
+			t.Fatalf("%s layer %s: shape %dx%dx%d, want %dx%dx%d", tag, net.Layers[id].Name, g.C, g.H, g.W, w.C, w.H, w.W)
+		}
+		for i := range w.Data {
+			if math.Float32bits(g.Data[i]) != math.Float32bits(w.Data[i]) {
+				t.Fatalf("%s layer %s elem %d: %g, reference %g", tag, net.Layers[id].Name, i, g.Data[i], w.Data[i])
+			}
+		}
+	}
+}
+
+// TestRuntimeMatchesReference: every layer of every zoo network, both
+// exec modes, at input densities from empty to full, is bit-identical
+// to referenceForward — on ONE runtime per network, so each frame meets
+// whatever the previous one left in the layer outputs: a full frame
+// followed by an empty one must come out all zero, and a frame run in
+// one mode must not leak into the next frame run in the other (Mode is
+// an exported field). The worker pool is toggled between calls as the
+// benchmark does.
+func TestRuntimeMatchesReference(t *testing.T) {
+	pool := par.New(3)
+	defer pool.Close()
+	type step struct {
+		mode    ExecMode
+		density float64
+	}
+	var steps []step
+	for _, mode := range []ExecMode{DenseExec, SparseExec} {
+		for _, d := range []float64{0, 0.004, 0.1, 1.0, 0} {
+			steps = append(steps, step{mode, d})
+		}
+	}
+	steps = append(steps, step{DenseExec, 0.1}, step{SparseExec, 0.3}, step{SparseExec, 0})
+	div := 8 // 32x32 inputs
+	if raceEnabled {
+		div = 16 // instrumented dense loops are ~15x slower
+	}
+	for _, n := range All() {
+		rt, err := NewRuntime(n, DenseExec, 17, div)
+		if err != nil {
+			t.Fatalf("%s: %v", n.Name, err)
+		}
+		var first *sparse.Tensor
+		for k, s := range steps {
+			rt.Mode = s.mode
+			if k%2 == 1 {
+				rt.SetParallel(pool, 0)
+			} else {
+				rt.SetParallel(nil, 1)
+			}
+			ins := runtimeInputs(rt, int64(40+k), s.density)
+			want, err := referenceForward(rt, ins)
+			if err != nil {
+				t.Fatalf("%s reference: %v", n.Name, err)
+			}
+			got, err := rt.Forward(ins)
+			if err != nil {
+				t.Fatalf("%s: %v", n.Name, err)
+			}
+			tag := fmt.Sprintf("%s step %d (mode %d, density %g)", n.Name, k, s.mode, s.density)
+			sameBits(t, tag, n, got, want)
+			if k == 0 {
+				first = got[0]
+			} else if got[0] != first {
+				t.Fatalf("%s: Forward returned a different tensor for layer 0", tag)
+			}
+			if s.density == 0 {
+				for id, o := range got {
+					if o.NNZ() != 0 {
+						t.Fatalf("%s: empty frame left %d nonzeros in layer %s", tag, o.NNZ(), n.Layers[id].Name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRuntimeForwardZeroAlloc is the allocation gate of the numeric
+// runtime: once a runtime has seen its largest frame, SparseExec
+// Forward allocates nothing — serial or on a worker pool.
+func TestRuntimeForwardZeroAlloc(t *testing.T) {
+	pool := par.New(2)
+	defer pool.Close()
+	for _, name := range []string{SpikeFlowNet, AdaptiveSpikeNet, DOTIE, HALSIE} {
+		rt, err := NewRuntime(MustByName(name), SparseExec, 3, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm := runtimeInputs(rt, 1, 1.0)
+		ins := runtimeInputs(rt, 2, 0.05)
+		for _, p := range []*par.Pool{nil, pool} {
+			rt.SetParallel(p, 0)
+			// The full frame sizes the runtime's lists.
+			for _, x := range []map[int]*sparse.Tensor{warm, ins} {
+				if _, err := rt.Forward(x); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The pool allocates a dispatch record whenever a worker still
+			// holds the last ones; it owns at most 4*width+1, so a Forward
+			// that allocates nothing itself reads zero within that many
+			// measurements, and one that does never will.
+			var avg float64
+			for try := 0; try <= 4*pool.Size()+1; try++ {
+				avg = testing.AllocsPerRun(10, func() {
+					if _, err := rt.Forward(ins); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if avg == 0 {
+					break
+				}
+			}
+			if raceEnabled {
+				t.Logf("race build: %s measured %.2f allocs/op (bound not enforced)", name, avg)
+				continue
+			}
+			if avg != 0 {
+				t.Fatalf("%s (pool width %d): warm Forward allocates %.2f times per call, want 0", name, p.Size(), avg)
+			}
+		}
+	}
+}
+
+// BenchmarkForwardSparseExec is the two ends of the property the site
+// path rests on: a frame as sparse as E2SF's, and a fully dense frame
+// through the same SparseExec runtime (which must not lose to the
+// full-volume scatter it replaced).
+func BenchmarkForwardSparseExec(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		density float64
+	}{{"density=0.005", 0.005}, {"density=1", 1.0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			rt, err := NewRuntime(MustByName(SpikeFlowNet), SparseExec, 7, 2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ins := runtimeInputs(rt, 9, bc.density)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := rt.Forward(ins); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -22,31 +22,59 @@ const (
 )
 
 // Runtime instantiates a Network with concrete (randomly initialized)
-// weights and executes it numerically. It exists for functional tests
-// and examples: the experiment harness uses the analytic profiles, not
-// this runtime, exactly as the paper's search consumes profiled layer
-// times rather than re-running inference.
+// weights and executes it numerically. It exists for functional tests,
+// examples and the numeric benchmark: the experiment harness uses the
+// analytic profiles, not this runtime, exactly as the paper's search
+// consumes profiled layer times rather than re-running inference.
+//
+// A Runtime owns one output tensor per layer and reuses it on every
+// Forward, so a warm Forward allocates nothing; it is not safe for
+// concurrent use.
 type Runtime struct {
 	Net     *Network
 	Mode    ExecMode
 	VThresh float32 // LIF firing threshold
 	Leak    float32 // LIF leak factor per timestep (0 = IF)
 
-	filters map[int]*sparse.Filter
 	// spatialDiv scales down the spatial extent so tests stay fast;
 	// channel counts are preserved.
 	spatialDiv int
 
-	// pool/shards route convolutions through the tiled kernels when a
-	// worker pool is wired in via SetParallel. Tiled kernels are
-	// bit-identical to the serial ones, so the runtime's outputs do not
-	// depend on whether or how wide parallelism is enabled.
+	// pool/shards shard the convolution kernels when a worker pool is
+	// wired in via SetParallel. Sharded kernels are bit-identical to the
+	// serial ones, so the runtime's outputs do not depend on whether or
+	// how wide parallelism is enabled.
 	pool   *par.Pool
 	shards int
+
+	layers              []layerState
+	outs                map[int]*sparse.Tensor // what Forward returns: every layer's out
+	inputIDs, outputIDs []int
+	scratch             sparse.SiteScratch
+	operands            []sparse.SiteInput // the current layer's inputs, reused
+}
+
+// layerState is one layer's weights and the memory Forward reuses for
+// it.
+type layerState struct {
+	filter *sparse.Filter   // conv/deconv weights, for the dense kernel
+	sites  *sparse.SiteConv // the same weights packed for site-list execution
+	act    func(row []float32)
+	out    *sparse.Tensor
+	// active lists the sites of out that hold a nonzero value, in
+	// row-major order. It is the site list the next layer scatters from
+	// and the undo list that clears out before this layer's next run.
+	active []int32
+	// tracked says out is zero everywhere outside active. A volume
+	// kernel overwrites out wholesale and clears it.
+	tracked bool
+	inSites []int32        // input layers: the site list of the caller's tensor
+	cat     *sparse.Tensor // channel concatenation of the predecessors, for volume kernels
 }
 
 // NewRuntime builds a runtime with weights drawn from seed. spatialDiv
-// >= 1 divides the spatial resolution (1 = native 256x256).
+// >= 1 divides the spatial resolution (1 = native 256x256). Shapes are
+// chained and checked here, so Forward can only fail on its inputs.
 func NewRuntime(net *Network, mode ExecMode, seed int64, spatialDiv int) (*Runtime, error) {
 	if err := net.Validate(); err != nil {
 		return nil, err
@@ -57,22 +85,68 @@ func NewRuntime(net *Network, mode ExecMode, seed int64, spatialDiv int) (*Runti
 	r := rand.New(rand.NewSource(seed))
 	rt := &Runtime{
 		Net: net, Mode: mode, VThresh: 0.5, Leak: 0.9,
-		filters:    make(map[int]*sparse.Filter),
 		spatialDiv: spatialDiv,
+		layers:     make([]layerState, len(net.Layers)),
+		outs:       make(map[int]*sparse.Tensor, len(net.Layers)),
 	}
-	for _, l := range net.Layers {
+	succs := net.Succs()
+	for i, l := range net.Layers {
+		st := &rt.layers[i]
+		st.tracked = true
+		c, h, w := rt.InputShape(i)
+		if preds := net.Preds[i]; len(preds) == 0 {
+			rt.inputIDs = append(rt.inputIDs, i)
+		} else {
+			first := rt.layers[preds[0]].out
+			c, h, w = 0, first.H, first.W
+			for _, p := range preds {
+				o := rt.layers[p].out
+				if o.H != h || o.W != w {
+					return nil, fmt.Errorf("nn: layer %s: concat spatial mismatch %dx%d vs %dx%d", l.Name, o.H, o.W, h, w)
+				}
+				c += o.C
+			}
+		}
+		if len(succs[i]) == 0 {
+			rt.outputIDs = append(rt.outputIDs, i)
+		}
+		oc, oh, ow := c, h, w
 		switch l.Kind {
 		case Conv, Deconv:
+			if c != l.InC {
+				return nil, fmt.Errorf("nn: layer %s: input channels %d != filter %d", l.Name, c, l.InC)
+			}
 			f := sparse.NewFilter(l.OutC, l.InC, l.K, l.Stride, l.Pad)
 			f.Deconv = l.Kind == Deconv
-			// Kaiming-ish init keeps activations in range layer to layer.
+			// Uniform in ±3/(InC·K²). With VThresh 0.5 this is far too
+			// small to carry activity through a stack: on real E2SF
+			// frames every layer after the first outputs all zeros (see
+			// EXPERIMENTS.md, "Numeric runtime activity").
 			scale := float32(1.0) / float32(l.InC*l.K*l.K)
 			for i := range f.Weights {
 				f.Weights[i] = (r.Float32()*2 - 1) * scale * 3
 			}
-			f.Bias = make([]float32, l.OutC)
-			rt.filters[l.ID] = f
+			// No bias: a site no input reaches must come out as act(0) = 0
+			// for the site path's untouched outputs to be exact.
+			st.filter, st.sites = f, sparse.NewSiteConv(f)
+			st.act = relu
+			if l.Domain == SNN {
+				T := l.Timesteps
+				st.act = func(row []float32) { rt.lif(row, T) }
+			}
+			oc = l.OutC
+			oh, ow = f.OutShape(h, w)
+		case Residual:
+		case Pool:
+			oh, ow = (h-l.K)/l.Stride+1, (w-l.K)/l.Stride+1
+		default:
+			return nil, fmt.Errorf("nn: layer %s: %v layers are not used by the zoo runtime", l.Name, l.Kind)
 		}
+		if h <= 0 || w <= 0 || oh <= 0 || ow <= 0 {
+			return nil, fmt.Errorf("nn: layer %s: %dx%d input gives an empty %dx%d output", l.Name, h, w, oh, ow)
+		}
+		st.out = sparse.NewTensor(oc, oh, ow)
+		rt.outs[i] = st.out
 	}
 	return rt, nil
 }
@@ -85,36 +159,29 @@ func (rt *Runtime) InputShape(layerID int) (c, h, w int) {
 }
 
 // InputLayerIDs returns the IDs of layers with no predecessors, in
-// order.
-func (rt *Runtime) InputLayerIDs() []int {
-	var out []int
-	for i, ps := range rt.Net.Preds {
-		if len(ps) == 0 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
+// order. The slice is the runtime's own: read-only.
+func (rt *Runtime) InputLayerIDs() []int { return rt.inputIDs }
 
-// OutputLayerIDs returns the IDs of layers with no successors.
-func (rt *Runtime) OutputLayerIDs() []int {
-	succs := rt.Net.Succs()
-	var out []int
-	for i := range rt.Net.Layers {
-		if len(succs[i]) == 0 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
+// OutputLayerIDs returns the IDs of layers with no successors, in
+// order. The slice is the runtime's own: read-only.
+func (rt *Runtime) OutputLayerIDs() []int { return rt.outputIDs }
 
 // Forward executes the network on the given inputs (one tensor per
 // input layer, keyed by layer ID) and returns every layer's output.
+// The map and its tensors belong to the runtime and are valid until
+// its next Forward; the same map is returned every call.
+//
+// In SparseExec a frame costs what its activity costs: each input is
+// scanned once into a site list, every conv/deconv scatters from the
+// sites listed for its inputs (sparse.SiteConv.Apply), and hands the
+// sites it left nonzero to its successors. DenseExec runs convolutions
+// over the whole volume; its transposed convolutions are scatters
+// either way and take the same path from a scanned list.
 func (rt *Runtime) Forward(inputs map[int]*sparse.Tensor) (map[int]*sparse.Tensor, error) {
-	outs := make(map[int]*sparse.Tensor, len(rt.Net.Layers))
 	for i, l := range rt.Net.Layers {
-		var in *sparse.Tensor
-		if len(rt.Net.Preds[i]) == 0 {
+		st := &rt.layers[i]
+		ops := rt.operands[:0]
+		if preds := rt.Net.Preds[i]; len(preds) == 0 {
 			x, ok := inputs[i]
 			if !ok {
 				return nil, fmt.Errorf("nn: missing input for layer %d (%s)", i, l.Name)
@@ -124,61 +191,105 @@ func (rt *Runtime) Forward(inputs map[int]*sparse.Tensor) (map[int]*sparse.Tenso
 				return nil, fmt.Errorf("nn: input for %s is %dx%dx%d, want %dx%dx%d",
 					l.Name, x.C, x.H, x.W, wantC, wantH, wantW)
 			}
-			in = x
-		} else if len(rt.Net.Preds[i]) == 1 {
-			in = outs[rt.Net.Preds[i][0]]
+			ops = append(ops, sparse.SiteInput{T: x})
 		} else {
-			var parts []*sparse.Tensor
-			for _, p := range rt.Net.Preds[i] {
-				parts = append(parts, outs[p])
+			for _, p := range preds {
+				ops = append(ops, sparse.SiteInput{T: rt.layers[p].out})
 			}
-			cat, err := concatChannels(parts)
-			if err != nil {
-				return nil, fmt.Errorf("nn: layer %s: %w", l.Name, err)
-			}
-			in = cat
 		}
-		out, err := rt.execLayer(l, in)
+		rt.operands = ops
+		var err error
+		switch {
+		case l.Kind == Deconv, l.Kind == Conv && rt.Mode == SparseExec:
+			err = rt.execSites(i, ops)
+		case l.Kind == Conv:
+			err = sparse.Conv2DTiledInto(st.out, rt.concat(st, ops), st.filter, rt.pool, rt.shards)
+			st.act(st.out.Data)
+			st.tracked = false
+		case l.Kind == Residual:
+			copy(st.out.Data, rt.concat(st, ops).Data)
+			relu(st.out.Data)
+			st.tracked = false
+		case l.Kind == Pool:
+			var pooled *sparse.Tensor
+			if pooled, err = sparse.MaxPool2D(rt.concat(st, ops), l.K, l.Stride); err == nil {
+				copy(st.out.Data, pooled.Data)
+			}
+			st.tracked = false
+		}
 		if err != nil {
 			return nil, fmt.Errorf("nn: layer %s: %w", l.Name, err)
 		}
-		outs[i] = out
 	}
-	return outs, nil
+	return rt.outs, nil
 }
 
-// Predict runs Forward and returns only the terminal layer outputs.
+// execSites runs conv/deconv layer i from site lists. An operand that
+// is another layer's tracked output brings its list; anything else (a
+// caller's tensor, the output of a volume kernel) is scanned.
+func (rt *Runtime) execSites(i int, ops []sparse.SiteInput) error {
+	st := &rt.layers[i]
+	for j, p := range rt.Net.Preds[i] {
+		ps := &rt.layers[p]
+		if !ps.tracked {
+			ps.active = rt.scratch.Sites(ps.active[:0], ps.out)
+		}
+		ops[j].Sites = ps.active
+	}
+	if len(rt.Net.Preds[i]) == 0 {
+		st.inSites = rt.scratch.Sites(st.inSites[:0], ops[0].T)
+		ops[0].Sites = st.inSites
+	}
+	if st.tracked {
+		plane := st.out.H * st.out.W
+		for c := 0; c < st.out.C; c++ {
+			ch := st.out.Data[c*plane : (c+1)*plane]
+			for _, site := range st.active {
+				ch[site] = 0
+			}
+		}
+	} else {
+		st.out.Zero()
+		st.tracked = true
+	}
+	var err error
+	st.active, err = st.sites.Apply(st.out, &rt.scratch, ops, st.act, st.active[:0], rt.pool, rt.shards)
+	return err
+}
+
+// concat returns the layer's input as one tensor for a volume kernel:
+// the single operand itself, or the operands copied channel after
+// channel into the layer's concat buffer.
+func (rt *Runtime) concat(st *layerState, ops []sparse.SiteInput) *sparse.Tensor {
+	if len(ops) == 1 {
+		return ops[0].T
+	}
+	if st.cat == nil {
+		c := 0
+		for _, op := range ops {
+			c += op.T.C
+		}
+		st.cat = sparse.NewTensor(c, ops[0].T.H, ops[0].T.W)
+	}
+	off := 0
+	for _, op := range ops {
+		off += copy(st.cat.Data[off:], op.T.Data)
+	}
+	return st.cat
+}
+
+// Predict runs Forward and returns only the terminal layer outputs
+// (the runtime's tensors, as for Forward).
 func (rt *Runtime) Predict(inputs map[int]*sparse.Tensor) (map[int]*sparse.Tensor, error) {
 	outs, err := rt.Forward(inputs)
 	if err != nil {
 		return nil, err
 	}
-	res := make(map[int]*sparse.Tensor)
-	for _, id := range rt.OutputLayerIDs() {
+	res := make(map[int]*sparse.Tensor, len(rt.outputIDs))
+	for _, id := range rt.outputIDs {
 		res[id] = outs[id]
 	}
 	return res, nil
-}
-
-func (rt *Runtime) execLayer(l *Layer, in *sparse.Tensor) (*sparse.Tensor, error) {
-	switch l.Kind {
-	case Conv, Deconv:
-		if l.Domain == SNN {
-			return rt.execLIF(l, in)
-		}
-		out, err := rt.conv(l, in)
-		if err != nil {
-			return nil, err
-		}
-		return out.ReLU(), nil
-	case Residual:
-		return in.Clone().ReLU(), nil
-	case Pool:
-		return sparse.MaxPool2D(in, l.K, l.Stride)
-	case FC:
-		return nil, fmt.Errorf("FC layers are not used by the zoo runtime")
-	}
-	return nil, fmt.Errorf("unknown layer kind %v", l.Kind)
 }
 
 // SetParallel wires a worker pool into the runtime's convolution
@@ -193,68 +304,31 @@ func (rt *Runtime) SetParallel(pool *par.Pool, shards int) {
 	rt.pool, rt.shards = pool, shards
 }
 
-func (rt *Runtime) conv(l *Layer, in *sparse.Tensor) (*sparse.Tensor, error) {
-	f := rt.filters[l.ID]
-	if rt.pool.Size() > 1 {
-		if oh, ow := f.OutShape(in.H, in.W); oh > 0 && ow > 0 {
-			out := sparse.NewTensor(f.OutC, oh, ow)
-			var err error
-			if rt.Mode == SparseExec {
-				err = sparse.SparseConv2DTiledInto(out, in, f, rt.pool, rt.shards)
-			} else {
-				err = sparse.Conv2DTiledInto(out, in, f, rt.pool, rt.shards)
+// lif replaces each drive in row by the mean spike rate of a leaky
+// integrate-and-fire neuron held at that drive for T timesteps — a
+// real thresholding nonlinearity that produces genuinely sparse
+// activations. The membrane potential and spike count of one element
+// live in registers; no state outlasts the call.
+func (rt *Runtime) lif(row []float32, T int) {
+	leak, thresh := rt.Leak, rt.VThresh
+	perStep := 1 / float32(T)
+	for i, drive := range row {
+		var v, spikes float32
+		for t := 0; t < T; t++ {
+			v = v*leak + drive
+			if v >= thresh {
+				spikes++
+				v -= thresh
 			}
-			if err != nil {
-				return nil, err
-			}
-			return out, nil
 		}
+		row[i] = spikes * perStep
 	}
-	if rt.Mode == SparseExec {
-		return sparse.SparseConv2D(in, f)
-	}
-	return sparse.Conv2D(in, f)
 }
 
-// execLIF runs leaky integrate-and-fire dynamics over the layer's
-// timesteps with the (rate-coded) input held constant, returning the
-// mean spike rate per output element — a real thresholding
-// nonlinearity that produces genuinely sparse activations.
-func (rt *Runtime) execLIF(l *Layer, in *sparse.Tensor) (*sparse.Tensor, error) {
-	drive, err := rt.conv(l, in)
-	if err != nil {
-		return nil, err
-	}
-	v := sparse.NewTensor(drive.C, drive.H, drive.W)
-	rate := sparse.NewTensor(drive.C, drive.H, drive.W)
-	T := l.Timesteps
-	for t := 0; t < T; t++ {
-		for i := range v.Data {
-			v.Data[i] = v.Data[i]*rt.Leak + drive.Data[i]
-			if v.Data[i] >= rt.VThresh {
-				rate.Data[i]++
-				v.Data[i] -= rt.VThresh
-			}
+func relu(row []float32) {
+	for i, v := range row {
+		if v < 0 {
+			row[i] = 0
 		}
 	}
-	rate.Scale(1 / float32(T))
-	return rate, nil
-}
-
-func concatChannels(parts []*sparse.Tensor) (*sparse.Tensor, error) {
-	h, w := parts[0].H, parts[0].W
-	c := 0
-	for _, p := range parts {
-		if p.H != h || p.W != w {
-			return nil, fmt.Errorf("concat spatial mismatch %dx%d vs %dx%d", p.H, p.W, h, w)
-		}
-		c += p.C
-	}
-	out := sparse.NewTensor(c, h, w)
-	off := 0
-	for _, p := range parts {
-		copy(out.Data[off:], p.Data)
-		off += len(p.Data)
-	}
-	return out, nil
 }

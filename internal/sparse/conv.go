@@ -67,14 +67,9 @@ func checkOut(out *Tensor, f *Filter, h, w int) (oh, ow int, err error) {
 	return oh, ow, nil
 }
 
-// Conv2D computes the dense direct convolution of in with f.
+// Conv2D computes the dense direct convolution of in with f (the
+// transposed convolution if f.Deconv).
 func Conv2D(in *Tensor, f *Filter) (*Tensor, error) {
-	if in.C != f.InC {
-		return nil, fmt.Errorf("sparse: conv input channels %d != filter %d", in.C, f.InC)
-	}
-	if f.Deconv {
-		return deconv2D(in, f)
-	}
 	oh, ow := f.OutShape(in.H, in.W)
 	if oh <= 0 || ow <= 0 {
 		return nil, fmt.Errorf("sparse: conv output %dx%d is empty", oh, ow)
@@ -87,106 +82,64 @@ func Conv2D(in *Tensor, f *Filter) (*Tensor, error) {
 }
 
 // Conv2DInto is Conv2D writing into a caller-supplied (possibly
-// pooled) output tensor; every element is overwritten. The inner
-// loops are identical to Conv2D's, so results are bit-identical.
+// pooled) output tensor; every element is overwritten. A transposed
+// convolution is a scatter and runs as one (SparseConv2DInto).
 func Conv2DInto(out *Tensor, in *Tensor, f *Filter) error {
-	if in.C != f.InC {
-		return fmt.Errorf("sparse: conv input channels %d != filter %d", in.C, f.InC)
-	}
-	if f.Deconv {
-		return deconv2DInto(out, in, f)
-	}
-	oh, ow, err := checkOut(out, f, in.H, in.W)
-	if err != nil {
-		return err
-	}
-	for oc := 0; oc < f.OutC; oc++ {
+	return Conv2DTiledInto(out, in, f, nil, 1)
+}
+
+// convRows computes the flattened (oc, oy) output rows [lo, hi). Every
+// element starts at the bias and receives its in-bounds products in
+// (ic, ky, kx) ascending order, the order of the direct per-element
+// loop; but the loop over a row's elements is the innermost one, so
+// the weight is a scalar, the adds of a row do not wait on each other,
+// and at stride 1 the row and its input are two equal-length slices.
+func convRows(out, in *Tensor, f *Filter, lo, hi int) {
+	oh, ow := out.H, out.W
+	for r := lo; r < hi; r++ {
+		oc, oy := r/oh, r%oh
+		orow := out.Data[r*ow : (r+1)*ow]
 		var bias float32
 		if f.Bias != nil {
 			bias = f.Bias[oc]
 		}
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				sum := bias
-				for ic := 0; ic < f.InC; ic++ {
-					for ky := 0; ky < f.K; ky++ {
-						iy := oy*f.Stride + ky - f.Pad
-						if iy < 0 || iy >= in.H {
-							continue
-						}
-						for kx := 0; kx < f.K; kx++ {
-							ix := ox*f.Stride + kx - f.Pad
-							if ix < 0 || ix >= in.W {
-								continue
-							}
-							sum += f.W(oc, ic, ky, kx) * in.At(ic, iy, ix)
-						}
-					}
-				}
-				out.Set(oc, oy, ox, sum)
-			}
+		for i := range orow {
+			orow[i] = bias
 		}
-	}
-	return nil
-}
-
-// deconv2D computes a transposed convolution by scattering each input
-// site through the kernel.
-func deconv2D(in *Tensor, f *Filter) (*Tensor, error) {
-	oh, ow := f.OutShape(in.H, in.W)
-	if oh <= 0 || ow <= 0 {
-		return nil, fmt.Errorf("sparse: deconv output %dx%d is empty", oh, ow)
-	}
-	out := NewTensor(f.OutC, oh, ow)
-	if err := deconv2DInto(out, in, f); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// deconv2DInto is deconv2D writing into a caller-supplied tensor.
-func deconv2DInto(out *Tensor, in *Tensor, f *Filter) error {
-	oh, ow, err := checkOut(out, f, in.H, in.W)
-	if err != nil {
-		return fmt.Errorf("sparse: deconv: %w", err)
-	}
-	if f.Bias != nil {
-		for oc := 0; oc < f.OutC; oc++ {
-			for y := 0; y < oh; y++ {
-				for x := 0; x < ow; x++ {
-					out.Set(oc, y, x, f.Bias[oc])
-				}
-			}
-		}
-	} else {
-		out.Zero()
-	}
-	for ic := 0; ic < f.InC; ic++ {
-		for iy := 0; iy < in.H; iy++ {
-			for ix := 0; ix < in.W; ix++ {
-				v := in.At(ic, iy, ix)
-				if v == 0 {
+		for ic := 0; ic < f.InC; ic++ {
+			for ky := 0; ky < f.K; ky++ {
+				iy := oy*f.Stride + ky - f.Pad
+				if iy < 0 || iy >= in.H {
 					continue
 				}
-				for oc := 0; oc < f.OutC; oc++ {
-					for ky := 0; ky < f.K; ky++ {
-						oy := iy*f.Stride + ky - f.Pad
-						if oy < 0 || oy >= oh {
-							continue
+				irow := in.Data[(ic*in.H+iy)*in.W:][:in.W]
+				for kx, wv := range f.Weights[((oc*f.InC+ic)*f.K+ky)*f.K:][:f.K] {
+					// Outputs whose input column ox*Stride + off is
+					// inside the row.
+					off := kx - f.Pad
+					if off >= in.W {
+						continue
+					}
+					first := max(0, (-off+f.Stride-1)/f.Stride)
+					last := min(ow, (in.W-1-off)/f.Stride+1)
+					if first >= last {
+						continue
+					}
+					if f.Stride == 1 {
+						o := orow[first:last]
+						x := irow[first+off:][:len(o)]
+						for i := range o {
+							o[i] += wv * x[i]
 						}
-						for kx := 0; kx < f.K; kx++ {
-							ox := ix*f.Stride + kx - f.Pad
-							if ox < 0 || ox >= ow {
-								continue
-							}
-							out.Add(oc, oy, ox, f.W(oc, ic, ky, kx)*v)
-						}
+						continue
+					}
+					for ox := first; ox < last; ox++ {
+						orow[ox] += wv * irow[ox*f.Stride+off]
 					}
 				}
 			}
 		}
 	}
-	return nil
 }
 
 // Im2colConv2D computes the same dense convolution via im2col + GEMM,
@@ -197,7 +150,7 @@ func Im2colConv2D(in *Tensor, f *Filter) (*Tensor, error) {
 		return nil, fmt.Errorf("sparse: conv input channels %d != filter %d", in.C, f.InC)
 	}
 	if f.Deconv {
-		return deconv2D(in, f) // no GEMM path for deconv; direct scatter
+		return Conv2D(in, f) // no GEMM path for deconv; direct scatter
 	}
 	oh, ow := f.OutShape(in.H, in.W)
 	if oh <= 0 || ow <= 0 {
@@ -245,12 +198,6 @@ func Im2colConv2D(in *Tensor, f *Filter) (*Tensor, error) {
 // positions with no contributing inputs (bias is applied everywhere,
 // matching dense semantics).
 func SparseConv2D(in *Tensor, f *Filter) (*Tensor, error) {
-	if in.C != f.InC {
-		return nil, fmt.Errorf("sparse: conv input channels %d != filter %d", in.C, f.InC)
-	}
-	if f.Deconv {
-		return deconv2D(in, f)
-	}
 	oh, ow := f.OutShape(in.H, in.W)
 	if oh <= 0 || ow <= 0 {
 		return nil, fmt.Errorf("sparse: conv output %dx%d is empty", oh, ow)
@@ -263,66 +210,12 @@ func SparseConv2D(in *Tensor, f *Filter) (*Tensor, error) {
 }
 
 // SparseConv2DInto is SparseConv2D writing into a caller-supplied
-// (possibly pooled) output tensor. The output is fully initialized
-// (bias fill or zero) before the scatter, so pooled tensors need no
-// prior clearing; accumulation order matches SparseConv2D exactly.
+// (possibly pooled) output tensor. The output is fully initialized to
+// the bias before the scatter, so pooled tensors need no prior
+// clearing. The input is scanned once into a site list and the scatter
+// runs from the list (SiteConv.Apply).
 func SparseConv2DInto(out *Tensor, in *Tensor, f *Filter) error {
-	if in.C != f.InC {
-		return fmt.Errorf("sparse: conv input channels %d != filter %d", in.C, f.InC)
-	}
-	if f.Deconv {
-		return deconv2DInto(out, in, f)
-	}
-	oh, ow, err := checkOut(out, f, in.H, in.W)
-	if err != nil {
-		return err
-	}
-	if f.Bias != nil {
-		for oc := 0; oc < f.OutC; oc++ {
-			base := oc * oh * ow
-			for i := 0; i < oh*ow; i++ {
-				out.Data[base+i] = f.Bias[oc]
-			}
-		}
-	} else {
-		out.Zero()
-	}
-	for ic := 0; ic < in.C; ic++ {
-		for iy := 0; iy < in.H; iy++ {
-			for ix := 0; ix < in.W; ix++ {
-				v := in.At(ic, iy, ix)
-				if v == 0 {
-					continue
-				}
-				// Input (iy, ix) contributes to outputs (oy, ox) where
-				// oy*S + ky - P == iy for some ky in [0, K).
-				for ky := 0; ky < f.K; ky++ {
-					num := iy + f.Pad - ky
-					if num < 0 || num%f.Stride != 0 {
-						continue
-					}
-					oy := num / f.Stride
-					if oy >= oh {
-						continue
-					}
-					for kx := 0; kx < f.K; kx++ {
-						numx := ix + f.Pad - kx
-						if numx < 0 || numx%f.Stride != 0 {
-							continue
-						}
-						ox := numx / f.Stride
-						if ox >= ow {
-							continue
-						}
-						for oc := 0; oc < f.OutC; oc++ {
-							out.Add(oc, oy, ox, f.W(oc, ic, ky, kx)*v)
-						}
-					}
-				}
-			}
-		}
-	}
-	return nil
+	return SparseConv2DTiledInto(out, in, f, nil, 1)
 }
 
 // SubmanifoldConv2D computes a submanifold sparse convolution: outputs

@@ -21,11 +21,10 @@ import (
 //   - Conv2DTiledInto flattens (out-channel, output-row) pairs into one
 //     row index space and splits it into contiguous ranges — each
 //     element is computed independently, so any partition works.
-//   - SparseConv2DTiledInto shards output rows; every shard rescans
-//     only the input rows that can reach its output range and applies
-//     only the updates it owns. Per output element the contributions
-//     still arrive in (ic, iy, ix) ascending order, the serial
-//     scatter's order.
+//   - SparseConv2DTiledInto (scatter.go) shards output channels; every
+//     shard walks the whole site list and applies the updates of its
+//     channels. Per output element the contributions still arrive in
+//     (ic, iy, ix) ascending order.
 //   - SubmanifoldConv2DTiledInto shards output rows of the active-site
 //     scan; inactive rows are zeroed by their owning shard.
 //   - SpMMTiledInto shards CSR output rows.
@@ -55,161 +54,38 @@ func clampShards(shards, rows int) int {
 type conv2DTask struct {
 	out, in *Tensor
 	f       *Filter
-	oh, ow  int
 }
 
 var conv2DTasks = sync.Pool{New: func() any { return new(conv2DTask) }}
 
 func (t *conv2DTask) RunShard(shard, shards int, _ *par.Scratch) {
-	f, in, out := t.f, t.in, t.out
-	lo, hi := splitRange(shard, shards, f.OutC*t.oh)
-	for r := lo; r < hi; r++ {
-		oc, oy := r/t.oh, r%t.oh
-		var bias float32
-		if f.Bias != nil {
-			bias = f.Bias[oc]
-		}
-		for ox := 0; ox < t.ow; ox++ {
-			sum := bias
-			for ic := 0; ic < f.InC; ic++ {
-				for ky := 0; ky < f.K; ky++ {
-					iy := oy*f.Stride + ky - f.Pad
-					if iy < 0 || iy >= in.H {
-						continue
-					}
-					for kx := 0; kx < f.K; kx++ {
-						ix := ox*f.Stride + kx - f.Pad
-						if ix < 0 || ix >= in.W {
-							continue
-						}
-						sum += f.W(oc, ic, ky, kx) * in.At(ic, iy, ix)
-					}
-				}
-			}
-			out.Set(oc, oy, ox, sum)
-		}
-	}
+	lo, hi := splitRange(shard, shards, t.f.OutC*t.out.H)
+	convRows(t.out, t.in, t.f, lo, hi)
 }
 
 // Conv2DTiledInto is Conv2DInto executed across pool shards; results
-// are bit-identical to the serial kernel. shards <= 1 or a nil/serial
-// pool falls back to Conv2DInto. Deconvolution is a scatter with
-// overlapping output windows and stays serial.
+// are bit-identical for every pool and shard count. shards <= 1 or a
+// nil/serial pool computes all rows on the caller.
 func Conv2DTiledInto(out, in *Tensor, f *Filter, pool *par.Pool, shards int) error {
-	if f.Deconv || pool.Size() <= 1 || shards <= 1 {
-		return Conv2DInto(out, in, f)
+	if f.Deconv {
+		return SparseConv2DTiledInto(out, in, f, pool, shards)
 	}
 	if in.C != f.InC {
 		return fmt.Errorf("sparse: conv input channels %d != filter %d", in.C, f.InC)
 	}
-	oh, ow, err := checkOut(out, f, in.H, in.W)
+	oh, _, err := checkOut(out, f, in.H, in.W)
 	if err != nil {
 		return err
 	}
-	shards = clampShards(shards, f.OutC*oh)
+	if pool.Size() <= 1 || shards <= 1 {
+		convRows(out, in, f, 0, f.OutC*oh)
+		return nil
+	}
 	t := conv2DTasks.Get().(*conv2DTask)
-	t.out, t.in, t.f, t.oh, t.ow = out, in, f, oh, ow
-	pool.Run(shards, t)
+	t.out, t.in, t.f = out, in, f
+	pool.Run(clampShards(shards, f.OutC*oh), t)
 	t.out, t.in, t.f = nil, nil, nil
 	conv2DTasks.Put(t)
-	return nil
-}
-
-// sparseConv2DTask is one gather-scatter convolution sharded over
-// output rows: each shard initializes and owns rows [lo, hi) and
-// rescans only the input rows that can reach them.
-type sparseConv2DTask struct {
-	out, in *Tensor
-	f       *Filter
-	oh, ow  int
-}
-
-var sparseConv2DTasks = sync.Pool{New: func() any { return new(sparseConv2DTask) }}
-
-func (t *sparseConv2DTask) RunShard(shard, shards int, _ *par.Scratch) {
-	f, in, out := t.f, t.in, t.out
-	oh, ow := t.oh, t.ow
-	lo, hi := splitRange(shard, shards, oh)
-	// Initialize owned rows exactly as the serial kernel does the full
-	// tensor: bias everywhere or zero.
-	for oc := 0; oc < f.OutC; oc++ {
-		var bias float32
-		if f.Bias != nil {
-			bias = f.Bias[oc]
-		}
-		base := (oc*oh + lo) * ow
-		row := out.Data[base : base+(hi-lo)*ow]
-		for i := range row {
-			row[i] = bias
-		}
-	}
-	// Input rows feeding oy in [lo, hi): iy = oy*S + ky - P for
-	// ky in [0, K).
-	iyLo := lo*f.Stride - f.Pad
-	if iyLo < 0 {
-		iyLo = 0
-	}
-	iyHi := (hi-1)*f.Stride + f.K - 1 - f.Pad + 1
-	if iyHi > in.H {
-		iyHi = in.H
-	}
-	for ic := 0; ic < in.C; ic++ {
-		for iy := iyLo; iy < iyHi; iy++ {
-			irow := in.Data[(ic*in.H+iy)*in.W : (ic*in.H+iy+1)*in.W]
-			for ix, v := range irow {
-				if v == 0 {
-					continue
-				}
-				for ky := 0; ky < f.K; ky++ {
-					num := iy + f.Pad - ky
-					if num < 0 || num%f.Stride != 0 {
-						continue
-					}
-					oy := num / f.Stride
-					if oy < lo || oy >= hi {
-						continue
-					}
-					for kx := 0; kx < f.K; kx++ {
-						numx := ix + f.Pad - kx
-						if numx < 0 || numx%f.Stride != 0 {
-							continue
-						}
-						ox := numx / f.Stride
-						if ox >= ow {
-							continue
-						}
-						for oc := 0; oc < f.OutC; oc++ {
-							out.Add(oc, oy, ox, f.W(oc, ic, ky, kx)*v)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// SparseConv2DTiledInto is SparseConv2DInto executed across pool
-// shards with bit-identical results: each output element receives its
-// contributions in the serial scatter's (ic, iy, ix) ascending order,
-// only restricted to the rows the shard owns. Deconvolution stays
-// serial.
-func SparseConv2DTiledInto(out, in *Tensor, f *Filter, pool *par.Pool, shards int) error {
-	if f.Deconv || pool.Size() <= 1 || shards <= 1 {
-		return SparseConv2DInto(out, in, f)
-	}
-	if in.C != f.InC {
-		return fmt.Errorf("sparse: conv input channels %d != filter %d", in.C, f.InC)
-	}
-	oh, ow, err := checkOut(out, f, in.H, in.W)
-	if err != nil {
-		return err
-	}
-	shards = clampShards(shards, oh)
-	t := sparseConv2DTasks.Get().(*sparseConv2DTask)
-	t.out, t.in, t.f, t.oh, t.ow = out, in, f, oh, ow
-	pool.Run(shards, t)
-	t.out, t.in, t.f = nil, nil, nil
-	sparseConv2DTasks.Put(t)
 	return nil
 }
 
