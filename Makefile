@@ -44,24 +44,21 @@ bench:
 bench-e2e:
 	bash bench/run.sh
 
-# Serialized-vs-batched serving comparison plus per-stage allocation
-# profile: emits BENCH_serve.json (virtual throughput, p50/p99, batch
-# occupancy), BENCH_alloc.json (allocs/op, bytes/op, ns/op per
-# hot-path stage) and BENCH_par.json (serial-vs-tiled kernel scaling,
-# rulebook-cache hit rates, parallel byte-identity) — the
+# Serialized-vs-batched serving comparison: emits BENCH_serve.json
+# (virtual throughput, p50/p99, batch occupancy), BENCH_obs.json
+# (tracing overhead) and BENCH_par.json (serial-vs-tiled kernel
+# scaling, rulebook-cache hit rates, parallel byte-identity) — the
 # perf-trajectory artifacts CI uploads on every run.
 bench-json:
 	BENCH_JSON=$(abspath BENCH_serve.json) $(GO) test -run '^TestServeBenchJSON$$' -count=1 ./internal/serve
 	BENCH_OBS_JSON=$(abspath BENCH_obs.json) $(GO) test -run '^TestObsBenchJSON$$' -count=1 ./internal/serve
-	BENCH_ALLOC_JSON=$(abspath BENCH_alloc.json) $(GO) test -run '^TestAllocBenchJSON$$' -count=1 ./internal/serve
 	BENCH_PAR_JSON=$(abspath BENCH_par.json) $(GO) test -run '^TestParBenchJSON$$' -count=1 -timeout 30m ./internal/harness
 
-# Allocation regression gate: re-measure every hot-path stage and fail
-# if any stage's allocs/op regressed >10% against the committed
-# BENCH_alloc.json. Run before bench-json (which overwrites the
-# baseline in the working tree).
+# Allocation gate: every hot-path stage (converter, kernels, rulebook)
+# and the whole serving cycle, serial and parallel, must allocate
+# nothing per call once warm.
 bench-smoke:
-	BENCH_ALLOC_BASELINE=$(abspath BENCH_alloc.json) $(GO) test -run '^TestAllocSmoke$$' -count=1 -v ./internal/serve
+	$(GO) test -run '^TestAllocSmoke$$|^TestAllocRegression' -count=1 -v ./internal/serve
 
 # Run the deterministic scenario suite (the chaos/soak regression bed)
 # plus the kernel worker pool under the race detector, at two scheduler

@@ -141,25 +141,27 @@ func BenchmarkTable2(b *testing.B) { runExperiment(b, "table2") }
 // the paper's Sec. 4.1 motivates against.
 func BenchmarkAblationE2SFDirect(b *testing.B) {
 	stream := scene.GenerateUniform(346, 260, 400_000, 100_000, 1)
-	conv, err := e2sf.New(e2sf.Config{Width: 346, Height: 260, NumBins: 5})
+	conv, err := e2sf.NewFused(e2sf.Config{Width: 346, Height: 260, NumBins: 5}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("direct", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := conv.Convert(stream, 0, 100_000); err != nil {
+			if _, _, err := conv.ConvertGrouped(stream, 0, 100_000, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("dense-then-sparsify", func(b *testing.B) {
+		dense := sparse.NewTensor(2, 260, 346)
 		for i := 0; i < b.N; i++ {
-			dense, _, err := conv.ConvertDense(stream, 0, 100_000)
+			frames, _, err := conv.ConvertGrouped(stream, 0, 100_000, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
-			for _, d := range dense {
-				if _, err := sparse.FromDense(d, 0, 0); err != nil {
+			for _, f := range frames {
+				f.DenseInto(dense)
+				if _, err := sparse.FromDense(dense, 0, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -167,7 +169,7 @@ func BenchmarkAblationE2SFDirect(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationSparseConv compares dense, im2col and sparse
+// BenchmarkAblationSparseConv compares the dense and sparse
 // convolution kernels at event-frame density.
 func BenchmarkAblationSparseConv(b *testing.B) {
 	in := sparse.NewTensor(2, 128, 128)
@@ -176,23 +178,17 @@ func BenchmarkAblationSparseConv(b *testing.B) {
 	for i := range f.Weights {
 		f.Weights[i] = 0.01 * float32(i%7)
 	}
+	out := sparse.NewTensor(16, 128, 128)
 	b.Run("dense", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sparse.Conv2D(in, f); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("im2col", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := sparse.Im2colConv2D(in, f); err != nil {
+			if err := sparse.Conv2DInto(out, in, f); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("sparse", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sparse.SparseConv2D(in, f); err != nil {
+			if err := sparse.SparseConv2DInto(out, in, f); err != nil {
 				b.Fatal(err)
 			}
 		}

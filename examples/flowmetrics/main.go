@@ -31,11 +31,11 @@ func main() {
 	}
 	// E2SF the window the flow spans, to mask evaluation to event
 	// pixels (the EV-FlowNet protocol).
-	conv, err := e2sf.New(e2sf.Config{Width: stream.Width, Height: stream.Height, NumBins: 1})
+	conv, err := e2sf.NewFused(e2sf.Config{Width: stream.Width, Height: stream.Height, NumBins: 1}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	frames, _, err := conv.Convert(stream, 0, 25_000)
+	frames, _, err := conv.ConvertGrouped(stream, 0, 25_000, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

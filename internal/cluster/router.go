@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"evedge/internal/events"
 	"evedge/internal/serve"
 )
 
@@ -61,10 +62,15 @@ func writeError(w http.ResponseWriter, status int, err error) {
 }
 
 // errStatus maps proxy errors onto the same statuses a single node
-// uses: unknown session 404, everything else a conflict.
+// uses: unknown session 404, a chunk failing events.Stream.Validate
+// 400, everything else a conflict.
 func errStatus(err error) int {
-	if errors.Is(err, serve.ErrNoSession) {
+	switch {
+	case errors.Is(err, serve.ErrNoSession):
 		return http.StatusNotFound
+	case errors.Is(err, events.ErrGeometry), errors.Is(err, events.ErrPolarity),
+		errors.Is(err, events.ErrOrder), errors.Is(err, events.ErrNoGeometry):
+		return http.StatusBadRequest
 	}
 	return http.StatusConflict
 }

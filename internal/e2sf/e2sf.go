@@ -12,16 +12,15 @@
 // (row indices, column indices, polarity channels), so downstream
 // compute is proportional to the number of generated events.
 //
-// The package also provides the alternative input representations of
-// the paper's Fig. 2 (full accumulation with most-recent timestamps,
-// and grouping of bins into SNN timesteps) and the dense event-frame
-// path used by the all-GPU baseline, with encode/decode operation
-// accounting so the perf model can charge the baseline for the
-// conversion overheads E2SF avoids.
+// Fused is the converter. Besides time binning (with grouping of bins
+// into SNN timesteps) and count-based framing it provides the other
+// input representations of the paper's Fig. 2: full accumulation with
+// most-recent timestamps (CountTimestamp) and the bilinear voxel grid
+// (VoxelGrid).
 package e2sf
 
 import (
-	"fmt"
+	"slices"
 
 	"evedge/internal/events"
 	"evedge/internal/sparse"
@@ -35,151 +34,12 @@ type Config struct {
 	NumBins int
 }
 
-// Converter maps event streams to sparse frames.
-type Converter struct {
-	cfg Config
-}
-
-// New validates the config and returns a Converter.
-func New(cfg Config) (*Converter, error) {
-	if cfg.Width <= 0 || cfg.Height <= 0 {
-		return nil, fmt.Errorf("e2sf: invalid geometry %dx%d", cfg.Width, cfg.Height)
-	}
-	if cfg.NumBins <= 0 {
-		return nil, fmt.Errorf("e2sf: NumBins must be positive, got %d", cfg.NumBins)
-	}
-	return &Converter{cfg: cfg}, nil
-}
-
-// Config returns the converter's configuration.
-func (c *Converter) Config() Config { return c.cfg }
-
 // Stats reports what a conversion did.
 type Stats struct {
 	EventsIn    int     // events consumed
-	Frames      int     // sparse frames emitted (== NumBins)
+	Frames      int     // sparse frames emitted
 	TotalNNZ    int     // active pixels across all frames
 	MeanDensity float64 // mean fraction of active pixels per frame
-}
-
-// Convert bins the events of s that fall in [tStart, tEnd) per Eq. 1
-// and returns one sparse frame per bin (empty bins yield empty
-// frames, preserving temporal alignment). The stream must be sorted.
-func (c *Converter) Convert(s *events.Stream, tStart, tEnd int64) ([]*sparse.Frame, Stats, error) {
-	var st Stats
-	if tEnd <= tStart {
-		return nil, st, fmt.Errorf("e2sf: empty interval [%d, %d)", tStart, tEnd)
-	}
-	if s.Width != c.cfg.Width || s.Height != c.cfg.Height {
-		return nil, st, fmt.Errorf("e2sf: stream geometry %dx%d != converter %dx%d",
-			s.Width, s.Height, c.cfg.Width, c.cfg.Height)
-	}
-	nB := c.cfg.NumBins
-	// Eq. 1: bin duration. Integer microseconds; use float64 for the
-	// division to avoid bias when the window is not a multiple of nB.
-	biS := float64(tEnd-tStart) / float64(nB)
-	builders := make([]*sparse.FrameBuilder, nB)
-	for k := 0; k < nB; k++ {
-		t0 := tStart + int64(float64(k)*biS)
-		t1 := tStart + int64(float64(k+1)*biS)
-		builders[k] = sparse.NewFrameBuilder(c.cfg.Height, c.cfg.Width, t0, t1)
-	}
-	window := s.Slice(tStart, tEnd)
-	for _, e := range window.Events {
-		k := int(float64(e.TS-tStart) / biS)
-		if k >= nB { // tk == tEnd-epsilon rounding; clamp to last bin
-			k = nB - 1
-		}
-		builders[k].AddEvent(int32(e.Y), int32(e.X), e.Pol == events.On)
-		st.EventsIn++
-	}
-	frames := make([]*sparse.Frame, nB)
-	for k, b := range builders {
-		frames[k] = b.Build()
-		st.TotalNNZ += frames[k].NNZ()
-		st.MeanDensity += frames[k].Density()
-	}
-	st.Frames = nB
-	st.MeanDensity /= float64(nB)
-	return frames, st, nil
-}
-
-// ConvertByCount implements the count-based framing of prior works
-// ([7] SpikeFlowNet, [8] Fusion-FlowNet: "construct event frames by
-// statically counting the number of events"): a new sparse frame is
-// emitted every countPerFrame events, so the frame rate tracks scene
-// activity — the behaviour that creates frame backlog during bursts
-// and motivates DSFA. A trailing partial frame is emitted if the
-// window ends mid-count.
-func (c *Converter) ConvertByCount(s *events.Stream, tStart, tEnd int64, countPerFrame int) ([]*sparse.Frame, Stats, error) {
-	var st Stats
-	if tEnd <= tStart {
-		return nil, st, fmt.Errorf("e2sf: empty interval [%d, %d)", tStart, tEnd)
-	}
-	if countPerFrame <= 0 {
-		return nil, st, fmt.Errorf("e2sf: countPerFrame must be positive, got %d", countPerFrame)
-	}
-	if s.Width != c.cfg.Width || s.Height != c.cfg.Height {
-		return nil, st, fmt.Errorf("e2sf: stream geometry %dx%d != converter %dx%d",
-			s.Width, s.Height, c.cfg.Width, c.cfg.Height)
-	}
-	window := s.Slice(tStart, tEnd)
-	var out []*sparse.Frame
-	frameStart := tStart
-	b := sparse.NewFrameBuilder(c.cfg.Height, c.cfg.Width, frameStart, frameStart)
-	n := 0
-	emit := func(t1 int64) {
-		f := b.Build()
-		f.T0, f.T1 = frameStart, t1
-		out = append(out, f)
-		st.TotalNNZ += f.NNZ()
-		st.MeanDensity += f.Density()
-		frameStart = t1
-		n = 0
-	}
-	for _, e := range window.Events {
-		b.AddEvent(int32(e.Y), int32(e.X), e.Pol == events.On)
-		st.EventsIn++
-		n++
-		if n >= countPerFrame {
-			emit(e.TS + 1)
-		}
-	}
-	if n > 0 {
-		emit(tEnd)
-	}
-	st.Frames = len(out)
-	if st.Frames > 0 {
-		st.MeanDensity /= float64(st.Frames)
-	}
-	return out, st, nil
-}
-
-// ConvertDense builds the dense event-frame representation the
-// baseline uses: one 2 x H x W tensor per bin. Returned alongside is
-// the number of per-element store operations performed (H*W*2 writes
-// per frame plus one accumulate per event), which the perf model
-// charges as framing overhead.
-func (c *Converter) ConvertDense(s *events.Stream, tStart, tEnd int64) ([]*sparse.Tensor, int64, error) {
-	frames, _, err := c.Convert(s, tStart, tEnd)
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make([]*sparse.Tensor, len(frames))
-	var ops int64
-	for i, f := range frames {
-		out[i] = f.Dense()
-		ops += int64(2*c.cfg.Width*c.cfg.Height) + int64(f.NNZ())
-	}
-	return out, ops, nil
-}
-
-// EncodeDecodeOps returns the operation count of converting a dense
-// 2 x H x W event frame into sparse form after the fact (a full scan),
-// i.e. the encoding overhead that makes "dense frames + sparse
-// library" unattractive and that E2SF eliminates (paper Sec. 4.1).
-func (c *Converter) EncodeDecodeOps() int64 {
-	return int64(2 * c.cfg.Width * c.cfg.Height)
 }
 
 // CountTimestamp is the full-accumulation representation of Fig. 2
@@ -196,60 +56,34 @@ type CountTimestamp struct {
 }
 
 // ConvertCountTimestamp accumulates the whole [tStart, tEnd) window
-// into a single CountTimestamp representation.
-func (c *Converter) ConvertCountTimestamp(s *events.Stream, tStart, tEnd int64) (*CountTimestamp, error) {
-	if tEnd <= tStart {
-		return nil, fmt.Errorf("e2sf: empty interval [%d, %d)", tStart, tEnd)
-	}
-	one := Converter{cfg: Config{Width: c.cfg.Width, Height: c.cfg.Height, NumBins: 1}}
-	frames, _, err := one.Convert(s, tStart, tEnd)
+// into a single CountTimestamp representation, whatever NumBins is.
+func (k *Fused) ConvertCountTimestamp(s *events.Stream, tStart, tEnd int64) (*CountTimestamp, error) {
+	frames, _, err := k.ConvertGrouped(s, tStart, tEnd, k.cfg.NumBins)
 	if err != nil {
 		return nil, err
 	}
-	f := frames[0]
-	ct := &CountTimestamp{
-		Counts:    f,
-		LastPosTS: make([]float32, f.NNZ()),
-		LastNegTS: make([]float32, f.NNZ()),
-	}
-	// Second pass for most-recent timestamps; the stream is sorted so
-	// later events overwrite earlier ones.
-	idx := make(map[int64]int, f.NNZ())
-	for i := range f.Ys {
-		idx[int64(f.Ys[i])*int64(c.cfg.Width)+int64(f.Xs[i])] = i
-	}
+	ct := &CountTimestamp{Counts: frames[0]}
+	ct.Counts.T0, ct.Counts.T1 = tStart, tEnd
+	// Second pass with the scratch grid holding timestamps instead of
+	// counts; the stream is sorted so later events overwrite earlier
+	// ones, and the sorted touched keys are Counts' entry order.
 	span := float64(tEnd - tStart)
-	for _, e := range s.Slice(tStart, tEnd).Events {
-		i, ok := idx[int64(e.Y)*int64(c.cfg.Width)+int64(e.X)]
-		if !ok {
-			continue // unreachable: every event created its pixel
-		}
+	for _, e := range s.Window(tStart, tEnd) {
+		key := k.touch(e)
 		norm := float32(float64(e.TS-tStart) / span)
 		if e.Pol == events.On {
-			ct.LastPosTS[i] = norm
+			k.pos[key] = norm
 		} else {
-			ct.LastNegTS[i] = norm
+			k.neg[key] = norm
 		}
 	}
+	slices.Sort(k.touched)
+	ct.LastPosTS = make([]float32, len(k.touched))
+	ct.LastNegTS = make([]float32, len(k.touched))
+	for i, key := range k.touched {
+		ct.LastPosTS[i] = k.pos[key]
+		ct.LastNegTS[i] = k.neg[key]
+	}
+	k.nextFrame()
 	return ct, nil
-}
-
-// GroupBins concatenates consecutive sparse frames into groups of k —
-// the paper's "presented sequentially over B/k timesteps" input mode
-// for SNNs. Each group is merged with cAdd semantics so event counts
-// are conserved. The final group may be smaller if len(frames) is not
-// a multiple of k.
-func GroupBins(frames []*sparse.Frame, k int) ([]*sparse.Frame, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("e2sf: group size must be positive, got %d", k)
-	}
-	var out []*sparse.Frame
-	for i := 0; i < len(frames); i += k {
-		j := i + k
-		if j > len(frames) {
-			j = len(frames)
-		}
-		out = append(out, sparse.MergeAdd(frames[i:j]...))
-	}
-	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"evedge/internal/events"
 	"evedge/internal/scene"
+	"evedge/internal/sparse"
 )
 
 func mkStream(w, h int, evs ...events.Event) *events.Stream {
@@ -15,17 +16,27 @@ func mkStream(w, h int, evs ...events.Event) *events.Stream {
 	return s
 }
 
-func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{Width: 0, Height: 10, NumBins: 1}); err == nil {
-		t.Fatal("zero width accepted")
-	}
-	if _, err := New(Config{Width: 10, Height: 10, NumBins: 0}); err == nil {
-		t.Fatal("zero bins accepted")
-	}
-	c, err := New(Config{Width: 10, Height: 10, NumBins: 4})
+// mustFused returns an unpooled converter for a w x h sensor.
+func mustFused(t testing.TB, w, h, nB int) *Fused {
+	t.Helper()
+	c, err := NewFused(Config{Width: w, Height: h, NumBins: nB}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return c
+}
+
+func TestNewValidation(t *testing.T) {
+	if _, err := NewFused(Config{Width: 0, Height: 10, NumBins: 1}, nil); err == nil {
+		t.Fatal("zero width accepted")
+	}
+	if _, err := NewFused(Config{Width: 10, Height: 10, NumBins: 0}, nil); err == nil {
+		t.Fatal("zero bins accepted")
+	}
+	if _, err := NewFused(Config{Width: 1 << 16, Height: 1 << 16, NumBins: 1}, nil); err == nil {
+		t.Fatal("geometry overflowing int32 keys accepted")
+	}
+	c := mustFused(t, 10, 10, 4)
 	if c.Config().NumBins != 4 {
 		t.Fatal("config not retained")
 	}
@@ -43,11 +54,7 @@ func TestConvertBinAssignment(t *testing.T) {
 		events.Event{X: 2, Y: 1, TS: 100, Pol: events.On},  // outside
 		events.Event{X: 3, Y: 1, TS: 2000, Pol: events.On}, // outside
 	)
-	c, err := New(Config{Width: 4, Height: 4, NumBins: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames, st, err := c.Convert(s, 0, 100)
+	frames, st, err := mustFused(t, 4, 4, 4).ConvertGrouped(s, 0, 100, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +90,7 @@ func TestConvertPolarityAccumulation(t *testing.T) {
 		events.Event{X: 0, Y: 0, TS: 2, Pol: events.On},
 		events.Event{X: 0, Y: 0, TS: 3, Pol: events.Off},
 	)
-	c, _ := New(Config{Width: 2, Height: 2, NumBins: 1})
-	frames, _, err := c.Convert(s, 0, 10)
+	frames, _, err := mustFused(t, 2, 2, 1).ConvertGrouped(s, 0, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,12 +101,12 @@ func TestConvertPolarityAccumulation(t *testing.T) {
 }
 
 func TestConvertErrors(t *testing.T) {
-	c, _ := New(Config{Width: 4, Height: 4, NumBins: 2})
+	c := mustFused(t, 4, 4, 2)
 	s := mkStream(4, 4)
-	if _, _, err := c.Convert(s, 10, 10); err == nil {
+	if _, _, err := c.ConvertGrouped(s, 10, 10, 1); err == nil {
 		t.Fatal("empty window accepted")
 	}
-	if _, _, err := c.Convert(mkStream(8, 8), 0, 10); err == nil {
+	if _, _, err := c.ConvertGrouped(mkStream(8, 8), 0, 10, 1); err == nil {
 		t.Fatal("geometry mismatch accepted")
 	}
 }
@@ -109,8 +115,7 @@ func TestLastBinClamp(t *testing.T) {
 	// An event exactly at the final microsecond before tEnd lands in
 	// the last bin even with floating point rounding.
 	s := mkStream(2, 2, events.Event{X: 0, Y: 0, TS: 99, Pol: events.On})
-	c, _ := New(Config{Width: 2, Height: 2, NumBins: 3})
-	frames, _, err := c.Convert(s, 0, 100)
+	frames, _, err := mustFused(t, 2, 2, 3).ConvertGrouped(s, 0, 100, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +130,7 @@ func TestConservationProperty(t *testing.T) {
 	f := func(seed int64, nbRaw uint8) bool {
 		nB := int(nbRaw)%16 + 1
 		s := scene.GenerateUniform(32, 24, 50_000, 100_000, seed)
-		c, err := New(Config{Width: 32, Height: 24, NumBins: nB})
-		if err != nil {
-			return false
-		}
-		frames, st, err := c.Convert(s, 0, 100_000)
+		frames, st, err := mustFused(t, 32, 24, nB).ConvertGrouped(s, 0, 100_000, 1)
 		if err != nil {
 			return false
 		}
@@ -154,11 +155,7 @@ func TestBinBoundsProperty(t *testing.T) {
 		nB := 1 + r.Intn(12)
 		tEnd := int64(1000 + r.Intn(100_000))
 		s := scene.GenerateUniform(16, 16, 20_000, tEnd, seed)
-		c, err := New(Config{Width: 16, Height: 16, NumBins: nB})
-		if err != nil {
-			return false
-		}
-		frames, _, err := c.Convert(s, 0, tEnd)
+		frames, _, err := mustFused(t, 16, 16, nB).ConvertGrouped(s, 0, tEnd, 1)
 		if err != nil {
 			return false
 		}
@@ -180,32 +177,34 @@ func TestBinBoundsProperty(t *testing.T) {
 	}
 }
 
+// The dense event-frame form the baseline feeds to dense kernels is
+// the converted frame expanded, and scanning it back loses nothing.
 func TestConvertDense(t *testing.T) {
 	s := mkStream(4, 4,
 		events.Event{X: 1, Y: 2, TS: 5, Pol: events.On},
 		events.Event{X: 3, Y: 0, TS: 15, Pol: events.Off},
 	)
-	c, _ := New(Config{Width: 4, Height: 4, NumBins: 2})
-	dense, ops, err := c.ConvertDense(s, 0, 20)
+	frames, _, err := mustFused(t, 4, 4, 2).ConvertGrouped(s, 0, 20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dense) != 2 {
-		t.Fatalf("frames=%d", len(dense))
+	if len(frames) != 2 {
+		t.Fatalf("frames=%d", len(frames))
 	}
-	if dense[0].At(0, 2, 1) != 1 {
+	dense := sparse.NewTensor(2, 4, 4)
+	frames[0].DenseInto(dense)
+	if dense.At(0, 2, 1) != 1 {
 		t.Fatal("dense pos channel wrong")
 	}
-	if dense[1].At(1, 0, 3) != 1 {
+	frames[1].DenseInto(dense)
+	if dense.At(1, 0, 3) != 1 || dense.NNZ() != 1 {
 		t.Fatal("dense neg channel wrong")
 	}
-	// 2 frames * 2*4*4 stores + 2 event accumulates
-	if ops != 2*32+2 {
-		t.Fatalf("ops=%d", ops)
+	back, err := sparse.FromDense(dense, frames[1].T0, frames[1].T1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c.EncodeDecodeOps() != 32 {
-		t.Fatalf("encode ops=%d", c.EncodeDecodeOps())
-	}
+	framesEqual(t, "dense round trip", back, frames[1])
 }
 
 func TestCountTimestamp(t *testing.T) {
@@ -214,7 +213,7 @@ func TestCountTimestamp(t *testing.T) {
 		events.Event{X: 1, Y: 1, TS: 90, Pol: events.On}, // later: overwrites ts
 		events.Event{X: 2, Y: 2, TS: 50, Pol: events.Off},
 	)
-	c, _ := New(Config{Width: 4, Height: 4, NumBins: 8})
+	c := mustFused(t, 4, 4, 8)
 	ct, err := c.ConvertCountTimestamp(s, 0, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -236,19 +235,29 @@ func TestCountTimestamp(t *testing.T) {
 	if ct.LastNegTS[0] != 0 {
 		t.Fatalf("pixel without neg events has ts=%f", ct.LastNegTS[0])
 	}
+	// One accumulation over the whole window, whatever NumBins is.
+	if ct.Counts.T0 != 0 || ct.Counts.T1 != 100 {
+		t.Fatalf("counts bounds [%d,%d)", ct.Counts.T0, ct.Counts.T1)
+	}
 	if _, err := c.ConvertCountTimestamp(s, 5, 5); err == nil {
 		t.Fatal("empty window accepted")
 	}
-}
-
-func TestGroupBins(t *testing.T) {
-	c, _ := New(Config{Width: 8, Height: 8, NumBins: 5})
-	s := scene.GenerateUniform(8, 8, 100_000, 50_000, 3)
-	frames, _, err := c.Convert(s, 0, 50_000)
+	// The timestamp pass leaves nothing in the scratch grid.
+	frames, _, err := c.ConvertGrouped(s, 0, 100, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups, err := GroupBins(frames, 2)
+	framesEqual(t, "after count-timestamp", frames[0], ct.Counts)
+}
+
+func TestGroupBins(t *testing.T) {
+	c := mustFused(t, 8, 8, 5)
+	s := scene.GenerateUniform(8, 8, 100_000, 50_000, 3)
+	frames, _, err := c.ConvertGrouped(s, 0, 50_000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups, _, err := c.ConvertGrouped(s, 0, 50_000, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,17 +274,13 @@ func TestGroupBins(t *testing.T) {
 	if inCount != outCount {
 		t.Fatalf("grouping loses events: %f != %f", inCount, outCount)
 	}
-	if _, err := GroupBins(frames, 0); err == nil {
-		t.Fatal("zero group size accepted")
-	}
 }
 
 func TestDensityTracksBinCount(t *testing.T) {
 	// More bins -> fewer events per bin -> lower per-frame density.
 	s := scene.GenerateUniform(32, 32, 200_000, 100_000, 5)
 	density := func(nB int) float64 {
-		c, _ := New(Config{Width: 32, Height: 32, NumBins: nB})
-		_, st, err := c.Convert(s, 0, 100_000)
+		_, st, err := mustFused(t, 32, 32, nB).ConvertGrouped(s, 0, 100_000, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

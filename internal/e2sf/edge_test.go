@@ -4,127 +4,85 @@ import (
 	"testing"
 
 	"evedge/internal/events"
-	"evedge/internal/sparse"
 )
 
-// Edge-case coverage for GroupBins and ConvertByCount that the fused
-// kernel must also satisfy: empty streams, group sizes exceeding the
-// frame count, and zero-event (or zero-count) chunks.
+// Edge-case coverage for grouping and count framing: empty streams,
+// group sizes exceeding the bin count, and zero-event (or zero-count)
+// chunks.
 
 func TestGroupBinsEmptyInput(t *testing.T) {
-	out, err := GroupBins(nil, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 0 {
-		t.Fatalf("GroupBins(nil) emitted %d frames", len(out))
-	}
-	out, err = GroupBins([]*sparse.Frame{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 0 {
-		t.Fatalf("GroupBins(empty) emitted %d frames", len(out))
+	// No events: every group is still emitted, empty, for any group size.
+	s := events.NewStream(4, 4)
+	for _, k := range []int{1, 3} {
+		out, st, err := mustFused(t, 4, 4, 3).ConvertGrouped(s, 0, 30, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (3 + k - 1) / k; len(out) != want || st.Frames != want || st.TotalNNZ != 0 {
+			t.Fatalf("k=%d: %d frames, stats %+v, want %d empty", k, len(out), st, want)
+		}
 	}
 }
 
 func TestGroupBinsKLargerThanFrames(t *testing.T) {
-	frames := []*sparse.Frame{
-		sparse.NewFrame(4, 4, 0, 10),
-		sparse.NewFrame(4, 4, 10, 20),
-	}
-	frames[0].Set(1, 1, 2, 0)
-	frames[1].Set(1, 1, 1, 3)
-	out, err := GroupBins(frames, 5) // k > len(frames): one partial group
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 {
-		t.Fatalf("GroupBins k>len emitted %d frames, want 1", len(out))
-	}
-	if out[0].T0 != 0 || out[0].T1 != 20 {
-		t.Fatalf("partial group bounds [%d,%d), want [0,20)", out[0].T0, out[0].T1)
-	}
-	if p, n := out[0].Get(1, 1); p != 3 || n != 3 {
-		t.Fatalf("partial group merge = (%v,%v), want (3,3)", p, n)
-	}
-
-	// Fused equivalent: groupK larger than NumBins yields one frame
-	// spanning the whole window.
-	cfg := Config{Width: 4, Height: 4, NumBins: 2}
-	fused, err := NewFused(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// groupK larger than NumBins: one partial group spanning the whole
+	// window, holding the sum of both bins.
 	s := mkStream(4, 4,
 		events.Event{TS: 1, X: 1, Y: 1, Pol: events.On},
-		events.Event{TS: 15, X: 1, Y: 1, Pol: events.Off},
+		events.Event{TS: 2, X: 1, Y: 1, Pol: events.On},
+		events.Event{TS: 15, X: 1, Y: 1, Pol: events.On},
+		events.Event{TS: 16, X: 1, Y: 1, Pol: events.Off},
 	)
-	got, _, err := fused.ConvertGrouped(s, 0, 20, 5)
+	got, _, err := mustFused(t, 4, 4, 2).ConvertGrouped(s, 0, 20, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got[0].T0 != 0 || got[0].T1 != 20 {
-		t.Fatalf("fused k>nB: %d frames, bounds [%d,%d)", len(got), got[0].T0, got[0].T1)
+		t.Fatalf("k>nB: %d frames, bounds [%d,%d)", len(got), got[0].T0, got[0].T1)
+	}
+	if p, n := got[0].Get(1, 1); p != 3 || n != 1 {
+		t.Fatalf("partial group merge = (%v,%v), want (3,1)", p, n)
 	}
 }
 
 func TestGroupBinsInvalidK(t *testing.T) {
-	if _, err := GroupBins(nil, 0); err == nil {
-		t.Fatal("k=0 accepted")
-	}
-	if _, err := GroupBins(nil, -1); err == nil {
-		t.Fatal("negative k accepted")
+	c := mustFused(t, 4, 4, 2)
+	for _, k := range []int{0, -1} {
+		if _, _, err := c.ConvertGrouped(events.NewStream(4, 4), 0, 20, k); err == nil {
+			t.Fatalf("k=%d accepted", k)
+		}
 	}
 }
 
 func TestConvertByCountEmptyStream(t *testing.T) {
-	cfg := Config{Width: 8, Height: 8, NumBins: 2}
-	conv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fused, err := NewFused(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := events.NewStream(8, 8)
-	out, st, err := conv.ConvertByCount(s, 0, 100, 10)
+	out, st, err := mustFused(t, 8, 8, 2).ConvertByCount(s, 0, 100, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 0 || st.Frames != 0 || st.EventsIn != 0 {
-		t.Fatalf("unfused empty stream: frames=%d stats=%+v", len(out), st)
-	}
-	fout, fst, err := fused.ConvertByCount(s, 0, 100, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fout) != 0 || fst.Frames != 0 || fst.EventsIn != 0 {
-		t.Fatalf("fused empty stream: frames=%d stats=%+v", len(fout), fst)
+		t.Fatalf("empty stream: frames=%d stats=%+v", len(out), st)
 	}
 }
 
 func TestConvertEmptyStreamEmitsEmptyBins(t *testing.T) {
 	// Time framing with no events still emits one (empty) frame per bin
-	// to preserve temporal alignment — and the fused path per group.
-	cfg := Config{Width: 8, Height: 8, NumBins: 4}
-	conv, _ := New(cfg)
-	fused, _ := NewFused(cfg, nil)
+	// (per group when grouping) to preserve temporal alignment.
+	fused := mustFused(t, 8, 8, 4)
 	s := events.NewStream(8, 8)
-	frames, _, err := conv.Convert(s, 0, 100)
+	frames, _, err := fused.ConvertGrouped(s, 0, 100, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(frames) != 4 {
-		t.Fatalf("Convert empty stream emitted %d frames, want 4", len(frames))
+		t.Fatalf("empty stream emitted %d frames, want 4", len(frames))
 	}
 	got, _, err := fused.ConvertGrouped(s, 0, 100, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 {
-		t.Fatalf("fused empty stream emitted %d groups, want 2", len(got))
+		t.Fatalf("empty stream emitted %d groups, want 2", len(got))
 	}
 	for i, f := range got {
 		if f.NNZ() != 0 {
@@ -139,25 +97,16 @@ func TestConvertEmptyStreamEmitsEmptyBins(t *testing.T) {
 func TestConvertByCountZeroCountChunk(t *testing.T) {
 	// A window whose slice contains no events (all events fall outside
 	// [tStart, tEnd)) must emit nothing and not disturb converter state.
-	cfg := Config{Width: 8, Height: 8, NumBins: 2}
-	conv, _ := New(cfg)
-	fused, _ := NewFused(cfg, nil)
+	fused := mustFused(t, 8, 8, 2)
 	s := mkStream(8, 8,
 		events.Event{TS: 500, X: 1, Y: 1, Pol: events.On},
 	)
-	out, st, err := conv.ConvertByCount(s, 0, 100, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 0 || st.EventsIn != 0 {
-		t.Fatalf("unfused zero-count chunk: frames=%d events=%d", len(out), st.EventsIn)
-	}
 	fout, fst, err := fused.ConvertByCount(s, 0, 100, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(fout) != 0 || fst.EventsIn != 0 {
-		t.Fatalf("fused zero-count chunk: frames=%d events=%d", len(fout), fst.EventsIn)
+		t.Fatalf("zero-count chunk: frames=%d events=%d", len(fout), fst.EventsIn)
 	}
 	// The event outside the first window is still convertible after.
 	fout, fst, err = fused.ConvertByCount(s, 400, 600, 1)
@@ -174,27 +123,22 @@ func TestConvertByCountZeroCountChunk(t *testing.T) {
 
 func TestConvertByCountTrailingPartial(t *testing.T) {
 	// countPerFrame larger than the event count: one trailing partial
-	// frame ending at tEnd, identical in both paths.
+	// frame ending at tEnd, identical to the reference's.
 	cfg := Config{Width: 8, Height: 8, NumBins: 2}
-	conv, _ := New(cfg)
-	fused, _ := NewFused(cfg, nil)
 	s := mkStream(8, 8,
 		events.Event{TS: 10, X: 2, Y: 3, Pol: events.On},
 		events.Event{TS: 20, X: 2, Y: 3, Pol: events.Off},
 	)
-	want, _, err := conv.ConvertByCount(s, 0, 100, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := fused.ConvertByCount(s, 0, 100, 50)
+	want := referenceByCount(cfg, s, 0, 100, 50)
+	got, _, err := mustFused(t, 8, 8, 2).ConvertByCount(s, 0, 100, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(want) != 1 || len(got) != 1 {
-		t.Fatalf("partial frame counts: unfused=%d fused=%d, want 1", len(want), len(got))
+		t.Fatalf("partial frame counts: reference=%d fused=%d, want 1", len(want), len(got))
 	}
 	if want[0].T1 != 100 || got[0].T1 != 100 {
-		t.Fatalf("partial frame T1: unfused=%d fused=%d, want 100", want[0].T1, got[0].T1)
+		t.Fatalf("partial frame T1: reference=%d fused=%d, want 100", want[0].T1, got[0].T1)
 	}
 	framesEqual(t, "trailing-partial", got[0], want[0])
 }

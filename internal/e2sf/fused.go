@@ -3,29 +3,32 @@ package e2sf
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"evedge/internal/events"
 	"evedge/internal/mem"
 	"evedge/internal/sparse"
 )
 
-// Fused is the one-pass E2SF kernel for the serving hot path. The
-// unfused path (Convert → GroupBins, or ConvertByCount) materializes a
-// FrameBuilder map per bin and intermediate per-bin frames that are
-// immediately merged and thrown away; Fused traverses the event chunk
-// once, accumulating polarities into a dense scratch grid that is
+// Fused is the E2SF converter. It traverses the event chunk once,
+// accumulating polarities into a dense scratch grid that is
 // epoch-stamped so it never needs clearing between frames, and emits
 // each output frame with a single key sort. Frames come from the
-// optional FramePool, so a warm kernel converts a chunk with zero heap
-// allocations.
+// optional FramePool, so a warm converter handles a chunk with zero
+// heap allocations.
 //
-// Outputs are bit-identical to the unfused path: per-pixel values are
-// integer event counts (exact in float32 far beyond any realistic
-// per-frame count), entries are emitted in the same key order, and
-// frame time bounds use the same float64 bin arithmetic.
+// Per-pixel values are integer event counts (exact in float32 far
+// beyond any realistic per-frame count), entries are emitted in
+// (y, x) order, and bin bounds follow Eq. 1 in float64.
 //
-// A Fused kernel is NOT safe for concurrent use — it is per-session
-// state, like the ingestConverter that owns it.
+// Every event of a converted stream must lie inside the configured
+// geometry (events.Stream.Validate checks it): the grid is indexed
+// unchecked, so an outside event aliases another pixel or panics.
+// Streams arriving from outside the program are validated where they
+// enter (serve's ingest).
+//
+// A Fused is NOT safe for concurrent use — it is per-session state,
+// like the ingestConverter that owns it.
 type Fused struct {
 	cfg  Config
 	pool *mem.FramePool
@@ -46,40 +49,41 @@ type Fused struct {
 	voxTouched [][]int32
 }
 
-// NewFused validates the config and returns a fused kernel drawing
-// output frames from pool (nil to allocate fresh frames).
+// NewFused validates the config and returns a converter drawing output
+// frames from pool (nil to allocate fresh frames).
 func NewFused(cfg Config, pool *mem.FramePool) (*Fused, error) {
-	if _, err := New(cfg); err != nil {
-		return nil, err
+	if cfg.Width <= 0 || cfg.Height <= 0 {
+		return nil, fmt.Errorf("e2sf: invalid geometry %dx%d", cfg.Width, cfg.Height)
+	}
+	if cfg.NumBins <= 0 {
+		return nil, fmt.Errorf("e2sf: NumBins must be positive, got %d", cfg.NumBins)
 	}
 	if int64(cfg.Width)*int64(cfg.Height) > math.MaxInt32 {
-		return nil, fmt.Errorf("e2sf: fused kernel geometry %dx%d overflows int32 keys", cfg.Width, cfg.Height)
+		return nil, fmt.Errorf("e2sf: geometry %dx%d overflows int32 keys", cfg.Width, cfg.Height)
 	}
-	return &Fused{cfg: cfg, pool: pool}, nil
+	n := cfg.Width * cfg.Height
+	return &Fused{
+		cfg: cfg, pool: pool, epoch: 1,
+		pos: make([]float32, n), neg: make([]float32, n), stamp: make([]uint32, n),
+	}, nil
 }
 
-// Config returns the kernel's configuration.
+// Config returns the converter's configuration.
 func (k *Fused) Config() Config { return k.cfg }
 
-func (k *Fused) ensureScratch() {
-	if k.pos == nil {
-		n := k.cfg.Width * k.cfg.Height
-		k.pos = make([]float32, n)
-		k.neg = make([]float32, n)
-		k.stamp = make([]uint32, n)
-	}
+// nextFrame invalidates the scratch for the next frame.
+func (k *Fused) nextFrame() {
 	k.epoch++
 	if k.epoch == 0 { // uint32 wraparound: stale stamps could collide
-		for i := range k.stamp {
-			k.stamp[i] = 0
-		}
+		clear(k.stamp)
 		k.epoch = 1
 	}
 	k.touched = k.touched[:0]
 }
 
-// add accumulates one event into the current frame's scratch.
-func (k *Fused) add(e events.Event) {
+// touch returns e's grid key, zeroing the pixel on its first event of
+// the current frame.
+func (k *Fused) touch(e events.Event) int32 {
 	key := int32(e.Y)*int32(k.cfg.Width) + int32(e.X)
 	if k.stamp[key] != k.epoch {
 		k.stamp[key] = k.epoch
@@ -87,6 +91,12 @@ func (k *Fused) add(e events.Event) {
 		k.neg[key] = 0
 		k.touched = append(k.touched, key)
 	}
+	return key
+}
+
+// add accumulates one event into the current frame's scratch.
+func (k *Fused) add(e events.Event) {
+	key := k.touch(e)
 	if e.Pol == events.On {
 		k.pos[key]++
 	} else {
@@ -105,7 +115,7 @@ func (k *Fused) frame(t0, t1 int64) *sparse.Frame {
 // emitFrame sorts the touched keys, gathers the scratch into a frame
 // spanning [t0, t1), and resets the scratch for the next frame.
 func (k *Fused) emitFrame(t0, t1 int64) *sparse.Frame {
-	sortInt32s(k.touched)
+	slices.Sort(k.touched)
 	f := k.frame(t0, t1)
 	w := int32(k.cfg.Width)
 	for _, key := range k.touched {
@@ -114,22 +124,30 @@ func (k *Fused) emitFrame(t0, t1 int64) *sparse.Frame {
 		f.Pos = append(f.Pos, k.pos[key])
 		f.Neg = append(f.Neg, k.neg[key])
 	}
-	k.epoch++
-	if k.epoch == 0 {
-		for i := range k.stamp {
-			k.stamp[i] = 0
-		}
-		k.epoch = 1
-	}
-	k.touched = k.touched[:0]
+	k.nextFrame()
 	return f
 }
 
-// ConvertGrouped is the fused equivalent of Convert followed by
-// GroupBins: one frame per group of groupK consecutive bins (the last
-// group may cover fewer bins; empty groups still yield empty frames,
-// preserving temporal alignment). Stats are reported over the emitted
-// group frames, matching what the serving path observes.
+// checkWindow validates a conversion's interval and stream geometry.
+func (k *Fused) checkWindow(s *events.Stream, tStart, tEnd int64) error {
+	if tEnd <= tStart {
+		return fmt.Errorf("e2sf: empty interval [%d, %d)", tStart, tEnd)
+	}
+	if s.Width != k.cfg.Width || s.Height != k.cfg.Height {
+		return fmt.Errorf("e2sf: stream geometry %dx%d != converter %dx%d",
+			s.Width, s.Height, k.cfg.Width, k.cfg.Height)
+	}
+	return nil
+}
+
+// ConvertGrouped bins the events of s that fall in [tStart, tEnd) per
+// Eq. 1 and returns one frame per group of groupK consecutive bins —
+// the paper's "presented sequentially over B/k timesteps" input mode
+// for SNNs; groupK 1 is one frame per bin. The last group may cover
+// fewer bins, and empty groups still yield empty frames, preserving
+// temporal alignment. The stream must be sorted. Stats are reported
+// over the emitted group frames, matching what the serving path
+// observes.
 func (k *Fused) ConvertGrouped(s *events.Stream, tStart, tEnd int64, groupK int) ([]*sparse.Frame, Stats, error) {
 	return k.ConvertGroupedAppend(nil, s, tStart, tEnd, groupK)
 }
@@ -138,20 +156,17 @@ func (k *Fused) ConvertGrouped(s *events.Stream, tStart, tEnd int64, groupK int)
 // caller-owned output slice is reused across chunks.
 func (k *Fused) ConvertGroupedAppend(dst []*sparse.Frame, s *events.Stream, tStart, tEnd int64, groupK int) ([]*sparse.Frame, Stats, error) {
 	var st Stats
-	if tEnd <= tStart {
-		return dst, st, fmt.Errorf("e2sf: empty interval [%d, %d)", tStart, tEnd)
+	if err := k.checkWindow(s, tStart, tEnd); err != nil {
+		return dst, st, err
 	}
 	if groupK <= 0 {
 		return dst, st, fmt.Errorf("e2sf: group size must be positive, got %d", groupK)
 	}
-	if s.Width != k.cfg.Width || s.Height != k.cfg.Height {
-		return dst, st, fmt.Errorf("e2sf: stream geometry %dx%d != converter %dx%d",
-			s.Width, s.Height, k.cfg.Width, k.cfg.Height)
-	}
 	nB := k.cfg.NumBins
+	// Eq. 1: bin duration. Integer microseconds; float64 for the
+	// division to avoid bias when the window is not a multiple of nB.
 	biS := float64(tEnd-tStart) / float64(nB)
 	nG := (nB + groupK - 1) / groupK
-	k.ensureScratch()
 	g := 0
 	emit := func() {
 		a := g * groupK
@@ -159,8 +174,7 @@ func (k *Fused) ConvertGroupedAppend(dst []*sparse.Frame, s *events.Stream, tSta
 		if b > nB {
 			b = nB
 		}
-		// Same float64 bin-boundary arithmetic as Convert, so group
-		// bounds equal the MergeAdd union of the member bins' bounds.
+		// A group spans its member bins' bounds.
 		t0 := tStart + int64(float64(a)*biS)
 		t1 := tStart + int64(float64(b)*biS)
 		f := k.emitFrame(t0, t1)
@@ -189,9 +203,13 @@ func (k *Fused) ConvertGroupedAppend(dst []*sparse.Frame, s *events.Stream, tSta
 	return dst, st, nil
 }
 
-// ConvertByCount is the fused equivalent of Converter.ConvertByCount:
-// a frame every countPerFrame events with T1 just past the closing
-// event, plus a trailing partial frame ending at tEnd.
+// ConvertByCount implements the count-based framing of prior works
+// ([7] SpikeFlowNet, [8] Fusion-FlowNet: "construct event frames by
+// statically counting the number of events"): a frame every
+// countPerFrame events with T1 just past the closing event, so the
+// frame rate tracks scene activity — the behaviour that creates frame
+// backlog during bursts and motivates DSFA. A trailing partial frame
+// ending at tEnd is emitted if the window ends mid-count.
 func (k *Fused) ConvertByCount(s *events.Stream, tStart, tEnd int64, countPerFrame int) ([]*sparse.Frame, Stats, error) {
 	return k.ConvertByCountAppend(nil, s, tStart, tEnd, countPerFrame)
 }
@@ -199,17 +217,12 @@ func (k *Fused) ConvertByCount(s *events.Stream, tStart, tEnd int64, countPerFra
 // ConvertByCountAppend is ConvertByCount appending into dst.
 func (k *Fused) ConvertByCountAppend(dst []*sparse.Frame, s *events.Stream, tStart, tEnd int64, countPerFrame int) ([]*sparse.Frame, Stats, error) {
 	var st Stats
-	if tEnd <= tStart {
-		return dst, st, fmt.Errorf("e2sf: empty interval [%d, %d)", tStart, tEnd)
+	if err := k.checkWindow(s, tStart, tEnd); err != nil {
+		return dst, st, err
 	}
 	if countPerFrame <= 0 {
 		return dst, st, fmt.Errorf("e2sf: countPerFrame must be positive, got %d", countPerFrame)
 	}
-	if s.Width != k.cfg.Width || s.Height != k.cfg.Height {
-		return dst, st, fmt.Errorf("e2sf: stream geometry %dx%d != converter %dx%d",
-			s.Width, s.Height, k.cfg.Width, k.cfg.Height)
-	}
-	k.ensureScratch()
 	frameStart := tStart
 	n := 0
 	emit := func(t1 int64) {
@@ -238,17 +251,15 @@ func (k *Fused) ConvertByCountAppend(dst []*sparse.Frame, s *events.Stream, tSta
 	return dst, st, nil
 }
 
-// ConvertVoxel is the fused equivalent of Converter.ConvertVoxel,
-// reusing the kernel's voxel scratch across chunks instead of building
-// per-bin accumulation maps. Bilinear weights are applied in the same
-// event order, so bin values are bit-identical.
+// ConvertVoxel builds an nB-bin voxel grid over [tStart, tEnd). Unlike
+// ConvertGrouped, polarity is signed into a single channel per bin
+// (stored in the frame's Pos channel; Neg is unused), matching the
+// voxel-grid convention of EV-FlowNet's successors. Bilinear weights
+// are accumulated in event order into a voxel scratch reused across
+// chunks.
 func (k *Fused) ConvertVoxel(s *events.Stream, tStart, tEnd int64) (*VoxelGrid, error) {
-	if tEnd <= tStart {
-		return nil, fmt.Errorf("e2sf: empty interval [%d, %d)", tStart, tEnd)
-	}
-	if s.Width != k.cfg.Width || s.Height != k.cfg.Height {
-		return nil, fmt.Errorf("e2sf: stream geometry %dx%d != converter %dx%d",
-			s.Width, s.Height, k.cfg.Width, k.cfg.Height)
+	if err := k.checkWindow(s, tStart, tEnd); err != nil {
+		return nil, err
 	}
 	nB := k.cfg.NumBins
 	if nB < 2 {
@@ -262,9 +273,7 @@ func (k *Fused) ConvertVoxel(s *events.Stream, tStart, tEnd int64) (*VoxelGrid, 
 	}
 	k.voxEpoch++
 	if k.voxEpoch == 0 {
-		for i := range k.voxStamp {
-			k.voxStamp[i] = 0
-		}
+		clear(k.voxStamp)
 		k.voxEpoch = 1
 	}
 	for b := 0; b < nB; b++ {
@@ -299,7 +308,7 @@ func (k *Fused) ConvertVoxel(s *events.Stream, tStart, tEnd int64) (*VoxelGrid, 
 	w := int32(k.cfg.Width)
 	for b := 0; b < nB; b++ {
 		f := k.frame(tStart+int64(float64(b)*biS), tStart+int64(float64(b+1)*biS))
-		sortInt32s(k.voxTouched[b])
+		slices.Sort(k.voxTouched[b])
 		for _, key := range k.voxTouched[b] {
 			v := k.vox[b*hw+int(key)]
 			if v == 0 {
@@ -313,39 +322,4 @@ func (k *Fused) ConvertVoxel(s *events.Stream, tStart, tEnd int64) (*VoxelGrid, 
 		g.Bins = append(g.Bins, f)
 	}
 	return g, nil
-}
-
-func sortInt32s(a []int32) {
-	if len(a) < 2 {
-		return
-	}
-	quicksortInt32(a, 0, len(a)-1)
-}
-
-func quicksortInt32(a []int32, lo, hi int) {
-	for lo < hi {
-		p := a[(lo+hi)/2]
-		i, j := lo, hi
-		for i <= j {
-			for a[i] < p {
-				i++
-			}
-			for a[j] > p {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
-			}
-		}
-		// Recurse into the smaller side, loop on the larger.
-		if j-lo < hi-i {
-			quicksortInt32(a, lo, j)
-			lo = i
-		} else {
-			quicksortInt32(a, i, hi)
-			hi = j
-		}
-	}
 }

@@ -2,6 +2,7 @@ package e2sf
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"evedge/internal/events"
@@ -19,7 +20,7 @@ func randStream(rng *rand.Rand, w, h, n int, t0, t1 int64) *events.Stream {
 	for i := range ts {
 		ts[i] = t0 + rng.Int63n(t1-t0)
 	}
-	sortInt64s(ts)
+	slices.Sort(ts)
 	for _, t := range ts {
 		pol := events.On
 		if rng.Intn(2) == 0 {
@@ -53,9 +54,10 @@ func framesEqual(t *testing.T, ctx string, got, want *sparse.Frame) {
 	}
 }
 
-// TestFusedConvertGroupedParity checks the fused kernel against
-// Convert+GroupBins across random streams, group sizes, and bin counts
-// — including group sizes larger than the bin count and empty streams.
+// TestFusedConvertGroupedParity checks Fused against the reference
+// (per-bin maps, then cAdd-merged groups) across random streams, group
+// sizes, and bin counts — including group size 1, group sizes larger
+// than the bin count, and empty streams.
 func TestFusedConvertGroupedParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 120; trial++ {
@@ -63,38 +65,23 @@ func TestFusedConvertGroupedParity(t *testing.T) {
 		nB := 1 + rng.Intn(8)
 		groupK := 1 + rng.Intn(10) // may exceed nB
 		cfg := Config{Width: w, Height: h, NumBins: nB}
-		conv, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fused, err := NewFused(cfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
 		t0 := rng.Int63n(1000)
 		t1 := t0 + 1 + rng.Int63n(997) // deliberately not a multiple of nB
 		s := randStream(rng, w, h, rng.Intn(400), t0, t1)
 
-		frames, uSt, err := conv.Convert(s, t0, t1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := GroupBins(frames, groupK)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, fSt, err := fused.ConvertGrouped(s, t0, t1, groupK)
+		want := referenceConvert(cfg, s, t0, t1, groupK)
+		got, fSt, err := mustFused(t, w, h, nB).ConvertGrouped(s, t0, t1, groupK)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("trial %d: fused emitted %d frames, unfused %d", trial, len(got), len(want))
+			t.Fatalf("trial %d: fused emitted %d frames, reference %d", trial, len(got), len(want))
 		}
 		for i := range want {
 			framesEqual(t, "grouped", got[i], want[i])
 		}
-		if fSt.EventsIn != uSt.EventsIn {
-			t.Fatalf("trial %d: EventsIn %d != %d", trial, fSt.EventsIn, uSt.EventsIn)
+		if fSt.EventsIn != s.Len() {
+			t.Fatalf("trial %d: EventsIn %d != %d", trial, fSt.EventsIn, s.Len())
 		}
 		if fSt.Frames != len(want) {
 			t.Fatalf("trial %d: Stats.Frames = %d, want %d", trial, fSt.Frames, len(want))
@@ -102,68 +89,49 @@ func TestFusedConvertGroupedParity(t *testing.T) {
 	}
 }
 
-// TestFusedConvertByCountParity checks the fused count-framing kernel
-// against ConvertByCount, including zero-event windows.
+// TestFusedConvertByCountParity checks count framing against the
+// reference, including zero-event windows.
 func TestFusedConvertByCountParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 120; trial++ {
 		w, h := 4+rng.Intn(12), 4+rng.Intn(12)
 		cfg := Config{Width: w, Height: h, NumBins: 1 + rng.Intn(4)}
-		conv, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fused, err := NewFused(cfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
 		t0 := rng.Int63n(1000)
 		t1 := t0 + 1 + rng.Int63n(997)
 		s := randStream(rng, w, h, rng.Intn(300), t0, t1)
 		cpf := 1 + rng.Intn(50)
 
-		want, uSt, err := conv.ConvertByCount(s, t0, t1, cpf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, fSt, err := fused.ConvertByCount(s, t0, t1, cpf)
+		want := referenceByCount(cfg, s, t0, t1, cpf)
+		got, fSt, err := mustFused(t, w, h, cfg.NumBins).ConvertByCount(s, t0, t1, cpf)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("trial %d: fused emitted %d frames, unfused %d", trial, len(got), len(want))
+			t.Fatalf("trial %d: fused emitted %d frames, reference %d", trial, len(got), len(want))
 		}
+		nnz := 0
 		for i := range want {
 			framesEqual(t, "bycount", got[i], want[i])
+			nnz += want[i].NNZ()
 		}
-		if fSt.EventsIn != uSt.EventsIn || fSt.Frames != uSt.Frames || fSt.TotalNNZ != uSt.TotalNNZ {
-			t.Fatalf("trial %d: stats %+v != %+v", trial, fSt, uSt)
+		if fSt.EventsIn != s.Len() || fSt.Frames != len(want) || fSt.TotalNNZ != nnz {
+			t.Fatalf("trial %d: stats %+v, want %d events, %d frames, %d nnz", trial, fSt, s.Len(), len(want), nnz)
 		}
 	}
 }
 
 // TestFusedConvertVoxelParity checks the voxel scratch path against the
-// map-based ConvertVoxel, reusing one kernel across chunks to exercise
+// map-based reference, reusing one converter across chunks to exercise
 // the epoch stamping.
 func TestFusedConvertVoxelParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	cfg := Config{Width: 16, Height: 12, NumBins: 5}
-	conv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fused, err := NewFused(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fused := mustFused(t, cfg.Width, cfg.Height, cfg.NumBins)
 	for trial := 0; trial < 40; trial++ {
 		t0 := rng.Int63n(1000)
 		t1 := t0 + 1 + rng.Int63n(997)
 		s := randStream(rng, cfg.Width, cfg.Height, rng.Intn(500), t0, t1)
-		want, err := conv.ConvertVoxel(s, t0, t1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := referenceVoxel(cfg, s, t0, t1)
 		got, err := fused.ConvertVoxel(s, t0, t1)
 		if err != nil {
 			t.Fatal(err)
@@ -181,22 +149,17 @@ func TestFusedConvertVoxelParity(t *testing.T) {
 }
 
 // TestFusedScratchReuseAcrossChunks runs many conversions through one
-// kernel and checks each against a fresh unfused conversion — stale
-// scratch from a previous chunk must never leak into the next.
+// converter and checks each against the reference — stale scratch from
+// a previous chunk must never leak into the next.
 func TestFusedScratchReuseAcrossChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	cfg := Config{Width: 10, Height: 10, NumBins: 4}
-	conv, _ := New(cfg)
-	fused, _ := NewFused(cfg, nil)
+	fused := mustFused(t, 10, 10, 4)
 	for chunk := 0; chunk < 50; chunk++ {
 		t0 := int64(chunk * 1000)
 		t1 := t0 + 1000
 		s := randStream(rng, 10, 10, rng.Intn(200), t0, t1)
-		frames, _, err := conv.Convert(s, t0, t1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _ := GroupBins(frames, 2)
+		want := referenceConvert(cfg, s, t0, t1, 2)
 		got, _, err := fused.ConvertGrouped(s, t0, t1, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -262,24 +225,16 @@ func TestFusedValidation(t *testing.T) {
 	}
 }
 
-// BenchmarkE2SFConvert compares the unfused Convert+GroupBins path
-// against the fused kernel, pooled and unpooled.
+// BenchmarkE2SFConvert compares the map-per-bin reference against
+// Fused, pooled and unpooled.
 func BenchmarkE2SFConvert(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	cfg := Config{Width: 128, Height: 128, NumBins: 8}
 	s := randStream(rng, 128, 128, 8192, 0, 10000)
-	b.Run("unfused", func(b *testing.B) {
-		conv, _ := New(cfg)
+	b.Run("reference", func(b *testing.B) {
 		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			frames, _, err := conv.Convert(s, 0, 10000)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := GroupBins(frames, 2); err != nil {
-				b.Fatal(err)
-			}
+			referenceConvert(cfg, s, 0, 10000, 2)
 		}
 	})
 	b.Run("fused", func(b *testing.B) {

@@ -1,11 +1,6 @@
 package e2sf
 
-import (
-	"fmt"
-
-	"evedge/internal/events"
-	"evedge/internal/sparse"
-)
+import "evedge/internal/sparse"
 
 // VoxelGrid is the discretized event-volume representation used by
 // several event networks (and the remaining input scheme of the
@@ -18,69 +13,6 @@ import (
 type VoxelGrid struct {
 	Bins   []*sparse.Frame // signed accumulation: Pos holds the value
 	T0, T1 int64
-}
-
-// ConvertVoxel builds an nB-bin voxel grid over [tStart, tEnd). Unlike
-// Convert, polarity is signed into a single channel per bin (stored in
-// the frame's Pos channel; Neg is unused), matching the voxel-grid
-// convention of EV-FlowNet's successors.
-func (c *Converter) ConvertVoxel(s *events.Stream, tStart, tEnd int64) (*VoxelGrid, error) {
-	if tEnd <= tStart {
-		return nil, fmt.Errorf("e2sf: empty interval [%d, %d)", tStart, tEnd)
-	}
-	if s.Width != c.cfg.Width || s.Height != c.cfg.Height {
-		return nil, fmt.Errorf("e2sf: stream geometry %dx%d != converter %dx%d",
-			s.Width, s.Height, c.cfg.Width, c.cfg.Height)
-	}
-	nB := c.cfg.NumBins
-	if nB < 2 {
-		return nil, fmt.Errorf("e2sf: voxel grid needs at least 2 bins, got %d", nB)
-	}
-	// Accumulate into dense maps keyed by pixel, then emit sorted
-	// frames; bilinear weights make values fractional so FrameBuilder's
-	// integer counting does not apply.
-	acc := make([]map[int64]float32, nB)
-	for b := range acc {
-		acc[b] = make(map[int64]float32)
-	}
-	span := float64(tEnd - tStart)
-	for _, e := range s.Slice(tStart, tEnd).Events {
-		tStar := float64(nB-1) * float64(e.TS-tStart) / span
-		b0 := int(tStar)
-		frac := tStar - float64(b0)
-		pol := float32(1)
-		if e.Pol == events.Off {
-			pol = -1
-		}
-		key := int64(e.Y)*int64(c.cfg.Width) + int64(e.X)
-		acc[b0][key] += pol * float32(1-frac)
-		if b0+1 < nB && frac > 0 {
-			acc[b0+1][key] += pol * float32(frac)
-		}
-	}
-	g := &VoxelGrid{T0: tStart, T1: tEnd}
-	biS := span / float64(nB)
-	for b := 0; b < nB; b++ {
-		f := sparse.NewFrame(c.cfg.Height, c.cfg.Width,
-			tStart+int64(float64(b)*biS), tStart+int64(float64(b+1)*biS))
-		keys := make([]int64, 0, len(acc[b]))
-		for k := range acc[b] {
-			keys = append(keys, k)
-		}
-		sortInt64s(keys)
-		for _, k := range keys {
-			v := acc[b][k]
-			if v == 0 {
-				continue // positive and negative contributions cancelled
-			}
-			f.Ys = append(f.Ys, int32(k/int64(c.cfg.Width)))
-			f.Xs = append(f.Xs, int32(k%int64(c.cfg.Width)))
-			f.Pos = append(f.Pos, v)
-			f.Neg = append(f.Neg, 0)
-		}
-		g.Bins = append(g.Bins, f)
-	}
-	return g, nil
 }
 
 // Mass returns the total absolute accumulated polarity across bins —
@@ -98,41 +30,4 @@ func (g *VoxelGrid) Mass() float64 {
 		}
 	}
 	return m
-}
-
-func sortInt64s(a []int64) {
-	// Small helper to avoid pulling sort.Slice allocations into the hot
-	// loop; keys per bin are typically few thousand.
-	if len(a) < 2 {
-		return
-	}
-	quicksortInt64(a, 0, len(a)-1)
-}
-
-func quicksortInt64(a []int64, lo, hi int) {
-	for lo < hi {
-		p := a[(lo+hi)/2]
-		i, j := lo, hi
-		for i <= j {
-			for a[i] < p {
-				i++
-			}
-			for a[j] > p {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
-			}
-		}
-		// Recurse into the smaller side, loop on the larger.
-		if j-lo < hi-i {
-			quicksortInt64(a, lo, j)
-			lo = i
-		} else {
-			quicksortInt64(a, i, hi)
-			hi = j
-		}
-	}
 }

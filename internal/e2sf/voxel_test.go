@@ -12,10 +12,7 @@ import (
 )
 
 func TestConvertVoxelBilinear(t *testing.T) {
-	c, err := New(Config{Width: 4, Height: 4, NumBins: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := mustFused(t, 4, 4, 3)
 	// Window [0,100), nB=3: t* = 2*t/100.
 	s := mkStream(4, 4,
 		events.Event{X: 1, Y: 1, TS: 0, Pol: events.On},   // t*=0: all in bin 0
@@ -48,12 +45,11 @@ func TestConvertVoxelBilinear(t *testing.T) {
 }
 
 func TestConvertVoxelErrors(t *testing.T) {
-	c, _ := New(Config{Width: 4, Height: 4, NumBins: 1})
 	s := mkStream(4, 4)
-	if _, err := c.ConvertVoxel(s, 0, 100); err == nil {
+	if _, err := mustFused(t, 4, 4, 1).ConvertVoxel(s, 0, 100); err == nil {
 		t.Fatal("single-bin voxel accepted")
 	}
-	c2, _ := New(Config{Width: 4, Height: 4, NumBins: 4})
+	c2 := mustFused(t, 4, 4, 4)
 	if _, err := c2.ConvertVoxel(s, 5, 5); err == nil {
 		t.Fatal("empty window accepted")
 	}
@@ -73,11 +69,7 @@ func TestVoxelMassProperty(t *testing.T) {
 		for i := range s.Events {
 			s.Events[i].Pol = events.On
 		}
-		c, err := New(Config{Width: 16, Height: 16, NumBins: nB})
-		if err != nil {
-			return false
-		}
-		g, err := c.ConvertVoxel(s, 0, 50_000)
+		g, err := mustFused(t, 16, 16, nB).ConvertVoxel(s, 0, 50_000)
 		if err != nil {
 			return false
 		}
@@ -96,19 +88,5 @@ func TestVoxelMassProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestQuicksortInt64(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	for _, n := range []int{0, 1, 2, 100, 1000} {
-		a := make([]int64, n)
-		for i := range a {
-			a[i] = int64(r.Intn(50)) // duplicates on purpose
-		}
-		sortInt64s(a)
-		if !sort.SliceIsSorted(a, func(i, j int) bool { return a[i] < a[j] }) {
-			t.Fatalf("n=%d not sorted", n)
-		}
 	}
 }

@@ -52,82 +52,6 @@ func TestFramePoolNilPutPanics(t *testing.T) {
 	p.Put(nil)
 }
 
-func TestTensorPoolShapeKeyed(t *testing.T) {
-	p := NewTensorPool()
-	a := p.Get(2, 3, 4)
-	b := p.Get(1, 5, 5)
-	p.Put(a)
-	p.Put(b)
-	// Same shape hits the free list; different shape allocates fresh.
-	if got := p.Get(2, 3, 4); got != a {
-		t.Fatalf("same-shape Get did not recycle")
-	}
-	if got := p.Get(2, 9, 9); got == b {
-		t.Fatalf("different-shape Get recycled wrong tensor")
-	}
-	z := p.GetZeroed(1, 5, 5)
-	if z != b {
-		t.Fatalf("GetZeroed did not recycle")
-	}
-	for _, v := range z.Data {
-		if v != 0 {
-			t.Fatalf("GetZeroed returned dirty tensor")
-		}
-	}
-}
-
-func TestTensorPoolDoubleReleasePanics(t *testing.T) {
-	p := NewTensorPool()
-	a := p.Get(1, 2, 2)
-	p.Put(a)
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("double Put did not panic")
-		}
-	}()
-	p.Put(a)
-}
-
-func TestMatPoolReuse(t *testing.T) {
-	p := NewMatPool()
-	m := p.Get(3, 4)
-	p.Put(m)
-	if got := p.Get(3, 4); got != m {
-		t.Fatalf("same-shape Get did not recycle")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("double Put did not panic")
-		}
-	}()
-	p.Put(m)
-	p.Put(m)
-}
-
-func TestCSRPoolResetsGeometry(t *testing.T) {
-	p := NewCSRPool()
-	m := p.Get(3, 5)
-	if m.Rows != 3 || m.Cols != 5 || len(m.RowPtr) != 4 {
-		t.Fatalf("fresh CSR geometry = %dx%d rowptr=%d", m.Rows, m.Cols, len(m.RowPtr))
-	}
-	m.ColIdx = append(m.ColIdx, 1)
-	m.Vals = append(m.Vals, 2)
-	m.RowPtr[1] = 1
-	p.Put(m)
-	g := p.Get(2, 2)
-	if g != m {
-		t.Fatalf("expected recycled CSR pointer")
-	}
-	if g.Rows != 2 || g.Cols != 2 || len(g.RowPtr) != 3 || g.NNZ() != 0 {
-		t.Fatalf("recycled CSR not reset: %dx%d rowptr=%d nnz=%d", g.Rows, g.Cols, len(g.RowPtr), g.NNZ())
-	}
-	for i, v := range g.RowPtr {
-		if v != 0 {
-			t.Fatalf("RowPtr[%d] = %d after Reset", i, v)
-		}
-	}
-}
-
 func TestGenericPoolResetHook(t *testing.T) {
 	type inv struct {
 		frames []*sparse.Frame
@@ -171,16 +95,10 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	// Warm every free list (and the tripwire maps) once.
 	warm := func() {
 		f := a.Frames.Get(16, 16, 0, 100)
-		tn := a.Tensors.Get(2, 16, 16)
-		m := a.Mats.Get(4, 4)
-		c := a.CSRs.Get(4, 4)
 		as := a.ActiveSets.Get(16, 16, 3)
 		r := gp.Get()
 		gp.Put(r)
 		a.ActiveSets.Put(as)
-		a.CSRs.Put(c)
-		a.Mats.Put(m)
-		a.Tensors.Put(tn)
 		a.Frames.Put(f)
 	}
 	warm()
@@ -193,13 +111,11 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 func TestArenaStatsTotal(t *testing.T) {
 	a := NewArena()
 	f := a.Frames.Get(2, 2, 0, 1)
-	tn := a.Tensors.Get(1, 2, 2)
 	as := a.ActiveSets.Get(2, 2, 3)
 	a.Frames.Put(f)
-	a.Tensors.Put(tn)
 	a.ActiveSets.Put(as)
 	st := a.Stats()
-	if st.Total.Gets != 3 || st.Total.Puts != 3 || st.Total.News != 3 {
+	if st.Total.Gets != 2 || st.Total.Puts != 2 || st.Total.News != 2 {
 		t.Fatalf("total = %+v", st.Total)
 	}
 	if st.ActiveSets.Gets != 1 {

@@ -353,10 +353,13 @@ func TestTaskAndMetricStrings(t *testing.T) {
 // concat. It is the definition the runtime must match bit for bit.
 func referenceForward(rt *Runtime, inputs map[int]*sparse.Tensor) (map[int]*sparse.Tensor, error) {
 	conv := func(i int, in *sparse.Tensor) (*sparse.Tensor, error) {
+		f := rt.layers[i].filter
+		oh, ow := f.OutShape(in.H, in.W)
+		out := sparse.NewTensor(f.OutC, oh, ow)
 		if rt.Mode == SparseExec {
-			return sparse.SparseConv2D(in, rt.layers[i].filter)
+			return out, sparse.SparseConv2DInto(out, in, f)
 		}
-		return sparse.Conv2D(in, rt.layers[i].filter)
+		return out, sparse.Conv2DInto(out, in, f)
 	}
 	outs := make(map[int]*sparse.Tensor, len(rt.Net.Layers))
 	for i, l := range rt.Net.Layers {

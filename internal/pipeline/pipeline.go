@@ -252,9 +252,9 @@ type convStats struct {
 // into inference inputs.
 func ConvertStream(net *nn.Network, stream *events.Stream, durUS int64) ([]*sparse.Frame, convStats, error) {
 	var st convStats
-	conv, err := e2sf.New(e2sf.Config{
+	conv, err := e2sf.NewFused(e2sf.Config{
 		Width: stream.Width, Height: stream.Height, NumBins: net.Input.NumBins,
-	})
+	}, nil)
 	if err != nil {
 		return nil, st, err
 	}
@@ -268,22 +268,14 @@ func ConvertStream(net *nn.Network, stream *events.Stream, durUS int64) ([]*spar
 		if count < 1 {
 			count = 1
 		}
-		frames, _, err := conv.ConvertByCount(stream, 0, durUS, count)
-		if err != nil {
+		if out, _, err = conv.ConvertByCountAppend(out, stream, 0, durUS, count); err != nil {
 			return nil, st, err
 		}
-		out = frames
 	} else {
 		for t0 := int64(0); t0+net.Input.WindowUS <= durUS; t0 += net.Input.WindowUS {
-			frames, _, err := conv.Convert(stream, t0, t0+net.Input.WindowUS)
-			if err != nil {
+			if out, _, err = conv.ConvertGroupedAppend(out, stream, t0, t0+net.Input.WindowUS, net.Input.GroupK); err != nil {
 				return nil, st, err
 			}
-			grouped, err := e2sf.GroupBins(frames, net.Input.GroupK)
-			if err != nil {
-				return nil, st, err
-			}
-			out = append(out, grouped...)
 		}
 	}
 	var denSum float64

@@ -1,13 +1,17 @@
 package pipeline
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"evedge/internal/dsfa"
+	"evedge/internal/events"
 	"evedge/internal/nmp"
 	"evedge/internal/nn"
 	"evedge/internal/quant"
 	"evedge/internal/scene"
+	"evedge/internal/sparse"
 )
 
 // quickRun executes a short Half-scale run with a small search budget.
@@ -212,6 +216,98 @@ func TestConvertStreamModes(t *testing.T) {
 	// 600ms / 50ms windows x (8 bins / group 2) = 12 x 4 = 48 frames.
 	if len(tframes) != 48 {
 		t.Fatalf("time framing frames=%d want 48", len(tframes))
+	}
+}
+
+// referenceConvertStream is ConvertStream's definition on one
+// FrameBuilder map per bin: count framing closes a frame every
+// median-rate-calibrated N events (T1 just past the closing event, a
+// trailing partial frame ending at durUS); time framing bins every full
+// window per Eq. 1 and cAdd-merges each run of GroupK bins.
+func referenceConvertStream(in nn.InputSpec, stream *events.Stream, durUS int64) []*sparse.Frame {
+	h, w := stream.Height, stream.Width
+	var out []*sparse.Frame
+	if in.Framing == nn.FrameByCount {
+		count := max(int(medianRatePerUS(stream, durUS)*float64(in.FramePeriodUS)), 1)
+		b, start, n := sparse.NewFrameBuilder(h, w, 0, 0), int64(0), 0
+		emit := func(t1 int64) {
+			f := b.Build() // resets b
+			f.T0, f.T1 = start, t1
+			out = append(out, f)
+			start, n = t1, 0
+		}
+		for _, e := range stream.Window(0, durUS) {
+			b.AddEvent(int32(e.Y), int32(e.X), e.Pol == events.On)
+			if n++; n >= count {
+				emit(e.TS + 1)
+			}
+		}
+		if n > 0 {
+			emit(durUS)
+		}
+		return out
+	}
+	biS := float64(in.WindowUS) / float64(in.NumBins)
+	for t0 := int64(0); t0+in.WindowUS <= durUS; t0 += in.WindowUS {
+		builders := make([]*sparse.FrameBuilder, in.NumBins)
+		for b := range builders {
+			builders[b] = sparse.NewFrameBuilder(h, w, t0+int64(float64(b)*biS), t0+int64(float64(b+1)*biS))
+		}
+		for _, e := range stream.Window(t0, t0+in.WindowUS) {
+			b := min(int(float64(e.TS-t0)/biS), in.NumBins-1)
+			builders[b].AddEvent(int32(e.Y), int32(e.X), e.Pol == events.On)
+		}
+		bins := make([]*sparse.Frame, in.NumBins)
+		for b := range bins {
+			bins[b] = builders[b].Build()
+		}
+		for a := 0; a < in.NumBins; a += in.GroupK {
+			g := &sparse.Frame{}
+			sparse.MergeAddInto(g, bins[a:min(a+in.GroupK, in.NumBins)]...)
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+// TestConvertStreamMatchesReference: for every network's input spec
+// (count and time framing) ConvertStream's frames equal the reference
+// converter's entry for entry, bounds included.
+func TestConvertStreamMatchesReference(t *testing.T) {
+	const dur = 300_000
+	for _, net := range nn.All() {
+		seq, err := scene.NewSequence(net.Input.Preset, scene.Half, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream, err := seq.Generate(dur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := ConvertStream(net, stream, dur)
+		if err != nil {
+			t.Fatalf("%s: %v", net.Name, err)
+		}
+		want := referenceConvertStream(net.Input, stream, dur)
+		if len(got) != len(want) || len(got) == 0 {
+			t.Fatalf("%s: %d frames, reference %d", net.Name, len(got), len(want))
+		}
+		bits := func(v []float32) []uint32 {
+			out := make([]uint32, len(v))
+			for i, x := range v {
+				out[i] = math.Float32bits(x)
+			}
+			return out
+		}
+		for i, f := range got {
+			r := want[i]
+			if f.H != r.H || f.W != r.W || f.T0 != r.T0 || f.T1 != r.T1 ||
+				!slices.Equal(f.Ys, r.Ys) || !slices.Equal(f.Xs, r.Xs) ||
+				!slices.Equal(bits(f.Pos), bits(r.Pos)) || !slices.Equal(bits(f.Neg), bits(r.Neg)) {
+				t.Fatalf("%s frame %d [%d,%d) nnz %d != reference [%d,%d) nnz %d",
+					net.Name, i, f.T0, f.T1, f.NNZ(), r.T0, r.T1, r.NNZ())
+			}
+		}
 	}
 }
 

@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"encoding/json"
 	"math/rand"
-	"os"
 	"testing"
 
 	"evedge/internal/e2sf"
@@ -143,24 +141,6 @@ func BenchmarkServeCycle(b *testing.B) {
 	}
 }
 
-// allocStage is one row of BENCH_alloc.json.
-type allocStage struct {
-	Stage       string  `json:"stage"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
-func benchStage(name string, f func(b *testing.B)) allocStage {
-	r := testing.Benchmark(f)
-	return allocStage{
-		Stage:       name,
-		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-		AllocsPerOp: r.AllocsPerOp(),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-	}
-}
-
 // allocDenseInput mirrors the sparse package's benchmark input: a
 // tensor with ~density fraction of active sites.
 func allocDenseInput(c, h, w int, density float64) *sparse.Tensor {
@@ -187,172 +167,55 @@ func allocFilter(outC, inC, k int) *sparse.Filter {
 	return f
 }
 
-// collectAllocStages measures every hot-path stage, unfused-vs-fused
-// and fresh-vs-pooled side by side. Shared by the artifact emitter
-// (TestAllocBenchJSON) and the regression gate (TestAllocSmoke).
-func collectAllocStages(t *testing.T) []allocStage {
-	// E2SF conversion: the legacy per-frame Convert loop vs the fused
-	// one-pass pooled kernel, over the same synthetic chunk.
-	const span = 100_000
-	seq, err := scene.NewSequence(scene.IndoorFlying2, scene.Half, 3)
-	if err != nil {
-		t.Fatalf("NewSequence: %v", err)
-	}
-	stream, err := seq.Generate(span)
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	cfg := e2sf.Config{Width: stream.Width, Height: stream.Height, NumBins: 5}
-	conv, err := e2sf.New(cfg)
-	if err != nil {
-		t.Fatalf("e2sf.New: %v", err)
-	}
-	stages := []allocStage{
-		benchStage("e2sf_convert_unfused", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := conv.Convert(stream, 0, span); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}),
-		benchStage("e2sf_convert_fused_pooled", func(b *testing.B) {
-			pool := mem.NewFramePool()
-			fz, err := e2sf.NewFused(cfg, pool)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var frames []*sparse.Frame
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				frames, _, err = fz.ConvertGroupedAppend(frames[:0], stream, 0, span, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, f := range frames {
-					pool.Put(f)
-				}
-			}
-		}),
+// TestAllocSmoke is the per-stage allocation gate (`make bench-smoke`
+// runs it with TestAllocRegression*, which pin the whole serving
+// cycle): every hot-path stage below the serving loop — the E2SF
+// converter, the conv and SpMM kernels serial and tiled, rulebook
+// upkeep — allocates nothing per call once warm.
+func TestAllocSmoke(t *testing.T) {
+	fail := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	// Sparse conv + SpMM: fresh-allocation entry points vs the Into
-	// variants writing into preallocated outputs.
+	// E2SF conversion of one synthetic chunk into pooled frames.
+	const span = 100_000
+	seq, err := scene.NewSequence(scene.IndoorFlying2, scene.Half, 3)
+	fail(err)
+	stream, err := seq.Generate(span)
+	fail(err)
+	framePool := mem.NewFramePool()
+	fz, err := e2sf.NewFused(e2sf.Config{Width: stream.Width, Height: stream.Height, NumBins: 5}, framePool)
+	fail(err)
+	var frames []*sparse.Frame
+
+	// Conv kernels over a 5% dense input; the tiled variants run on a
+	// warm worker pool, whose free-listed dispatch records and
+	// sync.Pool'd task structs are at steady capacity after the first
+	// dispatch, so sharded runs must allocate as little as serial ones.
 	in := allocDenseInput(2, 64, 64, 0.05)
 	f := allocFilter(8, 2, 3)
 	oh, ow := f.OutShape(in.H, in.W)
-	stages = append(stages,
-		benchStage("sparse_conv2d", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := sparse.SparseConv2D(in, f); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}),
-		benchStage("sparse_conv2d_into", func(b *testing.B) {
-			out := sparse.NewTensor(f.OutC, oh, ow)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := sparse.SparseConv2DInto(out, in, f); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}),
-		benchStage("submanifold_conv2d", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := sparse.SubmanifoldConv2D(in, f); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}),
-		benchStage("submanifold_conv2d_into", func(b *testing.B) {
-			out := sparse.NewTensor(f.OutC, in.H, in.W)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := sparse.SubmanifoldConv2DInto(out, in, f); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}),
-	)
-
-	// Tiled variants on a warm worker pool: after the first dispatch
-	// the pool's free-listed dispatch records and sync.Pool'd task
-	// structs are at steady capacity, so sharded runs must allocate
-	// exactly as much as their serial counterparts — nothing.
+	convOut := sparse.NewTensor(f.OutC, oh, ow)
+	subOut := sparse.NewTensor(f.OutC, in.H, in.W)
 	pool := par.New(4)
-	t.Cleanup(pool.Close)
-	stages = append(stages,
-		benchStage("sparse_conv2d_tiled", func(b *testing.B) {
-			out := sparse.NewTensor(f.OutC, oh, ow)
-			if err := sparse.SparseConv2DTiledInto(out, in, f, pool, 8); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := sparse.SparseConv2DTiledInto(out, in, f, pool, 8); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}),
-		benchStage("submanifold_conv2d_tiled", func(b *testing.B) {
-			out := sparse.NewTensor(f.OutC, in.H, in.W)
-			if err := sparse.SubmanifoldConv2DTiledInto(out, in, f, pool, 8); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := sparse.SubmanifoldConv2DTiledInto(out, in, f, pool, 8); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}),
-		benchStage("submanifold_sites", func(b *testing.B) {
-			out := sparse.NewTensor(f.OutC, in.H, in.W)
-			as := sparse.NewActiveSet(in.H, in.W, f.K)
-			as.BuildFromTensor(in, f.K)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := sparse.SubmanifoldConv2DSites(out, in, f, as); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}),
-		benchStage("rulebook_observe", func(b *testing.B) {
-			// Two drifted frames alternating: every Observe after warm-up
-			// takes the delta path with buffers at steady capacity.
-			fa, fb := sparse.NewFrame(64, 64, 0, 1), sparse.NewFrame(64, 64, 0, 1)
-			rng := rand.New(rand.NewSource(4))
-			for i := 0; i < 200; i++ {
-				y, x := int32(rng.Intn(64)), int32(rng.Intn(63))
-				fa.Set(y, x, 1, 0)
-				fb.Set(y, x+1, 0, 1)
-			}
-			c := sparse.NewRulebookCache(3, 0)
-			c.Observe(fa)
-			c.Observe(fb)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%2 == 0 {
-					c.Observe(fa)
-				} else {
-					c.Observe(fb)
-				}
-			}
-		}),
-	)
+	defer pool.Close()
+	as := sparse.NewActiveSet(in.H, in.W, f.K)
+	as.BuildFromTensor(in, f.K)
+
+	// Two drifted frames alternating: every Observe after warm-up takes
+	// the delta path with buffers at steady capacity.
+	fa, fb := sparse.NewFrame(64, 64, 0, 1), sparse.NewFrame(64, 64, 0, 1)
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 200; i++ {
+		y, x := int32(rng.Intn(64)), int32(rng.Intn(63))
+		fa.Set(y, x, 1, 0)
+		fb.Set(y, x+1, 0, 1)
+	}
+	rulebook := sparse.NewRulebookCache(3, 0)
 
 	// CSR SpMM over a synthetic 5% dense 512x256 matrix.
-	rng := rand.New(rand.NewSource(9))
 	var entries []sparse.COOEntry
 	const rows, cols, dcols = 512, 256, 16
 	for r := 0; r < rows; r++ {
@@ -363,140 +226,55 @@ func collectAllocStages(t *testing.T) []allocStage {
 		}
 	}
 	csr, err := sparse.NewCSR(rows, cols, entries)
-	if err != nil {
-		t.Fatalf("NewCSR: %v", err)
-	}
+	fail(err)
 	dmat := sparse.NewMat(cols, dcols)
 	for i := range dmat.Data {
 		dmat.Data[i] = rng.Float32()
 	}
-	stages = append(stages,
-		benchStage("csr_spmm", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := csr.SpMM(dmat); err != nil {
-					b.Fatal(err)
+	spmmOut := sparse.NewMat(rows, dcols)
+
+	for _, st := range []struct {
+		name string
+		run  func() error
+	}{
+		{"e2sf_convert_fused_pooled", func() (err error) {
+			frames, _, err = fz.ConvertGroupedAppend(frames[:0], stream, 0, span, 1)
+			for _, fr := range frames {
+				framePool.Put(fr)
+			}
+			return err
+		}},
+		{"sparse_conv2d_into", func() error { return sparse.SparseConv2DInto(convOut, in, f) }},
+		{"submanifold_conv2d_into", func() error { return sparse.SubmanifoldConv2DInto(subOut, in, f) }},
+		{"sparse_conv2d_tiled", func() error { return sparse.SparseConv2DTiledInto(convOut, in, f, pool, 8) }},
+		{"submanifold_conv2d_tiled", func() error { return sparse.SubmanifoldConv2DTiledInto(subOut, in, f, pool, 8) }},
+		{"submanifold_sites", func() error { return sparse.SubmanifoldConv2DSites(subOut, in, f, as) }},
+		{"rulebook_observe", func() error { rulebook.Observe(fa); rulebook.Observe(fb); return nil }},
+		{"csr_spmm_into", func() error { return csr.SpMMInto(spmmOut, dmat) }},
+		{"csr_spmm_tiled", func() error { return csr.SpMMTiledInto(spmmOut, dmat, pool, 8) }},
+	} {
+		t.Run(st.name, func(t *testing.T) {
+			run := func() {
+				if err := st.run(); err != nil {
+					t.Fatal(err)
 				}
 			}
-		}),
-		benchStage("csr_spmm_into", func(b *testing.B) {
-			out := sparse.NewMat(rows, dcols)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := csr.SpMMInto(out, dmat); err != nil {
-					b.Fatal(err)
-				}
+			run() // warm scratch, pools and output capacities
+			// The worker pool allocates a dispatch record whenever a worker
+			// still holds the last ones; it owns at most 4*width+1, so a
+			// stage that allocates nothing itself reads zero within that
+			// many measurements, and one that does never will.
+			avg := testing.AllocsPerRun(20, run)
+			for try := 0; avg != 0 && try < 4*pool.Size()+1; try++ {
+				avg = testing.AllocsPerRun(20, run)
 			}
-		}),
-		benchStage("csr_spmm_tiled", func(b *testing.B) {
-			out := sparse.NewMat(rows, dcols)
-			if err := csr.SpMMTiledInto(out, dmat, pool, 8); err != nil {
-				b.Fatal(err)
+			if raceEnabled {
+				t.Logf("race build: measured %.2f allocs/op (bound not enforced)", avg)
+				return
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := csr.SpMMTiledInto(out, dmat, pool, 8); err != nil {
-					b.Fatal(err)
-				}
+			if avg != 0 {
+				t.Fatalf("got %.2f allocs/op, want 0", avg)
 			}
-		}),
-	)
-
-	// The end-to-end serving cycle — the number TestAllocRegression
-	// pins to zero.
-	stages = append(stages, benchStage("serve_ingest_pump", func(b *testing.B) {
-		h := newAllocHarness(b)
-		defer h.srv.Close()
-		for i := 0; i < 12; i++ {
-			h.cycle(b)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			h.cycle(b)
-		}
-	}))
-
-	// The same cycle on a parallel server: adds per-frame rulebook
-	// upkeep and ActiveSet pool traffic to the loop.
-	stages = append(stages, benchStage("serve_ingest_pump_parallel", func(b *testing.B) {
-		h := newAllocHarnessParallel(b, 4)
-		defer h.srv.Close()
-		for i := 0; i < 12; i++ {
-			h.cycle(b)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			h.cycle(b)
-		}
-	}))
-	return stages
-}
-
-// allocDoc is the BENCH_alloc.json schema.
-type allocDoc struct {
-	Stages []allocStage `json:"stages"`
-}
-
-// TestAllocBenchJSON emits BENCH_alloc.json: allocs/op, bytes/op and
-// ns/op for each hot-path stage. Run via `make bench-json`.
-func TestAllocBenchJSON(t *testing.T) {
-	path := os.Getenv("BENCH_ALLOC_JSON")
-	if path == "" {
-		t.Skip("set BENCH_ALLOC_JSON=<path> to emit the alloc benchmark artifact")
-	}
-	doc := allocDoc{Stages: collectAllocStages(t)}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatalf("write %s: %v", path, err)
-	}
-	t.Logf("wrote %s (%d stages)", path, len(doc.Stages))
-}
-
-// TestAllocSmoke is the bench-smoke regression gate: re-measure every
-// stage and fail if any stage's allocs/op regressed more than 10%
-// against the committed BENCH_alloc.json baseline (zero-baseline
-// stages must stay at zero — 10% of nothing is nothing). Run it
-// BEFORE bench-json in CI, while the baseline file is still the
-// committed one. Run via `make bench-smoke`.
-func TestAllocSmoke(t *testing.T) {
-	path := os.Getenv("BENCH_ALLOC_BASELINE")
-	if path == "" {
-		t.Skip("set BENCH_ALLOC_BASELINE=<committed BENCH_alloc.json> to run the alloc regression gate")
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read baseline: %v", err)
-	}
-	var base allocDoc
-	if err := json.Unmarshal(raw, &base); err != nil {
-		t.Fatalf("parse baseline: %v", err)
-	}
-	baseline := make(map[string]allocStage, len(base.Stages))
-	for _, s := range base.Stages {
-		baseline[s.Stage] = s
-	}
-	for _, got := range collectAllocStages(t) {
-		want, ok := baseline[got.Stage]
-		if !ok {
-			t.Logf("%s: no baseline (new stage), measured %d allocs/op", got.Stage, got.AllocsPerOp)
-			continue
-		}
-		// Integer ceiling of 1.1x: a 0-alloc baseline admits 0, a
-		// 124-alloc baseline admits 136.
-		limit := want.AllocsPerOp + want.AllocsPerOp/10
-		if got.AllocsPerOp > limit {
-			t.Errorf("%s: allocs/op regressed %d -> %d (limit %d, +10%%)",
-				got.Stage, want.AllocsPerOp, got.AllocsPerOp, limit)
-			continue
-		}
-		t.Logf("%s: %d allocs/op (baseline %d, limit %d)", got.Stage, got.AllocsPerOp, want.AllocsPerOp, limit)
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -229,6 +230,84 @@ func TestIngestConverterMatchesOffline(t *testing.T) {
 	// The tail gap is at most the frames of one incomplete window.
 	if len(offline)-len(inc) > net.Input.NumBins {
 		t.Fatalf("incremental trails offline by %d frames", len(offline)-len(inc))
+	}
+}
+
+// TestIngestRejectsOutOfGeometry: an event outside the declared sensor
+// would alias another pixel of the converter's grid or index past it.
+// Both wire formats answer 400, the session is left untouched, and the
+// next valid chunk converts exactly as if the bad one never arrived.
+func TestIngestRejectsOutOfGeometry(t *testing.T) {
+	mk := func(t0 int64, xy ...uint16) *events.Stream {
+		s := events.NewStream(8, 8)
+		for i := 0; i < len(xy); i += 2 {
+			s.Append(events.Event{X: xy[i], Y: xy[i+1], TS: t0 + int64(i)*500, Pol: events.On})
+		}
+		return s
+	}
+	first := mk(0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7) // 6 ms: one DOTIE window
+	next := mk(7_000, 1, 4, 2, 5, 3, 6, 4, 7, 5, 0, 6, 1, 7, 2)
+	alias := mk(6_500, 9, 3) // flat index 33 = pixel (1,4)
+	past := mk(6_500, 9, 7)  // flat index 65 of 64
+
+	_, cl, stop := newTestServer(t, Config{ManualDrain: true})
+	defer stop()
+	snap, err := cl.CreateSession(SessionConfig{Network: nn.DOTIE, Level: 2})
+	if err != nil {
+		t.Fatalf("CreateSession: %v", err)
+	}
+	if _, err := cl.SendEvents(snap.ID, first); err != nil {
+		t.Fatalf("SendEvents: %v", err)
+	}
+	before, err := cl.Session(snap.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, send := range map[string]func(string, *events.Stream) (*IngestResult, error){
+		"JSON": cl.SendEventsJSON, "EVAR": cl.SendEvents,
+	} {
+		for _, bad := range []*events.Stream{alias, past} {
+			if _, err := send(snap.ID, bad); err == nil || !strings.Contains(err.Error(), "HTTP 400") {
+				t.Fatalf("%s chunk with event (%d,%d) on 8x8: err = %v, want HTTP 400",
+					name, bad.Events[0].X, bad.Events[0].Y, err)
+			}
+		}
+	}
+	after, err := cl.Session(snap.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.EventsIn != before.EventsIn || after.FramesIn != before.FramesIn || after.StreamTimeUS != before.StreamTimeUS {
+		t.Fatalf("rejected chunks moved the session: events %d->%d frames %d->%d watermark %d->%d",
+			before.EventsIn, after.EventsIn, before.FramesIn, after.FramesIn, before.StreamTimeUS, after.StreamTimeUS)
+	}
+
+	// Frame for frame: a converter that saw the bad chunks against one
+	// that did not.
+	spec := nn.MustByName(nn.DOTIE).Input
+	hit, clean := &ingestConverter{spec: spec}, &ingestConverter{spec: spec}
+	for _, c := range []*events.Stream{first, alias, past, next} {
+		got, err := hit.ingest(c)
+		if c == alias || c == past {
+			if !errors.Is(err, events.ErrGeometry) {
+				t.Fatalf("ingest of out-of-geometry chunk: err = %v, want ErrGeometry", err)
+			}
+			continue
+		}
+		want, werr := clean.ingest(c)
+		if err != nil || werr != nil {
+			t.Fatalf("ingest: %v / %v", err, werr)
+		}
+		if len(got) != len(want) || len(got) == 0 {
+			t.Fatalf("chunk at %dus: %d frames, want %d (> 0)", c.TStart(), len(got), len(want))
+		}
+		for i := range want {
+			if got[i].T0 != want[i].T0 || got[i].T1 != want[i].T1 ||
+				!slices.Equal(got[i].Ys, want[i].Ys) || !slices.Equal(got[i].Xs, want[i].Xs) ||
+				!slices.Equal(got[i].Pos, want[i].Pos) || !slices.Equal(got[i].Neg, want[i].Neg) {
+				t.Fatalf("chunk at %dus frame %d differs after a rejected chunk", c.TStart(), i)
+			}
+		}
 	}
 }
 

@@ -1452,8 +1452,8 @@ func (s *Server) Load() NodeLoad {
 // Platform returns the platform model the server executes on.
 func (s *Server) Platform() *hw.Platform { return s.cfg.Platform }
 
-// ArenaStats snapshots the server's pool counters (frames, tensors,
-// mats, CSRs) — the alloc-regression harness and /metrics read it.
+// ArenaStats snapshots the server's pool counters (frames, active
+// sets) — the alloc-regression harness and /metrics read it.
 func (s *Server) ArenaStats() mem.ArenaStats { return s.arena.Stats() }
 
 // rebalance recomputes the placement of all active sessions under the
@@ -1703,8 +1703,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	res, err := s.Ingest(r.PathValue("id"), chunk)
 	if err != nil {
 		status := http.StatusConflict
-		if errors.Is(err, ErrNoSession) {
+		switch {
+		case errors.Is(err, ErrNoSession):
 			status = http.StatusNotFound
+		case errors.Is(err, events.ErrGeometry), errors.Is(err, events.ErrPolarity),
+			errors.Is(err, events.ErrOrder), errors.Is(err, events.ErrNoGeometry):
+			status = http.StatusBadRequest // failed events.Stream.Validate
 		}
 		writeError(w, status, err)
 		return
@@ -1799,9 +1803,7 @@ func (s *Server) WriteMetrics(pw *PromWriter, ns, extraLabels string) {
 		name string
 		st   mem.PoolStats
 	}{
-		{"frames", ast.Frames}, {"tensors", ast.Tensors},
-		{"mats", ast.Mats}, {"csrs", ast.CSRs},
-		{"active_sets", ast.ActiveSets},
+		{"frames", ast.Frames}, {"active_sets", ast.ActiveSets},
 		{"invocations", s.invPool.Stats()}, {"requests", s.pendPool.Stats()},
 	} {
 		pw.Counter(ns+"_pool_gets_total", "Objects borrowed from the arena pool.", lbls("pool", p.name), float64(p.st.Gets))

@@ -259,8 +259,9 @@ func (s *Session) sampleLocked() control.SessionSample {
 }
 
 // ingest converts one event chunk into frames and queues them,
-// shedding per the drop policy. The chunk's events must be sorted and
-// must not precede what the session has already consumed.
+// shedding per the drop policy. The chunk must pass
+// events.Stream.Validate and must not precede what the session has
+// already consumed; a rejected chunk changes no session state.
 func (s *Session) ingest(chunk *events.Stream) (IngestResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -405,11 +406,10 @@ func (s *Session) planDevicesLocked() []string {
 // Time framing emits one grouped frame set per completed accumulation
 // window; count framing emits a frame every N events, with N
 // calibrated once from the first chunk's event rate (as a deployment
-// tunes it on representative data). Conversion runs through the fused
-// one-pass kernel (e2sf.Fused): each buffered chunk is traversed once,
-// emitted frames come from the arena's frame pool, and the emit slice
-// is reused across ingests — the steady-state ingest path allocates
-// nothing.
+// tunes it on representative data). Conversion runs through
+// e2sf.Fused: each buffered chunk is traversed once, emitted frames
+// come from the arena's frame pool, and the emit slice is reused
+// across ingests — the steady-state ingest path allocates nothing.
 type ingestConverter struct {
 	spec      nn.InputSpec
 	pool      *mem.FramePool // nil: frames are freshly allocated
@@ -429,11 +429,11 @@ type ingestConverter struct {
 func (c *ingestConverter) span() int64 { return c.watermark - c.startTS }
 
 func (c *ingestConverter) ingest(chunk *events.Stream) ([]*sparse.Frame, error) {
-	if chunk.Width <= 0 || chunk.Height <= 0 {
-		return nil, fmt.Errorf("serve: chunk has no sensor geometry")
-	}
-	if !chunk.Sorted() {
-		return nil, fmt.Errorf("serve: chunk events are not time-sorted")
+	// Chunks are outside input and e2sf.Fused indexes its grid
+	// unchecked: geometry, polarity and order are checked here, in one
+	// pass, before any converter state changes.
+	if err := chunk.Validate(); err != nil {
+		return nil, fmt.Errorf("serve: invalid chunk: %w", err)
 	}
 	if c.fz == nil {
 		fz, err := e2sf.NewFused(e2sf.Config{
@@ -475,10 +475,8 @@ func (c *ingestConverter) ingest(chunk *events.Stream) ([]*sparse.Frame, error) 
 }
 
 // convertWindows frames every accumulation window fully covered by the
-// watermark, exactly as the offline ConvertStream does. The fused
-// kernel replaces the Convert→GroupBins pair with one pass over the
-// window's events; the returned slice is converter-owned scratch,
-// valid until the next ingest.
+// watermark, exactly as the offline ConvertStream does. The returned
+// slice is converter-owned scratch, valid until the next ingest.
 func (c *ingestConverter) convertWindows() ([]*sparse.Frame, error) {
 	out := c.frames[:0]
 	var err error

@@ -34,72 +34,42 @@ func benchFilter(outC, inC, k int) *Filter {
 func BenchmarkConv2D(b *testing.B) {
 	in := benchInput(2, 64, 64, 0.1)
 	f := benchFilter(8, 2, 3)
-	b.Run("alloc", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := Conv2D(in, f); err != nil {
-				b.Fatal(err)
-			}
+	oh, ow := f.OutShape(in.H, in.W)
+	out := NewTensor(f.OutC, oh, ow)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Conv2DInto(out, in, f); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("into", func(b *testing.B) {
-		oh, ow := f.OutShape(in.H, in.W)
-		out := NewTensor(f.OutC, oh, ow)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := Conv2DInto(out, in, f); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 func BenchmarkSparseConv2D(b *testing.B) {
 	in := benchInput(2, 64, 64, 0.05)
 	f := benchFilter(8, 2, 3)
-	b.Run("alloc", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := SparseConv2D(in, f); err != nil {
-				b.Fatal(err)
-			}
+	oh, ow := f.OutShape(in.H, in.W)
+	out := NewTensor(f.OutC, oh, ow)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := SparseConv2DInto(out, in, f); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("into", func(b *testing.B) {
-		oh, ow := f.OutShape(in.H, in.W)
-		out := NewTensor(f.OutC, oh, ow)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := SparseConv2DInto(out, in, f); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 func BenchmarkSubmanifoldConv2D(b *testing.B) {
 	in := benchInput(2, 64, 64, 0.05)
 	f := benchFilter(8, 2, 3)
-	b.Run("alloc", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := SubmanifoldConv2D(in, f); err != nil {
-				b.Fatal(err)
-			}
+	out := NewTensor(f.OutC, in.H, in.W)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := SubmanifoldConv2DInto(out, in, f); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("into", func(b *testing.B) {
-		out := NewTensor(f.OutC, in.H, in.W)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := SubmanifoldConv2DInto(out, in, f); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 func BenchmarkSpMM(b *testing.B) {
@@ -121,24 +91,14 @@ func BenchmarkSpMM(b *testing.B) {
 	for i := range d.Data {
 		d.Data[i] = rng.Float32()
 	}
-	b.Run("alloc", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.SpMM(d); err != nil {
-				b.Fatal(err)
-			}
+	out := NewMat(rows, dcols)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.SpMMInto(out, d); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("into", func(b *testing.B) {
-		out := NewMat(rows, dcols)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := m.SpMMInto(out, d); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 func BenchmarkFrameSet(b *testing.B) {
@@ -173,19 +133,11 @@ func BenchmarkMergeAdd(b *testing.B) {
 		f.NNZ()
 		frames[i] = f
 	}
-	b.Run("alloc", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			MergeAdd(frames...)
-		}
-	})
-	b.Run("into", func(b *testing.B) {
-		out := &Frame{}
+	out := &Frame{}
+	MergeAddInto(out, frames...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		MergeAddInto(out, frames...)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			MergeAddInto(out, frames...)
-		}
-	})
+	}
 }

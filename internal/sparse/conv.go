@@ -67,23 +67,10 @@ func checkOut(out *Tensor, f *Filter, h, w int) (oh, ow int, err error) {
 	return oh, ow, nil
 }
 
-// Conv2D computes the dense direct convolution of in with f (the
-// transposed convolution if f.Deconv).
-func Conv2D(in *Tensor, f *Filter) (*Tensor, error) {
-	oh, ow := f.OutShape(in.H, in.W)
-	if oh <= 0 || ow <= 0 {
-		return nil, fmt.Errorf("sparse: conv output %dx%d is empty", oh, ow)
-	}
-	out := NewTensor(f.OutC, oh, ow)
-	if err := Conv2DInto(out, in, f); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Conv2DInto is Conv2D writing into a caller-supplied (possibly
-// pooled) output tensor; every element is overwritten. A transposed
-// convolution is a scatter and runs as one (SparseConv2DInto).
+// Conv2DInto computes the dense direct convolution of in with f (the
+// transposed convolution if f.Deconv) into a caller-supplied output
+// tensor; every element is overwritten. A transposed convolution is a
+// scatter and runs as one (SparseConv2DInto).
 func Conv2DInto(out *Tensor, in *Tensor, f *Filter) error {
 	return Conv2DTiledInto(out, in, f, nil, 1)
 }
@@ -142,108 +129,28 @@ func convRows(out, in *Tensor, f *Filter, lo, hi int) {
 	}
 }
 
-// Im2colConv2D computes the same dense convolution via im2col + GEMM,
-// the formulation GPU libraries use; it cross-checks Conv2D and backs
-// the GEMM-oriented perf model.
-func Im2colConv2D(in *Tensor, f *Filter) (*Tensor, error) {
-	if in.C != f.InC {
-		return nil, fmt.Errorf("sparse: conv input channels %d != filter %d", in.C, f.InC)
-	}
-	if f.Deconv {
-		return Conv2D(in, f) // no GEMM path for deconv; direct scatter
-	}
-	oh, ow := f.OutShape(in.H, in.W)
-	if oh <= 0 || ow <= 0 {
-		return nil, fmt.Errorf("sparse: conv output %dx%d is empty", oh, ow)
-	}
-	kk := f.InC * f.K * f.K
-	cols := NewMat(kk, oh*ow)
-	for ic := 0; ic < f.InC; ic++ {
-		for ky := 0; ky < f.K; ky++ {
-			for kx := 0; kx < f.K; kx++ {
-				row := (ic*f.K+ky)*f.K + kx
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*f.Stride + ky - f.Pad
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*f.Stride + kx - f.Pad
-						var v float32
-						if iy >= 0 && iy < in.H && ix >= 0 && ix < in.W {
-							v = in.At(ic, iy, ix)
-						}
-						cols.Set(row, oy*ow+ox, v)
-					}
-				}
-			}
-		}
-	}
-	wmat := &Mat{Rows: f.OutC, Cols: kk, Data: f.Weights}
-	prod := MatMul(wmat, cols)
-	out := &Tensor{C: f.OutC, H: oh, W: ow, Data: prod.Data}
-	if f.Bias != nil {
-		for oc := 0; oc < f.OutC; oc++ {
-			for i := oc * oh * ow; i < (oc+1)*oh*ow; i++ {
-				out.Data[i] += f.Bias[oc]
-			}
-		}
-	}
-	return out, nil
-}
-
-// SparseConv2D computes the convolution touching only active input
+// SparseConv2DInto computes the convolution touching only active input
 // sites: each nonzero input value is scattered through the kernel into
 // the affected output positions (gather-scatter / "rulebook" style).
 // The arithmetic cost is proportional to nnz(in) * OutC * K * K rather
 // than to the full output volume, which is the efficiency E2SF unlocks.
-// The result is numerically identical to Conv2D minus the bias at
-// positions with no contributing inputs (bias is applied everywhere,
-// matching dense semantics).
-func SparseConv2D(in *Tensor, f *Filter) (*Tensor, error) {
-	oh, ow := f.OutShape(in.H, in.W)
-	if oh <= 0 || ow <= 0 {
-		return nil, fmt.Errorf("sparse: conv output %dx%d is empty", oh, ow)
-	}
-	out := NewTensor(f.OutC, oh, ow)
-	if err := SparseConv2DInto(out, in, f); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SparseConv2DInto is SparseConv2D writing into a caller-supplied
-// (possibly pooled) output tensor. The output is fully initialized to
-// the bias before the scatter, so pooled tensors need no prior
-// clearing. The input is scanned once into a site list and the scatter
-// runs from the list (SiteConv.Apply).
+// The result is numerically identical to Conv2DInto: the caller's
+// output tensor is fully initialized to the bias before the scatter
+// (dense semantics; no prior clearing needed), the input is scanned
+// once into a site list and the scatter runs from the list
+// (SiteConv.Apply).
 func SparseConv2DInto(out *Tensor, in *Tensor, f *Filter) error {
 	return SparseConv2DTiledInto(out, in, f, nil, 1)
 }
 
-// SubmanifoldConv2D computes a submanifold sparse convolution: outputs
-// are produced only at sites that are active in the input, preventing
+// SubmanifoldConv2DInto computes a submanifold sparse convolution into
+// a caller-supplied output tensor: outputs are produced only at sites
+// that are active in the input (inactive sites are zeroed), preventing
 // the active set from dilating layer after layer. Requires stride 1
-// and equal input/output spatial size (K odd, Pad == K/2).
-func SubmanifoldConv2D(in *Tensor, f *Filter) (*Tensor, error) {
-	if in.C != f.InC {
-		return nil, fmt.Errorf("sparse: conv input channels %d != filter %d", in.C, f.InC)
-	}
-	if f.Stride != 1 || f.K%2 == 0 || f.Pad != f.K/2 {
-		return nil, fmt.Errorf("sparse: submanifold conv needs stride 1, odd K, pad K/2 (got s=%d k=%d p=%d)",
-			f.Stride, f.K, f.Pad)
-	}
-	out := NewTensor(f.OutC, in.H, in.W)
-	if err := SubmanifoldConv2DInto(out, in, f); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SubmanifoldConv2DInto is SubmanifoldConv2D writing into a
-// caller-supplied (possibly pooled) output tensor; inactive sites are
-// zeroed. Active sites are found by a direct row-major scan instead
-// of materializing an ActiveSites slice, so the kernel allocates
-// nothing, and the per-(oc, ic) weight-row base slices are hoisted
-// outside the site loop (see submanifoldRows) — same visit and
-// accumulation order, bit-identical results.
+// and equal input/output spatial size (K odd, Pad == K/2). Active
+// sites are found by a direct row-major scan instead of materializing
+// an ActiveSites slice, so the kernel allocates nothing (see
+// submanifoldRows).
 func SubmanifoldConv2DInto(out *Tensor, in *Tensor, f *Filter) error {
 	if in.C != f.InC {
 		return fmt.Errorf("sparse: conv input channels %d != filter %d", in.C, f.InC)
@@ -292,34 +199,6 @@ func MaxPool2D(in *Tensor, k, stride int) (*Tensor, error) {
 					}
 				}
 				out.Set(c, oy, ox, best)
-			}
-		}
-	}
-	return out, nil
-}
-
-// AvgPool2D computes average pooling with a k x k window and stride.
-func AvgPool2D(in *Tensor, k, stride int) (*Tensor, error) {
-	if k <= 0 || stride <= 0 {
-		return nil, fmt.Errorf("sparse: invalid pool k=%d stride=%d", k, stride)
-	}
-	oh := (in.H-k)/stride + 1
-	ow := (in.W-k)/stride + 1
-	if oh <= 0 || ow <= 0 {
-		return nil, fmt.Errorf("sparse: pool output %dx%d is empty", oh, ow)
-	}
-	out := NewTensor(in.C, oh, ow)
-	inv := 1 / float32(k*k)
-	for c := 0; c < in.C; c++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				var sum float32
-				for ky := 0; ky < k; ky++ {
-					for kx := 0; kx < k; kx++ {
-						sum += in.At(c, oy*stride+ky, ox*stride+kx)
-					}
-				}
-				out.Set(c, oy, ox, sum*inv)
 			}
 		}
 	}

@@ -58,23 +58,6 @@ func NewCSR(rows, cols int, entries []COOEntry) (*CSR, error) {
 // NNZ returns the number of stored nonzeros.
 func (m *CSR) NNZ() int { return len(m.Vals) }
 
-// Reset re-initializes the matrix to an empty rows x cols shape,
-// keeping slice capacity — the pooled-construction hook used by
-// mem.CSRPool. RowPtr is resized to rows+1 and zeroed.
-func (m *CSR) Reset(rows, cols int) {
-	m.Rows, m.Cols = rows, cols
-	if cap(m.RowPtr) < rows+1 {
-		m.RowPtr = make([]int32, rows+1)
-	} else {
-		m.RowPtr = m.RowPtr[:rows+1]
-		for i := range m.RowPtr {
-			m.RowPtr[i] = 0
-		}
-	}
-	m.ColIdx = m.ColIdx[:0]
-	m.Vals = m.Vals[:0]
-}
-
 // At returns element (i, j) with a binary search within the row.
 func (m *CSR) At(i, j int) float32 {
 	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
@@ -86,34 +69,8 @@ func (m *CSR) At(i, j int) float32 {
 	return 0
 }
 
-// SpMV computes y = m * x for a dense vector x.
-func (m *CSR) SpMV(x []float32) ([]float32, error) {
-	if len(x) != m.Cols {
-		return nil, fmt.Errorf("sparse: SpMV vector length %d != cols %d", len(x), m.Cols)
-	}
-	y := make([]float32, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		var sum float32
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			sum += m.Vals[k] * x[m.ColIdx[k]]
-		}
-		y[i] = sum
-	}
-	return y, nil
-}
-
-// SpMM computes m * d for a dense matrix d.
-func (m *CSR) SpMM(d *Mat) (*Mat, error) {
-	out := NewMat(m.Rows, d.Cols)
-	if err := m.SpMMInto(out, d); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SpMMInto computes m * d into a preallocated out (m.Rows x d.Cols),
-// overwriting its contents. The accumulation order is identical to
-// SpMM, so results are bit-equal.
+// SpMMInto computes m * d for a dense matrix d into a preallocated out
+// (m.Rows x d.Cols), overwriting its contents.
 func (m *CSR) SpMMInto(out *Mat, d *Mat) error {
 	if d.Rows != m.Cols {
 		return fmt.Errorf("sparse: SpMM shape mismatch %dx%d x %dx%d", m.Rows, m.Cols, d.Rows, d.Cols)
@@ -137,7 +94,8 @@ func (m *CSR) SpMMInto(out *Mat, d *Mat) error {
 	return nil
 }
 
-// SpMVInto computes y = m * x into a preallocated y of length m.Rows.
+// SpMVInto computes y = m * x for a dense vector x into a preallocated
+// y of length m.Rows.
 func (m *CSR) SpMVInto(y, x []float32) error {
 	if len(x) != m.Cols {
 		return fmt.Errorf("sparse: SpMV vector length %d != cols %d", len(x), m.Cols)

@@ -243,35 +243,17 @@ func FromDense(t *Tensor, t0, t1 int64) (*Frame, error) {
 	return f, nil
 }
 
-// MergeAdd returns a new frame whose per-pixel accumulations are the
-// elementwise sums of the inputs — the DSFA cAdd combine mode. Time
-// bounds become the union. Panics on geometry mismatch.
-func MergeAdd(frames ...*Frame) *Frame {
-	out := &Frame{}
-	mergeScaledInto(out, frames, 1)
-	return out
-}
-
-// MergeAverage returns the elementwise mean of the inputs — the DSFA
-// cAverage combine mode.
-func MergeAverage(frames ...*Frame) *Frame {
-	if len(frames) == 0 {
-		panic("sparse: MergeAverage of no frames")
-	}
-	out := &Frame{}
-	mergeScaledInto(out, frames, 1/float32(len(frames)))
-	return out
-}
-
-// MergeAddInto writes the cAdd combination of frames into out
-// (typically a pooled frame), keeping out's slice capacity. The
-// summation order is identical to MergeAdd's, so results are
-// bit-identical — scenario replay depends on it.
+// MergeAddInto writes into out (typically a pooled frame, whose slice
+// capacity is kept) the elementwise sums of the inputs' per-pixel
+// accumulations — the DSFA cAdd combine mode. Time bounds become the
+// union. Panics on geometry mismatch. Inputs are summed in argument
+// order; scenario replay depends on it.
 func MergeAddInto(out *Frame, frames ...*Frame) {
 	mergeScaledInto(out, frames, 1)
 }
 
-// MergeAverageInto is MergeAverage writing into a pooled frame.
+// MergeAverageInto writes the elementwise mean of the inputs into out —
+// the DSFA cAverage combine mode.
 func MergeAverageInto(out *Frame, frames ...*Frame) {
 	if len(frames) == 0 {
 		panic("sparse: MergeAverage of no frames")

@@ -75,20 +75,6 @@ func TestReLUScaleAdd(t *testing.T) {
 	}
 }
 
-func TestMatMul(t *testing.T) {
-	a := NewMat(2, 3)
-	copy(a.Data, []float32{1, 2, 3, 4, 5, 6})
-	b := NewMat(3, 2)
-	copy(b.Data, []float32{7, 8, 9, 10, 11, 12})
-	c := MatMul(a, b)
-	want := []float32{58, 64, 139, 154}
-	for i, v := range want {
-		if c.Data[i] != v {
-			t.Fatalf("matmul[%d]=%f want %f", i, c.Data[i], v)
-		}
-	}
-}
-
 func TestFrameBuilderAndValidate(t *testing.T) {
 	b := NewFrameBuilder(4, 5, 0, 100)
 	b.AddEvent(2, 3, true)
@@ -154,7 +140,8 @@ func TestMergeModes(t *testing.T) {
 	b.Set(1, 1, 2, 2)
 	b.Set(3, 3, 4, 0)
 
-	sum := MergeAdd(a, b)
+	sum := &Frame{}
+	MergeAddInto(sum, a, b)
 	if err := sum.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +155,8 @@ func TestMergeModes(t *testing.T) {
 		t.Fatalf("time union %d %d", sum.T0, sum.T1)
 	}
 
-	avg := MergeAverage(a, b)
+	avg := &Frame{}
+	MergeAverageInto(avg, a, b)
 	if p, _ := avg.Get(1, 1); p != 2 {
 		t.Fatalf("avg (1,1) pos=%f", p)
 	}
@@ -218,15 +206,18 @@ func TestCSR(t *testing.T) {
 	if m.At(0, 1) != 3 || m.At(1, 0) != 3 || m.At(1, 2) != 4 || m.At(2, 2) != 0 {
 		t.Fatal("At wrong")
 	}
-	y, err := m.SpMV([]float32{1, 2, 3})
-	if err != nil {
+	y := make([]float32, 3)
+	if err := m.SpMVInto(y, []float32{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	if y[0] != 6 || y[1] != 15 || y[2] != 0 {
 		t.Fatalf("spmv=%v", y)
 	}
-	if _, err := m.SpMV([]float32{1}); err == nil {
+	if err := m.SpMVInto(y, []float32{1}); err == nil {
 		t.Fatal("bad vector accepted")
+	}
+	if err := m.SpMVInto(y[:1], []float32{1, 2, 3}); err == nil {
+		t.Fatal("bad output length accepted")
 	}
 	if _, err := NewCSR(2, 2, []COOEntry{{5, 0, 1}}); err == nil {
 		t.Fatal("out of bounds entry accepted")
@@ -247,14 +238,20 @@ func TestCSRSpMMMatchesDense(t *testing.T) {
 	for i := range d.Data {
 		d.Data[i] = r.Float32()
 	}
-	got, err := m.SpMM(d)
-	if err != nil {
+	got := NewMat(8, 5)
+	if err := m.SpMMInto(got, d); err != nil {
 		t.Fatal(err)
 	}
-	want := MatMul(m.Dense(), d)
-	for i := range want.Data {
-		if diff := got.Data[i] - want.Data[i]; diff > 1e-4 || diff < -1e-4 {
-			t.Fatalf("spmm[%d]=%f want %f", i, got.Data[i], want.Data[i])
+	md := m.Dense()
+	for i := 0; i < 8; i++ {
+		for j := 0; j < 5; j++ {
+			var want float32
+			for k := 0; k < 6; k++ {
+				want += md.At(i, k) * d.At(k, j)
+			}
+			if diff := got.At(i, j) - want; diff > 1e-4 || diff < -1e-4 {
+				t.Fatalf("spmm[%d,%d]=%f want %f", i, j, got.At(i, j), want)
+			}
 		}
 	}
 	// transpose twice is identity
@@ -280,6 +277,14 @@ func randFilter(r *rand.Rand, outC, inC, k, stride, pad int) *Filter {
 	return f
 }
 
+// convOut runs an Into kernel on a fresh output tensor of f's shape for
+// in (an empty shape is left to the kernel to reject).
+func convOut(kernel func(out, in *Tensor, f *Filter) error, in *Tensor, f *Filter) (*Tensor, error) {
+	oh, ow := f.OutShape(in.H, in.W)
+	out := NewTensor(f.OutC, max(oh, 1), max(ow, 1))
+	return out, kernel(out, in, f)
+}
+
 func TestConvKnownValues(t *testing.T) {
 	// 1x3x3 input, 1 filter 2x2 stride 1 pad 0, all-ones weights.
 	in := NewTensor(1, 3, 3)
@@ -290,7 +295,7 @@ func TestConvKnownValues(t *testing.T) {
 	for i := range f.Weights {
 		f.Weights[i] = 1
 	}
-	out, err := Conv2D(in, f)
+	out, err := convOut(Conv2DInto, in, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,31 +303,6 @@ func TestConvKnownValues(t *testing.T) {
 	for i, v := range want {
 		if out.Data[i] != v {
 			t.Fatalf("conv[%d]=%f want %f", i, out.Data[i], v)
-		}
-	}
-}
-
-func TestIm2colMatchesDirect(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for _, cfg := range []struct{ c, h, w, oc, k, s, p int }{
-		{1, 8, 8, 4, 3, 1, 1},
-		{3, 10, 12, 8, 3, 2, 1},
-		{2, 7, 7, 5, 5, 1, 2},
-		{4, 6, 6, 2, 1, 1, 0},
-	} {
-		in := NewTensor(cfg.c, cfg.h, cfg.w)
-		in.FillRandom(r)
-		f := randFilter(r, cfg.oc, cfg.c, cfg.k, cfg.s, cfg.p)
-		a, err := Conv2D(in, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Im2colConv2D(in, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := MaxAbsDiff(a, b); d > 1e-4 {
-			t.Fatalf("cfg %+v: im2col differs by %g", cfg, d)
 		}
 	}
 }
@@ -341,11 +321,11 @@ func TestSparseConvMatchesDense(t *testing.T) {
 		in := NewTensor(cfg.c, cfg.h, cfg.w)
 		in.FillRandomSparse(r, cfg.density)
 		f := randFilter(r, cfg.oc, cfg.c, cfg.k, cfg.s, cfg.p)
-		dense, err := Conv2D(in, f)
+		dense, err := convOut(Conv2DInto, in, f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp, err := SparseConv2D(in, f)
+		sp, err := convOut(SparseConv2DInto, in, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,8 +349,8 @@ func TestSparseConvProperty(t *testing.T) {
 		in := NewTensor(c, h, w)
 		in.FillRandomSparse(r, 0.02+r.Float64()*0.2)
 		fl := randFilter(r, 1+r.Intn(4), c, k, s, p)
-		a, errA := Conv2D(in, fl)
-		b, errB := SparseConv2D(in, fl)
+		a, errA := convOut(Conv2DInto, in, fl)
+		b, errB := convOut(SparseConv2DInto, in, fl)
 		if errA != nil || errB != nil {
 			return errA != nil && errB != nil // both reject equally
 		}
@@ -386,7 +366,7 @@ func TestSubmanifoldConv(t *testing.T) {
 	in := NewTensor(2, 10, 10)
 	in.FillRandomSparse(r, 0.1)
 	f := randFilter(r, 4, 2, 3, 1, 1)
-	out, err := SubmanifoldConv2D(in, f)
+	out, err := convOut(SubmanifoldConv2DInto, in, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +381,7 @@ func TestSubmanifoldConv(t *testing.T) {
 		}
 	}
 	// At active sites, values agree with dense conv.
-	dense, err := Conv2D(in, f)
+	dense, err := convOut(Conv2DInto, in, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,10 +394,10 @@ func TestSubmanifoldConv(t *testing.T) {
 		}
 	}
 	// Rejects non-submanifold configs.
-	if _, err := SubmanifoldConv2D(in, randFilter(r, 2, 2, 3, 2, 1)); err == nil {
+	if _, err := convOut(SubmanifoldConv2DInto, in, randFilter(r, 2, 2, 3, 2, 1)); err == nil {
 		t.Fatal("stride 2 accepted")
 	}
-	if _, err := SubmanifoldConv2D(in, randFilter(r, 2, 2, 4, 1, 2)); err == nil {
+	if _, err := convOut(SubmanifoldConv2DInto, in, randFilter(r, 2, 2, 4, 1, 2)); err == nil {
 		t.Fatal("even kernel accepted")
 	}
 }
@@ -428,7 +408,7 @@ func TestDeconv(t *testing.T) {
 	in.FillRandom(r)
 	f := randFilter(r, 3, 2, 4, 2, 1)
 	f.Deconv = true
-	out, err := Conv2D(in, f)
+	out, err := convOut(Conv2DInto, in, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +424,7 @@ func TestDeconv(t *testing.T) {
 		g.Weights[i] = float32(i)
 	}
 	g.Deconv = true
-	dout, err := Conv2D(delta, g)
+	dout, err := convOut(Conv2DInto, delta, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,13 +444,6 @@ func TestPooling(t *testing.T) {
 	}
 	if mx.At(0, 0, 0) != 5 || mx.At(0, 1, 1) != 15 {
 		t.Fatalf("maxpool wrong: %v", mx.Data)
-	}
-	av, err := AvgPool2D(in, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if av.At(0, 0, 0) != 2.5 {
-		t.Fatalf("avgpool wrong: %v", av.Data)
 	}
 	if _, err := MaxPool2D(in, 0, 1); err == nil {
 		t.Fatal("bad pool accepted")
@@ -494,5 +467,5 @@ func TestMergePanicsOnMismatch(t *testing.T) {
 			t.Fatal("no panic on geometry mismatch")
 		}
 	}()
-	MergeAdd(NewFrame(2, 2, 0, 1), NewFrame(3, 3, 0, 1))
+	MergeAddInto(&Frame{}, NewFrame(2, 2, 0, 1), NewFrame(3, 3, 0, 1))
 }

@@ -152,29 +152,6 @@ func (m *Mat) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
 // Set stores v at (i, j).
 func (m *Mat) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
 
-// MatMul computes a x b with a plain blocked triple loop. Panics on
-// shape mismatch.
-func MatMul(a, b *Mat) *Mat {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("sparse: matmul shape mismatch %dx%d x %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := NewMat(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out
-}
-
 // ReLU applies max(0, x) in place and returns t.
 func (t *Tensor) ReLU() *Tensor {
 	for i, v := range t.Data {

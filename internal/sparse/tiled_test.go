@@ -139,7 +139,7 @@ func TestTiledSerialFallbacks(t *testing.T) {
 	in.FillRandomSparse(r, 0.3)
 	f := randFilter(r, 3, 2, 3, 1, 1)
 
-	want, err := Conv2D(in, f)
+	want, err := convOut(Conv2DInto, in, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestTiledSerialFallbacks(t *testing.T) {
 	// Deconv routes to the serial scatter.
 	fd := randFilter(r, 2, 2, 4, 2, 1)
 	fd.Deconv = true
-	wantD, err := Conv2D(in, fd)
+	wantD, err := convOut(Conv2DInto, in, fd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestDeconvIntoParity(t *testing.T) {
 		if oh <= 0 || ow <= 0 {
 			continue
 		}
-		want, err := Conv2D(in, f) // routes to deconv2D, fresh output
+		want, err := convOut(Conv2DInto, in, f) // fresh output
 		if err != nil {
 			t.Fatal(err)
 		}
