@@ -8,6 +8,7 @@ FUZZ_TARGETS := \
 	./internal/events:FuzzReadText \
 	./internal/sparse:FuzzReadFrame \
 	./internal/sparse:FuzzReadFrames \
+	./internal/sparse:FuzzAccumMerge \
 	./internal/serve:FuzzDecodeChunk \
 	./internal/serve:FuzzDecodeJournalEntry
 FUZZTIME ?= 10s
@@ -36,7 +37,7 @@ lint:
 	fi
 
 bench:
-	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ . ./internal/sparse ./internal/e2sf ./internal/serve
+	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ . ./internal/sparse ./internal/e2sf ./internal/dsfa ./internal/serve
 
 # The repository's benchmark (BENCHMARK.json): every workload, then the
 # per-layer profile. bench/ is its own module, so this — and CI's
@@ -54,7 +55,7 @@ bench-json:
 	BENCH_OBS_JSON=$(abspath BENCH_obs.json) $(GO) test -run '^TestObsBenchJSON$$' -count=1 ./internal/serve
 	BENCH_PAR_JSON=$(abspath BENCH_par.json) $(GO) test -run '^TestParBenchJSON$$' -count=1 -timeout 30m ./internal/harness
 
-# Allocation gate: every hot-path stage (converter, kernels, rulebook)
+# Allocation gate: every hot-path stage (converter, DSFA merge, kernels, rulebook)
 # and the whole serving cycle, serial and parallel, must allocate
 # nothing per call once warm.
 bench-smoke:

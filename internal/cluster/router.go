@@ -62,14 +62,15 @@ func writeError(w http.ResponseWriter, status int, err error) {
 }
 
 // errStatus maps proxy errors onto the same statuses a single node
-// uses: unknown session 404, a chunk failing events.Stream.Validate
-// 400, everything else a conflict.
+// uses: unknown session 404, a chunk failing events.Stream.Validate or
+// the ingest work bounds 400, everything else a conflict.
 func errStatus(err error) int {
 	switch {
 	case errors.Is(err, serve.ErrNoSession):
 		return http.StatusNotFound
 	case errors.Is(err, events.ErrGeometry), errors.Is(err, events.ErrPolarity),
-		errors.Is(err, events.ErrOrder), errors.Is(err, events.ErrNoGeometry):
+		errors.Is(err, events.ErrOrder), errors.Is(err, events.ErrNoGeometry),
+		errors.Is(err, serve.ErrChunkTooLarge):
 		return http.StatusBadRequest
 	}
 	return http.StatusConflict

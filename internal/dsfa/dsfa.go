@@ -10,6 +10,14 @@
 // batched input, trading the temporal granularity of events against
 // computational demand to track both input dynamics and hardware
 // processing capability.
+//
+// A cAdd/cAverage bucket is combined when it closes: its members are
+// scattered, in admission order, into a dense accumulation grid
+// (sparse.Accum) that is emitted once in (y, x) order, scaled by 1 or
+// 1/n. The grid is borrowed from the frame pool for that one bucket
+// close and returned all-zero (an unpooled aggregator keeps its own);
+// the aggregator holds no W x H state between closes, and a bucket
+// carries its running event sum so nothing re-walks member frames.
 package dsfa
 
 import (
@@ -105,7 +113,8 @@ const (
 
 type bucket struct {
 	frames   []*sparse.Frame
-	earliest int64 // Time(Evf_1)
+	events   float64 // raw events across frames, in admission order
+	earliest int64   // Time(Evf_1)
 	meanDen  float64
 	status   bucketStatus
 	// mode is the combine mode the bucket was opened under; a live
@@ -113,13 +122,15 @@ type bucket struct {
 	mode CMode
 }
 
-func (b *bucket) add(f *sparse.Frame) {
+// add admits f, whose raw event count the caller has already taken.
+func (b *bucket) add(f *sparse.Frame, events float64) {
 	if len(b.frames) == 0 {
 		b.earliest = f.T0
 	}
 	n := float64(len(b.frames))
 	b.meanDen = (b.meanDen*n + f.Density()) / (n + 1)
 	b.frames = append(b.frames, f)
+	b.events += events
 }
 
 // Merged is one combined bucket forwarded to an inference queue.
@@ -200,6 +211,7 @@ type Aggregator struct {
 	// path runs pooled; offline callers leave pool nil and keep the
 	// allocate-per-dispatch semantics.
 	pool        *mem.FramePool
+	own         *sparse.Accum // the unpooled aggregator's grid, nil until first merge
 	freeBuckets []*bucket
 	spare       []Merged
 	batch       Batch
@@ -236,7 +248,7 @@ func (a *Aggregator) newBucket(mode CMode) *bucket {
 			b.frames[i] = nil
 		}
 		b.frames = b.frames[:0]
-		b.earliest, b.meanDen, b.status, b.mode = 0, 0, avl, mode
+		b.events, b.earliest, b.meanDen, b.status, b.mode = 0, 0, 0, avl, mode
 		return b
 	}
 	return &bucket{mode: mode}
@@ -362,9 +374,10 @@ func (a *Aggregator) QueueLen() int { return len(a.queue) }
 // Push inserts a sparse frame produced by E2SF. If the event buffer
 // exceeds EBufSize the buckets are flushed to the inference queue.
 func (a *Aggregator) Push(f *sparse.Frame) {
+	events := f.EventCount()
 	a.stats.FramesIn++
-	a.stats.EventsIn += f.EventCount()
-	a.place(f)
+	a.stats.EventsIn += events
+	a.place(f, events)
 	if a.occupancy() >= a.cfg.EBufSize {
 		a.stats.FlushesOnFull++
 		a.flushBuckets()
@@ -373,11 +386,11 @@ func (a *Aggregator) Push(f *sparse.Frame) {
 
 // place implements the greedy earliest-available-bucket policy with
 // the MtTh and MdTh admission conditions.
-func (a *Aggregator) place(f *sparse.Frame) {
+func (a *Aggregator) place(f *sparse.Frame, events float64) {
 	if a.cfg.Mode == CBatch {
 		// cBatch: every frame opens a fresh bucket.
 		b := a.newBucket(CBatch)
-		b.add(f)
+		b.add(f, events)
 		b.status = full
 		a.buckets = append(a.buckets, b)
 		return
@@ -409,11 +422,11 @@ func (a *Aggregator) place(f *sparse.Frame) {
 			b.status = full
 			continue
 		}
-		b.add(f)
+		b.add(f, events)
 		return
 	}
 	nb := a.newBucket(a.cfg.Mode)
-	nb.add(f)
+	nb.add(f, events)
 	a.buckets = append(a.buckets, nb)
 }
 
@@ -434,38 +447,43 @@ func (a *Aggregator) flushBuckets() {
 	}
 }
 
-// combineInto merges one bucket into a queue slot. In pooled mode the
-// merged output frame is borrowed from the pool and the member frames
-// (now dead for cAdd/cAverage) are released back to it.
+// combineInto merges one bucket into a queue slot: the members are
+// scattered, in admission order, into an accumulation grid that is
+// then emitted once — scaled by 1/n for cAverage — into the merged
+// frame. The grid is borrowed for this one bucket close. In pooled
+// mode it and the merged frame come from the pool and the member
+// frames (now dead for cAdd/cAverage) are released back to it.
 func (a *Aggregator) combineInto(b *bucket, m *Merged) {
 	m.NumMerged = len(b.frames)
 	m.T0 = b.frames[0].T0
 	m.T1 = b.frames[len(b.frames)-1].T1
-	for _, f := range b.frames {
-		m.Events += f.EventCount()
-	}
-	switch b.mode {
-	case CAdd, CAverage:
-		var merged *sparse.Frame
-		if a.pool != nil {
-			f0 := b.frames[0]
-			merged = a.pool.Get(f0.H, f0.W, f0.T0, f0.T1)
-		} else {
-			merged = &sparse.Frame{}
-		}
-		if b.mode == CAdd {
-			sparse.MergeAddInto(merged, b.frames...)
-		} else {
-			sparse.MergeAverageInto(merged, b.frames...)
-		}
-		m.Frames = append(m.Frames, merged)
-		if a.pool != nil {
-			for _, f := range b.frames {
-				a.pool.Put(f)
-			}
-		}
-	case CBatch:
+	m.Events = b.events
+	if b.mode == CBatch {
 		m.Frames = append(m.Frames, b.frames...)
+		return
+	}
+	scale := float32(1)
+	if b.mode == CAverage {
+		scale = 1 / float32(len(b.frames))
+	}
+	h, w := b.frames[0].H, b.frames[0].W
+	var acc *sparse.Accum
+	var merged *sparse.Frame
+	if a.pool != nil {
+		acc, merged = a.pool.GetAccum(h, w), a.pool.Get(h, w, 0, 0)
+	} else {
+		if a.own == nil || a.own.H() != h || a.own.W() != w {
+			a.own = sparse.NewAccum(h, w)
+		}
+		acc, merged = a.own, &sparse.Frame{}
+	}
+	acc.Merge(merged, b.frames, scale)
+	m.Frames = append(m.Frames, merged)
+	if a.pool != nil {
+		a.pool.PutAccum(acc)
+		for _, f := range b.frames {
+			a.pool.Put(f)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"evedge/internal/mem"
 	"evedge/internal/sparse"
 )
 
@@ -309,5 +310,57 @@ func TestHighActivityMergesMore(t *testing.T) {
 	if len(burst.Merged) >= len(quiet.Merged) {
 		t.Fatalf("burst buckets=%d should be fewer than quiet buckets=%d",
 			len(burst.Merged), len(quiet.Merged))
+	}
+}
+
+// BenchmarkAggregatorPushDispatch is the aggregator as the serving
+// path drives it: pooled, every frame pushed and followed by
+// DispatchReady, buckets of four closing through a borrowed grid, the
+// consumer handing dispatched frames back to the pool.
+func BenchmarkAggregatorPushDispatch(b *testing.B) {
+	const h, w = 128, 128
+	rng := rand.New(rand.NewSource(6))
+	templates := make([]*sparse.Frame, 16)
+	for i := range templates {
+		f := sparse.NewFrame(h, w, int64(i)*1000, int64(i+1)*1000)
+		for n := 0; n < 600; n++ {
+			f.Set(int32(rng.Intn(h)), int32(rng.Intn(w)), float32(1+rng.Intn(3)), float32(rng.Intn(3)))
+		}
+		f.NNZ() // compact Set's unsorted tail outside the timed region
+		templates[i] = f
+	}
+	for _, mode := range []CMode{CAdd, CAverage} {
+		b.Run(mode.String(), func(b *testing.B) {
+			pool := mem.NewFramePool()
+			agg, err := New(Config{EBufSize: 8, MBSize: 4, MtThUS: 1 << 40, MdTh: 100, Mode: mode, QueueCap: 4})
+			if err != nil {
+				b.Fatal(err)
+			}
+			agg.SetPool(pool)
+			consume := func(batch *Batch) {
+				if batch == nil {
+					return
+				}
+				for _, m := range batch.Merged {
+					for _, f := range m.Frames {
+						pool.Put(f)
+					}
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, t := range templates {
+					f := pool.Get(h, w, t.T0, t.T1)
+					f.Ys = append(f.Ys, t.Ys...)
+					f.Xs = append(f.Xs, t.Xs...)
+					f.Pos = append(f.Pos, t.Pos...)
+					f.Neg = append(f.Neg, t.Neg...)
+					agg.Push(f)
+					consume(agg.DispatchReady(f.T1))
+				}
+				consume(agg.Dispatch())
+			}
+		})
 	}
 }

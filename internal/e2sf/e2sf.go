@@ -12,16 +12,19 @@
 // (row indices, column indices, polarity channels), so downstream
 // compute is proportional to the number of generated events.
 //
-// Fused is the converter. Besides time binning (with grouping of bins
-// into SNN timesteps) and count-based framing it provides the other
-// input representations of the paper's Fig. 2: full accumulation with
-// most-recent timestamps (CountTimestamp) and the bilinear voxel grid
-// (VoxelGrid).
+// Fused is the converter. It counts events into a dense accumulation
+// grid with bitmap occupancy (sparse.Accum) and reads each frame out
+// of it in (y, x) order, zeroing as it goes; the grid is borrowed from
+// the frame pool for the length of one conversion call and goes back
+// all-zero, so a converter holds no W x H state between calls. Besides
+// time binning (with grouping of bins into SNN timesteps) and
+// count-based framing it provides the other input representations of
+// the paper's Fig. 2: full accumulation with most-recent timestamps
+// (CountTimestamp) and the bilinear voxel grid (VoxelGrid), which
+// keeps a signed single-channel scratch of its own.
 package e2sf
 
 import (
-	"slices"
-
 	"evedge/internal/events"
 	"evedge/internal/sparse"
 )
@@ -64,26 +67,18 @@ func (k *Fused) ConvertCountTimestamp(s *events.Stream, tStart, tEnd int64) (*Co
 	}
 	ct := &CountTimestamp{Counts: frames[0]}
 	ct.Counts.T0, ct.Counts.T1 = tStart, tEnd
-	// Second pass with the scratch grid holding timestamps instead of
-	// counts; the stream is sorted so later events overwrite earlier
-	// ones, and the sorted touched keys are Counts' entry order.
+	// Second pass with the grid holding timestamps instead of counts;
+	// the stream is sorted so later events overwrite earlier ones, and
+	// the same pixels are touched, so the emitted entries align with
+	// Counts'.
 	span := float64(tEnd - tStart)
+	acc := k.borrow()
 	for _, e := range s.Window(tStart, tEnd) {
-		key := k.touch(e)
-		norm := float32(float64(e.TS-tStart) / span)
-		if e.Pol == events.On {
-			k.pos[key] = norm
-		} else {
-			k.neg[key] = norm
-		}
+		acc.Touch(int(e.Y), int(e.X))[channel(e)] = float32(float64(e.TS-tStart) / span)
 	}
-	slices.Sort(k.touched)
-	ct.LastPosTS = make([]float32, len(k.touched))
-	ct.LastNegTS = make([]float32, len(k.touched))
-	for i, key := range k.touched {
-		ct.LastPosTS[i] = k.pos[key]
-		ct.LastNegTS[i] = k.neg[key]
-	}
-	k.nextFrame()
+	ts := sparse.NewFrame(k.cfg.Height, k.cfg.Width, tStart, tEnd)
+	acc.Emit(ts, 1)
+	k.release(acc)
+	ct.LastPosTS, ct.LastNegTS = ts.Pos, ts.Neg
 	return ct, nil
 }

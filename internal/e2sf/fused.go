@@ -11,11 +11,18 @@ import (
 )
 
 // Fused is the E2SF converter. It traverses the event chunk once,
-// accumulating polarities into a dense scratch grid that is
-// epoch-stamped so it never needs clearing between frames, and emits
-// each output frame with a single key sort. Frames come from the
-// optional FramePool, so a warm converter handles a chunk with zero
-// heap allocations.
+// counting polarities into a dense accumulation grid (sparse.Accum:
+// one {pos, neg} cell per pixel plus an occupancy bitmap), and emits
+// each output frame by walking the bitmap, which yields the entries in
+// (y, x) order and zeroes the grid as it goes — no per-frame clear and
+// no sort. Frames come from the optional FramePool, so a warm
+// converter handles a chunk with zero heap allocations.
+//
+// The grid is scratch for the length of one conversion call, not
+// converter state: it is all-zero whenever no call is running. A
+// pooled converter therefore borrows it from the FramePool at the
+// start of each call and returns it (all-zero) at the end, and holds
+// no W x H memory between calls; an unpooled one lazily keeps its own.
 //
 // Per-pixel values are integer event counts (exact in float32 far
 // beyond any realistic per-frame count), entries are emitted in
@@ -28,21 +35,16 @@ import (
 // enter (serve's ingest).
 //
 // A Fused is NOT safe for concurrent use — it is per-session state,
-// like the ingestConverter that owns it.
+// like the ingestConverter that owns it. Converters sharing one
+// FramePool may run concurrently: each call borrows its own grid.
 type Fused struct {
 	cfg  Config
 	pool *mem.FramePool
+	own  *sparse.Accum // the unpooled converter's grid, nil until first use
 
-	// Dense per-pixel scratch: pos/neg are only valid where stamp
-	// matches the current epoch, so starting a new frame is one counter
-	// increment instead of an O(H*W) clear.
-	pos, neg []float32
-	stamp    []uint32
-	epoch    uint32
-	touched  []int32
-
-	// Voxel scratch: signed per-(bin, pixel) accumulation with its own
-	// stamping, sized NumBins*H*W on first voxel conversion.
+	// Voxel scratch: signed per-(bin, pixel) accumulation, epoch-stamped
+	// so it never needs clearing, sized NumBins*H*W on first voxel
+	// conversion.
 	vox        []float32
 	voxStamp   []uint32
 	voxEpoch   uint32
@@ -50,7 +52,8 @@ type Fused struct {
 }
 
 // NewFused validates the config and returns a converter drawing output
-// frames from pool (nil to allocate fresh frames).
+// frames and its accumulation grid from pool (nil to allocate fresh
+// frames and keep a grid of its own).
 func NewFused(cfg Config, pool *mem.FramePool) (*Fused, error) {
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		return nil, fmt.Errorf("e2sf: invalid geometry %dx%d", cfg.Width, cfg.Height)
@@ -61,48 +64,33 @@ func NewFused(cfg Config, pool *mem.FramePool) (*Fused, error) {
 	if int64(cfg.Width)*int64(cfg.Height) > math.MaxInt32 {
 		return nil, fmt.Errorf("e2sf: geometry %dx%d overflows int32 keys", cfg.Width, cfg.Height)
 	}
-	n := cfg.Width * cfg.Height
-	return &Fused{
-		cfg: cfg, pool: pool, epoch: 1,
-		pos: make([]float32, n), neg: make([]float32, n), stamp: make([]uint32, n),
-	}, nil
+	return &Fused{cfg: cfg, pool: pool}, nil
 }
 
 // Config returns the converter's configuration.
 func (k *Fused) Config() Config { return k.cfg }
 
-// nextFrame invalidates the scratch for the next frame.
-func (k *Fused) nextFrame() {
-	k.epoch++
-	if k.epoch == 0 { // uint32 wraparound: stale stamps could collide
-		clear(k.stamp)
-		k.epoch = 1
+// borrow returns the all-zero grid for one conversion call; release
+// hands it back once the call has emitted everything it added.
+func (k *Fused) borrow() *sparse.Accum {
+	if k.pool != nil {
+		return k.pool.GetAccum(k.cfg.Height, k.cfg.Width)
 	}
-	k.touched = k.touched[:0]
+	if k.own == nil {
+		k.own = sparse.NewAccum(k.cfg.Height, k.cfg.Width)
+	}
+	return k.own
 }
 
-// touch returns e's grid key, zeroing the pixel on its first event of
-// the current frame.
-func (k *Fused) touch(e events.Event) int32 {
-	key := int32(e.Y)*int32(k.cfg.Width) + int32(e.X)
-	if k.stamp[key] != k.epoch {
-		k.stamp[key] = k.epoch
-		k.pos[key] = 0
-		k.neg[key] = 0
-		k.touched = append(k.touched, key)
+func (k *Fused) release(acc *sparse.Accum) {
+	if k.pool != nil {
+		k.pool.PutAccum(acc)
 	}
-	return key
 }
 
-// add accumulates one event into the current frame's scratch.
-func (k *Fused) add(e events.Event) {
-	key := k.touch(e)
-	if e.Pol == events.On {
-		k.pos[key]++
-	} else {
-		k.neg[key]++
-	}
-}
+// channel is e's cell index in the grid: 0 for On, 1 for Off, read off
+// the polarity's sign bit.
+func channel(e events.Event) uint8 { return uint8(e.Pol) >> 7 }
 
 // frame borrows or allocates an output frame.
 func (k *Fused) frame(t0, t1 int64) *sparse.Frame {
@@ -112,19 +100,11 @@ func (k *Fused) frame(t0, t1 int64) *sparse.Frame {
 	return sparse.NewFrame(k.cfg.Height, k.cfg.Width, t0, t1)
 }
 
-// emitFrame sorts the touched keys, gathers the scratch into a frame
-// spanning [t0, t1), and resets the scratch for the next frame.
-func (k *Fused) emitFrame(t0, t1 int64) *sparse.Frame {
-	slices.Sort(k.touched)
+// emitFrame moves the grid's counts into a frame spanning [t0, t1),
+// leaving the grid all-zero for the next frame.
+func (k *Fused) emitFrame(acc *sparse.Accum, t0, t1 int64) *sparse.Frame {
 	f := k.frame(t0, t1)
-	w := int32(k.cfg.Width)
-	for _, key := range k.touched {
-		f.Ys = append(f.Ys, key/w)
-		f.Xs = append(f.Xs, key%w)
-		f.Pos = append(f.Pos, k.pos[key])
-		f.Neg = append(f.Neg, k.neg[key])
-	}
-	k.nextFrame()
+	acc.Emit(f, 1)
 	return f
 }
 
@@ -168,6 +148,7 @@ func (k *Fused) ConvertGroupedAppend(dst []*sparse.Frame, s *events.Stream, tSta
 	biS := float64(tEnd-tStart) / float64(nB)
 	nG := (nB + groupK - 1) / groupK
 	g := 0
+	acc := k.borrow()
 	emit := func() {
 		a := g * groupK
 		b := a + groupK
@@ -177,7 +158,7 @@ func (k *Fused) ConvertGroupedAppend(dst []*sparse.Frame, s *events.Stream, tSta
 		// A group spans its member bins' bounds.
 		t0 := tStart + int64(float64(a)*biS)
 		t1 := tStart + int64(float64(b)*biS)
-		f := k.emitFrame(t0, t1)
+		f := k.emitFrame(acc, t0, t1)
 		dst = append(dst, f)
 		st.TotalNNZ += f.NNZ()
 		st.MeanDensity += f.Density()
@@ -190,12 +171,13 @@ func (k *Fused) ConvertGroupedAppend(dst []*sparse.Frame, s *events.Stream, tSta
 		for eg := bi / groupK; g < eg; g++ {
 			emit()
 		}
-		k.add(e)
+		acc.Touch(int(e.Y), int(e.X))[channel(e)]++
 		st.EventsIn++
 	}
 	for ; g < nG; g++ {
 		emit()
 	}
+	k.release(acc)
 	st.Frames = nG
 	if nG > 0 {
 		st.MeanDensity /= float64(nG)
@@ -225,8 +207,9 @@ func (k *Fused) ConvertByCountAppend(dst []*sparse.Frame, s *events.Stream, tSta
 	}
 	frameStart := tStart
 	n := 0
+	acc := k.borrow()
 	emit := func(t1 int64) {
-		f := k.emitFrame(frameStart, t1)
+		f := k.emitFrame(acc, frameStart, t1)
 		dst = append(dst, f)
 		st.TotalNNZ += f.NNZ()
 		st.MeanDensity += f.Density()
@@ -235,7 +218,7 @@ func (k *Fused) ConvertByCountAppend(dst []*sparse.Frame, s *events.Stream, tSta
 		n = 0
 	}
 	for _, e := range s.Window(tStart, tEnd) {
-		k.add(e)
+		acc.Touch(int(e.Y), int(e.X))[channel(e)]++
 		st.EventsIn++
 		n++
 		if n >= countPerFrame {
@@ -245,6 +228,7 @@ func (k *Fused) ConvertByCountAppend(dst []*sparse.Frame, s *events.Stream, tSta
 	if n > 0 {
 		emit(tEnd)
 	}
+	k.release(acc)
 	if st.Frames > 0 {
 		st.MeanDensity /= float64(st.Frames)
 	}

@@ -3,6 +3,7 @@ package e2sf
 import (
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"evedge/internal/events"
@@ -198,6 +199,69 @@ func TestFusedPooledZeroAlloc(t *testing.T) {
 	cycle()
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {
 		t.Fatalf("warm fused convert allocates %.1f allocs/op, want 0", n)
+	}
+}
+
+// TestFusedSharedPoolConcurrent: converters sharing one FramePool run
+// on their own goroutines — a serving node's sessions — and every call
+// borrows the accumulation grid from the pool. Each goroutine's frames
+// must equal what a private, unpooled converter produces from the same
+// chunks (two calls adding to one grid at once would not; under -race
+// the detector sees the sharing directly), and the pool ends with
+// every grid returned and no more grids made than there were
+// concurrent borrowers.
+func TestFusedSharedPoolConcurrent(t *testing.T) {
+	const workers, chunks = 8, 60
+	cfg := Config{Width: 70, Height: 40, NumBins: 4}
+	pool := mem.NewFramePool()
+	same := func(a, b *sparse.Frame) bool {
+		return a.T0 == b.T0 && a.T1 == b.T1 && slices.Equal(a.Ys, b.Ys) && slices.Equal(a.Xs, b.Xs) &&
+			slices.Equal(a.Pos, b.Pos) && slices.Equal(a.Neg, b.Neg)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(100 + g)))
+			pooled, err := NewFused(cfg, pool)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			serial, err := NewFused(cfg, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for c := 0; c < chunks; c++ {
+				t0 := int64(c * 1000)
+				s := randStream(rng, cfg.Width, cfg.Height, rng.Intn(600), t0, t0+1000)
+				var got, want []*sparse.Frame
+				if cpf := 1 + rng.Intn(80); c%2 == 0 {
+					got, _, _ = pooled.ConvertGrouped(s, t0, t0+1000, 2)
+					want, _, _ = serial.ConvertGrouped(s, t0, t0+1000, 2)
+				} else {
+					got, _, _ = pooled.ConvertByCount(s, t0, t0+1000, cpf)
+					want, _, _ = serial.ConvertByCount(s, t0, t0+1000, cpf)
+				}
+				if len(got) != len(want) {
+					t.Errorf("worker %d chunk %d: %d frames, serial %d", g, c, len(got), len(want))
+					return
+				}
+				for i, f := range got {
+					if !same(f, want[i]) {
+						t.Errorf("worker %d chunk %d frame %d differs from serial conversion", g, c, i)
+						return
+					}
+					pool.Put(f)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := pool.AccumStats(); st.Live() != 0 || st.News > workers || st.Gets != workers*chunks {
+		t.Fatalf("grid traffic %+v: want %d borrows, all returned, at most %d grids made", st, workers*chunks, workers)
 	}
 }
 

@@ -1,6 +1,7 @@
 package e2sf
 
 import (
+	"maps"
 	"slices"
 
 	"evedge/internal/events"
@@ -11,29 +12,59 @@ import (
 // kept compact as the oracle the parity tests compare Fused against.
 // It validates nothing; callers pass what Fused accepted.
 
-// referenceConvert bins [tStart, tEnd) per Eq. 1 into one FrameBuilder
-// map per bin, then cAdd-merges each run of groupK per-bin frames.
+// pixelCounts is one reference bin: per-pixel {pos, neg} event counts
+// keyed y*W+x.
+type pixelCounts map[int64][2]float32
+
+func (c pixelCounts) add(e events.Event, w int) {
+	k := int64(e.Y)*int64(w) + int64(e.X)
+	v := c[k]
+	if e.Pol == events.On {
+		v[0]++
+	} else {
+		v[1]++
+	}
+	c[k] = v
+}
+
+// frame emits the counts as a sorted h x w frame; no counts, nil
+// channel slices.
+func (c pixelCounts) frame(h, w int, t0, t1 int64) *sparse.Frame {
+	f := sparse.NewFrame(h, w, t0, t1)
+	for _, k := range slices.Sorted(maps.Keys(c)) {
+		f.Ys = append(f.Ys, int32(k/int64(w)))
+		f.Xs = append(f.Xs, int32(k%int64(w)))
+		f.Pos = append(f.Pos, c[k][0])
+		f.Neg = append(f.Neg, c[k][1])
+	}
+	return f
+}
+
+// referenceConvert bins [tStart, tEnd) per Eq. 1 into one map per bin,
+// then sums each run of groupK bins, in bin order, into the group's
+// map; a group spans its member bins' bounds.
 func referenceConvert(cfg Config, s *events.Stream, tStart, tEnd int64, groupK int) []*sparse.Frame {
 	nB := cfg.NumBins
 	biS := float64(tEnd-tStart) / float64(nB)
-	builders := make([]*sparse.FrameBuilder, nB)
-	for b := range builders {
-		builders[b] = sparse.NewFrameBuilder(cfg.Height, cfg.Width,
-			tStart+int64(float64(b)*biS), tStart+int64(float64(b+1)*biS))
+	bins := make([]pixelCounts, nB)
+	for b := range bins {
+		bins[b] = pixelCounts{}
 	}
 	for _, e := range s.Slice(tStart, tEnd).Events {
-		b := min(int(float64(e.TS-tStart)/biS), nB-1)
-		builders[b].AddEvent(int32(e.Y), int32(e.X), e.Pol == events.On)
-	}
-	bins := make([]*sparse.Frame, nB)
-	for b := range bins {
-		bins[b] = builders[b].Build()
+		bins[min(int(float64(e.TS-tStart)/biS), nB-1)].add(e, cfg.Width)
 	}
 	var out []*sparse.Frame
 	for a := 0; a < nB; a += groupK {
-		g := &sparse.Frame{}
-		sparse.MergeAddInto(g, bins[a:min(a+groupK, nB)]...)
-		out = append(out, g)
+		b := min(a+groupK, nB)
+		sum := pixelCounts{}
+		for _, bin := range bins[a:b] {
+			for k, v := range bin {
+				g := sum[k]
+				sum[k] = [2]float32{g[0] + v[0], g[1] + v[1]}
+			}
+		}
+		out = append(out, sum.frame(cfg.Height, cfg.Width,
+			tStart+int64(float64(a)*biS), tStart+int64(float64(b)*biS)))
 	}
 	return out
 }
@@ -43,15 +74,13 @@ func referenceConvert(cfg Config, s *events.Stream, tStart, tEnd int64, groupK i
 func referenceByCount(cfg Config, s *events.Stream, tStart, tEnd int64, countPerFrame int) []*sparse.Frame {
 	var out []*sparse.Frame
 	frameStart, n := tStart, 0
-	b := sparse.NewFrameBuilder(cfg.Height, cfg.Width, 0, 0)
+	counts := pixelCounts{}
 	emit := func(t1 int64) {
-		f := b.Build() // resets b
-		f.T0, f.T1 = frameStart, t1
-		out = append(out, f)
-		frameStart, n = t1, 0
+		out = append(out, counts.frame(cfg.Height, cfg.Width, frameStart, t1))
+		counts, frameStart, n = pixelCounts{}, t1, 0
 	}
 	for _, e := range s.Slice(tStart, tEnd).Events {
-		b.AddEvent(int32(e.Y), int32(e.X), e.Pol == events.On)
+		counts.add(e, cfg.Width)
 		if n++; n >= countPerFrame {
 			emit(e.TS + 1)
 		}

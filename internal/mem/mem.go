@@ -1,10 +1,11 @@
 // Package mem is the serving hot path's memory-discipline layer:
 // free-list pools for the objects the steady-state frame path churns
-// through — sparse frames, rulebook active sets, and (via the generic
-// Pool) pipeline invocation and scheduler request structs. Borrowed
-// objects keep their backing arrays across reuse, so after a short
-// warm-up the ingest→E2SF→DSFA→dispatch cycle runs at zero allocations
-// per frame (see serve's alloc-regression test).
+// through — sparse frames and the accumulation grids they are built
+// in, rulebook active sets, and (via the generic Pool) pipeline
+// invocation and scheduler request structs. Borrowed objects keep
+// their backing arrays across reuse, so after a short warm-up the
+// ingest→E2SF→DSFA→dispatch cycle runs at zero allocations per frame
+// (see serve's alloc-regression test).
 //
 // Every pool carries a double-release tripwire: Put panics loudly when
 // handed an object that is already free. Use-after-release bugs in a
@@ -46,12 +47,27 @@ func (s *PoolStats) add(o PoolStats) {
 // FramePool free-lists sparse frames. Get returns a frame with the
 // requested geometry and time bounds whose channel slices are empty
 // but keep the capacity of their previous use.
+//
+// It also lends the accumulation grids frames are built in (GetAccum /
+// PutAccum): a grid is borrowed for one E2SF conversion call or one
+// DSFA bucket close and must come back all-zero, so whoever holds the
+// frame pool needs no W x H state of its own.
 type FramePool struct {
 	mu    sync.Mutex
 	free  []*sparse.Frame
 	inSet map[*sparse.Frame]struct{}
 	stats PoolStats
+
+	accums     []*sparse.Accum // free grids, any geometry; at most maxFreeAccums
+	accumStats PoolStats
 }
+
+// maxFreeAccums bounds the grid free list: a server needs one grid per
+// concurrently converting goroutine per geometry in use, and a return
+// beyond the bound drops the least recently used grid, so clients
+// declaring many distinct geometries cannot pin W x H memory in the
+// pool.
+const maxFreeAccums = 8
 
 // NewFramePool returns an empty pool.
 func NewFramePool() *FramePool {
@@ -95,11 +111,67 @@ func (p *FramePool) Put(f *sparse.Frame) {
 	p.mu.Unlock()
 }
 
-// Stats snapshots the counters.
+// Stats snapshots the frame counters.
 func (p *FramePool) Stats() PoolStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.stats
+}
+
+// GetAccum borrows an all-zero h x w accumulation grid, the most
+// recently returned one of that geometry if there is one (it is the
+// likeliest to still be in cache).
+func (p *FramePool) GetAccum(h, w int) *sparse.Accum {
+	p.mu.Lock()
+	p.accumStats.Gets++
+	for i := len(p.accums) - 1; i >= 0; i-- {
+		if a := p.accums[i]; a.H() == h && a.W() == w {
+			last := len(p.accums) - 1
+			copy(p.accums[i:], p.accums[i+1:])
+			p.accums[last] = nil
+			p.accums = p.accums[:last]
+			p.mu.Unlock()
+			return a
+		}
+	}
+	p.accumStats.News++
+	p.mu.Unlock()
+	return sparse.NewAccum(h, w)
+}
+
+// PutAccum returns a borrowed grid. A grid that is not all-zero — the
+// borrower added to it without emitting — would leak one call's
+// events into the next borrower's frames, so that panics, as does a
+// double release.
+func (p *FramePool) PutAccum(a *sparse.Accum) {
+	if a == nil {
+		panic("mem: PutAccum of nil accumulator")
+	}
+	if !a.Clean() {
+		panic("mem: sparse.Accum returned dirty")
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, free := range p.accums {
+		if free == a {
+			panic("mem: double release of sparse.Accum")
+		}
+	}
+	p.accumStats.Puts++
+	if len(p.accums) == maxFreeAccums {
+		// Returns append and borrows scan from the tail, so the head is
+		// the least recently used grid.
+		copy(p.accums, p.accums[1:])
+		p.accums = p.accums[:maxFreeAccums-1]
+	}
+	p.accums = append(p.accums, a)
+}
+
+// AccumStats snapshots the accumulation-grid counters.
+func (p *FramePool) AccumStats() PoolStats {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.accumStats
 }
 
 // ActiveSetPool free-lists rulebook active sets (see sparse.ActiveSet).
@@ -243,6 +315,7 @@ func NewArena() *Arena {
 // ArenaStats is the per-pool counter snapshot plus the total.
 type ArenaStats struct {
 	Frames     PoolStats `json:"frames"`
+	Accums     PoolStats `json:"accums"`
 	ActiveSets PoolStats `json:"active_sets"`
 	Total      PoolStats `json:"total"`
 }
@@ -251,9 +324,11 @@ type ArenaStats struct {
 func (a *Arena) Stats() ArenaStats {
 	st := ArenaStats{
 		Frames:     a.Frames.Stats(),
+		Accums:     a.Frames.AccumStats(),
 		ActiveSets: a.ActiveSets.Stats(),
 	}
 	st.Total.add(st.Frames)
+	st.Total.add(st.Accums)
 	st.Total.add(st.ActiveSets)
 	return st
 }

@@ -52,6 +52,88 @@ func TestFramePoolNilPutPanics(t *testing.T) {
 	p.Put(nil)
 }
 
+// TestAccumPoolReuseByGeometry: grids are keyed by geometry, the most
+// recently returned match is the one lent next, and a miss allocates.
+func TestAccumPoolReuseByGeometry(t *testing.T) {
+	p := NewFramePool()
+	a, b := p.GetAccum(4, 6), p.GetAccum(4, 6)
+	c := p.GetAccum(6, 4)
+	if a == b {
+		t.Fatal("two live borrows share a grid")
+	}
+	p.PutAccum(a)
+	p.PutAccum(c)
+	p.PutAccum(b)
+	if got := p.GetAccum(6, 4); got != c {
+		t.Fatal("6x4 borrow did not get the 6x4 grid back")
+	}
+	if got := p.GetAccum(4, 6); got != b {
+		t.Fatal("4x6 borrow did not get the most recently returned 4x6 grid")
+	}
+	if got := p.GetAccum(4, 6); got != a {
+		t.Fatal("second 4x6 borrow did not get the remaining 4x6 grid")
+	}
+	if got := p.GetAccum(4, 6); got == a || got == b || got.H() != 4 || got.W() != 6 {
+		t.Fatal("borrow past the free list did not allocate a fresh 4x6 grid")
+	}
+	if st := p.AccumStats(); st.Gets != 7 || st.Puts != 3 || st.News != 4 || st.Live() != 4 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if st := p.Stats(); st.Gets != 0 {
+		t.Fatalf("grid traffic counted as frame traffic: %+v", st)
+	}
+}
+
+// TestAccumPoolTripwires: a grid handed back with anything left in it
+// would leak one borrower's events into the next one's frames, so a
+// dirty return panics — as do a double and a nil return — and the
+// dirty grid does not reach the free list.
+func TestAccumPoolTripwires(t *testing.T) {
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", name)
+			}
+		}()
+		fn()
+	}
+	p := NewFramePool()
+	dirty := p.GetAccum(3, 3)
+	dirty.Touch(2, 2)[0]++
+	mustPanic("dirty PutAccum", func() { p.PutAccum(dirty) })
+	if got := p.GetAccum(3, 3); got == dirty {
+		t.Fatal("dirty grid was free-listed")
+	}
+	dirty.Emit(sparse.NewFrame(3, 3, 0, 1), 1)
+	p.PutAccum(dirty) // emitted: all-zero again, accepted
+	mustPanic("double PutAccum", func() { p.PutAccum(dirty) })
+	mustPanic("nil PutAccum", func() { p.PutAccum(nil) })
+}
+
+// TestAccumPoolFreeListBounded: many distinct geometries cannot pin
+// memory — the free list holds at most maxFreeAccums grids — and the
+// grid dropped to make room is the least recently used one, so a
+// geometry in steady use keeps hitting.
+func TestAccumPoolFreeListBounded(t *testing.T) {
+	p := NewFramePool()
+	hot := p.GetAccum(5, 5)
+	p.PutAccum(hot)
+	for i := 1; i <= 4*maxFreeAccums; i++ {
+		p.PutAccum(p.GetAccum(1, i)) // a new geometry each round: always a miss
+		if got := p.GetAccum(5, 5); got != hot {
+			t.Fatalf("round %d: the geometry in steady use lost its grid", i)
+		}
+		p.PutAccum(hot)
+		if n := len(p.accums); n > maxFreeAccums {
+			t.Fatalf("round %d: free list holds %d grids, bound is %d", i, n, maxFreeAccums)
+		}
+	}
+	if st := p.AccumStats(); st.News != 1+4*maxFreeAccums || st.Live() != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
 func TestGenericPoolResetHook(t *testing.T) {
 	type inv struct {
 		frames []*sparse.Frame
@@ -95,10 +177,12 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	// Warm every free list (and the tripwire maps) once.
 	warm := func() {
 		f := a.Frames.Get(16, 16, 0, 100)
+		acc := a.Frames.GetAccum(16, 16)
 		as := a.ActiveSets.Get(16, 16, 3)
 		r := gp.Get()
 		gp.Put(r)
 		a.ActiveSets.Put(as)
+		a.Frames.PutAccum(acc)
 		a.Frames.Put(f)
 	}
 	warm()
@@ -112,14 +196,16 @@ func TestArenaStatsTotal(t *testing.T) {
 	a := NewArena()
 	f := a.Frames.Get(2, 2, 0, 1)
 	as := a.ActiveSets.Get(2, 2, 3)
+	acc := a.Frames.GetAccum(2, 2)
 	a.Frames.Put(f)
 	a.ActiveSets.Put(as)
+	a.Frames.PutAccum(acc)
 	st := a.Stats()
-	if st.Total.Gets != 2 || st.Total.Puts != 2 || st.Total.News != 2 {
+	if st.Total.Gets != 3 || st.Total.Puts != 3 || st.Total.News != 3 {
 		t.Fatalf("total = %+v", st.Total)
 	}
-	if st.ActiveSets.Gets != 1 {
-		t.Fatalf("active set stats = %+v", st.ActiveSets)
+	if st.ActiveSets.Gets != 1 || st.Accums.Gets != 1 || st.Frames.Gets != 1 {
+		t.Fatalf("per-pool stats = %+v", st)
 	}
 }
 

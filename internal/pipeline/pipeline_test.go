@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"maps"
 	"math"
 	"slices"
 	"testing"
@@ -219,25 +220,51 @@ func TestConvertStreamModes(t *testing.T) {
 	}
 }
 
-// referenceConvertStream is ConvertStream's definition on one
-// FrameBuilder map per bin: count framing closes a frame every
-// median-rate-calibrated N events (T1 just past the closing event, a
-// trailing partial frame ending at durUS); time framing bins every full
-// window per Eq. 1 and cAdd-merges each run of GroupK bins.
+// pixelCounts is one reference bin: per-pixel {pos, neg} event counts
+// keyed y*W+x.
+type pixelCounts map[int64][2]float32
+
+func (c pixelCounts) add(e events.Event, w int) {
+	k := int64(e.Y)*int64(w) + int64(e.X)
+	v := c[k]
+	if e.Pol == events.On {
+		v[0]++
+	} else {
+		v[1]++
+	}
+	c[k] = v
+}
+
+// frame emits the counts as a sorted h x w frame; no counts, nil
+// channel slices.
+func (c pixelCounts) frame(h, w int, t0, t1 int64) *sparse.Frame {
+	f := sparse.NewFrame(h, w, t0, t1)
+	for _, k := range slices.Sorted(maps.Keys(c)) {
+		f.Ys = append(f.Ys, int32(k/int64(w)))
+		f.Xs = append(f.Xs, int32(k%int64(w)))
+		f.Pos = append(f.Pos, c[k][0])
+		f.Neg = append(f.Neg, c[k][1])
+	}
+	return f
+}
+
+// referenceConvertStream is ConvertStream's definition on one map per
+// bin: count framing closes a frame every median-rate-calibrated N
+// events (T1 just past the closing event, a trailing partial frame
+// ending at durUS); time framing bins every full window per Eq. 1 and
+// sums each run of GroupK bins, in bin order, into the group's map.
 func referenceConvertStream(in nn.InputSpec, stream *events.Stream, durUS int64) []*sparse.Frame {
 	h, w := stream.Height, stream.Width
 	var out []*sparse.Frame
 	if in.Framing == nn.FrameByCount {
 		count := max(int(medianRatePerUS(stream, durUS)*float64(in.FramePeriodUS)), 1)
-		b, start, n := sparse.NewFrameBuilder(h, w, 0, 0), int64(0), 0
+		counts, start, n := pixelCounts{}, int64(0), 0
 		emit := func(t1 int64) {
-			f := b.Build() // resets b
-			f.T0, f.T1 = start, t1
-			out = append(out, f)
-			start, n = t1, 0
+			out = append(out, counts.frame(h, w, start, t1))
+			counts, start, n = pixelCounts{}, t1, 0
 		}
 		for _, e := range stream.Window(0, durUS) {
-			b.AddEvent(int32(e.Y), int32(e.X), e.Pol == events.On)
+			counts.add(e, w)
 			if n++; n >= count {
 				emit(e.TS + 1)
 			}
@@ -249,22 +276,23 @@ func referenceConvertStream(in nn.InputSpec, stream *events.Stream, durUS int64)
 	}
 	biS := float64(in.WindowUS) / float64(in.NumBins)
 	for t0 := int64(0); t0+in.WindowUS <= durUS; t0 += in.WindowUS {
-		builders := make([]*sparse.FrameBuilder, in.NumBins)
-		for b := range builders {
-			builders[b] = sparse.NewFrameBuilder(h, w, t0+int64(float64(b)*biS), t0+int64(float64(b+1)*biS))
+		bins := make([]pixelCounts, in.NumBins)
+		for b := range bins {
+			bins[b] = pixelCounts{}
 		}
 		for _, e := range stream.Window(t0, t0+in.WindowUS) {
-			b := min(int(float64(e.TS-t0)/biS), in.NumBins-1)
-			builders[b].AddEvent(int32(e.Y), int32(e.X), e.Pol == events.On)
-		}
-		bins := make([]*sparse.Frame, in.NumBins)
-		for b := range bins {
-			bins[b] = builders[b].Build()
+			bins[min(int(float64(e.TS-t0)/biS), in.NumBins-1)].add(e, w)
 		}
 		for a := 0; a < in.NumBins; a += in.GroupK {
-			g := &sparse.Frame{}
-			sparse.MergeAddInto(g, bins[a:min(a+in.GroupK, in.NumBins)]...)
-			out = append(out, g)
+			b := min(a+in.GroupK, in.NumBins)
+			sum := pixelCounts{}
+			for _, bin := range bins[a:b] {
+				for k, v := range bin {
+					g := sum[k]
+					sum[k] = [2]float32{g[0] + v[0], g[1] + v[1]}
+				}
+			}
+			out = append(out, sum.frame(h, w, t0+int64(float64(a)*biS), t0+int64(float64(b)*biS)))
 		}
 	}
 	return out

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"evedge/internal/dsfa"
 	"evedge/internal/e2sf"
 	"evedge/internal/events"
 	"evedge/internal/mem"
@@ -170,8 +172,8 @@ func allocFilter(outC, inC, k int) *sparse.Filter {
 // TestAllocSmoke is the per-stage allocation gate (`make bench-smoke`
 // runs it with TestAllocRegression*, which pin the whole serving
 // cycle): every hot-path stage below the serving loop — the E2SF
-// converter, the conv and SpMM kernels serial and tiled, rulebook
-// upkeep — allocates nothing per call once warm.
+// converter, the pooled DSFA merge, the conv and SpMM kernels serial
+// and tiled, rulebook upkeep — allocates nothing per call once warm.
 func TestAllocSmoke(t *testing.T) {
 	fail := func(err error) {
 		if err != nil {
@@ -189,6 +191,27 @@ func TestAllocSmoke(t *testing.T) {
 	fz, err := e2sf.NewFused(e2sf.Config{Width: stream.Width, Height: stream.Height, NumBins: 5}, framePool)
 	fail(err)
 	var frames []*sparse.Frame
+
+	// DSFA in pooled mode, one aggregator per merging combine mode:
+	// buckets of two close through a grid borrowed from framePool, and
+	// the consumer hands dispatched frames back, as the stepper does.
+	var aggs []*dsfa.Aggregator
+	for _, mode := range []dsfa.CMode{dsfa.CAdd, dsfa.CAverage} {
+		agg, err := dsfa.New(dsfa.Config{EBufSize: 4, MBSize: 2, MtThUS: span, MdTh: 100, Mode: mode, QueueCap: 4})
+		fail(err)
+		agg.SetPool(framePool)
+		aggs = append(aggs, agg)
+	}
+	consume := func(b *dsfa.Batch) {
+		if b == nil {
+			return
+		}
+		for _, m := range b.Merged {
+			for _, fr := range m.Frames {
+				framePool.Put(fr)
+			}
+		}
+	}
 
 	// Conv kernels over a 5% dense input; the tiled variants run on a
 	// warm worker pool, whose free-listed dispatch records and
@@ -244,6 +267,20 @@ func TestAllocSmoke(t *testing.T) {
 			}
 			return err
 		}},
+		{"dsfa_push_dispatch_pooled", func() (err error) {
+			for _, agg := range aggs {
+				frames, _, err = fz.ConvertGroupedAppend(frames[:0], stream, 0, span, 1)
+				if err != nil {
+					return err
+				}
+				for _, fr := range frames {
+					agg.Push(fr)
+					consume(agg.DispatchReady(fr.T1))
+				}
+				consume(agg.Dispatch())
+			}
+			return nil
+		}},
 		{"sparse_conv2d_into", func() error { return sparse.SparseConv2DInto(convOut, in, f) }},
 		{"submanifold_conv2d_into", func() error { return sparse.SubmanifoldConv2DInto(subOut, in, f) }},
 		{"sparse_conv2d_tiled", func() error { return sparse.SparseConv2DTiledInto(convOut, in, f, pool, 8) }},
@@ -276,5 +313,63 @@ func TestAllocSmoke(t *testing.T) {
 				t.Fatalf("got %.2f allocs/op, want 0", avg)
 			}
 		})
+	}
+	for _, agg := range aggs {
+		if r := agg.Stats().MergeRatio(); r <= 1 {
+			t.Fatalf("dsfa stage under %v never merged (ratio %.2f): the gate measured no bucket close", agg.Config().Mode, r)
+		}
+	}
+}
+
+// TestSessionHoldsNoGridState pins where the W x H accumulation grid
+// lives: in the server's pool, borrowed per conversion call and per
+// bucket close — not in the session. Creating a session and running
+// its first chunk through ingest, pump and close therefore allocates
+// the same whatever geometry the chunk declares (same events, warm
+// pool), and a thousand steady-state rounds never make the pool build
+// another grid.
+func TestSessionHoldsNoGridState(t *testing.T) {
+	h := newAllocHarness(t)
+	defer h.srv.Close()
+	w, ht := h.chunk.Width, h.chunk.Height
+	quad := &events.Stream{Width: 2 * w, Height: 2 * ht, Events: h.chunk.Events}
+	firstIngest := func(chunk *events.Stream) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sess, err := h.srv.CreateSession(SessionConfig{Network: nn.SpikeFlowNet, Level: 2})
+		if err != nil {
+			t.Fatalf("CreateSession: %v", err)
+		}
+		if _, err := h.srv.Ingest(sess.ID, chunk); err != nil {
+			t.Fatalf("Ingest: %v", err)
+		}
+		h.srv.Pump()
+		if _, err := h.srv.CloseSession(sess.ID); err != nil {
+			t.Fatalf("CloseSession: %v", err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for i := 0; i < 3; i++ { // warm the pool at both geometries
+		firstIngest(h.chunk)
+		firstIngest(quad)
+	}
+	small, big := firstIngest(h.chunk), firstIngest(quad)
+	// One float32 plane of the *smaller* geometry is the slack; a
+	// session owning even a single W x H array would add four of them.
+	if slack := uint64(4 * w * ht); big > small+slack {
+		t.Fatalf("session create + first ingest allocates %d B at %dx%d but %d B at %dx%d: per-session state scales with geometry",
+			small, w, ht, big, 2*w, 2*ht)
+	}
+
+	for i := 0; i < 12; i++ {
+		h.cycle(t)
+	}
+	warm := h.srv.ArenaStats().Accums
+	for i := 0; i < 1000; i++ {
+		h.cycle(t)
+	}
+	if st := h.srv.ArenaStats().Accums; st.News != warm.News || st.Gets < warm.Gets+1000 || st.Live() != 0 {
+		t.Fatalf("grid pool after 1000 rounds: %+v (warm %+v): want no new grids, >= 1000 more borrows, none outstanding", st, warm)
 	}
 }

@@ -311,6 +311,98 @@ func TestIngestRejectsOutOfGeometry(t *testing.T) {
 	}
 }
 
+// TestIngestRejectsUnboundedWork: a well-formed chunk must not be able
+// to buy unbounded work. A first chunk declaring a sensor over
+// maxSessionPixels (it would size the session's grids) and a chunk
+// whose last timestamp lies more than maxFramesPerIngest frames of
+// time framing ahead (every window in between is emitted, empty or
+// not) are answered 400 on both wire formats, leave the session
+// untouched — its geometry still undeclared, its watermark unmoved —
+// and the next valid chunk converts as if they never arrived.
+func TestIngestRejectsUnboundedWork(t *testing.T) {
+	mk := func(w, h int, ts ...int64) *events.Stream {
+		s := events.NewStream(w, h)
+		for i, t := range ts {
+			s.Append(events.Event{X: uint16(i % 8), Y: uint16(i % 8), TS: t, Pol: events.On})
+		}
+		return s
+	}
+	spec := nn.MustByName(nn.DOTIE).Input // 5 ms windows, 5 frames each
+	windows := int64(maxFramesPerIngest/5 + 1)
+	huge := mk(2049, 2048, 0, 6_000) // 2049 * 2048 = maxSessionPixels + 2048
+	first := mk(8, 8, 0, 1_000, 2_000, 3_000, 4_000, 5_000, 6_000)
+	gap := mk(8, 8, 6_500, 5_000+windows*spec.WindowUS) // the session's next window starts at 5 ms
+	next := mk(8, 8, 7_000, 8_000, 9_000, 10_000, 11_000)
+
+	_, cl, stop := newTestServer(t, Config{ManualDrain: true})
+	defer stop()
+	snap, err := cl.CreateSession(SessionConfig{Network: nn.DOTIE, Level: 2})
+	if err != nil {
+		t.Fatalf("CreateSession: %v", err)
+	}
+	rejected := func(what string, bad *events.Stream) {
+		t.Helper()
+		before, err := cl.Session(snap.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, send := range map[string]func(string, *events.Stream) (*IngestResult, error){
+			"JSON": cl.SendEventsJSON, "EVAR": cl.SendEvents,
+		} {
+			if _, err := send(snap.ID, bad); err == nil || !strings.Contains(err.Error(), "HTTP 400") {
+				t.Fatalf("%s chunk with %s: err = %v, want HTTP 400", name, what, err)
+			}
+		}
+		after, err := cl.Session(snap.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.EventsIn != before.EventsIn || after.FramesIn != before.FramesIn || after.StreamTimeUS != before.StreamTimeUS {
+			t.Fatalf("rejected %s moved the session: events %d->%d frames %d->%d watermark %d->%d", what,
+				before.EventsIn, after.EventsIn, before.FramesIn, after.FramesIn, before.StreamTimeUS, after.StreamTimeUS)
+		}
+	}
+	rejected("a 2049x2048 sensor", huge)
+	if res, err := cl.SendEvents(snap.ID, first); err != nil || res.Frames == 0 {
+		t.Fatalf("8x8 chunk after the rejected geometry: %+v, %v", res, err)
+	}
+	rejected("a 65.5 s gap", gap)
+	if res, err := cl.SendEvents(snap.ID, next); err != nil || res.Frames == 0 {
+		t.Fatalf("chunk after the rejected gap: %+v, %v", res, err)
+	}
+
+	// Frame for frame: a converter that saw the bad chunks against one
+	// that did not.
+	hit, clean := &ingestConverter{spec: spec}, &ingestConverter{spec: spec}
+	for _, c := range []*events.Stream{huge, first, gap, next} {
+		got, err := hit.ingest(c)
+		if c == huge || c == gap {
+			if !errors.Is(err, ErrChunkTooLarge) {
+				t.Fatalf("ingest of an over-bounds chunk: err = %v, want ErrChunkTooLarge", err)
+			}
+			continue
+		}
+		want, werr := clean.ingest(c)
+		if err != nil || werr != nil {
+			t.Fatalf("ingest: %v / %v", err, werr)
+		}
+		if len(got) != len(want) || len(got) == 0 {
+			t.Fatalf("chunk at %dus: %d frames, want %d (> 0)", c.TStart(), len(got), len(want))
+		}
+		for i := range want {
+			if got[i].T0 != want[i].T0 || got[i].T1 != want[i].T1 ||
+				!slices.Equal(got[i].Ys, want[i].Ys) || !slices.Equal(got[i].Xs, want[i].Xs) ||
+				!slices.Equal(got[i].Pos, want[i].Pos) || !slices.Equal(got[i].Neg, want[i].Neg) {
+				t.Fatalf("chunk at %dus frame %d differs after a rejected chunk", c.TStart(), i)
+			}
+		}
+	}
+	// One window short of the bound is still served.
+	if _, err := hit.ingest(mk(8, 8, 12_000, 10_000+(windows-1)*spec.WindowUS)); err != nil {
+		t.Fatalf("chunk of exactly maxFramesPerIngest/5 windows rejected: %v", err)
+	}
+}
+
 // TestIngestConverterCountFraming checks count-based framing emits
 // frames incrementally and the close flush emits the partial tail.
 func TestIngestConverterCountFraming(t *testing.T) {

@@ -141,6 +141,13 @@ type AdaptConfig struct {
 // ErrNoSession reports an unknown session ID.
 var ErrNoSession = errors.New("serve: no such session")
 
+// ErrChunkTooLarge is returned by Ingest for a chunk that is well-formed
+// but asks the server for unbounded work: a first chunk declaring a
+// sensor larger than maxSessionPixels, or one whose time span makes
+// time framing emit more than maxFramesPerIngest frames in one call.
+// The session is left untouched; HTTP answers 400.
+var ErrChunkTooLarge = errors.New("serve: chunk exceeds ingest work bounds")
+
 // ErrDraining reports a session create refused by a draining node.
 var ErrDraining = errors.New("serve: node is draining")
 
@@ -1452,8 +1459,9 @@ func (s *Server) Load() NodeLoad {
 // Platform returns the platform model the server executes on.
 func (s *Server) Platform() *hw.Platform { return s.cfg.Platform }
 
-// ArenaStats snapshots the server's pool counters (frames, active
-// sets) — the alloc-regression harness and /metrics read it.
+// ArenaStats snapshots the server's pool counters (frames,
+// accumulation grids, active sets) — the alloc-regression harness and
+// /metrics read it.
 func (s *Server) ArenaStats() mem.ArenaStats { return s.arena.Stats() }
 
 // rebalance recomputes the placement of all active sessions under the
@@ -1707,8 +1715,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, ErrNoSession):
 			status = http.StatusNotFound
 		case errors.Is(err, events.ErrGeometry), errors.Is(err, events.ErrPolarity),
-			errors.Is(err, events.ErrOrder), errors.Is(err, events.ErrNoGeometry):
-			status = http.StatusBadRequest // failed events.Stream.Validate
+			errors.Is(err, events.ErrOrder), errors.Is(err, events.ErrNoGeometry),
+			errors.Is(err, ErrChunkTooLarge):
+			status = http.StatusBadRequest // failed events.Stream.Validate or ingest's work bounds
 		}
 		writeError(w, status, err)
 		return
@@ -1803,7 +1812,7 @@ func (s *Server) WriteMetrics(pw *PromWriter, ns, extraLabels string) {
 		name string
 		st   mem.PoolStats
 	}{
-		{"frames", ast.Frames}, {"active_sets", ast.ActiveSets},
+		{"frames", ast.Frames}, {"accums", ast.Accums}, {"active_sets", ast.ActiveSets},
 		{"invocations", s.invPool.Stats()}, {"requests", s.pendPool.Stats()},
 	} {
 		pw.Counter(ns+"_pool_gets_total", "Objects borrowed from the arena pool.", lbls("pool", p.name), float64(p.st.Gets))

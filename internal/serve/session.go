@@ -408,8 +408,10 @@ func (s *Session) planDevicesLocked() []string {
 // calibrated once from the first chunk's event rate (as a deployment
 // tunes it on representative data). Conversion runs through
 // e2sf.Fused: each buffered chunk is traversed once, emitted frames
-// come from the arena's frame pool, and the emit slice is reused
-// across ingests — the steady-state ingest path allocates nothing.
+// come from the arena's frame pool, as does the accumulation grid for
+// the length of each conversion call (so a session holds no W x H
+// state), and the emit slice is reused across ingests — the
+// steady-state ingest path allocates nothing.
 type ingestConverter struct {
 	spec      nn.InputSpec
 	pool      *mem.FramePool // nil: frames are freshly allocated
@@ -428,12 +430,63 @@ type ingestConverter struct {
 // span is the stream time the session has covered so far.
 func (c *ingestConverter) span() int64 { return c.watermark - c.startTS }
 
+// Work bounds on one accepted chunk. A session's geometry is whatever
+// its first chunk declares and time framing emits a frame set for
+// every window up to the chunk's last timestamp, empty or not, so
+// without them a few bytes of body buy W x H of grid or an arbitrary
+// number of frames. Count framing is bounded by the body size already.
+const (
+	// maxSessionPixels is above any shipping event sensor (1 Mpx class).
+	maxSessionPixels = 4 << 20
+	// maxFramesPerIngest is over a minute of stream in one chunk at the
+	// zoo's densest framing (DOTIE: 5 frames per 5 ms).
+	maxFramesPerIngest = 1 << 16
+)
+
+// checkBounds rejects a valid chunk that would exceed the work bounds,
+// reading converter state without changing it.
+func (c *ingestConverter) checkBounds(chunk *events.Stream) error {
+	if c.fz == nil && int64(chunk.Width)*int64(chunk.Height) > maxSessionPixels {
+		return fmt.Errorf("%w: sensor %dx%d is over %d pixels",
+			ErrChunkTooLarge, chunk.Width, chunk.Height, maxSessionPixels)
+	}
+	if c.spec.Framing == nn.FrameByCount || chunk.Len() == 0 {
+		return nil
+	}
+	winStart := c.winStart
+	if !c.anchored {
+		winStart = c.anchor(chunk.TStart())
+	}
+	if chunk.TEnd() < winStart {
+		return nil
+	}
+	perWindow := uint64(1)
+	if c.spec.GroupK > 0 {
+		perWindow = uint64((c.spec.NumBins + c.spec.GroupK - 1) / c.spec.GroupK)
+	}
+	// The difference of two int64s fits a uint64 whatever their signs.
+	windows := (uint64(chunk.TEnd()) - uint64(winStart)) / uint64(c.spec.WindowUS)
+	if windows > maxFramesPerIngest/perWindow {
+		return fmt.Errorf("%w: %dus to %dus spans %d windows of %d frames, over %d frames per chunk",
+			ErrChunkTooLarge, winStart, chunk.TEnd(), windows, perWindow, maxFramesPerIngest)
+	}
+	return nil
+}
+
+// anchor aligns a stream's first timestamp down to a window boundary:
+// client timestamps need not start near zero, and walking windows up
+// from 0 would loop per-window all the way to the first timestamp.
+func (c *ingestConverter) anchor(ts int64) int64 { return ts - ts%c.spec.WindowUS }
+
 func (c *ingestConverter) ingest(chunk *events.Stream) ([]*sparse.Frame, error) {
 	// Chunks are outside input and e2sf.Fused indexes its grid
 	// unchecked: geometry, polarity and order are checked here, in one
-	// pass, before any converter state changes.
+	// pass, then the work bounds, before any converter state changes.
 	if err := chunk.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: invalid chunk: %w", err)
+	}
+	if err := c.checkBounds(chunk); err != nil {
+		return nil, err
 	}
 	if c.fz == nil {
 		fz, err := e2sf.NewFused(e2sf.Config{
@@ -457,13 +510,10 @@ func (c *ingestConverter) ingest(chunk *events.Stream) ([]*sparse.Frame, error) 
 	if chunk.Len() > 0 {
 		if !c.anchored {
 			c.anchored = true
-			// First events: anchor windowing at the stream's own epoch
-			// (aligned down to a window boundary) — client timestamps
-			// need not start near zero, and walking windows up from 0
-			// would loop per-window all the way to the first timestamp.
+			// First events: anchor windowing at the stream's own epoch.
 			c.startTS = chunk.TStart()
 			if c.spec.WindowUS > 0 {
-				c.winStart = c.startTS - c.startTS%c.spec.WindowUS
+				c.winStart = c.anchor(c.startTS)
 			}
 		}
 		c.watermark = chunk.TEnd()

@@ -134,10 +134,11 @@ func BenchmarkMergeAdd(b *testing.B) {
 		frames[i] = f
 	}
 	out := &Frame{}
-	MergeAddInto(out, frames...)
+	acc := NewAccum(64, 64)
+	acc.Merge(out, frames, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MergeAddInto(out, frames...)
+		acc.Merge(out, frames, 1)
 	}
 }

@@ -9,12 +9,12 @@ import (
 )
 
 func randFrame(r *rand.Rand, h, w int) *Frame {
-	b := NewFrameBuilder(h, w, r.Int63n(1000), 1000+r.Int63n(1000))
+	b := newFrameBuilder(h, w, r.Int63n(1000), 1000+r.Int63n(1000))
 	n := r.Intn(h * w / 2)
 	for i := 0; i < n; i++ {
-		b.AddEvent(int32(r.Intn(h)), int32(r.Intn(w)), r.Intn(2) == 0)
+		b.addEvent(int32(r.Intn(h)), int32(r.Intn(w)), r.Intn(2) == 0)
 	}
-	f := b.Build()
+	f := b.build()
 	return f
 }
 
@@ -39,8 +39,8 @@ func TestFrameCodecRoundTrip(t *testing.T) {
 // Regression: an empty *built* frame must round-trip identically (the
 // builder and decoder must agree on nil channel slices for emptiness).
 func TestFrameCodecEmptyBuiltFrame(t *testing.T) {
-	b := NewFrameBuilder(12, 12, 5, 9)
-	f := b.Build()
+	b := newFrameBuilder(12, 12, 5, 9)
+	f := b.build()
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, f); err != nil {
 		t.Fatal(err)

@@ -108,8 +108,8 @@ func (f *Frame) key(i int) int64 { return int64(f.Ys[i])*int64(f.W) + int64(f.Xs
 // out-of-order inserts append to an unsorted tail that is compacted
 // with one sort on the next order-dependent read, so building a frame
 // of n scattered Sets costs O(n log n) total instead of the old
-// sorted-insert's O(n^2). Bulk counting construction should still use
-// FrameBuilder or the fused E2SF kernel.
+// sorted-insert's O(n^2). Bulk counting construction goes through
+// Accum, as the fused E2SF kernel does.
 func (f *Frame) Set(y, x int32, pos, neg float32) {
 	k := int64(y)*int64(f.W) + int64(x)
 	if f.unsorted == 0 {
@@ -195,19 +195,12 @@ func (f *Frame) Clone() *Frame {
 	return out
 }
 
-// Dense expands the frame to a dense 2 x H x W tensor (channel 0 =
-// positive, channel 1 = negative) — the "event frame" representation
-// the baselines feed to dense kernels.
-func (f *Frame) Dense() *Tensor {
-	t := NewTensor(2, f.H, f.W)
-	f.DenseInto(t)
-	return t
-}
-
 // DenseInto expands the frame into a caller-supplied (possibly
-// pooled) 2 x H x W tensor, zeroing it first. Panics on shape
-// mismatch — pooled tensors are fetched by shape, so a mismatch is a
-// wiring bug, not data.
+// pooled) 2 x H x W tensor (channel 0 = positive, channel 1 =
+// negative) — the "event frame" representation the baselines feed to
+// dense kernels — zeroing it first. Panics on shape mismatch: pooled
+// tensors are fetched by shape, so a mismatch is a wiring bug, not
+// data.
 func (f *Frame) DenseInto(t *Tensor) {
 	if t.C != 2 || t.H != f.H || t.W != f.W {
 		panic(fmt.Sprintf("sparse: DenseInto tensor %dx%dx%d != frame 2x%dx%d", t.C, t.H, t.W, f.H, f.W))
@@ -243,88 +236,6 @@ func FromDense(t *Tensor, t0, t1 int64) (*Frame, error) {
 	return f, nil
 }
 
-// MergeAddInto writes into out (typically a pooled frame, whose slice
-// capacity is kept) the elementwise sums of the inputs' per-pixel
-// accumulations — the DSFA cAdd combine mode. Time bounds become the
-// union. Panics on geometry mismatch. Inputs are summed in argument
-// order; scenario replay depends on it.
-func MergeAddInto(out *Frame, frames ...*Frame) {
-	mergeScaledInto(out, frames, 1)
-}
-
-// MergeAverageInto writes the elementwise mean of the inputs into out —
-// the DSFA cAverage combine mode.
-func MergeAverageInto(out *Frame, frames ...*Frame) {
-	if len(frames) == 0 {
-		panic("sparse: MergeAverage of no frames")
-	}
-	mergeScaledInto(out, frames, 1/float32(len(frames)))
-}
-
-func mergeScaledInto(out *Frame, frames []*Frame, scale float32) {
-	if len(frames) == 0 {
-		panic("sparse: merge of no frames")
-	}
-	for _, f := range frames {
-		if f == out {
-			panic("sparse: merge output aliases an input")
-		}
-		f.ensureSorted()
-	}
-	h, w := frames[0].H, frames[0].W
-	t0, t1 := frames[0].T0, frames[0].T1
-	for _, f := range frames[1:] {
-		if f.H != h || f.W != w {
-			panic(fmt.Sprintf("sparse: merge geometry mismatch %dx%d vs %dx%d", f.H, f.W, h, w))
-		}
-		if f.T0 < t0 {
-			t0 = f.T0
-		}
-		if f.T1 > t1 {
-			t1 = f.T1
-		}
-	}
-	out.Reset(h, w, t0, t1)
-	// k-way linear merge over sorted entries. The cursor array lives
-	// on the stack for the bucket sizes DSFA actually forms; bigger
-	// merges spill to one allocation.
-	var idxArr [32]int
-	var idx []int
-	if len(frames) <= len(idxArr) {
-		idx = idxArr[:len(frames)]
-		for i := range idx {
-			idx[i] = 0
-		}
-	} else {
-		idx = make([]int, len(frames))
-	}
-	for {
-		best := int64(-1)
-		for fi, f := range frames {
-			if idx[fi] < len(f.Ys) {
-				if k := f.key(idx[fi]); best == -1 || k < best {
-					best = k
-				}
-			}
-		}
-		if best == -1 {
-			break
-		}
-		var pos, neg float32
-		for fi, f := range frames {
-			if idx[fi] < len(f.Ys) && f.key(idx[fi]) == best {
-				pos += f.Pos[idx[fi]]
-				neg += f.Neg[idx[fi]]
-				idx[fi]++
-			}
-		}
-		out.Ys = append(out.Ys, int32(best/int64(w)))
-		out.Xs = append(out.Xs, int32(best%int64(w)))
-		out.Pos = append(out.Pos, pos*scale)
-		out.Neg = append(out.Neg, neg*scale)
-	}
-}
-
 // DensityChange returns |d(a) - d(b)| / max(d(a), eps): the relative
 // spatial-density change DSFA compares against its MdTh threshold.
 func DensityChange(a, b *Frame) float64 {
@@ -341,62 +252,4 @@ func DensityChange(a, b *Frame) float64 {
 		d = -d
 	}
 	return d
-}
-
-// FrameBuilder accumulates per-pixel polarity counts using a map and
-// emits a sorted Frame. It is the construction path used by E2SF.
-type FrameBuilder struct {
-	h, w   int
-	t0, t1 int64
-	acc    map[int64][2]float32
-}
-
-// NewFrameBuilder returns a builder for an h x w frame spanning
-// [t0, t1).
-func NewFrameBuilder(h, w int, t0, t1 int64) *FrameBuilder {
-	return &FrameBuilder{h: h, w: w, t0: t0, t1: t1, acc: make(map[int64][2]float32)}
-}
-
-// AddEvent accumulates one event of the given polarity sign (true =
-// positive) at (y, x).
-func (b *FrameBuilder) AddEvent(y, x int32, positive bool) {
-	k := int64(y)*int64(b.w) + int64(x)
-	v := b.acc[k]
-	if positive {
-		v[0]++
-	} else {
-		v[1]++
-	}
-	b.acc[k] = v
-}
-
-// Count returns the number of distinct active pixels so far.
-func (b *FrameBuilder) Count() int { return len(b.acc) }
-
-// Build emits the sorted sparse frame and resets the builder. Empty
-// builders yield frames with nil channel slices, matching NewFrame and
-// the codec's decoding of zero-entry frames.
-func (b *FrameBuilder) Build() *Frame {
-	if len(b.acc) == 0 {
-		return NewFrame(b.h, b.w, b.t0, b.t1)
-	}
-	keys := make([]int64, 0, len(b.acc))
-	for k := range b.acc {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	f := NewFrame(b.h, b.w, b.t0, b.t1)
-	f.Ys = make([]int32, len(keys))
-	f.Xs = make([]int32, len(keys))
-	f.Pos = make([]float32, len(keys))
-	f.Neg = make([]float32, len(keys))
-	for i, k := range keys {
-		v := b.acc[k]
-		f.Ys[i] = int32(k / int64(b.w))
-		f.Xs[i] = int32(k % int64(b.w))
-		f.Pos[i] = v[0]
-		f.Neg[i] = v[1]
-	}
-	b.acc = make(map[int64][2]float32)
-	return f
 }

@@ -188,3 +188,94 @@ func TestSiteConvOperandsAreChannelConcat(t *testing.T) {
 		t.Fatal("Apply accepted operands with too few channels")
 	}
 }
+
+// referenceMerge is the k-way coordinate merge DSFA combined buckets
+// with before Accum.Merge: per output key, the members holding it are
+// summed in argument order from zero, then scaled. Time bounds become
+// the union; members' unsorted Set tails are compacted first.
+func referenceMerge(frames []*Frame, scale float32) *Frame {
+	for _, f := range frames {
+		f.ensureSorted()
+	}
+	h, w := frames[0].H, frames[0].W
+	t0, t1 := frames[0].T0, frames[0].T1
+	for _, f := range frames[1:] {
+		t0, t1 = min(t0, f.T0), max(t1, f.T1)
+	}
+	out := NewFrame(h, w, t0, t1)
+	idx := make([]int, len(frames))
+	for {
+		best := int64(-1)
+		for fi, f := range frames {
+			if idx[fi] < len(f.Ys) {
+				if k := f.key(idx[fi]); best == -1 || k < best {
+					best = k
+				}
+			}
+		}
+		if best == -1 {
+			return out
+		}
+		var pos, neg float32
+		for fi, f := range frames {
+			if idx[fi] < len(f.Ys) && f.key(idx[fi]) == best {
+				pos += f.Pos[idx[fi]]
+				neg += f.Neg[idx[fi]]
+				idx[fi]++
+			}
+		}
+		out.Ys = append(out.Ys, int32(best/int64(w)))
+		out.Xs = append(out.Xs, int32(best%int64(w)))
+		out.Pos = append(out.Pos, pos*scale)
+		out.Neg = append(out.Neg, neg*scale)
+	}
+}
+
+// mergeAdd and mergeAverage are the DSFA combine modes as the
+// aggregator spells them: one Accum.Merge with scale 1 or 1/n.
+func mergeAdd(frames ...*Frame) *Frame {
+	out := &Frame{}
+	NewAccum(frames[0].H, frames[0].W).Merge(out, frames, 1)
+	return out
+}
+
+func mergeAverage(frames ...*Frame) *Frame {
+	out := &Frame{}
+	NewAccum(frames[0].H, frames[0].W).Merge(out, frames, 1/float32(len(frames)))
+	return out
+}
+
+// frameBuilder counts events into an Accum and emits the sorted frame:
+// the construction path E2SF uses, for tests that build count frames.
+type frameBuilder struct {
+	acc    *Accum
+	t0, t1 int64
+}
+
+func newFrameBuilder(h, w int, t0, t1 int64) *frameBuilder {
+	return &frameBuilder{acc: NewAccum(h, w), t0: t0, t1: t1}
+}
+
+func (b *frameBuilder) addEvent(y, x int32, positive bool) {
+	ch := 1
+	if positive {
+		ch = 0
+	}
+	b.acc.Touch(int(y), int(x))[ch]++
+}
+
+// build emits the frame and leaves the builder empty. An empty builder
+// yields nil channel slices, matching NewFrame and the codec's
+// decoding of zero-entry frames.
+func (b *frameBuilder) build() *Frame {
+	f := NewFrame(b.acc.H(), b.acc.W(), b.t0, b.t1)
+	b.acc.Emit(f, 1)
+	return f
+}
+
+// dense is the allocating form of Frame.DenseInto.
+func dense(f *Frame) *Tensor {
+	t := NewTensor(2, f.H, f.W)
+	f.DenseInto(t)
+	return t
+}

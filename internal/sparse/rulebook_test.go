@@ -59,7 +59,7 @@ func TestActiveSetBuildEquivalence(t *testing.T) {
 		fromFrame := NewActiveSet(h, w, k)
 		fromFrame.BuildFromFrame(f, k)
 		fromTensor := NewActiveSet(h, w, k)
-		fromTensor.BuildFromTensor(f.Dense(), k)
+		fromTensor.BuildFromTensor(dense(f), k)
 		setsEqual(t, "frame vs tensor build", fromFrame, fromTensor)
 	}
 }

@@ -76,15 +76,12 @@ func TestReLUScaleAdd(t *testing.T) {
 }
 
 func TestFrameBuilderAndValidate(t *testing.T) {
-	b := NewFrameBuilder(4, 5, 0, 100)
-	b.AddEvent(2, 3, true)
-	b.AddEvent(2, 3, true)
-	b.AddEvent(2, 3, false)
-	b.AddEvent(0, 0, false)
-	if b.Count() != 2 {
-		t.Fatalf("count=%d", b.Count())
-	}
-	f := b.Build()
+	b := newFrameBuilder(4, 5, 0, 100)
+	b.addEvent(2, 3, true)
+	b.addEvent(2, 3, true)
+	b.addEvent(2, 3, false)
+	b.addEvent(0, 0, false)
+	f := b.build()
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -101,9 +98,9 @@ func TestFrameBuilderAndValidate(t *testing.T) {
 	if f.Density() != 0.1 {
 		t.Fatalf("density=%f", f.Density())
 	}
-	// builder resets
-	if b.Count() != 0 {
-		t.Fatal("builder did not reset")
+	// the accumulator behind the builder is all-zero after an emission
+	if again := b.build(); again.NNZ() != 0 || !b.acc.Clean() {
+		t.Fatalf("second build has %d entries, clean=%v", again.NNZ(), b.acc.Clean())
 	}
 }
 
@@ -119,7 +116,7 @@ func TestFrameSetGetDense(t *testing.T) {
 	if p != 3 || n != 1 {
 		t.Fatalf("get=(%f,%f)", p, n)
 	}
-	d := f.Dense()
+	d := dense(f)
 	if d.At(0, 1, 1) != 3 || d.At(1, 1, 1) != 1 || d.At(0, 0, 2) != 0 || d.At(1, 0, 2) != 1 {
 		t.Fatal("dense expansion wrong")
 	}
@@ -140,8 +137,7 @@ func TestMergeModes(t *testing.T) {
 	b.Set(1, 1, 2, 2)
 	b.Set(3, 3, 4, 0)
 
-	sum := &Frame{}
-	MergeAddInto(sum, a, b)
+	sum := mergeAdd(a, b)
 	if err := sum.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -155,8 +151,7 @@ func TestMergeModes(t *testing.T) {
 		t.Fatalf("time union %d %d", sum.T0, sum.T1)
 	}
 
-	avg := &Frame{}
-	MergeAverageInto(avg, a, b)
+	avg := mergeAverage(a, b)
 	if p, _ := avg.Get(1, 1); p != 2 {
 		t.Fatalf("avg (1,1) pos=%f", p)
 	}
@@ -467,5 +462,5 @@ func TestMergePanicsOnMismatch(t *testing.T) {
 			t.Fatal("no panic on geometry mismatch")
 		}
 	}()
-	MergeAddInto(&Frame{}, NewFrame(2, 2, 0, 1), NewFrame(3, 3, 0, 1))
+	mergeAdd(NewFrame(2, 2, 0, 1), NewFrame(3, 3, 0, 1))
 }
