@@ -37,7 +37,7 @@ lint:
 	fi
 
 bench:
-	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ . ./internal/sparse ./internal/e2sf ./internal/dsfa ./internal/serve
+	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ . ./internal/events ./internal/sparse ./internal/e2sf ./internal/dsfa ./internal/serve
 
 # The repository's benchmark (BENCHMARK.json): every workload, then the
 # per-layer profile. bench/ is its own module, so this — and CI's

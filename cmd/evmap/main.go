@@ -121,7 +121,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			name = platform.Devices[n.Dev].Name
 		}
 		spans = append(spans, hw.Span{
-			Device: name, Tag: n.Label,
+			Device: name, Tag: g.Label(n.ID),
 			Start: sched.NodeStart[n.ID], End: sched.NodeEnd[n.ID],
 		})
 	}

@@ -2,9 +2,13 @@ package events
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+	"slices"
+	"sync"
 )
 
 // Binary codec. The on-disk layout is a small header followed by one
@@ -19,91 +23,190 @@ import (
 //
 // All integers are little-endian. The format is append-friendly: count
 // may be zero, in which case records run to EOF.
+//
+// Both directions move whole blocks, never single records. WriteBinary
+// sizes one buffer of headerSize + recordSize*len(Events) bytes, fills
+// it in a loop and issues one Write. ReadBinaryInto borrows a block of
+// blockRecords records from a package pool for the duration of the
+// call, fills it with whatever each Read delivers, decodes every whole
+// record in it straight into the stream's Events and carries a
+// trailing partial record to the front of the block for the next
+// Read — so a reader that hands out one byte at a time decodes to the
+// same stream as one that hands out the whole body.
+//
+// Ownership: ReadBinaryInto writes into a stream the caller owns,
+// reusing the capacity of its Events slice; nothing of the block or
+// the reader is referenced once it returns, so the caller may pool the
+// stream and decode the next chunk into it (internal/serve does, one
+// stream per ingest request). ReadBinary returns a fresh stream.
 
 const (
 	binaryMagic   = "EVAR"
 	binaryVersion = 1
+	headerSize    = 4 + 2 + 2 + 2 + 8
 	recordSize    = 2 + 2 + 8 + 1
+
+	// blockRecords sizes the pooled decode block (52 KiB): large enough
+	// that a body arrives in a handful of Reads, small enough to stay in
+	// L2 while it is decoded.
+	blockRecords = 4096
+	// maxPrealloc caps the capacity reserved on the word of the header
+	// count, which is untrusted input: a malformed stream can claim 2^64
+	// events where the body holds none. Past it the slice grows with
+	// what the reader actually delivers.
+	maxPrealloc = 1 << 16
+	// maxEmptyReads is how many consecutive (0, nil) Reads the decoder
+	// tolerates before giving up with io.ErrNoProgress (bufio's limit).
+	maxEmptyReads = 100
 )
 
-// WriteBinary serializes the stream to w in the EVAR binary format.
+var blockPool = sync.Pool{New: func() any {
+	b := make([]byte, blockRecords*recordSize)
+	return &b
+}}
+
+// WriteBinary serializes the stream to w in the EVAR binary format
+// with a single Write. When w is a *bytes.Buffer the encoding is built
+// in place in the buffer's spare capacity, so a pre-grown buffer takes
+// it without allocating. A Width or Height that does not fit the
+// header's 16-bit fields is refused, before any byte is written, with
+// an error wrapping ErrGeometry.
 func WriteBinary(w io.Writer, s *Stream) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
+	if s.Width < 0 || s.Width > math.MaxUint16 || s.Height < 0 || s.Height > math.MaxUint16 {
+		return fmt.Errorf("events: geometry %dx%d does not fit the EVAR header: %w", s.Width, s.Height, ErrGeometry)
 	}
-	hdr := make([]byte, 2+2+2+8)
-	binary.LittleEndian.PutUint16(hdr[0:], binaryVersion)
-	binary.LittleEndian.PutUint16(hdr[2:], uint16(s.Width))
-	binary.LittleEndian.PutUint16(hdr[4:], uint16(s.Height))
-	binary.LittleEndian.PutUint64(hdr[6:], uint64(len(s.Events)))
-	if _, err := bw.Write(hdr); err != nil {
-		return err
+	n := headerSize + recordSize*len(s.Events)
+	var buf []byte
+	if bb, ok := w.(*bytes.Buffer); ok {
+		bb.Grow(n)
+		buf = bb.AvailableBuffer()[:n]
+	} else {
+		buf = make([]byte, n)
 	}
-	rec := make([]byte, recordSize)
-	for _, e := range s.Events {
+	copy(buf, binaryMagic)
+	binary.LittleEndian.PutUint16(buf[4:], binaryVersion)
+	binary.LittleEndian.PutUint16(buf[6:], uint16(s.Width))
+	binary.LittleEndian.PutUint16(buf[8:], uint16(s.Height))
+	binary.LittleEndian.PutUint64(buf[10:], uint64(len(s.Events)))
+	recs := buf[headerSize:]
+	for i, e := range s.Events {
+		rec := recs[i*recordSize:][:recordSize]
 		binary.LittleEndian.PutUint16(rec[0:], e.X)
 		binary.LittleEndian.PutUint16(rec[2:], e.Y)
 		binary.LittleEndian.PutUint64(rec[4:], uint64(e.TS))
 		rec[12] = byte(e.Pol)
-		if _, err := bw.Write(rec); err != nil {
-			return err
-		}
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
 
-// ReadBinary parses a stream from the EVAR binary format.
+// ReadBinary parses a stream from the EVAR binary format into a fresh
+// Stream.
 func ReadBinary(r io.Reader) (*Stream, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("events: reading magic: %w", err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("events: bad magic %q", magic)
-	}
-	hdr := make([]byte, 2+2+2+8)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("events: reading header: %w", err)
-	}
-	if v := binary.LittleEndian.Uint16(hdr[0:]); v != binaryVersion {
-		return nil, fmt.Errorf("events: unsupported version %d", v)
-	}
-	s := NewStream(int(binary.LittleEndian.Uint16(hdr[2:])), int(binary.LittleEndian.Uint16(hdr[4:])))
-	count := binary.LittleEndian.Uint64(hdr[6:])
-	if count > 0 {
-		// The header count sizes the buffer but is untrusted input: a
-		// malformed stream can claim 2^64 events where the body holds
-		// none. Cap the preallocation and let append grow the slice from
-		// what the reader actually delivers.
-		pre := count
-		if pre > 1<<16 {
-			pre = 1 << 16
-		}
-		s.Events = make([]Event, 0, pre)
-	}
-	rec := make([]byte, recordSize)
-	for {
-		_, err := io.ReadFull(br, rec)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("events: reading record: %w", err)
-		}
-		e := Event{
-			X:   binary.LittleEndian.Uint16(rec[0:]),
-			Y:   binary.LittleEndian.Uint16(rec[2:]),
-			TS:  int64(binary.LittleEndian.Uint64(rec[4:])),
-			Pol: Polarity(int8(rec[12])),
-		}
-		s.Events = append(s.Events, e)
-	}
-	if count > 0 && uint64(len(s.Events)) != count {
-		return nil, fmt.Errorf("events: header count %d but read %d records", count, len(s.Events))
+	s := new(Stream)
+	if err := ReadBinaryInto(r, s); err != nil {
+		return nil, err
 	}
 	return s, nil
+}
+
+// ReadBinaryInto parses an EVAR stream from r, to EOF, into s: the
+// geometry and events s held are replaced, the capacity of s.Events is
+// kept and grown only when the chunk needs more. On error s is left
+// empty (no geometry, no events), never holding a mix of old and new.
+func ReadBinaryInto(r io.Reader, s *Stream) error {
+	s.Events = s.Events[:0]
+	bp := blockPool.Get().(*[]byte)
+	err := decodeBlocks(r, s, *bp)
+	blockPool.Put(bp)
+	if err != nil {
+		s.Width, s.Height, s.Events = 0, 0, s.Events[:0]
+	}
+	return err
+}
+
+// shortRead is the error for an item that needed more than the got
+// bytes the reader delivered before failing with err: io.ReadFull's
+// rule, under which a clean EOF inside an item is unexpected.
+func shortRead(got int, err error) error {
+	if got > 0 && err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// decodeBlocks is ReadBinaryInto's body over a borrowed block.
+func decodeBlocks(r io.Reader, s *Stream, blk []byte) error {
+	var (
+		n     int   // bytes of blk filled and not yet decoded
+		rerr  error // first error from r; data read alongside it is still decoded
+		empty int   // consecutive (0, nil) reads
+	)
+	read := func() {
+		m, err := r.Read(blk[n:])
+		n += m
+		switch {
+		case err != nil:
+			rerr = err
+		case m > 0:
+			empty = 0
+		default:
+			if empty++; empty >= maxEmptyReads {
+				rerr = io.ErrNoProgress
+			}
+		}
+	}
+	for n < headerSize && rerr == nil {
+		read()
+	}
+	if n < len(binaryMagic) {
+		return fmt.Errorf("events: reading magic: %w", shortRead(n, rerr))
+	}
+	if string(blk[:len(binaryMagic)]) != binaryMagic {
+		return fmt.Errorf("events: bad magic %q", blk[:len(binaryMagic)])
+	}
+	if n < headerSize {
+		return fmt.Errorf("events: reading header: %w", shortRead(n-len(binaryMagic), rerr))
+	}
+	if v := binary.LittleEndian.Uint16(blk[4:]); v != binaryVersion {
+		return fmt.Errorf("events: unsupported version %d", v)
+	}
+	s.Width = int(binary.LittleEndian.Uint16(blk[6:]))
+	s.Height = int(binary.LittleEndian.Uint16(blk[8:]))
+	count := binary.LittleEndian.Uint64(blk[10:])
+	if pre := int(min(count, maxPrealloc)); cap(s.Events) < pre {
+		s.Events = make([]Event, 0, pre)
+	}
+	for off := headerSize; ; off = 0 {
+		k := (n - off) / recordSize
+		base := len(s.Events)
+		s.Events = slices.Grow(s.Events, k)[:base+k]
+		evs := s.Events[base:]
+		recs := blk[off : off+k*recordSize]
+		for i := range evs {
+			rec := recs[i*recordSize:][:recordSize]
+			evs[i] = Event{
+				X:   binary.LittleEndian.Uint16(rec[0:]),
+				Y:   binary.LittleEndian.Uint16(rec[2:]),
+				TS:  int64(binary.LittleEndian.Uint64(rec[4:])),
+				Pol: Polarity(int8(rec[12])),
+			}
+		}
+		// A trailing partial record moves to the front of the block and
+		// is completed by the next read.
+		n = copy(blk, blk[off+k*recordSize:n])
+		if rerr != nil {
+			break
+		}
+		read()
+	}
+	if err := shortRead(n, rerr); err != io.EOF {
+		return fmt.Errorf("events: reading record: %w", err)
+	}
+	if count > 0 && uint64(len(s.Events)) != count {
+		return fmt.Errorf("events: header count %d but read %d records", count, len(s.Events))
+	}
+	return nil
 }
 
 // WriteText serializes the stream in the whitespace-separated text

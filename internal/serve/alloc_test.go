@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -256,10 +257,22 @@ func TestAllocSmoke(t *testing.T) {
 	}
 	spmmOut := sparse.NewMat(rows, dcols)
 
+	// The EVAR wire codec on the same chunk: encode into a buffer that
+	// already has the room, decode from a rewound reader into a stream
+	// that already has the capacity — what a warm client and a warm
+	// handleIngest do per request.
+	var wire bytes.Buffer
+	fail(events.WriteBinary(&wire, stream))
+	body := bytes.Clone(wire.Bytes())
+	bodyReader := bytes.NewReader(body)
+	decoded := new(events.Stream)
+
 	for _, st := range []struct {
 		name string
 		run  func() error
 	}{
+		{"evar_encode", func() error { wire.Reset(); return events.WriteBinary(&wire, stream) }},
+		{"evar_decode_into", func() error { bodyReader.Reset(body); return events.ReadBinaryInto(bodyReader, decoded) }},
 		{"e2sf_convert_fused_pooled", func() (err error) {
 			frames, _, err = fz.ConvertGroupedAppend(frames[:0], stream, 0, span, 1)
 			for _, fr := range frames {

@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"evedge/internal/events"
@@ -39,6 +41,12 @@ func (c *Client) do(method, path, contentType string, body io.Reader, out any) e
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
+	return c.send(req, path, out)
+}
+
+// send is do from a built request on.
+func (c *Client) send(req *http.Request, path string, out any) error {
+	method := req.Method
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return err
@@ -72,14 +80,72 @@ func (c *Client) CreateSession(cfg SessionConfig) (*SessionSnapshot, error) {
 	return &snap, nil
 }
 
-// SendEvents streams one chunk in the EVAR binary wire format.
+// encodeBuf is a pooled buffer SendEvents encodes a request body into.
+// It goes back to the pool when its last reference is released:
+// SendEvents holds one for the length of the call and every body
+// handed to the transport one until its Close. Returning from Do is
+// not enough — a server that answers before it has read the whole body
+// (a 400 on the header, a body over its limit) leaves the transport
+// writing the rest after the response is in, and the transport's Close
+// is the one signal that it is done with the bytes.
+type encodeBuf struct {
+	bytes.Buffer
+	refs atomic.Int32
+}
+
+var encodeBufs = sync.Pool{New: func() any { return new(encodeBuf) }}
+
+func (e *encodeBuf) release() {
+	if e.refs.Add(-1) == 0 {
+		encodeBufs.Put(e)
+	}
+}
+
+// body returns a new reader over the encoded bytes, holding a
+// reference; it is the request's Body and, for the transport's retry on
+// a dead keep-alive connection, its GetBody.
+func (e *encodeBuf) body() io.ReadCloser {
+	e.refs.Add(1)
+	b := &evarBody{buf: e}
+	b.Reset(e.Bytes())
+	return b
+}
+
+type evarBody struct {
+	bytes.Reader
+	buf    *encodeBuf
+	closed atomic.Bool // the transport may Close from more than one goroutine
+}
+
+func (b *evarBody) Close() error {
+	if b.closed.CompareAndSwap(false, true) {
+		b.buf.release()
+	}
+	return nil
+}
+
+// SendEvents streams one chunk in the EVAR binary wire format, encoded
+// into a pooled buffer.
 func (c *Client) SendEvents(id string, chunk *events.Stream) (*IngestResult, error) {
-	var buf bytes.Buffer
-	if err := events.WriteBinary(&buf, chunk); err != nil {
+	buf := encodeBufs.Get().(*encodeBuf)
+	buf.Reset()
+	buf.refs.Store(1)
+	defer buf.release()
+	if err := events.WriteBinary(&buf.Buffer, chunk); err != nil {
 		return nil, err
 	}
+	path := "/v1/sessions/" + id + "/events"
+	body := buf.body()
+	req, err := http.NewRequest(http.MethodPost, c.base+path, body)
+	if err != nil {
+		_ = body.Close()
+		return nil, err
+	}
+	req.ContentLength = int64(buf.Len())
+	req.GetBody = func() (io.ReadCloser, error) { return buf.body(), nil }
+	req.Header.Set("Content-Type", "application/octet-stream")
 	var res IngestResult
-	if err := c.do(http.MethodPost, "/v1/sessions/"+id+"/events", "application/octet-stream", &buf, &res); err != nil {
+	if err := c.send(req, path, &res); err != nil {
 		return nil, err
 	}
 	return &res, nil

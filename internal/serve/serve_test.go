@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -40,6 +41,14 @@ func chunks(s *events.Stream, durUS, chunkUS int64) []*events.Stream {
 		out = append(out, s.Slice(t0, t0+chunkUS))
 	}
 	return out
+}
+
+// sameFrame reports whether two frames carry the same time bounds and
+// entries.
+func sameFrame(a, b *sparse.Frame) bool {
+	return a.T0 == b.T0 && a.T1 == b.T1 &&
+		slices.Equal(a.Ys, b.Ys) && slices.Equal(a.Xs, b.Xs) &&
+		slices.Equal(a.Pos, b.Pos) && slices.Equal(a.Neg, b.Neg)
 }
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *Client, func()) {
@@ -302,9 +311,7 @@ func TestIngestRejectsOutOfGeometry(t *testing.T) {
 			t.Fatalf("chunk at %dus: %d frames, want %d (> 0)", c.TStart(), len(got), len(want))
 		}
 		for i := range want {
-			if got[i].T0 != want[i].T0 || got[i].T1 != want[i].T1 ||
-				!slices.Equal(got[i].Ys, want[i].Ys) || !slices.Equal(got[i].Xs, want[i].Xs) ||
-				!slices.Equal(got[i].Pos, want[i].Pos) || !slices.Equal(got[i].Neg, want[i].Neg) {
+			if !sameFrame(got[i], want[i]) {
 				t.Fatalf("chunk at %dus frame %d differs after a rejected chunk", c.TStart(), i)
 			}
 		}
@@ -390,9 +397,7 @@ func TestIngestRejectsUnboundedWork(t *testing.T) {
 			t.Fatalf("chunk at %dus: %d frames, want %d (> 0)", c.TStart(), len(got), len(want))
 		}
 		for i := range want {
-			if got[i].T0 != want[i].T0 || got[i].T1 != want[i].T1 ||
-				!slices.Equal(got[i].Ys, want[i].Ys) || !slices.Equal(got[i].Xs, want[i].Xs) ||
-				!slices.Equal(got[i].Pos, want[i].Pos) || !slices.Equal(got[i].Neg, want[i].Neg) {
+			if !sameFrame(got[i], want[i]) {
 				t.Fatalf("chunk at %dus frame %d differs after a rejected chunk", c.TStart(), i)
 			}
 		}
@@ -800,6 +805,146 @@ func TestMapperNMPPolicy(t *testing.T) {
 	for _, id := range []string{a.ID, b.ID} {
 		if _, err := cl.CloseSession(id); err != nil {
 			t.Fatalf("CloseSession %s: %v", id, err)
+		}
+	}
+}
+
+// TestHTTPIngestPooledChunk (run it under -race): handleIngest decodes
+// EVAR bodies into event streams borrowed from a pool and the client
+// encodes into pooled buffers, so requests in flight at once, and
+// requests after a rejected one, must never see each other's events.
+// Four sessions of different geometry and chunk size are fed 40 chunks
+// each from four goroutines over HTTP — with chunks the server answers
+// 400 mixed in: an event outside the geometry, a 65 s gap, a body over
+// MaxBodyBytes (answered before it is read to the end, which is when
+// the transport is still writing from the client's buffer after the
+// response) — against a second server fed the accepted chunks serially
+// in-process. Per session the counters, every ingest result and the
+// queued frames must agree entry for entry.
+func TestHTTPIngestPooledChunk(t *testing.T) {
+	const (
+		perSession = 40
+		chunkUS    = 2_500
+	)
+	type feed struct {
+		net    string
+		w, h   int
+		chunks []*events.Stream
+	}
+	feeds := []*feed{
+		{net: nn.DOTIE, w: 8, h: 8},
+		{net: nn.SpikeFlowNet, w: 64, h: 48},
+		{net: nn.HALSIE, w: 173, h: 130},
+		{net: nn.HidalgoDepth, w: 346, h: 260},
+	}
+	mk := func(r *rand.Rand, w, h, n int, t0, span int64) *events.Stream {
+		s := events.NewStream(w, h)
+		for j := 0; j < n; j++ {
+			pol := events.On
+			if r.Intn(2) == 0 {
+				pol = events.Off
+			}
+			s.Append(events.Event{X: uint16(r.Intn(w)), Y: uint16(r.Intn(h)), TS: t0 + int64(j)*span/int64(n), Pol: pol})
+		}
+		return s
+	}
+	for i, f := range feeds {
+		r := rand.New(rand.NewSource(int64(19 + i)))
+		for c := int64(0); c < perSession; c++ {
+			f.chunks = append(f.chunks, mk(r, f.w, f.h, 20+r.Intn(1500*(i+1)), c*chunkUS, chunkUS))
+		}
+	}
+
+	cfg := Config{ManualDrain: true, QueueCap: 1 << 14, MaxBodyBytes: 128 << 10}
+	srv, cl, stop := newTestServer(t, cfg)
+	defer stop()
+	ref, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	ids := make([]string, len(feeds))
+	for i, f := range feeds {
+		snap, err := cl.CreateSession(SessionConfig{Network: f.net, Level: 2})
+		if err != nil {
+			t.Fatalf("CreateSession: %v", err)
+		}
+		sess, err := ref.CreateSession(SessionConfig{Network: f.net, Level: 2})
+		if err != nil || sess.ID != snap.ID {
+			t.Fatalf("reference CreateSession: %v (id %q vs %q)", err, sess.ID, snap.ID)
+		}
+		ids[i] = snap.ID
+	}
+
+	got := make([][]*IngestResult, len(feeds))
+	var wg sync.WaitGroup
+	for i, f := range feeds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(i)))
+			rejected := func(what, wantMsg string, bad *events.Stream) {
+				if _, err := cl.SendEvents(ids[i], bad); err == nil ||
+					!strings.Contains(err.Error(), "HTTP 400") || !strings.Contains(err.Error(), wantMsg) {
+					t.Errorf("session %s: %s: err = %v, want HTTP 400 with %q", ids[i], what, err, wantMsg)
+				}
+			}
+			for c, chunk := range f.chunks {
+				t0 := int64(c) * chunkUS
+				switch c % 10 {
+				case 3:
+					bad := mk(r, f.w, f.h, 900, t0, chunkUS)
+					bad.Events[450].X = uint16(f.w)
+					rejected("event outside the geometry", events.ErrGeometry.Error(), bad)
+				case 6:
+					if nn.MustByName(f.net).Input.Framing == nn.FrameByCount {
+						break // count framing has no window to overrun
+					}
+					gap := mk(r, f.w, f.h, 2, t0, chunkUS)
+					gap.Events[1].TS = t0 + 1e12
+					rejected("a gap past the framing bound", ErrChunkTooLarge.Error(), gap)
+				case 9:
+					rejected("a body over MaxBodyBytes", "request body too large", mk(r, f.w, f.h, 12_000, t0, chunkUS))
+				}
+				res, err := cl.SendEvents(ids[i], chunk)
+				if err != nil {
+					t.Errorf("session %s chunk %d: %v", ids[i], c, err)
+					return
+				}
+				got[i] = append(got[i], res)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	for i, f := range feeds {
+		for c, chunk := range f.chunks {
+			want, err := ref.Ingest(ids[i], chunk)
+			if err != nil {
+				t.Fatalf("reference ingest, session %s chunk %d: %v", ids[i], c, err)
+			}
+			if g := got[i][c]; g.Events != want.Events || g.Frames != want.Frames || g.QueueLen != want.QueueLen || g.Dropped != 0 {
+				t.Fatalf("session %s chunk %d over HTTP: %+v, in-process: %+v", ids[i], c, *g, want)
+			}
+		}
+		hs, _ := srv.Session(ids[i])
+		rs, _ := ref.Session(ids[i])
+		hsnap, rsnap := hs.snapshot(), rs.snapshot()
+		if hsnap.EventsIn != rsnap.EventsIn || hsnap.FramesIn != rsnap.FramesIn || hsnap.FramesIn == 0 {
+			t.Fatalf("session %s: %d events / %d frames over HTTP, %d / %d in-process",
+				ids[i], hsnap.EventsIn, hsnap.FramesIn, rsnap.EventsIn, rsnap.FramesIn)
+		}
+		hf, rf := hs.queue.drain(0), rs.queue.drain(0)
+		if len(hf) != len(rf) || uint64(len(hf)) != hsnap.FramesIn {
+			t.Fatalf("session %s: %d frames queued over HTTP, %d in-process, %d counted", ids[i], len(hf), len(rf), hsnap.FramesIn)
+		}
+		for k := range rf {
+			if !sameFrame(hf[k], rf[k]) {
+				t.Fatalf("session %s frame %d over HTTP differs from in-process ingest", ids[i], k)
+			}
 		}
 	}
 }

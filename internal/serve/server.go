@@ -301,6 +301,12 @@ type Server struct {
 	drainBufs   sync.Pool
 	dispatchScr sync.Pool
 	pendLists   sync.Pool
+	// chunks recycles the event streams handleIngest decodes EVAR
+	// bodies into. A stream is borrowed for one request: Ingest keeps
+	// nothing of a chunk (the session converter copies the events it
+	// buffers, the journal stores counters), so it goes back as soon as
+	// Ingest returns.
+	chunks sync.Pool
 
 	// tracer records frame-lifecycle spans; nil when tracing is off
 	// (every obs method is a no-op on nil). devTracks caches the
@@ -435,6 +441,7 @@ func New(cfg Config) (*Server, error) {
 		l := make([]*pendingInv, 0, 16)
 		return &l
 	}
+	s.chunks.New = func() any { return new(events.Stream) }
 	schedCfg := sched.Config{
 		Dispatch: s.dispatchBatch,
 		MaxBatch: cfg.BatchMax,
@@ -1703,7 +1710,15 @@ func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	chunk, err := DecodeChunk(r.Header.Get("Content-Type"), body)
+	var chunk *events.Stream
+	var err error
+	if isJSON(r.Header.Get("Content-Type")) {
+		chunk, err = decodeJSONChunk(body)
+	} else {
+		chunk = s.chunks.Get().(*events.Stream)
+		defer s.chunks.Put(chunk)
+		err = events.ReadBinaryInto(body, chunk)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -1931,23 +1946,31 @@ func (s *Server) WriteMetrics(pw *PromWriter, ns, extraLabels string) {
 	}
 }
 
-// DecodeChunk parses an ingest body: JSON when the media type says
-// so (parameters like charset are tolerated), EVAR binary otherwise.
-// Exported so the cluster router can decode once and proxy the parsed
-// stream to the owning node.
-func DecodeChunk(contentType string, body io.Reader) (*events.Stream, error) {
+// isJSON reports whether an ingest body's media type selects the JSON
+// wire format (parameters like charset are tolerated); anything else,
+// unparseable types included, is EVAR binary.
+func isJSON(contentType string) bool {
 	mt, _, err := mime.ParseMediaType(contentType)
-	if err != nil {
-		mt = ""
-	}
-	if mt == "application/json" {
-		var c ChunkJSON
-		if err := json.NewDecoder(body).Decode(&c); err != nil {
-			return nil, fmt.Errorf("decoding JSON chunk: %w", err)
-		}
-		return c.Stream()
+	return err == nil && mt == "application/json"
+}
+
+// DecodeChunk parses an ingest body, JSON or EVAR binary by isJSON,
+// into a fresh stream the caller may keep. Exported so the cluster
+// router can decode once, proxy the parsed stream to the owning node
+// and re-encode it for replication.
+func DecodeChunk(contentType string, body io.Reader) (*events.Stream, error) {
+	if isJSON(contentType) {
+		return decodeJSONChunk(body)
 	}
 	return events.ReadBinary(body)
+}
+
+func decodeJSONChunk(body io.Reader) (*events.Stream, error) {
+	var c ChunkJSON
+	if err := json.NewDecoder(body).Decode(&c); err != nil {
+		return nil, fmt.Errorf("decoding JSON chunk: %w", err)
+	}
+	return c.Stream()
 }
 
 // EventJSON is one AER event on the JSON wire format: p is 1 (ON) or

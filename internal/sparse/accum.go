@@ -70,13 +70,52 @@ func (a *Accum) Clean() bool {
 	return true
 }
 
+// sizeFresh gives a frame that has no backing arrays yet channel
+// slices of exactly the touched cells' capacity — a popcount over the
+// occupancy words of the set rows, reading none of the grid. With
+// nothing touched the slices stay nil.
+func (a *Accum) sizeFresh(out *Frame) {
+	n := 0
+	for ri, rw := range a.rows {
+		for ; rw != 0; rw &= rw - 1 {
+			y := ri<<6 + bits.TrailingZeros64(rw)
+			for _, word := range a.occ[y*a.wpr : (y+1)*a.wpr] {
+				n += bits.OnesCount64(word)
+			}
+		}
+	}
+	if n == 0 {
+		return
+	}
+	out.Ys = make([]int32, 0, n)
+	out.Xs = make([]int32, 0, n)
+	out.Pos = make([]float32, 0, n)
+	out.Neg = make([]float32, 0, n)
+}
+
 // Emit appends every touched cell, scaled, to out's channel slices in
 // (y, x) order and leaves the grid all-zero. out must have the grid's
 // geometry and — for the result to stay sorted — no entries at or past
 // the first touched cell; callers pass a freshly Reset frame.
+//
+// A frame with no backing arrays yet (cap(out.Ys) == 0: every frame of
+// the offline pipeline.Run, which has no frame pool, and the first use
+// of a pooled frame on a cold server) is first sized to the touched
+// count, so the four slices are allocated once at their final length
+// instead of doubling their way up from nothing. A frame that brings
+// capacity is appended to as it is. The count is taken only for the
+// fresh frame, and in a function of its own before the walk, because
+// it is not free: counting on every emission cost the warm pooled path
+// (serve_pump_batch) 8 % of its events/s (15.27 M -> 14.03 M, 0 of 5
+// pairs won; EXPERIMENTS.md "Wire path"). Keyed on the input like this
+// that workload reads 15.46 M against the parent's 15.42 M over ten
+// pairs, and paper_levels, all fresh frames, 15.4 M -> 23.7 M.
 func (a *Accum) Emit(out *Frame, scale float32) {
 	if out.H != a.h || out.W != a.w {
 		panic(fmt.Sprintf("sparse: Emit into %dx%d frame from %dx%d accumulator", out.H, out.W, a.h, a.w))
+	}
+	if cap(out.Ys) == 0 {
+		a.sizeFresh(out)
 	}
 	for ri, rw := range a.rows {
 		if rw == 0 {

@@ -97,6 +97,61 @@ func TestAccumTouchOverwriteAndZeroCells(t *testing.T) {
 	}
 }
 
+// TestAccumEmitSizesFreshFrame pins when Emit sizes its output: a
+// frame with no backing arrays gets all four slices at exactly the
+// touched count (one allocation each, no growth), a frame that brings
+// capacity is appended to without a count or an allocation, and an
+// empty emission leaves a fresh frame's slices nil.
+func TestAccumEmitSizesFreshFrame(t *testing.T) {
+	const h, w = 70, 130
+	acc := NewAccum(h, w)
+	r := rand.New(rand.NewSource(19))
+	cells := map[[2]int]bool{{h - 1, w - 1}: true, {0, 0}: true, {64, 64}: true}
+	for len(cells) < 777 {
+		cells[[2]int{r.Intn(h), r.Intn(w)}] = true
+	}
+	touch := func() {
+		for c := range cells {
+			acc.Touch(c[0], c[1])[0]++
+		}
+	}
+
+	touch()
+	fresh := &Frame{H: h, W: w}
+	acc.Emit(fresh, 1)
+	for name, n := range map[string][2]int{
+		"Ys": {len(fresh.Ys), cap(fresh.Ys)}, "Xs": {len(fresh.Xs), cap(fresh.Xs)},
+		"Pos": {len(fresh.Pos), cap(fresh.Pos)}, "Neg": {len(fresh.Neg), cap(fresh.Neg)},
+	} {
+		if n[0] != len(cells) || n[1] != len(cells) {
+			t.Fatalf("fresh frame %s: len %d cap %d, want both %d", name, n[0], n[1], len(cells))
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { touch(); acc.Emit(&Frame{H: h, W: w}, 1) }); allocs != 4 {
+		t.Fatalf("emission into a fresh frame: %.1f allocations, want 4", allocs)
+	}
+
+	// A warm frame with room to spare keeps its arrays.
+	warm := NewFrame(h, w, 0, 1)
+	warm.Ys, warm.Xs = make([]int32, 0, 1000), make([]int32, 0, 1000)
+	warm.Pos, warm.Neg = make([]float32, 0, 1000), make([]float32, 0, 1000)
+	if allocs := testing.AllocsPerRun(10, func() { touch(); warm.Reset(h, w, 0, 1); acc.Emit(warm, 1) }); allocs != 0 {
+		t.Fatalf("emission into a warm frame: %.1f allocations, want 0", allocs)
+	}
+	if len(warm.Ys) != len(cells) || cap(warm.Ys) != 1000 || cap(warm.Xs) != 1000 || cap(warm.Pos) != 1000 || cap(warm.Neg) != 1000 {
+		t.Fatalf("warm frame: len %d cap %d, want %d entries in the 1000-entry arrays it brought", len(warm.Ys), cap(warm.Ys), len(cells))
+	}
+	if !framesBitEqual(&Frame{H: h, W: w, Ys: warm.Ys, Xs: warm.Xs, Pos: warm.Pos, Neg: warm.Neg}, fresh) {
+		t.Fatal("sized and appended emissions differ")
+	}
+
+	empty := &Frame{H: h, W: w}
+	acc.Emit(empty, 1)
+	if empty.Ys != nil || empty.Xs != nil || empty.Pos != nil || empty.Neg != nil {
+		t.Fatalf("empty emission into a fresh frame left non-nil slices: %+v", empty)
+	}
+}
+
 func TestAccumPanics(t *testing.T) {
 	mustPanic := func(name string, fn func()) {
 		t.Helper()

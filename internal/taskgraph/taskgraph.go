@@ -97,7 +97,7 @@ type Node struct {
 	Prec  nn.Precision
 	Preds []int
 	DurUS float64
-	Label string
+	toDev int // CommNode: the consuming device (Label's "->" side)
 }
 
 // Graph is the mapped multi-task graph ready for scheduling.
@@ -106,6 +106,7 @@ type Graph struct {
 	Networks []*nn.Network
 	// taskNodes[t] lists the compute node IDs of task t.
 	taskNodes [][]int
+	platform  *hw.Platform // the profile DB's, for Label's device names
 }
 
 // Build converts the workload plus an assignment into a concrete graph
@@ -116,7 +117,7 @@ func Build(db *perf.ProfileDB, m *perf.Model, asg *Assignment) (*Graph, error) {
 	if err := asg.Validate(nets, platform); err != nil {
 		return nil, err
 	}
-	g := &Graph{Networks: nets, taskNodes: make([][]int, len(nets))}
+	g := &Graph{Networks: nets, taskNodes: make([][]int, len(nets)), platform: platform}
 	// computeID[t][l] = node ID of the layer's compute node.
 	computeID := make([][]int, len(nets))
 	add := func(n *Node) int {
@@ -126,7 +127,7 @@ func Build(db *perf.ProfileDB, m *perf.Model, asg *Assignment) (*Graph, error) {
 	}
 	for t, net := range nets {
 		computeID[t] = make([]int, len(net.Layers))
-		for l, layer := range net.Layers {
+		for l := range net.Layers {
 			ref := perf.LayerRef{Task: t, Layer: l}
 			dev := asg.Device[t][l]
 			prec := asg.Prec[t][l]
@@ -135,10 +136,7 @@ func Build(db *perf.ProfileDB, m *perf.Model, asg *Assignment) (*Graph, error) {
 				return nil, fmt.Errorf("taskgraph: no profile for task %d layer %d on device %d at %v",
 					t, l, dev, prec)
 			}
-			node := &Node{
-				Kind: ComputeNode, Ref: ref, Dev: dev, Prec: prec, DurUS: dur,
-				Label: fmt.Sprintf("%s/%s@%s", net.Name, layer.Name, platform.Devices[dev].Name),
-			}
+			node := &Node{Kind: ComputeNode, Ref: ref, Dev: dev, Prec: prec, DurUS: dur}
 			id := add(node)
 			computeID[t][l] = id
 			g.taskNodes[t] = append(g.taskNodes[t], id)
@@ -157,7 +155,7 @@ func Build(db *perf.ProfileDB, m *perf.Model, asg *Assignment) (*Graph, error) {
 					Dev:  -1, Prec: prodPrec,
 					DurUS: m.CommUS(net.Layers[p], platform.Devices[prodDev], platform.Devices[dev], prodPrec),
 					Preds: []int{computeID[t][p]},
-					Label: fmt.Sprintf("%s/%s->%s", net.Name, net.Layers[p].Name, platform.Devices[dev].Name),
+					toDev: dev,
 				}
 				cid := add(comm)
 				node.Preds = append(node.Preds, cid)
@@ -165,6 +163,20 @@ func Build(db *perf.ProfileDB, m *perf.Model, asg *Assignment) (*Graph, error) {
 		}
 	}
 	return g, nil
+}
+
+// Label names node id for timelines: "net/layer@device" for a compute
+// node, "net/layer->device" for the transfer of a layer's output to
+// its consumer's device. It is formatted on demand — Build runs once
+// per NMP candidate and the search never reads a label.
+func (g *Graph) Label(id int) string {
+	n := g.Nodes[id]
+	net := g.Networks[n.Ref.Task]
+	layer := net.Layers[n.Ref.Layer].Name
+	if n.Kind == CommNode {
+		return fmt.Sprintf("%s/%s->%s", net.Name, layer, g.platform.Devices[n.toDev].Name)
+	}
+	return fmt.Sprintf("%s/%s@%s", net.Name, layer, g.platform.Devices[n.Dev].Name)
 }
 
 // Schedule is the result of list-scheduling a graph.
@@ -242,7 +254,8 @@ func (g *Graph) Run(platform *hw.Platform) (*Schedule, error) {
 			umBusy = end
 			s.CommBusyUS += node.DurUS
 		} else {
-			start, end = engine.Submit(platform.Devices[node.Dev], readyAt[best], node.DurUS, node.Label)
+			// The engine is non-recording, so the tag would go unread.
+			start, end = engine.Submit(platform.Devices[node.Dev], readyAt[best], node.DurUS, "")
 		}
 		s.NodeStart[best], s.NodeEnd[best] = start, end
 		scheduled++

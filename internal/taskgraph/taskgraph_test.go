@@ -123,6 +123,18 @@ func TestCrossDeviceEdgesInsertCommNodes(t *testing.T) {
 	if s.CommBusyUS <= 0 {
 		t.Fatal("comm time not accounted")
 	}
+	// Labels are formatted on demand: "net/layer@device" for compute,
+	// "net/producer->consumer's device" for the transfer.
+	p := db.Platform()
+	for _, n := range g.Nodes {
+		want := nets[0].Name + "/" + nets[0].Layers[5].Name + "->" + p.Devices[2].Name
+		if n.Kind == ComputeNode {
+			want = nets[0].Name + "/" + nets[0].Layers[n.Ref.Layer].Name + "@" + p.Devices[n.Dev].Name
+		}
+		if got := g.Label(n.ID); got != want {
+			t.Fatalf("node %d label %q, want %q", n.ID, got, want)
+		}
+	}
 }
 
 func TestDependenciesRespected(t *testing.T) {
