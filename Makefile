@@ -13,7 +13,7 @@ FUZZ_TARGETS := \
 	./internal/serve:FuzzDecodeJournalEntry
 FUZZTIME ?= 10s
 
-.PHONY: build test race lint bench bench-e2e bench-json bench-smoke serve cluster scenarios fuzz cover clean
+.PHONY: build test race lint bench bench-e2e bench-smoke serve cluster scenarios fuzz cover clean
 
 build:
 	@mkdir -p $(BIN)
@@ -45,19 +45,8 @@ bench:
 bench-e2e:
 	bash bench/run.sh
 
-# Serialized-vs-batched serving comparison: emits BENCH_serve.json
-# (virtual throughput, p50/p99, batch occupancy), BENCH_obs.json
-# (tracing overhead) and BENCH_par.json (serial-vs-tiled kernel
-# scaling, rulebook-cache hit rates, parallel byte-identity) — the
-# perf-trajectory artifacts CI uploads on every run.
-bench-json:
-	BENCH_JSON=$(abspath BENCH_serve.json) $(GO) test -run '^TestServeBenchJSON$$' -count=1 ./internal/serve
-	BENCH_OBS_JSON=$(abspath BENCH_obs.json) $(GO) test -run '^TestObsBenchJSON$$' -count=1 ./internal/serve
-	BENCH_PAR_JSON=$(abspath BENCH_par.json) $(GO) test -run '^TestParBenchJSON$$' -count=1 -timeout 30m ./internal/harness
-
 # Allocation gate: every hot-path stage (converter, DSFA merge, kernels, rulebook)
-# and the whole serving cycle, serial and parallel, must allocate
-# nothing per call once warm.
+# and the whole serving cycle must allocate nothing per call once warm.
 bench-smoke:
 	$(GO) test -run '^TestAllocSmoke$$|^TestAllocRegression' -count=1 -v ./internal/serve
 

@@ -3,7 +3,7 @@
 // Usage:
 //
 //	evbench [-run all|table1,fig8,...] [-quick] [-seed N] [-dur us]
-//	        [-parallel N] [-cpu-list 1,2,4,8] [-list]
+//	        [-cpu-list 1,2,4,8] [-list]
 //
 // Each experiment prints an aligned text table plus the paper's
 // reference band, so the output can be compared against the paper (and
@@ -38,8 +38,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		dur    = fs.Int64("dur", 2_000_000, "simulated stream duration in microseconds")
 		list   = fs.Bool("list", false, "list experiment IDs and exit")
 
-		parallel = fs.Int("parallel", 0, "kernel worker-pool width for the parallel-path experiments (0 = default)")
-		cpuList  = fs.String("cpu-list", "", "comma-separated core counts the 'par' experiment sweeps (default 1,2,4,8)")
+		cpuList = fs.String("cpu-list", "", "comma-separated core counts the 'par' experiment sweeps (default 1,2,4,8)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -61,7 +60,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	cfg.Seed = *seed
 	cfg.DurUS = *dur
-	cfg.Parallel = *parallel
 	if *cpuList != "" {
 		cpus, err := parseCPUList(*cpuList)
 		if err != nil {

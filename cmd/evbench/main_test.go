@@ -20,7 +20,6 @@ func TestRunFlagErrors(t *testing.T) {
 		{"unknown experiment", []string{"-run", "fig99"}, 1, "fig99"},
 		{"bad cpu-list entry", []string{"-cpu-list", "1,two,4"}, 1, `bad -cpu-list entry "two"`},
 		{"zero cpu-list entry", []string{"-cpu-list", "4,0"}, 1, "core counts must be >= 1"},
-		{"bad parallel syntax", []string{"-parallel", "x"}, 2, "invalid value"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

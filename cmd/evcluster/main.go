@@ -11,8 +11,7 @@
 //	evcluster [-addr :7734] [-nodes xavier:4,orin:4]
 //	          [-policy least-loaded|hash] [-probe 1s]
 //	          [-workers 4] [-queue 64] [-drop drop-oldest]
-//	          [-mapper rr|nmp] [-parallel 0]
-//	          [-batch-max 8] [-batch-window 0]
+//	          [-mapper rr|nmp] [-batch-max 8] [-batch-window 0]
 //	          [-adapt] [-rebalance-gap 0.25] [-rebalance-queue 8]
 //	          [-rebalance-cooldown 5s] [-journal]
 //
@@ -71,7 +70,6 @@ func run(args []string, stderr io.Writer) int {
 		queue    = fs.Int("queue", 64, "default per-session ingest queue capacity (frames)")
 		drop     = fs.String("drop", "drop-oldest", "default queue shed policy: drop-oldest or drop-newest")
 		mapper   = fs.String("mapper", "rr", "per-node session placement: rr (round-robin) or nmp (evolutionary search)")
-		parallel = fs.Int("parallel", 0, "per-node kernel worker-pool width for tiled sparse kernels and the rulebook cache (<= 1 = serial)")
 		batchMax = fs.Int("batch-max", 8, "max compatible invocations coalesced per micro-batch on each node (1 = serialized)")
 		batchWin = fs.Duration("batch-window", 0, "how long a node's dispatcher holds work open for more compatible arrivals")
 		adapt    = fs.Bool("adapt", false, "enable each node's online control plane (DSFA retuning; NMP remaps under -mapper nmp)")
@@ -102,7 +100,6 @@ func run(args []string, stderr io.Writer) int {
 	node.Workers = *workers
 	node.QueueCap = *queue
 	node.Mapper = evedge.MapperPolicy(*mapper)
-	node.Parallel = *parallel
 	if *batchMax < 1 {
 		fmt.Fprintf(stderr, "evcluster: -batch-max must be >= 1, got %d\n", *batchMax)
 		return 1

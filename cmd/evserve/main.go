@@ -7,7 +7,7 @@
 //
 //	evserve [-addr :7733] [-platform xavier|orin] [-workers 4]
 //	        [-queue 64] [-drop drop-oldest] [-mapper rr|nmp]
-//	        [-parallel 0] [-batch-max 8] [-batch-window 0]
+//	        [-batch-max 8] [-batch-window 0]
 //	        [-adapt] [-adapt-interval 50ms] [-remap-cooldown 250ms]
 //	        [-journal]
 //
@@ -68,7 +68,6 @@ func run(args []string, stderr io.Writer) int {
 		queue    = fs.Int("queue", 64, "default per-session ingest queue capacity (frames)")
 		drop     = fs.String("drop", "drop-oldest", "default queue shed policy: drop-oldest or drop-newest")
 		mapper   = fs.String("mapper", "rr", "session placement policy: rr (round-robin) or nmp (evolutionary search)")
-		parallel = fs.Int("parallel", 0, "kernel worker-pool width for tiled sparse kernels and the rulebook cache (<= 1 = serial)")
 		batchMax = fs.Int("batch-max", 8, "max compatible invocations coalesced per micro-batch (1 = serialized)")
 		batchWin = fs.Duration("batch-window", 0, "how long a dispatcher holds work open for more compatible arrivals")
 		adapt    = fs.Bool("adapt", false, "enable the online control plane (DSFA retuning; NMP remaps under -mapper nmp)")
@@ -94,7 +93,6 @@ func run(args []string, stderr io.Writer) int {
 	cfg.Workers = *workers
 	cfg.QueueCap = *queue
 	cfg.Mapper = evedge.MapperPolicy(*mapper)
-	cfg.Parallel = *parallel
 	if *batchMax < 1 {
 		fmt.Fprintf(stderr, "evserve: -batch-max must be >= 1, got %d\n", *batchMax)
 		return 1
@@ -152,8 +150,8 @@ func run(args []string, stderr io.Writer) int {
 		srv.Close()
 	}()
 
-	log.Printf("evserve: listening on %s (platform=%s, workers=%d, queue=%d, mapper=%s, batch-max=%d, parallel=%d, adapt=%v)",
-		*addr, cfg.Platform.Name, cfg.Workers, cfg.QueueCap, cfg.Mapper, cfg.BatchMax, cfg.Parallel, *adapt)
+	log.Printf("evserve: listening on %s (platform=%s, workers=%d, queue=%d, mapper=%s, batch-max=%d, adapt=%v)",
+		*addr, cfg.Platform.Name, cfg.Workers, cfg.QueueCap, cfg.Mapper, cfg.BatchMax, *adapt)
 	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(stderr, "evserve:", err)
 		return 1

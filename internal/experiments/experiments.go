@@ -26,9 +26,6 @@ type Config struct {
 	// Quick shrinks search budgets (for tests); the full runs use the
 	// paper-scale defaults.
 	Quick bool
-	// Parallel sets the kernel worker-pool width for the experiments
-	// that exercise the host-parallel path (<= 1 keeps their default).
-	Parallel int
 	// CPUList is the core counts the "par" experiment sweeps (empty
 	// uses 1,2,4,8).
 	CPUList []int

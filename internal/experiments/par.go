@@ -6,17 +6,16 @@ import (
 	"runtime"
 	"time"
 
-	"evedge/internal/harness"
 	"evedge/internal/nn"
 	"evedge/internal/par"
 	"evedge/internal/sparse"
 )
 
 // The par/rulebook experiments are repo-native (no counterpart in the
-// paper): they characterize the host-side parallel kernel path and the
-// temporal-coherence rulebook cache. Virtual-time results are
-// byte-identical with and without them — these tables are about wall
-// clock and cache behaviour, not about the simulated accelerators.
+// paper): they characterize the tiled kernel library and the
+// temporal-coherence rulebook cache directly. Nothing in the serving
+// path runs either — these tables are about wall clock and cache
+// behaviour, not about the simulated accelerators.
 
 // measureNs times fn (which must already include any per-op loop) by
 // repeating it until ~40ms of wall clock accumulates.
@@ -162,10 +161,7 @@ func Par(cfg Config) (*Result, error) {
 
 // Rulebook regenerates the temporal-coherence table: rulebook-cache
 // hit rates over real scene streams (coherent tracker vs fast
-// ego-motion) and over the harness's uniform-random scenario traffic
-// (the adversarial worst case — spatially uncorrelated events make
-// every frame look like a scene cut, and the cache degrades to a
-// rebuild per frame without ever corrupting results).
+// ego-motion), observed on their E2SF frames directly.
 func Rulebook(cfg Config) (*Result, error) {
 	res := &Result{
 		ID:     "rulebook",
@@ -197,28 +193,5 @@ func Rulebook(cfg Config) (*Result, error) {
 			fmt.Sprintf("%.3f", st.HitRate()),
 			fmt.Sprintf("%d", st.SitesCarried), fmt.Sprintf("%d", saved))
 	}
-	parallel := cfg.Parallel
-	if parallel <= 1 {
-		parallel = 8
-	}
-	for _, name := range []string{"steady", "dynamics-flip"} {
-		sc, err := harness.Get(name)
-		if err != nil {
-			return nil, err
-		}
-		sc.Parallel = parallel
-		run, err := harness.Run(sc, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		rb := run.Rulebook
-		res.addRow("scenario/"+name,
-			fmt.Sprintf("%d", rb.Frames), fmt.Sprintf("%d", rb.Hits), fmt.Sprintf("%d", rb.Misses),
-			fmt.Sprintf("%.3f", rb.HitRate()),
-			fmt.Sprintf("%d", rb.SitesCarried), fmt.Sprintf("%d", rb.SavedScanElems))
-	}
-	res.Notes = append(res.Notes,
-		"scene rows observe E2SF frame streams directly; scenario rows run the fleet harness with Script.Parallel="+fmt.Sprint(parallel),
-		"scenario traffic is uniform-random synthetic events: zero spatial coherence by construction, the cache's worst case")
 	return res, nil
 }

@@ -52,8 +52,8 @@ func TestRulebookQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4 (2 scene + 2 scenario)", len(res.Rows))
+	if len(res.Rows) != 2 {
+		t.Fatalf("rows = %d, want 2 (one per scene)", len(res.Rows))
 	}
 	for _, row := range res.Rows {
 		frames, err := strconv.ParseUint(row[1], 10, 64)

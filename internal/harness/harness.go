@@ -238,7 +238,6 @@ func RunTraced(sc Script, seed int64, traceW io.Writer) (*Result, error) {
 		nodeCfg.Trace = obs.Config{Enabled: true, Node: "server"}
 	}
 	nodeCfg.Journal = sc.Journal
-	nodeCfg.Parallel = sc.Parallel
 	if sc.Nodes == "" {
 		srv, err := serve.New(nodeCfg)
 		if err != nil {
@@ -386,7 +385,6 @@ func (r *runner) depart(n int) error {
 		if err != nil {
 			return fmt.Errorf("harness: closing session %s: %w", hs.id, err)
 		}
-		r.res.Rulebook.add(snap.Rulebook)
 		r.res.Sessions = append(r.res.Sessions, SessionFinal{
 			ID:              snap.ID,
 			Network:         snap.Network,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -61,16 +62,7 @@ func TestScenarioDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(ja, jb) {
-				i := 0
-				for i < len(ja) && i < len(jb) && ja[i] == jb[i] {
-					i++
-				}
-				lo := i - 80
-				if lo < 0 {
-					lo = 0
-				}
-				t.Fatalf("same seed, different timelines; first divergence at byte %d:\n...%s\nvs\n...%s",
-					i, ja[lo:min(i+80, len(ja))], jb[lo:min(i+80, len(jb))])
+				t.Fatalf("same seed, different timelines; %s", firstDivergence(ja, jb))
 			}
 			c, err := RunScenario(name, 43)
 			if err != nil {
@@ -83,50 +75,65 @@ func TestScenarioDeterminism(t *testing.T) {
 	}
 }
 
-// TestScenarioParallelByteIdentical replays scenarios with the kernel
-// worker pool enabled and requires the timeline to be byte-identical
-// to the serial run: tiled kernels are bit-identical to their serial
-// counterparts and rulebook upkeep never touches virtual time, so
-// parallelism may only change host wall-clock, never the result.
+// TestScenarioParallelByteIdentical runs the same (scenario, seed)
+// from four goroutines at once and requires every timeline to be
+// byte-identical to a serial run: accumulation grids, EVAR blocks and
+// chunk streams come from process-wide pools, so a run is hermetic
+// only as long as nothing it computes from survives in a recycled
+// buffer.
 func TestScenarioParallelByteIdentical(t *testing.T) {
 	for _, name := range []string{"steady", "dynamics-flip"} {
 		t.Run(name, func(t *testing.T) {
-			serial, err := Get(name)
+			sc, err := Get(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tiled := serial
-			tiled.Parallel = 8
-			a, err := Run(serial, 42)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := Run(tiled, 42)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ja, err := a.Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			jb, err := b.Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(ja, jb) {
-				i := 0
-				for i < len(ja) && i < len(jb) && ja[i] == jb[i] {
-					i++
+			encode := func() ([]byte, error) {
+				res, err := Run(sc, 42)
+				if err != nil {
+					return nil, err
 				}
-				lo := i - 80
-				if lo < 0 {
-					lo = 0
+				return res.Encode()
+			}
+			want, err := encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var (
+				wg   sync.WaitGroup
+				got  [4][]byte
+				errs [4]error
+			)
+			for i := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[i], errs[i] = encode()
+				}()
+			}
+			wg.Wait()
+			for i := range got {
+				if errs[i] != nil {
+					t.Fatalf("concurrent run %d: %v", i, errs[i])
 				}
-				t.Fatalf("parallel run diverged from serial; first divergence at byte %d:\n...%s\nvs\n...%s",
-					i, ja[lo:min(i+80, len(ja))], jb[lo:min(i+80, len(jb))])
+				if !bytes.Equal(want, got[i]) {
+					t.Fatalf("concurrent run %d diverged from the serial run; %s", i, firstDivergence(want, got[i]))
+				}
 			}
 		})
 	}
+}
+
+// firstDivergence renders the neighbourhood of the first byte at which
+// two encoded timelines differ.
+func firstDivergence(ja, jb []byte) string {
+	i := 0
+	for i < len(ja) && i < len(jb) && ja[i] == jb[i] {
+		i++
+	}
+	lo := max(i-80, 0)
+	return fmt.Sprintf("first divergence at byte %d:\n...%s\nvs\n...%s",
+		i, ja[lo:min(i+80, len(ja))], jb[lo:min(i+80, len(jb))])
 }
 
 // TestScriptValidate covers the script compiler's error paths.

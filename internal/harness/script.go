@@ -143,12 +143,6 @@ type Script struct {
 	// dead node's sessions by replaying the journal instead of shedding
 	// their queued frames.
 	Journal bool `json:"journal,omitempty"`
-	// Parallel sets every node's kernel worker-pool width (> 1 enables
-	// the tiled kernels and the per-session rulebook cache). Tiled
-	// kernels are bit-identical to serial ones and rulebook upkeep
-	// never touches virtual time, so the timeline is byte-identical to
-	// a serial run — asserted by the harness tests.
-	Parallel int `json:"parallel,omitempty"`
 	// RebalanceGap > 0 enables load-driven session migration between
 	// nodes (cluster only), gated by RebalanceCooldownUS of virtual
 	// time.

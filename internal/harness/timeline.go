@@ -134,40 +134,6 @@ type Result struct {
 	// across nodes), present only when the script enables Trace. A
 	// slice of structs, not a map, so Encode stays byte-deterministic.
 	Stages []obs.StageSummary `json:"stages,omitempty"`
-	// Rulebook rolls up the per-session rulebook-cache traffic across
-	// every departed session (all zero unless the script sets
-	// Parallel > 1). Deliberately excluded from Encode: the cache is
-	// host-side observability, and keeping it out of the timeline is
-	// what lets parallel runs be byte-compared against serial ones.
-	Rulebook RulebookAgg `json:"-"`
-}
-
-// RulebookAgg is the fleet-wide rulebook-cache roll-up.
-type RulebookAgg struct {
-	Frames, Hits, Misses   uint64
-	SitesCarried, SitesNew uint64
-	SavedScanElems         uint64
-}
-
-// HitRate returns Hits/Frames (0 before any observation).
-func (a RulebookAgg) HitRate() float64 {
-	if a.Frames == 0 {
-		return 0
-	}
-	return float64(a.Hits) / float64(a.Frames)
-}
-
-// add folds one session's final rulebook snapshot into the roll-up.
-func (a *RulebookAgg) add(rb *serve.RulebookSnapshot) {
-	if rb == nil {
-		return
-	}
-	a.Frames += rb.Frames
-	a.Hits += rb.Hits
-	a.Misses += rb.Misses
-	a.SitesCarried += rb.SitesCarried
-	a.SitesNew += rb.SitesNew
-	a.SavedScanElems += rb.SavedScanElems
 }
 
 // Encode renders the result as deterministic, indented JSON. Only

@@ -57,40 +57,7 @@ type Engine struct {
 	// writes it, Submit reads it, so `go test -race` flags a concurrent
 	// Reset/Submit pair as a data race at the exact misuse site.
 	resetTick int64
-
-	// aux holds the out-of-band cost counters (see AuxCounter). They
-	// record real host-side work — parallel kernel dispatches, rulebook
-	// cache traffic — without ever entering the virtual-time accounting
-	// above, so enabling parallelism cannot perturb a replay.
-	aux [auxCount]atomic.Uint64
 }
-
-// AuxCounter names one out-of-band cost counter on the engine: host
-// work that is worth observing (benchmarks, Prom metrics) but must not
-// influence virtual time.
-type AuxCounter int
-
-// Aux counters.
-const (
-	// AuxParallelDispatches counts sharded kernel dispatches run on the
-	// node's worker pool.
-	AuxParallelDispatches AuxCounter = iota
-	// AuxRulebookHits / AuxRulebookMisses count rulebook cache traffic
-	// across all sessions.
-	AuxRulebookHits
-	AuxRulebookMisses
-	// AuxRulebookSavedScans counts dense activity-scan elements avoided
-	// by reusing cached rulebooks.
-	AuxRulebookSavedScans
-	auxCount
-)
-
-// AddAux adds n to an aux cost counter. Safe for concurrent use and
-// deliberately decoupled from Submit: aux costs never move busyUntil.
-func (e *Engine) AddAux(c AuxCounter, n uint64) { e.aux[c].Add(n) }
-
-// Aux reads an aux cost counter.
-func (e *Engine) Aux(c AuxCounter) uint64 { return e.aux[c].Load() }
 
 // NewEngine returns an idle engine over the platform. If record is
 // true every span is kept for timeline inspection (power traces,
@@ -287,9 +254,6 @@ func (e *Engine) Reset() {
 	e.umMu.Lock()
 	e.umBusy = 0
 	e.umMu.Unlock()
-	for i := range e.aux {
-		e.aux[i].Store(0)
-	}
 }
 
 // PowerSample is one instant of a synthetic Tegrastats trace.

@@ -79,38 +79,12 @@ func TestEngineResetClearsEverything(t *testing.T) {
 	gpu := p.GPUDevice()
 	e.Submit(gpu, 0, 10, "warm")
 	e.ReserveUM(0, 5)
-	e.AddAux(AuxParallelDispatches, 3)
-	e.AddAux(AuxRulebookHits, 2)
 	e.Reset()
 	if e.Makespan() != 0 || e.BusyTime(gpu) != 0 || e.UMBusyUntil() != 0 {
 		t.Fatalf("Reset left state: makespan=%f busy=%f um=%f", e.Makespan(), e.BusyTime(gpu), e.UMBusyUntil())
 	}
 	if spans := e.Timeline(); len(spans) != 0 {
 		t.Fatalf("Reset left %d spans", len(spans))
-	}
-	if e.Aux(AuxParallelDispatches) != 0 || e.Aux(AuxRulebookHits) != 0 {
-		t.Fatal("Reset left aux counters")
-	}
-}
-
-// TestEngineAuxCountersNeverTouchVirtualTime: aux cost hooks are
-// observability only — no amount of aux traffic may move a queue.
-func TestEngineAuxCountersNeverTouchVirtualTime(t *testing.T) {
-	p := Xavier()
-	e := NewEngine(p, false)
-	gpu := p.GPUDevice()
-	_, end := e.Submit(gpu, 0, 10, "work")
-	for i := 0; i < 1000; i++ {
-		e.AddAux(AuxParallelDispatches, 1)
-		e.AddAux(AuxRulebookMisses, 7)
-		e.AddAux(AuxRulebookSavedScans, 65536)
-	}
-	if e.BusyUntil(gpu) != end || e.Makespan() != end {
-		t.Fatalf("aux traffic moved virtual time: busy=%f makespan=%f want %f",
-			e.BusyUntil(gpu), e.Makespan(), end)
-	}
-	if e.Aux(AuxRulebookMisses) != 7000 {
-		t.Fatalf("aux miss counter = %d, want 7000", e.Aux(AuxRulebookMisses))
 	}
 }
 

@@ -1,11 +1,11 @@
 // Package mem is the serving hot path's memory-discipline layer:
 // free-list pools for the objects the steady-state frame path churns
 // through — sparse frames and the accumulation grids they are built
-// in, rulebook active sets, and (via the generic Pool) pipeline
-// invocation and scheduler request structs. Borrowed objects keep
-// their backing arrays across reuse, so after a short warm-up the
-// ingest→E2SF→DSFA→dispatch cycle runs at zero allocations per frame
-// (see serve's alloc-regression test).
+// in, and (via the generic Pool) pipeline invocation and scheduler
+// request structs. Borrowed objects keep their backing arrays across
+// reuse, so after a short warm-up the ingest→E2SF→DSFA→dispatch cycle
+// runs at zero allocations per frame (see serve's alloc-regression
+// test).
 //
 // Every pool carries a double-release tripwire: Put panics loudly when
 // handed an object that is already free. Use-after-release bugs in a
@@ -174,64 +174,6 @@ func (p *FramePool) AccumStats() PoolStats {
 	return p.accumStats
 }
 
-// ActiveSetPool free-lists rulebook active sets (see sparse.ActiveSet).
-// Get returns an empty set retargeted to the requested shape whose
-// site slices keep the capacity of their previous use; serve wires
-// Get/Put into RulebookCache's Borrow/Release hooks so steady-state
-// rulebook maintenance allocates nothing.
-type ActiveSetPool struct {
-	mu    sync.Mutex
-	free  []*sparse.ActiveSet
-	inSet map[*sparse.ActiveSet]struct{}
-	stats PoolStats
-}
-
-// NewActiveSetPool returns an empty pool.
-func NewActiveSetPool() *ActiveSetPool {
-	return &ActiveSetPool{inSet: map[*sparse.ActiveSet]struct{}{}}
-}
-
-// Get borrows an empty h x w active set for K x K windows.
-func (p *ActiveSetPool) Get(h, w, k int) *sparse.ActiveSet {
-	p.mu.Lock()
-	p.stats.Gets++
-	if n := len(p.free); n > 0 {
-		a := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		delete(p.inSet, a)
-		p.mu.Unlock()
-		a.Reset(h, w, k)
-		return a
-	}
-	p.stats.News++
-	p.mu.Unlock()
-	return sparse.NewActiveSet(h, w, k)
-}
-
-// Put returns an active set; double release panics.
-func (p *ActiveSetPool) Put(a *sparse.ActiveSet) {
-	if a == nil {
-		panic("mem: Put of nil active set")
-	}
-	p.mu.Lock()
-	if _, dup := p.inSet[a]; dup {
-		p.mu.Unlock()
-		panic("mem: double release of sparse.ActiveSet")
-	}
-	p.stats.Puts++
-	p.inSet[a] = struct{}{}
-	p.free = append(p.free, a)
-	p.mu.Unlock()
-}
-
-// Stats snapshots the counters.
-func (p *ActiveSetPool) Stats() PoolStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats
-}
-
 // Pool is a generic free list for consumer-defined structs (pipeline
 // invocations, scheduler requests, dispatch payloads). The reset hook
 // runs on every Get — including the allocating first one — so borrowed
@@ -300,35 +242,28 @@ func (p *Pool[T]) Stats() PoolStats {
 // frames flow ingest→DSFA→dispatch→release regardless of which session
 // produced them, so one free list per type maximizes reuse.
 type Arena struct {
-	Frames     *FramePool
-	ActiveSets *ActiveSetPool
+	Frames *FramePool
 }
 
 // NewArena returns an arena with empty pools.
 func NewArena() *Arena {
-	return &Arena{
-		Frames:     NewFramePool(),
-		ActiveSets: NewActiveSetPool(),
-	}
+	return &Arena{Frames: NewFramePool()}
 }
 
 // ArenaStats is the per-pool counter snapshot plus the total.
 type ArenaStats struct {
-	Frames     PoolStats `json:"frames"`
-	Accums     PoolStats `json:"accums"`
-	ActiveSets PoolStats `json:"active_sets"`
-	Total      PoolStats `json:"total"`
+	Frames PoolStats `json:"frames"`
+	Accums PoolStats `json:"accums"`
+	Total  PoolStats `json:"total"`
 }
 
 // Stats snapshots every pool.
 func (a *Arena) Stats() ArenaStats {
 	st := ArenaStats{
-		Frames:     a.Frames.Stats(),
-		Accums:     a.Frames.AccumStats(),
-		ActiveSets: a.ActiveSets.Stats(),
+		Frames: a.Frames.Stats(),
+		Accums: a.Frames.AccumStats(),
 	}
 	st.Total.add(st.Frames)
 	st.Total.add(st.Accums)
-	st.Total.add(st.ActiveSets)
 	return st
 }

@@ -178,10 +178,8 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	warm := func() {
 		f := a.Frames.Get(16, 16, 0, 100)
 		acc := a.Frames.GetAccum(16, 16)
-		as := a.ActiveSets.Get(16, 16, 3)
 		r := gp.Get()
 		gp.Put(r)
-		a.ActiveSets.Put(as)
 		a.Frames.PutAccum(acc)
 		a.Frames.Put(f)
 	}
@@ -195,45 +193,14 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 func TestArenaStatsTotal(t *testing.T) {
 	a := NewArena()
 	f := a.Frames.Get(2, 2, 0, 1)
-	as := a.ActiveSets.Get(2, 2, 3)
 	acc := a.Frames.GetAccum(2, 2)
 	a.Frames.Put(f)
-	a.ActiveSets.Put(as)
 	a.Frames.PutAccum(acc)
 	st := a.Stats()
-	if st.Total.Gets != 3 || st.Total.Puts != 3 || st.Total.News != 3 {
+	if st.Total.Gets != 2 || st.Total.Puts != 2 || st.Total.News != 2 {
 		t.Fatalf("total = %+v", st.Total)
 	}
-	if st.ActiveSets.Gets != 1 || st.Accums.Gets != 1 || st.Frames.Gets != 1 {
+	if st.Accums.Gets != 1 || st.Frames.Gets != 1 {
 		t.Fatalf("per-pool stats = %+v", st)
 	}
-}
-
-// TestActiveSetPoolReuse: a returned set comes back retargeted and
-// empty while keeping slice capacity; double release panics.
-func TestActiveSetPoolReuse(t *testing.T) {
-	p := NewActiveSetPool()
-	a := p.Get(8, 8, 3)
-	tn := sparse.NewTensor(1, 8, 8)
-	tn.Set(0, 3, 4, 1)
-	tn.Set(0, 5, 5, 1)
-	a.BuildFromTensor(tn, 3)
-	if a.Sites() != 2 {
-		t.Fatalf("built %d sites, want 2", a.Sites())
-	}
-	p.Put(a)
-	b := p.Get(4, 4, 5)
-	if b != a {
-		t.Fatal("pool allocated instead of reusing")
-	}
-	if b.Sites() != 0 || b.H != 4 || b.W != 4 || b.K != 5 {
-		t.Fatalf("reused set not reset: %d sites, %dx%d k=%d", b.Sites(), b.H, b.W, b.K)
-	}
-	p.Put(b)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double release did not panic")
-		}
-	}()
-	p.Put(b)
 }

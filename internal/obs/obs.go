@@ -119,9 +119,10 @@ const DefaultMaxTracks = 64
 // DefaultSampleEvery is the per-frame (queue/frame) span retention
 // rate when Config.SampleEvery is 0: keep 1-in-4. Per-frame spans are
 // the bulk of trace volume on a busy server, and thinning their ring
-// retention is what holds steady-state tracing overhead inside the
-// <5% budget (TestObsBenchJSON) while histograms still observe every
-// span. Full-fidelity traces are an explicit opt-in (SampleEvery: 1).
+// retention is what holds steady-state tracing overhead (bench/'s
+// obs.trace_overhead_pct) inside its <5% budget while histograms still
+// observe every span. Full-fidelity traces are an explicit opt-in
+// (SampleEvery: 1).
 const DefaultSampleEvery = 4
 
 // blockEvents sizes one ring block (~20 KB of Event storage): big

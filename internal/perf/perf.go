@@ -186,12 +186,3 @@ func producerDensity(net *nn.Network, i int) float64 {
 	}
 	return d
 }
-
-// InputDensityOrDefault picks the runtime event density if positive,
-// else 1 (fully dense).
-func InputDensityOrDefault(density float64) float64 {
-	if density > 0 {
-		return density
-	}
-	return 1
-}

@@ -36,26 +36,22 @@ func quickRun(t *testing.T, name string, lvl Level) *Report {
 	return rep
 }
 
-// TestPlanSlotCarriesExecutionState: Swap must carry FramingOps and
-// Parallel (execution state) into the new plan, and Equal must ignore
-// both so no-op remaps aren't counted.
+// TestPlanSlotCarriesExecutionState: Swap must carry FramingOps
+// (execution state) into the new plan, and Equal must ignore it so
+// no-op remaps aren't counted.
 func TestPlanSlotCarriesExecutionState(t *testing.T) {
 	a := &ExecPlan{Device: []int{0, 1}, Prec: []nn.Precision{nn.FP16, nn.FP16}}
 	s := NewPlanSlot(a)
 	s.SetFramingOps(77)
-	s.SetParallel(4)
 	b := &ExecPlan{Device: []int{1, 0}, Prec: []nn.Precision{nn.FP32, nn.FP16}}
 	s.Swap(b)
-	if got := s.Load(); got.FramingOps != 77 || got.Parallel != 4 {
-		t.Fatalf("swap dropped execution state: framing=%d parallel=%d", got.FramingOps, got.Parallel)
+	if got := s.Load(); got.FramingOps != 77 {
+		t.Fatalf("swap dropped execution state: framing=%d", got.FramingOps)
 	}
-	if s.Parallel() != 4 {
-		t.Fatalf("Parallel() = %d, want 4", s.Parallel())
-	}
-	x := &ExecPlan{Device: []int{0}, Prec: []nn.Precision{nn.FP16}, Parallel: 8, FramingOps: 1}
+	x := &ExecPlan{Device: []int{0}, Prec: []nn.Precision{nn.FP16}, FramingOps: 1}
 	y := &ExecPlan{Device: []int{0}, Prec: []nn.Precision{nn.FP16}}
 	if !x.Equal(y) {
-		t.Fatal("Equal must ignore Parallel and FramingOps")
+		t.Fatal("Equal must ignore FramingOps")
 	}
 }
 

@@ -26,18 +26,12 @@ type ExecPlan struct {
 	// FramingOps charges the baseline's dense event-frame construction
 	// (element stores per frame) to the first layer of every invocation.
 	FramingOps int64
-	// Parallel is the worker-pool width the numeric kernels may use
-	// (<= 1 means serial). Like FramingOps it is execution state, not a
-	// mapping decision: tiled kernels are bit-identical to serial ones,
-	// so the analytic pricing and the replay stream are unaffected.
-	Parallel int
 }
 
 // Equal reports whether two plans map every layer to the same device
-// and precision (framing overhead, the sparse flag, and the parallel
-// width excluded — they are representation/execution state, not
-// mapping decisions). The control plane uses it to skip counting
-// no-op plan installs as remaps.
+// and precision (framing overhead and the sparse flag excluded — they
+// are representation/execution state, not mapping decisions). The
+// control plane uses it to skip counting no-op plan installs as remaps.
 func (p *ExecPlan) Equal(o *ExecPlan) bool {
 	if p == nil || o == nil {
 		return p == o
@@ -98,13 +92,12 @@ func (s *PlanSlot) Load() *ExecPlan {
 	return s.plan
 }
 
-// Swap installs a new plan, carrying the framing overhead and
-// parallel width over from the old one, and counts the remap.
+// Swap installs a new plan, carrying the framing overhead over from
+// the old one, and counts the remap.
 func (s *PlanSlot) Swap(p *ExecPlan) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p.FramingOps = s.plan.FramingOps
-	p.Parallel = s.plan.Parallel
 	s.plan = p
 	s.swaps++
 }
@@ -129,21 +122,6 @@ func (s *PlanSlot) FramingOps() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.plan.FramingOps
-}
-
-// SetParallel records the kernel worker-pool width the serving layer
-// granted this session; it survives remaps like FramingOps does.
-func (s *PlanSlot) SetParallel(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.plan.Parallel = n
-}
-
-// Parallel reads the current worker-pool width.
-func (s *PlanSlot) Parallel() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.plan.Parallel
 }
 
 // PlanFromAssignment extracts task t's slice of a multi-task mapper
@@ -551,23 +529,15 @@ func ScheduleOnEngineObs(engine *hw.Engine, model *perf.Model, net *nn.Network, 
 	return last
 }
 
-// MergeInvocations coalesces several invocations of the same network
-// under the same plan into one micro-batched inference: the members'
-// frames ride one launch, the batch becomes ready when its newest
-// member is, and the per-raw-frame attribution is concatenated so each
-// submitter can still account its own latencies against the shared
-// completion time. The execution scheduler calls this when compatible
-// cross-session work lands inside one coalescing window.
-func MergeInvocations(invs []*Invocation) *Invocation {
-	if len(invs) == 1 {
-		return invs[0]
-	}
-	return MergeInvocationsInto(&Invocation{}, invs)
-}
-
-// MergeInvocationsInto is MergeInvocations writing into a caller-owned
-// (empty, typically pooled) invocation. Unlike MergeInvocations it
-// copies even a single member, so out never aliases an input.
+// MergeInvocationsInto coalesces several invocations of the same
+// network under the same plan into one micro-batched inference, written
+// into a caller-owned (empty, typically pooled) invocation: the
+// members' frames ride one launch, the batch becomes ready when its
+// newest member is, and the per-raw-frame attribution is concatenated
+// so each submitter can still account its own latencies against the
+// shared completion time. The execution scheduler calls this when
+// compatible cross-session work lands inside one coalescing window. A
+// single member is copied too, so out never aliases an input.
 func MergeInvocationsInto(out *Invocation, invs []*Invocation) *Invocation {
 	for _, inv := range invs {
 		out.Frames = append(out.Frames, inv.Frames...)

@@ -34,18 +34,8 @@ type allocHarness struct {
 
 func newAllocHarness(tb testing.TB) *allocHarness {
 	tb.Helper()
-	return newAllocHarnessParallel(tb, 0)
-}
-
-// newAllocHarnessParallel is newAllocHarness with the kernel worker
-// pool and per-session rulebook cache enabled, so the zero-alloc gate
-// also covers the parallel path's per-frame work (rulebook Observe,
-// ActiveSet pool traffic).
-func newAllocHarnessParallel(tb testing.TB, parallel int) *allocHarness {
-	tb.Helper()
 	cfg := DefaultConfig()
 	cfg.ManualDrain = true
-	cfg.Parallel = parallel
 	srv, err := New(cfg)
 	if err != nil {
 		tb.Fatalf("New: %v", err)
@@ -106,26 +96,6 @@ func TestAllocRegression(t *testing.T) {
 	}
 	if avg != 0 {
 		t.Fatalf("steady-state serve cycle allocates: got %.2f allocs/op, want 0", avg)
-	}
-}
-
-// TestAllocRegressionParallel is the same gate over a parallel server:
-// once the ActiveSet pool and the rulebook cache's double buffers reach
-// steady capacity, per-frame rulebook upkeep (coverage probe, delta
-// merge, saved-scan accounting) must be allocation-free too.
-func TestAllocRegressionParallel(t *testing.T) {
-	h := newAllocHarnessParallel(t, 4)
-	defer h.srv.Close()
-	for i := 0; i < 12; i++ {
-		h.cycle(t)
-	}
-	avg := testing.AllocsPerRun(50, func() { h.cycle(t) })
-	if raceEnabled {
-		t.Logf("race build: measured %.2f allocs/op (bound not enforced)", avg)
-		return
-	}
-	if avg != 0 {
-		t.Fatalf("steady-state parallel serve cycle allocates: got %.2f allocs/op, want 0", avg)
 	}
 }
 

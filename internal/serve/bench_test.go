@@ -1,14 +1,7 @@
 package serve
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"runtime"
-	"runtime/debug"
-	"sort"
 	"testing"
-	"time"
 
 	"evedge/internal/events"
 	"evedge/internal/nn"
@@ -22,10 +15,10 @@ import (
 // compatible invocations exist every drain round) streaming
 // deterministic synthetic event chunks through a ManualDrain server.
 type benchWorkload struct {
-	Sessions int    `json:"sessions"`
-	DurUS    int64  `json:"dur_us"`
-	ChunkUS  int64  `json:"chunk_us"`
-	Network  string `json:"network"`
+	Sessions int
+	DurUS    int64
+	ChunkUS  int64
+	Network  string
 }
 
 func defaultBenchWorkload() benchWorkload {
@@ -36,37 +29,27 @@ func defaultBenchWorkload() benchWorkload {
 // virtual throughput — raw frames completed per second of simulated
 // hardware time: micro-batching pays the per-launch overhead once per
 // batch and fills narrow kernels, so the same workload occupies the
-// accelerators for less virtual time. Wall time (the scheduling code
-// itself) rides along as a sanity column.
+// accelerators for less virtual time. Every field is deterministic;
+// host-time numbers for this path are bench/'s (pump.*, sched.*).
 type benchOutcome struct {
-	BatchMax    int     `json:"batch_max"`
-	WallSeconds float64 `json:"wall_seconds"`
-	// CPUSeconds is the execution path's process CPU time (see
-	// cpuSeconds): the preemption-immune base for overhead ratios.
-	CPUSeconds     float64 `json:"cpu_seconds"`
-	SessionsPerSec float64 `json:"sessions_per_sec"`
-	RawFramesDone  uint64  `json:"raw_frames_done"`
-	FramesPerSec   float64 `json:"frames_per_wall_sec"`
-	MakespanUS     float64 `json:"engine_makespan_us"`
-	VirtualFPS     float64 `json:"frames_per_virtual_sec"`
-	P50US          float64 `json:"sim_p50_us"`
-	P99US          float64 `json:"sim_p99_us"`
-	Occupancy      float64 `json:"batch_occupancy"`
-	Dispatches     uint64  `json:"dispatches"`
+	RawFramesDone uint64
+	MakespanUS    float64
+	VirtualFPS    float64
+	P99US         float64
+	Occupancy     float64
 }
 
-// runBenchWorkload streams the workload through a fresh server with
-// the given micro-batch cap and returns the outcome. ManualDrain keeps
-// it deterministic (and single-threaded, so wall time measures the
-// scheduling/pricing work itself, not goroutine luck).
+// runBenchWorkload streams the workload through a fresh ManualDrain
+// (deterministic, single-threaded) server with the given micro-batch
+// cap and returns the outcome.
 func runBenchWorkload(tb testing.TB, w benchWorkload, batchMax int) benchOutcome {
 	tb.Helper()
 	return runBenchWorkloadTraced(tb, w, batchMax, false)
 }
 
 // benchStreams generates the workload's per-session chunked event
-// streams once; rounds of the overhead guard replay the same streams,
-// because scene generation costs ~1000x the serving path it feeds.
+// streams; a test comparing two servers generates them once, because
+// scene generation costs ~1000x the serving path it feeds.
 func benchStreams(tb testing.TB, w benchWorkload) [][]*events.Stream {
 	tb.Helper()
 	net := nn.MustByName(w.Network)
@@ -86,8 +69,8 @@ func benchStreams(tb testing.TB, w benchWorkload) [][]*events.Stream {
 }
 
 // runBenchWorkloadTraced is runBenchWorkload with the frame-lifecycle
-// tracer optionally enabled — the two sides of the tracing-overhead
-// guard (TestObsBenchJSON) and the behavior-neutrality check.
+// tracer optionally enabled — the two sides of the behavior-neutrality
+// check (TestTraceBehaviorNeutral).
 func runBenchWorkloadTraced(tb testing.TB, w benchWorkload, batchMax int, trace bool) benchOutcome {
 	tb.Helper()
 	return runBenchStreams(tb, w, batchMax, trace, benchStreams(tb, w))
@@ -119,22 +102,7 @@ func runBenchStreams(tb testing.TB, w benchWorkload, batchMax int, trace bool, a
 		ids[i] = sess.ID
 	}
 
-	// Time only the execution path — queue drain, scheduling, dispatch,
-	// completion — not the E2SF event conversion in Ingest, which is
-	// identical on both sides of the comparison and would otherwise
-	// drown the dispatch cost it exists to measure.
-	// Ingest allocates heavily (E2SF conversion), so a collection cycle
-	// it provoked can land inside a timed Pump window by luck — on a
-	// single-core box the "concurrent" mark runs on the measured CPU.
-	// Start from a collected heap and hold GC off during each window
-	// (the debt is paid between windows, identically on both sides),
-	// so the wall times compare scheduling work, not GC placement —
-	// essential for the few-percent tracing-overhead ratio.
-	runtime.GC()
-	var execT time.Duration
-	var cpuT float64
-	rounds := len(all[0])
-	for r := 0; r < rounds; r++ {
+	for r := range all[0] {
 		for i, id := range ids {
 			if all[i][r].Len() == 0 {
 				continue
@@ -143,40 +111,19 @@ func runBenchStreams(tb testing.TB, w benchWorkload, batchMax int, trace bool, a
 				tb.Fatalf("Ingest: %v", err)
 			}
 		}
-		gcPct := debug.SetGCPercent(-1)
-		t0, c0 := time.Now(), cpuSeconds()
 		srv.Pump()
-		execT += time.Since(t0)
-		cpuT += cpuSeconds() - c0
-		debug.SetGCPercent(gcPct)
 	}
-	out := benchOutcome{BatchMax: batchMax}
-	gcPct := debug.SetGCPercent(-1)
-	t0, c0 := time.Now(), cpuSeconds()
+	var out benchOutcome
 	for _, id := range ids {
 		fin, err := srv.CloseSession(id)
 		if err != nil {
 			tb.Fatalf("CloseSession: %v", err)
 		}
 		out.RawFramesDone += fin.RawFramesDone
-		out.P50US += fin.Latency.P50US / float64(len(ids))
-		if fin.Latency.P99US > out.P99US {
-			out.P99US = fin.Latency.P99US
-		}
+		out.P99US = max(out.P99US, fin.Latency.P99US)
 	}
-	execT += time.Since(t0)
-	cpuT += cpuSeconds() - c0
-	debug.SetGCPercent(gcPct)
-	out.WallSeconds = execT.Seconds()
-	out.CPUSeconds = cpuT
 	out.MakespanUS = srv.engine.Makespan()
-	st := srv.SchedStats()
-	out.Occupancy = st.Occupancy()
-	out.Dispatches = st.Dispatches
-	if out.WallSeconds > 0 {
-		out.FramesPerSec = float64(out.RawFramesDone) / out.WallSeconds
-		out.SessionsPerSec = float64(w.Sessions) / out.WallSeconds
-	}
+	out.Occupancy = srv.SchedStats().Occupancy()
 	if out.MakespanUS > 0 {
 		out.VirtualFPS = float64(out.RawFramesDone) / (out.MakespanUS * 1e-6)
 	}
@@ -205,159 +152,29 @@ func BenchmarkMultiSessionBatched(b *testing.B) {
 	}
 }
 
-// serveBenchReport is the BENCH_serve.json schema: the perf trajectory
-// artifact `make bench-json` emits and CI uploads.
-type serveBenchReport struct {
-	Workload   benchWorkload `json:"workload"`
-	Serialized benchOutcome  `json:"serialized"`
-	Batched    benchOutcome  `json:"batched"`
-	// Speedup is the batched-over-serialized virtual-throughput ratio
-	// (equivalently, the makespan reduction for the same workload) —
-	// deterministic, unlike wall time.
-	Speedup float64 `json:"speedup"`
-}
-
-// TestServeBenchJSON runs the serialized-vs-batched comparison and
-// writes BENCH_serve.json to the path in the BENCH_JSON environment
-// variable (skipped when unset — `make bench-json` is the entry
-// point). Occupancy assertions are deterministic; the wall-clock
-// speedup is recorded, not asserted, so a noisy CI box cannot flake
-// the suite.
-func TestServeBenchJSON(t *testing.T) {
-	path := os.Getenv("BENCH_JSON")
-	if path == "" {
-		t.Skip("BENCH_JSON not set; run via `make bench-json`")
-	}
+// TestBatchedBeatsSerialized pins what micro-batching is for, on
+// deterministic quantities only: the serialized side dispatches every
+// invocation alone, the batched side coalesces, occupies the
+// accelerators for less virtual time and never completes less work.
+func TestBatchedBeatsSerialized(t *testing.T) {
 	w := defaultBenchWorkload()
-	rep := serveBenchReport{Workload: w}
-	rep.Serialized = runBenchWorkload(t, w, 1)
-	rep.Batched = runBenchWorkload(t, w, 8)
-	if rep.Serialized.VirtualFPS > 0 {
-		rep.Speedup = rep.Batched.VirtualFPS / rep.Serialized.VirtualFPS
+	all := benchStreams(t, w)
+	serialized := runBenchStreams(t, w, 1, false, all)
+	batched := runBenchStreams(t, w, 8, false, all)
+	if serialized.Occupancy != 1 {
+		t.Errorf("serialized occupancy %f, want exactly 1", serialized.Occupancy)
 	}
-	if rep.Speedup <= 1 {
-		t.Errorf("batched virtual throughput %.0f <= serialized %.0f (speedup %.3f): micro-batching must amortize launch overhead",
-			rep.Batched.VirtualFPS, rep.Serialized.VirtualFPS, rep.Speedup)
+	if batched.Occupancy <= 1 {
+		t.Errorf("batched occupancy %f, want > 1 (no coalescing happened)", batched.Occupancy)
 	}
-	if rep.Serialized.Occupancy != 1 {
-		t.Errorf("serialized occupancy %f, want exactly 1", rep.Serialized.Occupancy)
-	}
-	if rep.Batched.Occupancy <= 1 {
-		t.Errorf("batched occupancy %f, want > 1 (no coalescing happened)", rep.Batched.Occupancy)
+	if batched.VirtualFPS <= serialized.VirtualFPS {
+		t.Errorf("batched virtual throughput %.0f <= serialized %.0f: micro-batching must amortize launch overhead",
+			batched.VirtualFPS, serialized.VirtualFPS)
 	}
 	// Under saturation the serialized side backs up more and its DSFA
 	// queues shed more; batching must never complete *less* work.
-	if rep.Batched.RawFramesDone < rep.Serialized.RawFramesDone {
+	if batched.RawFramesDone < serialized.RawFramesDone {
 		t.Errorf("batched completed %d raw frames, serialized %d — batching must not lose work",
-			rep.Batched.RawFramesDone, rep.Serialized.RawFramesDone)
+			batched.RawFramesDone, serialized.RawFramesDone)
 	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fmt.Printf("bench-json: serialized %.0f vframes/s, batched %.0f vframes/s (%.2fx), p99 %.0f -> %.0f us, occupancy %.2f -> %s\n",
-		rep.Serialized.VirtualFPS, rep.Batched.VirtualFPS, rep.Speedup,
-		rep.Serialized.P99US, rep.Batched.P99US, rep.Batched.Occupancy, path)
-}
-
-// obsBenchReport is the BENCH_obs.json schema: the tracing-overhead
-// guard artifact `make bench-json` emits and CI uploads.
-type obsBenchReport struct {
-	Workload benchWorkload `json:"workload"`
-	// Rounds is the paired repetition count: each round runs the plain
-	// and traced sides back to back, so machine drift (thermal, cache,
-	// background load) hits both sides of a pair roughly equally.
-	Rounds int `json:"rounds"`
-	// Reps is how many full workload executions each round sums per
-	// side. One execution's timed section is only a few milliseconds
-	// of CPU — the same order as a single scheduler preemption — so a
-	// round's delta is meaningful only once several executions
-	// amortize that noise.
-	Reps int `json:"reps"`
-	// Plain/Traced carry each side's best-wall-time outcome (the
-	// virtual results are identical across rounds by determinism).
-	Plain  benchOutcome `json:"plain"`
-	Traced benchOutcome `json:"traced"`
-	// OverheadPct is the tracing CPU-time overhead in percent: the
-	// median over rounds of the paired per-round delta
-	// 100 * (traced - plain) / plain. The paired median is robust to
-	// the +-20% noise a shared CI box shows, where comparing each
-	// side's best-of-N would amplify it: the minimum of a noisy
-	// distribution is an extreme-value statistic, and the two sides'
-	// lucky extremes do not cancel.
-	OverheadPct float64 `json:"overhead_pct"`
-}
-
-// TestObsBenchJSON is the tracing-overhead guard: the same batched
-// workload with the frame-lifecycle tracer off and on must produce
-// identical virtual results (tracing is observation-only) and cost
-// less than 5% of wall time. Writes BENCH_obs.json to the path in the
-// BENCH_OBS_JSON environment variable (skipped when unset —
-// `make bench-json` is the entry point).
-func TestObsBenchJSON(t *testing.T) {
-	path := os.Getenv("BENCH_OBS_JSON")
-	if path == "" {
-		t.Skip("BENCH_OBS_JSON not set; run via `make bench-json`")
-	}
-	w := defaultBenchWorkload()
-	rep := obsBenchReport{Workload: w, Rounds: 21, Reps: 5}
-	all := benchStreams(t, w)
-	deltas := make([]float64, 0, rep.Rounds)
-	for i := 0; i < rep.Rounds; i++ {
-		var plainCPU, tracedCPU float64
-		for r := 0; r < rep.Reps; r++ {
-			// Alternate which side runs first so any cost of being
-			// second in a pair (pool warmth, heap shape) cancels.
-			var plain, traced benchOutcome
-			if (i+r)%2 == 0 {
-				plain = runBenchStreams(t, w, 8, false, all)
-				traced = runBenchStreams(t, w, 8, true, all)
-			} else {
-				traced = runBenchStreams(t, w, 8, true, all)
-				plain = runBenchStreams(t, w, 8, false, all)
-			}
-			plainCPU += plain.CPUSeconds
-			tracedCPU += traced.CPUSeconds
-			if (i == 0 && r == 0) || plain.WallSeconds < rep.Plain.WallSeconds {
-				rep.Plain = plain
-			}
-			if (i == 0 && r == 0) || traced.WallSeconds < rep.Traced.WallSeconds {
-				rep.Traced = traced
-			}
-		}
-		deltas = append(deltas, 100*(tracedCPU-plainCPU)/plainCPU)
-	}
-	sort.Float64s(deltas)
-	rep.OverheadPct = deltas[len(deltas)/2]
-
-	// Behavior neutrality: the virtual outcome must be bit-identical.
-	if rep.Traced.RawFramesDone != rep.Plain.RawFramesDone {
-		t.Errorf("tracing changed completed work: %d raw frames traced vs %d plain",
-			rep.Traced.RawFramesDone, rep.Plain.RawFramesDone)
-	}
-	if rep.Traced.MakespanUS != rep.Plain.MakespanUS {
-		t.Errorf("tracing changed the engine makespan: %.3f traced vs %.3f plain",
-			rep.Traced.MakespanUS, rep.Plain.MakespanUS)
-	}
-	if rep.Traced.P99US != rep.Plain.P99US {
-		t.Errorf("tracing changed p99 latency: %.3f traced vs %.3f plain",
-			rep.Traced.P99US, rep.Plain.P99US)
-	}
-	if rep.OverheadPct >= 5 {
-		t.Errorf("tracing overhead %.2f%% >= 5%% budget (paired median of %d rounds; best plain %.4fs, best traced %.4fs)",
-			rep.OverheadPct, rep.Rounds, rep.Plain.WallSeconds, rep.Traced.WallSeconds)
-	}
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fmt.Printf("bench-obs: plain %.4fs, traced %.4fs, overhead %.2f%% (paired median of %d) -> %s\n",
-		rep.Plain.WallSeconds, rep.Traced.WallSeconds, rep.OverheadPct, rep.Rounds, path)
 }

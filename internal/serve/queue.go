@@ -131,3 +131,57 @@ func (q *frameQueue) stats() (pushed, dropped uint64) {
 	defer q.mu.Unlock()
 	return q.pushed, q.dropped
 }
+
+// runQueue is the server's FIFO of sessions with work pending: ingest
+// and completion callbacks push, the workers — or Pump under
+// ManualDrain — pop. Session.scheduled admits a session at most once,
+// so the queue is a list linked through the sessions themselves: it
+// holds the whole session table if it must and a push never blocks,
+// which ManualDrain needs — nothing pops between two Pump calls.
+type runQueue struct {
+	mu         sync.Mutex
+	ready      sync.Cond // L is &mu; one Signal per push, Broadcast on close
+	head, tail *Session  // linked through Session.runNext
+	closed     bool
+}
+
+// push appends a session and wakes one waiting worker.
+func (q *runQueue) push(sess *Session) {
+	q.mu.Lock()
+	if q.tail == nil {
+		q.head = sess
+	} else {
+		q.tail.runNext = sess
+	}
+	q.tail = sess
+	q.mu.Unlock()
+	q.ready.Signal()
+}
+
+// pop removes the oldest session. With wait it blocks until one is
+// queued and returns nil once the queue is closed; without, nil means
+// empty.
+func (q *runQueue) pop(wait bool) *Session {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for wait && q.head == nil && !q.closed {
+		q.ready.Wait()
+	}
+	sess := q.head
+	if sess == nil || wait && q.closed {
+		return nil
+	}
+	q.head, sess.runNext = sess.runNext, nil
+	if q.head == nil {
+		q.tail = nil
+	}
+	return sess
+}
+
+// close releases every waiting worker; queued sessions stay in place.
+func (q *runQueue) close() {
+	q.mu.Lock()
+	q.closed = true
+	q.mu.Unlock()
+	q.ready.Broadcast()
+}

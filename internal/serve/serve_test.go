@@ -948,3 +948,44 @@ func TestHTTPIngestPooledChunk(t *testing.T) {
 		}
 	}
 }
+
+// TestManualDrainManySessionsNoDeadlock: under ManualDrain nothing pops
+// the run queue between two Pump calls, so it must hold every session
+// with pending work — more than any fixed bound — without blocking
+// Ingest (a bounded queue hangs this test until the suite timeout), and
+// the one Pump that follows drains them in the order they were
+// scheduled. Serialized dispatch (BatchMax 1) makes that order
+// observable as the order in which sessions see their results.
+func TestManualDrainManySessionsNoDeadlock(t *testing.T) {
+	var order []string
+	cfg := Config{ManualDrain: true, BatchMax: 1, Journal: true}
+	cfg.OnResult = func(id string, _ ResultEvent, _ uint64) {
+		if len(order) == 0 || order[len(order)-1] != id {
+			order = append(order, id)
+		}
+	}
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer srv.Close()
+	// Two events one DOTIE window apart: each chunk closes a window.
+	chunk := events.NewStream(32, 32)
+	chunk.Append(events.Event{X: 1, Y: 2, TS: 100, Pol: events.On})
+	chunk.Append(events.Event{X: 3, Y: 4, TS: 6_000, Pol: events.Off})
+	ids := make([]string, 1100)
+	for i := range ids {
+		sess, err := srv.CreateSession(SessionConfig{Network: nn.DOTIE, Level: 1})
+		if err != nil {
+			t.Fatalf("CreateSession %d: %v", i, err)
+		}
+		ids[i] = sess.ID
+		if res, err := srv.Ingest(sess.ID, chunk); err != nil || res.Frames == 0 {
+			t.Fatalf("Ingest %s: %d frames, err %v", sess.ID, res.Frames, err)
+		}
+	}
+	srv.Pump()
+	if !slices.Equal(order, ids) {
+		t.Fatalf("one Pump served %d sessions, want all %d in creation order (first %v...)", len(order), len(ids), order[:min(len(order), 5)])
+	}
+}

@@ -21,7 +21,6 @@ import (
 	"evedge/internal/nmp"
 	"evedge/internal/nn"
 	"evedge/internal/obs"
-	"evedge/internal/par"
 	"evedge/internal/perf"
 	"evedge/internal/pipeline"
 	"evedge/internal/quant"
@@ -102,15 +101,6 @@ type Config struct {
 	// lossless failover replay. Off by default — the steady-state frame
 	// path stays allocation-free and sessions carry a nil journal.
 	Journal bool
-	// Parallel enables the node's shared kernel worker pool and the
-	// per-session temporal-coherence rulebook cache: > 1 creates a
-	// par.Pool of that width, routes numeric kernels through the tiled
-	// (bit-identical) variants, and maintains one rulebook per session
-	// delta-revalidated frame to frame. 0 or 1 keeps everything serial
-	// — the default, and the byte-identical replay baseline (tiled
-	// kernels are bit-identical anyway; the knob only changes host
-	// wall-clock work, never virtual time).
-	Parallel int
 	// OnResult, when set alongside Journal, observes every journaled
 	// result right after it is appended: the session's local ID, the
 	// event (with its assigned sequence number) and the journal's
@@ -349,7 +339,7 @@ type Server struct {
 	// planner gates online remaps (nil when Adapt.Remap is off).
 	planner *control.RemapPlanner
 
-	runq    chan *Session
+	runq    runQueue
 	stopped chan struct{}
 	stop    sync.Once
 	wg      sync.WaitGroup
@@ -366,12 +356,6 @@ type Server struct {
 
 	// capacityMACs caches the platform's aggregate peak MAC rate.
 	capacityMACs float64
-
-	// kernels is the node's shared worker pool for tiled numeric
-	// kernels; nil when Config.Parallel <= 1 (the serial default).
-	// Sessions record its width in their plans (PlanSlot.SetParallel)
-	// and the rulebook caches borrow ActiveSet buffers from the arena.
-	kernels *par.Pool
 }
 
 // New validates cfg, starts the worker pool and returns the server.
@@ -414,13 +398,10 @@ func New(cfg Config) (*Server, error) {
 		arena:    mem.NewArena(),
 		invPool:  pipeline.NewInvocationPool(),
 		sessions: map[string]*Session{},
-		runq:     make(chan *Session, 1024),
 		stopped:  make(chan struct{}),
 		start:    time.Now(),
 	}
-	if cfg.Parallel > 1 {
-		s.kernels = par.New(cfg.Parallel)
-	}
+	s.runq.ready.L = &s.runq.mu
 	s.pendPool = mem.NewPool(func(p *pendingInv) {
 		p.sess = nil
 		p.req.Session = ""
@@ -505,20 +486,15 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // so its arena-owned frames stay frozen in their queues and are never
 // recycled across arenas by a concurrent failover.
 func (s *Server) Close() {
-	s.stop.Do(func() { close(s.stopped) })
+	s.stop.Do(func() {
+		close(s.stopped)
+		s.runq.close()
+	})
 	s.wg.Wait()
 	s.sched.Close()
 	// Recycle trace ring storage (export traces before Close).
 	s.tracer.Close()
-	// Stop the kernel worker pool last: in-flight dispatches finish
-	// first, and Run after Close degrades to inline execution.
-	s.kernels.Close()
 }
-
-// KernelPool returns the node's shared tiled-kernel worker pool (nil
-// when Config.Parallel <= 1). Benchmarks and the numeric runtime wire
-// it into nn.Runtime.SetParallel.
-func (s *Server) KernelPool() *par.Pool { return s.kernels }
 
 // stoppedNow reports whether Close has run.
 func (s *Server) stoppedNow() bool {
@@ -533,13 +509,8 @@ func (s *Server) stoppedNow() bool {
 // worker drains scheduled sessions until the server stops.
 func (s *Server) worker() {
 	defer s.wg.Done()
-	for {
-		select {
-		case <-s.stopped:
-			return
-		case sess := <-s.runq:
-			s.drainSession(sess)
-		}
+	for sess := s.runq.pop(true); sess != nil; sess = s.runq.pop(true) {
+		s.drainSession(sess)
 	}
 }
 
@@ -554,15 +525,9 @@ func (s *Server) worker() {
 func (s *Server) Pump() {
 	for {
 		worked := false
-	drainq:
-		for {
-			select {
-			case sess := <-s.runq:
-				s.drainSession(sess)
-				worked = true
-			default:
-				break drainq
-			}
+		for sess := s.runq.pop(false); sess != nil; sess = s.runq.pop(false) {
+			s.drainSession(sess)
+			worked = true
 		}
 		if s.sched.Pump() {
 			worked = true
@@ -575,12 +540,8 @@ func (s *Server) Pump() {
 
 // schedule puts the session on the run queue at most once.
 func (s *Server) schedule(sess *Session) {
-	if !sess.scheduled.CompareAndSwap(false, true) {
-		return
-	}
-	select {
-	case s.runq <- sess:
-	case <-s.stopped:
+	if sess.scheduled.CompareAndSwap(false, true) {
+		s.runq.push(sess)
 	}
 }
 
@@ -735,26 +696,6 @@ func (s *Server) execute(sess *Session, frames []*sparse.Frame, flush bool) {
 				t1 := float64(frames[i].T1)
 				return t1 + sess.epochUS, sess.clockUS - t1, 1
 			})
-	}
-	if sess.rulebook != nil && !sess.closed {
-		// Maintain the session's rulebook frame by frame: the active-site
-		// structure the submanifold layers share is delta-revalidated
-		// against the previous frame (hit) or rebuilt (miss). This is
-		// host-side work accounted on the engine's aux counters only —
-		// virtual time and the replay stream are untouched.
-		for _, f := range frames {
-			as, hit := sess.rulebook.Observe(f)
-			if hit {
-				s.engine.AddAux(hw.AuxRulebookHits, 1)
-			} else {
-				s.engine.AddAux(hw.AuxRulebookMisses, 1)
-			}
-			// Per eligible layer, the rulebook replaces a dense per-pixel
-			// activity rescan with the cached site list.
-			saved := uint64(sess.subLayers) * uint64(f.H*f.W-as.Sites())
-			sess.rbSaved += saved
-			s.engine.AddAux(hw.AuxRulebookSavedScans, saved)
-		}
 	}
 	for _, f := range frames {
 		sess.stepper.Push(f)
@@ -1112,16 +1053,6 @@ func (s *Server) CreateSession(cfg SessionConfig) (*Session, error) {
 	if s.cfg.Journal {
 		sess.journal = newJournal()
 	}
-	if s.kernels != nil {
-		// Record the kernel-pool width in the plan (execution state that
-		// survives remaps) and stand up the session's rulebook cache,
-		// buffer-backed by the shared arena.
-		sess.plan.SetParallel(s.kernels.Size())
-		sess.rulebook = sparse.NewRulebookCache(0, 0)
-		sess.rulebook.Borrow = s.arena.ActiveSets.Get
-		sess.rulebook.Release = s.arena.ActiveSets.Put
-		sess.subLayers = countSubmanifoldEligible(net)
-	}
 	s.sessMu.Lock()
 	s.sessions[id] = sess
 	s.order = append(s.order, id)
@@ -1137,20 +1068,6 @@ func (s *Server) CreateSession(cfg SessionConfig) (*Session, error) {
 		return nil, err
 	}
 	return sess, nil
-}
-
-// countSubmanifoldEligible counts the network's layers whose geometry
-// admits the rulebook-driven submanifold kernel (stride 1, odd K, same
-// padding) — the layers a cached ActiveSet saves a dense activity
-// rescan for on every frame.
-func countSubmanifoldEligible(net *nn.Network) int {
-	n := 0
-	for _, l := range net.Layers {
-		if l.Kind == nn.Conv && l.Stride == 1 && l.K%2 == 1 && l.Pad == l.K/2 {
-			n++
-		}
-	}
-	return n
 }
 
 // removeFromOrderLocked drops one ID from the active placement order.
@@ -1237,12 +1154,6 @@ func (s *Server) CloseSession(id string) (*SessionSnapshot, error) {
 			// Final results are journaled (sched.Wait above); mark the
 			// stream complete so SSE subscribers drain and finish.
 			sess.journal.close()
-		}
-		if sess.rulebook != nil {
-			// Hand the rulebook's ActiveSet buffers back to the arena.
-			// Late executes observe sess.closed under sess.mu and skip the
-			// cache, so nothing borrows after this.
-			sess.rulebook.Close()
 		}
 		if rerr := s.rebalance(); rerr != nil && err == nil {
 			err = rerr
@@ -1410,9 +1321,6 @@ func (s *Server) SchedStats() sched.Stats { return s.sched.Stats() }
 // executing. The cluster router drains a node before migrating its
 // sessions away.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
-
-// Draining reports whether the server is refusing new sessions.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Health returns the /healthz payload.
 func (s *Server) Health() Health {
@@ -1827,25 +1735,12 @@ func (s *Server) WriteMetrics(pw *PromWriter, ns, extraLabels string) {
 		name string
 		st   mem.PoolStats
 	}{
-		{"frames", ast.Frames}, {"accums", ast.Accums}, {"active_sets", ast.ActiveSets},
+		{"frames", ast.Frames}, {"accums", ast.Accums},
 		{"invocations", s.invPool.Stats()}, {"requests", s.pendPool.Stats()},
 	} {
 		pw.Counter(ns+"_pool_gets_total", "Objects borrowed from the arena pool.", lbls("pool", p.name), float64(p.st.Gets))
 		pw.Counter(ns+"_pool_misses_total", "Borrows that allocated because the free list was empty.", lbls("pool", p.name), float64(p.st.News))
 		pw.Gauge(ns+"_pool_live", "Objects currently borrowed from the pool.", lbls("pool", p.name), float64(p.st.Live()))
-	}
-
-	if s.kernels != nil {
-		// Parallel-path telemetry: pool dispatch traffic plus the
-		// engine's out-of-band rulebook counters. All host-side cost —
-		// none of it appears in virtual time.
-		disp, inline := s.kernels.Stats()
-		pw.Gauge(ns+"_kernel_pool_width", "Worker-pool width for tiled numeric kernels.", lbls(), float64(s.kernels.Size()))
-		pw.Counter(ns+"_kernel_dispatches_total", "Sharded kernel dispatches run on the worker pool.", lbls(), float64(disp))
-		pw.Counter(ns+"_kernel_inline_runs_total", "Kernel runs that executed inline on the caller.", lbls(), float64(inline))
-		pw.Counter(ns+"_rulebook_hits_total", "Rulebook cache delta-revalidations across all sessions.", lbls(), float64(s.engine.Aux(hw.AuxRulebookHits)))
-		pw.Counter(ns+"_rulebook_misses_total", "Rulebook cache full rebuilds across all sessions.", lbls(), float64(s.engine.Aux(hw.AuxRulebookMisses)))
-		pw.Counter(ns+"_rulebook_saved_scan_elems_total", "Dense activity-scan elements avoided via cached rulebooks.", lbls(), float64(s.engine.Aux(hw.AuxRulebookSavedScans)))
 	}
 
 	if s.tracer != nil {

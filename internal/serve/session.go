@@ -104,23 +104,6 @@ type SessionSnapshot struct {
 	// Migrations counts cluster-initiated moves to another node (set by
 	// the fleet router, like Node and the failover fields).
 	Migrations int `json:"migrations,omitempty"`
-	// Rulebook reports the temporal-coherence rulebook cache's traffic
-	// (nil when the node runs without Config.Parallel).
-	Rulebook *RulebookSnapshot `json:"rulebook,omitempty"`
-}
-
-// RulebookSnapshot is the session's rulebook-cache traffic: how often
-// the previous frame's active-site structure was delta-revalidated
-// instead of rebuilt, and how many dense activity-scan elements the
-// cached rulebooks saved across the session's submanifold layers.
-type RulebookSnapshot struct {
-	Frames         uint64  `json:"frames"`
-	Hits           uint64  `json:"hits"`
-	Misses         uint64  `json:"misses"`
-	HitRate        float64 `json:"hit_rate"`
-	SitesCarried   uint64  `json:"sites_carried"`
-	SitesNew       uint64  `json:"sites_new"`
-	SavedScanElems uint64  `json:"saved_scan_elems"`
 }
 
 // Session is one client's stream bound to a network and an
@@ -136,8 +119,10 @@ type Session struct {
 	lat   *latencyRecorder
 
 	// scheduled marks the session as sitting in the worker run queue,
-	// so concurrent ingests enqueue it at most once.
+	// so concurrent ingests enqueue it at most once; runNext is its
+	// link in that queue (guarded by the queue's lock).
 	scheduled atomic.Bool
+	runNext   *Session
 
 	// plan is the swappable execution plan: rebalances and online
 	// remaps install new mappings between invocations without touching
@@ -199,14 +184,6 @@ type Session struct {
 	// lastDSFADrops is the aggregator drop count already emitted as
 	// trace instants, so each execute pass marks only the delta.
 	lastDSFADrops uint64
-	// rulebook carries the session's active-site structure across
-	// frames (nil when the node runs serial). Observed in execute under
-	// mu; subLayers is the session network's count of
-	// submanifold-eligible layers and rbSaved the accumulated dense
-	// scan elements those layers skip by reusing the rulebook.
-	rulebook  *sparse.RulebookCache
-	subLayers int
-	rbSaved   uint64
 }
 
 // newSession builds a session. The arena and invocation pool wire the
@@ -356,18 +333,6 @@ func (s *Session) snapshotLocked() SessionSnapshot {
 	snap.Remaps = s.plan.Swaps()
 	if s.retuner != nil {
 		snap.Retunes = s.retuner.Retunes()
-	}
-	if s.rulebook != nil {
-		rst := s.rulebook.Stats()
-		snap.Rulebook = &RulebookSnapshot{
-			Frames:         rst.Frames,
-			Hits:           rst.Hits,
-			Misses:         rst.Misses,
-			HitRate:        rst.HitRate(),
-			SitesCarried:   rst.SitesCarried,
-			SitesNew:       rst.SitesNew,
-			SavedScanElems: s.rbSaved,
-		}
 	}
 	if s.invocs > 0 {
 		snap.MergeRatio = float64(s.rawDone) / float64(s.invocs)

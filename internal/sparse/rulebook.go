@@ -44,7 +44,7 @@ func NewActiveSet(h, w, k int) *ActiveSet {
 }
 
 // Reset re-targets the set to a shape, keeping slice capacity — the
-// pooled-construction hook used by mem.ActiveSetPool.
+// hook a free list reuses a returned set through.
 func (a *ActiveSet) Reset(h, w, k int) {
 	if h <= 0 || w <= 0 || k <= 0 || k%2 == 0 {
 		panic(fmt.Sprintf("sparse: invalid active set shape %dx%d k=%d", h, w, k))
@@ -302,11 +302,10 @@ const DefaultMinOverlap = 0.5
 
 // RulebookCache carries one stream's ActiveSet across frames,
 // delta-revalidating it against each new frame's coordinates. It is
-// safe for concurrent use, though the serving layer drives one cache
-// per session under the session lock.
+// safe for concurrent use.
 type RulebookCache struct {
 	// Borrow/Release, when set, source the cache's two ActiveSet
-	// buffers from a pool (mem.ActiveSetPool) instead of the heap;
+	// buffers from a caller-owned free list instead of the heap;
 	// Close hands them back.
 	Borrow  func(h, w, k int) *ActiveSet
 	Release func(*ActiveSet)
