@@ -37,7 +37,7 @@ lint:
 	fi
 
 bench:
-	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ . ./internal/events ./internal/sparse ./internal/e2sf ./internal/dsfa ./internal/serve
+	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ . ./internal/events ./internal/sparse ./internal/e2sf ./internal/dsfa ./internal/sched ./internal/serve
 
 # The repository's benchmark (BENCHMARK.json): every workload, then the
 # per-layer profile. bench/ is its own module, so this — and CI's
@@ -51,12 +51,14 @@ bench-smoke:
 	$(GO) test -run '^TestAllocSmoke$$|^TestAllocRegression' -count=1 -v ./internal/serve
 
 # Run the deterministic scenario suite (the chaos/soak regression bed)
-# plus the kernel worker pool under the race detector, at two scheduler
-# widths: a narrow host (2) forces pool shards to queue behind each
+# plus the kernel worker pool and the execution scheduler — whose
+# wall-clock dispatchers share the take step the scenarios pin through
+# Pump — under the race detector, at two scheduler widths: a narrow
+# host (2) forces pool shards and dispatchers to queue behind each
 # other, a wide one (8) maximizes true overlap.
 scenarios:
-	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/harness/... ./internal/par/... ./cmd/evscenario/...
-	GOMAXPROCS=8 $(GO) test -race -count=1 ./internal/harness/... ./internal/par/... ./cmd/evscenario/...
+	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/harness/... ./internal/par/... ./internal/sched/... ./cmd/evscenario/...
+	GOMAXPROCS=8 $(GO) test -race -count=1 ./internal/harness/... ./internal/par/... ./internal/sched/... ./cmd/evscenario/...
 
 # Short coverage-guided fuzz pass over every codec/decoder target.
 fuzz:

@@ -1,14 +1,16 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
+
+	"evedge/internal/serve"
 )
 
 // ErrNoNodes reports that no alive node can take a session — a
-// transient fleet condition (503), not a bad request.
-var ErrNoNodes = errors.New("cluster: no alive nodes")
+// transient fleet condition (503 in serve.ErrorStatus), not a bad
+// request.
+var ErrNoNodes = serve.Unavailable("cluster: no alive nodes")
 
 // PlacementPolicy selects how the router places sessions on nodes.
 type PlacementPolicy string

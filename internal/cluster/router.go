@@ -2,11 +2,9 @@ package cluster
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 
-	"evedge/internal/events"
 	"evedge/internal/serve"
 )
 
@@ -61,21 +59,6 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// errStatus maps proxy errors onto the same statuses a single node
-// uses: unknown session 404, a chunk failing events.Stream.Validate or
-// the ingest work bounds 400, everything else a conflict.
-func errStatus(err error) int {
-	switch {
-	case errors.Is(err, serve.ErrNoSession):
-		return http.StatusNotFound
-	case errors.Is(err, events.ErrGeometry), errors.Is(err, events.ErrPolarity),
-		errors.Is(err, events.ErrOrder), errors.Is(err, events.ErrNoGeometry),
-		errors.Is(err, serve.ErrChunkTooLarge):
-		return http.StatusBadRequest
-	}
-	return http.StatusConflict
-}
-
 func (c *Cluster) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var cfg serve.SessionConfig
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&cfg); err != nil {
@@ -84,11 +67,7 @@ func (c *Cluster) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	snap, err := c.CreateSession(cfg)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, serve.ErrDraining) || errors.Is(err, ErrNoNodes) {
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, err)
+		writeError(w, serve.ErrorStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, snap)
@@ -101,7 +80,7 @@ func (c *Cluster) handleList(w http.ResponseWriter, r *http.Request) {
 func (c *Cluster) handleGet(w http.ResponseWriter, r *http.Request) {
 	snap, err := c.Snapshot(r.PathValue("id"))
 	if err != nil {
-		writeError(w, errStatus(err), err)
+		writeError(w, serve.ErrorStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, snap)
@@ -120,7 +99,7 @@ func (c *Cluster) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := c.Ingest(r.PathValue("id"), chunk)
 	if err != nil {
-		writeError(w, errStatus(err), err)
+		writeError(w, serve.ErrorStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
@@ -133,7 +112,7 @@ func (c *Cluster) handleIngest(w http.ResponseWriter, r *http.Request) {
 func (c *Cluster) handleStream(w http.ResponseWriter, r *http.Request) {
 	n, localID, _, err := c.endpoint(r.PathValue("id"))
 	if err != nil {
-		writeError(w, errStatus(err), err)
+		writeError(w, serve.ErrorStatus(err), err)
 		return
 	}
 	n.server().ServeStream(w, r, localID)
@@ -142,7 +121,7 @@ func (c *Cluster) handleStream(w http.ResponseWriter, r *http.Request) {
 func (c *Cluster) handleClose(w http.ResponseWriter, r *http.Request) {
 	snap, err := c.CloseSession(r.PathValue("id"))
 	if err != nil {
-		writeError(w, errStatus(err), err)
+		writeError(w, serve.ErrorStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, snap)

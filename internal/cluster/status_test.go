@@ -1,0 +1,121 @@
+package cluster
+
+import (
+	"bytes"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"evedge/internal/events"
+	"evedge/internal/serve"
+)
+
+// TestSessionAPIStatusParity pins the router's promise to speak "the
+// exact session API of a single serve node" where it is easiest to
+// break: the same refused request must get the same status from
+// serve.Server.Handler and from Cluster.Handler, and that status is the
+// one serve.ErrorStatus documents.
+func TestSessionAPIStatusParity(t *testing.T) {
+	srv, err := serve.New(serve.Config{ManualDrain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodeHTTP := httptest.NewServer(srv.Handler())
+	defer nodeHTTP.Close()
+	defer srv.Close()
+	tc, stop := newTestClusterURL(t, Config{Nodes: specs(t, "xavier:1"), Node: serve.Config{ManualDrain: true}})
+	defer stop()
+
+	// Each side names its first session, stops admitting and stops
+	// altogether its own way.
+	sides := []struct {
+		name, base, id string
+		drain, kill    func()
+	}{
+		{"node", nodeHTTP.URL, "s1", func() { srv.SetDraining(true) }, srv.Close},
+		{"cluster", tc.base, "c1", func() {
+			if err := tc.c.DrainNode("xavier0"); err != nil {
+				t.Errorf("DrainNode: %v", err)
+			}
+		}, func() {
+			if err := tc.c.KillNode("xavier0"); err != nil {
+				t.Errorf("KillNode: %v", err)
+			}
+		}},
+	}
+
+	evar := func(s *events.Stream) []byte {
+		var b bytes.Buffer
+		if err := events.WriteBinary(&b, s); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	mk := func(t0 int64, xy ...uint16) *events.Stream {
+		s := events.NewStream(8, 8)
+		for i := 0; i < len(xy); i += 2 {
+			s.Append(events.Event{X: xy[i], Y: xy[i+1], TS: t0 + int64(i)*500, Pol: events.On})
+		}
+		return s
+	}
+	first := evar(mk(0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7))
+	outside := evar(mk(6_500, 9, 3))
+	unbounded := mk(7_000, 1, 1, 2, 2)
+	unbounded.Events[1].TS = 1e18
+	const dotie = `{"network":"DOTIE","level":2}`
+
+	// Rows run in order: the create makes each side's first session,
+	// which {id} then names, and the state changes come last.
+	rows := []struct {
+		what, method, path string
+		body               []byte
+		drain, kill        bool // change each side's state first
+		want               int
+		wantText           string
+	}{
+		{what: "get unknown session", method: "GET", path: "/v1/sessions/nope", want: 404, wantText: serve.ErrNoSession.Error()},
+		{what: "ingest into unknown session", method: "POST", path: "/v1/sessions/nope/events", body: first, want: 404},
+		{what: "close unknown session", method: "POST", path: "/v1/sessions/nope/close", want: 404},
+		{what: "stream unknown session", method: "GET", path: "/v1/sessions/nope/stream", want: 404, wantText: serve.ErrNoSession.Error()},
+		{what: "create", method: "POST", path: "/v1/sessions", body: []byte(dotie), want: 201},
+		{what: "first chunk", method: "POST", path: "/v1/sessions/{id}/events", body: first, want: 200},
+		{what: "undecodable chunk", method: "POST", path: "/v1/sessions/{id}/events", body: []byte("not EVAR"), want: 400},
+		{what: "event outside the geometry", method: "POST", path: "/v1/sessions/{id}/events", body: outside, want: 400},
+		{what: "chunk over the work bounds", method: "POST", path: "/v1/sessions/{id}/events", body: evar(unbounded), want: 400},
+		{what: "chunk before the watermark", method: "POST", path: "/v1/sessions/{id}/events", body: first, want: 409},
+		{what: "stream without a journal", method: "GET", path: "/v1/sessions/{id}/stream", want: 409},
+		{what: "create with an unknown network", method: "POST", path: "/v1/sessions", body: []byte(`{"network":"nope"}`), want: 409},
+		{what: "create with an undecodable config", method: "POST", path: "/v1/sessions", body: []byte(`{`), want: 400},
+		{what: "create while draining", method: "POST", path: "/v1/sessions", body: []byte(dotie), drain: true, want: 503},
+		{what: "create after shutdown", method: "POST", path: "/v1/sessions", body: []byte(dotie), kill: true, want: 503},
+	}
+
+	for _, row := range rows {
+		for _, side := range sides {
+			if row.drain {
+				side.drain()
+			}
+			if row.kill {
+				side.kill()
+			}
+			req, err := http.NewRequest(row.method, side.base+strings.ReplaceAll(row.path, "{id}", side.id), bytes.NewReader(row.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", row.what, side.name, err)
+			}
+			text, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != row.want {
+				t.Errorf("%s on %s: HTTP %d, want %d (%s)", row.what, side.name, resp.StatusCode, row.want, bytes.TrimSpace(text))
+			}
+			if !strings.Contains(string(text), row.wantText) {
+				t.Errorf("%s on %s: body %q does not name %q", row.what, side.name, text, row.wantText)
+			}
+		}
+	}
+}

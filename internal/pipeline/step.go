@@ -396,51 +396,36 @@ func layerDur(model *perf.Model, net *nn.Network, p *ExecPlan, i int, dev *hw.De
 	return dur
 }
 
+// idleEngines recycles the scratch engines InvocationCost prices on.
+var idleEngines sync.Pool
+
 // InvocationCost prices one batched inference by list-scheduling the
 // single-task layer graph on otherwise-idle devices (Eq. 3 semantics,
-// same as the Network Mapper's estimator): per-layer times at the
-// planned device and precision with runtime kernel selection, transfer
-// nodes on device changes, and parallel branches overlapping across
-// devices. It returns the invocation makespan and per-device busy
-// time.
+// same as the Network Mapper's estimator): it is ScheduleOnEngine on an
+// idle scratch engine with the invocation ready at time zero, so
+// per-layer times, transfer nodes on device changes and parallel
+// branches overlapping across devices are priced by the one walk the
+// live engine uses. It returns the invocation makespan and per-device
+// busy time.
 func InvocationCost(model *perf.Model, net *nn.Network, p *ExecPlan, inv *Invocation) (float64, map[int]float64) {
-	batch := len(inv.Frames)
-	if batch == 0 {
+	if len(inv.Frames) == 0 {
 		return 0, nil
 	}
-	density := batchDensity(inv)
-
-	busy := map[int]float64{}
 	platform := model.Platform()
-	devFree := make([]float64, len(platform.Devices))
-	umFree := 0.0
-	end := make([]float64, len(net.Layers))
-	var makespan float64
-	for i := range net.Layers {
-		dev := platform.Devices[p.Device[i]]
-		dur := layerDur(model, net, p, i, dev, batch, density)
-		// Ready when all producers (plus their transfers) complete.
-		ready := 0.0
-		for _, pr := range net.Preds[i] {
-			pready := end[pr]
-			if p.Device[pr] != p.Device[i] {
-				c := model.CommUS(net.Layers[pr], platform.Devices[p.Device[pr]], dev, p.Prec[pr])
-				cs := math.Max(pready, umFree)
-				umFree = cs + c
-				pready = umFree
-			}
-			if pready > ready {
-				ready = pready
-			}
-		}
-		start := math.Max(ready, devFree[p.Device[i]])
-		end[i] = start + dur
-		devFree[p.Device[i]] = end[i]
-		busy[dev.ID] += dur
-		if end[i] > makespan {
-			makespan = end[i]
-		}
+	engine, _ := idleEngines.Get().(*hw.Engine)
+	if engine == nil || engine.Platform() != platform {
+		engine = hw.NewEngine(platform, false)
 	}
+	idle := *inv
+	idle.ReadyUS = 0
+	makespan := ScheduleOnEngineObs(engine, model, net, p, &idle, "", nil)
+	busy := map[int]float64{}
+	for _, d := range p.Device {
+		dev := platform.Devices[d]
+		busy[dev.ID] = engine.BusyTime(dev)
+	}
+	engine.Reset()
+	idleEngines.Put(engine)
 	return makespan, busy
 }
 

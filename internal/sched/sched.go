@@ -4,28 +4,41 @@
 // simulated accelerators. Producers (serving sessions, the multi-task
 // runner, benchmarks) submit Requests; the scheduler coalesces
 // compatible ones — same coalescing Key: primary device, network,
-// plan signature — into micro-batches within a bounded window and
-// hands each batch to a consumer-supplied Dispatch function exactly
-// once. Keeping dispatch a callback keeps the substrate decoupled from
-// any one consumer: serve merges pipeline invocations and prices them
-// on the shared hw.Engine, the multi-task runner replays its offline
-// job list, tests dispatch synthetic work.
+// plan signature — into micro-batches and hands each batch to a
+// consumer-supplied Dispatch function exactly once. Keeping dispatch a
+// callback keeps the substrate decoupled from any one consumer: serve
+// merges pipeline invocations and prices them on the shared hw.Engine,
+// the multi-task runner replays its offline job list, tests dispatch
+// synthetic work.
 //
-// The scheduler runs in two modes:
+// One queue per device, one take step, two drivers. Submit stamps a
+// request with a submission sequence number and links it onto the queue
+// of its Key.Device. take is the only place a batch forms: a queue's
+// head opens it and later requests with the head's Key join, in
+// submission order, up to MaxBatch and none submitted at or after a
+// sequence limit. The drivers decide when take runs and with which
+// limit:
 //
 //   - Wall-clock (evserve / evcluster): one dispatcher goroutine per
-//     device queue. A dispatcher pops the head request, gathers
-//     compatible work already queued, optionally sleeps out the
-//     remaining coalescing window to let more arrive, then dispatches.
-//     Queues for different devices run concurrently — the engine is
-//     internally synchronized per device.
+//     queue waits for a head, holds it back one Window if its batch
+//     still has room and nobody is in Wait/Drain, then takes from
+//     everything queued by then. Queues of different devices run
+//     concurrently — the engine is internally synchronized per device.
 //
 //   - Virtual-clock (the scenario harness, ManualDrain servers): no
-//     goroutines at all. Submit only enqueues; Pump drains everything
-//     pending in deterministic submission order, coalescing compatible
-//     requests across the whole pending set. The same (scenario, seed)
-//     pair replays byte-identically because dispatch order is a pure
-//     function of submission order.
+//     goroutines. Pump runs passes: a pass fixes the limit at the
+//     sequence number current when it starts and takes from whichever
+//     queue's head is oldest until no head is below it; what callbacks
+//     submit meanwhile waits for the next pass. That pass boundary is
+//     the virtual coalescing window; Window is ignored.
+//
+// A Key contains its Device, so everything that may join a batch sits
+// in the head's own queue, and the oldest head across queues is the
+// oldest queued request overall: the virtual driver dispatches exactly
+// as if it walked all queued requests in submission order, each opening
+// a batch that pulls later compatible ones forward. Dispatch order is a
+// pure function of submission order, so the same (scenario, seed) pair
+// replays byte-identically.
 //
 // Fairness: queues are FIFO by submission; coalescing only ever pulls
 // *compatible* requests forward. An incompatible request behind a
@@ -67,6 +80,9 @@ type Request struct {
 	// order and members in submission order, so virtual-mode callbacks
 	// are deterministic.
 	Done func(endUS float64)
+
+	seq  uint64   // submission sequence number, stamped by Submit
+	next *Request // the request behind this one in its device's queue
 }
 
 // Config tunes a scheduler.
@@ -147,9 +163,13 @@ func (s *Stats) Merge(o Stats) {
 	}
 }
 
-// devQueue is one device's wall-clock run queue.
+// devQueue is one device's run queue: n requests in submission order,
+// linked through Request.next, so queueing never allocates and a take
+// costs what it walks past, not what is queued.
 type devQueue struct {
-	reqs []*Request
+	dev        int
+	head, tail *Request
+	n          int
 }
 
 // Scheduler owns the run queues. Create with New, submit with Submit;
@@ -158,28 +178,21 @@ type devQueue struct {
 type Scheduler struct {
 	cfg Config
 
-	mu      sync.Mutex
-	cond    *sync.Cond // broadcast on completion and state changes
-	stats   Stats
-	queues  map[int]*devQueue // wall mode, by Key.Device
-	pending []*Request        // virtual mode, submission order
+	mu     sync.Mutex
+	cond   *sync.Cond // broadcast on submission, completion and state changes
+	stats  Stats
+	queues []*devQueue // one per Key.Device seen, in first-submission order
+	seq    uint64      // the next request's sequence number
 	// outstanding counts submitted-but-not-completed requests, total
 	// and per session; Wait and Drain block on them.
 	outstanding int
 	perSession  map[string]int
 	waiters     int // active Wait/Drain calls: dispatchers skip windows
 	stopped     bool
-
-	// Virtual-mode scratch reused across Pump cycles so a steady-state
-	// pump allocates nothing: retired pending arrays (spares) feed the
-	// next swap, takenBuf/batchBuf back the per-cycle coalescing state.
-	// pumping guards against a nested Pump (a Done callback calling
-	// Wait) corrupting the shared scratch — the nested call falls back
-	// to fresh allocations.
-	pumping  bool
-	spares   [][]*Request
-	takenBuf []bool
-	batchBuf []*Request
+	// free holds idle batch buffers: a Pump borrows one for its run, a
+	// Pump nested in a Done callback (Done → Wait → Pump) another, so
+	// the outer batch's members stay put.
+	free [][]*Request
 
 	wg sync.WaitGroup
 }
@@ -193,11 +206,7 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = DefaultMaxBatch
 	}
-	s := &Scheduler{
-		cfg:        cfg,
-		queues:     map[int]*devQueue{},
-		perSession: map[string]int{},
-	}
+	s := &Scheduler{cfg: cfg, perSession: map[string]int{}}
 	s.cond = sync.NewCond(&s.mu)
 	return s, nil
 }
@@ -215,15 +224,9 @@ func (s *Scheduler) QueueDepths() map[int]int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := map[int]int{}
-	if s.cfg.Virtual {
-		for _, r := range s.pending {
-			out[r.Key.Device]++
-		}
-		return out
-	}
-	for dev, q := range s.queues {
-		if len(q.reqs) > 0 {
-			out[dev] = len(q.reqs)
+	for _, q := range s.queues {
+		if q.n > 0 {
+			out[q.dev] = q.n
 		}
 	}
 	return out
@@ -233,102 +236,133 @@ func (s *Scheduler) QueueDepths() map[int]int {
 func (s *Scheduler) Pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cfg.Virtual {
-		return len(s.pending)
-	}
 	n := 0
 	for _, q := range s.queues {
-		n += len(q.reqs)
+		n += q.n
 	}
 	return n
 }
 
-// Submit accepts one request. In virtual mode it only enqueues (Pump
-// dispatches); in wall-clock mode it lands on the device's run queue
-// and wakes its dispatcher. Submit never blocks on dispatch. A submit
-// that races Close (a late HTTP handler on a shutting-down server)
-// dispatches inline instead of enqueueing: the dispatchers are gone,
-// so an enqueued request would never complete and Wait/Drain would
-// hang (and a fresh queue's wg.Add would race Close's wg.Wait).
+// Submit accepts one request: it lands on its device's run queue, and
+// in wall-clock mode wakes that queue's dispatcher (in virtual mode
+// Pump dispatches). Submit never blocks on dispatch. A wall-clock
+// submit that races Close (a late HTTP handler on a shutting-down
+// server) dispatches inline instead of enqueueing: the dispatchers are
+// gone, so an enqueued request would never complete and Wait/Drain
+// would hang (and a fresh queue's wg.Add would race Close's wg.Wait).
 func (s *Scheduler) Submit(r *Request) {
 	s.mu.Lock()
 	s.stats.Submitted++
 	s.outstanding++
 	s.perSession[r.Session]++
-	if s.cfg.Virtual {
-		s.pending = append(s.pending, r)
-		s.mu.Unlock()
-		return
-	}
-	if s.stopped {
+	if s.stopped && !s.cfg.Virtual {
 		s.mu.Unlock()
 		s.dispatch([]*Request{r})
 		return
 	}
-	q, ok := s.queues[r.Key.Device]
-	if !ok {
-		q = &devQueue{}
-		s.queues[r.Key.Device] = q
-		s.wg.Add(1)
-		go s.dispatcher(q)
+	r.seq = s.seq
+	s.seq++
+	q := s.queue(r.Key.Device)
+	if q.tail == nil {
+		q.head = r
+	} else {
+		q.tail.next = r
 	}
-	q.reqs = append(q.reqs, r)
-	s.cond.Broadcast()
+	q.tail = r
+	q.n++
+	if !s.cfg.Virtual {
+		s.cond.Broadcast()
+	}
 	s.mu.Unlock()
 }
 
-// gatherLocked removes up to max-len(batch) requests compatible with
-// key from q (preserving submission order) and appends them to batch.
-func gatherLocked(q *devQueue, key Key, batch []*Request, max int) []*Request {
-	kept := q.reqs[:0]
-	for _, r := range q.reqs {
-		if len(batch) < max && r.Key == key {
-			batch = append(batch, r)
+// queue returns dev's run queue, creating it — and in wall-clock mode
+// starting its dispatcher — on first use; a platform has a handful of
+// devices, so the lookup is a scan. The caller holds s.mu.
+func (s *Scheduler) queue(dev int) *devQueue {
+	for _, q := range s.queues {
+		if q.dev == dev {
+			return q
+		}
+	}
+	q := &devQueue{dev: dev}
+	s.queues = append(s.queues, q)
+	if !s.cfg.Virtual {
+		s.wg.Add(1)
+		go s.dispatcher(q)
+	}
+	return q
+}
+
+// take forms one batch from a non-empty q: the head opens it, and later
+// requests with the head's key join in submission order until the
+// batch holds MaxBatch or the next request was submitted at or after
+// limit. Everything else keeps its place. The caller holds s.mu.
+func (s *Scheduler) take(q *devQueue, limit uint64, batch []*Request) []*Request {
+	key := q.head.Key
+	var prev *Request // the last request walked past and left queued
+	for r := q.head; r != nil && len(batch) < s.cfg.MaxBatch && r.seq < limit; {
+		next := r.next
+		if r.Key != key {
+			prev, r = r, next
 			continue
 		}
-		kept = append(kept, r)
+		if prev == nil {
+			q.head = next
+		} else {
+			prev.next = next
+		}
+		if next == nil {
+			q.tail = prev
+		}
+		r.next = nil
+		q.n--
+		batch = append(batch, r)
+		r = next
 	}
-	// Zero the freed tail so dropped requests do not leak.
-	for i := len(kept); i < len(q.reqs); i++ {
-		q.reqs[i] = nil
-	}
-	q.reqs = kept
 	return batch
 }
 
-// dispatcher drains one device's run queue until Close — the
-// wall-clock hot loop: pop the head, gather compatible work, sleep out
-// the coalescing window if there is room, dispatch.
+// dispatcher is the wall-clock driver of one device's run queue, until
+// Close: wait for a head, hold it back one Window if its batch has room
+// for later arrivals, take, dispatch.
 func (s *Scheduler) dispatcher(q *devQueue) {
 	defer s.wg.Done()
 	var batch []*Request // reused across iterations; dispatch must not retain it
+	s.mu.Lock()
 	for {
-		s.mu.Lock()
-		for len(q.reqs) == 0 && !s.stopped {
+		for q.head == nil && !s.stopped {
 			s.cond.Wait()
 		}
-		if len(q.reqs) == 0 && s.stopped {
+		if q.head == nil {
+			break // stopped and drained
+		}
+		// Someone draining or shutting down means hurry: no window.
+		if s.cfg.Window > 0 && !s.stopped && s.waiters == 0 && s.hasRoom(q) {
 			s.mu.Unlock()
-			return
-		}
-		head := q.reqs[0]
-		q.reqs[0] = nil
-		q.reqs = q.reqs[1:]
-		batch = append(batch[:0], head)
-		batch = gatherLocked(q, head.Key, batch, s.cfg.MaxBatch)
-		window := s.cfg.Window
-		if s.stopped || s.waiters > 0 {
-			window = 0 // hurry: someone is draining or shutting down
-		}
-		s.mu.Unlock()
-		if window > 0 && len(batch) < s.cfg.MaxBatch {
-			time.Sleep(window)
+			time.Sleep(s.cfg.Window)
 			s.mu.Lock()
-			batch = gatherLocked(q, head.Key, batch, s.cfg.MaxBatch)
-			s.mu.Unlock()
 		}
+		batch = s.take(q, s.seq, batch[:0])
+		s.mu.Unlock()
 		s.dispatch(batch)
+		s.mu.Lock()
 	}
+	s.mu.Unlock()
+}
+
+// hasRoom reports whether the batch q's head would open right now is
+// short of MaxBatch. The caller holds s.mu.
+func (s *Scheduler) hasRoom(q *devQueue) bool {
+	n := 0
+	for r := q.head; r != nil; r = r.next {
+		if r.Key == q.head.Key {
+			if n++; n == s.cfg.MaxBatch {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // dispatch executes one batch and completes its members.
@@ -371,84 +405,46 @@ func (s *Scheduler) dispatch(batch []*Request) {
 	}
 }
 
-// Pump dispatches everything pending in virtual mode and reports
-// whether anything ran. Requests submitted by Done callbacks during
-// the pass land in the next pending set; callers loop until Pump
-// returns false to reach quiescence. Batches form over the whole
-// pending set: walking it in submission order, each request opens a
-// batch and pulls later compatible requests forward (up to MaxBatch) —
-// the Pump boundary is the virtual coalescing window.
+// oldest returns the queue whose head was submitted first, nil when
+// nothing is queued. The caller holds s.mu.
+func (s *Scheduler) oldest() *devQueue {
+	var best *devQueue
+	for _, q := range s.queues {
+		if q.head != nil && (best == nil || q.head.seq < best.head.seq) {
+			best = q
+		}
+	}
+	return best
+}
+
+// Pump is the virtual driver: it dispatches until nothing is queued and
+// reports whether anything ran. It works in passes: a pass covers the
+// requests submitted before it started and takes from whichever queue's
+// head is oldest until every head left is newer than that; requests
+// submitted by callbacks during a pass wait for the next one.
 func (s *Scheduler) Pump() bool {
 	if !s.cfg.Virtual {
 		return false
 	}
 	worked := false
 	s.mu.Lock()
-	reentrant := s.pumping
-	s.pumping = true
-	s.mu.Unlock()
-	for {
-		s.mu.Lock()
-		pending := s.pending
-		if n := len(s.spares); n > 0 {
-			s.pending = s.spares[n-1][:0]
-			s.spares = s.spares[:n-1]
-		} else {
-			s.pending = nil
+	var batch []*Request
+	if n := len(s.free); n > 0 {
+		batch, s.free = s.free[n-1], s.free[:n-1]
+	}
+	limit := s.seq
+	for q := s.oldest(); q != nil; q = s.oldest() {
+		if q.head.seq >= limit {
+			limit = s.seq // the pass is over; the next one starts here
 		}
+		batch = s.take(q, limit, batch[:0])
 		s.mu.Unlock()
-		if len(pending) == 0 {
-			break
-		}
+		s.dispatch(batch)
 		worked = true
-		var taken []bool
-		var batch []*Request
-		if !reentrant {
-			// Steady-state path: reuse the shared scratch. A nested Pump
-			// (Done → Wait → Pump) would trample it, so that case below
-			// allocates fresh.
-			if cap(s.takenBuf) < len(pending) {
-				s.takenBuf = make([]bool, len(pending))
-			}
-			taken = s.takenBuf[:len(pending)]
-			for i := range taken {
-				taken[i] = false
-			}
-			batch = s.batchBuf[:0]
-		} else {
-			taken = make([]bool, len(pending))
-		}
-		for i, r := range pending {
-			if taken[i] {
-				continue
-			}
-			batch = append(batch[:0], r)
-			for j := i + 1; j < len(pending) && len(batch) < s.cfg.MaxBatch; j++ {
-				if !taken[j] && pending[j].Key == r.Key {
-					batch = append(batch, pending[j])
-					taken[j] = true
-				}
-			}
-			s.dispatch(batch)
-		}
-		if !reentrant {
-			s.batchBuf = batch[:0] // keep any growth for the next cycle
-		}
-		// Retire this pending array into the spares stack so the next
-		// Submit burst reuses its storage; nil the elements first so
-		// completed requests do not leak through the scratch.
-		for i := range pending {
-			pending[i] = nil
-		}
 		s.mu.Lock()
-		s.spares = append(s.spares, pending[:0])
-		s.mu.Unlock()
 	}
-	if !reentrant {
-		s.mu.Lock()
-		s.pumping = false
-		s.mu.Unlock()
-	}
+	s.free = append(s.free, batch)
+	s.mu.Unlock()
 	return worked
 }
 

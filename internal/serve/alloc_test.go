@@ -13,6 +13,7 @@ import (
 	"evedge/internal/nn"
 	"evedge/internal/par"
 	"evedge/internal/scene"
+	"evedge/internal/sched"
 	"evedge/internal/sparse"
 )
 
@@ -237,6 +238,15 @@ func TestAllocSmoke(t *testing.T) {
 	bodyReader := bytes.NewReader(body)
 	decoded := new(events.Stream)
 
+	// The scheduler's virtual driver on its own: requests reused as the
+	// server's pool reuses them, three keys over two device queues.
+	runner, err := sched.New(sched.Config{Virtual: true, Dispatch: func([]*sched.Request) float64 { return 0 }})
+	fail(err)
+	schedReqs := make([]sched.Request, 256)
+	for i := range schedReqs {
+		schedReqs[i] = sched.Request{Session: "s", Key: sched.Key{Device: i % 2, Net: []string{"a", "b", "c"}[i%3]}}
+	}
+
 	for _, st := range []struct {
 		name string
 		run  func() error
@@ -272,6 +282,13 @@ func TestAllocSmoke(t *testing.T) {
 		{"rulebook_observe", func() error { rulebook.Observe(fa); rulebook.Observe(fb); return nil }},
 		{"csr_spmm_into", func() error { return csr.SpMMInto(spmmOut, dmat) }},
 		{"csr_spmm_tiled", func() error { return csr.SpMMTiledInto(spmmOut, dmat, pool, 8) }},
+		{"sched_submit_pump", func() error {
+			for i := range schedReqs {
+				runner.Submit(&schedReqs[i])
+			}
+			runner.Pump()
+			return nil
+		}},
 	} {
 		t.Run(st.name, func(t *testing.T) {
 			run := func() {

@@ -58,9 +58,6 @@ type Config struct {
 	// NMP tunes the MapperNMP search; the zero value uses a reduced
 	// population/generation count so session creation stays fast.
 	NMP nmp.Config
-	// DrainBatch caps frames a worker drains per pass so one flooding
-	// session cannot monopolize a worker (default 32).
-	DrainBatch int
 	// BatchMax caps how many compatible invocations — same (device,
 	// network, precision plan) — the execution scheduler coalesces into
 	// one micro-batched inference (default sched.DefaultMaxBatch; 1
@@ -128,6 +125,10 @@ type AdaptConfig struct {
 	Planner control.RemapConfig
 }
 
+// drainBatch caps the frames a worker drains from a session per pass,
+// so one flooding session cannot monopolize a worker.
+const drainBatch = 32
+
 // ErrNoSession reports an unknown session ID.
 var ErrNoSession = errors.New("serve: no such session")
 
@@ -139,22 +140,21 @@ var ErrNoSession = errors.New("serve: no such session")
 var ErrChunkTooLarge = errors.New("serve: chunk exceeds ingest work bounds")
 
 // ErrDraining reports a session create refused by a draining node.
-var ErrDraining = errors.New("serve: node is draining")
+var ErrDraining = Unavailable("serve: node is draining")
 
 // ErrServerClosed reports an ingest or create against a server whose
 // Close already ran. A killed node must refuse new work: accepting a
 // chunk onto a corpse would silently strand its frames in a queue
 // nothing will ever drain — and recycle them into the dead node's own
 // arena while failover re-creates the session elsewhere.
-var ErrServerClosed = errors.New("serve: server is closed")
+var ErrServerClosed = Unavailable("serve: server is closed")
 
 // DefaultConfig returns the server defaults.
 func DefaultConfig() Config {
 	return Config{
-		Workers:    4,
-		QueueCap:   64,
-		Mapper:     MapperRR,
-		DrainBatch: 32,
+		Workers:  4,
+		QueueCap: 64,
+		Mapper:   MapperRR,
 	}
 }
 
@@ -371,9 +371,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = def.QueueCap
 	}
-	if cfg.DrainBatch <= 0 {
-		cfg.DrainBatch = def.DrainBatch
-	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 64 << 20
 	}
@@ -414,7 +411,7 @@ func New(cfg Config) (*Server, error) {
 		p.payload.trackH = nil
 	})
 	s.drainBufs.New = func() any {
-		b := make([]*sparse.Frame, 0, cfg.DrainBatch)
+		b := make([]*sparse.Frame, 0, drainBatch)
 		return &b
 	}
 	s.dispatchScr.New = func() any { return &dispatchScratch{} }
@@ -556,7 +553,7 @@ func (s *Server) drainSession(sess *Session) {
 	bufp := s.drainBufs.Get().(*[]*sparse.Frame)
 	buf := *bufp
 	for {
-		buf = sess.queue.drainInto(buf[:0], s.cfg.DrainBatch)
+		buf = sess.queue.drainInto(buf[:0], drainBatch)
 		s.execute(sess, buf, false)
 		if len(buf) == 0 {
 			break
@@ -1584,7 +1581,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	sess, err := s.CreateSession(cfg)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, ErrorStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, sess.snapshot())
@@ -1595,22 +1592,18 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.Session(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no session %q", r.PathValue("id")))
+	snap, err := s.Snapshot(r.PathValue("id"))
+	if err != nil {
+		writeError(w, ErrorStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, sess.snapshot())
+	writeJSON(w, http.StatusOK, snap)
 }
 
 func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
 	snap, err := s.CloseSession(r.PathValue("id"))
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, ErrNoSession) {
-			status = http.StatusNotFound
-		}
-		writeError(w, status, err)
+		writeError(w, ErrorStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, snap)
@@ -1633,16 +1626,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.Ingest(r.PathValue("id"), chunk)
 	if err != nil {
-		status := http.StatusConflict
-		switch {
-		case errors.Is(err, ErrNoSession):
-			status = http.StatusNotFound
-		case errors.Is(err, events.ErrGeometry), errors.Is(err, events.ErrPolarity),
-			errors.Is(err, events.ErrOrder), errors.Is(err, events.ErrNoGeometry),
-			errors.Is(err, ErrChunkTooLarge):
-			status = http.StatusBadRequest // failed events.Stream.Validate or ingest's work bounds
-		}
-		writeError(w, status, err)
+		writeError(w, ErrorStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, res)

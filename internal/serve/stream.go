@@ -32,12 +32,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 func (s *Server) ServeStream(w http.ResponseWriter, r *http.Request, id string) {
 	sess, ok := s.Session(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("serve: no session %q", id))
+		err := fmt.Errorf("%w: %q", ErrNoSession, id)
+		writeError(w, ErrorStatus(err), err)
 		return
 	}
 	j := sess.journal
 	if j == nil {
-		writeError(w, http.StatusConflict, ErrJournalDisabled)
+		writeError(w, ErrorStatus(ErrJournalDisabled), ErrJournalDisabled)
 		return
 	}
 	var since uint64

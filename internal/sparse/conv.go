@@ -31,11 +31,6 @@ func (f *Filter) W(oc, ic, ky, kx int) float32 {
 	return f.Weights[((oc*f.InC+ic)*f.K+ky)*f.K+kx]
 }
 
-// SetW stores a weight.
-func (f *Filter) SetW(oc, ic, ky, kx int, v float32) {
-	f.Weights[((oc*f.InC+ic)*f.K+ky)*f.K+kx] = v
-}
-
 // OutShape returns the output spatial size for an h x w input.
 func (f *Filter) OutShape(h, w int) (oh, ow int) {
 	if f.Deconv {
