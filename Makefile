@@ -9,6 +9,7 @@ FUZZ_TARGETS := \
 	./internal/sparse:FuzzReadFrame \
 	./internal/sparse:FuzzReadFrames \
 	./internal/sparse:FuzzAccumMerge \
+	./internal/sparse:FuzzAccumEmit \
 	./internal/serve:FuzzDecodeChunk \
 	./internal/serve:FuzzDecodeJournalEntry
 FUZZTIME ?= 10s

@@ -109,6 +109,11 @@ func TestAccumPoolTripwires(t *testing.T) {
 	p.PutAccum(dirty) // emitted: all-zero again, accepted
 	mustPanic("double PutAccum", func() { p.PutAccum(dirty) })
 	mustPanic("nil PutAccum", func() { p.PutAccum(nil) })
+	// Touches alone dirty a grid, whatever the cells hold: one touched
+	// again after its emission and returned without another is refused.
+	again := p.GetAccum(3, 3)
+	again.Touch(0, 1)
+	mustPanic("PutAccum of touches with no emission", func() { p.PutAccum(again) })
 }
 
 // TestAccumPoolFreeListBounded: many distinct geometries cannot pin

@@ -21,7 +21,6 @@ package nmp
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"sort"
 
@@ -172,6 +171,12 @@ type evaluation struct {
 // Evaluate computes a candidate's fitness: the objective value scaled
 // up steeply when any task violates its accuracy budget.
 func (mp *Mapper) Evaluate(asg *taskgraph.Assignment) (*evaluation, error) {
+	return mp.evaluate(asg, hashAssignment(asg))
+}
+
+// evaluate is Evaluate for a caller that already holds h, the
+// candidate's hashAssignment — the search's fitness-cache key.
+func (mp *Mapper) evaluate(asg *taskgraph.Assignment, h uint64) (*evaluation, error) {
 	g, err := taskgraph.Build(mp.db, mp.model, asg)
 	if err != nil {
 		return nil, err
@@ -190,7 +195,6 @@ func (mp *Mapper) Evaluate(asg *taskgraph.Assignment) (*evaluation, error) {
 	// Deterministic per-candidate sampling seed keeps the cache
 	// consistent ("fitness scores are cached for each new candidate and
 	// reused if the same candidate emerges from different parents").
-	h := hashAssignment(asg)
 	for t := range nets {
 		d, err := mp.acc[t].DeltaSampled(asg.Prec[t], mp.cfg.SampleFrac, mp.cfg.Seed^int64(h)+int64(t))
 		if err != nil {
@@ -227,17 +231,18 @@ func (mp *Mapper) Predict(asg *taskgraph.Assignment) (latencyUS float64, feasibl
 	return ev.latency, ev.feasible, nil
 }
 
+// hashAssignment is 64-bit FNV-1a over each layer's (device, precision)
+// byte pair in task order, written out so that it allocates nothing.
 func hashAssignment(a *taskgraph.Assignment) uint64 {
-	h := fnv.New64a()
-	buf := make([]byte, 2)
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
 	for t := range a.Device {
 		for l := range a.Device[t] {
-			buf[0] = byte(a.Device[t][l])
-			buf[1] = byte(a.Prec[t][l])
-			h.Write(buf)
+			h = (h ^ uint64(byte(a.Device[t][l]))) * prime64
+			h = (h ^ uint64(byte(a.Prec[t][l]))) * prime64
 		}
 	}
-	return h.Sum64()
+	return h
 }
 
 // randomCandidate draws a uniformly random feasible-by-construction
@@ -301,19 +306,22 @@ type member struct {
 func (mp *Mapper) evolve(r *rand.Rand, pop []*taskgraph.Assignment, generations int, res *Result) (best, bestFeasible member, err error) {
 	cache := make(map[uint64]*evaluation)
 	evalCached := func(asg *taskgraph.Assignment) (*evaluation, error) {
+		// One hash per candidate: the cache key, and on a miss the
+		// evaluation's sampling seed.
+		h := hashAssignment(asg)
 		if !mp.cfg.DisableCache {
-			if ev, ok := cache[hashAssignment(asg)]; ok {
+			if ev, ok := cache[h]; ok {
 				res.CacheHits++
 				return ev, nil
 			}
 		}
-		ev, err := mp.Evaluate(asg)
+		ev, err := mp.evaluate(asg, h)
 		if err != nil {
 			return nil, err
 		}
 		res.Evaluations++
 		if !mp.cfg.DisableCache {
-			cache[hashAssignment(asg)] = ev
+			cache[h] = ev
 		}
 		return ev, nil
 	}

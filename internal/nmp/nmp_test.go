@@ -1,6 +1,7 @@
 package nmp
 
 import (
+	"hash/fnv"
 	"testing"
 
 	"evedge/internal/hw"
@@ -153,6 +154,32 @@ func TestEvaluateRespectsBudgets(t *testing.T) {
 	// ...but the fitness penalty must make it lose.
 	if ev2.fitness <= ev1.fitness {
 		t.Fatalf("penalty too weak: int8 fitness %f vs fp32 %f", ev2.fitness, ev1.fitness)
+	}
+}
+
+// TestHashAssignmentIsFNV1a holds the hand-written hash to hash/fnv —
+// the value is the fitness-cache key and seeds DeltaSampled, so every
+// search result depends on it — and pins that it allocates nothing.
+func TestHashAssignmentIsFNV1a(t *testing.T) {
+	db, _ := workload(t, nn.SpikeFlowNet, nn.DOTIE)
+	for _, p := range []nn.Precision{nn.FP32, nn.FP16, nn.INT8} {
+		asg, err := AllGPU(db.Networks(), db.Platform(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		asg.Device[1][0] = 1
+		ref := fnv.New64a()
+		for task := range asg.Device {
+			for l := range asg.Device[task] {
+				ref.Write([]byte{byte(asg.Device[task][l]), byte(asg.Prec[task][l])})
+			}
+		}
+		if got := hashAssignment(asg); got != ref.Sum64() {
+			t.Fatalf("%v: hashAssignment = %#x, hash/fnv New64a gives %#x", p, got, ref.Sum64())
+		}
+		if allocs := testing.AllocsPerRun(20, func() { hashAssignment(asg) }); allocs != 0 {
+			t.Fatalf("hashAssignment allocates %.0f times per call, want 0", allocs)
+		}
 	}
 }
 

@@ -484,6 +484,43 @@ func TestIngestConverterLargeEpoch(t *testing.T) {
 	}
 }
 
+// TestIngestConverterNegativeEpoch: Validate accepts negative
+// timestamps, so a time-framed session whose stream starts below zero
+// — just below, and more than a window below — must anchor its first
+// window at or under the first event and frame every event it is
+// given: none refused, none trimmed away ahead of the first window.
+func TestIngestConverterNegativeEpoch(t *testing.T) {
+	net := nn.MustByName(nn.DOTIE) // FrameByTime, 5 ms windows
+	for _, first := range []int64{-5, -net.Input.WindowUS - 1} {
+		conv := &ingestConverter{spec: net.Input}
+		var eventsIn, framed int
+		for c := 0; c < 3; c++ {
+			chunk := events.NewStream(64, 64)
+			for i := int64(0); i < 100; i++ {
+				ts := first + (int64(c)*100+i)*60
+				chunk.Append(events.Event{X: uint16(i % 64), Y: uint16(i % 48), TS: ts, Pol: events.On})
+			}
+			frames, err := conv.ingest(chunk)
+			if err != nil {
+				t.Fatalf("first event at %dus, chunk %d: %v", first, c, err)
+			}
+			if c == 0 && (len(frames) == 0 || frames[0].T0 > first) {
+				t.Fatalf("first event at %dus: chunk 0 gave %d frames, none starting at or before it", first, len(frames))
+			}
+			eventsIn += chunk.Len()
+			for _, f := range frames {
+				framed += int(f.EventCount())
+			}
+		}
+		if framed == 0 || framed+conv.buf.Len() != eventsIn {
+			t.Fatalf("first event at %dus: %d events framed + %d buffered, %d ingested", first, framed, conv.buf.Len(), eventsIn)
+		}
+		if got := conv.span(); got != 299*60 {
+			t.Fatalf("first event at %dus: span = %d, want %d", first, got, 299*60)
+		}
+	}
+}
+
 // TestClosedSessionEviction bounds the retained closed-session set.
 func TestClosedSessionEviction(t *testing.T) {
 	srv, err := New(Config{Workers: 1, MaxClosed: 2})

@@ -441,7 +441,16 @@ func (c *ingestConverter) checkBounds(chunk *events.Stream) error {
 // anchor aligns a stream's first timestamp down to a window boundary:
 // client timestamps need not start near zero, and walking windows up
 // from 0 would loop per-window all the way to the first timestamp.
-func (c *ingestConverter) anchor(ts int64) int64 { return ts - ts%c.spec.WindowUS }
+// Down means floor — Go's % truncates toward zero, which for a
+// negative timestamp would put the first window above the first event
+// and trim it away unframed.
+func (c *ingestConverter) anchor(ts int64) int64 {
+	r := ts % c.spec.WindowUS
+	if r < 0 {
+		r += c.spec.WindowUS
+	}
+	return ts - r
+}
 
 func (c *ingestConverter) ingest(chunk *events.Stream) ([]*sparse.Frame, error) {
 	// Chunks are outside input and e2sf.Fused indexes its grid
@@ -467,7 +476,9 @@ func (c *ingestConverter) ingest(chunk *events.Stream) ([]*sparse.Frame, error) 
 		return nil, fmt.Errorf("serve: chunk geometry %dx%d != session %dx%d",
 			chunk.Width, chunk.Height, c.buf.Width, c.buf.Height)
 	}
-	if chunk.Len() > 0 && chunk.TStart() < c.watermark {
+	// Until the first events anchor the session there is no watermark
+	// to be behind: a stream may start below zero.
+	if c.anchored && chunk.Len() > 0 && chunk.TStart() < c.watermark {
 		return nil, fmt.Errorf("serve: chunk starts at %dus, before session watermark %dus",
 			chunk.TStart(), c.watermark)
 	}

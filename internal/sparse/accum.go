@@ -9,10 +9,14 @@ import (
 // occupancy: the scratch E2SF counts events into and DSFA sums bucket
 // members into before either emits a sparse Frame. A pixel's
 // {pos, neg} pair is one 8-byte cell, so a first touch costs one data
-// cache line plus the (small, hot) bitmaps. Emit walks set rows → set
-// words → set bits, which yields entries already in (y, x) order, and
-// zeroes everything it reads: the grid is all-zero again after every
-// Emit, so no frame needs a clear, an epoch counter or a sort.
+// cache line plus the (small, hot) bitmaps: one occupancy bit per
+// pixel and, above it, one summary bit per occupancy word. Emit walks
+// set summary bits → the one occupancy word each names → its set bits,
+// so it never loads a zero occupancy word and its cost follows the
+// touched cells, not the sensor's rows or width. The walk yields
+// entries already in (y, x) order and zeroes everything it reads: the
+// grid is all-zero again after every Emit, so no frame needs a clear,
+// an epoch counter or a sort.
 //
 // That invariant is the ownership rule. An Accum carries no state
 // between emissions, so nothing needs to own one for longer than a
@@ -22,11 +26,12 @@ import (
 //
 // Not safe for concurrent use.
 type Accum struct {
-	h, w int
-	wpr  int          // occupancy words per row: ceil(w / 64)
-	px   [][2]float32 // h*w cells, {pos, neg}
-	occ  []uint64     // h*wpr words: bit x&63 of word y*wpr + x>>6
-	rows []uint64     // ceil(h / 64) words: bit y&63 set when row y has a set word
+	h, w   int
+	stride int          // occupancy words per row: ceil(w / 64) rounded up to a power of two
+	px     [][2]float32 // h*w cells, {pos, neg}
+	occ    []uint64     // h*stride words: bit x&63 of word y*stride + x>>6
+	sum    []uint64     // ceil(len(occ) / 64) words: bit i&63 of word i>>6 set when occ[i] is not zero
+	calls  int          // Touch calls since the last Emit: an upper bound on the touched cells
 }
 
 // NewAccum returns an all-zero h x w grid.
@@ -34,12 +39,15 @@ func NewAccum(h, w int) *Accum {
 	if h <= 0 || w <= 0 {
 		panic(fmt.Sprintf("sparse: invalid accumulator geometry %dx%d", h, w))
 	}
-	wpr := (w + 63) / 64
+	// A power-of-two row stride lets Emit recover (y, x) from an
+	// occupancy word's index with a shift and a mask — no division, no
+	// lookup table; the padding words are never set, so never visited.
+	stride := 1 << bits.Len(uint((w+63)/64-1))
 	return &Accum{
-		h: h, w: w, wpr: wpr,
-		px:   make([][2]float32, h*w),
-		occ:  make([]uint64, h*wpr),
-		rows: make([]uint64, (h+63)/64),
+		h: h, w: w, stride: stride,
+		px:  make([][2]float32, h*w),
+		occ: make([]uint64, h*stride),
+		sum: make([]uint64, (h*stride+63)/64),
 	}
 }
 
@@ -54,43 +62,48 @@ func (a *Accum) W() int { return a.w }
 // its values are (or sum to) zero. Coordinates are not checked beyond
 // the slice bounds: a caller passes only in-geometry pixels.
 func (a *Accum) Touch(y, x int) *[2]float32 {
-	a.occ[y*a.wpr+x>>6] |= 1 << (x & 63)
-	a.rows[y>>6] |= 1 << (y & 63)
+	i := y*a.stride + x>>6
+	a.occ[i] |= 1 << (x & 63)
+	a.sum[i>>6] |= 1 << (i & 63)
+	a.calls++
 	return &a.px[y*a.w+x]
 }
 
-// Clean reports whether the grid is all-zero, judged by the row
-// bitmap (every Touch sets a row bit and only Emit clears them).
+// Clean reports whether the grid is all-zero, judged by the summary
+// bitmap (every Touch sets a summary bit and only Emit clears them).
 func (a *Accum) Clean() bool {
-	for _, r := range a.rows {
-		if r != 0 {
+	for _, s := range a.sum {
+		if s != 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// sizeFresh gives a frame that has no backing arrays yet channel
-// slices of exactly the touched cells' capacity — a popcount over the
-// occupancy words of the set rows, reading none of the grid. With
-// nothing touched the slices stay nil.
-func (a *Accum) sizeFresh(out *Frame) {
+// touched counts the occupied cells: a popcount over the occupancy
+// words the summary names, reading none of the grid.
+func (a *Accum) touched() int {
 	n := 0
-	for ri, rw := range a.rows {
-		for ; rw != 0; rw &= rw - 1 {
-			y := ri<<6 + bits.TrailingZeros64(rw)
-			for _, word := range a.occ[y*a.wpr : (y+1)*a.wpr] {
-				n += bits.OnesCount64(word)
-			}
+	for si, s := range a.sum {
+		for ; s != 0; s &= s - 1 {
+			n += bits.OnesCount64(a.occ[si<<6+bits.TrailingZeros64(s)])
 		}
 	}
-	if n == 0 {
-		return
+	return n
+}
+
+// room returns s, entries kept, with capacity for n more. A slice
+// with no backing array gets exactly n, so a fresh frame is allocated
+// once at its final length; one that brought capacity belongs to a
+// pooled frame that will be refilled, and at least doubles, as append
+// would have grown it.
+func room[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
 	}
-	out.Ys = make([]int32, 0, n)
-	out.Xs = make([]int32, 0, n)
-	out.Pos = make([]float32, 0, n)
-	out.Neg = make([]float32, 0, n)
+	grown := make([]T, len(s), max(len(s)+n, 2*cap(s)))
+	copy(grown, s)
+	return grown
 }
 
 // Emit appends every touched cell, scaled, to out's channel slices in
@@ -98,51 +111,56 @@ func (a *Accum) sizeFresh(out *Frame) {
 // geometry and — for the result to stay sorted — no entries at or past
 // the first touched cell; callers pass a freshly Reset frame.
 //
-// A frame with no backing arrays yet (cap(out.Ys) == 0: every frame of
+// Space is reserved once per call, not per cell. The Touch calls since
+// the last emission bound the touched cells from above (a frame's
+// event count for E2SF, the members' entries for DSFA), so a warm
+// pooled frame with that much room in all four slices is stored into
+// as it is. Otherwise the cells are counted exactly — a popcount over
+// the set occupancy words only — and each slice that is short of the
+// count grows once: a frame with no backing arrays yet (every frame of
 // the offline pipeline.Run, which has no frame pool, and the first use
-// of a pooled frame on a cold server) is first sized to the touched
-// count, so the four slices are allocated once at their final length
-// instead of doubling their way up from nothing. A frame that brings
-// capacity is appended to as it is. The count is taken only for the
-// fresh frame, and in a function of its own before the walk, because
-// it is not free: counting on every emission cost the warm pooled path
-// (serve_pump_batch) 8 % of its events/s (15.27 M -> 14.03 M, 0 of 5
-// pairs won; EXPERIMENTS.md "Wire path"). Keyed on the input like this
-// that workload reads 15.46 M against the parent's 15.42 M over ten
-// pairs, and paper_levels, all fresh frames, 15.4 M -> 23.7 M.
+// of a pooled frame on a cold server) gets its four arrays at their
+// final length instead of doubling its way up from nothing, and an
+// emission that touched nothing leaves such a frame's slices nil.
 func (a *Accum) Emit(out *Frame, scale float32) {
 	if out.H != a.h || out.W != a.w {
 		panic(fmt.Sprintf("sparse: Emit into %dx%d frame from %dx%d accumulator", out.H, out.W, a.h, a.w))
 	}
-	if cap(out.Ys) == 0 {
-		a.sizeFresh(out)
+	more := a.calls
+	if more == 0 {
+		return
 	}
-	for ri, rw := range a.rows {
-		if rw == 0 {
-			continue
-		}
-		a.rows[ri] = 0
-		for ; rw != 0; rw &= rw - 1 {
-			y := ri<<6 + bits.TrailingZeros64(rw)
-			occ := a.occ[y*a.wpr : (y+1)*a.wpr]
-			row := a.px[y*a.w : (y+1)*a.w]
-			for wi, word := range occ {
-				if word == 0 {
-					continue
-				}
-				occ[wi] = 0
-				for ; word != 0; word &= word - 1 {
-					x := wi<<6 + bits.TrailingZeros64(word)
-					c := &row[x]
-					out.Ys = append(out.Ys, int32(y))
-					out.Xs = append(out.Xs, int32(x))
-					out.Pos = append(out.Pos, c[0]*scale)
-					out.Neg = append(out.Neg, c[1]*scale)
-					*c = [2]float32{}
-				}
+	a.calls = 0
+	n := len(out.Ys)
+	if min(cap(out.Ys), cap(out.Xs), cap(out.Pos), cap(out.Neg))-n < more {
+		more = a.touched()
+		out.Ys, out.Xs = room(out.Ys, more), room(out.Xs, more)
+		out.Pos, out.Neg = room(out.Pos, more), room(out.Neg, more)
+	}
+	ys := out.Ys[:n+more]
+	xs, pos, neg := out.Xs[:len(ys)], out.Pos[:len(ys)], out.Neg[:len(ys)]
+	sum, occ, px, w := a.sum, a.occ, a.px, a.w
+	// & 63 tells the compiler the shift count is in range.
+	shift, mask := bits.TrailingZeros(uint(a.stride))&63, a.stride-1
+	for si, s := range sum {
+		sum[si] = 0
+		for ; s != 0; s &= s - 1 {
+			i := si<<6 + bits.TrailingZeros64(s)
+			word := occ[i]
+			occ[i] = 0
+			y, x0 := i>>shift, (i&mask)<<6
+			row := px[y*w+x0:]
+			for ; word != 0; word &= word - 1 {
+				x := bits.TrailingZeros64(word)
+				c := &row[x]
+				ys[n], xs[n] = int32(y), int32(x0+x)
+				pos[n], neg[n] = c[0]*scale, c[1]*scale
+				*c = [2]float32{}
+				n++
 			}
 		}
 	}
+	out.Ys, out.Xs, out.Pos, out.Neg = ys[:n], xs[:n], pos[:n], neg[:n]
 }
 
 // Merge writes into out (typically a pooled frame, whose slice

@@ -1,8 +1,10 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -152,6 +154,179 @@ func TestAccumEmitSizesFreshFrame(t *testing.T) {
 	}
 }
 
+// denseMirror is the oracle for Emit: a plain dense copy of what a
+// test has put into an Accum, read back with a double loop.
+type denseMirror struct {
+	h, w int
+	cell [][2]float32
+	on   []bool
+	n    int // cells on
+}
+
+func newDenseMirror(h, w int) *denseMirror {
+	return &denseMirror{h: h, w: w, cell: make([][2]float32, h*w), on: make([]bool, h*w)}
+}
+
+// add touches (y, x) in acc and in the mirror and adds to both.
+func (m *denseMirror) add(acc *Accum, y, x int, pos, neg float32) {
+	c := acc.Touch(y, x)
+	c[0] += pos
+	c[1] += neg
+	i := y*m.w + x
+	if !m.on[i] {
+		m.on[i] = true
+		m.n++
+	}
+	m.cell[i][0] += pos
+	m.cell[i][1] += neg
+}
+
+// checkEmit emits acc into out and requires out's previous entries
+// followed by the mirror's dense scan, bit for bit, then a clean grid,
+// a zero call counter and nothing from a second Emit. It clears the
+// mirror, so one accumulator and one mirror serve many rounds and
+// anything an emission leaves behind shows up in the next.
+func (m *denseMirror) checkEmit(t testing.TB, acc *Accum, out *Frame, scale float32, label string) {
+	t.Helper()
+	want := &Frame{H: m.h, W: m.w, T0: out.T0, T1: out.T1,
+		Ys: slices.Clone(out.Ys), Xs: slices.Clone(out.Xs), Pos: slices.Clone(out.Pos), Neg: slices.Clone(out.Neg)}
+	for y := 0; y < m.h; y++ {
+		for x := 0; x < m.w; x++ {
+			if i := y*m.w + x; m.on[i] {
+				want.Ys, want.Xs = append(want.Ys, int32(y)), append(want.Xs, int32(x))
+				want.Pos, want.Neg = append(want.Pos, m.cell[i][0]*scale), append(want.Neg, m.cell[i][1]*scale)
+				m.on[i], m.cell[i] = false, [2]float32{}
+			}
+		}
+	}
+	m.n = 0
+	acc.Emit(out, scale)
+	if !framesBitEqual(out, want) {
+		t.Fatalf("%dx%d scale %g, %s: emission differs from the dense scan: got %d entries, want %d", m.h, m.w, scale, label, len(out.Ys), len(want.Ys))
+	}
+	if !acc.Clean() || acc.calls != 0 {
+		t.Fatalf("%dx%d, %s: after Emit Clean() = %v, call counter %d", m.h, m.w, label, acc.Clean(), acc.calls)
+	}
+	acc.Emit(out, scale)
+	if len(out.Ys) != len(want.Ys) {
+		t.Fatalf("%dx%d, %s: second Emit appended %d entries", m.h, m.w, label, len(out.Ys)-len(want.Ys))
+	}
+}
+
+// frameWithCaps returns an empty h x w frame whose four channel slices
+// have the given capacities; a capacity of zero or less is a slice
+// with no backing array.
+func frameWithCaps(h, w int, c [4]int) *Frame {
+	f := &Frame{H: h, W: w, T1: 1}
+	if c[0] > 0 {
+		f.Ys = make([]int32, 0, c[0])
+	}
+	if c[1] > 0 {
+		f.Xs = make([]int32, 0, c[1])
+	}
+	if c[2] > 0 {
+		f.Pos = make([]float32, 0, c[2])
+	}
+	if c[3] > 0 {
+		f.Neg = make([]float32, 0, c[3])
+	}
+	return f
+}
+
+// TestAccumEmitMatchesDenseScan is Emit's parity property at the word
+// boundaries: widths either side of 64, grids of more than one
+// summary word, a summary word straddling two rows and a padded row
+// stride (wide and narrow), from empty to every cell, into every kind
+// of output frame the reservation step tells apart.
+func TestAccumEmitMatchesDenseScan(t *testing.T) {
+	r := rand.New(rand.NewSource(22))
+	for _, g := range [][2]int{{1, 1}, {3, 63}, {2, 64}, {5, 65}, {70, 130}, {65, 4097}, {260, 346}} {
+		h, w := g[0], g[1]
+		acc, m := NewAccum(h, w), newDenseMirror(h, w)
+		// scatter touches about frac of the cells at random: repeats add
+		// up, and a quarter of the touches leave their cell zero.
+		scatter := func(frac float64) func() {
+			return func() {
+				for i := 0; i < 1+int(frac*float64(h*w)); i++ {
+					v := float32(r.Intn(4))
+					m.add(acc, r.Intn(h), r.Intn(w), v*r.Float32(), v)
+				}
+			}
+		}
+		fills := []struct {
+			name string
+			fill func()
+		}{
+			{"none", func() {}},
+			{"one", func() { m.add(acc, r.Intn(h), r.Intn(w), 1, 0) }},
+			{"last", func() { m.add(acc, h-1, w-1, 0, 2) }},
+			{"0.3%", scatter(0.003)},
+			{"10%", scatter(0.1)},
+			{"every", func() {
+				for i := 0; i < h*w; i++ {
+					m.add(acc, i/w, i%w, r.Float32(), -r.Float32())
+				}
+			}},
+		}
+		// Output frames by capacity relative to the n cells on: no
+		// arrays, exact, one short, four unequal ones.
+		capacities := []func(n int) [4]int{
+			func(int) [4]int { return [4]int{} },
+			func(n int) [4]int { return [4]int{n, n, n, n} },
+			func(n int) [4]int { return [4]int{n - 1, n - 1, n - 1, n - 1} },
+			func(n int) [4]int { return [4]int{n - 1, n + 3, 2 * n, n} },
+		}
+		for _, f := range fills {
+			for _, scale := range []float32{1, 1.0 / 3} {
+				for _, caps := range capacities {
+					f.fill()
+					c := caps(m.n)
+					m.checkEmit(t, acc, frameWithCaps(h, w, c), scale, fmt.Sprintf("cells %s, capacities %v", f.name, c))
+				}
+				// A sorted prefix before the first touched cell stays in
+				// place; with (0, 0) touched there is no room for one.
+				f.fill()
+				out := NewFrame(h, w, 0, 1)
+				if !m.on[0] {
+					out.Ys, out.Xs, out.Pos, out.Neg = []int32{0}, []int32{0}, []float32{9}, []float32{8}
+				}
+				m.checkEmit(t, acc, out, scale, "cells "+f.name+", prefixed frame")
+			}
+		}
+	}
+}
+
+// TestAccumEmitReservesOnce pins the reservation step's allocations:
+// none into a frame with room, and into a pooled frame one entry short
+// at most one growth per slice — not a doubling chain inside the walk.
+// (TestAccumEmitSizesFreshFrame pins the fresh frame's exactly four.)
+func TestAccumEmitReservesOnce(t *testing.T) {
+	const h, w, n = 70, 130, 500
+	acc := NewAccum(h, w)
+	touch := func() {
+		for i := 0; i < n; i++ {
+			acc.Touch(i*17%h, i%w)[1]++
+		}
+	}
+	out := &Frame{H: h, W: w}
+	touch()
+	acc.Emit(out, 1)
+	if len(out.Ys) != n {
+		t.Fatalf("%d cells emitted, want %d distinct", len(out.Ys), n)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { touch(); out.Reset(h, w, 0, 1); acc.Emit(out, 1) }); allocs != 0 {
+		t.Fatalf("emission into a frame of exactly enough room: %.1f allocations, want 0", allocs)
+	}
+	frames := make([]*Frame, 11) // AllocsPerRun's warm-up call and its 10 runs
+	for i := range frames {
+		frames[i] = frameWithCaps(h, w, [4]int{n - 1, n - 1, n - 1, n - 1})
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(10, func() { touch(); acc.Emit(frames[i], 1); i++ }); allocs > 4 {
+		t.Fatalf("emission into a frame one entry short: %.1f allocations, want at most 4", allocs)
+	}
+}
+
 func TestAccumPanics(t *testing.T) {
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
@@ -205,5 +380,42 @@ func FuzzAccumMerge(f *testing.F) {
 			frames[fi].Set(int32(y%h), int32(x%w), float32(pos)/8-4, float32(neg)/16)
 		}
 		checkAccumMerge(t, NewAccum(h, w), frames)
+	})
+}
+
+// FuzzAccumEmit decodes the input into a geometry of at most 4 Kpx,
+// four starting capacities, a scale and a touch list, and holds Emit
+// to the dense scan of TestAccumEmitMatchesDenseScan — twice, so the
+// second round runs on whatever the first left in the grid.
+func FuzzAccumEmit(f *testing.F) {
+	// testdata/fuzz/FuzzAccumEmit holds the word-boundary seeds: width
+	// 64 touched at both row ends, width 65 (a one-bit second word) and
+	// height 65 (a second summary word on a padded stride).
+	f.Add([]byte{})
+	f.Add([]byte{63, 0, 2, 0, 0, 0, 0, 0}) // 3x64, nothing touched
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		w := 1 + (next()|next()<<8)%4096
+		h := 1 + next()%(4096/w)
+		caps := [4]int{next(), next(), next(), next()}
+		scale := []float32{1, 1.0 / 3, 0, -2}[next()%4]
+		acc, m := NewAccum(h, w), newDenseMirror(h, w)
+		out := frameWithCaps(h, w, caps)
+		for round := 0; round < 2; round++ {
+			// Each 4-byte record is one touch; the second round replays
+			// the first half of the list into the frame the first grew.
+			for rec := data[:len(data)/(round+1)]; len(rec) >= 4; rec = rec[4:] {
+				m.add(acc, int(rec[0])%h, (int(rec[1])|int(rec[2])<<8)%w, float32(rec[3])/8-4, float32(rec[3])/16)
+			}
+			out.Reset(h, w, 0, 1)
+			m.checkEmit(t, acc, out, scale, fmt.Sprintf("round %d, capacities %v", round, caps))
+		}
 	})
 }

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -140,5 +141,44 @@ func BenchmarkMergeAdd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		acc.Merge(out, frames, 1)
+	}
+}
+
+// BenchmarkAccumEmit is the activity-proportional curve of the
+// accumulation grid: one Touch per cell plus one Emit into a warm
+// frame on a DAVIS346 (346 x 260) grid, over touched fractions from
+// the serving path's by-count frames (0.33 %) to half the sensor. The
+// cell set slides across the grid from one emission to the next, as a
+// moving scene's does, so the walk's branches are not learnt by rote.
+// The ns/cell column is what a touched cell costs end to end; it
+// should not rise as the frame gets sparser.
+func BenchmarkAccumEmit(b *testing.B) {
+	const h, w = 260, 346
+	for _, frac := range []float64{0.001, 0.0033, 0.01, 0.1, 0.5} {
+		b.Run(fmt.Sprintf("touched=%g%%", frac*100), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(22))
+			cells := rng.Perm(h * w)[:int(frac*h*w)]
+			acc := NewAccum(h, w)
+			out := NewFrame(h, w, 0, 1)
+			off := 0
+			emit := func() {
+				for _, c := range cells {
+					if c += off; c >= h*w {
+						c -= h * w
+					}
+					acc.Touch(c/w, c%w)[0]++
+				}
+				off = (off + 7919) % (h * w)
+				out.Reset(h, w, 0, 1)
+				acc.Emit(out, 1)
+			}
+			emit()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				emit()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(cells)), "ns/cell")
+		})
 	}
 }
