@@ -94,7 +94,6 @@ func (c Config) Validate() error {
 // Result is the outcome of a search or baseline policy.
 type Result struct {
 	Assignment *taskgraph.Assignment
-	Schedule   *taskgraph.Schedule
 	// LatencyUS is max task latency (the Eq. 2 objective).
 	LatencyUS float64
 	EnergyJ   float64
@@ -108,7 +107,11 @@ type Result struct {
 	CacheHits      int
 }
 
-// Mapper runs searches over one profiled workload.
+// Mapper runs searches over one profiled workload. It holds no
+// per-candidate state — each search run prices its candidates through
+// an evaluator of its own — so Evaluate, Predict, EvaluatePolicy and
+// the searches may run concurrently on one Mapper; AddSeed and
+// SetBudgets configure it and must not race them.
 type Mapper struct {
 	db     *perf.ProfileDB
 	model  *perf.Model
@@ -116,6 +119,10 @@ type Mapper struct {
 	budget []float64
 	cfg    Config
 	seeds  []*taskgraph.Assignment
+	// precs[d] lists the precisions a random mapping may give a layer on
+	// device d: the device's own, minus INT8 under FullPrecisionOnly
+	// (unless that would leave none).
+	precs [][]nn.Precision
 }
 
 // AddSeed injects an extra candidate into the initial population —
@@ -136,6 +143,21 @@ func NewMapper(db *perf.ProfileDB, m *perf.Model, cfg Config) (*Mapper, error) {
 	for _, net := range nets {
 		mp.acc = append(mp.acc, quant.NewModel(net))
 		mp.budget = append(mp.budget, quant.Table2Delta(net.Name))
+	}
+	for _, d := range db.Platform().Devices {
+		ps := d.Precisions()
+		if cfg.FullPrecisionOnly {
+			full := ps[:0:0]
+			for _, p := range ps {
+				if p != nn.INT8 {
+					full = append(full, p)
+				}
+			}
+			if len(full) > 0 {
+				ps = full
+			}
+		}
+		mp.precs = append(mp.precs, ps)
 	}
 	return mp, nil
 }
@@ -165,55 +187,60 @@ type evaluation struct {
 	energy   float64
 	deltas   []float64
 	feasible bool
-	sched    *taskgraph.Schedule
+}
+
+// evaluator prices candidates for one search run: it owns the one task
+// graph and schedule that every candidate of the run is rebuilt into,
+// so a candidate costs its node and edge visits and no heap traffic
+// beyond the evaluation record it returns. Not safe for concurrent use;
+// the Mapper it reads from is.
+type evaluator struct {
+	mp    *Mapper
+	graph taskgraph.Graph
+	sched taskgraph.Schedule
 }
 
 // Evaluate computes a candidate's fitness: the objective value scaled
 // up steeply when any task violates its accuracy budget.
 func (mp *Mapper) Evaluate(asg *taskgraph.Assignment) (*evaluation, error) {
-	return mp.evaluate(asg, hashAssignment(asg))
+	e := evaluator{mp: mp}
+	return e.evaluate(asg, hashAssignment(asg))
 }
 
-// evaluate is Evaluate for a caller that already holds h, the
-// candidate's hashAssignment — the search's fitness-cache key.
-func (mp *Mapper) evaluate(asg *taskgraph.Assignment, h uint64) (*evaluation, error) {
-	g, err := taskgraph.Build(mp.db, mp.model, asg)
-	if err != nil {
+// evaluate prices asg, whose hashAssignment — the search's
+// fitness-cache key — the caller already holds as h.
+func (e *evaluator) evaluate(asg *taskgraph.Assignment, h uint64) (*evaluation, error) {
+	mp := e.mp
+	if err := e.graph.BuildInto(mp.db, mp.model, asg); err != nil {
 		return nil, err
 	}
-	sched, err := g.Run(mp.db.Platform())
-	if err != nil {
+	if err := e.graph.RunInto(mp.db.Platform(), &e.sched); err != nil {
 		return nil, err
 	}
-	nets := mp.db.Networks()
 	ev := &evaluation{
-		latency:  sched.MakespanUS,
-		energy:   sched.EnergyJ,
+		latency:  e.sched.MakespanUS,
+		energy:   e.sched.EnergyJ,
+		deltas:   make([]float64, len(mp.acc)),
 		feasible: true,
-		sched:    sched,
 	}
 	// Deterministic per-candidate sampling seed keeps the cache
 	// consistent ("fitness scores are cached for each new candidate and
 	// reused if the same candidate emerges from different parents").
-	for t := range nets {
-		d, err := mp.acc[t].DeltaSampled(asg.Prec[t], mp.cfg.SampleFrac, mp.cfg.Seed^int64(h)+int64(t))
+	penalty := 0.0
+	for t, acc := range mp.acc {
+		d, err := acc.DeltaSampled(asg.Prec[t], mp.cfg.SampleFrac, mp.cfg.Seed^int64(h)+int64(t))
 		if err != nil {
 			return nil, err
 		}
-		ev.deltas = append(ev.deltas, d)
+		ev.deltas[t] = d
 		if d > mp.budget[t] {
 			ev.feasible = false
+			penalty += (d - mp.budget[t]) / mp.budget[t]
 		}
 	}
 	obj := ev.latency
 	if mp.cfg.Objective == MinEnergy {
 		obj = ev.energy * 1e6 // joules -> comparable magnitude
-	}
-	penalty := 0.0
-	for t, d := range ev.deltas {
-		if d > mp.budget[t] {
-			penalty += (d - mp.budget[t]) / mp.budget[t]
-		}
 	}
 	ev.fitness = obj * (1 + 10*penalty)
 	return ev, nil
@@ -263,19 +290,7 @@ func (mp *Mapper) randomCandidate(r *rand.Rand) *taskgraph.Assignment {
 }
 
 func (mp *Mapper) randomPrecision(r *rand.Rand, devID int) nn.Precision {
-	d := mp.db.Platform().Devices[devID]
-	ps := d.Precisions()
-	if mp.cfg.FullPrecisionOnly {
-		full := ps[:0:0]
-		for _, p := range ps {
-			if p != nn.INT8 {
-				full = append(full, p)
-			}
-		}
-		if len(full) > 0 {
-			ps = full
-		}
-	}
+	ps := mp.precs[devID]
 	return ps[r.Intn(len(ps))]
 }
 
@@ -305,6 +320,7 @@ type member struct {
 // and cache counters plus the fitness history.
 func (mp *Mapper) evolve(r *rand.Rand, pop []*taskgraph.Assignment, generations int, res *Result) (best, bestFeasible member, err error) {
 	cache := make(map[uint64]*evaluation)
+	e := evaluator{mp: mp}
 	evalCached := func(asg *taskgraph.Assignment) (*evaluation, error) {
 		// One hash per candidate: the cache key, and on a miss the
 		// evaluation's sampling seed.
@@ -315,7 +331,7 @@ func (mp *Mapper) evolve(r *rand.Rand, pop []*taskgraph.Assignment, generations 
 				return ev, nil
 			}
 		}
-		ev, err := mp.evaluate(asg, h)
+		ev, err := e.evaluate(asg, h)
 		if err != nil {
 			return nil, err
 		}
@@ -487,12 +503,13 @@ func (mp *Mapper) SearchFrom(current *taskgraph.Assignment, budget int) (*Result
 func (mp *Mapper) RandomSearch() (*Result, error) {
 	r := rand.New(rand.NewSource(mp.cfg.Seed))
 	res := &Result{}
+	e := evaluator{mp: mp}
 	var bestAsg *taskgraph.Assignment
 	var bestEv *evaluation
 	total := mp.cfg.Population * mp.cfg.Generations
 	for i := 0; i < total; i++ {
 		asg := mp.randomCandidate(r)
-		ev, err := mp.Evaluate(asg)
+		ev, err := e.evaluate(asg, hashAssignment(asg))
 		if err != nil {
 			return nil, err
 		}
@@ -509,7 +526,6 @@ func (mp *Mapper) RandomSearch() (*Result, error) {
 
 func (mp *Mapper) finish(res *Result, asg *taskgraph.Assignment, ev *evaluation) *Result {
 	res.Assignment = asg
-	res.Schedule = ev.sched
 	res.LatencyUS = ev.latency
 	res.EnergyJ = ev.energy
 	res.Deltas = append([]float64(nil), ev.deltas...)

@@ -2,6 +2,7 @@ package nmp
 
 import (
 	"hash/fnv"
+	"sync"
 	"testing"
 
 	"evedge/internal/hw"
@@ -349,4 +350,54 @@ func TestSearchPrefersFeasible(t *testing.T) {
 	if last := res.FitnessHistory[len(res.FitnessHistory)-1]; last >= res.LatencyUS {
 		t.Fatalf("final penalized fitness %g is not below the feasible result's latency %g: this seed no longer exercises the case", last, res.LatencyUS)
 	}
+}
+
+// TestConcurrentEvaluatePredictSearch: a Mapper holds no per-candidate
+// state — each call prices candidates through an evaluator of its own —
+// so goroutines sharing one Mapper neither race (run under -race) nor
+// disturb one another's results.
+func TestConcurrentEvaluatePredictSearch(t *testing.T) {
+	db, m := workload(t, nn.DOTIE, nn.HidalgoDepth)
+	mp, err := NewMapper(db, m, quickCfg(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rrl, err := RRLayer(db.Networks(), db.Platform())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSearch, err := mp.Search()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantEv, err := mp.Evaluate(rrl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 3; k++ {
+				ev, err := mp.Evaluate(rrl)
+				if err != nil || ev.fitness != wantEv.fitness {
+					t.Errorf("concurrent Evaluate: fitness %v err %v, want %v", ev, err, wantEv.fitness)
+				}
+				lat, feasible, err := mp.Predict(rrl)
+				if err != nil || lat != wantEv.latency || feasible != wantEv.feasible {
+					t.Errorf("concurrent Predict: %v %v %v, want %v %v", lat, feasible, err, wantEv.latency, wantEv.feasible)
+				}
+				res, err := mp.Search()
+				if err != nil || res.LatencyUS != wantSearch.LatencyUS || res.Evaluations != wantSearch.Evaluations {
+					t.Errorf("concurrent Search: %+v err %v, want latency %v after %d evaluations",
+						res, err, wantSearch.LatencyUS, wantSearch.Evaluations)
+				}
+				if from, err := mp.SearchFrom(rrl, 2); err != nil || !from.Feasible {
+					t.Errorf("concurrent SearchFrom: %+v err %v", from, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

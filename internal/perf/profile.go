@@ -43,19 +43,31 @@ type ProfileDB struct {
 // selection a TensorRT-style runtime performs, and what the streaming
 // executor actually runs. Pass nil densities to profile fully dense.
 func BuildProfileDB(m *Model, networks []*nn.Network, sparseExec bool, inputDensity []float64) (*ProfileDB, error) {
+	if inputDensity != nil && len(inputDensity) != len(networks) {
+		return nil, fmt.Errorf("perf: %d densities for %d networks", len(inputDensity), len(networks))
+	}
+	// One precision list per device and both tables at their final
+	// size: a serving node builds a DB per session create and close.
+	devices := m.Platform().Devices
+	precs := make([][]nn.Precision, len(devices))
+	configs, layers := 0, 0
+	for i, dev := range devices {
+		precs[i] = dev.Precisions()
+		configs += len(precs[i])
+	}
+	for _, net := range networks {
+		layers += len(net.Layers)
+	}
 	db := &ProfileDB{
 		platform:  m.Platform(),
 		networks:  networks,
-		times:     make(map[ProfileKey]float64),
-		densities: make(map[LayerRef]float64),
+		times:     make(map[ProfileKey]float64, layers*configs),
+		densities: make(map[LayerRef]float64, layers),
 		sparse:    sparseExec,
 	}
 	for ti, net := range networks {
 		den := 1.0
 		if inputDensity != nil {
-			if len(inputDensity) != len(networks) {
-				return nil, fmt.Errorf("perf: %d densities for %d networks", len(inputDensity), len(networks))
-			}
 			den = inputDensity[ti]
 		}
 		for li, l := range net.Layers {
@@ -65,8 +77,8 @@ func BuildProfileDB(m *Model, networks []*nn.Network, sparseExec bool, inputDens
 				d = producerDensity(net, li)
 			}
 			db.densities[ref] = d
-			for _, dev := range m.Platform().Devices {
-				for _, p := range dev.Precisions() {
+			for i, dev := range devices {
+				for _, p := range precs[i] {
 					t, err := m.LayerTimeUS(l, dev, p, ExecOpts{})
 					if err != nil {
 						return nil, err

@@ -23,7 +23,6 @@ import (
 	"evedge/internal/obs"
 	"evedge/internal/perf"
 	"evedge/internal/pipeline"
-	"evedge/internal/quant"
 	"evedge/internal/sched"
 	"evedge/internal/sparse"
 	"evedge/internal/taskgraph"
@@ -1520,7 +1519,7 @@ func (s *Server) maybeRemap() {
 }
 
 // buildMapper profiles the workload and configures the Network Mapper
-// with per-task Table 2 accuracy budgets — shared by the create/close
+// (whose accuracy budgets default to Table 2) — shared by the create/close
 // rebalance (full search) and the online remap (warm-started search).
 func (s *Server) buildMapper(nets []*nn.Network) (*nmp.Mapper, error) {
 	db, err := perf.BuildProfileDB(s.model, nets, true, nil)
@@ -1531,18 +1530,7 @@ func (s *Server) buildMapper(nets []*nn.Network) (*nmp.Mapper, error) {
 	if ncfg.Population == 0 {
 		ncfg = serveNMPConfig()
 	}
-	mapper, err := nmp.NewMapper(db, s.model, ncfg)
-	if err != nil {
-		return nil, err
-	}
-	budgets := make([]float64, len(nets))
-	for i, net := range nets {
-		budgets[i] = quant.Table2Delta(net.Name)
-	}
-	if err := mapper.SetBudgets(budgets); err != nil {
-		return nil, err
-	}
-	return mapper, nil
+	return nmp.NewMapper(db, s.model, ncfg)
 }
 
 // searchAssignment runs the full Network Mapper search over the active

@@ -95,74 +95,134 @@ type Node struct {
 	Ref   perf.LayerRef // valid for ComputeNode (and names CommNode's producer)
 	Dev   int           // device ID for compute; -1 for comm (unified-memory queue)
 	Prec  nn.Precision
-	Preds []int
+	Preds []int // a window of the graph's predecessor arena
 	DurUS float64
 	toDev int // CommNode: the consuming device (Label's "->" side)
 }
 
-// Graph is the mapped multi-task graph ready for scheduling.
+// Graph is the mapped multi-task graph ready for scheduling. The zero
+// value is an empty graph BuildInto can fill; a filled graph is
+// read-only to Run and RunInto, so one graph may be scheduled from
+// several goroutines, each into its own Schedule.
 type Graph struct {
-	Nodes    []*Node
+	Nodes    []*Node // Nodes[i] points at the i-th element of store
 	Networks []*nn.Network
-	// taskNodes[t] lists the compute node IDs of task t.
+	// taskNodes[t][l] is the compute node ID of task t's layer l: a
+	// window of taskIDs.
 	taskNodes [][]int
 	platform  *hw.Platform // the profile DB's, for Label's device names
+
+	// Backing arrays, sized once per BuildInto from the workload so that
+	// nothing moves while nodes point into them, and kept across calls.
+	store   []Node
+	preds   []int
+	taskIDs []int
+}
+
+// resize returns s with length n, reusing its array when that is large
+// enough; the elements are whatever the array held.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Build converts the workload plus an assignment into a concrete graph
 // with durations from the profile DB (compute) and cost model (comm).
 func Build(db *perf.ProfileDB, m *perf.Model, asg *Assignment) (*Graph, error) {
+	g := new(Graph)
+	if err := g.BuildInto(db, m, asg); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// BuildInto is Build into g, replacing whatever g held and reusing its
+// arrays: rebuilding one graph for assignment after assignment of the
+// same workload — what a placement search does per candidate —
+// allocates nothing. Every *Node and Preds slice handed out by the
+// previous build is overwritten. On error g is left partly built and
+// must be rebuilt before use.
+func (g *Graph) BuildInto(db *perf.ProfileDB, m *perf.Model, asg *Assignment) error {
 	nets := db.Networks()
 	platform := db.Platform()
 	if err := asg.Validate(nets, platform); err != nil {
-		return nil, err
+		return err
 	}
-	g := &Graph{Networks: nets, taskNodes: make([][]int, len(nets)), platform: platform}
-	// computeID[t][l] = node ID of the layer's compute node.
-	computeID := make([][]int, len(nets))
-	add := func(n *Node) int {
-		n.ID = len(g.Nodes)
-		g.Nodes = append(g.Nodes, n)
-		return n.ID
+	// Every layer is one compute node and every data dependency at most
+	// one transfer node; a compute node has one predecessor per
+	// dependency, a transfer node exactly one.
+	layers, deps := 0, 0
+	for _, net := range nets {
+		layers += len(net.Layers)
+		for _, ps := range net.Preds {
+			deps += len(ps)
+		}
+	}
+	g.Networks, g.platform = nets, platform
+	g.store = resize(g.store, layers+deps)[:0]
+	g.Nodes = resize(g.Nodes, layers+deps)[:0]
+	g.preds = resize(g.preds, 2*deps)[:0]
+	g.taskIDs = resize(g.taskIDs, layers)[:0]
+	g.taskNodes = resize(g.taskNodes, len(nets))
+
+	add := func(n Node) *Node {
+		n.ID = len(g.store)
+		g.store = append(g.store, n)
+		g.Nodes = append(g.Nodes, &g.store[n.ID])
+		return &g.store[n.ID]
 	}
 	for t, net := range nets {
-		computeID[t] = make([]int, len(net.Layers))
+		first := len(g.taskIDs)
 		for l := range net.Layers {
 			ref := perf.LayerRef{Task: t, Layer: l}
 			dev := asg.Device[t][l]
 			prec := asg.Prec[t][l]
 			dur, ok := db.TimeUS(ref, dev, prec)
 			if !ok {
-				return nil, fmt.Errorf("taskgraph: no profile for task %d layer %d on device %d at %v",
+				return fmt.Errorf("taskgraph: no profile for task %d layer %d on device %d at %v",
 					t, l, dev, prec)
 			}
-			node := &Node{Kind: ComputeNode, Ref: ref, Dev: dev, Prec: prec, DurUS: dur}
-			id := add(node)
-			computeID[t][l] = id
-			g.taskNodes[t] = append(g.taskNodes[t], id)
+			// Transfer nodes take their IDs after the compute node that
+			// consumes them, so reserve the compute node first.
+			node := add(Node{Kind: ComputeNode, Ref: ref, Dev: dev, Prec: prec, DurUS: dur})
+			g.taskIDs = append(g.taskIDs, node.ID)
+			computeID := g.taskIDs[first:] // of this task's layers so far
+			// The compute node's predecessor window is filled as its
+			// dependencies resolve; transfer nodes' single-entry windows
+			// come after it.
+			lo := len(g.preds)
+			g.preds = g.preds[:lo+len(net.Preds[l])]
+			own := g.preds[lo:lo:len(g.preds)]
 			for _, p := range net.Preds[l] {
 				prodDev := asg.Device[t][p]
 				prodPrec := asg.Prec[t][p]
 				if prodDev == dev {
-					node.Preds = append(node.Preds, computeID[t][p])
+					own = append(own, computeID[p])
 					continue
 				}
 				// Cross-device edge: insert a transfer node on the
 				// unified-memory queue (paper Fig. 7a).
-				comm := &Node{
+				at := len(g.preds)
+				g.preds = append(g.preds, computeID[p])
+				comm := add(Node{
 					Kind: CommNode,
 					Ref:  perf.LayerRef{Task: t, Layer: p},
 					Dev:  -1, Prec: prodPrec,
 					DurUS: m.CommUS(net.Layers[p], platform.Devices[prodDev], platform.Devices[dev], prodPrec),
-					Preds: []int{computeID[t][p]},
+					Preds: g.preds[at : at+1 : at+1],
 					toDev: dev,
-				}
-				cid := add(comm)
-				node.Preds = append(node.Preds, cid)
+				})
+				own = append(own, comm.ID)
+			}
+			if len(own) > 0 {
+				node.Preds = own
 			}
 		}
+		g.taskNodes[t] = g.taskIDs[first:len(g.taskIDs):len(g.taskIDs)]
 	}
-	return g, nil
+	return nil
 }
 
 // Label names node id for timelines: "net/layer@device" for a compute
@@ -179,7 +239,9 @@ func (g *Graph) Label(id int) string {
 	return fmt.Sprintf("%s/%s@%s", net.Name, layer, g.platform.Devices[n.Dev].Name)
 }
 
-// Schedule is the result of list-scheduling a graph.
+// Schedule is the result of list-scheduling a graph. The zero value is
+// ready for RunInto; one that RunInto has filled carries, beside the
+// result, the scheduler's working arrays and engine for the next call.
 type Schedule struct {
 	MakespanUS    float64
 	TaskLatencyUS []float64
@@ -188,6 +250,15 @@ type Schedule struct {
 	EnergyJ       float64
 	DeviceBusyUS  map[string]float64
 	CommBusyUS    float64
+
+	engine *hw.Engine
+	// Successors in CSR form: node id's are succs[succAt[id]:succAt[id+1]],
+	// in ascending node ID as the per-node appends they replace gave.
+	succAt  []int
+	succs   []int
+	indeg   []int
+	readyAt []float64 // max parent end
+	ready   []int
 }
 
 // Run list-schedules the graph on the platform (Eq. 3): nodes become
@@ -196,31 +267,66 @@ type Schedule struct {
 // committed to its queue next. Comm nodes share one unified-memory
 // queue.
 func (g *Graph) Run(platform *hw.Platform) (*Schedule, error) {
-	n := len(g.Nodes)
-	s := &Schedule{
-		NodeStart:     make([]float64, n),
-		NodeEnd:       make([]float64, n),
-		TaskLatencyUS: make([]float64, len(g.Networks)),
-		DeviceBusyUS:  make(map[string]float64, len(platform.Devices)),
+	s := new(Schedule)
+	if err := g.RunInto(platform, s); err != nil {
+		return nil, err
 	}
-	engine := hw.NewEngine(platform, false)
+	return s, nil
+}
+
+// RunInto is Run into s, overwriting the previous result and reusing
+// its arrays, its map and its engine: scheduling graph after graph of
+// the same workload on one platform allocates nothing. On error s is
+// left partly written.
+func (g *Graph) RunInto(platform *hw.Platform, s *Schedule) error {
+	n := len(g.Nodes)
+	if s.engine == nil || s.engine.Platform() != platform {
+		s.engine = hw.NewEngine(platform, false)
+		s.DeviceBusyUS = make(map[string]float64, len(platform.Devices))
+	} else {
+		s.engine.Reset()
+	}
+	engine := s.engine
+	s.MakespanUS, s.CommBusyUS = 0, 0
+	s.NodeStart = resize(s.NodeStart, n)
+	s.NodeEnd = resize(s.NodeEnd, n)
+	s.TaskLatencyUS = resize(s.TaskLatencyUS, len(g.Networks))
+	clear(s.TaskLatencyUS)
 	umBusy := 0.0 // unified-memory queue (Fig. 7b includes it)
 
-	indeg := make([]int, n)
-	succs := make([][]int, n)
+	// Successors: count them per producer, turn the counts into offsets,
+	// then drop every edge into its producer's window. indeg serves as
+	// the per-producer fill cursor before it takes the in-degrees.
+	succAt := resize(s.succAt, n+1)
+	clear(succAt)
+	for _, node := range g.Nodes {
+		for _, p := range node.Preds {
+			succAt[p+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		succAt[i+1] += succAt[i]
+	}
+	succs := resize(s.succs, succAt[n])
+	indeg := resize(s.indeg, n)
+	copy(indeg, succAt)
+	for _, node := range g.Nodes {
+		for _, p := range node.Preds {
+			succs[indeg[p]] = node.ID
+			indeg[p]++
+		}
+	}
+	readyAt := resize(s.readyAt, n)
+	clear(readyAt)
+	ready := resize(s.ready, n)[:0]
 	for _, node := range g.Nodes {
 		indeg[node.ID] = len(node.Preds)
-		for _, p := range node.Preds {
-			succs[p] = append(succs[p], node.ID)
+		if len(node.Preds) == 0 {
+			ready = append(ready, node.ID)
 		}
 	}
-	readyAt := make([]float64, n) // max parent end
-	var ready []int
-	for i, d := range indeg {
-		if d == 0 {
-			ready = append(ready, i)
-		}
-	}
+	s.succAt, s.succs, s.indeg, s.readyAt, s.ready = succAt, succs, indeg, readyAt, ready
+
 	scheduled := 0
 	for len(ready) > 0 {
 		// Pick the ready node with the earliest feasible start.
@@ -266,7 +372,7 @@ func (g *Graph) Run(platform *hw.Platform) (*Schedule, error) {
 				break
 			}
 		}
-		for _, succ := range succs[best] {
+		for _, succ := range succs[succAt[best]:succAt[best+1]] {
 			if end > readyAt[succ] {
 				readyAt[succ] = end
 			}
@@ -277,7 +383,7 @@ func (g *Graph) Run(platform *hw.Platform) (*Schedule, error) {
 		}
 	}
 	if scheduled != n {
-		return nil, fmt.Errorf("taskgraph: cycle detected, scheduled %d of %d nodes", scheduled, n)
+		return fmt.Errorf("taskgraph: cycle detected, scheduled %d of %d nodes", scheduled, n)
 	}
 	for t, ids := range g.taskNodes {
 		for _, id := range ids {
@@ -296,7 +402,7 @@ func (g *Graph) Run(platform *hw.Platform) (*Schedule, error) {
 		s.DeviceBusyUS[d.Name] = engine.BusyTime(d)
 	}
 	s.EnergyJ = engine.EnergyJoules(s.MakespanUS)
-	return s, nil
+	return nil
 }
 
 func lessNode(a, b *Node) bool {
