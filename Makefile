@@ -38,7 +38,7 @@ lint:
 	fi
 
 bench:
-	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ . ./internal/events ./internal/sparse ./internal/e2sf ./internal/dsfa ./internal/sched ./internal/serve
+	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ . ./internal/events ./internal/sparse ./internal/e2sf ./internal/dsfa ./internal/sched ./internal/serve ./internal/nmp ./internal/taskgraph
 
 # The repository's benchmark (BENCHMARK.json): every workload, then the
 # per-layer profile. bench/ is its own module, so this — and CI's
@@ -47,9 +47,12 @@ bench-e2e:
 	bash bench/run.sh
 
 # Allocation gate: every hot-path stage (converter, DSFA merge, kernels, rulebook)
-# and the whole serving cycle must allocate nothing per call once warm.
+# and the whole serving cycle must allocate nothing per call once warm; a
+# task graph rebuilt in place allocates nothing, and the seven placement
+# searches of a serve_http_mixed pass stay under 10 000 allocations.
 bench-smoke:
 	$(GO) test -run '^TestAllocSmoke$$|^TestAllocRegression' -count=1 -v ./internal/serve
+	$(GO) test -run '^TestPlacementSearchAllocBudget$$|^TestBuildIntoSteadyStateZeroAlloc$$' -count=1 -v ./internal/nmp ./internal/taskgraph
 
 # Run the deterministic scenario suite (the chaos/soak regression bed)
 # plus the kernel worker pool and the execution scheduler — whose

@@ -26,6 +26,30 @@ func accelerators(p *hw.Platform) []*hw.Device {
 	return out
 }
 
+// searchPrecisions lists, per device ID, the precisions a search may
+// give a layer on that device: the device's own in its order (an index
+// into the list is what the search's random stream selects), minus
+// INT8 when fullOnly — unless that would leave the device none.
+func searchPrecisions(p *hw.Platform, fullOnly bool) [][]nn.Precision {
+	out := make([][]nn.Precision, len(p.Devices))
+	for i, d := range p.Devices {
+		ps := d.Precisions()
+		if fullOnly {
+			full := ps[:0:0]
+			for _, prec := range ps {
+				if prec != nn.INT8 {
+					full = append(full, prec)
+				}
+			}
+			if len(full) > 0 {
+				ps = full
+			}
+		}
+		out[i] = ps
+	}
+	return out
+}
+
 // AllGPU maps every layer of every task to the GPU at the given
 // precision — the paper's single-task baseline implementation.
 func AllGPU(nets []*nn.Network, p *hw.Platform, prec nn.Precision) (*taskgraph.Assignment, error) {

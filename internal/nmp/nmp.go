@@ -12,6 +12,15 @@
 // generations form by neighbor-pair crossover and random layer
 // mutation, exactly following the paper's search description.
 //
+// A search is usable at session-create latency because a candidate
+// costs only its own pricing. Each search run owns one evaluator — one
+// taskgraph.Graph and one taskgraph.Schedule rebuilt in place per
+// candidate (BuildInto, RunInto), nothing allocated once they have seen
+// the workload — and the subset noise is quant's counter-based draw,
+// keyed by Seed ^ hash(candidate) + task: the same candidate always
+// reads the same deltas (so the fitness cache is sound), different
+// tasks read independent ones, and no generator is seeded per call.
+//
 // The package also provides the comparison policies of the evaluation:
 // the all-GPU baseline, coarse round-robin over networks (RR-Network),
 // fine round-robin over layers (RR-Layer), the full-precision-only
@@ -119,9 +128,8 @@ type Mapper struct {
 	budget []float64
 	cfg    Config
 	seeds  []*taskgraph.Assignment
-	// precs[d] lists the precisions a random mapping may give a layer on
-	// device d: the device's own, minus INT8 under FullPrecisionOnly
-	// (unless that would leave none).
+	// precs[d] is what a random mapping may give a layer on device d
+	// (searchPrecisions), computed once.
 	precs [][]nn.Precision
 }
 
@@ -144,21 +152,7 @@ func NewMapper(db *perf.ProfileDB, m *perf.Model, cfg Config) (*Mapper, error) {
 		mp.acc = append(mp.acc, quant.NewModel(net))
 		mp.budget = append(mp.budget, quant.Table2Delta(net.Name))
 	}
-	for _, d := range db.Platform().Devices {
-		ps := d.Precisions()
-		if cfg.FullPrecisionOnly {
-			full := ps[:0:0]
-			for _, p := range ps {
-				if p != nn.INT8 {
-					full = append(full, p)
-				}
-			}
-			if len(full) > 0 {
-				ps = full
-			}
-		}
-		mp.precs = append(mp.precs, ps)
-	}
+	mp.precs = searchPrecisions(db.Platform(), cfg.FullPrecisionOnly)
 	return mp, nil
 }
 
@@ -314,11 +308,38 @@ type member struct {
 	ev  *evaluation
 }
 
+// incumbents tracks the fittest member a run has priced and the fittest
+// feasible one (nil asg until a feasible candidate emerges). The
+// penalty only steers a search: a member a hair over budget can
+// outscore every feasible one, and must not be what is deployed.
+type incumbents struct {
+	best, feasible member
+}
+
+// offer considers a priced candidate, cloning it when it displaces an
+// incumbent (the caller may go on to reuse or mutate asg).
+func (in *incumbents) offer(asg *taskgraph.Assignment, ev *evaluation) {
+	if in.best.asg == nil || ev.fitness < in.best.ev.fitness {
+		in.best = member{asg.Clone(), ev}
+	}
+	if ev.feasible && (in.feasible.asg == nil || ev.fitness < in.feasible.ev.fitness) {
+		in.feasible = member{asg.Clone(), ev}
+	}
+}
+
+// deployable returns the best feasible member, or the best overall if
+// none was feasible.
+func (in *incumbents) deployable() member {
+	if in.feasible.asg != nil {
+		return in.feasible
+	}
+	return in.best
+}
+
 // evolve runs the generational loop over an initial population and
-// returns the best member overall plus the best feasible one (nil
-// asg when no feasible candidate emerged). res accumulates evaluation
-// and cache counters plus the fitness history.
-func (mp *Mapper) evolve(r *rand.Rand, pop []*taskgraph.Assignment, generations int, res *Result) (best, bestFeasible member, err error) {
+// returns the run's incumbents. res accumulates evaluation and cache
+// counters plus the fitness history.
+func (mp *Mapper) evolve(r *rand.Rand, pop []*taskgraph.Assignment, generations int, res *Result) (in incumbents, err error) {
 	cache := make(map[uint64]*evaluation)
 	e := evaluator{mp: mp}
 	evalCached := func(asg *taskgraph.Assignment) (*evaluation, error) {
@@ -350,20 +371,15 @@ func (mp *Mapper) evolve(r *rand.Rand, pop []*taskgraph.Assignment, generations 
 		for i, asg := range pop {
 			ev, err := evalCached(asg)
 			if err != nil {
-				return best, bestFeasible, err
+				return in, err
 			}
 			members[i] = member{asg, ev}
 		}
 		sort.SliceStable(members, func(i, j int) bool { return members[i].ev.fitness < members[j].ev.fitness })
-		if best.asg == nil || members[0].ev.fitness < best.ev.fitness {
-			best = member{members[0].asg.Clone(), members[0].ev}
-		}
 		for _, m := range members {
-			if m.ev.feasible && (bestFeasible.asg == nil || m.ev.fitness < bestFeasible.ev.fitness) {
-				bestFeasible = member{m.asg.Clone(), m.ev}
-			}
+			in.offer(m.asg, m.ev)
 		}
-		res.FitnessHistory = append(res.FitnessHistory, best.ev.fitness)
+		res.FitnessHistory = append(res.FitnessHistory, in.best.ev.fitness)
 		if gen == generations-1 {
 			break
 		}
@@ -388,7 +404,7 @@ func (mp *Mapper) evolve(r *rand.Rand, pop []*taskgraph.Assignment, generations 
 		}
 		pop = next
 	}
-	return best, bestFeasible, nil
+	return in, nil
 }
 
 // Search runs the evolutionary loop and returns the best feasible
@@ -421,15 +437,11 @@ func (mp *Mapper) Search() (*Result, error) {
 		}
 	}
 
-	best, bestFeasible, err := mp.evolve(r, pop, mp.cfg.Generations, res)
+	in, err := mp.evolve(r, pop, mp.cfg.Generations, res)
 	if err != nil {
 		return nil, err
 	}
-	// The penalty only steers the search: a member a hair over budget
-	// can outscore every feasible one, and must not be what is deployed.
-	if bestFeasible.asg != nil {
-		best = bestFeasible
-	}
+	best := in.deployable()
 	return mp.finish(res, best.asg, best.ev), nil
 }
 
@@ -485,10 +497,11 @@ func (mp *Mapper) SearchFrom(current *taskgraph.Assignment, budget int) (*Result
 		pop[i] = child
 	}
 
-	_, bestFeasible, err := mp.evolve(r, pop, budget, res)
+	in, err := mp.evolve(r, pop, budget, res)
 	if err != nil {
 		return nil, err
 	}
+	bestFeasible := in.feasible
 	if bestFeasible.asg == nil {
 		// Not even the all-GPU/FP16 fallback fits the accuracy budgets;
 		// no assignment this mapper can produce would be feasible.
@@ -498,14 +511,14 @@ func (mp *Mapper) SearchFrom(current *taskgraph.Assignment, budget int) (*Result
 }
 
 // RandomSearch draws the same number of candidates as the evolutionary
-// run (population x generations) independently at random and keeps the
-// best — the Fig. 10b comparison.
+// run (population x generations) independently at random and, like
+// Search, returns the best feasible one (the best overall if none was
+// feasible) — the Fig. 10b comparison.
 func (mp *Mapper) RandomSearch() (*Result, error) {
 	r := rand.New(rand.NewSource(mp.cfg.Seed))
 	res := &Result{}
 	e := evaluator{mp: mp}
-	var bestAsg *taskgraph.Assignment
-	var bestEv *evaluation
+	var in incumbents
 	total := mp.cfg.Population * mp.cfg.Generations
 	for i := 0; i < total; i++ {
 		asg := mp.randomCandidate(r)
@@ -514,14 +527,13 @@ func (mp *Mapper) RandomSearch() (*Result, error) {
 			return nil, err
 		}
 		res.Evaluations++
-		if bestEv == nil || ev.fitness < bestEv.fitness {
-			bestAsg, bestEv = asg, ev
-		}
+		in.offer(asg, ev)
 		if (i+1)%mp.cfg.Population == 0 {
-			res.FitnessHistory = append(res.FitnessHistory, bestEv.fitness)
+			res.FitnessHistory = append(res.FitnessHistory, in.best.ev.fitness)
 		}
 	}
-	return mp.finish(res, bestAsg, bestEv), nil
+	best := in.deployable()
+	return mp.finish(res, best.asg, best.ev), nil
 }
 
 func (mp *Mapper) finish(res *Result, asg *taskgraph.Assignment, ev *evaluation) *Result {

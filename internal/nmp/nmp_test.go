@@ -323,33 +323,56 @@ func TestCacheAblation(t *testing.T) {
 	}
 }
 
-// TestSearchPrefersFeasible: at this seed the fittest member of the
-// final population overspends SpikeFlowNet's Table 2 budget by 0.2 %
-// (delta 0.03006 against 0.03), and its small penalty still leaves it
-// ahead of every feasible candidate. Search promises the best feasible
-// candidate whenever one was seen — the seeded all-GPU mapping always
-// is — so the overspender must not be returned.
+// prefersFeasible scans seeds over two single-network workloads for the
+// case the penalty creates — the fittest member priced overspends its
+// Table 2 budget by so little that its penalized fitness still beats
+// every feasible candidate's — and requires that the search never hands
+// that member back: a feasible candidate is seen in every run (the
+// full-precision mappings always are), so the result must be feasible.
+// The case is rare (a few seeds in a thousand for Search) and which
+// seeds show it depends on the sampling noise, so the scan is wide and
+// must meet it at least once: a change to the noise moves the case to
+// other seeds instead of silently retiring the test.
+func prefersFeasible(t *testing.T, search func(*Mapper) (*Result, error)) {
+	t.Helper()
+	const seeds = 512
+	cases := 0
+	for _, name := range []string{nn.SpikeFlowNet, nn.HidalgoDepth} {
+		db, m := workload(t, name)
+		for seed := int64(1); seed <= seeds; seed++ {
+			mp, err := NewMapper(db, m, quickCfg(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := search(mp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Feasible || res.Deltas[0] > mp.Budgets()[0] {
+				t.Fatalf("%s seed %d: infeasible assignment returned: deltas %v, budgets %v",
+					name, seed, res.Deltas, mp.Budgets())
+			}
+			// The history records what the search optimized: the penalized
+			// fitness, which here an infeasible member won.
+			if last := res.FitnessHistory[len(res.FitnessHistory)-1]; last < res.LatencyUS {
+				cases++
+			}
+		}
+	}
+	if cases == 0 {
+		t.Fatalf("no seed in 1..%d has an over-budget member outscoring every feasible one: widen the scan", seeds)
+	}
+	t.Logf("over-budget winner set aside in %d of %d runs", cases, 2*seeds)
+}
+
 func TestSearchPrefersFeasible(t *testing.T) {
-	db, m := workload(t, nn.SpikeFlowNet)
-	mp, err := NewMapper(db, m, quickCfg(36))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := mp.Search()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Feasible {
-		t.Fatalf("Search returned an infeasible assignment: deltas %v, budgets %v", res.Deltas, mp.Budgets())
-	}
-	if res.Deltas[0] > mp.Budgets()[0] {
-		t.Fatalf("delta %g over budget %g", res.Deltas[0], mp.Budgets()[0])
-	}
-	// The history still records what the search optimized: the
-	// penalized fitness, which the infeasible member won.
-	if last := res.FitnessHistory[len(res.FitnessHistory)-1]; last >= res.LatencyUS {
-		t.Fatalf("final penalized fitness %g is not below the feasible result's latency %g: this seed no longer exercises the case", last, res.LatencyUS)
-	}
+	prefersFeasible(t, (*Mapper).Search)
+}
+
+// TestRandomSearchPrefersFeasible: Fig. 10b compares deployable plans,
+// so the random baseline answers under the same rule as Search.
+func TestRandomSearchPrefersFeasible(t *testing.T) {
+	prefersFeasible(t, (*Mapper).RandomSearch)
 }
 
 // TestConcurrentEvaluatePredictSearch: a Mapper holds no per-candidate

@@ -18,13 +18,15 @@
 // the paper's setup, the response model substitutes for "evaluate on a
 // validation subset" while preserving the mechanics the search relies
 // on: monotonicity in bit-width, per-layer heterogeneity, and noisy
-// subset evaluation (with a seeded sampler).
+// subset evaluation. The subset noise is a counter-based draw: one
+// standard-normal variate computed from the evaluation's seed by a
+// 64-bit mixer and the inverse normal CDF (stdNormal), so pricing a
+// candidate seeds no generator and allocates nothing.
 package quant
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"evedge/internal/nn"
 )
@@ -275,10 +277,29 @@ func (m *Model) Delta(precs []nn.Precision) (float64, error) {
 	return u * m.scale, nil
 }
 
+// stdNormal returns the standard-normal variate numbered key. It is a
+// pure function of the key — a counter-based draw, with no generator
+// state to seed, keep or allocate: the splitmix64 finalizer spreads the
+// key over 64 bits (every input bit flips every output bit with
+// probability ≈ 1/2, so key and key+1 give unrelated variates), the top
+// 52 bits become a uniform strictly inside (0, 1), and the inverse
+// normal CDF maps that to the variate. |result| ≤ 8.3.
+func stdNormal(key uint64) float64 {
+	z := key + 0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	z ^= z >> 31
+	u := (float64(z>>12) + 0.5) / (1 << 52)
+	return math.Sqrt2 * math.Erfinv(2*u-1)
+}
+
 // DeltaSampled simulates evaluating the quantized network on a random
 // validation subset: the deterministic response plus zero-mean noise
 // shrinking with the subset fraction (the paper evaluates candidates
-// on "a randomly sampled subset of the validation set" for speed).
+// on "a randomly sampled subset of the validation set" for speed). The
+// noise is stdNormal(seed): the same (assignment, seed) always reads
+// the same delta, and the Network Mapper's per-task seeds s, s+1, ...
+// read independent ones.
 func (m *Model) DeltaSampled(precs []nn.Precision, sampleFrac float64, seed int64) (float64, error) {
 	d, err := m.Delta(precs)
 	if err != nil {
@@ -287,9 +308,8 @@ func (m *Model) DeltaSampled(precs []nn.Precision, sampleFrac float64, seed int6
 	if sampleFrac <= 0 || sampleFrac > 1 {
 		return 0, fmt.Errorf("quant: sample fraction %f outside (0,1]", sampleFrac)
 	}
-	r := rand.New(rand.NewSource(seed))
 	sigma := 0.05 * m.scale * math.Sqrt((1-sampleFrac)/sampleFrac)
-	d += r.NormFloat64() * sigma
+	d += stdNormal(uint64(seed)) * sigma
 	if d < 0 {
 		d = 0
 	}

@@ -205,6 +205,48 @@ func TestModelSampledNoise(t *testing.T) {
 	}
 }
 
+// TestStdNormalDraw: the subset-noise variate is a pure function of its
+// key, costs no allocation, is standard normal over consecutive keys —
+// how a search's candidates and their per-task seeds s, s+1, ... sit —
+// and adjacent keys are uncorrelated.
+func TestStdNormalDraw(t *testing.T) {
+	for _, key := range []uint64{0, 1, 1 << 63, math.MaxUint64} {
+		a, b := stdNormal(key), stdNormal(key)
+		if a != b || math.IsNaN(a) || math.IsInf(a, 0) {
+			t.Fatalf("stdNormal(%#x) = %v, then %v", key, a, b)
+		}
+	}
+	var sink float64
+	if allocs := testing.AllocsPerRun(100, func() { sink += stdNormal(42) }); allocs != 0 {
+		t.Fatalf("stdNormal allocates %.0f times per call, want 0", allocs)
+	}
+	// Starts the mapper actually produces: small seeds, and a seed XORed
+	// with a 64-bit assignment hash.
+	for _, start := range []uint64{0, 7, 0xcbf29ce484222325} {
+		const n = 100_000
+		var sum, sumSq, lag float64
+		prev := stdNormal(start - 1)
+		for i := uint64(0); i < n; i++ {
+			z := stdNormal(start + i)
+			sum += z
+			sumSq += z * z
+			lag += z * prev
+			prev = z
+		}
+		mean := sum / n
+		variance := sumSq/n - mean*mean
+		if math.Abs(mean) >= 0.01 {
+			t.Errorf("keys from %#x: mean %.5f, want |mean| < 0.01", start, mean)
+		}
+		if math.Abs(variance-1) >= 0.02 {
+			t.Errorf("keys from %#x: variance %.5f, want within 0.02 of 1", start, variance)
+		}
+		if corr := (lag/n - mean*mean) / variance; math.Abs(corr) >= 0.01 {
+			t.Errorf("keys from %#x: lag-1 correlation %.5f, want below 0.01", start, corr)
+		}
+	}
+}
+
 func TestTable2Deltas(t *testing.T) {
 	// The budgets encode Table 2 exactly.
 	cases := map[string]float64{

@@ -311,3 +311,22 @@ func TestRunIntoDetectsCycle(t *testing.T) {
 		t.Fatal("a cyclic graph was scheduled")
 	}
 }
+
+// BenchmarkBuildIntoRunInto is a placement search's per-candidate cost
+// on the four-network serve_http_mixed workload: rebuild, reschedule.
+func BenchmarkBuildIntoRunInto(b *testing.B) {
+	db, m, nets := setup(b, nn.DOTIE, nn.HALSIE, nn.SpikeFlowNet, nn.HidalgoDepth)
+	platform := db.Platform()
+	asg := randomAssignment(rand.New(rand.NewSource(5)), nets, platform)
+	var g Graph
+	var s Schedule
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := g.BuildInto(db, m, asg); err != nil {
+			b.Fatal(err)
+		}
+		if err := g.RunInto(platform, &s); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

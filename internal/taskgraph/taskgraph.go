@@ -12,10 +12,18 @@
 //
 //	End_T(node) = max(End_T(parents), CurDeviceQ_T) + Exec_T(node)
 //	CriticalPathLatency = max(End_T(*))
+//
+// The mapper prices thousands of candidates of one workload, so both
+// steps have an in-place form: Graph.BuildInto refills one graph (nodes
+// in one array, predecessor lists as windows of one arena) and
+// Graph.RunInto one Schedule (result arrays, successor lists, ready
+// queue and engine), allocating nothing once they have seen the
+// workload. Build and Run are those forms applied to fresh values.
 package taskgraph
 
 import (
 	"fmt"
+	"slices"
 
 	"evedge/internal/hw"
 	"evedge/internal/nn"
@@ -112,8 +120,9 @@ type Graph struct {
 	taskNodes [][]int
 	platform  *hw.Platform // the profile DB's, for Label's device names
 
-	// Backing arrays, sized once per BuildInto from the workload so that
-	// nothing moves while nodes point into them, and kept across calls.
+	// Backing arrays, grown once per BuildInto to what the workload can
+	// need so that nothing moves while nodes point into them, and kept
+	// across calls.
 	store   []Node
 	preds   []int
 	taskIDs []int
@@ -161,10 +170,10 @@ func (g *Graph) BuildInto(db *perf.ProfileDB, m *perf.Model, asg *Assignment) er
 		}
 	}
 	g.Networks, g.platform = nets, platform
-	g.store = resize(g.store, layers+deps)[:0]
-	g.Nodes = resize(g.Nodes, layers+deps)[:0]
-	g.preds = resize(g.preds, 2*deps)[:0]
-	g.taskIDs = resize(g.taskIDs, layers)[:0]
+	g.store = slices.Grow(g.store[:0], layers+deps)
+	g.Nodes = slices.Grow(g.Nodes[:0], layers+deps)
+	g.preds = slices.Grow(g.preds[:0], 2*deps)
+	g.taskIDs = slices.Grow(g.taskIDs[:0], layers)
 	g.taskNodes = resize(g.taskNodes, len(nets))
 
 	add := func(n Node) *Node {

@@ -10,7 +10,7 @@ import (
 	"evedge/internal/perf"
 )
 
-func setup(t *testing.T, names ...string) (*perf.ProfileDB, *perf.Model, []*nn.Network) {
+func setup(t testing.TB, names ...string) (*perf.ProfileDB, *perf.Model, []*nn.Network) {
 	t.Helper()
 	platform := hw.Xavier()
 	m := perf.NewModel(platform)
