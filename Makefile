@@ -2,16 +2,7 @@ GO      ?= go
 BIN     := bin
 CMDS    := evedge evserve evcluster evscenario evload evbench evmap evprof evtrace
 
-# Package/target pairs for the fuzz smoke (CI runs `make fuzz`).
-FUZZ_TARGETS := \
-	./internal/events:FuzzReadBinary \
-	./internal/events:FuzzReadText \
-	./internal/sparse:FuzzReadFrame \
-	./internal/sparse:FuzzReadFrames \
-	./internal/sparse:FuzzAccumMerge \
-	./internal/sparse:FuzzAccumEmit \
-	./internal/serve:FuzzDecodeChunk \
-	./internal/serve:FuzzDecodeJournalEntry
+# Per-target budget of the fuzz smoke (CI runs `make fuzz`).
 FUZZTIME ?= 10s
 
 .PHONY: build test race lint bench bench-e2e bench-smoke serve cluster scenarios fuzz cover clean
@@ -64,12 +55,16 @@ scenarios:
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/harness/... ./internal/par/... ./internal/sched/... ./cmd/evscenario/...
 	GOMAXPROCS=8 $(GO) test -race -count=1 ./internal/harness/... ./internal/par/... ./internal/sched/... ./cmd/evscenario/...
 
-# Short coverage-guided fuzz pass over every codec/decoder target.
+# Short coverage-guided fuzz pass over every fuzz function of every
+# package, as `go test -list` reports them, so the list cannot drift
+# from the code.
 fuzz:
-	@for t in $(FUZZ_TARGETS); do \
-		pkg=$${t%%:*}; target=$${t##*:}; \
-		echo "fuzzing $$pkg $$target ($(FUZZTIME))"; \
-		$(GO) test -run '^$$' -fuzz "^$${target}\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+	@for pkg in $$($(GO) list ./...); do \
+		targets=$$($(GO) test -list '^Fuzz' $$pkg) || exit 1; \
+		for target in $$(echo "$$targets" | grep '^Fuzz'); do \
+			echo "fuzzing $$pkg $$target ($(FUZZTIME))"; \
+			$(GO) test -run '^$$' -fuzz "^$${target}\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+		done; \
 	done
 
 cover:

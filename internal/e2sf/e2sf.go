@@ -16,18 +16,10 @@
 // grid with bitmap occupancy (sparse.Accum) and reads each frame out
 // of it in (y, x) order, zeroing as it goes; the grid is borrowed from
 // the frame pool for the length of one conversion call and goes back
-// all-zero, so a converter holds no W x H state between calls. Besides
-// time binning (with grouping of bins into SNN timesteps) and
-// count-based framing it provides the other input representations of
-// the paper's Fig. 2: full accumulation with most-recent timestamps
-// (CountTimestamp) and the bilinear voxel grid (VoxelGrid), which
-// keeps a signed single-channel scratch of its own.
+// all-zero, so a converter holds no W x H state between calls. It
+// frames by time (Eq. 1 bins, grouped into SNN timesteps) or by event
+// count.
 package e2sf
-
-import (
-	"evedge/internal/events"
-	"evedge/internal/sparse"
-)
 
 // Config controls a conversion.
 type Config struct {
@@ -43,42 +35,4 @@ type Stats struct {
 	Frames      int     // sparse frames emitted
 	TotalNNZ    int     // active pixels across all frames
 	MeanDensity float64 // mean fraction of active pixels per frame
-}
-
-// CountTimestamp is the full-accumulation representation of Fig. 2
-// (EV-FlowNet style): per-pixel event counts per polarity plus the
-// most recent event timestamp per polarity, normalized to [0, 1] over
-// the window.
-type CountTimestamp struct {
-	Counts *sparse.Frame
-	// LastPosTS and LastNegTS are aligned with Counts' entries and
-	// hold the normalized most-recent timestamp per polarity (0 when
-	// the pixel saw no event of that polarity).
-	LastPosTS []float32
-	LastNegTS []float32
-}
-
-// ConvertCountTimestamp accumulates the whole [tStart, tEnd) window
-// into a single CountTimestamp representation, whatever NumBins is.
-func (k *Fused) ConvertCountTimestamp(s *events.Stream, tStart, tEnd int64) (*CountTimestamp, error) {
-	frames, _, err := k.ConvertGrouped(s, tStart, tEnd, k.cfg.NumBins)
-	if err != nil {
-		return nil, err
-	}
-	ct := &CountTimestamp{Counts: frames[0]}
-	ct.Counts.T0, ct.Counts.T1 = tStart, tEnd
-	// Second pass with the grid holding timestamps instead of counts;
-	// the stream is sorted so later events overwrite earlier ones, and
-	// the same pixels are touched, so the emitted entries align with
-	// Counts'.
-	span := float64(tEnd - tStart)
-	acc := k.borrow()
-	for _, e := range s.Window(tStart, tEnd) {
-		acc.Touch(int(e.Y), int(e.X))[channel(e)] = float32(float64(e.TS-tStart) / span)
-	}
-	ts := sparse.NewFrame(k.cfg.Height, k.cfg.Width, tStart, tEnd)
-	acc.Emit(ts, 1)
-	k.release(acc)
-	ct.LastPosTS, ct.LastNegTS = ts.Pos, ts.Neg
-	return ct, nil
 }

@@ -207,49 +207,6 @@ func TestConvertDense(t *testing.T) {
 	framesEqual(t, "dense round trip", back, frames[1])
 }
 
-func TestCountTimestamp(t *testing.T) {
-	s := mkStream(4, 4,
-		events.Event{X: 1, Y: 1, TS: 10, Pol: events.On},
-		events.Event{X: 1, Y: 1, TS: 90, Pol: events.On}, // later: overwrites ts
-		events.Event{X: 2, Y: 2, TS: 50, Pol: events.Off},
-	)
-	c := mustFused(t, 4, 4, 8)
-	ct, err := c.ConvertCountTimestamp(s, 0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct.Counts.NNZ() != 2 {
-		t.Fatalf("nnz=%d", ct.Counts.NNZ())
-	}
-	p, _ := ct.Counts.Get(1, 1)
-	if p != 2 {
-		t.Fatalf("count=%f", p)
-	}
-	// Entry order is sorted by (y, x): (1,1) first, then (2,2).
-	if ct.LastPosTS[0] != 0.9 {
-		t.Fatalf("last pos ts=%f want 0.9", ct.LastPosTS[0])
-	}
-	if ct.LastNegTS[1] != 0.5 {
-		t.Fatalf("last neg ts=%f want 0.5", ct.LastNegTS[1])
-	}
-	if ct.LastNegTS[0] != 0 {
-		t.Fatalf("pixel without neg events has ts=%f", ct.LastNegTS[0])
-	}
-	// One accumulation over the whole window, whatever NumBins is.
-	if ct.Counts.T0 != 0 || ct.Counts.T1 != 100 {
-		t.Fatalf("counts bounds [%d,%d)", ct.Counts.T0, ct.Counts.T1)
-	}
-	if _, err := c.ConvertCountTimestamp(s, 5, 5); err == nil {
-		t.Fatal("empty window accepted")
-	}
-	// The timestamp pass leaves nothing in the scratch grid.
-	frames, _, err := c.ConvertGrouped(s, 0, 100, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	framesEqual(t, "after count-timestamp", frames[0], ct.Counts)
-}
-
 func TestGroupBins(t *testing.T) {
 	c := mustFused(t, 8, 8, 5)
 	s := scene.GenerateUniform(8, 8, 100_000, 50_000, 3)

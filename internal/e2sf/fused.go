@@ -3,7 +3,6 @@ package e2sf
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"evedge/internal/events"
 	"evedge/internal/mem"
@@ -41,14 +40,6 @@ type Fused struct {
 	cfg  Config
 	pool *mem.FramePool
 	own  *sparse.Accum // the unpooled converter's grid, nil until first use
-
-	// Voxel scratch: signed per-(bin, pixel) accumulation, epoch-stamped
-	// so it never needs clearing, sized NumBins*H*W on first voxel
-	// conversion.
-	vox        []float32
-	voxStamp   []uint32
-	voxEpoch   uint32
-	voxTouched [][]int32
 }
 
 // NewFused validates the config and returns a converter drawing output
@@ -233,77 +224,4 @@ func (k *Fused) ConvertByCountAppend(dst []*sparse.Frame, s *events.Stream, tSta
 		st.MeanDensity /= float64(st.Frames)
 	}
 	return dst, st, nil
-}
-
-// ConvertVoxel builds an nB-bin voxel grid over [tStart, tEnd). Unlike
-// ConvertGrouped, polarity is signed into a single channel per bin
-// (stored in the frame's Pos channel; Neg is unused), matching the
-// voxel-grid convention of EV-FlowNet's successors. Bilinear weights
-// are accumulated in event order into a voxel scratch reused across
-// chunks.
-func (k *Fused) ConvertVoxel(s *events.Stream, tStart, tEnd int64) (*VoxelGrid, error) {
-	if err := k.checkWindow(s, tStart, tEnd); err != nil {
-		return nil, err
-	}
-	nB := k.cfg.NumBins
-	if nB < 2 {
-		return nil, fmt.Errorf("e2sf: voxel grid needs at least 2 bins, got %d", nB)
-	}
-	hw := k.cfg.Width * k.cfg.Height
-	if k.vox == nil || len(k.vox) < nB*hw {
-		k.vox = make([]float32, nB*hw)
-		k.voxStamp = make([]uint32, nB*hw)
-		k.voxTouched = make([][]int32, nB)
-	}
-	k.voxEpoch++
-	if k.voxEpoch == 0 {
-		clear(k.voxStamp)
-		k.voxEpoch = 1
-	}
-	for b := 0; b < nB; b++ {
-		k.voxTouched[b] = k.voxTouched[b][:0]
-	}
-	acc := func(b int, key int32, v float32) {
-		i := b*hw + int(key)
-		if k.voxStamp[i] != k.voxEpoch {
-			k.voxStamp[i] = k.voxEpoch
-			k.vox[i] = 0
-			k.voxTouched[b] = append(k.voxTouched[b], key)
-		}
-		k.vox[i] += v
-	}
-	span := float64(tEnd - tStart)
-	for _, e := range s.Window(tStart, tEnd) {
-		tStar := float64(nB-1) * float64(e.TS-tStart) / span
-		b0 := int(tStar)
-		frac := tStar - float64(b0)
-		pol := float32(1)
-		if e.Pol == events.Off {
-			pol = -1
-		}
-		key := int32(e.Y)*int32(k.cfg.Width) + int32(e.X)
-		acc(b0, key, pol*float32(1-frac))
-		if b0+1 < nB && frac > 0 {
-			acc(b0+1, key, pol*float32(frac))
-		}
-	}
-	g := &VoxelGrid{T0: tStart, T1: tEnd}
-	biS := span / float64(nB)
-	w := int32(k.cfg.Width)
-	for b := 0; b < nB; b++ {
-		f := k.frame(tStart+int64(float64(b)*biS), tStart+int64(float64(b+1)*biS))
-		slices.Sort(k.voxTouched[b])
-		for _, key := range k.voxTouched[b] {
-			v := k.vox[b*hw+int(key)]
-			if v == 0 {
-				continue // positive and negative contributions cancelled
-			}
-			f.Ys = append(f.Ys, key/w)
-			f.Xs = append(f.Xs, key%w)
-			f.Pos = append(f.Pos, v)
-			f.Neg = append(f.Neg, 0)
-		}
-		g.Bins = append(g.Bins, f)
-	}
-	return g, nil
 }

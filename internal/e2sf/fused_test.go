@@ -121,34 +121,6 @@ func TestFusedConvertByCountParity(t *testing.T) {
 	}
 }
 
-// TestFusedConvertVoxelParity checks the voxel scratch path against the
-// map-based reference, reusing one converter across chunks to exercise
-// the epoch stamping.
-func TestFusedConvertVoxelParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	cfg := Config{Width: 16, Height: 12, NumBins: 5}
-	fused := mustFused(t, cfg.Width, cfg.Height, cfg.NumBins)
-	for trial := 0; trial < 40; trial++ {
-		t0 := rng.Int63n(1000)
-		t1 := t0 + 1 + rng.Int63n(997)
-		s := randStream(rng, cfg.Width, cfg.Height, rng.Intn(500), t0, t1)
-		want := referenceVoxel(cfg, s, t0, t1)
-		got, err := fused.ConvertVoxel(s, t0, t1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.T0 != want.T0 || got.T1 != want.T1 || len(got.Bins) != len(want.Bins) {
-			t.Fatalf("trial %d: grid shape mismatch", trial)
-		}
-		for b := range want.Bins {
-			framesEqual(t, "voxel", got.Bins[b], want.Bins[b])
-		}
-		if got.Mass() != want.Mass() {
-			t.Fatalf("trial %d: mass %v != %v", trial, got.Mass(), want.Mass())
-		}
-	}
-}
-
 // TestFusedScratchReuseAcrossChunks runs many conversions through one
 // converter and checks each against the reference — stale scratch from
 // a previous chunk must never leak into the next.

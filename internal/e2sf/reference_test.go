@@ -90,48 +90,3 @@ func referenceByCount(cfg Config, s *events.Stream, tStart, tEnd int64, countPer
 	}
 	return out
 }
-
-// referenceVoxel accumulates bilinear weights into one map per bin.
-func referenceVoxel(cfg Config, s *events.Stream, tStart, tEnd int64) *VoxelGrid {
-	nB, w := cfg.NumBins, int64(cfg.Width)
-	acc := make([]map[int64]float32, nB)
-	for b := range acc {
-		acc[b] = map[int64]float32{}
-	}
-	span := float64(tEnd - tStart)
-	for _, e := range s.Slice(tStart, tEnd).Events {
-		tStar := float64(nB-1) * float64(e.TS-tStart) / span
-		b0 := int(tStar)
-		frac := tStar - float64(b0)
-		pol := float32(1)
-		if e.Pol == events.Off {
-			pol = -1
-		}
-		key := int64(e.Y)*w + int64(e.X)
-		acc[b0][key] += pol * float32(1-frac)
-		if b0+1 < nB && frac > 0 {
-			acc[b0+1][key] += pol * float32(frac)
-		}
-	}
-	g := &VoxelGrid{T0: tStart, T1: tEnd}
-	biS := span / float64(nB)
-	for b := range acc {
-		f := sparse.NewFrame(cfg.Height, cfg.Width,
-			tStart+int64(float64(b)*biS), tStart+int64(float64(b+1)*biS))
-		keys := make([]int64, 0, len(acc[b]))
-		for k := range acc[b] {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		for _, k := range keys {
-			if v := acc[b][k]; v != 0 { // cancelled contributions are dropped
-				f.Ys = append(f.Ys, int32(k/w))
-				f.Xs = append(f.Xs, int32(k%w))
-				f.Pos = append(f.Pos, v)
-				f.Neg = append(f.Neg, 0)
-			}
-		}
-		g.Bins = append(g.Bins, f)
-	}
-	return g
-}

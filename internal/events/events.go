@@ -5,7 +5,7 @@
 // asynchronous stream of events {x, y, t, p} where (x, y) is the pixel
 // location, t the timestamp and p the polarity of the change. This
 // package provides the Event and Stream types used throughout Ev-Edge,
-// plus codecs, window iteration, filtering and density statistics.
+// plus codecs, window iteration and density statistics.
 //
 // Timestamps are microseconds, matching the DAVIS sensor convention.
 package events
@@ -158,39 +158,6 @@ func (s *Stream) Window(t0, t1 int64) []Event {
 	lo := sort.Search(len(s.Events), func(i int) bool { return s.Events[i].TS >= t0 })
 	hi := sort.Search(len(s.Events), func(i int) bool { return s.Events[i].TS >= t1 })
 	return s.Events[lo:hi]
-}
-
-// Filter returns a new stream holding only events for which keep
-// returns true.
-func (s *Stream) Filter(keep func(Event) bool) *Stream {
-	out := NewStream(s.Width, s.Height)
-	for _, e := range s.Events {
-		if keep(e) {
-			out.Append(e)
-		}
-	}
-	return out
-}
-
-// FilterPolarity returns only events of the given polarity.
-func (s *Stream) FilterPolarity(p Polarity) *Stream {
-	return s.Filter(func(e Event) bool { return e.Pol == p })
-}
-
-// ROI crops the stream to the rectangle [x0,x1) x [y0,y1), re-basing
-// coordinates to the new origin.
-func (s *Stream) ROI(x0, y0, x1, y1 int) (*Stream, error) {
-	if x0 < 0 || y0 < 0 || x1 > s.Width || y1 > s.Height || x0 >= x1 || y0 >= y1 {
-		return nil, fmt.Errorf("events: invalid ROI [%d,%d)x[%d,%d) on %dx%d",
-			x0, x1, y0, y1, s.Width, s.Height)
-	}
-	out := NewStream(x1-x0, y1-y0)
-	for _, e := range s.Events {
-		if int(e.X) >= x0 && int(e.X) < x1 && int(e.Y) >= y0 && int(e.Y) < y1 {
-			out.Append(Event{X: e.X - uint16(x0), Y: e.Y - uint16(y0), TS: e.TS, Pol: e.Pol})
-		}
-	}
-	return out, nil
 }
 
 // Merge combines two sorted streams of identical geometry into a new

@@ -120,33 +120,6 @@ func TestSliceAndWindows(t *testing.T) {
 	}
 }
 
-func TestFilterAndROI(t *testing.T) {
-	s := mk(10, 10,
-		Event{X: 1, Y: 1, TS: 1, Pol: On},
-		Event{X: 5, Y: 5, TS: 2, Pol: Off},
-		Event{X: 9, Y: 9, TS: 3, Pol: On},
-	)
-	if got := s.FilterPolarity(On).Len(); got != 2 {
-		t.Fatalf("on filter: %d", got)
-	}
-	roi, err := s.ROI(4, 4, 8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if roi.Len() != 1 || roi.Events[0].X != 1 || roi.Events[0].Y != 1 {
-		t.Fatalf("roi wrong: %v", roi.Events)
-	}
-	if roi.Width != 4 || roi.Height != 4 {
-		t.Fatalf("roi geometry %dx%d", roi.Width, roi.Height)
-	}
-	if _, err := s.ROI(5, 5, 3, 3); err == nil {
-		t.Fatal("inverted ROI accepted")
-	}
-	if _, err := s.ROI(0, 0, 11, 11); err == nil {
-		t.Fatal("oversized ROI accepted")
-	}
-}
-
 func TestMerge(t *testing.T) {
 	a := mk(4, 4, Event{TS: 1, Pol: On}, Event{TS: 5, Pol: On})
 	b := mk(4, 4, Event{TS: 2, Pol: Off}, Event{TS: 9, Pol: Off})

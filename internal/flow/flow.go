@@ -1,9 +1,7 @@
-// Package flow provides the task-accuracy metrics the paper's
-// evaluation reports: average endpoint error (AEE) for optical flow,
-// mean intersection-over-union (mIOU) for segmentation masks, and
-// mean absolute relative error for depth — plus masked variants that
-// follow the event-vision convention of evaluating only at pixels
-// that produced events.
+// Package flow provides the optical-flow accuracy metric the paper's
+// evaluation reports: average endpoint error (AEE), over the whole
+// field or masked to the event-vision convention of evaluating only at
+// pixels that produced events.
 package flow
 
 import (
@@ -51,104 +49,4 @@ func MaskedAEE(pred, gt *scene.FlowField, frame *sparse.Frame) (float64, error) 
 		s += math.Sqrt(du*du + dv*dv)
 	}
 	return s / float64(frame.NNZ()), nil
-}
-
-// AngularError returns the mean angular error in radians between two
-// flow fields, using the standard (u, v, 1) homogeneous formulation
-// that stays defined for zero flow.
-func AngularError(pred, gt *scene.FlowField) (float64, error) {
-	if pred.W != gt.W || pred.H != gt.H {
-		return 0, fmt.Errorf("flow: field size mismatch %dx%d vs %dx%d", pred.W, pred.H, gt.W, gt.H)
-	}
-	var s float64
-	for i := range pred.U {
-		pu, pv := float64(pred.U[i]), float64(pred.V[i])
-		gu, gv := float64(gt.U[i]), float64(gt.V[i])
-		num := pu*gu + pv*gv + 1
-		den := math.Sqrt(pu*pu+pv*pv+1) * math.Sqrt(gu*gu+gv*gv+1)
-		c := num / den
-		if c > 1 {
-			c = 1
-		}
-		if c < -1 {
-			c = -1
-		}
-		s += math.Acos(c)
-	}
-	return s / float64(len(pred.U)), nil
-}
-
-// Mask is a binary segmentation/label mask.
-type Mask struct {
-	W, H int
-	Data []bool
-}
-
-// NewMask allocates an all-false mask.
-func NewMask(w, h int) *Mask {
-	return &Mask{W: w, H: h, Data: make([]bool, w*h)}
-}
-
-// IOU computes intersection-over-union between two binary masks.
-// A pair of empty masks scores 1 (perfect agreement on absence).
-func IOU(a, b *Mask) (float64, error) {
-	if a.W != b.W || a.H != b.H {
-		return 0, fmt.Errorf("flow: mask size mismatch %dx%d vs %dx%d", a.W, a.H, b.W, b.H)
-	}
-	inter, union := 0, 0
-	for i := range a.Data {
-		av, bv := a.Data[i], b.Data[i]
-		if av && bv {
-			inter++
-		}
-		if av || bv {
-			union++
-		}
-	}
-	if union == 0 {
-		return 1, nil
-	}
-	return float64(inter) / float64(union), nil
-}
-
-// MeanIOU computes the mean IOU over per-class mask pairs (the mIOU
-// metric HALSIE and DOTIE report).
-func MeanIOU(pred, gt []*Mask) (float64, error) {
-	if len(pred) != len(gt) {
-		return 0, fmt.Errorf("flow: %d predicted masks vs %d ground truth", len(pred), len(gt))
-	}
-	if len(pred) == 0 {
-		return 0, fmt.Errorf("flow: no masks")
-	}
-	var s float64
-	for i := range pred {
-		iou, err := IOU(pred[i], gt[i])
-		if err != nil {
-			return 0, err
-		}
-		s += iou
-	}
-	return s / float64(len(pred)), nil
-}
-
-// DepthAbsRel computes the mean absolute relative depth error
-// mean(|pred - gt| / gt) over pixels with positive ground truth — the
-// average-error metric of the monocular depth task.
-func DepthAbsRel(pred, gt []float32) (float64, error) {
-	if len(pred) != len(gt) {
-		return 0, fmt.Errorf("flow: depth length mismatch %d vs %d", len(pred), len(gt))
-	}
-	var s float64
-	n := 0
-	for i := range pred {
-		if gt[i] <= 0 {
-			continue
-		}
-		s += math.Abs(float64(pred[i]-gt[i])) / float64(gt[i])
-		n++
-	}
-	if n == 0 {
-		return 0, fmt.Errorf("flow: no valid ground-truth depth")
-	}
-	return s / float64(n), nil
 }

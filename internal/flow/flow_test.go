@@ -66,73 +66,6 @@ func TestMaskedAEE(t *testing.T) {
 	}
 }
 
-func TestAngularError(t *testing.T) {
-	gt := constantField(4, 4, 1, 0)
-	// acos rounding near 1.0 leaves a tiny residual; allow it.
-	if ae, err := AngularError(gt, gt); err != nil || ae > 1e-4 {
-		t.Fatalf("self angular=%g err=%v", ae, err)
-	}
-	// Orthogonal-ish flows have a clearly positive angular error.
-	pred := constantField(4, 4, 0, 1)
-	ae, err := AngularError(pred, gt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ae < 0.5 {
-		t.Fatalf("angular=%f too small", ae)
-	}
-}
-
-func TestIOUAndMeanIOU(t *testing.T) {
-	a := NewMask(4, 4)
-	b := NewMask(4, 4)
-	// Empty vs empty: perfect.
-	if iou, _ := IOU(a, b); iou != 1 {
-		t.Fatalf("empty IOU=%f", iou)
-	}
-	a.Data[0], a.Data[1] = true, true
-	b.Data[1], b.Data[2] = true, true
-	iou, err := IOU(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(iou-1.0/3) > 1e-9 { // intersection 1, union 3
-		t.Fatalf("IOU=%f want 1/3", iou)
-	}
-	m, err := MeanIOU([]*Mask{a, a}, []*Mask{b, a})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(m-(1.0/3+1)/2) > 1e-9 {
-		t.Fatalf("mIOU=%f", m)
-	}
-	if _, err := MeanIOU([]*Mask{a}, []*Mask{a, b}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if _, err := IOU(a, NewMask(2, 2)); err == nil {
-		t.Fatal("size mismatch accepted")
-	}
-}
-
-func TestDepthAbsRel(t *testing.T) {
-	gt := []float32{1, 2, 4, 0} // zero depth excluded
-	pred := []float32{1.1, 1.8, 4, 9}
-	got, err := DepthAbsRel(pred, gt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := (0.1/1 + 0.2/2 + 0) / 3
-	if math.Abs(got-want) > 1e-6 {
-		t.Fatalf("absrel=%f want %f", got, want)
-	}
-	if _, err := DepthAbsRel(pred[:2], gt); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if _, err := DepthAbsRel([]float32{1}, []float32{0}); err == nil {
-		t.Fatal("no valid depth accepted")
-	}
-}
-
 func TestGroundTruthFlowPureTranslation(t *testing.T) {
 	// A camera translating at constant velocity produces uniform flow
 	// equal to minus the warp displacement over dt.

@@ -255,36 +255,3 @@ func (e *Engine) Reset() {
 	e.umBusy = 0
 	e.umMu.Unlock()
 }
-
-// PowerSample is one instant of a synthetic Tegrastats trace.
-type PowerSample struct {
-	TimeUS float64
-	Watts  float64
-}
-
-// PowerTrace samples total platform power every intervalUS from the
-// recorded timeline (requires NewEngine(..., true)).
-func (e *Engine) PowerTrace(intervalUS float64) []PowerSample {
-	timeline := e.Timeline()
-	if intervalUS <= 0 || len(timeline) == 0 {
-		return nil
-	}
-	makespan := e.Makespan()
-	var out []PowerSample
-	for t := 0.0; t <= makespan; t += intervalUS {
-		w := 0.0
-		for _, d := range e.p.Devices {
-			w += d.IdleWatts
-		}
-		for _, s := range timeline {
-			if s.Start <= t && t < s.End {
-				d, err := e.p.Device(s.Device)
-				if err == nil {
-					w += d.ActiveWatts - d.IdleWatts
-				}
-			}
-		}
-		out = append(out, PowerSample{TimeUS: t, Watts: w})
-	}
-	return out
-}

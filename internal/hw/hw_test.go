@@ -149,39 +149,6 @@ func TestEnginePanicsOnNegativeDuration(t *testing.T) {
 	NewEngine(Xavier(), false).Submit(Xavier().MustDevice("CPU"), 0, -1, "bad")
 }
 
-func TestPowerTrace(t *testing.T) {
-	p := Xavier()
-	e := NewEngine(p, true)
-	gpu := p.MustDevice("GPU")
-	dla := p.MustDevice("DLA0")
-	e.Submit(gpu, 0, 100, "g")
-	e.Submit(dla, 0, 200, "d")
-	trace := e.PowerTrace(50)
-	if len(trace) == 0 {
-		t.Fatal("no trace")
-	}
-	// At t=0 both active; at t=150 only DLA active.
-	idle := 1.5 + 2.5 + 0.5 + 0.5
-	if math.Abs(trace[0].Watts-(idle+(20-2.5)+(5-0.5))) > 1e-6 {
-		t.Fatalf("t0 watts=%f", trace[0].Watts)
-	}
-	var at150 float64
-	for _, s := range trace {
-		if s.TimeUS == 150 {
-			at150 = s.Watts
-		}
-	}
-	if math.Abs(at150-(idle+(5-0.5))) > 1e-6 {
-		t.Fatalf("t150 watts=%f", at150)
-	}
-	// No recording -> no trace.
-	e2 := NewEngine(p, false)
-	e2.Submit(gpu, 0, 10, "x")
-	if e2.PowerTrace(5) != nil {
-		t.Fatal("trace without recording")
-	}
-}
-
 func TestValidateCatchesBadPlatforms(t *testing.T) {
 	bad := []*Platform{
 		{Name: "empty"},

@@ -58,9 +58,6 @@ func (p Precision) Bytes() int {
 	return 4
 }
 
-// AllPrecisions lists every precision choice.
-func AllPrecisions() []Precision { return []Precision{FP32, FP16, INT8} }
-
 // Domain distinguishes analog (ANN) from spiking (SNN) layers.
 type Domain int
 
@@ -220,11 +217,6 @@ func (l *Layer) ParamBytes(p Precision) int64 { return l.ParamCount() * int64(p.
 // shipped per timestep).
 func (l *Layer) OutBytes(p Precision) int64 {
 	return int64(l.OutC) * int64(l.OutH) * int64(l.OutW) * int64(p.Bytes())
-}
-
-// InBytes returns the input activation volume at the given precision.
-func (l *Layer) InBytes(p Precision) int64 {
-	return int64(l.InC) * int64(l.InH) * int64(l.InW) * int64(p.Bytes())
 }
 
 // String summarizes the layer.

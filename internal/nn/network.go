@@ -220,11 +220,3 @@ func deconvLayer(name string, dom Domain, inC, inH, inW, outC, k, stride, pad, t
 		Timesteps: timesteps, ActDensity: actDensity, Sensitivity: sens,
 	}
 }
-
-func residualLayer(name string, dom Domain, c, h, w, timesteps int, actDensity, sens float64) *Layer {
-	return &Layer{
-		Name: name, Kind: Residual, Domain: dom,
-		InC: c, InH: h, InW: w, OutC: c, OutH: h, OutW: w,
-		Timesteps: timesteps, ActDensity: actDensity, Sensitivity: sens,
-	}
-}

@@ -27,7 +27,8 @@ func TestSummaryAndDOT(t *testing.T) {
 // in the zoo must have shape-consistent edges (including the concat
 // fusion layers of the hybrid networks).
 func TestZooShapesChain(t *testing.T) {
-	for _, n := range All() {
+	for _, name := range AllNames() {
+		n := MustByName(name)
 		if err := n.CheckShapes(); err != nil {
 			t.Errorf("%v", err)
 		}

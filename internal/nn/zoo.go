@@ -62,15 +62,6 @@ func MustByName(name string) *Network {
 	return n
 }
 
-// All constructs every network in the zoo.
-func All() []*Network {
-	out := make([]*Network, 0, len(AllNames()))
-	for _, name := range AllNames() {
-		out = append(out, MustByName(name))
-	}
-	return out
-}
-
 const (
 	crop = 256 // center crop used by SpikeFlowNet and peers on MVSEC
 

@@ -10,7 +10,6 @@ import (
 	"evedge/internal/nn"
 	"evedge/internal/perf"
 	"evedge/internal/scene"
-	"evedge/internal/sched"
 	"evedge/internal/sparse"
 	"evedge/internal/taskgraph"
 )
@@ -128,43 +127,21 @@ func RunMultiTask(cfg MultiTaskConfig) (*MultiTaskReport, error) {
 		}
 		plans[t] = p
 	}
-	// The offline runner routes through the execution scheduler like
-	// every other engine consumer, in virtual mode with MaxBatch 1:
-	// dispatch order is exactly submission order (ready-time sorted), so
-	// the report matches the paper's one-inference-per-frame schedule
-	// while the lock-the-engine path stays dead.
+	// One inference per frame, dispatched in ready order straight onto
+	// the engine: the paper's one-inference-per-frame schedule, with
+	// per-device FIFO contention coming from the engine's queues.
 	latencies := make([][]float64, len(cfg.Nets))
-	runner, err := sched.New(sched.Config{
-		Virtual:  true,
-		MaxBatch: 1,
-		Dispatch: func(batch []*sched.Request) float64 {
-			job := batch[0].Payload.(invocationJob)
-			net := cfg.Nets[job.task]
-			inv := &Invocation{
-				Frames:  []*sparse.Frame{job.frame},
-				ReadyUS: job.readyUS,
-				Raw:     1,
-				PerRaw:  []RawRef{{job.readyUS, 1}},
-			}
-			return ScheduleOnEngine(engine, model, net, plans[job.task], inv, net.Name)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
 	for _, job := range jobs {
-		job := job
-		runner.Submit(&sched.Request{
-			Session: cfg.Nets[job.task].Name,
-			Key:     sched.Key{Device: plans[job.task].Device[0], Net: cfg.Nets[job.task].Name},
-			Units:   1,
-			Payload: job,
-			Done: func(end float64) {
-				latencies[job.task] = append(latencies[job.task], end-job.readyUS)
-			},
-		})
+		net := cfg.Nets[job.task]
+		inv := &Invocation{
+			Frames:  []*sparse.Frame{job.frame},
+			ReadyUS: job.readyUS,
+			Raw:     1,
+			PerRaw:  []RawRef{{job.readyUS, 1}},
+		}
+		end := ScheduleOnEngine(engine, model, net, plans[job.task], inv, net.Name)
+		latencies[job.task] = append(latencies[job.task], end-job.readyUS)
 	}
-	runner.Drain()
 
 	var makespan float64
 	for t := range cfg.Nets {

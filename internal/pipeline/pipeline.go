@@ -397,8 +397,9 @@ type execResult struct {
 }
 
 // runExecutor simulates the streaming executor by driving the Stepper
-// the same way a live server would. Below LevelDSFA every frame is one
-// invocation served FIFO. At LevelDSFA and above, frames enter the
+// the same way a live server would. Below LevelDSFA the stepper is a
+// FIFO, so every frame is one invocation served at the later of its T1
+// and the previous end. At LevelDSFA and above, frames enter the
 // aggregator as they are produced and a batch is dispatched whenever
 // the hardware becomes available — so during bursts (or on slow
 // mappings) frames accumulate and merge, which is exactly the
@@ -428,16 +429,6 @@ func runExecutor(model *perf.Model, cfg Config, p *ExecPlan, frames []*sparse.Fr
 		panic(err)
 	}
 
-	if cfg.Level < LevelDSFA {
-		var t float64
-		for _, f := range frames {
-			st.Push(f)
-			t = serve(st.Next(t), t)
-		}
-		res.makespan = t
-		return res
-	}
-
 	var t float64
 	idx := 0
 	for {
@@ -465,9 +456,11 @@ func runExecutor(model *perf.Model, cfg Config, p *ExecPlan, frames []*sparse.Fr
 		}
 		t = serve(inv, t)
 	}
-	stats := st.Stats()
-	res.mergeRatio = stats.MergeRatio()
-	res.dropped = stats.DroppedFrames
+	if cfg.Level >= LevelDSFA {
+		stats := st.Stats()
+		res.mergeRatio = stats.MergeRatio()
+		res.dropped = stats.DroppedFrames
+	}
 	res.makespan = t
 	return res
 }

@@ -299,7 +299,8 @@ func referenceConvertStream(in nn.InputSpec, stream *events.Stream, durUS int64)
 // converter's entry for entry, bounds included.
 func TestConvertStreamMatchesReference(t *testing.T) {
 	const dur = 300_000
-	for _, net := range nn.All() {
+	for _, name := range nn.AllNames() {
+		net := nn.MustByName(name)
 		seq, err := scene.NewSequence(net.Input.Preset, scene.Half, 5)
 		if err != nil {
 			t.Fatal(err)

@@ -1,15 +1,14 @@
 // Package sched is the fleet-wide execution scheduler: the shared
-// substrate that owns per-device run queues and replaces the
-// lock-the-engine-and-submit path everywhere work reaches the
-// simulated accelerators. Producers (serving sessions, the multi-task
-// runner, benchmarks) submit Requests; the scheduler coalesces
-// compatible ones — same coalescing Key: primary device, network,
-// plan signature — into micro-batches and hands each batch to a
-// consumer-supplied Dispatch function exactly once. Keeping dispatch a
-// callback keeps the substrate decoupled from any one consumer: serve
-// merges pipeline invocations and prices them on the shared hw.Engine,
-// the multi-task runner replays its offline job list, tests dispatch
-// synthetic work.
+// substrate that owns per-device run queues between serving sessions
+// and the simulated accelerators. Producers (serving sessions,
+// benchmarks) submit Requests; the scheduler coalesces compatible ones
+// — same coalescing Key: primary device, network, plan signature —
+// into micro-batches and hands each batch to a consumer-supplied
+// Dispatch function exactly once. Keeping dispatch a callback keeps the
+// substrate decoupled from any one consumer: serve merges pipeline
+// invocations and prices them on the shared hw.Engine, tests dispatch
+// synthetic work. Offline runs have nothing to coalesce and call the
+// engine directly.
 //
 // One queue per device, one take step, two drivers. Submit stamps a
 // request with a submission sequence number and links it onto the queue

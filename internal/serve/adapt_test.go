@@ -124,7 +124,7 @@ func TestAdaptiveRetuneFires(t *testing.T) {
 		if _, err := sess.ingest(c); err != nil {
 			t.Fatalf("ingest: %v", err)
 		}
-		srv.execute(sess, sess.queue.drain(0), false)
+		srv.execute(sess, sess.queue.drain(0), false, false)
 		srv.sched.Drain()
 	}
 	snap := sess.snapshot()
@@ -195,7 +195,7 @@ func TestAdaptiveRemapSearches(t *testing.T) {
 		if _, err := sess.ingest(stream); err != nil {
 			t.Fatalf("ingest: %v", err)
 		}
-		srv.execute(sess, sess.queue.drain(0), false)
+		srv.execute(sess, sess.queue.drain(0), false, false)
 		srv.sched.Drain()
 	}
 	srv.maybeRemap()

@@ -1026,3 +1026,56 @@ func TestManualDrainManySessionsNoDeadlock(t *testing.T) {
 		t.Fatalf("one Pump served %d sessions, want all %d in creation order (first %v...)", len(order), len(ids), order[:min(len(order), 5)])
 	}
 }
+
+// TestDrainHoldsNoUncountedFrames: whenever the session lock is free,
+// every frame a session took in is queued, in its stepper, or counted
+// done or dropped. A drain pass never holds frames it took off the
+// ingest queue outside that lock, so CloseSession's final snapshot —
+// read under it while a wall-clock worker may be mid-pass — cannot
+// miss any. The test holds the lock while a drain pass starts, then
+// reads the books.
+func TestDrainHoldsNoUncountedFrames(t *testing.T) {
+	srv, err := New(Config{ManualDrain: true})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer srv.Close()
+	sess, err := srv.CreateSession(SessionConfig{Network: nn.DOTIE, Level: 1}) // FIFO stepper
+	if err != nil {
+		t.Fatalf("CreateSession: %v", err)
+	}
+	chunk := events.NewStream(32, 32)
+	for i := int64(0); i < 40; i++ {
+		chunk.Append(events.Event{X: uint16(i % 32), Y: uint16(i % 17), TS: i * 500, Pol: events.On})
+	}
+	if res, err := srv.Ingest(sess.ID, chunk); err != nil || res.Frames == 0 {
+		t.Fatalf("Ingest: %+v, %v", res, err)
+	}
+	balanced := func(snap SessionSnapshot) bool {
+		where := uint64(snap.QueueLen+snap.AggPending) + snap.RawFramesDone + snap.FramesDropped + snap.FramesDroppedDSFA
+		return snap.FramesIn == where
+	}
+
+	sess.mu.Lock()
+	done := make(chan struct{})
+	go func() {
+		srv.Pump()
+		close(done)
+	}()
+	// Give the pass time to empty the queue, which it can only do
+	// without the session lock if it takes frames outside it.
+	for deadline := time.Now().Add(200 * time.Millisecond); sess.queue.len() > 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	mid := sess.snapshotLocked()
+	sess.mu.Unlock()
+	<-done
+	if !balanced(mid) {
+		t.Fatalf("session lock held mid-drain: %d frames in, %d queued, %d in the stepper, %d done, %d dropped",
+			mid.FramesIn, mid.QueueLen, mid.AggPending, mid.RawFramesDone, mid.FramesDropped+mid.FramesDroppedDSFA)
+	}
+	fin, err := srv.CloseSession(sess.ID)
+	if err != nil || !balanced(*fin) || fin.RawFramesDone == 0 {
+		t.Fatalf("CloseSession: %+v, %v", fin, err)
+	}
+}

@@ -134,7 +134,9 @@ var ErrNoSession = errors.New("serve: no such session")
 // ErrChunkTooLarge is returned by Ingest for a chunk that is well-formed
 // but asks the server for unbounded work: a first chunk declaring a
 // sensor larger than maxSessionPixels, or one whose time span makes
-// time framing emit more than maxFramesPerIngest frames in one call.
+// time framing emit more than maxFramesPerIngest frames in one call, or
+// one with a timestamp within one window (count framing: one
+// microsecond) of either end of int64, where framing would overflow.
 // The session is left untouched; HTTP answers 400.
 var ErrChunkTooLarge = errors.New("serve: chunk exceeds ingest work bounds")
 
@@ -298,13 +300,11 @@ type Server struct {
 	chunks sync.Pool
 
 	// tracer records frame-lifecycle spans; nil when tracing is off
-	// (every obs method is a no-op on nil). devTracks caches the
-	// per-device lane names ("dev/GPU") so exec spans never
-	// concatenate strings in the dispatch hot path, and the obs.Track
-	// handles cache the ring resolution for the fixed lanes so the
-	// dispatch path never pays a map lookup either.
+	// (every obs method is a no-op on nil). devTrackH holds one
+	// per-device lane ("dev/GPU") and the other obs.Track handles the
+	// fixed lanes, resolved once so the dispatch path never builds a
+	// lane name or pays a map lookup.
 	tracer     *obs.Tracer
-	devTracks  []string
 	devTrackH  []*obs.Track
 	umTrack    *obs.Track
 	schedTrack *obs.Track
@@ -406,7 +406,6 @@ func New(cfg Config) (*Server, error) {
 		p.payload.inv = nil
 		p.payload.net = nil
 		p.payload.plan = pipeline.ExecPlan{}
-		p.payload.track = ""
 		p.payload.trackH = nil
 	})
 	s.drainBufs.New = func() any {
@@ -428,11 +427,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if s.tracer != nil {
 		schedCfg.Observe = s.observeDispatch
-		s.devTracks = make([]string, len(cfg.Platform.Devices))
 		s.devTrackH = make([]*obs.Track, len(cfg.Platform.Devices))
-		for i := range s.devTracks {
-			s.devTracks[i] = "dev/" + cfg.Platform.DeviceName(i)
-			s.devTrackH[i] = s.tracer.Track(s.devTracks[i])
+		for i := range s.devTrackH {
+			s.devTrackH[i] = s.tracer.Track("dev/" + cfg.Platform.DeviceName(i))
 		}
 		s.umTrack = s.tracer.Track("um")
 		s.schedTrack = s.tracer.Track("sched")
@@ -552,8 +549,7 @@ func (s *Server) drainSession(sess *Session) {
 	bufp := s.drainBufs.Get().(*[]*sparse.Frame)
 	buf := *bufp
 	for {
-		buf = sess.queue.drainInto(buf[:0], drainBatch)
-		s.execute(sess, buf, false)
+		buf = s.execute(sess, buf[:0], true, false)
 		if len(buf) == 0 {
 			break
 		}
@@ -574,9 +570,8 @@ type invPayload struct {
 	inv  *pipeline.Invocation
 	net  *nn.Network
 	plan pipeline.ExecPlan
-	// track is the submitting session's cached trace lane ("" when
-	// tracing is off) and trackH its cached ring handle (nil no-op).
-	track  string
+	// trackH is the submitting session's cached trace-ring handle (nil,
+	// a no-op, when tracing is off).
 	trackH *obs.Track
 	// pend points back at the pooled submission this payload is part
 	// of, so the scheduler's Release hook can recycle the whole unit.
@@ -648,14 +643,19 @@ type aggSpan struct {
 }
 
 // execute pushes frames through the session's stepper and submits
-// every ready invocation to the execution scheduler. flush drains open
-// aggregator buckets too (session close). Execution is asynchronous:
+// every ready invocation to the execution scheduler, and returns
+// frames. With drain set it first moves up to drainBatch frames from
+// the session's ingest queue onto frames under the session lock, so
+// whenever that lock is free every frame in is queued, in the stepper
+// or counted done or dropped — a close's final snapshot never misses
+// frames a worker holds. flush drains open aggregator buckets too
+// (session close). Execution is asynchronous:
 // completion lands in complete, which records latencies, advances the
 // session clock and re-schedules the session. Invocation-side counters
 // (invocs, rawDone, batched) advance at submission — the frames have
 // irrevocably left the stepper — so frame conservation holds at every
 // scheduler-quiescent point.
-func (s *Server) execute(sess *Session, frames []*sparse.Frame, flush bool) {
+func (s *Server) execute(sess *Session, frames []*sparse.Frame, drain, flush bool) []*sparse.Frame {
 	pendp := s.pendLists.Get().(*[]*pendingInv)
 	pends := (*pendp)[:0]
 	traced := s.tracer != nil
@@ -665,10 +665,12 @@ func (s *Server) execute(sess *Session, frames []*sparse.Frame, flush bool) {
 	var aggArr [32]aggSpan
 	aggs := aggArr[:0]
 	sess.mu.Lock()
-	// A worker can lose the race with CloseSession: it drained frames
-	// before the close but acquires the session lock after the final
-	// flush ran. Serving those frames in flush mode keeps them from
-	// being stranded in open aggregator buckets forever — and if the
+	if drain {
+		frames = sess.queue.drainInto(frames, drainBatch)
+	}
+	// A worker scheduled before CloseSession can still get here after
+	// the close's final flush ran. Serving in flush mode keeps whatever
+	// it finds from being stranded in open aggregator buckets — and if the
 	// close already folded the session's finals into the server totals,
 	// this call's deltas are folded directly so no counter is lost.
 	if sess.closed {
@@ -747,7 +749,6 @@ func (s *Server) execute(sess *Session, frames []*sparse.Frame, flush bool) {
 		p.payload.inv = inv
 		p.payload.net = sess.Net
 		p.payload.plan = *plan
-		p.payload.track = sess.track
 		p.payload.trackH = sess.trackH
 		p.req.Session = sess.ID
 		p.req.Key = sched.Key{Device: plan.Device[0], Net: sess.Net.Name, Sig: sess.planSig}
@@ -800,6 +801,7 @@ func (s *Server) execute(sess *Session, frames []*sparse.Frame, flush bool) {
 	}
 	*pendp = pends[:0]
 	s.pendLists.Put(pendp)
+	return frames
 }
 
 // dispatchBatch executes one scheduler micro-batch: compatible
@@ -854,7 +856,7 @@ func (s *Server) dispatchBatch(batch []*sched.Request) float64 {
 	// span from its own readiness to the batch's first engine start
 	// (early members pay the coalescing delay — exactly the
 	// latency/throughput trade the batch window bounds).
-	devs := make([]devExtent, len(s.devTracks))
+	devs := make([]devExtent, len(s.devTrackH))
 	execStart := -1.0
 	end := pipeline.ScheduleOnEngineObs(s.engine, s.model, first.net, &first.plan, inv, tag,
 		func(dev int, name string, startUS, endUS float64, um bool) {
@@ -1105,7 +1107,7 @@ func (s *Server) CloseSession(id string) (*SessionSnapshot, error) {
 		// failed close never strands queued frames behind a session that
 		// now rejects ingest.
 		tail = append(sess.queue.drain(0), tail...)
-		s.execute(sess, tail, true)
+		s.execute(sess, tail, false, true)
 		// Settle the session's scheduler backlog before taking finals:
 		// the flush submissions must complete (latencies observed, clock
 		// advanced) so the terminal snapshot is whole. Under ManualDrain

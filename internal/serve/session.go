@@ -11,6 +11,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -400,6 +401,9 @@ func (c *ingestConverter) span() int64 { return c.watermark - c.startTS }
 // every window up to the chunk's last timestamp, empty or not, so
 // without them a few bytes of body buy W x H of grid or an arbitrary
 // number of frames. Count framing is bounded by the body size already.
+// Timestamps also keep a margin from both ends of int64: anchoring
+// reaches up to one window below the first timestamp and framing one
+// window (count framing: one microsecond) above the last.
 const (
 	// maxSessionPixels is above any shipping event sensor (1 Mpx class).
 	maxSessionPixels = 4 << 20
@@ -415,7 +419,18 @@ func (c *ingestConverter) checkBounds(chunk *events.Stream) error {
 		return fmt.Errorf("%w: sensor %dx%d is over %d pixels",
 			ErrChunkTooLarge, chunk.Width, chunk.Height, maxSessionPixels)
 	}
-	if c.spec.Framing == nn.FrameByCount || chunk.Len() == 0 {
+	if chunk.Len() == 0 {
+		return nil
+	}
+	margin := int64(1)
+	if c.spec.Framing != nn.FrameByCount {
+		margin = c.spec.WindowUS
+	}
+	if chunk.TStart() < math.MinInt64+margin || chunk.TEnd() > math.MaxInt64-margin {
+		return fmt.Errorf("%w: timestamps %dus to %dus come within %dus of the int64 range",
+			ErrChunkTooLarge, chunk.TStart(), chunk.TEnd(), margin)
+	}
+	if c.spec.Framing == nn.FrameByCount {
 		return nil
 	}
 	winStart := c.winStart
@@ -602,7 +617,8 @@ func (c *ingestConverter) flush() ([]*sparse.Frame, error) {
 
 // trim discards consumed events (timestamps before t).
 func (c *ingestConverter) trim(t int64) {
-	keep := c.buf.Window(t, int64(1)<<62)
-	n := copy(c.buf.Events, keep)
-	c.buf.Events = c.buf.Events[:n]
+	evs := c.buf.Events
+	i := sort.Search(len(evs), func(i int) bool { return evs[i].TS >= t })
+	n := copy(evs, evs[i:])
+	c.buf.Events = evs[:n]
 }

@@ -93,49 +93,3 @@ func (m *CSR) SpMMInto(out *Mat, d *Mat) error {
 	}
 	return nil
 }
-
-// SpMVInto computes y = m * x for a dense vector x into a preallocated
-// y of length m.Rows.
-func (m *CSR) SpMVInto(y, x []float32) error {
-	if len(x) != m.Cols {
-		return fmt.Errorf("sparse: SpMV vector length %d != cols %d", len(x), m.Cols)
-	}
-	if len(y) != m.Rows {
-		return fmt.Errorf("sparse: SpMV output length %d != rows %d", len(y), m.Rows)
-	}
-	for i := 0; i < m.Rows; i++ {
-		var sum float32
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			sum += m.Vals[k] * x[m.ColIdx[k]]
-		}
-		y[i] = sum
-	}
-	return nil
-}
-
-// Dense expands the CSR matrix to a dense Mat.
-func (m *CSR) Dense() *Mat {
-	out := NewMat(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			out.Set(i, int(m.ColIdx[k]), m.Vals[k])
-		}
-	}
-	return out
-}
-
-// Transpose returns the CSR transpose (CSC reinterpretation done
-// eagerly).
-func (m *CSR) Transpose() *CSR {
-	entries := make([]COOEntry, 0, m.NNZ())
-	for i := 0; i < m.Rows; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			entries = append(entries, COOEntry{Row: m.ColIdx[k], Col: int32(i), Val: m.Vals[k]})
-		}
-	}
-	t, err := NewCSR(m.Cols, m.Rows, entries)
-	if err != nil {
-		panic(err) // entries are in-bounds by construction
-	}
-	return t
-}

@@ -28,9 +28,9 @@ type Frame struct {
 	// unsorted counts entries Set appended past the sorted prefix;
 	// ensureSorted compacts them lazily before any order-dependent
 	// read. Only Set raises it, so frames assembled by direct slice
-	// construction (the codec, the fused E2SF kernel) are still
+	// construction (Accum.Emit, the fused E2SF kernel) are still
 	// strictly validated — Validate must keep rejecting unsorted
-	// wire data.
+	// foreign data.
 	unsorted int
 }
 
@@ -234,22 +234,4 @@ func FromDense(t *Tensor, t0, t1 int64) (*Frame, error) {
 		}
 	}
 	return f, nil
-}
-
-// DensityChange returns |d(a) - d(b)| / max(d(a), eps): the relative
-// spatial-density change DSFA compares against its MdTh threshold.
-func DensityChange(a, b *Frame) float64 {
-	da, db := a.Density(), b.Density()
-	if da == 0 && db == 0 {
-		return 0
-	}
-	ref := da
-	if ref == 0 {
-		ref = 1e-9
-	}
-	d := (db - da) / ref
-	if d < 0 {
-		d = -d
-	}
-	return d
 }

@@ -101,8 +101,8 @@ func TestFrameSetLastWriteWins(t *testing.T) {
 	}
 }
 
-// TestValidateStillRejectsUnsortedWireData guards the invariant the
-// codec fuzzers rely on: frames assembled by direct slice construction
+// TestValidateStillRejectsUnsortedWireData guards the invariant
+// Validate's callers rely on: frames assembled by direct slice construction
 // (not via Set) must still fail Validate when out of order — the
 // deferred-sort machinery must not silently repair foreign data.
 func TestValidateStillRejectsUnsortedWireData(t *testing.T) {

@@ -265,8 +265,7 @@ func (b *frameBuilder) addEvent(y, x int32, positive bool) {
 }
 
 // build emits the frame and leaves the builder empty. An empty builder
-// yields nil channel slices, matching NewFrame and the codec's
-// decoding of zero-entry frames.
+// yields nil channel slices, matching NewFrame.
 func (b *frameBuilder) build() *Frame {
 	f := NewFrame(b.acc.H(), b.acc.W(), b.t0, b.t1)
 	b.acc.Emit(f, 1)

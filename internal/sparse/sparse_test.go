@@ -67,11 +67,9 @@ func TestReLUScaleAdd(t *testing.T) {
 	if x.Data[2] != 6 {
 		t.Fatalf("scale: %v", x.Data)
 	}
-	y := NewTensor(1, 1, 3)
-	copy(y.Data, []float32{1, 1, 1})
-	x.AddTensor(y)
-	if x.Data[0] != 1 || x.Data[2] != 7 {
-		t.Fatalf("addtensor: %v", x.Data)
+	x.Add(0, 0, 2, 1)
+	if x.Data[0] != 0 || x.Data[2] != 7 {
+		t.Fatalf("add: %v", x.Data)
 	}
 }
 
@@ -165,27 +163,6 @@ func TestMergeModes(t *testing.T) {
 	}
 }
 
-func TestDensityChange(t *testing.T) {
-	a := NewFrame(10, 10, 0, 1)
-	for i := int32(0); i < 10; i++ {
-		a.Set(i, 0, 1, 0)
-	}
-	b := NewFrame(10, 10, 1, 2)
-	for i := int32(0); i < 15; i++ {
-		b.Set(i%10, i/10, 1, 0)
-	}
-	if d := DensityChange(a, b); d < 0.49 || d > 0.51 {
-		t.Fatalf("density change=%f want 0.5", d)
-	}
-	if DensityChange(a, a) != 0 {
-		t.Fatal("self change nonzero")
-	}
-	empty := NewFrame(10, 10, 0, 1)
-	if DensityChange(empty, empty) != 0 {
-		t.Fatal("empty change nonzero")
-	}
-}
-
 func TestCSR(t *testing.T) {
 	entries := []COOEntry{
 		{0, 1, 2}, {1, 0, 3}, {1, 2, 4}, {0, 1, 1}, // duplicate sums to 3
@@ -200,19 +177,6 @@ func TestCSR(t *testing.T) {
 	}
 	if m.At(0, 1) != 3 || m.At(1, 0) != 3 || m.At(1, 2) != 4 || m.At(2, 2) != 0 {
 		t.Fatal("At wrong")
-	}
-	y := make([]float32, 3)
-	if err := m.SpMVInto(y, []float32{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if y[0] != 6 || y[1] != 15 || y[2] != 0 {
-		t.Fatalf("spmv=%v", y)
-	}
-	if err := m.SpMVInto(y, []float32{1}); err == nil {
-		t.Fatal("bad vector accepted")
-	}
-	if err := m.SpMVInto(y[:1], []float32{1, 2, 3}); err == nil {
-		t.Fatal("bad output length accepted")
 	}
 	if _, err := NewCSR(2, 2, []COOEntry{{5, 0, 1}}); err == nil {
 		t.Fatal("out of bounds entry accepted")
@@ -237,24 +201,14 @@ func TestCSRSpMMMatchesDense(t *testing.T) {
 	if err := m.SpMMInto(got, d); err != nil {
 		t.Fatal(err)
 	}
-	md := m.Dense()
 	for i := 0; i < 8; i++ {
 		for j := 0; j < 5; j++ {
 			var want float32
 			for k := 0; k < 6; k++ {
-				want += md.At(i, k) * d.At(k, j)
+				want += m.At(i, k) * d.At(k, j)
 			}
 			if diff := got.At(i, j) - want; diff > 1e-4 || diff < -1e-4 {
 				t.Fatalf("spmm[%d,%d]=%f want %f", i, j, got.At(i, j), want)
-			}
-		}
-	}
-	// transpose twice is identity
-	tt := m.Transpose().Transpose()
-	for i := 0; i < 8; i++ {
-		for j := 0; j < 6; j++ {
-			if tt.At(i, j) != m.At(i, j) {
-				t.Fatal("double transpose differs")
 			}
 		}
 	}

@@ -169,14 +169,3 @@ func (t *Tensor) Scale(s float32) *Tensor {
 	}
 	return t
 }
-
-// AddTensor accumulates o into t elementwise. Panics on shape mismatch.
-func (t *Tensor) AddTensor(o *Tensor) *Tensor {
-	if t.C != o.C || t.H != o.H || t.W != o.W {
-		panic("sparse: shape mismatch in AddTensor")
-	}
-	for i, v := range o.Data {
-		t.Data[i] += v
-	}
-	return t
-}

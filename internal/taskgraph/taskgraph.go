@@ -11,7 +11,7 @@
 // partial order from data dependencies, and
 //
 //	End_T(node) = max(End_T(parents), CurDeviceQ_T) + Exec_T(node)
-//	CriticalPathLatency = max(End_T(*))
+//	Latency = max(End_T(*))      (the critical-path latency)
 //
 // The mapper prices thousands of candidates of one workload, so both
 // steps have an in-place form: Graph.BuildInto refills one graph (nodes
@@ -433,37 +433,4 @@ func (g *Graph) CommNodeCount() int {
 		}
 	}
 	return n
-}
-
-// CriticalPath returns the node IDs of one longest end-time chain,
-// from source to sink, after a schedule has been computed.
-func (g *Graph) CriticalPath(s *Schedule) []int {
-	// Find the sink with the max end.
-	best := 0
-	for i := range g.Nodes {
-		if s.NodeEnd[i] > s.NodeEnd[best] {
-			best = i
-		}
-	}
-	var path []int
-	cur := best
-	for {
-		path = append(path, cur)
-		preds := g.Nodes[cur].Preds
-		if len(preds) == 0 {
-			break
-		}
-		next := preds[0]
-		for _, p := range preds[1:] {
-			if s.NodeEnd[p] > s.NodeEnd[next] {
-				next = p
-			}
-		}
-		cur = next
-	}
-	// Reverse to source-first order.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path
 }

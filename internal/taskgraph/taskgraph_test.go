@@ -274,40 +274,6 @@ func TestContentionSerializesSharedDevice(t *testing.T) {
 	}
 }
 
-func TestCriticalPath(t *testing.T) {
-	db, m, nets := setup(t, nn.SpikeFlowNet)
-	asg := uniform(nets, 1, nn.FP16)
-	g, _ := Build(db, m, asg)
-	s, err := g.Run(db.Platform())
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := g.CriticalPath(s)
-	if len(path) == 0 {
-		t.Fatal("empty critical path")
-	}
-	// Path ends at the latest-finishing node and starts at a source.
-	last := path[len(path)-1]
-	if s.NodeEnd[last] != s.MakespanUS {
-		t.Fatalf("path ends at %f, makespan %f", s.NodeEnd[last], s.MakespanUS)
-	}
-	if len(g.Nodes[path[0]].Preds) != 0 {
-		t.Fatal("path does not start at a source")
-	}
-	// Consecutive: each node is a pred of the next.
-	for i := 1; i < len(path); i++ {
-		found := false
-		for _, p := range g.Nodes[path[i]].Preds {
-			if p == path[i-1] {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("path edge %d->%d is not a dependency", path[i-1], path[i])
-		}
-	}
-}
-
 func TestBuildRejectsBadAssignment(t *testing.T) {
 	db, m, nets := setup(t, nn.DOTIE)
 	bad := uniform(nets, 2, nn.FP32) // DLA has no FP32
