@@ -470,7 +470,12 @@ func (a *Aggregator) combineInto(b *bucket, m *Merged) {
 	var acc *sparse.Accum
 	var merged *sparse.Frame
 	if a.pool != nil {
-		acc, merged = a.pool.GetAccum(h, w), a.pool.Get(h, w, 0, 0)
+		// The members' entries bound the merged frame's.
+		entries := 0
+		for _, f := range b.frames {
+			entries += len(f.Ys)
+		}
+		acc, merged = a.pool.GetAccum(h, w), a.pool.Get(h, w, 0, 0, entries)
 	} else {
 		if a.own == nil || a.own.H() != h || a.own.W() != w {
 			a.own = sparse.NewAccum(h, w)

@@ -351,7 +351,7 @@ func BenchmarkAggregatorPushDispatch(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, t := range templates {
-					f := pool.Get(h, w, t.T0, t.T1)
+					f := pool.Get(h, w, t.T0, t.T1, len(t.Ys))
 					f.Ys = append(f.Ys, t.Ys...)
 					f.Xs = append(f.Xs, t.Xs...)
 					f.Pos = append(f.Pos, t.Pos...)

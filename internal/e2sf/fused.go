@@ -28,10 +28,9 @@ import (
 // (y, x) order, and bin bounds follow Eq. 1 in float64.
 //
 // Every event of a converted stream must lie inside the configured
-// geometry (events.Stream.Validate checks it): the grid is indexed
-// unchecked, so an outside event aliases another pixel or panics.
-// Streams arriving from outside the program are validated where they
-// enter (serve's ingest).
+// geometry: the grid is indexed unchecked, so an outside event aliases
+// another pixel or panics. Streams arriving from outside the program
+// are checked event by event where they enter (serve's ingest).
 //
 // A Fused is NOT safe for concurrent use — it is per-session state,
 // like the ingestConverter that owns it. Converters sharing one
@@ -83,18 +82,17 @@ func (k *Fused) release(acc *sparse.Accum) {
 // the polarity's sign bit.
 func channel(e events.Event) uint8 { return uint8(e.Pol) >> 7 }
 
-// frame borrows or allocates an output frame.
-func (k *Fused) frame(t0, t1 int64) *sparse.Frame {
-	if k.pool != nil {
-		return k.pool.Get(k.cfg.Height, k.cfg.Width, t0, t1)
-	}
-	return sparse.NewFrame(k.cfg.Height, k.cfg.Width, t0, t1)
-}
-
 // emitFrame moves the grid's counts into a frame spanning [t0, t1),
-// leaving the grid all-zero for the next frame.
-func (k *Fused) emitFrame(acc *sparse.Accum, t0, t1 int64) *sparse.Frame {
-	f := k.frame(t0, t1)
+// leaving the grid all-zero for the next frame. n is the number of
+// events added since the last emission, which bounds the touched
+// cells; a pooled frame is picked to hold that many entries.
+func (k *Fused) emitFrame(acc *sparse.Accum, t0, t1 int64, n int) *sparse.Frame {
+	var f *sparse.Frame
+	if k.pool != nil {
+		f = k.pool.Get(k.cfg.Height, k.cfg.Width, t0, t1, n)
+	} else {
+		f = sparse.NewFrame(k.cfg.Height, k.cfg.Width, t0, t1)
+	}
 	acc.Emit(f, 1)
 	return f
 }
@@ -138,7 +136,7 @@ func (k *Fused) ConvertGroupedAppend(dst []*sparse.Frame, s *events.Stream, tSta
 	// division to avoid bias when the window is not a multiple of nB.
 	biS := float64(tEnd-tStart) / float64(nB)
 	nG := (nB + groupK - 1) / groupK
-	g := 0
+	g, n := 0, 0
 	acc := k.borrow()
 	emit := func() {
 		a := g * groupK
@@ -149,10 +147,11 @@ func (k *Fused) ConvertGroupedAppend(dst []*sparse.Frame, s *events.Stream, tSta
 		// A group spans its member bins' bounds.
 		t0 := tStart + int64(float64(a)*biS)
 		t1 := tStart + int64(float64(b)*biS)
-		f := k.emitFrame(acc, t0, t1)
+		f := k.emitFrame(acc, t0, t1, n)
 		dst = append(dst, f)
 		st.TotalNNZ += f.NNZ()
 		st.MeanDensity += f.Density()
+		n = 0
 	}
 	for _, e := range s.Window(tStart, tEnd) {
 		bi := int(float64(e.TS-tStart) / biS)
@@ -164,6 +163,7 @@ func (k *Fused) ConvertGroupedAppend(dst []*sparse.Frame, s *events.Stream, tSta
 		}
 		acc.Touch(int(e.Y), int(e.X))[channel(e)]++
 		st.EventsIn++
+		n++
 	}
 	for ; g < nG; g++ {
 		emit()
@@ -200,7 +200,7 @@ func (k *Fused) ConvertByCountAppend(dst []*sparse.Frame, s *events.Stream, tSta
 	n := 0
 	acc := k.borrow()
 	emit := func(t1 int64) {
-		f := k.emitFrame(acc, frameStart, t1)
+		f := k.emitFrame(acc, frameStart, t1, n)
 		dst = append(dst, f)
 		st.TotalNNZ += f.NNZ()
 		st.MeanDensity += f.Density()

@@ -26,7 +26,7 @@ import (
 //
 // Both directions move whole blocks, never single records. WriteBinary
 // sizes one buffer of headerSize + recordSize*len(Events) bytes, fills
-// it in a loop and issues one Write. ReadBinaryInto borrows a block of
+// it in a loop and issues one Write. ReadBinary borrows a block of
 // blockRecords records from a package pool for the duration of the
 // call, fills it with whatever each Read delivers, decodes every whole
 // record in it straight into the stream's Events and carries a
@@ -34,11 +34,13 @@ import (
 // Read — so a reader that hands out one byte at a time decodes to the
 // same stream as one that hands out the whole body.
 //
-// Ownership: ReadBinaryInto writes into a stream the caller owns,
-// reusing the capacity of its Events slice; nothing of the block or
-// the reader is referenced once it returns, so the caller may pool the
-// stream and decode the next chunk into it (internal/serve does, one
-// stream per ingest request). ReadBinary returns a fresh stream.
+// Ownership: ReadBinary returns a fresh stream the caller keeps.
+// ParseBinary decodes nothing: it checks the framing of a body the
+// caller already holds and returns its record bytes as Records, a view
+// of that body valid as long as the caller keeps the bytes unchanged.
+// internal/serve reads each binary ingest body into a pooled buffer,
+// parses it and decodes the records once, straight into the session's
+// event buffer, before it pools the body buffer again.
 
 const (
 	binaryMagic   = "EVAR"
@@ -100,29 +102,76 @@ func WriteBinary(w io.Writer, s *Stream) error {
 	return err
 }
 
-// ReadBinary parses a stream from the EVAR binary format into a fresh
-// Stream.
+// ReadBinary parses a stream from the EVAR binary format, read from r
+// to EOF, into a fresh Stream.
 func ReadBinary(r io.Reader) (*Stream, error) {
 	s := new(Stream)
-	if err := ReadBinaryInto(r, s); err != nil {
+	bp := blockPool.Get().(*[]byte)
+	err := decodeBlocks(r, s, *bp)
+	blockPool.Put(bp)
+	if err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// ReadBinaryInto parses an EVAR stream from r, to EOF, into s: the
-// geometry and events s held are replaced, the capacity of s.Events is
-// kept and grown only when the chunk needs more. On error s is left
-// empty (no geometry, no events), never holding a mix of old and new.
-func ReadBinaryInto(r io.Reader, s *Stream) error {
-	s.Events = s.Events[:0]
-	bp := blockPool.Get().(*[]byte)
-	err := decodeBlocks(r, s, *bp)
-	blockPool.Put(bp)
-	if err != nil {
-		s.Width, s.Height, s.Events = 0, 0, s.Events[:0]
+// Records is the record section of an EVAR body held in memory, as
+// ParseBinary returns it: whole records, in wire order.
+type Records []byte
+
+// Len returns the number of records.
+func (r Records) Len() int { return len(r) / recordSize }
+
+// At decodes record i.
+func (r Records) At(i int) Event {
+	rec := r[i*recordSize:][:recordSize]
+	return Event{
+		X:   binary.LittleEndian.Uint16(rec[0:]),
+		Y:   binary.LittleEndian.Uint16(rec[2:]),
+		Pol: Polarity(int8(rec[12])),
+		TS:  int64(binary.LittleEndian.Uint64(rec[4:])),
 	}
-	return err
+}
+
+// ParseBinary checks the framing of a whole EVAR body — magic, version,
+// whole records, and the header's count when it is not zero — and
+// returns the sensor geometry the header declares and the records,
+// which alias body. It accepts exactly the bodies ReadBinary accepts,
+// with the same error for the rest, and decodes none of the events.
+func ParseBinary(body []byte) (width, height int, recs Records, err error) {
+	width, height, count, err := parseHeader(body, io.EOF)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	recs = body[headerSize:]
+	if len(recs)%recordSize != 0 {
+		return 0, 0, nil, fmt.Errorf("events: reading record: %w", io.ErrUnexpectedEOF)
+	}
+	if count > 0 && uint64(recs.Len()) != count {
+		return 0, 0, nil, fmt.Errorf("events: header count %d but read %d records", count, recs.Len())
+	}
+	return width, height, recs, nil
+}
+
+// parseHeader checks the header at the start of b, which holds every
+// byte read so far; rerr is what stopped the reading when b is shorter
+// than a header.
+func parseHeader(b []byte, rerr error) (width, height int, count uint64, err error) {
+	if len(b) < len(binaryMagic) {
+		return 0, 0, 0, fmt.Errorf("events: reading magic: %w", shortRead(len(b), rerr))
+	}
+	if string(b[:len(binaryMagic)]) != binaryMagic {
+		return 0, 0, 0, fmt.Errorf("events: bad magic %q", b[:len(binaryMagic)])
+	}
+	if len(b) < headerSize {
+		return 0, 0, 0, fmt.Errorf("events: reading header: %w", shortRead(len(b)-len(binaryMagic), rerr))
+	}
+	if v := binary.LittleEndian.Uint16(b[4:]); v != binaryVersion {
+		return 0, 0, 0, fmt.Errorf("events: unsupported version %d", v)
+	}
+	width = int(binary.LittleEndian.Uint16(b[6:]))
+	height = int(binary.LittleEndian.Uint16(b[8:]))
+	return width, height, binary.LittleEndian.Uint64(b[10:]), nil
 }
 
 // shortRead is the error for an item that needed more than the got
@@ -135,7 +184,7 @@ func shortRead(got int, err error) error {
 	return err
 }
 
-// decodeBlocks is ReadBinaryInto's body over a borrowed block.
+// decodeBlocks is ReadBinary's body over a borrowed block.
 func decodeBlocks(r io.Reader, s *Stream, blk []byte) error {
 	var (
 		n     int   // bytes of blk filled and not yet decoded
@@ -159,38 +208,22 @@ func decodeBlocks(r io.Reader, s *Stream, blk []byte) error {
 	for n < headerSize && rerr == nil {
 		read()
 	}
-	if n < len(binaryMagic) {
-		return fmt.Errorf("events: reading magic: %w", shortRead(n, rerr))
+	w, h, count, err := parseHeader(blk[:n], rerr)
+	if err != nil {
+		return err
 	}
-	if string(blk[:len(binaryMagic)]) != binaryMagic {
-		return fmt.Errorf("events: bad magic %q", blk[:len(binaryMagic)])
-	}
-	if n < headerSize {
-		return fmt.Errorf("events: reading header: %w", shortRead(n-len(binaryMagic), rerr))
-	}
-	if v := binary.LittleEndian.Uint16(blk[4:]); v != binaryVersion {
-		return fmt.Errorf("events: unsupported version %d", v)
-	}
-	s.Width = int(binary.LittleEndian.Uint16(blk[6:]))
-	s.Height = int(binary.LittleEndian.Uint16(blk[8:]))
-	count := binary.LittleEndian.Uint64(blk[10:])
-	if pre := int(min(count, maxPrealloc)); cap(s.Events) < pre {
+	s.Width, s.Height = w, h
+	if pre := min(count, maxPrealloc); pre > 0 {
 		s.Events = make([]Event, 0, pre)
 	}
 	for off := headerSize; ; off = 0 {
-		k := (n - off) / recordSize
+		recs := Records(blk[off:n])
+		k := recs.Len()
 		base := len(s.Events)
 		s.Events = slices.Grow(s.Events, k)[:base+k]
 		evs := s.Events[base:]
-		recs := blk[off : off+k*recordSize]
 		for i := range evs {
-			rec := recs[i*recordSize:][:recordSize]
-			evs[i] = Event{
-				X:   binary.LittleEndian.Uint16(rec[0:]),
-				Y:   binary.LittleEndian.Uint16(rec[2:]),
-				TS:  int64(binary.LittleEndian.Uint64(rec[4:])),
-				Pol: Polarity(int8(rec[12])),
-			}
+			evs[i] = recs.At(i)
 		}
 		// A trailing partial record moves to the front of the block and
 		// is completed by the next read.

@@ -245,21 +245,43 @@ func chunkedReaders(body []byte) map[string]func() io.Reader {
 	}
 }
 
-// checkAgainstReference decodes body through every delivery pattern
-// and requires the reference decoder's stream, or its error text.
+// parsedStream is body through ParseBinary, its records decoded into a
+// stream, for comparison with ReadBinary.
+func parsedStream(body []byte) (*Stream, error) {
+	w, h, recs, err := ParseBinary(body)
+	if err != nil {
+		return nil, err
+	}
+	s := NewStream(w, h)
+	for i := 0; i < recs.Len(); i++ {
+		s.Append(recs.At(i))
+	}
+	return s, nil
+}
+
+// checkAgainstReference decodes body through every delivery pattern,
+// and whole through ParseBinary, and requires the reference decoder's
+// stream, or its error text.
 func checkAgainstReference(t *testing.T, name string, body []byte) {
 	t.Helper()
-	for rname, mk := range chunkedReaders(body) {
-		want, werr := referenceReadBinary(mk())
-		got, gerr := ReadBinary(mk())
+	same := func(what string, got, want *Stream, gerr, werr error) {
+		t.Helper()
 		if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
-			t.Fatalf("%s/%s: error %v, reference %v", name, rname, gerr, werr)
+			t.Fatalf("%s/%s: error %v, reference %v", name, what, gerr, werr)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s/%s: decoded stream differs from the per-record reference (%d vs %d events)",
-				name, rname, got.Len(), want.Len())
+				name, what, got.Len(), want.Len())
 		}
 	}
+	for rname, mk := range chunkedReaders(body) {
+		want, werr := referenceReadBinary(mk())
+		got, gerr := ReadBinary(mk())
+		same(rname, got, want, gerr, werr)
+	}
+	want, werr := referenceReadBinary(bytes.NewReader(body))
+	got, gerr := parsedStream(body)
+	same("ParseBinary", got, want, gerr, werr)
 }
 
 // TestReadBinaryBlockBoundaries: streams around the 4096-record block
@@ -307,40 +329,6 @@ func TestReadBinaryNoProgress(t *testing.T) {
 	_, err := ReadBinary(io.MultiReader(bytes.NewReader(body[:len(body)-4]), stuck))
 	if !errors.Is(err, io.ErrNoProgress) || !strings.Contains(err.Error(), "reading record") {
 		t.Fatalf("stuck inside a record: %v", err)
-	}
-}
-
-// TestReadBinaryIntoReplacesStream: a reused stream holds exactly the
-// new chunk — geometry included — in the backing array it brought, and
-// after a failed decode shows neither the old events nor half of the
-// new ones.
-func TestReadBinaryIntoReplacesStream(t *testing.T) {
-	r := rand.New(rand.NewSource(22))
-	s := randomStream(r, 500)
-	s.Width, s.Height = 640, 480
-	backing := &s.Events[0]
-	want := randomStream(r, 120)
-	if err := ReadBinaryInto(bytes.NewReader(referenceWriteBinary(want)), s); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(s, want) {
-		t.Fatalf("reused stream holds %dx%d/%d events, want %dx%d/%d",
-			s.Width, s.Height, s.Len(), want.Width, want.Height, want.Len())
-	}
-	if &s.Events[0] != backing {
-		t.Fatal("decode into a stream with room reallocated its events")
-	}
-	body := referenceWriteBinary(want)
-	for _, bad := range [][]byte{body[:len(body)-3], body[:9], []byte("NOPE"), nil} {
-		if err := ReadBinaryInto(bytes.NewReader(bad), s); err == nil {
-			t.Fatalf("accepted %d-byte truncation", len(bad))
-		}
-		if s.Len() != 0 || s.Width != 0 || s.Height != 0 {
-			t.Fatalf("after a failed decode the stream shows %dx%d/%d events", s.Width, s.Height, s.Len())
-		}
-	}
-	if err := ReadBinaryInto(bytes.NewReader(body), s); err != nil || !reflect.DeepEqual(s, want) {
-		t.Fatalf("decode after a failed one: %v", err)
 	}
 }
 
@@ -415,7 +403,8 @@ var benchStream *Stream
 // BenchmarkBinaryCodec times the EVAR codec on a 20 000-event chunk
 // (the size of a serve_http_mixed ingest body), ns/event beside the
 // allocation columns: encode into a reused buffer, decode into a fresh
-// stream (ReadBinary) and into a reused one (ReadBinaryInto).
+// stream (ReadBinary), and parse a body held in memory and decode its
+// records into a reused slice (ParseBinary, what serve's ingest does).
 func BenchmarkBinaryCodec(b *testing.B) {
 	s := randomStream(rand.New(rand.NewSource(23)), 20000)
 	body := referenceWriteBinary(s)
@@ -445,14 +434,17 @@ func BenchmarkBinaryCodec(b *testing.B) {
 		}
 		perEvent(b)
 	})
-	b.Run("decode_into", func(b *testing.B) {
-		rd := bytes.NewReader(body)
-		into := new(Stream)
+	b.Run("parse", func(b *testing.B) {
+		var into []Event
 		b.ReportAllocs()
 		for b.Loop() {
-			rd.Reset(body)
-			if err := ReadBinaryInto(rd, into); err != nil {
+			_, _, recs, err := ParseBinary(body)
+			if err != nil {
 				b.Fatal(err)
+			}
+			into = into[:0]
+			for i := 0; i < recs.Len(); i++ {
+				into = append(into, recs.At(i))
 			}
 		}
 		perEvent(b)

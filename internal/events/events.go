@@ -8,6 +8,14 @@
 // plus codecs, window iteration and density statistics.
 //
 // Timestamps are microseconds, matching the DAVIS sensor convention.
+//
+// An Event is 16 bytes in memory: the two coordinates and the polarity
+// share the word before the timestamp. Buffered events are what a
+// serving session holds per client, so the layout is the per-event
+// memory cost of ingest; the EVAR wire record is 13 bytes of the same
+// fields. A body held in memory is read record by record (ParseBinary,
+// Records) straight into whatever buffer the caller keeps, with no
+// intermediate Stream.
 package events
 
 import (
@@ -37,11 +45,11 @@ func (p Polarity) String() string {
 // Valid reports whether p is one of the two legal polarities.
 func (p Polarity) Valid() bool { return p == On || p == Off }
 
-// Event is a single AER event.
+// Event is a single AER event. The field order packs it into 16 bytes.
 type Event struct {
 	X, Y uint16   // pixel coordinates, origin top-left
-	TS   int64    // timestamp in microseconds
 	Pol  Polarity // +1 or -1
+	TS   int64    // timestamp in microseconds
 }
 
 // String formats the event as {x,y,t,p}, the AER tuple used in the paper.
@@ -65,7 +73,7 @@ func NewStream(w, h int) *Stream {
 func (s *Stream) Len() int { return len(s.Events) }
 
 // Append adds an event to the end of the stream. It does not enforce
-// timestamp order; call Sort or Validate when order matters.
+// timestamp order; call Sort when order matters.
 func (s *Stream) Append(e Event) { s.Events = append(s.Events, e) }
 
 // TStart returns the timestamp of the first event, or 0 if empty.
@@ -105,36 +113,15 @@ func (s *Stream) Sorted() bool {
 	return true
 }
 
-// Validation errors.
+// Errors for a stream that does not fit its sensor or is out of order.
+// Streams from outside the program are checked event by event where
+// they enter it (serve's ingest), which wraps these.
 var (
 	ErrGeometry   = errors.New("events: event outside sensor geometry")
 	ErrOrder      = errors.New("events: timestamps not monotonically non-decreasing")
 	ErrPolarity   = errors.New("events: invalid polarity")
 	ErrNoGeometry = errors.New("events: stream has no sensor geometry")
 )
-
-// Validate checks geometry bounds, polarity legality and timestamp
-// order, returning the first violation found.
-func (s *Stream) Validate() error {
-	if s.Width <= 0 || s.Height <= 0 {
-		return ErrNoGeometry
-	}
-	var prev int64
-	for i, e := range s.Events {
-		if int(e.X) >= s.Width || int(e.Y) >= s.Height {
-			return fmt.Errorf("%w: event %d at (%d,%d) on %dx%d sensor",
-				ErrGeometry, i, e.X, e.Y, s.Width, s.Height)
-		}
-		if !e.Pol.Valid() {
-			return fmt.Errorf("%w: event %d has polarity %d", ErrPolarity, i, e.Pol)
-		}
-		if i > 0 && e.TS < prev {
-			return fmt.Errorf("%w: event %d at %dus after %dus", ErrOrder, i, e.TS, prev)
-		}
-		prev = e.TS
-	}
-	return nil
-}
 
 // Clone returns a deep copy of the stream.
 func (s *Stream) Clone() *Stream {

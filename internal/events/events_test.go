@@ -39,8 +39,8 @@ func TestStreamBasics(t *testing.T) {
 	if on != 2 || off != 1 {
 		t.Fatalf("polarity counts %d %d", on, off)
 	}
-	if err := s.Validate(); err != nil {
-		t.Fatalf("valid stream rejected: %v", err)
+	if !s.Sorted() {
+		t.Fatal("sorted stream reported unsorted")
 	}
 }
 
@@ -57,23 +57,6 @@ func TestEmptyStream(t *testing.T) {
 	}
 	if s.ActivePixels() != 0 || s.SpatialDensity() != 0 {
 		t.Fatal("empty stream density must be zero")
-	}
-}
-
-func TestValidateErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		s    *Stream
-	}{
-		{"geometry", mk(2, 2, Event{X: 5, Y: 0, TS: 1, Pol: On})},
-		{"order", mk(4, 4, Event{TS: 10, Pol: On}, Event{TS: 5, Pol: On})},
-		{"polarity", mk(4, 4, Event{TS: 1, Pol: 0})},
-		{"nogeom", mk(0, 0)},
-	}
-	for _, c := range cases {
-		if err := c.s.Validate(); err == nil {
-			t.Errorf("%s: expected error", c.name)
-		}
 	}
 }
 

@@ -3,6 +3,7 @@ package events
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 )
 
@@ -22,8 +23,9 @@ func validBinary(t testing.TB) []byte {
 
 // FuzzReadBinary hammers the EVAR wire decoder with malformed input —
 // the exact bytes a serving node accepts from untrusted clients. The
-// decoder must never panic, and anything it accepts must re-encode and
-// re-decode to the same stream.
+// decoder must never panic, ParseBinary must accept and refuse the same
+// bodies with the same error and records, and anything accepted must
+// re-encode and re-decode to the same stream.
 func FuzzReadBinary(f *testing.F) {
 	valid := validBinary(f)
 	f.Add(valid)
@@ -43,8 +45,16 @@ func FuzzReadBinary(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ReadBinary(bytes.NewReader(data))
+		p, perr := parsedStream(data)
+		if (err == nil) != (perr == nil) || (err != nil && err.Error() != perr.Error()) {
+			t.Fatalf("ReadBinary error %v, ParseBinary error %v", err, perr)
+		}
 		if err != nil {
 			return
+		}
+		if p.Width != s.Width || p.Height != s.Height || !slices.Equal(p.Events, s.Events) {
+			t.Fatalf("ParseBinary gives %dx%d/%d events, ReadBinary %dx%d/%d",
+				p.Width, p.Height, p.Len(), s.Width, s.Height, s.Len())
 		}
 		var out bytes.Buffer
 		if err := WriteBinary(&out, s); err != nil {

@@ -20,6 +20,7 @@
 package mem
 
 import (
+	"math/bits"
 	"sync"
 
 	"evedge/internal/sparse"
@@ -48,18 +49,54 @@ func (s *PoolStats) add(o PoolStats) {
 // requested geometry and time bounds whose channel slices are empty
 // but keep the capacity of their previous use.
 //
+// Free frames are filed by capacity class — class k > 0 holds the
+// frames with room for [2^(k-1), 2^k) entries, class 0 those with none
+// — LIFO within a class, and Get picks by the number of entries the
+// caller is about to store. So a server whose sessions emit frames of
+// very different sizes lends its large frames to large emissions and
+// its small ones to small emissions, instead of regrowing whichever
+// frame came back last. Any free frame serves any Get, so lending by
+// size never turns a pool hit into a miss.
+//
 // It also lends the accumulation grids frames are built in (GetAccum /
 // PutAccum): a grid is borrowed for one E2SF conversion call or one
 // DSFA bucket close and must come back all-zero, so whoever holds the
 // frame pool needs no W x H state of its own.
 type FramePool struct {
 	mu    sync.Mutex
-	free  []*sparse.Frame
+	free  [frameClasses][]*sparse.Frame // free frames by capacity class
+	avail uint64                        // bit k set when free[k] is not empty
 	inSet map[*sparse.Frame]struct{}
 	stats PoolStats
 
 	accums     []*sparse.Accum // free grids, any geometry; at most maxFreeAccums
 	accumStats PoolStats
+}
+
+// frameClasses covers every capacity an int can hold.
+const frameClasses = 64
+
+// capClass is f's class: bits.Len of the room its channel slices all
+// have.
+func capClass(f *sparse.Frame) int {
+	return bits.Len(uint(min(cap(f.Ys), cap(f.Xs), cap(f.Pos), cap(f.Neg))))
+}
+
+// fitClass picks the free class Get lends from for a frame that will
+// hold n entries: the smallest non-empty class whose every frame has
+// room for n, else the largest non-empty class below it. avail must
+// not be zero.
+func fitClass(avail uint64, n int) int {
+	lo := 0 // smallest class whose least capacity, 2^(lo-1), is at least n
+	if n > 0 {
+		lo = bits.Len(uint(n-1)) + 1
+	}
+	if lo < frameClasses {
+		if above := avail >> lo << lo; above != 0 {
+			return bits.TrailingZeros64(above)
+		}
+	}
+	return bits.Len64(avail&(1<<lo-1)) - 1
 }
 
 // maxFreeAccums bounds the grid free list: a server needs one grid per
@@ -74,14 +111,24 @@ func NewFramePool() *FramePool {
 	return &FramePool{inSet: map[*sparse.Frame]struct{}{}}
 }
 
-// Get borrows a frame with the given geometry and time bounds.
-func (p *FramePool) Get(h, w int, t0, t1 int64) *sparse.Frame {
+// Get borrows a frame with the given geometry and time bounds for an
+// emission of at most entries entries — a bound the caller has for
+// free, such as the events counted into the frame; the frame is not
+// limited to it. It is the most recently returned frame of the class
+// fitClass picks, or a new one when none is free.
+func (p *FramePool) Get(h, w int, t0, t1 int64, entries int) *sparse.Frame {
 	p.mu.Lock()
 	p.stats.Gets++
-	if n := len(p.free); n > 0 {
-		f := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
+	if p.avail != 0 {
+		k := fitClass(p.avail, entries)
+		free := p.free[k]
+		n := len(free) - 1
+		f := free[n]
+		free[n] = nil
+		p.free[k] = free[:n]
+		if n == 0 {
+			p.avail &^= 1 << k
+		}
 		delete(p.inSet, f)
 		p.mu.Unlock()
 		f.Reset(h, w, t0, t1)
@@ -107,7 +154,9 @@ func (p *FramePool) Put(f *sparse.Frame) {
 	}
 	p.stats.Puts++
 	p.inSet[f] = struct{}{}
-	p.free = append(p.free, f)
+	k := capClass(f)
+	p.free[k] = append(p.free[k], f)
+	p.avail |= 1 << k
 	p.mu.Unlock()
 }
 

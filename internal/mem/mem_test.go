@@ -8,13 +8,13 @@ import (
 
 func TestFramePoolReuse(t *testing.T) {
 	p := NewFramePool()
-	f := p.Get(4, 6, 10, 20)
+	f := p.Get(4, 6, 10, 20, 0)
 	if f.H != 4 || f.W != 6 || f.T0 != 10 || f.T1 != 20 {
 		t.Fatalf("Get geometry = %dx%d [%d,%d)", f.H, f.W, f.T0, f.T1)
 	}
 	f.Set(1, 2, 3, 4)
 	p.Put(f)
-	g := p.Get(8, 8, 30, 40)
+	g := p.Get(8, 8, 30, 40, 0)
 	if g != f {
 		t.Fatalf("expected recycled frame pointer")
 	}
@@ -30,9 +30,51 @@ func TestFramePoolReuse(t *testing.T) {
 	}
 }
 
+// sized returns a free-standing frame with room for n entries.
+func sized(n int) *sparse.Frame {
+	f := sparse.NewFrame(1, 1, 0, 1)
+	f.Ys, f.Xs = make([]int32, 0, n), make([]int32, 0, n)
+	f.Pos, f.Neg = make([]float32, 0, n), make([]float32, 0, n)
+	return f
+}
+
+// TestFramePoolReuseBySize: Get lends the most recently returned frame
+// of the smallest capacity class whose every frame holds the entries
+// asked for, else of the largest class below — and any free frame
+// serves a Get, so only an empty pool allocates.
+func TestFramePoolReuseBySize(t *testing.T) {
+	p := NewFramePool()
+	none, one, three, four, big, big2 := sized(0), sized(1), sized(3), sized(4), sized(1000), sized(1023)
+	for _, f := range []*sparse.Frame{none, one, three, four, big, big2} {
+		p.Put(f)
+	}
+	for _, c := range []struct {
+		entries int
+		want    *sparse.Frame
+		what    string
+	}{
+		{3, four, "3 entries: class [4, 8), not [2, 4) whose 2-frames would not hold them"},
+		{0, none, "no entries: the smallest frame"},
+		{1, one, "1 entry: class [1, 2)"},
+		{600, big2, "600 entries: no class from [1024, 2048) up, so the most recently returned of [512, 1024)"},
+		{5000, big, "5000 entries: none holds them, the largest class below"},
+		{5000, three, "5000 entries again: the largest class left"},
+	} {
+		if got := p.Get(1, 1, 0, 1, c.entries); got != c.want {
+			t.Fatalf("%s: got a frame with room for %d", c.what, cap(got.Ys))
+		}
+	}
+	if st := p.Stats(); st.Gets != 6 || st.News != 0 {
+		t.Fatalf("stats = %+v: six Gets over six free frames must all hit", st)
+	}
+	if f := p.Get(1, 1, 0, 1, 1); f == nil || p.Stats().News != 1 {
+		t.Fatalf("Get from an empty pool did not allocate: %+v", p.Stats())
+	}
+}
+
 func TestFramePoolDoubleReleasePanics(t *testing.T) {
 	p := NewFramePool()
-	f := p.Get(2, 2, 0, 1)
+	f := p.Get(2, 2, 0, 1, 0)
 	p.Put(f)
 	defer func() {
 		if recover() == nil {
@@ -181,7 +223,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 
 	// Warm every free list (and the tripwire maps) once.
 	warm := func() {
-		f := a.Frames.Get(16, 16, 0, 100)
+		f := a.Frames.Get(16, 16, 0, 100, 0)
 		acc := a.Frames.GetAccum(16, 16)
 		r := gp.Get()
 		gp.Put(r)
@@ -197,7 +239,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 
 func TestArenaStatsTotal(t *testing.T) {
 	a := NewArena()
-	f := a.Frames.Get(2, 2, 0, 1)
+	f := a.Frames.Get(2, 2, 0, 1, 0)
 	acc := a.Frames.GetAccum(2, 2)
 	a.Frames.Put(f)
 	a.Frames.PutAccum(acc)

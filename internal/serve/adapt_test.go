@@ -121,7 +121,7 @@ func TestAdaptiveRetuneFires(t *testing.T) {
 	const dur = 200_000
 	stream := genStream(t, nn.MustByName(nn.DOTIE).Input.Preset, 23, dur)
 	for _, c := range chunks(stream, dur, 100_000) {
-		if _, err := sess.ingest(c); err != nil {
+		if _, err := sess.ingest(streamChunk(c)); err != nil {
 			t.Fatalf("ingest: %v", err)
 		}
 		srv.execute(sess, sess.queue.drain(0), false, false)
@@ -192,7 +192,7 @@ func TestAdaptiveRemapSearches(t *testing.T) {
 			t.Fatalf("CreateSession %s: %v", name, err)
 		}
 		stream := genStream(t, nn.MustByName(name).Input.Preset, 29, 60_000)
-		if _, err := sess.ingest(stream); err != nil {
+		if _, err := sess.ingest(streamChunk(stream)); err != nil {
 			t.Fatalf("ingest: %v", err)
 		}
 		srv.execute(sess, sess.queue.drain(0), false, false)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"evedge/internal/dsfa"
 	"evedge/internal/e2sf"
@@ -143,14 +144,19 @@ func allocFilter(outC, inC, k int) *sparse.Filter {
 
 // TestAllocSmoke is the per-stage allocation gate (`make bench-smoke`
 // runs it with TestAllocRegression*, which pin the whole serving
-// cycle): every hot-path stage below the serving loop — the E2SF
-// converter, the pooled DSFA merge, the conv and SpMM kernels serial
-// and tiled, rulebook upkeep — allocates nothing per call once warm.
+// cycle): every hot-path stage below the serving loop — the wire
+// codec and binary ingest, the E2SF converter, frame reuse by size,
+// the pooled DSFA merge, the conv and SpMM kernels serial and tiled,
+// rulebook upkeep — allocates nothing per call once warm. It also pins
+// the 16-byte event, which sets what a buffered event costs a session.
 func TestAllocSmoke(t *testing.T) {
 	fail := func(err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+	if n := unsafe.Sizeof(events.Event{}); n != 16 {
+		t.Fatalf("events.Event is %d bytes, want 16", n)
 	}
 
 	// E2SF conversion of one synthetic chunk into pooled frames.
@@ -228,15 +234,91 @@ func TestAllocSmoke(t *testing.T) {
 	}
 	spmmOut := sparse.NewMat(rows, dcols)
 
-	// The EVAR wire codec on the same chunk: encode into a buffer that
-	// already has the room, decode from a rewound reader into a stream
-	// that already has the capacity — what a warm client and a warm
-	// handleIngest do per request.
+	// The EVAR wire codec on the same chunk, encoded into a buffer that
+	// already has the room, as a warm client does per request.
 	var wire bytes.Buffer
 	fail(events.WriteBinary(&wire, stream))
-	body := bytes.Clone(wire.Bytes())
-	bodyReader := bytes.NewReader(body)
-	decoded := new(events.Stream)
+
+	// A warm session taking EVAR bodies the way handleIngest does: the
+	// body read into a pooled buffer, its framing parsed, its records
+	// decoded straight into the session's event buffer, then a Pump.
+	// The harness chunk's timestamps move on one span per call and it is
+	// encoded afresh, into a buffer with the room.
+	evar := newAllocHarness(t)
+	defer evar.srv.Close()
+	var evarWire bytes.Buffer
+	evarBody := bytes.NewReader(nil)
+	ingestEVAR := func() error {
+		for i := range evar.chunk.Events {
+			evar.chunk.Events[i].TS += evar.span
+		}
+		evarWire.Reset()
+		if err := events.WriteBinary(&evarWire, evar.chunk); err != nil {
+			return err
+		}
+		evarBody.Reset(evarWire.Bytes())
+		buf := bodies.Get().(*bytes.Buffer)
+		defer releaseBody(buf)
+		ch, err := readBody(evarBody, buf)
+		if err == nil {
+			_, err = evar.srv.ingest(evar.id, ch)
+		}
+		evar.srv.Pump()
+		return err
+	}
+
+	// Reuse by size: one pool lends, op after op, a frame for a
+	// one-event emission and one for a ringFrames-event emission, while
+	// ringFrames small frames stay borrowed and the oldest comes back
+	// each op — frames a quiet session holds queued while a busy one
+	// emits. Lent last-in first-out, the large emission would get the
+	// small frame returned just before it and regrow it, once per op
+	// until every frame in the ring had been regrown.
+	const ringFrames = 512
+	sizePool := mem.NewFramePool()
+	sizeConv, err := e2sf.NewFused(e2sf.Config{Width: 64, Height: 64, NumBins: 1}, sizePool)
+	fail(err)
+	oneEvent, manyEvents := events.NewStream(64, 64), events.NewStream(64, 64)
+	oneEvent.Append(events.Event{X: 1, Y: 1, Pol: events.On, TS: 0})
+	for i := 0; i < ringFrames; i++ {
+		manyEvents.Append(events.Event{X: uint16(i % 64), Y: uint16(i / 64), Pol: events.Off, TS: int64(i)})
+	}
+	var ring [ringFrames]*sparse.Frame
+	var sized []*sparse.Frame
+	emit := func(s *events.Stream) (*sparse.Frame, error) {
+		var err error
+		sized, _, err = sizeConv.ConvertByCountAppend(sized[:0], s, 0, s.TEnd()+1, s.Len())
+		if err != nil {
+			return nil, err
+		}
+		return sized[0], nil
+	}
+	for i := range ring {
+		if ring[i], err = emit(oneEvent); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spare, err := emit(oneEvent)
+	fail(err)
+	large, err := emit(manyEvents)
+	fail(err)
+	sizePool.Put(spare)
+	sizePool.Put(large)
+	oldest := 0
+	mixedSizes := func() error {
+		small, err := emit(oneEvent)
+		if err != nil {
+			return err
+		}
+		sizePool.Put(ring[oldest])
+		ring[oldest], oldest = small, (oldest+1)%ringFrames
+		large, err := emit(manyEvents)
+		if err != nil {
+			return err
+		}
+		sizePool.Put(large)
+		return nil
+	}
 
 	// The scheduler's virtual driver on its own: requests reused as the
 	// server's pool reuses them, three keys over two device queues.
@@ -252,7 +334,8 @@ func TestAllocSmoke(t *testing.T) {
 		run  func() error
 	}{
 		{"evar_encode", func() error { wire.Reset(); return events.WriteBinary(&wire, stream) }},
-		{"evar_decode_into", func() error { bodyReader.Reset(body); return events.ReadBinaryInto(bodyReader, decoded) }},
+		{"evar_ingest_warm", ingestEVAR},
+		{"frame_pool_mixed_sizes", mixedSizes},
 		{"e2sf_convert_fused_pooled", func() (err error) {
 			frames, _, err = fz.ConvertGroupedAppend(frames[:0], stream, 0, span, 1)
 			for _, fr := range frames {

@@ -2,8 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"math"
 	"mime"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"evedge/internal/events"
@@ -51,8 +55,128 @@ func FuzzDecodeChunk(f *testing.F) {
 		}
 		for _, spec := range specs {
 			conv := &ingestConverter{spec: spec} // time and count framing
-			if _, err := conv.ingest(s); err == nil {
+			if _, err := conv.ingest(streamChunk(s)); err == nil {
 				_, _ = conv.flush() // an error is a rejection; only a panic fails
+			}
+		}
+	})
+}
+
+// wireRecord is one 13-byte EVAR record, which WriteBinary cannot
+// produce for a bad polarity or a timestamp order it does not check.
+func wireRecord(x, y uint16, ts int64, pol int8) []byte {
+	rec := make([]byte, 13)
+	binary.LittleEndian.PutUint16(rec[0:], x)
+	binary.LittleEndian.PutUint16(rec[2:], y)
+	binary.LittleEndian.PutUint64(rec[4:], uint64(ts))
+	rec[12] = byte(pol)
+	return rec
+}
+
+// wireBody is an EVAR body for a w x h sensor whose header declares
+// count records, followed by recs.
+func wireBody(w, h int, count uint64, recs ...[]byte) []byte {
+	var hdr bytes.Buffer
+	if err := events.WriteBinary(&hdr, events.NewStream(w, h)); err != nil {
+		panic(err)
+	}
+	b := hdr.Bytes()
+	binary.LittleEndian.PutUint64(b[10:], count)
+	for _, r := range recs {
+		b = append(b, r...)
+	}
+	return b
+}
+
+// FuzzIngestWire: a binary body reaches a session two ways — POSTed to
+// the node, where its records are decoded straight into the session
+// buffer, or decoded by DecodeChunk into a stream that Server.Ingest
+// copies (the router's path). Both must answer alike: the same HTTP
+// status, the same IngestResult, the same error text, and the session
+// converter left in the same state. Each input is two bodies sent in
+// turn to one session, so the second can fall behind the first's
+// watermark, on a time-framed (DOTIE) or count-framed (SpikeFlowNet)
+// network.
+func FuzzIngestWire(f *testing.F) {
+	body := func(s *events.Stream) []byte {
+		var b bytes.Buffer
+		if err := events.WriteBinary(&b, s); err != nil {
+			f.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	ok := body(evStream(16, 16,
+		events.Event{X: 1, Y: 2, Pol: events.On, TS: 100},
+		events.Event{X: 3, Y: 4, Pol: events.Off, TS: 3_000},
+		events.Event{X: 5, Y: 6, Pol: events.On, TS: 6_000}))
+	later := body(evStream(16, 16,
+		events.Event{X: 7, Y: 8, Pol: events.Off, TS: 6_000},
+		events.Event{X: 9, Y: 1, Pol: events.On, TS: 12_000}))
+	earlier := body(evStream(16, 16, events.Event{X: 1, Y: 1, Pol: events.On, TS: 50}))
+	for _, countFraming := range []bool{false, true} {
+		f.Add(countFraming, ok, later)
+		f.Add(countFraming, ok, ok[:len(ok)-4])                                                               // truncated record
+		f.Add(countFraming, ok, ok[:9])                                                                       // truncated header
+		f.Add(countFraming, ok, wireBody(16, 16, 5, wireRecord(1, 1, 7_000, 1)))                              // count mismatch
+		f.Add(countFraming, ok, wireBody(16, 16, 0, wireRecord(1, 1, 7_000, 1), wireRecord(2, 2, 7_001, 3)))  // bad polarity
+		f.Add(countFraming, ok, wireBody(16, 16, 2, wireRecord(1, 1, 8_000, 1), wireRecord(2, 2, 7_000, -1))) // out of order
+		f.Add(countFraming, ok, wireBody(16, 16, 1, wireRecord(16, 0, 7_000, 1)))                             // outside the sensor
+		f.Add(countFraming, ok, wireBody(8, 16, 1, wireRecord(1, 1, 7_000, 1)))                               // another geometry
+		f.Add(countFraming, ok, earlier)                                                                      // before the watermark
+		f.Add(countFraming, wireBody(16, 16, 2, wireRecord(1, 1, math.MaxInt64-1, 1), wireRecord(2, 2, math.MaxInt64, -1)), later)
+		f.Add(countFraming, wireBody(16, 16, 1, wireRecord(1, 1, math.MinInt64, 1)), later)
+		f.Add(countFraming, wireBody(16, 16, 2, wireRecord(1, 1, -5, 1), wireRecord(2, 2, 1e12, 1)), later) // over the framing bound
+		f.Add(countFraming, wireBody(0, 0, 0), ok)                                                          // no geometry
+		f.Add(countFraming, []byte("NOPE"), ok)
+	}
+
+	f.Fuzz(func(t *testing.T, countFraming bool, first, second []byte) {
+		network := nn.DOTIE
+		if countFraming {
+			network = nn.SpikeFlowNet
+		}
+		open := func() (*Server, *Session) {
+			srv, err := New(Config{ManualDrain: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess, err := srv.CreateSession(SessionConfig{Network: network, Level: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return srv, sess
+		}
+		postSrv, postSess := open()
+		defer postSrv.Close()
+		decSrv, decSess := open()
+		defer decSrv.Close()
+		handler := postSrv.Handler()
+		for i, b := range [][]byte{first, second} {
+			rec := httptest.NewRecorder()
+			req := httptest.NewRequest(http.MethodPost, "/v1/sessions/"+postSess.ID+"/events", bytes.NewReader(b))
+			req.Header.Set("Content-Type", "application/octet-stream")
+			handler.ServeHTTP(rec, req)
+			var post struct {
+				IngestResult
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &post); err != nil {
+				t.Fatalf("body %d: POST answered %d with %q: %v", i, rec.Code, rec.Body.Bytes(), err)
+			}
+
+			status, res, msg := http.StatusOK, IngestResult{}, ""
+			chunk, err := DecodeChunk("application/octet-stream", bytes.NewReader(b))
+			if err != nil {
+				status, msg = http.StatusBadRequest, err.Error()
+			} else if res, err = decSrv.Ingest(decSess.ID, chunk); err != nil {
+				status, res, msg = ErrorStatus(err), IngestResult{}, err.Error()
+			}
+			if rec.Code != status || post.IngestResult != res || post.Error != msg {
+				t.Fatalf("body %d: POST answered %d %+v %q; DecodeChunk + Ingest %d %+v %q",
+					i, rec.Code, post.IngestResult, post.Error, status, res, msg)
+			}
+			if a, b := convState(postSess.conv), convState(decSess.conv); a != b {
+				t.Fatalf("body %d: sessions diverged:\n POST   %s\n Ingest %s", i, a, b)
 			}
 		}
 	})

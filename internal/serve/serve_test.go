@@ -217,7 +217,7 @@ func TestIngestConverterMatchesOffline(t *testing.T) {
 	conv := &ingestConverter{spec: net.Input}
 	var inc []*sparse.Frame
 	for _, c := range chunks(stream, dur, 17_000) {
-		fs, err := conv.ingest(c)
+		fs, err := conv.ingest(streamChunk(c))
 		if err != nil {
 			t.Fatalf("ingest: %v", err)
 		}
@@ -296,14 +296,14 @@ func TestIngestRejectsOutOfGeometry(t *testing.T) {
 	spec := nn.MustByName(nn.DOTIE).Input
 	hit, clean := &ingestConverter{spec: spec}, &ingestConverter{spec: spec}
 	for _, c := range []*events.Stream{first, alias, past, next} {
-		got, err := hit.ingest(c)
+		got, err := hit.ingest(streamChunk(c))
 		if c == alias || c == past {
 			if !errors.Is(err, events.ErrGeometry) {
 				t.Fatalf("ingest of out-of-geometry chunk: err = %v, want ErrGeometry", err)
 			}
 			continue
 		}
-		want, werr := clean.ingest(c)
+		want, werr := clean.ingest(streamChunk(c))
 		if err != nil || werr != nil {
 			t.Fatalf("ingest: %v / %v", err, werr)
 		}
@@ -382,14 +382,14 @@ func TestIngestRejectsUnboundedWork(t *testing.T) {
 	// that did not.
 	hit, clean := &ingestConverter{spec: spec}, &ingestConverter{spec: spec}
 	for _, c := range []*events.Stream{huge, first, gap, next} {
-		got, err := hit.ingest(c)
+		got, err := hit.ingest(streamChunk(c))
 		if c == huge || c == gap {
 			if !errors.Is(err, ErrChunkTooLarge) {
 				t.Fatalf("ingest of an over-bounds chunk: err = %v, want ErrChunkTooLarge", err)
 			}
 			continue
 		}
-		want, werr := clean.ingest(c)
+		want, werr := clean.ingest(streamChunk(c))
 		if err != nil || werr != nil {
 			t.Fatalf("ingest: %v / %v", err, werr)
 		}
@@ -403,7 +403,7 @@ func TestIngestRejectsUnboundedWork(t *testing.T) {
 		}
 	}
 	// One window short of the bound is still served.
-	if _, err := hit.ingest(mk(8, 8, 12_000, 10_000+(windows-1)*spec.WindowUS)); err != nil {
+	if _, err := hit.ingest(streamChunk(mk(8, 8, 12_000, 10_000+(windows-1)*spec.WindowUS))); err != nil {
 		t.Fatalf("chunk of exactly maxFramesPerIngest/5 windows rejected: %v", err)
 	}
 }
@@ -419,7 +419,7 @@ func TestIngestConverterCountFraming(t *testing.T) {
 	total := 0
 	var frames []*sparse.Frame
 	for _, c := range chunks(stream, dur, 25_000) {
-		fs, err := conv.ingest(c)
+		fs, err := conv.ingest(streamChunk(c))
 		if err != nil {
 			t.Fatalf("ingest: %v", err)
 		}
@@ -461,7 +461,7 @@ func TestIngestConverterLargeEpoch(t *testing.T) {
 	var frames []*sparse.Frame
 	var err error
 	go func() {
-		frames, err = conv.ingest(chunk)
+		frames, err = conv.ingest(streamChunk(chunk))
 		close(done)
 	}()
 	select {
@@ -500,7 +500,7 @@ func TestIngestConverterNegativeEpoch(t *testing.T) {
 				ts := first + (int64(c)*100+i)*60
 				chunk.Append(events.Event{X: uint16(i % 64), Y: uint16(i % 48), TS: ts, Pol: events.On})
 			}
-			frames, err := conv.ingest(chunk)
+			frames, err := conv.ingest(streamChunk(chunk))
 			if err != nil {
 				t.Fatalf("first event at %dus, chunk %d: %v", first, c, err)
 			}
@@ -629,7 +629,7 @@ func TestBackpressureDrops(t *testing.T) {
 	// drain: every frame past the cap must be shed.
 	const dur = 200_000
 	stream := genStream(t, nn.MustByName(nn.DOTIE).Input.Preset, 7, dur)
-	res, err := sess.ingest(stream)
+	res, err := sess.ingest(streamChunk(stream))
 	if err != nil {
 		t.Fatalf("ingest: %v", err)
 	}
@@ -846,18 +846,21 @@ func TestMapperNMPPolicy(t *testing.T) {
 	}
 }
 
-// TestHTTPIngestPooledChunk (run it under -race): handleIngest decodes
-// EVAR bodies into event streams borrowed from a pool and the client
-// encodes into pooled buffers, so requests in flight at once, and
-// requests after a rejected one, must never see each other's events.
-// Four sessions of different geometry and chunk size are fed 40 chunks
-// each from four goroutines over HTTP — with chunks the server answers
-// 400 mixed in: an event outside the geometry, a 65 s gap, a body over
-// MaxBodyBytes (answered before it is read to the end, which is when
-// the transport is still writing from the client's buffer after the
-// response) — against a second server fed the accepted chunks serially
-// in-process. Per session the counters, every ingest result and the
-// queued frames must agree entry for entry.
+// TestHTTPIngestPooledChunk (run it under -race): handleIngest reads
+// EVAR bodies into buffers borrowed from a pool — one above
+// maxPooledBody is dropped instead of pooled — and decodes their
+// records straight into the session's buffer, and the client encodes
+// into pooled buffers, so requests in flight at once, and requests
+// after a rejected one, must never see each other's events. Four
+// sessions of different geometry and chunk size are fed 40 chunks each
+// from four goroutines over HTTP — two of each session's chunks above
+// maxPooledBody, and with chunks the server answers 400 mixed in: an
+// event outside the geometry, a 65 s gap, a body over MaxBodyBytes
+// (answered before it is read to the end, which is when the transport
+// is still writing from the client's buffer after the response) —
+// against a second server fed the accepted chunks serially in-process.
+// Per session the counters, every ingest result and the queued frames
+// must agree entry for entry.
 func TestHTTPIngestPooledChunk(t *testing.T) {
 	const (
 		perSession = 40
@@ -888,11 +891,15 @@ func TestHTTPIngestPooledChunk(t *testing.T) {
 	for i, f := range feeds {
 		r := rand.New(rand.NewSource(int64(19 + i)))
 		for c := int64(0); c < perSession; c++ {
-			f.chunks = append(f.chunks, mk(r, f.w, f.h, 20+r.Intn(1500*(i+1)), c*chunkUS, chunkUS))
+			n := 20 + r.Intn(1500*(i+1))
+			if c%20 == 7 {
+				n = maxPooledBody/13 + 500 // a body the pool does not keep
+			}
+			f.chunks = append(f.chunks, mk(r, f.w, f.h, n, c*chunkUS, chunkUS))
 		}
 	}
 
-	cfg := Config{ManualDrain: true, QueueCap: 1 << 14, MaxBodyBytes: 128 << 10}
+	cfg := Config{ManualDrain: true, QueueCap: 1 << 14, MaxBodyBytes: 2 * maxPooledBody}
 	srv, cl, stop := newTestServer(t, cfg)
 	defer stop()
 	ref, err := New(cfg)
@@ -941,7 +948,7 @@ func TestHTTPIngestPooledChunk(t *testing.T) {
 					gap.Events[1].TS = t0 + 1e12
 					rejected("a gap past the framing bound", ErrChunkTooLarge.Error(), gap)
 				case 9:
-					rejected("a body over MaxBodyBytes", "request body too large", mk(r, f.w, f.h, 12_000, t0, chunkUS))
+					rejected("a body over MaxBodyBytes", "request body too large", mk(r, f.w, f.h, 2*maxPooledBody/13+1000, t0, chunkUS))
 				}
 				res, err := cl.SendEvents(ids[i], chunk)
 				if err != nil {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -292,12 +293,6 @@ type Server struct {
 	drainBufs   sync.Pool
 	dispatchScr sync.Pool
 	pendLists   sync.Pool
-	// chunks recycles the event streams handleIngest decodes EVAR
-	// bodies into. A stream is borrowed for one request: Ingest keeps
-	// nothing of a chunk (the session converter copies the events it
-	// buffers, the journal stores counters), so it goes back as soon as
-	// Ingest returns.
-	chunks sync.Pool
 
 	// tracer records frame-lifecycle spans; nil when tracing is off
 	// (every obs method is a no-op on nil). devTrackH holds one
@@ -417,7 +412,6 @@ func New(cfg Config) (*Server, error) {
 		l := make([]*pendingInv, 0, 16)
 		return &l
 	}
-	s.chunks.New = func() any { return new(events.Stream) }
 	schedCfg := sched.Config{
 		Dispatch: s.dispatchBatch,
 		MaxBatch: cfg.BatchMax,
@@ -1174,8 +1168,14 @@ func (s *Server) Session(id string) (*Session, bool) {
 
 // Ingest pushes one event chunk into a session and wakes a worker —
 // the programmatic twin of the HTTP ingest endpoint, used by the
-// cluster router to proxy without a loopback connection.
+// cluster router to proxy without a loopback connection. The session
+// copies the events it keeps; the caller keeps the stream.
 func (s *Server) Ingest(id string, chunk *events.Stream) (IngestResult, error) {
+	return s.ingest(id, streamChunk(chunk))
+}
+
+// ingest is Ingest over either kind of chunk.
+func (s *Server) ingest(id string, ch chunk) (IngestResult, error) {
 	if s.stoppedNow() {
 		// A closed server's queues will never drain again; rejecting here
 		// (instead of queueing onto the corpse) is what lets the cluster
@@ -1186,7 +1186,7 @@ func (s *Server) Ingest(id string, chunk *events.Stream) (IngestResult, error) {
 	if !ok {
 		return IngestResult{}, fmt.Errorf("%w: %q", ErrNoSession, id)
 	}
-	res, err := sess.ingest(chunk)
+	res, err := sess.ingest(ch)
 	if err != nil {
 		return res, err
 	}
@@ -1599,22 +1599,30 @@ func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, snap)
 }
 
+// handleIngest reads the whole body before it looks up the session, so
+// a body that does not decode is answered 400 whatever the session. A
+// JSON body becomes a stream; a binary one is read into a pooled
+// buffer and only its EVAR framing is checked here — the session
+// decodes its records once, straight into its own event buffer.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var chunk *events.Stream
+	var ch chunk
 	var err error
 	if isJSON(r.Header.Get("Content-Type")) {
-		chunk, err = decodeJSONChunk(body)
+		var stream *events.Stream
+		if stream, err = decodeJSONChunk(body); err == nil {
+			ch = streamChunk(stream)
+		}
 	} else {
-		chunk = s.chunks.Get().(*events.Stream)
-		defer s.chunks.Put(chunk)
-		err = events.ReadBinaryInto(body, chunk)
+		buf := bodies.Get().(*bytes.Buffer)
+		defer releaseBody(buf)
+		ch, err = readBody(body, buf)
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	res, err := s.Ingest(r.PathValue("id"), chunk)
+	res, err := s.ingest(r.PathValue("id"), ch)
 	if err != nil {
 		writeError(w, ErrorStatus(err), err)
 		return

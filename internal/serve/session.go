@@ -237,28 +237,29 @@ func (s *Session) sampleLocked() control.SessionSample {
 }
 
 // ingest converts one event chunk into frames and queues them,
-// shedding per the drop policy. The chunk must pass
-// events.Stream.Validate and must not precede what the session has
-// already consumed; a rejected chunk changes no session state.
-func (s *Session) ingest(chunk *events.Stream) (IngestResult, error) {
+// shedding per the drop policy. Every event must pass checkEvent and
+// the chunk must not precede what the session has already consumed; a
+// rejected chunk changes no session state.
+func (s *Session) ingest(ch chunk) (IngestResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var res IngestResult
 	if s.closed {
 		return res, fmt.Errorf("serve: session %s is closed", s.ID)
 	}
-	frames, err := s.conv.ingest(chunk)
+	frames, err := s.conv.ingest(ch)
 	if err != nil {
 		return res, err
 	}
+	tEnd := ch.tEnd()
 	if s.tracer != nil && len(frames) > 0 {
 		// One ingest span per chunk that produced frames: the E2SF
 		// conversion window, from the first emitted frame's start to the
 		// chunk's watermark (stream time shifted into engine time).
 		s.trackH.Span(obs.StageIngest, "ingest",
-			float64(frames[0].T0)+s.epochUS, float64(chunk.TEnd())+s.epochUS, int64(len(frames)))
+			float64(frames[0].T0)+s.epochUS, float64(tEnd)+s.epochUS, int64(len(frames)))
 	}
-	s.eventsIn += uint64(chunk.Len())
+	s.eventsIn += uint64(ch.len())
 	s.framesIn += uint64(len(frames))
 	for _, f := range frames {
 		s.denSum += f.Density()
@@ -268,18 +269,17 @@ func (s *Session) ingest(chunk *events.Stream) (IngestResult, error) {
 		// Dense event-frame construction: full tensor stores per frame.
 		s.plan.SetFramingOps(int64(2 * frames[0].H * frames[0].W))
 	}
-	if wm := chunk.TEnd(); float64(wm) > s.clockUS {
-		s.clockUS = float64(wm)
+	if float64(tEnd) > s.clockUS {
+		s.clockUS = float64(tEnd)
 	}
-	res.Events = chunk.Len()
+	res.Events = ch.len()
 	res.Frames = len(frames)
 	for _, f := range frames {
 		res.Dropped += s.queue.push(f)
 	}
 	if s.tracer != nil && res.Dropped > 0 {
 		// Ingest-queue shedding mark, carrying the shed count.
-		s.trackH.Instant(obs.StageQueue, "shed",
-			float64(chunk.TEnd())+s.epochUS, int64(res.Dropped))
+		s.trackH.Instant(obs.StageQueue, "shed", float64(tEnd)+s.epochUS, int64(res.Dropped))
 	}
 	res.QueueLen = s.queue.len()
 	if s.journal != nil {
@@ -378,11 +378,16 @@ func (s *Session) planDevicesLocked() []string {
 // the length of each conversion call (so a session holds no W x H
 // state), and the emit slice is reused across ingests — the
 // steady-state ingest path allocates nothing.
+//
+// buf is the only copy of a chunk's events the server makes: ingest
+// appends them to it, checked one by one — decoded from the wire
+// record by record when the chunk is an EVAR body — and cuts them off
+// again if the chunk is refused.
 type ingestConverter struct {
 	spec      nn.InputSpec
-	pool      *mem.FramePool // nil: frames are freshly allocated
-	fz        *e2sf.Fused
-	buf       *events.Stream
+	pool      *mem.FramePool  // nil: frames are freshly allocated
+	fz        *e2sf.Fused     // nil until the first chunk is accepted
+	buf       events.Stream   // not-yet-framed events; the first accepted chunk's geometry
 	run       events.Stream   // reusable window view (count framing)
 	frames    []*sparse.Frame // per-ingest emit scratch, reused
 	anchored  bool            // startTS/winStart initialized from the first events
@@ -412,8 +417,8 @@ const (
 	maxFramesPerIngest = 1 << 16
 )
 
-// checkBounds rejects a valid chunk that would exceed the work bounds,
-// reading converter state without changing it.
+// checkBounds rejects a chunk of checked events that would exceed the
+// work bounds, reading converter state without changing it.
 func (c *ingestConverter) checkBounds(chunk *events.Stream) error {
 	if c.fz == nil && int64(chunk.Width)*int64(chunk.Height) > maxSessionPixels {
 		return fmt.Errorf("%w: sensor %dx%d is over %d pixels",
@@ -467,47 +472,71 @@ func (c *ingestConverter) anchor(ts int64) int64 {
 	return ts - r
 }
 
-func (c *ingestConverter) ingest(chunk *events.Stream) ([]*sparse.Frame, error) {
-	// Chunks are outside input and e2sf.Fused indexes its grid
-	// unchecked: geometry, polarity and order are checked here, in one
-	// pass, then the work bounds, before any converter state changes.
-	if err := chunk.Validate(); err != nil {
-		return nil, fmt.Errorf("serve: invalid chunk: %w", err)
+// admit appends the chunk's events to the buffer, each checked by
+// checkEvent, then checks the chunk against the work bounds, the
+// session's geometry and its watermark. It returns the appended events
+// as a view with the chunk's geometry; on error the caller cuts the
+// buffer back.
+func (c *ingestConverter) admit(ch chunk) (events.Stream, error) {
+	if ch.w <= 0 || ch.h <= 0 {
+		return events.Stream{}, fmt.Errorf("serve: invalid chunk: %w", events.ErrNoGeometry)
 	}
-	if err := c.checkBounds(chunk); err != nil {
+	base := len(c.buf.Events)
+	var err error
+	if c.buf.Events, err = ch.appendTo(c.buf.Events); err != nil {
+		return events.Stream{}, fmt.Errorf("serve: invalid chunk: %w", err)
+	}
+	added := events.Stream{Width: ch.w, Height: ch.h, Events: c.buf.Events[base:]}
+	if err := c.checkBounds(&added); err != nil {
+		return added, err
+	}
+	if c.fz != nil && (added.Width != c.buf.Width || added.Height != c.buf.Height) {
+		return added, fmt.Errorf("serve: chunk geometry %dx%d != session %dx%d",
+			added.Width, added.Height, c.buf.Width, c.buf.Height)
+	}
+	// Until the first events anchor the session there is no watermark
+	// to be behind: a stream may start below zero.
+	if c.anchored && added.Len() > 0 && added.TStart() < c.watermark {
+		return added, fmt.Errorf("serve: chunk starts at %dus, before session watermark %dus",
+			added.TStart(), c.watermark)
+	}
+	return added, nil
+}
+
+// ingest adds one chunk's events to the buffer and frames what they
+// complete. Chunks are outside input and e2sf.Fused indexes its grid
+// unchecked, so the events are checked as they are copied onto the
+// buffer, then the chunk against the work bounds and the session;
+// a chunk refused at any step is cut off the buffer again and changes
+// no converter state.
+func (c *ingestConverter) ingest(ch chunk) ([]*sparse.Frame, error) {
+	base := len(c.buf.Events)
+	added, err := c.admit(ch)
+	if err != nil {
+		c.buf.Events = c.buf.Events[:base]
 		return nil, err
 	}
 	if c.fz == nil {
 		fz, err := e2sf.NewFused(e2sf.Config{
-			Width: chunk.Width, Height: chunk.Height, NumBins: c.spec.NumBins,
+			Width: added.Width, Height: added.Height, NumBins: c.spec.NumBins,
 		}, c.pool)
 		if err != nil {
+			c.buf.Events = c.buf.Events[:base]
 			return nil, err
 		}
 		c.fz = fz
-		c.buf = events.NewStream(chunk.Width, chunk.Height)
+		c.buf.Width, c.buf.Height = added.Width, added.Height
 	}
-	if chunk.Width != c.buf.Width || chunk.Height != c.buf.Height {
-		return nil, fmt.Errorf("serve: chunk geometry %dx%d != session %dx%d",
-			chunk.Width, chunk.Height, c.buf.Width, c.buf.Height)
-	}
-	// Until the first events anchor the session there is no watermark
-	// to be behind: a stream may start below zero.
-	if c.anchored && chunk.Len() > 0 && chunk.TStart() < c.watermark {
-		return nil, fmt.Errorf("serve: chunk starts at %dus, before session watermark %dus",
-			chunk.TStart(), c.watermark)
-	}
-	c.buf.Events = append(c.buf.Events, chunk.Events...)
-	if chunk.Len() > 0 {
+	if added.Len() > 0 {
 		if !c.anchored {
 			c.anchored = true
 			// First events: anchor windowing at the stream's own epoch.
-			c.startTS = chunk.TStart()
+			c.startTS = added.TStart()
 			if c.spec.WindowUS > 0 {
 				c.winStart = c.anchor(c.startTS)
 			}
 		}
-		c.watermark = chunk.TEnd()
+		c.watermark = added.TEnd()
 	}
 	if c.spec.Framing == nn.FrameByCount {
 		return c.convertByCount(false)
@@ -523,7 +552,7 @@ func (c *ingestConverter) convertWindows() ([]*sparse.Frame, error) {
 	var err error
 	for c.winStart+c.spec.WindowUS <= c.watermark {
 		t1 := c.winStart + c.spec.WindowUS
-		out, _, err = c.fz.ConvertGroupedAppend(out, c.buf, c.winStart, t1, c.spec.GroupK)
+		out, _, err = c.fz.ConvertGroupedAppend(out, &c.buf, c.winStart, t1, c.spec.GroupK)
 		if err != nil {
 			return nil, err
 		}
@@ -593,7 +622,7 @@ func (c *ingestConverter) convertByCount(flush bool) ([]*sparse.Frame, error) {
 		c.buf.Events = c.buf.Events[:n]
 	}
 	if flush && c.buf.Len() > 0 {
-		if err := emit(c.buf); err != nil {
+		if err := emit(&c.buf); err != nil {
 			return nil, err
 		}
 		c.buf.Events = c.buf.Events[:0]

@@ -22,14 +22,18 @@ func Unavailable(msg string) error { return &unavailable{msg} }
 // used by every session handler of a node and of the cluster router:
 //
 //	404  unknown session (ErrNoSession)
-//	400  a chunk failing events.Stream.Validate or ingest's work bounds
+//	400  a chunk with no sensor geometry, an event outside it, with no
+//	     legal polarity or out of time order (the events sentinels
+//	     ingest's per-event check wraps), or over ingest's work bounds
 //	503  the node or fleet cannot take the work now (Unavailable)
 //	409  everything else: the request is understood but the session's
 //	     state refuses it (a chunk before the watermark, a disabled
 //	     journal, a configuration the node cannot build)
 //
-// A body that does not decode at all never reaches an error from the
-// session layer; handlers answer it 400 themselves.
+// A body that does not decode at all — bad EVAR magic or version, a
+// truncated record, a header count that does not match — never reaches
+// an error from the session layer; handlers answer it 400 themselves,
+// before they look the session up.
 func ErrorStatus(err error) int {
 	var u *unavailable
 	switch {

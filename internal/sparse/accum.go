@@ -94,9 +94,12 @@ func (a *Accum) touched() int {
 
 // room returns s, entries kept, with capacity for n more. A slice
 // with no backing array gets exactly n, so a fresh frame is allocated
-// once at its final length; one that brought capacity belongs to a
-// pooled frame that will be refilled, and at least doubles, as append
-// would have grown it.
+// once at its final length. One that brought capacity belongs to a
+// pooled frame too small for this emission — mem.FramePool lends the
+// frame whose capacity class fits the emission's bound, so that
+// happens only when no free frame is large enough — and at least
+// doubles, as append would have grown it, which files the frame in a
+// higher class for the emissions of this size that follow.
 func room[T any](s []T, n int) []T {
 	if cap(s)-len(s) >= n {
 		return s
