@@ -38,11 +38,13 @@ bench-e2e:
 	bash bench/run.sh
 
 # Allocation gate: every hot-path stage (converter, DSFA merge, kernels, rulebook)
-# and the whole serving cycle must allocate nothing per call once warm; a
-# task graph rebuilt in place allocates nothing, and the seven placement
-# searches of a serve_http_mixed pass stay under 10 000 allocations.
+# and the whole serving cycle must allocate nothing per call once warm, nor
+# must a DSFA queue that sheds a bucket on every push; a task graph
+# rebuilt in place allocates nothing, and the seven placement searches of
+# a serve_http_mixed pass stay under 10 000 allocations.
 bench-smoke:
 	$(GO) test -run '^TestAllocSmoke$$|^TestAllocRegression' -count=1 -v ./internal/serve
+	$(GO) test -run '^TestQueueOverflowZeroAlloc$$' -count=1 -v ./internal/dsfa
 	$(GO) test -run '^TestPlacementSearchAllocBudget$$|^TestBuildIntoSteadyStateZeroAlloc$$' -count=1 -v ./internal/nmp ./internal/taskgraph
 
 # Run the deterministic scenario suite (the chaos/soak regression bed)

@@ -31,6 +31,38 @@
 // ingest queues are shed and counted (failover_shed_frames).
 // Per-session counters restart after a migration — the fleet-level
 // counters accumulate across it.
+//
+// # Lock order
+//
+// A goroutine that holds several of the cluster's mutexes at once takes
+// them in this order, never against it:
+//
+//	Cluster.adminMu → Cluster.migMu → route.repMu → Cluster.mu
+//	Cluster.adminMu → node.retiredMu
+//
+// What each guards, and why it sits where it does:
+//
+//   - adminMu serializes node state transitions; revive and drain run
+//     their failover or migration sweep under it, so it comes first.
+//   - migMu serializes the sweeps (failover, drain, load rebalance). A
+//     sweep takes one route's repMu at a time, never two.
+//   - repMu serializes one route's replication (chunk and result
+//     appends, buddy re-homes, the drop on close) against a sweep of
+//     that route. The route's epoch is read and written under mu, but a
+//     sweep or rebalance bumps it only while also holding repMu, so a
+//     replication that holds repMu sees either the old owner with the
+//     old epoch or the new owner with the new one.
+//   - mu guards the routing table and is innermost: nothing else is
+//     locked, and no node server is called, while it is held.
+//   - retiredMu guards a node's retired incarnations and is a leaf.
+//
+// A node server call that completes queued frames fires the result
+// hook, which takes that route's repMu. So a graceful close runs
+// before the sweep takes repMu, never under it (moveRoute, and the
+// rebalance's close of the hot copy after it lets go). A replay under
+// repMu ingests into a session the route does not point at yet, so a
+// result it fires on the sweep's goroutine finds no route and takes no
+// lock.
 package cluster
 
 import (

@@ -11,13 +11,16 @@
 // computational demand to track both input dynamics and hardware
 // processing capability.
 //
-// A cAdd/cAverage bucket is combined when it closes: its members are
-// scattered, in admission order, into a dense accumulation grid
-// (sparse.Accum) that is emitted once in (y, x) order, scaled by 1 or
-// 1/n. The grid is borrowed from the frame pool for that one bucket
-// close and returned all-zero (an unpooled aggregator keeps its own);
-// the aggregator holds no W x H state between closes, and a bucket
-// carries its running event sum so nothing re-walks member frames.
+// A closed bucket waits in the inference queue as its members. A
+// cAdd/cAverage bucket is combined when dispatched; a shed bucket is
+// never merged. Combining scatters the members, in admission order,
+// into a dense accumulation grid (sparse.Accum) that is emitted once
+// in (y, x) order, scaled by 1 or 1/n; a one-member bucket is its own
+// merge. The grid is borrowed from the frame pool for that one
+// dispatch and returned all-zero (an unpooled aggregator keeps its
+// own); the aggregator holds no W x H state between dispatches, and a
+// bucket carries its running event sum so nothing re-walks member
+// frames.
 package dsfa
 
 import (
@@ -133,16 +136,21 @@ func (b *bucket) add(f *sparse.Frame, events float64) {
 	b.events += events
 }
 
-// Merged is one combined bucket forwarded to an inference queue.
+// Merged is one closed bucket in the inference queue, combined when it
+// is dispatched.
 type Merged struct {
-	// Frames holds one merged frame for cAdd/cAverage, or the member
-	// frames for cBatch.
+	// Frames holds one merged frame for cAdd/cAverage — the member
+	// itself when the bucket had one — or the member frames for cBatch.
 	Frames []*sparse.Frame
 	// NumMerged is how many raw sparse frames went in.
 	NumMerged int
 	// Events is the raw event count that entered the bucket.
 	Events float64
 	T0, T1 int64
+
+	// mode is the combine mode the bucket was closed under; until the
+	// slot is dispatched, Frames holds the members.
+	mode CMode
 }
 
 // Batch is a dispatch unit: the concatenation of queued merged buckets
@@ -203,10 +211,10 @@ type Aggregator struct {
 	stats   Stats
 
 	// pool, when set (SetPool), switches the aggregator to pooled
-	// operation: member frames entering cAdd/cAverage buckets are
-	// released back to the pool after merging, dropped queue entries
-	// release their frames instead of leaking them, bucket structs and
-	// queue storage are recycled, and dispatches reuse one Batch whose
+	// operation: the members of a cAdd/cAverage bucket are released
+	// back to the pool once merged at dispatch, a shed bucket releases
+	// its members instead of leaking them, bucket structs and queue
+	// storage are recycled, and dispatches reuse one Batch whose
 	// contents are only valid until the next dispatch. The serving hot
 	// path runs pooled; offline callers leave pool nil and keep the
 	// allocate-per-dispatch semantics.
@@ -229,13 +237,13 @@ func New(cfg Config) (*Aggregator, error) {
 func (a *Aggregator) Config() Config { return a.cfg }
 
 // SetPool enables pooled operation: frames the aggregator consumes
-// (members merged under cAdd/cAverage, dropped queue entries) are
-// returned to p, merged output frames are borrowed from p, and
-// internal bucket/queue/batch storage is recycled. In pooled mode a
-// dispatched Batch and its Merged entries are valid only until the
-// next dispatch — consume them immediately (the pipeline Stepper
-// does). Set it before the first Push; frames pushed afterwards must
-// be owned by the same pool.
+// (members merged under cAdd/cAverage at dispatch, the members of a
+// shed bucket) are returned to p, merged output frames and grids are
+// borrowed from p, and internal bucket/queue/batch storage is
+// recycled. In pooled mode a dispatched Batch and its Merged entries
+// are valid only until the next dispatch — consume them immediately
+// (the pipeline Stepper does). Set it before the first Push; frames
+// pushed afterwards must be owned by the same pool.
 func (a *Aggregator) SetPool(p *mem.FramePool) { a.pool = p }
 
 // newBucket takes a bucket from the freelist or allocates one.
@@ -274,23 +282,29 @@ func (a *Aggregator) enqueue() *Merged {
 }
 
 // dropEarliest sheds the head of the inference queue, releasing its
-// frames in pooled mode, and counts the drop.
+// members in pooled mode, and counts the drop. The queue shifts down
+// in place and the shed slot, with its Frames storage, moves to the
+// tail for the next enqueue, so shedding allocates nothing.
 func (a *Aggregator) dropEarliest() {
-	drop := &a.queue[0]
+	drop := a.queue[0]
 	if a.pool != nil {
 		for _, f := range drop.Frames {
 			a.pool.Put(f)
 		}
 	}
+	clear(drop.Frames)
 	a.stats.DroppedBuckets++
 	a.stats.DroppedFrames += drop.NumMerged
 	a.stats.DroppedEvents += drop.Events
-	a.queue = a.queue[1:]
+	n := len(a.queue) - 1
+	copy(a.queue, a.queue[1:])
+	a.queue[n] = drop
+	a.queue = a.queue[:n]
 }
 
-// takeBatch hands the queued merged buckets out as one dispatch unit
-// and counts them. In pooled mode the returned Batch and the queue
-// storage are recycled on the next dispatch.
+// takeBatch combines the queued buckets and hands them out as one
+// dispatch unit, and counts them. In pooled mode the returned Batch and
+// the queue storage are recycled on the next dispatch.
 func (a *Aggregator) takeBatch() *Batch {
 	if len(a.queue) == 0 {
 		return nil
@@ -305,7 +319,9 @@ func (a *Aggregator) takeBatch() *Batch {
 		batch = &Batch{Merged: a.queue}
 		a.queue = nil
 	}
-	for _, m := range batch.Merged {
+	for i := range batch.Merged {
+		m := &batch.Merged[i]
+		a.combine(m)
 		a.stats.MergedDispatch++
 		a.stats.FramesDispatch += m.NumMerged
 		a.stats.EventsDispatch += m.Events
@@ -430,13 +446,12 @@ func (a *Aggregator) place(f *sparse.Frame, events float64) {
 	a.buckets = append(a.buckets, nb)
 }
 
-// flushBuckets combines every bucket per the merge mode and forwards
-// the results to the inference queue, discarding the earliest queued
-// entries on overflow.
+// flushBuckets closes every bucket into the inference queue,
+// discarding the earliest queued entries on overflow.
 func (a *Aggregator) flushBuckets() {
 	for _, b := range a.buckets {
 		if len(b.frames) > 0 {
-			a.combineInto(b, a.enqueue())
+			a.closeInto(b, a.enqueue())
 			a.stats.BucketsClosed++
 		}
 		a.recycleBucket(b)
@@ -447,32 +462,45 @@ func (a *Aggregator) flushBuckets() {
 	}
 }
 
-// combineInto merges one bucket into a queue slot: the members are
-// scattered, in admission order, into an accumulation grid that is
-// then emitted once — scaled by 1/n for cAverage — into the merged
-// frame. The grid is borrowed for this one bucket close. In pooled
-// mode it and the merged frame come from the pool and the member
-// frames (now dead for cAdd/cAverage) are released back to it.
-func (a *Aggregator) combineInto(b *bucket, m *Merged) {
+// closeInto moves a closed bucket into a queue slot: its members, in
+// admission order, its bounds, event sum and combine mode. The members
+// are combined when the slot is dispatched.
+func (a *Aggregator) closeInto(b *bucket, m *Merged) {
 	m.NumMerged = len(b.frames)
 	m.T0 = b.frames[0].T0
 	m.T1 = b.frames[len(b.frames)-1].T1
 	m.Events = b.events
-	if b.mode == CBatch {
-		m.Frames = append(m.Frames, b.frames...)
+	m.mode = b.mode
+	m.Frames = append(m.Frames, b.frames...)
+}
+
+// combine replaces a dispatched cAdd/cAverage slot's members with
+// their merge: the members are scattered, in admission order, into an
+// accumulation grid that is then emitted once — scaled by 1/n for
+// cAverage — into the merged frame. The grid is borrowed for this one
+// dispatch. In pooled mode it and the merged frame come from the pool
+// and the members, now dead, are released back to it.
+//
+// A one-member slot is its own merge and keeps its member: that is
+// bit-identical to merging it, because members are sorted when they
+// are admitted and 0 + x and x·1 are exact for every x but −0, which
+// DSFA's input — E2SF output, integer event counts — never holds.
+func (a *Aggregator) combine(m *Merged) {
+	n := len(m.Frames)
+	if m.mode == CBatch || n == 1 {
 		return
 	}
 	scale := float32(1)
-	if b.mode == CAverage {
-		scale = 1 / float32(len(b.frames))
+	if m.mode == CAverage {
+		scale = 1 / float32(n)
 	}
-	h, w := b.frames[0].H, b.frames[0].W
+	h, w := m.Frames[0].H, m.Frames[0].W
 	var acc *sparse.Accum
 	var merged *sparse.Frame
 	if a.pool != nil {
 		// The members' entries bound the merged frame's.
 		entries := 0
-		for _, f := range b.frames {
+		for _, f := range m.Frames {
 			entries += len(f.Ys)
 		}
 		acc, merged = a.pool.GetAccum(h, w), a.pool.Get(h, w, 0, 0, entries)
@@ -482,14 +510,15 @@ func (a *Aggregator) combineInto(b *bucket, m *Merged) {
 		}
 		acc, merged = a.own, &sparse.Frame{}
 	}
-	acc.Merge(merged, b.frames, scale)
-	m.Frames = append(m.Frames, merged)
+	acc.Merge(merged, m.Frames, scale)
 	if a.pool != nil {
 		a.pool.PutAccum(acc)
-		for _, f := range b.frames {
+		for _, f := range m.Frames {
 			a.pool.Put(f)
 		}
 	}
+	clear(m.Frames[1:])
+	m.Frames = append(m.Frames[:0], merged)
 }
 
 // MarkStale flips buckets whose earliest member is older than MtTh to
@@ -516,7 +545,7 @@ func (a *Aggregator) DispatchReady(nowUS int64) *Batch {
 	for _, b := range a.buckets {
 		if b.status == full || len(b.frames) >= a.cfg.MBSize {
 			a.stats.BucketsClosed++
-			a.combineInto(b, a.enqueue())
+			a.closeInto(b, a.enqueue())
 			a.recycleBucket(b)
 			continue
 		}

@@ -315,8 +315,8 @@ func TestHighActivityMergesMore(t *testing.T) {
 
 // BenchmarkAggregatorPushDispatch is the aggregator as the serving
 // path drives it: pooled, every frame pushed and followed by
-// DispatchReady, buckets of four closing through a borrowed grid, the
-// consumer handing dispatched frames back to the pool.
+// DispatchReady, buckets of four merged at dispatch in a borrowed grid,
+// the consumer handing dispatched frames back to the pool.
 func BenchmarkAggregatorPushDispatch(b *testing.B) {
 	const h, w = 128, 128
 	rng := rand.New(rand.NewSource(6))

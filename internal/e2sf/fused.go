@@ -25,7 +25,11 @@ import (
 //
 // Per-pixel values are integer event counts (exact in float32 far
 // beyond any realistic per-frame count), entries are emitted in
-// (y, x) order, and bin bounds follow Eq. 1 in float64.
+// (y, x) order, and bin bounds follow Eq. 1 in float64. Time framing
+// finds each group's first timestamp once, searching with Eq. 1's own
+// expression, so per event it compares the timestamp with the next
+// group's edge and evaluates Eq. 1 only for an event that reaches it:
+// every event still lands in the bin Eq. 1 gives.
 //
 // Every event of a converted stream must lie inside the configured
 // geometry: the grid is indexed unchecked, so an outside event aliases
@@ -134,9 +138,19 @@ func (k *Fused) ConvertGroupedAppend(dst []*sparse.Frame, s *events.Stream, tSta
 	nB := k.cfg.NumBins
 	// Eq. 1: bin duration. Integer microseconds; float64 for the
 	// division to avoid bias when the window is not a multiple of nB.
-	biS := float64(tEnd-tStart) / float64(nB)
+	span := tEnd - tStart
+	biS := float64(span) / float64(nB)
 	nG := (nB + groupK - 1) / groupK
 	g, n := 0, 0
+	// nextGroup returns the first timestamp of group g+1: tEnd when
+	// there is no such group or no timestamp of the window falls in it.
+	nextGroup := func() int64 {
+		if a := (g + 1) * groupK; a < nB {
+			return tStart + firstOffset(a, biS, span)
+		}
+		return tEnd
+	}
+	next := nextGroup()
 	acc := k.borrow()
 	emit := func() {
 		a := g * groupK
@@ -154,12 +168,13 @@ func (k *Fused) ConvertGroupedAppend(dst []*sparse.Frame, s *events.Stream, tSta
 		n = 0
 	}
 	for _, e := range s.Window(tStart, tEnd) {
-		bi := int(float64(e.TS-tStart) / biS)
-		if bi >= nB { // tk == tEnd-epsilon rounding; clamp to last bin
-			bi = nB - 1
-		}
-		for eg := bi / groupK; g < eg; g++ {
-			emit()
+		if e.TS >= next {
+			// Clamped: tk == tEnd-epsilon rounds to nB.
+			bi := min(int(float64(e.TS-tStart)/biS), nB-1)
+			for eg := bi / groupK; g < eg; g++ {
+				emit()
+			}
+			next = nextGroup()
 		}
 		acc.Touch(int(e.Y), int(e.X))[channel(e)]++
 		st.EventsIn++
@@ -174,6 +189,36 @@ func (k *Fused) ConvertGroupedAppend(dst []*sparse.Frame, s *events.Stream, tSta
 		st.MeanDensity /= float64(nG)
 	}
 	return dst, st, nil
+}
+
+// firstOffset returns the smallest offset from tStart whose Eq. 1 bin,
+// int(float64(offset)/biS), is at least bin (≥ 1), or span when no
+// offset below span reaches it. The bin never falls as the offset
+// grows, so the search brackets the estimate bin·biS — a few ulps
+// either side, each bound checked — and bisects, evaluating the very
+// expression events are binned by: the edge is exact whatever the
+// estimate's rounding.
+func firstOffset(bin int, biS float64, span int64) int64 {
+	reaches := func(d int64) bool { return int(float64(d)/biS) >= bin }
+	lo, hi := int64(0), span // offset 0 is in bin 0; span stands past every offset
+	if est := float64(bin) * biS; est < float64(span) {
+		d, m := int64(est), 2+int64(est*0x1p-50)
+		if c := d - m; c > lo && !reaches(c) {
+			lo = c
+		}
+		if m < span-d && reaches(d+m) {
+			hi = d + m
+		}
+	}
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if reaches(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
 }
 
 // ConvertByCount implements the count-based framing of prior works

@@ -1,6 +1,10 @@
 package e2sf
 
 import (
+	"cmp"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -13,14 +17,17 @@ import (
 
 // randStream builds a sorted random stream over [t0, t1).
 func randStream(rng *rand.Rand, w, h, n int, t0, t1 int64) *events.Stream {
-	s := events.NewStream(w, h)
-	if n == 0 {
-		return s
-	}
 	ts := make([]int64, n)
 	for i := range ts {
 		ts[i] = t0 + rng.Int63n(t1-t0)
 	}
+	return streamAt(rng, w, h, ts)
+}
+
+// streamAt builds a sorted stream with one event, at a random pixel
+// and polarity, per timestamp.
+func streamAt(rng *rand.Rand, w, h int, ts []int64) *events.Stream {
+	s := events.NewStream(w, h)
 	slices.Sort(ts)
 	for _, t := range ts {
 		pol := events.On
@@ -55,10 +62,80 @@ func framesEqual(t *testing.T, ctx string, got, want *sparse.Frame) {
 	}
 }
 
+// checkGroupedParity converts s over [t0, t1) with Fused and holds the
+// frames and the stats to the reference.
+func checkGroupedParity(t *testing.T, ctx string, cfg Config, s *events.Stream, t0, t1 int64, groupK int) {
+	t.Helper()
+	want := referenceConvert(cfg, s, t0, t1, groupK)
+	got, fSt, err := mustFused(t, cfg.Width, cfg.Height, cfg.NumBins).ConvertGrouped(s, t0, t1, groupK)
+	if err != nil {
+		t.Fatalf("%s: %v", ctx, err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: fused emitted %d frames, reference %d", ctx, len(got), len(want))
+	}
+	for i := range want {
+		framesEqual(t, fmt.Sprintf("%s, frame %d", ctx, i), got[i], want[i])
+	}
+	if n := len(s.Window(t0, t1)); fSt.EventsIn != n {
+		t.Fatalf("%s: EventsIn %d != %d", ctx, fSt.EventsIn, n)
+	}
+	if fSt.Frames != len(want) {
+		t.Fatalf("%s: Stats.Frames = %d, want %d", ctx, fSt.Frames, len(want))
+	}
+}
+
+// groupEdges returns the first timestamp of every group after the
+// first (t1 for a group no timestamp of [t0, t1) falls in), found by
+// stepping one microsecond at a time from Eq. 1's estimate: it shares
+// nothing with firstOffset but the bin expression.
+func groupEdges(t0, t1 int64, nB, groupK int) []int64 {
+	span := t1 - t0
+	biS := float64(span) / float64(nB)
+	bin := func(d int64) int { return min(int(float64(d)/biS), nB-1) }
+	var out []int64
+	for a := groupK; a < nB; a += groupK {
+		d := span
+		if est := float64(a) * biS; est < float64(span) {
+			d = int64(est)
+		}
+		for d > 0 && bin(d-1) >= a {
+			d--
+		}
+		for d < span && bin(d) < a {
+			d++
+		}
+		out = append(out, t0+d)
+	}
+	return out
+}
+
+// edgeStream draws n random events over [t0, t1) and adds one on every
+// group's first timestamp and one just before it.
+func edgeStream(rng *rand.Rand, cfg Config, t0, t1 int64, groupK, n int) *events.Stream {
+	ts := make([]int64, 0, n)
+	for i := 0; i < n; i++ {
+		ts = append(ts, t0+rng.Int63n(t1-t0))
+	}
+	for _, e := range groupEdges(t0, t1, cfg.NumBins, groupK) {
+		for _, t := range []int64{e - 1, e} {
+			if t >= t0 && t < t1 {
+				ts = append(ts, t)
+			}
+		}
+	}
+	return streamAt(rng, cfg.Width, cfg.Height, ts)
+}
+
 // TestFusedConvertGroupedParity checks Fused against the reference
 // (per-bin maps, then cAdd-merged groups) across random streams, group
 // sizes, and bin counts — including group size 1, group sizes larger
-// than the bin count, and empty streams.
+// than the bin count, and empty streams — and then where the group
+// edges are hardest to place: windows near 1<<62 and ending within one
+// window of MaxInt64, windows shorter than NumBins (groups no
+// timestamp falls in), 2^62 µs windows (one float64 step spans a
+// thousand microseconds), each with events on every group edge and one
+// microsecond before it.
 func TestFusedConvertGroupedParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 120; trial++ {
@@ -69,25 +146,72 @@ func TestFusedConvertGroupedParity(t *testing.T) {
 		t0 := rng.Int63n(1000)
 		t1 := t0 + 1 + rng.Int63n(997) // deliberately not a multiple of nB
 		s := randStream(rng, w, h, rng.Intn(400), t0, t1)
-
-		want := referenceConvert(cfg, s, t0, t1, groupK)
-		got, fSt, err := mustFused(t, w, h, nB).ConvertGrouped(s, t0, t1, groupK)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: fused emitted %d frames, reference %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			framesEqual(t, "grouped", got[i], want[i])
-		}
-		if fSt.EventsIn != s.Len() {
-			t.Fatalf("trial %d: EventsIn %d != %d", trial, fSt.EventsIn, s.Len())
-		}
-		if fSt.Frames != len(want) {
-			t.Fatalf("trial %d: Stats.Frames = %d, want %d", trial, fSt.Frames, len(want))
-		}
+		checkGroupedParity(t, fmt.Sprintf("trial %d", trial), cfg, s, t0, t1, groupK)
 	}
+	const windowUS = 5000 // serve refuses timestamps within one window of either int64 end
+	for trial := 0; trial < 160; trial++ {
+		cfg := Config{Width: 4 + rng.Intn(12), Height: 4 + rng.Intn(12), NumBins: 1 + rng.Intn(16)}
+		groupK := 1 + rng.Intn(5)
+		var t0, t1 int64
+		switch trial % 4 {
+		case 0:
+			t0 = 1<<62 + rng.Int63n(1000)
+			t1 = t0 + 1 + rng.Int63n(windowUS)
+		case 1:
+			t1 = math.MaxInt64 - rng.Int63n(windowUS)
+			t0 = t1 - 1 - rng.Int63n(windowUS)
+		case 2:
+			cfg.NumBins = 2 + rng.Intn(15)
+			t0 = rng.Int63n(1000) - 500
+			t1 = t0 + 1 + rng.Int63n(int64(cfg.NumBins-1))
+		default:
+			t0 = 1<<62 - rng.Int63n(1000)
+			t1 = math.MaxInt64 - rng.Int63n(windowUS)
+		}
+		s := edgeStream(rng, cfg, t0, t1, groupK, rng.Intn(100))
+		checkGroupedParity(t, fmt.Sprintf("edge trial %d: [%d, %d), %d bins, k %d", trial, t0, t1, cfg.NumBins, groupK), cfg, s, t0, t1, groupK)
+	}
+}
+
+// FuzzConvertGrouped holds time framing to the reference on any
+// window, bin count and group size the input spells: each 9-byte
+// record is one event, an offset into the window and then a pixel and
+// polarity in one byte; every group edge and the microsecond before it
+// get an event too.
+func FuzzConvertGrouped(f *testing.F) {
+	f.Add(int64(0), int64(1000), uint8(5), uint8(2), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add(int64(1<<62), int64(4999), uint8(7), uint8(1), []byte{})
+	f.Add(int64(math.MaxInt64-3), int64(3), uint8(9), uint8(2), []byte{0xff, 0, 0, 0, 0, 0, 0, 0, 0x51})
+	f.Add(int64(1<<62), int64(1<<62), uint8(10), uint8(3), []byte{0, 0, 0, 0, 0, 0, 0, 0x40, 0x7f})
+	f.Add(int64(-5000), int64(5000), uint8(31), uint8(39), []byte{0x88, 0x13, 0, 0, 0, 0, 0, 0, 0x2a})
+	f.Fuzz(func(t *testing.T, t0, span int64, nB, groupK uint8, data []byte) {
+		span &= math.MaxInt64
+		span = max(span, 1)
+		t0 = min(t0, math.MaxInt64-span)
+		cfg := Config{Width: 8, Height: 8, NumBins: 1 + int(nB%32)}
+		k := 1 + int(groupK%40)
+		s := events.NewStream(cfg.Width, cfg.Height)
+		add := func(ts int64, px byte) {
+			pol := events.On
+			if px&0x40 != 0 {
+				pol = events.Off
+			}
+			s.Events = append(s.Events, events.Event{TS: ts, X: uint16(px & 7), Y: uint16(px >> 3 & 7), Pol: pol})
+		}
+		for ; len(data) >= 9; data = data[9:] {
+			add(t0+int64(binary.LittleEndian.Uint64(data)%uint64(span)), data[8])
+		}
+		for i, e := range groupEdges(t0, t0+span, cfg.NumBins, k) {
+			if e < t0+span {
+				add(e, byte(i))
+			}
+			if e > t0 {
+				add(e-1, byte(i+1))
+			}
+		}
+		slices.SortStableFunc(s.Events, func(a, b events.Event) int { return cmp.Compare(a.TS, b.TS) })
+		checkGroupedParity(t, fmt.Sprintf("[%d, %d), %d bins, k %d", t0, t0+span, cfg.NumBins, k), cfg, s, t0, t0+span, k)
+	})
 }
 
 // TestFusedConvertByCountParity checks count framing against the

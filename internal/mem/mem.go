@@ -60,7 +60,7 @@ func (s *PoolStats) add(o PoolStats) {
 //
 // It also lends the accumulation grids frames are built in (GetAccum /
 // PutAccum): a grid is borrowed for one E2SF conversion call or one
-// DSFA bucket close and must come back all-zero, so whoever holds the
+// DSFA dispatch and must come back all-zero, so whoever holds the
 // frame pool needs no W x H state of its own.
 type FramePool struct {
 	mu    sync.Mutex

@@ -171,8 +171,9 @@ func TestAllocSmoke(t *testing.T) {
 	var frames []*sparse.Frame
 
 	// DSFA in pooled mode, one aggregator per merging combine mode:
-	// buckets of two close through a grid borrowed from framePool, and
-	// the consumer hands dispatched frames back, as the stepper does.
+	// buckets of two merge at dispatch in a grid borrowed from
+	// framePool, and the consumer hands dispatched frames back, as the
+	// stepper does.
 	var aggs []*dsfa.Aggregator
 	for _, mode := range []dsfa.CMode{dsfa.CAdd, dsfa.CAverage} {
 		agg, err := dsfa.New(dsfa.Config{EBufSize: 4, MBSize: 2, MtThUS: span, MdTh: 100, Mode: mode, QueueCap: 4})
@@ -399,14 +400,14 @@ func TestAllocSmoke(t *testing.T) {
 	}
 	for _, agg := range aggs {
 		if r := agg.Stats().MergeRatio(); r <= 1 {
-			t.Fatalf("dsfa stage under %v never merged (ratio %.2f): the gate measured no bucket close", agg.Config().Mode, r)
+			t.Fatalf("dsfa stage under %v never merged (ratio %.2f): the gate measured no merge", agg.Config().Mode, r)
 		}
 	}
 }
 
 // TestSessionHoldsNoGridState pins where the W x H accumulation grid
 // lives: in the server's pool, borrowed per conversion call and per
-// bucket close — not in the session. Creating a session and running
+// dispatch — not in the session. Creating a session and running
 // its first chunk through ingest, pump and close therefore allocates
 // the same whatever geometry the chunk declares (same events, warm
 // pool), and a thousand steady-state rounds never make the pool build

@@ -21,7 +21,7 @@ import (
 // That invariant is the ownership rule. An Accum carries no state
 // between emissions, so nothing needs to own one for longer than a
 // call: converters and aggregators borrow a grid from mem.FramePool
-// for one conversion or one bucket close and hand it back all-zero
+// for one conversion or one dispatch and hand it back all-zero
 // (PutAccum panics otherwise).
 //
 // Not safe for concurrent use.
