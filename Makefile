@@ -40,12 +40,15 @@ bench-e2e:
 # Allocation gate: every hot-path stage (converter, DSFA merge, kernels, rulebook)
 # and the whole serving cycle must allocate nothing per call once warm, nor
 # must a DSFA queue that sheds a bucket on every push; a task graph
-# rebuilt in place allocates nothing, and the seven placement searches of
-# a serve_http_mixed pass stay under 10 000 allocations.
+# rebuilt in place allocates nothing, the seven placement searches of
+# a serve_http_mixed pass stay under 10 000 allocations, and an offline
+# pipeline run on warm pools allocates under a quarter of its frames'
+# entry bytes.
 bench-smoke:
 	$(GO) test -run '^TestAllocSmoke$$|^TestAllocRegression' -count=1 -v ./internal/serve
 	$(GO) test -run '^TestQueueOverflowZeroAlloc$$' -count=1 -v ./internal/dsfa
 	$(GO) test -run '^TestPlacementSearchAllocBudget$$|^TestBuildIntoSteadyStateZeroAlloc$$' -count=1 -v ./internal/nmp ./internal/taskgraph
+	$(GO) test -run '^TestRunWarmAllocBudget$$' -count=1 -v ./internal/pipeline
 
 # Run the deterministic scenario suite (the chaos/soak regression bed)
 # plus the kernel worker pool and the execution scheduler — whose

@@ -216,8 +216,9 @@ type Aggregator struct {
 	// its members instead of leaking them, bucket structs and queue
 	// storage are recycled, and dispatches reuse one Batch whose
 	// contents are only valid until the next dispatch. The serving hot
-	// path runs pooled; offline callers leave pool nil and keep the
-	// allocate-per-dispatch semantics.
+	// path and pipeline.Run's executor run pooled; the pipeline's
+	// merge-ratio dry run, which only reads the frames it is handed,
+	// leaves pool nil and keeps the allocate-per-dispatch semantics.
 	pool        *mem.FramePool
 	own         *sparse.Accum // the unpooled aggregator's grid, nil until first merge
 	freeBuckets []*bucket

@@ -85,8 +85,17 @@ func RunMultiTask(cfg MultiTaskConfig) (*MultiTaskReport, error) {
 	}
 
 	model := perf.NewModel(cfg.Platform)
-	// Convert every task's stream into timed frames.
+	// Convert every task's stream into timed frames, borrowed as Run
+	// borrows them and returned once the jobs have run (or on an error
+	// exit, the frames of the tasks converted so far).
 	var jobs []invocationJob
+	pools := getRunPools()
+	defer func() {
+		for _, job := range jobs {
+			pools.frames.Put(job.frame)
+		}
+		idleRunPools.Put(pools)
+	}()
 	rep := &MultiTaskReport{
 		Tasks:        make([]TaskReport, len(cfg.Nets)),
 		DeviceBusyUS: map[string]float64{},
@@ -106,7 +115,7 @@ func RunMultiTask(cfg MultiTaskConfig) (*MultiTaskReport, error) {
 				return nil, err
 			}
 		}
-		frames, _, err := ConvertStream(net, stream, cfg.DurUS)
+		frames, _, err := convertStream(net, stream, cfg.DurUS, pools.frames)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: task %d (%s): %w", t, net.Name, err)
 		}
@@ -133,13 +142,9 @@ func RunMultiTask(cfg MultiTaskConfig) (*MultiTaskReport, error) {
 	latencies := make([][]float64, len(cfg.Nets))
 	for _, job := range jobs {
 		net := cfg.Nets[job.task]
-		inv := &Invocation{
-			Frames:  []*sparse.Frame{job.frame},
-			ReadyUS: job.readyUS,
-			Raw:     1,
-			PerRaw:  []RawRef{{job.readyUS, 1}},
-		}
+		inv := fillSingleFrameInv(pools.invs.Get(), job.frame)
 		end := ScheduleOnEngine(engine, model, net, plans[job.task], inv, net.Name)
+		pools.invs.Put(inv)
 		latencies[job.task] = append(latencies[job.task], end-job.readyUS)
 	}
 

@@ -21,11 +21,13 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 
 	"evedge/internal/dsfa"
 	"evedge/internal/e2sf"
 	"evedge/internal/events"
 	"evedge/internal/hw"
+	"evedge/internal/mem"
 	"evedge/internal/nmp"
 	"evedge/internal/nn"
 	"evedge/internal/perf"
@@ -75,8 +77,11 @@ func ParseLevel(s string) (Level, error) {
 	case "3", "nmp", "all", "ev-edge", "evedge":
 		return LevelNMP, nil
 	}
-	return 0, fmt.Errorf("pipeline: unknown optimization level %q (valid: 0|all-gpu, 1|e2sf, 2|dsfa, 3|nmp)", s)
+	return 0, fmt.Errorf("pipeline: unknown optimization level %q %s", s, validLevels)
 }
+
+// validLevels names the levels in ParseLevel's and Run's errors.
+const validLevels = "(valid: 0|all-gpu, 1|e2sf, 2|dsfa, 3|nmp)"
 
 // Config describes one streaming run.
 type Config struct {
@@ -94,7 +99,10 @@ type Config struct {
 	// DurUS is the simulated stream duration.
 	DurUS int64
 	Seed  int64
-	// Stream overrides the scene generator when non-nil (tests).
+	// Stream, when non-nil, replaces the scene generator: a pre-generated
+	// recording, such as the one stream several runs share. It must be
+	// time-sorted. Run only reads it and keeps no reference to it once it
+	// returns.
 	Stream *events.Stream
 }
 
@@ -150,10 +158,54 @@ func TunedDSFA(net *nn.Network) dsfa.Config {
 	return cfg
 }
 
-// Run executes the streaming simulation and returns the report.
+// runPools is what one offline run borrows its frames, accumulation
+// grids and invocations from.
+type runPools struct {
+	frames *mem.FramePool
+	invs   *mem.Pool[Invocation]
+}
+
+// idleRunPools recycles runPools across Run and RunMultiTask calls, so
+// a warm run converts into and executes from the frames an earlier run
+// returned. Get removes the item it returns, so concurrent runs never
+// share one; the GC may drop an idle process's pools.
+var idleRunPools sync.Pool
+
+// getRunPools takes a runPools for one run; the run puts it back into
+// idleRunPools once every frame it borrowed has been returned.
+func getRunPools() *runPools {
+	if p, _ := idleRunPools.Get().(*runPools); p != nil {
+		return p
+	}
+	return &runPools{frames: mem.NewFramePool(), invs: NewInvocationPool()}
+}
+
+// releaseFrames returns frames to pool.
+func releaseFrames(pool *mem.FramePool, frames []*sparse.Frame) {
+	for _, f := range frames {
+		pool.Put(f)
+	}
+}
+
+// Run executes the streaming simulation and returns the report. Its
+// frames, grids and invocations come from pools reused across runs,
+// and every one is returned before Run does, on error exits too.
 func Run(cfg Config) (*Report, error) {
+	pools := getRunPools()
+	rep, err := run(cfg, pools.frames, pools.invs)
+	idleRunPools.Put(pools)
+	return rep, err
+}
+
+// run is Run drawing from the given pools: every frame it converts is
+// taken from pool and returned to it, the executor's invocations
+// likewise from invs.
+func run(cfg Config, pool *mem.FramePool, invs *mem.Pool[Invocation]) (*Report, error) {
 	if cfg.Net == nil {
 		return nil, fmt.Errorf("pipeline: no network")
+	}
+	if cfg.Level < LevelBaseline || cfg.Level > LevelNMP {
+		return nil, fmt.Errorf("pipeline: unknown optimization level %d %s", int(cfg.Level), validLevels)
 	}
 	if cfg.Platform == nil {
 		cfg.Platform = hw.Xavier()
@@ -177,7 +229,7 @@ func Run(cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("pipeline: input stream is not time-sorted")
 	}
 
-	frames, stats, err := ConvertStream(cfg.Net, stream, cfg.DurUS)
+	frames, stats, err := convertStream(cfg.Net, stream, cfg.DurUS, pool)
 	if err != nil {
 		return nil, err
 	}
@@ -192,8 +244,9 @@ func Run(cfg Config) (*Report, error) {
 	}
 
 	model := perf.NewModel(cfg.Platform)
-	plan, nmpRes, mergePenalty, err := buildPlan(cfg, model, frames)
+	plan, nmpRes, mergePenalty, err := buildPlan(cfg, model, frames, stats.meanDensity)
 	if err != nil {
+		releaseFrames(pool, frames)
 		return nil, err
 	}
 	rep.Assignment = nmpRes
@@ -207,8 +260,8 @@ func Run(cfg Config) (*Report, error) {
 	rep.AccuracyDelta = quantDelta + mergePenalty
 	rep.Accuracy = quant.EvEdgeAccuracy(cfg.Net, rep.AccuracyDelta)
 
-	// Streaming execution.
-	exec := runExecutor(model, cfg, plan, frames)
+	// Streaming execution; it returns every raw frame to the pool.
+	exec := runExecutor(model, cfg, plan, frames, pool, invs)
 	busyPerDev := exec.busyPerDev
 	latencies := exec.latencies
 	rep.Invocations = exec.invocations
@@ -249,12 +302,21 @@ type convStats struct {
 // framing emits a frame every N events (N chosen so the *median-rate*
 // framing period matches FramePeriodUS — so bursts raise the realized
 // rate); time framing bins each accumulation window and groups bins
-// into inference inputs.
+// into inference inputs. The frames are freshly allocated and the
+// caller owns them.
 func ConvertStream(net *nn.Network, stream *events.Stream, durUS int64) ([]*sparse.Frame, convStats, error) {
+	return convertStream(net, stream, durUS, nil)
+}
+
+// convertStream is ConvertStream taking its frames and accumulation
+// grid from pool, or allocating them when pool is nil. The converter
+// fails only on its first call (geometry or group size), before it has
+// taken a frame, so an error leaves nothing borrowed.
+func convertStream(net *nn.Network, stream *events.Stream, durUS int64, pool *mem.FramePool) ([]*sparse.Frame, convStats, error) {
 	var st convStats
 	conv, err := e2sf.NewFused(e2sf.Config{
 		Width: stream.Width, Height: stream.Height, NumBins: net.Input.NumBins,
-	}, nil)
+	}, pool)
 	if err != nil {
 		return nil, st, err
 	}
@@ -294,7 +356,7 @@ func medianRatePerUS(stream *events.Stream, durUS int64) float64 {
 	const win = 50_000
 	var counts []int
 	for t0 := int64(0); t0 < durUS; t0 += win {
-		counts = append(counts, stream.Slice(t0, t0+win).Len())
+		counts = append(counts, len(stream.Window(t0, t0+win)))
 	}
 	if len(counts) == 0 {
 		return 0
@@ -305,8 +367,10 @@ func medianRatePerUS(stream *events.Stream, durUS int64) float64 {
 
 // buildPlan decides mapping, precision and representation per level,
 // returning the NMP result (LevelNMP) and the DSFA merge accuracy
-// penalty (LevelDSFA and up).
-func buildPlan(cfg Config, model *perf.Model, frames []*sparse.Frame) (*ExecPlan, *nmp.Result, float64, error) {
+// penalty (LevelDSFA and up). density is the frames' mean spatial
+// density, which LevelNMP profiles the network at. It only reads the
+// frames.
+func buildPlan(cfg Config, model *perf.Model, frames []*sparse.Frame, density float64) (*ExecPlan, *nmp.Result, float64, error) {
 	net := cfg.Net
 	// The all-GPU implementation deploys at half precision, TensorRT's
 	// best practice on Xavier; Ev-Edge's precision gains come from
@@ -324,7 +388,9 @@ func buildPlan(cfg Config, model *perf.Model, frames []*sparse.Frame) (*ExecPlan
 	if cfg.Level >= LevelDSFA {
 		// Estimate the merge ratio by dry-running the aggregator with
 		// every frame pushed and a single dispatch (upper bound on
-		// merging, hence a conservative accuracy estimate).
+		// merging, hence a conservative accuracy estimate). It runs
+		// unpooled, so it releases none of the frames the executor
+		// still needs.
 		agg, err := dsfa.New(dsfaConfig(cfg))
 		if err != nil {
 			return nil, nil, 0, err
@@ -341,11 +407,6 @@ func buildPlan(cfg Config, model *perf.Model, frames []*sparse.Frame) (*ExecPlan
 	}
 
 	// LevelNMP: search device + precision for the single task.
-	density := 0.0
-	for _, f := range frames {
-		density += f.Density()
-	}
-	density /= float64(len(frames))
 	db, err := perf.BuildProfileDB(model, []*nn.Network{net}, true, []float64{density})
 	if err != nil {
 		return nil, nil, 0, err
@@ -404,7 +465,12 @@ type execResult struct {
 // the hardware becomes available — so during bursts (or on slow
 // mappings) frames accumulate and merge, which is exactly the
 // backlog-clearing behaviour of the paper's Sec. 4.2.
-func runExecutor(model *perf.Model, cfg Config, p *ExecPlan, frames []*sparse.Frame) *execResult {
+//
+// The stepper runs pooled, as a server session's does: frames are
+// owned by pool, and each invocation's frames and the invocation itself
+// go back once it is served. The aggregator releases the members it
+// merges away or sheds, so every raw frame is returned exactly once.
+func runExecutor(model *perf.Model, cfg Config, p *ExecPlan, frames []*sparse.Frame, pool *mem.FramePool, invs *mem.Pool[Invocation]) *execResult {
 	res := &execResult{busyPerDev: map[int]float64{}, mergeRatio: 1}
 	serve := func(inv *Invocation, startAfter float64) float64 {
 		start := math.Max(startAfter, inv.ReadyUS)
@@ -428,6 +494,7 @@ func runExecutor(model *perf.Model, cfg Config, p *ExecPlan, frames []*sparse.Fr
 		// dsfaConfig only returns validated tunings; fail loud.
 		panic(err)
 	}
+	st.SetPools(invs, pool)
 
 	var t float64
 	idx := 0
@@ -455,6 +522,8 @@ func runExecutor(model *perf.Model, cfg Config, p *ExecPlan, frames []*sparse.Fr
 			}
 		}
 		t = serve(inv, t)
+		releaseFrames(pool, inv.Frames)
+		invs.Put(inv)
 	}
 	if cfg.Level >= LevelDSFA {
 		stats := st.Stats()

@@ -1,13 +1,19 @@
 package pipeline
 
 import (
+	"fmt"
 	"maps"
 	"math"
+	"reflect"
+	"runtime"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"evedge/internal/dsfa"
 	"evedge/internal/events"
+	"evedge/internal/mem"
 	"evedge/internal/nmp"
 	"evedge/internal/nn"
 	"evedge/internal/quant"
@@ -58,6 +64,14 @@ func TestPlanSlotCarriesExecutionState(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{}); err == nil {
 		t.Fatal("nil network accepted")
+	}
+	// A level outside 0..3 would run dense without the baseline's
+	// framing cost (below) or as NMP (above); neither may pass silently.
+	for _, lvl := range []Level{-1, 4} {
+		_, err := Run(Config{Net: nn.MustByName(nn.DOTIE), Level: lvl, Scale: scene.Half, DurUS: 100_000})
+		if err == nil || !strings.Contains(err.Error(), "valid: 0|all-gpu") {
+			t.Fatalf("Level(%d): err %v, want one naming the valid levels", int(lvl), err)
+		}
 	}
 }
 
@@ -143,11 +157,136 @@ func TestNMPLevelRespectsAccuracyBudget(t *testing.T) {
 	}
 }
 
+// ownershipConfigs returns one run per level for SpikeFlowNet (cAdd),
+// DOTIE (cBatch) and HALSIE (segmentation tuning), each on a stream
+// generated once.
+func ownershipConfigs(t *testing.T) []Config {
+	t.Helper()
+	const dur = 400_000
+	ncfg := nmp.DefaultConfig()
+	ncfg.Population = 8
+	ncfg.Generations = 6
+	ncfg.Seed = 3
+	var cfgs []Config
+	for _, name := range []string{nn.SpikeFlowNet, nn.DOTIE, nn.HALSIE} {
+		net := nn.MustByName(name)
+		seq, err := scene.NewSequence(net.Input.Preset, scene.Half, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream, err := seq.Generate(dur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lvl := range []Level{LevelBaseline, LevelE2SF, LevelDSFA, LevelNMP} {
+			cfgs = append(cfgs, Config{Net: net, Level: lvl, NMP: ncfg, Scale: scene.Half, DurUS: dur, Seed: 5, Stream: stream})
+		}
+	}
+	return cfgs
+}
+
+// TestRunDeterminism: a run on fresh pools (cold), a repeated Run
+// (warm: it reuses the frames an earlier run returned) and four
+// concurrent Runs sharing one input stream all report the same thing,
+// field for field, at every level.
 func TestRunDeterminism(t *testing.T) {
-	a := quickRun(t, nn.DOTIE, LevelDSFA)
-	b := quickRun(t, nn.DOTIE, LevelDSFA)
-	if a.MeanLatencyUS != b.MeanLatencyUS || a.EnergyJ != b.EnergyJ || a.RawFrames != b.RawFrames {
-		t.Fatal("pipeline not deterministic under a fixed seed")
+	for _, cfg := range ownershipConfigs(t) {
+		cold, err := run(cfg, mem.NewFramePool(), NewInvocationPool())
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps := make([]*Report, 6)
+		errs := make([]error, len(reps))
+		reps[0], errs[0] = Run(cfg)
+		reps[1], errs[1] = Run(cfg)
+		var wg sync.WaitGroup
+		for i := 2; i < len(reps); i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				reps[i], errs[i] = Run(cfg)
+			}()
+		}
+		wg.Wait()
+		for i, rep := range reps {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if !reflect.DeepEqual(rep, cold) {
+				t.Fatalf("%s %v: run %d reports %+v, cold run %+v", cfg.Net.Name, cfg.Level, i, rep, cold)
+			}
+		}
+	}
+}
+
+// TestRunReturnsEveryFrame: a run borrows from the pools it is given
+// and has returned every frame, grid and invocation when it returns —
+// after each level, and after an error exit that follows conversion.
+func TestRunReturnsEveryFrame(t *testing.T) {
+	pool, invs := mem.NewFramePool(), NewInvocationPool()
+	check := func(ctx string) {
+		t.Helper()
+		fs, as, is := pool.Stats(), pool.AccumStats(), invs.Stats()
+		if fs.Gets == 0 || as.Gets == 0 {
+			t.Fatalf("%s: nothing borrowed (frames %+v, grids %+v)", ctx, fs, as)
+		}
+		if fs.Live() != 0 || as.Live() != 0 || is.Live() != 0 {
+			t.Fatalf("%s: still borrowed: %d frames, %d grids, %d invocations", ctx, fs.Live(), as.Live(), is.Live())
+		}
+	}
+	cfgs := ownershipConfigs(t)
+	for _, cfg := range cfgs {
+		if _, err := run(cfg, pool, invs); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("%s %v", cfg.Net.Name, cfg.Level))
+	}
+	// An invalid aggregator tuning fails buildPlan, after conversion.
+	cfg := cfgs[LevelDSFA] // SpikeFlowNet
+	cfg.DSFA = dsfa.Config{EBufSize: 1}
+	gets := pool.Stats().Gets
+	if _, err := run(cfg, pool, invs); err == nil {
+		t.Fatal("invalid DSFA tuning accepted")
+	}
+	if pool.Stats().Gets == gets {
+		t.Fatal("error exit came before conversion")
+	}
+	check("error exit")
+}
+
+// TestRunWarmAllocBudget: a run on pools that identical runs have
+// warmed takes its frames from them, so it allocates well under what
+// the frames' channel slices would cost (16 B per entry) if it
+// allocated them again, as every run did before Run borrowed its
+// frames. The pool lends by capacity class, so the first warm runs
+// still regrow the frames it hands to emissions larger than their
+// previous use; from the fifth run on every frame fits.
+func TestRunWarmAllocBudget(t *testing.T) {
+	cfg := ownershipConfigs(t)[LevelE2SF] // SpikeFlowNet
+	frames, _, err := ConvertStream(cfg.Net, cfg.Stream, cfg.DurUS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := 0
+	for _, f := range frames {
+		entries += len(f.Ys)
+	}
+	pool, invs := mem.NewFramePool(), NewInvocationPool()
+	for range 4 {
+		if _, err := run(cfg, pool, invs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := run(cfg, pool, invs); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	alloc, budget := after.TotalAlloc-before.TotalAlloc, uint64(16*entries/4)
+	t.Logf("warm run allocated %d B, %.1f %% of 16 B x %d entries", alloc, 100*float64(alloc)/float64(16*entries), entries)
+	if alloc >= budget {
+		t.Fatalf("warm run allocated %d B, budget %d B (25 %% of 16 B x %d entries)", alloc, budget, entries)
 	}
 }
 

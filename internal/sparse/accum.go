@@ -120,11 +120,12 @@ func room[T any](s []T, n int) []T {
 // pooled frame with that much room in all four slices is stored into
 // as it is. Otherwise the cells are counted exactly — a popcount over
 // the set occupancy words only — and each slice that is short of the
-// count grows once: a frame with no backing arrays yet (every frame of
-// the offline pipeline.Run, which has no frame pool, and the first use
-// of a pooled frame on a cold server) gets its four arrays at their
-// final length instead of doubling its way up from nothing, and an
-// emission that touched nothing leaves such a frame's slices nil.
+// count grows once: a frame with no backing arrays yet (a frame of
+// pipeline.ConvertStream, which its caller owns, and the first use of a
+// pooled frame on a cold server or in a cold pipeline.Run) gets its four
+// arrays at their final length instead of doubling its way up from
+// nothing, and an emission that touched nothing leaves such a frame's
+// slices nil.
 func (a *Accum) Emit(out *Frame, scale float32) {
 	if out.H != a.h || out.W != a.w {
 		panic(fmt.Sprintf("sparse: Emit into %dx%d frame from %dx%d accumulator", out.H, out.W, a.h, a.w))
