@@ -43,22 +43,27 @@ bench-e2e:
 # rebuilt in place allocates nothing, the seven placement searches of
 # a serve_http_mixed pass stay under 10 000 allocations, and an offline
 # pipeline run on warm pools allocates under a quarter of its frames'
-# entry bytes.
+# entry bytes, also when two garbage collections ran since the run that
+# warmed them.
 bench-smoke:
 	$(GO) test -run '^TestAllocSmoke$$|^TestAllocRegression' -count=1 -v ./internal/serve
 	$(GO) test -run '^TestQueueOverflowZeroAlloc$$' -count=1 -v ./internal/dsfa
 	$(GO) test -run '^TestPlacementSearchAllocBudget$$|^TestBuildIntoSteadyStateZeroAlloc$$' -count=1 -v ./internal/nmp ./internal/taskgraph
-	$(GO) test -run '^TestRunWarmAllocBudget$$' -count=1 -v ./internal/pipeline
+	$(GO) test -run '^TestRunWarmAllocBudget$$|^TestRunPoolsSurviveGC$$' -count=1 -v ./internal/pipeline
 
 # Run the deterministic scenario suite (the chaos/soak regression bed)
 # plus the kernel worker pool and the execution scheduler — whose
 # wall-clock dispatchers share the take step the scenarios pin through
-# Pump — under the race detector, at two scheduler widths: a narrow
+# Pump — and the offline pipeline's sharded conversion, concurrent runs
+# included, under the race detector, at two scheduler widths: a narrow
 # host (2) forces pool shards and dispatchers to queue behind each
 # other, a wide one (8) maximizes true overlap.
+PIPELINE_RACE := -run 'TestRunDeterminism|TestRunReturnsEveryFrame|TestConvertStream' ./internal/pipeline
 scenarios:
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/harness/... ./internal/par/... ./internal/sched/... ./cmd/evscenario/...
+	GOMAXPROCS=2 $(GO) test -race -count=1 $(PIPELINE_RACE)
 	GOMAXPROCS=8 $(GO) test -race -count=1 ./internal/harness/... ./internal/par/... ./internal/sched/... ./cmd/evscenario/...
+	GOMAXPROCS=8 $(GO) test -race -count=1 $(PIPELINE_RACE)
 
 # Short coverage-guided fuzz pass over every fuzz function of every
 # package, as `go test -list` reports them, so the list cannot drift

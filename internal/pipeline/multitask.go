@@ -94,7 +94,7 @@ func RunMultiTask(cfg MultiTaskConfig) (*MultiTaskReport, error) {
 		for _, job := range jobs {
 			pools.frames.Put(job.frame)
 		}
-		idleRunPools.Put(pools)
+		putRunPools(pools)
 	}()
 	rep := &MultiTaskReport{
 		Tasks:        make([]TaskReport, len(cfg.Nets)),
@@ -115,7 +115,7 @@ func RunMultiTask(cfg MultiTaskConfig) (*MultiTaskReport, error) {
 				return nil, err
 			}
 		}
-		frames, _, err := convertStream(net, stream, cfg.DurUS, pools.frames)
+		frames, _, err := convertStream(net, stream, cfg.DurUS, pools.frames, convertShards())
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: task %d (%s): %w", t, net.Name, err)
 		}

@@ -19,9 +19,11 @@ package pipeline
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"evedge/internal/dsfa"
 	"evedge/internal/e2sf"
@@ -167,17 +169,37 @@ type runPools struct {
 
 // idleRunPools recycles runPools across Run and RunMultiTask calls, so
 // a warm run converts into and executes from the frames an earlier run
-// returned. Get removes the item it returns, so concurrent runs never
-// share one; the GC may drop an idle process's pools.
-var idleRunPools sync.Pool
+// returned. getRunPools removes the entry it returns, so concurrent runs
+// never share one. It is a plain free list, not a sync.Pool, so warm
+// pools survive garbage collections; putRunPools keeps at most
+// GOMAXPROCS entries, as many as runs can usefully overlap.
+var idleRunPools struct {
+	sync.Mutex
+	free []*runPools
+}
 
-// getRunPools takes a runPools for one run; the run puts it back into
-// idleRunPools once every frame it borrowed has been returned.
+// getRunPools takes a runPools for one run; the run hands it to
+// putRunPools once every frame it borrowed has been returned.
 func getRunPools() *runPools {
-	if p, _ := idleRunPools.Get().(*runPools); p != nil {
+	idleRunPools.Lock()
+	defer idleRunPools.Unlock()
+	if n := len(idleRunPools.free); n > 0 {
+		p := idleRunPools.free[n-1]
+		idleRunPools.free[n-1] = nil
+		idleRunPools.free = idleRunPools.free[:n-1]
 		return p
 	}
 	return &runPools{frames: mem.NewFramePool(), invs: NewInvocationPool()}
+}
+
+// putRunPools files p as idle, or drops it when GOMAXPROCS entries
+// already are.
+func putRunPools(p *runPools) {
+	idleRunPools.Lock()
+	defer idleRunPools.Unlock()
+	if len(idleRunPools.free) < runtime.GOMAXPROCS(0) {
+		idleRunPools.free = append(idleRunPools.free, p)
+	}
 }
 
 // releaseFrames returns frames to pool.
@@ -193,7 +215,7 @@ func releaseFrames(pool *mem.FramePool, frames []*sparse.Frame) {
 func Run(cfg Config) (*Report, error) {
 	pools := getRunPools()
 	rep, err := run(cfg, pools.frames, pools.invs)
-	idleRunPools.Put(pools)
+	putRunPools(pools)
 	return rep, err
 }
 
@@ -223,13 +245,13 @@ func run(cfg Config, pool *mem.FramePool, invs *mem.Pool[Invocation]) (*Report, 
 		if err != nil {
 			return nil, err
 		}
-	} else if !stream.Sorted() {
+	} else if !sorted(stream, runtime.GOMAXPROCS(0)) {
 		// E2SF's window slicing assumes timestamp order; reject early
 		// rather than silently mis-binning user-provided streams.
 		return nil, fmt.Errorf("pipeline: input stream is not time-sorted")
 	}
 
-	frames, stats, err := convertStream(cfg.Net, stream, cfg.DurUS, pool)
+	frames, stats, err := convertStream(cfg.Net, stream, cfg.DurUS, pool, convertShards())
 	if err != nil {
 		return nil, err
 	}
@@ -305,40 +327,84 @@ type convStats struct {
 // into inference inputs. The frames are freshly allocated and the
 // caller owns them.
 func ConvertStream(net *nn.Network, stream *events.Stream, durUS int64) ([]*sparse.Frame, convStats, error) {
-	return convertStream(net, stream, durUS, nil)
+	return convertStream(net, stream, durUS, nil, convertShards())
 }
 
 // convertStream is ConvertStream taking its frames and accumulation
-// grid from pool, or allocating them when pool is nil. The converter
-// fails only on its first call (geometry or group size), before it has
-// taken a frame, so an error leaves nothing borrowed.
-func convertStream(net *nn.Network, stream *events.Stream, durUS int64, pool *mem.FramePool) ([]*sparse.Frame, convStats, error) {
+// grids from pool, or allocating them when pool is nil, and converting
+// on up to shards goroutines. Its jobs — one window for time framing,
+// one run of N events for count framing — are independent and each
+// yields a known number of frames, so every shard converts a
+// contiguous range of jobs with a converter of its own straight into
+// its slots of the output: the frames are the serial converter's, bit
+// for bit, in the same order. Everything that can fail is checked
+// before any shard starts, so an error leaves nothing borrowed.
+func convertStream(net *nn.Network, stream *events.Stream, durUS int64, pool *mem.FramePool, shards int) ([]*sparse.Frame, convStats, error) {
 	var st convStats
-	conv, err := e2sf.NewFused(e2sf.Config{
-		Width: stream.Width, Height: stream.Height, NumBins: net.Input.NumBins,
-	}, pool)
-	if err != nil {
+	in := net.Input
+	ecfg := e2sf.Config{Width: stream.Width, Height: stream.Height, NumBins: in.NumBins}
+	if _, err := e2sf.NewFused(ecfg, pool); err != nil {
 		return nil, st, err
 	}
+	// newConv returns a shard's converter; ecfg is valid.
+	newConv := func() *e2sf.Fused {
+		conv, _ := e2sf.NewFused(ecfg, pool)
+		return conv
+	}
 	var out []*sparse.Frame
-	if net.Input.Framing == nn.FrameByCount {
+	if in.Framing == nn.FrameByCount {
+		if durUS <= 0 {
+			return nil, st, fmt.Errorf("pipeline: empty interval [0, %d)", durUS)
+		}
 		// Calibrate the event count per frame on the *typical* (median)
 		// activity, as a deployment would tune N on representative
 		// data; bursts then raise the realized frame rate above
 		// 1/FramePeriodUS — the backlog source DSFA absorbs.
-		count := int(medianRatePerUS(stream, durUS) * float64(net.Input.FramePeriodUS))
-		if count < 1 {
-			count = 1
-		}
-		if out, _, err = conv.ConvertByCountAppend(out, stream, 0, durUS, count); err != nil {
-			return nil, st, err
-		}
-	} else {
-		for t0 := int64(0); t0+net.Input.WindowUS <= durUS; t0 += net.Input.WindowUS {
-			if out, _, err = conv.ConvertGroupedAppend(out, stream, t0, t0+net.Input.WindowUS, net.Input.GroupK); err != nil {
-				return nil, st, err
+		count := max(int(medianRatePerUS(stream, durUS)*float64(in.FramePeriodUS)), 1)
+		// Job j is events [j·count, (j+1)·count) and one frame; the last
+		// may be partial and ends at durUS.
+		evs := stream.Window(0, durUS)
+		jobs := (len(evs) + count - 1) / count
+		out = make([]*sparse.Frame, jobs)
+		shard(jobs, shards, func(a, b int) {
+			view := events.Stream{Width: stream.Width, Height: stream.Height, Events: evs[a*count : min(b*count, len(evs))]}
+			// The range's first frame starts where the previous range's
+			// last one ended, which is past its first event when the two
+			// share a timestamp: convert from the earlier of the two,
+			// then chain the bound.
+			prevT1, tEnd := int64(0), durUS
+			if a > 0 {
+				prevT1 = evs[a*count-1].TS + 1
 			}
+			if b < jobs {
+				tEnd = view.TEnd() + 1
+			}
+			// It cannot fail: the interval holds an event and count > 0.
+			_, _, _ = newConv().ConvertByCountAppend(out[a:a:b], &view, min(view.TStart(), prevT1), tEnd, count)
+			out[a].T0 = prevT1
+		})
+	} else {
+		if in.WindowUS <= 0 {
+			return nil, st, fmt.Errorf("pipeline: empty window [0, %d)", in.WindowUS)
 		}
+		windows := int(max(durUS, 0) / in.WindowUS)
+		if windows > 0 && in.GroupK <= 0 {
+			return nil, st, fmt.Errorf("pipeline: group size must be positive, got %d", in.GroupK)
+		}
+		perWindow := 0
+		if windows > 0 {
+			perWindow = (in.NumBins + in.GroupK - 1) / in.GroupK
+		}
+		out = make([]*sparse.Frame, windows*perWindow)
+		shard(windows, shards, func(a, b int) {
+			conv := newConv()
+			dst := out[a*perWindow : a*perWindow : b*perWindow]
+			for w := a; w < b; w++ {
+				t0 := int64(w) * in.WindowUS
+				// It cannot fail: the window and GroupK were checked above.
+				dst, _, _ = conv.ConvertGroupedAppend(dst, stream, t0, t0+in.WindowUS, in.GroupK)
+			}
+		})
 	}
 	var denSum float64
 	for _, f := range out {
@@ -348,6 +414,46 @@ func convertStream(net *nn.Network, stream *events.Stream, durUS int64, pool *me
 		st.meanDensity = denSum / float64(len(out))
 	}
 	return out, st, nil
+}
+
+// convertShards is the shard count of a run's conversion: one per core,
+// at most 8. A shard holds a grid while it converts and mem.FramePool
+// keeps 8 free ones, so a warm run on more shards would allocate the
+// others anew every time.
+func convertShards() int { return min(runtime.GOMAXPROCS(0), 8) }
+
+// shard splits n jobs into min(p, n) contiguous ranges of near-equal
+// length and runs fn(lo, hi) on each concurrently, range 0 on the
+// calling goroutine; it returns once every range has.
+func shard(n, p int, fn func(lo, hi int)) {
+	p = min(p, n)
+	if p <= 0 {
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(p - 1)
+	for i := 1; i < p; i++ {
+		go func() {
+			defer wg.Done()
+			fn(i*n/p, (i+1)*n/p)
+		}()
+	}
+	fn(0, n/p)
+	wg.Wait()
+}
+
+// sorted is Stream.Sorted checked on up to shards goroutines, each on
+// its range and the event before it: neighbouring ranges overlap by one
+// event, so an inversion across a range edge is seen.
+func sorted(s *events.Stream, shards int) bool {
+	var unsorted atomic.Bool
+	shard(len(s.Events), shards, func(lo, hi int) {
+		view := events.Stream{Events: s.Events[max(lo-1, 0):hi]}
+		if !view.Sorted() {
+			unsorted.Store(true)
+		}
+	})
+	return !unsorted.Load()
 }
 
 // medianRatePerUS returns the median per-microsecond event rate over

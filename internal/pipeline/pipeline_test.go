@@ -262,7 +262,52 @@ func TestRunReturnsEveryFrame(t *testing.T) {
 // still regrow the frames it hands to emissions larger than their
 // previous use; from the fifth run on every frame fits.
 func TestRunWarmAllocBudget(t *testing.T) {
+	// One shard: see checkWarmAlloc.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cfg := ownershipConfigs(t)[LevelE2SF] // SpikeFlowNet
+	pool, invs := mem.NewFramePool(), NewInvocationPool()
+	for range 4 {
+		if _, err := run(cfg, pool, invs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkWarmAlloc(t, cfg, func() error {
+		_, err := run(cfg, pool, invs)
+		return err
+	})
+}
+
+// TestRunPoolsSurviveGC: the pools Run keeps between calls are not
+// dropped by garbage collection, so a Run after two collections still
+// converts into the frames earlier Runs returned and keeps
+// TestRunWarmAllocBudget's budget. Pools the collector could drop would
+// be rebuilt, and the run would allocate all its frames again.
+func TestRunPoolsSurviveGC(t *testing.T) {
+	// One shard: see checkWarmAlloc.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := ownershipConfigs(t)[LevelE2SF] // SpikeFlowNet
+	for range 5 {
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	checkWarmAlloc(t, cfg, func() error {
+		_, err := Run(cfg)
+		return err
+	})
+}
+
+// checkWarmAlloc fails unless one call of runOnce allocates under a
+// quarter of what cfg's frames' channel slices cost (16 B per entry).
+// Its callers run at GOMAXPROCS 1, so conversions run on one shard:
+// on more, how many grids the pool holds and which frame it lends to
+// which emission depend on how the shards happened to overlap in the
+// warming runs, and a loaded host can leave the measured run a grid or
+// a few frame regrowths short.
+func checkWarmAlloc(t *testing.T, cfg Config, runOnce func() error) {
+	t.Helper()
 	frames, _, err := ConvertStream(cfg.Net, cfg.Stream, cfg.DurUS)
 	if err != nil {
 		t.Fatal(err)
@@ -271,15 +316,9 @@ func TestRunWarmAllocBudget(t *testing.T) {
 	for _, f := range frames {
 		entries += len(f.Ys)
 	}
-	pool, invs := mem.NewFramePool(), NewInvocationPool()
-	for range 4 {
-		if _, err := run(cfg, pool, invs); err != nil {
-			t.Fatal(err)
-		}
-	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := run(cfg, pool, invs); err != nil {
+	if err := runOnce(); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
@@ -340,11 +379,6 @@ func TestConvertStreamModes(t *testing.T) {
 	// Time framing: frame count fixed by window/bins regardless of
 	// activity.
 	timeNet := nn.MustByName(nn.HALSIE)
-	stream2, err := seq.Camera.Run(600_000, 1_200_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = stream2
 	tframes, _, err := ConvertStream(timeNet, stream, 600_000)
 	if err != nil {
 		t.Fatal(err)
@@ -392,7 +426,7 @@ func referenceConvertStream(in nn.InputSpec, stream *events.Stream, durUS int64)
 	h, w := stream.Height, stream.Width
 	var out []*sparse.Frame
 	if in.Framing == nn.FrameByCount {
-		count := max(int(medianRatePerUS(stream, durUS)*float64(in.FramePeriodUS)), 1)
+		count := referenceCount(in, stream, durUS)
 		counts, start, n := pixelCounts{}, int64(0), 0
 		emit := func(t1 int64) {
 			out = append(out, counts.frame(h, w, start, t1))
@@ -433,11 +467,78 @@ func referenceConvertStream(in nn.InputSpec, stream *events.Stream, durUS int64)
 	return out
 }
 
+// referenceCount is the events per count-framed frame: the median
+// 50 ms rate times the frame period, at least 1.
+func referenceCount(in nn.InputSpec, stream *events.Stream, durUS int64) int {
+	return max(int(medianRatePerUS(stream, durUS)*float64(in.FramePeriodUS)), 1)
+}
+
+// dupEdges returns a copy of stream in which every third event and, for
+// count framing, the first event of every count run take their
+// predecessor's timestamp, so every edge between the converter's jobs,
+// and hence between its shards, falls inside a run of equal timestamps.
+// An event whose predecessor lies in another 50 ms rate window keeps
+// its own, so the count itself is unchanged.
+func dupEdges(t *testing.T, in nn.InputSpec, stream *events.Stream, durUS int64) *events.Stream {
+	t.Helper()
+	out := stream.Clone()
+	evs := out.Window(0, durUS)
+	count := referenceCount(in, stream, durUS)
+	dup := func(i int) {
+		if i > 0 && i < len(evs) && evs[i-1].TS/50_000 == evs[i].TS/50_000 {
+			evs[i].TS = evs[i-1].TS
+		}
+	}
+	for i := 2; i < len(evs); i += 3 {
+		dup(i)
+	}
+	if in.Framing == nn.FrameByCount {
+		for i := count; i < len(evs); i += count {
+			dup(i)
+		}
+	}
+	if got := referenceCount(in, out, durUS); got != count {
+		t.Fatalf("duplicating timestamps moved the count from %d to %d", count, got)
+	}
+	return out
+}
+
+// sameFrames fails unless got equals want entry for entry, bounds and
+// float bits included.
+func sameFrames(t *testing.T, ctx string, got, want []*sparse.Frame) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d frames, reference %d", ctx, len(got), len(want))
+	}
+	bits := func(v []float32) []uint32 {
+		out := make([]uint32, len(v))
+		for i, x := range v {
+			out[i] = math.Float32bits(x)
+		}
+		return out
+	}
+	for i, f := range got {
+		r := want[i]
+		if f.H != r.H || f.W != r.W || f.T0 != r.T0 || f.T1 != r.T1 ||
+			!slices.Equal(f.Ys, r.Ys) || !slices.Equal(f.Xs, r.Xs) ||
+			!slices.Equal(bits(f.Pos), bits(r.Pos)) || !slices.Equal(bits(f.Neg), bits(r.Neg)) {
+			t.Fatalf("%s: frame %d [%d,%d) nnz %d != reference [%d,%d) nnz %d",
+				ctx, i, f.T0, f.T1, f.NNZ(), r.T0, r.T1, r.NNZ())
+		}
+	}
+}
+
 // TestConvertStreamMatchesReference: for every network's input spec
-// (count and time framing) ConvertStream's frames equal the reference
-// converter's entry for entry, bounds included.
+// (count and time framing) the converter's frames equal the reference
+// converter's entry for entry, bounds included, whether ConvertStream
+// allocates them or a pool lends them, at 1, 2, 3 and 64 shards (more
+// than there are jobs in most cases). Besides a scene recording it
+// converts that recording with equal timestamps across every job edge,
+// an empty stream, a duration shorter than one window, and one too
+// short to hold a count run.
 func TestConvertStreamMatchesReference(t *testing.T) {
 	const dur = 300_000
+	pool := mem.NewFramePool()
 	for _, name := range nn.AllNames() {
 		net := nn.MustByName(name)
 		seq, err := scene.NewSequence(net.Input.Preset, scene.Half, 5)
@@ -448,28 +549,74 @@ func TestConvertStreamMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := ConvertStream(net, stream, dur)
-		if err != nil {
-			t.Fatalf("%s: %v", net.Name, err)
-		}
-		want := referenceConvertStream(net.Input, stream, dur)
-		if len(got) != len(want) || len(got) == 0 {
-			t.Fatalf("%s: %d frames, reference %d", net.Name, len(got), len(want))
-		}
-		bits := func(v []float32) []uint32 {
-			out := make([]uint32, len(v))
-			for i, x := range v {
-				out[i] = math.Float32bits(x)
+		short := int64(2_000)
+		if net.Input.Framing == nn.FrameByCount {
+			if n, c := len(stream.Window(0, short)), referenceCount(net.Input, stream, short); c <= n {
+				t.Fatalf("%s: count %d does not exceed the %d events before %d µs", net.Name, c, n, short)
 			}
-			return out
 		}
-		for i, f := range got {
-			r := want[i]
-			if f.H != r.H || f.W != r.W || f.T0 != r.T0 || f.T1 != r.T1 ||
-				!slices.Equal(f.Ys, r.Ys) || !slices.Equal(f.Xs, r.Xs) ||
-				!slices.Equal(bits(f.Pos), bits(r.Pos)) || !slices.Equal(bits(f.Neg), bits(r.Neg)) {
-				t.Fatalf("%s frame %d [%d,%d) nnz %d != reference [%d,%d) nnz %d",
-					net.Name, i, f.T0, f.T1, f.NNZ(), r.T0, r.T1, r.NNZ())
+		for _, c := range []struct {
+			name   string
+			stream *events.Stream
+			dur    int64
+		}{
+			{"scene", stream, dur},
+			{"dup-edges", dupEdges(t, net.Input, stream, dur), dur},
+			{"empty", events.NewStream(stream.Width, stream.Height), dur},
+			{"sub-window", stream, net.Input.WindowUS - 1},
+			{"count-over-stream", stream, short},
+		} {
+			want := referenceConvertStream(net.Input, c.stream, c.dur)
+			if c.name == "scene" && len(want) == 0 {
+				t.Fatalf("%s: no frames", net.Name)
+			}
+			got, _, err := ConvertStream(net, c.stream, c.dur)
+			if err != nil {
+				t.Fatalf("%s %s: %v", net.Name, c.name, err)
+			}
+			sameFrames(t, fmt.Sprintf("%s %s", net.Name, c.name), got, want)
+			for _, shards := range []int{1, 2, 3, 64} {
+				got, _, err := convertStream(net, c.stream, c.dur, pool, shards)
+				if err != nil {
+					t.Fatalf("%s %s, %d shards: %v", net.Name, c.name, shards, err)
+				}
+				sameFrames(t, fmt.Sprintf("%s %s, %d shards", net.Name, c.name, shards), got, want)
+				releaseFrames(pool, got)
+			}
+		}
+	}
+	if live := pool.Stats().Live() + pool.AccumStats().Live(); live != 0 {
+		t.Fatalf("%d frames or grids still borrowed", live)
+	}
+}
+
+// TestSortedShards: with one event moved before its predecessor or past
+// its successor, at every index of a small stream, the order check
+// agrees with Stream.Sorted at 1 to 4 shards — so an inversion on any
+// shard edge is caught — and Run refuses every unsorted stream.
+func TestSortedShards(t *testing.T) {
+	const n = 12
+	net := nn.MustByName(nn.DOTIE)
+	base := events.NewStream(8, 8)
+	for i := range n {
+		base.Append(events.Event{X: uint16(i % 8), Y: 1, TS: int64(10 * i), Pol: events.On})
+	}
+	for i := range n {
+		for _, shift := range []int64{-15, 15} {
+			s := base.Clone()
+			s.Events[i].TS += shift
+			want := s.Sorted()
+			for shards := 1; shards <= 4; shards++ {
+				if got := sorted(s, shards); got != want {
+					t.Fatalf("event %d shifted %+d µs, %d shards: sorted %v, Stream.Sorted %v", i, shift, shards, got, want)
+				}
+			}
+			if want {
+				continue
+			}
+			_, err := Run(Config{Net: net, Stream: s, DurUS: 10 * n})
+			if err == nil || !strings.Contains(err.Error(), "not time-sorted") {
+				t.Fatalf("event %d shifted %+d µs: Run error %v, want not time-sorted", i, shift, err)
 			}
 		}
 	}
