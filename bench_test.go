@@ -133,7 +133,7 @@ func BenchmarkFig10b(b *testing.B) {
 func BenchmarkTable2(b *testing.B) { runExperiment(b, "table2") }
 
 // ---------------------------------------------------------------------------
-// Ablation benchmarks for the design choices called out in DESIGN.md.
+// Ablation benchmarks for the design choices README and EXPERIMENTS.md describe.
 // ---------------------------------------------------------------------------
 
 // BenchmarkAblationE2SFDirect compares direct event->sparse conversion
@@ -238,37 +238,6 @@ func BenchmarkAblationDSFAThresholds(b *testing.B) {
 				mr = agg.Stats().MergeRatio()
 			}
 			b.ReportMetric(mr, "merge-ratio")
-		})
-	}
-}
-
-// BenchmarkAblationNMPCache measures the fitness cache's effect on
-// search cost.
-func BenchmarkAblationNMPCache(b *testing.B) {
-	db, model := benchWorkload(b)
-	for _, disable := range []bool{false, true} {
-		name := "cached"
-		if disable {
-			name = "uncached"
-		}
-		b.Run(name, func(b *testing.B) {
-			var evals int
-			for i := 0; i < b.N; i++ {
-				cfg := nmp.DefaultConfig()
-				cfg.Population = 12
-				cfg.Generations = 10
-				cfg.DisableCache = disable
-				mp, err := nmp.NewMapper(db, model, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := mp.Search()
-				if err != nil {
-					b.Fatal(err)
-				}
-				evals = res.Evaluations
-			}
-			b.ReportMetric(float64(evals), "evaluations")
 		})
 	}
 }

@@ -20,7 +20,7 @@
 // end-to-end streaming pipeline with its cumulative optimization
 // levels, the Network Mapper with its round-robin baselines, and the
 // experiment harness that regenerates every table and figure of the
-// paper's evaluation. See DESIGN.md for the system inventory and
+// paper's evaluation. See README.md for the system inventory and
 // EXPERIMENTS.md for paper-vs-measured results.
 package evedge
 
@@ -53,8 +53,6 @@ type (
 	Platform = hw.Platform
 	// Stream is an AER event stream.
 	Stream = events.Stream
-	// Event is one AER event {x, y, t, p}.
-	Event = events.Event
 	// PipelineConfig configures an end-to-end streaming run.
 	PipelineConfig = pipeline.Config
 	// PipelineReport summarizes a streaming run.
@@ -63,8 +61,6 @@ type (
 	Level = pipeline.Level
 	// MapperConfig tunes the evolutionary search.
 	MapperConfig = nmp.Config
-	// MapperResult is a search or baseline outcome.
-	MapperResult = nmp.Result
 	// ExperimentConfig sizes an experiment run.
 	ExperimentConfig = experiments.Config
 	// ExperimentResult is one regenerated table or figure.
@@ -113,16 +109,10 @@ func LoadNetwork(name string) (*Network, error) { return nn.ByName(name) }
 // two DLAs, unified memory).
 func Xavier() *Platform { return hw.Xavier() }
 
-// Orin returns the Jetson AGX Orin-like platform model — roughly twice
-// the Xavier per device class — used to show Ev-Edge porting across
-// commodity platforms and to build heterogeneous serving fleets.
-func Orin() *Platform { return hw.Orin() }
-
-// Platforms lists the built-in platform preset names.
-func Platforms() []string { return hw.Platforms() }
-
-// PlatformByName returns a built-in platform preset ("xavier",
-// "orin").
+// PlatformByName returns a built-in platform preset: "xavier", or
+// "orin", the Jetson AGX Orin-like model — roughly twice the Xavier per
+// device class — used to show Ev-Edge porting across commodity
+// platforms and to build heterogeneous serving fleets.
 func PlatformByName(name string) (*Platform, error) { return hw.PlatformByName(name) }
 
 // GenerateSequence simulates an event-camera sequence for one of the
@@ -209,13 +199,9 @@ type (
 	ServeSessionConfig = serve.SessionConfig
 	// SessionSnapshot is the observable state of a serving session.
 	SessionSnapshot = serve.SessionSnapshot
-	// IngestResult acknowledges one ingested event chunk.
-	IngestResult = serve.IngestResult
 	// ResultEvent is one journaled inference result, as delivered on the
 	// SSE stream at /v1/sessions/{id}/stream (ServeConfig.Journal).
 	ResultEvent = serve.ResultEvent
-	// ServeHealth is the /healthz payload.
-	ServeHealth = serve.Health
 	// DropPolicy selects what a full session ingest queue sheds.
 	DropPolicy = serve.DropPolicy
 	// MapperPolicy selects how sessions are placed on the platform.
@@ -223,11 +209,6 @@ type (
 	// ServeAdaptConfig enables the online adaptation plane on a server:
 	// per-session DSFA retuning and warm-started NMP remaps.
 	ServeAdaptConfig = serve.AdaptConfig
-	// ServeTotals is a server's monotonic session-counter roll-up.
-	ServeTotals = serve.SessionTotals
-	// ServeNodeLoad is the node-load signal a fleet router places
-	// against, including the execution scheduler's backlog signals.
-	ServeNodeLoad = serve.NodeLoad
 	// RetunerConfig tunes the per-session DSFA retune controller.
 	RetunerConfig = control.DSFAConfig
 	// RemapPlannerConfig tunes the remap/migration gate.
@@ -241,17 +222,12 @@ type (
 	// per-stage latency histograms on /metrics, and Chrome trace-event
 	// JSON on /v1/trace.
 	TraceConfig = obs.Config
-	// StageSummary is one frame-lifecycle stage's latency roll-up
-	// (count, mean, p50/p99, max in virtual us).
-	StageSummary = obs.StageSummary
 )
 
-// Session placement policies and queue drop policies.
+// Session placement policies.
 const (
-	MapperNMP  = serve.MapperNMP
-	MapperRR   = serve.MapperRR
-	DropOldest = serve.DropOldest
-	DropNewest = serve.DropNewest
+	MapperNMP = serve.MapperNMP
+	MapperRR  = serve.MapperRR
 )
 
 // DefaultServeConfig returns the server defaults (Xavier platform,
@@ -283,18 +259,8 @@ type (
 	Cluster = cluster.Cluster
 	// ClusterNodeSpec describes one fleet node.
 	ClusterNodeSpec = cluster.NodeSpec
-	// ClusterHealth is the fleet /healthz payload.
-	ClusterHealth = cluster.Health
-	// ClusterNodeHealth is one node's view in the fleet health.
-	ClusterNodeHealth = cluster.NodeHealth
 	// PlacementPolicy selects how the router places sessions on nodes.
 	PlacementPolicy = cluster.PlacementPolicy
-)
-
-// Fleet placement policies.
-const (
-	PolicyLeastLoaded = cluster.PolicyLeastLoaded
-	PolicyHash        = cluster.PolicyHash
 )
 
 // NewCluster starts every node's worker pool plus the health-probe
@@ -319,8 +285,6 @@ func ParsePlacementPolicy(s string) (PlacementPolicy, error) {
 type (
 	// Scenario is a declarative chaos/soak script.
 	Scenario = harness.Script
-	// ScenarioPhase is one stage of a scenario.
-	ScenarioPhase = harness.Phase
 	// ScenarioResult is a recorded run: timeline + terminal state.
 	ScenarioResult = harness.Result
 	// ScenarioViolation is one failed invariant or expectation.
@@ -355,10 +319,3 @@ func CheckScenario(res *ScenarioResult) []ScenarioViolation { return harness.Che
 func CheckScenarioExpect(sc Scenario, res *ScenarioResult) []ScenarioViolation {
 	return harness.CheckExpect(sc, res)
 }
-
-// EncodeEvents serializes a stream in the EVAR binary wire format —
-// the same format the server's ingest endpoint accepts.
-func EncodeEvents(w io.Writer, s *Stream) error { return events.WriteBinary(w, s) }
-
-// DecodeEvents parses a stream from the EVAR binary wire format.
-func DecodeEvents(r io.Reader) (*Stream, error) { return events.ReadBinary(r) }

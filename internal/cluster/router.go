@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -87,14 +88,14 @@ func (c *Cluster) handleGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Cluster) handleIngest(w http.ResponseWriter, r *http.Request) {
-	maxBody := c.cfg.Node.MaxBodyBytes
-	if maxBody <= 0 {
-		maxBody = 64 << 20
-	}
-	body := http.MaxBytesReader(w, r.Body, maxBody)
+	body := http.MaxBytesReader(w, r.Body, serve.MaxBodyBytes)
 	chunk, err := serve.DecodeChunk(r.Header.Get("Content-Type"), body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		status := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, err)
 		return
 	}
 	res, err := c.Ingest(r.PathValue("id"), chunk)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -118,4 +119,88 @@ func TestSessionAPIStatusParity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestIngestBodyLimit: a body one byte over serve.MaxBodyBytes is
+// refused 413 by serve.Server.Handler and by Cluster.Handler alike, and
+// leaves the session as it was. The body is well-formed EVAR up to the
+// limit and is generated as the handler reads it.
+func TestIngestBodyLimit(t *testing.T) {
+	srv, err := serve.New(serve.Config{ManualDrain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := New(Config{Nodes: specs(t, "xavier:1"), Node: serve.Config{ManualDrain: true}, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	evar := func(s *events.Stream) []byte {
+		var b bytes.Buffer
+		if err := events.WriteBinary(&b, s); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	one := events.NewStream(8, 8)
+	one.Append(events.Event{X: 1, Y: 1, TS: 9_000, Pol: events.On})
+	first, header := evar(one), evar(events.NewStream(8, 8))
+	record := first[len(header):]
+
+	for _, side := range []struct {
+		name string
+		h    http.Handler
+	}{{"node", srv.Handler()}, {"cluster", c.Handler()}} {
+		do := func(method, path string, body io.Reader) (int, string) {
+			rec := httptest.NewRecorder()
+			side.h.ServeHTTP(rec, httptest.NewRequest(method, path, body))
+			return rec.Code, rec.Body.String()
+		}
+		code, text := do("POST", "/v1/sessions", strings.NewReader(`{"network":"DOTIE","level":2}`))
+		var snap struct{ ID string }
+		if err := json.Unmarshal([]byte(text), &snap); code != http.StatusCreated || err != nil {
+			t.Fatalf("%s: create: HTTP %d %s (%v)", side.name, code, text, err)
+		}
+		path := "/v1/sessions/" + snap.ID
+		if code, text := do("POST", path+"/events", bytes.NewReader(first)); code != http.StatusOK {
+			t.Fatalf("%s: first chunk: HTTP %d %s", side.name, code, text)
+		}
+		_, before := do("GET", path, nil)
+
+		body := io.MultiReader(bytes.NewReader(header),
+			&repeatReader{rec: record, left: serve.MaxBodyBytes + 1 - int64(len(header))})
+		code, text = do("POST", path+"/events", body)
+		if code != http.StatusRequestEntityTooLarge || !strings.Contains(text, "request body too large") {
+			t.Errorf("%s: body over MaxBodyBytes: HTTP %d %s, want 413 naming the limit", side.name, code, text)
+		}
+		if _, after := do("GET", path, nil); after != before {
+			t.Errorf("%s: a refused body changed the session:\nbefore %s\nafter  %s", side.name, before, after)
+		}
+	}
+}
+
+// repeatReader yields left bytes of rec repeated end to end.
+type repeatReader struct {
+	rec  []byte
+	off  int
+	left int64
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	if r.left == 0 {
+		return 0, io.EOF
+	}
+	if int64(len(p)) > r.left {
+		p = p[:r.left]
+	}
+	n := 0
+	for n < len(p) {
+		k := copy(p[n:], r.rec[r.off:])
+		n += k
+		r.off = (r.off + k) % len(r.rec)
+	}
+	r.left -= int64(n)
+	return n, nil
 }

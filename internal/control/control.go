@@ -90,54 +90,35 @@ type Signals struct {
 type DSFAConfig struct {
 	// DecideEveryUS is the minimum stream time between decisions.
 	DecideEveryUS int64
-	// Patience is how many consecutive pressured (or calm) decisions
-	// must accumulate before the controller widens (or narrows) —
-	// the hysteresis that keeps it from chattering on noise.
-	Patience int
-	// HighWater and LowWater are ingest-queue fill fractions: above
-	// HighWater counts as backlog pressure, below LowWater as calm.
-	HighWater, LowWater float64
-	// MaxWiden caps the widening exponent: thresholds scale by up to
-	// 2^MaxWiden over the create-time anchor tuning.
-	MaxWiden int
-	// DynamicsTh is the relative change in window-mean frame density
-	// that counts as a scene shift.
-	DynamicsTh float64
 }
 
+// The retune controller's fixed tuning.
+const (
+	// patience is how many consecutive pressured (or calm) decisions
+	// must accumulate before the controller widens (or narrows) —
+	// the hysteresis that keeps it from chattering on noise.
+	patience = 2
+	// highWater and lowWater are ingest-queue fill fractions: above
+	// highWater counts as backlog pressure, below lowWater as calm.
+	highWater, lowWater = 0.75, 0.25
+	// maxWiden caps the widening exponent: thresholds scale by up to
+	// 2^maxWiden over the create-time anchor tuning.
+	maxWiden = 3
+	// dynamicsTh is the relative change in window-mean frame density
+	// that counts as a scene shift.
+	dynamicsTh = 0.35
+)
+
 // DefaultDSFAConfig returns the controller defaults: decide at most
-// every 50 ms of stream time, two-step hysteresis, widen up to 8x.
+// every 50 ms of stream time.
 func DefaultDSFAConfig() DSFAConfig {
-	return DSFAConfig{
-		DecideEveryUS: 50_000,
-		Patience:      2,
-		HighWater:     0.75,
-		LowWater:      0.25,
-		MaxWiden:      3,
-		DynamicsTh:    0.35,
-	}
+	return DSFAConfig{DecideEveryUS: 50_000}
 }
 
 // normalized fills zero fields with defaults.
 func (c DSFAConfig) normalized() DSFAConfig {
-	def := DefaultDSFAConfig()
 	if c.DecideEveryUS <= 0 {
-		c.DecideEveryUS = def.DecideEveryUS
-	}
-	if c.Patience <= 0 {
-		c.Patience = def.Patience
-	}
-	if c.HighWater <= 0 {
-		c.HighWater = def.HighWater
-	}
-	if c.LowWater <= 0 {
-		c.LowWater = def.LowWater
-	}
-	if c.MaxWiden <= 0 {
-		c.MaxWiden = def.MaxWiden
-	}
-	if c.DynamicsTh <= 0 {
-		c.DynamicsTh = def.DynamicsTh
+		c.DecideEveryUS = DefaultDSFAConfig().DecideEveryUS
 	}
 	return c
 }
@@ -230,7 +211,7 @@ func (r *Retuner) Observe(s SessionSample) (dsfa.Config, bool) {
 			if rel < 0 {
 				rel = -rel
 			}
-			r.dynamic = rel > r.cfg.DynamicsTh
+			r.dynamic = rel > dynamicsTh
 		}
 		r.prevWinDen = winDen
 		r.hasPrevDen = true
@@ -238,14 +219,14 @@ func (r *Retuner) Observe(s SessionSample) (dsfa.Config, bool) {
 	r.last = s
 	r.lastDecideUS = s.StreamUS
 
-	pressured := fill >= r.cfg.HighWater || dDrop > 0 ||
+	pressured := fill >= highWater || dDrop > 0 ||
 		s.AggQueued >= r.anchor.QueueCap
-	calm := fill <= r.cfg.LowWater && dDrop == 0 && s.AggQueued == 0
+	calm := fill <= lowWater && dDrop == 0 && s.AggQueued == 0
 
 	// Dynamics modulate the hysteresis: a static scene widens eagerly
 	// (merging it costs little accuracy), a dynamic scene narrows
 	// eagerly (temporal fidelity is worth more).
-	widenPatience, narrowPatience := r.cfg.Patience, r.cfg.Patience
+	widenPatience, narrowPatience := patience, patience
 	if !r.dynamic {
 		widenPatience = 1
 	} else {
@@ -256,7 +237,7 @@ func (r *Retuner) Observe(s SessionSample) (dsfa.Config, bool) {
 	case pressured:
 		r.calm = 0
 		r.pressure++
-		if r.pressure >= widenPatience && r.widen < r.cfg.MaxWiden {
+		if r.pressure >= widenPatience && r.widen < maxWiden {
 			r.pressure = 0
 			r.widen++
 			r.retunes++
@@ -287,13 +268,6 @@ type RemapConfig struct {
 	// ImbalanceTh is the device-utilization spread (max - min) that
 	// justifies searching for a better mapping.
 	ImbalanceTh float64
-	// MinGain is the fractional predicted-latency improvement a
-	// candidate plan must deliver to be installed. Negative means
-	// "install any non-regression"; zero takes the default.
-	MinGain float64
-	// Budget caps the warm-started search's generations so a remap
-	// completes at control-loop latency.
-	Budget int
 	// QueueTh is the scheduler queue-depth spread (max - min queued
 	// invocations across PEs) that justifies a remap search on its own.
 	// 0 disables the trigger (the default): utilization and backlog
@@ -301,34 +275,32 @@ type RemapConfig struct {
 	QueueTh int
 }
 
+// The remap planner's fixed tuning.
+const (
+	// remapMinGain is the fractional predicted-latency improvement a
+	// candidate plan must deliver to be installed.
+	remapMinGain = 0.05
+	// remapBudget caps the warm-started search's generations so a
+	// remap completes at control-loop latency.
+	remapBudget = 6
+)
+
 // DefaultRemapConfig returns the planner defaults.
 func DefaultRemapConfig() RemapConfig {
 	return RemapConfig{
 		CooldownUS:  250_000,
 		ImbalanceTh: 0.25,
-		MinGain:     0.05,
-		Budget:      6,
 	}
 }
 
-// normalized fills zero fields with defaults. A negative MinGain is
-// kept as zero — the explicit "install any non-regression" spelling.
+// normalized fills zero fields with defaults.
 func (c RemapConfig) normalized() RemapConfig {
 	def := DefaultRemapConfig()
 	if c.CooldownUS <= 0 {
 		c.CooldownUS = def.CooldownUS
 	}
-	if c.Budget <= 0 {
-		c.Budget = def.Budget
-	}
 	if c.ImbalanceTh <= 0 {
 		c.ImbalanceTh = def.ImbalanceTh
-	}
-	switch {
-	case c.MinGain < 0:
-		c.MinGain = 0
-	case c.MinGain == 0:
-		c.MinGain = def.MinGain
 	}
 	return c
 }
@@ -449,7 +421,7 @@ func (p *RemapPlanner) Accept(curLatencyUS, newLatencyUS float64) bool {
 	if curLatencyUS <= 0 {
 		return false
 	}
-	return (curLatencyUS-newLatencyUS)/curLatencyUS >= p.cfg.MinGain
+	return (curLatencyUS-newLatencyUS)/curLatencyUS >= remapMinGain
 }
 
 // Committed records an installed remap at virtual time nowUS and
@@ -476,7 +448,7 @@ func (p *RemapPlanner) Done(nowUS float64) {
 }
 
 // Budget returns the warm-start generation budget.
-func (p *RemapPlanner) Budget() int { return p.cfg.Budget }
+func (p *RemapPlanner) Budget() int { return remapBudget }
 
 // CooldownRemainingUS reports the virtual time left before the next
 // remap is allowed (0 when ready) — exposed in /metrics.

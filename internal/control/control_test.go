@@ -231,7 +231,7 @@ func TestAdaptiveBeatsFrozenUnderShift(t *testing.T) {
 // and checks the widen/narrow transitions and their patience gates.
 func TestRetunerHysteresis(t *testing.T) {
 	anchor := dsfa.DefaultConfig()
-	cfg := control.DSFAConfig{DecideEveryUS: 10, Patience: 2, HighWater: 0.75, LowWater: 0.25, MaxWiden: 2, DynamicsTh: 0.5}
+	cfg := control.DSFAConfig{DecideEveryUS: 10}
 	rt := control.NewRetuner(cfg, anchor)
 
 	mk := func(i int, qlen int, drops uint64) control.SessionSample {
@@ -255,7 +255,7 @@ func TestRetunerHysteresis(t *testing.T) {
 	if got.MBSize != anchor.MBSize*2 || got.MtThUS != anchor.MtThUS*2 {
 		t.Fatalf("widened config not doubled: %+v", got)
 	}
-	// Calm now: narrowing needs Patience=2 consecutive calm decisions.
+	// Calm now: narrowing needs patience 2: two consecutive calm decisions.
 	if _, ok := rt.Observe(mk(3, 0, 0)); ok {
 		t.Fatal("narrowed after one calm decision (patience violated)")
 	}
@@ -276,11 +276,11 @@ func TestRetunerHysteresis(t *testing.T) {
 // validate — the controller must never hand the aggregator a rejected
 // tuning.
 func TestRetunerWidenedConfigAlwaysValid(t *testing.T) {
+	const maxWiden = 3 // the controller's cap: thresholds scale by up to 8x
 	for _, name := range nn.AllNames() {
 		net := nn.MustByName(name)
 		anchor := pipeline.TunedDSFA(net)
 		cfg := control.DefaultDSFAConfig()
-		cfg.MaxWiden = 6
 		rt := control.NewRetuner(cfg, anchor)
 		check := func() {
 			derived := rt.Config()
@@ -295,7 +295,7 @@ func TestRetunerWidenedConfigAlwaysValid(t *testing.T) {
 		var ts int64
 		var drops uint64
 		rt.Observe(control.SessionSample{QueueCap: 10}) // prime
-		for step := 0; rt.Level() < cfg.MaxWiden && step < 100; step++ {
+		for step := 0; rt.Level() < maxWiden && step < 100; step++ {
 			ts += cfg.DecideEveryUS + 1
 			drops += 5
 			if _, ok := rt.Observe(control.SessionSample{
@@ -304,8 +304,16 @@ func TestRetunerWidenedConfigAlwaysValid(t *testing.T) {
 				check()
 			}
 		}
-		if rt.Level() != cfg.MaxWiden {
-			t.Fatalf("%s: sustained pressure only reached widen=%d of %d", name, rt.Level(), cfg.MaxWiden)
+		if rt.Level() != maxWiden {
+			t.Fatalf("%s: sustained pressure only reached widen=%d of %d", name, rt.Level(), maxWiden)
+		}
+		for step := 0; step < 10; step++ {
+			ts += cfg.DecideEveryUS + 1
+			drops += 5
+			rt.Observe(control.SessionSample{StreamUS: ts, QueueLen: 10, QueueCap: 10, FramesDropped: drops})
+		}
+		if rt.Level() != maxWiden {
+			t.Fatalf("%s: sustained pressure widened past the cap to %d", name, rt.Level())
 		}
 	}
 }
@@ -313,7 +321,7 @@ func TestRetunerWidenedConfigAlwaysValid(t *testing.T) {
 // TestRemapPlannerGating covers the imbalance trigger, the in-flight
 // claim, the cooldown, and the accept threshold.
 func TestRemapPlannerGating(t *testing.T) {
-	cfg := control.RemapConfig{CooldownUS: 1000, ImbalanceTh: 0.3, MinGain: 0.1, Budget: 4}
+	cfg := control.RemapConfig{CooldownUS: 1000, ImbalanceTh: 0.3}
 	p := control.NewRemapPlanner(cfg)
 	balanced := []control.DeviceSignals{{Device: "gpu", Utilization: 0.5}, {Device: "dla", Utilization: 0.45}}
 	skewed := []control.DeviceSignals{{Device: "gpu", Utilization: 0.9}, {Device: "dla", Utilization: 0.1}}
@@ -328,8 +336,8 @@ func TestRemapPlannerGating(t *testing.T) {
 	if p.ShouldRemap(0, skewed) {
 		t.Fatal("second caller won the in-flight claim")
 	}
-	if !p.Accept(100, 80) || p.Accept(100, 95) || p.Accept(0, 0) {
-		t.Fatal("Accept threshold wrong")
+	if !p.Accept(100, 95) || p.Accept(100, 96) || p.Accept(0, 0) {
+		t.Fatal("Accept threshold is not a 5 % gain")
 	}
 	p.Committed(0, 0.2)
 	if p.ShouldRemap(500, skewed) {

@@ -58,7 +58,6 @@ func TestSeedInjection(t *testing.T) {
 	db, m := workload(t, nn.DOTIE)
 	cfg := quickCfg(5)
 	cfg.Generations = 1
-	cfg.MutationLayers = 0 // freeze mutation so seeds survive verbatim
 	mp, err := NewMapper(db, m, cfg)
 	if err != nil {
 		t.Fatal(err)

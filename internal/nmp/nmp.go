@@ -53,33 +53,32 @@ const (
 type Config struct {
 	Population  int
 	Generations int
-	// MutationLayers is the number of layers per task whose mapping is
-	// randomized in each child ("a specified number of layers in each
-	// task is replaced with a random mapping resource and precision").
-	MutationLayers int
-	// SampleFrac is the validation-subset fraction used for accuracy
-	// evaluation (the paper's first search optimization).
-	SampleFrac float64
-	Seed       int64
-	Objective  Objective
+	Seed        int64
+	Objective   Objective
 	// FullPrecisionOnly excludes quantized (INT8) execution — the
 	// Ev-Edge-NMP-FP variant, which "exclusively maps to full precision
 	// cores to prevent any accuracy degradation". FP32 and FP16 both
 	// count as full precision on Jetson-class accelerators.
 	FullPrecisionOnly bool
-	// DisableCache turns off fitness caching (ablation).
-	DisableCache bool
 }
+
+const (
+	// mutationLayers is the number of layers per task whose mapping is
+	// randomized in each child ("a specified number of layers in each
+	// task is replaced with a random mapping resource and precision").
+	mutationLayers = 2
+	// sampleFrac is the validation-subset fraction used for accuracy
+	// evaluation (the paper's first search optimization).
+	sampleFrac = 0.25
+)
 
 // DefaultConfig returns the search settings used by the experiments.
 func DefaultConfig() Config {
 	return Config{
-		Population:     24,
-		Generations:    40,
-		MutationLayers: 2,
-		SampleFrac:     0.25,
-		Seed:           1,
-		Objective:      MinLatency,
+		Population:  24,
+		Generations: 40,
+		Seed:        1,
+		Objective:   MinLatency,
 	}
 }
 
@@ -90,12 +89,6 @@ func (c Config) Validate() error {
 	}
 	if c.Generations < 1 {
 		return fmt.Errorf("nmp: generations must be >= 1, got %d", c.Generations)
-	}
-	if c.MutationLayers < 0 {
-		return fmt.Errorf("nmp: mutation layers must be >= 0, got %d", c.MutationLayers)
-	}
-	if c.SampleFrac <= 0 || c.SampleFrac > 1 {
-		return fmt.Errorf("nmp: sample fraction %f outside (0,1]", c.SampleFrac)
 	}
 	return nil
 }
@@ -222,7 +215,7 @@ func (e *evaluator) evaluate(asg *taskgraph.Assignment, h uint64) (*evaluation, 
 	// reused if the same candidate emerges from different parents").
 	penalty := 0.0
 	for t, acc := range mp.acc {
-		d, err := acc.DeltaSampled(asg.Prec[t], mp.cfg.SampleFrac, mp.cfg.Seed^int64(h)+int64(t))
+		d, err := acc.DeltaSampled(asg.Prec[t], sampleFrac, mp.cfg.Seed^int64(h)+int64(t))
 		if err != nil {
 			return nil, err
 		}
@@ -288,12 +281,12 @@ func (mp *Mapper) randomPrecision(r *rand.Rand, devID int) nn.Precision {
 	return ps[r.Intn(len(ps))]
 }
 
-// mutate replaces cfg.MutationLayers random layers in each task with a
+// mutate replaces mutationLayers random layers in each task with a
 // random device and precision.
 func (mp *Mapper) mutate(r *rand.Rand, asg *taskgraph.Assignment) {
 	platform := mp.db.Platform()
 	for t := range asg.Device {
-		for k := 0; k < mp.cfg.MutationLayers; k++ {
+		for k := 0; k < mutationLayers; k++ {
 			l := r.Intn(len(asg.Device[t]))
 			d := platform.Devices[r.Intn(len(platform.Devices))]
 			asg.Device[t][l] = d.ID
@@ -346,20 +339,16 @@ func (mp *Mapper) evolve(r *rand.Rand, pop []*taskgraph.Assignment, generations 
 		// One hash per candidate: the cache key, and on a miss the
 		// evaluation's sampling seed.
 		h := hashAssignment(asg)
-		if !mp.cfg.DisableCache {
-			if ev, ok := cache[h]; ok {
-				res.CacheHits++
-				return ev, nil
-			}
+		if ev, ok := cache[h]; ok {
+			res.CacheHits++
+			return ev, nil
 		}
 		ev, err := e.evaluate(asg, h)
 		if err != nil {
 			return nil, err
 		}
 		res.Evaluations++
-		if !mp.cfg.DisableCache {
-			cache[h] = ev
-		}
+		cache[h] = ev
 		return ev, nil
 	}
 

@@ -92,38 +92,27 @@ type Config struct {
 	// Node names the process lane in multi-node exports (the Chrome
 	// pid); empty means a standalone server.
 	Node string
-	// RingCap bounds each track's event ring (default 4096); the
-	// oldest events are overwritten, counted in Dropped.
-	RingCap int
-	// SampleEvery thins per-frame span recording: only every Nth
-	// queue/frame span per track reaches the ring (default
-	// DefaultSampleEvery; set 1 to retain every span). Histograms
-	// always observe every span, so sampling bounds trace size and
-	// recording cost without biasing the latency aggregates — the
-	// /metrics stage histograms and scenario stage-latency contracts
-	// are exact regardless of the sampling rate. Sampling is a
-	// deterministic per-(track, stage) counter, so sampled traces stay
-	// byte-identical per (scenario, seed).
-	SampleEvery int
-	// MaxTracks bounds how many distinct track rings are kept (default
-	// 64); events on later tracks are dropped, counted in Dropped.
-	MaxTracks int
 }
 
-// DefaultRingCap bounds one track's ring when Config.RingCap is 0.
-const DefaultRingCap = 4096
+// ringCap bounds each track's event ring; the oldest events are
+// overwritten, counted in Dropped.
+const ringCap = 4096
 
-// DefaultMaxTracks bounds distinct tracks when Config.MaxTracks is 0.
-const DefaultMaxTracks = 64
+// maxTracks bounds how many distinct track rings are kept; events on
+// later tracks are dropped, counted in Dropped.
+const maxTracks = 64
 
-// DefaultSampleEvery is the per-frame (queue/frame) span retention
-// rate when Config.SampleEvery is 0: keep 1-in-4. Per-frame spans are
-// the bulk of trace volume on a busy server, and thinning their ring
-// retention is what holds steady-state tracing overhead (bench/'s
-// obs.trace_overhead_pct) inside its <5% budget while histograms still
-// observe every span. Full-fidelity traces are an explicit opt-in
-// (SampleEvery: 1).
-const DefaultSampleEvery = 4
+// sampleEvery thins per-frame span recording: only every Nth
+// queue/frame span per track reaches the ring, 1-in-4. Per-frame spans
+// are the bulk of trace volume on a busy server, and thinning their
+// ring retention is what holds steady-state tracing overhead (bench/'s
+// obs.trace_overhead_pct) inside its <5% budget. Histograms always
+// observe every span, so sampling bounds trace size and recording cost
+// without biasing the latency aggregates — the /metrics stage
+// histograms and scenario stage-latency contracts are exact. Sampling
+// is a deterministic per-(track, stage) counter, so sampled traces
+// stay byte-identical per (scenario, seed).
+const sampleEvery = 4
 
 // blockEvents sizes one ring block (~20 KB of Event storage): big
 // enough that block management is rare, small enough that a sparse
@@ -183,7 +172,7 @@ type ring struct {
 	cap    int // bound on stored events
 	len    int // events stored, <= cap
 	next   int // oldest entry once len == cap
-	// sample counts observed queue/frame spans for SampleEvery
+	// sample counts observed queue/frame spans for sampleEvery
 	// thinning, indexed by stage — per-ring state so the hot paths
 	// never touch a map.
 	sample [NumStages]uint64
@@ -260,15 +249,6 @@ func NewTracer(cfg Config) *Tracer {
 	if !cfg.Enabled {
 		return nil
 	}
-	if cfg.RingCap <= 0 {
-		cfg.RingCap = DefaultRingCap
-	}
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = DefaultSampleEvery
-	}
-	if cfg.MaxTracks <= 0 {
-		cfg.MaxTracks = DefaultMaxTracks
-	}
 	return &Tracer{
 		cfg:   cfg,
 		rings: map[string]*ring{},
@@ -276,15 +256,15 @@ func NewTracer(cfg Config) *Tracer {
 }
 
 // ringLocked resolves or creates track's ring under t.mu; nil once
-// MaxTracks is reached (the track's events then only feed histograms
+// maxTracks is reached (the track's events then only feed histograms
 // and the drop counter).
 func (t *Tracer) ringLocked(track string) *ring {
 	r, ok := t.rings[track]
 	if !ok {
-		if len(t.rings) >= t.cfg.MaxTracks {
+		if len(t.rings) >= maxTracks {
 			return nil
 		}
-		r = &ring{cap: t.cfg.RingCap}
+		r = &ring{cap: ringCap}
 		t.rings[track] = r
 		t.order = append(t.order, track)
 	}
@@ -305,10 +285,10 @@ func (t *Tracer) spanLocked(r *ring, track string, st Stage, name string, startU
 		t.drops++
 		return
 	}
-	if !instant && t.cfg.SampleEvery > 1 && (st == StageQueue || st == StageFrame) {
+	if !instant && (st == StageQueue || st == StageFrame) {
 		n := r.sample[st]
 		r.sample[st] = n + 1
-		if n%uint64(t.cfg.SampleEvery) != 0 {
+		if n%sampleEvery != 0 {
 			return
 		}
 	}
@@ -428,7 +408,7 @@ func (tk *Track) SpansFunc(st Stage, name string, n int, at func(i int) (startUS
 // latencies), where building an intermediate Event slice doubles the
 // memory traffic. at returns the i'th span; it must be pure
 // arithmetic (the tracer lock is held across the calls). Histograms
-// observe every span; ring entries honor SampleEvery, as in Batch.
+// observe every span; ring entries honor sampleEvery, as in Batch.
 func (t *Tracer) SpansFunc(track string, st Stage, name string, n int, at func(i int) (startUS, durUS float64, count int64)) {
 	if t == nil || n == 0 {
 		return
@@ -455,7 +435,7 @@ func (t *Tracer) spansLocked(r *ring, track string, st Stage, name string, n int
 	}
 	h := &t.hists[st]
 	observe := st != StageCtl
-	sampled := t.cfg.SampleEvery > 1 && (st == StageQueue || st == StageFrame)
+	sampled := st == StageQueue || st == StageFrame
 	sampleN := r.sample[st]
 	for i := 0; i < n; i++ {
 		start, dur, count := at(i)
@@ -466,7 +446,7 @@ func (t *Tracer) spansLocked(r *ring, track string, st Stage, name string, n int
 			h.Observe(dur)
 		}
 		if sampled {
-			keep := sampleN%uint64(t.cfg.SampleEvery) == 0
+			keep := sampleN%sampleEvery == 0
 			sampleN++
 			if !keep {
 				continue

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -44,46 +45,46 @@ func TestNilTracerIsNoOp(t *testing.T) {
 }
 
 func TestRingBoundsAndOverwrite(t *testing.T) {
-	// SampleEvery 1: this test exercises ring overwrite, so every span
-	// must reach the ring (the default thins queue/frame spans 1-in-4).
-	tr := NewTracer(Config{Enabled: true, RingCap: 4, SampleEvery: 1})
-	for i := 0; i < 10; i++ {
-		tr.Span("sess/s1", StageQueue, "queue", float64(i), float64(i)+1, 1)
+	// Exec spans are never sampled away, so each of the ringCap+1
+	// spans reaches the ring.
+	tr := NewTracer(Config{Enabled: true})
+	for i := 0; i <= ringCap; i++ {
+		tr.Span("dev/GPU", StageExec, "conv", float64(i), float64(i)+1, 0)
 	}
 	evs := tr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("ring retained %d events, want 4", len(evs))
+	if len(evs) != ringCap {
+		t.Fatalf("ring retained %d events, want %d", len(evs), ringCap)
 	}
-	// Oldest overwritten: the survivors are the last four spans.
-	if evs[0].StartUS != 6 || evs[3].StartUS != 9 {
-		t.Fatalf("ring kept wrong window: %+v", evs)
+	// Oldest overwritten: the survivors are the last ringCap spans.
+	if evs[0].StartUS != 1 || evs[ringCap-1].StartUS != ringCap {
+		t.Fatalf("ring kept wrong window: first %v, last %v", evs[0].StartUS, evs[ringCap-1].StartUS)
 	}
-	if tr.Dropped() != 6 {
-		t.Fatalf("dropped = %d, want 6", tr.Dropped())
+	if tr.Dropped() != 1 {
+		t.Fatalf("dropped = %d, want 1", tr.Dropped())
 	}
-	// The histogram still saw all ten.
-	if h := tr.Hists()[StageQueue]; h.Count != 10 {
-		t.Fatalf("queue hist count = %d, want 10", h.Count)
+	// The histogram still saw every span.
+	if h := tr.Hists()[StageExec]; h.Count != ringCap+1 {
+		t.Fatalf("exec hist count = %d, want %d", h.Count, ringCap+1)
 	}
 }
 
 func TestTrackCap(t *testing.T) {
-	tr := NewTracer(Config{Enabled: true, MaxTracks: 2})
-	tr.Span("a", StageExec, "x", 0, 1, 0)
-	tr.Span("b", StageExec, "x", 0, 1, 0)
-	tr.Span("c", StageExec, "x", 0, 1, 0)
-	if got := len(tr.Tracks()); got != 2 {
-		t.Fatalf("tracks = %d, want 2", got)
+	tr := NewTracer(Config{Enabled: true})
+	for i := 0; i <= maxTracks; i++ {
+		tr.Span(fmt.Sprintf("t%d", i), StageExec, "x", 0, 1, 0)
+	}
+	if got := len(tr.Tracks()); got != maxTracks {
+		t.Fatalf("tracks = %d, want %d", got, maxTracks)
 	}
 	if tr.Dropped() != 1 {
 		t.Fatalf("dropped = %d, want 1", tr.Dropped())
 	}
 }
 
-// TestSampling: SampleEvery thins the per-frame rings but never the
+// TestSampling: sampleEvery thins the per-frame rings but never the
 // histograms.
 func TestSampling(t *testing.T) {
-	tr := NewTracer(Config{Enabled: true, SampleEvery: 4})
+	tr := NewTracer(Config{Enabled: true})
 	for i := 0; i < 16; i++ {
 		tr.Span("sess/s1", StageFrame, "frame", float64(i), float64(i)+2, 1)
 	}
@@ -280,7 +281,7 @@ func TestWriteChromeEmpty(t *testing.T) {
 // shares sampling state with it, stays valid across Close, and the
 // nil handle (from a nil tracer) is a no-op.
 func TestTrackHandle(t *testing.T) {
-	tr := NewTracer(Config{Enabled: true, SampleEvery: 1})
+	tr := NewTracer(Config{Enabled: true})
 	h := tr.Track("sess/s1")
 	h.Span(StageQueue, "queue", 0, 10, 1)
 	h.Instant(StageAgg, "dsfa-drop", 5, 2)
@@ -288,8 +289,10 @@ func TestTrackHandle(t *testing.T) {
 		return float64(i), 1, 1
 	})
 	tr.Span("sess/s1", StageQueue, "queue", 10, 30, 1)
-	if got := len(tr.Events()); got != 5 {
-		t.Fatalf("events = %d, want 5 (handle and name-keyed API must share the ring)", got)
+	// One ring and one 1-in-4 sampling sequence per stage: the first
+	// queue span, the instant and the first frame span are kept.
+	if got := len(tr.Events()); got != 3 {
+		t.Fatalf("events = %d, want 3 (handle and name-keyed API must share the ring)", got)
 	}
 	if got := len(tr.Tracks()); got != 1 {
 		t.Fatalf("tracks = %d, want 1", got)
@@ -317,7 +320,7 @@ func TestTrackHandle(t *testing.T) {
 // TestTrackHandleSampling: sampling state lives in the ring, so a
 // handle and the name-keyed API thin one shared sequence.
 func TestTrackHandleSampling(t *testing.T) {
-	tr := NewTracer(Config{Enabled: true, SampleEvery: 4})
+	tr := NewTracer(Config{Enabled: true})
 	h := tr.Track("sess/s1")
 	for i := 0; i < 8; i++ {
 		if i%2 == 0 {

@@ -90,8 +90,6 @@ type Config struct {
 	Net      *nn.Network
 	Platform *hw.Platform
 	Level    Level
-	// DSFA holds the aggregator tuning; zero value uses TunedDSFA.
-	DSFA dsfa.Config
 	// NMP holds the search settings for LevelNMP; zero Population uses
 	// nmp.DefaultConfig.
 	NMP nmp.Config
@@ -497,7 +495,7 @@ func buildPlan(cfg Config, model *perf.Model, frames []*sparse.Frame, density fl
 		// merging, hence a conservative accuracy estimate). It runs
 		// unpooled, so it releases none of the frames the executor
 		// still needs.
-		agg, err := dsfa.New(dsfaConfig(cfg))
+		agg, err := dsfa.New(TunedDSFA(cfg.Net))
 		if err != nil {
 			return nil, nil, 0, err
 		}
@@ -544,14 +542,6 @@ func buildPlan(cfg Config, model *perf.Model, frames []*sparse.Frame, density fl
 	return p, res, mergePenalty, nil
 }
 
-// dsfaConfig resolves the aggregator tuning for a run.
-func dsfaConfig(cfg Config) dsfa.Config {
-	if cfg.DSFA.EBufSize != 0 {
-		return cfg.DSFA
-	}
-	return TunedDSFA(cfg.Net)
-}
-
 // execResult aggregates the executor loop's accounting.
 type execResult struct {
 	latencies    []float64
@@ -595,9 +585,9 @@ func runExecutor(model *perf.Model, cfg Config, p *ExecPlan, frames []*sparse.Fr
 		return end
 	}
 
-	st, err := NewStepper(cfg.Level, dsfaConfig(cfg))
+	st, err := NewStepper(cfg.Level, TunedDSFA(cfg.Net))
 	if err != nil {
-		// dsfaConfig only returns validated tunings; fail loud.
+		// TunedDSFA only returns validated tunings; fail loud.
 		panic(err)
 	}
 	st.SetPools(invs, pool)

@@ -241,12 +241,12 @@ func TestRunReturnsEveryFrame(t *testing.T) {
 		}
 		check(fmt.Sprintf("%s %v", cfg.Net.Name, cfg.Level))
 	}
-	// An invalid aggregator tuning fails buildPlan, after conversion.
-	cfg := cfgs[LevelDSFA] // SpikeFlowNet
-	cfg.DSFA = dsfa.Config{EBufSize: 1}
+	// An invalid search config fails buildPlan, after conversion.
+	cfg := cfgs[LevelNMP] // SpikeFlowNet
+	cfg.NMP.Population = 1
 	gets := pool.Stats().Gets
 	if _, err := run(cfg, pool, invs); err == nil {
-		t.Fatal("invalid DSFA tuning accepted")
+		t.Fatal("invalid NMP config accepted")
 	}
 	if pool.Stats().Gets == gets {
 		t.Fatal("error exit came before conversion")
@@ -639,22 +639,5 @@ func TestMedianRate(t *testing.T) {
 	mean := float64(stream.Len()) / 400_000
 	if r > mean*3 || r < mean/3 {
 		t.Fatalf("median %f far from mean %f on a quiet stream", r, mean)
-	}
-}
-
-func TestCustomDSFAConfigHonored(t *testing.T) {
-	cfg := dsfa.DefaultConfig()
-	cfg.MBSize = 1 // merging disabled
-	cfg.EBufSize = 1
-	rep, err := Run(Config{
-		Net: nn.MustByName(nn.SpikeFlowNet), Level: LevelDSFA,
-		DSFA:  cfg,
-		Scale: scene.Half, DurUS: 500_000, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.MergeRatio != 1 {
-		t.Fatalf("MBSize=1 must disable merging, got %f", rep.MergeRatio)
 	}
 }

@@ -36,13 +36,13 @@ func AllPresets() []Preset {
 
 // Sequence couples a camera and world ready to generate a stream.
 type Sequence struct {
-	Name   Preset
-	Camera *Camera
+	Name Preset
+	cam  *camera
 }
 
 // Generate runs the sequence for durUS microseconds starting at t=0.
 func (s *Sequence) Generate(durUS int64) (*events.Stream, error) {
-	return s.Camera.Run(0, durUS)
+	return s.cam.Run(0, durUS)
 }
 
 // Scale selects the simulation resolution. Full is DAVIS346; Half is
@@ -67,7 +67,7 @@ func dims(sc Scale) (int, int) {
 // controlling all stochastic elements.
 func NewSequence(p Preset, sc Scale, seed int64) (*Sequence, error) {
 	w, h := dims(sc)
-	cfg := DefaultConfig()
+	cfg := defaultConfig()
 	cfg.Width, cfg.Height = w, h
 	cfg.Seed = seed
 	var world *World
@@ -167,11 +167,11 @@ func NewSequence(p Preset, sc Scale, seed int64) (*Sequence, error) {
 	default:
 		return nil, fmt.Errorf("scene: unknown preset %q", p)
 	}
-	cam, err := NewCamera(cfg, world)
+	cam, err := newCamera(cfg, world)
 	if err != nil {
 		return nil, err
 	}
-	return &Sequence{Name: p, Camera: cam}, nil
+	return &Sequence{Name: p, cam: cam}, nil
 }
 
 // DatasetOf maps a preset to the dataset it stands in for.

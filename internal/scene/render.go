@@ -159,7 +159,7 @@ func (b *Blob) center(tUS int64) (float64, float64) {
 }
 
 // World is the composite renderer: a texture under ego-motion plus
-// foreground blobs. It implements Renderer.
+// foreground blobs. It implements renderer.
 type World struct {
 	Texture *Texture
 	Path    MotionPath

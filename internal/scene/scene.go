@@ -25,8 +25,8 @@ import (
 	"evedge/internal/events"
 )
 
-// Config sets the sensor model parameters.
-type Config struct {
+// config sets the sensor model parameters.
+type config struct {
 	Width, Height int
 	// Theta is the log-intensity contrast threshold; typical DVS
 	// values are 0.1-0.3.
@@ -45,10 +45,10 @@ type Config struct {
 	Seed             int64
 }
 
-// DefaultConfig returns a DAVIS346-like sensor: 346 x 260, theta 0.18,
+// defaultConfig returns a DAVIS346-like sensor: 346 x 260, theta 0.18,
 // 1 ms refractory, 0.05 Hz noise, 1 ms steps.
-func DefaultConfig() Config {
-	return Config{
+func defaultConfig() config {
+	return config{
 		Width: 346, Height: 260,
 		Theta:            0.18,
 		RefractoryUS:     300,
@@ -59,17 +59,17 @@ func DefaultConfig() Config {
 	}
 }
 
-// Renderer produces the scene luminance (values in (0, 1]) for every
+// renderer produces the scene luminance (values in (0, 1]) for every
 // pixel at an absolute time.
-type Renderer interface {
+type renderer interface {
 	// Render fills dst (len w*h, row-major) with luminance at time t.
 	Render(dst []float32, w, h int, tUS int64)
 }
 
-// Camera simulates a DVS over a Renderer.
-type Camera struct {
-	cfg Config
-	r   Renderer
+// camera simulates a DVS over a renderer.
+type camera struct {
+	cfg config
+	r   renderer
 	rng *rand.Rand
 
 	mem         []float64 // per-pixel log intensity at last event
@@ -78,8 +78,8 @@ type Camera struct {
 	initialized bool
 }
 
-// NewCamera validates the config and builds a camera over the renderer.
-func NewCamera(cfg Config, r Renderer) (*Camera, error) {
+// newCamera validates the config and builds a camera over the renderer.
+func newCamera(cfg config, r renderer) (*camera, error) {
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		return nil, fmt.Errorf("scene: invalid sensor %dx%d", cfg.Width, cfg.Height)
 	}
@@ -93,7 +93,7 @@ func NewCamera(cfg Config, r Renderer) (*Camera, error) {
 		cfg.MaxEventsPerStep = 4
 	}
 	n := cfg.Width * cfg.Height
-	return &Camera{
+	return &camera{
 		cfg:       cfg,
 		r:         r,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
@@ -114,7 +114,7 @@ func logLum(v float32) float64 {
 }
 
 // Run simulates [t0, t1) and returns the sorted event stream.
-func (c *Camera) Run(t0, t1 int64) (*events.Stream, error) {
+func (c *camera) Run(t0, t1 int64) (*events.Stream, error) {
 	if t1 <= t0 {
 		return nil, fmt.Errorf("scene: empty interval [%d, %d)", t0, t1)
 	}

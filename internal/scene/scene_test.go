@@ -38,8 +38,8 @@ func (r *rampRenderer) Render(dst []float32, w, h int, tUS int64) {
 	}
 }
 
-func testConfig(w, h int) Config {
-	cfg := DefaultConfig()
+func testConfig(w, h int) config {
+	cfg := defaultConfig()
 	cfg.Width, cfg.Height = w, h
 	cfg.NoiseHz = 0
 	cfg.RefractoryUS = 0
@@ -47,16 +47,16 @@ func testConfig(w, h int) Config {
 }
 
 func TestCameraValidation(t *testing.T) {
-	if _, err := NewCamera(Config{Width: 0, Height: 1, Theta: 0.1, StepUS: 1}, &rampRenderer{}); err == nil {
+	if _, err := newCamera(config{Width: 0, Height: 1, Theta: 0.1, StepUS: 1}, &rampRenderer{}); err == nil {
 		t.Fatal("zero width accepted")
 	}
-	if _, err := NewCamera(Config{Width: 1, Height: 1, Theta: 0, StepUS: 1}, &rampRenderer{}); err == nil {
+	if _, err := newCamera(config{Width: 1, Height: 1, Theta: 0, StepUS: 1}, &rampRenderer{}); err == nil {
 		t.Fatal("zero theta accepted")
 	}
-	if _, err := NewCamera(Config{Width: 1, Height: 1, Theta: 0.1, StepUS: 0}, &rampRenderer{}); err == nil {
+	if _, err := newCamera(config{Width: 1, Height: 1, Theta: 0.1, StepUS: 0}, &rampRenderer{}); err == nil {
 		t.Fatal("zero step accepted")
 	}
-	cam, err := NewCamera(testConfig(4, 4), &rampRenderer{rate: 1})
+	cam, err := newCamera(testConfig(4, 4), &rampRenderer{rate: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestCameraValidation(t *testing.T) {
 
 func TestBrighteningEmitsOnEvents(t *testing.T) {
 	cfg := testConfig(8, 8)
-	cam, err := NewCamera(cfg, &rampRenderer{rate: 1.5})
+	cam, err := newCamera(cfg, &rampRenderer{rate: 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestBrighteningEmitsOnEvents(t *testing.T) {
 
 func TestDimmingEmitsOffEvents(t *testing.T) {
 	cfg := testConfig(8, 8)
-	cam, err := NewCamera(cfg, &rampRenderer{rate: -1.0})
+	cam, err := newCamera(cfg, &rampRenderer{rate: -1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestDimmingEmitsOffEvents(t *testing.T) {
 
 func TestStaticSceneIsQuiet(t *testing.T) {
 	cfg := testConfig(16, 16)
-	cam, err := NewCamera(cfg, &rampRenderer{rate: 0})
+	cam, err := newCamera(cfg, &rampRenderer{rate: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestStaticSceneIsQuiet(t *testing.T) {
 func TestNoiseOnlyRateIsPlausible(t *testing.T) {
 	cfg := testConfig(32, 32)
 	cfg.NoiseHz = 10 // 10 Hz per pixel
-	cam, err := NewCamera(cfg, &rampRenderer{rate: 0})
+	cam, err := newCamera(cfg, &rampRenderer{rate: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestNoiseOnlyRateIsPlausible(t *testing.T) {
 func TestEventCountScalesWithContrast(t *testing.T) {
 	run := func(rate float64) int {
 		cfg := testConfig(8, 8)
-		cam, err := NewCamera(cfg, &rampRenderer{rate: rate})
+		cam, err := newCamera(cfg, &rampRenderer{rate: rate})
 		if err != nil {
 			t.Fatal(err)
 		}

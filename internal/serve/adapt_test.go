@@ -30,11 +30,11 @@ func metricValue(t *testing.T, text, name string) string {
 
 // TestMetricsClosedSessionFinalOnce is the regression test for the
 // closed-session retention bug: a closed session's final counters are
-// exposed at most once (newest MaxClosed finals when scrapes lag), and
+// exposed at most once (newest maxClosed finals when scrapes lag), and
 // the server-wide totals must not change with scrape timing or
 // closed-session eviction.
 func TestMetricsClosedSessionFinalOnce(t *testing.T) {
-	srv, err := New(Config{Workers: 1, MaxClosed: 1})
+	srv, err := New(Config{Workers: 1})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -42,7 +42,7 @@ func TestMetricsClosedSessionFinalOnce(t *testing.T) {
 
 	stream := genStream(t, nn.MustByName(nn.DOTIE).Input.Preset, 21, 80_000)
 	var ids []string
-	for i := 0; i < 2; i++ {
+	for i := 0; i < maxClosed+1; i++ {
 		sess, err := srv.CreateSession(SessionConfig{Network: nn.DOTIE, Level: 2})
 		if err != nil {
 			t.Fatalf("CreateSession: %v", err)
@@ -55,28 +55,30 @@ func TestMetricsClosedSessionFinalOnce(t *testing.T) {
 			t.Fatalf("CloseSession: %v", err)
 		}
 	}
-	// MaxClosed=1 already evicted the first session's snapshot — its
-	// counters must still be in the totals.
+	// Closing maxClosed+1 sessions already evicted the first session's
+	// snapshot — its counters must still be in the totals.
 	if _, ok := srv.Session(ids[0]); ok {
 		t.Fatalf("session %s not evicted (test premise)", ids[0])
 	}
 
-	// Both sessions closed before any scrape and MaxClosed=1, so the
-	// emit-once queue kept only the newest final — the older one's
-	// counters survive solely in the totals.
+	// Every session closed before any scrape, so the emit-once queue
+	// kept only the newest maxClosed finals — the oldest one's counters
+	// survive solely in the totals.
 	first := scrape(srv)
 	if strings.Contains(first, `session="`+ids[0]+`"`) {
-		t.Fatalf("first scrape exposed an unretained final beyond the MaxClosed bound")
+		t.Fatalf("first scrape exposed an unretained final beyond the maxClosed bound")
 	}
-	if !strings.Contains(first, `session="`+ids[1]+`"`) {
-		t.Fatalf("first scrape missing closed session %s final counters", ids[1])
+	for _, id := range ids[1:] {
+		if !strings.Contains(first, `session="`+id+`"`) {
+			t.Fatalf("first scrape missing closed session %s final counters", id)
+		}
 	}
 	eventsTotal := metricValue(t, first, "evserve_events_total")
 	total := srv.Totals()
 	if want := fmt.Sprintf("%d", total.EventsIn); eventsTotal != want {
 		t.Fatalf("evserve_events_total = %s, want %s", eventsTotal, want)
 	}
-	if total.Sessions != 2 || total.EventsIn != 2*uint64(stream.Len()) {
+	if total.Sessions != maxClosed+1 || total.EventsIn != (maxClosed+1)*uint64(stream.Len()) {
 		t.Fatalf("totals wrong: %+v (stream has %d events)", total, stream.Len())
 	}
 
@@ -100,7 +102,7 @@ func TestMetricsClosedSessionFinalOnce(t *testing.T) {
 func TestAdaptiveRetuneFires(t *testing.T) {
 	cfg := Config{Workers: 1}
 	cfg.Adapt.Retune = true
-	cfg.Adapt.DSFA = control.DSFAConfig{DecideEveryUS: 1, Patience: 1}
+	cfg.Adapt.DSFA = control.DSFAConfig{DecideEveryUS: 1}
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -174,12 +176,9 @@ func TestAdaptiveRemapSearches(t *testing.T) {
 		t.Skip("NMP search in -short mode")
 	}
 	cfg := Config{Workers: 1, Mapper: MapperNMP}
-	cfg.NMP = serveNMPConfig()
-	cfg.NMP.Population = 4
-	cfg.NMP.Generations = 2
 	cfg.Adapt.Retune = true
 	cfg.Adapt.Remap = true
-	cfg.Adapt.Planner = control.RemapConfig{ImbalanceTh: 1e-9, CooldownUS: 1, MinGain: 0, Budget: 2}
+	cfg.Adapt.Planner = control.RemapConfig{ImbalanceTh: 1e-9, CooldownUS: 1}
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)

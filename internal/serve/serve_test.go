@@ -523,13 +523,13 @@ func TestIngestConverterNegativeEpoch(t *testing.T) {
 
 // TestClosedSessionEviction bounds the retained closed-session set.
 func TestClosedSessionEviction(t *testing.T) {
-	srv, err := New(Config{Workers: 1, MaxClosed: 2})
+	srv, err := New(Config{Workers: 1})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	defer srv.Close()
 	var ids []string
-	for i := 0; i < 4; i++ {
+	for i := 0; i < maxClosed+2; i++ {
 		sess, err := srv.CreateSession(SessionConfig{Network: nn.DOTIE, Level: 1})
 		if err != nil {
 			t.Fatalf("CreateSession: %v", err)
@@ -539,11 +539,15 @@ func TestClosedSessionEviction(t *testing.T) {
 			t.Fatalf("CloseSession: %v", err)
 		}
 	}
-	if _, ok := srv.Session(ids[0]); ok {
-		t.Fatalf("oldest closed session %s not evicted", ids[0])
+	for _, id := range ids[:2] {
+		if _, ok := srv.Session(id); ok {
+			t.Fatalf("oldest closed session %s not evicted", id)
+		}
 	}
-	if _, ok := srv.Session(ids[3]); !ok {
-		t.Fatalf("recent closed session %s evicted", ids[3])
+	for _, id := range ids[2:] {
+		if _, ok := srv.Session(id); !ok {
+			t.Fatalf("recent closed session %s evicted", id)
+		}
 	}
 	if _, err := srv.CloseSession(ids[0]); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("closing evicted session: got %v, want ErrNoSession", err)
@@ -815,15 +819,12 @@ func TestHealthAndMetrics(t *testing.T) {
 }
 
 // TestMapperNMPPolicy runs the server under the evolutionary placement
-// policy with a tiny search budget.
+// policy and its reduced session-create search.
 func TestMapperNMPPolicy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("NMP search in -short mode")
 	}
 	cfg := Config{Workers: 1, Mapper: MapperNMP}
-	cfg.NMP = serveNMPConfig()
-	cfg.NMP.Population = 4
-	cfg.NMP.Generations = 2
 	_, cl, stop := newTestServer(t, cfg)
 	defer stop()
 
@@ -855,10 +856,8 @@ func TestMapperNMPPolicy(t *testing.T) {
 // sessions of different geometry and chunk size are fed 40 chunks each
 // from four goroutines over HTTP — two of each session's chunks above
 // maxPooledBody, and with chunks the server answers 400 mixed in: an
-// event outside the geometry, a 65 s gap, a body over MaxBodyBytes
-// (answered before it is read to the end, which is when the transport
-// is still writing from the client's buffer after the response) —
-// against a second server fed the accepted chunks serially in-process.
+// event outside the geometry and a 65 s gap — against a second server
+// fed the accepted chunks serially in-process.
 // Per session the counters, every ingest result and the queued frames
 // must agree entry for entry.
 func TestHTTPIngestPooledChunk(t *testing.T) {
@@ -899,7 +898,7 @@ func TestHTTPIngestPooledChunk(t *testing.T) {
 		}
 	}
 
-	cfg := Config{ManualDrain: true, QueueCap: 1 << 14, MaxBodyBytes: 2 * maxPooledBody}
+	cfg := Config{ManualDrain: true, QueueCap: 1 << 14}
 	srv, cl, stop := newTestServer(t, cfg)
 	defer stop()
 	ref, err := New(cfg)
@@ -947,8 +946,6 @@ func TestHTTPIngestPooledChunk(t *testing.T) {
 					gap := mk(r, f.w, f.h, 2, t0, chunkUS)
 					gap.Events[1].TS = t0 + 1e12
 					rejected("a gap past the framing bound", ErrChunkTooLarge.Error(), gap)
-				case 9:
-					rejected("a body over MaxBodyBytes", "request body too large", mk(r, f.w, f.h, 2*maxPooledBody/13+1000, t0, chunkUS))
 				}
 				res, err := cl.SendEvents(ids[i], chunk)
 				if err != nil {

@@ -55,9 +55,6 @@ type Config struct {
 	// (default) or MapperNMP. The policy re-runs on every session
 	// create and close.
 	Mapper MapperPolicy
-	// NMP tunes the MapperNMP search; the zero value uses a reduced
-	// population/generation count so session creation stays fast.
-	NMP nmp.Config
 	// BatchMax caps how many compatible invocations — same (device,
 	// network, precision plan) — the execution scheduler coalesces into
 	// one micro-batched inference (default sched.DefaultMaxBatch; 1
@@ -68,12 +65,6 @@ type Config struct {
 	// servers only; 0 coalesces opportunistically without waiting).
 	// Ignored under ManualDrain, where Pump boundaries are the window.
 	BatchWindow time.Duration
-	// MaxBodyBytes bounds one ingest request body (default 64 MiB).
-	MaxBodyBytes int64
-	// MaxClosed bounds how many closed sessions are retained for stats
-	// and /metrics before the oldest are evicted (default 64), keeping
-	// a long-lived server's memory and scrape size bounded.
-	MaxClosed int
 	// ManualDrain disables the background worker pool: sessions queue
 	// work as usual, but nothing executes until the owner calls Pump.
 	// A single-threaded driver (the scenario harness) uses it to drain
@@ -117,13 +108,25 @@ type AdaptConfig struct {
 	// Remap lets the node run warm-started incremental NMP searches
 	// and install better plans mid-stream. Requires MapperNMP.
 	Remap bool
-	// DSFA tunes the retune controller; zero fields take
-	// control.DefaultDSFAConfig.
+	// DSFA sets how often the retune controller decides; zero takes
+	// control.DefaultDSFAConfig. Its hysteresis and widening cap are
+	// constants of internal/control.
 	DSFA control.DSFAConfig
-	// Planner tunes the remap gate; zero fields take
-	// control.DefaultRemapConfig.
+	// Planner sets the remap gate's cooldown and triggers; zero fields
+	// take control.DefaultRemapConfig. The gain a plan must deliver and
+	// the warm search's generation budget are constants of
+	// internal/control.
 	Planner control.RemapConfig
 }
+
+// MaxBodyBytes bounds one ingest request body, at a node and at the
+// cluster router alike; a longer body is answered 413.
+const MaxBodyBytes = 64 << 20
+
+// maxClosed bounds how many closed sessions are retained for stats and
+// /metrics before the oldest are evicted, keeping a long-lived server's
+// memory and scrape size bounded.
+const maxClosed = 64
 
 // drainBatch caps the frames a worker drains from a session per pass,
 // so one flooding session cannot monopolize a worker.
@@ -160,9 +163,9 @@ func DefaultConfig() Config {
 	}
 }
 
-// serveNMPConfig is the reduced search used when MapperNMP is selected
-// without explicit settings: small enough to run at session-create
-// latency, large enough to beat round-robin placements.
+// serveNMPConfig is the reduced search MapperNMP runs: small enough to
+// run at session-create latency, large enough to beat round-robin
+// placements.
 func serveNMPConfig() nmp.Config {
 	cfg := nmp.DefaultConfig()
 	cfg.Population = 12
@@ -364,12 +367,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = def.QueueCap
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 64 << 20
-	}
-	if cfg.MaxClosed <= 0 {
-		cfg.MaxClosed = 64
 	}
 	switch cfg.Mapper {
 	case "":
@@ -1127,7 +1124,7 @@ func (s *Server) CloseSession(id string) (*SessionSnapshot, error) {
 		// Retain a bounded closed-session history for stats; evict the
 		// oldest so a long-lived server's memory and /metrics stay flat.
 		s.closedOrder = append(s.closedOrder, id)
-		for len(s.closedOrder) > s.cfg.MaxClosed {
+		for len(s.closedOrder) > maxClosed {
 			delete(s.sessions, s.closedOrder[0])
 			s.closedOrder = s.closedOrder[1:]
 		}
@@ -1135,11 +1132,11 @@ func (s *Server) CloseSession(id string) (*SessionSnapshot, error) {
 		s.closedTotals.add(final)
 		s.totalsMu.Unlock()
 		// The emit-once queue is bounded like the retained history: on a
-		// server nobody scrapes, only the newest MaxClosed finals are
+		// server nobody scrapes, only the newest maxClosed finals are
 		// kept (their counters live on in closedTotals regardless).
 		s.closedUnscraped = append(s.closedUnscraped, final)
-		if len(s.closedUnscraped) > s.cfg.MaxClosed {
-			s.closedUnscraped = s.closedUnscraped[len(s.closedUnscraped)-s.cfg.MaxClosed:]
+		if len(s.closedUnscraped) > maxClosed {
+			s.closedUnscraped = s.closedUnscraped[len(s.closedUnscraped)-maxClosed:]
 		}
 		s.sessMu.Unlock()
 		if sess.journal != nil {
@@ -1528,11 +1525,7 @@ func (s *Server) buildMapper(nets []*nn.Network) (*nmp.Mapper, error) {
 	if err != nil {
 		return nil, err
 	}
-	ncfg := s.cfg.NMP
-	if ncfg.Population == 0 {
-		ncfg = serveNMPConfig()
-	}
-	return nmp.NewMapper(db, s.model, ncfg)
+	return nmp.NewMapper(db, s.model, serveNMPConfig())
 }
 
 // searchAssignment runs the full Network Mapper search over the active
@@ -1600,12 +1593,13 @@ func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleIngest reads the whole body before it looks up the session, so
-// a body that does not decode is answered 400 whatever the session. A
+// a body that does not decode is answered 400, and one over
+// MaxBodyBytes 413, whatever the session. A
 // JSON body becomes a stream; a binary one is read into a pooled
 // buffer and only its EVAR framing is checked here — the session
 // decodes its records once, straight into its own event buffer.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	var ch chunk
 	var err error
 	if isJSON(r.Header.Get("Content-Type")) {
@@ -1619,7 +1613,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		ch, err = readBody(body, buf)
 	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		status := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, err)
 		return
 	}
 	res, err := s.ingest(r.PathValue("id"), ch)

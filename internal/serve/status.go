@@ -33,7 +33,8 @@ func Unavailable(msg string) error { return &unavailable{msg} }
 // A body that does not decode at all — bad EVAR magic or version, a
 // truncated record, a header count that does not match — never reaches
 // an error from the session layer; handlers answer it 400 themselves,
-// before they look the session up.
+// or 413 when it runs past MaxBodyBytes, before they look the session
+// up.
 func ErrorStatus(err error) int {
 	var u *unavailable
 	switch {
