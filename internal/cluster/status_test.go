@@ -3,13 +3,17 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"evedge/internal/events"
+	"evedge/internal/nn"
+	"evedge/internal/scene"
 	"evedge/internal/serve"
 )
 
@@ -178,6 +182,119 @@ func TestIngestBodyLimit(t *testing.T) {
 		if _, after := do("GET", path, nil); after != before {
 			t.Errorf("%s: a refused body changed the session:\nbefore %s\nafter  %s", side.name, before, after)
 		}
+	}
+}
+
+// TestIngestFramings: both front doors take an ingest body in either
+// HTTP/1.1 framing — chunked, as serve.Client and evload send it, and
+// with a Content-Length, as curl sends it — in both wire formats, over
+// real loopback connections, and answer each as an in-process Ingest of
+// the same chunk into a fresh session does.
+func TestIngestFramings(t *testing.T) {
+	seq, err := scene.NewSequence(nn.MustByName(nn.DOTIE).Input.Preset, scene.Half, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk, err := seq.Generate(30_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dotie := serve.SessionConfig{Network: nn.DOTIE, Level: 2}
+	ref, err := serve.New(serve.Config{ManualDrain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	sess, err := ref.CreateSession(dotie)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Ingest(sess.ID, chunk)
+	if err != nil || want.Frames == 0 {
+		t.Fatalf("in-process Ingest: %+v, %v; want frames", want, err)
+	}
+	var evar bytes.Buffer
+	if err := events.WriteBinary(&evar, chunk); err != nil {
+		t.Fatal(err)
+	}
+	js, err := json.Marshal(serve.ChunkFromStream(chunk))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err := serve.New(serve.Config{ManualDrain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := New(Config{Nodes: specs(t, "xavier:1"), Node: serve.Config{ManualDrain: true}, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	for _, door := range []struct {
+		name string
+		h    http.Handler
+	}{{"node", srv.Handler()}, {"cluster", c.Handler()}} {
+		// The framing each ingest request arrived in, as the handler saw it.
+		var mu sync.Mutex
+		var length int64
+		var encoding []string
+		hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasSuffix(r.URL.Path, "/events") {
+				mu.Lock()
+				length, encoding = r.ContentLength, r.TransferEncoding
+				mu.Unlock()
+			}
+			door.h.ServeHTTP(w, r)
+		}))
+		cl := serve.NewClient(hs.URL, nil)
+		post := func(contentType string, body []byte) func(id string) (*serve.IngestResult, error) {
+			return func(id string) (*serve.IngestResult, error) {
+				resp, err := http.Post(hs.URL+"/v1/sessions/"+id+"/events", contentType, bytes.NewReader(body))
+				if err != nil {
+					return nil, err
+				}
+				defer resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					text, _ := io.ReadAll(resp.Body)
+					return nil, fmt.Errorf("HTTP %d: %s", resp.StatusCode, text)
+				}
+				var res serve.IngestResult
+				return &res, json.NewDecoder(resp.Body).Decode(&res)
+			}
+		}
+		for _, way := range []struct {
+			name   string
+			length int64 // the Content-Length the handler must see; -1 for chunked
+			send   func(id string) (*serve.IngestResult, error)
+		}{
+			{"chunked EVAR", -1, func(id string) (*serve.IngestResult, error) { return cl.SendEvents(id, chunk) }},
+			{"chunked JSON", -1, func(id string) (*serve.IngestResult, error) { return cl.SendEventsJSON(id, chunk) }},
+			{"Content-Length EVAR", int64(evar.Len()), post("application/octet-stream", evar.Bytes())},
+			{"Content-Length JSON", int64(len(js)), post("application/json", js)},
+		} {
+			snap, err := cl.CreateSession(dotie)
+			if err != nil {
+				t.Fatalf("%s: create: %v", door.name, err)
+			}
+			got, err := way.send(snap.ID)
+			if err != nil {
+				t.Errorf("%s, %s: %v", door.name, way.name, err)
+				continue
+			}
+			if *got != want {
+				t.Errorf("%s, %s: %+v, want %+v as in-process", door.name, way.name, *got, want)
+			}
+			mu.Lock()
+			chunked := len(encoding) == 1 && encoding[0] == "chunked"
+			if length != way.length || chunked != (way.length < 0) {
+				t.Errorf("%s, %s: arrived with Content-Length %d, Transfer-Encoding %v", door.name, way.name, length, encoding)
+			}
+			mu.Unlock()
+		}
+		hs.Close()
 	}
 }
 

@@ -23,28 +23,31 @@ type Client struct {
 }
 
 // NewClient returns a client for the server at base (e.g.
-// "http://localhost:7733"). A nil http.Client uses a 30 s timeout.
+// "http://localhost:7733"). A nil http.Client gets a 30 s timeout and
+// a transport that keeps as many idle connections per host as it keeps
+// in total, so goroutines sharing the client reuse their connections
+// instead of redialing past http.DefaultTransport's two per host.
 func NewClient(base string, hc *http.Client) *Client {
 	if hc == nil {
-		hc = &http.Client{Timeout: 30 * time.Second}
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConnsPerHost = tr.MaxIdleConns
+		hc = &http.Client{Timeout: 30 * time.Second, Transport: tr}
 	}
 	return &Client{base: strings.TrimRight(base, "/"), hc: hc}
 }
 
-// do issues one request and decodes the JSON response into out,
-// surfacing the server's error payload on non-2xx statuses.
-func (c *Client) do(method, path, contentType string, body io.Reader, out any) error {
-	req, err := http.NewRequest(method, c.base+path, body)
+// do issues one request without a body and decodes the JSON response
+// into out.
+func (c *Client) do(method, path string, out any) error {
+	req, err := http.NewRequest(method, c.base+path, nil)
 	if err != nil {
 		return err
-	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
 	}
 	return c.send(req, path, out)
 }
 
-// send is do from a built request on.
+// send issues req and decodes the JSON response into out, surfacing
+// the server's error payload on non-2xx statuses.
 func (c *Client) send(req *http.Request, path string, out any) error {
 	method := req.Method
 	resp, err := c.hc.Do(req)
@@ -67,27 +70,40 @@ func (c *Client) send(req *http.Request, path string, out any) error {
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// CreateSession opens a session and returns its initial snapshot.
-func (c *Client) CreateSession(cfg SessionConfig) (*SessionSnapshot, error) {
-	b, err := json.Marshal(cfg)
+// post encodes a request body into a pooled buffer with enc and POSTs
+// it without a Content-Length, so it goes out chunked. net/http copies
+// a body of known length through an io.LimitReader, which hides the
+// reader's WriteTo, and the connection then allocates a copy buffer of
+// up to 32 KiB per request; a chunked body writes itself straight into
+// the connection's buffered writer. The servers read bodies through
+// http.MaxBytesReader and never consult Content-Length.
+func (c *Client) post(path, contentType string, enc func(*bytes.Buffer) error, out any) error {
+	buf := encodeBufs.Get().(*encodeBuf)
+	buf.Reset()
+	buf.refs.Store(1)
+	defer buf.release()
+	if err := enc(&buf.Buffer); err != nil {
+		return err
+	}
+	body := buf.body()
+	req, err := http.NewRequest(http.MethodPost, c.base+path, body)
 	if err != nil {
-		return nil, err
+		_ = body.Close()
+		return err
 	}
-	var snap SessionSnapshot
-	if err := c.do(http.MethodPost, "/v1/sessions", "application/json", bytes.NewReader(b), &snap); err != nil {
-		return nil, err
-	}
-	return &snap, nil
+	req.GetBody = func() (io.ReadCloser, error) { return buf.body(), nil }
+	req.Header.Set("Content-Type", contentType)
+	return c.send(req, path, out)
 }
 
-// encodeBuf is a pooled buffer SendEvents encodes a request body into.
-// It goes back to the pool when its last reference is released:
-// SendEvents holds one for the length of the call and every body
-// handed to the transport one until its Close. Returning from Do is
-// not enough — a server that answers before it has read the whole body
-// (a 400 on the header, a body over its limit) leaves the transport
-// writing the rest after the response is in, and the transport's Close
-// is the one signal that it is done with the bytes.
+// encodeBuf is a pooled buffer post encodes a request body into. It
+// goes back to the pool when its last reference is released: post
+// holds one for the length of the call and every body handed to the
+// transport one until its Close. Returning from Do is not enough — a
+// server that answers before it has read the whole body (a 400 on the
+// header, a body over its limit) leaves the transport writing the rest
+// after the response is in, and the transport's Close is the one
+// signal that it is done with the bytes.
 type encodeBuf struct {
 	bytes.Buffer
 	refs atomic.Int32
@@ -106,46 +122,42 @@ func (e *encodeBuf) release() {
 // a dead keep-alive connection, its GetBody.
 func (e *encodeBuf) body() io.ReadCloser {
 	e.refs.Add(1)
-	b := &evarBody{buf: e}
+	b := &pooledBody{buf: e}
 	b.Reset(e.Bytes())
 	return b
 }
 
-type evarBody struct {
+// pooledBody is a request body over an encodeBuf. Its embedded
+// bytes.Reader's WriteTo is what the transport copies a chunked body
+// with.
+type pooledBody struct {
 	bytes.Reader
 	buf    *encodeBuf
 	closed atomic.Bool // the transport may Close from more than one goroutine
 }
 
-func (b *evarBody) Close() error {
+func (b *pooledBody) Close() error {
 	if b.closed.CompareAndSwap(false, true) {
 		b.buf.release()
 	}
 	return nil
 }
 
-// SendEvents streams one chunk in the EVAR binary wire format, encoded
-// into a pooled buffer.
+// CreateSession opens a session and returns its initial snapshot.
+func (c *Client) CreateSession(cfg SessionConfig) (*SessionSnapshot, error) {
+	var snap SessionSnapshot
+	if err := c.post("/v1/sessions", "application/json",
+		func(b *bytes.Buffer) error { return json.NewEncoder(b).Encode(cfg) }, &snap); err != nil {
+		return nil, err
+	}
+	return &snap, nil
+}
+
+// SendEvents streams one chunk in the EVAR binary wire format.
 func (c *Client) SendEvents(id string, chunk *events.Stream) (*IngestResult, error) {
-	buf := encodeBufs.Get().(*encodeBuf)
-	buf.Reset()
-	buf.refs.Store(1)
-	defer buf.release()
-	if err := events.WriteBinary(&buf.Buffer, chunk); err != nil {
-		return nil, err
-	}
-	path := "/v1/sessions/" + id + "/events"
-	body := buf.body()
-	req, err := http.NewRequest(http.MethodPost, c.base+path, body)
-	if err != nil {
-		_ = body.Close()
-		return nil, err
-	}
-	req.ContentLength = int64(buf.Len())
-	req.GetBody = func() (io.ReadCloser, error) { return buf.body(), nil }
-	req.Header.Set("Content-Type", "application/octet-stream")
 	var res IngestResult
-	if err := c.send(req, path, &res); err != nil {
+	if err := c.post("/v1/sessions/"+id+"/events", "application/octet-stream",
+		func(b *bytes.Buffer) error { return events.WriteBinary(b, chunk) }, &res); err != nil {
 		return nil, err
 	}
 	return &res, nil
@@ -153,12 +165,9 @@ func (c *Client) SendEvents(id string, chunk *events.Stream) (*IngestResult, err
 
 // SendEventsJSON streams one chunk in the JSON wire format.
 func (c *Client) SendEventsJSON(id string, chunk *events.Stream) (*IngestResult, error) {
-	b, err := json.Marshal(ChunkFromStream(chunk))
-	if err != nil {
-		return nil, err
-	}
 	var res IngestResult
-	if err := c.do(http.MethodPost, "/v1/sessions/"+id+"/events", "application/json", bytes.NewReader(b), &res); err != nil {
+	if err := c.post("/v1/sessions/"+id+"/events", "application/json",
+		func(b *bytes.Buffer) error { return json.NewEncoder(b).Encode(ChunkFromStream(chunk)) }, &res); err != nil {
 		return nil, err
 	}
 	return &res, nil
@@ -167,7 +176,7 @@ func (c *Client) SendEventsJSON(id string, chunk *events.Stream) (*IngestResult,
 // Session fetches a session snapshot.
 func (c *Client) Session(id string) (*SessionSnapshot, error) {
 	var snap SessionSnapshot
-	if err := c.do(http.MethodGet, "/v1/sessions/"+id, "", nil, &snap); err != nil {
+	if err := c.do(http.MethodGet, "/v1/sessions/"+id, &snap); err != nil {
 		return nil, err
 	}
 	return &snap, nil
@@ -176,7 +185,7 @@ func (c *Client) Session(id string) (*SessionSnapshot, error) {
 // Sessions lists all sessions.
 func (c *Client) Sessions() ([]SessionSnapshot, error) {
 	var snaps []SessionSnapshot
-	if err := c.do(http.MethodGet, "/v1/sessions", "", nil, &snaps); err != nil {
+	if err := c.do(http.MethodGet, "/v1/sessions", &snaps); err != nil {
 		return nil, err
 	}
 	return snaps, nil
@@ -185,7 +194,7 @@ func (c *Client) Sessions() ([]SessionSnapshot, error) {
 // CloseSession closes a session and returns its final snapshot.
 func (c *Client) CloseSession(id string) (*SessionSnapshot, error) {
 	var snap SessionSnapshot
-	if err := c.do(http.MethodPost, "/v1/sessions/"+id+"/close", "", nil, &snap); err != nil {
+	if err := c.do(http.MethodPost, "/v1/sessions/"+id+"/close", &snap); err != nil {
 		return nil, err
 	}
 	return &snap, nil
@@ -261,7 +270,7 @@ func (c *Client) StreamResults(ctx context.Context, id string, since uint64, fn 
 // Health fetches /healthz.
 func (c *Client) Health() (*Health, error) {
 	var h Health
-	if err := c.do(http.MethodGet, "/healthz", "", nil, &h); err != nil {
+	if err := c.do(http.MethodGet, "/healthz", &h); err != nil {
 		return nil, err
 	}
 	return &h, nil
