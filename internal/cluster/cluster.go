@@ -15,20 +15,23 @@
 // fleet-wide ID. A drain closes sessions gracefully first, so queued
 // frames execute and nothing is shed.
 //
+// Ingest takes a node's one path: serve.IngestHandler reads the body,
+// and Cluster.Ingest hands the chunk to the owner's Server.IngestChunk.
 // With the per-node journal enabled (serve.Config.Journal), a kill is
 // lossless too: every ingested chunk is replicated to a deterministic
 // buddy node (the next alive node after the owner in construction
-// order) and trimmed as its frames complete, and every emitted result
-// follows it there (carrying the session's sequence watermark and the
-// catch-up ring contents); on a kill, failover resumes the session on
-// the buddy by replaying the unacknowledged chunk entries through the
-// normal ingest path — queued frames are recovered
-// (failover_recovered_frames) instead of shed — while replicated
-// results refill the resumed catch-up ring and push the sequence
-// counter past everything the dead incarnation handed out, so a
-// streaming client's since=<seq> cursor stays gapless across the
-// kill. Without the journal, frames still sitting in the dead node's
-// ingest queues are shed and counted (failover_shed_frames).
+// order) as the EVAR bytes the client sent, and trimmed as its frames
+// complete, and every emitted result follows it there (carrying the
+// session's sequence watermark and the catch-up ring contents); on a
+// kill, failover resumes the session on the buddy by replaying the
+// unacknowledged chunk entries' records through that same path —
+// queued frames are recovered (failover_recovered_frames) instead of
+// shed — while replicated results refill the resumed catch-up ring
+// and push the sequence counter past everything the dead incarnation
+// handed out, so a streaming client's since=<seq> cursor stays
+// gapless across the kill. Without the journal, frames still sitting
+// in the dead node's ingest queues are shed and counted
+// (failover_shed_frames).
 // Per-session counters restart after a migration — the fleet-level
 // counters accumulate across it.
 //
@@ -76,7 +79,6 @@ import (
 	"time"
 
 	"evedge/internal/control"
-	"evedge/internal/events"
 	"evedge/internal/hw"
 	"evedge/internal/nn"
 	"evedge/internal/obs"
@@ -940,7 +942,7 @@ func (c *Cluster) replay(target *node, localID, extID string, entries []serve.Re
 		case serve.JournalResult:
 			_ = srv.RestoreResult(localID, ent.Result)
 		case serve.JournalChunk:
-			res, err := srv.Ingest(localID, ent.Chunk)
+			res, err := srv.IngestChunk(localID, ent.Chunk)
 			if err != nil {
 				continue
 			}
@@ -1012,7 +1014,7 @@ func (c *Cluster) buddyFor(owner *node) *node {
 	return nil
 }
 
-// replicate ships one journaled chunk to the session's buddy node and
+// replicate copies one journaled chunk to the session's buddy node and
 // trims the replica log to the chunk's ack watermark. When the buddy
 // changed since the last chunk (fleet membership moved), surviving
 // entries re-home to the new buddy first so the unacknowledged window
@@ -1022,7 +1024,7 @@ func (c *Cluster) buddyFor(owner *node) *node {
 // the epoch — the stale chunk is dropped (its frames are counted shed
 // by the sweep's snapshot) instead of stranding an old-incarnation
 // entry that a later failover would replay.
-func (c *Cluster) replicate(rt *route, owner *node, epoch uint64, chunk *events.Stream, res serve.IngestResult) {
+func (c *Cluster) replicate(rt *route, owner *node, epoch uint64, chunk serve.Chunk, res serve.IngestResult) {
 	data, err := serve.EncodeJournalChunk(res.Seq, chunk)
 	if err != nil {
 		return
@@ -1159,11 +1161,11 @@ func (c *Cluster) endpoint(extID string) (*node, string, *route, error) {
 	}
 }
 
-// Ingest proxies one event chunk to the session's owning node. A
-// load-driven migration can flip the route mid-request; when the send
-// fails and the route has moved, the chunk retries against the new
-// owner instead of surfacing a spurious error to the client.
-func (c *Cluster) Ingest(extID string, chunk *events.Stream) (serve.IngestResult, error) {
+// Ingest hands one chunk to the session's owning node. A load-driven
+// migration can flip the route mid-request; when the send fails and
+// the route has moved, the same chunk retries against the new owner
+// instead of surfacing a spurious error to the client.
+func (c *Cluster) Ingest(extID string, chunk serve.Chunk) (serve.IngestResult, error) {
 	for {
 		n, localID, rt, err := c.endpoint(extID)
 		if err != nil {
@@ -1182,7 +1184,7 @@ func (c *Cluster) Ingest(extID string, chunk *events.Stream) (serve.IngestResult
 		if !current {
 			continue
 		}
-		res, err := n.server().Ingest(localID, chunk)
+		res, err := n.server().IngestChunk(localID, chunk)
 		if err == nil {
 			// Router-hop annotation: which node served this chunk, and how
 			// many frames the hop produced.
@@ -1201,9 +1203,18 @@ func (c *Cluster) Ingest(extID string, chunk *events.Stream) (serve.IngestResult
 			// chunk retries against the new owner.
 			continue
 		}
+		// A drain closes the session on its owner before it moves the
+		// route, and holds migMu until the route has moved.
+		draining := n.state.Load() == stateDraining
+		if draining {
+			c.migMu.Lock()
+		}
 		c.mu.Lock()
 		moved := rt.node != n || rt.localID != localID
 		c.mu.Unlock()
+		if draining {
+			c.migMu.Unlock()
+		}
 		if !moved {
 			return res, err
 		}

@@ -1080,7 +1080,7 @@ func TestStaleReplicationDropped(t *testing.T) {
 	// A replication captured before the kill arrives late: it must see
 	// the bumped epoch and drop instead of stranding a stale entry.
 	late := serve.IngestResult{Seq: res.Seq + 1}
-	c.replicate(rt, owner, staleEpoch, stream.Slice(30_000, 60_000), late)
+	c.replicate(rt, owner, staleEpoch, serve.StreamChunk(stream.Slice(30_000, 60_000)), late)
 	for _, n := range c.nodes {
 		if sessions, entries := n.server().ReplicaStats(); sessions != 0 || entries != 0 {
 			t.Fatalf("stale replication stranded %d entries on %s", entries, n.name)

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 
@@ -15,7 +14,7 @@ import (
 //
 //	POST   /v1/sessions               create (placed by policy)
 //	GET    /v1/sessions[/{id}]        fleet-wide session listing/state
-//	POST   /v1/sessions/{id}/events   proxied ingest
+//	POST   /v1/sessions/{id}/events   ingest (serve.IngestHandler)
 //	GET    /v1/sessions/{id}/stream   proxied SSE result stream
 //	POST   /v1/sessions/{id}/close    proxied close (DELETE too)
 //	GET    /healthz                   fleet + per-node health
@@ -31,7 +30,7 @@ func (c *Cluster) Handler() http.Handler {
 		mux.HandleFunc("POST /v1/sessions", c.handleCreate)
 		mux.HandleFunc("GET /v1/sessions", c.handleList)
 		mux.HandleFunc("GET /v1/sessions/{id}", c.handleGet)
-		mux.HandleFunc("POST /v1/sessions/{id}/events", c.handleIngest)
+		mux.HandleFunc("POST /v1/sessions/{id}/events", serve.IngestHandler(c.Ingest))
 		mux.HandleFunc("GET /v1/sessions/{id}/stream", c.handleStream)
 		mux.HandleFunc("POST /v1/sessions/{id}/close", c.handleClose)
 		mux.HandleFunc("DELETE /v1/sessions/{id}", c.handleClose)
@@ -85,25 +84,6 @@ func (c *Cluster) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, snap)
-}
-
-func (c *Cluster) handleIngest(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, serve.MaxBodyBytes)
-	chunk, err := serve.DecodeChunk(r.Header.Get("Content-Type"), body)
-	if err != nil {
-		status := http.StatusBadRequest
-		if errors.As(err, new(*http.MaxBytesError)) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, status, err)
-		return
-	}
-	res, err := c.Ingest(r.PathValue("id"), chunk)
-	if err != nil {
-		writeError(w, serve.ErrorStatus(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
 }
 
 // handleStream proxies the SSE result stream to the session's current

@@ -37,7 +37,7 @@ func TestClusterTrace(t *testing.T) {
 	stream := genStream(t, net.Input.Preset, 1, 100_000)
 	for _, chunk := range chunks(stream, 100_000, 20_000) {
 		for _, id := range ids {
-			if _, err := c.Ingest(id, chunk); err != nil {
+			if _, err := c.Ingest(id, serve.StreamChunk(chunk)); err != nil {
 				t.Fatalf("Ingest: %v", err)
 			}
 		}

@@ -40,7 +40,7 @@ func (d *clusterDriver) create(cfg serve.SessionConfig) (serve.SessionSnapshot, 
 	return d.c.CreateSession(cfg)
 }
 func (d *clusterDriver) ingest(id string, chunk *events.Stream) error {
-	_, err := d.c.Ingest(id, chunk)
+	_, err := d.c.Ingest(id, serve.StreamChunk(chunk))
 	return err
 }
 func (d *clusterDriver) closeSession(id string) (serve.SessionSnapshot, error) {

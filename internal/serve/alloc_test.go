@@ -240,7 +240,7 @@ func TestAllocSmoke(t *testing.T) {
 	var wire bytes.Buffer
 	fail(events.WriteBinary(&wire, stream))
 
-	// A warm session taking EVAR bodies the way handleIngest does: the
+	// A warm session taking EVAR bodies the way IngestHandler does: the
 	// body read into a pooled buffer, its framing parsed, its records
 	// decoded straight into the session's event buffer, then a Pump.
 	// The harness chunk's timestamps move on one span per call and it is
@@ -260,9 +260,9 @@ func TestAllocSmoke(t *testing.T) {
 		evarBody.Reset(evarWire.Bytes())
 		buf := bodies.Get().(*bytes.Buffer)
 		defer releaseBody(buf)
-		ch, err := readBody(evarBody, buf)
+		ch, err := readChunk(false, evarBody, buf)
 		if err == nil {
-			_, err = evar.srv.ingest(evar.id, ch)
+			_, err = evar.srv.IngestChunk(evar.id, ch)
 		}
 		evar.srv.Pump()
 		return err

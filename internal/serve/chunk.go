@@ -2,41 +2,52 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"slices"
 	"sync"
 
 	"evedge/internal/events"
 )
 
-// chunk is one ingest chunk before it is checked: the sensor geometry
+// Chunk is one ingest chunk before it is checked: the sensor geometry
 // it declares and its events, which are either a caller's stream
-// (Server.Ingest: the router, the JSON wire format, in-process
-// clients) or the records of an EVAR body (the binary wire format).
-// The session converter copies them onto its buffer with appendTo —
-// decoding records on the way — and checks each event as it is
-// copied, so a binary body is decoded once and into nothing but the
-// buffer the session keeps.
-type chunk struct {
+// (Server.Ingest, the JSON wire format, the scenario harness) or the
+// records of an EVAR body (the binary wire format, a journal replica
+// entry), kept with the body's bytes. The session converter copies the
+// events onto its buffer with appendTo — decoding records on the way —
+// and checks each event as it is copied, so a binary body is decoded
+// once and into nothing but the buffer the session keeps. A Chunk is a
+// view: it is valid as long as the stream or body it came from.
+type Chunk struct {
 	w, h int
 	evs  []events.Event
 	recs events.Records
+	evar []byte // the whole EVAR body recs lie in; nil for a stream
 }
 
-// streamChunk is the chunk of a caller's stream; the converter copies
+// StreamChunk is the chunk of a caller's stream; the converter copies
 // its events and keeps nothing of the stream.
-func streamChunk(s *events.Stream) chunk {
-	return chunk{w: s.Width, h: s.Height, evs: s.Events}
+func StreamChunk(s *events.Stream) Chunk {
+	return Chunk{w: s.Width, h: s.Height, evs: s.Events}
+}
+
+// evarChunk frames a whole EVAR body as a chunk whose records alias it.
+func evarChunk(body []byte) (Chunk, error) {
+	w, h, recs, err := events.ParseBinary(body)
+	return Chunk{w: w, h: h, recs: recs, evar: body}, err
 }
 
 // len is the number of events in the chunk.
-func (c chunk) len() int { return len(c.evs) + c.recs.Len() }
+func (c Chunk) len() int { return len(c.evs) + c.recs.Len() }
 
 // tEnd is the last event's timestamp, 0 for an empty chunk (the
 // convention of events.Stream.TEnd).
-func (c chunk) tEnd() int64 {
+func (c Chunk) tEnd() int64 {
 	if n := len(c.evs); n > 0 {
 		return c.evs[n-1].TS
 	}
@@ -50,7 +61,7 @@ func (c chunk) tEnd() int64 {
 // checkEvent as it is copied, and stops at the first that fails. It
 // returns dst extended by the whole chunk either way: on error the
 // caller cuts it back to its old length.
-func (c chunk) appendTo(dst []events.Event) ([]events.Event, error) {
+func (c Chunk) appendTo(dst []events.Event) ([]events.Event, error) {
 	base, n := len(dst), c.len()
 	dst = slices.Grow(dst, n)[:base+n]
 	out := dst[base:]
@@ -104,21 +115,61 @@ func eventError(e events.Event, i, w, h int, prev int64) error {
 // pool.
 const maxPooledBody = 512 << 10
 
-// bodies recycles the buffers binary ingest bodies are read into. A
-// buffer is borrowed for one request: the session converter copies
-// the events it buffers, so nothing references the body once the
-// ingest returns.
+// bodies recycles the buffers ingest bodies are read into. A buffer
+// is borrowed for one request: the session converter copies the events
+// it buffers and replication copies the bytes it keeps, so nothing
+// references the body once the request is answered.
 var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// readBody reads a whole binary ingest body into buf and parses its
-// EVAR framing. The chunk's records alias buf.
-func readBody(r io.Reader, buf *bytes.Buffer) (chunk, error) {
+// IngestHandler is the ingest endpoint, POST /v1/sessions/{id}/events,
+// of a node and of the cluster router alike. It reads the whole body
+// before any session is looked up, so a body that does not decode is
+// answered 400, and one over MaxBodyBytes 413, whatever the session. A
+// JSON body becomes a chunk of events; a binary one is read into a
+// pooled buffer and only its EVAR framing is checked here. ingest then
+// takes the chunk onto the session, and the buffer goes back to the
+// pool once ingest has returned.
+func IngestHandler(ingest func(id string, c Chunk) (IngestResult, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		buf := bodies.Get().(*bytes.Buffer)
+		defer releaseBody(buf)
+		c, err := readChunk(isJSON(r.Header.Get("Content-Type")), http.MaxBytesReader(w, r.Body, MaxBodyBytes), buf)
+		if err != nil {
+			status := http.StatusBadRequest
+			if errors.As(err, new(*http.MaxBytesError)) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			writeError(w, status, err)
+			return
+		}
+		res, err := ingest(r.PathValue("id"), c)
+		if err != nil {
+			writeError(w, ErrorStatus(err), err)
+			return
+		}
+		writeJSON(w, http.StatusOK, res)
+	}
+}
+
+// readChunk reads one ingest body, JSON or EVAR binary. A binary body
+// is read whole into buf, which the chunk's records alias.
+func readChunk(asJSON bool, r io.Reader, buf *bytes.Buffer) (Chunk, error) {
+	if asJSON {
+		var c ChunkJSON
+		if err := json.NewDecoder(r).Decode(&c); err != nil {
+			return Chunk{}, fmt.Errorf("decoding JSON chunk: %w", err)
+		}
+		s, err := c.Stream()
+		if err != nil {
+			return Chunk{}, err
+		}
+		return StreamChunk(s), nil
+	}
 	buf.Reset()
 	if _, err := buf.ReadFrom(r); err != nil {
-		return chunk{}, fmt.Errorf("reading EVAR body: %w", err)
+		return Chunk{}, fmt.Errorf("reading EVAR body: %w", err)
 	}
-	w, h, recs, err := events.ParseBinary(buf.Bytes())
-	return chunk{w: w, h: h, recs: recs}, err
+	return evarChunk(buf.Bytes())
 }
 
 // releaseBody returns a body buffer to the pool unless it grew past

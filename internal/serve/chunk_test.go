@@ -10,16 +10,23 @@ import (
 	"evedge/internal/nn"
 )
 
-// evarChunk is s as handleIngest takes it on the binary wire: encoded,
-// read into a body buffer and parsed. The records alias a buffer of
-// their own.
-func evarChunk(t testing.TB, s *events.Stream) chunk {
+// wireChunk is s as IngestHandler takes it on the binary wire:
+// encoded, read into a body buffer and parsed. The records alias a
+// buffer of their own.
+func wireChunk(t testing.TB, s *events.Stream) Chunk {
 	t.Helper()
 	var body bytes.Buffer
 	if err := events.WriteBinary(&body, s); err != nil {
 		t.Fatal(err)
 	}
-	ch, err := readBody(&body, new(bytes.Buffer))
+	return mustReadChunk(t, body.Bytes())
+}
+
+// mustReadChunk reads a binary body as IngestHandler does, into a
+// buffer of its own.
+func mustReadChunk(t testing.TB, body []byte) Chunk {
+	t.Helper()
+	ch, err := readChunk(false, bytes.NewReader(body), new(bytes.Buffer))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,10 +38,22 @@ func evarChunk(t testing.TB, s *events.Stream) chunk {
 // records are decoded on the way in.
 var entryPoints = []struct {
 	name  string
-	chunk func(testing.TB, *events.Stream) chunk
+	chunk func(testing.TB, *events.Stream) Chunk
 }{
-	{"stream", func(_ testing.TB, s *events.Stream) chunk { return streamChunk(s) }},
-	{"evar", evarChunk},
+	{"stream", func(_ testing.TB, s *events.Stream) Chunk { return StreamChunk(s) }},
+	{"evar", wireChunk},
+}
+
+// chunkEvents decodes every event a chunk carries, unchecked.
+func chunkEvents(c Chunk) []events.Event {
+	if c.evs != nil {
+		return c.evs
+	}
+	evs := make([]events.Event, c.recs.Len())
+	for i := range evs {
+		evs[i] = c.recs.At(i)
+	}
+	return evs
 }
 
 // evStream returns a w x h stream holding evs.

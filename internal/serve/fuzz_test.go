@@ -14,16 +14,17 @@ import (
 	"evedge/internal/nn"
 )
 
-// FuzzDecodeChunk hammers the ingest-body decoder — the first code
-// that touches untrusted client bytes on a serving node — across both
-// wire formats (content-type selects JSON vs EVAR binary). It must
-// never panic; accepted JSON chunks must carry positive geometry
-// (DecodeChunk's contract with the session converter), and no accepted
-// chunk may panic the session converter it is handed to next: ingest
-// must reject whatever e2sf.Fused's unchecked grid cannot take, and —
-// whatever geometry and timestamps the body declares — bound the work
-// (ingest's maxSessionPixels / maxFramesPerIngest), so no input is
-// skipped here for being expensive.
+// FuzzDecodeChunk hammers the ingest-body reader (readChunk) — the
+// first code that touches untrusted client bytes at a node or at the
+// router — across both wire formats (content-type selects JSON vs EVAR
+// binary). It must never panic; accepted JSON chunks must carry
+// positive geometry (ChunkJSON.Stream's contract with the session
+// converter), and no accepted chunk may panic the session converter it
+// is handed to next: ingest must reject whatever e2sf.Fused's
+// unchecked grid cannot take, and — whatever geometry and timestamps
+// the body declares — bound the work (ingest's maxSessionPixels /
+// maxFramesPerIngest), so no input is skipped here for being
+// expensive.
 func FuzzDecodeChunk(f *testing.F) {
 	s := events.NewStream(8, 6)
 	s.Append(events.Event{X: 1, Y: 2, TS: 100, Pol: events.On})
@@ -44,18 +45,18 @@ func FuzzDecodeChunk(f *testing.F) {
 
 	specs := []nn.InputSpec{nn.MustByName(nn.DOTIE).Input, nn.MustByName(nn.SpikeFlowNet).Input}
 	f.Fuzz(func(t *testing.T, contentType string, body []byte) {
-		s, err := DecodeChunk(contentType, bytes.NewReader(body))
+		ch, err := readChunk(isJSON(contentType), bytes.NewReader(body), new(bytes.Buffer))
 		if err != nil {
 			return
 		}
 		if mt, _, merr := mime.ParseMediaType(contentType); merr == nil && mt == "application/json" {
-			if s.Width <= 0 || s.Height <= 0 {
-				t.Fatalf("accepted JSON chunk with geometry %dx%d", s.Width, s.Height)
+			if ch.w <= 0 || ch.h <= 0 {
+				t.Fatalf("accepted JSON chunk with geometry %dx%d", ch.w, ch.h)
 			}
 		}
 		for _, spec := range specs {
 			conv := &ingestConverter{spec: spec} // time and count framing
-			if _, err := conv.ingest(streamChunk(s)); err == nil {
+			if _, err := conv.ingest(ch); err == nil {
 				_, _ = conv.flush() // an error is a rejection; only a panic fails
 			}
 		}
@@ -89,14 +90,14 @@ func wireBody(w, h int, count uint64, recs ...[]byte) []byte {
 }
 
 // FuzzIngestWire: a binary body reaches a session two ways — POSTed to
-// the node, where its records are decoded straight into the session
-// buffer, or decoded by DecodeChunk into a stream that Server.Ingest
-// copies (the router's path). Both must answer alike: the same HTTP
-// status, the same IngestResult, the same error text, and the session
-// converter left in the same state. Each input is two bodies sent in
-// turn to one session, so the second can fall behind the first's
-// watermark, on a time-framed (DOTIE) or count-framed (SpikeFlowNet)
-// network.
+// IngestHandler, where its records are decoded straight into the
+// session buffer, or decoded by events.ReadBinary into a stream that
+// Server.Ingest copies (the in-process path of the harness and the
+// benchmarks). Both must answer alike: the same HTTP status, the same
+// IngestResult, the same error text, and the session converter left in
+// the same state. Each input is two bodies sent in turn to one
+// session, so the second can fall behind the first's watermark, on a
+// time-framed (DOTIE) or count-framed (SpikeFlowNet) network.
 func FuzzIngestWire(f *testing.F) {
 	body := func(s *events.Stream) []byte {
 		var b bytes.Buffer
@@ -165,14 +166,14 @@ func FuzzIngestWire(f *testing.F) {
 			}
 
 			status, res, msg := http.StatusOK, IngestResult{}, ""
-			chunk, err := DecodeChunk("application/octet-stream", bytes.NewReader(b))
+			chunk, err := events.ReadBinary(bytes.NewReader(b))
 			if err != nil {
 				status, msg = http.StatusBadRequest, err.Error()
 			} else if res, err = decSrv.Ingest(decSess.ID, chunk); err != nil {
 				status, res, msg = ErrorStatus(err), IngestResult{}, err.Error()
 			}
 			if rec.Code != status || post.IngestResult != res || post.Error != msg {
-				t.Fatalf("body %d: POST answered %d %+v %q; DecodeChunk + Ingest %d %+v %q",
+				t.Fatalf("body %d: POST answered %d %+v %q; ReadBinary + Ingest %d %+v %q",
 					i, rec.Code, post.IngestResult, post.Error, status, res, msg)
 			}
 			if a, b := convState(postSess.conv), convState(decSess.conv); a != b {
@@ -184,14 +185,15 @@ func FuzzIngestWire(f *testing.F) {
 
 // FuzzDecodeJournalEntry hammers the journal replication codec — the
 // bytes a buddy node stores and replays at failover. It must never
-// panic on hostile input (the chunk payload inherits the EVAR reader's
-// bounded preallocation), and every accepted entry must survive a
-// re-encode/re-decode round trip unchanged: replayed sessions are only
-// as good as the codec's fidelity.
+// panic on hostile input (a chunk payload's framing is checked, its
+// records are not decoded), and every accepted entry must survive a
+// re-encode/re-decode round trip unchanged — a chunk entry byte for
+// byte, since its body is copied as received: replayed sessions are
+// only as good as the codec's fidelity.
 func FuzzDecodeJournalEntry(f *testing.F) {
 	s := events.NewStream(8, 6)
 	s.Append(events.Event{X: 1, Y: 2, TS: 100, Pol: events.On})
-	if enc, err := EncodeJournalChunk(3, s); err == nil {
+	if enc, err := EncodeJournalChunk(3, StreamChunk(s)); err == nil {
 		f.Add(enc)
 		f.Add(enc[:journalHeaderSize+2])
 	}
@@ -228,14 +230,18 @@ func FuzzDecodeJournalEntry(f *testing.F) {
 		}
 		switch ent.Kind {
 		case JournalChunk:
-			a, b := ent.Chunk, ent2.Chunk
-			if a.Width != b.Width || a.Height != b.Height || len(a.Events) != len(b.Events) {
-				t.Fatalf("round trip changed chunk shape: %dx%d/%d vs %dx%d/%d",
-					a.Width, a.Height, len(a.Events), b.Width, b.Height, len(b.Events))
+			if !bytes.Equal(reenc, data) {
+				t.Fatalf("round trip changed the entry's bytes:\n %x\n %x", data, reenc)
 			}
-			for i := range a.Events {
-				if a.Events[i] != b.Events[i] {
-					t.Fatalf("round trip changed event %d: %+v vs %+v", i, a.Events[i], b.Events[i])
+			a, b := ent.Chunk, ent2.Chunk
+			ae, be := chunkEvents(a), chunkEvents(b)
+			if a.w != b.w || a.h != b.h || len(ae) != len(be) {
+				t.Fatalf("round trip changed chunk shape: %dx%d/%d vs %dx%d/%d",
+					a.w, a.h, len(ae), b.w, b.h, len(be))
+			}
+			for i := range ae {
+				if ae[i] != be[i] {
+					t.Fatalf("round trip changed event %d: %+v vs %+v", i, ae[i], be[i])
 				}
 			}
 		case JournalResult:

@@ -58,7 +58,7 @@ func refuseUnchanged(t *testing.T, srv *Server, sess *Session, bad *events.Strea
 	t.Helper()
 	snap, conv := sess.snapshot(), convState(sess.conv)
 	for _, ep := range entryPoints {
-		_, err := srv.ingest(sess.ID, ep.chunk(t, bad))
+		_, err := srv.IngestChunk(sess.ID, ep.chunk(t, bad))
 		if !errors.Is(err, ErrChunkTooLarge) || ErrorStatus(err) != http.StatusBadRequest {
 			t.Fatalf("%s chunk %dus..%dus: err = %v (HTTP %d), want ErrChunkTooLarge (HTTP 400)",
 				ep.name, bad.TStart(), bad.TEnd(), err, ErrorStatus(err))
@@ -95,7 +95,7 @@ func TestIngestTimeFramingAcross2To62(t *testing.T) {
 					srv, sess := edgeSession(t, nn.DOTIE)
 					ingested, frames := 0, 0
 					for _, c := range tc.chunks {
-						res, err := srv.ingest(sess.ID, ep.chunk(t, c))
+						res, err := srv.IngestChunk(sess.ID, ep.chunk(t, c))
 						if err != nil || res.Dropped != 0 {
 							t.Fatalf("chunk %dus..%dus: %+v, %v", c.TStart(), c.TEnd(), res, err)
 						}
@@ -132,7 +132,7 @@ func TestIngestRefusesTimeFramingNearMaxInt64(t *testing.T) {
 			srv, sess := edgeSession(t, nn.DOTIE)
 			refuseUnchanged(t, srv, sess, edgeChunk(math.MaxInt64-10))
 			refuseUnchanged(t, srv, sess, edgeChunk(math.MaxInt64-2*w, math.MaxInt64-w+1))
-			if res, err := srv.ingest(sess.ID, ep.chunk(t, edgeChunk(math.MaxInt64-3*w, math.MaxInt64-w))); err != nil || res.Frames == 0 {
+			if res, err := srv.IngestChunk(sess.ID, ep.chunk(t, edgeChunk(math.MaxInt64-3*w, math.MaxInt64-w))); err != nil || res.Frames == 0 {
 				t.Fatalf("chunk ending one window below MaxInt64: %+v, %v", res, err)
 			}
 			refuseUnchanged(t, srv, sess, edgeChunk(math.MaxInt64-w+1))
@@ -150,7 +150,7 @@ func TestIngestRefusesCountFramingAtInt64Ends(t *testing.T) {
 			srv, sess := edgeSession(t, nn.SpikeFlowNet) // FrameByCount
 			refuseUnchanged(t, srv, sess, edgeChunk(math.MaxInt64-2000, math.MaxInt64-1000, math.MaxInt64))
 			refuseUnchanged(t, srv, sess, edgeChunk(math.MinInt64, math.MinInt64+1000))
-			if _, err := srv.ingest(sess.ID, ep.chunk(t, edgeChunk(math.MaxInt64-2000, math.MaxInt64-1000, math.MaxInt64-1))); err != nil {
+			if _, err := srv.IngestChunk(sess.ID, ep.chunk(t, edgeChunk(math.MaxInt64-2000, math.MaxInt64-1000, math.MaxInt64-1))); err != nil {
 				t.Fatalf("chunk ending at MaxInt64-1: %v", err)
 			}
 			final, err := srv.CloseSession(sess.ID)
@@ -176,7 +176,7 @@ func TestIngestRefusesTimeFramingNearMinInt64(t *testing.T) {
 			refuseUnchanged(t, srv, sess, edgeChunk(math.MinInt64+3, math.MinInt64+2*w))
 			refuseUnchanged(t, srv, sess, edgeChunk(math.MinInt64+w-1, math.MinInt64+3*w))
 			first := edgeChunk(math.MinInt64+w, math.MinInt64+3*w)
-			res, err := srv.ingest(sess.ID, ep.chunk(t, first))
+			res, err := srv.IngestChunk(sess.ID, ep.chunk(t, first))
 			if err != nil || res.Frames == 0 {
 				t.Fatalf("chunk starting one window above MinInt64: %+v, %v", res, err)
 			}

@@ -19,8 +19,9 @@ import (
 //
 // The journal itself stores only chunk *marks* (sequence number plus
 // the cumulative frame count at append) — the chunk payloads needed
-// for failover replay live in a buddy node's replica store as encoded
-// wire entries, so a dead node's own memory is never consulted.
+// for failover replay live in a buddy node's replica store as wire
+// entries, so a dead node's own memory is never consulted. A chunk
+// entry carries the EVAR body the client sent, byte for byte.
 // Results replicate there too (Config.OnResult): they carry the
 // session's sequence watermark across a failover — the resumed
 // journal seeds strictly past every seq the dead incarnation handed
@@ -220,13 +221,13 @@ func (j *journal) stats() JournalStats {
 //	version uint16
 //	kind    uint8    1 = chunk, 2 = result
 //	seq     uint64
-//	payload          chunk: EVAR binary stream; result: done_us
+//	payload          chunk: EVAR binary body; result: done_us
 //	                 float64 bits, lat_us float64 bits, frames uint32
 //
-// All integers little-endian. The chunk payload inherits the EVAR
-// reader's bounded preallocation (a hostile header count cannot force
-// a huge upfront allocation), and the result payload is fixed-size,
-// so decoding untrusted bytes stays memory-safe.
+// All integers little-endian. Decoding a chunk payload only checks its
+// EVAR framing, allocating nothing whatever its header count claims,
+// and the result payload is fixed-size, so decoding untrusted bytes
+// stays memory-safe.
 
 // Journal entry kinds.
 const (
@@ -245,8 +246,9 @@ const (
 type JournalEntry struct {
 	Seq  uint64
 	Kind uint8
-	// Chunk is the replayable event payload (Kind == JournalChunk).
-	Chunk *events.Stream
+	// Chunk is the replayable chunk (Kind == JournalChunk), whose
+	// records alias the decoded bytes.
+	Chunk Chunk
 	// Result is the emitted result (Kind == JournalResult).
 	Result ResultEvent
 }
@@ -271,10 +273,14 @@ func journalHeader(kind uint8, seq uint64) []byte {
 
 // EncodeJournalChunk serializes one ingest chunk as a journal wire
 // entry — the replication payload the cluster ships to a buddy node.
-func EncodeJournalChunk(seq uint64, chunk *events.Stream) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Write(journalHeader(JournalChunk, seq))
-	if err := events.WriteBinary(&buf, chunk); err != nil {
+// An EVAR chunk's body is copied as it was received; only a chunk of
+// events (a stream, a JSON body) is encoded.
+func EncodeJournalChunk(seq uint64, c Chunk) ([]byte, error) {
+	if c.evar != nil {
+		return append(journalHeader(JournalChunk, seq), c.evar...), nil
+	}
+	buf := bytes.NewBuffer(journalHeader(JournalChunk, seq))
+	if err := events.WriteBinary(buf, &events.Stream{Width: c.w, Height: c.h, Events: c.evs}); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -295,9 +301,9 @@ func EncodeJournalResult(ev ResultEvent) ([]byte, error) {
 	return b, nil
 }
 
-// DecodeJournalEntry parses one journal wire entry. Untrusted input
-// is safe: payload sizes are validated and the chunk reader caps its
-// preallocation.
+// DecodeJournalEntry parses one journal wire entry; a chunk entry's
+// records alias b. Untrusted input is safe: payload sizes are
+// validated and a chunk payload's records are not decoded here.
 func DecodeJournalEntry(b []byte) (JournalEntry, error) {
 	var ent JournalEntry
 	if len(b) < journalHeaderSize {
@@ -314,7 +320,7 @@ func DecodeJournalEntry(b []byte) (JournalEntry, error) {
 	payload := b[journalHeaderSize:]
 	switch ent.Kind {
 	case JournalChunk:
-		chunk, err := events.ReadBinary(bytes.NewReader(payload))
+		chunk, err := evarChunk(payload)
 		if err != nil {
 			return JournalEntry{}, fmt.Errorf("serve: journal chunk payload: %w", err)
 		}

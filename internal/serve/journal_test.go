@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -97,37 +99,52 @@ func TestJournalSeed(t *testing.T) {
 }
 
 // TestJournalCodecRoundTrip round-trips chunk and result entries
-// through the wire codec and rejects malformed headers.
+// through the wire codec and rejects malformed headers. A chunk of
+// events is encoded as EVAR; an EVAR chunk is stored as the body it was
+// read from, the header-count-0 form (records run to the end) included,
+// which WriteBinary never writes. Each decodes to the events it carried.
 func TestJournalCodecRoundTrip(t *testing.T) {
 	stream := genStream(t, nn.MustByName(nn.DOTIE).Input.Preset, 21, 20_000)
-	b, err := EncodeJournalChunk(42, stream)
-	if err != nil {
-		t.Fatalf("EncodeJournalChunk: %v", err)
+	var canonical bytes.Buffer
+	if err := events.WriteBinary(&canonical, stream); err != nil {
+		t.Fatalf("WriteBinary: %v", err)
 	}
-	ent, err := DecodeJournalEntry(b)
-	if err != nil {
-		t.Fatalf("DecodeJournalEntry(chunk): %v", err)
-	}
-	if ent.Kind != JournalChunk || ent.Seq != 42 || ent.Chunk == nil {
-		t.Fatalf("decoded chunk entry: %+v", ent)
-	}
-	var orig, rt bytes.Buffer
-	if err := events.WriteBinary(&orig, stream); err != nil {
-		t.Fatalf("WriteBinary(orig): %v", err)
-	}
-	if err := events.WriteBinary(&rt, ent.Chunk); err != nil {
-		t.Fatalf("WriteBinary(roundtrip): %v", err)
-	}
-	if !bytes.Equal(orig.Bytes(), rt.Bytes()) {
-		t.Fatal("chunk payload not byte-identical after round trip")
+	countZero := bytes.Clone(canonical.Bytes())
+	binary.LittleEndian.PutUint64(countZero[10:], 0)
+	for _, form := range []struct {
+		name    string
+		chunk   Chunk
+		payload []byte // the entry's bytes after the header
+	}{
+		{"stream", StreamChunk(stream), canonical.Bytes()},
+		{"evar", wireChunk(t, stream), canonical.Bytes()},
+		{"evar count 0", mustReadChunk(t, countZero), countZero},
+	} {
+		b, err := EncodeJournalChunk(42, form.chunk)
+		if err != nil {
+			t.Fatalf("%s: EncodeJournalChunk: %v", form.name, err)
+		}
+		if !bytes.Equal(b[journalHeaderSize:], form.payload) {
+			t.Fatalf("%s: entry payload is not the expected EVAR body", form.name)
+		}
+		ent, err := DecodeJournalEntry(b)
+		if err != nil {
+			t.Fatalf("%s: DecodeJournalEntry(chunk): %v", form.name, err)
+		}
+		if ent.Kind != JournalChunk || ent.Seq != 42 || ent.Chunk.w != stream.Width || ent.Chunk.h != stream.Height {
+			t.Fatalf("%s: decoded chunk entry: %+v", form.name, ent)
+		}
+		if got := chunkEvents(ent.Chunk); !slices.Equal(got, stream.Events) {
+			t.Fatalf("%s: decoded %d events, want the %d encoded", form.name, len(got), stream.Len())
+		}
 	}
 
 	res := ResultEvent{Seq: 7, DoneUS: 123.5, LatUS: 4.25, Frames: 9}
-	b, err = EncodeJournalResult(res)
+	b, err := EncodeJournalResult(res)
 	if err != nil {
 		t.Fatalf("EncodeJournalResult: %v", err)
 	}
-	ent, err = DecodeJournalEntry(b)
+	ent, err := DecodeJournalEntry(b)
 	if err != nil {
 		t.Fatalf("DecodeJournalEntry(result): %v", err)
 	}

@@ -217,7 +217,7 @@ func TestIngestConverterMatchesOffline(t *testing.T) {
 	conv := &ingestConverter{spec: net.Input}
 	var inc []*sparse.Frame
 	for _, c := range chunks(stream, dur, 17_000) {
-		fs, err := conv.ingest(streamChunk(c))
+		fs, err := conv.ingest(StreamChunk(c))
 		if err != nil {
 			t.Fatalf("ingest: %v", err)
 		}
@@ -296,14 +296,14 @@ func TestIngestRejectsOutOfGeometry(t *testing.T) {
 	spec := nn.MustByName(nn.DOTIE).Input
 	hit, clean := &ingestConverter{spec: spec}, &ingestConverter{spec: spec}
 	for _, c := range []*events.Stream{first, alias, past, next} {
-		got, err := hit.ingest(streamChunk(c))
+		got, err := hit.ingest(StreamChunk(c))
 		if c == alias || c == past {
 			if !errors.Is(err, events.ErrGeometry) {
 				t.Fatalf("ingest of out-of-geometry chunk: err = %v, want ErrGeometry", err)
 			}
 			continue
 		}
-		want, werr := clean.ingest(streamChunk(c))
+		want, werr := clean.ingest(StreamChunk(c))
 		if err != nil || werr != nil {
 			t.Fatalf("ingest: %v / %v", err, werr)
 		}
@@ -382,14 +382,14 @@ func TestIngestRejectsUnboundedWork(t *testing.T) {
 	// that did not.
 	hit, clean := &ingestConverter{spec: spec}, &ingestConverter{spec: spec}
 	for _, c := range []*events.Stream{huge, first, gap, next} {
-		got, err := hit.ingest(streamChunk(c))
+		got, err := hit.ingest(StreamChunk(c))
 		if c == huge || c == gap {
 			if !errors.Is(err, ErrChunkTooLarge) {
 				t.Fatalf("ingest of an over-bounds chunk: err = %v, want ErrChunkTooLarge", err)
 			}
 			continue
 		}
-		want, werr := clean.ingest(streamChunk(c))
+		want, werr := clean.ingest(StreamChunk(c))
 		if err != nil || werr != nil {
 			t.Fatalf("ingest: %v / %v", err, werr)
 		}
@@ -403,7 +403,7 @@ func TestIngestRejectsUnboundedWork(t *testing.T) {
 		}
 	}
 	// One window short of the bound is still served.
-	if _, err := hit.ingest(streamChunk(mk(8, 8, 12_000, 10_000+(windows-1)*spec.WindowUS))); err != nil {
+	if _, err := hit.ingest(StreamChunk(mk(8, 8, 12_000, 10_000+(windows-1)*spec.WindowUS))); err != nil {
 		t.Fatalf("chunk of exactly maxFramesPerIngest/5 windows rejected: %v", err)
 	}
 }
@@ -419,7 +419,7 @@ func TestIngestConverterCountFraming(t *testing.T) {
 	total := 0
 	var frames []*sparse.Frame
 	for _, c := range chunks(stream, dur, 25_000) {
-		fs, err := conv.ingest(streamChunk(c))
+		fs, err := conv.ingest(StreamChunk(c))
 		if err != nil {
 			t.Fatalf("ingest: %v", err)
 		}
@@ -461,7 +461,7 @@ func TestIngestConverterLargeEpoch(t *testing.T) {
 	var frames []*sparse.Frame
 	var err error
 	go func() {
-		frames, err = conv.ingest(streamChunk(chunk))
+		frames, err = conv.ingest(StreamChunk(chunk))
 		close(done)
 	}()
 	select {
@@ -500,7 +500,7 @@ func TestIngestConverterNegativeEpoch(t *testing.T) {
 				ts := first + (int64(c)*100+i)*60
 				chunk.Append(events.Event{X: uint16(i % 64), Y: uint16(i % 48), TS: ts, Pol: events.On})
 			}
-			frames, err := conv.ingest(streamChunk(chunk))
+			frames, err := conv.ingest(StreamChunk(chunk))
 			if err != nil {
 				t.Fatalf("first event at %dus, chunk %d: %v", first, c, err)
 			}
@@ -633,7 +633,7 @@ func TestBackpressureDrops(t *testing.T) {
 	// drain: every frame past the cap must be shed.
 	const dur = 200_000
 	stream := genStream(t, nn.MustByName(nn.DOTIE).Input.Preset, 7, dur)
-	res, err := sess.ingest(streamChunk(stream))
+	res, err := sess.ingest(StreamChunk(stream))
 	if err != nil {
 		t.Fatalf("ingest: %v", err)
 	}
@@ -847,7 +847,7 @@ func TestMapperNMPPolicy(t *testing.T) {
 	}
 }
 
-// TestHTTPIngestPooledChunk (run it under -race): handleIngest reads
+// TestHTTPIngestPooledChunk (run it under -race): IngestHandler reads
 // EVAR bodies into buffers borrowed from a pool — one above
 // maxPooledBody is dropped instead of pooled — and decodes their
 // records straight into the session's buffer, and the client encodes

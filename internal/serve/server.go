@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -444,7 +443,7 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/sessions", s.handleCreate)
 	s.mux.HandleFunc("GET /v1/sessions", s.handleList)
 	s.mux.HandleFunc("GET /v1/sessions/{id}", s.handleGet)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/events", s.handleIngest)
+	s.mux.HandleFunc("POST /v1/sessions/{id}/events", IngestHandler(s.IngestChunk))
 	s.mux.HandleFunc("GET /v1/sessions/{id}/stream", s.handleStream)
 	s.mux.HandleFunc("POST /v1/sessions/{id}/close", s.handleClose)
 	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleClose)
@@ -1163,16 +1162,17 @@ func (s *Server) Session(id string) (*Session, bool) {
 	return sess, ok
 }
 
-// Ingest pushes one event chunk into a session and wakes a worker —
-// the programmatic twin of the HTTP ingest endpoint, used by the
-// cluster router to proxy without a loopback connection. The session
-// copies the events it keeps; the caller keeps the stream.
+// Ingest pushes a caller's stream into a session as one chunk; the
+// session copies the events it keeps and the caller keeps the stream.
 func (s *Server) Ingest(id string, chunk *events.Stream) (IngestResult, error) {
-	return s.ingest(id, streamChunk(chunk))
+	return s.IngestChunk(id, StreamChunk(chunk))
 }
 
-// ingest is Ingest over either kind of chunk.
-func (s *Server) ingest(id string, ch chunk) (IngestResult, error) {
+// IngestChunk pushes one chunk into a session and wakes a worker. It
+// is the one way onto a session: the node's ingest endpoint, the
+// cluster router (which resolves the owner and calls it with the chunk
+// it read) and journal replay all come through here.
+func (s *Server) IngestChunk(id string, ch Chunk) (IngestResult, error) {
 	if s.stoppedNow() {
 		// A closed server's queues will never drain again; rejecting here
 		// (instead of queueing onto the corpse) is what lets the cluster
@@ -1592,42 +1592,6 @@ func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, snap)
 }
 
-// handleIngest reads the whole body before it looks up the session, so
-// a body that does not decode is answered 400, and one over
-// MaxBodyBytes 413, whatever the session. A
-// JSON body becomes a stream; a binary one is read into a pooled
-// buffer and only its EVAR framing is checked here — the session
-// decodes its records once, straight into its own event buffer.
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
-	var ch chunk
-	var err error
-	if isJSON(r.Header.Get("Content-Type")) {
-		var stream *events.Stream
-		if stream, err = decodeJSONChunk(body); err == nil {
-			ch = streamChunk(stream)
-		}
-	} else {
-		buf := bodies.Get().(*bytes.Buffer)
-		defer releaseBody(buf)
-		ch, err = readBody(body, buf)
-	}
-	if err != nil {
-		status := http.StatusBadRequest
-		if errors.As(err, new(*http.MaxBytesError)) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, status, err)
-		return
-	}
-	res, err := s.ingest(r.PathValue("id"), ch)
-	if err != nil {
-		writeError(w, ErrorStatus(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Health())
 }
@@ -1827,25 +1791,6 @@ func (s *Server) WriteMetrics(pw *PromWriter, ns, extraLabels string) {
 func isJSON(contentType string) bool {
 	mt, _, err := mime.ParseMediaType(contentType)
 	return err == nil && mt == "application/json"
-}
-
-// DecodeChunk parses an ingest body, JSON or EVAR binary by isJSON,
-// into a fresh stream the caller may keep. Exported so the cluster
-// router can decode once, proxy the parsed stream to the owning node
-// and re-encode it for replication.
-func DecodeChunk(contentType string, body io.Reader) (*events.Stream, error) {
-	if isJSON(contentType) {
-		return decodeJSONChunk(body)
-	}
-	return events.ReadBinary(body)
-}
-
-func decodeJSONChunk(body io.Reader) (*events.Stream, error) {
-	var c ChunkJSON
-	if err := json.NewDecoder(body).Decode(&c); err != nil {
-		return nil, fmt.Errorf("decoding JSON chunk: %w", err)
-	}
-	return c.Stream()
 }
 
 // EventJSON is one AER event on the JSON wire format: p is 1 (ON) or

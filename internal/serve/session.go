@@ -240,7 +240,7 @@ func (s *Session) sampleLocked() control.SessionSample {
 // shedding per the drop policy. Every event must pass checkEvent and
 // the chunk must not precede what the session has already consumed; a
 // rejected chunk changes no session state.
-func (s *Session) ingest(ch chunk) (IngestResult, error) {
+func (s *Session) ingest(ch Chunk) (IngestResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var res IngestResult
@@ -477,7 +477,7 @@ func (c *ingestConverter) anchor(ts int64) int64 {
 // session's geometry and its watermark. It returns the appended events
 // as a view with the chunk's geometry; on error the caller cuts the
 // buffer back.
-func (c *ingestConverter) admit(ch chunk) (events.Stream, error) {
+func (c *ingestConverter) admit(ch Chunk) (events.Stream, error) {
 	if ch.w <= 0 || ch.h <= 0 {
 		return events.Stream{}, fmt.Errorf("serve: invalid chunk: %w", events.ErrNoGeometry)
 	}
@@ -509,7 +509,7 @@ func (c *ingestConverter) admit(ch chunk) (events.Stream, error) {
 // buffer, then the chunk against the work bounds and the session;
 // a chunk refused at any step is cut off the buffer again and changes
 // no converter state.
-func (c *ingestConverter) ingest(ch chunk) ([]*sparse.Frame, error) {
+func (c *ingestConverter) ingest(ch Chunk) ([]*sparse.Frame, error) {
 	base := len(c.buf.Events)
 	added, err := c.admit(ch)
 	if err != nil {
