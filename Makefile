@@ -62,13 +62,19 @@ bench-smoke:
 # Pump — and the offline pipeline's sharded conversion, concurrent runs
 # included, under the race detector, at two scheduler widths: a narrow
 # host (2) forces pool shards and dispatchers to queue behind each
-# other, a wide one (8) maximizes true overlap.
+# other, a wide one (8) maximizes true overlap. The event-camera
+# simulator steps its row bands on one goroutine each over shared
+# per-pixel state and one shared frame, so its band and determinism
+# gates run under the race detector too.
 PIPELINE_RACE := -run 'TestRunDeterminism|TestRunReturnsEveryFrame|TestConvertStream' ./internal/pipeline
+SCENE_RACE := -run 'TestCameraBandsMatchSerial|TestSequenceDeterminism' ./internal/scene
 scenarios:
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/harness/... ./internal/par/... ./internal/sched/... ./cmd/evscenario/...
 	GOMAXPROCS=2 $(GO) test -race -count=1 $(PIPELINE_RACE)
+	GOMAXPROCS=2 $(GO) test -race -count=1 $(SCENE_RACE)
 	GOMAXPROCS=8 $(GO) test -race -count=1 ./internal/harness/... ./internal/par/... ./internal/sched/... ./cmd/evscenario/...
 	GOMAXPROCS=8 $(GO) test -race -count=1 $(PIPELINE_RACE)
+	GOMAXPROCS=8 $(GO) test -race -count=1 $(SCENE_RACE)
 
 # Short coverage-guided fuzz pass over every fuzz function of every
 # package, as `go test -list` reports them, so the list cannot drift

@@ -63,22 +63,43 @@ func NewTexture(w, h int, contrast float64, seed int64) *Texture {
 
 // Sample returns the bilinear wraparound sample at (u, v) in pixels.
 func (t *Texture) Sample(u, v float64) float32 {
-	u = math.Mod(u, float64(t.W))
-	if u < 0 {
-		u += float64(t.W)
-	}
-	v = math.Mod(v, float64(t.H))
-	if v < 0 {
-		v += float64(t.H)
-	}
+	u, v = wrap(u, float64(t.W)), wrap(v, float64(t.H))
 	x0, y0 := int(u), int(v)
 	fx, fy := u-float64(x0), v-float64(y0)
-	x1, y1 := (x0+1)%t.W, (y0+1)%t.H
+	x1, y1 := x0+1, y0+1
+	if x1 == t.W {
+		x1 = 0
+	}
+	if y1 == t.H {
+		y1 = 0
+	}
 	v00 := float64(t.Data[y0*t.W+x0])
 	v01 := float64(t.Data[y0*t.W+x1])
 	v10 := float64(t.Data[y1*t.W+x0])
 	v11 := float64(t.Data[y1*t.W+x1])
 	return float32(v00*(1-fx)*(1-fy) + v01*fx*(1-fy) + v10*(1-fx)*fy + v11*fx*fy)
+}
+
+// wrap returns x modulo n in [0, n): the remainder of math.Mod(x, n),
+// plus n when negative. For |x| < 2n that remainder is x, x-n or x+n,
+// each exact (Sterbenz), so only farther coordinates and NaN pay for
+// math.Mod. A negative remainder so small that adding n rounds to n
+// wraps to 0, not onto the texel past the row's end.
+func wrap(x, n float64) float64 {
+	switch {
+	case !(x > -2*n && x < 2*n): // farther out, or NaN
+		x = math.Mod(x, n)
+	case x >= n:
+		x -= n
+	case x < -n:
+		x += n
+	}
+	if x < 0 {
+		if x += n; x == n {
+			x = 0
+		}
+	}
+	return x
 }
 
 // MotionSample is one instant of the ego-motion path.
@@ -169,8 +190,10 @@ type World struct {
 	TextureGain float64
 }
 
-// Render fills dst with the scene luminance at time t.
-func (wd *World) Render(dst []float32, w, h int, tUS int64) {
+// renderRows fills dst with the scene luminance of sensor rows
+// [y0, y1) at time t. Every pixel depends on its own coordinates
+// alone, so a band renders exactly what the whole frame holds there.
+func (wd *World) renderRows(dst []float32, w, h, y0, y1 int, tUS int64) {
 	pose := MotionSample{Zoom: 1}
 	if wd.Path != nil {
 		pose = wd.Path.At(tUS)
@@ -186,14 +209,15 @@ func (wd *World) Render(dst []float32, w, h int, tUS int64) {
 		zoom = 1
 	}
 	if wd.Texture != nil {
-		for y := 0; y < h; y++ {
+		for y := y0; y < y1; y++ {
 			dy := (float64(y) - cy) * zoom
-			for x := 0; x < w; x++ {
+			row := dst[(y-y0)*w : (y-y0+1)*w]
+			for x := range row {
 				dx := (float64(x) - cx) * zoom
 				u := cosA*dx + sinA*dy + cx + pose.TX
 				v := -sinA*dx + cosA*dy + cy + pose.TY
 				lum := float64(wd.Texture.Sample(u, v))
-				dst[y*w+x] = float32(0.5 + (lum-0.5)*gain)
+				row[x] = float32(0.5 + (lum-0.5)*gain)
 			}
 		}
 	} else {
@@ -206,34 +230,23 @@ func (wd *World) Render(dst []float32, w, h int, tUS int64) {
 		b := &wd.Blobs[i]
 		bx, by := b.center(tUS)
 		r := 3 * b.Radius
-		x0, x1 := int(math.Floor(bx-r)), int(math.Ceil(bx+r))
-		y0, y1 := int(math.Floor(by-r)), int(math.Ceil(by+r))
-		if x0 < 0 {
-			x0 = 0
-		}
-		if y0 < 0 {
-			y0 = 0
-		}
-		if x1 > w-1 {
-			x1 = w - 1
-		}
-		if y1 > h-1 {
-			y1 = h - 1
-		}
+		bx0, bx1 := max(int(math.Floor(bx-r)), 0), min(int(math.Ceil(bx+r)), w-1)
+		by0, by1 := max(int(math.Floor(by-r)), y0), min(int(math.Ceil(by+r)), y1-1)
 		inv2s2 := 1 / (2 * b.Radius * b.Radius)
-		for y := y0; y <= y1; y++ {
+		for y := by0; y <= by1; y++ {
 			dy := float64(y) - by
-			for x := x0; x <= x1; x++ {
+			row := dst[(y-y0)*w : (y-y0+1)*w]
+			for x := bx0; x <= bx1; x++ {
 				dx := float64(x) - bx
 				g := math.Exp(-(dx*dx + dy*dy) * inv2s2)
-				v := float64(dst[y*w+x]) + b.Contrast*g
+				v := float64(row[x]) + b.Contrast*g
 				if v < 0.02 {
 					v = 0.02
 				}
 				if v > 1 {
 					v = 1
 				}
-				dst[y*w+x] = float32(v)
+				row[x] = float32(v)
 			}
 		}
 	}

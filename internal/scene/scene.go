@@ -14,13 +14,26 @@
 // OutdoorDay1, DENSE Town10) reproduce the spatio-temporal statistics
 // Ev-Edge depends on: per-frame spatial density between ~0.1% and ~30%
 // (paper Figs. 1 and 3) and strongly bursty temporal density (Fig. 5).
+//
+// A pixel's events depend on its own luminance and memory alone, so the
+// camera splits the sensor rows into one band per core and steps each
+// band through the whole interval on its own goroutine, while the
+// calling goroutine draws the background noise. It then lays the
+// events out as one serial pass over the frame would have appended
+// them, so a stream is bit for bit the same at any core count and
+// depends on the seed alone. The texture wraps a coordinate within two
+// periods of it by one exact subtraction or addition instead of
+// math.Mod, with the same result, and a tiny negative coordinate that
+// rounds to the period itself wraps to 0.
 package scene
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
 
 	"evedge/internal/events"
 )
@@ -59,11 +72,12 @@ func defaultConfig() config {
 	}
 }
 
-// renderer produces the scene luminance (values in (0, 1]) for every
-// pixel at an absolute time.
+// renderer produces the scene luminance (values in (0, 1]) at an
+// absolute time, one band of sensor rows at a time.
 type renderer interface {
-	// Render fills dst (len w*h, row-major) with luminance at time t.
-	Render(dst []float32, w, h int, tUS int64)
+	// renderRows fills dst (len w*(y1-y0), row-major) with the
+	// luminance of rows [y0, y1) of a w x h sensor at time t.
+	renderRows(dst []float32, w, h, y0, y1 int, tUS int64)
 }
 
 // camera simulates a DVS over a renderer.
@@ -113,38 +127,103 @@ func logLum(v float32) float64 {
 	return math.Log(f)
 }
 
-// Run simulates [t0, t1) and returns the sorted event stream.
+// Run simulates [t0, t1) and returns the sorted event stream, its
+// sensor rows split into one band per core.
 func (c *camera) Run(t0, t1 int64) (*events.Stream, error) {
+	return c.run(t0, t1, min(runtime.GOMAXPROCS(0), c.cfg.Height))
+}
+
+// run simulates [t0, t1) over nb bands of rows (1 <= nb <= height).
+// Each band steps through the interval on its own goroutine: a pixel
+// never reads another pixel's state, so the bands are independent.
+// The calling goroutine draws the background noise meanwhile, then
+// appends each step's events band by band in row order and that
+// step's noise last: the append order of one pass over the frame, so
+// the stable sort returns the same stream for any nb.
+func (c *camera) run(t0, t1 int64, nb int) (*events.Stream, error) {
 	if t1 <= t0 {
 		return nil, fmt.Errorf("scene: empty interval [%d, %d)", t0, t1)
 	}
-	w, h := c.cfg.Width, c.cfg.Height
-	out := events.NewStream(w, h)
+	var ends []int64 // the end of every step; step k spans [ends[k-1], ends[k])
+	for t := t0; t < t1; {
+		t = min(t+c.cfg.StepUS, t1)
+		ends = append(ends, t)
+	}
+	h := c.cfg.Height
+	bands := make([]stepEvents, nb)
+	var wg sync.WaitGroup
+	for b := range bands {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			bands[b] = c.runRows(t0, ends, b*h/nb, (b+1)*h/nb)
+		}()
+	}
+	noise := c.noise(t0, ends)
+	wg.Wait()
+	c.initialized = true
 
+	total := len(noise.ev)
+	for _, b := range bands {
+		total += len(b.ev)
+	}
+	out := events.NewStream(c.cfg.Width, h)
+	out.Events = make([]events.Event, 0, total)
+	for k := range ends {
+		for _, b := range bands {
+			out.Events = append(out.Events, b.step(k)...)
+		}
+		out.Events = append(out.Events, noise.step(k)...)
+	}
+	out.Sort()
+	return out, nil
+}
+
+// stepEvents holds the events of consecutive steps in one list; end[k]
+// is where step k's events end.
+type stepEvents struct {
+	ev  []events.Event
+	end []int
+}
+
+// endStep marks the end of the current step's events.
+func (s *stepEvents) endStep() { s.end = append(s.end, len(s.ev)) }
+
+// step returns the events of step k.
+func (s *stepEvents) step(k int) []events.Event {
+	lo := 0
+	if k > 0 {
+		lo = s.end[k-1]
+	}
+	return s.ev[lo:s.end[k]]
+}
+
+// runRows steps sensor rows [y0, y1) through the steps ending at ends,
+// starting at t0.
+func (c *camera) runRows(t0 int64, ends []int64, y0, y1 int) stepEvents {
+	w := c.cfg.Width
+	lo, hi := y0*w, y1*w
+	frame, mem, refrUntil := c.frame[lo:hi], c.mem[lo:hi], c.refrUntil[lo:hi]
 	// Initialize memory from the first frame so startup does not flood
 	// events.
 	if !c.initialized {
-		c.r.Render(c.frame, w, h, t0)
-		for i, v := range c.frame {
-			c.mem[i] = logLum(v)
+		c.r.renderRows(frame, w, c.cfg.Height, y0, y1, t0)
+		for i, v := range frame {
+			mem[i] = logLum(v)
 		}
-		c.initialized = true
 	}
-
+	out := stepEvents{end: make([]int, 0, len(ends))}
 	prevT := t0
-	for t := t0 + c.cfg.StepUS; prevT < t1; t += c.cfg.StepUS {
-		if t > t1 {
-			t = t1
-		}
-		c.r.Render(c.frame, w, h, t)
+	for _, t := range ends {
+		c.r.renderRows(frame, w, c.cfg.Height, y0, y1, t)
 		dt := t - prevT
-		for i, v := range c.frame {
+		for i, v := range frame {
 			cur := logLum(v)
-			delta := cur - c.mem[i]
+			delta := cur - mem[i]
 			if delta < c.cfg.Theta && delta > -c.cfg.Theta {
 				continue
 			}
-			if c.refrUntil[i] > t {
+			if refrUntil[i] > t {
 				continue
 			}
 			pol := events.On
@@ -157,17 +236,31 @@ func (c *camera) Run(t0, t1 int64) (*events.Stream, error) {
 			if n > c.cfg.MaxEventsPerStep {
 				n = c.cfg.MaxEventsPerStep
 			}
-			x, y := uint16(i%w), uint16(i/w)
+			x, y := uint16((lo+i)%w), uint16((lo+i)/w)
 			for k := 1; k <= n; k++ {
 				// Linear interpolation of the crossing time inside the step.
 				frac := float64(k) / float64(n+1)
 				ts := prevT + int64(frac*float64(dt))
-				out.Append(events.Event{X: x, Y: y, TS: ts, Pol: pol})
+				out.ev = append(out.ev, events.Event{X: x, Y: y, TS: ts, Pol: pol})
 			}
-			c.mem[i] += sign * float64(n) * c.cfg.Theta
-			c.refrUntil[i] = prevT + c.cfg.RefractoryUS
+			mem[i] += sign * float64(n) * c.cfg.Theta
+			refrUntil[i] = prevT + c.cfg.RefractoryUS
 		}
-		// Background noise: global Poisson thinned over pixels.
+		out.endStep()
+		prevT = t
+	}
+	return out
+}
+
+// noise draws the background activity of the steps ending at ends,
+// starting at t0: a global Poisson process thinned over pixels, from
+// the camera's RNG.
+func (c *camera) noise(t0 int64, ends []int64) stepEvents {
+	w, h := c.cfg.Width, c.cfg.Height
+	out := stepEvents{end: make([]int, 0, len(ends))}
+	prevT := t0
+	for _, t := range ends {
+		dt := t - prevT
 		if c.cfg.NoiseHz > 0 {
 			lambda := c.cfg.NoiseHz * float64(w*h) * float64(dt) * 1e-6
 			for nn := poisson(c.rng, lambda); nn > 0; nn-- {
@@ -176,16 +269,16 @@ func (c *camera) Run(t0, t1 int64) (*events.Stream, error) {
 				if c.rng.Intn(2) == 0 {
 					pol = events.Off
 				}
-				out.Append(events.Event{
+				out.ev = append(out.ev, events.Event{
 					X: uint16(i % w), Y: uint16(i / w),
 					TS: prevT + c.rng.Int63n(dt), Pol: pol,
 				})
 			}
 		}
+		out.endStep()
 		prevT = t
 	}
-	out.Sort()
-	return out, nil
+	return out
 }
 
 // poisson draws from a Poisson distribution (Knuth for small lambda,

@@ -1,7 +1,9 @@
 package scene
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -28,7 +30,7 @@ func validStream(s *events.Stream) error {
 // rampRenderer brightens the whole frame linearly with time.
 type rampRenderer struct{ rate float64 } // luminance per second
 
-func (r *rampRenderer) Render(dst []float32, w, h int, tUS int64) {
+func (r *rampRenderer) renderRows(dst []float32, w, h, y0, y1 int, tUS int64) {
 	v := float32(0.2 + r.rate*float64(tUS)*1e-6)
 	if v > 1 {
 		v = 1
@@ -197,6 +199,76 @@ func TestTextureSample(t *testing.T) {
 	}
 }
 
+// TestTextureSampleTinyNegative pins the wrap of a coordinate that is
+// negative by less than the rounding of the texture size: adding the
+// size to it rounds to the size itself, which must wrap to texel 0, not
+// read the next row's first texel (or past the data on the last row).
+func TestTextureSampleTinyNegative(t *testing.T) {
+	tex := NewTexture(173, 130, 0.5, 9)
+	for _, y := range []float64{0, 64, 129} {
+		if got, want := tex.Sample(-1e-300, y), tex.Sample(0, y); got != want {
+			t.Fatalf("Sample(-1e-300, %g) = %v, want texel (0, %g) = %v", y, got, y, want)
+		}
+	}
+	if got, want := tex.Sample(7, -1e-300), tex.Sample(7, 0); got != want {
+		t.Fatalf("Sample(7, -1e-300) = %v, want texel (7, 0) = %v", got, want)
+	}
+}
+
+// modWrap and sampleMod are Sample as it was before its wrap avoided
+// math.Mod, kept as the oracle of FuzzTextureSample.
+func modWrap(x, n float64) float64 {
+	x = math.Mod(x, n)
+	if x < 0 {
+		x += n
+	}
+	return x
+}
+
+func sampleMod(t *Texture, u, v float64) float32 {
+	u, v = modWrap(u, float64(t.W)), modWrap(v, float64(t.H))
+	x0, y0 := int(u), int(v)
+	fx, fy := u-float64(x0), v-float64(y0)
+	x1, y1 := (x0+1)%t.W, (y0+1)%t.H
+	v00 := float64(t.Data[y0*t.W+x0])
+	v01 := float64(t.Data[y0*t.W+x1])
+	v10 := float64(t.Data[y1*t.W+x0])
+	v11 := float64(t.Data[y1*t.W+x1])
+	return float32(v00*(1-fx)*(1-fy) + v01*fx*(1-fy) + v10*(1-fx)*fy + v11*fx*fy)
+}
+
+// FuzzTextureSample holds Sample to the math.Mod wrap bit for bit at
+// any finite coordinate. Where that wrap lands on the size itself (a
+// tiny negative coordinate, see TestTextureSampleTinyNegative) Sample
+// must return the sample at the wrapped-to-0 coordinate instead.
+func FuzzTextureSample(f *testing.F) {
+	const w, h = 13, 7
+	tex := NewTexture(w, h, 0.8, 4)
+	for _, c := range [][2]float64{
+		{0, 0}, {5.3, 2.9}, {12.75, 6.5}, {-0.25, -0.5}, {-1e-300, 0}, {0, -5e-324},
+		{-w, -h}, {w, h}, {-2 * w, -2 * h}, {2 * w, 2 * h}, {-2*w + 1e-9, 2*h - 1e-9},
+		{-w - 1e-15, h + 1e-15}, {1e300, -1e300}, {-123456.789, 98765.4321},
+	} {
+		f.Add(c[0], c[1])
+	}
+	f.Fuzz(func(t *testing.T, u, v float64) {
+		if math.IsNaN(u) || math.IsInf(u, 0) || math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Skip("non-finite coordinate")
+		}
+		ou, ov := u, v
+		if modWrap(u, w) == w {
+			ou = 0
+		}
+		if modWrap(v, h) == h {
+			ov = 0
+		}
+		got, want := tex.Sample(u, v), sampleMod(tex, ou, ov)
+		if math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("Sample(%g, %g) = %v, math.Mod wrap gives %v", u, v, got, want)
+		}
+	})
+}
+
 func TestSmoothPathBurstsContinuity(t *testing.T) {
 	p := &SmoothPath{VX: 10, Bursts: []Burst{{T0: 1_000_000, T1: 2_000_000, Gain: 5}}}
 	// Position is continuous across the burst boundary.
@@ -347,6 +419,171 @@ func TestSequenceDeterminism(t *testing.T) {
 	for i := range a.Events {
 		if a.Events[i] != b.Events[i] {
 			t.Fatalf("event %d differs", i)
+		}
+	}
+}
+
+// streamHash is the FNV-1a hash of a stream's events, each written as
+// X and Y (uint16), TS (int64) little-endian and the polarity byte.
+func streamHash(s *events.Stream) uint64 {
+	h := fnv.New64a()
+	var b [13]byte
+	for _, e := range s.Events {
+		binary.LittleEndian.PutUint16(b[0:], e.X)
+		binary.LittleEndian.PutUint16(b[2:], e.Y)
+		binary.LittleEndian.PutUint64(b[4:], uint64(e.TS))
+		b[12] = byte(e.Pol)
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestPresetStreamsPinned pins every preset's stream at half scale,
+// seed 7, 200 ms, as the serial, math.Mod-wrapping simulator generated
+// it. Any change that moves a stream fails here.
+func TestPresetStreamsPinned(t *testing.T) {
+	pins := []struct {
+		p    Preset
+		n    int
+		hash uint64
+	}{
+		{IndoorFlying1, 2145, 0x6d59f10e2c37b21b},
+		{IndoorFlying2, 2862, 0x85266edb651cb272},
+		{IndoorFlying3, 374, 0x4b553e81ee66d71a},
+		{OutdoorDay1, 67670, 0x359a790c42d88137},
+		{Town10, 10662, 0x96de6202968f0b75},
+		{HighSpeedSpin, 22892, 0x3814cb8738f1e59a},
+	}
+	if len(pins) != len(AllPresets()) {
+		t.Fatalf("%d pins for %d presets", len(pins), len(AllPresets()))
+	}
+	for _, pin := range pins {
+		seq, err := NewSequence(pin.p, Half, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := seq.Generate(200_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := streamHash(s); s.Len() != pin.n || got != pin.hash {
+			t.Errorf("%s: %d events hash %#016x, pinned %d events hash %#016x", pin.p, s.Len(), got, pin.n, pin.hash)
+		}
+	}
+}
+
+// runSerial is camera.Run as one pass over the whole frame per step,
+// before the rows were split into bands, kept as the oracle of
+// TestCameraBandsMatchSerial.
+func runSerial(c *camera, t0, t1 int64) *events.Stream {
+	w, h := c.cfg.Width, c.cfg.Height
+	out := events.NewStream(w, h)
+	if !c.initialized {
+		c.r.renderRows(c.frame, w, h, 0, h, t0)
+		for i, v := range c.frame {
+			c.mem[i] = logLum(v)
+		}
+		c.initialized = true
+	}
+	prevT := t0
+	for t := t0 + c.cfg.StepUS; prevT < t1; t += c.cfg.StepUS {
+		if t > t1 {
+			t = t1
+		}
+		c.r.renderRows(c.frame, w, h, 0, h, t)
+		dt := t - prevT
+		for i, v := range c.frame {
+			delta := logLum(v) - c.mem[i]
+			if (delta < c.cfg.Theta && delta > -c.cfg.Theta) || c.refrUntil[i] > t {
+				continue
+			}
+			pol, sign := events.On, 1.0
+			if delta < 0 {
+				pol, sign = events.Off, -1.0
+			}
+			n := min(int(math.Abs(delta)/c.cfg.Theta), c.cfg.MaxEventsPerStep)
+			for k := 1; k <= n; k++ {
+				ts := prevT + int64(float64(k)/float64(n+1)*float64(dt))
+				out.Append(events.Event{X: uint16(i % w), Y: uint16(i / w), TS: ts, Pol: pol})
+			}
+			c.mem[i] += sign * float64(n) * c.cfg.Theta
+			c.refrUntil[i] = prevT + c.cfg.RefractoryUS
+		}
+		if c.cfg.NoiseHz > 0 {
+			lambda := c.cfg.NoiseHz * float64(w*h) * float64(dt) * 1e-6
+			for nn := poisson(c.rng, lambda); nn > 0; nn-- {
+				i := c.rng.Intn(w * h)
+				pol := events.On
+				if c.rng.Intn(2) == 0 {
+					pol = events.Off
+				}
+				out.Append(events.Event{X: uint16(i % w), Y: uint16(i / w), TS: prevT + c.rng.Int63n(dt), Pol: pol})
+			}
+		}
+		prevT = t
+	}
+	out.Sort()
+	return out
+}
+
+// TestCameraBandsMatchSerial runs one camera over 1, 2, 3, 7 and
+// height bands of rows and requires the stream of one serial pass over
+// the frame (runSerial) from each: background
+// noise on, a moving texture and an orbiting blob that crosses every
+// band edge, a ramp that fires every pixel in the same microsecond, a
+// part-length last step, and two consecutive runs on one camera so the
+// pixel state and the RNG carry over.
+func TestCameraBandsMatchSerial(t *testing.T) {
+	const w, h = 40, 30
+	renderers := map[string]func() renderer{
+		"world": func() renderer {
+			return &World{
+				Texture:     NewTexture(w, h, 0.7, 3),
+				Path:        &SmoothPath{VX: 60, VY: 25, AmpX: 4, FreqX: 2, RotAmp: 0.05, RotFreq: 1},
+				Blobs:       []Blob{{CX: w / 2, CY: h / 2, OrbitR: 10, OrbitHz: 8, Radius: 3, Contrast: 0.5}},
+				TextureGain: 0.6,
+			}
+		},
+		"ramp": func() renderer { return &rampRenderer{rate: 3} },
+	}
+	for name, newRenderer := range renderers {
+		// nb == 0 runs runSerial.
+		gen := func(nb int) []*events.Stream {
+			cfg := defaultConfig()
+			cfg.Width, cfg.Height = w, h
+			cfg.NoiseHz = 50
+			cfg.Seed = 5
+			cam, err := newCamera(cfg, newRenderer())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out []*events.Stream
+			for _, iv := range [][2]int64{{0, 60_000}, {60_000, 150_500}} {
+				var s *events.Stream
+				if nb == 0 {
+					s = runSerial(cam, iv[0], iv[1])
+				} else if s, err = cam.run(iv[0], iv[1], nb); err != nil {
+					t.Fatal(err)
+				}
+				if err := validStream(s); err != nil {
+					t.Fatalf("%s, %d bands: %v", name, nb, err)
+				}
+				out = append(out, s)
+			}
+			return out
+		}
+		want := gen(0)
+		for _, nb := range []int{1, 2, 3, 7, h} {
+			for r, got := range gen(nb) {
+				if got.Len() != want[r].Len() {
+					t.Fatalf("%s, %d bands, run %d: %d events, serial %d", name, nb, r, got.Len(), want[r].Len())
+				}
+				for i := range got.Events {
+					if got.Events[i] != want[r].Events[i] {
+						t.Fatalf("%s, %d bands, run %d: event %d is %+v, serial %+v", name, nb, r, i, got.Events[i], want[r].Events[i])
+					}
+				}
+			}
 		}
 	}
 }
