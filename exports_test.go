@@ -9,10 +9,9 @@ import (
 	"go/token"
 	"go/types"
 	"io"
-	"io/fs"
+	"maps"
 	"os"
 	"os/exec"
-	"path"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -21,7 +20,7 @@ import (
 )
 
 // uncalledKept lists the exported declarations under internal/ that no
-// non-test file names and that stay anyway (rule 1 of
+// non-test file uses and that stay anyway (rule 1 of
 // TestInternalExportsHaveCallers), each with its reason: functions,
 // types, consts and vars keyed "pkg.Name", methods "pkg.Recv.Method".
 var uncalledKept = map[string]string{
@@ -49,160 +48,120 @@ var uncalledKept = map[string]string{
 	"quant.MSE":                          "error metric the parked quantized-kernel item needs",
 	"quant.SQNR":                         "error metric the parked quantized-kernel item needs",
 	"nn.FrameByTime":                     "zero value of FramingMode: DOTIE and the other time-framed networks leave Framing unset",
+	"quant.QuantizeINT8":                 "numerics the parked quantized-kernel item needs",
+	"quant.DequantizeINT8":               "numerics the parked quantized-kernel item needs",
+	"quant.RoundFP16":                    "numerics the parked quantized-kernel item needs",
+	"hw.Engine.Timeline":                 "bench binding: bench/pump_layers.go calls NewEngine(p, false); ROADMAP item 4(d) re-points it so the record mode can go",
+	"sched.Scheduler.Drain":              "test fixture: runs a scheduler to quiescence in the sched and serve tests",
+	"serve.Client.Session":               "test fixture: reads one session over HTTP in the serve and cluster tests",
+	"serve.Client.Sessions":              "test fixture: lists the sessions over HTTP in the cluster tests",
+	"sparse.Frame.Set":                   "test fixture: builds frames in the tests of six packages",
+	"sparse.Frame.Clone":                 "test fixture: copies frames in the dsfa and sparse tests",
+	"sparse.Frame.Get":                   "test oracle: one cell of a frame in the dsfa, e2sf and sparse tests",
+	"sparse.Frame.Validate":              "test oracle: the frame invariants the e2sf and sparse tests check",
+	"sparse.Tensor.NNZ":                  "test oracle: the nonzero count the e2sf, nn and sparse tests check",
 }
 
-// fieldsKept lists the option fields that no non-test file outside
-// their declaring package sets and that stay anyway (rule 2 of
-// TestInternalExportsHaveCallers), keyed "pkg.Struct.Field", each with
-// its reason.
+// fieldsKept lists the struct fields that rule 2 or rule 4 of
+// TestInternalExportsHaveCallers reports and that stay anyway, keyed
+// "pkg.Struct.Field", each with its reason.
 var fieldsKept = map[string]string{
 	"experiments.Config.Quick": "DefaultConfig and QuickConfig set it; evbench -quick chooses between the two",
 	"experiments.Config.Scale": "DefaultConfig and QuickConfig set it; evbench -quick chooses between the two",
+	"hw.Span.Tag":              "bench binding: the record mode's span label; ROADMAP item 4(d) re-points NewEngine so it can go",
+	"sparse.Site.X":            "bench binding: Tensor.ActiveSites returns sites, bench/infer_layers.go counts them (ROADMAP item 4)",
+	"sparse.Site.Y":            "bench binding: Tensor.ActiveSites returns sites, bench/infer_layers.go counts them (ROADMAP item 4)",
 }
 
-// TestInternalExportsHaveCallers keeps code and options nothing uses
-// from piling up. Only non-test files of the module and of bench/
-// count, under three rules:
+// TestInternalExportsHaveCallers keeps code, options and results
+// nothing uses from piling up. Only non-test files of the module and of
+// bench/ count, under four rules:
 //
 //  1. Every exported function, method, type, const or var declared
-//     under internal/ is named by some file other than its own
-//     declaration, or is listed in uncalledKept.
+//     under internal/ is used by some non-test file outside its own
+//     declaration (a method's receiver does not use its type), or is
+//     listed in uncalledKept. A method also counts as used when its
+//     type implements an interface whose method of that name a
+//     non-test file calls, or an interface of the standard library.
 //  2. Every exported field of an exported struct type under internal/
 //     whose name ends in Config or Opts is written — a composite-literal
 //     key, an assignment, ++/--, or &x.F — by some file outside its
-//     declaring package, or is listed in fieldsKept. A field with a
-//     json tag leaves the process and is exempt.
-//  3. Every name declared in evedge.go is named as evedge.Name by a
+//     declaring package, or is listed in fieldsKept.
+//  3. Every name declared in the root package (evedge.go) is used by a
 //     file under cmd/, examples/ or bench/, or appears in the signature
-//     of an evedge.go function that this rule keeps. Nothing is kept
+//     of a root function that this rule keeps. Nothing is kept
 //     otherwise.
+//  4. Every exported, non-embedded field of an exported struct type
+//     under internal/ is read by some non-test file, or is listed in
+//     fieldsKept. A read is any use other than a composite-literal key
+//     or the left side of = or :=. A struct type read whole is exempt:
+//     a map key or an operand of == or != (a comparison reads every
+//     field), or a value that encoding/json encodes.
 //
-// Rules 1 and 3 match by name, so a name collision can hide an unused
-// declaration but never flags a used one. Rule 2 resolves every write
-// with go/types against the compiled export data of the packages, so
-// same-named fields of different structs stay apart.
+// Rules 2 and 4 exempt fields with a json tag: they leave the process.
+// Every rule resolves names with go/types over one type-check of the
+// packages (see scanExports), so a declaration is never hidden by
+// another of the same name.
 func TestInternalExportsHaveCallers(t *testing.T) {
-	type decl struct{ key, name, pos string }
-	var decls []decl
-	refs := map[string]int{}
-	facade := map[string]*ast.FuncDecl{} // evedge.go's names; funcs keep their decl
-	facadeRefs := map[string]bool{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if p != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		p = filepath.ToSlash(p)
-		internal := strings.HasPrefix(p, "internal/")
-		pkg := path.Base(path.Dir(p))
-		names := map[*ast.Ident]bool{}
-		declare := func(id *ast.Ident, key string) {
-			names[id] = true
-			if internal && id.IsExported() {
-				decls = append(decls, decl{key, id.Name, fset.Position(id.Pos()).String()})
-			}
-		}
-		for _, dl := range f.Decls {
-			switch dl := dl.(type) {
-			case *ast.FuncDecl:
-				key := pkg + "."
-				if dl.Recv != nil {
-					key += recvName(dl.Recv.List[0].Type) + "."
-				}
-				declare(dl.Name, key+dl.Name.Name)
-				if p == "evedge.go" {
-					facade[dl.Name.Name] = dl
-				}
-			case *ast.GenDecl:
-				for _, s := range dl.Specs {
-					var ids []*ast.Ident
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						ids = []*ast.Ident{s.Name}
-					case *ast.ValueSpec:
-						ids = s.Names
-					}
-					for _, id := range ids {
-						declare(id, pkg+"."+id.Name)
-						if p == "evedge.go" {
-							facade[id.Name] = nil
-						}
-					}
-				}
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !names[id] {
-				refs[id.Name]++
-			}
-			return true
-		})
-		if strings.HasPrefix(p, "cmd/") || strings.HasPrefix(p, "examples/") || strings.HasPrefix(p, "bench/") {
-			for name := range facadeNames(f) {
-				facadeRefs[name] = true
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	scan := scanExports(t, ".", ".", "bench")
+	reportFindings(t, scan.uncalled, uncalledKept,
+		"no non-test file uses it; delete it, or list it in uncalledKept with a reason")
+	checkKept(t, "uncalledKept", uncalledKept, scan.uncalled, "is gone or has a user now")
+
+	for _, key := range sortedKeys(scan.facade) {
+		t.Errorf("%s (%s): no file under cmd/, examples/ or bench/ uses it and no kept facade signature does; delete it", key, scan.facade[key])
 	}
 
-	unused := map[string]bool{}
-	for _, d := range decls {
-		if refs[d.name] > 0 {
-			continue
-		}
-		unused[d.key] = true
-		if _, ok := uncalledKept[d.key]; !ok {
-			t.Errorf("%s (%s): no non-test file names it; delete it, or list it in uncalledKept with a reason", d.key, d.pos)
-		}
-	}
-	checkKept(t, "uncalledKept", uncalledKept, unused, "is gone or has a caller now")
+	reportFindings(t, scan.unwritten, fieldsKept,
+		"no non-test file outside its package sets it; make it a constant, or list it in fieldsKept with a reason")
+	reportFindings(t, scan.unread, fieldsKept,
+		"no non-test file reads it; delete it with the code that computes it, or list it in fieldsKept with a reason")
+	fields := maps.Clone(scan.unwritten)
+	maps.Copy(fields, scan.unread)
+	checkKept(t, "fieldsKept", fieldsKept, fields, "is gone, set from outside its package or read now")
+}
 
-	// Rule 3: a function the facade keeps keeps the names its signature uses.
-	for name, fn := range facade {
-		if fn == nil || !facadeRefs[name] {
-			continue
+// TestExportsGateFixture runs the gate's scan over the small module in
+// testdata/exportsgate, whose comments say what each rule must and must
+// not report.
+func TestExportsGateFixture(t *testing.T) {
+	scan := scanExports(t, filepath.Join("testdata", "exportsgate"), ".")
+	for _, c := range []struct {
+		rule string
+		got  map[string]string
+		want []string
+	}{
+		{"1", scan.uncalled, []string{"a.Dead.Run"}},
+		{"2", scan.unwritten, nil},
+		{"3", scan.facade, nil},
+		{"4", scan.unread, []string{"a.Stats.Hidden"}},
+	} {
+		if got := sortedKeys(c.got); !reflect.DeepEqual(got, c.want) && len(got)+len(c.want) > 0 {
+			t.Errorf("rule %s reports %q, want %q", c.rule, got, c.want)
 		}
-		ast.Inspect(fn.Type, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				return false
-			case *ast.Ident:
-				facadeRefs[n.Name] = true
-			}
-			return true
-		})
 	}
-	for _, name := range sortedKeys(facade) {
-		if !facadeRefs[name] {
-			t.Errorf("evedge.%s: no file under cmd/, examples/ or bench/ names it and no kept facade signature uses it; delete it", name)
-		}
-	}
+}
 
-	unwritten := unwrittenOptionFields(t)
-	found := map[string]bool{}
-	for _, key := range sortedKeys(unwritten) {
-		found[key] = true
-		if _, ok := fieldsKept[key]; !ok {
-			t.Errorf("%s (%s): no non-test file outside its package sets it; make it a constant, or list it in fieldsKept with a reason", key, unwritten[key])
+// reportFindings fails the test for each finding its kept list does not
+// name.
+func reportFindings(t *testing.T, found, kept map[string]string, advice string) {
+	t.Helper()
+	for _, key := range sortedKeys(found) {
+		if _, ok := kept[key]; !ok {
+			t.Errorf("%s (%s): %s", key, found[key], advice)
 		}
 	}
-	checkKept(t, "fieldsKept", fieldsKept, found, "is gone or is set from outside its package now")
+}
+
+// checkKept reports each entry of a kept list that no longer names a
+// finding.
+func checkKept(t *testing.T, list string, kept, found map[string]string, why string) {
+	t.Helper()
+	for _, k := range sortedKeys(kept) {
+		if _, ok := found[k]; !ok {
+			t.Errorf("%s lists %s, which %s; drop the entry", list, k, why)
+		}
+	}
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -214,146 +173,469 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// checkKept reports each entry of a kept list that no longer names a
-// finding.
-func checkKept(t *testing.T, list string, kept map[string]string, found map[string]bool, why string) {
-	t.Helper()
-	for _, k := range sortedKeys(kept) {
-		if !found[k] {
-			t.Errorf("%s lists %s, which %s; drop the entry", list, k, why)
-		}
-	}
+// exportsScan is what scanExports finds, per rule of
+// TestInternalExportsHaveCallers: each map goes from a finding's key
+// ("pkg.Name", "pkg.Recv.Method" or "pkg.Struct.Field") to the
+// position of its declaration.
+type exportsScan struct {
+	uncalled  map[string]string // rule 1
+	unwritten map[string]string // rule 2
+	facade    map[string]string // rule 3
+	unread    map[string]string // rule 4
 }
 
-// facadeNames returns the names f selects from the root package,
-// under whatever name f imports it.
-func facadeNames(f *ast.File) map[string]bool {
-	local := ""
-	for _, imp := range f.Imports {
-		if imp.Path.Value == `"evedge"` {
-			local = "evedge"
-			if imp.Name != nil {
-				local = imp.Name.Name
-			}
-		}
-	}
-	names := map[string]bool{}
-	if local == "" {
-		return names
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok {
-			if x, ok := sel.X.(*ast.Ident); ok && x.Name == local {
-				names[sel.Sel.Name] = true
-			}
-		}
-		return true
-	})
-	return names
+// scanPackage is one type-checked package of a scanned module.
+type scanPackage struct {
+	path string // import path
+	rel  string // directory, slash-separated and relative to the root
+	pkg  *types.Package
+	info *types.Info
+	// files are the package's non-test files.
+	files []*ast.File
 }
 
-// unwrittenOptionFields type-checks every non-test file of the module
-// and of bench/ and returns the option fields of rule 2 that no file
-// outside their declaring package writes, as "pkg.Struct.Field" →
-// "file:line" of its declaration. Imports come from the compiled
-// export data that `go list -export` reports, which records no
-// columns, so a field is identified by the file, line and name of its
-// declaration.
-func unwrittenOptionFields(t *testing.T) map[string]string {
+// scanExports type-checks the given modules of the tree at root (see
+// typeCheck) and applies the four rules of
+// TestInternalExportsHaveCallers to their non-test files.
+func scanExports(t *testing.T, root string, modules ...string) exportsScan {
 	t.Helper()
+	absRoot, err := filepath.Abs(root)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fset := token.NewFileSet()
-	fieldKey := func(obj types.Object) string {
-		pos := fset.Position(obj.Pos())
-		return fmt.Sprintf("%s:%d:%s", pos.Filename, pos.Line, obj.Name())
+	pkgs := typeCheck(t, fset, absRoot, modules)
+	ours := map[string]bool{}
+	var facadePkg *scanPackage
+	for _, sp := range pkgs {
+		ours[sp.path] = true
+		if sp.rel == "." {
+			facadePkg = sp
+		}
 	}
-	options := map[string]string{}              // field key → "pkg.Struct.Field"
-	writtenFrom := map[string]map[string]bool{} // field key → dirs of the packages writing it
+	pos := func(p token.Pos) string {
+		position := fset.Position(p)
+		if rel, err := filepath.Rel(absRoot, position.Filename); err == nil {
+			position.Filename = filepath.ToSlash(rel)
+		}
+		return position.String()
+	}
+	internal := func(sp *scanPackage) bool { return strings.HasPrefix(sp.rel, "internal/") }
 
-	for _, module := range []string{".", "bench"} {
-		pkgs, imp := listPackages(t, fset, module)
-		for _, pkg := range pkgs {
-			var files []*ast.File
-			for _, name := range pkg.files {
-				f, err := parser.ParseFile(fset, filepath.Join(pkg.dir, name), nil, parser.SkipObjectResolution)
+	// Declarations of rules 1 and 3, with the source span that does not
+	// count as a use of them, and the receiver types of methods.
+	type decl struct {
+		key        string
+		start, end token.Pos
+	}
+	decls := map[types.Object]decl{}    // rule 1
+	facade := map[types.Object]string{} // rule 3: key
+	facadeFuncs := map[*types.Func]*ast.FuncType{}
+	receivers := map[*ast.Ident]bool{}
+	var methods []*types.Func
+	// Fields of rules 2 and 4.
+	type field struct {
+		key   string
+		owner types.Type // the struct type declaring it
+	}
+	options := map[*types.Var]string{}
+	results := map[*types.Var]field{}
+	for _, sp := range pkgs {
+		rule1, rule3 := internal(sp), sp == facadePkg
+		if !rule1 && !rule3 {
+			continue
+		}
+		name := sp.pkg.Name() + "."
+		declare := func(id *ast.Ident, key string, node ast.Node) {
+			obj := sp.info.Defs[id]
+			switch {
+			case !id.IsExported() || obj == nil:
+			case rule1:
+				decls[obj] = decl{key, node.Pos(), node.End()}
+			case rule3:
+				facade[obj] = key
+			}
+		}
+		for _, f := range sp.files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						declare(d.Name, name+d.Name.Name, d)
+						if fn, ok := sp.info.Defs[d.Name].(*types.Func); ok && rule3 {
+							facadeFuncs[fn] = d.Type
+						}
+						continue
+					}
+					fn, _ := sp.info.Defs[d.Name].(*types.Func)
+					named := receiverNamed(fn)
+					if named == nil {
+						continue
+					}
+					ast.Inspect(d.Recv, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok && sp.info.Uses[id] == named.Obj() {
+							receivers[id] = true
+						}
+						return true
+					})
+					declare(d.Name, name+named.Obj().Name()+"."+d.Name.Name, d)
+					if rule1 && d.Name.IsExported() {
+						methods = append(methods, fn)
+					}
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							declare(s.Name, name+s.Name.Name, s)
+						case *ast.ValueSpec:
+							for _, id := range s.Names {
+								declare(id, name+id.Name, s)
+							}
+						}
+					}
+				}
+			}
+		}
+		if !rule1 {
+			continue
+		}
+		for _, n := range sp.pkg.Scope().Names() {
+			tn, ok := sp.pkg.Scope().Lookup(n).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			option := strings.HasSuffix(n, "Config") || strings.HasSuffix(n, "Opts")
+			for i := 0; i < st.NumFields(); i++ {
+				fv := st.Field(i)
+				if !fv.Exported() || reflect.StructTag(st.Tag(i)).Get("json") != "" {
+					continue
+				}
+				key := name + n + "." + fv.Name()
+				if option {
+					options[fv] = key
+				}
+				if !fv.Embedded() {
+					results[fv] = field{key, tn.Type()}
+				}
+			}
+		}
+	}
+
+	// One walk over every non-test file: who uses what, who writes and
+	// reads which field, which interface methods are called.
+	used := map[types.Object]bool{}
+	facadeUsed := map[types.Object]bool{}
+	read := map[*types.Var]bool{}
+	writtenFrom := map[*types.Var]map[string]bool{} // field → packages writing it
+	var called []ifaceMethod
+	seenCalled := map[*types.Func]bool{}
+	// wholeRead holds the types a non-test file reads whole, every
+	// field at once: by comparing a value (a map key, an operand of ==
+	// or !=), or by encoding it with encoding/json, which also follows
+	// pointers, slices and maps.
+	wholeRead := map[types.Type]bool{}
+	type visit struct {
+		t       types.Type
+		encoded bool
+	}
+	visited := map[visit]bool{}
+	var readWhole func(types.Type, bool)
+	readWhole = func(tt types.Type, encoded bool) {
+		tt = types.Unalias(tt)
+		if tt == nil || visited[visit{tt, encoded}] {
+			return
+		}
+		visited[visit{tt, encoded}] = true
+		wholeRead[tt] = true
+		switch u := tt.Underlying().(type) {
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				readWhole(u.Field(i).Type(), encoded)
+			}
+		case *types.Array:
+			readWhole(u.Elem(), encoded)
+		case *types.Pointer:
+			if encoded {
+				readWhole(u.Elem(), encoded)
+			}
+		case *types.Slice:
+			if encoded {
+				readWhole(u.Elem(), encoded)
+			}
+		case *types.Map:
+			if encoded {
+				readWhole(u.Key(), encoded)
+				readWhole(u.Elem(), encoded)
+			}
+		}
+	}
+	for _, sp := range pkgs {
+		facadeUser := sp.rel == "bench" || strings.HasPrefix(sp.rel, "bench/") ||
+			strings.HasPrefix(sp.rel, "cmd/") || strings.HasPrefix(sp.rel, "examples/")
+		notRead := map[*ast.Ident]bool{} // composite-literal keys, left sides of = and :=
+		writes := map[*ast.Ident]bool{}  // every write of rule 2
+		selected := func(x ast.Expr, assign bool) {
+			if sel, ok := ast.Unparen(x).(*ast.SelectorExpr); ok {
+				writes[sel.Sel] = true
+				notRead[sel.Sel] = notRead[sel.Sel] || assign
+			}
+		}
+		for _, f := range sp.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					for _, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								if v, ok := sp.info.Uses[id].(*types.Var); ok && v.IsField() {
+									writes[id], notRead[id] = true, true
+								}
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						selected(lhs, n.Tok == token.ASSIGN || n.Tok == token.DEFINE)
+					}
+				case *ast.IncDecStmt:
+					selected(n.X, false)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						selected(n.X, false)
+					}
+				case *ast.MapType:
+					readWhole(sp.info.TypeOf(n.Key), false)
+				case *ast.BinaryExpr:
+					if n.Op == token.EQL || n.Op == token.NEQ {
+						readWhole(sp.info.TypeOf(n.X), false)
+						readWhole(sp.info.TypeOf(n.Y), false)
+					}
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+						if fn, ok := sp.info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "encoding/json" {
+							for _, arg := range n.Args {
+								readWhole(sp.info.TypeOf(arg), true)
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+		for id, obj := range sp.info.Uses {
+			switch o := obj.(type) {
+			case *types.Func:
+				obj = o.Origin()
+			case *types.Var:
+				obj = o.Origin()
+				if !o.IsField() {
+					break
+				}
+				v := o.Origin()
+				if !notRead[id] {
+					read[v] = true
+				}
+				if writes[id] {
+					if writtenFrom[v] == nil {
+						writtenFrom[v] = map[string]bool{}
+					}
+					writtenFrom[v][sp.path] = true
+				}
+			}
+			if d, ok := decls[obj]; ok && !receivers[id] && (id.Pos() < d.start || id.Pos() >= d.end) {
+				used[obj] = true
+			}
+			if _, ok := facade[obj]; ok && facadeUser {
+				facadeUsed[obj] = true
+			}
+		}
+		for _, sel := range sp.info.Selections {
+			fn, ok := sel.Obj().(*types.Func)
+			if !ok || seenCalled[fn] {
+				continue
+			}
+			seenCalled[fn] = true
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+				if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
+					called = append(called, ifaceMethod{iface, fn.Name()})
+				}
+			}
+		}
+	}
+	called = append(called, stdlibInterfaceMethods(pkgs, ours)...)
+	for _, fn := range methods {
+		if used[fn] {
+			continue
+		}
+		named := receiverNamed(fn)
+		for _, c := range called {
+			if c.name == fn.Name() && (types.Implements(named, c.iface) || types.Implements(types.NewPointer(named), c.iface)) {
+				used[fn] = true
+				break
+			}
+		}
+	}
+
+	scan := exportsScan{map[string]string{}, map[string]string{}, map[string]string{}, map[string]string{}}
+	for obj, d := range decls {
+		if !used[obj] {
+			scan.uncalled[d.key] = pos(obj.Pos())
+		}
+	}
+	// Rule 3: a function the facade keeps keeps the names its signature uses.
+	for fn, ft := range facadeFuncs {
+		if !facadeUsed[fn] {
+			continue
+		}
+		ast.Inspect(ft, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if obj := facadePkg.info.Uses[id]; obj != nil {
+					facadeUsed[obj] = true
+				}
+			}
+			return true
+		})
+	}
+	for obj, key := range facade {
+		if !facadeUsed[obj] {
+			scan.facade[key] = pos(obj.Pos())
+		}
+	}
+	for v, key := range options {
+		outside := false
+		for p := range writtenFrom[v] {
+			outside = outside || p != v.Pkg().Path()
+		}
+		if !outside {
+			scan.unwritten[key] = pos(v.Pos())
+		}
+	}
+	for v, f := range results {
+		if !read[v] && !wholeRead[f.owner] {
+			scan.unread[f.key] = pos(v.Pos())
+		}
+	}
+	return scan
+}
+
+// typeCheck type-checks every non-test file of the given modules
+// (directories under root; a later module may import an earlier one)
+// and returns their packages in dependency order. The packages of the
+// modules are checked from source and import one another's checked
+// packages, so every use resolves to the one object it names; the
+// standard library comes from the export data that `go list -export`
+// reports.
+func typeCheck(t *testing.T, fset *token.FileSet, root string, modules []string) []*scanPackage {
+	t.Helper()
+	exports := map[string]string{}
+	gc := importer.ForCompiler(fset, "gc", func(p string) (io.ReadCloser, error) {
+		file, ok := exports[p]
+		if !ok || file == "" {
+			return nil, fmt.Errorf("no export data for %q", p)
+		}
+		return os.Open(file)
+	})
+	checked := map[string]*types.Package{}
+	imp := importerFunc(func(p string) (*types.Package, error) {
+		if pkg, ok := checked[p]; ok {
+			return pkg, nil
+		}
+		return gc.Import(p)
+	})
+	var pkgs []*scanPackage
+	for _, module := range modules {
+		for _, lp := range listPackages(t, filepath.Join(root, module), exports) {
+			if _, ok := checked[lp.path]; ok {
+				continue
+			}
+			rel, err := filepath.Rel(root, lp.dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp := &scanPackage{path: lp.path, rel: filepath.ToSlash(rel), info: &types.Info{
+				Types:      map[ast.Expr]types.TypeAndValue{},
+				Defs:       map[*ast.Ident]types.Object{},
+				Uses:       map[*ast.Ident]types.Object{},
+				Selections: map[*ast.SelectorExpr]*types.Selection{},
+			}}
+			for _, name := range lp.files {
+				f, err := parser.ParseFile(fset, filepath.Join(lp.dir, name), nil, parser.SkipObjectResolution)
 				if err != nil {
 					t.Fatal(err)
 				}
-				files = append(files, f)
+				sp.files = append(sp.files, f)
 			}
-			info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
-			tpkg, err := (&types.Config{Importer: imp}).Check(pkg.path, fset, files, info)
+			sp.pkg, err = (&types.Config{Importer: imp}).Check(lp.path, fset, sp.files, sp.info)
 			if err != nil {
-				t.Fatalf("type-check %s: %v", pkg.path, err)
+				t.Fatalf("type-check %s: %v", lp.path, err)
 			}
-			if strings.HasPrefix(pkg.path, "evedge/internal/") {
-				for _, name := range tpkg.Scope().Names() {
-					tn, ok := tpkg.Scope().Lookup(name).(*types.TypeName)
-					if !ok || !tn.Exported() || tn.IsAlias() ||
-						!(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Opts")) {
-						continue
-					}
-					st, ok := tn.Type().Underlying().(*types.Struct)
-					if !ok {
-						continue
-					}
-					for i := 0; i < st.NumFields(); i++ {
-						if fv := st.Field(i); fv.Exported() && reflect.StructTag(st.Tag(i)).Get("json") == "" {
-							options[fieldKey(fv)] = tpkg.Name() + "." + name + "." + fv.Name()
-						}
-					}
-				}
-			}
-			record := func(id *ast.Ident) {
-				if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
-					k := fieldKey(v)
-					if writtenFrom[k] == nil {
-						writtenFrom[k] = map[string]bool{}
-					}
-					writtenFrom[k][pkg.dir] = true
-				}
-			}
-			selected := func(x ast.Expr) {
-				if sel, ok := ast.Unparen(x).(*ast.SelectorExpr); ok {
-					record(sel.Sel)
-				}
-			}
-			for _, f := range files {
-				ast.Inspect(f, func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.KeyValueExpr:
-						if id, ok := n.Key.(*ast.Ident); ok {
-							record(id)
-						}
-					case *ast.AssignStmt:
-						for _, lhs := range n.Lhs {
-							selected(lhs)
-						}
-					case *ast.IncDecStmt:
-						selected(n.X)
-					case *ast.UnaryExpr:
-						if n.Op == token.AND {
-							selected(n.X)
-						}
-					}
-					return true
-				})
-			}
+			checked[lp.path] = sp.pkg
+			pkgs = append(pkgs, sp)
 		}
 	}
-
-	unwritten := map[string]string{}
-	for k, name := range options {
-		file := k[:strings.Index(k, ":")]
-		outside := false
-		for dir := range writtenFrom[k] {
-			outside = outside || dir != filepath.Dir(file)
-		}
-		if !outside {
-			unwritten[name] = k[:strings.LastIndex(k, ":")]
-		}
-	}
-	return unwritten
+	return pkgs
 }
+
+// ifaceMethod is a method of an interface that something calls.
+type ifaceMethod struct {
+	iface *types.Interface
+	name  string
+}
+
+// stdlibInterfaceMethods returns every method of the exported
+// interfaces of the packages outside ours that pkgs import: the
+// standard library calls them (fmt a String, net/http a ServeHTTP).
+func stdlibInterfaceMethods(pkgs []*scanPackage, ours map[string]bool) []ifaceMethod {
+	var out []ifaceMethod
+	seen := map[*types.Package]bool{}
+	for _, sp := range pkgs {
+		for _, p := range sp.pkg.Imports() {
+			if ours[p.Path()] || seen[p] {
+				continue
+			}
+			seen[p] = true
+			for _, n := range p.Scope().Names() {
+				tn, ok := p.Scope().Lookup(n).(*types.TypeName)
+				if !ok || !tn.Exported() {
+					continue
+				}
+				if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
+					for i := 0; i < iface.NumMethods(); i++ {
+						out = append(out, ifaceMethod{iface, iface.Method(i).Name()})
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// receiverNamed is the named type of a method's receiver, T for both
+// T and *T, or nil for a function.
+func receiverNamed(fn *types.Func) *types.Named {
+	if fn == nil {
+		return nil
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil
+	}
+	tt := recv.Type()
+	if p, ok := tt.(*types.Pointer); ok {
+		tt = p.Elem()
+	}
+	named, _ := tt.(*types.Named)
+	return named
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // listedPackage is one package of a module: its import path, directory
 // and non-test files.
@@ -362,10 +644,10 @@ type listedPackage struct {
 	files     []string
 }
 
-// listPackages runs one `go list -export -deps` in a module's directory
-// and returns the module's own packages and an importer that reads the
-// export data of everything they import.
-func listPackages(t *testing.T, fset *token.FileSet, module string) ([]listedPackage, types.Importer) {
+// listPackages runs one `go list -export -deps` in a module's
+// directory, adds the export data file of every package it lists to
+// exports, and returns the module's own packages in dependency order.
+func listPackages(t *testing.T, module string, exports map[string]string) []listedPackage {
 	t.Helper()
 	cmd := exec.Command("go", "list", "-export", "-deps",
 		"-f", "{{.ImportPath}}\t{{.Export}}\t{{.DepOnly}}\t{{.Dir}}\t{{join .GoFiles \" \"}}", "./...")
@@ -376,41 +658,18 @@ func listPackages(t *testing.T, fset *token.FileSet, module string) ([]listedPac
 	if err != nil {
 		t.Fatalf("go list in %s: %v\n%s", module, err, stderr.String())
 	}
-	exports := map[string]string{}
 	var pkgs []listedPackage
 	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
 		f := strings.Split(line, "\t")
 		if len(f) != 5 {
 			t.Fatalf("go list line %q", line)
 		}
-		exports[f[0]] = f[1]
+		if _, ok := exports[f[0]]; !ok {
+			exports[f[0]] = f[1]
+		}
 		if f[2] == "false" {
 			pkgs = append(pkgs, listedPackage{path: f[0], dir: f[3], files: strings.Fields(f[4])})
 		}
 	}
-	return pkgs, importer.ForCompiler(fset, "gc", func(p string) (io.ReadCloser, error) {
-		file, ok := exports[p]
-		if !ok || file == "" {
-			return nil, fmt.Errorf("no export data for %q", p)
-		}
-		return os.Open(file)
-	})
-}
-
-// recvName is the type name of a method receiver: T, *T, T[K] or *T[K].
-func recvName(x ast.Expr) string {
-	for {
-		switch e := x.(type) {
-		case *ast.StarExpr:
-			x = e.X
-		case *ast.IndexExpr:
-			x = e.X
-		case *ast.IndexListExpr:
-			x = e.X
-		case *ast.Ident:
-			return e.Name
-		default:
-			return "?"
-		}
-	}
+	return pkgs
 }

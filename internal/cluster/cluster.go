@@ -420,10 +420,6 @@ func (c *Cluster) mark(name string, count int64) {
 	c.tracer.Instant("fleet", obs.StageCtl, name, float64(c.elapsed().Microseconds()), count)
 }
 
-// Tracer returns the router's fleet-plane tracer, nil when tracing is
-// off.
-func (c *Cluster) Tracer() *obs.Tracer { return c.tracer }
-
 // WriteTrace renders the fleet's merged Chrome trace: the router's
 // fleet track plus every node incarnation's lifecycle lanes, each
 // under its own process group.
@@ -527,7 +523,6 @@ func (c *Cluster) maybeRebalance() {
 		// against the gate's time threshold would migrate sessions off
 		// healthy idle fleets forever.
 		devs[i] = control.DeviceSignals{
-			Device:      n.name,
 			Utilization: loads[i].Utilization,
 			Queued:      loads[i].PendingInvocations,
 		}

@@ -115,7 +115,7 @@ func TestClusterTraceDisabled(t *testing.T) {
 	cfg := Config{Nodes: specs(t, "xavier"), Node: serve.Config{ManualDrain: true}}
 	tc, stop := newTestClusterURL(t, cfg)
 	defer stop()
-	if tc.c.Tracer() != nil || tc.c.StageHists() != nil {
+	if tc.c.tracer != nil || tc.c.StageHists() != nil {
 		t.Fatal("disabled tracing still built fleet tracer state")
 	}
 	resp, err := http.Get(tc.base + "/v1/trace")

@@ -40,17 +40,13 @@ import (
 type SessionSample struct {
 	// StreamUS is the session's stream-time watermark (virtual us).
 	StreamUS int64
-	// FramesIn counts raw frames ingested (before any shedding).
-	FramesIn uint64
 	// FramesDropped counts frames shed anywhere: ingest queue plus the
 	// DSFA inference queue.
 	FramesDropped uint64
 	// QueueLen/QueueCap describe the bounded ingest queue.
 	QueueLen, QueueCap int
-	// AggPending is raw frames buffered inside the aggregator (open
-	// buckets plus merged queue); AggQueued is merged buckets awaiting
-	// dispatch.
-	AggPending, AggQueued int
+	// AggQueued is merged buckets awaiting dispatch.
+	AggQueued int
 	// DensitySum/DensityN accumulate the spatial density of ingested
 	// frames; the controller reads scene dynamics from window means.
 	DensitySum float64
@@ -60,8 +56,6 @@ type SessionSample struct {
 // DeviceSignals is one processing element's (or, at the fleet level,
 // one node's) load signal.
 type DeviceSignals struct {
-	// Device names the PE or node.
-	Device string
 	// Utilization is busy time over elapsed time (PE) or
 	// capacity-weighted session cost (node).
 	Utilization float64
@@ -76,14 +70,6 @@ type DeviceSignals struct {
 	// treats a queued-invocation spread past RemapConfig.QueueTh as a
 	// third trigger.
 	Queued int
-}
-
-// Signals is a whole-node telemetry snapshot: every active session's
-// sample plus every device's load — the control plane's full input
-// set, returned by serve.Server.Signals for operators and tooling.
-type Signals struct {
-	Sessions []SessionSample
-	Devices  []DeviceSignals
 }
 
 // DSFAConfig tunes the per-session retune controller.
@@ -175,9 +161,6 @@ func (r *Retuner) Config() dsfa.Config {
 	}
 	return cfg
 }
-
-// Level returns the current widening exponent (0 = anchor tuning).
-func (r *Retuner) Level() int { return r.widen }
 
 // Retunes returns how many tuning changes the controller has emitted.
 func (r *Retuner) Retunes() uint64 { return r.retunes }

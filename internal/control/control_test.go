@@ -79,7 +79,6 @@ func simulate(t testing.TB, net *nn.Network, frames []*sparse.Frame, anchor dsfa
 	var (
 		queue      []*sparse.Frame
 		queueDrops int
-		framesIn   uint64
 		denSum     float64
 		denN       int
 		clock      float64
@@ -91,7 +90,6 @@ func simulate(t testing.TB, net *nn.Network, frames []*sparse.Frame, anchor dsfa
 		for idx < len(frames) && float64(frames[idx].T1) <= clock {
 			f := frames[idx]
 			idx++
-			framesIn++
 			denSum += f.Density()
 			denN++
 			if len(queue) >= queueCap {
@@ -141,11 +139,9 @@ func simulate(t testing.TB, net *nn.Network, frames []*sparse.Frame, anchor dsfa
 		if rt != nil {
 			sample := control.SessionSample{
 				StreamUS:      int64(clock),
-				FramesIn:      framesIn,
 				FramesDropped: uint64(queueDrops + st.Stats().DroppedFrames),
 				QueueLen:      len(queue),
 				QueueCap:      queueCap,
-				AggPending:    st.Pending(),
 				AggQueued:     st.Queued(),
 				DensitySum:    denSum,
 				DensityN:      denN,
@@ -236,7 +232,7 @@ func TestRetunerHysteresis(t *testing.T) {
 
 	mk := func(i int, qlen int, drops uint64) control.SessionSample {
 		return control.SessionSample{
-			StreamUS: int64(i * 20), FramesIn: uint64(10 * i), FramesDropped: drops,
+			StreamUS: int64(i * 20), FramesDropped: drops,
 			QueueLen: qlen, QueueCap: 10,
 			// Constant density: a static scene, so widening is eager
 			// (patience 1) and narrowing needs full patience.
@@ -323,8 +319,8 @@ func TestRetunerWidenedConfigAlwaysValid(t *testing.T) {
 func TestRemapPlannerGating(t *testing.T) {
 	cfg := control.RemapConfig{CooldownUS: 1000, ImbalanceTh: 0.3}
 	p := control.NewRemapPlanner(cfg)
-	balanced := []control.DeviceSignals{{Device: "gpu", Utilization: 0.5}, {Device: "dla", Utilization: 0.45}}
-	skewed := []control.DeviceSignals{{Device: "gpu", Utilization: 0.9}, {Device: "dla", Utilization: 0.1}}
+	balanced := []control.DeviceSignals{{Utilization: 0.5}, {Utilization: 0.45}}
+	skewed := []control.DeviceSignals{{Utilization: 0.9}, {Utilization: 0.1}}
 
 	if p.ShouldRemap(0, balanced) {
 		t.Fatal("balanced load triggered a remap")
@@ -360,8 +356,8 @@ func TestRemapPlannerGating(t *testing.T) {
 // scheduler queue-depth spread past QueueTh justifies a search on its
 // own, while QueueTh = 0 (the default) leaves the trigger disabled.
 func TestShouldRemapQueueTrigger(t *testing.T) {
-	calm := []control.DeviceSignals{{Device: "GPU", Queued: 5}, {Device: "DLA0", Queued: 2}}
-	hot := []control.DeviceSignals{{Device: "GPU", Queued: 9}, {Device: "DLA0", Queued: 2}}
+	calm := []control.DeviceSignals{{Queued: 5}, {Queued: 2}}
+	hot := []control.DeviceSignals{{Queued: 9}, {Queued: 2}}
 	if got := control.QueuedSpread(hot); got != 7 {
 		t.Fatalf("control.QueuedSpread = %d, want 7", got)
 	}

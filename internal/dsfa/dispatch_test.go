@@ -106,7 +106,6 @@ func (a closeAgg) flushBuckets() {
 
 func (a closeAgg) combineInto(b *bucket, m *Merged) {
 	m.NumMerged = len(b.frames)
-	m.T0 = b.frames[0].T0
 	m.T1 = b.frames[len(b.frames)-1].T1
 	m.Events = b.events
 	if b.mode == CBatch {
@@ -205,9 +204,9 @@ func sameBatch(got, want *Batch) error {
 	}
 	for i, m := range got.Merged {
 		w := want.Merged[i]
-		if m.T0 != w.T0 || m.T1 != w.T1 || m.NumMerged != w.NumMerged || m.Events != w.Events || len(m.Frames) != len(w.Frames) {
-			return fmt.Errorf("bucket %d: [%d,%d) %d raw, %v events, %d frames; want [%d,%d) %d, %v, %d", i,
-				m.T0, m.T1, m.NumMerged, m.Events, len(m.Frames), w.T0, w.T1, w.NumMerged, w.Events, len(w.Frames))
+		if m.T1 != w.T1 || m.NumMerged != w.NumMerged || m.Events != w.Events || len(m.Frames) != len(w.Frames) {
+			return fmt.Errorf("bucket %d: ends %d, %d raw, %v events, %d frames; want %d, %d, %v, %d", i,
+				m.T1, m.NumMerged, m.Events, len(m.Frames), w.T1, w.NumMerged, w.Events, len(w.Frames))
 		}
 		for j, f := range m.Frames {
 			if err := sameFrame(f, w.Frames[j]); err != nil {

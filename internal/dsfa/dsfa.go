@@ -146,7 +146,8 @@ type Merged struct {
 	NumMerged int
 	// Events is the raw event count that entered the bucket.
 	Events float64
-	T0, T1 int64
+	// T1 is the end of the bucket's last member.
+	T1 int64
 
 	// mode is the combine mode the bucket was closed under; until the
 	// slot is dispatched, Frames holds the members.
@@ -165,16 +166,6 @@ func (b *Batch) FrameCount() int {
 	n := 0
 	for _, m := range b.Merged {
 		n += len(m.Frames)
-	}
-	return n
-}
-
-// RawFrames returns the number of raw sparse frames that were
-// aggregated into the batch.
-func (b *Batch) RawFrames() int {
-	n := 0
-	for _, m := range b.Merged {
-		n += m.NumMerged
 	}
 	return n
 }
@@ -275,7 +266,7 @@ func (a *Aggregator) enqueue() *Merged {
 		a.queue = a.queue[:len(a.queue)+1]
 		m := &a.queue[len(a.queue)-1]
 		m.Frames = m.Frames[:0]
-		m.NumMerged, m.Events, m.T0, m.T1 = 0, 0, 0, 0
+		m.NumMerged, m.Events, m.T1 = 0, 0, 0
 		return m
 	}
 	a.queue = append(a.queue, Merged{})
@@ -464,11 +455,10 @@ func (a *Aggregator) flushBuckets() {
 }
 
 // closeInto moves a closed bucket into a queue slot: its members, in
-// admission order, its bounds, event sum and combine mode. The members
+// admission order, its end, event sum and combine mode. The members
 // are combined when the slot is dispatched.
 func (a *Aggregator) closeInto(b *bucket, m *Merged) {
 	m.NumMerged = len(b.frames)
-	m.T0 = b.frames[0].T0
 	m.T1 = b.frames[len(b.frames)-1].T1
 	m.Events = b.events
 	m.mode = b.mode

@@ -68,18 +68,18 @@ func TestRetuneConservesAccounting(t *testing.T) {
 				retunes++
 			case op < 9: // hardware became available
 				if b := agg.DispatchReady(now); b != nil {
-					dispatched += b.RawFrames()
+					dispatched += rawFrames(b)
 				}
 			default: // full flush
 				if b := agg.Dispatch(); b != nil {
-					dispatched += b.RawFrames()
+					dispatched += rawFrames(b)
 				}
 			}
 			checkConservation(t, agg, step)
 		}
 		// Final flush: everything unaccounted must drain.
 		if b := agg.Dispatch(); b != nil {
-			dispatched += b.RawFrames()
+			dispatched += rawFrames(b)
 		}
 		checkConservation(t, agg, 400)
 		if agg.PendingFrames() != 0 {
@@ -166,7 +166,7 @@ func TestRetuneModeChangeClosesBuckets(t *testing.T) {
 	// The closed bucket dispatches immediately even though it is not
 	// stale and not at capacity.
 	b := agg.DispatchReady(200)
-	if b == nil || b.RawFrames() != 2 {
+	if b == nil || rawFrames(b) != 2 {
 		t.Fatalf("mode change did not close the open bucket: %+v", b)
 	}
 	// The old-mode bucket still merged under cAdd (one combined frame).

@@ -37,7 +37,7 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal("geometry overflowing int32 keys accepted")
 	}
 	c := mustFused(t, 10, 10, 4)
-	if c.Config().NumBins != 4 {
+	if c.cfg.NumBins != 4 {
 		t.Fatal("config not retained")
 	}
 }

@@ -61,9 +61,6 @@ func NewFused(cfg Config, pool *mem.FramePool) (*Fused, error) {
 	return &Fused{cfg: cfg, pool: pool}, nil
 }
 
-// Config returns the converter's configuration.
-func (k *Fused) Config() Config { return k.cfg }
-
 // borrow returns the all-zero grid for one conversion call; release
 // hands it back once the call has emitted everything it added.
 func (k *Fused) borrow() *sparse.Accum {

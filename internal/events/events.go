@@ -123,13 +123,6 @@ var (
 	ErrNoGeometry = errors.New("events: stream has no sensor geometry")
 )
 
-// Clone returns a deep copy of the stream.
-func (s *Stream) Clone() *Stream {
-	out := &Stream{Width: s.Width, Height: s.Height}
-	out.Events = append([]Event(nil), s.Events...)
-	return out
-}
-
 // Slice returns a view stream containing events with TS in [t0, t1).
 // The stream must be sorted. The returned stream shares backing storage.
 func (s *Stream) Slice(t0, t1 int64) *Stream {
@@ -145,50 +138,6 @@ func (s *Stream) Window(t0, t1 int64) []Event {
 	lo := sort.Search(len(s.Events), func(i int) bool { return s.Events[i].TS >= t0 })
 	hi := sort.Search(len(s.Events), func(i int) bool { return s.Events[i].TS >= t1 })
 	return s.Events[lo:hi]
-}
-
-// Merge combines two sorted streams of identical geometry into a new
-// sorted stream.
-func Merge(a, b *Stream) (*Stream, error) {
-	if a.Width != b.Width || a.Height != b.Height {
-		return nil, fmt.Errorf("events: geometry mismatch %dx%d vs %dx%d",
-			a.Width, a.Height, b.Width, b.Height)
-	}
-	out := NewStream(a.Width, a.Height)
-	out.Events = make([]Event, 0, len(a.Events)+len(b.Events))
-	i, j := 0, 0
-	for i < len(a.Events) && j < len(b.Events) {
-		if a.Events[i].TS <= b.Events[j].TS {
-			out.Events = append(out.Events, a.Events[i])
-			i++
-		} else {
-			out.Events = append(out.Events, b.Events[j])
-			j++
-		}
-	}
-	out.Events = append(out.Events, a.Events[i:]...)
-	out.Events = append(out.Events, b.Events[j:]...)
-	return out, nil
-}
-
-// Window is one fixed-duration chunk of a stream.
-type Window struct {
-	T0, T1 int64 // [T0, T1)
-	Stream *Stream
-}
-
-// Windows splits a sorted stream into consecutive windows of the given
-// duration (microseconds), covering [TStart, TEnd]. Empty windows are
-// included so that temporal-density analysis sees quiet periods.
-func (s *Stream) Windows(dur int64) []Window {
-	if dur <= 0 || len(s.Events) == 0 {
-		return nil
-	}
-	var out []Window
-	for t0 := s.TStart(); t0 <= s.TEnd(); t0 += dur {
-		out = append(out, Window{T0: t0, T1: t0 + dur, Stream: s.Slice(t0, t0+dur)})
-	}
-	return out
 }
 
 // CountByPolarity returns the number of ON and OFF events.
@@ -241,38 +190,40 @@ func (s *Stream) SpatialDensity() float64 {
 	return float64(s.ActivePixels()) / float64(s.Width*s.Height)
 }
 
-// DensitySeries returns the per-window event counts for the given
-// window duration — the temporal event density of the paper's Fig. 5.
+// DensitySeries returns the event counts of consecutive windows of the
+// given duration (microseconds) covering [TStart, TEnd] — the temporal
+// event density of the paper's Fig. 5. The stream must be sorted.
+// Empty windows are included so that quiet periods show.
 func (s *Stream) DensitySeries(dur int64) []int {
-	ws := s.Windows(dur)
-	out := make([]int, len(ws))
-	for i, w := range ws {
-		out[i] = w.Stream.Len()
+	out := []int{}
+	if dur <= 0 || len(s.Events) == 0 {
+		return out
+	}
+	for t0 := s.TStart(); t0 <= s.TEnd(); t0 += dur {
+		out = append(out, len(s.Window(t0, t0+dur)))
 	}
 	return out
 }
 
 // Stats summarizes a stream.
 type Stats struct {
-	N            int     // total events
-	On, Off      int     // per polarity
-	DurationUS   int64   // time span
-	RateEPS      float64 // events per second
-	ActivePixels int
-	Density      float64 // active pixels / total pixels
+	N          int     // total events
+	On, Off    int     // per polarity
+	DurationUS int64   // time span
+	RateEPS    float64 // events per second
+	Density    float64 // active pixels / total pixels
 }
 
 // Summarize computes Stats for the stream.
 func (s *Stream) Summarize() Stats {
 	on, off := s.CountByPolarity()
 	return Stats{
-		N:            s.Len(),
-		On:           on,
-		Off:          off,
-		DurationUS:   s.Duration(),
-		RateEPS:      s.EventRate(),
-		ActivePixels: s.ActivePixels(),
-		Density:      s.SpatialDensity(),
+		N:          s.Len(),
+		On:         on,
+		Off:        off,
+		DurationUS: s.Duration(),
+		RateEPS:    s.EventRate(),
+		Density:    s.SpatialDensity(),
 	}
 }
 

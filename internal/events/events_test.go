@@ -52,8 +52,8 @@ func TestEmptyStream(t *testing.T) {
 	if s.EventRate() != 0 {
 		t.Fatal("empty stream rate must be zero")
 	}
-	if got := s.Windows(100); got != nil {
-		t.Fatalf("empty stream windows = %v", got)
+	if got := s.DensitySeries(100); len(got) != 0 {
+		t.Fatalf("empty stream density series = %v", got)
 	}
 	if s.ActivePixels() != 0 || s.SpatialDensity() != 0 {
 		t.Fatal("empty stream density must be zero")
@@ -90,31 +90,16 @@ func TestSliceAndWindows(t *testing.T) {
 	if mid.TStart() != 200 || mid.TEnd() != 490 {
 		t.Fatalf("slice bounds %d %d", mid.TStart(), mid.TEnd())
 	}
-	ws := s.Windows(250)
+	ws := s.DensitySeries(250)
 	if len(ws) != 4 {
 		t.Fatalf("windows=%d", len(ws))
 	}
 	total := 0
-	for _, w := range ws {
-		total += w.Stream.Len()
+	for _, n := range ws {
+		total += n
 	}
 	if total != s.Len() {
 		t.Fatalf("windows lose events: %d != %d", total, s.Len())
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := mk(4, 4, Event{TS: 1, Pol: On}, Event{TS: 5, Pol: On})
-	b := mk(4, 4, Event{TS: 2, Pol: Off}, Event{TS: 9, Pol: Off})
-	m, err := Merge(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Sorted() || m.Len() != 4 {
-		t.Fatalf("merge wrong: %v", m.Events)
-	}
-	if _, err := Merge(a, mk(5, 5)); err == nil {
-		t.Fatal("geometry mismatch accepted")
 	}
 }
 
@@ -216,21 +201,23 @@ func TestTextRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: windows of any positive duration partition the events.
+// Property: the windows of any positive duration partition the events.
 func TestWindowsPartitionProperty(t *testing.T) {
 	f := func(seed int64, durRaw uint16) bool {
 		r := rand.New(rand.NewSource(seed))
 		s := randomStream(r, 200)
 		dur := int64(durRaw)%5000 + 1
+		series := s.DensitySeries(dur)
+		if s.Len() > 0 && int64(len(series)) != s.Duration()/dur+1 {
+			return false
+		}
 		total := 0
-		for _, w := range s.Windows(dur) {
-			total += w.Stream.Len()
-			// every event in a window is inside its bounds
-			for _, e := range w.Stream.Events {
-				if e.TS < w.T0 || e.TS >= w.T1 {
-					return false
-				}
+		for i, n := range series {
+			t0 := s.TStart() + int64(i)*dur
+			if n != s.Slice(t0, t0+dur).Len() {
+				return false
 			}
+			total += n
 		}
 		return total == s.Len()
 	}
@@ -256,14 +243,5 @@ func TestBinaryCodecProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestClone(t *testing.T) {
-	s := mk(4, 4, Event{TS: 1, Pol: On})
-	c := s.Clone()
-	c.Events[0].TS = 99
-	if s.Events[0].TS != 1 {
-		t.Fatal("clone shares storage")
 	}
 }

@@ -71,13 +71,13 @@ func TestGroundTruthFlowPureTranslation(t *testing.T) {
 	// equal to minus the warp displacement over dt.
 	wd := &scene.World{Path: &scene.SmoothPath{VX: 100, VY: -50}} // px/s
 	gt := wd.GroundTruthFlow(32, 24, 0, 10_000)                   // dt = 10 ms
-	u, v := gt.At(16, 12)
+	u, v := flowAt(gt, 16, 12)
 	// Texture moves +1 px in u per 10ms => scene appears to move -1 px.
 	if math.Abs(float64(u)+1) > 1e-3 || math.Abs(float64(v)-0.5) > 1e-3 {
 		t.Fatalf("flow=(%f,%f) want (-1, 0.5)", u, v)
 	}
 	// Uniform across the frame for pure translation.
-	u2, v2 := gt.At(0, 0)
+	u2, v2 := flowAt(gt, 0, 0)
 	if math.Abs(float64(u-u2)) > 1e-3 || math.Abs(float64(v-v2)) > 1e-3 {
 		t.Fatal("translation flow not uniform")
 	}
@@ -93,12 +93,12 @@ func TestGroundTruthFlowBlobOverride(t *testing.T) {
 	}
 	gt := wd.GroundTruthFlow(32, 32, 0, 10_000)
 	// Inside the blob: 2 px per 10 ms.
-	u, _ := gt.At(16, 16)
+	u, _ := flowAt(gt, 16, 16)
 	if math.Abs(float64(u)-2) > 1e-3 {
 		t.Fatalf("blob flow u=%f want 2", u)
 	}
 	// Far away: static background.
-	u2, v2 := gt.At(2, 2)
+	u2, v2 := flowAt(gt, 2, 2)
 	if u2 != 0 || v2 != 0 {
 		t.Fatalf("background moving: (%f,%f)", u2, v2)
 	}
@@ -108,11 +108,11 @@ func TestGroundTruthFlowRotation(t *testing.T) {
 	// Pure rotation: flow magnitude grows with radius, zero at center.
 	wd := &scene.World{Path: &scene.SmoothPath{RotAmp: 0.2, RotFreq: 1}}
 	gt := wd.GroundTruthFlow(64, 64, 0, 50_000)
-	cu, cv := gt.At(32, 32)
+	cu, cv := flowAt(gt, 32, 32)
 	if math.Hypot(float64(cu), float64(cv)) > 0.05 {
 		t.Fatalf("center flow (%f,%f) should be ~0", cu, cv)
 	}
-	eu, ev := gt.At(62, 32)
+	eu, ev := flowAt(gt, 62, 32)
 	if math.Hypot(float64(eu), float64(ev)) < 0.2 {
 		t.Fatalf("edge flow (%f,%f) too small under rotation", eu, ev)
 	}
@@ -140,4 +140,9 @@ func TestAEEProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// flowAt returns the flow vector of f at (x, y).
+func flowAt(f *scene.FlowField, x, y int) (u, v float32) {
+	return f.U[y*f.W+x], f.V[y*f.W+x]
 }

@@ -45,11 +45,15 @@ func TestScenarioLibrary(t *testing.T) {
 func TestScenarioDeterminism(t *testing.T) {
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
-			a, err := RunScenario(name, 42)
+			sc, err := Get(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := RunScenario(name, 42)
+			a, err := Run(sc, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := Run(sc, 42)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +68,7 @@ func TestScenarioDeterminism(t *testing.T) {
 			if !bytes.Equal(ja, jb) {
 				t.Fatalf("same seed, different timelines; %s", firstDivergence(ja, jb))
 			}
-			c, err := RunScenario(name, 43)
+			c, err := Run(sc, 43)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
 	"evedge/internal/nn"
@@ -212,25 +211,4 @@ func Get(name string) (Script, error) {
 		}
 	}
 	return Script{}, fmt.Errorf("harness: unknown scenario %q (have %v)", name, Names())
-}
-
-// RunScenario runs a library scenario by name under the seed.
-func RunScenario(name string, seed int64) (*Result, error) {
-	sc, err := Get(name)
-	if err != nil {
-		return nil, err
-	}
-	return Run(sc, seed)
-}
-
-// RunScenarioTraced runs a library scenario by name with tracing
-// forced on, writing the Chrome trace-event JSON to w. Byte-identical
-// per (scenario, seed).
-func RunScenarioTraced(name string, seed int64, w io.Writer) (*Result, error) {
-	sc, err := Get(name)
-	if err != nil {
-		return nil, err
-	}
-	sc.Trace = true
-	return RunTraced(sc, seed, w)
 }

@@ -11,10 +11,15 @@ import (
 // timelines (now including the per-stage roll-up) per (scenario, seed).
 func TestScenarioTraceDeterministic(t *testing.T) {
 	run := func() ([]byte, []byte) {
-		var trace bytes.Buffer
-		res, err := RunScenarioTraced("batched-burst", 7, &trace)
+		sc, err := Get("batched-burst")
 		if err != nil {
-			t.Fatalf("RunScenarioTraced: %v", err)
+			t.Fatal(err)
+		}
+		sc.Trace = true
+		var trace bytes.Buffer
+		res, err := RunTraced(sc, 7, &trace)
+		if err != nil {
+			t.Fatalf("RunTraced: %v", err)
 		}
 		enc, err := res.Encode()
 		if err != nil {

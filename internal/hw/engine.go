@@ -31,7 +31,7 @@ type devQueue struct {
 // the End_T recurrence of the paper's Eq. 3.
 //
 // Concurrency contract: Submit, ReserveUM and every query method
-// (BusyUntil, Makespan, Loads, ...) are safe for concurrent use; the
+// (BusyUntil, Makespan, BusyTime, ...) are safe for concurrent use; the
 // engine locks per device, so submitters on different devices do not
 // serialize against each other. Reset is the one exception: it
 // requires exclusive access. A Reset racing an in-flight submission is
@@ -120,13 +120,6 @@ func (e *Engine) ReserveUM(earliestUS, durUS float64) (start, end float64) {
 	return start, e.umBusy
 }
 
-// UMBusyUntil returns when the unified-memory bus drains.
-func (e *Engine) UMBusyUntil() float64 {
-	e.umMu.Lock()
-	defer e.umMu.Unlock()
-	return e.umBusy
-}
-
 // BusyUntil returns when the device's queue drains.
 func (e *Engine) BusyUntil(dev *Device) float64 {
 	q := &e.devs[dev.ID]
@@ -155,47 +148,6 @@ func (e *Engine) BusyTime(dev *Device) float64 {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.busyTotal
-}
-
-// Utilization returns busy/makespan for a device (0 if nothing ran).
-func (e *Engine) Utilization(dev *Device) float64 {
-	m := e.Makespan()
-	if m == 0 {
-		return 0
-	}
-	return e.BusyTime(dev) / m
-}
-
-// DeviceLoad is one device's load signal at an instant of virtual
-// time: accumulated busy microseconds, the backlog still queued ahead
-// of new work, and busy-over-elapsed utilization.
-type DeviceLoad struct {
-	Device      string
-	BusyUS      float64
-	BacklogUS   float64
-	Utilization float64
-}
-
-// Loads snapshots every device's load at virtual time nowUS (typically
-// the makespan or the serving clock) — the per-device telemetry the
-// online control plane's remap planner consumes.
-func (e *Engine) Loads(nowUS float64) []DeviceLoad {
-	out := make([]DeviceLoad, len(e.p.Devices))
-	for i, d := range e.p.Devices {
-		q := &e.devs[i]
-		q.mu.Lock()
-		busyUntil, busyTotal := q.busyUntil, q.busyTotal
-		q.mu.Unlock()
-		l := DeviceLoad{Device: d.Name, BusyUS: busyTotal}
-		if b := busyUntil - nowUS; b > 0 {
-			l.BacklogUS = b
-		}
-		if nowUS > 0 {
-			l.Utilization = busyTotal / nowUS
-		}
-		out[i] = l
-	}
-	return out
 }
 
 // EnergyJoules integrates device power over the horizon: active power

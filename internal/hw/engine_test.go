@@ -38,7 +38,7 @@ func TestEngineConcurrentSubmits(t *testing.T) {
 		}
 	}
 	wantUM := float64(len(p.Devices) * 4 * perDev)
-	if got := e.UMBusyUntil(); math.Abs(got-wantUM) > 1e-6 {
+	if got := e.umBusy; math.Abs(got-wantUM) > 1e-6 {
 		t.Fatalf("UM busy-until %f, want %f", got, wantUM)
 	}
 	// Per-device spans must not overlap (queue FIFO invariant).
@@ -80,8 +80,8 @@ func TestEngineResetClearsEverything(t *testing.T) {
 	e.Submit(gpu, 0, 10, "warm")
 	e.ReserveUM(0, 5)
 	e.Reset()
-	if e.Makespan() != 0 || e.BusyTime(gpu) != 0 || e.UMBusyUntil() != 0 {
-		t.Fatalf("Reset left state: makespan=%f busy=%f um=%f", e.Makespan(), e.BusyTime(gpu), e.UMBusyUntil())
+	if e.Makespan() != 0 || e.BusyTime(gpu) != 0 || e.umBusy != 0 {
+		t.Fatalf("Reset left state: makespan=%f busy=%f um=%f", e.Makespan(), e.BusyTime(gpu), e.umBusy)
 	}
 	if spans := e.Timeline(); len(spans) != 0 {
 		t.Fatalf("Reset left %d spans", len(spans))

@@ -108,9 +108,6 @@ func TestEngineFIFOAndDeps(t *testing.T) {
 	if e.BusyTime(gpu) != 150 || e.BusyTime(dla) != 10 {
 		t.Fatal("busy accounting wrong")
 	}
-	if u := e.Utilization(gpu); math.Abs(u-150.0/410) > 1e-9 {
-		t.Fatalf("gpu utilization=%f", u)
-	}
 	tl := e.Timeline()
 	if len(tl) != 3 || tl[0].Tag != "a" || tl[2].Tag != "c" {
 		t.Fatalf("timeline=%v", tl)

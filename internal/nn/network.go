@@ -75,8 +75,6 @@ type InputSpec struct {
 	WindowUS int64 // accumulation window (Tend - Tstart)
 	NumBins  int   // nB of Eq. 1
 	GroupK   int   // bins concatenated per timestep (B/k timesteps)
-	CropH    int   // network input height (center crop)
-	CropW    int   // network input width
 	Preset   scene.Preset
 	Framing  FramingMode
 	// FramePeriodUS is the *target average* framing period for

@@ -191,15 +191,15 @@ func TestRuntimeForwardAllNetworks(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", n.Name, err)
 		}
-		outs, err := rt.Predict(runtimeInputs(rt, 2, 0.1))
+		outs, err := rt.Forward(runtimeInputs(rt, 2, 0.1))
 		if err != nil {
 			t.Fatalf("%s: %v", n.Name, err)
 		}
-		if len(outs) == 0 {
+		if len(rt.OutputLayerIDs()) == 0 {
 			t.Fatalf("%s: no outputs", n.Name)
 		}
-		for id, o := range outs {
-			if o.Numel() == 0 {
+		for _, id := range rt.OutputLayerIDs() {
+			if outs[id].Numel() == 0 {
 				t.Fatalf("%s: output %d empty", n.Name, id)
 			}
 		}
@@ -283,7 +283,7 @@ func TestRuntimeLIFProducesSparseBoundedRates(t *testing.T) {
 		}
 	}
 	// The first encoder's output should be sparse (not everything fires).
-	if d := outs[0].Density(); d > 0.9 {
+	if d := float64(outs[0].NNZ()) / float64(outs[0].Numel()); d > 0.9 {
 		t.Fatalf("enc1 spike density %f suspiciously dense", d)
 	}
 }
@@ -315,14 +315,11 @@ func TestRuntimeDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		outs, err := rt.Predict(runtimeInputs(rt, 6, 0.1))
+		outs, err := rt.Forward(runtimeInputs(rt, 6, 0.1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, o := range outs {
-			return o
-		}
-		return nil
+		return outs[rt.OutputLayerIDs()[0]]
 	}
 	a, b := run(), run()
 	if sparse.MaxAbsDiff(a, b) != 0 {
@@ -397,7 +394,11 @@ func referenceForward(rt *Runtime, inputs map[int]*sparse.Tensor) (map[int]*spar
 				}
 			}
 		}
-		outs[i] = rate.Scale(1 / float32(T))
+		s := 1 / float32(T)
+		for i := range rate.Data {
+			rate.Data[i] *= s
+		}
+		outs[i] = rate
 	}
 	return outs, nil
 }

@@ -30,29 +30,6 @@ func (n *Network) Summary() string {
 	return b.String()
 }
 
-// DOT renders the layer DAG in Graphviz format, SNN layers shaded.
-func (n *Network) DOT() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n  rankdir=TB;\n  node [shape=box, fontname=\"monospace\"];\n",
-		n.Name)
-	for i, l := range n.Layers {
-		style := "filled, rounded"
-		color := "white"
-		if l.Domain == SNN {
-			color = "lightyellow"
-		}
-		fmt.Fprintf(&b, "  l%d [label=\"%s\\n%s %dx%dx%d\", style=%q, fillcolor=%s];\n",
-			i, l.Name, l.Kind, l.OutC, l.OutH, l.OutW, style, color)
-	}
-	for i, preds := range n.Preds {
-		for _, p := range preds {
-			fmt.Fprintf(&b, "  l%d -> l%d;\n", p, i)
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
-}
-
 // CheckShapes verifies that every edge of the DAG is shape-consistent:
 // each consumer's input channel count equals the sum of its producers'
 // output channels (concat semantics for multi-input layers) and the

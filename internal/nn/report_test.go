@@ -5,21 +5,13 @@ import (
 	"testing"
 )
 
-func TestSummaryAndDOT(t *testing.T) {
+func TestSummary(t *testing.T) {
 	n := MustByName(SpikeFlowNet)
 	s := n.Summary()
 	for _, want := range []string{"SpikeFlowNet", "enc1", "flow", "GMACs", "count framing"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary missing %q", want)
 		}
-	}
-	dot := n.DOT()
-	if !strings.Contains(dot, "digraph") || !strings.Contains(dot, "l0 -> l1") {
-		t.Fatalf("DOT malformed:\n%s", dot)
-	}
-	// SNN layers shaded.
-	if !strings.Contains(dot, "lightyellow") {
-		t.Fatal("SNN shading missing")
 	}
 }
 

@@ -278,20 +278,6 @@ func (rt *Runtime) concat(st *layerState, ops []sparse.SiteInput) *sparse.Tensor
 	return st.cat
 }
 
-// Predict runs Forward and returns only the terminal layer outputs
-// (the runtime's tensors, as for Forward).
-func (rt *Runtime) Predict(inputs map[int]*sparse.Tensor) (map[int]*sparse.Tensor, error) {
-	outs, err := rt.Forward(inputs)
-	if err != nil {
-		return nil, err
-	}
-	res := make(map[int]*sparse.Tensor, len(rt.outputIDs))
-	for _, id := range rt.outputIDs {
-		res[id] = outs[id]
-	}
-	return res, nil
-}
-
 // SetParallel wires a worker pool into the runtime's convolution
 // kernels. shards is the work-partition count per dispatch (<= 0 uses
 // twice the pool width, which keeps shards fine enough to balance

@@ -93,7 +93,7 @@ func buildSpikeFlowNet() *Network {
 		Metric: MetricAEE, BaselineAccuracy: 0.93,
 		Input: InputSpec{
 			WindowUS: 25_000, NumBins: 5, GroupK: 1,
-			CropH: crop, CropW: crop, Preset: scene.IndoorFlying2,
+			Preset:  scene.IndoorFlying2,
 			Framing: FrameByCount, FramePeriodUS: 9_500,
 		},
 		Layers: b.layers, Preds: b.preds,
@@ -143,7 +143,7 @@ func buildFusionFlowNet() *Network {
 		Metric: MetricAEE, BaselineAccuracy: 0.72,
 		Input: InputSpec{
 			WindowUS: 25_000, NumBins: 10, GroupK: 1,
-			CropH: crop, CropW: crop, Preset: scene.IndoorFlying1,
+			Preset:  scene.IndoorFlying1,
 			Framing: FrameByCount, FramePeriodUS: 21_000,
 		},
 		Layers: b.layers, Preds: b.preds,
@@ -168,7 +168,7 @@ func buildAdaptiveSpikeNet() *Network {
 		Metric: MetricAEE, BaselineAccuracy: 1.27,
 		Input: InputSpec{
 			WindowUS: 25_000, NumBins: 25, GroupK: 5,
-			CropH: crop, CropW: crop, Preset: scene.IndoorFlying1,
+			Preset:  scene.IndoorFlying1,
 			Framing: FrameByCount, FramePeriodUS: 30_000,
 		},
 		Layers: b.layers, Preds: b.preds,
@@ -208,7 +208,7 @@ func buildHALSIE() *Network {
 		Metric: MetricMIOU, BaselineAccuracy: 66.31,
 		Input: InputSpec{
 			WindowUS: 50_000, NumBins: 8, GroupK: 2,
-			CropH: crop, CropW: crop, Preset: scene.OutdoorDay1,
+			Preset: scene.OutdoorDay1,
 		},
 		Layers: b.layers, Preds: b.preds,
 	}
@@ -238,7 +238,7 @@ func buildHidalgoDepth() *Network {
 		Metric: MetricAvgError, BaselineAccuracy: 0.61,
 		Input: InputSpec{
 			WindowUS: 50_000, NumBins: 5, GroupK: 5,
-			CropH: crop, CropW: crop, Preset: scene.Town10,
+			Preset: scene.Town10,
 		},
 		Layers: b.layers, Preds: b.preds,
 	}
@@ -254,7 +254,7 @@ func buildDOTIE() *Network {
 		Metric: MetricMIOU, BaselineAccuracy: 0.86,
 		Input: InputSpec{
 			WindowUS: 5_000, NumBins: 5, GroupK: 1,
-			CropH: crop, CropW: crop, Preset: scene.HighSpeedSpin,
+			Preset: scene.HighSpeedSpin,
 		},
 		Layers: b.layers, Preds: b.preds,
 	}
@@ -281,7 +281,7 @@ func buildEVFlowNet() *Network {
 		Metric: MetricAEE, BaselineAccuracy: 1.03,
 		Input: InputSpec{
 			WindowUS: 25_000, NumBins: 1, GroupK: 1,
-			CropH: crop, CropW: crop, Preset: scene.OutdoorDay1,
+			Preset:  scene.OutdoorDay1,
 			Framing: FrameByCount, FramePeriodUS: 25_000,
 		},
 		Layers: b.layers, Preds: b.preds,

@@ -302,26 +302,12 @@ func (t *Tracer) spanLocked(r *ring, track string, st Stage, name string, startU
 	t.events++
 }
 
-// Enabled reports whether the tracer records anything.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Node returns the configured node name ("" standalone).
 func (t *Tracer) Node() string {
 	if t == nil {
 		return ""
 	}
 	return t.cfg.Node
-}
-
-// Span records one completed stage span. Negative durations (a frame
-// that never waited) clamp to zero so histograms stay well-formed.
-func (t *Tracer) Span(track string, st Stage, name string, startUS, endUS float64, count int64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.spanLocked(t.ringLocked(track), track, st, name, startUS, endUS-startUS, false, count)
-	t.mu.Unlock()
 }
 
 // Instant records one zero-duration mark (a drop, a retune, a
@@ -338,7 +324,7 @@ func (t *Tracer) Instant(track string, st Stage, name string, tsUS float64, coun
 // Track returns a cached recording endpoint for one track: hot paths
 // resolve the track name once (session create, server construction)
 // and then record without the per-call map lookup the name-keyed
-// methods pay. The handle stays valid across Close (the ring object
+// Instant pays. The handle stays valid across Close (the ring object
 // persists; only its storage is released). A nil Tracer returns a nil
 // Track, which is the no-op handle.
 func (t *Tracer) Track(name string) *Track {
@@ -370,7 +356,9 @@ func (tk *Track) ringLocked() *ring {
 	return tk.r
 }
 
-// Span records one completed stage span on the track.
+// Span records one completed stage span on the track. Negative
+// durations (a frame that never waited) clamp to zero so histograms
+// stay well-formed.
 func (tk *Track) Span(st Stage, name string, startUS, endUS float64, count int64) {
 	if tk == nil {
 		return
@@ -391,8 +379,12 @@ func (tk *Track) Instant(st Stage, name string, tsUS float64, count int64) {
 }
 
 // SpansFunc records n same-(stage, name) spans on the track under one
-// lock acquisition — the bulk API for the per-frame hot paths. See
-// Tracer.SpansFunc.
+// lock acquisition, writing each span directly into the track's ring —
+// the bulk API for the per-frame hot paths (queue waits, frame
+// latencies), where building an intermediate Event slice doubles the
+// memory traffic. at returns the i'th span; it must be pure arithmetic
+// (the tracer lock is held across the calls). Histograms observe every
+// span; ring entries honor sampleEvery.
 func (tk *Track) SpansFunc(st Stage, name string, n int, at func(i int) (startUS, durUS float64, count int64)) {
 	if tk == nil || n == 0 {
 		return
@@ -402,23 +394,7 @@ func (tk *Track) SpansFunc(st Stage, name string, n int, at func(i int) (startUS
 	tk.t.mu.Unlock()
 }
 
-// SpansFunc records n same-(track, stage, name) spans under one lock
-// acquisition, writing each span directly into the track's ring — the
-// bulk API for the per-frame hot paths (queue waits, frame
-// latencies), where building an intermediate Event slice doubles the
-// memory traffic. at returns the i'th span; it must be pure
-// arithmetic (the tracer lock is held across the calls). Histograms
-// observe every span; ring entries honor sampleEvery, as in Batch.
-func (t *Tracer) SpansFunc(track string, st Stage, name string, n int, at func(i int) (startUS, durUS float64, count int64)) {
-	if t == nil || n == 0 {
-		return
-	}
-	t.mu.Lock()
-	t.spansLocked(t.ringLocked(track), track, st, name, n, at)
-	t.mu.Unlock()
-}
-
-// spansLocked is SpansFunc's locked core, shared with Track handles.
+// spansLocked is Track.SpansFunc's locked core.
 func (t *Tracer) spansLocked(r *ring, track string, st Stage, name string, n int, at func(i int) (startUS, durUS float64, count int64)) {
 	if r == nil {
 		for i := 0; i < n; i++ {
@@ -463,30 +439,6 @@ func (t *Tracer) spansLocked(r *ring, track string, st Stage, name string, n int
 	}
 	if sampled {
 		r.sample[st] = sampleN
-	}
-}
-
-// Batch records a slice of events under one lock acquisition — the
-// hot-path API: execute/dispatch/complete passes buffer their events
-// locally and flush once. The slice is copied; callers may reuse it.
-func (t *Tracer) Batch(evs []Event) {
-	if t == nil || len(evs) == 0 {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	// Hot-path passes emit long runs of events on one track (all of a
-	// session's queue spans, all of a device's exec spans), so caching
-	// the last ring avoids a map lookup per event.
-	var lastTrack string
-	var lastRing *ring
-	for _, e := range evs {
-		r := lastRing
-		if r == nil || e.Track != lastTrack {
-			r = t.ringLocked(e.Track)
-			lastTrack, lastRing = e.Track, r
-		}
-		t.spanLocked(r, e.Track, e.Stage, e.Name, e.StartUS, e.DurUS, e.Instant, e.Count)
 	}
 }
 

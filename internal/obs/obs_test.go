@@ -23,12 +23,8 @@ func TestBucketBoundsMatchNumBuckets(t *testing.T) {
 // method must be callable without panicking.
 func TestNilTracerIsNoOp(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
-	}
-	tr.Span("sess/s1", StageFrame, "frame", 0, 10, 1)
+	tr.Track("sess/s1").Span(StageFrame, "frame", 0, 10, 1)
 	tr.Instant("ctl", StageCtl, "retune", 5, 1)
-	tr.Batch([]Event{{Track: "x", Name: "y"}})
 	if got := tr.Events(); got != nil {
 		t.Fatalf("nil tracer events = %v, want nil", got)
 	}
@@ -49,7 +45,7 @@ func TestRingBoundsAndOverwrite(t *testing.T) {
 	// spans reaches the ring.
 	tr := NewTracer(Config{Enabled: true})
 	for i := 0; i <= ringCap; i++ {
-		tr.Span("dev/GPU", StageExec, "conv", float64(i), float64(i)+1, 0)
+		tr.Track("dev/GPU").Span(StageExec, "conv", float64(i), float64(i)+1, 0)
 	}
 	evs := tr.Events()
 	if len(evs) != ringCap {
@@ -71,7 +67,7 @@ func TestRingBoundsAndOverwrite(t *testing.T) {
 func TestTrackCap(t *testing.T) {
 	tr := NewTracer(Config{Enabled: true})
 	for i := 0; i <= maxTracks; i++ {
-		tr.Span(fmt.Sprintf("t%d", i), StageExec, "x", 0, 1, 0)
+		tr.Track(fmt.Sprintf("t%d", i)).Span(StageExec, "x", 0, 1, 0)
 	}
 	if got := len(tr.Tracks()); got != maxTracks {
 		t.Fatalf("tracks = %d, want %d", got, maxTracks)
@@ -86,10 +82,10 @@ func TestTrackCap(t *testing.T) {
 func TestSampling(t *testing.T) {
 	tr := NewTracer(Config{Enabled: true})
 	for i := 0; i < 16; i++ {
-		tr.Span("sess/s1", StageFrame, "frame", float64(i), float64(i)+2, 1)
+		tr.Track("sess/s1").Span(StageFrame, "frame", float64(i), float64(i)+2, 1)
 	}
 	// Exec spans are never sampled away.
-	tr.Span("dev/GPU", StageExec, "conv", 0, 5, 0)
+	tr.Track("dev/GPU").Span(StageExec, "conv", 0, 5, 0)
 	if got := len(tr.Events()); got != 4+1 {
 		t.Fatalf("sampled events = %d, want 5", got)
 	}
@@ -100,7 +96,7 @@ func TestSampling(t *testing.T) {
 
 func TestSpanClampsNegativeDuration(t *testing.T) {
 	tr := NewTracer(Config{Enabled: true})
-	tr.Span("sess/s1", StageQueue, "queue", 10, 5, 1)
+	tr.Track("sess/s1").Span(StageQueue, "queue", 10, 5, 1)
 	evs := tr.Events()
 	if len(evs) != 1 || evs[0].DurUS != 0 {
 		t.Fatalf("negative span not clamped: %+v", evs)
@@ -148,8 +144,8 @@ func TestHistMergeAndSummaries(t *testing.T) {
 	}
 
 	tr := NewTracer(Config{Enabled: true})
-	tr.Span("sess/s1", StageQueue, "queue", 0, 100, 1)
-	tr.Span("dev/GPU", StageExec, "conv", 0, 50, 0)
+	tr.Track("sess/s1").Span(StageQueue, "queue", 0, 100, 1)
+	tr.Track("dev/GPU").Span(StageExec, "conv", 0, 50, 0)
 	sums := Summaries(tr.Hists())
 	if len(sums) != 2 {
 		t.Fatalf("summaries = %+v, want queue and exec only", sums)
@@ -171,12 +167,12 @@ func TestHistMergeAndSummaries(t *testing.T) {
 // two tracks.
 func fillTracer(node string) *Tracer {
 	tr := NewTracer(Config{Enabled: true, Node: node})
-	tr.Span("sess/s1", StageIngest, "ingest", 0, 1000, 3)
-	tr.Span("sess/s1", StageQueue, "queue", 1000, 1400, 1)
-	tr.Span("dev/GPU", StageExec, "s1/conv1", 1400, 2200, 0)
-	tr.Span("um", StageComms, "s1/edge", 2200, 2300, 0)
+	tr.Track("sess/s1").Span(StageIngest, "ingest", 0, 1000, 3)
+	tr.Track("sess/s1").Span(StageQueue, "queue", 1000, 1400, 1)
+	tr.Track("dev/GPU").Span(StageExec, "s1/conv1", 1400, 2200, 0)
+	tr.Track("um").Span(StageComms, "s1/edge", 2200, 2300, 0)
 	tr.Instant("sched", StageCtl, "dispatch", 1400, 2)
-	tr.Span("sess/s1", StageFrame, "frame", 1000, 2300, 1)
+	tr.Track("sess/s1").Span(StageFrame, "frame", 1000, 2300, 1)
 	return tr
 }
 
@@ -277,8 +273,8 @@ func TestWriteChromeEmpty(t *testing.T) {
 	}
 }
 
-// TestTrackHandle: a cached handle records like the name-keyed API,
-// shares sampling state with it, stays valid across Close, and the
+// TestTrackHandle: handles to one track share its ring and sampling
+// state, stays valid across Close, and the
 // nil handle (from a nil tracer) is a no-op.
 func TestTrackHandle(t *testing.T) {
 	tr := NewTracer(Config{Enabled: true})
@@ -288,11 +284,11 @@ func TestTrackHandle(t *testing.T) {
 	h.SpansFunc(StageFrame, "frame", 2, func(i int) (float64, float64, int64) {
 		return float64(i), 1, 1
 	})
-	tr.Span("sess/s1", StageQueue, "queue", 10, 30, 1)
+	tr.Track("sess/s1").Span(StageQueue, "queue", 10, 30, 1)
 	// One ring and one 1-in-4 sampling sequence per stage: the first
 	// queue span, the instant and the first frame span are kept.
 	if got := len(tr.Events()); got != 3 {
-		t.Fatalf("events = %d, want 3 (handle and name-keyed API must share the ring)", got)
+		t.Fatalf("events = %d, want 3 (two handles must share the ring)", got)
 	}
 	if got := len(tr.Tracks()); got != 1 {
 		t.Fatalf("tracks = %d, want 1", got)
@@ -317,8 +313,8 @@ func TestTrackHandle(t *testing.T) {
 	nh.SpansFunc(StageFrame, "frame", 1, func(int) (float64, float64, int64) { return 0, 0, 0 })
 }
 
-// TestTrackHandleSampling: sampling state lives in the ring, so a
-// handle and the name-keyed API thin one shared sequence.
+// TestTrackHandleSampling: sampling state lives in the ring, so two
+// handles to one track thin one shared sequence.
 func TestTrackHandleSampling(t *testing.T) {
 	tr := NewTracer(Config{Enabled: true})
 	h := tr.Track("sess/s1")
@@ -326,7 +322,7 @@ func TestTrackHandleSampling(t *testing.T) {
 		if i%2 == 0 {
 			h.Span(StageFrame, "frame", float64(i), float64(i)+1, 1)
 		} else {
-			tr.Span("sess/s1", StageFrame, "frame", float64(i), float64(i)+1, 1)
+			tr.Track("sess/s1").Span(StageFrame, "frame", float64(i), float64(i)+1, 1)
 		}
 	}
 	if got := len(tr.Events()); got != 2 {

@@ -110,9 +110,6 @@ type Pool struct {
 	mu     sync.Mutex
 	free   []*dispatch
 	closed bool
-
-	dispatches atomic.Uint64 // parallel Run calls
-	inline     atomic.Uint64 // Run calls executed fully on the caller
 }
 
 // New returns a pool of the given parallel width (worker goroutines
@@ -139,15 +136,6 @@ func (p *Pool) Size() int {
 		return 1
 	}
 	return p.workers
-}
-
-// Stats reports dispatch traffic: parallel dispatches and inline
-// (serial-path) runs.
-func (p *Pool) Stats() (dispatches, inline uint64) {
-	if p == nil {
-		return 0, 0
-	}
-	return p.dispatches.Load(), p.inline.Load()
 }
 
 func (p *Pool) worker() {
@@ -196,9 +184,6 @@ func (p *Pool) Run(shards int, t Task) {
 			t.RunShard(i, shards, s)
 		}
 		scratchPool.Put(s)
-		if p != nil {
-			p.inline.Add(1)
-		}
 		return
 	}
 	p.mu.Lock()
@@ -211,7 +196,6 @@ func (p *Pool) Run(shards int, t Task) {
 			t.RunShard(i, shards, s)
 		}
 		scratchPool.Put(s)
-		p.inline.Add(1)
 		return
 	}
 	d := p.getLocked()
@@ -247,7 +231,6 @@ enqueue:
 		d.refs.Add(int32(enq - helpers))
 	}
 	p.mu.Unlock()
-	p.dispatches.Add(1)
 	d.work()
 	<-d.done
 	p.release(d)

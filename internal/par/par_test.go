@@ -186,19 +186,3 @@ func TestDispatchZeroAllocs(t *testing.T) {
 		t.Fatalf("parallel dispatch allocates %.2f allocs/op, want 0", avg)
 	}
 }
-
-func TestStatsCount(t *testing.T) {
-	p := New(2)
-	defer p.Close()
-	task := &rangeTask{out: make([]int32, 8)}
-	p.Run(4, task) // parallel
-	p.Run(1, task) // inline (single shard)
-	disp, inline := p.Stats()
-	if disp != 1 || inline != 1 {
-		t.Fatalf("Stats = (%d, %d), want (1, 1)", disp, inline)
-	}
-	var nilPool *Pool
-	if d, i := nilPool.Stats(); d != 0 || i != 0 {
-		t.Fatal("nil pool stats must be zero")
-	}
-}

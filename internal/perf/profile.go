@@ -29,10 +29,6 @@ type ProfileDB struct {
 	platform *hw.Platform
 	networks []*nn.Network
 	times    map[ProfileKey]float64
-	// densities records the input activation density each layer was
-	// profiled at.
-	densities map[LayerRef]float64
-	sparse    bool
 }
 
 // BuildProfileDB profiles every (layer, device, precision) combination
@@ -59,11 +55,9 @@ func BuildProfileDB(m *Model, networks []*nn.Network, sparseExec bool, inputDens
 		layers += len(net.Layers)
 	}
 	db := &ProfileDB{
-		platform:  m.Platform(),
-		networks:  networks,
-		times:     make(map[ProfileKey]float64, layers*configs),
-		densities: make(map[LayerRef]float64, layers),
-		sparse:    sparseExec,
+		platform: m.Platform(),
+		networks: networks,
+		times:    make(map[ProfileKey]float64, layers*configs),
 	}
 	for ti, net := range networks {
 		den := 1.0
@@ -76,7 +70,6 @@ func BuildProfileDB(m *Model, networks []*nn.Network, sparseExec bool, inputDens
 			if len(net.Preds[li]) > 0 {
 				d = producerDensity(net, li)
 			}
-			db.densities[ref] = d
 			for i, dev := range devices {
 				for _, p := range precs[i] {
 					t, err := m.LayerTimeUS(l, dev, p, ExecOpts{})
@@ -109,17 +102,11 @@ func (db *ProfileDB) TimeUS(ref LayerRef, deviceID int, p nn.Precision) (float64
 	return t, ok
 }
 
-// Density returns the input density a layer was profiled at.
-func (db *ProfileDB) Density(ref LayerRef) float64 { return db.densities[ref] }
-
 // Networks returns the profiled workload.
 func (db *ProfileDB) Networks() []*nn.Network { return db.networks }
 
 // Platform returns the profiled platform.
 func (db *ProfileDB) Platform() *hw.Platform { return db.platform }
-
-// Sparse reports whether the DB was profiled on the sparse path.
-func (db *ProfileDB) Sparse() bool { return db.sparse }
 
 // Len returns the number of profiled entries.
 func (db *ProfileDB) Len() int { return len(db.times) }

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"evedge/internal/events"
@@ -33,17 +32,12 @@ type MultiTaskConfig struct {
 
 // TaskReport summarizes one task of a multi-task run.
 type TaskReport struct {
-	Network       string
-	RawFrames     int
 	MeanLatencyUS float64
-	P99LatencyUS  float64
 }
 
 // MultiTaskReport summarizes a streaming multi-task run.
 type MultiTaskReport struct {
-	Tasks      []TaskReport
-	MakespanUS float64
-	EnergyJ    float64
+	Tasks []TaskReport
 	// MaxMeanLatencyUS is the slowest task's mean latency — the
 	// streaming analogue of the Eq. 2 objective.
 	MaxMeanLatencyUS float64
@@ -119,8 +113,6 @@ func RunMultiTask(cfg MultiTaskConfig) (*MultiTaskReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: task %d (%s): %w", t, net.Name, err)
 		}
-		rep.Tasks[t].Network = net.Name
-		rep.Tasks[t].RawFrames = len(frames)
 		for _, f := range frames {
 			jobs = append(jobs, invocationJob{task: t, frame: f, readyUS: float64(f.T1)})
 		}
@@ -139,38 +131,24 @@ func RunMultiTask(cfg MultiTaskConfig) (*MultiTaskReport, error) {
 	// One inference per frame, dispatched in ready order straight onto
 	// the engine: the paper's one-inference-per-frame schedule, with
 	// per-device FIFO contention coming from the engine's queues.
-	latencies := make([][]float64, len(cfg.Nets))
+	sums := make([]float64, len(cfg.Nets))
+	counts := make([]int, len(cfg.Nets))
 	for _, job := range jobs {
 		net := cfg.Nets[job.task]
 		inv := fillSingleFrameInv(pools.invs.Get(), job.frame)
 		end := ScheduleOnEngine(engine, model, net, plans[job.task], inv, net.Name)
 		pools.invs.Put(inv)
-		latencies[job.task] = append(latencies[job.task], end-job.readyUS)
+		sums[job.task] += end - job.readyUS
+		counts[job.task]++
 	}
-
-	var makespan float64
 	for t := range cfg.Nets {
-		ls := latencies[t]
-		sort.Float64s(ls)
-		var sum float64
-		for _, l := range ls {
-			sum += l
-		}
-		if len(ls) > 0 {
-			rep.Tasks[t].MeanLatencyUS = sum / float64(len(ls))
-			rep.Tasks[t].P99LatencyUS = ls[int(float64(len(ls))*0.99)]
+		if counts[t] > 0 {
+			rep.Tasks[t].MeanLatencyUS = sums[t] / float64(counts[t])
 		}
 		if rep.Tasks[t].MeanLatencyUS > rep.MaxMeanLatencyUS {
 			rep.MaxMeanLatencyUS = rep.Tasks[t].MeanLatencyUS
 		}
 	}
-	makespan = engine.Makespan()
-	if um := engine.UMBusyUntil(); um > makespan {
-		makespan = um
-	}
-	horizon := math.Max(makespan, float64(cfg.DurUS))
-	rep.MakespanUS = makespan
-	rep.EnergyJ = engine.EnergyJoules(horizon)
 	for _, d := range cfg.Platform.Devices {
 		rep.DeviceBusyUS[d.Name] = engine.BusyTime(d)
 	}

@@ -481,7 +481,7 @@ func referenceCount(in nn.InputSpec, stream *events.Stream, durUS int64) int {
 // its own, so the count itself is unchanged.
 func dupEdges(t *testing.T, in nn.InputSpec, stream *events.Stream, durUS int64) *events.Stream {
 	t.Helper()
-	out := stream.Clone()
+	out := cloneStream(stream)
 	evs := out.Window(0, durUS)
 	count := referenceCount(in, stream, durUS)
 	dup := func(i int) {
@@ -603,7 +603,7 @@ func TestSortedShards(t *testing.T) {
 	}
 	for i := range n {
 		for _, shift := range []int64{-15, 15} {
-			s := base.Clone()
+			s := cloneStream(base)
 			s.Events[i].TS += shift
 			want := s.Sorted()
 			for shards := 1; shards <= 4; shards++ {
@@ -640,4 +640,9 @@ func TestMedianRate(t *testing.T) {
 	if r > mean*3 || r < mean/3 {
 		t.Fatalf("median %f far from mean %f on a quiet stream", r, mean)
 	}
+}
+
+// cloneStream returns a deep copy of s.
+func cloneStream(s *events.Stream) *events.Stream {
+	return &events.Stream{Width: s.Width, Height: s.Height, Events: append([]events.Event(nil), s.Events...)}
 }

@@ -142,21 +142,6 @@ func fromFP16(h uint16) float32 {
 	}
 }
 
-// Apply returns data stored at precision p: identity for FP32, rounded
-// for FP16, quantize-dequantize for INT8.
-func Apply(data []float32, p nn.Precision) []float32 {
-	switch p {
-	case nn.FP32:
-		return append([]float32(nil), data...)
-	case nn.FP16:
-		return RoundFP16(data)
-	case nn.INT8:
-		q, s := QuantizeINT8(data)
-		return DequantizeINT8(q, s)
-	}
-	return append([]float32(nil), data...)
-}
-
 // MSE returns the mean squared reconstruction error.
 func MSE(a, b []float32) float64 {
 	if len(a) != len(b) {

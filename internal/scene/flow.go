@@ -19,11 +19,6 @@ func NewFlowField(w, h int) *FlowField {
 	return &FlowField{W: w, H: h, U: make([]float32, w*h), V: make([]float32, w*h)}
 }
 
-// At returns the flow vector at (x, y).
-func (f *FlowField) At(x, y int) (u, v float32) {
-	return f.U[y*f.W+x], f.V[y*f.W+x]
-}
-
 // GroundTruthFlow computes the apparent motion of the world between
 // tUS and tUS+dtUS for every pixel: the background moves with the
 // inverse of the ego-motion warp, and pixels dominated by a foreground

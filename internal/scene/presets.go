@@ -36,8 +36,7 @@ func AllPresets() []Preset {
 
 // Sequence couples a camera and world ready to generate a stream.
 type Sequence struct {
-	Name Preset
-	cam  *camera
+	cam *camera
 }
 
 // Generate runs the sequence for durUS microseconds starting at t=0.
@@ -171,7 +170,7 @@ func NewSequence(p Preset, sc Scale, seed int64) (*Sequence, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Sequence{Name: p, cam: cam}, nil
+	return &Sequence{cam: cam}, nil
 }
 
 // DatasetOf maps a preset to the dataset it stands in for.

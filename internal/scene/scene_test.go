@@ -336,11 +336,12 @@ func TestPresetDensityOrdering(t *testing.T) {
 		}
 		// Mean spatial density over 5 ms frames, the paper's metric.
 		var sum float64
-		ws := s.Windows(5000)
-		for _, w := range ws {
-			sum += w.Stream.SpatialDensity()
+		n := 0
+		for t0 := s.TStart(); t0 <= s.TEnd(); t0 += 5000 {
+			sum += s.Slice(t0, t0+5000).SpatialDensity()
+			n++
 		}
-		return sum / float64(len(ws))
+		return sum / float64(n)
 	}
 	hover := density(IndoorFlying3)
 	drive := density(OutdoorDay1)

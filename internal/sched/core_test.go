@@ -234,3 +234,14 @@ func TestPumpNestedInDone(t *testing.T) {
 		t.Fatalf("stats %+v", st)
 	}
 }
+
+// Pending reports the total number of queued requests.
+func (s *Scheduler) Pending() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, q := range s.queues {
+		n += q.n
+	}
+	return n
+}

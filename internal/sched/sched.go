@@ -231,17 +231,6 @@ func (s *Scheduler) QueueDepths() map[int]int {
 	return out
 }
 
-// Pending reports the total number of queued requests.
-func (s *Scheduler) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, q := range s.queues {
-		n += q.n
-	}
-	return n
-}
-
 // Submit accepts one request: it lands on its device's run queue, and
 // in wall-clock mode wakes that queue's dispatcher (in virtual mode
 // Pump dispatches). Submit never blocks on dispatch. A wall-clock

@@ -28,6 +28,33 @@ func metricValue(t *testing.T, text, name string) string {
 	return ""
 }
 
+// TestMetricsQuantileOrder: a session's latency quantiles are written
+// in a fixed order, 0.5 before 0.99, on every scrape.
+func TestMetricsQuantileOrder(t *testing.T) {
+	srv, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer srv.Close()
+	sess, err := srv.CreateSession(SessionConfig{Network: nn.DOTIE, Level: 2})
+	if err != nil {
+		t.Fatalf("CreateSession: %v", err)
+	}
+	if _, err := srv.Ingest(sess.ID, genStream(t, nn.MustByName(nn.DOTIE).Input.Preset, 21, 80_000)); err != nil {
+		t.Fatalf("Ingest: %v", err)
+	}
+	for i := 0; i < 200; i++ {
+		text := scrape(srv)
+		p50, p99 := strings.Index(text, `quantile="0.5"`), strings.Index(text, `quantile="0.99"`)
+		if p50 < 0 || p99 < 0 {
+			t.Fatalf("scrape %d lacks a latency quantile:\n%s", i, text)
+		}
+		if p50 > p99 {
+			t.Fatalf("scrape %d writes quantile 0.99 before 0.5", i)
+		}
+	}
+}
+
 // TestMetricsClosedSessionFinalOnce is the regression test for the
 // closed-session retention bug: a closed session's final counters are
 // exposed at most once (newest maxClosed finals when scrapes lag), and
@@ -148,14 +175,9 @@ func TestAdaptiveRetuneFires(t *testing.T) {
 		t.Fatal("metrics missing evserve_retunes_total")
 	}
 
-	// The telemetry plane exposes what the controllers consumed: one
-	// sample per active session, one load signal per device.
-	sig := srv.Signals()
-	if len(sig.Sessions) != 1 || sig.Sessions[0].FramesIn == 0 {
-		t.Fatalf("Signals sessions wrong: %+v", sig.Sessions)
-	}
-	if len(sig.Devices) != len(srv.cfg.Platform.Devices) {
-		t.Fatalf("Signals covers %d devices, platform has %d", len(sig.Devices), len(srv.cfg.Platform.Devices))
+	// The remap planner sees one load signal per device.
+	if devs, _ := srv.deviceSignals(); len(devs) != len(srv.cfg.Platform.Devices) {
+		t.Fatalf("deviceSignals covers %d devices, platform has %d", len(devs), len(srv.cfg.Platform.Devices))
 	}
 
 	// A sub-DSFA session must not get a controller.

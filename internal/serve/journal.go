@@ -58,7 +58,6 @@ type chunkMark struct {
 // JournalStats is one session journal's observable state.
 type JournalStats struct {
 	Seq      uint64 // last sequence number assigned
-	AckSeq   uint64 // highest fully-retired chunk sequence
 	Unacked  int    // chunk marks not yet retired
 	Retained int    // result events in the catch-up ring
 }
@@ -210,7 +209,7 @@ func (j *journal) broadcastLocked() {
 func (j *journal) stats() JournalStats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return JournalStats{Seq: j.seq, AckSeq: j.ackSeq, Unacked: len(j.chunks), Retained: j.n}
+	return JournalStats{Seq: j.seq, Unacked: len(j.chunks), Retained: j.n}
 }
 
 // --- journal wire codec ---

@@ -33,7 +33,7 @@ func TestJournalAckWatermark(t *testing.T) {
 		t.Fatalf("ack at second watermark = %d", ack)
 	}
 	st := j.stats()
-	if st.Unacked != 1 || st.AckSeq != 2 || st.Seq != 3 {
+	if st.Unacked != 1 || j.ackSeq != 2 || st.Seq != 3 {
 		t.Fatalf("stats after partial ack: %+v", st)
 	}
 	// Acks are monotonic: a stale (lower) completed count is a no-op.

@@ -1261,20 +1261,6 @@ func (s *Server) Totals() SessionTotals {
 	return t
 }
 
-// Signals returns the node's full telemetry snapshot — every active
-// session's sample plus every device's load signal — the control
-// plane's inputs, exposed for operators and the fleet router.
-func (s *Server) Signals() control.Signals {
-	devs, _ := s.deviceSignals()
-	sig := control.Signals{Devices: devs}
-	for _, sess := range s.activeSessions() {
-		sess.mu.Lock()
-		sig.Sessions = append(sig.Sessions, sess.sampleLocked())
-		sess.mu.Unlock()
-	}
-	return sig
-}
-
 // deviceSignals snapshots per-device utilization, engine backlog and
 // scheduler queue depth — the control plane's per-PE input, sourced
 // from the execution scheduler's signals instead of ad-hoc engine
@@ -1285,24 +1271,21 @@ func (s *Server) Signals() control.Signals {
 // invocations sitting in the scheduler's run queues.
 func (s *Server) deviceSignals() ([]control.DeviceSignals, float64) {
 	now := s.engine.Makespan()
-	loads := s.engine.Loads(now)
 	depths := s.sched.QueueDepths()
-	busyUntil := make([]float64, len(s.cfg.Platform.Devices))
+	devs := make([]control.DeviceSignals, len(s.cfg.Platform.Devices))
 	minFree := 0.0
 	for i, d := range s.cfg.Platform.Devices {
-		busyUntil[i] = s.engine.BusyUntil(d)
-		if i == 0 || busyUntil[i] < minFree {
-			minFree = busyUntil[i]
+		free := s.engine.BusyUntil(d)
+		devs[i] = control.DeviceSignals{BacklogUS: free, Queued: depths[d.ID]}
+		if now > 0 {
+			devs[i].Utilization = s.engine.BusyTime(d) / now
+		}
+		if i == 0 || free < minFree {
+			minFree = free
 		}
 	}
-	devs := make([]control.DeviceSignals, len(loads))
-	for i, l := range loads {
-		devs[i] = control.DeviceSignals{
-			Device:      l.Device,
-			Utilization: l.Utilization,
-			BacklogUS:   busyUntil[i] - minFree,
-			Queued:      depths[s.cfg.Platform.Devices[i].ID],
-		}
+	for i := range devs {
+		devs[i].BacklogUS -= minFree
 	}
 	return devs, now
 }
@@ -1778,9 +1761,12 @@ func (s *Server) WriteMetrics(pw *PromWriter, ns, extraLabels string) {
 		pw.Counter(ns+"_session_remaps_total", "Plans installed for the session after the first.", lbl, float64(snap.Remaps))
 		pw.Gauge(ns+"_session_queue_len", "Frames waiting in the ingest queue.", lbl, float64(snap.QueueLen))
 		pw.Gauge(ns+"_session_throughput_fps", "Raw frames served per stream-second.", lbl, snap.ThroughputFPS)
-		for q, v := range map[string]float64{"0.5": snap.Latency.P50US, "0.99": snap.Latency.P99US} {
+		for _, qv := range []struct {
+			q string
+			v float64
+		}{{"0.5", snap.Latency.P50US}, {"0.99", snap.Latency.P99US}} {
 			pw.Gauge(ns+"_session_latency_us", "Per-raw-frame latency (virtual us).",
-				lbls("session", snap.ID, "network", snap.Network, "quantile", q), v)
+				lbls("session", snap.ID, "network", snap.Network, "quantile", qv.q), qv.v)
 		}
 	}
 }

@@ -225,11 +225,9 @@ func (s *Session) sampleLocked() control.SessionSample {
 	_, qDropped := s.queue.stats()
 	return control.SessionSample{
 		StreamUS:      int64(s.clockUS),
-		FramesIn:      s.framesIn,
 		FramesDropped: qDropped + uint64(s.stepper.Stats().DroppedFrames),
 		QueueLen:      s.queue.len(),
 		QueueCap:      s.queue.cap,
-		AggPending:    s.stepper.Pending(),
 		AggQueued:     s.stepper.Queued(),
 		DensitySum:    s.denSum,
 		DensityN:      s.denN,

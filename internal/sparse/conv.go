@@ -26,11 +26,6 @@ func NewFilter(outC, inC, k, stride, pad int) *Filter {
 	}
 }
 
-// W returns the weight for (outc, inc, ky, kx).
-func (f *Filter) W(oc, ic, ky, kx int) float32 {
-	return f.Weights[((oc*f.InC+ic)*f.K+ky)*f.K+kx]
-}
-
 // OutShape returns the output spatial size for an h x w input.
 func (f *Filter) OutShape(h, w int) (oh, ow int) {
 	if f.Deconv {

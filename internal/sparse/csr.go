@@ -55,20 +55,6 @@ func NewCSR(rows, cols int, entries []COOEntry) (*CSR, error) {
 	return m, nil
 }
 
-// NNZ returns the number of stored nonzeros.
-func (m *CSR) NNZ() int { return len(m.Vals) }
-
-// At returns element (i, j) with a binary search within the row.
-func (m *CSR) At(i, j int) float32 {
-	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-	row := m.ColIdx[lo:hi]
-	k := sort.Search(len(row), func(k int) bool { return row[k] >= int32(j) })
-	if k < len(row) && row[k] == int32(j) {
-		return m.Vals[int(lo)+k]
-	}
-	return 0
-}
-
 // SpMMInto computes m * d for a dense matrix d into a preallocated out
 // (m.Rows x d.Cols), overwriting its contents.
 func (m *CSR) SpMMInto(out *Mat, d *Mat) error {

@@ -332,9 +332,6 @@ func NewRulebookCache(k int, minOverlap float64) *RulebookCache {
 	return &RulebookCache{k: k, minOverlap: minOverlap}
 }
 
-// K returns the cache's kernel size.
-func (c *RulebookCache) K() int { return c.k }
-
 // get sources an ActiveSet buffer.
 func (c *RulebookCache) get(h, w int) *ActiveSet {
 	if c.Borrow != nil {

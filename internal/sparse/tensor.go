@@ -38,18 +38,8 @@ func (t *Tensor) At(c, y, x int) float32 { return t.Data[(c*t.H+y)*t.W+x] }
 // Set stores v at (c, y, x).
 func (t *Tensor) Set(c, y, x int, v float32) { t.Data[(c*t.H+y)*t.W+x] = v }
 
-// Add accumulates v into (c, y, x).
-func (t *Tensor) Add(c, y, x int, v float32) { t.Data[(c*t.H+y)*t.W+x] += v }
-
 // Numel returns the number of elements.
 func (t *Tensor) Numel() int { return t.C * t.H * t.W }
-
-// Clone returns a deep copy.
-func (t *Tensor) Clone() *Tensor {
-	out := NewTensor(t.C, t.H, t.W)
-	copy(out.Data, t.Data)
-	return out
-}
 
 // Zero resets all elements to 0.
 func (t *Tensor) Zero() {
@@ -67,14 +57,6 @@ func (t *Tensor) NNZ() int {
 		}
 	}
 	return n
-}
-
-// Density returns NNZ / Numel.
-func (t *Tensor) Density() float64 {
-	if t.Numel() == 0 {
-		return 0
-	}
-	return float64(t.NNZ()) / float64(t.Numel())
 }
 
 // ActiveSites returns the (y, x) positions where any channel is
@@ -146,26 +128,12 @@ func NewMat(rows, cols int) *Mat {
 	return &Mat{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
 }
 
-// At returns element (i, j).
-func (m *Mat) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
-
-// Set stores v at (i, j).
-func (m *Mat) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
-
 // ReLU applies max(0, x) in place and returns t.
 func (t *Tensor) ReLU() *Tensor {
 	for i, v := range t.Data {
 		if v < 0 {
 			t.Data[i] = 0
 		}
-	}
-	return t
-}
-
-// Scale multiplies every element by s in place and returns t.
-func (t *Tensor) Scale(s float32) *Tensor {
-	for i := range t.Data {
-		t.Data[i] *= s
 	}
 	return t
 }
