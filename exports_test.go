@@ -24,42 +24,43 @@ import (
 // TestInternalExportsHaveCallers), each with its reason: functions,
 // types, consts and vars keyed "pkg.Name", methods "pkg.Recv.Method".
 var uncalledKept = map[string]string{
-	"hw.Platform.MustDevice":             "test fixture: device lookup by name that panics",
-	"sparse.FromDense":                   "test oracle: dense-to-sparse round trip of Frame.DenseInto",
-	"sparse.Tensor.FillRandom":           "test fixture: random dense kernel inputs",
-	"sparse.Tensor.FillRandomSparse":     "test fixture: random sparse kernel inputs",
-	"sparse.Tensor.ReLU":                 "test oracle: the reference forward pass's activation",
-	"scene.GenerateUniform":              "test fixture: uniform random event streams",
-	"nn.Network.CheckShapes":             "the zoo shape check the nn tests run on every network",
-	"dsfa.Batch.FrameCount":              "test observer: raw frames merged into a batch",
-	"pipeline.Stepper.AggConfig":         "test observer: the live aggregator tuning",
-	"obs.Tracer.Tracks":                  "test observer: the tracer's lane names",
-	"serve.Server.SessionJournalStats":   "test observer: a session's journal counters",
-	"nn.Runtime.InputLayerIDs":           "test observer: the runtime's input layers",
-	"perf.Model.NetworkTimeUS":           "test observer: whole-network cost-model time",
-	"perf.Model.InputCommUS":             "test observer: cost-model input transfer time",
-	"e2sf.Fused.ConvertByCount":          "test observer: count framing into fresh frames",
-	"events.ReadText":                    "reads what evtrace -text writes",
-	"par.Scratch.GrowI32":                "kernel library that ROADMAP item 3 decides on numbers",
-	"par.Scratch.GrowF32":                "kernel library that ROADMAP item 3 decides on numbers",
-	"sparse.ActiveSet.BuildFromTensor":   "rulebook.go, which ROADMAP item 3 decides on numbers",
-	"sparse.ActiveSet.Refine":            "rulebook.go, which ROADMAP item 3 decides on numbers",
-	"sparse.SubmanifoldConv2DSitesTiled": "tiled kernel that ROADMAP item 3 decides on numbers",
-	"quant.MSE":                          "error metric the parked quantized-kernel item needs",
-	"quant.SQNR":                         "error metric the parked quantized-kernel item needs",
-	"nn.FrameByTime":                     "zero value of FramingMode: DOTIE and the other time-framed networks leave Framing unset",
-	"quant.QuantizeINT8":                 "numerics the parked quantized-kernel item needs",
-	"quant.DequantizeINT8":               "numerics the parked quantized-kernel item needs",
-	"quant.RoundFP16":                    "numerics the parked quantized-kernel item needs",
-	"hw.Engine.Timeline":                 "bench binding: bench/pump_layers.go calls NewEngine(p, false); ROADMAP item 4(d) re-points it so the record mode can go",
-	"sched.Scheduler.Drain":              "test fixture: runs a scheduler to quiescence in the sched and serve tests",
-	"serve.Client.Session":               "test fixture: reads one session over HTTP in the serve and cluster tests",
-	"serve.Client.Sessions":              "test fixture: lists the sessions over HTTP in the cluster tests",
-	"sparse.Frame.Set":                   "test fixture: builds frames in the tests of six packages",
-	"sparse.Frame.Clone":                 "test fixture: copies frames in the dsfa and sparse tests",
-	"sparse.Frame.Get":                   "test oracle: one cell of a frame in the dsfa, e2sf and sparse tests",
-	"sparse.Frame.Validate":              "test oracle: the frame invariants the e2sf and sparse tests check",
-	"sparse.Tensor.NNZ":                  "test oracle: the nonzero count the e2sf, nn and sparse tests check",
+	"hw.Platform.MustDevice":           "test fixture: device lookup by name that panics",
+	"sparse.FromDense":                 "test oracle: dense-to-sparse round trip of Frame.DenseInto",
+	"sparse.Tensor.FillRandom":         "test fixture: random dense kernel inputs",
+	"sparse.Tensor.FillRandomSparse":   "test fixture: random sparse kernel inputs",
+	"sparse.Tensor.ReLU":               "test oracle: the reference forward pass's activation",
+	"scene.GenerateUniform":            "test fixture: uniform random event streams",
+	"nn.Network.CheckShapes":           "the zoo shape check the nn tests run on every network",
+	"dsfa.Batch.FrameCount":            "test observer: raw frames merged into a batch",
+	"pipeline.Stepper.AggConfig":       "test observer: the live aggregator tuning",
+	"obs.Tracer.Tracks":                "test observer: the tracer's lane names",
+	"serve.Server.SessionJournalStats": "test observer: a session's journal counters",
+	"nn.Runtime.InputLayerIDs":         "test observer: the runtime's input layers",
+	"perf.Model.NetworkTimeUS":         "test observer: whole-network cost-model time",
+	"perf.Model.InputCommUS":           "test observer: cost-model input transfer time",
+	"e2sf.Fused.ConvertByCount":        "test observer: count framing into fresh frames",
+	"events.ReadText":                  "reads what evtrace -text writes",
+	"par.Scratch.GrowI32":              "kernel library that ROADMAP item 3 decides on numbers",
+	"par.Scratch.GrowF32":              "kernel library that ROADMAP item 3 decides on numbers",
+	"sparse.ActiveSet.BuildFromTensor": "builds the exact site set the Sites-kernel tests and serve's submanifold_sites alloc row run on; ROADMAP item 3(b) decides it with the rulebook",
+	"sparse.SubmanifoldConv2DSites":    "the rulebook-driven submanifold kernel its tests and serve's submanifold_sites alloc row run; ROADMAP item 3(b) decides it with the rulebook",
+	"sparse.ActiveSet.Refine":          "rulebook.go, which ROADMAP item 3 decides on numbers",
+	"quant.MSE":                        "error metric the parked quantized-kernel item needs",
+	"quant.SQNR":                       "error metric the parked quantized-kernel item needs",
+	"nn.FrameByTime":                   "zero value of FramingMode: DOTIE and the other time-framed networks leave Framing unset",
+	"dsfa.CAverage":                    "the paper's cAverage combine mode: a Config.Mode the aggregator merges by, run by the dsfa tests and the serve alloc smoke",
+	"quant.QuantizeINT8":               "numerics the parked quantized-kernel item needs",
+	"quant.DequantizeINT8":             "numerics the parked quantized-kernel item needs",
+	"quant.RoundFP16":                  "numerics the parked quantized-kernel item needs",
+	"hw.Engine.Timeline":               "bench binding: bench/pump_layers.go calls NewEngine(p, false); ROADMAP item 4(d) re-points it so the record mode can go",
+	"sched.Scheduler.Drain":            "test fixture: runs a scheduler to quiescence in the sched and serve tests",
+	"serve.Client.Session":             "test fixture: reads one session over HTTP in the serve and cluster tests",
+	"serve.Client.Sessions":            "test fixture: lists the sessions over HTTP in the cluster tests",
+	"sparse.Frame.Set":                 "test fixture: builds frames in the tests of six packages",
+	"sparse.Frame.Clone":               "test fixture: copies frames in the dsfa and sparse tests",
+	"sparse.Frame.Get":                 "test oracle: one cell of a frame in the dsfa, e2sf and sparse tests",
+	"sparse.Frame.Validate":            "test oracle: the frame invariants the e2sf and sparse tests check",
+	"sparse.Tensor.NNZ":                "test oracle: the nonzero count the e2sf, nn and sparse tests check",
 }
 
 // fieldsKept lists the struct fields that rule 2 or rule 4 of
@@ -83,6 +84,9 @@ var fieldsKept = map[string]string{
 //     listed in uncalledKept. A method also counts as used when its
 //     type implements an interface whose method of that name a
 //     non-test file calls, or an interface of the standard library.
+//     A constant of a defined type does not count as used where it
+//     is only compared against: a case expression, or an operand of
+//     == or !=.
 //  2. Every exported field of an exported struct type under internal/
 //     whose name ends in Config or Opts is written — a composite-literal
 //     key, an assignment, ++/--, or &x.F — by some file outside its
@@ -131,7 +135,7 @@ func TestExportsGateFixture(t *testing.T) {
 		got  map[string]string
 		want []string
 	}{
-		{"1", scan.uncalled, []string{"a.Dead.Run"}},
+		{"1", scan.uncalled, []string{"a.Dead.Run", "a.Slow"}},
 		{"2", scan.unwritten, nil},
 		{"3", scan.facade, nil},
 		{"4", scan.unread, []string{"a.Stats.Hidden"}},
@@ -376,8 +380,17 @@ func scanExports(t *testing.T, root string, modules ...string) exportsScan {
 	for _, sp := range pkgs {
 		facadeUser := sp.rel == "bench" || strings.HasPrefix(sp.rel, "bench/") ||
 			strings.HasPrefix(sp.rel, "cmd/") || strings.HasPrefix(sp.rel, "examples/")
-		notRead := map[*ast.Ident]bool{} // composite-literal keys, left sides of = and :=
-		writes := map[*ast.Ident]bool{}  // every write of rule 2
+		notRead := map[*ast.Ident]bool{}  // composite-literal keys, left sides of = and :=
+		writes := map[*ast.Ident]bool{}   // every write of rule 2
+		compared := map[*ast.Ident]bool{} // case expressions, operands of == and !=
+		compare := func(x ast.Expr) {
+			switch x := ast.Unparen(x).(type) {
+			case *ast.Ident:
+				compared[x] = true
+			case *ast.SelectorExpr:
+				compared[x.Sel] = true
+			}
+		}
 		selected := func(x ast.Expr, assign bool) {
 			if sel, ok := ast.Unparen(x).(*ast.SelectorExpr); ok {
 				writes[sel.Sel] = true
@@ -413,6 +426,12 @@ func scanExports(t *testing.T, root string, modules ...string) exportsScan {
 					if n.Op == token.EQL || n.Op == token.NEQ {
 						readWhole(sp.info.TypeOf(n.X), false)
 						readWhole(sp.info.TypeOf(n.Y), false)
+						compare(n.X)
+						compare(n.Y)
+					}
+				case *ast.CaseClause:
+					for _, x := range n.List {
+						compare(x)
 					}
 				case *ast.CallExpr:
 					if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
@@ -446,7 +465,10 @@ func scanExports(t *testing.T, root string, modules ...string) exportsScan {
 					writtenFrom[v][sp.path] = true
 				}
 			}
-			if d, ok := decls[obj]; ok && !receivers[id] && (id.Pos() < d.start || id.Pos() >= d.end) {
+			// Comparing against a constant of a defined type builds no
+			// value of it, so that use alone does not keep it.
+			onlyCompared := compared[id] && definedConst(obj)
+			if d, ok := decls[obj]; ok && !receivers[id] && !onlyCompared && (id.Pos() < d.start || id.Pos() >= d.end) {
 				used[obj] = true
 			}
 			if _, ok := facade[obj]; ok && facadeUser {
@@ -629,6 +651,16 @@ func receiverNamed(fn *types.Func) *types.Named {
 		tt = p.Elem()
 	}
 	named, _ := tt.(*types.Named)
+	return named
+}
+
+// definedConst reports whether obj is a constant of a defined type.
+func definedConst(obj types.Object) bool {
+	c, ok := obj.(*types.Const)
+	if !ok {
+		return false
+	}
+	_, named := types.Unalias(c.Type()).(*types.Named)
 	return named
 }
 

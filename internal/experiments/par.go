@@ -61,6 +61,11 @@ func Par(cfg Config) (*Result, error) {
 	if len(cpus) == 0 {
 		cpus = []int{1, 2, 4, 8}
 	}
+	for _, c := range cpus {
+		if c < 1 {
+			return nil, fmt.Errorf("experiments: cpu list entry %d < 1", c)
+		}
+	}
 	size := 128
 	if cfg.Quick {
 		size = 64
@@ -82,26 +87,6 @@ func Par(cfg Config) (*Result, error) {
 	}
 	oh, ow := f.OutShape(in.H, in.W)
 	outConv := sparse.NewTensor(f.OutC, oh, ow)
-	outSub := sparse.NewTensor(f.OutC, in.H, in.W)
-
-	const rows, cols, dcols = 256, 128, 16
-	var entries []sparse.COOEntry
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if rng.Float64() < 0.05 {
-				entries = append(entries, sparse.COOEntry{Row: int32(r), Col: int32(c), Val: rng.Float32()})
-			}
-		}
-	}
-	csr, err := sparse.NewCSR(rows, cols, entries)
-	if err != nil {
-		return nil, err
-	}
-	dmat := sparse.NewMat(cols, dcols)
-	for i := range dmat.Data {
-		dmat.Data[i] = rng.Float32()
-	}
-	outMat := sparse.NewMat(rows, dcols)
 
 	kernels := []struct {
 		name   string
@@ -109,18 +94,12 @@ func Par(cfg Config) (*Result, error) {
 		serial func()
 		tiled  func(pool *par.Pool, shards int)
 	}{
-		{"submanifold_conv2d", in.H * in.W,
-			func() { _ = sparse.SubmanifoldConv2DInto(outSub, in, f) },
-			func(p *par.Pool, s int) { _ = sparse.SubmanifoldConv2DTiledInto(outSub, in, f, p, s) }},
-		{"sparse_conv2d", oh,
+		{"sparse_conv2d", f.OutC,
 			func() { _ = sparse.SparseConv2DInto(outConv, in, f) },
 			func(p *par.Pool, s int) { _ = sparse.SparseConv2DTiledInto(outConv, in, f, p, s) }},
 		{"conv2d", f.OutC * oh * ow,
 			func() { _ = sparse.Conv2DInto(outConv, in, f) },
 			func(p *par.Pool, s int) { _ = sparse.Conv2DTiledInto(outConv, in, f, p, s) }},
-		{"csr_spmm", rows,
-			func() { _ = csr.SpMMInto(outMat, dmat) },
-			func(p *par.Pool, s int) { _ = csr.SpMMTiledInto(outMat, dmat, p, s) }},
 	}
 
 	res := &Result{
@@ -137,9 +116,6 @@ func Par(cfg Config) (*Result, error) {
 	for _, k := range kernels {
 		serialNs := measureNs(k.serial)
 		for _, c := range cpus {
-			if c < 1 {
-				return nil, fmt.Errorf("experiments: cpu list entry %d < 1", c)
-			}
 			pool := par.New(c)
 			shards := 2 * c
 			overhead := 0.0

@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestParQuick(t *testing.T) {
@@ -13,8 +14,8 @@ func TestParQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(res.Rows), 4*len(cfg.CPUList); got != want {
-		t.Fatalf("rows = %d, want %d (4 kernels x %d cpu widths)", got, want, len(cfg.CPUList))
+	if got, want := len(res.Rows), 2*len(cfg.CPUList); got != want {
+		t.Fatalf("rows = %d, want %d (2 kernels x %d cpu widths)", got, want, len(cfg.CPUList))
 	}
 	for _, row := range res.Rows {
 		if len(row) != len(res.Header) {
@@ -38,11 +39,17 @@ func TestParQuick(t *testing.T) {
 	}
 }
 
+// TestParRejectsBadCPUList: a width below 1 anywhere in the list is
+// an error before any kernel is timed (one timing takes >= 40 ms).
 func TestParRejectsBadCPUList(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.CPUList = []int{2, 0}
+	start := time.Now()
 	if _, err := Run("par", cfg); err == nil {
 		t.Fatal("cpu width 0 accepted")
+	}
+	if el := time.Since(start); el >= 40*time.Millisecond {
+		t.Errorf("rejected after %v: a kernel was timed first", el)
 	}
 }
 

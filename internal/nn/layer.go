@@ -75,16 +75,16 @@ func (d Domain) String() string {
 	return "ANN"
 }
 
-// Kind is the operator class of a layer.
+// Kind is the operator class of a layer. The paper's Table 1 networks
+// are convolution stacks with transposed-convolution decoders, so a
+// layer is one or the other; every profile below is the one formula
+// both share.
 type Kind int
 
 // Layer kinds.
 const (
 	Conv Kind = iota
 	Deconv
-	FC
-	Pool
-	Residual // elementwise add of two inputs followed by activation
 )
 
 // String names the kind.
@@ -94,12 +94,6 @@ func (k Kind) String() string {
 		return "Conv"
 	case Deconv:
 		return "Deconv"
-	case FC:
-		return "FC"
-	case Pool:
-		return "Pool"
-	case Residual:
-		return "Residual"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
@@ -143,15 +137,11 @@ func (l *Layer) Validate() error {
 	if l.ActDensity < 0 || l.ActDensity > 1 {
 		return fmt.Errorf("nn: layer %q activation density %f outside [0,1]", l.Name, l.ActDensity)
 	}
-	switch l.Kind {
-	case Conv, Deconv:
-		if l.K <= 0 || l.Stride <= 0 {
-			return fmt.Errorf("nn: layer %q kernel/stride invalid", l.Name)
-		}
-	case Pool:
-		if l.K <= 0 || l.Stride <= 0 {
-			return fmt.Errorf("nn: pool layer %q kernel/stride invalid", l.Name)
-		}
+	if l.Kind != Conv && l.Kind != Deconv {
+		return fmt.Errorf("nn: layer %q has unknown kind %v", l.Name, l.Kind)
+	}
+	if l.K <= 0 || l.Stride <= 0 {
+		return fmt.Errorf("nn: layer %q kernel/stride invalid", l.Name)
 	}
 	return nil
 }
@@ -160,17 +150,7 @@ func (l *Layer) Validate() error {
 // through the layer, including all SNN timesteps. This is the work the
 // all-GPU dense baseline performs regardless of event count.
 func (l *Layer) MACs() int64 {
-	var per int64
-	switch l.Kind {
-	case Conv, Deconv:
-		per = int64(l.OutC) * int64(l.OutH) * int64(l.OutW) * int64(l.InC) * int64(l.K) * int64(l.K)
-	case FC:
-		per = int64(l.InC*l.InH*l.InW) * int64(l.OutC*l.OutH*l.OutW)
-	case Pool:
-		per = int64(l.OutC) * int64(l.OutH) * int64(l.OutW) * int64(l.K) * int64(l.K)
-	case Residual:
-		per = int64(l.OutC) * int64(l.OutH) * int64(l.OutW)
-	}
+	per := int64(l.OutC) * int64(l.OutH) * int64(l.OutW) * int64(l.InC) * int64(l.K) * int64(l.K)
 	return per * int64(l.Timesteps)
 }
 
@@ -185,28 +165,14 @@ func (l *Layer) SparseMACs(inputDensity float64) int64 {
 	if inputDensity > 1 {
 		inputDensity = 1
 	}
-	switch l.Kind {
-	case Conv, Deconv:
-		active := inputDensity * float64(l.InH*l.InW)
-		per := active * float64(l.InC) * float64(l.OutC) * float64(l.K*l.K)
-		return int64(per) * int64(l.Timesteps)
-	case FC:
-		return int64(float64(l.MACs()) * inputDensity)
-	default:
-		return int64(float64(l.MACs()) * inputDensity)
-	}
+	active := inputDensity * float64(l.InH*l.InW)
+	per := active * float64(l.InC) * float64(l.OutC) * float64(l.K*l.K)
+	return int64(per) * int64(l.Timesteps)
 }
 
 // ParamCount returns the number of weights (plus biases).
 func (l *Layer) ParamCount() int64 {
-	switch l.Kind {
-	case Conv, Deconv:
-		return int64(l.OutC)*int64(l.InC)*int64(l.K)*int64(l.K) + int64(l.OutC)
-	case FC:
-		return int64(l.InC*l.InH*l.InW)*int64(l.OutC) + int64(l.OutC)
-	default:
-		return 0
-	}
+	return int64(l.OutC)*int64(l.InC)*int64(l.K)*int64(l.K) + int64(l.OutC)
 }
 
 // ParamBytes returns weight storage at the given precision.

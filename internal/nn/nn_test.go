@@ -135,6 +135,14 @@ func TestNetworkValidateCatchesBadDAG(t *testing.T) {
 	if err := n3.Validate(); err == nil {
 		t.Fatal("zero timesteps accepted")
 	}
+	n4 := MustByName(SpikeFlowNet)
+	n4.Layers[2].Kind = Deconv + 1
+	if err := n4.Validate(); err == nil {
+		t.Fatal("unknown layer kind accepted")
+	}
+	if _, err := NewRuntime(n4, SparseExec, 1, 8); err == nil {
+		t.Fatal("NewRuntime built a layer of unknown kind")
+	}
 }
 
 func TestSuccs(t *testing.T) {

@@ -69,7 +69,7 @@ type layerState struct {
 	// kernel overwrites out wholesale and clears it.
 	tracked bool
 	inSites []int32        // input layers: the site list of the caller's tensor
-	cat     *sparse.Tensor // channel concatenation of the predecessors, for volume kernels
+	cat     *sparse.Tensor // channel concatenation of the predecessors, for the dense kernel
 }
 
 // NewRuntime builds a runtime with weights drawn from seed. spatialDiv
@@ -110,42 +110,32 @@ func NewRuntime(net *Network, mode ExecMode, seed int64, spatialDiv int) (*Runti
 		if len(succs[i]) == 0 {
 			rt.outputIDs = append(rt.outputIDs, i)
 		}
-		oc, oh, ow := c, h, w
-		switch l.Kind {
-		case Conv, Deconv:
-			if c != l.InC {
-				return nil, fmt.Errorf("nn: layer %s: input channels %d != filter %d", l.Name, c, l.InC)
-			}
-			f := sparse.NewFilter(l.OutC, l.InC, l.K, l.Stride, l.Pad)
-			f.Deconv = l.Kind == Deconv
-			// Uniform in ±3/(InC·K²). With VThresh 0.5 this is far too
-			// small to carry activity through a stack: on real E2SF
-			// frames every layer after the first outputs all zeros (see
-			// EXPERIMENTS.md, "Numeric runtime activity").
-			scale := float32(1.0) / float32(l.InC*l.K*l.K)
-			for i := range f.Weights {
-				f.Weights[i] = (r.Float32()*2 - 1) * scale * 3
-			}
-			// No bias: a site no input reaches must come out as act(0) = 0
-			// for the site path's untouched outputs to be exact.
-			st.filter, st.sites = f, sparse.NewSiteConv(f)
-			st.act = relu
-			if l.Domain == SNN {
-				T := l.Timesteps
-				st.act = func(row []float32) { rt.lif(row, T) }
-			}
-			oc = l.OutC
-			oh, ow = f.OutShape(h, w)
-		case Residual:
-		case Pool:
-			oh, ow = (h-l.K)/l.Stride+1, (w-l.K)/l.Stride+1
-		default:
-			return nil, fmt.Errorf("nn: layer %s: %v layers are not used by the zoo runtime", l.Name, l.Kind)
+		if c != l.InC {
+			return nil, fmt.Errorf("nn: layer %s: input channels %d != filter %d", l.Name, c, l.InC)
 		}
+		f := sparse.NewFilter(l.OutC, l.InC, l.K, l.Stride, l.Pad)
+		f.Deconv = l.Kind == Deconv
+		// Uniform in ±3/(InC·K²). With VThresh 0.5 this is far too
+		// small to carry activity through a stack: on real E2SF
+		// frames every layer after the first outputs all zeros (see
+		// EXPERIMENTS.md, "Numeric runtime activity").
+		scale := float32(1.0) / float32(l.InC*l.K*l.K)
+		for i := range f.Weights {
+			f.Weights[i] = (r.Float32()*2 - 1) * scale * 3
+		}
+		// No bias: a site no input reaches must come out as act(0) = 0
+		// for the site path's untouched outputs to be exact.
+		st.filter, st.sites = f, sparse.NewSiteConv(f)
+		st.act = relu
+		if l.Domain == SNN {
+			T := l.Timesteps
+			st.act = func(row []float32) { rt.lif(row, T) }
+		}
+		oh, ow := f.OutShape(h, w)
 		if h <= 0 || w <= 0 || oh <= 0 || ow <= 0 {
 			return nil, fmt.Errorf("nn: layer %s: %dx%d input gives an empty %dx%d output", l.Name, h, w, oh, ow)
 		}
-		st.out = sparse.NewTensor(oc, oh, ow)
+		st.out = sparse.NewTensor(l.OutC, oh, ow)
 		rt.outs[i] = st.out
 	}
 	return rt, nil
@@ -199,22 +189,11 @@ func (rt *Runtime) Forward(inputs map[int]*sparse.Tensor) (map[int]*sparse.Tenso
 		}
 		rt.operands = ops
 		var err error
-		switch {
-		case l.Kind == Deconv, l.Kind == Conv && rt.Mode == SparseExec:
+		if l.Kind == Deconv || rt.Mode == SparseExec {
 			err = rt.execSites(i, ops)
-		case l.Kind == Conv:
+		} else {
 			err = sparse.Conv2DTiledInto(st.out, rt.concat(st, ops), st.filter, rt.pool, rt.shards)
 			st.act(st.out.Data)
-			st.tracked = false
-		case l.Kind == Residual:
-			copy(st.out.Data, rt.concat(st, ops).Data)
-			relu(st.out.Data)
-			st.tracked = false
-		case l.Kind == Pool:
-			var pooled *sparse.Tensor
-			if pooled, err = sparse.MaxPool2D(rt.concat(st, ops), l.K, l.Stride); err == nil {
-				copy(st.out.Data, pooled.Data)
-			}
 			st.tracked = false
 		}
 		if err != nil {

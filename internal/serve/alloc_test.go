@@ -146,7 +146,7 @@ func allocFilter(outC, inC, k int) *sparse.Filter {
 // runs it with TestAllocRegression*, which pin the whole serving
 // cycle): every hot-path stage below the serving loop — the wire
 // codec and binary ingest, the E2SF converter, frame reuse by size,
-// the pooled DSFA merge, the conv and SpMM kernels serial and tiled,
+// the pooled DSFA merge, the conv kernels serial and tiled,
 // rulebook upkeep — allocates nothing per call once warm. It also pins
 // the 16-byte event, which sets what a buffered event costs a session.
 func TestAllocSmoke(t *testing.T) {
@@ -216,24 +216,6 @@ func TestAllocSmoke(t *testing.T) {
 		fb.Set(y, x+1, 0, 1)
 	}
 	rulebook := sparse.NewRulebookCache(3, 0)
-
-	// CSR SpMM over a synthetic 5% dense 512x256 matrix.
-	var entries []sparse.COOEntry
-	const rows, cols, dcols = 512, 256, 16
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if rng.Float64() < 0.05 {
-				entries = append(entries, sparse.COOEntry{Row: int32(r), Col: int32(c), Val: rng.Float32()})
-			}
-		}
-	}
-	csr, err := sparse.NewCSR(rows, cols, entries)
-	fail(err)
-	dmat := sparse.NewMat(cols, dcols)
-	for i := range dmat.Data {
-		dmat.Data[i] = rng.Float32()
-	}
-	spmmOut := sparse.NewMat(rows, dcols)
 
 	// The EVAR wire codec on the same chunk, encoded into a buffer that
 	// already has the room, as a warm client does per request.
@@ -361,11 +343,8 @@ func TestAllocSmoke(t *testing.T) {
 		{"sparse_conv2d_into", func() error { return sparse.SparseConv2DInto(convOut, in, f) }},
 		{"submanifold_conv2d_into", func() error { return sparse.SubmanifoldConv2DInto(subOut, in, f) }},
 		{"sparse_conv2d_tiled", func() error { return sparse.SparseConv2DTiledInto(convOut, in, f, pool, 8) }},
-		{"submanifold_conv2d_tiled", func() error { return sparse.SubmanifoldConv2DTiledInto(subOut, in, f, pool, 8) }},
 		{"submanifold_sites", func() error { return sparse.SubmanifoldConv2DSites(subOut, in, f, as) }},
 		{"rulebook_observe", func() error { rulebook.Observe(fa); rulebook.Observe(fb); return nil }},
-		{"csr_spmm_into", func() error { return csr.SpMMInto(spmmOut, dmat) }},
-		{"csr_spmm_tiled", func() error { return csr.SpMMTiledInto(spmmOut, dmat, pool, 8) }},
 		{"sched_submit_pump", func() error {
 			for i := range schedReqs {
 				runner.Submit(&schedReqs[i])

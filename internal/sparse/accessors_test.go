@@ -1,30 +1,11 @@
 package sparse
 
-import "sort"
-
 // Methods that only the tests use, kept out of the package's build.
-
-// NNZ returns the number of stored nonzeros.
-func (m *CSR) NNZ() int { return len(m.Vals) }
-
-// At returns element (i, j) with a binary search within the row.
-func (m *CSR) At(i, j int) float32 {
-	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-	row := m.ColIdx[lo:hi]
-	k := sort.Search(len(row), func(k int) bool { return row[k] >= int32(j) })
-	if k < len(row) && row[k] == int32(j) {
-		return m.Vals[int(lo)+k]
-	}
-	return 0
-}
 
 // W returns the weight for (outc, inc, ky, kx).
 func (f *Filter) W(oc, ic, ky, kx int) float32 {
 	return f.Weights[((oc*f.InC+ic)*f.K+ky)*f.K+kx]
 }
-
-// At returns element (i, j).
-func (m *Mat) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
 
 // Add accumulates v into (c, y, x).
 func (t *Tensor) Add(c, y, x int, v float32) { t.Data[(c*t.H+y)*t.W+x] += v }

@@ -73,35 +73,6 @@ func BenchmarkSubmanifoldConv2D(b *testing.B) {
 	}
 }
 
-func BenchmarkSpMM(b *testing.B) {
-	rng := rand.New(rand.NewSource(11))
-	const rows, cols, dcols = 256, 256, 32
-	entries := make([]COOEntry, 0, rows*cols/20)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if rng.Float64() < 0.05 {
-				entries = append(entries, COOEntry{Row: int32(r), Col: int32(c), Val: rng.Float32()})
-			}
-		}
-	}
-	m, err := NewCSR(rows, cols, entries)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d := NewMat(cols, dcols)
-	for i := range d.Data {
-		d.Data[i] = rng.Float32()
-	}
-	out := NewMat(rows, dcols)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.SpMMInto(out, d); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkFrameSet(b *testing.B) {
 	const h, w = 128, 128
 	rng := rand.New(rand.NewSource(3))

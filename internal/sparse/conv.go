@@ -154,8 +154,57 @@ func SubmanifoldConv2DInto(out *Tensor, in *Tensor, f *Filter) error {
 			out.C, out.H, out.W, f.OutC, in.H, in.W)
 	}
 	out.Zero()
-	submanifoldRows(out, in, f, 0, in.H)
+	submanifoldRows(out, in, f)
 	return nil
+}
+
+// submanifoldRows runs the active-site scan over every output row with
+// the per-(oc, ic) weight-row bases hoisted out of the site loop. The
+// accumulation order per site is (oc, ic, ky, kx).
+func submanifoldRows(out, in *Tensor, f *Filter) {
+	half := f.K / 2
+	kk := f.K * f.K
+	for oy := 0; oy < in.H; oy++ {
+	site:
+		for ox := 0; ox < in.W; ox++ {
+			active := false
+			for c := 0; c < in.C; c++ {
+				if in.At(c, oy, ox) != 0 {
+					active = true
+					break
+				}
+			}
+			if !active {
+				continue site
+			}
+			for oc := 0; oc < f.OutC; oc++ {
+				var sum float32
+				if f.Bias != nil {
+					sum = f.Bias[oc]
+				}
+				wbase := f.Weights[oc*f.InC*kk:]
+				for ic := 0; ic < f.InC; ic++ {
+					wch := wbase[ic*kk:]
+					for ky := 0; ky < f.K; ky++ {
+						iy := oy + ky - half
+						if iy < 0 || iy >= in.H {
+							continue
+						}
+						wrow := wch[ky*f.K : ky*f.K+f.K]
+						irow := in.Data[(ic*in.H+iy)*in.W:]
+						for kx := 0; kx < f.K; kx++ {
+							ix := ox + kx - half
+							if ix < 0 || ix >= in.W {
+								continue
+							}
+							sum += wrow[kx] * irow[ix]
+						}
+					}
+				}
+				out.Set(oc, oy, ox, sum)
+			}
+		}
+	}
 }
 
 // SparseConvMACs estimates the multiply-accumulate count of the sparse
@@ -163,34 +212,4 @@ func SubmanifoldConv2DInto(out *Tensor, in *Tensor, f *Filter) error {
 // site scatters through OutC * K * K weights per input channel.
 func SparseConvMACs(activeSites int, f *Filter) int64 {
 	return int64(activeSites) * int64(f.InC) * int64(f.OutC) * int64(f.K) * int64(f.K)
-}
-
-// MaxPool2D computes a max pooling with a k x k window and the given
-// stride.
-func MaxPool2D(in *Tensor, k, stride int) (*Tensor, error) {
-	if k <= 0 || stride <= 0 {
-		return nil, fmt.Errorf("sparse: invalid pool k=%d stride=%d", k, stride)
-	}
-	oh := (in.H-k)/stride + 1
-	ow := (in.W-k)/stride + 1
-	if oh <= 0 || ow <= 0 {
-		return nil, fmt.Errorf("sparse: pool output %dx%d is empty", oh, ow)
-	}
-	out := NewTensor(in.C, oh, ow)
-	for c := 0; c < in.C; c++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				best := in.At(c, oy*stride, ox*stride)
-				for ky := 0; ky < k; ky++ {
-					for kx := 0; kx < k; kx++ {
-						if v := in.At(c, oy*stride+ky, ox*stride+kx); v > best {
-							best = v
-						}
-					}
-				}
-				out.Set(c, oy, ox, best)
-			}
-		}
-	}
-	return out, nil
 }

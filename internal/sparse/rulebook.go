@@ -3,8 +3,6 @@ package sparse
 import (
 	"fmt"
 	"sync"
-
-	"evedge/internal/par"
 )
 
 // The rulebook cache exploits the temporal coherence of event streams:
@@ -155,17 +153,6 @@ func (a *ActiveSet) Refine(t *Tensor) {
 // same row-major order and the clipped tap ranges skip exactly the
 // taps the serial bounds checks skip.
 func SubmanifoldConv2DSites(out, in *Tensor, f *Filter, as *ActiveSet) error {
-	if err := checkSites(out, in, f, as); err != nil {
-		return err
-	}
-	out.Zero()
-	submanifoldSiteRange(out, in, f, as, 0, as.Sites())
-	return nil
-}
-
-// checkSites validates the site-kernel invariants shared by the serial
-// and tiled variants.
-func checkSites(out, in *Tensor, f *Filter, as *ActiveSet) error {
 	if in.C != f.InC {
 		return fmt.Errorf("sparse: conv input channels %d != filter %d", in.C, f.InC)
 	}
@@ -181,15 +168,12 @@ func checkSites(out, in *Tensor, f *Filter, as *ActiveSet) error {
 		return fmt.Errorf("sparse: active set %dx%d k=%d != input %dx%d k=%d",
 			as.H, as.W, as.K, in.H, in.W, f.K)
 	}
-	return nil
-}
-
-// submanifoldSiteRange computes sites [lo, hi) of the rulebook with
-// the same (oc, ic, ky, kx) accumulation order as submanifoldRows.
-func submanifoldSiteRange(out, in *Tensor, f *Filter, as *ActiveSet, lo, hi int) {
+	out.Zero()
+	// The accumulation order per site is (oc, ic, ky, kx), as in
+	// submanifoldRows.
 	half := f.K / 2
 	kk := f.K * f.K
-	for s := lo; s < hi; s++ {
+	for s := range as.Ys {
 		oy, ox := int(as.Ys[s]), int(as.Xs[s])
 		kyLo, kyHi := int(as.Clip[4*s]), int(as.Clip[4*s+1])
 		kxLo, kxHi := int(as.Clip[4*s+2]), int(as.Clip[4*s+3])
@@ -213,62 +197,6 @@ func submanifoldSiteRange(out, in *Tensor, f *Filter, as *ActiveSet, lo, hi int)
 			out.Set(oc, oy, ox, sum)
 		}
 	}
-}
-
-// siteZeroTask zeroes the output tensor in disjoint element ranges.
-type siteZeroTask struct{ out *Tensor }
-
-// siteComputeTask computes disjoint site ranges of the rulebook.
-type siteComputeTask struct {
-	out, in *Tensor
-	f       *Filter
-	as      *ActiveSet
-}
-
-var (
-	siteZeroTasks    = sync.Pool{New: func() any { return new(siteZeroTask) }}
-	siteComputeTasks = sync.Pool{New: func() any { return new(siteComputeTask) }}
-)
-
-func (t *siteZeroTask) RunShard(shard, shards int, _ *par.Scratch) {
-	lo, hi := splitRange(shard, shards, len(t.out.Data))
-	row := t.out.Data[lo:hi]
-	for i := range row {
-		row[i] = 0
-	}
-}
-
-func (t *siteComputeTask) RunShard(shard, shards int, _ *par.Scratch) {
-	lo, hi := splitRange(shard, shards, t.as.Sites())
-	submanifoldSiteRange(t.out, t.in, t.f, t.as, lo, hi)
-}
-
-// SubmanifoldConv2DSitesTiled is SubmanifoldConv2DSites executed
-// across pool shards: a sharded zero pass, then disjoint site ranges.
-// Sites shard evenly regardless of their spatial distribution, so load
-// balance does not depend on where in the frame the activity clusters.
-// Bit-identical to the serial kernels under the same exact-set
-// contract.
-func SubmanifoldConv2DSitesTiled(out, in *Tensor, f *Filter, as *ActiveSet, pool *par.Pool, shards int) error {
-	if pool.Size() <= 1 || shards <= 1 {
-		return SubmanifoldConv2DSites(out, in, f, as)
-	}
-	if err := checkSites(out, in, f, as); err != nil {
-		return err
-	}
-	zt := siteZeroTasks.Get().(*siteZeroTask)
-	zt.out = out
-	pool.Run(clampShards(shards, len(out.Data)), zt)
-	zt.out = nil
-	siteZeroTasks.Put(zt)
-	if as.Sites() == 0 {
-		return nil
-	}
-	ct := siteComputeTasks.Get().(*siteComputeTask)
-	ct.out, ct.in, ct.f, ct.as = out, in, f, as
-	pool.Run(clampShards(shards, as.Sites()), ct)
-	ct.out, ct.in, ct.f, ct.as = nil, nil, nil, nil
-	siteComputeTasks.Put(ct)
 	return nil
 }
 

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"evedge/internal/par"
 )
 
 // randDenseFrame builds a sorted sparse frame with roughly density*H*W
@@ -65,12 +63,10 @@ func TestActiveSetBuildEquivalence(t *testing.T) {
 }
 
 // TestSitesKernelBitIdentical: under the exact-set contract the
-// rulebook-driven kernel (serial and tiled) must reproduce
+// rulebook-driven kernel must reproduce
 // SubmanifoldConv2DInto bit for bit.
 func TestSitesKernelBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
-	pool := par.New(4)
-	defer pool.Close()
 	for trial := 0; trial < 20; trial++ {
 		inC, outC := 1+r.Intn(4), 1+r.Intn(4)
 		h, w := 5+r.Intn(24), 5+r.Intn(24)
@@ -92,13 +88,6 @@ func TestSitesKernelBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		bitsEqual(t, "SubmanifoldConv2DSites", got.Data, want.Data)
-
-		gotT := NewTensor(outC, h, w)
-		gotT.FillRandom(r)
-		if err := SubmanifoldConv2DSitesTiled(gotT, in, f, as, pool, 1+r.Intn(8)); err != nil {
-			t.Fatal(err)
-		}
-		bitsEqual(t, "SubmanifoldConv2DSitesTiled", gotT.Data, want.Data)
 	}
 }
 

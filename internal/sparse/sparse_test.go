@@ -163,57 +163,6 @@ func TestMergeModes(t *testing.T) {
 	}
 }
 
-func TestCSR(t *testing.T) {
-	entries := []COOEntry{
-		{0, 1, 2}, {1, 0, 3}, {1, 2, 4}, {0, 1, 1}, // duplicate sums to 3
-		{2, 2, 0}, // explicit zero dropped
-	}
-	m, err := NewCSR(3, 3, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.NNZ() != 3 {
-		t.Fatalf("nnz=%d", m.NNZ())
-	}
-	if m.At(0, 1) != 3 || m.At(1, 0) != 3 || m.At(1, 2) != 4 || m.At(2, 2) != 0 {
-		t.Fatal("At wrong")
-	}
-	if _, err := NewCSR(2, 2, []COOEntry{{5, 0, 1}}); err == nil {
-		t.Fatal("out of bounds entry accepted")
-	}
-}
-
-func TestCSRSpMMMatchesDense(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	entries := make([]COOEntry, 0, 40)
-	for i := 0; i < 40; i++ {
-		entries = append(entries, COOEntry{Row: int32(r.Intn(8)), Col: int32(r.Intn(6)), Val: r.Float32()})
-	}
-	m, err := NewCSR(8, 6, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := NewMat(6, 5)
-	for i := range d.Data {
-		d.Data[i] = r.Float32()
-	}
-	got := NewMat(8, 5)
-	if err := m.SpMMInto(got, d); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		for j := 0; j < 5; j++ {
-			var want float32
-			for k := 0; k < 6; k++ {
-				want += m.At(i, k) * d.At(k, j)
-			}
-			if diff := got.At(i, j) - want; diff > 1e-4 || diff < -1e-4 {
-				t.Fatalf("spmm[%d,%d]=%f want %f", i, j, got.At(i, j), want)
-			}
-		}
-	}
-}
-
 func randFilter(r *rand.Rand, outC, inC, k, stride, pad int) *Filter {
 	f := NewFilter(outC, inC, k, stride, pad)
 	for i := range f.Weights {
@@ -379,23 +328,6 @@ func TestDeconv(t *testing.T) {
 	}
 	if dout.At(0, 1, 1) != g.W(0, 0, 1, 1) {
 		t.Fatalf("deconv delta center %f want %f", dout.At(0, 1, 1), g.W(0, 0, 1, 1))
-	}
-}
-
-func TestPooling(t *testing.T) {
-	in := NewTensor(1, 4, 4)
-	for i := range in.Data {
-		in.Data[i] = float32(i)
-	}
-	mx, err := MaxPool2D(in, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mx.At(0, 0, 0) != 5 || mx.At(0, 1, 1) != 15 {
-		t.Fatalf("maxpool wrong: %v", mx.Data)
-	}
-	if _, err := MaxPool2D(in, 0, 1); err == nil {
-		t.Fatal("bad pool accepted")
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package sparse provides the dense and sparse linear-algebra
-// substrate used by Ev-Edge: CHW dense tensors, COO sparse frames, CSR
-// matrices, dense convolution (direct and im2col+GEMM), sparse
-// gather-scatter convolution and submanifold convolution, plus the
-// operation-count accounting that drives the performance model.
+// substrate used by Ev-Edge: CHW dense tensors, COO sparse frames,
+// dense direct convolution, sparse gather-scatter convolution and
+// submanifold convolution, plus the operation-count accounting that
+// drives the performance model.
 //
 // Event frames are extremely sparse (0.15%-28.6% active pixels in the
 // paper's Fig. 3), so processing them with fixed-size dense kernels
@@ -112,21 +112,6 @@ func (t *Tensor) FillRandomSparse(r *rand.Rand, density float64) {
 
 // Site is an active pixel location.
 type Site struct{ Y, X int32 }
-
-// Mat is a dense row-major matrix, the workhorse of the im2col+GEMM
-// dense path.
-type Mat struct {
-	Rows, Cols int
-	Data       []float32
-}
-
-// NewMat allocates a zeroed rows x cols matrix.
-func NewMat(rows, cols int) *Mat {
-	if rows <= 0 || cols <= 0 {
-		panic(fmt.Sprintf("sparse: invalid matrix shape %dx%d", rows, cols))
-	}
-	return &Mat{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
-}
 
 // ReLU applies max(0, x) in place and returns t.
 func (t *Tensor) ReLU() *Tensor {

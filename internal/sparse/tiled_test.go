@@ -78,58 +78,8 @@ func TestTiledKernelsBitIdentical(t *testing.T) {
 			}
 			bitsEqual(t, "SparseConv2DTiledInto", got2.Data, want2.Data)
 		}
-
-		// Submanifold: stride 1, odd K, pad K/2.
-		ks := []int{1, 3, 5}[r.Intn(3)]
-		fs := randFilter(r, outC, inC, ks, 1, ks/2)
-		wantS := NewTensor(outC, h, w)
-		if err := SubmanifoldConv2DInto(wantS, in, f2sub(fs)); err != nil {
-			t.Fatal(err)
-		}
-		gotS := NewTensor(outC, h, w)
-		gotS.FillRandom(r)
-		if err := SubmanifoldConv2DTiledInto(gotS, in, fs, pool, shards); err != nil {
-			t.Fatal(err)
-		}
-		bitsEqual(t, "SubmanifoldConv2DTiledInto", gotS.Data, wantS.Data)
-
-		// SpMM over a random CSR with the tensor reshaped as the dense
-		// operand.
-		rows := 2 + r.Intn(40)
-		cols := 2 + r.Intn(20)
-		dcols := 1 + r.Intn(16)
-		var entries []COOEntry
-		for i := 0; i < rows*cols/3; i++ {
-			entries = append(entries, COOEntry{
-				Row: int32(r.Intn(rows)), Col: int32(r.Intn(cols)), Val: r.Float32()*2 - 1,
-			})
-		}
-		m, err := NewCSR(rows, cols, entries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := NewMat(cols, dcols)
-		for i := range d.Data {
-			d.Data[i] = r.Float32()*2 - 1
-		}
-		wantM := NewMat(rows, dcols)
-		if err := m.SpMMInto(wantM, d); err != nil {
-			t.Fatal(err)
-		}
-		gotM := NewMat(rows, dcols)
-		for i := range gotM.Data {
-			gotM.Data[i] = r.Float32() // must be fully overwritten
-		}
-		if err := m.SpMMTiledInto(gotM, d, pool, shards); err != nil {
-			t.Fatal(err)
-		}
-		bitsEqual(t, "SpMMTiledInto", gotM.Data, wantM.Data)
 	}
 }
-
-// f2sub is an identity helper making it obvious the same filter feeds
-// both submanifold kernels.
-func f2sub(f *Filter) *Filter { return f }
 
 // TestTiledSerialFallbacks: a nil pool, one shard, or deconv must take
 // the serial path and still be correct.
@@ -192,32 +142,10 @@ func TestTiledShapeErrors(t *testing.T) {
 	if err := SparseConv2DTiledInto(bad, in, f, pool, 4); err == nil {
 		t.Fatal("SparseConv2DTiledInto accepted a mis-shaped output")
 	}
-	if err := SubmanifoldConv2DTiledInto(bad, in, f, pool, 4); err == nil {
-		t.Fatal("SubmanifoldConv2DTiledInto accepted a mis-shaped output")
-	}
-	fbad := randFilter(r, 3, 2, 2, 1, 1) // even K: not submanifold-eligible
-	good := NewTensor(3, 8, 8)
-	if err := SubmanifoldConv2DTiledInto(good, in, fbad, pool, 4); err == nil {
-		t.Fatal("SubmanifoldConv2DTiledInto accepted an even kernel")
-	}
 	wrongC := NewTensor(3, 8, 8)
 	fc := randFilter(r, 3, 4, 3, 1, 1)
 	if err := Conv2DTiledInto(wrongC, in, fc, pool, 4); err == nil {
 		t.Fatal("Conv2DTiledInto accepted mismatched input channels")
-	}
-
-	m, err := NewCSR(4, 4, []COOEntry{{Row: 1, Col: 2, Val: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dBad := NewMat(3, 2)
-	outBad := NewMat(4, 2)
-	if err := m.SpMMTiledInto(outBad, dBad, pool, 2); err == nil {
-		t.Fatal("SpMMTiledInto accepted a shape mismatch")
-	}
-	dOK := NewMat(4, 2)
-	if err := m.SpMMTiledInto(NewMat(3, 2), dOK, pool, 2); err == nil {
-		t.Fatal("SpMMTiledInto accepted a mis-shaped output")
 	}
 }
 

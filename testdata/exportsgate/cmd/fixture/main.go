@@ -18,4 +18,11 @@ func main() {
 	s := a.Stats{Count: len(seen), Hidden: 1}
 	s.Hidden = 2
 	json.NewEncoder(os.Stdout).Encode(a.Snapshot{Shown: s.Count})
+	mode := a.Fast
+	switch mode {
+	case a.Slow:
+	}
+	if mode == (a.Slow) || s.Count == a.Limit {
+		os.Exit(1)
+	}
 }

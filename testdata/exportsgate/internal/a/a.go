@@ -49,3 +49,18 @@ type Snapshot struct {
 type Key struct {
 	Net, Sig string
 }
+
+// Mode is a defined type the command compares against.
+type Mode int
+
+const (
+	// Fast is assigned by the command, so rule 1 does not report it.
+	Fast Mode = iota
+	// Slow is only a case label and an operand of ==, which build no
+	// Mode: rule 1 reports it.
+	Slow
+)
+
+// Limit is untyped: comparing against it uses it, so rule 1 does not
+// report it.
+const Limit = 3
