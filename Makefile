@@ -30,7 +30,7 @@ lint:
 	fi
 
 bench:
-	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ . ./internal/events ./internal/sparse ./internal/e2sf ./internal/dsfa ./internal/sched ./internal/serve ./internal/nmp ./internal/taskgraph
+	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ . ./internal/events ./internal/sparse ./internal/e2sf ./internal/dsfa ./internal/sched ./internal/serve ./internal/nmp ./internal/taskgraph ./internal/scene
 
 # The repository's benchmark (BENCHMARK.json): every workload, then the
 # per-layer profile. bench/ is its own module, so this — and CI's

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"strings"
 	"sync"
 	"testing"
@@ -38,13 +39,38 @@ func TestScenarioLibrary(t *testing.T) {
 	}
 }
 
+// timelinePins is the FNV-1a hash of every scenario's Encode() at seed
+// 42. A change that moves any timeline (the event streams, E2SF, DSFA,
+// the mapper, the serving core) fails TestScenarioDeterminism, so one
+// that means to re-pins here and says so.
+var timelinePins = map[string]uint64{
+	"batched-burst":      0xe40e3adc276c7125,
+	"drain-rebalance":    0x91d7aa3e958c2e15,
+	"dynamics-flip":      0x7d2b84c9fd78a971,
+	"flash-crowd":        0x8c22aec3fb6178b8,
+	"hot-node-migration": 0xaea008a931c982f4,
+	"journal-catchup":    0xe9e6fe0d1e1b3643,
+	"mixed-platform":     0xf93f0ffe96cb801c,
+	"rolling-kill":       0xce185f66baf7f71d,
+	"soak":               0xcf74517582d8be2f,
+	"steady":             0x64d5f524187413b9,
+}
+
 // TestScenarioDeterminism replays every scenario under the same seed
-// and requires byte-identical JSON timelines; a different seed must
-// still satisfy the invariants (and, being a different event stream,
-// should not produce the identical timeline).
+// and requires byte-identical JSON timelines, equal to the pinned
+// hash; a different seed must still satisfy the invariants (and, being
+// a different event stream, should not produce the identical
+// timeline).
 func TestScenarioDeterminism(t *testing.T) {
+	if len(timelinePins) != len(Names()) {
+		t.Fatalf("%d timeline pins for %d scenarios", len(timelinePins), len(Names()))
+	}
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
+			pin, ok := timelinePins[name]
+			if !ok {
+				t.Fatalf("no timeline pin for %s", name)
+			}
 			sc, err := Get(name)
 			if err != nil {
 				t.Fatal(err)
@@ -67,6 +93,11 @@ func TestScenarioDeterminism(t *testing.T) {
 			}
 			if !bytes.Equal(ja, jb) {
 				t.Fatalf("same seed, different timelines; %s", firstDivergence(ja, jb))
+			}
+			h := fnv.New64a()
+			h.Write(ja)
+			if got := h.Sum64(); got != pin {
+				t.Errorf("seed 42 timeline hash %#016x, pinned %#016x", got, pin)
 			}
 			c, err := Run(sc, 43)
 			if err != nil {

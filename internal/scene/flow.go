@@ -64,7 +64,6 @@ func (wd *World) GroundTruthFlow(w, h int, tUS, dtUS int64) *FlowField {
 		}
 	}
 	// Foreground blobs override the background within 2 sigma.
-	dt := float64(dtUS)
 	for i := range wd.Blobs {
 		b := &wd.Blobs[i]
 		bx0, by0 := b.center(tUS)
@@ -95,7 +94,6 @@ func (wd *World) GroundTruthFlow(w, h int, tUS, dtUS int64) *FlowField {
 			}
 		}
 	}
-	_ = dt
 	return f
 }
 

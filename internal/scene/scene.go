@@ -25,6 +25,19 @@
 // periods of it by one exact subtraction or addition instead of
 // math.Mod, with the same result, and a tiny negative coordinate that
 // rounds to the period itself wraps to 0.
+//
+// At the presets' densities almost no pixel crosses the threshold in a
+// step, so the camera takes a log only where one can. Beside its log
+// memory mem each pixel keeps a quiet interval of linear luminance,
+// (exp(mem-theta)·(1+d), exp(mem+theta)·(1-d)) for a relative margin d
+// of 1e-9, refreshed by one helper wherever mem is written: at the
+// first frame and after a fire. A pixel whose luminance, raised to the
+// floor, lies strictly inside is skipped. That is exact: exp, log and
+// the subtraction are each within a few ulps of mem's magnitude
+// (below 1e-13 for any float32 luminance), far inside d, so such a
+// pixel's log change is strictly between -theta and theta and the
+// log-every-pixel loop would skip it too. Every other pixel runs that
+// loop's code, so the stream does not change.
 package scene
 
 import (
@@ -86,11 +99,22 @@ type camera struct {
 	r   renderer
 	rng *rand.Rand
 
-	mem         []float64 // per-pixel log intensity at last event
-	refrUntil   []int64   // per-pixel refractory end
-	frame       []float32 // scratch luminance buffer
+	mem         []float64    // per-pixel log intensity at last event
+	quiet       []quietRange // per-pixel luminances that cannot fire, set with mem
+	refrUntil   []int64      // per-pixel refractory end
+	frame       []float32    // scratch luminance buffer
 	initialized bool
 }
+
+// quietRange is the open interval of clamped linear luminance strictly
+// inside which a pixel's log change since its last event stays below
+// the threshold: a pixel there cannot fire, so the camera skips its log.
+type quietRange struct{ lo, hi float64 }
+
+// quietMargin is the relative margin d that shrinks a quiet interval
+// inside (exp(mem-theta), exp(mem+theta)); the package doc gives the
+// exactness argument.
+const quietMargin = 1e-9
 
 // newCamera validates the config and builds a camera over the renderer.
 func newCamera(cfg config, r renderer) (*camera, error) {
@@ -112,6 +136,7 @@ func newCamera(cfg config, r renderer) (*camera, error) {
 		r:         r,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		mem:       make([]float64, n),
+		quiet:     make([]quietRange, n),
 		refrUntil: make([]int64, n),
 		frame:     make([]float32, n),
 	}, nil
@@ -119,12 +144,20 @@ func newCamera(cfg config, r renderer) (*camera, error) {
 
 const lumFloor = 1e-3 // avoid log(0) for dark pixels
 
-func logLum(v float32) float64 {
-	f := float64(v)
-	if f < lumFloor {
-		f = lumFloor
+// clampLum is the luminance the camera takes the log of: v, raised to
+// lumFloor.
+func clampLum(v float32) float64 { return max(float64(v), lumFloor) }
+
+func logLum(v float32) float64 { return math.Log(clampLum(v)) }
+
+// remember sets pixel i's log memory to m and its quiet interval to
+// match, so the two never disagree.
+func (c *camera) remember(i int, m float64) {
+	c.mem[i] = m
+	c.quiet[i] = quietRange{
+		lo: math.Exp(m-c.cfg.Theta) * (1 + quietMargin),
+		hi: math.Exp(m+c.cfg.Theta) * (1 - quietMargin),
 	}
-	return math.Log(f)
 }
 
 // Run simulates [t0, t1) and returns the sorted event stream, its
@@ -203,13 +236,13 @@ func (s *stepEvents) step(k int) []events.Event {
 func (c *camera) runRows(t0 int64, ends []int64, y0, y1 int) stepEvents {
 	w := c.cfg.Width
 	lo, hi := y0*w, y1*w
-	frame, mem, refrUntil := c.frame[lo:hi], c.mem[lo:hi], c.refrUntil[lo:hi]
+	frame, mem, quiet, refrUntil := c.frame[lo:hi], c.mem[lo:hi], c.quiet[lo:hi], c.refrUntil[lo:hi]
 	// Initialize memory from the first frame so startup does not flood
 	// events.
 	if !c.initialized {
 		c.r.renderRows(frame, w, c.cfg.Height, y0, y1, t0)
 		for i, v := range frame {
-			mem[i] = logLum(v)
+			c.remember(lo+i, logLum(v))
 		}
 	}
 	out := stepEvents{end: make([]int, 0, len(ends))}
@@ -218,8 +251,11 @@ func (c *camera) runRows(t0 int64, ends []int64, y0, y1 int) stepEvents {
 		c.r.renderRows(frame, w, c.cfg.Height, y0, y1, t)
 		dt := t - prevT
 		for i, v := range frame {
-			cur := logLum(v)
-			delta := cur - mem[i]
+			f := clampLum(v)
+			if q := quiet[i]; f > q.lo && f < q.hi {
+				continue
+			}
+			delta := math.Log(f) - mem[i]
 			if delta < c.cfg.Theta && delta > -c.cfg.Theta {
 				continue
 			}
@@ -243,7 +279,7 @@ func (c *camera) runRows(t0 int64, ends []int64, y0, y1 int) stepEvents {
 				ts := prevT + int64(frac*float64(dt))
 				out.ev = append(out.ev, events.Event{X: x, Y: y, TS: ts, Pol: pol})
 			}
-			mem[i] += sign * float64(n) * c.cfg.Theta
+			c.remember(lo+i, mem[i]+sign*float64(n)*c.cfg.Theta)
 			refrUntil[i] = prevT + c.cfg.RefractoryUS
 		}
 		out.endStep()

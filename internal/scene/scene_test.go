@@ -473,9 +473,11 @@ func TestPresetStreamsPinned(t *testing.T) {
 	}
 }
 
-// runSerial is camera.Run as one pass over the whole frame per step,
-// before the rows were split into bands, kept as the oracle of
-// TestCameraBandsMatchSerial.
+// runSerial is camera.Run as one pass over the whole frame per step
+// that takes every pixel's log, before the rows were split into bands
+// and before the quiet interval, kept as the oracle of
+// TestCameraBandsMatchSerial. It leaves the camera's quiet intervals
+// unset, so a camera it ran must not go on through camera.run.
 func runSerial(c *camera, t0, t1 int64) *events.Stream {
 	w, h := c.cfg.Width, c.cfg.Height
 	out := events.NewStream(w, h)
@@ -529,32 +531,46 @@ func runSerial(c *camera, t0, t1 int64) *events.Stream {
 
 // TestCameraBandsMatchSerial runs one camera over 1, 2, 3, 7 and
 // height bands of rows and requires the stream of one serial pass over
-// the frame (runSerial) from each: background
-// noise on, a moving texture and an orbiting blob that crosses every
-// band edge, a ramp that fires every pixel in the same microsecond, a
-// part-length last step, and two consecutive runs on one camera so the
-// pixel state and the RNG carry over.
+// the frame (runSerial) from each: background noise on, a moving
+// texture and an orbiting blob that crosses every band edge, a ramp
+// that fires every pixel in the same microsecond, a part-length last
+// step, and two consecutive runs on one camera so the pixel state and
+// the RNG carry over. The edge renderer holds the quiet-interval skip
+// to runSerial's log of every pixel where the two are likeliest to
+// differ, with a refractory period that blocks the step after a fire,
+// at the default threshold and at ln 2.
 func TestCameraBandsMatchSerial(t *testing.T) {
 	const w, h = 40, 30
-	renderers := map[string]func() renderer{
-		"world": func() renderer {
+	edge := func(theta float64) func(*config) renderer {
+		return func(cfg *config) renderer {
+			cfg.Theta, cfg.RefractoryUS = theta, 2500
+			return newEdgeRenderer(theta, cfg.StepUS, h)
+		}
+	}
+	cases := []struct {
+		name  string
+		setup func(cfg *config) renderer // may tune cfg
+	}{
+		{"world", func(*config) renderer {
 			return &World{
 				Texture:     NewTexture(w, h, 0.7, 3),
 				Path:        &SmoothPath{VX: 60, VY: 25, AmpX: 4, FreqX: 2, RotAmp: 0.05, RotFreq: 1},
 				Blobs:       []Blob{{CX: w / 2, CY: h / 2, OrbitR: 10, OrbitHz: 8, Radius: 3, Contrast: 0.5}},
 				TextureGain: 0.6,
 			}
-		},
-		"ramp": func() renderer { return &rampRenderer{rate: 3} },
+		}},
+		{"ramp", func(*config) renderer { return &rampRenderer{rate: 3} }},
+		{"edge", edge(defaultConfig().Theta)},
+		{"edge ln2", edge(math.Ln2)},
 	}
-	for name, newRenderer := range renderers {
+	for _, tc := range cases {
 		// nb == 0 runs runSerial.
 		gen := func(nb int) []*events.Stream {
 			cfg := defaultConfig()
 			cfg.Width, cfg.Height = w, h
 			cfg.NoiseHz = 50
 			cfg.Seed = 5
-			cam, err := newCamera(cfg, newRenderer())
+			cam, err := newCamera(cfg, tc.setup(&cfg))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -567,7 +583,7 @@ func TestCameraBandsMatchSerial(t *testing.T) {
 					t.Fatal(err)
 				}
 				if err := validStream(s); err != nil {
-					t.Fatalf("%s, %d bands: %v", name, nb, err)
+					t.Fatalf("%s, %d bands: %v", tc.name, nb, err)
 				}
 				out = append(out, s)
 			}
@@ -576,15 +592,115 @@ func TestCameraBandsMatchSerial(t *testing.T) {
 		want := gen(0)
 		for _, nb := range []int{1, 2, 3, 7, h} {
 			for r, got := range gen(nb) {
-				if got.Len() != want[r].Len() {
-					t.Fatalf("%s, %d bands, run %d: %d events, serial %d", name, nb, r, got.Len(), want[r].Len())
-				}
-				for i := range got.Events {
-					if got.Events[i] != want[r].Events[i] {
-						t.Fatalf("%s, %d bands, run %d: event %d is %+v, serial %+v", name, nb, r, i, got.Events[i], want[r].Events[i])
-					}
-				}
+				sameStream(t, fmt.Sprintf("%s, %d bands, run %d", tc.name, nb, r), got, want[r])
 			}
 		}
+	}
+}
+
+// sameStream fails t unless got holds want's events in want's order.
+func sameStream(t *testing.T, label string, got, want *events.Stream) {
+	t.Helper()
+	if got.Len() != want.Len() {
+		t.Fatalf("%s: %d events, serial %d", label, got.Len(), want.Len())
+	}
+	for i := range got.Events {
+		if got.Events[i] != want.Events[i] {
+			t.Fatalf("%s: event %d is %+v, serial %+v", label, i, got.Events[i], want.Events[i])
+		}
+	}
+}
+
+// edgeLevels are the luminance levels of edgeRenderer, one schedule
+// per group of columns, in thresholds above the row's base:
+// one threshold up and back down, a ramp that fires then returns, two
+// thresholds at once, and a staircase whose every step lands on the
+// next crossing once the last one fired.
+var edgeLevels = [][]float64{
+	{0, 1, 1, 0, -1, -1, 0},
+	{0, 0.5, 1.5, 0.5, 0, -1.5, -0.5},
+	{0, 2, 0, -2, 0},
+	{0, 1, 2, 3, 2, 1, 0, -1, -2, -1},
+}
+
+// edgeNudges are the float32 ulps each column of a group moves its
+// level's luminance by.
+var edgeNudges = []int{-3, -1, 0, 1, 3}
+
+// nudge32 moves v by k float32 ulps.
+func nudge32(v float32, k int) float32 {
+	for ; k > 0; k-- {
+		v = math.Nextafter32(v, float32(math.Inf(1)))
+	}
+	for ; k < 0; k++ {
+		v = math.Nextafter32(v, 0)
+	}
+	return v
+}
+
+// edgeRenderer puts pixels a few float32 ulps either side of their
+// threshold crossings, the edges of the camera's quiet intervals: the
+// pixel in row y, column x sits at base[y]·exp(theta·m) nudged by
+// edgeNudges[x%5] ulps, where m is the current level in the schedule
+// edgeLevels[x/5%4], each held for three steps so that a pixel also
+// stays where it just fired. A pixel back at its base after one fire
+// sits within a float64 ulp or two of exp(mem-theta) at any theta; with
+// theta = ln 2 and integer levels every luminance is the float32
+// 2^m·base, as close to exp(mem±theta) itself.
+type edgeRenderer struct {
+	theta  float64
+	stepUS int64
+	base   []float32
+}
+
+// newEdgeRenderer gives h rows their bases: below, at and above
+// lumFloor, a few fixed luminances up to 1, then seeded random ones.
+func newEdgeRenderer(theta float64, stepUS int64, h int) *edgeRenderer {
+	f := float32(lumFloor)
+	base := []float32{1e-4, nudge32(f, -1), f, nudge32(f, 1), 1.2e-3, 0.0123, 0.1, 0.25, 0.5, 0.77, 1}
+	rng := rand.New(rand.NewSource(17))
+	for len(base) < h {
+		base = append(base, float32(math.Exp(-7*rng.Float64())))
+	}
+	return &edgeRenderer{theta: theta, stepUS: stepUS, base: base[:h]}
+}
+
+func (r *edgeRenderer) renderRows(dst []float32, w, h, y0, y1 int, tUS int64) {
+	k := int(tUS / (3 * r.stepUS))
+	for y := y0; y < y1; y++ {
+		for x := range w {
+			levels := edgeLevels[x/len(edgeNudges)%len(edgeLevels)]
+			v := float32(float64(r.base[y]) * math.Exp(r.theta*levels[k%len(levels)]))
+			dst[(y-y0)*w+x] = nudge32(v, edgeNudges[x%len(edgeNudges)])
+		}
+	}
+}
+
+// BenchmarkCameraRun steps each preset's camera at half scale through
+// 100 ms per iteration, carrying its state over, and reports the host
+// time per pixel per 1 ms step and the events per iteration.
+func BenchmarkCameraRun(b *testing.B) {
+	const intervalUS = 100_000
+	for _, p := range AllPresets() {
+		b.Run(string(p), func(b *testing.B) {
+			seq, err := NewSequence(p, Half, 7)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cam := seq.cam
+			pixelSteps := float64(cam.cfg.Width*cam.cfg.Height) * float64(intervalUS/cam.cfg.StepUS)
+			var n int
+			b.ResetTimer()
+			for i := range b.N {
+				t0 := int64(i) * intervalUS
+				s, err := cam.Run(t0, t0+intervalUS)
+				if err != nil {
+					b.Fatal(err)
+				}
+				n += s.Len()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*pixelSteps), "ns/pixel-step")
+			b.ReportMetric(float64(n)/float64(b.N), "events/op")
+		})
 	}
 }
