@@ -64,10 +64,12 @@ bench-smoke:
 # host (2) forces pool shards and dispatchers to queue behind each
 # other, a wide one (8) maximizes true overlap. The event-camera
 # simulator steps its row bands on one goroutine each over shared
-# per-pixel state and one shared frame, so its band and determinism
-# gates run under the race detector too.
+# per-pixel state and one shared frame, and each band's render reads its
+# own rows of the quiet intervals and the World's shared cell bounds,
+# so its band, determinism and stream-pin gates run under the race
+# detector too.
 PIPELINE_RACE := -run 'TestRunDeterminism|TestRunReturnsEveryFrame|TestConvertStream' ./internal/pipeline
-SCENE_RACE := -run 'TestCameraBandsMatchSerial|TestSequenceDeterminism' ./internal/scene
+SCENE_RACE := -run 'TestCameraBandsMatchSerial|TestSequenceDeterminism|TestPresetStreamsPinned' ./internal/scene
 scenarios:
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/harness/... ./internal/par/... ./internal/sched/... ./cmd/evscenario/...
 	GOMAXPROCS=2 $(GO) test -race -count=1 $(PIPELINE_RACE)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"hash/fnv"
 	"strings"
 	"testing"
 )
@@ -57,5 +58,23 @@ func TestRunDOT(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "digraph") {
 		t.Errorf("-dot output is not Graphviz DOT:\n%s", stdout.String())
+	}
+}
+
+// TestRunDefaultPinned pins the FNV-1a hash of the default output: the
+// placement search, its mapping table and the Gantt chart of the four
+// default networks. The output has no wall-clock line, so it is
+// hashed whole; a change that moves the search or the schedule fails
+// here.
+func TestRunDefaultPinned(t *testing.T) {
+	const pin = 0x255864f66a08580c
+	var stdout, stderr bytes.Buffer
+	if got := run(nil, &stdout, &stderr); got != 0 {
+		t.Fatalf("exit = %d, stderr: %s", got, stderr.String())
+	}
+	h := fnv.New64a()
+	h.Write(stdout.Bytes())
+	if got := h.Sum64(); got != pin {
+		t.Errorf("output hash %#016x, pinned %#016x:\n%s", got, uint64(pin), stdout.String())
 	}
 }

@@ -10,8 +10,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
 	"evedge/internal/e2sf"
 	"evedge/internal/flow"
@@ -19,25 +21,33 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the report to out, leaving write errors unchecked: out is
+// the terminal or a test's buffer.
+func run(out io.Writer) error {
 	// Build the IndoorFlying1-like world directly so we can query its
 	// ground truth.
 	seq, err := scene.NewSequence(scene.IndoorFlying1, scene.Half, 5)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	stream, err := seq.Generate(300_000)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// E2SF the window the flow spans, to mask evaluation to event
 	// pixels (the EV-FlowNet protocol).
 	conv, err := e2sf.NewFused(e2sf.Config{Width: stream.Width, Height: stream.Height, NumBins: 1}, nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	frames, _, err := conv.ConvertGrouped(stream, 0, 25_000, 1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	frame := frames[0]
 
@@ -51,14 +61,14 @@ func main() {
 		},
 	}
 	gt := world.GroundTruthFlow(stream.Width, stream.Height, 0, 25_000)
-	fmt.Printf("sequence: %s, %.0f events in window, %.2f%% active pixels\n",
+	fmt.Fprintf(out, "sequence: %s, %.0f events in window, %.2f%% active pixels\n",
 		stream.Summarize(), frame.EventCount(), frame.Density()*100)
-	fmt.Printf("ground-truth mean flow magnitude: %.3f px / 25 ms\n\n", gt.MeanMagnitude())
+	fmt.Fprintf(out, "ground-truth mean flow magnitude: %.3f px / 25 ms\n\n", gt.MeanMagnitude())
 
 	// Evaluate estimates of decreasing quality: the ground truth
 	// itself, then versions with increasing Gaussian noise.
 	r := rand.New(rand.NewSource(9))
-	fmt.Printf("%-22s %10s %10s\n", "estimate", "AEE", "maskedAEE")
+	fmt.Fprintf(out, "%-22s %10s %10s\n", "estimate", "AEE", "maskedAEE")
 	for _, sigma := range []float64{0, 0.1, 0.5, 1.0} {
 		pred := scene.NewFlowField(gt.W, gt.H)
 		copy(pred.U, gt.U)
@@ -69,14 +79,15 @@ func main() {
 		}
 		aee, err := flow.AEE(pred, gt)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		masked, err := flow.MaskedAEE(pred, gt, frame)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("gt + noise σ=%-9.1f %10.3f %10.3f\n", sigma, aee, masked)
+		fmt.Fprintf(out, "gt + noise σ=%-9.1f %10.3f %10.3f\n", sigma, aee, masked)
 	}
-	fmt.Println("\nAEE grows with estimate noise; the masked variant evaluates only")
-	fmt.Println("where events fired, as the optical-flow networks in Table 2 do.")
+	fmt.Fprintln(out, "\nAEE grows with estimate noise; the masked variant evaluates only")
+	fmt.Fprintln(out, "where events fired, as the optical-flow networks in Table 2 do.")
+	return nil
 }

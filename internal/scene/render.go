@@ -3,6 +3,7 @@ package scene
 import (
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // Texture is a tileable procedural luminance image sampled bilinearly
@@ -62,6 +63,8 @@ func NewTexture(w, h int, contrast float64, seed int64) *Texture {
 }
 
 // Sample returns the bilinear wraparound sample at (u, v) in pixels.
+// A coordinate already in range takes wrap's fast path, so the render
+// wraps once and samples the wrapped coordinates.
 func (t *Texture) Sample(u, v float64) float32 {
 	u, v = wrap(u, float64(t.W)), wrap(v, float64(t.H))
 	x0, y0 := int(u), int(v)
@@ -80,12 +83,54 @@ func (t *Texture) Sample(u, v float64) float32 {
 	return float32(v00*(1-fx)*(1-fy) + v01*fx*(1-fy) + v10*(1-fx)*fy + v11*fx*fy)
 }
 
-// wrap returns x modulo n in [0, n): the remainder of math.Mod(x, n),
-// plus n when negative. For |x| < 2n that remainder is x, x-n or x+n,
-// each exact (Sterbenz), so only farther coordinates and NaN pay for
+// shade maps a texture sample to scene luminance under a texture gain.
+func shade(s float32, gain float64) float32 { return float32(0.5 + (float64(s)-0.5)*gain) }
+
+// cellRange bounds the shaded samples of one texel cell.
+type cellRange struct{ lo, hi float32 }
+
+// shadeCells returns, for each texel cell (x0, y0) of t, the least and
+// greatest shaded value of the four texels a sample inside it blends,
+// the neighbours wrapped as Sample wraps them: at wrapped (u, v),
+// shade(Sample(u, v), gain) lies in the range of cell (int(u), int(v))
+// (package doc). The argument needs texels that are not negative, so
+// a cell with a negative or NaN texel gets a NaN range, which the cull
+// never takes.
+func shadeCells(t *Texture, gain float64) []cellRange {
+	cells := make([]cellRange, len(t.Data))
+	for y0 := range t.H {
+		y1 := (y0 + 1) % t.H
+		for x0 := range t.W {
+			x1 := (x0 + 1) % t.W
+			a, b := t.Data[y0*t.W+x0], t.Data[y0*t.W+x1]
+			c, d := t.Data[y1*t.W+x0], t.Data[y1*t.W+x1]
+			if !(min(a, b, c, d) >= 0) {
+				nan := float32(math.NaN())
+				cells[y0*t.W+x0] = cellRange{nan, nan}
+				continue
+			}
+			a, b, c, d = shade(a, gain), shade(b, gain), shade(c, gain), shade(d, gain)
+			cells[y0*t.W+x0] = cellRange{min(a, b, c, d), max(a, b, c, d)}
+		}
+	}
+	return cells
+}
+
+// wrap returns x modulo n in [0, n). A coordinate already in range is
+// returned as is; any other goes to wrapFar.
+func wrap(x, n float64) float64 {
+	if x >= 0 && x < n {
+		return x
+	}
+	return wrapFar(x, n)
+}
+
+// wrapFar is wrap outside [0, n): the remainder of math.Mod(x, n), plus
+// n when negative. For |x| < 2n that remainder is x, x-n or x+n, each
+// exact (Sterbenz), so only farther coordinates and NaN pay for
 // math.Mod. A negative remainder so small that adding n rounds to n
 // wraps to 0, not onto the texel past the row's end.
-func wrap(x, n float64) float64 {
+func wrapFar(x, n float64) float64 {
 	switch {
 	case !(x > -2*n && x < 2*n): // farther out, or NaN
 		x = math.Mod(x, n)
@@ -185,15 +230,76 @@ type World struct {
 	Texture *Texture
 	Path    MotionPath
 	Blobs   []Blob
-	// TextureGain in [0,1] dims the background (lower gain = fewer
-	// background events, isolating foreground objects).
+	// TextureGain in (0,1] dims the background (lower gain = fewer
+	// background events, isolating foreground objects); 0, the unset
+	// value, means 1.
 	TextureGain float64
+
+	// mu guards shaded, the render's cache of shadeCells for the
+	// texture under the gain. Texture.Data must not change once it is
+	// built.
+	mu     sync.Mutex
+	shaded *shadedTexture
+}
+
+// shadedTexture is the shaded cell ranges of one texture under one gain.
+type shadedTexture struct {
+	tex   *Texture
+	gain  float64
+	cells []cellRange
+}
+
+// shadedCells returns shadeCells(tex, gain) from wd's cache, building
+// it on first use and whenever the texture or the gain changed. The
+// bands of one camera call it at once; one of them builds it.
+func (wd *World) shadedCells(tex *Texture, gain float64) []cellRange {
+	wd.mu.Lock()
+	defer wd.mu.Unlock()
+	if st := wd.shaded; st == nil || st.tex != tex || math.Float64bits(st.gain) != math.Float64bits(gain) {
+		wd.shaded = &shadedTexture{tex: tex, gain: gain, cells: shadeCells(tex, gain)}
+	}
+	return wd.shaded.cells
+}
+
+// blobBox is a blob's 3-sigma box within a band: columns x0..x1 and
+// rows y0..y1 around the center (cx, cy).
+type blobBox struct {
+	b              *Blob
+	cx, cy         float64
+	x0, x1, y0, y1 int
+}
+
+// box returns b's box at time t within rows [y0, y1) of a w-wide sensor.
+func (b *Blob) box(tUS int64, w, y0, y1 int) blobBox {
+	bx, by := b.center(tUS)
+	r := 3 * b.Radius
+	return blobBox{
+		b: b, cx: bx, cy: by,
+		x0: max(int(math.Floor(bx-r)), 0), x1: min(int(math.Ceil(bx+r)), w-1),
+		y0: max(int(math.Floor(by-r)), y0), y1: min(int(math.Ceil(by+r)), y1-1),
+	}
+}
+
+// covered reports whether pixel (x, y) lies in one of the boxes, each
+// of them non-empty.
+func covered(boxes []blobBox, x, y int) bool {
+	for i := range boxes {
+		bb := &boxes[i]
+		if uint(x-bb.x0) <= uint(bb.x1-bb.x0) && uint(y-bb.y0) <= uint(bb.y1-bb.y0) {
+			return true
+		}
+	}
+	return false
 }
 
 // renderRows fills dst with the scene luminance of sensor rows
 // [y0, y1) at time t. Every pixel depends on its own coordinates
 // alone, so a band renders exactly what the whole frame holds there.
-func (wd *World) renderRows(dst []float32, w, h, y0, y1 int, tUS int64) {
+// Given the band's quiet intervals, a pixel outside every blob's box
+// whose shaded texel-cell bounds lie strictly inside its interval
+// takes the low bound in place of the bilinear sample: the camera
+// skips it either way (package doc). A nil quiet renders every pixel.
+func (wd *World) renderRows(dst []float32, quiet []quietRange, w, h, y0, y1 int, tUS int64) {
 	pose := MotionSample{Zoom: 1}
 	if wd.Path != nil {
 		pose = wd.Path.At(tUS)
@@ -208,16 +314,46 @@ func (wd *World) renderRows(dst []float32, w, h, y0, y1 int, tUS int64) {
 	if zoom == 0 {
 		zoom = 1
 	}
-	if wd.Texture != nil {
+	// The blobs' boxes that reach into the band; up to len(buf) of
+	// them stay off the heap.
+	var buf [8]blobBox
+	boxes := buf[:0]
+	for i := range wd.Blobs {
+		if bb := wd.Blobs[i].box(tUS, w, y0, y1); bb.x0 <= bb.x1 && bb.y0 <= bb.y1 {
+			boxes = append(boxes, bb)
+		}
+	}
+	if tex := wd.Texture; tex != nil {
+		var cells []cellRange
+		if quiet != nil {
+			cells = wd.shadedCells(tex, gain)
+		}
+		tw, th := float64(tex.W), float64(tex.H)
 		for y := y0; y < y1; y++ {
 			dy := (float64(y) - cy) * zoom
+			sdy, cdy := sinA*dy, cosA*dy
 			row := dst[(y-y0)*w : (y-y0+1)*w]
+			var q []quietRange
+			hx0, hx1 := w, -1 // the columns the boxes on this row span
+			if quiet != nil {
+				q = quiet[(y-y0)*w : (y-y0+1)*w]
+				for _, bb := range boxes {
+					if y >= bb.y0 && y <= bb.y1 {
+						hx0, hx1 = min(hx0, bb.x0), max(hx1, bb.x1)
+					}
+				}
+			}
 			for x := range row {
 				dx := (float64(x) - cx) * zoom
-				u := cosA*dx + sinA*dy + cx + pose.TX
-				v := -sinA*dx + cosA*dy + cy + pose.TY
-				lum := float64(wd.Texture.Sample(u, v))
-				row[x] = float32(0.5 + (lum-0.5)*gain)
+				u := wrap(cosA*dx+sdy+cx+pose.TX, tw)
+				v := wrap(-sinA*dx+cdy+cy+pose.TY, th)
+				if q != nil && !(x >= hx0 && x <= hx1 && covered(boxes, x, y)) {
+					if c := cells[int(v)*tex.W+int(u)]; clampLum(c.lo) > q[x].lo && clampLum(c.hi) < q[x].hi {
+						row[x] = c.lo
+						continue
+					}
+				}
+				row[x] = shade(tex.Sample(u, v), gain)
 			}
 		}
 	} else {
@@ -225,19 +361,15 @@ func (wd *World) renderRows(dst []float32, w, h, y0, y1 int, tUS int64) {
 			dst[i] = 0.5
 		}
 	}
-	// Blobs composite additively within a 3-sigma bounding box.
-	for i := range wd.Blobs {
-		b := &wd.Blobs[i]
-		bx, by := b.center(tUS)
-		r := 3 * b.Radius
-		bx0, bx1 := max(int(math.Floor(bx-r)), 0), min(int(math.Ceil(bx+r)), w-1)
-		by0, by1 := max(int(math.Floor(by-r)), y0), min(int(math.Ceil(by+r)), y1-1)
+	// Blobs composite additively within their boxes.
+	for _, bb := range boxes {
+		b := bb.b
 		inv2s2 := 1 / (2 * b.Radius * b.Radius)
-		for y := by0; y <= by1; y++ {
-			dy := float64(y) - by
+		for y := bb.y0; y <= bb.y1; y++ {
+			dy := float64(y) - bb.cy
 			row := dst[(y-y0)*w : (y-y0+1)*w]
-			for x := bx0; x <= bx1; x++ {
-				dx := float64(x) - bx
+			for x := bb.x0; x <= bb.x1; x++ {
+				dx := float64(x) - bb.cx
 				g := math.Exp(-(dx*dx + dy*dy) * inv2s2)
 				v := float64(row[x]) + b.Contrast*g
 				if v < 0.02 {

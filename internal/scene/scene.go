@@ -38,6 +38,25 @@
 // pixel's log change is strictly between -theta and theta and the
 // log-every-pixel loop would skip it too. Every other pixel runs that
 // loop's code, so the stream does not change.
+//
+// The render skips the texture the same way, one layer further up. A
+// World keeps, for each texel cell (x0, y0), the least and greatest of
+// its four texels (the neighbours wrapped as Texture.Sample wraps
+// them), each shaded as the render shades a sample,
+// float32(0.5 + (s-0.5)·gain), built once per texture and gain. At a
+// pixel outside every blob's 3-sigma box whose two shaded bounds, each
+// raised to the floor, lie strictly inside its quiet interval, the
+// render writes the low bound and skips the bilinear sample. That is
+// exact. The bilinear weights are products of numbers in [0, 1] and
+// the texels are not negative (NewTexture's are at least 0.02), so the
+// float64 blend lies within a relative 1e-15 of [least, greatest]
+// texel, far below float32 spacing, and rounded to float32 it lies in
+// [least, greatest]. Shading, its float32 rounding and the floor are
+// each monotone, so the pixel's clamped luminance lies between the
+// clamped shaded bounds, strictly inside the interval: the camera
+// skips the pixel at its true luminance and at the low bound alike,
+// so the stream does not change. A pixel inside a blob's box, and
+// every pixel of the first frame, takes the full render.
 package scene
 
 import (
@@ -89,8 +108,12 @@ func defaultConfig() config {
 // absolute time, one band of sensor rows at a time.
 type renderer interface {
 	// renderRows fills dst (len w*(y1-y0), row-major) with the
-	// luminance of rows [y0, y1) of a w x h sensor at time t.
-	renderRows(dst []float32, w, h, y0, y1 int, tUS int64)
+	// luminance of rows [y0, y1) of a w x h sensor at time t. quiet,
+	// nil or the band's quiet intervals, lets it write any value whose
+	// clamped luminance lies strictly inside a pixel's interval in
+	// place of the pixel's luminance, since the camera skips both
+	// alike; ignoring quiet is always correct.
+	renderRows(dst []float32, quiet []quietRange, w, h, y0, y1 int, tUS int64)
 }
 
 // camera simulates a DVS over a renderer.
@@ -145,8 +168,15 @@ func newCamera(cfg config, r renderer) (*camera, error) {
 const lumFloor = 1e-3 // avoid log(0) for dark pixels
 
 // clampLum is the luminance the camera takes the log of: v, raised to
-// lumFloor.
-func clampLum(v float32) float64 { return max(float64(v), lumFloor) }
+// lumFloor. It is max(v, lumFloor), NaN included, written as one
+// compare: the max builtin's handling of signed zeros costs the render
+// and the camera loop, which call it on every pixel.
+func clampLum(v float32) float64 {
+	if f := float64(v); !(f < lumFloor) {
+		return f
+	}
+	return lumFloor
+}
 
 func logLum(v float32) float64 { return math.Log(clampLum(v)) }
 
@@ -240,7 +270,7 @@ func (c *camera) runRows(t0 int64, ends []int64, y0, y1 int) stepEvents {
 	// Initialize memory from the first frame so startup does not flood
 	// events.
 	if !c.initialized {
-		c.r.renderRows(frame, w, c.cfg.Height, y0, y1, t0)
+		c.r.renderRows(frame, nil, w, c.cfg.Height, y0, y1, t0)
 		for i, v := range frame {
 			c.remember(lo+i, logLum(v))
 		}
@@ -248,7 +278,7 @@ func (c *camera) runRows(t0 int64, ends []int64, y0, y1 int) stepEvents {
 	out := stepEvents{end: make([]int, 0, len(ends))}
 	prevT := t0
 	for _, t := range ends {
-		c.r.renderRows(frame, w, c.cfg.Height, y0, y1, t)
+		c.r.renderRows(frame, quiet, w, c.cfg.Height, y0, y1, t)
 		dt := t - prevT
 		for i, v := range frame {
 			f := clampLum(v)

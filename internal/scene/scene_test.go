@@ -30,7 +30,7 @@ func validStream(s *events.Stream) error {
 // rampRenderer brightens the whole frame linearly with time.
 type rampRenderer struct{ rate float64 } // luminance per second
 
-func (r *rampRenderer) renderRows(dst []float32, w, h, y0, y1 int, tUS int64) {
+func (r *rampRenderer) renderRows(dst []float32, _ []quietRange, w, h, y0, y1 int, tUS int64) {
 	v := float32(0.2 + r.rate*float64(tUS)*1e-6)
 	if v > 1 {
 		v = 1
@@ -269,6 +269,133 @@ func FuzzTextureSample(f *testing.F) {
 	})
 }
 
+// FuzzCellBounds holds the cull's cell ranges to the samples they
+// stand for: at any finite (u, v) and at gains 0.15, 0.6 and 1 (those
+// of HighSpeedSpin, IndoorFlying2 and an unset TextureGain), the shaded
+// sample lies in the shaded range of the cell its wrapped coordinates
+// fall in. The seeds sample across the last column and row, where a
+// cell's neighbours wrap to column and row 0.
+func FuzzCellBounds(f *testing.F) {
+	const w, h = 13, 7
+	tex := NewTexture(w, h, 0.8, 4)
+	gains := []float64{0.15, 0.6, 1}
+	cells := make([][]cellRange, len(gains))
+	for i, g := range gains {
+		cells[i] = shadeCells(tex, g)
+	}
+	for _, c := range [][2]float64{
+		{0, 0}, {5.3, 2.9}, {12.5, 3.5}, {12.9, 0.1}, {3.5, 6.5}, {0.2, 6.9},
+		{12.5, 6.5}, {-0.5, -0.5}, {-1e-300, 0}, {2*w - 0.25, -h - 0.75}, {1e300, -1e300},
+	} {
+		for g := range gains {
+			f.Add(c[0], c[1], uint8(g))
+		}
+	}
+	f.Fuzz(func(t *testing.T, u, v float64, g uint8) {
+		if math.IsNaN(u) || math.IsInf(u, 0) || math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Skip("non-finite coordinate")
+		}
+		gi := int(g) % len(gains)
+		s := shade(tex.Sample(u, v), gains[gi])
+		wu, wv := wrap(u, w), wrap(v, h)
+		if c := cells[gi][int(wv)*w+int(wu)]; !(c.lo <= s && s <= c.hi) {
+			t.Fatalf("gain %g: shaded Sample(%g, %g) = %v outside its cell (%d, %d) range [%v, %v]",
+				gains[gi], u, v, s, int(wu), int(wv), c.lo, c.hi)
+		}
+	})
+}
+
+// posePath holds the camera at one pose.
+type posePath MotionSample
+
+func (p posePath) At(int64) MotionSample { return MotionSample(p) }
+
+// TestWorldCull holds the render's cull to its rule at every pixel. The
+// texture has the sensor's size and the pose shifts it by half a
+// texel, so pixel (x, y) samples the middle of texel cell (x, y); the
+// cells of the last column and row blend across the wrap. Each pixel
+// gets a quiet interval around its cell's shaded bounds, taken from
+// the texels here and raised to the floor: open on both sides, where
+// the pixel must take the low bound unless it lies in the blob's box,
+// or closed at one of the two bounds, where it must take the full
+// render. The frame is rendered in three bands, each given its own
+// rows of the intervals, and rendering with intervals allocates
+// nothing. One World goes through a change of gain and then of
+// texture, so the bounds it keeps must follow both.
+func TestWorldCull(t *testing.T) {
+	const w, h = 23, 17
+	wd := &World{
+		Path:  posePath{TX: 0.5, TY: 0.5, Zoom: 1},
+		Blobs: []Blob{{CX: 5, CY: 8, Radius: 1.5, Contrast: 0.3}},
+	}
+	inBox := func(x, y int) bool { return x <= 10 && y >= 3 && y <= 13 } // floor/ceil of (5, 8) ± 4.5
+	tex := NewTexture(w, h, 0.9, 8)
+	for _, setup := range []struct {
+		tex  *Texture
+		gain float64
+	}{{tex, 0.6}, {tex, 0.3}, {NewTexture(w, h, 0.5, 9), 0.3}} {
+		wd.Texture, wd.TextureGain = setup.tex, setup.gain
+		full := make([]float32, w*h)
+		wd.renderRows(full, nil, w, h, 0, h, 0)
+
+		quiet := make([]quietRange, w*h)
+		low := make([]float32, w*h)
+		for y := range h {
+			for x := range w {
+				x1, y1 := (x+1)%w, (y+1)%h
+				lo, hi := float32(math.Inf(1)), float32(math.Inf(-1))
+				for _, i := range []int{y*w + x, y*w + x1, y1*w + x, y1*w + x1} {
+					s := shade(setup.tex.Data[i], setup.gain)
+					lo, hi = min(lo, s), max(hi, s)
+				}
+				i := y*w + x
+				low[i] = lo
+				q := quietRange{math.Nextafter(clampLum(lo), 0), math.Nextafter(clampLum(hi), 2)}
+				switch i % 3 {
+				case 1:
+					q.lo = clampLum(lo)
+				case 2:
+					q.hi = clampLum(hi)
+				}
+				quiet[i] = q
+			}
+		}
+		got := make([]float32, w*h)
+		render := func() {
+			for _, b := range [][2]int{{0, 5}, {5, 12}, {12, h}} {
+				wd.renderRows(got[b[0]*w:b[1]*w], quiet[b[0]*w:b[1]*w], w, h, b[0], b[1], 0)
+			}
+		}
+		render()
+		culled, wrong := 0, 0
+		for y := range h {
+			for x := range w {
+				i := y*w + x
+				want := full[i]
+				if i%3 == 0 && !inBox(x, y) {
+					want = low[i]
+					culled++
+				}
+				if math.Float32bits(got[i]) != math.Float32bits(want) {
+					if wrong++; wrong <= 5 {
+						t.Errorf("gain %g: pixel (%d, %d), interval case %d, in box %v: rendered %v, want %v (full render %v, low bound %v)",
+							setup.gain, x, y, i%3, inBox(x, y), got[i], want, full[i], low[i])
+					}
+				}
+			}
+		}
+		if wrong > 0 {
+			t.Fatalf("gain %g: %d of %d pixels rendered wrong", setup.gain, wrong, w*h)
+		}
+		if culled == 0 {
+			t.Fatal("no pixel culled")
+		}
+		if n := testing.AllocsPerRun(20, render); n != 0 {
+			t.Errorf("rendering with quiet intervals allocates %v times per frame", n)
+		}
+	}
+}
+
 func TestSmoothPathBurstsContinuity(t *testing.T) {
 	p := &SmoothPath{VX: 10, Bursts: []Burst{{T0: 1_000_000, T1: 2_000_000, Gain: 5}}}
 	// Position is continuous across the burst boundary.
@@ -441,48 +568,61 @@ func streamHash(s *events.Stream) uint64 {
 
 // TestPresetStreamsPinned pins every preset's stream at half scale,
 // seed 7, 200 ms, as the serial, math.Mod-wrapping simulator generated
+// it, and at full scale (346x260, the scale of evbench's paper tables),
+// seed 7, 100 ms, as the simulator before the render's cull generated
 // it. Any change that moves a stream fails here.
 func TestPresetStreamsPinned(t *testing.T) {
 	pins := []struct {
-		p    Preset
-		n    int
-		hash uint64
+		p     Preset
+		sc    Scale
+		durUS int64
+		n     int
+		hash  uint64
 	}{
-		{IndoorFlying1, 2145, 0x6d59f10e2c37b21b},
-		{IndoorFlying2, 2862, 0x85266edb651cb272},
-		{IndoorFlying3, 374, 0x4b553e81ee66d71a},
-		{OutdoorDay1, 67670, 0x359a790c42d88137},
-		{Town10, 10662, 0x96de6202968f0b75},
-		{HighSpeedSpin, 22892, 0x3814cb8738f1e59a},
+		{IndoorFlying1, Half, 200_000, 2145, 0x6d59f10e2c37b21b},
+		{IndoorFlying2, Half, 200_000, 2862, 0x85266edb651cb272},
+		{IndoorFlying3, Half, 200_000, 374, 0x4b553e81ee66d71a},
+		{OutdoorDay1, Half, 200_000, 67670, 0x359a790c42d88137},
+		{Town10, Half, 200_000, 10662, 0x96de6202968f0b75},
+		{HighSpeedSpin, Half, 200_000, 22892, 0x3814cb8738f1e59a},
+		{IndoorFlying1, Full, 100_000, 1829, 0xc8cc21374bfb7b75},
+		{IndoorFlying2, Full, 100_000, 1874, 0x34daccc3b63708a3},
+		{IndoorFlying3, Full, 100_000, 511, 0x6b61ab34d31a802f},
+		{OutdoorDay1, Full, 100_000, 55586, 0x8b3213c6d80616cb},
+		{Town10, Full, 100_000, 3863, 0x66b8898e15d6a522},
+		{HighSpeedSpin, Full, 100_000, 23816, 0x8f8c60d5b3ecd8fc},
 	}
-	if len(pins) != len(AllPresets()) {
-		t.Fatalf("%d pins for %d presets", len(pins), len(AllPresets()))
+	if len(pins) != 2*len(AllPresets()) {
+		t.Fatalf("%d pins for %d presets at two scales", len(pins), len(AllPresets()))
 	}
 	for _, pin := range pins {
-		seq, err := NewSequence(pin.p, Half, 7)
+		seq, err := NewSequence(pin.p, pin.sc, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := seq.Generate(200_000)
+		s, err := seq.Generate(pin.durUS)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := streamHash(s); s.Len() != pin.n || got != pin.hash {
-			t.Errorf("%s: %d events hash %#016x, pinned %d events hash %#016x", pin.p, s.Len(), got, pin.n, pin.hash)
+			t.Errorf("%s at %dx%d: %d events hash %#016x, pinned %d events hash %#016x",
+				pin.p, s.Width, s.Height, s.Len(), got, pin.n, pin.hash)
 		}
 	}
 }
 
 // runSerial is camera.Run as one pass over the whole frame per step
-// that takes every pixel's log, before the rows were split into bands
-// and before the quiet interval, kept as the oracle of
-// TestCameraBandsMatchSerial. It leaves the camera's quiet intervals
-// unset, so a camera it ran must not go on through camera.run.
+// that renders every pixel (it passes the renderer no quiet
+// intervals) and takes every pixel's log, before the rows were split
+// into bands and before the quiet interval and the render's cull,
+// kept as the oracle of TestCameraBandsMatchSerial. It leaves the
+// camera's quiet intervals unset, so a camera it ran must not go on
+// through camera.run.
 func runSerial(c *camera, t0, t1 int64) *events.Stream {
 	w, h := c.cfg.Width, c.cfg.Height
 	out := events.NewStream(w, h)
 	if !c.initialized {
-		c.r.renderRows(c.frame, w, h, 0, h, t0)
+		c.r.renderRows(c.frame, nil, w, h, 0, h, t0)
 		for i, v := range c.frame {
 			c.mem[i] = logLum(v)
 		}
@@ -493,7 +633,7 @@ func runSerial(c *camera, t0, t1 int64) *events.Stream {
 		if t > t1 {
 			t = t1
 		}
-		c.r.renderRows(c.frame, w, h, 0, h, t)
+		c.r.renderRows(c.frame, nil, w, h, 0, h, t)
 		dt := t - prevT
 		for i, v := range c.frame {
 			delta := logLum(v) - c.mem[i]
@@ -538,7 +678,11 @@ func runSerial(c *camera, t0, t1 int64) *events.Stream {
 // the RNG carry over. The edge renderer holds the quiet-interval skip
 // to runSerial's log of every pixel where the two are likeliest to
 // differ, with a refractory period that blocks the step after a fire,
-// at the default threshold and at ln 2.
+// at the default threshold and at ln 2. The other World cases hold the
+// render's cull to runSerial's render of every pixel: a zooming,
+// turning path whose texture coordinates reach every branch of wrap,
+// a texture with a flat patch whose cells' bounds are equal, and two
+// blobs whose boxes share rows and overlap, one straddling band edges.
 func TestCameraBandsMatchSerial(t *testing.T) {
 	const w, h = 40, 30
 	edge := func(theta float64) func(*config) renderer {
@@ -557,6 +701,29 @@ func TestCameraBandsMatchSerial(t *testing.T) {
 				Path:        &SmoothPath{VX: 60, VY: 25, AmpX: 4, FreqX: 2, RotAmp: 0.05, RotFreq: 1},
 				Blobs:       []Blob{{CX: w / 2, CY: h / 2, OrbitR: 10, OrbitHz: 8, Radius: 3, Contrast: 0.5}},
 				TextureGain: 0.6,
+			}
+		}},
+		{"world spin", func(*config) renderer {
+			return &World{Texture: NewTexture(w, h, 0.7, 4), Path: spinPath{}, TextureGain: 0.8}
+		}},
+		{"world flat", func(*config) renderer {
+			tex := NewTexture(w, h, 0.7, 5)
+			for y := 6; y < 22; y++ {
+				for x := 4; x < 30; x++ {
+					tex.Data[y*w+x] = 0.42
+				}
+			}
+			return &World{Texture: tex, Path: &SmoothPath{VX: 8, VY: 3, AmpX: 2, FreqX: 3}}
+		}},
+		{"world blobs", func(*config) renderer {
+			return &World{
+				Texture: NewTexture(w, h, 0.6, 6),
+				Path:    &SmoothPath{VX: 20, VY: -10},
+				Blobs: []Blob{
+					{CX: 10, CY: h / 2, VX: 30, Radius: 2.5, Contrast: 0.4},
+					{CX: 30, CY: 13, VX: -20, OrbitR: 3, OrbitHz: 5, Radius: 2, Contrast: -0.35},
+				},
+				TextureGain: 0.5,
 			}
 		}},
 		{"ramp", func(*config) renderer { return &rampRenderer{rate: 3} }},
@@ -595,6 +762,20 @@ func TestCameraBandsMatchSerial(t *testing.T) {
 				sameStream(t, fmt.Sprintf("%s, %d bands, run %d", tc.name, nb, r), got, want[r])
 			}
 		}
+	}
+}
+
+// spinPath zooms and turns the camera while it sweeps the texture by
+// several of its periods, so the texture coordinates of a 40x30 sensor
+// fall below -2n, in [-2n, -n), [-n, 0), [0, n), [n, 2n) and above 2n
+// for n = 40 and n = 30 during one 150 ms run.
+type spinPath struct{}
+
+func (spinPath) At(tUS int64) MotionSample {
+	t := float64(tUS) * 1e-6
+	return MotionSample{
+		TX: -150 + 900*t, TY: 70 - 400*t,
+		Angle: 0.6 + 12*t, Zoom: 1.6 + 0.5*math.Sin(30*t),
 	}
 }
 
@@ -665,7 +846,7 @@ func newEdgeRenderer(theta float64, stepUS int64, h int) *edgeRenderer {
 	return &edgeRenderer{theta: theta, stepUS: stepUS, base: base[:h]}
 }
 
-func (r *edgeRenderer) renderRows(dst []float32, w, h, y0, y1 int, tUS int64) {
+func (r *edgeRenderer) renderRows(dst []float32, _ []quietRange, w, h, y0, y1 int, tUS int64) {
 	k := int(tUS / (3 * r.stepUS))
 	for y := y0; y < y1; y++ {
 		for x := range w {
