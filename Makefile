@@ -48,7 +48,8 @@ bench-e2e:
 # warmed them. One SendEvents of a 3 400-event chunk over loopback HTTP,
 # client and server together, allocates under 16 KiB. An EVAR body posted
 # to the cluster router allocates at most 1.2x what it does at a node,
-# plus, with the journal on, the replica bytes the buddy stores.
+# plus, with the journal on, the chunk bodies the buddy's replica log
+# keeps (each body as posted; a result entry is a value, no bytes).
 bench-smoke:
 	$(GO) test -run '^TestAllocSmoke$$|^TestAllocRegression|^TestClientRoundTripAllocBudget$$' -count=1 -v ./internal/serve
 	$(GO) test -run '^TestRouterIngestAllocBudget$$' -count=1 -v ./internal/cluster

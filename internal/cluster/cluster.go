@@ -23,13 +23,13 @@
 // order) as the EVAR bytes the client sent, and trimmed as its frames
 // complete, and every emitted result follows it there (carrying the
 // session's sequence watermark and the catch-up ring contents); on a
-// kill, failover resumes the session on the buddy by replaying the
-// unacknowledged chunk entries' records through that same path —
-// queued frames are recovered (failover_recovered_frames) instead of
-// shed — while replicated results refill the resumed catch-up ring
-// and push the sequence counter past everything the dead incarnation
-// handed out, so a streaming client's since=<seq> cursor stays
-// gapless across the kill. Without the journal, frames still sitting
+// kill, failover resumes the session on the buddy (serve.Server.Replay)
+// by replaying the unacknowledged chunk entries' records through that
+// same path — queued frames are recovered (failover_recovered_frames)
+// instead of shed — while replicated results refill the resumed
+// catch-up ring and push the sequence counter past everything the dead
+// incarnation handed out, so a streaming client's since=<seq> cursor
+// stays gapless across the kill. Without the journal, frames still sitting
 // in the dead node's ingest queues are shed and counted
 // (failover_shed_frames).
 // Per-session counters restart after a migration — the fleet-level
@@ -867,7 +867,7 @@ func (c *Cluster) moveRoute(rt *route, n *node, srv *serve.Server, graceful bool
 	var recovered uint64
 	if len(entries) > 0 {
 		shed = 0
-		recovered = c.replay(target, sess.ID, rt.extID, entries)
+		recovered = target.server().Replay(sess.ID, entries)
 	}
 	c.mu.Lock()
 	if rt.closed {
@@ -909,42 +909,6 @@ func (c *Cluster) moveRoute(rt *route, n *node, srv *serve.Server, graceful bool
 	default:
 		c.mark("failover:"+rt.extID+":"+n.name+">"+target.name, int64(shed))
 	}
-}
-
-// replay re-ingests a session's replicated journal on the failover
-// target: chunk entries re-enter the normal ingest path (recovering
-// their queued frames), result entries refill the resumed catch-up
-// ring under their original sequence numbers, and the journal's
-// sequence counter seeds from the log's highest seq — results
-// included, since they share the chunk sequence — so nothing the new
-// incarnation assigns can collide with a sequence number a streaming
-// client has already consumed. Returns the frames the replay
-// regenerated. Entries that fail to decode or ingest are skipped —
-// replay is best-effort recovery of an already-failed node, never a
-// new failure mode.
-func (c *Cluster) replay(target *node, localID, extID string, entries []serve.ReplicaEntry) uint64 {
-	srv := target.server()
-	// The replica log is seq-sorted, so the last entry carries the
-	// highest watermark the buddy saw.
-	_ = srv.SeedJournal(localID, entries[len(entries)-1].Seq)
-	var recovered uint64
-	for _, e := range entries {
-		ent, err := serve.DecodeJournalEntry(e.Data)
-		if err != nil {
-			continue
-		}
-		switch ent.Kind {
-		case serve.JournalResult:
-			_ = srv.RestoreResult(localID, ent.Result)
-		case serve.JournalChunk:
-			res, err := srv.IngestChunk(localID, ent.Chunk)
-			if err != nil {
-				continue
-			}
-			recovered += uint64(res.Frames)
-		}
-	}
-	return recovered
 }
 
 // terminateRouteLocked folds a terminating route's failover counters
@@ -1020,7 +984,7 @@ func (c *Cluster) buddyFor(owner *node) *node {
 // by the sweep's snapshot) instead of stranding an old-incarnation
 // entry that a later failover would replay.
 func (c *Cluster) replicate(rt *route, owner *node, epoch uint64, chunk serve.Chunk, res serve.IngestResult) {
-	data, err := serve.EncodeJournalChunk(res.Seq, chunk)
+	entry, err := serve.ChunkReplica(res.Seq, chunk)
 	if err != nil {
 		return
 	}
@@ -1043,14 +1007,14 @@ func (c *Cluster) replicate(rt *route, owner *node, epoch uint64, chunk serve.Ch
 		moved := prev.server().ReplicaTake(extID)
 		if buddy != nil {
 			for _, e := range moved {
-				buddy.server().ReplicaAppend(extID, e.Seq, e.Kind, e.Data, 0)
+				buddy.server().ReplicaAppend(extID, e, 0)
 			}
 		}
 	}
 	if buddy == nil {
 		return
 	}
-	buddy.server().ReplicaAppend(extID, res.Seq, serve.JournalChunk, data, res.AckSeq)
+	buddy.server().ReplicaAppend(extID, entry, res.AckSeq)
 	if prev != buddy {
 		// Buddy (re)assignment is rare — mark it; per-chunk appends are
 		// far too hot for the bounded ctl ring.
@@ -1059,10 +1023,9 @@ func (c *Cluster) replicate(rt *route, owner *node, epoch uint64, chunk serve.Ch
 }
 
 // resultHook builds node n's serve.Config.OnResult callback: it maps
-// the node-local session back to its fleet route and ships the
-// encoded result to the route's buddy, carrying the session's
-// sequence watermark — and the catch-up ring contents — across a
-// future failover. Results follow the chunks' buddy (rt.buddy, set by
+// the node-local session back to its fleet route and ships the result
+// to the route's buddy, carrying the session's sequence watermark —
+// and the catch-up ring contents — across a future failover. Results follow the chunks' buddy (rt.buddy, set by
 // replicate) so the whole journal survives together on one node; a
 // result that outruns its session's first replicated chunk is simply
 // skipped, the next append carries the watermark forward.
@@ -1080,10 +1043,6 @@ func (c *Cluster) resultHook(n *node) func(string, serve.ResultEvent, uint64) {
 		if rt == nil {
 			return
 		}
-		data, err := serve.EncodeJournalResult(ev)
-		if err != nil {
-			return
-		}
 		rt.repMu.Lock()
 		defer rt.repMu.Unlock()
 		c.mu.Lock()
@@ -1094,7 +1053,7 @@ func (c *Cluster) resultHook(n *node) func(string, serve.ResultEvent, uint64) {
 		if stale || buddy == nil || buddy.state.Load() == stateDead {
 			return
 		}
-		buddy.server().ReplicaAppend(extID, ev.Seq, serve.JournalResult, data, ackSeq)
+		buddy.server().ReplicaAppend(extID, serve.ReplicaEntry{Seq: ev.Seq, Result: ev}, ackSeq)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,9 +30,8 @@ import (
 // The node row runs with the journal set as in the router row, so the
 // node's own journal is on both sides. With the journal on, the
 // buddy's replica log is taken after each post and each pump, before a
-// result append trims the chunk entry, and the capacity of its entries
-// summed: the chunk entries (journal header plus the body as received)
-// and the result entries the pump replicates.
+// result append trims the chunk entry, and the capacity of its chunk
+// entries' bodies summed: each the body as received.
 func TestRouterIngestAllocBudget(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("generates 2 s of scene; the race detector's instrumentation allocates")
@@ -133,7 +131,7 @@ func TestRouterIngestAllocBudget(t *testing.T) {
 			}
 			for _, e := range buddy.server().ReplicaTake(snap.ID) {
 				if i >= bodies/2 {
-					stored += cap(e.Data)
+					stored += cap(e.Body)
 				}
 			}
 		})
@@ -152,11 +150,6 @@ func TestRouterIngestAllocBudget(t *testing.T) {
 		}
 	}
 }
-
-// journalHeaderSize is the journal wire entry's header: magic "EVJL",
-// uint16 version, uint8 kind, uint64 seq. A chunk entry's EVAR payload
-// follows it.
-const journalHeaderSize = 4 + 2 + 1 + 8
 
 // wireRecord is one 13-byte EVAR record, which WriteBinary cannot
 // produce for a bad polarity or a timestamp order it does not check.
@@ -187,10 +180,11 @@ func wireBody(w, h int, count uint64, recs ...[]byte) []byte {
 // FuzzRouterIngestWire: a binary body POSTed to Cluster.Handler is
 // answered as serve.Server.Handler answers it — the same status, the
 // same IngestResult, the same error text — and every chunk the router
-// accepts is in the buddy's replica log as one entry that decodes to
-// the events the node accepted. Both sides journal; each input is two
-// bodies sent in turn to one session (FuzzIngestWire's seeds), on a
-// time-framed (DOTIE) or count-framed (SpikeFlowNet) network.
+// accepts is in the buddy's replica log as one entry under the node's
+// seq whose body is the body posted, byte for byte. Both sides
+// journal; each input is two bodies sent in turn to one session
+// (FuzzIngestWire's seeds), on a time-framed (DOTIE) or count-framed
+// (SpikeFlowNet) network.
 func FuzzRouterIngestWire(f *testing.F) {
 	body := func(evs ...events.Event) []byte {
 		s := events.NewStream(16, 16)
@@ -286,15 +280,8 @@ func FuzzRouterIngestWire(f *testing.F) {
 			if len(log) != 1 {
 				t.Fatalf("body %d: accepted, with %d replica entries", i, len(log))
 			}
-			ent, err := serve.DecodeJournalEntry(log[0].Data)
-			if err != nil || ent.Kind != serve.JournalChunk || ent.Seq != node.Seq {
-				t.Fatalf("body %d: replica entry seq %d kind %d: %v; want chunk seq %d", i, ent.Seq, ent.Kind, err, node.Seq)
-			}
-			got, gerr := events.ReadBinary(bytes.NewReader(log[0].Data[journalHeaderSize:]))
-			want, werr := events.ReadBinary(bytes.NewReader(b))
-			if gerr != nil || werr != nil || got.Width != want.Width || got.Height != want.Height || !slices.Equal(got.Events, want.Events) {
-				t.Fatalf("body %d: replica entry decodes to %dx%d/%d (%v), the node accepted %dx%d/%d (%v)",
-					i, got.Width, got.Height, got.Len(), gerr, want.Width, want.Height, want.Len(), werr)
+			if e := log[0]; e.Seq != node.Seq || !bytes.Equal(e.Body, b) {
+				t.Fatalf("body %d: replica entry seq %d with a %d-byte body; want seq %d and the %d bytes posted", i, e.Seq, len(e.Body), node.Seq, len(b))
 			}
 		}
 	})
@@ -307,8 +294,8 @@ func FuzzRouterIngestWire(f *testing.F) {
 // senders post EVAR through Cluster.Handler to their own sessions on a
 // journaled three-node fleet while the test drains and undrains the
 // sessions' owners. Every request must be answered 200, the fleet must
-// count each acknowledged chunk's events once, and every replica entry
-// left on the fleet must decode.
+// count each acknowledged chunk's events once, and every chunk entry
+// left on the fleet must hold a whole EVAR body.
 func TestRouterIngestDuringMigration(t *testing.T) {
 	const (
 		senders = 4
@@ -377,8 +364,11 @@ func TestRouterIngestDuringMigration(t *testing.T) {
 	for _, n := range c.nodes {
 		for _, id := range ids {
 			for _, e := range n.server().ReplicaTake(id) {
-				if _, err := serve.DecodeJournalEntry(e.Data); err != nil {
-					t.Errorf("%s: replica entry %d of %s on %s: %v", n.name, e.Seq, id, n.name, err)
+				if e.Body == nil {
+					continue
+				}
+				if _, _, _, err := events.ParseBinary(e.Body); err != nil {
+					t.Errorf("replica entry %d of %s on %s: %v", e.Seq, id, n.name, err)
 				}
 			}
 		}

@@ -1,10 +1,35 @@
 package experiments
 
 import (
+	"hash/fnv"
 	"strconv"
 	"strings"
 	"testing"
 )
+
+// renderPins is the FNV-1a hash of RenderText for each paper table at
+// QuickConfig, checked by the shape test that computes the table. A
+// change that moves one (E2SF, DSFA, the mapper, the cost model, the
+// quantizer's noise) fails here, so one that means to re-pins it and
+// says so. The full-scale tables stay a manual evbench check.
+var renderPins = map[string]uint64{
+	"fig8":   0xa79407494a05673e,
+	"energy": 0xced1014964686947,
+	"fig9":   0xf7272ffc33dcd50a,
+	"fig10a": 0xb14f9cec1e785e1d,
+	"fig10b": 0x6ce3a7190857baff,
+	"table2": 0x714d974f161f13b8,
+}
+
+// pinRender fails unless r renders to its pinned hash.
+func pinRender(t *testing.T, r *Result) {
+	t.Helper()
+	h := fnv.New64a()
+	h.Write([]byte(RenderText(r)))
+	if got, want := h.Sum64(), renderPins[r.ID]; got != want {
+		t.Errorf("%s: RenderText hash %#016x, pinned %#016x", r.ID, got, want)
+	}
+}
 
 // parseRatio extracts the float from a "1.58x" cell.
 func parseRatio(t *testing.T, cell string) float64 {
@@ -120,6 +145,7 @@ func TestFig8Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pinRender(t, res)
 	if len(res.Rows) != 6 {
 		t.Fatalf("rows=%d", len(res.Rows))
 	}
@@ -166,6 +192,7 @@ func TestEnergyImproves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pinRender(t, res)
 	for _, row := range res.Rows {
 		if v := parseRatio(t, row[3]); v < 1.0 || v > 3.0 {
 			t.Errorf("%s: energy improvement %.2f outside loose band", row[0], v)
@@ -181,6 +208,7 @@ func TestFig9Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pinRender(t, res)
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows=%d", len(res.Rows))
 	}
@@ -204,6 +232,7 @@ func TestFig10Convergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pinRender(t, res)
 	hist := res.Series["best_fitness_per_generation"]
 	for i := 1; i < len(hist); i++ {
 		if hist[i] > hist[i-1]+1e-9 {
@@ -214,6 +243,7 @@ func TestFig10Convergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pinRender(t, res2)
 	ratio := parseRatio(t, res2.Rows[2][1])
 	if ratio < 1.0 {
 		t.Fatalf("random search beat evolutionary search (%.2f)", ratio)
@@ -228,6 +258,7 @@ func TestTable2AccuracyWithinBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pinRender(t, res)
 	// Measured Ev-Edge accuracy must be within ~2x of the paper's
 	// reported delta from baseline (the ΔA bound mechanics).
 	for _, row := range res.Rows {

@@ -210,9 +210,13 @@ func (c *Client) CloseSession(id string) (*SessionSnapshot, error) {
 //
 // The call blocks until the session closes (nil), the context is
 // canceled (ctx.Err()), fn returns an error (that error), or the
-// connection breaks. Use a context or an http.Client without a Timeout
-// for long-lived streams — the default 30 s client deadline applies to
-// the whole response.
+// connection breaks: a read error, or io.ErrUnexpectedEOF when the
+// stream ends without the session's close event — the server stopped
+// or died, or a cluster failover moved the session, so the caller
+// reconnects with since=<last Seq> rather than taking it for a close.
+// Use a context or an http.Client without a Timeout for long-lived
+// streams — the default 30 s client deadline applies to the whole
+// response.
 func (c *Client) StreamResults(ctx context.Context, id string, since uint64, fn func(ResultEvent) error) error {
 	url := fmt.Sprintf("%s/v1/sessions/%s/stream?since=%d", c.base, id, since)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
@@ -264,7 +268,10 @@ func (c *Client) StreamResults(ctx context.Context, id string, since uint64, fn 
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return sc.Err()
+	if err := sc.Err(); err != nil {
+		return err
+	}
+	return io.ErrUnexpectedEOF
 }
 
 // Health fetches /healthz.

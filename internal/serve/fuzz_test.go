@@ -182,76 +182,3 @@ func FuzzIngestWire(f *testing.F) {
 		}
 	})
 }
-
-// FuzzDecodeJournalEntry hammers the journal replication codec — the
-// bytes a buddy node stores and replays at failover. It must never
-// panic on hostile input (a chunk payload's framing is checked, its
-// records are not decoded), and every accepted entry must survive a
-// re-encode/re-decode round trip unchanged — a chunk entry byte for
-// byte, since its body is copied as received: replayed sessions are
-// only as good as the codec's fidelity.
-func FuzzDecodeJournalEntry(f *testing.F) {
-	s := events.NewStream(8, 6)
-	s.Append(events.Event{X: 1, Y: 2, TS: 100, Pol: events.On})
-	if enc, err := EncodeJournalChunk(3, StreamChunk(s)); err == nil {
-		f.Add(enc)
-		f.Add(enc[:journalHeaderSize+2])
-	}
-	if enc, err := EncodeJournalResult(ResultEvent{Seq: 9, DoneUS: 1500, LatUS: 42.5, Frames: 4}); err == nil {
-		f.Add(enc)
-		f.Add(enc[:len(enc)-1])
-	}
-	f.Add([]byte(journalMagic))
-	f.Add([]byte("XXXXgarbage that is not a journal entry"))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ent, err := DecodeJournalEntry(data)
-		if err != nil {
-			return
-		}
-		var reenc []byte
-		switch ent.Kind {
-		case JournalChunk:
-			reenc, err = EncodeJournalChunk(ent.Seq, ent.Chunk)
-		case JournalResult:
-			reenc, err = EncodeJournalResult(ent.Result)
-		default:
-			t.Fatalf("decoder accepted unknown kind %d", ent.Kind)
-		}
-		if err != nil {
-			t.Fatalf("accepted entry failed to re-encode: %v", err)
-		}
-		ent2, err := DecodeJournalEntry(reenc)
-		if err != nil {
-			t.Fatalf("re-encoded entry rejected: %v", err)
-		}
-		if ent2.Kind != ent.Kind || ent2.Seq != ent.Seq {
-			t.Fatalf("round trip changed header: %+v vs %+v", ent, ent2)
-		}
-		switch ent.Kind {
-		case JournalChunk:
-			if !bytes.Equal(reenc, data) {
-				t.Fatalf("round trip changed the entry's bytes:\n %x\n %x", data, reenc)
-			}
-			a, b := ent.Chunk, ent2.Chunk
-			ae, be := chunkEvents(a), chunkEvents(b)
-			if a.w != b.w || a.h != b.h || len(ae) != len(be) {
-				t.Fatalf("round trip changed chunk shape: %dx%d/%d vs %dx%d/%d",
-					a.w, a.h, len(ae), b.w, b.h, len(be))
-			}
-			for i := range ae {
-				if ae[i] != be[i] {
-					t.Fatalf("round trip changed event %d: %+v vs %+v", i, ae[i], be[i])
-				}
-			}
-		case JournalResult:
-			// Bit-level float comparison so NaN payloads still round-trip.
-			a, b := ent.Result, ent2.Result
-			if a.Seq != b.Seq || a.Frames != b.Frames ||
-				math.Float64bits(a.DoneUS) != math.Float64bits(b.DoneUS) ||
-				math.Float64bits(a.LatUS) != math.Float64bits(b.LatUS) {
-				t.Fatalf("round trip changed result: %+v vs %+v", a, b)
-			}
-		}
-	})
-}

@@ -2,9 +2,7 @@ package serve
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 
 	"evedge/internal/events"
@@ -19,10 +17,11 @@ import (
 //
 // The journal itself stores only chunk *marks* (sequence number plus
 // the cumulative frame count at append) — the chunk payloads needed
-// for failover replay live in a buddy node's replica store as wire
-// entries, so a dead node's own memory is never consulted. A chunk
-// entry carries the EVAR body the client sent, byte for byte.
-// Results replicate there too (Config.OnResult): they carry the
+// for failover replay live in a buddy node's replica store as
+// ReplicaEntry values, so a dead node's own memory is never consulted.
+// A chunk entry carries the EVAR body the client sent, byte for byte,
+// and Server.Replay resumes a session from such a log. Results
+// replicate there too (Config.OnResult): they carry the
 // session's sequence watermark across a failover — the resumed
 // journal seeds strictly past every seq the dead incarnation handed
 // out, chunk or result — and they refill the resumed ring so SSE
@@ -212,167 +211,64 @@ func (j *journal) stats() JournalStats {
 	return JournalStats{Seq: j.seq, Unacked: len(j.chunks), Retained: j.n}
 }
 
-// --- journal wire codec ---
-//
-// One journal entry on the wire:
-//
-//	magic   [4]byte  "EVJL"
-//	version uint16
-//	kind    uint8    1 = chunk, 2 = result
-//	seq     uint64
-//	payload          chunk: EVAR binary body; result: done_us
-//	                 float64 bits, lat_us float64 bits, frames uint32
-//
-// All integers little-endian. Decoding a chunk payload only checks its
-// EVAR framing, allocating nothing whatever its header count claims,
-// and the result payload is fixed-size, so decoding untrusted bytes
-// stays memory-safe.
-
-// Journal entry kinds.
-const (
-	JournalChunk  uint8 = 1
-	JournalResult uint8 = 2
-)
-
-const (
-	journalMagic       = "EVJL"
-	journalWireVersion = 1
-	journalHeaderSize  = 4 + 2 + 1 + 8
-	journalResultSize  = 8 + 8 + 4
-)
-
-// JournalEntry is one decoded journal wire entry.
-type JournalEntry struct {
-	Seq  uint64
-	Kind uint8
-	// Chunk is the replayable chunk (Kind == JournalChunk), whose
-	// records alias the decoded bytes.
-	Chunk Chunk
-	// Result is the emitted result (Kind == JournalResult).
+// ReplicaEntry is one journal entry held in a buddy node's replica
+// store: a chunk, as the EVAR body the client sent, or a result.
+type ReplicaEntry struct {
+	Seq uint64
+	// Body is a chunk entry's EVAR body; nil for a result entry.
+	Body []byte
+	// Result is a result entry's event (Body == nil).
 	Result ResultEvent
 }
 
-// ReplicaEntry is one encoded journal entry held in a replica store,
-// keyed by its sequence number and kind so trims never re-parse the
-// payload.
-type ReplicaEntry struct {
-	Seq  uint64
-	Kind uint8
-	Data []byte
-}
-
-func journalHeader(kind uint8, seq uint64) []byte {
-	b := make([]byte, journalHeaderSize)
-	copy(b, journalMagic)
-	binary.LittleEndian.PutUint16(b[4:], journalWireVersion)
-	b[6] = kind
-	binary.LittleEndian.PutUint64(b[7:], seq)
-	return b
-}
-
-// EncodeJournalChunk serializes one ingest chunk as a journal wire
-// entry — the replication payload the cluster ships to a buddy node.
-// An EVAR chunk's body is copied as it was received; only a chunk of
-// events (a stream, a JSON body) is encoded.
-func EncodeJournalChunk(seq uint64, c Chunk) ([]byte, error) {
+// ChunkReplica is the replica entry of ingest chunk c, journaled under
+// seq: an EVAR body copied as it was received, the header-count-0 form
+// included, or a chunk of events (a stream, a JSON body) encoded once.
+// The entry owns its bytes, so the body buffer c views can go back to
+// its pool.
+func ChunkReplica(seq uint64, c Chunk) (ReplicaEntry, error) {
 	if c.evar != nil {
-		return append(journalHeader(JournalChunk, seq), c.evar...), nil
+		return ReplicaEntry{Seq: seq, Body: bytes.Clone(c.evar)}, nil
 	}
-	buf := bytes.NewBuffer(journalHeader(JournalChunk, seq))
-	if err := events.WriteBinary(buf, &events.Stream{Width: c.w, Height: c.h, Events: c.evs}); err != nil {
-		return nil, err
+	var buf bytes.Buffer
+	if err := events.WriteBinary(&buf, &events.Stream{Width: c.w, Height: c.h, Events: c.evs}); err != nil {
+		return ReplicaEntry{}, err
 	}
-	return buf.Bytes(), nil
+	return ReplicaEntry{Seq: seq, Body: buf.Bytes()}, nil
 }
 
-// EncodeJournalResult serializes one result event as a journal wire
-// entry.
-func EncodeJournalResult(ev ResultEvent) ([]byte, error) {
-	b := make([]byte, journalHeaderSize+journalResultSize)
-	copy(b, journalHeader(JournalResult, ev.Seq))
-	p := b[journalHeaderSize:]
-	binary.LittleEndian.PutUint64(p[0:], math.Float64bits(ev.DoneUS))
-	binary.LittleEndian.PutUint64(p[8:], math.Float64bits(ev.LatUS))
-	if ev.Frames < 0 {
-		return nil, fmt.Errorf("serve: journal result has negative frame count %d", ev.Frames)
+// Replay resumes session id from a replicated journal log, sorted by
+// seq, and returns the frames it recovered. The journal's sequence
+// counter seeds from the log's last seq — results included, since they
+// share the chunk sequence — so nothing the resumed session assigns
+// collides with a seq a streaming client has already consumed; result
+// entries refill the catch-up ring under their original seqs; chunk
+// entries re-enter IngestChunk, their EVAR framing and every event
+// checked as on first ingest. An entry that fails either check is
+// skipped: replay recovers what it can of an already-failed node and
+// is never a new failure. Replay does nothing on an unknown or
+// unjournaled session.
+func (s *Server) Replay(id string, log []ReplicaEntry) uint64 {
+	sess, ok := s.Session(id)
+	if !ok || sess.journal == nil || len(log) == 0 {
+		return 0
 	}
-	binary.LittleEndian.PutUint32(p[16:], uint32(ev.Frames))
-	return b, nil
-}
-
-// DecodeJournalEntry parses one journal wire entry; a chunk entry's
-// records alias b. Untrusted input is safe: payload sizes are
-// validated and a chunk payload's records are not decoded here.
-func DecodeJournalEntry(b []byte) (JournalEntry, error) {
-	var ent JournalEntry
-	if len(b) < journalHeaderSize {
-		return ent, fmt.Errorf("serve: journal entry truncated at %d bytes", len(b))
-	}
-	if string(b[:4]) != journalMagic {
-		return ent, fmt.Errorf("serve: bad journal magic %q", b[:4])
-	}
-	if v := binary.LittleEndian.Uint16(b[4:]); v != journalWireVersion {
-		return ent, fmt.Errorf("serve: unsupported journal version %d", v)
-	}
-	ent.Kind = b[6]
-	ent.Seq = binary.LittleEndian.Uint64(b[7:])
-	payload := b[journalHeaderSize:]
-	switch ent.Kind {
-	case JournalChunk:
-		chunk, err := evarChunk(payload)
+	sess.journal.seed(log[len(log)-1].Seq)
+	var recovered uint64
+	for _, e := range log {
+		if e.Body == nil {
+			sess.journal.restore(e.Result)
+			continue
+		}
+		c, err := evarChunk(e.Body)
 		if err != nil {
-			return JournalEntry{}, fmt.Errorf("serve: journal chunk payload: %w", err)
+			continue
 		}
-		ent.Chunk = chunk
-	case JournalResult:
-		if len(payload) != journalResultSize {
-			return JournalEntry{}, fmt.Errorf("serve: journal result payload is %d bytes, want %d",
-				len(payload), journalResultSize)
+		if res, err := s.IngestChunk(id, c); err == nil {
+			recovered += uint64(res.Frames)
 		}
-		ent.Result = ResultEvent{
-			Seq:    ent.Seq,
-			DoneUS: math.Float64frombits(binary.LittleEndian.Uint64(payload[0:])),
-			LatUS:  math.Float64frombits(binary.LittleEndian.Uint64(payload[8:])),
-			Frames: int(binary.LittleEndian.Uint32(payload[16:])),
-		}
-	default:
-		return JournalEntry{}, fmt.Errorf("serve: unknown journal entry kind %d", ent.Kind)
 	}
-	return ent, nil
-}
-
-// SeedJournal raises session id's journal sequence counter so entries
-// appended after a failover replay sort strictly after everything the
-// previous incarnation journaled — a client resuming its stream with
-// since=<last seen> never collides with recycled sequence numbers.
-func (s *Server) SeedJournal(id string, seq uint64) error {
-	sess, ok := s.Session(id)
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoSession, id)
-	}
-	if sess.journal == nil {
-		return ErrJournalDisabled
-	}
-	sess.journal.seed(seq)
-	return nil
-}
-
-// RestoreResult re-inserts a replicated result event into session id's
-// journal during failover replay, preserving its original sequence
-// number: a client that reconnects with since=<seq> catches up on
-// results the dead node emitted but the client never saw, and the
-// resumed sequence counter moves past it so freshly replayed work
-// cannot recycle a seq the client has already consumed.
-func (s *Server) RestoreResult(id string, ev ResultEvent) error {
-	sess, ok := s.Session(id)
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoSession, id)
-	}
-	if sess.journal == nil {
-		return ErrJournalDisabled
-	}
-	sess.journal.restore(ev)
-	return nil
+	return recovered
 }
 
 // SessionJournalStats reports session id's journal state.
@@ -389,23 +285,23 @@ func (s *Server) SessionJournalStats(id string) (JournalStats, error) {
 
 // --- replica store ---
 
-// replicaStore holds other sessions' encoded journal entries on a
-// buddy node, keyed by fleet-wide session ID. It lives on the buddy
-// server (not the router) so a dead buddy genuinely loses its
-// replicas — exactly the failure model a real fleet has.
+// replicaStore holds other sessions' journal entries on a buddy node,
+// keyed by fleet-wide session ID. It lives on the buddy server (not
+// the router) so a dead buddy genuinely loses its replicas — exactly
+// the failure model a real fleet has.
 type replicaStore struct {
 	mu   sync.Mutex
 	logs map[string][]ReplicaEntry
 }
 
-// ReplicaAppend stores one encoded journal entry for extID, inserted
-// by sequence number (concurrent ingests can replicate out of order;
-// failover replays the log front to back, so it must be sorted), and
-// trims the log so it stays bounded: chunk entries retire at or below
-// the ack watermark, result entries are capped at the catch-up ring
-// size (they exist to re-seed the resumed journal's ring and seq
-// counter, so they outlive their chunk's ack).
-func (s *Server) ReplicaAppend(extID string, seq uint64, kind uint8, data []byte, ackSeq uint64) {
+// ReplicaAppend stores journal entry e for extID, inserted by
+// sequence number (concurrent ingests can replicate out of order;
+// Replay reads the log front to back, so it must be sorted), and trims
+// the log so it stays bounded: chunk entries retire at or below the
+// ack watermark, result entries are capped at the catch-up ring size
+// (they exist to re-seed the resumed journal's ring and seq counter,
+// so they outlive their chunk's ack).
+func (s *Server) ReplicaAppend(extID string, e ReplicaEntry, ackSeq uint64) {
 	rs := &s.replicas
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -414,25 +310,25 @@ func (s *Server) ReplicaAppend(extID string, seq uint64, kind uint8, data []byte
 	}
 	log := rs.logs[extID]
 	results := 0
-	if kind == JournalResult {
+	if e.Body == nil {
 		results++
 	}
 	keep := log[:0]
-	for _, e := range log {
-		if e.Kind == JournalChunk && e.Seq <= ackSeq {
+	for _, k := range log {
+		if k.Body != nil && k.Seq <= ackSeq {
 			continue
 		}
-		if e.Kind == JournalResult {
+		if k.Body == nil {
 			results++
 		}
-		keep = append(keep, e)
+		keep = append(keep, k)
 	}
 	log = keep
 	for results > journalResultCap {
 		// Shed the oldest retained result; the log is sorted, so the
 		// first result entry is the oldest.
-		for i, e := range log {
-			if e.Kind == JournalResult {
+		for i, k := range log {
+			if k.Body == nil {
 				log = append(log[:i], log[i+1:]...)
 				break
 			}
@@ -442,17 +338,17 @@ func (s *Server) ReplicaAppend(extID string, seq uint64, kind uint8, data []byte
 	// Sorted insert; appends land at the tail in the common in-order
 	// case.
 	at := len(log)
-	for at > 0 && log[at-1].Seq > seq {
+	for at > 0 && log[at-1].Seq > e.Seq {
 		at--
 	}
 	log = append(log, ReplicaEntry{})
 	copy(log[at+1:], log[at:])
-	log[at] = ReplicaEntry{Seq: seq, Kind: kind, Data: data}
+	log[at] = e
 	rs.logs[extID] = log
 }
 
 // ReplicaTake removes and returns extID's replica log in sequence
-// order — the failover replay input.
+// order — the input of Replay.
 func (s *Server) ReplicaTake(extID string) []ReplicaEntry {
 	rs := &s.replicas
 	rs.mu.Lock()

@@ -5,6 +5,10 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -98,12 +102,12 @@ func TestJournalSeed(t *testing.T) {
 	}
 }
 
-// TestJournalCodecRoundTrip round-trips chunk and result entries
-// through the wire codec and rejects malformed headers. A chunk of
-// events is encoded as EVAR; an EVAR chunk is stored as the body it was
-// read from, the header-count-0 form (records run to the end) included,
-// which WriteBinary never writes. Each decodes to the events it carried.
-func TestJournalCodecRoundTrip(t *testing.T) {
+// TestChunkReplicaRoundTrip: a chunk replica's Body is the EVAR body
+// the client sent, byte for byte — the header-count-0 form (records run
+// to the end), which WriteBinary never writes, included — and a chunk
+// of events is encoded once. The entry owns its bytes, and its body
+// frames back into the events it carried.
+func TestChunkReplicaRoundTrip(t *testing.T) {
 	stream := genStream(t, nn.MustByName(nn.DOTIE).Input.Preset, 21, 20_000)
 	var canonical bytes.Buffer
 	if err := events.WriteBinary(&canonical, stream); err != nil {
@@ -112,59 +116,72 @@ func TestJournalCodecRoundTrip(t *testing.T) {
 	countZero := bytes.Clone(canonical.Bytes())
 	binary.LittleEndian.PutUint64(countZero[10:], 0)
 	for _, form := range []struct {
-		name    string
-		chunk   Chunk
-		payload []byte // the entry's bytes after the header
+		name  string
+		chunk Chunk
+		body  []byte
 	}{
 		{"stream", StreamChunk(stream), canonical.Bytes()},
 		{"evar", wireChunk(t, stream), canonical.Bytes()},
 		{"evar count 0", mustReadChunk(t, countZero), countZero},
 	} {
-		b, err := EncodeJournalChunk(42, form.chunk)
+		e, err := ChunkReplica(42, form.chunk)
 		if err != nil {
-			t.Fatalf("%s: EncodeJournalChunk: %v", form.name, err)
+			t.Fatalf("%s: ChunkReplica: %v", form.name, err)
 		}
-		if !bytes.Equal(b[journalHeaderSize:], form.payload) {
-			t.Fatalf("%s: entry payload is not the expected EVAR body", form.name)
+		if e.Seq != 42 || !bytes.Equal(e.Body, form.body) {
+			t.Fatalf("%s: replica seq %d, body is not the expected EVAR body", form.name, e.Seq)
 		}
-		ent, err := DecodeJournalEntry(b)
-		if err != nil {
-			t.Fatalf("%s: DecodeJournalEntry(chunk): %v", form.name, err)
+		if b := form.chunk.evar; b != nil {
+			b[0] ^= 0xff // the pooled body buffer is reused
+			if e.Body[0] == b[0] {
+				t.Fatalf("%s: replica aliases the body buffer", form.name)
+			}
 		}
-		if ent.Kind != JournalChunk || ent.Seq != 42 || ent.Chunk.w != stream.Width || ent.Chunk.h != stream.Height {
-			t.Fatalf("%s: decoded chunk entry: %+v", form.name, ent)
-		}
-		if got := chunkEvents(ent.Chunk); !slices.Equal(got, stream.Events) {
-			t.Fatalf("%s: decoded %d events, want the %d encoded", form.name, len(got), stream.Len())
+		c, err := evarChunk(e.Body)
+		if err != nil || c.w != stream.Width || c.h != stream.Height || !slices.Equal(chunkEvents(c), stream.Events) {
+			t.Fatalf("%s: replica body frames to %dx%d/%d (%v), want the %d events sent", form.name, c.w, c.h, c.len(), err, stream.Len())
 		}
 	}
+	if _, err := ChunkReplica(1, StreamChunk(events.NewStream(1<<16, 1))); err == nil {
+		t.Fatal("a geometry the EVAR header cannot hold was replicated")
+	}
+}
 
-	res := ResultEvent{Seq: 7, DoneUS: 123.5, LatUS: 4.25, Frames: 9}
-	b, err := EncodeJournalResult(res)
+// TestReplay resumes a session from a replica log as failover does: it
+// recovers the frames the chunks made live, seeds the journal past the
+// log's last seq, refills the ring with the log's results, and skips a
+// body that fails its EVAR framing or the ingest checks.
+func TestReplay(t *testing.T) {
+	srv, _, live, stop := newJournalServer(t, DefaultConfig())
+	defer stop()
+	resumed, err := srv.CreateSession(SessionConfig{Network: nn.DOTIE, Level: 1})
 	if err != nil {
-		t.Fatalf("EncodeJournalResult: %v", err)
+		t.Fatal(err)
 	}
-	ent, err := DecodeJournalEntry(b)
-	if err != nil {
-		t.Fatalf("DecodeJournalEntry(result): %v", err)
-	}
-	if ent.Kind != JournalResult || ent.Result != res {
-		t.Fatalf("decoded result entry: %+v", ent)
-	}
-
-	for name, mut := range map[string]func([]byte) []byte{
-		"truncated":   func(b []byte) []byte { return b[:journalHeaderSize-1] },
-		"bad magic":   func(b []byte) []byte { b[0] = 'X'; return b },
-		"bad version": func(b []byte) []byte { b[4] = 99; return b },
-		"bad kind":    func(b []byte) []byte { b[6] = 77; return b },
-		"short result": func(b []byte) []byte {
-			return b[:len(b)-1]
-		},
-	} {
-		bad, _ := EncodeJournalResult(res)
-		if _, err := DecodeJournalEntry(mut(bad)); err == nil {
-			t.Fatalf("%s accepted", name)
+	var log []ReplicaEntry
+	var frames uint64
+	for _, ch := range chunks(genStream(t, nn.MustByName(nn.DOTIE).Input.Preset, 5, 60_000), 60_000, 20_000) {
+		res, err := srv.Ingest(live.ID, ch)
+		e, rerr := ChunkReplica(res.Seq, StreamChunk(ch))
+		if err != nil || rerr != nil {
+			t.Fatal(err, rerr)
 		}
+		frames += uint64(res.Frames)
+		log = append(log, e)
+	}
+	restored := ResultEvent{Seq: 4, DoneUS: 9, LatUS: 2, Frames: 3}
+	log = append(log, ReplicaEntry{Seq: 4, Result: restored},
+		ReplicaEntry{Seq: 5, Body: []byte("EVAR")}, // truncated header
+		ReplicaEntry{Seq: 6, Body: log[0].Body})    // before the watermark
+	got := srv.Replay(resumed.ID, log)
+	st, _ := srv.SessionJournalStats(resumed.ID)
+	ring := mustJournalResults(t, srv, resumed.ID)
+	if got != frames || frames == 0 || st.Seq != 6+3 || len(ring) != 1 || ring[0] != restored {
+		t.Fatalf("replay recovered %d frames (live %d), journal at seq %d (want the log's 6 + 3 chunks), ring %+v (want %+v)",
+			got, frames, st.Seq, ring, restored)
+	}
+	if srv.Replay("nope", log) != 0 {
+		t.Fatal("replay onto an unknown session recovered frames")
 	}
 }
 
@@ -172,21 +189,12 @@ func TestJournalCodecRoundTrip(t *testing.T) {
 // ingests carry sequence numbers and the ack watermark advances once
 // frames drain.
 func TestIngestJournalSequencing(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ManualDrain = true
-	cfg.Journal = true
-	cfg.QueueCap = 4096
-	srv, cl, stop := newTestServer(t, cfg)
+	srv, cl, sess, stop := newJournalServer(t, DefaultConfig())
 	defer stop()
-
-	snap, err := cl.CreateSession(SessionConfig{Network: nn.DOTIE, Level: 1})
-	if err != nil {
-		t.Fatalf("CreateSession: %v", err)
-	}
 	stream := genStream(t, nn.MustByName(nn.DOTIE).Input.Preset, 5, 90_000)
 	var lastSeq uint64
 	for _, ch := range chunks(stream, 90_000, 30_000) {
-		res, err := cl.SendEvents(snap.ID, ch)
+		res, err := cl.SendEvents(sess.ID, ch)
 		if err != nil {
 			t.Fatalf("SendEvents: %v", err)
 		}
@@ -195,7 +203,7 @@ func TestIngestJournalSequencing(t *testing.T) {
 		}
 		lastSeq = res.Seq
 	}
-	st, err := srv.SessionJournalStats(snap.ID)
+	st, err := srv.SessionJournalStats(sess.ID)
 	if err != nil {
 		t.Fatalf("SessionJournalStats: %v", err)
 	}
@@ -203,10 +211,10 @@ func TestIngestJournalSequencing(t *testing.T) {
 		t.Fatal("no unacked chunks with a queued backlog")
 	}
 	srv.Pump()
-	if _, err := cl.CloseSession(snap.ID); err != nil {
+	if _, err := cl.CloseSession(sess.ID); err != nil {
 		t.Fatalf("CloseSession: %v", err)
 	}
-	st, err = srv.SessionJournalStats(snap.ID)
+	st, err = srv.SessionJournalStats(sess.ID)
 	if err != nil {
 		t.Fatalf("SessionJournalStats after close: %v", err)
 	}
@@ -220,25 +228,16 @@ func TestIngestJournalSequencing(t *testing.T) {
 // exactly the remaining events — the union of the two passes equals a
 // full from-zero read with no gaps and no duplicates.
 func TestStreamResultsCatchUp(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ManualDrain = true
-	cfg.Journal = true
-	cfg.QueueCap = 4096
-	srv, cl, stop := newTestServer(t, cfg)
+	srv, cl, sess, stop := newJournalServer(t, DefaultConfig())
 	defer stop()
-
-	snap, err := cl.CreateSession(SessionConfig{Network: nn.DOTIE, Level: 1})
-	if err != nil {
-		t.Fatalf("CreateSession: %v", err)
-	}
 	stream := genStream(t, nn.MustByName(nn.DOTIE).Input.Preset, 8, 120_000)
 	for _, ch := range chunks(stream, 120_000, 20_000) {
-		if _, err := cl.SendEvents(snap.ID, ch); err != nil {
+		if _, err := cl.SendEvents(sess.ID, ch); err != nil {
 			t.Fatalf("SendEvents: %v", err)
 		}
 	}
 	srv.Pump()
-	st, err := srv.SessionJournalStats(snap.ID)
+	st, err := srv.SessionJournalStats(sess.ID)
 	if err != nil {
 		t.Fatalf("SessionJournalStats: %v", err)
 	}
@@ -250,7 +249,7 @@ func TestStreamResultsCatchUp(t *testing.T) {
 	errStop := errors.New("drop connection")
 	var first []ResultEvent
 	half := st.Retained / 2
-	err = cl.StreamResults(context.Background(), snap.ID, 0, func(ev ResultEvent) error {
+	err = cl.StreamResults(context.Background(), sess.ID, 0, func(ev ResultEvent) error {
 		first = append(first, ev)
 		if len(first) == half {
 			return errStop
@@ -263,11 +262,11 @@ func TestStreamResultsCatchUp(t *testing.T) {
 
 	// The session closes; the resumed stream must drain the remainder
 	// and then terminate on the close event.
-	if _, err := cl.CloseSession(snap.ID); err != nil {
+	if _, err := cl.CloseSession(sess.ID); err != nil {
 		t.Fatalf("CloseSession: %v", err)
 	}
 	var second []ResultEvent
-	err = cl.StreamResults(context.Background(), snap.ID, first[len(first)-1].Seq, func(ev ResultEvent) error {
+	err = cl.StreamResults(context.Background(), sess.ID, first[len(first)-1].Seq, func(ev ResultEvent) error {
 		second = append(second, ev)
 		return nil
 	})
@@ -276,7 +275,7 @@ func TestStreamResultsCatchUp(t *testing.T) {
 	}
 
 	var full []ResultEvent
-	err = cl.StreamResults(context.Background(), snap.ID, 0, func(ev ResultEvent) error {
+	err = cl.StreamResults(context.Background(), sess.ID, 0, func(ev ResultEvent) error {
 		full = append(full, ev)
 		return nil
 	})
@@ -325,6 +324,58 @@ func TestStreamResultsErrors(t *testing.T) {
 	}
 }
 
+// sseRaceWriter runs onData on ServeStream's first result write,
+// between its read of the results and its check of the close.
+type sseRaceWriter struct {
+	*httptest.ResponseRecorder
+	onData func()
+}
+
+func (w *sseRaceWriter) Write(b []byte) (int, error) {
+	if f := w.onData; f != nil && bytes.Contains(b, []byte("data:")) {
+		w.onData = nil
+		f()
+	}
+	return w.ResponseRecorder.Write(b)
+}
+
+// TestStreamSendsResultRacingClose: a result appended and the journal
+// closed while the stream writes the result before it (the last
+// completion racing CloseSession) is still sent before the close.
+func TestStreamSendsResultRacingClose(t *testing.T) {
+	srv, _, sess, stop := newJournalServer(t, DefaultConfig())
+	defer stop()
+	j := sess.journal
+	j.appendResult(1, 1, 1)
+	w := &sseRaceWriter{ResponseRecorder: httptest.NewRecorder(), onData: func() {
+		j.appendResult(2, 1, 1)
+		j.close()
+	}}
+	srv.ServeStream(w, httptest.NewRequest(http.MethodGet, "/v1/sessions/"+sess.ID+"/stream", nil), sess.ID)
+	body := w.Body.String()
+	if n := strings.Count(body, "id: "); n != 2 || !strings.HasSuffix(body, "event: close\ndata: {}\n\n") {
+		t.Fatalf("stream sent %d of 2 results before closing:\n%s", n, body)
+	}
+}
+
+// TestStreamResultsDroppedIsError: a stream that ends without the close
+// event (here the node stops mid-stream) is io.ErrUnexpectedEOF, not
+// the nil of a close, so the caller knows to reconnect.
+func TestStreamResultsDroppedIsError(t *testing.T) {
+	srv, cl, sess, stop := newJournalServer(t, DefaultConfig())
+	defer stop()
+	sess.journal.appendResult(1, 1, 1)
+	got := 0
+	err := cl.StreamResults(context.Background(), sess.ID, 0, func(ResultEvent) error {
+		got++
+		srv.Close()
+		return nil
+	})
+	if got != 1 || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("stream of a stopped node: %d results, err %v; want 1 and io.ErrUnexpectedEOF", got, err)
+	}
+}
+
 // TestJournalRestore checks the failover ring-refill path: restored
 // results keep their original sequence numbers, raise the counter past
 // themselves, and interleave correctly with freshly appended results.
@@ -359,34 +410,31 @@ func TestReplicaAppendSortedAndKindAware(t *testing.T) {
 	cfg.ManualDrain = true
 	srv, _, stop := newTestServer(t, cfg)
 	defer stop()
+	chunk := func(seq uint64) ReplicaEntry { return ReplicaEntry{Seq: seq, Body: []byte{byte(seq)}} }
+	result := func(seq uint64) ReplicaEntry { return ReplicaEntry{Seq: seq, Result: ResultEvent{Seq: seq}} }
 
 	// Out-of-order appends sort by seq.
-	srv.ReplicaAppend("s", 5, JournalChunk, []byte{5}, 0)
-	srv.ReplicaAppend("s", 3, JournalChunk, []byte{3}, 0)
-	srv.ReplicaAppend("s", 4, JournalResult, []byte{4}, 0)
-	log := srv.ReplicaTake("s")
-	if len(log) != 3 || log[0].Seq != 3 || log[1].Seq != 4 || log[2].Seq != 5 {
+	srv.ReplicaAppend("s", chunk(5), 0)
+	srv.ReplicaAppend("s", chunk(3), 0)
+	srv.ReplicaAppend("s", result(4), 0)
+	if log := srv.ReplicaTake("s"); !reflect.DeepEqual(log, []ReplicaEntry{chunk(3), result(4), chunk(5)}) {
 		t.Fatalf("log not seq-sorted: %+v", log)
-	}
-	if log[1].Kind != JournalResult || log[2].Kind != JournalChunk {
-		t.Fatalf("kinds lost on insert: %+v", log)
 	}
 
 	// The ack watermark retires chunks but keeps results: they carry
 	// the sequence watermark and the catch-up ring across a failover.
-	srv.ReplicaAppend("s", 1, JournalChunk, nil, 0)
-	srv.ReplicaAppend("s", 2, JournalResult, nil, 0)
-	srv.ReplicaAppend("s", 3, JournalChunk, nil, 2)
-	log = srv.ReplicaTake("s")
-	if len(log) != 2 || log[0].Seq != 2 || log[0].Kind != JournalResult || log[1].Seq != 3 {
+	srv.ReplicaAppend("s", chunk(1), 0)
+	srv.ReplicaAppend("s", result(2), 0)
+	srv.ReplicaAppend("s", chunk(3), 2)
+	if log := srv.ReplicaTake("s"); !reflect.DeepEqual(log, []ReplicaEntry{result(2), chunk(3)}) {
 		t.Fatalf("ack trim wrong: %+v", log)
 	}
 
 	// Result entries are bounded by the ring cap, oldest shed first.
 	for i := 0; i < journalResultCap+10; i++ {
-		srv.ReplicaAppend("s", uint64(i+1), JournalResult, nil, 0)
+		srv.ReplicaAppend("s", result(uint64(i+1)), 0)
 	}
-	log = srv.ReplicaTake("s")
+	log := srv.ReplicaTake("s")
 	if len(log) != journalResultCap {
 		t.Fatalf("replica retained %d results, want %d", len(log), journalResultCap)
 	}
@@ -408,23 +456,15 @@ func TestOnResultHook(t *testing.T) {
 	}
 	var calls []call
 	cfg := DefaultConfig()
-	cfg.ManualDrain = true
-	cfg.Journal = true
-	cfg.QueueCap = 4096
 	cfg.OnResult = func(id string, ev ResultEvent, ack uint64) {
 		mu.Lock()
 		calls = append(calls, call{id, ev, ack})
 		mu.Unlock()
 	}
-	srv, cl, stop := newTestServer(t, cfg)
+	srv, cl, sess, stop := newJournalServer(t, cfg)
 	defer stop()
-
-	snap, err := cl.CreateSession(SessionConfig{Network: nn.DOTIE, Level: 1})
-	if err != nil {
-		t.Fatalf("CreateSession: %v", err)
-	}
 	stream := genStream(t, nn.MustByName(nn.DOTIE).Input.Preset, 11, 60_000)
-	if _, err := cl.SendEvents(snap.ID, stream); err != nil {
+	if _, err := cl.SendEvents(sess.ID, stream); err != nil {
 		t.Fatalf("SendEvents: %v", err)
 	}
 	srv.Pump()
@@ -434,18 +474,32 @@ func TestOnResultHook(t *testing.T) {
 	if len(calls) == 0 {
 		t.Fatal("OnResult never fired across a full drain")
 	}
-	ring := mustJournalResults(t, srv, snap.ID)
+	ring := mustJournalResults(t, srv, sess.ID)
 	if len(calls) != len(ring) {
 		t.Fatalf("hook fired %d times, ring retained %d", len(calls), len(ring))
 	}
 	for i, c := range calls {
-		if c.id != snap.ID {
-			t.Fatalf("call %d session = %q, want %q", i, c.id, snap.ID)
+		if c.id != sess.ID {
+			t.Fatalf("call %d session = %q, want %q", i, c.id, sess.ID)
 		}
 		if c.ev != ring[i] {
 			t.Fatalf("call %d event %+v != ring %+v", i, c.ev, ring[i])
 		}
 	}
+}
+
+// newJournalServer is newTestServer with ManualDrain and the journal
+// on, holding one DOTIE level-1 session.
+func newJournalServer(t *testing.T, cfg Config) (*Server, *Client, *Session, func()) {
+	t.Helper()
+	cfg.ManualDrain, cfg.Journal, cfg.QueueCap = true, true, 4096
+	srv, cl, stop := newTestServer(t, cfg)
+	sess, err := srv.CreateSession(SessionConfig{Network: nn.DOTIE, Level: 1})
+	if err != nil {
+		stop()
+		t.Fatalf("CreateSession: %v", err)
+	}
+	return srv, cl, sess, stop
 }
 
 // mustJournalResults reads session id's full catch-up ring.

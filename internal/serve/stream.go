@@ -66,8 +66,12 @@ func (s *Server) ServeStream(w http.ResponseWriter, r *http.Request, id string) 
 	var buf []ResultEvent
 	for {
 		// Grab the wake channel before reading so an append between
-		// the read and the select still wakes this subscriber.
+		// the read and the select still wakes this subscriber, and
+		// the closed flag too: a journal closed before the read holds
+		// no result the read misses, while one that closes after it
+		// may have taken one more append, which the next pass writes.
 		wake := j.wait()
+		closed := j.isClosed()
 		buf = j.resultsSince(cursor, buf[:0])
 		for _, ev := range buf {
 			if err := writeSSEResult(w, ev); err != nil {
@@ -78,10 +82,7 @@ func (s *Server) ServeStream(w http.ResponseWriter, r *http.Request, id string) 
 		if len(buf) > 0 {
 			fl.Flush()
 		}
-		if j.isClosed() {
-			// Drain once more after the closed flag: close() broadcast
-			// happens-after the final appendResult, so the read above
-			// already saw every result.
+		if closed {
 			io.WriteString(w, "event: close\ndata: {}\n\n")
 			fl.Flush()
 			return
