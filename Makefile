@@ -58,26 +58,31 @@ bench-smoke:
 	$(GO) test -run '^TestRunWarmAllocBudget$$|^TestRunPoolsSurviveGC$$' -count=1 -v ./internal/pipeline
 
 # Run the deterministic scenario suite (the chaos/soak regression bed)
-# plus the kernel worker pool and the execution scheduler — whose
-# wall-clock dispatchers share the take step the scenarios pin through
-# Pump — and the offline pipeline's sharded conversion, concurrent runs
+# plus the kernel worker pool and the execution scheduler — whose Pump
+# the scenarios drive from one goroutine and serving workers from many
+# — and the offline pipeline's sharded conversion, concurrent runs
 # included, under the race detector, at two scheduler widths: a narrow
-# host (2) forces pool shards and dispatchers to queue behind each
-# other, a wide one (8) maximizes true overlap. The event-camera
+# host (2) forces pool shards and pumping goroutines to queue behind
+# each other, a wide one (8) maximizes true overlap. The scheduler's
+# concurrent-pump transcripts (2 to 8 goroutines submitting and pumping
+# at once) and its nested-Pump pin run 20 times at each width. The event-camera
 # simulator steps its row bands on one goroutine each over shared
 # per-pixel state and one shared frame, and each band's render reads its
 # own rows of the quiet intervals and the World's shared cell bounds,
 # so its band, determinism and stream-pin gates run under the race
 # detector too.
+SCHED_STRESS := -count=20 -run 'TestCoreMatchesReference|TestPumpNestedInDone' ./internal/sched
 PIPELINE_RACE := -run 'TestRunDeterminism|TestRunReturnsEveryFrame|TestConvertStream' ./internal/pipeline
 SCENE_RACE := -run 'TestCameraBandsMatchSerial|TestSequenceDeterminism|TestPresetStreamsPinned' ./internal/scene
 scenarios:
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/harness/... ./internal/par/... ./internal/sched/... ./cmd/evscenario/...
 	GOMAXPROCS=2 $(GO) test -race -count=1 $(PIPELINE_RACE)
 	GOMAXPROCS=2 $(GO) test -race -count=1 $(SCENE_RACE)
+	GOMAXPROCS=2 $(GO) test -race $(SCHED_STRESS)
 	GOMAXPROCS=8 $(GO) test -race -count=1 ./internal/harness/... ./internal/par/... ./internal/sched/... ./cmd/evscenario/...
 	GOMAXPROCS=8 $(GO) test -race -count=1 $(PIPELINE_RACE)
 	GOMAXPROCS=8 $(GO) test -race -count=1 $(SCENE_RACE)
+	GOMAXPROCS=8 $(GO) test -race $(SCHED_STRESS)
 
 # Short coverage-guided fuzz pass over every fuzz function of every
 # package, as `go test -list` reports them, so the list cannot drift

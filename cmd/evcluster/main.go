@@ -11,7 +11,7 @@
 //	evcluster [-addr :7734] [-nodes xavier:4,orin:4]
 //	          [-policy least-loaded|hash] [-probe 1s]
 //	          [-workers 4] [-queue 64] [-drop drop-oldest]
-//	          [-mapper rr|nmp] [-batch-max 8] [-batch-window 0]
+//	          [-mapper rr|nmp] [-batch-max 8]
 //	          [-adapt] [-rebalance-gap 0.25] [-rebalance-queue 8]
 //	          [-rebalance-cooldown 5s] [-journal]
 //
@@ -71,7 +71,6 @@ func run(args []string, stderr io.Writer) int {
 		drop     = fs.String("drop", "drop-oldest", "default queue shed policy: drop-oldest or drop-newest")
 		mapper   = fs.String("mapper", "rr", "per-node session placement: rr (round-robin) or nmp (evolutionary search)")
 		batchMax = fs.Int("batch-max", 8, "max compatible invocations coalesced per micro-batch on each node (1 = serialized)")
-		batchWin = fs.Duration("batch-window", 0, "how long a node's dispatcher holds work open for more compatible arrivals")
 		adapt    = fs.Bool("adapt", false, "enable each node's online control plane (DSFA retuning; NMP remaps under -mapper nmp)")
 		journal  = fs.Bool("journal", false, "enable per-session event journals with buddy replication (lossless failover; SSE at /v1/sessions/{id}/stream)")
 		gap      = fs.Float64("rebalance-gap", 0, "node-utilization spread that triggers a load-driven session migration (0 disables)")
@@ -97,19 +96,19 @@ func run(args []string, stderr io.Writer) int {
 		return 1
 	}
 	node := evedge.DefaultServeConfig()
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"workers", *workers}, {"queue", *queue}, {"batch-max", *batchMax}} {
+		if f.v < 1 {
+			fmt.Fprintf(stderr, "evcluster: -%s must be >= 1, got %d\n", f.name, f.v)
+			return 1
+		}
+	}
 	node.Workers = *workers
 	node.QueueCap = *queue
 	node.Mapper = evedge.MapperPolicy(*mapper)
-	if *batchMax < 1 {
-		fmt.Fprintf(stderr, "evcluster: -batch-max must be >= 1, got %d\n", *batchMax)
-		return 1
-	}
-	if *batchWin < 0 {
-		fmt.Fprintf(stderr, "evcluster: -batch-window must be >= 0, got %s\n", *batchWin)
-		return 1
-	}
 	node.BatchMax = *batchMax
-	node.BatchWindow = *batchWin
 	node.DropPolicy, err = evedge.ParseDropPolicy(*drop)
 	if err != nil {
 		fmt.Fprintln(stderr, "evcluster:", err)

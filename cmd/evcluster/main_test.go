@@ -23,7 +23,9 @@ func TestRunFlagErrors(t *testing.T) {
 		{"unknown drop policy", []string{"-drop", "drop-random"}, 1, `unknown drop policy "drop-random"`},
 		{"unknown mapper", []string{"-mapper", "greedy"}, 1, `unknown mapper policy "greedy"`},
 		{"zero batch max", []string{"-batch-max", "0"}, 1, "-batch-max must be >= 1"},
-		{"negative batch window", []string{"-batch-window", "-5ms"}, 1, "-batch-window must be >= 0"},
+		{"zero workers", []string{"-workers", "0"}, 1, "-workers must be >= 1, got 0"},
+		{"negative workers", []string{"-workers", "-3"}, 1, "-workers must be >= 1, got -3"},
+		{"zero queue", []string{"-queue", "0"}, 1, "-queue must be >= 1, got 0"},
 		{"bad flag syntax", []string{"-rebalance-gap", "wide"}, 2, "invalid value"},
 		{"unknown flag", []string{"-no-such-flag"}, 2, "flag provided but not defined"},
 	}

@@ -7,16 +7,16 @@
 //
 //	evserve [-addr :7733] [-platform xavier|orin] [-workers 4]
 //	        [-queue 64] [-drop drop-oldest] [-mapper rr|nmp]
-//	        [-batch-max 8] [-batch-window 0]
+//	        [-batch-max 8]
 //	        [-adapt] [-adapt-interval 50ms] [-remap-cooldown 250ms]
 //	        [-journal]
 //
 // Execution flows through the shared scheduler (internal/sched):
 // per-device run queues coalesce compatible invocations from
-// concurrent sessions into micro-batches. -batch-max caps members per
-// batch (1 = serialized baseline); -batch-window lets a dispatcher
-// hold work open for more compatible arrivals (0 = opportunistic
-// coalescing only). Occupancy is exposed in /metrics
+// concurrent sessions into micro-batches, and the worker that submits
+// an invocation dispatches it. -batch-max caps members per batch
+// (1 = serialized baseline); a batch takes only work already queued,
+// never waiting for more. Occupancy is exposed in /metrics
 // (evserve_sched_batch_occupancy).
 //
 // -adapt turns on the online control plane: per-session DSFA retuning
@@ -69,7 +69,6 @@ func run(args []string, stderr io.Writer) int {
 		drop     = fs.String("drop", "drop-oldest", "default queue shed policy: drop-oldest or drop-newest")
 		mapper   = fs.String("mapper", "rr", "session placement policy: rr (round-robin) or nmp (evolutionary search)")
 		batchMax = fs.Int("batch-max", 8, "max compatible invocations coalesced per micro-batch (1 = serialized)")
-		batchWin = fs.Duration("batch-window", 0, "how long a dispatcher holds work open for more compatible arrivals")
 		adapt    = fs.Bool("adapt", false, "enable the online control plane (DSFA retuning; NMP remaps under -mapper nmp)")
 		journal  = fs.Bool("journal", false, "enable per-session event journals (SSE result streaming at /v1/sessions/{id}/stream)")
 		adaptInt = fs.Duration("adapt-interval", 50*time.Millisecond, "minimum stream time between retune decisions")
@@ -90,19 +89,19 @@ func run(args []string, stderr io.Writer) int {
 		return 1
 	}
 	cfg.Platform = p
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"workers", *workers}, {"queue", *queue}, {"batch-max", *batchMax}} {
+		if f.v < 1 {
+			fmt.Fprintf(stderr, "evserve: -%s must be >= 1, got %d\n", f.name, f.v)
+			return 1
+		}
+	}
 	cfg.Workers = *workers
 	cfg.QueueCap = *queue
 	cfg.Mapper = evedge.MapperPolicy(*mapper)
-	if *batchMax < 1 {
-		fmt.Fprintf(stderr, "evserve: -batch-max must be >= 1, got %d\n", *batchMax)
-		return 1
-	}
-	if *batchWin < 0 {
-		fmt.Fprintf(stderr, "evserve: -batch-window must be >= 0, got %s\n", *batchWin)
-		return 1
-	}
 	cfg.BatchMax = *batchMax
-	cfg.BatchWindow = *batchWin
 	cfg.DropPolicy, err = evedge.ParseDropPolicy(*drop)
 	if err != nil {
 		fmt.Fprintln(stderr, "evserve:", err)

@@ -53,7 +53,6 @@ var uncalledKept = map[string]string{
 	"quant.DequantizeINT8":             "numerics the parked quantized-kernel item needs",
 	"quant.RoundFP16":                  "numerics the parked quantized-kernel item needs",
 	"hw.Engine.Timeline":               "bench binding: bench/pump_layers.go calls NewEngine(p, false); ROADMAP item 4(d) re-points it so the record mode can go",
-	"sched.Scheduler.Drain":            "test fixture: runs a scheduler to quiescence in the sched and serve tests",
 	"serve.Client.Session":             "test fixture: reads one session over HTTP in the serve and cluster tests",
 	"serve.Client.Sessions":            "test fixture: lists the sessions over HTTP in the cluster tests",
 	"sparse.Frame.Set":                 "test fixture: builds frames in the tests of six packages",
@@ -70,6 +69,7 @@ var fieldsKept = map[string]string{
 	"experiments.Config.Quick": "DefaultConfig and QuickConfig set it; evbench -quick chooses between the two",
 	"experiments.Config.Scale": "DefaultConfig and QuickConfig set it; evbench -quick chooses between the two",
 	"hw.Span.Tag":              "bench binding: the record mode's span label; ROADMAP item 4(d) re-points NewEngine so it can go",
+	"sched.Config.Virtual":     "bench binding: bench/pump_layers.go sets it and Pump is the only driver, so nothing reads it; ROADMAP item 4-II drops the binding so it can go",
 	"sparse.Site.X":            "bench binding: Tensor.ActiveSites returns sites, bench/infer_layers.go counts them (ROADMAP item 4)",
 	"sparse.Site.Y":            "bench binding: Tensor.ActiveSites returns sites, bench/infer_layers.go counts them (ROADMAP item 4)",
 }

@@ -60,9 +60,12 @@
 //   - retiredMu guards a node's retired incarnations and is a leaf.
 //
 // A node server call that completes queued frames fires the result
-// hook, which takes that route's repMu. So a graceful close runs
-// before the sweep takes repMu, never under it (moveRoute, and the
-// rebalance's close of the hot copy after it lets go). A replay under
+// hook, which takes the repMu of the route each result belongs to.
+// CloseSession and Close pump the node's scheduler on the calling
+// goroutine and so complete any session's queued work, not only their
+// own. So no node close runs under a repMu: moveRoute's graceful close
+// runs before it takes repMu and its orphan undo after it lets go, and
+// the rebalance closes the hot copy after it lets go. A replay under
 // repMu ingests into a session the route does not point at yet, so a
 // result it fires on the sweep's goroutine finds no route and takes no
 // lock.
@@ -803,12 +806,12 @@ func (c *Cluster) moveRoute(rt *route, n *node, srv *serve.Server, graceful bool
 		}
 	}
 	rt.repMu.Lock()
-	defer rt.repMu.Unlock()
 	c.mu.Lock()
 	if rt.node != n || rt.closed {
 		// A client close (or another sweep) resolved the route while we
 		// waited on repMu; nothing left to move.
 		c.mu.Unlock()
+		rt.repMu.Unlock()
 		return
 	}
 	localID := rt.localID
@@ -857,6 +860,7 @@ func (c *Cluster) moveRoute(rt *route, n *node, srv *serve.Server, graceful bool
 		rt.shedFrames += shed
 		c.terminateRouteLocked(rt, shed)
 		c.mu.Unlock()
+		rt.repMu.Unlock()
 		c.lostSessions.Add(1)
 		return
 	}
@@ -875,10 +879,13 @@ func (c *Cluster) moveRoute(rt *route, n *node, srv *serve.Server, graceful bool
 		// undo the new copy instead of committing an orphan the
 		// fleet's load signal would count forever. The route's
 		// counters were already folded by that close, so the late
-		// shed goes straight into the closed roll-up.
+		// shed goes straight into the closed roll-up. The close runs
+		// after repMu is released: it pumps the target's scheduler, whose
+		// completions fire the result hook, which takes repMu.
 		rt.shedFrames += shed
 		c.closedShed += shed
 		c.mu.Unlock()
+		rt.repMu.Unlock()
 		_, _ = target.server().CloseSession(sess.ID)
 		return
 	}
@@ -898,6 +905,7 @@ func (c *Cluster) moveRoute(rt *route, n *node, srv *serve.Server, graceful bool
 		// into the re-created session later.
 		prevBuddy.server().ReplicaDrop(rt.extID)
 	}
+	rt.repMu.Unlock()
 	// Annotate the move on the fleet track: a graceful migration shed
 	// nothing, a replayed kill-failover carries the frames it
 	// recovered, a bare kill-failover the frames it lost.

@@ -136,7 +136,7 @@ func RunMultiTask(cfg MultiTaskConfig) (*MultiTaskReport, error) {
 	for _, job := range jobs {
 		net := cfg.Nets[job.task]
 		inv := fillSingleFrameInv(pools.invs.Get(), job.frame)
-		end := ScheduleOnEngine(engine, model, net, plans[job.task], inv, net.Name)
+		end := ScheduleOnEngine(engine, model, net, plans[job.task], inv, net.Name, nil)
 		pools.invs.Put(inv)
 		sums[job.task] += end - job.readyUS
 		counts[job.task]++

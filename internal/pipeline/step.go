@@ -418,7 +418,7 @@ func InvocationCost(model *perf.Model, net *nn.Network, p *ExecPlan, inv *Invoca
 	}
 	idle := *inv
 	idle.ReadyUS = 0
-	makespan := ScheduleOnEngineObs(engine, model, net, p, &idle, "", nil)
+	makespan := ScheduleOnEngine(engine, model, net, p, &idle, "", nil)
 	busy := map[int]float64{}
 	for _, d := range p.Device {
 		dev := platform.Devices[d]
@@ -427,19 +427,6 @@ func InvocationCost(model *perf.Model, net *nn.Network, p *ExecPlan, inv *Invoca
 	engine.Reset()
 	idleEngines.Put(engine)
 	return makespan, busy
-}
-
-// ScheduleOnEngine pushes one batched inference through the shared
-// per-device FIFO queues of a live engine — Eq. 3 semantics with
-// cross-task contention: layers start no earlier than their producers
-// (plus unified-memory transfers, serialized through the engine's
-// shared bus) and queue behind whatever other tasks occupy their
-// device. It returns the invocation completion time. The engine is
-// internally synchronized, so scheduler dispatchers for different
-// devices call this concurrently; the execution scheduler
-// (internal/sched) is the path everything routes through.
-func ScheduleOnEngine(engine *hw.Engine, model *perf.Model, net *nn.Network, p *ExecPlan, inv *Invocation, tag string) float64 {
-	return ScheduleOnEngineObs(engine, model, net, p, inv, tag, nil)
 }
 
 // ExecObserver receives every engine reservation ScheduleOnEngine
@@ -455,9 +442,17 @@ type ExecObserver func(dev int, name string, startUS, endUS float64, um bool)
 // depth.
 var endScratch = sync.Pool{New: func() any { s := make([]float64, 0, 64); return &s }}
 
-// ScheduleOnEngineObs is ScheduleOnEngine with an execution observer;
-// obs may be nil (the untraced path pays one nil check per layer).
-func ScheduleOnEngineObs(engine *hw.Engine, model *perf.Model, net *nn.Network, p *ExecPlan, inv *Invocation, tag string, obs ExecObserver) float64 {
+// ScheduleOnEngine pushes one batched inference through the shared
+// per-device FIFO queues of a live engine — Eq. 3 semantics with
+// cross-task contention: layers start no earlier than their producers
+// (plus unified-memory transfers, serialized through the engine's
+// shared bus) and queue behind whatever other tasks occupy their
+// device. It returns the invocation completion time. obs, if non-nil,
+// sees every reservation; the untraced path passes nil and pays one nil
+// check per layer. The engine is internally synchronized, so goroutines
+// pumping the execution scheduler (internal/sched, the path everything
+// routes through) call this concurrently for different devices.
+func ScheduleOnEngine(engine *hw.Engine, model *perf.Model, net *nn.Network, p *ExecPlan, inv *Invocation, tag string, obs ExecObserver) float64 {
 	batch := len(inv.Frames)
 	if batch == 0 {
 		return 0

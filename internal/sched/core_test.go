@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -45,21 +47,27 @@ func randomTranscript(seed int64) *transcript {
 	return tr
 }
 
-// run plays the transcript through a scheduler built from cfg and
-// returns the batches in dispatch order. No Dispatch returns before
-// every root is submitted.
-func (tr *transcript) run(t *testing.T, cfg Config) (*Scheduler, [][]*Request) {
-	submitted := make(chan struct{})
-	var mu sync.Mutex
+// run plays the transcript through a scheduler built from cfg on one
+// goroutine — submit every root, then Drain — and returns the batches
+// in dispatch order.
+func (tr *transcript) run(t *testing.T, cfg Config) [][]*Request {
 	var batches [][]*Request
 	cfg.MaxBatch = tr.maxBatch
 	cfg.Dispatch = func(batch []*Request) float64 {
-		<-submitted
-		mu.Lock()
-		defer mu.Unlock()
 		batches = append(batches, append([]*Request(nil), batch...))
 		return float64(len(batches))
 	}
+	s := tr.newScheduler(t, cfg)
+	for _, nd := range tr.roots {
+		s.Submit(&nd.req)
+	}
+	s.Drain()
+	return batches
+}
+
+// newScheduler builds a scheduler from cfg and binds every node's Done
+// to submit its children there.
+func (tr *transcript) newScheduler(t *testing.T, cfg Config) *Scheduler {
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -71,12 +79,52 @@ func (tr *transcript) run(t *testing.T, cfg Config) (*Scheduler, [][]*Request) {
 			}
 		}
 	}
-	for _, nd := range tr.roots {
-		s.Submit(&nd.req)
+	return s
+}
+
+// runConcurrent plays the transcript from g goroutines at once, the way
+// serving workers drive the scheduler: goroutine i submits roots i,
+// i+g, ... and pumps after each submit, then waits for the work to
+// settle (even goroutines by Wait, odd ones by Drain). Dispatch counts
+// the batches of each device in flight and fails the test when two
+// overlap. It returns the scheduler and the batches in the order they
+// entered Dispatch.
+func (tr *transcript) runConcurrent(t *testing.T, g int) (*Scheduler, [][]*Request) {
+	var mu sync.Mutex
+	var batches [][]*Request
+	var inFlight [4]atomic.Int32 // randomTranscript draws at most 4 devices
+	s := tr.newScheduler(t, Config{
+		MaxBatch: tr.maxBatch,
+		Dispatch: func(batch []*Request) float64 {
+			dev := batch[0].Key.Device
+			if n := inFlight[dev].Add(1); n != 1 {
+				t.Errorf("%d batches of device %d in Dispatch at once", n, dev)
+			}
+			mu.Lock()
+			batches = append(batches, append([]*Request(nil), batch...))
+			mu.Unlock()
+			runtime.Gosched() // leave room for another pumper to overlap
+			inFlight[dev].Add(-1)
+			return 0
+		},
+	})
+	var wg sync.WaitGroup
+	for i := 0; i < g; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := i; j < len(tr.roots); j += g {
+				s.Submit(&tr.roots[j].req)
+				s.Pump()
+			}
+			if i%2 == 0 {
+				s.Wait("s")
+			} else {
+				s.Drain()
+			}
+		}()
 	}
-	close(submitted)
-	s.Drain()
-	s.Close()
+	wg.Wait()
 	return s, batches
 }
 
@@ -122,29 +170,31 @@ func ids(batches [][]*Request) [][]int {
 	return out
 }
 
-// TestCoreMatchesReference holds both drivers of the shared take step
-// against random transcripts. The virtual driver must reproduce the
-// reference walk batch for batch. The wall driver (Window 0, no
-// dispatch completing until every root is queued) must keep what does
-// not depend on timing: one key per batch, at most MaxBatch members,
+// TestCoreMatchesReference holds the take step and its one driver
+// against random transcripts. Pumped from one goroutine, it must
+// reproduce the reference walk batch for batch. Pumped from 2 to 8
+// goroutines that submit concurrently, it must keep what does not
+// depend on timing: one key per batch, at most MaxBatch members,
 // submission order within a key, every request dispatched exactly
-// once, and Stats that add up.
+// once, never two batches of one device in Dispatch at once, and Stats
+// that add up.
 func TestCoreMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 150; seed++ {
 		tr := randomTranscript(seed)
-		_, got := tr.run(t, Config{Virtual: true})
+		got := tr.run(t, Config{})
 		if want := tr.referenceBatches(); !reflect.DeepEqual(ids(got), ids(want)) {
-			t.Fatalf("seed %d (MaxBatch %d): virtual driver dispatched\n%v\nreference walk\n%v", seed, tr.maxBatch, ids(got), ids(want))
+			t.Fatalf("seed %d (MaxBatch %d): Pump dispatched\n%v\nreference walk\n%v", seed, tr.maxBatch, ids(got), ids(want))
 		}
 
 		tr = randomTranscript(seed)
-		s, batches := tr.run(t, Config{})
+		g := 2 + int(seed%7)
+		s, batches := tr.runConcurrent(t, g)
 		want := Stats{Submitted: uint64(len(tr.nodes)), Dispatched: uint64(len(tr.nodes)), Dispatches: uint64(len(batches))}
 		seen := map[int]bool{}
 		lastSeq := map[Key]uint64{}
 		for _, b := range batches {
 			if len(b) == 0 || len(b) > tr.maxBatch {
-				t.Fatalf("seed %d: batch of %d, MaxBatch %d", seed, len(b), tr.maxBatch)
+				t.Fatalf("seed %d, %d goroutines: batch of %d, MaxBatch %d", seed, g, len(b), tr.maxBatch)
 			}
 			if len(b) > want.MaxBatchLen {
 				want.MaxBatchLen = len(b)
@@ -154,31 +204,31 @@ func TestCoreMatchesReference(t *testing.T) {
 			}
 			for _, r := range b {
 				if r.Key != b[0].Key {
-					t.Fatalf("seed %d: keys %v and %v share a batch", seed, b[0].Key, r.Key)
+					t.Fatalf("seed %d, %d goroutines: keys %v and %v share a batch", seed, g, b[0].Key, r.Key)
 				}
 				if id := r.Payload.(int); seen[id] {
-					t.Fatalf("seed %d: request %d dispatched twice", seed, id)
+					t.Fatalf("seed %d, %d goroutines: request %d dispatched twice", seed, g, id)
 				} else {
 					seen[id] = true
 				}
-				// A key lives on one device, whose dispatcher runs its
-				// batches one after another, so the recorded order is the
-				// dispatch order and seq must only grow along it.
+				// A key lives on one device, whose batches enter Dispatch
+				// one at a time, so the recorded order is the dispatch
+				// order and seq must only grow along it.
 				if last, ok := lastSeq[r.Key]; ok && r.seq <= last {
-					t.Fatalf("seed %d: key %v dispatched seq %d after %d", seed, r.Key, r.seq, last)
+					t.Fatalf("seed %d, %d goroutines: key %v dispatched seq %d after %d", seed, g, r.Key, r.seq, last)
 				}
 				lastSeq[r.Key] = r.seq
 				want.Units += uint64(r.Units)
 			}
 		}
 		if len(seen) != len(tr.nodes) {
-			t.Fatalf("seed %d: %d of %d requests dispatched", seed, len(seen), len(tr.nodes))
+			t.Fatalf("seed %d, %d goroutines: %d of %d requests dispatched", seed, g, len(seen), len(tr.nodes))
 		}
 		if st := s.Stats(); st != want {
-			t.Fatalf("seed %d: stats %+v, want %+v", seed, st, want)
+			t.Fatalf("seed %d, %d goroutines: stats %+v, want %+v", seed, g, st, want)
 		}
 		if n := s.Pending(); n != 0 || len(s.QueueDepths()) != 0 {
-			t.Fatalf("seed %d: %d pending, depths %v after Drain", seed, n, s.QueueDepths())
+			t.Fatalf("seed %d, %d goroutines: %d pending, depths %v after Drain", seed, g, n, s.QueueDepths())
 		}
 	}
 }

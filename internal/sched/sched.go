@@ -10,47 +10,52 @@
 // synthetic work. Offline runs have nothing to coalesce and call the
 // engine directly.
 //
-// One queue per device, one take step, two drivers. Submit stamps a
-// request with a submission sequence number and links it onto the queue
-// of its Key.Device. take is the only place a batch forms: a queue's
-// head opens it and later requests with the head's Key join, in
-// submission order, up to MaxBatch and none submitted at or after a
-// sequence limit. The drivers decide when take runs and with which
-// limit:
+// One queue per device, one take step, one driver. Submit stamps a
+// request with a submission sequence number and links it onto the
+// queue of its Key.Device; it never dispatches. take is the only place
+// a batch forms: a queue's head opens it and later requests with the
+// head's Key join, in submission order, up to MaxBatch and none
+// submitted at or after a sequence limit. Pump is the only driver. It
+// runs passes: a pass fixes the limit at the sequence number current
+// when it starts and takes from whichever idle queue's head is oldest
+// until no head is below it; what callbacks submit meanwhile waits for
+// the next pass. That pass boundary is the coalescing window.
 //
-//   - Wall-clock (evserve / evcluster): one dispatcher goroutine per
-//     queue waits for a head, holds it back one Window if its batch
-//     still has room and nobody is in Wait/Drain, then takes from
-//     everything queued by then. Queues of different devices run
-//     concurrently — the engine is internally synchronized per device.
+// Pump runs on whoever calls it — a serving worker after it submits, a
+// Wait or Drain, the scenario harness's single thread — and any number
+// of goroutines may pump at once. A queue is busy while one of its
+// batches is in Dispatch and Observe, and Pump skips busy queues, so
+// each device has at most one batch in flight, a device's batches
+// reach Dispatch in take order, and different devices dispatch
+// concurrently (the engine is internally synchronized per device). On
+// a single goroutine nothing is busy when Pump picks: a Pump nested in
+// a Done callback starts after the outer batch left Dispatch.
 //
-//   - Virtual-clock (the scenario harness, ManualDrain servers): no
-//     goroutines. Pump runs passes: a pass fixes the limit at the
-//     sequence number current when it starts and takes from whichever
-//     queue's head is oldest until no head is below it; what callbacks
-//     submit meanwhile waits for the next pass. That pass boundary is
-//     the virtual coalescing window; Window is ignored.
+// Pump, Wait, Drain and Close run the Dispatch, Observe, Done and
+// Release callbacks of whatever they dispatch on the calling
+// goroutine, other sessions' work included, so a caller must hold no
+// lock that a callback takes. A request stays outstanding until its
+// batch's callbacks return, so a Done callback must not Wait for its
+// own session.
 //
 // A Key contains its Device, so everything that may join a batch sits
 // in the head's own queue, and the oldest head across queues is the
-// oldest queued request overall: the virtual driver dispatches exactly
-// as if it walked all queued requests in submission order, each opening
-// a batch that pulls later compatible ones forward. Dispatch order is a
-// pure function of submission order, so the same (scenario, seed) pair
-// replays byte-identically.
+// oldest queued request overall: a single-threaded Pump dispatches
+// exactly as if it walked all queued requests in submission order,
+// each opening a batch that pulls later compatible ones forward.
+// Dispatch order is then a pure function of submission order, so the
+// same (scenario, seed) pair replays byte-identically.
 //
 // Fairness: queues are FIFO by submission; coalescing only ever pulls
 // *compatible* requests forward. An incompatible request behind a
 // flash-crowd backlog of B compatible ones therefore waits at most
-// ceil(B/MaxBatch) dispatches plus one coalescing window — it can
-// never be starved by other sessions' merging (see the starvation
-// test).
+// ceil(B/MaxBatch) dispatches — it can never be starved by other
+// sessions' merging (see the starvation test).
 package sched
 
 import (
 	"fmt"
 	"sync"
-	"time"
 )
 
 // Key identifies coalesceable work: requests with equal keys may ride
@@ -75,8 +80,9 @@ type Request struct {
 	// plan) through to Dispatch untouched.
 	Payload any
 	// Done, if non-nil, is called with the batch completion time after
-	// the request's batch dispatched. Batches complete in dispatch
-	// order and members in submission order, so virtual-mode callbacks
+	// the request's batch left Dispatch, members in submission order.
+	// Batches pumped by different goroutines may complete at once; on a
+	// single goroutine they complete in dispatch order, so the callbacks
 	// are deterministic.
 	Done func(endUS float64)
 
@@ -95,20 +101,14 @@ type Config struct {
 	// MaxBatch caps micro-batch members; <= 0 takes DefaultMaxBatch,
 	// 1 disables coalescing (the serialized baseline).
 	MaxBatch int
-	// Window bounds how long a wall-clock dispatcher holds the head
-	// request open for more compatible arrivals. 0 coalesces
-	// opportunistically (only work already queued). Ignored in virtual
-	// mode, where Pump boundaries are the window.
-	Window time.Duration
-	// Virtual selects the deterministic no-goroutine mode driven by
-	// Pump.
+	// Virtual is ignored: Pump is the only driver.
 	Virtual bool
 	// Observe, if non-nil, is called once per executed micro-batch —
 	// after Dispatch returns with the batch completion time, before the
 	// members' Done callbacks — so a tracing layer can record dispatch
 	// instants with batch identity and occupancy. It runs outside the
-	// scheduler lock on the dispatching goroutine; virtual mode calls
-	// it in deterministic dispatch order.
+	// scheduler lock on the dispatching goroutine, while the batch's
+	// queue is still busy.
 	Observe func(batch []*Request, endUS float64)
 	// Release, if non-nil, is called exactly once per request after ALL
 	// scheduler bookkeeping for it has finished — after Done and after
@@ -164,21 +164,22 @@ func (s *Stats) Merge(o Stats) {
 
 // devQueue is one device's run queue: n requests in submission order,
 // linked through Request.next, so queueing never allocates and a take
-// costs what it walks past, not what is queued.
+// costs what it walks past, not what is queued. busy marks a batch of
+// this queue in Dispatch.
 type devQueue struct {
 	dev        int
 	head, tail *Request
 	n          int
+	busy       bool
 }
 
-// Scheduler owns the run queues. Create with New, submit with Submit;
-// stop wall-clock dispatchers with Close (remaining work dispatches
-// first).
+// Scheduler owns the run queues. Create with New, submit with Submit,
+// dispatch with Pump, Wait or Drain.
 type Scheduler struct {
 	cfg Config
 
 	mu     sync.Mutex
-	cond   *sync.Cond // broadcast on submission, completion and state changes
+	cond   *sync.Cond // broadcast on completion
 	stats  Stats
 	queues []*devQueue // one per Key.Device seen, in first-submission order
 	seq    uint64      // the next request's sequence number
@@ -186,18 +187,13 @@ type Scheduler struct {
 	// and per session; Wait and Drain block on them.
 	outstanding int
 	perSession  map[string]int
-	waiters     int // active Wait/Drain calls: dispatchers skip windows
-	stopped     bool
-	// free holds idle batch buffers: a Pump borrows one for its run, a
+	// free holds idle batch buffers: each running Pump borrows one, a
 	// Pump nested in a Done callback (Done → Wait → Pump) another, so
 	// the outer batch's members stay put.
 	free [][]*Request
-
-	wg sync.WaitGroup
 }
 
-// New validates cfg and returns a scheduler; wall-clock dispatchers
-// start lazily, one per device queue, on first submission.
+// New validates cfg and returns a scheduler.
 func New(cfg Config) (*Scheduler, error) {
 	if cfg.Dispatch == nil {
 		return nil, fmt.Errorf("sched: Config.Dispatch is required")
@@ -231,23 +227,13 @@ func (s *Scheduler) QueueDepths() map[int]int {
 	return out
 }
 
-// Submit accepts one request: it lands on its device's run queue, and
-// in wall-clock mode wakes that queue's dispatcher (in virtual mode
-// Pump dispatches). Submit never blocks on dispatch. A wall-clock
-// submit that races Close (a late HTTP handler on a shutting-down
-// server) dispatches inline instead of enqueueing: the dispatchers are
-// gone, so an enqueued request would never complete and Wait/Drain
-// would hang (and a fresh queue's wg.Add would race Close's wg.Wait).
+// Submit accepts one request onto its device's run queue. It never
+// dispatches: the submitter pumps, or a later Pump, Wait or Drain does.
 func (s *Scheduler) Submit(r *Request) {
 	s.mu.Lock()
 	s.stats.Submitted++
 	s.outstanding++
 	s.perSession[r.Session]++
-	if s.stopped && !s.cfg.Virtual {
-		s.mu.Unlock()
-		s.dispatch([]*Request{r})
-		return
-	}
 	r.seq = s.seq
 	s.seq++
 	q := s.queue(r.Key.Device)
@@ -258,15 +244,12 @@ func (s *Scheduler) Submit(r *Request) {
 	}
 	q.tail = r
 	q.n++
-	if !s.cfg.Virtual {
-		s.cond.Broadcast()
-	}
 	s.mu.Unlock()
 }
 
-// queue returns dev's run queue, creating it — and in wall-clock mode
-// starting its dispatcher — on first use; a platform has a handful of
-// devices, so the lookup is a scan. The caller holds s.mu.
+// queue returns dev's run queue, creating it on first use; a platform
+// has a handful of devices, so the lookup is a scan. The caller holds
+// s.mu.
 func (s *Scheduler) queue(dev int) *devQueue {
 	for _, q := range s.queues {
 		if q.dev == dev {
@@ -275,10 +258,6 @@ func (s *Scheduler) queue(dev int) *devQueue {
 	}
 	q := &devQueue{dev: dev}
 	s.queues = append(s.queues, q)
-	if !s.cfg.Virtual {
-		s.wg.Add(1)
-		go s.dispatcher(q)
-	}
 	return q
 }
 
@@ -311,55 +290,16 @@ func (s *Scheduler) take(q *devQueue, limit uint64, batch []*Request) []*Request
 	return batch
 }
 
-// dispatcher is the wall-clock driver of one device's run queue, until
-// Close: wait for a head, hold it back one Window if its batch has room
-// for later arrivals, take, dispatch.
-func (s *Scheduler) dispatcher(q *devQueue) {
-	defer s.wg.Done()
-	var batch []*Request // reused across iterations; dispatch must not retain it
-	s.mu.Lock()
-	for {
-		for q.head == nil && !s.stopped {
-			s.cond.Wait()
-		}
-		if q.head == nil {
-			break // stopped and drained
-		}
-		// Someone draining or shutting down means hurry: no window.
-		if s.cfg.Window > 0 && !s.stopped && s.waiters == 0 && s.hasRoom(q) {
-			s.mu.Unlock()
-			time.Sleep(s.cfg.Window)
-			s.mu.Lock()
-		}
-		batch = s.take(q, s.seq, batch[:0])
-		s.mu.Unlock()
-		s.dispatch(batch)
-		s.mu.Lock()
-	}
-	s.mu.Unlock()
-}
-
-// hasRoom reports whether the batch q's head would open right now is
-// short of MaxBatch. The caller holds s.mu.
-func (s *Scheduler) hasRoom(q *devQueue) bool {
-	n := 0
-	for r := q.head; r != nil; r = r.next {
-		if r.Key == q.head.Key {
-			if n++; n == s.cfg.MaxBatch {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// dispatch executes one batch and completes its members.
-func (s *Scheduler) dispatch(batch []*Request) {
+// dispatch executes one batch taken from q, which the caller marked
+// busy, and completes its members. q stays busy until Dispatch and
+// Observe returned.
+func (s *Scheduler) dispatch(q *devQueue, batch []*Request) {
 	end := s.cfg.Dispatch(batch)
 	if s.cfg.Observe != nil {
 		s.cfg.Observe(batch, end)
 	}
 	s.mu.Lock()
+	q.busy = false
 	s.stats.Dispatches++
 	s.stats.Dispatched += uint64(len(batch))
 	if len(batch) > s.stats.MaxBatchLen {
@@ -393,27 +333,26 @@ func (s *Scheduler) dispatch(batch []*Request) {
 	}
 }
 
-// oldest returns the queue whose head was submitted first, nil when
-// nothing is queued. The caller holds s.mu.
+// oldest returns the idle queue whose head was submitted first, nil
+// when no idle queue holds work. The caller holds s.mu.
 func (s *Scheduler) oldest() *devQueue {
 	var best *devQueue
 	for _, q := range s.queues {
-		if q.head != nil && (best == nil || q.head.seq < best.head.seq) {
+		if q.head != nil && !q.busy && (best == nil || q.head.seq < best.head.seq) {
 			best = q
 		}
 	}
 	return best
 }
 
-// Pump is the virtual driver: it dispatches until nothing is queued and
-// reports whether anything ran. It works in passes: a pass covers the
-// requests submitted before it started and takes from whichever queue's
+// Pump dispatches until no idle queue holds work and reports whether
+// anything ran. It works in passes: a pass covers the requests
+// submitted before it started and takes from whichever idle queue's
 // head is oldest until every head left is newer than that; requests
-// submitted by callbacks during a pass wait for the next one.
+// submitted by callbacks during a pass wait for the next one. Work
+// queued behind a busy queue is left to the Pump that holds it, which
+// looks again once its batch left Dispatch.
 func (s *Scheduler) Pump() bool {
-	if !s.cfg.Virtual {
-		return false
-	}
 	worked := false
 	s.mu.Lock()
 	var batch []*Request
@@ -426,8 +365,9 @@ func (s *Scheduler) Pump() bool {
 			limit = s.seq // the pass is over; the next one starts here
 		}
 		batch = s.take(q, limit, batch[:0])
+		q.busy = true
 		s.mu.Unlock()
-		s.dispatch(batch)
+		s.dispatch(q, batch)
 		worked = true
 		s.mu.Lock()
 	}
@@ -436,58 +376,33 @@ func (s *Scheduler) Pump() bool {
 	return worked
 }
 
-// Wait blocks until the session has no submitted-but-uncompleted work.
-// In virtual mode it pumps inline (single-threaded callers own the
-// clock); in wall-clock mode it marks itself a waiter so dispatchers
-// skip their coalescing windows and drain promptly.
-func (s *Scheduler) Wait(session string) {
-	if s.cfg.Virtual {
-		s.mu.Lock()
-		for s.perSession[session] > 0 {
-			s.mu.Unlock()
-			if !s.Pump() {
-				return // nothing pending: callbacks owe the rest
-			}
-			s.mu.Lock()
+// settle pumps until done reports true, waiting for another
+// goroutine's completion whenever nothing is left to take.
+func (s *Scheduler) settle(done func() bool) {
+	s.mu.Lock()
+	for !done() {
+		if s.oldest() == nil {
+			s.cond.Wait()
+			continue
 		}
 		s.mu.Unlock()
-		return
+		s.Pump()
+		s.mu.Lock()
 	}
-	s.mu.Lock()
-	s.waiters++
-	s.cond.Broadcast()
-	for s.perSession[session] > 0 {
-		s.cond.Wait()
-	}
-	s.waiters--
 	s.mu.Unlock()
 }
 
-// Drain blocks until no work is outstanding anywhere (virtual mode:
-// pumps to quiescence).
+// Wait pumps until the session has no submitted-but-uncompleted work.
+func (s *Scheduler) Wait(session string) {
+	s.settle(func() bool { return s.perSession[session] == 0 })
+}
+
+// Drain pumps until no work is outstanding anywhere.
 func (s *Scheduler) Drain() {
-	if s.cfg.Virtual {
-		for s.Pump() {
-		}
-		return
-	}
-	s.mu.Lock()
-	s.waiters++
-	s.cond.Broadcast()
-	for s.outstanding > 0 {
-		s.cond.Wait()
-	}
-	s.waiters--
-	s.mu.Unlock()
+	s.settle(func() bool { return s.outstanding == 0 })
 }
 
-// Close stops the wall-clock dispatchers after they drain their
-// queues. Virtual schedulers have no goroutines; Close only marks the
-// scheduler stopped.
-func (s *Scheduler) Close() {
-	s.mu.Lock()
-	s.stopped = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	s.wg.Wait()
-}
+// Close is Drain: the scheduler holds no goroutine to stop, and a
+// request submitted later is dispatched by the next Pump, Wait or
+// Drain.
+func (s *Scheduler) Close() { s.Drain() }

@@ -31,7 +31,7 @@ func key(dev int, net string) Key { return Key{Device: dev, Net: net, Sig: net} 
 // dispatch alone, in deterministic submission order.
 func TestVirtualCoalescing(t *testing.T) {
 	rec := &recorder{}
-	s, err := New(Config{Virtual: true, MaxBatch: 3, Dispatch: rec.dispatch})
+	s, err := New(Config{MaxBatch: 3, Dispatch: rec.dispatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestVirtualCoalescing(t *testing.T) {
 func TestVirtualDeterminism(t *testing.T) {
 	run := func() [][]string {
 		rec := &recorder{}
-		s, _ := New(Config{Virtual: true, MaxBatch: 4, Dispatch: rec.dispatch})
+		s, _ := New(Config{MaxBatch: 4, Dispatch: rec.dispatch})
 		for i := 0; i < 40; i++ {
 			k := []string{"a", "b", "c"}[i%3]
 			s.Submit(&Request{Session: fmt.Sprintf("s%d", i), Key: key(i%2, k)})
@@ -84,7 +84,7 @@ func TestVirtualDeterminism(t *testing.T) {
 func TestVirtualDoneResubmits(t *testing.T) {
 	rec := &recorder{}
 	var s *Scheduler
-	s, _ = New(Config{Virtual: true, MaxBatch: 2, Dispatch: rec.dispatch})
+	s, _ = New(Config{MaxBatch: 2, Dispatch: rec.dispatch})
 	resubmitted := false
 	s.Submit(&Request{Session: "root", Key: key(0, "a"), Done: func(float64) {
 		if !resubmitted {
@@ -101,84 +101,71 @@ func TestVirtualDoneResubmits(t *testing.T) {
 	}
 }
 
-// TestWallCoalescingWindow exercises the wall-clock path: requests
-// submitted within one window ride one batch.
-func TestWallCoalescingWindow(t *testing.T) {
-	rec := &recorder{}
-	s, _ := New(Config{MaxBatch: 8, Window: 50 * time.Millisecond, Dispatch: rec.dispatch})
-	defer s.Close()
-	done := make(chan struct{}, 4)
-	for i := 0; i < 4; i++ {
-		s.Submit(&Request{Session: fmt.Sprintf("s%d", i), Key: key(0, "a"),
-			Done: func(float64) { done <- struct{}{} }})
-	}
-	for i := 0; i < 4; i++ {
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatal("request never completed")
-		}
-	}
-	st := s.Stats()
-	if st.Submitted != 4 || st.Dispatches >= 4 {
-		t.Fatalf("no coalescing happened: %+v", st)
-	}
-}
-
 // TestStarvationBound is the fairness contract: a single low-rate
 // session's request queued behind a flash-crowd backlog on the same
 // device must dispatch within the bounded number of batches —
 // ceil(backlog/MaxBatch) — rather than waiting for the crowd to drain
-// one by one, and in wall-clock mode it completes promptly.
+// one by one, also while other goroutines keep submitting to the crowd
+// and pumping.
 func TestStarvationBound(t *testing.T) {
-	// Virtual mode: exact bound on the dispatch position.
-	rec := &recorder{}
-	s, _ := New(Config{Virtual: true, MaxBatch: 8, Dispatch: rec.dispatch})
 	const crowd = 40
+	quietAt := func(rec *recorder) int {
+		for i, b := range rec.batches {
+			for _, id := range b {
+				if id == "quiet" {
+					return i
+				}
+			}
+		}
+		return -1
+	}
+	// One goroutine: exact bound on the dispatch position.
+	rec := &recorder{}
+	s, _ := New(Config{MaxBatch: 8, Dispatch: rec.dispatch})
 	for i := 0; i < crowd; i++ {
 		s.Submit(&Request{Session: "flood", Key: key(0, "crowd")})
 	}
 	s.Submit(&Request{Session: "quiet", Key: key(0, "trickle")})
 	s.Drain()
-	pos := -1
-	for i, b := range rec.batches {
-		for _, id := range b {
-			if id == "quiet" {
-				pos = i
-			}
-		}
-	}
-	if pos < 0 {
-		t.Fatal("low-rate request never dispatched")
-	}
 	// The crowd collapses into ceil(40/8)=5 batches; the trickle must
 	// dispatch no later than right after them.
-	if pos > crowd/8 {
-		t.Fatalf("low-rate request dispatched at batch %d, want <= %d (crowd must coalesce, not starve)", pos, crowd/8)
+	if pos := quietAt(rec); pos < 0 || pos > crowd/8 {
+		t.Fatalf("low-rate request dispatched at batch %d, want 0..%d (crowd must coalesce, not starve)", pos, crowd/8)
 	}
 
-	// Wall-clock mode: the same shape completes within a small multiple
-	// of the coalescing window.
-	slow := &recorder{}
-	w, _ := New(Config{MaxBatch: 8, Window: 10 * time.Millisecond, Dispatch: slow.dispatch})
-	defer w.Close()
+	// Four goroutines keep flooding and pumping while the quiet session
+	// waits: only the crowd queued before it may go first.
+	conc := &recorder{}
+	w, _ := New(Config{MaxBatch: 8, Dispatch: conc.dispatch})
 	for i := 0; i < crowd; i++ {
 		w.Submit(&Request{Session: "flood", Key: key(0, "crowd")})
 	}
-	got := make(chan struct{})
-	w.Submit(&Request{Session: "quiet", Key: key(0, "trickle"), Done: func(float64) { close(got) }})
-	select {
-	case <-got:
-	case <-time.After(5 * time.Second):
-		t.Fatal("low-rate session starved behind the flash crowd")
+	w.Submit(&Request{Session: "quiet", Key: key(0, "trickle")})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < crowd; i++ {
+				w.Submit(&Request{Session: "flood", Key: key(0, "crowd")})
+				w.Pump()
+			}
+		}()
+	}
+	w.Wait("quiet")
+	wg.Wait()
+	w.Drain()
+	if pos := quietAt(conc); pos < 0 || pos > crowd/8 {
+		t.Fatalf("low-rate request dispatched at batch %d under concurrent pumping, want 0..%d", pos, crowd/8)
 	}
 }
 
-// TestWaitAndDrain covers the blocking primitives in wall mode.
+// TestWaitAndDrain covers the blocking primitives: Wait pumps the
+// session's work through, and a Wait that finds the session's last
+// request in another goroutine's Dispatch blocks until it completes.
 func TestWaitAndDrain(t *testing.T) {
 	rec := &recorder{}
-	s, _ := New(Config{MaxBatch: 2, Window: 5 * time.Millisecond, Dispatch: rec.dispatch})
-	defer s.Close()
+	s, _ := New(Config{MaxBatch: 2, Dispatch: rec.dispatch})
 	for i := 0; i < 10; i++ {
 		s.Submit(&Request{Session: "w", Key: key(i%3, "a")})
 	}
@@ -187,26 +174,60 @@ func TestWaitAndDrain(t *testing.T) {
 		t.Fatalf("Wait returned with %d pending", n)
 	}
 	s.Drain()
-	if st := s.Stats(); st.Submitted != 10 {
+	if st := s.Stats(); st.Submitted != 10 || st.Dispatched != 10 {
 		t.Fatalf("stats %+v", st)
+	}
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	completed := false
+	b, _ := New(Config{Dispatch: func([]*Request) float64 {
+		close(entered)
+		<-release
+		return 0
+	}})
+	b.Submit(&Request{Session: "slow", Key: key(0, "a"), Done: func(float64) { completed = true }})
+	pumped := make(chan struct{})
+	go func() {
+		b.Pump()
+		close(pumped)
+	}()
+	<-entered
+	waited := make(chan struct{})
+	go func() {
+		b.Wait("slow")
+		close(waited)
+	}()
+	select {
+	case <-waited:
+		t.Fatal("Wait returned while the session's batch was still in Dispatch")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-waited
+	<-pumped
+	if !completed {
+		t.Fatal("Wait returned before the batch's Done ran")
 	}
 }
 
-// TestSubmitAfterClose pins the shutdown race: a submit landing after
-// Close (a late HTTP handler on a stopping server) must dispatch
-// inline — never strand on a dispatcherless queue where Done would
-// never fire and Wait would hang.
+// TestSubmitAfterClose pins the shutdown path: Close drains, and a
+// submit landing after it (a late HTTP handler on a stopping server)
+// queues like any other and is dispatched by the next Wait — never
+// stranded where Done would not fire and Wait would hang.
 func TestSubmitAfterClose(t *testing.T) {
 	rec := &recorder{}
 	s, _ := New(Config{MaxBatch: 4, Dispatch: rec.dispatch})
 	s.Submit(&Request{Session: "early", Key: key(0, "a")})
 	s.Close()
+	if st := s.Stats(); st.Dispatched != 1 {
+		t.Fatalf("Close left work undispatched: %+v", st)
+	}
 	completed := false
 	s.Submit(&Request{Session: "late", Key: key(0, "a"), Done: func(float64) { completed = true }})
+	s.Wait("late")
 	if !completed {
-		t.Fatal("post-Close submit did not dispatch inline")
+		t.Fatal("Wait returned before the post-Close submit completed")
 	}
-	s.Wait("late") // must not hang
 	if st := s.Stats(); st.Submitted != 2 || st.Dispatched != 2 {
 		t.Fatalf("stats %+v", st)
 	}
@@ -225,7 +246,7 @@ func TestConfigErrors(t *testing.T) {
 		t.Fatalf("MaxBatch default %d, want %d", s.cfg.MaxBatch, DefaultMaxBatch)
 	}
 	if s.Pump() {
-		t.Fatal("Pump on a wall-clock scheduler reported work")
+		t.Fatal("Pump on an empty scheduler reported work")
 	}
 	s.Close()
 }
@@ -241,7 +262,7 @@ func TestObserveHook(t *testing.T) {
 	}
 	var observed []obsCall
 	var doneOrder []string
-	cfg := Config{Virtual: true, MaxBatch: 3, Dispatch: rec.dispatch}
+	cfg := Config{MaxBatch: 3, Dispatch: rec.dispatch}
 	cfg.Observe = func(batch []*Request, endUS float64) {
 		ids := make([]string, len(batch))
 		for i, r := range batch {

@@ -303,9 +303,9 @@ func TestAllocSmoke(t *testing.T) {
 		return nil
 	}
 
-	// The scheduler's virtual driver on its own: requests reused as the
+	// The scheduler's Pump on its own: requests reused as the
 	// server's pool reuses them, three keys over two device queues.
-	runner, err := sched.New(sched.Config{Virtual: true, Dispatch: func([]*sched.Request) float64 { return 0 }})
+	runner, err := sched.New(sched.Config{Dispatch: func([]*sched.Request) float64 { return 0 }})
 	fail(err)
 	schedReqs := make([]sched.Request, 256)
 	for i := range schedReqs {

@@ -59,11 +59,6 @@ type Config struct {
 	// one micro-batched inference (default sched.DefaultMaxBatch; 1
 	// disables coalescing, the serialized baseline).
 	BatchMax int
-	// BatchWindow bounds how long a scheduler dispatcher holds work
-	// open for more compatible arrivals before dispatching (wall-clock
-	// servers only; 0 coalesces opportunistically without waiting).
-	// Ignored under ManualDrain, where Pump boundaries are the window.
-	BatchWindow time.Duration
 	// ManualDrain disables the background worker pool: sessions queue
 	// work as usual, but nothing executes until the owner calls Pump.
 	// A single-threaded driver (the scenario harness) uses it to drain
@@ -290,8 +285,8 @@ type Server struct {
 	pendPool *mem.Pool[pendingInv]
 	// drainBufs recycles the worker-side frame slices; dispatchScr the
 	// per-dispatch merge scratch; pendLists the per-execute submission
-	// lists. All three are sync.Pools because workers and dispatchers
-	// run concurrently.
+	// lists. All three are sync.Pools because workers drain sessions
+	// and pump the scheduler concurrently.
 	drainBufs   sync.Pool
 	dispatchScr sync.Pool
 	pendLists   sync.Pool
@@ -411,8 +406,6 @@ func New(cfg Config) (*Server, error) {
 	schedCfg := sched.Config{
 		Dispatch: s.dispatchBatch,
 		MaxBatch: cfg.BatchMax,
-		Window:   cfg.BatchWindow,
-		Virtual:  cfg.ManualDrain,
 		Release:  s.releaseRequest,
 	}
 	if s.tracer != nil {
@@ -489,11 +482,15 @@ func (s *Server) stoppedNow() bool {
 	}
 }
 
-// worker drains scheduled sessions until the server stops.
+// worker drains scheduled sessions until the server stops, pumping
+// the scheduler after each: the worker that submitted a session's
+// invocations dispatches them, unless another worker is dispatching on
+// that device already and picks them up when its batch is done.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for sess := s.runq.pop(true); sess != nil; sess = s.runq.pop(true) {
 		s.drainSession(sess)
+		s.sched.Pump()
 	}
 }
 
@@ -610,8 +607,8 @@ func (s *Server) releaseRequest(r *sched.Request) {
 	s.pendPool.Put(p.pend)
 }
 
-// dispatchScratch is the per-dispatch merge state (pooled: wall-clock
-// dispatchers run one per device, concurrently).
+// dispatchScratch is the per-dispatch merge state (pooled: workers
+// pumping the scheduler dispatch for different devices concurrently).
 type dispatchScratch struct {
 	inv  pipeline.Invocation
 	invs []*pipeline.Invocation
@@ -721,7 +718,7 @@ func (s *Server) execute(sess *Session, frames []*sparse.Frame, drain, flush boo
 		// (PerRaw keeps unshifted ready times). The stepper handed the
 		// invocation over, so the shift mutates in place — no copy. The
 		// plan is snapshotted by value so a later SetFramingOps cannot
-		// race the dispatcher pricing this invocation.
+		// race the worker that dispatches this invocation.
 		inv.ReadyUS += sess.epochUS
 		for _, d := range plan.Device {
 			sess.usedDevs[d] = true
@@ -778,8 +775,8 @@ func (s *Server) execute(sess *Session, frames []*sparse.Frame, drain, flush boo
 		}
 	}
 	sess.mu.Unlock()
-	// Submit outside sess.mu: a wall-clock dispatcher may complete a
-	// request inline-fast, and complete re-acquires the session lock.
+	// Submit outside sess.mu: the pump that follows completes requests
+	// on this goroutine, and complete re-acquires the session lock.
 	// The pending structs themselves are NOT returned here — the
 	// scheduler's Release hook recycles each one after its batch
 	// completes; only the list scratch goes back.
@@ -798,8 +795,7 @@ func (s *Server) execute(sess *Session, frames []*sparse.Frame, drain, flush boo
 // invocations (same network, identical plan) merge into a single
 // batched inference priced once on the shared engine. All members
 // complete at the batch end — early members pay the coalescing delay,
-// which is exactly the latency/throughput trade the batch window
-// bounds.
+// which is exactly the latency/throughput trade MaxBatch bounds.
 func (s *Server) dispatchBatch(batch []*sched.Request) float64 {
 	first := batch[0].Payload.(*invPayload)
 	inv := first.inv
@@ -836,20 +832,20 @@ func (s *Server) dispatchBatch(batch []*sched.Request) float64 {
 			s.dispatchScr.Put(scr)
 		}()
 	}
-	if s.tracer == nil {
-		return pipeline.ScheduleOnEngine(s.engine, s.model, first.net, &first.plan, inv, tag)
-	}
 	// Traced dispatch: the execution observer folds the per-layer
 	// callbacks into one busy span per device (first layer start to
 	// last layer end on that device, Count = layers) plus the UM-bus
 	// transfers; afterwards each batch member gets a coalesce-wait
 	// span from its own readiness to the batch's first engine start
 	// (early members pay the coalescing delay — exactly the
-	// latency/throughput trade the batch window bounds).
-	devs := make([]devExtent, len(s.devTrackH))
+	// latency/throughput trade MaxBatch bounds). Untraced, observe
+	// stays nil and execStart negative.
+	var devs []devExtent
 	execStart := -1.0
-	end := pipeline.ScheduleOnEngineObs(s.engine, s.model, first.net, &first.plan, inv, tag,
-		func(dev int, name string, startUS, endUS float64, um bool) {
+	var observe pipeline.ExecObserver
+	if s.tracer != nil {
+		devs = make([]devExtent, len(s.devTrackH))
+		observe = func(dev int, name string, startUS, endUS float64, um bool) {
 			if um {
 				s.umTrack.Span(obs.StageComms, name, startUS, endUS, 0)
 				return
@@ -865,7 +861,9 @@ func (s *Server) dispatchBatch(batch []*sched.Request) float64 {
 				d.end = endUS
 			}
 			d.layers++
-		})
+		}
+	}
+	end := pipeline.ScheduleOnEngine(s.engine, s.model, first.net, &first.plan, inv, tag, observe)
 	if execStart >= 0 {
 		name := "batch:" + tag
 		for i := range devs {
@@ -1100,8 +1098,8 @@ func (s *Server) CloseSession(id string) (*SessionSnapshot, error) {
 		s.execute(sess, tail, false, true)
 		// Settle the session's scheduler backlog before taking finals:
 		// the flush submissions must complete (latencies observed, clock
-		// advanced) so the terminal snapshot is whole. Under ManualDrain
-		// this pumps inline; on a live server it hurries the dispatchers.
+		// advanced) so the terminal snapshot is whole. Wait pumps on this
+		// goroutine, so no lock is held here.
 		s.sched.Wait(sess.ID)
 		// Hand the session from the active roll-up to the closed one in
 		// a single sessMu critical section (sessMu -> sess.mu, the same
