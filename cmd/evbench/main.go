@@ -3,7 +3,7 @@
 // Usage:
 //
 //	evbench [-run all|table1,fig8,...] [-quick] [-seed N] [-dur us]
-//	        [-cpu-list 1,2,4,8] [-list]
+//	        [-cpu-list 1,2,4,8] [-list] [-cpuprofile file]
 //
 // Each experiment prints an aligned text table plus the paper's
 // reference band, so the output can be compared against the paper (and
@@ -21,6 +21,7 @@ import (
 	"time"
 
 	evedge "evedge"
+	"evedge/internal/obs"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -38,7 +39,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		dur    = fs.Int64("dur", 2_000_000, "simulated stream duration in microseconds")
 		list   = fs.Bool("list", false, "list experiment IDs and exit")
 
-		cpuList = fs.String("cpu-list", "", "comma-separated core counts the 'par' experiment sweeps (default 1,2,4,8)")
+		cpuList    = fs.String("cpu-list", "", "comma-separated core counts the 'par' experiment sweeps (default 1,2,4,8)")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -46,6 +48,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	stopProfile, err := obs.StartCPUProfile(*cpuProfile)
+	if err != nil {
+		fmt.Fprintln(stderr, "evbench: -cpuprofile:", err)
+		return 1
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintln(stderr, "evbench: -cpuprofile:", err)
+		}
+	}()
 
 	if *list {
 		for _, id := range evedge.Experiments() {

@@ -7,7 +7,7 @@
 //
 //	evload [-addr http://localhost:7733] [-sessions 4] [-nets a,b,...]
 //	       [-level 2] [-dur us] [-chunk us] [-rate eps] [-speed x]
-//	       [-wire evar|json] [-seed N] [-json] [-stream]
+//	       [-wire evar|json] [-seed N] [-json] [-stream] [-cpuprofile file]
 //
 // Each concurrent session streams its network's scene preset in
 // chunk-sized pieces. -rate subsamples events to approximate a target
@@ -35,6 +35,7 @@ import (
 	"time"
 
 	evedge "evedge"
+	"evedge/internal/obs"
 )
 
 type sessionReport struct {
@@ -119,6 +120,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed    = fs.Int64("seed", 42, "base random seed")
 		jsonOut = fs.Bool("json", false, "emit the report as JSON")
 		stream  = fs.Bool("stream", false, "follow each session's SSE result stream (server must run -journal)")
+
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -130,6 +133,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "evload: -sessions must be >= 1, got %d\n", *sessions)
 		return 1
 	}
+	// A session posts a chunk per -chunk µs up to -dur: below 1 it
+	// would post the same empty chunk forever.
+	if *chunk < 1 {
+		fmt.Fprintf(stderr, "evload: -chunk must be >= 1, got %d\n", *chunk)
+		return 1
+	}
+	if *dur < 1 {
+		fmt.Fprintf(stderr, "evload: -dur must be >= 1, got %d\n", *dur)
+		return 1
+	}
 	if *wire != "evar" && *wire != "json" {
 		fmt.Fprintf(stderr, "evload: unknown wire format %q\n", *wire)
 		return 1
@@ -139,6 +152,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "evload:", err)
 		return 1
 	}
+	stopProfile, err := obs.StartCPUProfile(*cpuProfile)
+	if err != nil {
+		fmt.Fprintln(stderr, "evload: -cpuprofile:", err)
+		return 1
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintln(stderr, "evload: -cpuprofile:", err)
+		}
+	}()
 
 	names := strings.Split(*netsFlag, ",")
 	cl := evedge.NewServeClient(*addr, nil)

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	evscenario -list
-//	evscenario -scenario flash-crowd [-seed 7] [-json] [-trace out.json]
+//	evscenario -scenario flash-crowd [-seed 7] [-json] [-trace out.json] [-cpuprofile file]
 //
 // The same (scenario, seed) pair always produces a byte-identical
 // -json timeline — diff two runs to prove a change is behaviour-
@@ -24,6 +24,7 @@ import (
 	"os"
 
 	evedge "evedge"
+	"evedge/internal/obs"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -37,6 +38,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed     = fs.Int64("seed", 7, "RNG seed; same seed => byte-identical -json timeline")
 		asJSON   = fs.Bool("json", false, "emit the full recorded timeline as JSON")
 		trace    = fs.String("trace", "", "force tracing on and write the run's Chrome trace-event JSON here (byte-identical per scenario+seed)")
+
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -44,6 +47,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	stopProfile, err := obs.StartCPUProfile(*cpuProfile)
+	if err != nil {
+		fmt.Fprintln(stderr, "evscenario: -cpuprofile:", err)
+		return 1
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintln(stderr, "evscenario: -cpuprofile:", err)
+		}
+	}()
 
 	if *list {
 		for _, name := range evedge.ScenarioNames() {

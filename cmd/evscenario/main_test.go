@@ -97,3 +97,24 @@ func TestRunScenario(t *testing.T) {
 		}
 	}
 }
+
+// TestRunCPUProfile: -cpuprofile writes a non-empty CPU profile of the
+// run, and a path that cannot be created exits 1 naming the flag.
+func TestRunCPUProfile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "cpu.prof")
+	var stdout, stderr bytes.Buffer
+	if got := run([]string{"-list", "-cpuprofile", path}, &stdout, &stderr); got != 0 {
+		t.Fatalf("run = %d, want 0 (stderr: %s)", got, stderr.String())
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+		t.Fatalf("profile not written: %v", err)
+	}
+	stderr.Reset()
+	if got := run([]string{"-list", "-cpuprofile", filepath.Join(dir, "no", "cpu.prof")}, &stdout, &stderr); got != 1 {
+		t.Fatalf("unwritable -cpuprofile: run = %d, want 1 (stderr: %s)", got, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "-cpuprofile") {
+		t.Fatalf("stderr %q does not name -cpuprofile", stderr.String())
+	}
+}

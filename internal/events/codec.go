@@ -39,8 +39,8 @@ import (
 // caller already holds and returns its record bytes as Records, a view
 // of that body valid as long as the caller keeps the bytes unchanged.
 // internal/serve reads each binary ingest body into a pooled buffer,
-// parses it and decodes the records once, straight into the session's
-// event buffer, before it pools the body buffer again.
+// parses it, checks the records in place and converts them a decoded
+// segment at a time, before it pools the body buffer again.
 
 const (
 	binaryMagic   = "EVAR"

@@ -224,7 +224,7 @@ func TestAllocSmoke(t *testing.T) {
 
 	// A warm session taking EVAR bodies the way IngestHandler does: the
 	// body read into a pooled buffer, its framing parsed, its records
-	// decoded straight into the session's event buffer, then a Pump.
+	// checked and converted a decode segment at a time, then a Pump.
 	// The harness chunk's timestamps move on one span per call and it is
 	// encoded afresh, into a buffer with the room.
 	evar := newAllocHarness(t)

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"slices"
 	"sync"
 
 	"evedge/internal/events"
@@ -18,11 +17,12 @@ import (
 // it declares and its events, which are either a caller's stream
 // (Server.Ingest, the JSON wire format, the scenario harness) or the
 // records of an EVAR body (the binary wire format, a journal replica
-// entry), kept with the body's bytes. The session converter copies the
-// events onto its buffer with appendTo — decoding records on the way —
-// and checks each event as it is copied, so a binary body is decoded
-// once and into nothing but the buffer the session keeps. A Chunk is a
-// view: it is valid as long as the stream or body it came from.
+// entry), kept with the body's bytes. A Chunk is a view: it is valid
+// as long as the stream or body it came from. The session converter
+// checks it in place, then converts its events straight from the view
+// — a stream as one segment, an EVAR body decoded a segment at a time
+// into pooled scratch — and copies only the events of the run or
+// window the chunk leaves open.
 type Chunk struct {
 	w, h int
 	evs  []events.Event
@@ -30,8 +30,8 @@ type Chunk struct {
 	evar []byte // the whole EVAR body recs lie in; nil for a stream
 }
 
-// StreamChunk is the chunk of a caller's stream; the converter copies
-// its events and keeps nothing of the stream.
+// StreamChunk is the chunk of a caller's stream; the converter keeps
+// nothing of the stream once ingest returns.
 func StreamChunk(s *events.Stream) Chunk {
 	return Chunk{w: s.Width, h: s.Height, evs: s.Events}
 }
@@ -45,6 +45,18 @@ func evarChunk(body []byte) (Chunk, error) {
 // len is the number of events in the chunk.
 func (c Chunk) len() int { return len(c.evs) + c.recs.Len() }
 
+// tStart is the first event's timestamp, 0 for an empty chunk (the
+// convention of events.Stream.TStart).
+func (c Chunk) tStart() int64 {
+	if len(c.evs) > 0 {
+		return c.evs[0].TS
+	}
+	if c.recs.Len() > 0 {
+		return c.recs.At(0).TS
+	}
+	return 0
+}
+
 // tEnd is the last event's timestamp, 0 for an empty chunk (the
 // convention of events.Stream.TEnd).
 func (c Chunk) tEnd() int64 {
@@ -57,32 +69,59 @@ func (c Chunk) tEnd() int64 {
 	return 0
 }
 
-// appendTo appends the chunk's events to dst, each checked by
-// checkEvent as it is copied, and stops at the first that fails. It
-// returns dst extended by the whole chunk either way: on error the
-// caller cuts it back to its old length.
-func (c Chunk) appendTo(dst []events.Event) ([]events.Event, error) {
-	base, n := len(dst), c.len()
-	dst = slices.Grow(dst, n)[:base+n]
-	out := dst[base:]
+// check applies checkEvent to every event of the chunk in order and
+// returns the first failure. It changes nothing but scratch, so a
+// chunk is refused before any state has changed. An EVAR body that
+// fits scratch is decoded into it on the way, and segment then hands
+// it out without decoding it again.
+func (c Chunk) check(scratch []events.Event) error {
 	prev := int64(math.MinInt64)
 	if len(c.evs) > 0 {
 		for i, e := range c.evs {
 			if err := checkEvent(e, i, c.w, c.h, prev); err != nil {
-				return dst, err
+				return err
+			}
+			prev = e.TS
+		}
+		return nil
+	}
+	if n := c.recs.Len(); n <= len(scratch) {
+		out := scratch[:n]
+		for i := range out {
+			e := c.recs.At(i)
+			if err := checkEvent(e, i, c.w, c.h, prev); err != nil {
+				return err
 			}
 			out[i], prev = e, e.TS
 		}
-		return dst, nil
+		return nil
 	}
-	for i := range out {
+	for i := range c.recs.Len() {
 		e := c.recs.At(i)
 		if err := checkEvent(e, i, c.w, c.h, prev); err != nil {
-			return dst, err
+			return err
 		}
-		out[i], prev = e, e.TS
+		prev = e.TS
 	}
-	return dst, nil
+	return nil
+}
+
+// segment returns the chunk's events from event i on, i < len, once
+// check has passed with the same scratch: a stream chunk's own events,
+// or as many of an EVAR body's records as fit scratch, decoded into it.
+func (c Chunk) segment(i int, scratch []events.Event) []events.Event {
+	if len(c.evs) > 0 {
+		return c.evs[i:]
+	}
+	n := c.recs.Len()
+	if n <= len(scratch) {
+		return scratch[:n] // decoded by check
+	}
+	seg := scratch[:min(len(scratch), n-i)]
+	for k := range seg {
+		seg[k] = c.recs.At(i + k)
+	}
+	return seg
 }
 
 // checkEvent is the rule every ingested event meets, as event i of a
@@ -108,6 +147,17 @@ func eventError(e events.Event, i, w, h int, prev int64) error {
 	return fmt.Errorf("%w: event %d at %dus after %dus", events.ErrOrder, i, e.TS, prev)
 }
 
+// segmentEvents is how many records of an EVAR body are decoded at a
+// time (256 KiB of events): above a 25 ms chunk of the densest zoo
+// stream at half scale, so such a body is decoded once, by check.
+const segmentEvents = 1 << 14
+
+// segments recycles the scratch an EVAR body's records are decoded
+// into. One is borrowed for one ingest call and referenced by nothing
+// once the call returns, so sessions share a few instead of each
+// keeping one.
+var segments = sync.Pool{New: func() any { return new([segmentEvents]events.Event) }}
+
 // maxPooledBody bounds the binary ingest bodies kept for reuse: above
 // any chunk a camera posts at the zoo's rates (25 ms of the densest
 // benchmark scene is under 150 KB), so steady serving reads every body
@@ -117,8 +167,8 @@ const maxPooledBody = 512 << 10
 
 // bodies recycles the buffers ingest bodies are read into. A buffer
 // is borrowed for one request: the session converter copies the events
-// it buffers and replication copies the bytes it keeps, so nothing
-// references the body once the request is answered.
+// it keeps as its tail and replication copies the bytes it keeps, so
+// nothing references the body once the request is answered.
 var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // IngestHandler is the ingest endpoint, POST /v1/sessions/{id}/events,

@@ -3,11 +3,16 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"math"
+	"math/rand"
 	"net/http"
+	"slices"
+	"sort"
 	"testing"
 
 	"evedge/internal/events"
 	"evedge/internal/nn"
+	"evedge/internal/sparse"
 )
 
 // wireChunk is s as IngestHandler takes it on the binary wire:
@@ -63,8 +68,8 @@ func evStream(w, h int, evs ...events.Event) *events.Stream {
 	return s
 }
 
-// TestIngestEventChecks: each event of a chunk is checked as it is
-// copied onto the session buffer — inside the declared sensor, a legal
+// TestIngestEventChecks: each event of a chunk is checked where it
+// lies, before anything changes — inside the declared sensor, a legal
 // polarity, not before the event ahead of it — by one rule whichever
 // way the chunk arrives. The first event that fails is reported, alike
 // from both entry points, wrapping the sentinel ErrorStatus answers
@@ -116,15 +121,16 @@ func TestIngestEventChecks(t *testing.T) {
 	}
 }
 
-// TestIngestRefusedChunkLeavesBuffer: a chunk is decoded onto the
-// session buffer behind the events already there and cut off again
-// when any step refuses it — an event at its start, middle or end, the
-// work bounds, the session's geometry or watermark. The buffer then
-// holds neither part of the refused chunk nor a moved old event, and
-// every later chunk frames exactly as on a converter that never saw
-// the refused ones.
+// TestIngestRefusedChunkLeavesBuffer: a chunk is checked whole before
+// it changes anything, so one refused at any step — an event at its
+// start, middle or end, the work bounds, the session's geometry or
+// watermark — leaves the buffer holding neither part of it nor a moved
+// old event, and every later chunk frames exactly as on a converter
+// that never saw the refused ones. The refused chunks arrive on a
+// time-framed session with events buffered, and on a count-framed one
+// after it has calibrated, where an accepted chunk would be framed
+// straight from the chunk.
 func TestIngestRefusedChunkLeavesBuffer(t *testing.T) {
-	spec := nn.MustByName(nn.DOTIE).Input // 5 ms windows
 	run := func(w, h int, t0, step int64, n int) *events.Stream {
 		s := events.NewStream(w, h)
 		for i := 0; i < n; i++ {
@@ -136,45 +142,263 @@ func TestIngestRefusedChunkLeavesBuffer(t *testing.T) {
 		s.Events[i].X = uint16(s.Width)
 		return s
 	}
-	first := run(16, 16, 0, 40, 100) // 4 ms: buffered, no window closed yet
-	refused := []*events.Stream{
-		badAt(run(16, 16, 4_000, 20, 300), 0),
-		badAt(run(16, 16, 4_000, 20, 300), 150),
-		badAt(run(16, 16, 4_000, 20, 300), 299),
-		run(16, 16, 4_000, 1e12, 2),             // a gap past the framing bound
-		run(8, 16, 4_000, 20, 300),              // another geometry
-		run(16, 16, 3_000, 20, 300),             // before the watermark
-		evStream(16, 16, events.Event{TS: 5e3}), // no polarity, first and only event
-	}
-	next := []*events.Stream{run(16, 16, 4_000, 20, 300), run(16, 16, 10_000, 30, 400)}
-	for _, ep := range entryPoints {
-		hit, clean := &ingestConverter{spec: spec}, &ingestConverter{spec: spec}
-		for _, c := range []*ingestConverter{hit, clean} {
-			if _, err := c.ingest(ep.chunk(t, first)); err != nil {
-				t.Fatalf("%s: first chunk: %v", ep.name, err)
-			}
+	for _, c := range []struct {
+		net   string
+		first *events.Stream   // buffered, or calibrating N
+		bound *events.Stream   // over the framing's work bounds
+		next  []*events.Stream // accepted after the refused chunks
+	}{
+		// 4 ms: buffered, no window closed yet.
+		{nn.DOTIE, run(16, 16, 0, 40, 100),
+			run(16, 16, 4_000, 1e12, 2), // a gap past the framing bound
+			[]*events.Stream{run(16, 16, 4_000, 20, 300), run(16, 16, 10_000, 30, 400)}},
+		// 12 ms: N calibrated at 79, 22 events left buffered.
+		{nn.SpikeFlowNet, run(16, 16, 0, 120, 101),
+			evStream(16, 16, events.Event{Pol: events.On, TS: 12_000}, events.Event{Pol: events.On, TS: math.MaxInt64}),
+			[]*events.Stream{run(16, 16, 12_000, 20, 300), run(16, 16, 18_000, 30, 400)}},
+	} {
+		spec := nn.MustByName(c.net).Input
+		refused := []*events.Stream{
+			badAt(run(16, 16, c.first.TEnd(), 20, 300), 0),
+			badAt(run(16, 16, c.first.TEnd(), 20, 300), 150),
+			badAt(run(16, 16, c.first.TEnd(), 20, 300), 299),
+			c.bound,
+			run(8, 16, c.first.TEnd(), 20, 300), // another geometry
+			run(16, 16, c.first.TEnd()-1_000, 20, 300),                 // before the watermark
+			evStream(16, 16, events.Event{TS: c.first.TEnd() + 1_000}), // no polarity, first and only event
 		}
-		for i, bad := range refused {
-			if _, err := hit.ingest(ep.chunk(t, bad)); err == nil {
-				t.Fatalf("%s: chunk %d accepted", ep.name, i)
-			}
-			if got, want := convState(hit), convState(clean); got != want {
-				t.Fatalf("%s: chunk %d left the buffer changed:\n got  %s\n want %s", ep.name, i, got, want)
-			}
-		}
-		for i, c := range next {
-			got, err := hit.ingest(ep.chunk(t, c))
-			want, werr := clean.ingest(ep.chunk(t, c))
-			if err != nil || werr != nil || len(got) != len(want) {
-				t.Fatalf("%s: next chunk %d: %d frames (%v), want %d (%v)", ep.name, i, len(got), err, len(want), werr)
-			}
-			for k := range want {
-				if !sameFrame(got[k], want[k]) {
-					t.Fatalf("%s: next chunk %d frame %d differs after refused chunks", ep.name, i, k)
+		for _, ep := range entryPoints {
+			hit, clean := &ingestConverter{spec: spec}, &ingestConverter{spec: spec}
+			for _, conv := range []*ingestConverter{hit, clean} {
+				if _, err := conv.ingest(ep.chunk(t, c.first)); err != nil {
+					t.Fatalf("%s/%s: first chunk: %v", c.net, ep.name, err)
 				}
 			}
-			if convState(hit) != convState(clean) {
-				t.Fatalf("%s: next chunk %d: converters diverged", ep.name, i)
+			if spec.Framing == nn.FrameByCount && (hit.count == 0 || hit.buf.Len() == 0) {
+				t.Fatalf("%s/%s: first chunk left N %d and %d events buffered, want N calibrated and a tail", c.net, ep.name, hit.count, hit.buf.Len())
+			}
+			for i, bad := range refused {
+				if _, err := hit.ingest(ep.chunk(t, bad)); err == nil {
+					t.Fatalf("%s/%s: chunk %d accepted", c.net, ep.name, i)
+				}
+				if got, want := convState(hit), convState(clean); got != want {
+					t.Fatalf("%s/%s: chunk %d left the buffer changed:\n got  %s\n want %s", c.net, ep.name, i, got, want)
+				}
+			}
+			for i, ch := range c.next {
+				got, err := hit.ingest(ep.chunk(t, ch))
+				want, werr := clean.ingest(ep.chunk(t, ch))
+				if err != nil || werr != nil || len(got) != len(want) || len(want) == 0 {
+					t.Fatalf("%s/%s: next chunk %d: %d frames (%v), want %d > 0 (%v)", c.net, ep.name, i, len(got), err, len(want), werr)
+				}
+				for k := range want {
+					if !sameFrame(got[k], want[k]) {
+						t.Fatalf("%s/%s: next chunk %d frame %d differs after refused chunks", c.net, ep.name, i, k)
+					}
+				}
+				if convState(hit) != convState(clean) {
+					t.Fatalf("%s/%s: next chunk %d: converters diverged", c.net, ep.name, i)
+				}
+			}
+		}
+	}
+}
+
+// splitStream returns a 24x24 stream of n events over [0, span) µs on
+// a 7 µs grid, so timestamps repeat, plus three events on each
+// multiple of window up to span: equal timestamps on every window edge.
+func splitStream(seed int64, n int, span, window int64) *events.Stream {
+	rng := rand.New(rand.NewSource(seed))
+	s := events.NewStream(24, 24)
+	for range n {
+		s.Append(events.Event{X: uint16(rng.Intn(24)), Y: uint16(rng.Intn(24)),
+			Pol: events.Polarity(1 - 2*rng.Intn(2)), TS: 7 * rng.Int63n(span/7)})
+	}
+	for edge := window; edge < span; edge += window {
+		for range 3 {
+			s.Append(events.Event{X: uint16(rng.Intn(24)), Y: uint16(rng.Intn(24)), Pol: events.On, TS: edge})
+		}
+	}
+	s.Sort()
+	return s
+}
+
+// cutAt splits evs at the given ascending indices.
+func cutAt(w, h int, evs []events.Event, cuts ...int) []*events.Stream {
+	var out []*events.Stream
+	prev := 0
+	for _, c := range append(cuts, len(evs)) {
+		out = append(out, evStream(w, h, evs[prev:c]...))
+		prev = c
+	}
+	return out
+}
+
+// TestIngestChunkSplitInvariance: where a stream is cut into chunks
+// does not change what it frames. The converter frames whole runs and
+// windows straight from each chunk and keeps only the open one, so a
+// run or window that straddles chunks, EVAR decode segments or both
+// must come out exactly as if the stream had arrived whole: the same
+// frames with the same bounds, the same flush, the same final state —
+// whichever entry point the chunks take. A count-framed network is
+// calibrated by the same first chunk in every split (calibration reads
+// whole chunks); the rest is cut as one chunk, as 1-event chunks, on
+// and inside run or window boundaries, across a decode segment and at
+// seeded random points.
+func TestIngestChunkSplitInvariance(t *testing.T) {
+	const n = 3 * segmentEvents
+	for _, name := range []string{nn.SpikeFlowNet, nn.DOTIE, nn.HALSIE} {
+		spec := nn.MustByName(name).Input
+		s := splitStream(int64(len(name)), n, 8*spec.WindowUS, spec.WindowUS)
+		var prefix *events.Stream
+		rest := s.Events
+		if spec.Framing == nn.FrameByCount {
+			prefix = s.Slice(0, spec.FramePeriodUS+spec.FramePeriodUS/2)
+			rest = s.Events[prefix.Len():]
+		}
+		// unit returns the index in rest where framing unit k ends.
+		unit := func(k int) int {
+			if spec.Framing != nn.FrameByCount {
+				edge := int64(k) * spec.WindowUS
+				return sort.Search(len(rest), func(i int) bool { return rest[i].TS >= edge })
+			}
+			c := &ingestConverter{spec: spec}
+			if _, err := c.ingest(StreamChunk(prefix)); err != nil || c.count == 0 {
+				t.Fatalf("%s: prefix did not calibrate (count %d): %v", name, c.count, err)
+			}
+			return c.count - c.buf.Len() + (k-1)*c.count
+		}
+		if unit(2)-unit(1) < 4 {
+			t.Fatalf("%s: framing units of %d events are too small to cut inside", name, unit(2)-unit(1))
+		}
+		rng := rand.New(rand.NewSource(7))
+		random := make([]int, 12)
+		for i := range random {
+			random[i] = rng.Intn(len(rest))
+		}
+		slices.Sort(random)
+		w, h := s.Width, s.Height
+		splits := map[string][]*events.Stream{
+			"whole":    cutAt(w, h, rest),
+			"on units": cutAt(w, h, rest, unit(1), unit(2), unit(4)),
+			// The second piece holds more than one decode segment and
+			// starts inside a unit.
+			"inside units": cutAt(w, h, rest, unit(1)-1, unit(1)+segmentEvents+3,
+				unit(1)+segmentEvents+3+(unit(2)-unit(1))/2),
+			"random": cutAt(w, h, rest, random...),
+		}
+		ones := make([]int, len(rest)-1)
+		for i := range ones {
+			ones[i] = i + 1
+		}
+		splits["1-event"] = cutAt(w, h, rest, ones...)
+
+		for _, ep := range entryPoints {
+			feed := func(chunks []*events.Stream) ([]*sparse.Frame, string) {
+				c := &ingestConverter{spec: spec}
+				var frames []*sparse.Frame
+				if prefix != nil {
+					chunks = append([]*events.Stream{prefix}, chunks...)
+				}
+				for i, ch := range chunks {
+					fs, err := c.ingest(ep.chunk(t, ch))
+					if err != nil {
+						t.Fatalf("%s/%s: chunk %d: %v", name, ep.name, i, err)
+					}
+					frames = append(frames, fs...)
+				}
+				state := convState(c)
+				tail, err := c.flush()
+				if err != nil {
+					t.Fatalf("%s/%s: flush: %v", name, ep.name, err)
+				}
+				return append(frames, tail...), state
+			}
+			want, wantState := feed(splits["whole"])
+			if len(want) < 8 {
+				t.Fatalf("%s/%s: whole stream framed only %d frames", name, ep.name, len(want))
+			}
+			for split, chunks := range splits {
+				got, state := feed(chunks)
+				if len(got) != len(want) {
+					t.Fatalf("%s/%s/%s: %d frames, want %d", name, ep.name, split, len(got), len(want))
+				}
+				for k := range want {
+					if !sameFrame(got[k], want[k]) {
+						t.Fatalf("%s/%s/%s: frame %d [%d, %d) differs from [%d, %d) of the whole stream",
+							name, ep.name, split, k, got[k].T0, got[k].T1, want[k].T0, want[k].T1)
+					}
+				}
+				if state != wantState {
+					t.Fatalf("%s/%s/%s: final state\n got  %s\n want %s", name, ep.name, split, state, wantState)
+				}
+			}
+		}
+	}
+}
+
+// TestIngestBufferHoldsOnlyTail: a chunk of 10^5 events leaves the
+// session buffer holding less than one run or window of events, and
+// its capacity no larger than what count framing buffered before it
+// calibrated plus one unit — twice one unit, as append may double a
+// slice past what it must hold while the open unit is completed. It
+// never scales with the chunk. Each chunk ends inside a window or run,
+// so the next completes a unit begun in the buffer.
+func TestIngestBufferHoldsOnlyTail(t *testing.T) {
+	const n = 100_000
+	for _, name := range []string{nn.SpikeFlowNet, nn.DOTIE, nn.HALSIE} {
+		spec := nn.MustByName(name).Input
+		for _, ep := range entryPoints {
+			c := &ingestConverter{spec: spec}
+			var first *events.Stream
+			span := spec.WindowUS * 21 / 2 // 10.5 windows per chunk
+			if spec.Framing == nn.FrameByCount {
+				// 2 000 events over 1.5 frame periods calibrate N at
+				// about 1 333, and a big chunk holds about one run per
+				// frame period.
+				first = splitStream(1, 2_000, spec.FramePeriodUS*3/2, spec.WindowUS)
+				span = spec.FramePeriodUS * n / 1_333
+				if _, err := c.ingest(ep.chunk(t, first)); err != nil || c.count == 0 {
+					t.Fatalf("%s/%s: first chunk did not calibrate (count %d): %v", name, ep.name, c.count, err)
+				}
+			}
+			var all []events.Event
+			next, prefix := int64(0), 0
+			if first != nil {
+				next, prefix = first.TEnd(), first.Len()
+			}
+			var bigs []*events.Stream
+			for round := range 2 {
+				big := splitStream(int64(round), n, span, span)
+				for i := range big.Events {
+					big.Events[i].TS += next
+				}
+				next = big.TEnd()
+				bigs = append(bigs, big)
+				all = append(all, big.Events...)
+			}
+			// A unit is a run of N events, or the most events any window
+			// of the stream can hold.
+			unit := c.count
+			if unit == 0 {
+				for i, j := 0, 0; i < len(all); i++ {
+					for j < len(all) && all[j].TS < all[i].TS+spec.WindowUS {
+						j++
+					}
+					unit = max(unit, j-i)
+				}
+			}
+			for round, big := range bigs {
+				if _, err := c.ingest(ep.chunk(t, big)); err != nil {
+					t.Fatalf("%s/%s: round %d: %v", name, ep.name, round, err)
+				}
+				if c.buf.Len() >= unit {
+					t.Fatalf("%s/%s: round %d: %d events buffered, a whole unit of %d", name, ep.name, round, c.buf.Len(), unit)
+				}
+				if bound := 2*unit + prefix; cap(c.buf.Events) > bound {
+					t.Fatalf("%s/%s: round %d: after a %d-event chunk the buffer has capacity for %d events, over two units of %d plus %d buffered before calibration",
+						name, ep.name, round, n, cap(c.buf.Events), unit, prefix)
+				}
 			}
 		}
 	}

@@ -90,9 +90,9 @@ func wireBody(w, h int, count uint64, recs ...[]byte) []byte {
 }
 
 // FuzzIngestWire: a binary body reaches a session two ways — POSTed to
-// IngestHandler, where its records are decoded straight into the
-// session buffer, or decoded by events.ReadBinary into a stream that
-// Server.Ingest copies (the in-process path of the harness and the
+// IngestHandler, where its records are checked and converted out of
+// the body, or decoded by events.ReadBinary into a stream that
+// Server.Ingest converts (the in-process path of the harness and the
 // benchmarks). Both must answer alike: the same HTTP status, the same
 // IngestResult, the same error text, and the session converter left in
 // the same state. Each input is two bodies sent in turn to one

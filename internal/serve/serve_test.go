@@ -849,8 +849,8 @@ func TestMapperNMPPolicy(t *testing.T) {
 
 // TestHTTPIngestPooledChunk (run it under -race): IngestHandler reads
 // EVAR bodies into buffers borrowed from a pool — one above
-// maxPooledBody is dropped instead of pooled — and decodes their
-// records straight into the session's buffer, and the client encodes
+// maxPooledBody is dropped instead of pooled — and converts their
+// records out of the body, and the client encodes
 // into pooled buffers, so requests in flight at once, and requests
 // after a rejected one, must never see each other's events. Four
 // sessions of different geometry and chunk size are fed 40 chunks each

@@ -366,27 +366,29 @@ func (s *Session) planDevicesLocked() []string {
 }
 
 // ingestConverter is the incremental Event2Sparse Frame state of one
-// session: buffered not-yet-framed events plus the framing cursor.
-// Time framing emits one grouped frame set per completed accumulation
-// window; count framing emits a frame every N events, with N
-// calibrated once from the first chunk's event rate (as a deployment
-// tunes it on representative data). Conversion runs through
-// e2sf.Fused: each buffered chunk is traversed once, emitted frames
-// come from the arena's frame pool, as does the accumulation grid for
-// the length of each conversion call (so a session holds no W x H
-// state), and the emit slice is reused across ingests — the
-// steady-state ingest path allocates nothing.
+// session: the events of the run or window not yet framed plus the
+// framing cursor. Time framing emits one grouped frame set per
+// completed accumulation window; count framing emits a frame every N
+// events, with N calibrated once from the first chunk's event rate (as
+// a deployment tunes it on representative data). Conversion runs
+// through e2sf.Fused: emitted frames come from the arena's frame pool,
+// as does the accumulation grid for the length of each conversion call
+// (so a session holds no W x H state), and the emit slice is reused
+// across ingests — the steady-state ingest path allocates nothing.
 //
-// buf is the only copy of a chunk's events the server makes: ingest
-// appends them to it, checked one by one — decoded from the wire
-// record by record when the chunk is an EVAR body — and cuts them off
-// again if the chunk is refused.
+// A chunk is checked where it lies and converted by segment: the
+// events that complete the open run or window are appended to buf and
+// that unit is framed from there, every later complete unit straight
+// from the segment, and the events the segment leaves open are copied
+// into buf. So buf holds only that tail — at most one run or window of
+// events — and is all a session keeps of a chunk once ingest returns.
+// Until count framing has calibrated N, buf holds every event so far.
 type ingestConverter struct {
 	spec      nn.InputSpec
 	pool      *mem.FramePool  // nil: frames are freshly allocated
 	fz        *e2sf.Fused     // nil until the first chunk is accepted
-	buf       events.Stream   // not-yet-framed events; the first accepted chunk's geometry
-	run       events.Stream   // reusable window view (count framing)
+	buf       events.Stream   // the unframed tail; the first accepted chunk's geometry
+	view      events.Stream   // reusable view of a segment or run, buf's geometry
 	frames    []*sparse.Frame // per-ingest emit scratch, reused
 	anchored  bool            // startTS/winStart initialized from the first events
 	startTS   int64           // first timestamp seen (stream epoch)
@@ -417,30 +419,31 @@ const (
 
 // checkBounds rejects a chunk of checked events that would exceed the
 // work bounds, reading converter state without changing it.
-func (c *ingestConverter) checkBounds(chunk *events.Stream) error {
-	if c.fz == nil && int64(chunk.Width)*int64(chunk.Height) > maxSessionPixels {
+func (c *ingestConverter) checkBounds(ch Chunk) error {
+	if c.fz == nil && int64(ch.w)*int64(ch.h) > maxSessionPixels {
 		return fmt.Errorf("%w: sensor %dx%d is over %d pixels",
-			ErrChunkTooLarge, chunk.Width, chunk.Height, maxSessionPixels)
+			ErrChunkTooLarge, ch.w, ch.h, maxSessionPixels)
 	}
-	if chunk.Len() == 0 {
+	if ch.len() == 0 {
 		return nil
 	}
 	margin := int64(1)
 	if c.spec.Framing != nn.FrameByCount {
 		margin = c.spec.WindowUS
 	}
-	if chunk.TStart() < math.MinInt64+margin || chunk.TEnd() > math.MaxInt64-margin {
+	tStart, tEnd := ch.tStart(), ch.tEnd()
+	if tStart < math.MinInt64+margin || tEnd > math.MaxInt64-margin {
 		return fmt.Errorf("%w: timestamps %dus to %dus come within %dus of the int64 range",
-			ErrChunkTooLarge, chunk.TStart(), chunk.TEnd(), margin)
+			ErrChunkTooLarge, tStart, tEnd, margin)
 	}
 	if c.spec.Framing == nn.FrameByCount {
 		return nil
 	}
 	winStart := c.winStart
 	if !c.anchored {
-		winStart = c.anchor(chunk.TStart())
+		winStart = c.anchor(tStart)
 	}
-	if chunk.TEnd() < winStart {
+	if tEnd < winStart {
 		return nil
 	}
 	perWindow := uint64(1)
@@ -448,10 +451,10 @@ func (c *ingestConverter) checkBounds(chunk *events.Stream) error {
 		perWindow = uint64((c.spec.NumBins + c.spec.GroupK - 1) / c.spec.GroupK)
 	}
 	// The difference of two int64s fits a uint64 whatever their signs.
-	windows := (uint64(chunk.TEnd()) - uint64(winStart)) / uint64(c.spec.WindowUS)
+	windows := (uint64(tEnd) - uint64(winStart)) / uint64(c.spec.WindowUS)
 	if windows > maxFramesPerIngest/perWindow {
 		return fmt.Errorf("%w: %dus to %dus spans %d windows of %d frames, over %d frames per chunk",
-			ErrChunkTooLarge, winStart, chunk.TEnd(), windows, perWindow, maxFramesPerIngest)
+			ErrChunkTooLarge, winStart, tEnd, windows, perWindow, maxFramesPerIngest)
 	}
 	return nil
 }
@@ -470,100 +473,178 @@ func (c *ingestConverter) anchor(ts int64) int64 {
 	return ts - r
 }
 
-// admit appends the chunk's events to the buffer, each checked by
-// checkEvent, then checks the chunk against the work bounds, the
-// session's geometry and its watermark. It returns the appended events
-// as a view with the chunk's geometry; on error the caller cuts the
-// buffer back.
-func (c *ingestConverter) admit(ch Chunk) (events.Stream, error) {
+// admit checks a chunk where it lies, before anything changes: every
+// event against checkEvent, then the chunk against the work bounds,
+// the session's geometry and its watermark. It writes nothing but
+// scratch, the chunk's decode segment.
+func (c *ingestConverter) admit(ch Chunk, scratch []events.Event) error {
 	if ch.w <= 0 || ch.h <= 0 {
-		return events.Stream{}, fmt.Errorf("serve: invalid chunk: %w", events.ErrNoGeometry)
+		return fmt.Errorf("serve: invalid chunk: %w", events.ErrNoGeometry)
 	}
-	base := len(c.buf.Events)
-	var err error
-	if c.buf.Events, err = ch.appendTo(c.buf.Events); err != nil {
-		return events.Stream{}, fmt.Errorf("serve: invalid chunk: %w", err)
+	if err := ch.check(scratch); err != nil {
+		return fmt.Errorf("serve: invalid chunk: %w", err)
 	}
-	added := events.Stream{Width: ch.w, Height: ch.h, Events: c.buf.Events[base:]}
-	if err := c.checkBounds(&added); err != nil {
-		return added, err
+	if err := c.checkBounds(ch); err != nil {
+		return err
 	}
-	if c.fz != nil && (added.Width != c.buf.Width || added.Height != c.buf.Height) {
-		return added, fmt.Errorf("serve: chunk geometry %dx%d != session %dx%d",
-			added.Width, added.Height, c.buf.Width, c.buf.Height)
+	if c.fz != nil && (ch.w != c.buf.Width || ch.h != c.buf.Height) {
+		return fmt.Errorf("serve: chunk geometry %dx%d != session %dx%d",
+			ch.w, ch.h, c.buf.Width, c.buf.Height)
 	}
 	// Until the first events anchor the session there is no watermark
 	// to be behind: a stream may start below zero.
-	if c.anchored && added.Len() > 0 && added.TStart() < c.watermark {
-		return added, fmt.Errorf("serve: chunk starts at %dus, before session watermark %dus",
-			added.TStart(), c.watermark)
+	if c.anchored && ch.len() > 0 && ch.tStart() < c.watermark {
+		return fmt.Errorf("serve: chunk starts at %dus, before session watermark %dus",
+			ch.tStart(), c.watermark)
 	}
-	return added, nil
+	return nil
 }
 
-// ingest adds one chunk's events to the buffer and frames what they
-// complete. Chunks are outside input and e2sf.Fused indexes its grid
-// unchecked, so the events are checked as they are copied onto the
-// buffer, then the chunk against the work bounds and the session;
-// a chunk refused at any step is cut off the buffer again and changes
-// no converter state.
+// ingest frames what one chunk completes. Chunks are outside input and
+// e2sf.Fused indexes its grid unchecked, so the chunk is checked whole
+// first — each event, then the work bounds and the session — and a
+// chunk refused at any step changes no converter state. The returned
+// slice is converter-owned scratch, valid until the next ingest.
 func (c *ingestConverter) ingest(ch Chunk) ([]*sparse.Frame, error) {
-	base := len(c.buf.Events)
-	added, err := c.admit(ch)
-	if err != nil {
-		c.buf.Events = c.buf.Events[:base]
+	var scratch []events.Event
+	if len(ch.evs) == 0 && ch.len() > 0 {
+		seg := segments.Get().(*[segmentEvents]events.Event)
+		defer segments.Put(seg)
+		scratch = seg[:]
+	}
+	if err := c.admit(ch, scratch); err != nil {
 		return nil, err
 	}
 	if c.fz == nil {
 		fz, err := e2sf.NewFused(e2sf.Config{
-			Width: added.Width, Height: added.Height, NumBins: c.spec.NumBins,
+			Width: ch.w, Height: ch.h, NumBins: c.spec.NumBins,
 		}, c.pool)
 		if err != nil {
-			c.buf.Events = c.buf.Events[:base]
 			return nil, err
 		}
 		c.fz = fz
-		c.buf.Width, c.buf.Height = added.Width, added.Height
+		c.buf.Width, c.buf.Height = ch.w, ch.h
+		c.view.Width, c.view.Height = ch.w, ch.h
 	}
-	if added.Len() > 0 {
+	n := ch.len()
+	if n > 0 {
 		if !c.anchored {
 			c.anchored = true
 			// First events: anchor windowing at the stream's own epoch.
-			c.startTS = added.TStart()
+			c.startTS = ch.tStart()
 			if c.spec.WindowUS > 0 {
 				c.winStart = c.anchor(c.startTS)
 			}
 		}
-		c.watermark = added.TEnd()
+		c.watermark = ch.tEnd()
 	}
-	if c.spec.Framing == nn.FrameByCount {
-		return c.convertByCount(false)
-	}
-	return c.convertWindows()
-}
-
-// convertWindows frames every accumulation window fully covered by the
-// watermark, exactly as the offline ConvertStream does. The returned
-// slice is converter-owned scratch, valid until the next ingest.
-func (c *ingestConverter) convertWindows() ([]*sparse.Frame, error) {
+	byCount := c.spec.Framing == nn.FrameByCount
 	out := c.frames[:0]
 	var err error
-	for c.winStart+c.spec.WindowUS <= c.watermark {
-		t1 := c.winStart + c.spec.WindowUS
-		out, _, err = c.fz.ConvertGroupedAppend(out, &c.buf, c.winStart, t1, c.spec.GroupK)
-		if err != nil {
-			return nil, err
+	for i := 0; i < n && err == nil; {
+		seg := ch.segment(i, scratch)
+		i += len(seg)
+		switch {
+		case !byCount:
+			out, err = c.convertWindows(out, seg)
+		case c.count > 0:
+			out, err = c.convertRuns(out, seg)
+		default:
+			c.buf.Events = append(c.buf.Events, seg...)
 		}
-		c.winStart = t1
 	}
-	c.trim(c.winStart)
+	if err == nil && byCount && c.count == 0 {
+		out, err = c.convertByCount(out, false)
+	}
+	c.view.Events = nil // keep no reference to the chunk
+	if err != nil {
+		return nil, err
+	}
 	c.frames = out
 	return out, nil
 }
 
-// convertByCount frames every complete run of `count` buffered events;
-// when flush is true the trailing partial frame is emitted too.
-func (c *ingestConverter) convertByCount(flush bool) ([]*sparse.Frame, error) {
+// convertWindows frames every accumulation window that seg's last
+// event closes, exactly as the offline ConvertStream does: the open
+// window from the buffer, completed by seg's first events, then every
+// later window straight from seg. The events of the window seg leaves
+// open become the buffer.
+func (c *ingestConverter) convertWindows(out []*sparse.Frame, seg []events.Event) ([]*sparse.Frame, error) {
+	end := seg[len(seg)-1].TS
+	c.view.Events = seg
+	var err error
+	for c.winStart+c.spec.WindowUS <= end {
+		t1 := c.winStart + c.spec.WindowUS
+		src := &c.view
+		if c.buf.Len() > 0 {
+			// The buffer holds the window's earlier events, all of them
+			// from winStart on.
+			k := sort.Search(len(seg), func(i int) bool { return seg[i].TS >= t1 })
+			c.buf.Events = append(c.buf.Events, seg[:k]...)
+			seg, src = seg[k:], &c.buf
+			c.view.Events = seg
+		}
+		out, _, err = c.fz.ConvertGroupedAppend(out, src, c.winStart, t1, c.spec.GroupK)
+		if err != nil {
+			return nil, err
+		}
+		c.buf.Events = c.buf.Events[:0]
+		c.winStart = t1
+	}
+	i := sort.Search(len(seg), func(i int) bool { return seg[i].TS >= c.winStart })
+	c.buf.Events = append(c.buf.Events, seg[i:]...)
+	return out, nil
+}
+
+// convertRuns frames every complete run of count events once N is
+// calibrated: the open run from the buffer, completed by seg's first
+// events, then every later run straight from seg. The events of the
+// run seg leaves open become the buffer.
+func (c *ingestConverter) convertRuns(out []*sparse.Frame, seg []events.Event) ([]*sparse.Frame, error) {
+	var err error
+	if n := c.buf.Len(); n > 0 {
+		k := min(c.count-n, len(seg))
+		c.buf.Events = append(c.buf.Events, seg[:k]...)
+		if seg = seg[k:]; c.buf.Len() < c.count {
+			return out, nil
+		}
+		if out, err = c.emitRun(out, c.buf.Events); err != nil {
+			return nil, err
+		}
+		c.buf.Events = c.buf.Events[:0]
+	}
+	for ; len(seg) >= c.count; seg = seg[c.count:] {
+		if out, err = c.emitRun(out, seg[:c.count]); err != nil {
+			return nil, err
+		}
+	}
+	c.buf.Events = append(c.buf.Events, seg...)
+	return out, nil
+}
+
+// emitRun appends the frame of one run of events to out.
+func (c *ingestConverter) emitRun(out []*sparse.Frame, run []events.Event) ([]*sparse.Frame, error) {
+	// Convert over the run's own span (duplicate timestamps at the
+	// previous frame's boundary must not be sliced away), then chain
+	// T0 to the previous frame's end.
+	c.view.Events = run
+	t0, t1 := run[0].TS, run[len(run)-1].TS+1
+	frames, _, err := c.fz.ConvertByCountAppend(out, &c.view, t0, t1, len(run))
+	if err != nil {
+		return nil, err
+	}
+	for _, f := range frames[len(out):] {
+		f.T0 = c.frStart
+		c.frStart = f.T1
+	}
+	return frames, nil
+}
+
+// convertByCount calibrates N once the buffer holds enough stream and
+// frames every complete run of `count` buffered events; when flush is
+// true the trailing partial frame is emitted too. Past calibration the
+// buffer holds less than one run, so only a flush emits.
+func (c *ingestConverter) convertByCount(out []*sparse.Frame, flush bool) ([]*sparse.Frame, error) {
 	if c.count == 0 {
 		// Calibrate the event count per frame from the observed rate so
 		// the mean framing period matches the spec's target. Wait for at
@@ -571,7 +652,7 @@ func (c *ingestConverter) convertByCount(flush bool) ([]*sparse.Frame, error) {
 		// zero-duration first chunk would lock in a wildly wrong count
 		// for the session's whole lifetime.
 		if !flush && (c.buf.Duration() < c.spec.FramePeriodUS || c.buf.Len() < 2) {
-			return nil, nil
+			return out, nil
 		}
 		d := c.buf.Duration()
 		if d > 0 {
@@ -586,46 +667,20 @@ func (c *ingestConverter) convertByCount(flush bool) ([]*sparse.Frame, error) {
 		}
 		c.frStart = c.buf.TStart()
 	}
-	out := c.frames[:0]
-	emit := func(run *events.Stream) error {
-		// Convert over the run's own span (duplicate timestamps at the
-		// previous frame's boundary must not be sliced away), then chain
-		// T0 to the previous frame's end.
-		t1 := run.TEnd() + 1
-		frames, _, err := c.fz.ConvertByCountAppend(out, run, run.TStart(), t1, run.Len())
-		if err != nil {
-			return err
-		}
-		for _, f := range frames[len(out):] {
-			f.T0 = c.frStart
-			c.frStart = f.T1
-		}
-		out = frames
-		return nil
-	}
-	// Consume complete runs through a cursor and compact the tail back
-	// to the front afterwards, so the buffer's backing array reaches a
-	// steady capacity instead of leaking it to forward reslices.
-	start := 0
-	for c.buf.Len()-start >= c.count {
-		c.run.Width, c.run.Height = c.buf.Width, c.buf.Height
-		c.run.Events = c.buf.Events[start : start+c.count]
-		if err := emit(&c.run); err != nil {
-			return nil, err
-		}
-		start += c.count
-	}
-	if start > 0 {
-		n := copy(c.buf.Events, c.buf.Events[start:])
-		c.buf.Events = c.buf.Events[:n]
+	// Frame the buffer like a segment: its runs straight from it, its
+	// tail moved to the front of the same array.
+	evs := c.buf.Events
+	c.buf.Events = evs[:0]
+	out, err := c.convertRuns(out, evs)
+	if err != nil {
+		return nil, err
 	}
 	if flush && c.buf.Len() > 0 {
-		if err := emit(&c.buf); err != nil {
+		if out, err = c.emitRun(out, c.buf.Events); err != nil {
 			return nil, err
 		}
 		c.buf.Events = c.buf.Events[:0]
 	}
-	c.frames = out
 	return out, nil
 }
 
@@ -633,19 +688,13 @@ func (c *ingestConverter) convertByCount(flush bool) ([]*sparse.Frame, error) {
 // emits the trailing partial frame; time framing drops the incomplete
 // window, matching the offline converter.
 func (c *ingestConverter) flush() ([]*sparse.Frame, error) {
-	if c.fz == nil {
+	if c.fz == nil || c.spec.Framing != nn.FrameByCount {
 		return nil, nil
 	}
-	if c.spec.Framing == nn.FrameByCount {
-		return c.convertByCount(true)
+	out, err := c.convertByCount(c.frames[:0], true)
+	if err != nil {
+		return nil, err
 	}
-	return nil, nil
-}
-
-// trim discards consumed events (timestamps before t).
-func (c *ingestConverter) trim(t int64) {
-	evs := c.buf.Events
-	i := sort.Search(len(evs), func(i int) bool { return evs[i].TS >= t })
-	n := copy(evs, evs[i:])
-	c.buf.Events = evs[:n]
+	c.frames = out
+	return out, nil
 }
