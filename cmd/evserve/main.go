@@ -9,7 +9,7 @@
 //	        [-queue 64] [-drop drop-oldest] [-mapper rr|nmp]
 //	        [-batch-max 8]
 //	        [-adapt] [-adapt-interval 50ms] [-remap-cooldown 250ms]
-//	        [-journal]
+//	        [-journal] [-cpuprofile file]
 //
 // Execution flows through the shared scheduler (internal/sched):
 // per-device run queues coalesce compatible invocations from
@@ -24,6 +24,10 @@
 // warm-started NMP remaps that re-place layers as load shifts. Retune
 // and remap activity is exposed in /metrics (evserve_retunes_total,
 // evserve_control_remap_*).
+//
+// -cpuprofile writes a runtime/pprof CPU profile of the process from
+// start-up to graceful shutdown (SIGINT or SIGTERM); a path that cannot
+// be created exits 1 before the server listens.
 //
 // API:
 //
@@ -51,6 +55,7 @@ import (
 	"time"
 
 	evedge "evedge"
+	"evedge/internal/obs"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
@@ -74,6 +79,7 @@ func run(args []string, stderr io.Writer) int {
 		adaptInt = fs.Duration("adapt-interval", 50*time.Millisecond, "minimum stream time between retune decisions")
 		cooldown = fs.Duration("remap-cooldown", 250*time.Millisecond, "minimum virtual time between NMP remaps")
 		trace    = fs.String("trace", "", "enable frame-lifecycle tracing and write Chrome trace-event JSON here on shutdown (also served live at /v1/trace)")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the process to this file, stopped on graceful shutdown")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -81,6 +87,16 @@ func run(args []string, stderr io.Writer) int {
 		}
 		return 2
 	}
+	stopProfile, err := obs.StartCPUProfile(*cpuProf)
+	if err != nil {
+		fmt.Fprintln(stderr, "evserve: -cpuprofile:", err)
+		return 1
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintln(stderr, "evserve: -cpuprofile:", err)
+		}
+	}()
 
 	cfg := evedge.DefaultServeConfig()
 	p, err := evedge.PlatformByName(*platform)

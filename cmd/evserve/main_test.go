@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -26,6 +27,7 @@ func TestRunFlagErrors(t *testing.T) {
 		{"zero queue", []string{"-queue", "0"}, 1, "-queue must be >= 1, got 0"},
 		{"bad flag syntax", []string{"-workers", "many"}, 2, "invalid value"},
 		{"unknown flag", []string{"-no-such-flag"}, 2, "flag provided but not defined"},
+		{"unwritable cpuprofile", []string{"-cpuprofile", filepath.Join(t.TempDir(), "no", "cpu.prof")}, 1, "-cpuprofile"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -180,7 +180,7 @@ func baseCost(t testing.TB, net *nn.Network) float64 {
 	}
 	f := mkFrame(0, 1000, 0.05)
 	dur, _ := pipeline.InvocationCost(model, net, plan, &pipeline.Invocation{
-		Frames: []*sparse.Frame{f}, Raw: 1, ReadyUS: 0,
+		Frames: []*sparse.Frame{f}, Inputs: []float64{f.Density()}, Raw: 1, ReadyUS: 0,
 		PerRaw: []pipeline.RawRef{{ReadyUS: 0, N: 1}},
 	})
 	if dur <= 0 {

@@ -14,8 +14,9 @@ import (
 // dispatch: a cAdd/cAverage bucket is merged the moment it closes, and
 // a shed queue entry releases its merged frame. Placement, staleness
 // and bucket bookkeeping are the embedded Aggregator's; the methods
-// below are the close-time ones, kept verbatim as the reference the
-// dispatch-time combine must match bit for bit.
+// below are the close-time ones, kept as the reference that a
+// dispatched bucket's on-demand sum and density must match bit for
+// bit.
 type closeAgg struct{ *Aggregator }
 
 func (a closeAgg) dropEarliest() {
@@ -27,7 +28,6 @@ func (a closeAgg) dropEarliest() {
 	}
 	a.stats.DroppedBuckets++
 	a.stats.DroppedFrames += drop.NumMerged
-	a.stats.DroppedEvents += drop.Events
 	a.queue = a.queue[1:]
 }
 
@@ -48,7 +48,6 @@ func (a closeAgg) takeBatch() *Batch {
 	for _, m := range batch.Merged {
 		a.stats.MergedDispatch++
 		a.stats.FramesDispatch += m.NumMerged
-		a.stats.EventsDispatch += m.Events
 	}
 	return batch
 }
@@ -80,10 +79,8 @@ func (a closeAgg) Retune(cfg Config) error {
 }
 
 func (a closeAgg) Push(f *sparse.Frame) {
-	events := f.EventCount()
 	a.stats.FramesIn++
-	a.stats.EventsIn += events
-	a.place(f, events)
+	a.place(f)
 	if a.occupancy() >= a.cfg.EBufSize {
 		a.stats.FlushesOnFull++
 		a.flushBuckets()
@@ -107,7 +104,6 @@ func (a closeAgg) flushBuckets() {
 func (a closeAgg) combineInto(b *bucket, m *Merged) {
 	m.NumMerged = len(b.frames)
 	m.T1 = b.frames[len(b.frames)-1].T1
-	m.Events = b.events
 	if b.mode == CBatch {
 		m.Frames = append(m.Frames, b.frames...)
 		return
@@ -190,28 +186,36 @@ func sameFrame(got, want *sparse.Frame) error {
 	return nil
 }
 
-// sameBatch requires a dispatch to carry exactly the reference's
-// buckets: bounds, raw frame and event counts, and bit-identical frames.
-func sameBatch(got, want *Batch) error {
+// sameBatch requires a dispatch of a to carry exactly the reference's
+// buckets: bounds, raw frame counts, every member, one model input
+// each, whose density and on-demand sum match the reference's merged
+// frame bit for bit. A sum a pooled a made goes back to its pool.
+func sameBatch(a *Aggregator, got, want *Batch) error {
 	if (got == nil) != (want == nil) {
 		return fmt.Errorf("batch %v, want %v", got != nil, want != nil)
 	}
 	if got == nil {
 		return nil
 	}
-	if len(got.Merged) != len(want.Merged) {
-		return fmt.Errorf("%d buckets, want %d", len(got.Merged), len(want.Merged))
+	if len(got.Merged) != len(want.Merged) || got.FrameCount() != want.FrameCount() {
+		return fmt.Errorf("%d buckets, %d inputs; want %d, %d", len(got.Merged), got.FrameCount(), len(want.Merged), want.FrameCount())
 	}
-	for i, m := range got.Merged {
-		w := want.Merged[i]
-		if m.T1 != w.T1 || m.NumMerged != w.NumMerged || m.Events != w.Events || len(m.Frames) != len(w.Frames) {
-			return fmt.Errorf("bucket %d: ends %d, %d raw, %v events, %d frames; want %d, %d, %v, %d", i,
-				m.T1, m.NumMerged, m.Events, len(m.Frames), w.T1, w.NumMerged, w.Events, len(w.Frames))
+	for i := range got.Merged {
+		m, w := &got.Merged[i], want.Merged[i]
+		if m.T1 != w.T1 || m.NumMerged != w.NumMerged || len(m.Frames) != m.NumMerged || len(w.Frames) != 1 {
+			return fmt.Errorf("bucket %d: ends %d, %d raw, %d members; want %d, %d, one merged frame (%d)", i,
+				m.T1, m.NumMerged, len(m.Frames), w.T1, w.NumMerged, len(w.Frames))
 		}
-		for j, f := range m.Frames {
-			if err := sameFrame(f, w.Frames[j]); err != nil {
-				return fmt.Errorf("bucket %d frame %d: %v", i, j, err)
-			}
+		if math.Float64bits(m.Density) != math.Float64bits(w.Frames[0].Density()) {
+			return fmt.Errorf("bucket %d: density %v, want %v", i, m.Density, w.Frames[0].Density())
+		}
+		sum := a.sum(m)
+		err := sameFrame(sum, w.Frames[0])
+		if a.pool != nil && len(m.Frames) > 1 {
+			a.pool.Put(sum)
+		}
+		if err != nil {
+			return fmt.Errorf("bucket %d sum: %v", i, err)
 		}
 	}
 	return nil
@@ -222,9 +226,10 @@ func sameBatch(got, want *Batch) error {
 // (mode switches and tightened queue caps included) through an
 // aggregator and, with its own copies of the same frames, through the
 // close-time reference. Every dispatch must carry the reference's
-// buckets bit for bit and the counters must agree after every step, in
-// all three modes, pooled and unpooled. A pooled run must end with
-// every frame and grid back in the pool.
+// buckets — the on-demand sum and the density bit for bit — and the
+// counters must agree after every step, in all three modes, pooled and
+// unpooled. A pooled run must end with every frame and grid back in
+// the pool.
 func TestDispatchCombineMatchesCloseCombine(t *testing.T) {
 	for _, pooled := range []bool{false, true} {
 		for seed := int64(0); seed < 24; seed++ {
@@ -288,7 +293,7 @@ func TestDispatchCombineMatchesCloseCombine(t *testing.T) {
 						t.Fatalf("%s: Retune: %v, reference %v", ctx, err, rerr)
 					}
 				}
-				if err := sameBatch(got, want); err != nil {
+				if err := sameBatch(agg, got, want); err != nil {
 					t.Fatalf("%s: %v", ctx, err)
 				}
 				consume(got)
@@ -346,7 +351,9 @@ func TestShedBucketTakesNothingFromPool(t *testing.T) {
 }
 
 // TestOneMemberBucketDispatchesItsMember: a one-frame cAdd/cAverage
-// bucket is its own merge, so the dispatch carries the member itself.
+// bucket is its own merge, so the dispatch carries the member itself
+// at its own density, its sum is the member, and neither the dispatch
+// nor the sum borrows a grid.
 func TestOneMemberBucketDispatchesItsMember(t *testing.T) {
 	for _, pooled := range []bool{false, true} {
 		for _, mode := range []CMode{CAdd, CAverage} {
@@ -366,6 +373,9 @@ func TestOneMemberBucketDispatchesItsMember(t *testing.T) {
 			b := agg.Dispatch()
 			if b == nil || len(b.Merged) != 1 || len(b.Merged[0].Frames) != 1 || b.Merged[0].Frames[0] != f {
 				t.Fatalf("pooled %v, %v: one-member bucket did not dispatch its member", pooled, mode)
+			}
+			if m := &b.Merged[0]; m.Density != f.Density() || agg.sum(m) != f {
+				t.Fatalf("pooled %v, %v: one-member bucket priced at %v (member %v) or summed to a copy", pooled, mode, m.Density, f.Density())
 			}
 			if st := pool.AccumStats(); st.Gets != 0 {
 				t.Fatalf("pooled %v, %v: one-member dispatch borrowed %d grids", pooled, mode, st.Gets)

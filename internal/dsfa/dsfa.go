@@ -11,16 +11,23 @@
 // computational demand to track both input dynamics and hardware
 // processing capability.
 //
-// A closed bucket waits in the inference queue as its members. A
-// cAdd/cAverage bucket is combined when dispatched; a shed bucket is
-// never merged. Combining scatters the members, in admission order,
-// into a dense accumulation grid (sparse.Accum) that is emitted once
-// in (y, x) order, scaled by 1 or 1/n; a one-member bucket is its own
-// merge. The grid is borrowed from the frame pool for that one
-// dispatch and returned all-zero (an unpooled aggregator keeps its
-// own); the aggregator holds no W x H state between dispatches, and a
-// bucket carries its running event sum so nothing re-walks member
-// frames.
+// A closed bucket waits in the inference queue as its members, and is
+// dispatched as its members too: one model input, priced by its
+// spatial density. A cAdd/cAverage bucket's density is that of its
+// members' pixel sum, which is the fraction of pixels their union
+// occupies; it is counted on the occupancy bitmaps of a dense grid
+// (sparse.Accum.UnionCount) without touching a pixel cell. A
+// one-member bucket, and so every cBatch bucket, is its member. The
+// grid is borrowed from the frame pool for one dispatched bucket and
+// returned all-zero (an unpooled aggregator keeps its own), so the
+// aggregator holds no W x H state between dispatches. A shed bucket is
+// never counted.
+//
+// The pixel sum itself — the members scattered, in admission order,
+// into the grid and emitted once in (y, x) order, scaled by 1 or 1/n —
+// is made only when a consumer asks for the pixels (Aggregator.sum).
+// The analytic pipeline and the server price a bucket by its density
+// alone, so they never ask.
 package dsfa
 
 import (
@@ -116,8 +123,7 @@ const (
 
 type bucket struct {
 	frames   []*sparse.Frame
-	events   float64 // raw events across frames, in admission order
-	earliest int64   // Time(Evf_1)
+	earliest int64 // Time(Evf_1)
 	meanDen  float64
 	status   bucketStatus
 	// mode is the combine mode the bucket was opened under; a live
@@ -125,32 +131,34 @@ type bucket struct {
 	mode CMode
 }
 
-// add admits f, whose raw event count the caller has already taken.
-func (b *bucket) add(f *sparse.Frame, events float64) {
+// add admits f.
+func (b *bucket) add(f *sparse.Frame) {
 	if len(b.frames) == 0 {
 		b.earliest = f.T0
 	}
 	n := float64(len(b.frames))
 	b.meanDen = (b.meanDen*n + f.Density()) / (n + 1)
 	b.frames = append(b.frames, f)
-	b.events += events
 }
 
-// Merged is one closed bucket in the inference queue, combined when it
-// is dispatched.
+// Merged is one closed bucket in the inference queue: its members and,
+// once dispatched, the density of the one model input they make.
 type Merged struct {
-	// Frames holds one merged frame for cAdd/cAverage — the member
-	// itself when the bucket had one — or the member frames for cBatch.
+	// Frames holds the bucket's members in admission order. A cBatch
+	// bucket has exactly one, as every cBatch frame opens its own.
 	Frames []*sparse.Frame
 	// NumMerged is how many raw sparse frames went in.
 	NumMerged int
-	// Events is the raw event count that entered the bucket.
-	Events float64
+	// Density is the spatial density of the bucket's model input, set
+	// at dispatch: the fraction of pixels the members' union occupies,
+	// which is the density of their pixel sum, or the member's own when
+	// the bucket has one.
+	Density float64
 	// T1 is the end of the bucket's last member.
 	T1 int64
 
-	// mode is the combine mode the bucket was closed under; until the
-	// slot is dispatched, Frames holds the members.
+	// mode is the combine mode the bucket was closed under: how sum
+	// scales the members.
 	mode CMode
 }
 
@@ -160,27 +168,18 @@ type Batch struct {
 	Merged []Merged
 }
 
-// FrameCount returns the number of model invocations the batch
-// represents (merged frames across buckets).
-func (b *Batch) FrameCount() int {
-	n := 0
-	for _, m := range b.Merged {
-		n += len(m.Frames)
-	}
-	return n
-}
+// FrameCount returns the number of model inputs the batch represents:
+// one per bucket.
+func (b *Batch) FrameCount() int { return len(b.Merged) }
 
 // Stats tracks aggregator behaviour for the experiments.
 type Stats struct {
 	FramesIn        int
-	EventsIn        float64
 	BucketsClosed   int
-	FramesDispatch  int     // raw frames inside dispatched batches
-	EventsDispatch  float64 // raw events inside dispatched batches
-	MergedDispatch  int     // merged buckets dispatched
-	DroppedBuckets  int     // buckets discarded on queue overflow
+	FramesDispatch  int // raw frames inside dispatched batches
+	MergedDispatch  int // merged buckets dispatched
+	DroppedBuckets  int // buckets discarded on queue overflow
 	DroppedFrames   int
-	DroppedEvents   float64
 	FlushesOnFull   int // flushes triggered by buffer occupancy
 	EarlyDispatches int // dispatches triggered by hardware availability
 	Retunes         int // live configuration swaps applied
@@ -202,16 +201,15 @@ type Aggregator struct {
 	stats   Stats
 
 	// pool, when set (SetPool), switches the aggregator to pooled
-	// operation: the members of a cAdd/cAverage bucket are released
-	// back to the pool once merged at dispatch, a shed bucket releases
-	// its members instead of leaking them, bucket structs and queue
+	// operation: a shed bucket releases its members instead of leaking
+	// them, grids are borrowed from the pool, bucket structs and queue
 	// storage are recycled, and dispatches reuse one Batch whose
 	// contents are only valid until the next dispatch. The serving hot
 	// path and pipeline.Run's executor run pooled; the pipeline's
 	// merge-ratio dry run, which only reads the frames it is handed,
 	// leaves pool nil and keeps the allocate-per-dispatch semantics.
 	pool        *mem.FramePool
-	own         *sparse.Accum // the unpooled aggregator's grid, nil until first merge
+	own         *sparse.Accum // the unpooled aggregator's grid, nil until first use
 	freeBuckets []*bucket
 	spare       []Merged
 	batch       Batch
@@ -228,11 +226,11 @@ func New(cfg Config) (*Aggregator, error) {
 // Config returns the aggregator's configuration.
 func (a *Aggregator) Config() Config { return a.cfg }
 
-// SetPool enables pooled operation: frames the aggregator consumes
-// (members merged under cAdd/cAverage at dispatch, the members of a
-// shed bucket) are returned to p, merged output frames and grids are
-// borrowed from p, and internal bucket/queue/batch storage is
-// recycled. In pooled mode a dispatched Batch and its Merged entries
+// SetPool enables pooled operation: the members of a shed bucket are
+// returned to p, grids (and the frames sum makes) are borrowed from p,
+// and internal bucket/queue/batch storage is recycled. A dispatched
+// bucket's members belong to the consumer, which returns them to p
+// once served. In pooled mode a dispatched Batch and its Merged entries
 // are valid only until the next dispatch — consume them immediately
 // (the pipeline Stepper does). Set it before the first Push; frames
 // pushed afterwards must be owned by the same pool.
@@ -248,7 +246,7 @@ func (a *Aggregator) newBucket(mode CMode) *bucket {
 			b.frames[i] = nil
 		}
 		b.frames = b.frames[:0]
-		b.events, b.earliest, b.meanDen, b.status, b.mode = 0, 0, 0, avl, mode
+		b.earliest, b.meanDen, b.status, b.mode = 0, 0, avl, mode
 		return b
 	}
 	return &bucket{mode: mode}
@@ -266,7 +264,7 @@ func (a *Aggregator) enqueue() *Merged {
 		a.queue = a.queue[:len(a.queue)+1]
 		m := &a.queue[len(a.queue)-1]
 		m.Frames = m.Frames[:0]
-		m.NumMerged, m.Events, m.T1 = 0, 0, 0
+		m.NumMerged, m.Density, m.T1 = 0, 0, 0
 		return m
 	}
 	a.queue = append(a.queue, Merged{})
@@ -287,14 +285,13 @@ func (a *Aggregator) dropEarliest() {
 	clear(drop.Frames)
 	a.stats.DroppedBuckets++
 	a.stats.DroppedFrames += drop.NumMerged
-	a.stats.DroppedEvents += drop.Events
 	n := len(a.queue) - 1
 	copy(a.queue, a.queue[1:])
 	a.queue[n] = drop
 	a.queue = a.queue[:n]
 }
 
-// takeBatch combines the queued buckets and hands them out as one
+// takeBatch prices the queued buckets and hands them out as one
 // dispatch unit, and counts them. In pooled mode the returned Batch and
 // the queue storage are recycled on the next dispatch.
 func (a *Aggregator) takeBatch() *Batch {
@@ -313,10 +310,9 @@ func (a *Aggregator) takeBatch() *Batch {
 	}
 	for i := range batch.Merged {
 		m := &batch.Merged[i]
-		a.combine(m)
+		a.price(m)
 		a.stats.MergedDispatch++
 		a.stats.FramesDispatch += m.NumMerged
-		a.stats.EventsDispatch += m.Events
 	}
 	return batch
 }
@@ -382,10 +378,8 @@ func (a *Aggregator) QueueLen() int { return len(a.queue) }
 // Push inserts a sparse frame produced by E2SF. If the event buffer
 // exceeds EBufSize the buckets are flushed to the inference queue.
 func (a *Aggregator) Push(f *sparse.Frame) {
-	events := f.EventCount()
 	a.stats.FramesIn++
-	a.stats.EventsIn += events
-	a.place(f, events)
+	a.place(f)
 	if a.occupancy() >= a.cfg.EBufSize {
 		a.stats.FlushesOnFull++
 		a.flushBuckets()
@@ -394,11 +388,11 @@ func (a *Aggregator) Push(f *sparse.Frame) {
 
 // place implements the greedy earliest-available-bucket policy with
 // the MtTh and MdTh admission conditions.
-func (a *Aggregator) place(f *sparse.Frame, events float64) {
+func (a *Aggregator) place(f *sparse.Frame) {
 	if a.cfg.Mode == CBatch {
 		// cBatch: every frame opens a fresh bucket.
 		b := a.newBucket(CBatch)
-		b.add(f, events)
+		b.add(f)
 		b.status = full
 		a.buckets = append(a.buckets, b)
 		return
@@ -430,11 +424,11 @@ func (a *Aggregator) place(f *sparse.Frame, events float64) {
 			b.status = full
 			continue
 		}
-		b.add(f, events)
+		b.add(f)
 		return
 	}
 	nb := a.newBucket(a.cfg.Mode)
-	nb.add(f, events)
+	nb.add(f)
 	a.buckets = append(a.buckets, nb)
 }
 
@@ -455,38 +449,55 @@ func (a *Aggregator) flushBuckets() {
 }
 
 // closeInto moves a closed bucket into a queue slot: its members, in
-// admission order, its end, event sum and combine mode. The members
-// are combined when the slot is dispatched.
+// admission order, its end and combine mode. The slot is priced when it
+// is dispatched.
 func (a *Aggregator) closeInto(b *bucket, m *Merged) {
 	m.NumMerged = len(b.frames)
 	m.T1 = b.frames[len(b.frames)-1].T1
-	m.Events = b.events
 	m.mode = b.mode
 	m.Frames = append(m.Frames, b.frames...)
 }
 
-// combine replaces a dispatched cAdd/cAverage slot's members with
-// their merge: the members are scattered, in admission order, into an
-// accumulation grid that is then emitted once — scaled by 1/n for
-// cAverage — into the merged frame. The grid is borrowed for this one
-// dispatch. In pooled mode it and the merged frame come from the pool
-// and the members, now dead, are released back to it.
-//
-// A one-member slot is its own merge and keeps its member: that is
-// bit-identical to merging it, because members are sorted when they
-// are admitted and 0 + x and x·1 are exact for every x but −0, which
-// DSFA's input — E2SF output, integer event counts — never holds.
-func (a *Aggregator) combine(m *Merged) {
-	n := len(m.Frames)
-	if m.mode == CBatch || n == 1 {
+// price sets a dispatched slot's input density. A slot of several
+// members — a cAdd/cAverage bucket — is counted on a grid borrowed for
+// this one slot: the union of the members' cells, the NNZ their sum
+// would have, over H·W. A one-member slot is its member, so its
+// density is the member's.
+func (a *Aggregator) price(m *Merged) {
+	f := m.Frames[0]
+	if len(m.Frames) == 1 {
+		m.Density = f.Density()
 		return
+	}
+	acc := a.getGrid(f.H, f.W)
+	m.Density = float64(acc.UnionCount(m.Frames)) / float64(f.H*f.W)
+	a.putGrid(acc)
+}
+
+// sum returns the pixels of a dispatched slot's model input, bit for
+// bit what merging it at dispatch gave: a one-member slot's member
+// itself; otherwise a new frame holding the members' per-pixel sums,
+// scattered in admission order into a borrowed grid and emitted once —
+// scaled by 1/n for cAverage — with the union of their time bounds.
+// In pooled mode that frame comes from the pool, and the caller puts it
+// back; the members stay the caller's either way. A one-member slot is
+// its own merge because members are sorted when they are admitted and
+// 0 + x and x·1 are exact for every x but −0, which DSFA's input — E2SF
+// output, integer event counts — never holds.
+//
+// The analytic pipeline and the server read only the slot's density,
+// so no path calls this yet: it is the entry a numeric executor
+// (ROADMAP item 2) calls for the pixels, and the tests pin it.
+func (a *Aggregator) sum(m *Merged) *sparse.Frame {
+	n := len(m.Frames)
+	if n == 1 {
+		return m.Frames[0]
 	}
 	scale := float32(1)
 	if m.mode == CAverage {
 		scale = 1 / float32(n)
 	}
 	h, w := m.Frames[0].H, m.Frames[0].W
-	var acc *sparse.Accum
 	var merged *sparse.Frame
 	if a.pool != nil {
 		// The members' entries bound the merged frame's.
@@ -494,22 +505,33 @@ func (a *Aggregator) combine(m *Merged) {
 		for _, f := range m.Frames {
 			entries += len(f.Ys)
 		}
-		acc, merged = a.pool.GetAccum(h, w), a.pool.Get(h, w, 0, 0, entries)
+		merged = a.pool.Get(h, w, 0, 0, entries)
 	} else {
-		if a.own == nil || a.own.H() != h || a.own.W() != w {
-			a.own = sparse.NewAccum(h, w)
-		}
-		acc, merged = a.own, &sparse.Frame{}
+		merged = &sparse.Frame{}
 	}
+	acc := a.getGrid(h, w)
 	acc.Merge(merged, m.Frames, scale)
+	a.putGrid(acc)
+	return merged
+}
+
+// getGrid borrows an all-zero h x w grid: the pool's in pooled mode,
+// else the aggregator's own.
+func (a *Aggregator) getGrid(h, w int) *sparse.Accum {
+	if a.pool != nil {
+		return a.pool.GetAccum(h, w)
+	}
+	if a.own == nil || a.own.H() != h || a.own.W() != w {
+		a.own = sparse.NewAccum(h, w)
+	}
+	return a.own
+}
+
+// putGrid returns a grid getGrid lent, all-zero again.
+func (a *Aggregator) putGrid(acc *sparse.Accum) {
 	if a.pool != nil {
 		a.pool.PutAccum(acc)
-		for _, f := range m.Frames {
-			a.pool.Put(f)
-		}
 	}
-	clear(m.Frames[1:])
-	m.Frames = append(m.Frames[:0], merged)
 }
 
 // MarkStale flips buckets whose earliest member is older than MtTh to
@@ -527,7 +549,7 @@ func (a *Aggregator) MarkStale(nowUS int64) {
 // hardware platform becomes available before the event buffer reaches
 // full capacity, we dispatch the available merge buckets"): buckets
 // that are FULL — at capacity, threshold-closed, or stale per MtTh —
-// are combined and drained along with anything already queued. Open
+// are priced and drained along with anything already queued. Open
 // buckets keep filling, preserving the merge opportunity. Returns nil
 // when nothing is ready.
 func (a *Aggregator) DispatchReady(nowUS int64) *Batch {

@@ -74,16 +74,16 @@ func TestCAddMergesWithinThresholds(t *testing.T) {
 	if len(b.Merged) != 1 {
 		t.Fatalf("buckets=%d want 1", len(b.Merged))
 	}
-	m := b.Merged[0]
-	if m.NumMerged != 4 || len(m.Frames) != 1 {
-		t.Fatalf("merged=%d frames=%d", m.NumMerged, len(m.Frames))
+	m := &b.Merged[0]
+	if m.NumMerged != 4 || len(m.Frames) != 4 || b.FrameCount() != 1 {
+		t.Fatalf("merged=%d members=%d inputs=%d", m.NumMerged, len(m.Frames), b.FrameCount())
 	}
 	// cAdd conserves events.
 	var want float64
 	for i := int64(0); i < 4; i++ {
 		want += frame(i*1000, (i+1)*1000, 0.10, i).EventCount()
 	}
-	if got := m.Frames[0].EventCount(); got != want {
+	if got := a.sum(m).EventCount(); got != want {
 		t.Fatalf("events=%f want %f", got, want)
 	}
 	st := a.Stats()
@@ -151,7 +151,7 @@ func TestCAverage(t *testing.T) {
 	if b == nil || len(b.Merged) != 1 {
 		t.Fatal("expected one merged bucket")
 	}
-	p, _ := b.Merged[0].Frames[0].Get(1, 1)
+	p, _ := a.sum(&b.Merged[0]).Get(1, 1)
 	if p != 3 {
 		t.Fatalf("average=%f want 3", p)
 	}
@@ -276,7 +276,7 @@ func TestBucketInvariantsProperty(t *testing.T) {
 			if m.NumMerged > cfg.MBSize {
 				return false
 			}
-			if m.Events <= 0 {
+			if m.Density <= 0 {
 				return false
 			}
 		}
@@ -312,8 +312,8 @@ func TestHighActivityMergesMore(t *testing.T) {
 
 // BenchmarkAggregatorPushDispatch is the aggregator as the serving
 // path drives it: pooled, every frame pushed and followed by
-// DispatchReady, buckets of four merged at dispatch in a borrowed grid,
-// the consumer handing dispatched frames back to the pool.
+// DispatchReady, buckets of four priced at dispatch on a borrowed grid,
+// the consumer handing the dispatched members back to the pool.
 func BenchmarkAggregatorPushDispatch(b *testing.B) {
 	const h, w = 128, 128
 	rng := rand.New(rand.NewSource(6))

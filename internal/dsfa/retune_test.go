@@ -169,8 +169,8 @@ func TestRetuneModeChangeClosesBuckets(t *testing.T) {
 	if b == nil || rawFrames(b) != 2 {
 		t.Fatalf("mode change did not close the open bucket: %+v", b)
 	}
-	// The old-mode bucket still merged under cAdd (one combined frame).
+	// The old-mode bucket still merged under cAdd (one model input).
 	if got := b.FrameCount(); got != 1 {
-		t.Fatalf("pre-swap bucket produced %d frames, want 1 merged", got)
+		t.Fatalf("pre-swap bucket produced %d inputs, want 1 merged", got)
 	}
 }

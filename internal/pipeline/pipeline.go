@@ -112,7 +112,7 @@ type Report struct {
 	Network      string
 	RawFrames    int // sparse frames produced by E2SF
 	Invocations  int // inference launches (after DSFA merging)
-	BatchedUnits int // frames inside those launches
+	BatchedUnits int // model inputs inside those launches
 
 	MeanLatencyUS float64 // per raw frame: completion - readiness
 	P99LatencyUS  float64
@@ -491,10 +491,11 @@ func buildPlan(cfg Config, model *perf.Model, frames []*sparse.Frame, density fl
 	mergePenalty := 0.0
 	if cfg.Level >= LevelDSFA {
 		// Estimate the merge ratio by dry-running the aggregator with
-		// every frame pushed and a single dispatch (upper bound on
-		// merging, hence a conservative accuracy estimate). It runs
-		// unpooled, so it releases none of the frames the executor
-		// still needs.
+		// every frame pushed and a single dispatch. The inference queue
+		// sheds every bucket but the last QueueCap on the way, so the
+		// ratio is that of the stream's tail, not an upper bound on
+		// merging (ROADMAP item 22). It runs unpooled, so it releases
+		// none of the frames the executor still needs.
 		agg, err := dsfa.New(TunedDSFA(cfg.Net))
 		if err != nil {
 			return nil, nil, 0, err
@@ -545,7 +546,7 @@ func buildPlan(cfg Config, model *perf.Model, frames []*sparse.Frame, density fl
 // execResult aggregates the executor loop's accounting.
 type execResult struct {
 	latencies    []float64
-	busyPerDev   map[int]float64
+	busyPerDev   []float64 // by device ID
 	invocations  int
 	batchedUnits int
 	makespan     float64
@@ -564,24 +565,21 @@ type execResult struct {
 //
 // The stepper runs pooled, as a server session's does: frames are
 // owned by pool, and each invocation's frames and the invocation itself
-// go back once it is served. The aggregator releases the members it
-// merges away or sheds, so every raw frame is returned exactly once.
+// go back once it is served. The aggregator releases the members of the
+// buckets it sheds and hands a dispatched bucket's members to the
+// invocation, so every raw frame is returned exactly once.
 func runExecutor(model *perf.Model, cfg Config, p *ExecPlan, frames []*sparse.Frame, pool *mem.FramePool, invs *mem.Pool[Invocation]) *execResult {
-	res := &execResult{busyPerDev: map[int]float64{}, mergeRatio: 1}
+	res := &execResult{busyPerDev: make([]float64, len(cfg.Platform.Devices)), mergeRatio: 1}
 	serve := func(inv *Invocation, startAfter float64) float64 {
 		start := math.Max(startAfter, inv.ReadyUS)
-		dur, busy := InvocationCost(model, cfg.Net, p, inv)
-		end := start + dur
-		for dev, b := range busy {
-			res.busyPerDev[dev] += b
-		}
+		end := start + invocationCost(model, cfg.Net, p, inv, res.busyPerDev)
 		for _, rr := range inv.PerRaw {
 			for k := 0; k < rr.N; k++ {
 				res.latencies = append(res.latencies, end-rr.ReadyUS)
 			}
 		}
 		res.invocations++
-		res.batchedUnits += len(inv.Frames)
+		res.batchedUnits += len(inv.Inputs)
 		return end
 	}
 

@@ -146,23 +146,32 @@ type RawRef struct {
 }
 
 // Invocation is one batched inference input flowing through the
-// executor: the batch members, when the newest one finished forming,
-// and the per-raw-frame latency attribution.
+// executor: the density of each model input, the raw frames behind
+// them, when the newest one finished forming, and the per-raw-frame
+// latency attribution.
 type Invocation struct {
-	Frames  []*sparse.Frame
+	// Frames holds the raw frames the invocation carries, which its
+	// consumer releases once it is served. A DSFA bucket's input is
+	// the sum of its members; nothing that prices an invocation reads
+	// the pixels, so the sum is never made here.
+	Frames []*sparse.Frame
+	// Inputs is the spatial density of each model input, in input
+	// order: its length is the batch size.
+	Inputs  []float64
 	ReadyUS float64
 	Raw     int
 	PerRaw  []RawRef
 }
 
 // NewInvocationPool returns a free list for Invocations; recycled
-// invocations keep their Frames/PerRaw capacity but start empty.
+// invocations keep their Frames/Inputs/PerRaw capacity but start empty.
 func NewInvocationPool() *mem.Pool[Invocation] {
 	return mem.NewPool(func(inv *Invocation) {
 		for i := range inv.Frames {
 			inv.Frames[i] = nil
 		}
 		inv.Frames = inv.Frames[:0]
+		inv.Inputs = inv.Inputs[:0]
 		inv.ReadyUS = 0
 		inv.Raw = 0
 		inv.PerRaw = inv.PerRaw[:0]
@@ -170,10 +179,11 @@ func NewInvocationPool() *mem.Pool[Invocation] {
 }
 
 // fillInvFromBatch loads a DSFA dispatch batch into an (empty)
-// invocation.
+// invocation: one input per bucket, and every bucket's members.
 func fillInvFromBatch(inv *Invocation, b *dsfa.Batch) *Invocation {
 	for _, m := range b.Merged {
 		inv.Frames = append(inv.Frames, m.Frames...)
+		inv.Inputs = append(inv.Inputs, m.Density)
 		inv.Raw += m.NumMerged
 		inv.PerRaw = append(inv.PerRaw, RawRef{float64(m.T1), m.NumMerged})
 		if float64(m.T1) > inv.ReadyUS {
@@ -187,6 +197,7 @@ func fillInvFromBatch(inv *Invocation, b *dsfa.Batch) *Invocation {
 // (the below-LevelDSFA path: one inference per frame).
 func fillSingleFrameInv(inv *Invocation, f *sparse.Frame) *Invocation {
 	inv.Frames = append(inv.Frames, f)
+	inv.Inputs = append(inv.Inputs, f.Density())
 	inv.ReadyUS = float64(f.T1)
 	inv.Raw = 1
 	inv.PerRaw = append(inv.PerRaw, RawRef{float64(f.T1), 1})
@@ -230,8 +241,11 @@ func NewStepper(level Level, cfg dsfa.Config) (*Stepper, error) {
 
 // SetPools switches the stepper to pooled operation: invocations come
 // from invs, and (at LevelDSFA and above) the aggregator runs pooled
-// over frames — see dsfa.Aggregator.SetPool for the ownership rules.
-// Call before the first Push.
+// over frames — see dsfa.Aggregator.SetPool. Every raw frame an
+// invocation carries in Frames, a dispatched bucket's members included,
+// belongs to the consumer, which returns it to frames once the
+// invocation is served; the aggregator returns only the members of the
+// buckets it sheds. Call before the first Push.
 func (s *Stepper) SetPools(invs *mem.Pool[Invocation], frames *mem.FramePool) {
 	s.invPool = invs
 	if s.agg != nil && frames != nil {
@@ -351,16 +365,17 @@ func (s *Stepper) Stats() dsfa.Stats {
 	return s.agg.Stats()
 }
 
-// batchDensity is the mean spatial density across the batch members.
+// batchDensity is the mean spatial density across the batch's inputs,
+// summed in input order.
 func batchDensity(inv *Invocation) float64 {
-	if len(inv.Frames) == 0 {
+	if len(inv.Inputs) == 0 {
 		return 0
 	}
 	var d float64
-	for _, f := range inv.Frames {
-		d += f.Density()
+	for _, in := range inv.Inputs {
+		d += in
 	}
-	return d / float64(len(inv.Frames))
+	return d / float64(len(inv.Inputs))
 }
 
 // layerDur prices one layer of an invocation under the plan: the
@@ -405,11 +420,19 @@ var idleEngines sync.Pool
 // idle scratch engine with the invocation ready at time zero, so
 // per-layer times, transfer nodes on device changes and parallel
 // branches overlapping across devices are priced by the one walk the
-// live engine uses. It returns the invocation makespan and per-device
-// busy time.
-func InvocationCost(model *perf.Model, net *nn.Network, p *ExecPlan, inv *Invocation) (float64, map[int]float64) {
-	if len(inv.Frames) == 0 {
-		return 0, nil
+// live engine uses. It returns the invocation makespan and the busy
+// time of each platform device, indexed by device ID.
+func InvocationCost(model *perf.Model, net *nn.Network, p *ExecPlan, inv *Invocation) (float64, []float64) {
+	busy := make([]float64, len(model.Platform().Devices))
+	return invocationCost(model, net, p, inv, busy), busy
+}
+
+// invocationCost is InvocationCost adding each platform device's busy
+// time into busy[ID], asking the engine once per device, so a caller
+// that sums busy time over a run allocates nothing per invocation.
+func invocationCost(model *perf.Model, net *nn.Network, p *ExecPlan, inv *Invocation, busy []float64) float64 {
+	if len(inv.Inputs) == 0 {
+		return 0
 	}
 	platform := model.Platform()
 	engine, _ := idleEngines.Get().(*hw.Engine)
@@ -419,14 +442,12 @@ func InvocationCost(model *perf.Model, net *nn.Network, p *ExecPlan, inv *Invoca
 	idle := *inv
 	idle.ReadyUS = 0
 	makespan := ScheduleOnEngine(engine, model, net, p, &idle, "", nil)
-	busy := map[int]float64{}
-	for _, d := range p.Device {
-		dev := platform.Devices[d]
-		busy[dev.ID] = engine.BusyTime(dev)
+	for _, dev := range platform.Devices {
+		busy[dev.ID] += engine.BusyTime(dev)
 	}
 	engine.Reset()
 	idleEngines.Put(engine)
-	return makespan, busy
+	return makespan
 }
 
 // ExecObserver receives every engine reservation ScheduleOnEngine
@@ -453,7 +474,7 @@ var endScratch = sync.Pool{New: func() any { s := make([]float64, 0, 64); return
 // pumping the execution scheduler (internal/sched, the path everything
 // routes through) call this concurrently for different devices.
 func ScheduleOnEngine(engine *hw.Engine, model *perf.Model, net *nn.Network, p *ExecPlan, inv *Invocation, tag string, obs ExecObserver) float64 {
-	batch := len(inv.Frames)
+	batch := len(inv.Inputs)
 	if batch == 0 {
 		return 0
 	}
@@ -512,15 +533,17 @@ func ScheduleOnEngine(engine *hw.Engine, model *perf.Model, net *nn.Network, p *
 // MergeInvocationsInto coalesces several invocations of the same
 // network under the same plan into one micro-batched inference, written
 // into a caller-owned (empty, typically pooled) invocation: the
-// members' frames ride one launch, the batch becomes ready when its
-// newest member is, and the per-raw-frame attribution is concatenated
-// so each submitter can still account its own latencies against the
-// shared completion time. The execution scheduler calls this when
-// compatible cross-session work lands inside one coalescing window. A
-// single member is copied too, so out never aliases an input.
+// members' inputs ride one launch, in member order, the batch becomes
+// ready when its newest member is, and the per-raw-frame attribution is
+// concatenated so each submitter can still account its own latencies
+// against the shared completion time. The execution scheduler calls
+// this when compatible cross-session work lands inside one coalescing
+// window. The members keep their frames, which each releases as its
+// own; out carries none. A single member is copied too, so out never
+// aliases an input.
 func MergeInvocationsInto(out *Invocation, invs []*Invocation) *Invocation {
 	for _, inv := range invs {
-		out.Frames = append(out.Frames, inv.Frames...)
+		out.Inputs = append(out.Inputs, inv.Inputs...)
 		out.Raw += inv.Raw
 		out.PerRaw = append(out.PerRaw, inv.PerRaw...)
 		if inv.ReadyUS > out.ReadyUS {

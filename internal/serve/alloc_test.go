@@ -436,3 +436,76 @@ func TestSessionHoldsNoGridState(t *testing.T) {
 		t.Fatalf("grid pool after 1000 rounds: %+v (warm %+v): want no new grids, >= 1000 more borrows, none outstanding", st, warm)
 	}
 }
+
+// TestServerReturnsEveryFrame: on a pooled server every raw frame goes
+// back to the arena exactly once. DSFA hands a dispatched bucket's
+// members to the invocation, the scheduler's release hook returns
+// them, a shed bucket's members go back from the aggregator, and a
+// coalesced micro-batch carries no frames of its own. So once every
+// session is closed and the scheduler is idle, the arena has taken back
+// as many frames as it lent and no grid is out; a second release of any
+// frame would have tripped the pool's double-release panic. Five
+// SpikeFlowNet sessions (cAdd; round-robin placement puts two on one
+// plan, so they share micro-batches), one HALSIE (cAdd, buckets of two)
+// and one DOTIE (cBatch), all at the DSFA level.
+func TestServerReturnsEveryFrame(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ManualDrain = true
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer srv.Close()
+	const span, chunks = 20_000, 10
+	type feed struct {
+		id     string
+		stream *events.Stream
+	}
+	var feeds []feed
+	for i, name := range []string{nn.SpikeFlowNet, nn.SpikeFlowNet, nn.SpikeFlowNet, nn.SpikeFlowNet, nn.SpikeFlowNet, nn.HALSIE, nn.DOTIE} {
+		sess, err := srv.CreateSession(SessionConfig{Network: name, Level: 2})
+		if err != nil {
+			t.Fatalf("CreateSession %s: %v", name, err)
+		}
+		seq, err := scene.NewSequence(nn.MustByName(name).Input.Preset, scene.Half, int64(7+i))
+		if err != nil {
+			t.Fatalf("NewSequence: %v", err)
+		}
+		stream, err := seq.Generate(span * chunks)
+		if err != nil {
+			t.Fatalf("Generate: %v", err)
+		}
+		feeds = append(feeds, feed{sess.ID, stream})
+	}
+	for c := int64(0); c < chunks; c++ {
+		for _, f := range feeds {
+			chunk := &events.Stream{Width: f.stream.Width, Height: f.stream.Height,
+				Events: f.stream.Window(c*span, (c+1)*span)}
+			if _, err := srv.Ingest(f.id, chunk); err != nil {
+				t.Fatalf("Ingest %s: %v", f.id, err)
+			}
+		}
+		srv.Pump()
+	}
+	merged := false
+	for _, f := range feeds {
+		snap, err := srv.CloseSession(f.id)
+		if err != nil {
+			t.Fatalf("CloseSession %s: %v", f.id, err)
+		}
+		if snap.RawFramesDone == 0 {
+			t.Fatalf("session %s (%s) served no frames", f.id, snap.Network)
+		}
+		merged = merged || snap.BatchedUnits < snap.RawFramesDone
+	}
+	if !merged {
+		t.Fatal("no session merged a bucket: the test exercised no multi-member dispatch")
+	}
+	if occ := srv.SchedStats().Occupancy(); occ <= 1 {
+		t.Fatalf("scheduler occupancy %.2f: no micro-batch coalesced two invocations", occ)
+	}
+	st := srv.ArenaStats()
+	if st.Frames.Gets == 0 || st.Frames.Gets != st.Frames.Puts || st.Accums.Live() != 0 {
+		t.Fatalf("arena at quiescence: frames %+v, grids %+v; want every lent frame and grid back", st.Frames, st.Accums)
+	}
+}

@@ -593,10 +593,11 @@ func (s *Server) newPending() *pendingInv {
 }
 
 // releaseRequest is the scheduler's Release hook: after a request's
-// batch dispatched and every callback ran, its frames go back to the
-// arena, the invocation to the invocation pool, and the submission
-// unit to the pending pool. This is the single point where the frame
-// path's ownership chain ends.
+// batch dispatched and every callback ran, its raw frames — DSFA
+// hands a dispatched bucket's members over to the invocation — go back
+// to the arena, the invocation to the invocation pool, and the
+// submission unit to the pending pool. This is the single point where
+// the frame path's ownership chain ends.
 func (s *Server) releaseRequest(r *sched.Request) {
 	p := r.Payload.(*invPayload)
 	inv := p.inv
@@ -724,7 +725,7 @@ func (s *Server) execute(sess *Session, frames []*sparse.Frame, drain, flush boo
 			sess.usedDevs[d] = true
 		}
 		sess.invocs++
-		sess.batched += uint64(len(inv.Frames))
+		sess.batched += uint64(len(inv.Inputs))
 		sess.rawDone += uint64(inv.Raw)
 		if sess.sigPlan != plan {
 			// Plan swaps install a new pointer; FramingOps is fixed before
@@ -811,10 +812,7 @@ func (s *Server) dispatchBatch(batch []*sched.Request) float64 {
 		for _, r := range batch {
 			scr.invs = append(scr.invs, r.Payload.(*invPayload).inv)
 		}
-		for i := range scr.inv.Frames {
-			scr.inv.Frames[i] = nil
-		}
-		scr.inv.Frames = scr.inv.Frames[:0]
+		scr.inv.Inputs = scr.inv.Inputs[:0]
 		scr.inv.PerRaw = scr.inv.PerRaw[:0]
 		scr.inv.Raw, scr.inv.ReadyUS = 0, 0
 		inv = pipeline.MergeInvocationsInto(&scr.inv, scr.invs)

@@ -166,7 +166,7 @@ type Session struct {
 	eventsIn uint64
 	framesIn uint64
 	invocs   uint64
-	batched  uint64
+	batched  uint64 // model inputs submitted
 	rawDone  uint64
 	// denSum/denN accumulate ingested-frame density for the controller's
 	// scene-dynamics signal.

@@ -6,11 +6,12 @@ import (
 )
 
 // Accum is a dense two-channel accumulation grid with bitmap
-// occupancy: the scratch E2SF counts events into and DSFA sums bucket
-// members into before either emits a sparse Frame. A pixel's
-// {pos, neg} pair is one 8-byte cell, so a first touch costs one data
-// cache line plus the (small, hot) bitmaps: one occupancy bit per
-// pixel and, above it, one summary bit per occupancy word. Emit walks
+// occupancy: the scratch E2SF counts events into before it emits a
+// sparse Frame, and the one DSFA counts a bucket's cells on
+// (UnionCount) or, asked for the pixels, sums its members into (Merge).
+// A pixel's {pos, neg} pair is one 8-byte cell, so a first touch costs
+// one data cache line plus the (small, hot) bitmaps: one occupancy bit
+// per pixel and, above it, one summary bit per occupancy word. Emit walks
 // set summary bits → the one occupancy word each names → its set bits,
 // so it never loads a zero occupancy word and its cost follows the
 // touched cells, not the sensor's rows or width. The walk yields
@@ -92,6 +93,42 @@ func (a *Accum) touched() int {
 	return n
 }
 
+// UnionCount returns the number of distinct cells the frames occupy —
+// the NNZ Merge would give their sum, since Merge emits every touched
+// cell, even one whose values sum to zero. It marks the cells in the
+// occupancy bitmaps only, counts them by popcount over the words the
+// summary names and clears those words as it goes, so no pixel cell is
+// read or written and the grid is left as clean as it must be on entry.
+// Frames need not be sorted. Panics on geometry mismatch.
+func (a *Accum) UnionCount(frames []*Frame) int {
+	occ, sum, stride := a.occ, a.sum, a.stride
+	for _, f := range frames {
+		if f.H != a.h || f.W != a.w {
+			panic(fmt.Sprintf("sparse: union geometry mismatch %dx%d vs %dx%d", f.H, f.W, a.h, a.w))
+		}
+		xs := f.Xs[:len(f.Ys)]
+		for i, y := range f.Ys {
+			x := int(xs[i])
+			j := int(y)*stride + x>>6
+			occ[j] |= 1 << (x & 63)
+			sum[j>>6] |= 1 << (j & 63)
+		}
+	}
+	n := 0
+	for si, s := range sum {
+		if s == 0 {
+			continue
+		}
+		sum[si] = 0
+		for ; s != 0; s &= s - 1 {
+			j := si<<6 + bits.TrailingZeros64(s)
+			n += bits.OnesCount64(occ[j])
+			occ[j] = 0
+		}
+	}
+	return n
+}
+
 // room returns s, entries kept, with capacity for n more. A slice
 // with no backing array gets exactly n, so a fresh frame is allocated
 // once at its final length. One that brought capacity belongs to a
@@ -168,8 +205,8 @@ func (a *Accum) Emit(out *Frame, scale float32) {
 }
 
 // Merge writes into out (typically a pooled frame, whose slice
-// capacity is kept) the per-pixel sums of frames times scale: the DSFA
-// combine step, scale 1 for cAdd and 1/len(frames) for cAverage. Time
+// capacity is kept) the per-pixel sums of frames times scale: DSFA's
+// bucket sum, scale 1 for cAdd and 1/len(frames) for cAverage. Time
 // bounds become the union. Members are scattered in argument order, so
 // each pixel's float32 sum is formed in that order — scenario replay
 // depends on it. Panics on geometry mismatch, on no frames, and when

@@ -57,28 +57,72 @@ func checkAccumMerge(t *testing.T, acc *Accum, frames []*Frame) {
 // shows up in the next.
 func TestAccumMergeMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(18))
-	for _, g := range [][2]int{{1, 1}, {3, 5}, {7, 63}, {5, 64}, {9, 65}, {70, 130}, {130, 200}, {65, 64}} {
+	for _, g := range mergeGeometries {
+		acc := NewAccum(g[0], g[1])
+		for trial := 0; trial < 40; trial++ {
+			checkAccumMerge(t, acc, randMembers(r, g[0], g[1]))
+		}
+	}
+}
+
+// mergeGeometries are the grid shapes where the bitmap walk could go
+// wrong: W < 64, W not a multiple of 64, H > 64.
+var mergeGeometries = [][2]int{{1, 1}, {3, 5}, {7, 63}, {5, 64}, {9, 65}, {70, 130}, {130, 200}, {65, 64}}
+
+// randMembers returns one to six h x w bucket members: a quarter of
+// them empty, the rest built by Frame.Set in random order with repeats,
+// so each has an unsorted tail with duplicate keys, and half of them
+// occupy the last row and column.
+func randMembers(r *rand.Rand, h, w int) []*Frame {
+	frames := make([]*Frame, 1+r.Intn(6))
+	for i := range frames {
+		f := NewFrame(h, w, r.Int63n(1000), 1000+r.Int63n(1000))
+		n := 0
+		if r.Intn(4) > 0 {
+			n = 1 + r.Intn(h*w/2+1)
+		}
+		for j := 0; j < n; j++ {
+			f.Set(int32(r.Intn(h)), int32(r.Intn(w)), r.Float32()*4-1, r.Float32()*4-1)
+		}
+		if r.Intn(2) == 0 {
+			f.Set(int32(h-1), int32(w-1), 1, 2)
+		}
+		frames[i] = f
+	}
+	return frames
+}
+
+// TestAccumUnionCountMatchesMerge is UnionCount's parity property over
+// the members of TestAccumMergeMatchesReference: the count equals the
+// number of distinct cells and the NNZ of Merge's frame, and it leaves
+// every occupancy and summary word zero with no Touch counted, so one
+// accumulator serves every trial.
+func TestAccumUnionCountMatchesMerge(t *testing.T) {
+	r := rand.New(rand.NewSource(22))
+	for _, g := range mergeGeometries {
 		h, w := g[0], g[1]
 		acc := NewAccum(h, w)
 		for trial := 0; trial < 40; trial++ {
-			frames := make([]*Frame, 1+r.Intn(6))
-			for i := range frames {
-				f := NewFrame(h, w, r.Int63n(1000), 1000+r.Int63n(1000))
-				n := 0
-				if r.Intn(4) > 0 { // a quarter of the members are empty
-					n = 1 + r.Intn(h*w/2+1)
+			frames := randMembers(r, h, w)
+			cells := map[[2]int32]bool{}
+			for _, f := range frames {
+				for i, y := range f.Ys {
+					cells[[2]int32{y, f.Xs[i]}] = true
 				}
-				for j := 0; j < n; j++ {
-					// Random order and repeats: Set leaves an unsorted
-					// tail with duplicate keys for the merge to compact.
-					f.Set(int32(r.Intn(h)), int32(r.Intn(w)), r.Float32()*4-1, r.Float32()*4-1)
-				}
-				if r.Intn(2) == 0 {
-					f.Set(int32(h-1), int32(w-1), 1, 2)
-				}
-				frames[i] = f
 			}
-			checkAccumMerge(t, acc, frames)
+			n := acc.UnionCount(frames) // before Merge sorts the members
+			if n != len(cells) {
+				t.Fatalf("%dx%d trial %d: union of %d members counts %d cells, want %d", h, w, trial, len(frames), n, len(cells))
+			}
+			dirty := func(w uint64) bool { return w != 0 }
+			if slices.ContainsFunc(acc.occ, dirty) || slices.ContainsFunc(acc.sum, dirty) || acc.calls != 0 {
+				t.Fatalf("%dx%d trial %d: UnionCount left a bitmap word set or counted %d touches", h, w, trial, acc.calls)
+			}
+			merged := &Frame{}
+			acc.Merge(merged, frames, 1)
+			if merged.NNZ() != n {
+				t.Fatalf("%dx%d trial %d: merge has %d cells, union count %d", h, w, trial, merged.NNZ(), n)
+			}
 		}
 	}
 }
@@ -344,6 +388,7 @@ func TestAccumPanics(t *testing.T) {
 		NewAccum(2, 2).Merge(f, []*Frame{f}, 1)
 	})
 	mustPanic("emit geometry", func() { NewAccum(2, 2).Emit(NewFrame(2, 3, 0, 1), 1) })
+	mustPanic("union geometry", func() { NewAccum(2, 2).UnionCount([]*Frame{NewFrame(3, 2, 0, 1)}) })
 }
 
 // FuzzAccumMerge decodes the input into a geometry and a member set

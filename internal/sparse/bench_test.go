@@ -94,7 +94,10 @@ func BenchmarkFrameSet(b *testing.B) {
 	}
 }
 
-func BenchmarkMergeAdd(b *testing.B) {
+// mergeMembers returns the bucket BenchmarkMergeAdd sums and
+// BenchmarkUnionCount counts: four sorted 64 x 64 members of up to 300
+// cells each.
+func mergeMembers() []*Frame {
 	frames := make([]*Frame, 4)
 	rng := rand.New(rand.NewSource(5))
 	for i := range frames {
@@ -105,6 +108,11 @@ func BenchmarkMergeAdd(b *testing.B) {
 		f.NNZ()
 		frames[i] = f
 	}
+	return frames
+}
+
+func BenchmarkMergeAdd(b *testing.B) {
+	frames := mergeMembers()
 	out := &Frame{}
 	acc := NewAccum(64, 64)
 	acc.Merge(out, frames, 1)
@@ -112,6 +120,22 @@ func BenchmarkMergeAdd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		acc.Merge(out, frames, 1)
+	}
+}
+
+// unionSink keeps BenchmarkUnionCount's result live.
+var unionSink int
+
+// BenchmarkUnionCount prices BenchmarkMergeAdd's bucket as DSFA's
+// dispatch does: its union counted on the occupancy bitmaps, no pixel
+// summed.
+func BenchmarkUnionCount(b *testing.B) {
+	frames := mergeMembers()
+	acc := NewAccum(64, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		unionSink = acc.UnionCount(frames)
 	}
 }
 
