@@ -3,7 +3,7 @@
 // Usage:
 //
 //	evbench [-run all|table1,fig8,...] [-quick] [-seed N] [-dur us]
-//	        [-cpu-list 1,2,4,8] [-list] [-cpuprofile file]
+//	        [-list] [-cpuprofile file]
 //
 // Each experiment prints an aligned text table plus the paper's
 // reference band, so the output can be compared against the paper (and
@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -39,7 +38,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		dur    = fs.Int64("dur", 2_000_000, "simulated stream duration in microseconds")
 		list   = fs.Bool("list", false, "list experiment IDs and exit")
 
-		cpuList    = fs.String("cpu-list", "", "comma-separated core counts the 'par' experiment sweeps (default 1,2,4,8)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -72,14 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	cfg.Seed = *seed
 	cfg.DurUS = *dur
-	if *cpuList != "" {
-		cpus, err := parseCPUList(*cpuList)
-		if err != nil {
-			fmt.Fprintf(stderr, "evbench: %v\n", err)
-			return 1
-		}
-		cfg.CPUList = cpus
-	}
 
 	ids := evedge.Experiments()
 	if *runIDs != "all" {
@@ -97,20 +87,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "(%s in %.1fs)\n\n", id, time.Since(start).Seconds())
 	}
 	return 0
-}
-
-// parseCPUList parses "1,2,4,8" into positive core counts.
-func parseCPUList(s string) ([]int, error) {
-	var cpus []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad -cpu-list entry %q: %v", part, err)
-		}
-		if n < 1 {
-			return nil, fmt.Errorf("bad -cpu-list entry %d: core counts must be >= 1", n)
-		}
-		cpus = append(cpus, n)
-	}
-	return cpus, nil
 }

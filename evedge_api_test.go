@@ -134,8 +134,8 @@ func TestPublicMapper(t *testing.T) {
 
 func TestPublicExperiments(t *testing.T) {
 	ids := evedge.Experiments()
-	if len(ids) != 12 {
-		t.Fatalf("experiments %d want 12 (10 paper + par + rulebook)", len(ids))
+	if len(ids) != 10 {
+		t.Fatalf("experiments %d want the 10 paper tables and figures", len(ids))
 	}
 	res, err := evedge.RunExperiment("table1", evedge.QuickExperimentConfig())
 	if err != nil {

@@ -26,7 +26,6 @@ func (a closeAgg) dropEarliest() {
 			a.pool.Put(f)
 		}
 	}
-	a.stats.DroppedBuckets++
 	a.stats.DroppedFrames += drop.NumMerged
 	a.queue = a.queue[1:]
 }
@@ -74,15 +73,12 @@ func (a closeAgg) Retune(cfg Config) error {
 	for len(a.queue) > a.cfg.QueueCap {
 		a.dropEarliest()
 	}
-	a.stats.Retunes++
 	return nil
 }
 
 func (a closeAgg) Push(f *sparse.Frame) {
-	a.stats.FramesIn++
 	a.place(f)
 	if a.occupancy() >= a.cfg.EBufSize {
-		a.stats.FlushesOnFull++
 		a.flushBuckets()
 	}
 }
@@ -91,7 +87,6 @@ func (a closeAgg) flushBuckets() {
 	for _, b := range a.buckets {
 		if len(b.frames) > 0 {
 			a.combineInto(b, a.enqueue())
-			a.stats.BucketsClosed++
 		}
 		a.recycleBucket(b)
 	}
@@ -143,7 +138,6 @@ func (a closeAgg) DispatchReady(nowUS int64) *Batch {
 	kept := a.buckets[:0]
 	for _, b := range a.buckets {
 		if b.status == full || len(b.frames) >= a.cfg.MBSize {
-			a.stats.BucketsClosed++
 			a.combineInto(b, a.enqueue())
 			a.recycleBucket(b)
 			continue
@@ -159,7 +153,6 @@ func (a closeAgg) DispatchReady(nowUS int64) *Batch {
 
 func (a closeAgg) Dispatch() *Batch {
 	if a.occupancy() > 0 {
-		a.stats.EarlyDispatches++
 		a.flushBuckets()
 	}
 	return a.takeBatch()
@@ -336,8 +329,8 @@ func TestShedBucketTakesNothingFromPool(t *testing.T) {
 		last := frame(3000)
 		frames, grids := pool.Stats(), pool.AccumStats()
 		agg.Push(last) // the second closes and the queue sheds the first
-		if got := agg.Stats().DroppedBuckets; got != 1 {
-			t.Fatalf("%v: %d buckets shed, want 1", mode, got)
+		if got := agg.Stats().DroppedFrames; got != 2 {
+			t.Fatalf("%v: %d frames shed, want the first bucket's 2", mode, got)
 		}
 		after := pool.Stats()
 		if after.Gets != frames.Gets || pool.AccumStats() != grids {
@@ -404,11 +397,11 @@ func TestQueueOverflowZeroAlloc(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		push()
 	}
-	shed := agg.Stats().DroppedBuckets
+	shed := agg.Stats().DroppedFrames
 	if avg := testing.AllocsPerRun(100, push); avg != 0 {
 		t.Fatalf("a shedding push allocates %.3f times, want 0", avg)
 	}
-	if got := agg.Stats().DroppedBuckets - shed; got != 101 {
-		t.Fatalf("%d pushes shed %d buckets, want every one", 101, got)
+	if got := agg.Stats().DroppedFrames - shed; got != 101 {
+		t.Fatalf("%d pushes shed %d frames, want every one", 101, got)
 	}
 }

@@ -174,15 +174,9 @@ func (b *Batch) FrameCount() int { return len(b.Merged) }
 
 // Stats tracks aggregator behaviour for the experiments.
 type Stats struct {
-	FramesIn        int
-	BucketsClosed   int
-	FramesDispatch  int // raw frames inside dispatched batches
-	MergedDispatch  int // merged buckets dispatched
-	DroppedBuckets  int // buckets discarded on queue overflow
-	DroppedFrames   int
-	FlushesOnFull   int // flushes triggered by buffer occupancy
-	EarlyDispatches int // dispatches triggered by hardware availability
-	Retunes         int // live configuration swaps applied
+	FramesDispatch int // raw frames inside dispatched batches
+	MergedDispatch int // merged buckets dispatched
+	DroppedFrames  int // raw frames inside buckets discarded on queue overflow
 }
 
 // MergeRatio returns mean raw frames per dispatched merged bucket.
@@ -283,7 +277,6 @@ func (a *Aggregator) dropEarliest() {
 		}
 	}
 	clear(drop.Frames)
-	a.stats.DroppedBuckets++
 	a.stats.DroppedFrames += drop.NumMerged
 	n := len(a.queue) - 1
 	copy(a.queue, a.queue[1:])
@@ -359,7 +352,6 @@ func (a *Aggregator) Retune(cfg Config) error {
 	for len(a.queue) > a.cfg.QueueCap {
 		a.dropEarliest()
 	}
-	a.stats.Retunes++
 	return nil
 }
 
@@ -378,10 +370,8 @@ func (a *Aggregator) QueueLen() int { return len(a.queue) }
 // Push inserts a sparse frame produced by E2SF. If the event buffer
 // exceeds EBufSize the buckets are flushed to the inference queue.
 func (a *Aggregator) Push(f *sparse.Frame) {
-	a.stats.FramesIn++
 	a.place(f)
 	if a.occupancy() >= a.cfg.EBufSize {
-		a.stats.FlushesOnFull++
 		a.flushBuckets()
 	}
 }
@@ -438,7 +428,6 @@ func (a *Aggregator) flushBuckets() {
 	for _, b := range a.buckets {
 		if len(b.frames) > 0 {
 			a.closeInto(b, a.enqueue())
-			a.stats.BucketsClosed++
 		}
 		a.recycleBucket(b)
 	}
@@ -557,7 +546,6 @@ func (a *Aggregator) DispatchReady(nowUS int64) *Batch {
 	kept := a.buckets[:0]
 	for _, b := range a.buckets {
 		if b.status == full || len(b.frames) >= a.cfg.MBSize {
-			a.stats.BucketsClosed++
 			a.closeInto(b, a.enqueue())
 			a.recycleBucket(b)
 			continue
@@ -577,7 +565,6 @@ func (a *Aggregator) DispatchReady(nowUS int64) *Batch {
 // be preserved at any cost.
 func (a *Aggregator) Dispatch() *Batch {
 	if a.occupancy() > 0 {
-		a.stats.EarlyDispatches++
 		a.flushBuckets()
 	}
 	return a.takeBatch()

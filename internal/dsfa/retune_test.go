@@ -30,15 +30,15 @@ func randFrame(r *rand.Rand, t int64) *sparse.Frame {
 }
 
 // checkConservation asserts the aggregator's core accounting
-// invariant: every raw frame that entered is either inside a
+// invariant: every one of the pushed raw frames is either inside a
 // dispatched batch, counted dropped, or still pending.
-func checkConservation(t *testing.T, a *Aggregator, step int) {
+func checkConservation(t *testing.T, a *Aggregator, step, pushed int) {
 	t.Helper()
 	s := a.Stats()
 	got := s.FramesDispatch + s.DroppedFrames + a.PendingFrames()
-	if got != s.FramesIn {
-		t.Fatalf("step %d: dispatched %d + dropped %d + pending %d = %d, want FramesIn %d",
-			step, s.FramesDispatch, s.DroppedFrames, a.PendingFrames(), got, s.FramesIn)
+	if got != pushed {
+		t.Fatalf("step %d: dispatched %d + dropped %d + pending %d = %d, want %d pushed",
+			step, s.FramesDispatch, s.DroppedFrames, a.PendingFrames(), got, pushed)
 	}
 }
 
@@ -55,17 +55,17 @@ func TestRetuneConservesAccounting(t *testing.T) {
 			t.Fatalf("seed %d: New: %v", seed, err)
 		}
 		now := int64(0)
-		var dispatched, retunes int
+		var dispatched, pushed int
 		for step := 0; step < 400; step++ {
 			switch op := r.Intn(10); {
 			case op < 6: // push: the common case
 				now += int64(r.Intn(3000))
 				agg.Push(randFrame(r, now))
+				pushed++
 			case op < 8: // retune to a fresh random tuning
 				if err := agg.Retune(randConfig(r)); err != nil {
 					t.Fatalf("seed %d step %d: Retune: %v", seed, step, err)
 				}
-				retunes++
 			case op < 9: // hardware became available
 				if b := agg.DispatchReady(now); b != nil {
 					dispatched += rawFrames(b)
@@ -75,22 +75,19 @@ func TestRetuneConservesAccounting(t *testing.T) {
 					dispatched += rawFrames(b)
 				}
 			}
-			checkConservation(t, agg, step)
+			checkConservation(t, agg, step, pushed)
 		}
 		// Final flush: everything unaccounted must drain.
 		if b := agg.Dispatch(); b != nil {
 			dispatched += rawFrames(b)
 		}
-		checkConservation(t, agg, 400)
+		checkConservation(t, agg, 400, pushed)
 		if agg.PendingFrames() != 0 {
 			t.Fatalf("seed %d: %d frames pending after final flush", seed, agg.PendingFrames())
 		}
 		s := agg.Stats()
 		if dispatched != s.FramesDispatch {
 			t.Fatalf("seed %d: batches carried %d raw frames, stats say %d", seed, dispatched, s.FramesDispatch)
-		}
-		if s.Retunes != retunes {
-			t.Fatalf("seed %d: %d retunes applied, stats say %d", seed, retunes, s.Retunes)
 		}
 	}
 }
@@ -107,11 +104,8 @@ func TestRetuneValidates(t *testing.T) {
 	if err := agg.Retune(bad); err == nil {
 		t.Fatal("Retune accepted MBSize > EBufSize")
 	}
-	if agg.Config() != DefaultConfig() {
-		t.Fatalf("failed Retune mutated config: %+v", agg.Config())
-	}
-	if agg.Stats().Retunes != 0 {
-		t.Fatal("failed Retune counted")
+	if agg.Config() != DefaultConfig() || agg.PendingFrames() != 1 {
+		t.Fatalf("failed Retune mutated state: %+v, %d frames pending", agg.Config(), agg.PendingFrames())
 	}
 }
 
@@ -139,10 +133,10 @@ func TestRetuneQueueCapSheds(t *testing.T) {
 		t.Fatalf("queue len %d after tightening, want 2", agg.QueueLen())
 	}
 	s := agg.Stats()
-	if s.DroppedFrames == 0 || s.DroppedBuckets == 0 {
+	if s.DroppedFrames == 0 {
 		t.Fatalf("tightened QueueCap shed nothing: %+v", s)
 	}
-	if s.FramesDispatch+s.DroppedFrames+agg.PendingFrames() != s.FramesIn {
+	if s.FramesDispatch+s.DroppedFrames+agg.PendingFrames() != 6 {
 		t.Fatal("conservation violated after QueueCap tightening")
 	}
 }

@@ -31,8 +31,5 @@ type Config struct {
 
 // Stats reports what a conversion did.
 type Stats struct {
-	EventsIn    int     // events consumed
-	Frames      int     // sparse frames emitted
-	TotalNNZ    int     // active pixels across all frames
-	MeanDensity float64 // mean fraction of active pixels per frame
+	Frames int // sparse frames emitted
 }

@@ -26,6 +26,15 @@ func mustFused(t testing.TB, w, h, nB int) *Fused {
 	return c
 }
 
+// framedEvents is the number of events the frames hold.
+func framedEvents(frames []*sparse.Frame) int {
+	var n float64
+	for _, f := range frames {
+		n += f.EventCount()
+	}
+	return int(n)
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := NewFused(Config{Width: 0, Height: 10, NumBins: 1}, nil); err == nil {
 		t.Fatal("zero width accepted")
@@ -54,15 +63,15 @@ func TestConvertBinAssignment(t *testing.T) {
 		events.Event{X: 2, Y: 1, TS: 100, Pol: events.On},  // outside
 		events.Event{X: 3, Y: 1, TS: 2000, Pol: events.On}, // outside
 	)
-	frames, st, err := mustFused(t, 4, 4, 4).ConvertGrouped(s, 0, 100, 1)
+	frames, _, err := mustFused(t, 4, 4, 4).ConvertGrouped(s, 0, 100, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(frames) != 4 {
 		t.Fatalf("frames=%d", len(frames))
 	}
-	if st.EventsIn != 6 {
-		t.Fatalf("eventsIn=%d", st.EventsIn)
+	if n := framedEvents(frames); n != 6 {
+		t.Fatalf("events framed=%d", n)
 	}
 	wantNNZ := []int{2, 1, 1, 2}
 	for i, f := range frames {
@@ -134,14 +143,12 @@ func TestConservationProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var total float64
 		for _, fr := range frames {
 			if fr.Validate() != nil {
 				return false
 			}
-			total += fr.EventCount()
 		}
-		return int(total) == st.EventsIn && st.EventsIn == s.Len()
+		return framedEvents(frames) == s.Len() && st.Frames == nB
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -237,11 +244,15 @@ func TestDensityTracksBinCount(t *testing.T) {
 	// More bins -> fewer events per bin -> lower per-frame density.
 	s := scene.GenerateUniform(32, 32, 200_000, 100_000, 5)
 	density := func(nB int) float64 {
-		_, st, err := mustFused(t, 32, 32, nB).ConvertGrouped(s, 0, 100_000, 1)
+		frames, _, err := mustFused(t, 32, 32, nB).ConvertGrouped(s, 0, 100_000, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st.MeanDensity
+		var sum float64
+		for _, f := range frames {
+			sum += f.Density()
+		}
+		return sum / float64(len(frames))
 	}
 	if d1, d10 := density(1), density(10); d10 >= d1 {
 		t.Fatalf("density should fall with bins: nB=1 %f, nB=10 %f", d1, d10)

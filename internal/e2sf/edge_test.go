@@ -18,7 +18,7 @@ func TestGroupBinsEmptyInput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := (3 + k - 1) / k; len(out) != want || st.Frames != want || st.TotalNNZ != 0 {
+		if want := (3 + k - 1) / k; len(out) != want || st.Frames != want || framedEvents(out) != 0 {
 			t.Fatalf("k=%d: %d frames, stats %+v, want %d empty", k, len(out), st, want)
 		}
 	}
@@ -60,7 +60,7 @@ func TestConvertByCountEmptyStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 0 || st.Frames != 0 || st.EventsIn != 0 {
+	if len(out) != 0 || st.Frames != 0 {
 		t.Fatalf("empty stream: frames=%d stats=%+v", len(out), st)
 	}
 }
@@ -101,20 +101,20 @@ func TestConvertByCountZeroCountChunk(t *testing.T) {
 	s := mkStream(8, 8,
 		events.Event{TS: 500, X: 1, Y: 1, Pol: events.On},
 	)
-	fout, fst, err := fused.ConvertByCount(s, 0, 100, 1)
+	fout, _, err := fused.ConvertByCount(s, 0, 100, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fout) != 0 || fst.EventsIn != 0 {
-		t.Fatalf("zero-count chunk: frames=%d events=%d", len(fout), fst.EventsIn)
+	if len(fout) != 0 {
+		t.Fatalf("zero-count chunk: frames=%d", len(fout))
 	}
 	// The event outside the first window is still convertible after.
-	fout, fst, err = fused.ConvertByCount(s, 400, 600, 1)
+	fout, _, err = fused.ConvertByCount(s, 400, 600, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fout) != 1 || fst.EventsIn != 1 {
-		t.Fatalf("follow-up window: frames=%d events=%d", len(fout), fst.EventsIn)
+	if len(fout) != 1 || framedEvents(fout) != 1 {
+		t.Fatalf("follow-up window: frames=%d events=%d", len(fout), framedEvents(fout))
 	}
 	if fout[0].T0 != 400 || fout[0].T1 != 501 {
 		t.Fatalf("follow-up frame bounds [%d,%d), want [400,501)", fout[0].T0, fout[0].T1)

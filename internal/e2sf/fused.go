@@ -160,8 +160,6 @@ func (k *Fused) ConvertGroupedAppend(dst []*sparse.Frame, s *events.Stream, tSta
 		t1 := tStart + int64(float64(b)*biS)
 		f := k.emitFrame(acc, t0, t1, n)
 		dst = append(dst, f)
-		st.TotalNNZ += f.NNZ()
-		st.MeanDensity += f.Density()
 		n = 0
 	}
 	for _, e := range s.Window(tStart, tEnd) {
@@ -174,7 +172,6 @@ func (k *Fused) ConvertGroupedAppend(dst []*sparse.Frame, s *events.Stream, tSta
 			next = nextGroup()
 		}
 		acc.Touch(int(e.Y), int(e.X))[channel(e)]++
-		st.EventsIn++
 		n++
 	}
 	for ; g < nG; g++ {
@@ -182,9 +179,6 @@ func (k *Fused) ConvertGroupedAppend(dst []*sparse.Frame, s *events.Stream, tSta
 	}
 	k.release(acc)
 	st.Frames = nG
-	if nG > 0 {
-		st.MeanDensity /= float64(nG)
-	}
 	return dst, st, nil
 }
 
@@ -244,15 +238,12 @@ func (k *Fused) ConvertByCountAppend(dst []*sparse.Frame, s *events.Stream, tSta
 	emit := func(t1 int64) {
 		f := k.emitFrame(acc, frameStart, t1, n)
 		dst = append(dst, f)
-		st.TotalNNZ += f.NNZ()
-		st.MeanDensity += f.Density()
 		st.Frames++
 		frameStart = t1
 		n = 0
 	}
 	for _, e := range s.Window(tStart, tEnd) {
 		acc.Touch(int(e.Y), int(e.X))[channel(e)]++
-		st.EventsIn++
 		n++
 		if n >= countPerFrame {
 			emit(e.TS + 1)
@@ -262,8 +253,5 @@ func (k *Fused) ConvertByCountAppend(dst []*sparse.Frame, s *events.Stream, tSta
 		emit(tEnd)
 	}
 	k.release(acc)
-	if st.Frames > 0 {
-		st.MeanDensity /= float64(st.Frames)
-	}
 	return dst, st, nil
 }

@@ -26,9 +26,6 @@ type Config struct {
 	// Quick shrinks search budgets (for tests); the full runs use the
 	// paper-scale defaults.
 	Quick bool
-	// CPUList is the core counts the "par" experiment sweeps (empty
-	// uses 1,2,4,8).
-	CPUList []int
 }
 
 // DefaultConfig returns the full-fidelity settings.
@@ -62,23 +59,21 @@ func (r *Result) addRow(cells ...string) { r.Rows = append(r.Rows, cells) }
 type Generator func(Config) (*Result, error)
 
 var registry = map[string]Generator{
-	"fig1":     Fig1,
-	"fig3":     Fig3,
-	"fig5":     Fig5,
-	"fig8":     Fig8,
-	"energy":   Energy,
-	"fig9":     Fig9,
-	"fig10a":   Fig10a,
-	"fig10b":   Fig10b,
-	"table1":   Table1,
-	"table2":   Table2,
-	"par":      Par,
-	"rulebook": Rulebook,
+	"fig1":   Fig1,
+	"fig3":   Fig3,
+	"fig5":   Fig5,
+	"fig8":   Fig8,
+	"energy": Energy,
+	"fig9":   Fig9,
+	"fig10a": Fig10a,
+	"fig10b": Fig10b,
+	"table1": Table1,
+	"table2": Table2,
 }
 
 // IDs lists the experiment identifiers in presentation order.
 func IDs() []string {
-	return []string{"table1", "fig1", "fig3", "fig5", "fig8", "energy", "fig9", "fig10a", "fig10b", "table2", "par", "rulebook"}
+	return []string{"table1", "fig1", "fig3", "fig5", "fig8", "energy", "fig9", "fig10a", "fig10b", "table2"}
 }
 
 // Run executes one experiment by ID.

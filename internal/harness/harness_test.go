@@ -45,15 +45,15 @@ func TestScenarioLibrary(t *testing.T) {
 // that means to re-pins here and says so.
 var timelinePins = map[string]uint64{
 	"batched-burst":      0xe40e3adc276c7125,
-	"drain-rebalance":    0x91d7aa3e958c2e15,
-	"dynamics-flip":      0x7d2b84c9fd78a971,
-	"flash-crowd":        0x8c22aec3fb6178b8,
-	"hot-node-migration": 0xaea008a931c982f4,
-	"journal-catchup":    0xe9e6fe0d1e1b3643,
-	"mixed-platform":     0xf93f0ffe96cb801c,
-	"rolling-kill":       0xce185f66baf7f71d,
-	"soak":               0xcf74517582d8be2f,
-	"steady":             0x64d5f524187413b9,
+	"drain-rebalance":    0x6b95c996707fb636,
+	"dynamics-flip":      0x25bf74fc6265f381,
+	"flash-crowd":        0x0f7a537c82443de0,
+	"hot-node-migration": 0x46128bf2d8d1682a,
+	"journal-catchup":    0x7d5602de9a8e1fc7,
+	"mixed-platform":     0x43b2bfcdbb0654c2,
+	"rolling-kill":       0x12b3e3c8f424a0c9,
+	"soak":               0xbefb3e755250d1d7,
+	"steady":             0x5d220d910e339e7f,
 }
 
 // TestScenarioDeterminism replays every scenario under the same seed

@@ -9,7 +9,8 @@ import (
 
 // stdMix is the default heterogeneous session palette: a tiny
 // windowed tracker, two count-framed flow networks whose frame rate
-// follows the event rate, and a slow windowed depth network — four
+// follows the event rate (they frame every zoo N events, so a phase's
+// rate gain raises it), and a slow windowed depth network — four
 // tasks, three framing behaviours, two optimization levels.
 func stdMix() []SessionSpec {
 	return []SessionSpec{

@@ -77,11 +77,32 @@ type InputSpec struct {
 	GroupK   int   // bins concatenated per timestep (B/k timesteps)
 	Preset   scene.Preset
 	Framing  FramingMode
-	// FramePeriodUS is the *target average* framing period for
-	// FrameByCount: deployments pick the event count per frame so the
-	// mean frame rate matches it; during activity bursts the realized
-	// rate rises above it.
+	// FramePeriodUS is the framing period FrameByCount is tuned for:
+	// FrameEvents is derived so the preset's typical (median) activity
+	// fills one frame per FramePeriodUS. Neither converter reads it;
+	// during activity bursts the realized frame rate rises above
+	// 1/FramePeriodUS.
 	FramePeriodUS int64
+	// FrameEvents is FrameByCount's N, the events per frame, at the
+	// preset's half-scale geometry (173 x 130). It is tuned offline, as
+	// a deployment tunes N on representative data: the median event
+	// count over the 50 ms windows of the preset at seed 7, half scale,
+	// 1 s, per microsecond, times FramePeriodUS. Seed 7 is therefore
+	// in-sample; every other seed and duration frames at the same N.
+	// EventsPerFrame scales it to a stream's geometry.
+	FrameEvents int
+}
+
+// calibPixels is the pixel count FrameEvents is stated at: the
+// presets' half scale, 173 x 130.
+const calibPixels = 173 * 130
+
+// EventsPerFrame is FrameByCount's N for a w x h stream: FrameEvents
+// scaled by pixel count from the calibration geometry, at least 1.
+// The offline converter and a served session both frame with it.
+func (in InputSpec) EventsPerFrame(w, h int) int {
+	n := float64(in.FrameEvents) * float64(w) * float64(h) / calibPixels
+	return int(max(n, 1))
 }
 
 // Network is a layer DAG plus task metadata.
@@ -127,8 +148,8 @@ func (n *Network) Validate() error {
 	if n.Input.NumBins <= 0 || n.Input.WindowUS <= 0 {
 		return fmt.Errorf("nn: network %q has invalid input spec", n.Name)
 	}
-	if n.Input.Framing == FrameByCount && n.Input.FramePeriodUS <= 0 {
-		return fmt.Errorf("nn: network %q uses count framing without a frame period", n.Name)
+	if n.Input.Framing == FrameByCount && (n.Input.FramePeriodUS <= 0 || n.Input.FrameEvents <= 0) {
+		return fmt.Errorf("nn: network %q uses count framing without a frame period and count", n.Name)
 	}
 	return nil
 }

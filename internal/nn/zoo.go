@@ -65,9 +65,7 @@ func MustByName(name string) *Network {
 const (
 	crop = 256 // center crop used by SpikeFlowNet and peers on MVSEC
 
-	// Activation densities: SNN spike trains are sparse; ANN ReLU
-	// activations are roughly half-dense.
-	snnAct = 0.10
+	// ANN ReLU activations are roughly half-dense.
 	annAct = 0.50
 )
 
@@ -94,7 +92,7 @@ func buildSpikeFlowNet() *Network {
 		Input: InputSpec{
 			WindowUS: 25_000, NumBins: 5, GroupK: 1,
 			Preset:  scene.IndoorFlying2,
-			Framing: FrameByCount, FramePeriodUS: 9_500,
+			Framing: FrameByCount, FramePeriodUS: 9_500, FrameEvents: 225,
 		},
 		Layers: b.layers, Preds: b.preds,
 	}
@@ -144,7 +142,7 @@ func buildFusionFlowNet() *Network {
 		Input: InputSpec{
 			WindowUS: 25_000, NumBins: 10, GroupK: 1,
 			Preset:  scene.IndoorFlying1,
-			Framing: FrameByCount, FramePeriodUS: 21_000,
+			Framing: FrameByCount, FramePeriodUS: 21_000, FrameEvents: 323,
 		},
 		Layers: b.layers, Preds: b.preds,
 	}
@@ -169,7 +167,7 @@ func buildAdaptiveSpikeNet() *Network {
 		Input: InputSpec{
 			WindowUS: 25_000, NumBins: 25, GroupK: 5,
 			Preset:  scene.IndoorFlying1,
-			Framing: FrameByCount, FramePeriodUS: 30_000,
+			Framing: FrameByCount, FramePeriodUS: 30_000, FrameEvents: 462,
 		},
 		Layers: b.layers, Preds: b.preds,
 	}
@@ -282,7 +280,7 @@ func buildEVFlowNet() *Network {
 		Input: InputSpec{
 			WindowUS: 25_000, NumBins: 1, GroupK: 1,
 			Preset:  scene.OutdoorDay1,
-			Framing: FrameByCount, FramePeriodUS: 25_000,
+			Framing: FrameByCount, FramePeriodUS: 25_000, FrameEvents: 8_207,
 		},
 		Layers: b.layers, Preds: b.preds,
 	}

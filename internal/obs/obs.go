@@ -208,12 +208,6 @@ func (r *ring) slot() (e *Event, dropped bool) {
 	return e, true
 }
 
-func (r *ring) push(e Event) (dropped bool) {
-	s, dropped := r.slot()
-	*s = e
-	return dropped
-}
-
 // events appends the ring's contents in recording order.
 func (r *ring) events(out []Event) []Event {
 	for i := 0; i < r.len; i++ {

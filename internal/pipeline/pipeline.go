@@ -319,11 +319,11 @@ type convStats struct {
 }
 
 // ConvertStream runs E2SF per the network's input spec: count-based
-// framing emits a frame every N events (N chosen so the *median-rate*
-// framing period matches FramePeriodUS — so bursts raise the realized
-// rate); time framing bins each accumulation window and groups bins
-// into inference inputs. The frames are freshly allocated and the
-// caller owns them.
+// framing emits a frame every N events, N the zoo's
+// InputSpec.EventsPerFrame at the stream's geometry (the N a served
+// session frames with), so bursts raise the realized frame rate; time
+// framing bins each accumulation window and groups bins into inference
+// inputs. The frames are freshly allocated and the caller owns them.
 func ConvertStream(net *nn.Network, stream *events.Stream, durUS int64) ([]*sparse.Frame, convStats, error) {
 	return convertStream(net, stream, durUS, nil, convertShards())
 }
@@ -354,11 +354,7 @@ func convertStream(net *nn.Network, stream *events.Stream, durUS int64, pool *me
 		if durUS <= 0 {
 			return nil, st, fmt.Errorf("pipeline: empty interval [0, %d)", durUS)
 		}
-		// Calibrate the event count per frame on the *typical* (median)
-		// activity, as a deployment would tune N on representative
-		// data; bursts then raise the realized frame rate above
-		// 1/FramePeriodUS — the backlog source DSFA absorbs.
-		count := max(int(medianRatePerUS(stream, durUS)*float64(in.FramePeriodUS)), 1)
+		count := in.EventsPerFrame(stream.Width, stream.Height)
 		// Job j is events [j·count, (j+1)·count) and one frame; the last
 		// may be partial and ends at durUS.
 		evs := stream.Window(0, durUS)
@@ -452,21 +448,6 @@ func sorted(s *events.Stream, shards int) bool {
 		}
 	})
 	return !unsorted.Load()
-}
-
-// medianRatePerUS returns the median per-microsecond event rate over
-// 50 ms windows — robust to activity bursts.
-func medianRatePerUS(stream *events.Stream, durUS int64) float64 {
-	const win = 50_000
-	var counts []int
-	for t0 := int64(0); t0 < durUS; t0 += win {
-		counts = append(counts, len(stream.Window(t0, t0+win)))
-	}
-	if len(counts) == 0 {
-		return 0
-	}
-	sort.Ints(counts)
-	return float64(counts[len(counts)/2]) / win
 }
 
 // buildPlan decides mapping, precision and representation per level,

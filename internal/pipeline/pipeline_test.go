@@ -418,7 +418,7 @@ func (c pixelCounts) frame(h, w int, t0, t1 int64) *sparse.Frame {
 }
 
 // referenceConvertStream is ConvertStream's definition on one map per
-// bin: count framing closes a frame every median-rate-calibrated N
+// bin: count framing closes a frame every nn.InputSpec.EventsPerFrame
 // events (T1 just past the closing event, a trailing partial frame
 // ending at durUS); time framing bins every full window per Eq. 1 and
 // sums each run of GroupK bins, in bin order, into the group's map.
@@ -426,7 +426,7 @@ func referenceConvertStream(in nn.InputSpec, stream *events.Stream, durUS int64)
 	h, w := stream.Height, stream.Width
 	var out []*sparse.Frame
 	if in.Framing == nn.FrameByCount {
-		count := referenceCount(in, stream, durUS)
+		count := in.EventsPerFrame(w, h)
 		counts, start, n := pixelCounts{}, int64(0), 0
 		emit := func(t1 int64) {
 			out = append(out, counts.frame(h, w, start, t1))
@@ -467,25 +467,17 @@ func referenceConvertStream(in nn.InputSpec, stream *events.Stream, durUS int64)
 	return out
 }
 
-// referenceCount is the events per count-framed frame: the median
-// 50 ms rate times the frame period, at least 1.
-func referenceCount(in nn.InputSpec, stream *events.Stream, durUS int64) int {
-	return max(int(medianRatePerUS(stream, durUS)*float64(in.FramePeriodUS)), 1)
-}
-
 // dupEdges returns a copy of stream in which every third event and, for
 // count framing, the first event of every count run take their
 // predecessor's timestamp, so every edge between the converter's jobs,
 // and hence between its shards, falls inside a run of equal timestamps.
-// An event whose predecessor lies in another 50 ms rate window keeps
-// its own, so the count itself is unchanged.
 func dupEdges(t *testing.T, in nn.InputSpec, stream *events.Stream, durUS int64) *events.Stream {
 	t.Helper()
 	out := cloneStream(stream)
 	evs := out.Window(0, durUS)
-	count := referenceCount(in, stream, durUS)
+	count := in.EventsPerFrame(out.Width, out.Height)
 	dup := func(i int) {
-		if i > 0 && i < len(evs) && evs[i-1].TS/50_000 == evs[i].TS/50_000 {
+		if i > 0 && i < len(evs) {
 			evs[i].TS = evs[i-1].TS
 		}
 	}
@@ -496,9 +488,6 @@ func dupEdges(t *testing.T, in nn.InputSpec, stream *events.Stream, durUS int64)
 		for i := count; i < len(evs); i += count {
 			dup(i)
 		}
-	}
-	if got := referenceCount(in, out, durUS); got != count {
-		t.Fatalf("duplicating timestamps moved the count from %d to %d", count, got)
 	}
 	return out
 }
@@ -551,7 +540,7 @@ func TestConvertStreamMatchesReference(t *testing.T) {
 		}
 		short := int64(2_000)
 		if net.Input.Framing == nn.FrameByCount {
-			if n, c := len(stream.Window(0, short)), referenceCount(net.Input, stream, short); c <= n {
+			if n, c := len(stream.Window(0, short)), net.Input.EventsPerFrame(stream.Width, stream.Height); c <= n {
 				t.Fatalf("%s: count %d does not exceed the %d events before %d µs", net.Name, c, n, short)
 			}
 		}
@@ -619,26 +608,6 @@ func TestSortedShards(t *testing.T) {
 				t.Fatalf("event %d shifted %+d µs: Run error %v, want not time-sorted", i, shift, err)
 			}
 		}
-	}
-}
-
-func TestMedianRate(t *testing.T) {
-	seq, err := scene.NewSequence(scene.IndoorFlying3, scene.Half, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err := seq.Generate(400_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := medianRatePerUS(stream, 400_000)
-	if r <= 0 {
-		t.Fatalf("median rate %f", r)
-	}
-	// Roughly consistent with the overall mean for a quiet sequence.
-	mean := float64(stream.Len()) / 400_000
-	if r > mean*3 || r < mean/3 {
-		t.Fatalf("median %f far from mean %f on a quiet stream", r, mean)
 	}
 }
 

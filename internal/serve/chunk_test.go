@@ -128,8 +128,8 @@ func TestIngestEventChecks(t *testing.T) {
 // old event, and every later chunk frames exactly as on a converter
 // that never saw the refused ones. The refused chunks arrive on a
 // time-framed session with events buffered, and on a count-framed one
-// after it has calibrated, where an accepted chunk would be framed
-// straight from the chunk.
+// with a run open, where an accepted chunk would be framed straight
+// from the chunk.
 func TestIngestRefusedChunkLeavesBuffer(t *testing.T) {
 	run := func(w, h int, t0, step int64, n int) *events.Stream {
 		s := events.NewStream(w, h)
@@ -144,28 +144,29 @@ func TestIngestRefusedChunkLeavesBuffer(t *testing.T) {
 	}
 	for _, c := range []struct {
 		net   string
-		first *events.Stream   // buffered, or calibrating N
+		w, h  int
+		first *events.Stream   // buffered: an open window or run
 		bound *events.Stream   // over the framing's work bounds
 		next  []*events.Stream // accepted after the refused chunks
 	}{
 		// 4 ms: buffered, no window closed yet.
-		{nn.DOTIE, run(16, 16, 0, 40, 100),
+		{nn.DOTIE, 16, 16, run(16, 16, 0, 40, 100),
 			run(16, 16, 4_000, 1e12, 2), // a gap past the framing bound
 			[]*events.Stream{run(16, 16, 4_000, 20, 300), run(16, 16, 10_000, 30, 400)}},
-		// 12 ms: N calibrated at 79, 22 events left buffered.
-		{nn.SpikeFlowNet, run(16, 16, 0, 120, 101),
-			evStream(16, 16, events.Event{Pol: events.On, TS: 12_000}, events.Event{Pol: events.On, TS: math.MaxInt64}),
-			[]*events.Stream{run(16, 16, 12_000, 20, 300), run(16, 16, 18_000, 30, 400)}},
+		// 12 ms at 64x64, N = 40: two runs framed, 21 events buffered.
+		{nn.SpikeFlowNet, 64, 64, run(64, 64, 0, 120, 101),
+			evStream(64, 64, events.Event{Pol: events.On, TS: 12_000}, events.Event{Pol: events.On, TS: math.MaxInt64}),
+			[]*events.Stream{run(64, 64, 12_000, 20, 300), run(64, 64, 18_000, 30, 400)}},
 	} {
 		spec := nn.MustByName(c.net).Input
 		refused := []*events.Stream{
-			badAt(run(16, 16, c.first.TEnd(), 20, 300), 0),
-			badAt(run(16, 16, c.first.TEnd(), 20, 300), 150),
-			badAt(run(16, 16, c.first.TEnd(), 20, 300), 299),
+			badAt(run(c.w, c.h, c.first.TEnd(), 20, 300), 0),
+			badAt(run(c.w, c.h, c.first.TEnd(), 20, 300), 150),
+			badAt(run(c.w, c.h, c.first.TEnd(), 20, 300), 299),
 			c.bound,
-			run(8, 16, c.first.TEnd(), 20, 300), // another geometry
-			run(16, 16, c.first.TEnd()-1_000, 20, 300),                 // before the watermark
-			evStream(16, 16, events.Event{TS: c.first.TEnd() + 1_000}), // no polarity, first and only event
+			run(c.w/2, c.h, c.first.TEnd(), 20, 300), // another geometry
+			run(c.w, c.h, c.first.TEnd()-1_000, 20, 300),                 // before the watermark
+			evStream(c.w, c.h, events.Event{TS: c.first.TEnd() + 1_000}), // no polarity, first and only event
 		}
 		for _, ep := range entryPoints {
 			hit, clean := &ingestConverter{spec: spec}, &ingestConverter{spec: spec}
@@ -174,8 +175,8 @@ func TestIngestRefusedChunkLeavesBuffer(t *testing.T) {
 					t.Fatalf("%s/%s: first chunk: %v", c.net, ep.name, err)
 				}
 			}
-			if spec.Framing == nn.FrameByCount && (hit.count == 0 || hit.buf.Len() == 0) {
-				t.Fatalf("%s/%s: first chunk left N %d and %d events buffered, want N calibrated and a tail", c.net, ep.name, hit.count, hit.buf.Len())
+			if hit.buf.Len() == 0 {
+				t.Fatalf("%s/%s: first chunk left nothing buffered, want an open unit", c.net, ep.name)
 			}
 			for i, bad := range refused {
 				if _, err := hit.ingest(ep.chunk(t, bad)); err == nil {
@@ -240,33 +241,22 @@ func cutAt(w, h int, evs []events.Event, cuts ...int) []*events.Stream {
 // run or window that straddles chunks, EVAR decode segments or both
 // must come out exactly as if the stream had arrived whole: the same
 // frames with the same bounds, the same flush, the same final state —
-// whichever entry point the chunks take. A count-framed network is
-// calibrated by the same first chunk in every split (calibration reads
-// whole chunks); the rest is cut as one chunk, as 1-event chunks, on
-// and inside run or window boundaries, across a decode segment and at
-// seeded random points.
+// whichever entry point the chunks take. The stream is cut as one
+// chunk, as 1-event chunks, on and inside run or window boundaries,
+// across a decode segment and at seeded random points.
 func TestIngestChunkSplitInvariance(t *testing.T) {
 	const n = 3 * segmentEvents
 	for _, name := range []string{nn.SpikeFlowNet, nn.DOTIE, nn.HALSIE} {
 		spec := nn.MustByName(name).Input
 		s := splitStream(int64(len(name)), n, 8*spec.WindowUS, spec.WindowUS)
-		var prefix *events.Stream
 		rest := s.Events
-		if spec.Framing == nn.FrameByCount {
-			prefix = s.Slice(0, spec.FramePeriodUS+spec.FramePeriodUS/2)
-			rest = s.Events[prefix.Len():]
-		}
 		// unit returns the index in rest where framing unit k ends.
 		unit := func(k int) int {
-			if spec.Framing != nn.FrameByCount {
-				edge := int64(k) * spec.WindowUS
-				return sort.Search(len(rest), func(i int) bool { return rest[i].TS >= edge })
+			if spec.Framing == nn.FrameByCount {
+				return k * spec.EventsPerFrame(s.Width, s.Height)
 			}
-			c := &ingestConverter{spec: spec}
-			if _, err := c.ingest(StreamChunk(prefix)); err != nil || c.count == 0 {
-				t.Fatalf("%s: prefix did not calibrate (count %d): %v", name, c.count, err)
-			}
-			return c.count - c.buf.Len() + (k-1)*c.count
+			edge := int64(k) * spec.WindowUS
+			return sort.Search(len(rest), func(i int) bool { return rest[i].TS >= edge })
 		}
 		if unit(2)-unit(1) < 4 {
 			t.Fatalf("%s: framing units of %d events are too small to cut inside", name, unit(2)-unit(1))
@@ -297,9 +287,6 @@ func TestIngestChunkSplitInvariance(t *testing.T) {
 			feed := func(chunks []*events.Stream) ([]*sparse.Frame, string) {
 				c := &ingestConverter{spec: spec}
 				var frames []*sparse.Frame
-				if prefix != nil {
-					chunks = append([]*events.Stream{prefix}, chunks...)
-				}
 				for i, ch := range chunks {
 					fs, err := c.ingest(ep.chunk(t, ch))
 					if err != nil {
@@ -337,37 +324,22 @@ func TestIngestChunkSplitInvariance(t *testing.T) {
 	}
 }
 
-// TestIngestBufferHoldsOnlyTail: a chunk of 10^5 events leaves the
-// session buffer holding less than one run or window of events, and
-// its capacity no larger than what count framing buffered before it
-// calibrated plus one unit — twice one unit, as append may double a
+// TestIngestBufferHoldsOnlyTail: a chunk of about 10^5 events leaves
+// the session buffer holding less than one run or window of events,
+// and its capacity no larger than two units, as append may double a
 // slice past what it must hold while the open unit is completed. It
 // never scales with the chunk. Each chunk ends inside a window or run,
 // so the next completes a unit begun in the buffer.
 func TestIngestBufferHoldsOnlyTail(t *testing.T) {
-	const n = 100_000
+	const n = 100_001 // not a multiple of a run
 	for _, name := range []string{nn.SpikeFlowNet, nn.DOTIE, nn.HALSIE} {
 		spec := nn.MustByName(name).Input
 		for _, ep := range entryPoints {
 			c := &ingestConverter{spec: spec}
-			var first *events.Stream
 			span := spec.WindowUS * 21 / 2 // 10.5 windows per chunk
-			if spec.Framing == nn.FrameByCount {
-				// 2 000 events over 1.5 frame periods calibrate N at
-				// about 1 333, and a big chunk holds about one run per
-				// frame period.
-				first = splitStream(1, 2_000, spec.FramePeriodUS*3/2, spec.WindowUS)
-				span = spec.FramePeriodUS * n / 1_333
-				if _, err := c.ingest(ep.chunk(t, first)); err != nil || c.count == 0 {
-					t.Fatalf("%s/%s: first chunk did not calibrate (count %d): %v", name, ep.name, c.count, err)
-				}
-			}
 			var all []events.Event
-			next, prefix := int64(0), 0
-			if first != nil {
-				next, prefix = first.TEnd(), first.Len()
-			}
 			var bigs []*events.Stream
+			next := int64(0)
 			for round := range 2 {
 				big := splitStream(int64(round), n, span, span)
 				for i := range big.Events {
@@ -379,8 +351,10 @@ func TestIngestBufferHoldsOnlyTail(t *testing.T) {
 			}
 			// A unit is a run of N events, or the most events any window
 			// of the stream can hold.
-			unit := c.count
-			if unit == 0 {
+			unit := 0
+			if spec.Framing == nn.FrameByCount {
+				unit = spec.EventsPerFrame(bigs[0].Width, bigs[0].Height)
+			} else {
 				for i, j := 0, 0; i < len(all); i++ {
 					for j < len(all) && all[j].TS < all[i].TS+spec.WindowUS {
 						j++
@@ -392,12 +366,63 @@ func TestIngestBufferHoldsOnlyTail(t *testing.T) {
 				if _, err := c.ingest(ep.chunk(t, big)); err != nil {
 					t.Fatalf("%s/%s: round %d: %v", name, ep.name, round, err)
 				}
-				if c.buf.Len() >= unit {
-					t.Fatalf("%s/%s: round %d: %d events buffered, a whole unit of %d", name, ep.name, round, c.buf.Len(), unit)
+				if c.buf.Len() == 0 || c.buf.Len() >= unit {
+					t.Fatalf("%s/%s: round %d: %d events buffered, want an open unit of fewer than %d", name, ep.name, round, c.buf.Len(), unit)
 				}
-				if bound := 2*unit + prefix; cap(c.buf.Events) > bound {
-					t.Fatalf("%s/%s: round %d: after a %d-event chunk the buffer has capacity for %d events, over two units of %d plus %d buffered before calibration",
-						name, ep.name, round, n, cap(c.buf.Events), unit, prefix)
+				if cap(c.buf.Events) > 2*unit {
+					t.Fatalf("%s/%s: round %d: after a %d-event chunk the buffer has capacity for %d events, over two units of %d",
+						name, ep.name, round, n, cap(c.buf.Events), unit)
+				}
+			}
+		}
+	}
+}
+
+// TestCountFramingAtZooN: a count-framed session frames every run of
+// the zoo's N events from its first event on, whatever its first chunk
+// holds: one event, one event at 10^18 µs, or two events 10^18 µs
+// apart (a rate read off that chunk would make N 1).
+func TestCountFramingAtZooN(t *testing.T) {
+	const w, h = 173, 130 // the geometry N is stated at
+	on := func(ts int64) events.Event {
+		return events.Event{X: uint16(ts % w), Y: uint16(ts / w % h), Pol: events.On, TS: ts}
+	}
+	for _, name := range []string{nn.SpikeFlowNet, nn.FusionFlowNet, nn.AdaptiveSpikeNet, nn.EVFlowNet} {
+		spec := nn.MustByName(name).Input
+		n := spec.FrameEvents
+		for _, c := range []struct {
+			name  string
+			first []events.Event
+		}{
+			{"1 event", []events.Event{on(0)}},
+			{"at 1e18", []events.Event{on(1e18)}},
+			{"1e18 apart", []events.Event{on(0), on(1e18)}},
+		} {
+			for _, ep := range entryPoints {
+				ctx := name + "/" + c.name + "/" + ep.name
+				conv := &ingestConverter{spec: spec}
+				frames, err := conv.ingest(ep.chunk(t, evStream(w, h, c.first...)))
+				if err != nil || len(frames) != 0 || conv.count != n {
+					t.Fatalf("%s: first chunk framed %d with N %d (%v), want none at N %d", ctx, len(frames), conv.count, err, n)
+				}
+				// Two runs and three events more: the first run closes on
+				// the first chunk's events, the second straight from this.
+				rest := make([]events.Event, 2*n+3-len(c.first))
+				t0 := c.first[len(c.first)-1].TS
+				for i := range rest {
+					rest[i] = on(t0 + int64(i)/4)
+				}
+				frames, err = conv.ingest(ep.chunk(t, evStream(w, h, rest...)))
+				if err != nil || len(frames) != 2 {
+					t.Fatalf("%s: %d events framed %d (%v), want 2 runs of %d", ctx, 2*n+3, len(frames), err, n)
+				}
+				for i, f := range frames {
+					if int(f.EventCount()) != n {
+						t.Fatalf("%s: frame %d holds %v events, want %d", ctx, i, f.EventCount(), n)
+					}
+				}
+				if frames[0].T0 != c.first[0].TS || conv.buf.Len() != 3 {
+					t.Fatalf("%s: first frame starts at %dus, want %dus; %d events buffered, want 3", ctx, frames[0].T0, c.first[0].TS, conv.buf.Len())
 				}
 			}
 		}

@@ -369,12 +369,13 @@ func (s *Session) planDevicesLocked() []string {
 // session: the events of the run or window not yet framed plus the
 // framing cursor. Time framing emits one grouped frame set per
 // completed accumulation window; count framing emits a frame every N
-// events, with N calibrated once from the first chunk's event rate (as
-// a deployment tunes it on representative data). Conversion runs
-// through e2sf.Fused: emitted frames come from the arena's frame pool,
-// as does the accumulation grid for the length of each conversion call
-// (so a session holds no W x H state), and the emit slice is reused
-// across ingests — the steady-state ingest path allocates nothing.
+// events, N the zoo's InputSpec.EventsPerFrame at the session's
+// geometry: the N the offline ConvertStream frames with, from the
+// first event on. Conversion runs through e2sf.Fused: emitted frames
+// come from the arena's frame pool, as does the accumulation grid for
+// the length of each conversion call (so a session holds no W x H
+// state), and the emit slice is reused across ingests — the
+// steady-state ingest path allocates nothing.
 //
 // A chunk is checked where it lies and converted by segment: the
 // events that complete the open run or window are appended to buf and
@@ -382,7 +383,6 @@ func (s *Session) planDevicesLocked() []string {
 // from the segment, and the events the segment leaves open are copied
 // into buf. So buf holds only that tail — at most one run or window of
 // events — and is all a session keeps of a chunk once ingest returns.
-// Until count framing has calibrated N, buf holds every event so far.
 type ingestConverter struct {
 	spec      nn.InputSpec
 	pool      *mem.FramePool  // nil: frames are freshly allocated
@@ -395,7 +395,7 @@ type ingestConverter struct {
 	watermark int64           // latest timestamp consumed
 	winStart  int64           // next window start (time framing)
 	frStart   int64           // next frame start (count framing)
-	count     int             // events per frame (count framing), 0 = uncalibrated
+	count     int             // events per frame (count framing), set with the geometry
 }
 
 // span is the stream time the session has covered so far.
@@ -525,13 +525,15 @@ func (c *ingestConverter) ingest(ch Chunk) ([]*sparse.Frame, error) {
 		c.fz = fz
 		c.buf.Width, c.buf.Height = ch.w, ch.h
 		c.view.Width, c.view.Height = ch.w, ch.h
+		c.count = c.spec.EventsPerFrame(ch.w, ch.h)
 	}
 	n := ch.len()
 	if n > 0 {
 		if !c.anchored {
 			c.anchored = true
-			// First events: anchor windowing at the stream's own epoch.
+			// First events: anchor framing at the stream's own epoch.
 			c.startTS = ch.tStart()
+			c.frStart = c.startTS
 			if c.spec.WindowUS > 0 {
 				c.winStart = c.anchor(c.startTS)
 			}
@@ -544,17 +546,11 @@ func (c *ingestConverter) ingest(ch Chunk) ([]*sparse.Frame, error) {
 	for i := 0; i < n && err == nil; {
 		seg := ch.segment(i, scratch)
 		i += len(seg)
-		switch {
-		case !byCount:
-			out, err = c.convertWindows(out, seg)
-		case c.count > 0:
+		if byCount {
 			out, err = c.convertRuns(out, seg)
-		default:
-			c.buf.Events = append(c.buf.Events, seg...)
+		} else {
+			out, err = c.convertWindows(out, seg)
 		}
-	}
-	if err == nil && byCount && c.count == 0 {
-		out, err = c.convertByCount(out, false)
 	}
 	c.view.Events = nil // keep no reference to the chunk
 	if err != nil {
@@ -596,10 +592,10 @@ func (c *ingestConverter) convertWindows(out []*sparse.Frame, seg []events.Event
 	return out, nil
 }
 
-// convertRuns frames every complete run of count events once N is
-// calibrated: the open run from the buffer, completed by seg's first
-// events, then every later run straight from seg. The events of the
-// run seg leaves open become the buffer.
+// convertRuns frames every complete run of count events: the open run
+// from the buffer, completed by seg's first events, then every later
+// run straight from seg. The events of the run seg leaves open become
+// the buffer.
 func (c *ingestConverter) convertRuns(out []*sparse.Frame, seg []events.Event) ([]*sparse.Frame, error) {
 	var err error
 	if n := c.buf.Len(); n > 0 {
@@ -640,61 +636,18 @@ func (c *ingestConverter) emitRun(out []*sparse.Frame, run []events.Event) ([]*s
 	return frames, nil
 }
 
-// convertByCount calibrates N once the buffer holds enough stream and
-// frames every complete run of `count` buffered events; when flush is
-// true the trailing partial frame is emitted too. Past calibration the
-// buffer holds less than one run, so only a flush emits.
-func (c *ingestConverter) convertByCount(out []*sparse.Frame, flush bool) ([]*sparse.Frame, error) {
-	if c.count == 0 {
-		// Calibrate the event count per frame from the observed rate so
-		// the mean framing period matches the spec's target. Wait for at
-		// least one framing period of data first — a tiny or
-		// zero-duration first chunk would lock in a wildly wrong count
-		// for the session's whole lifetime.
-		if !flush && (c.buf.Duration() < c.spec.FramePeriodUS || c.buf.Len() < 2) {
-			return out, nil
-		}
-		d := c.buf.Duration()
-		if d > 0 {
-			rate := float64(c.buf.Len()) / float64(d)
-			c.count = int(rate * float64(c.spec.FramePeriodUS))
-		} else {
-			// Flushing a degenerate buffer: one frame takes everything.
-			c.count = c.buf.Len()
-		}
-		if c.count < 1 {
-			c.count = 1
-		}
-		c.frStart = c.buf.TStart()
-	}
-	// Frame the buffer like a segment: its runs straight from it, its
-	// tail moved to the front of the same array.
-	evs := c.buf.Events
-	c.buf.Events = evs[:0]
-	out, err := c.convertRuns(out, evs)
-	if err != nil {
-		return nil, err
-	}
-	if flush && c.buf.Len() > 0 {
-		if out, err = c.emitRun(out, c.buf.Events); err != nil {
-			return nil, err
-		}
-		c.buf.Events = c.buf.Events[:0]
-	}
-	return out, nil
-}
-
 // flush frames whatever a session close leaves buffered: count framing
 // emits the trailing partial frame; time framing drops the incomplete
 // window, matching the offline converter.
 func (c *ingestConverter) flush() ([]*sparse.Frame, error) {
-	if c.fz == nil || c.spec.Framing != nn.FrameByCount {
+	if c.spec.Framing != nn.FrameByCount || c.buf.Len() == 0 {
 		return nil, nil
 	}
-	out, err := c.convertByCount(c.frames[:0], true)
+	out, err := c.emitRun(c.frames[:0], c.buf.Events)
 	if err != nil {
 		return nil, err
 	}
+	c.buf.Events = c.buf.Events[:0]
 	c.frames = out
 	return out, nil
 }

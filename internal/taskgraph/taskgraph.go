@@ -258,7 +258,6 @@ type Schedule struct {
 	NodeEnd       []float64
 	EnergyJ       float64
 	DeviceBusyUS  map[string]float64
-	CommBusyUS    float64
 
 	engine *hw.Engine
 	// Successors in CSR form: node id's are succs[succAt[id]:succAt[id+1]],
@@ -296,7 +295,7 @@ func (g *Graph) RunInto(platform *hw.Platform, s *Schedule) error {
 		s.engine.Reset()
 	}
 	engine := s.engine
-	s.MakespanUS, s.CommBusyUS = 0, 0
+	s.MakespanUS = 0
 	s.NodeStart = resize(s.NodeStart, n)
 	s.NodeEnd = resize(s.NodeEnd, n)
 	s.TaskLatencyUS = resize(s.TaskLatencyUS, len(g.Networks))
@@ -367,7 +366,6 @@ func (g *Graph) RunInto(platform *hw.Platform, s *Schedule) error {
 			}
 			end = start + node.DurUS
 			umBusy = end
-			s.CommBusyUS += node.DurUS
 		} else {
 			// The engine is non-recording, so the tag would go unread.
 			start, end = engine.Submit(platform.Devices[node.Dev], readyAt[best], node.DurUS, "")

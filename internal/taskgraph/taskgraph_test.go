@@ -120,8 +120,10 @@ func TestCrossDeviceEdgesInsertCommNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.CommBusyUS <= 0 {
-		t.Fatal("comm time not accounted")
+	for i, n := range g.Nodes {
+		if n.Kind == CommNode && s.NodeEnd[i] <= s.NodeStart[i] {
+			t.Fatalf("comm node %d takes no time: [%v, %v]", i, s.NodeStart[i], s.NodeEnd[i])
+		}
 	}
 	// Labels are formatted on demand: "net/layer@device" for compute,
 	// "net/producer->consumer's device" for the transfer.

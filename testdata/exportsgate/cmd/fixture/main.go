@@ -17,6 +17,8 @@ func main() {
 	seen[a.Key{Net: "n", Sig: "s"}]++
 	s := a.Stats{Count: len(seen), Hidden: 1}
 	s.Hidden = 2
+	s.Bumped++
+	s.Bumped += 2
 	json.NewEncoder(os.Stdout).Encode(a.Snapshot{Shown: s.Count})
 	mode := a.Fast
 	switch mode {

@@ -34,6 +34,9 @@ type Stats struct {
 	Count int
 	// Hidden is written and never read: rule 4 reports it.
 	Hidden int
+	// Bumped is only incremented and added to, which write it without
+	// a read: rule 4 reports it.
+	Bumped int
 	// Wire leaves the process, so rule 4 exempts it.
 	Wire int `json:"wire"`
 }
