@@ -60,8 +60,9 @@ bench-smoke:
 # Run the deterministic scenario suite (the chaos/soak regression bed)
 # plus the kernel worker pool and the execution scheduler — whose Pump
 # the scenarios drive from one goroutine and serving workers from many
-# — and the offline pipeline's sharded conversion, concurrent runs
-# included, under the race detector, at two scheduler widths: a narrow
+# — and the offline pipeline's sharded conversion, concurrent runs and
+# the four levels of one network reading one converted set included,
+# under the race detector, at two scheduler widths: a narrow
 # host (2) forces pool shards and pumping goroutines to queue behind
 # each other, a wide one (8) maximizes true overlap. The scheduler's
 # concurrent-pump transcripts (2 to 8 goroutines submitting and pumping
@@ -72,7 +73,7 @@ bench-smoke:
 # so its band, determinism and stream-pin gates run under the race
 # detector too.
 SCHED_STRESS := -count=20 -run 'TestCoreMatchesReference|TestPumpNestedInDone' ./internal/sched
-PIPELINE_RACE := -run 'TestRunDeterminism|TestRunReturnsEveryFrame|TestConvertStream' ./internal/pipeline
+PIPELINE_RACE := -run 'TestRunDeterminism|TestRunReturnsEveryFrame|TestRunFramesSharedSet|TestConvertStream' ./internal/pipeline
 SCENE_RACE := -run 'TestCameraBandsMatchSerial|TestSequenceDeterminism|TestPresetStreamsPinned' ./internal/scene
 scenarios:
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/harness/... ./internal/par/... ./internal/sched/... ./cmd/evscenario/...

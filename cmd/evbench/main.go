@@ -25,9 +25,14 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// runExperiment regenerates one experiment; tests see the configuration
+// run hands it.
+var runExperiment = evedge.RunExperiment
+
 // run parses flags and regenerates the selected experiments; it
 // returns the process exit status so the flag and experiment-selection
-// error paths are testable (2 = bad flag syntax, 1 = bad experiment).
+// error paths are testable (2 = bad flag syntax, 1 = bad -dur or
+// experiment).
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("evbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -35,7 +40,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		runIDs = fs.String("run", "all", "comma-separated experiment IDs, or 'all'")
 		quick  = fs.Bool("quick", false, "reduced fidelity (half-scale camera, smaller search)")
 		seed   = fs.Int64("seed", 7, "random seed for all stochastic components")
-		dur    = fs.Int64("dur", 2_000_000, "simulated stream duration in microseconds")
+		dur    = fs.Int64("dur", 0, "simulated stream duration in microseconds (default 2000000, 1200000 with -quick)")
 		list   = fs.Bool("list", false, "list experiment IDs and exit")
 
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -45,6 +50,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 0
 		}
 		return 2
+	}
+	given := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	if given["dur"] && *dur <= 0 {
+		fmt.Fprintf(stderr, "evbench: -dur must be positive, got %d\n", *dur)
+		return 1
 	}
 	stopProfile, err := obs.StartCPUProfile(*cpuProfile)
 	if err != nil {
@@ -69,7 +80,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg = evedge.QuickExperimentConfig()
 	}
 	cfg.Seed = *seed
-	cfg.DurUS = *dur
+	if given["dur"] {
+		cfg.DurUS = *dur
+	}
 
 	ids := evedge.Experiments()
 	if *runIDs != "all" {
@@ -78,7 +91,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
 		start := time.Now()
-		res, err := evedge.RunExperiment(id, cfg)
+		res, err := runExperiment(id, cfg)
 		if err != nil {
 			fmt.Fprintf(stderr, "evbench: %s: %v\n", id, err)
 			return 1

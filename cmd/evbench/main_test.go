@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"evedge/internal/experiments"
 )
 
 // TestRunFlagErrors drives the flag and experiment-selection error
@@ -20,6 +22,8 @@ func TestRunFlagErrors(t *testing.T) {
 		{"bad flag syntax", []string{"-nope"}, 2, "flag provided but not defined"},
 		{"help", []string{"-h"}, 0, "Usage of evbench"},
 		{"unknown experiment", []string{"-run", "fig99"}, 1, "fig99"},
+		{"zero dur", []string{"-dur", "0", "-list"}, 1, "-dur"},
+		{"negative dur", []string{"-quick", "-dur", "-5", "-list"}, 1, "-dur"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -31,6 +35,39 @@ func TestRunFlagErrors(t *testing.T) {
 				t.Fatalf("stderr %q does not mention %q", stderr.String(), tc.errs)
 			}
 		})
+	}
+}
+
+// TestRunConfig: -quick alone runs QuickConfig, no flag DefaultConfig,
+// and -seed and a given -dur override either.
+func TestRunConfig(t *testing.T) {
+	defer func(f func(string, experiments.Config) (*experiments.Result, error)) { runExperiment = f }(runExperiment)
+	var got experiments.Config
+	runExperiment = func(id string, cfg experiments.Config) (*experiments.Result, error) {
+		got = cfg
+		return experiments.Run("table1", cfg)
+	}
+	withSeedDur := func(c experiments.Config, seed, dur int64) experiments.Config {
+		c.Seed, c.DurUS = seed, dur
+		return c
+	}
+	cases := []struct {
+		args []string
+		want experiments.Config
+	}{
+		{nil, experiments.DefaultConfig()},
+		{[]string{"-quick"}, experiments.QuickConfig()},
+		{[]string{"-quick", "-dur", "300000"}, withSeedDur(experiments.QuickConfig(), 7, 300_000)},
+		{[]string{"-dur", "500000", "-seed", "11"}, withSeedDur(experiments.DefaultConfig(), 11, 500_000)},
+	}
+	for _, tc := range cases {
+		var stdout, stderr bytes.Buffer
+		if status := run(append(tc.args, "-run", "table1"), &stdout, &stderr); status != 0 {
+			t.Fatalf("run(%v) = %d: %s", tc.args, status, stderr.String())
+		}
+		if got != tc.want {
+			t.Fatalf("run(%v) ran %+v, want %+v", tc.args, got, tc.want)
+		}
 	}
 }
 

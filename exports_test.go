@@ -31,7 +31,6 @@ var uncalledKept = map[string]string{
 	"sparse.Tensor.ReLU":               "test oracle: the reference forward pass's activation",
 	"scene.GenerateUniform":            "test fixture: uniform random event streams",
 	"nn.Network.CheckShapes":           "the zoo shape check the nn tests run on every network",
-	"dsfa.Batch.FrameCount":            "test observer: model inputs in a batch, one per bucket",
 	"pipeline.Stepper.AggConfig":       "test observer: the live aggregator tuning",
 	"obs.Tracer.Tracks":                "test observer: the tracer's lane names",
 	"serve.Server.SessionJournalStats": "test observer: a session's journal counters",

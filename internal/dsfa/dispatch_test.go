@@ -11,21 +11,16 @@ import (
 )
 
 // closeAgg is the aggregator as it was before buckets were combined at
-// dispatch: a cAdd/cAverage bucket is merged the moment it closes, and
-// a shed queue entry releases its merged frame. Placement, staleness
-// and bucket bookkeeping are the embedded Aggregator's; the methods
-// below are the close-time ones, kept as the reference that a
+// dispatch: a cAdd/cAverage bucket is merged the moment it closes into
+// a frame of its own, and a shed queue entry is dropped. Placement,
+// staleness and bucket bookkeeping are the embedded Aggregator's; the
+// methods below are the close-time ones, kept as the reference that a
 // dispatched bucket's on-demand sum and density must match bit for
-// bit.
+// bit. It releases nothing: its members are copies the test drops.
 type closeAgg struct{ *Aggregator }
 
 func (a closeAgg) dropEarliest() {
 	drop := &a.queue[0]
-	if a.pool != nil {
-		for _, f := range drop.Frames {
-			a.pool.Put(f)
-		}
-	}
 	a.stats.DroppedFrames += drop.NumMerged
 	a.queue = a.queue[1:]
 }
@@ -34,16 +29,8 @@ func (a closeAgg) takeBatch() *Batch {
 	if len(a.queue) == 0 {
 		return nil
 	}
-	var batch *Batch
-	if a.pool != nil {
-		a.batch.Merged = a.queue
-		a.queue = a.spare[:0]
-		a.spare = a.batch.Merged
-		batch = &a.batch
-	} else {
-		batch = &Batch{Merged: a.queue}
-		a.queue = nil
-	}
+	batch := &Batch{Merged: a.queue}
+	a.queue = nil
 	for _, m := range batch.Merged {
 		a.stats.MergedDispatch++
 		a.stats.FramesDispatch += m.NumMerged
@@ -107,30 +94,10 @@ func (a closeAgg) combineInto(b *bucket, m *Merged) {
 	if b.mode == CAverage {
 		scale = 1 / float32(len(b.frames))
 	}
-	h, w := b.frames[0].H, b.frames[0].W
-	var acc *sparse.Accum
-	var merged *sparse.Frame
-	if a.pool != nil {
-		// The members' entries bound the merged frame's.
-		entries := 0
-		for _, f := range b.frames {
-			entries += len(f.Ys)
-		}
-		acc, merged = a.pool.GetAccum(h, w), a.pool.Get(h, w, 0, 0, entries)
-	} else {
-		if a.own == nil || a.own.H() != h || a.own.W() != w {
-			a.own = sparse.NewAccum(h, w)
-		}
-		acc, merged = a.own, &sparse.Frame{}
-	}
+	acc, merged := a.pool.GetAccum(b.frames[0].H, b.frames[0].W), &sparse.Frame{}
 	acc.Merge(merged, b.frames, scale)
 	m.Frames = append(m.Frames, merged)
-	if a.pool != nil {
-		a.pool.PutAccum(acc)
-		for _, f := range b.frames {
-			a.pool.Put(f)
-		}
-	}
+	a.pool.PutAccum(acc)
 }
 
 func (a closeAgg) DispatchReady(nowUS int64) *Batch {
@@ -182,7 +149,7 @@ func sameFrame(got, want *sparse.Frame) error {
 // sameBatch requires a dispatch of a to carry exactly the reference's
 // buckets: bounds, raw frame counts, every member, one model input
 // each, whose density and on-demand sum match the reference's merged
-// frame bit for bit. A sum a pooled a made goes back to its pool.
+// frame bit for bit. A sum a made goes back to a's pool.
 func sameBatch(a *Aggregator, got, want *Batch) error {
 	if (got == nil) != (want == nil) {
 		return fmt.Errorf("batch %v, want %v", got != nil, want != nil)
@@ -190,8 +157,8 @@ func sameBatch(a *Aggregator, got, want *Batch) error {
 	if got == nil {
 		return nil
 	}
-	if len(got.Merged) != len(want.Merged) || got.FrameCount() != want.FrameCount() {
-		return fmt.Errorf("%d buckets, %d inputs; want %d, %d", len(got.Merged), got.FrameCount(), len(want.Merged), want.FrameCount())
+	if len(got.Merged) != len(want.Merged) {
+		return fmt.Errorf("%d buckets, want %d", len(got.Merged), len(want.Merged))
 	}
 	for i := range got.Merged {
 		m, w := &got.Merged[i], want.Merged[i]
@@ -204,7 +171,7 @@ func sameBatch(a *Aggregator, got, want *Batch) error {
 		}
 		sum := a.sum(m)
 		err := sameFrame(sum, w.Frames[0])
-		if a.pool != nil && len(m.Frames) > 1 {
+		if len(m.Frames) > 1 {
 			a.pool.Put(sum)
 		}
 		if err != nil {
@@ -219,97 +186,95 @@ func sameBatch(a *Aggregator, got, want *Batch) error {
 // (mode switches and tightened queue caps included) through an
 // aggregator and, with its own copies of the same frames, through the
 // close-time reference. Every dispatch must carry the reference's
-// buckets — the on-demand sum and the density bit for bit — and the
-// counters must agree after every step, in all three modes, pooled and
-// unpooled. A pooled run must end with every frame and grid back in
-// the pool.
+// buckets — the on-demand sum and the density bit for bit — and every
+// frame shed since the previous dispatch, and the counters must agree
+// after every step, in all three modes. The test releases what each
+// dispatch hands out, so once the last Dispatch has run every frame and
+// grid must be back in the pool, each returned once.
 func TestDispatchCombineMatchesCloseCombine(t *testing.T) {
-	for _, pooled := range []bool{false, true} {
-		for seed := int64(0); seed < 24; seed++ {
-			r := rand.New(rand.NewSource(seed))
-			cfg := randConfig(r)
-			cfg.Mode = CMode(seed % 3)
-			agg, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refAgg, _ := New(cfg)
-			ref := closeAgg{refAgg}
-			var pool *mem.FramePool
-			if pooled {
-				pool = mem.NewFramePool()
-				agg.SetPool(pool)
-			}
-			consume := func(b *Batch) {
-				if b == nil || pool == nil {
-					return
+	for seed := int64(0); seed < 24; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		cfg := randConfig(r)
+		cfg.Mode = CMode(seed % 3)
+		agg, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refAgg, _ := New(cfg)
+		ref := closeAgg{refAgg}
+		pool := mem.NewFramePool()
+		agg.SetPool(pool)
+		shedBefore := 0 // frames shed before the last dispatch
+		const h, w = 10, 12
+		now := int64(0)
+		for step := 0; step <= 300; step++ {
+			ctx := fmt.Sprintf("seed %d step %d", seed, step)
+			var got, want *Batch
+			op := r.Intn(10)
+			switch {
+			case step == 300:
+				got, want = agg.Dispatch(), ref.Dispatch()
+			case op < 6:
+				now += int64(r.Intn(3000))
+				f := pool.Get(h, w, now, now+1000, 0)
+				for k, n := 0, 1+r.Intn(30); k < n; k++ {
+					if pos, neg := float32(r.Intn(4)), float32(r.Intn(3)); pos+neg > 0 {
+						f.Set(int32(r.Intn(h)), int32(r.Intn(w)), pos, neg)
+					}
 				}
-				for _, m := range b.Merged {
+				f.NNZ() // both copies start sorted
+				ref.Push(f.Clone())
+				agg.Push(f)
+			case op < 7:
+				agg.MarkStale(now)
+				ref.MarkStale(now)
+			case op < 8:
+				got, want = agg.DispatchReady(now), ref.DispatchReady(now)
+			case op < 9:
+				got, want = agg.Dispatch(), ref.Dispatch()
+			default:
+				next := randConfig(r)
+				if err, rerr := agg.Retune(next), ref.Retune(next); err != nil || rerr != nil {
+					t.Fatalf("%s: Retune: %v, reference %v", ctx, err, rerr)
+				}
+			}
+			if err := sameBatch(agg, got, want); err != nil {
+				t.Fatalf("%s: %v", ctx, err)
+			}
+			if got != nil {
+				shed := agg.Stats().DroppedFrames
+				if len(got.Shed) != shed-shedBefore {
+					t.Fatalf("%s: dispatch hands out %d shed frames, %d were shed since the last", ctx, len(got.Shed), shed-shedBefore)
+				}
+				shedBefore = shed
+				for _, m := range got.Merged {
 					for _, f := range m.Frames {
 						pool.Put(f)
 					}
 				}
-			}
-			const h, w = 10, 12
-			now := int64(0)
-			for step := 0; step <= 300; step++ {
-				ctx := fmt.Sprintf("pooled %v seed %d step %d", pooled, seed, step)
-				var got, want *Batch
-				op := r.Intn(10)
-				switch {
-				case step == 300:
-					got, want = agg.Dispatch(), ref.Dispatch()
-				case op < 6:
-					now += int64(r.Intn(3000))
-					f := sparse.NewFrame(h, w, now, now+1000)
-					if pool != nil {
-						f = pool.Get(h, w, now, now+1000, 0)
-					}
-					for k, n := 0, 1+r.Intn(30); k < n; k++ {
-						if pos, neg := float32(r.Intn(4)), float32(r.Intn(3)); pos+neg > 0 {
-							f.Set(int32(r.Intn(h)), int32(r.Intn(w)), pos, neg)
-						}
-					}
-					f.NNZ() // both copies start sorted
-					ref.Push(f.Clone())
-					agg.Push(f)
-				case op < 7:
-					agg.MarkStale(now)
-					ref.MarkStale(now)
-				case op < 8:
-					got, want = agg.DispatchReady(now), ref.DispatchReady(now)
-				case op < 9:
-					got, want = agg.Dispatch(), ref.Dispatch()
-				default:
-					next := randConfig(r)
-					if err, rerr := agg.Retune(next), ref.Retune(next); err != nil || rerr != nil {
-						t.Fatalf("%s: Retune: %v, reference %v", ctx, err, rerr)
-					}
-				}
-				if err := sameBatch(agg, got, want); err != nil {
-					t.Fatalf("%s: %v", ctx, err)
-				}
-				consume(got)
-				if agg.Stats() != ref.Stats() {
-					t.Fatalf("%s: stats %+v, reference %+v", ctx, agg.Stats(), ref.Stats())
-				}
-				if agg.QueueLen() != ref.QueueLen() || agg.PendingFrames() != ref.PendingFrames() {
-					t.Fatalf("%s: queue %d pending %d, reference %d / %d", ctx,
-						agg.QueueLen(), agg.PendingFrames(), ref.QueueLen(), ref.PendingFrames())
+				for _, f := range got.Shed {
+					pool.Put(f)
 				}
 			}
-			if pool != nil {
-				if fs, as := pool.Stats(), pool.AccumStats(); fs.Live() != 0 || as.Live() != 0 {
-					t.Fatalf("seed %d: %d frames and %d grids still borrowed", seed, fs.Live(), as.Live())
-				}
+			if agg.Stats() != ref.Stats() {
+				t.Fatalf("%s: stats %+v, reference %+v", ctx, agg.Stats(), ref.Stats())
 			}
+			if agg.QueueLen() != ref.QueueLen() || agg.PendingFrames() != ref.PendingFrames() {
+				t.Fatalf("%s: queue %d pending %d, reference %d / %d", ctx,
+					agg.QueueLen(), agg.PendingFrames(), ref.QueueLen(), ref.PendingFrames())
+			}
+		}
+		if fs, as := pool.Stats(), pool.AccumStats(); fs.Live() != 0 || as.Live() != 0 {
+			t.Fatalf("seed %d: %d frames and %d grids still borrowed", seed, fs.Live(), as.Live())
 		}
 	}
 }
 
 // TestShedBucketTakesNothingFromPool: a bucket shed on queue overflow
-// is never merged, so the overflow borrows no frame and no grid from
-// the pool and returns the shed bucket's members to it.
+// is never merged and never released, so the overflow neither borrows
+// a frame or a grid from the pool nor returns one to it. The shed
+// members come out in the next dispatch's Shed list, beside the bucket
+// still queued, and the dispatch after that has nothing left.
 func TestShedBucketTakesNothingFromPool(t *testing.T) {
 	for _, mode := range []CMode{CAdd, CAverage} {
 		pool := mem.NewFramePool()
@@ -318,9 +283,11 @@ func TestShedBucketTakesNothingFromPool(t *testing.T) {
 			t.Fatal(err)
 		}
 		agg.SetPool(pool)
+		var pushed []*sparse.Frame
 		frame := func(t0 int64) *sparse.Frame {
 			f := pool.Get(16, 16, t0, t0+1000, 1)
 			f.Set(1, 1, 1, 0)
+			pushed = append(pushed, f)
 			return f
 		}
 		agg.Push(frame(0))
@@ -332,13 +299,25 @@ func TestShedBucketTakesNothingFromPool(t *testing.T) {
 		if got := agg.Stats().DroppedFrames; got != 2 {
 			t.Fatalf("%v: %d frames shed, want the first bucket's 2", mode, got)
 		}
-		after := pool.Stats()
-		if after.Gets != frames.Gets || pool.AccumStats() != grids {
-			t.Fatalf("%v: the overflow borrowed %d frames and %d grids, want none",
-				mode, after.Gets-frames.Gets, pool.AccumStats().Gets-grids.Gets)
+		if pool.Stats() != frames || pool.AccumStats() != grids {
+			t.Fatalf("%v: the overflow moved frames %+v -> %+v, grids %+v -> %+v; want no traffic",
+				mode, frames, pool.Stats(), grids, pool.AccumStats())
 		}
-		if after.Puts != frames.Puts+2 {
-			t.Fatalf("%v: the overflow released %d frames, want the shed bucket's 2", mode, after.Puts-frames.Puts)
+		b := agg.Dispatch()
+		if b == nil || len(b.Merged) != 1 || len(b.Shed) != 2 {
+			t.Fatalf("%v: dispatch after the shed: %+v, want one bucket and two shed frames", mode, b)
+		}
+		if m := b.Merged[0]; len(m.Frames) != 2 || m.Frames[0] != pushed[2] || m.Frames[1] != pushed[3] {
+			t.Fatalf("%v: the queued bucket holds %v, want the last two frames", mode, m.Frames)
+		}
+		if b.Shed[0] != pushed[0] || b.Shed[1] != pushed[1] {
+			t.Fatalf("%v: shed %v, want the first two frames", mode, b.Shed)
+		}
+		if pool.Stats().Puts != frames.Puts {
+			t.Fatalf("%v: dispatch released %d frames", mode, pool.Stats().Puts-frames.Puts)
+		}
+		if b := agg.Dispatch(); b != nil {
+			t.Fatalf("%v: a second dispatch returned %+v", mode, b)
 		}
 	}
 }
@@ -348,38 +327,36 @@ func TestShedBucketTakesNothingFromPool(t *testing.T) {
 // at its own density, its sum is the member, and neither the dispatch
 // nor the sum borrows a grid.
 func TestOneMemberBucketDispatchesItsMember(t *testing.T) {
-	for _, pooled := range []bool{false, true} {
-		for _, mode := range []CMode{CAdd, CAverage} {
-			agg, err := New(Config{EBufSize: 1, MBSize: 1, MtThUS: 1000, MdTh: 1, Mode: mode, QueueCap: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			pool := mem.NewFramePool()
-			f := sparse.NewFrame(20, 20, 0, 1000)
-			if pooled {
-				agg.SetPool(pool)
-				f = pool.Get(20, 20, 0, 1000, 2)
-			}
-			f.Set(3, 4, 2, 1)
-			f.Set(1, 9, 0, 5)
-			agg.Push(f)
-			b := agg.Dispatch()
-			if b == nil || len(b.Merged) != 1 || len(b.Merged[0].Frames) != 1 || b.Merged[0].Frames[0] != f {
-				t.Fatalf("pooled %v, %v: one-member bucket did not dispatch its member", pooled, mode)
-			}
-			if m := &b.Merged[0]; m.Density != f.Density() || agg.sum(m) != f {
-				t.Fatalf("pooled %v, %v: one-member bucket priced at %v (member %v) or summed to a copy", pooled, mode, m.Density, f.Density())
-			}
-			if st := pool.AccumStats(); st.Gets != 0 {
-				t.Fatalf("pooled %v, %v: one-member dispatch borrowed %d grids", pooled, mode, st.Gets)
-			}
+	for _, mode := range []CMode{CAdd, CAverage} {
+		agg, err := New(Config{EBufSize: 1, MBSize: 1, MtThUS: 1000, MdTh: 1, Mode: mode, QueueCap: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool := mem.NewFramePool()
+		agg.SetPool(pool)
+		f := pool.Get(20, 20, 0, 1000, 2)
+		f.Set(3, 4, 2, 1)
+		f.Set(1, 9, 0, 5)
+		agg.Push(f)
+		b := agg.Dispatch()
+		if b == nil || len(b.Merged) != 1 || len(b.Merged[0].Frames) != 1 || b.Merged[0].Frames[0] != f {
+			t.Fatalf("%v: one-member bucket did not dispatch its member", mode)
+		}
+		if m := &b.Merged[0]; m.Density != f.Density() || agg.sum(m) != f {
+			t.Fatalf("%v: one-member bucket priced at %v (member %v) or summed to a copy", mode, m.Density, f.Density())
+		}
+		if st := pool.AccumStats(); st.Gets != 0 {
+			t.Fatalf("%v: one-member dispatch borrowed %d grids", mode, st.Gets)
 		}
 	}
 }
 
-// TestQueueOverflowZeroAlloc: a pooled aggregator whose every push
-// sheds a queued bucket allocates nothing once warm — the queue shifts
-// in place and keeps the shed slot's storage.
+// TestQueueOverflowZeroAlloc: a cycle that pushes four one-frame
+// buckets into a queue of two, so the queue sheds two, then dispatches
+// and releases the dispatched members and the shed frames, allocates
+// nothing once warm: the queue shifts in place and keeps the shed
+// slot's storage, and the shed list and the batch swap storage at
+// every dispatch.
 func TestQueueOverflowZeroAlloc(t *testing.T) {
 	pool := mem.NewFramePool()
 	agg, err := New(Config{EBufSize: 1, MBSize: 1, MtThUS: 1 << 40, MdTh: 100, Mode: CAdd, QueueCap: 2})
@@ -388,20 +365,36 @@ func TestQueueOverflowZeroAlloc(t *testing.T) {
 	}
 	agg.SetPool(pool)
 	now := int64(0)
-	push := func() {
-		f := pool.Get(16, 16, now, now+1000, 1)
-		f.Set(int32(now/1000%16), 2, 1, 0)
-		agg.Push(f)
-		now += 1000
+	released := 0
+	cycle := func() {
+		for range 4 {
+			f := pool.Get(16, 16, now, now+1000, 1)
+			f.Set(int32(now/1000%16), 2, 1, 0)
+			agg.Push(f)
+			now += 1000
+		}
+		b := agg.Dispatch()
+		for _, m := range b.Merged {
+			for _, f := range m.Frames {
+				pool.Put(f)
+			}
+		}
+		for _, f := range b.Shed {
+			pool.Put(f)
+		}
+		released += len(b.Shed)
 	}
-	for i := 0; i < 8; i++ {
-		push()
+	for range 8 {
+		cycle()
 	}
-	shed := agg.Stats().DroppedFrames
-	if avg := testing.AllocsPerRun(100, push); avg != 0 {
-		t.Fatalf("a shedding push allocates %.3f times, want 0", avg)
+	shed, released0 := agg.Stats().DroppedFrames, released
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("a shedding cycle allocates %.3f times, want 0", avg)
 	}
-	if got := agg.Stats().DroppedFrames - shed; got != 101 {
-		t.Fatalf("%d pushes shed %d frames, want every one", 101, got)
+	if got, out := agg.Stats().DroppedFrames-shed, released-released0; got != 202 || out != 202 {
+		t.Fatalf("101 cycles shed %d frames and handed out %d, want 2 per cycle", got, out)
+	}
+	if live := pool.Stats().Live(); live != 0 {
+		t.Fatalf("%d frames still borrowed", live)
 	}
 }

@@ -18,16 +18,21 @@
 // occupies; it is counted on the occupancy bitmaps of a dense grid
 // (sparse.Accum.UnionCount) without touching a pixel cell. A
 // one-member bucket, and so every cBatch bucket, is its member. The
-// grid is borrowed from the frame pool for one dispatched bucket and
-// returned all-zero (an unpooled aggregator keeps its own), so the
-// aggregator holds no W x H state between dispatches. A shed bucket is
-// never counted.
+// grid is borrowed from the aggregator's frame pool for one dispatched
+// bucket and returned all-zero, so the aggregator holds no W x H state
+// between dispatches. A shed bucket is never counted.
 //
 // The pixel sum itself — the members scattered, in admission order,
-// into the grid and emitted once in (y, x) order, scaled by 1 or 1/n —
-// is made only when a consumer asks for the pixels (Aggregator.sum).
-// The analytic pipeline and the server price a bucket by its density
-// alone, so they never ask.
+// into a borrowed grid and emitted once in (y, x) order, scaled by 1 or
+// 1/n — is made only when a consumer asks for the pixels
+// (Aggregator.sum). The analytic pipeline and the server price a bucket
+// by its density alone, so they never ask.
+//
+// The aggregator only reads the frames pushed into it and never
+// releases one. Every pushed frame leaves it exactly once: as a member
+// of a dispatched bucket, or, when the inference queue sheds its
+// bucket, in the Shed list of the next dispatch. Whoever converted the
+// frames releases them once every reader is done.
 package dsfa
 
 import (
@@ -163,14 +168,17 @@ type Merged struct {
 }
 
 // Batch is a dispatch unit: the concatenation of queued merged buckets
-// presented to the network as one batched input.
+// presented to the network as one batched input. A Batch and its
+// slices are recycled by the next dispatch; consume them before it.
 type Batch struct {
 	Merged []Merged
+	// Shed holds the members of the buckets the inference queue shed
+	// since the previous dispatch. They are no model input; they leave
+	// the aggregator here so that their owner can release them.
+	// Shedding leaves at least one bucket queued, so the next dispatch
+	// always returns a batch to carry them.
+	Shed []*sparse.Frame
 }
-
-// FrameCount returns the number of model inputs the batch represents:
-// one per bucket.
-func (b *Batch) FrameCount() int { return len(b.Merged) }
 
 // Stats tracks aggregator behaviour for the experiments.
 type Stats struct {
@@ -194,40 +202,34 @@ type Aggregator struct {
 	queue   []Merged
 	stats   Stats
 
-	// pool, when set (SetPool), switches the aggregator to pooled
-	// operation: a shed bucket releases its members instead of leaking
-	// them, grids are borrowed from the pool, bucket structs and queue
-	// storage are recycled, and dispatches reuse one Batch whose
-	// contents are only valid until the next dispatch. The serving hot
-	// path and pipeline.Run's executor run pooled; the pipeline's
-	// merge-ratio dry run, which only reads the frames it is handed,
-	// leaves pool nil and keeps the allocate-per-dispatch semantics.
-	pool        *mem.FramePool
-	own         *sparse.Accum // the unpooled aggregator's grid, nil until first use
+	// pool lends the grids dispatch prices on and the frames sum makes.
+	pool *mem.FramePool
+	// Bucket structs, queue and shed storage and the one Batch are
+	// recycled: spare and the batch's slices swap with queue and shed
+	// at every dispatch.
 	freeBuckets []*bucket
 	spare       []Merged
+	shed        []*sparse.Frame
 	batch       Batch
 }
 
-// New validates cfg and returns an empty aggregator.
+// New validates cfg and returns an empty aggregator lending grids from
+// a frame pool of its own.
 func New(cfg Config) (*Aggregator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Aggregator{cfg: cfg}, nil
+	return &Aggregator{cfg: cfg, pool: mem.NewFramePool()}, nil
 }
 
 // Config returns the aggregator's configuration.
 func (a *Aggregator) Config() Config { return a.cfg }
 
-// SetPool enables pooled operation: the members of a shed bucket are
-// returned to p, grids (and the frames sum makes) are borrowed from p,
-// and internal bucket/queue/batch storage is recycled. A dispatched
-// bucket's members belong to the consumer, which returns them to p
-// once served. In pooled mode a dispatched Batch and its Merged entries
-// are valid only until the next dispatch — consume them immediately
-// (the pipeline Stepper does). Set it before the first Push; frames
-// pushed afterwards must be owned by the same pool.
+// SetPool replaces the aggregator's own frame pool with p, which then
+// lends the grids dispatch prices on and the frames sum makes, so a
+// server's sessions share one set of grids. It only lends: the
+// aggregator returns no pushed frame to p. Set it before the first
+// dispatch.
 func (a *Aggregator) SetPool(p *mem.FramePool) { a.pool = p }
 
 // newBucket takes a bucket from the freelist or allocates one.
@@ -265,17 +267,14 @@ func (a *Aggregator) enqueue() *Merged {
 	return &a.queue[len(a.queue)-1]
 }
 
-// dropEarliest sheds the head of the inference queue, releasing its
-// members in pooled mode, and counts the drop. The queue shifts down
-// in place and the shed slot, with its Frames storage, moves to the
-// tail for the next enqueue, so shedding allocates nothing.
+// dropEarliest sheds the head of the inference queue, moving its
+// members to the shed list the next dispatch hands out, and counts the
+// drop. The queue shifts down in place and the shed slot, with its
+// Frames storage, moves to the tail for the next enqueue, so shedding
+// allocates nothing once the shed list has grown.
 func (a *Aggregator) dropEarliest() {
 	drop := a.queue[0]
-	if a.pool != nil {
-		for _, f := range drop.Frames {
-			a.pool.Put(f)
-		}
-	}
+	a.shed = append(a.shed, drop.Frames...)
 	clear(drop.Frames)
 	a.stats.DroppedFrames += drop.NumMerged
 	n := len(a.queue) - 1
@@ -284,30 +283,26 @@ func (a *Aggregator) dropEarliest() {
 	a.queue = a.queue[:n]
 }
 
-// takeBatch prices the queued buckets and hands them out as one
-// dispatch unit, and counts them. In pooled mode the returned Batch and
-// the queue storage are recycled on the next dispatch.
+// takeBatch prices the queued buckets and hands them out, with the
+// frames shed since the last dispatch, as one dispatch unit, and counts
+// them. The returned Batch, the queue storage and the shed list are
+// recycled on the next dispatch.
 func (a *Aggregator) takeBatch() *Batch {
 	if len(a.queue) == 0 {
 		return nil
 	}
-	var batch *Batch
-	if a.pool != nil {
-		a.batch.Merged = a.queue
-		a.queue = a.spare[:0]
-		a.spare = a.batch.Merged
-		batch = &a.batch
-	} else {
-		batch = &Batch{Merged: a.queue}
-		a.queue = nil
-	}
-	for i := range batch.Merged {
-		m := &batch.Merged[i]
+	a.batch.Merged = a.queue
+	a.queue = a.spare[:0]
+	a.spare = a.batch.Merged
+	clear(a.batch.Shed)
+	a.batch.Shed, a.shed = a.shed, a.batch.Shed[:0]
+	for i := range a.batch.Merged {
+		m := &a.batch.Merged[i]
 		a.price(m)
 		a.stats.MergedDispatch++
 		a.stats.FramesDispatch += m.NumMerged
 	}
-	return batch
+	return &a.batch
 }
 
 // Stats returns a snapshot of the counters.
@@ -458,9 +453,9 @@ func (a *Aggregator) price(m *Merged) {
 		m.Density = f.Density()
 		return
 	}
-	acc := a.getGrid(f.H, f.W)
+	acc := a.pool.GetAccum(f.H, f.W)
 	m.Density = float64(acc.UnionCount(m.Frames)) / float64(f.H*f.W)
-	a.putGrid(acc)
+	a.pool.PutAccum(acc)
 }
 
 // sum returns the pixels of a dispatched slot's model input, bit for
@@ -468,8 +463,8 @@ func (a *Aggregator) price(m *Merged) {
 // itself; otherwise a new frame holding the members' per-pixel sums,
 // scattered in admission order into a borrowed grid and emitted once —
 // scaled by 1/n for cAverage — with the union of their time bounds.
-// In pooled mode that frame comes from the pool, and the caller puts it
-// back; the members stay the caller's either way. A one-member slot is
+// That frame comes from the aggregator's pool, and the caller puts it
+// back there; the members stay their owner's. A one-member slot is
 // its own merge because members are sorted when they are admitted and
 // 0 + x and x·1 are exact for every x but −0, which DSFA's input — E2SF
 // output, integer event counts — never holds.
@@ -487,40 +482,16 @@ func (a *Aggregator) sum(m *Merged) *sparse.Frame {
 		scale = 1 / float32(n)
 	}
 	h, w := m.Frames[0].H, m.Frames[0].W
-	var merged *sparse.Frame
-	if a.pool != nil {
-		// The members' entries bound the merged frame's.
-		entries := 0
-		for _, f := range m.Frames {
-			entries += len(f.Ys)
-		}
-		merged = a.pool.Get(h, w, 0, 0, entries)
-	} else {
-		merged = &sparse.Frame{}
+	// The members' entries bound the merged frame's.
+	entries := 0
+	for _, f := range m.Frames {
+		entries += len(f.Ys)
 	}
-	acc := a.getGrid(h, w)
+	merged := a.pool.Get(h, w, 0, 0, entries)
+	acc := a.pool.GetAccum(h, w)
 	acc.Merge(merged, m.Frames, scale)
-	a.putGrid(acc)
+	a.pool.PutAccum(acc)
 	return merged
-}
-
-// getGrid borrows an all-zero h x w grid: the pool's in pooled mode,
-// else the aggregator's own.
-func (a *Aggregator) getGrid(h, w int) *sparse.Accum {
-	if a.pool != nil {
-		return a.pool.GetAccum(h, w)
-	}
-	if a.own == nil || a.own.H() != h || a.own.W() != w {
-		a.own = sparse.NewAccum(h, w)
-	}
-	return a.own
-}
-
-// putGrid returns a grid getGrid lent, all-zero again.
-func (a *Aggregator) putGrid(acc *sparse.Accum) {
-	if a.pool != nil {
-		a.pool.PutAccum(acc)
-	}
 }
 
 // MarkStale flips buckets whose earliest member is older than MtTh to

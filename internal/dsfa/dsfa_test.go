@@ -75,8 +75,8 @@ func TestCAddMergesWithinThresholds(t *testing.T) {
 		t.Fatalf("buckets=%d want 1", len(b.Merged))
 	}
 	m := &b.Merged[0]
-	if m.NumMerged != 4 || len(m.Frames) != 4 || b.FrameCount() != 1 {
-		t.Fatalf("merged=%d members=%d inputs=%d", m.NumMerged, len(m.Frames), b.FrameCount())
+	if m.NumMerged != 4 || len(m.Frames) != 4 || len(b.Merged) != 1 {
+		t.Fatalf("merged=%d members=%d inputs=%d", m.NumMerged, len(m.Frames), len(b.Merged))
 	}
 	// cAdd conserves events.
 	var want float64
@@ -168,8 +168,8 @@ func TestCBatchKeepsFramesSeparate(t *testing.T) {
 	if len(b.Merged) != 4 {
 		t.Fatalf("buckets=%d want 4", len(b.Merged))
 	}
-	if b.FrameCount() != 4 || rawFrames(b) != 4 {
-		t.Fatalf("frame counts %d/%d", b.FrameCount(), rawFrames(b))
+	if len(b.Merged) != 4 || rawFrames(b) != 4 {
+		t.Fatalf("frame counts %d/%d", len(b.Merged), rawFrames(b))
 	}
 }
 
@@ -250,33 +250,56 @@ func TestConservationProperty(t *testing.T) {
 	}
 }
 
-// Property: merged frames never interleave time ranges within a
-// bucket and bucket members respect MBSize.
+// Property: bucket members respect MBSize, every model input has
+// pixels, and every pushed frame leaves the aggregator exactly once —
+// as a dispatched member or in a dispatch's Shed list — while the
+// aggregator returns no frame to its pool.
 func TestBucketInvariantsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		cfg := Config{EBufSize: 8, MBSize: 1 + r.Intn(8), MtThUS: 10_000, MdTh: 0.5, Mode: CAdd, QueueCap: 16}
+		cfg := Config{EBufSize: 8, MBSize: 1 + r.Intn(8), MtThUS: 10_000, MdTh: 0.5, Mode: CAdd, QueueCap: 1 + r.Intn(16)}
 		a, err := New(cfg)
 		if err != nil {
 			return false
 		}
-		for i := 0; i < 30; i++ {
-			t0 := int64(i * 3000)
-			a.Push(frame(t0, t0+3000, 0.05+r.Float64()*0.1, r.Int63()))
-		}
-		b := a.Dispatch()
-		if b == nil {
+		pool := mem.NewFramePool()
+		a.SetPool(pool)
+		left := map[*sparse.Frame]int{}
+		pushed := make([]*sparse.Frame, 30)
+		take := func(b *Batch) bool {
+			if b == nil {
+				return true
+			}
+			for _, m := range b.Merged {
+				if m.NumMerged > cfg.MBSize || m.Density <= 0 {
+					return false
+				}
+				for _, f := range m.Frames {
+					left[f]++
+				}
+			}
+			for _, f := range b.Shed {
+				left[f]++
+			}
 			return true
 		}
-		for _, m := range b.Merged {
-			if m.NumMerged > cfg.MBSize {
-				return false
-			}
-			if m.Density <= 0 {
+		for i := range pushed {
+			t0 := int64(i * 3000)
+			pushed[i] = frame(t0, t0+3000, 0.05+r.Float64()*0.1, r.Int63())
+			a.Push(pushed[i])
+			if r.Intn(3) == 0 && !take(a.DispatchReady(t0+3000)) {
 				return false
 			}
 		}
-		return true
+		if !take(a.Dispatch()) || a.PendingFrames() != 0 || len(left) != len(pushed) {
+			return false
+		}
+		for _, f := range pushed {
+			if left[f] != 1 {
+				return false
+			}
+		}
+		return pool.Stats().Puts == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -307,9 +330,9 @@ func TestHighActivityMergesMore(t *testing.T) {
 }
 
 // BenchmarkAggregatorPushDispatch is the aggregator as the serving
-// path drives it: pooled, every frame pushed and followed by
+// path drives it: on a shared pool, every frame pushed and followed by
 // DispatchReady, buckets of four priced at dispatch on a borrowed grid,
-// the consumer handing the dispatched members back to the pool.
+// the consumer handing the dispatched and shed frames back to the pool.
 func BenchmarkAggregatorPushDispatch(b *testing.B) {
 	const h, w = 128, 128
 	rng := rand.New(rand.NewSource(6))
@@ -338,6 +361,9 @@ func BenchmarkAggregatorPushDispatch(b *testing.B) {
 					for _, f := range m.Frames {
 						pool.Put(f)
 					}
+				}
+				for _, f := range batch.Shed {
+					pool.Put(f)
 				}
 			}
 			b.ReportAllocs()

@@ -164,7 +164,7 @@ func TestRetuneModeChangeClosesBuckets(t *testing.T) {
 		t.Fatalf("mode change did not close the open bucket: %+v", b)
 	}
 	// The old-mode bucket still merged under cAdd (one model input).
-	if got := b.FrameCount(); got != 1 {
+	if got := len(b.Merged); got != 1 {
 		t.Fatalf("pre-swap bucket produced %d inputs, want 1 merged", got)
 	}
 }

@@ -14,14 +14,14 @@ import (
 // one {pos, neg} cell per pixel plus an occupancy bitmap), and emits
 // each output frame by walking the bitmap, which yields the entries in
 // (y, x) order and zeroes the grid as it goes — no per-frame clear and
-// no sort. Frames come from the optional FramePool, so a warm
-// converter handles a chunk with zero heap allocations.
+// no sort. Frames come from a FramePool, so a warm converter on a pool
+// its frames go back to handles a chunk with zero heap allocations.
 //
 // The grid is scratch for the length of one conversion call, not
-// converter state: it is all-zero whenever no call is running. A
-// pooled converter therefore borrows it from the FramePool at the
-// start of each call and returns it (all-zero) at the end, and holds
-// no W x H memory between calls; an unpooled one lazily keeps its own.
+// converter state: it is all-zero whenever no call is running. The
+// converter therefore borrows it from the FramePool at the start of
+// each call and returns it (all-zero) at the end, and holds no W x H
+// memory between calls.
 //
 // Per-pixel values are integer event counts (exact in float32 far
 // beyond any realistic per-frame count), entries are emitted in
@@ -42,12 +42,12 @@ import (
 type Fused struct {
 	cfg  Config
 	pool *mem.FramePool
-	own  *sparse.Accum // the unpooled converter's grid, nil until first use
 }
 
 // NewFused validates the config and returns a converter drawing output
-// frames and its accumulation grid from pool (nil to allocate fresh
-// frames and keep a grid of its own).
+// frames and its accumulation grid from pool, or, when pool is nil,
+// from a private pool no frame goes back to: its frames are freshly
+// allocated and belong to the caller.
 func NewFused(cfg Config, pool *mem.FramePool) (*Fused, error) {
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		return nil, fmt.Errorf("e2sf: invalid geometry %dx%d", cfg.Width, cfg.Height)
@@ -58,25 +58,10 @@ func NewFused(cfg Config, pool *mem.FramePool) (*Fused, error) {
 	if int64(cfg.Width)*int64(cfg.Height) > math.MaxInt32 {
 		return nil, fmt.Errorf("e2sf: geometry %dx%d overflows int32 keys", cfg.Width, cfg.Height)
 	}
+	if pool == nil {
+		pool = mem.NewFramePool()
+	}
 	return &Fused{cfg: cfg, pool: pool}, nil
-}
-
-// borrow returns the all-zero grid for one conversion call; release
-// hands it back once the call has emitted everything it added.
-func (k *Fused) borrow() *sparse.Accum {
-	if k.pool != nil {
-		return k.pool.GetAccum(k.cfg.Height, k.cfg.Width)
-	}
-	if k.own == nil {
-		k.own = sparse.NewAccum(k.cfg.Height, k.cfg.Width)
-	}
-	return k.own
-}
-
-func (k *Fused) release(acc *sparse.Accum) {
-	if k.pool != nil {
-		k.pool.PutAccum(acc)
-	}
 }
 
 // channel is e's cell index in the grid: 0 for On, 1 for Off, read off
@@ -86,14 +71,9 @@ func channel(e events.Event) uint8 { return uint8(e.Pol) >> 7 }
 // emitFrame moves the grid's counts into a frame spanning [t0, t1),
 // leaving the grid all-zero for the next frame. n is the number of
 // events added since the last emission, which bounds the touched
-// cells; a pooled frame is picked to hold that many entries.
+// cells; the pool picks a frame to hold that many entries.
 func (k *Fused) emitFrame(acc *sparse.Accum, t0, t1 int64, n int) *sparse.Frame {
-	var f *sparse.Frame
-	if k.pool != nil {
-		f = k.pool.Get(k.cfg.Height, k.cfg.Width, t0, t1, n)
-	} else {
-		f = sparse.NewFrame(k.cfg.Height, k.cfg.Width, t0, t1)
-	}
+	f := k.pool.Get(k.cfg.Height, k.cfg.Width, t0, t1, n)
 	acc.Emit(f, 1)
 	return f
 }
@@ -148,7 +128,7 @@ func (k *Fused) ConvertGroupedAppend(dst []*sparse.Frame, s *events.Stream, tSta
 		return tEnd
 	}
 	next := nextGroup()
-	acc := k.borrow()
+	acc := k.pool.GetAccum(k.cfg.Height, k.cfg.Width)
 	emit := func() {
 		a := g * groupK
 		b := a + groupK
@@ -177,7 +157,7 @@ func (k *Fused) ConvertGroupedAppend(dst []*sparse.Frame, s *events.Stream, tSta
 	for ; g < nG; g++ {
 		emit()
 	}
-	k.release(acc)
+	k.pool.PutAccum(acc)
 	st.Frames = nG
 	return dst, st, nil
 }
@@ -234,7 +214,7 @@ func (k *Fused) ConvertByCountAppend(dst []*sparse.Frame, s *events.Stream, tSta
 	}
 	frameStart := tStart
 	n := 0
-	acc := k.borrow()
+	acc := k.pool.GetAccum(k.cfg.Height, k.cfg.Width)
 	emit := func(t1 int64) {
 		f := k.emitFrame(acc, frameStart, t1, n)
 		dst = append(dst, f)
@@ -252,6 +232,6 @@ func (k *Fused) ConvertByCountAppend(dst []*sparse.Frame, s *events.Stream, tSta
 	if n > 0 {
 		emit(tEnd)
 	}
-	k.release(acc)
+	k.pool.PutAccum(acc)
 	return dst, st, nil
 }

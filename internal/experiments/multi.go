@@ -29,11 +29,11 @@ func workloadDensity(cfg Config, names []string) ([]*nn.Network, []float64, erro
 	dens := make([]float64, len(names))
 	for i, name := range names {
 		nets[i] = nn.MustByName(name)
-		_, d, err := frameStats(cfg, nets[i])
+		set, err := framesFor(cfg, nets[i])
 		if err != nil {
 			return nil, nil, err
 		}
-		dens[i] = d
+		dens[i] = set.density
 	}
 	return nets, dens, nil
 }

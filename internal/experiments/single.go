@@ -13,31 +13,65 @@ import (
 	"evedge/internal/sparse"
 )
 
-// Shared caches: camera simulation and pipeline runs are the expensive
-// parts, and several experiments consume the same artifacts.
+// Shared caches: camera simulation, conversion and pipeline runs are
+// the expensive parts, and several experiments consume the same
+// artifacts. A converted set is read by every level's run and by the
+// density and frame-count figures, and nothing releases it.
 var (
 	cacheMu     sync.Mutex
 	streamCache = map[string]*events.Stream{}
+	frameCache  = map[string]frameSet{}
 	reportCache = map[string]*pipeline.Report{}
 )
 
-func streamFor(cfg Config, p scene.Preset) (*events.Stream, error) {
-	key := fmt.Sprintf("%s/%d/%d/%d", p, cfg.Scale, cfg.Seed, cfg.DurUS)
+// frameSet is one network's E2SF output on its preset and its mean
+// spatial density.
+type frameSet struct {
+	frames  []*sparse.Frame
+	density float64
+}
+
+// cached returns m[key], making and filing it on a miss. Two callers
+// missing at once both make it; the experiments are deterministic, so
+// either copy serves.
+func cached[T any](m map[string]T, key string, build func() (T, error)) (T, error) {
 	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	if s, ok := streamCache[key]; ok {
-		return s, nil
+	v, ok := m[key]
+	cacheMu.Unlock()
+	if ok {
+		return v, nil
 	}
-	seq, err := scene.NewSequence(p, cfg.Scale, cfg.Seed)
+	v, err := build()
 	if err != nil {
-		return nil, err
+		return v, err
 	}
-	s, err := seq.Generate(cfg.DurUS)
-	if err != nil {
-		return nil, err
-	}
-	streamCache[key] = s
-	return s, nil
+	cacheMu.Lock()
+	m[key] = v
+	cacheMu.Unlock()
+	return v, nil
+}
+
+func streamFor(cfg Config, p scene.Preset) (*events.Stream, error) {
+	return cached(streamCache, fmt.Sprintf("%s/%d/%d/%d", p, cfg.Scale, cfg.Seed, cfg.DurUS), func() (*events.Stream, error) {
+		seq, err := scene.NewSequence(p, cfg.Scale, cfg.Seed)
+		if err != nil {
+			return nil, err
+		}
+		return seq.Generate(cfg.DurUS)
+	})
+}
+
+// framesFor converts a network's preset stream once per (network,
+// scale, seed, duration).
+func framesFor(cfg Config, net *nn.Network) (frameSet, error) {
+	return cached(frameCache, fmt.Sprintf("%s/%d/%d/%d", net.Name, cfg.Scale, cfg.Seed, cfg.DurUS), func() (set frameSet, err error) {
+		stream, err := streamFor(cfg, net.Input.Preset)
+		if err != nil {
+			return set, err
+		}
+		set.frames, set.density, err = pipeline.ConvertStream(net, stream, cfg.DurUS)
+		return set, err
+	})
 }
 
 func nmpConfig(cfg Config, seed int64) nmp.Config {
@@ -50,51 +84,21 @@ func nmpConfig(cfg Config, seed int64) nmp.Config {
 	return n
 }
 
+// runLevel runs one level of a network over its converted set, once
+// per configuration.
 func runLevel(cfg Config, net *nn.Network, lvl pipeline.Level) (*pipeline.Report, error) {
 	key := fmt.Sprintf("%s/%d/%d/%d/%d/%v", net.Name, lvl, cfg.Scale, cfg.Seed, cfg.DurUS, cfg.Quick)
-	cacheMu.Lock()
-	if r, ok := reportCache[key]; ok {
-		cacheMu.Unlock()
-		return r, nil
-	}
-	cacheMu.Unlock()
-	stream, err := streamFor(cfg, net.Input.Preset)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := pipeline.Run(pipeline.Config{
-		Net: net, Level: lvl,
-		NMP:   nmpConfig(cfg, cfg.Seed+1),
-		Scale: cfg.Scale, DurUS: cfg.DurUS, Seed: cfg.Seed,
-		Stream: stream,
+	return cached(reportCache, key, func() (*pipeline.Report, error) {
+		set, err := framesFor(cfg, net)
+		if err != nil {
+			return nil, err
+		}
+		return pipeline.RunFrames(pipeline.Config{
+			Net: net, Level: lvl,
+			NMP:   nmpConfig(cfg, cfg.Seed+1),
+			DurUS: cfg.DurUS, Seed: cfg.Seed,
+		}, set.frames)
 	})
-	if err != nil {
-		return nil, err
-	}
-	cacheMu.Lock()
-	reportCache[key] = rep
-	cacheMu.Unlock()
-	return rep, nil
-}
-
-// frameStats summarizes E2SF output for a network on its preset.
-func frameStats(cfg Config, net *nn.Network) (frames []*sparse.Frame, meanDensity float64, err error) {
-	stream, err := streamFor(cfg, net.Input.Preset)
-	if err != nil {
-		return nil, 0, err
-	}
-	fr, _, err := pipeline.ConvertStream(net, stream, cfg.DurUS)
-	if err != nil {
-		return nil, 0, err
-	}
-	var sum float64
-	for _, f := range fr {
-		sum += f.Density()
-	}
-	if len(fr) > 0 {
-		sum /= float64(len(fr))
-	}
-	return fr, sum, nil
 }
 
 // Table1 reproduces the paper's network summary table.
@@ -118,10 +122,11 @@ func Table1(cfg Config) (*Result, error) {
 // Adaptive-SpikeNet on MVSEC IndoorFlying1.
 func Fig1(cfg Config) (*Result, error) {
 	net := nn.MustByName(nn.AdaptiveSpikeNet)
-	frames, density, err := frameStats(cfg, net)
+	set, err := framesFor(cfg, net)
 	if err != nil {
 		return nil, err
 	}
+	density := set.density
 	denseMACs := net.TotalMACs()
 	var sparseMACs int64
 	for _, l := range net.Layers {
@@ -136,7 +141,7 @@ func Fig1(cfg Config) (*Result, error) {
 		Header:   []string{"Metric", "Value"},
 		PaperRef: "Fig. 1: most operations are wasted on inactive pixels; event frames are extremely sparse",
 	}
-	r.addRow("frames analysed", fmt.Sprintf("%d", len(frames)))
+	r.addRow("frames analysed", fmt.Sprintf("%d", len(set.frames)))
 	r.addRow("avg events per frame (%)", fmt.Sprintf("%.2f", density*100))
 	r.addRow("dense GMACs per inference", fmt.Sprintf("%.2f", float64(denseMACs)/1e9))
 	r.addRow("event-proportional GMACs", fmt.Sprintf("%.2f", float64(sparseMACs)/1e9))
@@ -155,17 +160,18 @@ func Fig3(cfg Config) (*Result, error) {
 	lo, hi := 1.0, 0.0
 	for _, name := range []string{nn.AdaptiveSpikeNet, nn.FusionFlowNet, nn.SpikeFlowNet, nn.EVFlowNet} {
 		net := nn.MustByName(name)
-		frames, density, err := frameStats(cfg, net)
+		set, err := framesFor(cfg, net)
 		if err != nil {
 			return nil, err
 		}
+		density := set.density
 		if density < lo {
 			lo = density
 		}
 		if density > hi {
 			hi = density
 		}
-		r.addRow(net.Name, string(net.Input.Preset), fmt.Sprintf("%d", len(frames)),
+		r.addRow(net.Name, string(net.Input.Preset), fmt.Sprintf("%d", len(set.frames)),
 			fmt.Sprintf("%.2f", density*100))
 	}
 	r.Notes = append(r.Notes, fmt.Sprintf("measured density range %.2f%%-%.2f%% (paper: 0.15%%-28.57%%)", lo*100, hi*100))

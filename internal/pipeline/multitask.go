@@ -109,7 +109,7 @@ func RunMultiTask(cfg MultiTaskConfig) (*MultiTaskReport, error) {
 				return nil, err
 			}
 		}
-		frames, _, err := convertStream(net, stream, cfg.DurUS, pools.frames, convertShards())
+		frames, err := convertStream(net, stream, cfg.DurUS, pools.frames, convertShards())
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: task %d (%s): %w", t, net.Name, err)
 		}

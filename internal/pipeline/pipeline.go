@@ -200,14 +200,7 @@ func putRunPools(p *runPools) {
 	}
 }
 
-// releaseFrames returns frames to pool.
-func releaseFrames(pool *mem.FramePool, frames []*sparse.Frame) {
-	for _, f := range frames {
-		pool.Put(f)
-	}
-}
-
-// Run executes the streaming simulation and returns the report. Its
+// Run converts cfg's stream and runs RunFrames over the frames. Its
 // frames, grids and invocations come from pools reused across runs,
 // and every one is returned before Run does, on error exits too.
 func Run(cfg Config) (*Report, error) {
@@ -217,21 +210,12 @@ func Run(cfg Config) (*Report, error) {
 	return rep, err
 }
 
-// run is Run drawing from the given pools: every frame it converts is
-// taken from pool and returned to it, the executor's invocations
-// likewise from invs.
+// run is Run drawing from the given pools: it converts into pool and
+// returns every frame there once the run has read them, and executes
+// on the grids pool lends and the invocations invs does.
 func run(cfg Config, pool *mem.FramePool, invs *mem.Pool[Invocation]) (*Report, error) {
-	if cfg.Net == nil {
-		return nil, fmt.Errorf("pipeline: no network")
-	}
-	if cfg.Level < LevelBaseline || cfg.Level > LevelNMP {
-		return nil, fmt.Errorf("pipeline: unknown optimization level %d %s", int(cfg.Level), validLevels)
-	}
-	if cfg.Platform == nil {
-		cfg.Platform = hw.Xavier()
-	}
-	if cfg.DurUS <= 0 {
-		cfg.DurUS = 1_000_000
+	if err := resolve(&cfg); err != nil {
+		return nil, err
 	}
 	stream := cfg.Stream
 	if stream == nil {
@@ -248,25 +232,67 @@ func run(cfg Config, pool *mem.FramePool, invs *mem.Pool[Invocation]) (*Report, 
 		// rather than silently mis-binning user-provided streams.
 		return nil, fmt.Errorf("pipeline: input stream is not time-sorted")
 	}
-
-	frames, stats, err := convertStream(cfg.Net, stream, cfg.DurUS, pool, convertShards())
+	frames, err := convertStream(cfg.Net, stream, cfg.DurUS, pool, convertShards())
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{
-		Level:       cfg.Level,
-		Network:     cfg.Net.Name,
-		RawFrames:   len(frames),
-		MeanDensity: stats.meanDensity,
+	rep, err := runFrames(cfg, frames, pool, invs)
+	for _, f := range frames {
+		pool.Put(f)
+	}
+	return rep, err
+}
+
+// resolve validates cfg and fills in its defaults.
+func resolve(cfg *Config) error {
+	if cfg.Net == nil {
+		return fmt.Errorf("pipeline: no network")
+	}
+	if cfg.Level < LevelBaseline || cfg.Level > LevelNMP {
+		return fmt.Errorf("pipeline: unknown optimization level %d %s", int(cfg.Level), validLevels)
+	}
+	if cfg.Platform == nil {
+		cfg.Platform = hw.Xavier()
+	}
+	if cfg.DurUS <= 0 {
+		cfg.DurUS = 1_000_000
+	}
+	return nil
+}
+
+// RunFrames executes the streaming simulation over frames converted
+// from a stream of cfg.DurUS for cfg.Net, as ConvertStream converts
+// them, and returns the report Run gives for that stream. cfg.Stream
+// and cfg.Scale are ignored. It only reads the frames and releases
+// none, so concurrent calls, at every level say, may share one set;
+// its grids and invocations come from the pools Run reuses.
+func RunFrames(cfg Config, frames []*sparse.Frame) (*Report, error) {
+	pools := getRunPools()
+	rep, err := runFrames(cfg, frames, pools.frames, pools.invs)
+	putRunPools(pools)
+	return rep, err
+}
+
+// runFrames is RunFrames borrowing grids from grids and invocations
+// from invs.
+func runFrames(cfg Config, frames []*sparse.Frame, grids *mem.FramePool, invs *mem.Pool[Invocation]) (*Report, error) {
+	if err := resolve(&cfg); err != nil {
+		return nil, err
 	}
 	if len(frames) == 0 {
 		return nil, fmt.Errorf("pipeline: stream produced no frames")
 	}
+	density := meanDensity(frames)
+	rep := &Report{
+		Level:       cfg.Level,
+		Network:     cfg.Net.Name,
+		RawFrames:   len(frames),
+		MeanDensity: density,
+	}
 
 	model := perf.NewModel(cfg.Platform)
-	plan, nmpRes, mergePenalty, err := buildPlan(cfg, model, frames, stats.meanDensity)
+	plan, nmpRes, mergePenalty, err := buildPlan(cfg, model, frames, density, grids)
 	if err != nil {
-		releaseFrames(pool, frames)
 		return nil, err
 	}
 	rep.Assignment = nmpRes
@@ -280,8 +306,7 @@ func run(cfg Config, pool *mem.FramePool, invs *mem.Pool[Invocation]) (*Report, 
 	rep.AccuracyDelta = quantDelta + mergePenalty
 	rep.Accuracy = quant.EvEdgeAccuracy(cfg.Net, rep.AccuracyDelta)
 
-	// Streaming execution; it returns every raw frame to the pool.
-	exec := runExecutor(model, cfg, plan, frames, pool, invs)
+	exec := runExecutor(model, cfg, plan, frames, grids, invs)
 	busyPerDev := exec.busyPerDev
 	latencies := exec.latencies
 	rep.Invocations = exec.invocations
@@ -314,8 +339,16 @@ func run(cfg Config, pool *mem.FramePool, invs *mem.Pool[Invocation]) (*Report, 
 	return rep, nil
 }
 
-type convStats struct {
-	meanDensity float64
+// meanDensity is the frames' mean spatial density, summed in order.
+func meanDensity(frames []*sparse.Frame) float64 {
+	if len(frames) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, f := range frames {
+		sum += f.Density()
+	}
+	return sum / float64(len(frames))
 }
 
 // ConvertStream runs E2SF per the network's input spec: count-based
@@ -323,13 +356,16 @@ type convStats struct {
 // InputSpec.EventsPerFrame at the stream's geometry (the N a served
 // session frames with), so bursts raise the realized frame rate; time
 // framing bins each accumulation window and groups bins into inference
-// inputs. The frames are freshly allocated and the caller owns them.
-func ConvertStream(net *nn.Network, stream *events.Stream, durUS int64) ([]*sparse.Frame, convStats, error) {
-	return convertStream(net, stream, durUS, nil, convertShards())
+// inputs. The frames are freshly allocated and the caller owns them;
+// the float64 is their mean spatial density.
+func ConvertStream(net *nn.Network, stream *events.Stream, durUS int64) ([]*sparse.Frame, float64, error) {
+	frames, err := convertStream(net, stream, durUS, nil, convertShards())
+	return frames, meanDensity(frames), err
 }
 
 // convertStream is ConvertStream taking its frames and accumulation
-// grids from pool, or allocating them when pool is nil, and converting
+// grids from pool, or, when pool is nil, from a private pool of each
+// converter's, which leaves the frames the caller's, and converting
 // on up to shards goroutines. Its jobs — one window for time framing,
 // one run of N events for count framing — are independent and each
 // yields a known number of frames, so every shard converts a
@@ -337,12 +373,11 @@ func ConvertStream(net *nn.Network, stream *events.Stream, durUS int64) ([]*spar
 // its slots of the output: the frames are the serial converter's, bit
 // for bit, in the same order. Everything that can fail is checked
 // before any shard starts, so an error leaves nothing borrowed.
-func convertStream(net *nn.Network, stream *events.Stream, durUS int64, pool *mem.FramePool, shards int) ([]*sparse.Frame, convStats, error) {
-	var st convStats
+func convertStream(net *nn.Network, stream *events.Stream, durUS int64, pool *mem.FramePool, shards int) ([]*sparse.Frame, error) {
 	in := net.Input
 	ecfg := e2sf.Config{Width: stream.Width, Height: stream.Height, NumBins: in.NumBins}
 	if _, err := e2sf.NewFused(ecfg, pool); err != nil {
-		return nil, st, err
+		return nil, err
 	}
 	// newConv returns a shard's converter; ecfg is valid.
 	newConv := func() *e2sf.Fused {
@@ -352,7 +387,7 @@ func convertStream(net *nn.Network, stream *events.Stream, durUS int64, pool *me
 	var out []*sparse.Frame
 	if in.Framing == nn.FrameByCount {
 		if durUS <= 0 {
-			return nil, st, fmt.Errorf("pipeline: empty interval [0, %d)", durUS)
+			return nil, fmt.Errorf("pipeline: empty interval [0, %d)", durUS)
 		}
 		count := in.EventsPerFrame(stream.Width, stream.Height)
 		// Job j is events [j·count, (j+1)·count) and one frame; the last
@@ -379,11 +414,11 @@ func convertStream(net *nn.Network, stream *events.Stream, durUS int64, pool *me
 		})
 	} else {
 		if in.WindowUS <= 0 {
-			return nil, st, fmt.Errorf("pipeline: empty window [0, %d)", in.WindowUS)
+			return nil, fmt.Errorf("pipeline: empty window [0, %d)", in.WindowUS)
 		}
 		windows := int(max(durUS, 0) / in.WindowUS)
 		if windows > 0 && in.GroupK <= 0 {
-			return nil, st, fmt.Errorf("pipeline: group size must be positive, got %d", in.GroupK)
+			return nil, fmt.Errorf("pipeline: group size must be positive, got %d", in.GroupK)
 		}
 		perWindow := 0
 		if windows > 0 {
@@ -400,14 +435,7 @@ func convertStream(net *nn.Network, stream *events.Stream, durUS int64, pool *me
 			}
 		})
 	}
-	var denSum float64
-	for _, f := range out {
-		denSum += f.Density()
-	}
-	if len(out) > 0 {
-		st.meanDensity = denSum / float64(len(out))
-	}
-	return out, st, nil
+	return out, nil
 }
 
 // convertShards is the shard count of a run's conversion: one per core,
@@ -453,9 +481,9 @@ func sorted(s *events.Stream, shards int) bool {
 // buildPlan decides mapping, precision and representation per level,
 // returning the NMP result (LevelNMP) and the DSFA merge accuracy
 // penalty (LevelDSFA and up). density is the frames' mean spatial
-// density, which LevelNMP profiles the network at. It only reads the
-// frames.
-func buildPlan(cfg Config, model *perf.Model, frames []*sparse.Frame, density float64) (*ExecPlan, *nmp.Result, float64, error) {
+// density, which LevelNMP profiles the network at; the merge-ratio dry
+// run borrows its grids from grids. It only reads the frames.
+func buildPlan(cfg Config, model *perf.Model, frames []*sparse.Frame, density float64, grids *mem.FramePool) (*ExecPlan, *nmp.Result, float64, error) {
 	net := cfg.Net
 	// The all-GPU implementation deploys at half precision, TensorRT's
 	// best practice on Xavier; Ev-Edge's precision gains come from
@@ -475,12 +503,12 @@ func buildPlan(cfg Config, model *perf.Model, frames []*sparse.Frame, density fl
 		// every frame pushed and a single dispatch. The inference queue
 		// sheds every bucket but the last QueueCap on the way, so the
 		// ratio is that of the stream's tail, not an upper bound on
-		// merging (ROADMAP item 22). It runs unpooled, so it releases
-		// none of the frames the executor still needs.
+		// merging (ROADMAP item 22).
 		agg, err := dsfa.New(TunedDSFA(cfg.Net))
 		if err != nil {
 			return nil, nil, 0, err
 		}
+		agg.SetPool(grids)
 		for _, f := range frames {
 			agg.Push(f)
 		}
@@ -544,12 +572,10 @@ type execResult struct {
 // mappings) frames accumulate and merge, which is exactly the
 // backlog-clearing behaviour of the paper's Sec. 4.2.
 //
-// The stepper runs pooled, as a server session's does: frames are
-// owned by pool, and each invocation's frames and the invocation itself
-// go back once it is served. The aggregator releases the members of the
-// buckets it sheds and hands a dispatched bucket's members to the
-// invocation, so every raw frame is returned exactly once.
-func runExecutor(model *perf.Model, cfg Config, p *ExecPlan, frames []*sparse.Frame, pool *mem.FramePool, invs *mem.Pool[Invocation]) *execResult {
+// The stepper borrows grids from grids and invocations from invs, as a
+// server session's does, and each invocation goes back once it is
+// served. The executor only reads the frames: it releases none.
+func runExecutor(model *perf.Model, cfg Config, p *ExecPlan, frames []*sparse.Frame, grids *mem.FramePool, invs *mem.Pool[Invocation]) *execResult {
 	res := &execResult{busyPerDev: make([]float64, len(cfg.Platform.Devices)), mergeRatio: 1}
 	serve := func(inv *Invocation, startAfter float64) float64 {
 		start := math.Max(startAfter, inv.ReadyUS)
@@ -569,7 +595,7 @@ func runExecutor(model *perf.Model, cfg Config, p *ExecPlan, frames []*sparse.Fr
 		// TunedDSFA only returns validated tunings; fail loud.
 		panic(err)
 	}
-	st.SetPools(invs, pool)
+	st.SetPools(invs, grids)
 
 	var t float64
 	idx := 0
@@ -597,7 +623,6 @@ func runExecutor(model *perf.Model, cfg Config, p *ExecPlan, frames []*sparse.Fr
 			}
 		}
 		t = serve(inv, t)
-		releaseFrames(pool, inv.Frames)
 		invs.Put(inv)
 	}
 	if cfg.Level >= LevelDSFA {

@@ -1,7 +1,9 @@
 package pipeline
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"maps"
 	"math"
 	"reflect"
@@ -252,6 +254,70 @@ func TestRunReturnsEveryFrame(t *testing.T) {
 		t.Fatal("error exit came before conversion")
 	}
 	check("error exit")
+}
+
+// TestRunFramesSharedSet: the four levels of one network, run at once
+// over one ConvertStream set, each report what a serial Run of the
+// same stream does, field for field, and leave every frame as they
+// found it: bounds, coordinates and channel bits hash the same after.
+// Under the race detector (make scenarios) it also shows that RunFrames
+// only reads the set.
+func TestRunFramesSharedSet(t *testing.T) {
+	cfgs := ownershipConfigs(t)
+	for n := 0; n < len(cfgs); n += 4 {
+		levels := cfgs[n : n+4]
+		net := levels[0].Net
+		frames, _, err := ConvertStream(net, levels[0].Stream, levels[0].DurUS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := hashFrames(frames)
+		reps := make([]*Report, len(levels))
+		errs := make([]error, len(levels))
+		var wg sync.WaitGroup
+		for i, cfg := range levels {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				reps[i], errs[i] = RunFrames(cfg, frames)
+			}()
+		}
+		wg.Wait()
+		for i, cfg := range levels {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			want, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(reps[i], want) {
+				t.Fatalf("%s %v: RunFrames reports %+v, Run %+v", net.Name, cfg.Level, reps[i], want)
+			}
+		}
+		if after := hashFrames(frames); after != before {
+			t.Fatalf("%s: the runs changed the shared set: hash %#x, was %#x", net.Name, after, before)
+		}
+	}
+}
+
+// hashFrames is the FNV-1a hash of every frame's bounds, coordinates
+// and channel bits, in order.
+func hashFrames(frames []*sparse.Frame) uint64 {
+	h := fnv.New64a()
+	var b []byte
+	for _, f := range frames {
+		b = binary.LittleEndian.AppendUint64(b[:0], uint64(f.T0))
+		b = binary.LittleEndian.AppendUint64(b, uint64(f.T1))
+		for i := range f.Ys {
+			b = binary.LittleEndian.AppendUint32(b, uint32(f.Ys[i]))
+			b = binary.LittleEndian.AppendUint32(b, uint32(f.Xs[i]))
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(f.Pos[i]))
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(f.Neg[i]))
+		}
+		h.Write(b)
+	}
+	return h.Sum64()
 }
 
 // TestRunWarmAllocBudget: a run on pools that identical runs have
@@ -565,12 +631,14 @@ func TestConvertStreamMatchesReference(t *testing.T) {
 			}
 			sameFrames(t, fmt.Sprintf("%s %s", net.Name, c.name), got, want)
 			for _, shards := range []int{1, 2, 3, 64} {
-				got, _, err := convertStream(net, c.stream, c.dur, pool, shards)
+				got, err := convertStream(net, c.stream, c.dur, pool, shards)
 				if err != nil {
 					t.Fatalf("%s %s, %d shards: %v", net.Name, c.name, shards, err)
 				}
 				sameFrames(t, fmt.Sprintf("%s %s, %d shards", net.Name, c.name, shards), got, want)
-				releaseFrames(pool, got)
+				for _, f := range got {
+					pool.Put(f)
+				}
 			}
 		}
 	}

@@ -150,10 +150,12 @@ type RawRef struct {
 // them, when the newest one finished forming, and the per-raw-frame
 // latency attribution.
 type Invocation struct {
-	// Frames holds the raw frames the invocation carries, which its
-	// consumer releases once it is served. A DSFA bucket's input is
-	// the sum of its members; nothing that prices an invocation reads
-	// the pixels, so the sum is never made here.
+	// Frames holds the raw frames the invocation carries: every member
+	// of its buckets, then the frames the aggregator shed since its
+	// previous dispatch. The stepper only reads them; whoever converted
+	// them releases them once the invocation is served. A DSFA bucket's
+	// input is the sum of its members; nothing that prices an invocation
+	// reads the pixels, so the sum is never made here.
 	Frames []*sparse.Frame
 	// Inputs is the spatial density of each model input, in input
 	// order: its length is the batch size.
@@ -179,7 +181,8 @@ func NewInvocationPool() *mem.Pool[Invocation] {
 }
 
 // fillInvFromBatch loads a DSFA dispatch batch into an (empty)
-// invocation: one input per bucket, and every bucket's members.
+// invocation: one input per bucket, every bucket's members and the
+// batch's shed frames.
 func fillInvFromBatch(inv *Invocation, b *dsfa.Batch) *Invocation {
 	for _, m := range b.Merged {
 		inv.Frames = append(inv.Frames, m.Frames...)
@@ -190,6 +193,7 @@ func fillInvFromBatch(inv *Invocation, b *dsfa.Batch) *Invocation {
 			inv.ReadyUS = float64(m.T1)
 		}
 	}
+	inv.Frames = append(inv.Frames, b.Shed...)
 	return inv
 }
 
@@ -220,15 +224,16 @@ type Stepper struct {
 	// that keeps up never re-allocates.
 	fifo []*sparse.Frame
 	head int
-	// invPool, when set, supplies recycled Invocation structs; the
-	// serving layer returns them on completion.
+	// invPool supplies the invocations: a pool of the stepper's own
+	// unless SetPools shares one, to which the serving layer and the
+	// offline executor return them once served.
 	invPool *mem.Pool[Invocation]
 }
 
 // NewStepper builds a stepper for the level. The DSFA config is only
 // consulted at LevelDSFA and above; pass the zero value otherwise.
 func NewStepper(level Level, cfg dsfa.Config) (*Stepper, error) {
-	s := &Stepper{level: level}
+	s := &Stepper{level: level, invPool: NewInvocationPool()}
 	if level >= LevelDSFA {
 		agg, err := dsfa.New(cfg)
 		if err != nil {
@@ -239,26 +244,17 @@ func NewStepper(level Level, cfg dsfa.Config) (*Stepper, error) {
 	return s, nil
 }
 
-// SetPools switches the stepper to pooled operation: invocations come
-// from invs, and (at LevelDSFA and above) the aggregator runs pooled
-// over frames — see dsfa.Aggregator.SetPool. Every raw frame an
-// invocation carries in Frames, a dispatched bucket's members included,
-// belongs to the consumer, which returns it to frames once the
-// invocation is served; the aggregator returns only the members of the
-// buckets it sheds. Call before the first Push.
+// SetPools makes the stepper take its invocations from invs and (at
+// LevelDSFA and above) borrow the aggregator's grids from frames — see
+// dsfa.Aggregator.SetPool. frames only lends grids: the stepper
+// releases no raw frame. Every frame pushed comes back out in exactly
+// one invocation's Frames, a shed one included, for its owner to
+// release once the invocation is served. Call before the first Push.
 func (s *Stepper) SetPools(invs *mem.Pool[Invocation], frames *mem.FramePool) {
 	s.invPool = invs
 	if s.agg != nil && frames != nil {
 		s.agg.SetPool(frames)
 	}
-}
-
-// newInv returns an empty invocation, pooled when a pool is set.
-func (s *Stepper) newInv() *Invocation {
-	if s.invPool != nil {
-		return s.invPool.Get()
-	}
-	return &Invocation{}
 }
 
 // Push inserts a raw sparse frame produced by E2SF.
@@ -295,13 +291,13 @@ func (s *Stepper) Next(nowUS float64) *Invocation {
 		if s.fifoLen() == 0 {
 			return nil
 		}
-		return fillSingleFrameInv(s.newInv(), s.popFifo())
+		return fillSingleFrameInv(s.invPool.Get(), s.popFifo())
 	}
 	b := s.agg.DispatchReady(int64(nowUS))
 	if b == nil {
 		return nil
 	}
-	return fillInvFromBatch(s.newInv(), b)
+	return fillInvFromBatch(s.invPool.Get(), b)
 }
 
 // Flush drains everything still buffered — open buckets included — as
@@ -312,13 +308,13 @@ func (s *Stepper) Flush() *Invocation {
 		if s.fifoLen() == 0 {
 			return nil
 		}
-		return fillSingleFrameInv(s.newInv(), s.popFifo())
+		return fillSingleFrameInv(s.invPool.Get(), s.popFifo())
 	}
 	b := s.agg.Dispatch()
 	if b == nil {
 		return nil
 	}
-	return fillInvFromBatch(s.newInv(), b)
+	return fillInvFromBatch(s.invPool.Get(), b)
 }
 
 // Pending returns raw frames buffered but not yet dispatched.

@@ -170,10 +170,10 @@ func TestAllocSmoke(t *testing.T) {
 	fail(err)
 	var frames []*sparse.Frame
 
-	// DSFA in pooled mode, one aggregator per merging combine mode:
-	// buckets of two merge at dispatch in a grid borrowed from
-	// framePool, and the consumer hands dispatched frames back, as the
-	// stepper does.
+	// DSFA on the shared frame pool, one aggregator per merging combine
+	// mode: buckets of two are priced at dispatch on a grid borrowed
+	// from framePool, and the consumer hands the dispatched and shed
+	// frames back, as the server does for the stepper's invocations.
 	var aggs []*dsfa.Aggregator
 	for _, mode := range []dsfa.CMode{dsfa.CAdd, dsfa.CAverage} {
 		agg, err := dsfa.New(dsfa.Config{EBufSize: 4, MBSize: 2, MtThUS: span, MdTh: 100, Mode: mode, QueueCap: 4})
@@ -189,6 +189,9 @@ func TestAllocSmoke(t *testing.T) {
 			for _, fr := range m.Frames {
 				framePool.Put(fr)
 			}
+		}
+		for _, fr := range b.Shed {
+			framePool.Put(fr)
 		}
 	}
 

@@ -593,11 +593,12 @@ func (s *Server) newPending() *pendingInv {
 }
 
 // releaseRequest is the scheduler's Release hook: after a request's
-// batch dispatched and every callback ran, its raw frames — DSFA
-// hands a dispatched bucket's members over to the invocation — go back
-// to the arena, the invocation to the invocation pool, and the
-// submission unit to the pending pool. This is the single point where
-// the frame path's ownership chain ends.
+// batch dispatched and every callback ran, its raw frames — a
+// dispatched bucket's members and the frames DSFA shed since its
+// previous dispatch, which the stepper and the aggregator only read —
+// go back to the arena, the invocation to the invocation pool, and the
+// submission unit to the pending pool. A frame that entered the
+// stepper goes back to the arena here and nowhere else.
 func (s *Server) releaseRequest(r *sched.Request) {
 	p := r.Payload.(*invPayload)
 	inv := p.inv

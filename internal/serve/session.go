@@ -189,9 +189,10 @@ type Session struct {
 
 // newSession builds a session. The arena and invocation pool wire the
 // zero-allocation frame path: E2SF emits pooled frames, the stepper
-// recycles invocation structs, and the ingest queue returns shed
-// frames to the arena instead of leaking them to GC. Both may be nil
-// (tests exercising unpooled behavior).
+// recycles invocation structs and borrows the aggregator's grids from
+// the arena, and the ingest queue returns shed frames to the arena
+// instead of leaking them to GC. Both may be nil (tests exercising
+// unpooled behavior).
 func newSession(id string, net *nn.Network, level pipeline.Level, queueCap int, policy DropPolicy, plan *pipeline.ExecPlan, retuner *control.Retuner, arena *mem.Arena, invPool *mem.Pool[pipeline.Invocation]) (*Session, error) {
 	stepper, err := pipeline.NewStepper(level, pipeline.TunedDSFA(net))
 	if err != nil {
