@@ -71,8 +71,12 @@ bench-smoke:
 # per-pixel state and one shared frame, and each band's render reads its
 # own rows of the quiet intervals and the World's shared cell bounds,
 # so its band, determinism and stream-pin gates run under the race
-# detector too.
+# detector too. The cluster's schedule explorer runs in the harness
+# package; its wall-clock variants (worker pools, senders, stream
+# readers and node chaos racing the router's lock-free route table and
+# its one owner) run 10 more times at each width.
 SCHED_STRESS := -count=20 -run 'TestCoreMatchesReference|TestPumpNestedInDone' ./internal/sched
+EXPLORE_STRESS := -count=10 -run 'TestExploreWallClock' ./internal/harness
 PIPELINE_RACE := -run 'TestRunDeterminism|TestRunReturnsEveryFrame|TestRunFramesSharedSet|TestConvertStream' ./internal/pipeline
 SCENE_RACE := -run 'TestCameraBandsMatchSerial|TestSequenceDeterminism|TestPresetStreamsPinned' ./internal/scene
 scenarios:
@@ -80,10 +84,12 @@ scenarios:
 	GOMAXPROCS=2 $(GO) test -race -count=1 $(PIPELINE_RACE)
 	GOMAXPROCS=2 $(GO) test -race -count=1 $(SCENE_RACE)
 	GOMAXPROCS=2 $(GO) test -race $(SCHED_STRESS)
+	GOMAXPROCS=2 $(GO) test -race $(EXPLORE_STRESS)
 	GOMAXPROCS=8 $(GO) test -race -count=1 ./internal/harness/... ./internal/par/... ./internal/sched/... ./cmd/evscenario/...
 	GOMAXPROCS=8 $(GO) test -race -count=1 $(PIPELINE_RACE)
 	GOMAXPROCS=8 $(GO) test -race -count=1 $(SCENE_RACE)
 	GOMAXPROCS=8 $(GO) test -race $(SCHED_STRESS)
+	GOMAXPROCS=8 $(GO) test -race $(EXPLORE_STRESS)
 
 # Short coverage-guided fuzz pass over every fuzz function of every
 # package, as `go test -list` reports them, so the list cannot drift

@@ -33,7 +33,7 @@ var uncalledKept = map[string]string{
 	"nn.Network.CheckShapes":           "the zoo shape check the nn tests run on every network",
 	"pipeline.Stepper.AggConfig":       "test observer: the live aggregator tuning",
 	"obs.Tracer.Tracks":                "test observer: the tracer's lane names",
-	"serve.Server.SessionJournalStats": "test observer: a session's journal counters",
+	"cluster.Cluster.Journal":          "test observer: a fleet session's journal and the replica entries the live nodes hold for it, which the harness's schedule explorer checks",
 	"nn.Runtime.InputLayerIDs":         "test observer: the runtime's input layers",
 	"perf.Model.NetworkTimeUS":         "test observer: whole-network cost-model time",
 	"perf.Model.InputCommUS":           "test observer: cost-model input transfer time",
@@ -65,13 +65,14 @@ var uncalledKept = map[string]string{
 // TestInternalExportsHaveCallers reports and that stay anyway, keyed
 // "pkg.Struct.Field", each with its reason.
 var fieldsKept = map[string]string{
-	"e2sf.Stats.Frames":        "bench binding: Fused.ConvertByCountAppend and ConvertGroupedAppend return Stats and bench/ takes all three results; ROADMAP item 4-II drops Stats from the signatures, and the field with it",
-	"experiments.Config.Quick": "DefaultConfig and QuickConfig set it; evbench -quick chooses between the two",
-	"experiments.Config.Scale": "DefaultConfig and QuickConfig set it; evbench -quick chooses between the two",
-	"hw.Span.Tag":              "bench binding: the record mode's span label; ROADMAP item 4(d) re-points NewEngine so it can go",
-	"sched.Config.Virtual":     "bench binding: bench/pump_layers.go sets it and Pump is the only driver, so nothing reads it; ROADMAP item 4-II drops the binding so it can go",
-	"sparse.Site.X":            "bench binding: Tensor.ActiveSites returns sites, bench/infer_layers.go counts them (ROADMAP item 4)",
-	"sparse.Site.Y":            "bench binding: Tensor.ActiveSites returns sites, bench/infer_layers.go counts them (ROADMAP item 4)",
+	"e2sf.Stats.Frames":         "bench binding: Fused.ConvertByCountAppend and ConvertGroupedAppend return Stats and bench/ takes all three results; ROADMAP item 4-II drops Stats from the signatures, and the field with it",
+	"experiments.Config.Quick":  "DefaultConfig and QuickConfig set it; evbench -quick chooses between the two",
+	"experiments.Config.Scale":  "DefaultConfig and QuickConfig set it; evbench -quick chooses between the two",
+	"serve.JournalStats.AckSeq": "test observer: the ack watermark the harness's schedule explorer bounds a replica log's chunk entries by",
+	"hw.Span.Tag":               "bench binding: the record mode's span label; ROADMAP item 4(d) re-points NewEngine so it can go",
+	"sched.Config.Virtual":      "bench binding: bench/pump_layers.go sets it and Pump is the only driver, so nothing reads it; ROADMAP item 4-II drops the binding so it can go",
+	"sparse.Site.X":             "bench binding: Tensor.ActiveSites returns sites, bench/infer_layers.go counts them (ROADMAP item 4)",
+	"sparse.Site.Y":             "bench binding: Tensor.ActiveSites returns sites, bench/infer_layers.go counts them (ROADMAP item 4)",
 }
 
 // TestInternalExportsHaveCallers keeps code, options and results

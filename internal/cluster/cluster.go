@@ -35,46 +35,34 @@
 // Per-session counters restart after a migration — the fleet-level
 // counters accumulate across it.
 //
-// # Lock order
+// # Ownership
 //
-// A goroutine that holds several of the cluster's mutexes at once takes
-// them in this order, never against it:
-//
-//	Cluster.adminMu → Cluster.migMu → route.repMu → Cluster.mu
-//	Cluster.adminMu → node.retiredMu
-//
-// What each guards, and why it sits where it does:
-//
-//   - adminMu serializes node state transitions; revive and drain run
-//     their failover or migration sweep under it, so it comes first.
-//   - migMu serializes the sweeps (failover, drain, load rebalance). A
-//     sweep takes one route's repMu at a time, never two.
-//   - repMu serializes one route's replication (chunk and result
-//     appends, buddy re-homes, the drop on close) against a sweep of
-//     that route. The route's epoch is read and written under mu, but a
-//     sweep or rebalance bumps it only while also holding repMu, so a
-//     replication that holds repMu sees either the old owner with the
-//     old epoch or the new owner with the new one.
-//   - mu guards the routing table and is innermost: nothing else is
-//     locked, and no node server is called, while it is held.
-//   - retiredMu guards a node's retired incarnations and is a leaf.
-//
-// A node server call that completes queued frames fires the result
-// hook, which takes the repMu of the route each result belongs to.
-// CloseSession and Close pump the node's scheduler on the calling
-// goroutine and so complete any session's queued work, not only their
-// own. So no node close runs under a repMu: moveRoute's graceful close
-// runs before it takes repMu and its orphan undo after it lets go, and
-// the rebalance closes the hot copy after it lets go. A replay under
-// repMu ingests into a session the route does not point at yet, so a
-// result it fires on the sweep's goroutine finds no route and takes no
-// lock.
+// The routing state — every route, each node's liveness and server
+// incarnations, the fleet's failover counters — is immutable and
+// published whole: readers (ingest, result hooks, snapshots, health,
+// metrics) load it and take no lock. One owner mutex applies every
+// change in order (create, close, a failover/drain/rebalance move,
+// kill/drain/revive/undrain, a buddy re-home) and publishes the result
+// as the next table version, its epoch. A node close pumps its
+// scheduler and fires result hooks for any session, so the owner may
+// hold its mutex across node calls and a hook never takes it. Replicas
+// are fenced where they are stored: every replica append, take and drop
+// carries the epoch of the table it was decided on, and the buddy
+// refuses an append older than the session's last take or drop, so a
+// chunk or result of a superseded incarnation cannot land after its
+// log moved; a chunk refused so because its owner died goes to the new
+// owner before its ingest returns. A failover replays into a session
+// the table does not point at yet, so the replay's results find no
+// route.
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -187,36 +175,43 @@ type Config struct {
 	Node serve.Config
 }
 
-// node is one fleet member: an embedded server plus liveness state.
-// The server pointer is swappable: reviving a killed node installs a
-// fresh incarnation while the dead one is retired — kept, not dropped,
-// because its stranded sessions and counters stay part of the fleet's
-// accounting (frame conservation, monotonic totals).
+// node is one fleet member: an embedded server plus liveness state,
+// both in the nodeState the owner publishes.
 type node struct {
 	name     string
 	platform string
 	cfg      serve.Config // per-node server config, reused by revive
-	srv      atomic.Pointer[serve.Server]
-	state    atomic.Int32
-
-	retiredMu sync.Mutex
-	retired   []*serve.Server
+	st       atomic.Pointer[nodeState]
 }
 
-func (n *node) server() *serve.Server { return n.srv.Load() }
+// nodeState is one published version of a node. Reviving a killed node
+// installs a fresh incarnation and retires the dead one — kept, not
+// dropped, because its stranded sessions and counters stay part of the
+// fleet's accounting (frame conservation, monotonic totals).
+type nodeState struct {
+	state   int32
+	srv     *serve.Server
+	retired []*serve.Server
+}
+
+func (n *node) server() *serve.Server { return n.st.Load().srv }
+func (n *node) state() int32          { return n.st.Load().state }
+func (n *node) alive() bool           { return n.state() == stateUp }
+
+// set publishes the node's next state; the owner mutex must be held.
+func (n *node) set(state int32, srv *serve.Server, retired []*serve.Server) {
+	n.st.Store(&nodeState{state: state, srv: srv, retired: retired})
+}
 
 // incarnations returns every server the node has run, retired first,
 // current last.
 func (n *node) incarnations() []*serve.Server {
-	n.retiredMu.Lock()
-	out := append([]*serve.Server(nil), n.retired...)
-	n.retiredMu.Unlock()
-	return append(out, n.server())
+	st := n.st.Load()
+	return append(slices.Clip(st.retired), st.srv)
 }
 
-func (n *node) alive() bool { return n.state.Load() == stateUp }
 func (n *node) stateName() string {
-	switch n.state.Load() {
+	switch n.state() {
 	case stateDraining:
 		return "draining"
 	case stateDead:
@@ -225,11 +220,14 @@ func (n *node) stateName() string {
 	return "up"
 }
 
-// route maps a fleet-wide session ID to its current owner.
+// route maps a fleet-wide session ID to its current owner. A published
+// route is never modified; a change publishes a copy.
 type route struct {
 	extID   string
+	seq     uint64 // creation order
 	cfg     serve.SessionConfig
 	node    *node
+	srv     *serve.Server // the node incarnation holding the session
 	localID string
 	closed  bool
 	// buddy is the node holding the session's replicated journal
@@ -237,30 +235,94 @@ type route struct {
 	// node is alive). Re-resolved on every replicated chunk so it
 	// tracks fleet membership changes.
 	buddy *node
-	// repMu serializes the route's replication traffic — chunk and
-	// result appends, buddy re-homes, the final drop on close —
-	// against the failover/migration sweeps, which hold it across
-	// take/replay/commit. An in-flight replication therefore either
-	// lands before the sweep takes the replica log (and replays) or
-	// runs after the commit and sees the bumped epoch.
-	repMu sync.Mutex
-	// epoch counts ownership flips (failover, drain, rebalance).
-	// Replication captured under an older epoch is dropped instead of
-	// appended: a chunk ingested into a node that died before its
-	// replication ran must not strand a stale old-incarnation entry in
-	// the buddy store, where a later failover would replay it into the
-	// wrong incarnation. Guarded by Cluster.mu.
-	epoch uint64
 	// shedFrames accumulates ingest-queue frames lost to kill-failovers
-	// of this session, surfaced so clients can account for the gap.
-	shedFrames uint64
-	// recoveredFrames accumulates frames regenerated by replaying the
-	// replicated journal after kill-failovers of this session.
-	recoveredFrames uint64
-	failovers       int
+	// of this session, surfaced so clients can account for the gap;
+	// recoveredFrames the frames framed again on a new owner after them,
+	// by replaying the replicated journal or by re-sending a chunk the
+	// dead owner took after its failover took the replica log.
+	shedFrames, recoveredFrames uint64
+	failovers                   int
 	// migrations counts load-driven moves to another node (graceful —
 	// nothing shed, but per-session counters restart like a failover).
 	migrations int
+}
+
+// dead reports whether the node incarnation holding rt's session has
+// died: its node is dead, or was revived with a fresh server since.
+func (rt *route) dead() bool {
+	st := rt.node.st.Load()
+	return st.state == stateDead || st.srv != rt.srv
+}
+
+// localKey names an open route by its owner and node-local session ID.
+type localKey struct {
+	node    *node
+	localID string
+}
+
+// table is one published version of the routing state.
+type table struct {
+	// epoch is the version: every change the owner applies publishes
+	// the next one.
+	epoch uint64
+	// open holds the open routes by fleet ID and local the same routes
+	// by owner and local session ID; closed holds the newest
+	// serve.MaxClosed closed ones, oldest first.
+	open   map[string]*route
+	local  map[localKey]*route
+	closed []*route
+	// The fleet's monotonic failover accounting, counted when a move
+	// happens, so closing or evicting a route never lowers it.
+	failovers, shed, recovered, lost, migrations uint64
+}
+
+// lookup returns extID's route, open or among the newest closed ones.
+func (t *table) lookup(extID string) *route {
+	if rt := t.open[extID]; rt != nil {
+		return rt
+	}
+	for _, rt := range t.closed {
+		if rt.extID == extID {
+			return rt
+		}
+	}
+	return nil
+}
+
+// opened returns the open routes on n, or on every node when n is nil,
+// in creation order.
+func (t *table) opened(n *node) []*route {
+	var out []*route
+	for _, rt := range t.open {
+		if n == nil || rt.node == n {
+			out = append(out, rt)
+		}
+	}
+	slices.SortFunc(out, func(a, b *route) int { return cmp.Compare(a.seq, b.seq) })
+	return out
+}
+
+// put replaces old (nil for a new route) with rt. The closed list is
+// shared with older versions: it is only appended to past its length
+// or copied before a write.
+func (t *table) put(old, rt *route) {
+	if old != nil && !old.closed {
+		delete(t.open, old.extID)
+		delete(t.local, localKey{old.node, old.localID})
+	}
+	switch {
+	case !rt.closed:
+		t.open[rt.extID] = rt
+		t.local[localKey{rt.node, rt.localID}] = rt
+	case old != nil && old.closed:
+		t.closed = slices.Clone(t.closed)
+		t.closed[slices.Index(t.closed, old)] = rt
+	default:
+		t.closed = append(slices.Clip(t.closed), rt)
+		if len(t.closed) > serve.MaxClosed {
+			t.closed = t.closed[1:]
+		}
+	}
 }
 
 // Cluster is the sharded serving fleet: embedded nodes plus the
@@ -271,31 +333,12 @@ type Cluster struct {
 	nodes []*node
 	start time.Time
 
-	// mu guards the routing table; migMu serializes failover and drain
-	// migrations so a node's sessions move exactly once; adminMu
-	// serializes node state transitions (kill/drain/revive/undrain) so
-	// concurrent admin requests cannot interleave a transition — e.g.
-	// two revives double-building servers, or a drain/undrain pair
-	// leaving the node up but refusing sessions.
-	mu      sync.Mutex
-	routes  map[string]*route
-	order   []string // external IDs in creation order
-	migMu   sync.Mutex
-	adminMu sync.Mutex
+	// owner serializes every change to the routing state and to the
+	// nodes' states; tab is the published routing table.
+	owner sync.Mutex
+	tab   atomic.Pointer[table]
 
-	nextID       atomic.Uint64
-	lostSessions atomic.Uint64
-	migrations   atomic.Uint64
-
-	// Failover accounting lives on the routes (live counters) plus the
-	// monotonic closed roll-up below, all guarded by mu: when a
-	// failed-over session closes, its counters move from the live sum
-	// into closed* in the same critical section, so the fleet totals
-	// (evcluster_failover_*_total) can never under-count across a close
-	// — the bug scattered per-snapshot accounting had.
-	closedFailovers uint64
-	closedShed      uint64
-	closedRecovered uint64
+	nextID atomic.Uint64
 
 	// rebalancer gates load-driven migrations (nil when disabled). It
 	// consumes the same node-load signals placement uses, in wall-time
@@ -332,10 +375,10 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		cfg:       cfg,
-		routes:    map[string]*route{},
 		start:     time.Now(),
 		probeStop: make(chan struct{}),
 	}
+	c.tab.Store(&table{open: map[string]*route{}, local: map[localKey]*route{}})
 	if cfg.Node.Trace.Enabled {
 		tcfg := cfg.Node.Trace
 		tcfg.Node = "router"
@@ -386,7 +429,7 @@ func New(cfg Config) (*Cluster, error) {
 			c.closeNodes()
 			return nil, fmt.Errorf("cluster: node %s: %w", name, err)
 		}
-		n.srv.Store(srv)
+		n.set(stateUp, srv, nil)
 		c.nodes = append(c.nodes, n)
 	}
 	if cfg.ProbeInterval > 0 {
@@ -396,13 +439,21 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
+// servers returns every server incarnation of every node, in node
+// order, retired ones first.
+func (c *Cluster) servers() []*serve.Server {
+	var out []*serve.Server
+	for _, n := range c.nodes {
+		out = append(out, n.incarnations()...)
+	}
+	return out
+}
+
 // closeNodes stops every constructed node (New error paths, Close),
 // retired incarnations included.
 func (c *Cluster) closeNodes() {
-	for _, n := range c.nodes {
-		for _, srv := range n.incarnations() {
-			srv.Close()
-		}
+	for _, srv := range c.servers() {
+		srv.Close()
 	}
 }
 
@@ -431,11 +482,9 @@ func (c *Cluster) WriteTrace(w io.Writer) error {
 		return fmt.Errorf("cluster: tracing disabled (set Node.Trace.Enabled)")
 	}
 	tracers := []*obs.Tracer{c.tracer}
-	for _, n := range c.nodes {
-		for _, srv := range n.incarnations() {
-			if t := srv.Tracer(); t != nil {
-				tracers = append(tracers, t)
-			}
+	for _, srv := range c.servers() {
+		if t := srv.Tracer(); t != nil {
+			tracers = append(tracers, t)
 		}
 	}
 	return obs.WriteChrome(w, tracers...)
@@ -449,11 +498,9 @@ func (c *Cluster) StageHists() []obs.HistSnapshot {
 		return nil
 	}
 	var all [][]obs.HistSnapshot
-	for _, n := range c.nodes {
-		for _, srv := range n.incarnations() {
-			if h := srv.StageHists(); h != nil {
-				all = append(all, h)
-			}
+	for _, srv := range c.servers() {
+		if h := srv.StageHists(); h != nil {
+			all = append(all, h)
 		}
 	}
 	return obs.MergeHists(all...)
@@ -483,14 +530,15 @@ func (c *Cluster) probeLoop(interval time.Duration) {
 }
 
 // ProbeNow runs one health-probe pass: any dead or draining node that
-// still owns routed sessions has them moved to surviving nodes (a
-// create can race a kill or drain and land on a node the migration
-// sweep already missed), then the load rebalancer gets one decision.
+// still owns routed sessions has them moved to surviving nodes, then
+// the load rebalancer gets one decision.
 func (c *Cluster) ProbeNow() {
+	c.owner.Lock()
+	defer c.owner.Unlock()
 	for _, n := range c.nodes {
-		switch n.state.Load() {
+		switch n.state() {
 		case stateDead:
-			c.failoverNode(n)
+			c.migrate(n, false)
 		case stateDraining:
 			c.migrate(n, true)
 		}
@@ -542,9 +590,9 @@ func (c *Cluster) maybeRebalance() {
 
 // migrateForLoad picks the session on the hottest node whose move to
 // the coldest node most reduces the fleet's maximum utilization, and
-// moves it gracefully (close on hot — queued frames execute — then
-// re-create on cold under the same fleet-wide ID). Returns false when
-// no move strictly improves the balance.
+// moves it gracefully (re-create on cold under the same fleet-wide ID,
+// then close on hot — queued frames execute). Returns false when no
+// move strictly improves the balance. The owner mutex must be held.
 func (c *Cluster) migrateForLoad(alive []*node, loads []serve.NodeLoad) bool {
 	hot, cold := 0, 0
 	for i := range alive {
@@ -559,22 +607,10 @@ func (c *Cluster) migrateForLoad(alive []*node, loads []serve.NodeLoad) bool {
 		return false
 	}
 	hotN, coldN := alive[hot], alive[cold]
-	hotSrv, coldSrv := hotN.server(), coldN.server()
-
-	c.mu.Lock()
-	var candidates []*route
-	for _, id := range c.order {
-		rt := c.routes[id]
-		if rt.node == hotN && !rt.closed {
-			candidates = append(candidates, rt)
-		}
-	}
-	c.mu.Unlock()
-
 	curMax := loads[hot].Utilization
 	var best *route
 	bestMax := curMax
-	for _, rt := range candidates {
+	for _, rt := range c.tab.Load().opened(hotN) {
 		net, err := nn.ByName(rt.cfg.Network)
 		if err != nil {
 			continue
@@ -594,60 +630,54 @@ func (c *Cluster) migrateForLoad(alive []*node, loads []serve.NodeLoad) bool {
 	if best == nil {
 		return false
 	}
-
-	// Serialize with failover/drain sweeps so a session moves once.
-	c.migMu.Lock()
-	defer c.migMu.Unlock()
-	c.mu.Lock()
-	stillOurs := best.node == hotN && !best.closed
-	oldID := best.localID
-	c.mu.Unlock()
-	if !stillOurs {
-		return false
-	}
 	// Create-then-commit-then-close: the route flips to the new owner
 	// before the old session closes, so concurrent ingest never lands in
 	// a window where neither node owns the stream, and a failed create
 	// leaves the session running on the hot node untouched.
+	coldSrv := coldN.server()
 	sess, err := coldSrv.CreateSession(best.cfg)
 	if err != nil {
 		return false
 	}
-	// The commit and the replica drop run under the route's replication
-	// mutex: an in-flight replication for the hot incarnation either
-	// lands before the drop (and is dropped with the rest) or waits and
-	// then sees the bumped epoch.
-	best.repMu.Lock()
-	c.mu.Lock()
-	if best.closed || best.node != hotN || best.localID != oldID {
-		// A client close (or another sweep) won the race; undo ours.
-		c.mu.Unlock()
-		best.repMu.Unlock()
-		_, _ = coldSrv.CloseSession(sess.ID)
-		return false
-	}
-	best.epoch++
-	best.node = coldN
-	best.localID = sess.ID
-	best.migrations++
-	prevBuddy := best.buddy
-	best.buddy = nil
-	c.mu.Unlock()
-	if prevBuddy != nil && prevBuddy.state.Load() != stateDead {
-		// Stale replicas: the old incarnation's journal closes below with
-		// every queued frame executed; its entries must not replay into
-		// the re-created session.
-		prevBuddy.server().ReplicaDrop(best.extID)
-	}
-	best.repMu.Unlock()
+	moved := *best
+	moved.node, moved.srv, moved.localID, moved.buddy = coldN, coldSrv, sess.ID, nil
+	moved.migrations++
+	t := c.commit(func(t *table) {
+		t.put(best, &moved)
+		t.migrations++
+	})
+	// Stale replicas: the old incarnation's journal closes below with
+	// every queued frame executed; its entries must not replay into the
+	// re-created session.
+	c.dropReplicas(best, t.epoch)
 	// Graceful: the old session's queued frames execute during close.
-	_, _ = hotSrv.CloseSession(oldID)
-	c.migrations.Add(1)
+	_, _ = best.srv.CloseSession(best.localID)
 	c.mark("rebalance:"+best.extID+":"+hotN.name+">"+coldN.name, 1)
 	return true
 }
 
-// Node returns a fleet member by name.
+// commit publishes a copy of the routing table, changed by fn, as the
+// next epoch and returns it. The owner mutex must be held.
+func (c *Cluster) commit(fn func(t *table)) *table {
+	old := c.tab.Load()
+	t := *old
+	t.epoch++
+	t.open = maps.Clone(old.open)
+	t.local = maps.Clone(old.local)
+	fn(&t)
+	c.tab.Store(&t)
+	return &t
+}
+
+// dropReplicas discards rt's replica log on its buddy, fencing it at
+// epoch.
+func (c *Cluster) dropReplicas(rt *route, epoch uint64) {
+	if rt.buddy != nil && rt.buddy.state() != stateDead {
+		rt.buddy.server().ReplicaDrop(rt.extID, epoch)
+	}
+}
+
+// nodeByName returns a fleet member by name.
 func (c *Cluster) nodeByName(name string) (*node, error) {
 	for _, n := range c.nodes {
 		if n.name == name {
@@ -662,16 +692,18 @@ func (c *Cluster) nodeByName(name string) (*node, error) {
 // probe (or any request that hits the dead route) fails its sessions
 // over to surviving nodes and counts the shed frames.
 func (c *Cluster) KillNode(name string) error {
-	c.adminMu.Lock()
-	defer c.adminMu.Unlock()
+	c.owner.Lock()
+	defer c.owner.Unlock()
 	n, err := c.nodeByName(name)
 	if err != nil {
 		return err
 	}
-	if n.state.Swap(stateDead) == stateDead {
+	st := n.st.Load()
+	if st.state == stateDead {
 		return fmt.Errorf("cluster: node %q already dead", name)
 	}
-	n.server().Close()
+	n.set(stateDead, st.srv, st.retired)
+	st.srv.Close()
 	c.mark("kill:"+name, 1)
 	return nil
 }
@@ -683,25 +715,22 @@ func (c *Cluster) KillNode(name string) error {
 // its stranded sessions and counters stay part of the fleet's
 // accounting, exactly like the pre-revive corpse did.
 func (c *Cluster) ReviveNode(name string) error {
-	c.adminMu.Lock()
-	defer c.adminMu.Unlock()
+	c.owner.Lock()
+	defer c.owner.Unlock()
 	n, err := c.nodeByName(name)
 	if err != nil {
 		return err
 	}
-	if n.state.Load() != stateDead {
+	if n.state() != stateDead {
 		return fmt.Errorf("cluster: node %q is %s, not dead", name, n.stateName())
 	}
-	c.failoverNode(n)
+	c.migrate(n, false)
 	srv, err := serve.New(n.cfg)
 	if err != nil {
 		return fmt.Errorf("cluster: reviving node %s: %w", name, err)
 	}
-	old := n.srv.Swap(srv)
-	n.retiredMu.Lock()
-	n.retired = append(n.retired, old)
-	n.retiredMu.Unlock()
-	n.state.Store(stateUp)
+	st := n.st.Load()
+	n.set(stateUp, srv, append(slices.Clip(st.retired), st.srv))
 	c.mark("revive:"+name, 1)
 	return nil
 }
@@ -710,16 +739,18 @@ func (c *Cluster) ReviveNode(name string) error {
 // sessions again. Sessions drained off it earlier stay where they
 // landed; placement repopulates the node as traffic arrives.
 func (c *Cluster) UndrainNode(name string) error {
-	c.adminMu.Lock()
-	defer c.adminMu.Unlock()
+	c.owner.Lock()
+	defer c.owner.Unlock()
 	n, err := c.nodeByName(name)
 	if err != nil {
 		return err
 	}
-	if !n.state.CompareAndSwap(stateDraining, stateUp) {
+	st := n.st.Load()
+	if st.state != stateDraining {
 		return fmt.Errorf("cluster: node %q is %s, not draining", name, n.stateName())
 	}
-	n.server().SetDraining(false)
+	n.set(stateUp, st.srv, st.retired)
+	st.srv.SetDraining(false)
 	c.mark("undrain:"+name, 1)
 	return nil
 }
@@ -729,236 +760,135 @@ func (c *Cluster) UndrainNode(name string) error {
 // queued frames execute — nothing is shed) and re-created on a
 // surviving node under the same config, keeping its fleet-wide ID.
 func (c *Cluster) DrainNode(name string) error {
-	c.adminMu.Lock()
-	defer c.adminMu.Unlock()
+	c.owner.Lock()
+	defer c.owner.Unlock()
 	n, err := c.nodeByName(name)
 	if err != nil {
 		return err
 	}
-	if !n.state.CompareAndSwap(stateUp, stateDraining) {
+	st := n.st.Load()
+	if st.state != stateUp {
 		return fmt.Errorf("cluster: node %q is %s", name, n.stateName())
 	}
-	n.server().SetDraining(true)
+	n.set(stateDraining, st.srv, st.retired)
+	st.srv.SetDraining(true)
 	c.mark("drain:"+name, 1)
 	c.migrate(n, true)
 	return nil
 }
 
-// failoverNode moves every session still routed to the dead node onto
-// survivors. Safe to call repeatedly and concurrently.
-func (c *Cluster) failoverNode(n *node) {
-	c.migrate(n, false)
-}
-
-// migrate moves the node's routed sessions elsewhere. graceful closes
-// each session on the old node first (drain: queued frames execute).
-// Otherwise the old node is dead: when its unacknowledged journal
-// entries survive on a buddy, the session resumes there (or on a
-// placed survivor when the buddy cannot host) — the chunk entries
-// replay through the normal ingest path and the queued frames are
-// recovered; without a replica (journal off, buddy dead, nothing
-// unacknowledged) the dead node's queued frames are shed.
+// migrate moves the node's routed sessions elsewhere, in creation
+// order. graceful closes each session on the old node first (drain:
+// queued frames execute). Otherwise the old node is dead: when its
+// unacknowledged journal entries survive on a buddy, the session
+// resumes there (or on a placed survivor when the buddy cannot host) —
+// the chunk entries replay through the normal ingest path and the
+// queued frames are recovered; without a replica (journal off, buddy
+// dead, nothing unacknowledged) the dead node's queued frames are shed.
+// The owner mutex must be held.
 func (c *Cluster) migrate(n *node, graceful bool) {
-	c.migMu.Lock()
-	defer c.migMu.Unlock()
-	srv := n.server()
-	c.mu.Lock()
-	var affected []*route
-	for _, id := range c.order {
-		rt := c.routes[id]
-		if rt.node == n && !rt.closed {
-			affected = append(affected, rt)
-		}
-	}
-	c.mu.Unlock()
-	for _, rt := range affected {
-		c.moveRoute(rt, n, srv, graceful)
+	for _, rt := range c.tab.Load().opened(n) {
+		c.moveRoute(rt, graceful)
 	}
 }
 
-// moveRoute moves one route off n (dead or draining). It holds the
-// route's replication mutex for the whole move, so an in-flight
-// replication either finishes before the replica log is taken here
-// (and its entry replays) or waits and then observes the epoch this
-// commit bumps — a late append can never strand a stale
-// old-incarnation entry in the buddy store.
-func (c *Cluster) moveRoute(rt *route, n *node, srv *serve.Server, graceful bool) {
+// moveRoute moves one open route off its dead or draining node. The
+// owner mutex must be held.
+func (c *Cluster) moveRoute(rt *route, graceful bool) {
 	var shed uint64
 	if graceful {
-		// The graceful close runs before repMu is taken: it drains the
-		// session's queued frames, and their completions fire the
-		// result-replication hook, which needs repMu itself — holding
-		// it across the close would deadlock. Any entries the drain
-		// replicates are dropped with the rest of the stale log below.
-		c.mu.Lock()
-		localID := rt.localID
-		ours := rt.node == n && !rt.closed
-		c.mu.Unlock()
-		if !ours {
-			return
-		}
-		if _, err := srv.CloseSession(localID); err != nil {
-			// The session may have raced a client close; count what
-			// its queue still held and move on.
-			if snap, serr := srv.Snapshot(localID); serr == nil {
+		// The close drains the session's queued frames; their results
+		// replicate to the buddy and are dropped with the rest of the
+		// stale log below.
+		if _, err := rt.srv.CloseSession(rt.localID); err != nil {
+			// The session may have been closed on the node already; count
+			// what its queue still held and move on.
+			if snap, serr := rt.srv.Snapshot(rt.localID); serr == nil {
 				shed = uint64(snap.QueueLen)
 			}
 		}
+	} else if snap, err := rt.srv.Snapshot(rt.localID); err == nil {
+		// Dead node: whatever sat in the ingest queue is lost unless the
+		// journal replica below recovers it.
+		shed = uint64(snap.QueueLen)
 	}
-	rt.repMu.Lock()
-	c.mu.Lock()
-	if rt.node != n || rt.closed {
-		// A client close (or another sweep) resolved the route while we
-		// waited on repMu; nothing left to move.
-		c.mu.Unlock()
-		rt.repMu.Unlock()
-		return
-	}
-	localID := rt.localID
-	buddy := rt.buddy
-	c.mu.Unlock()
-
-	if !graceful {
-		if snap, err := srv.Snapshot(localID); err == nil {
-			// Dead node: whatever sat in the ingest queue is lost unless
-			// the journal replica below recovers it.
-			shed = uint64(snap.QueueLen)
-		}
-	}
-	// Pull the replicated journal off the buddy before placing: a
-	// kill-failover with surviving entries resumes on the buddy itself
-	// when it can host, so replay normally never crosses another
-	// network hop. A draining buddy still holds the replicas — take
-	// them; only the new session lands elsewhere.
+	// Pull the replicated journal off the buddy before placing, fenced
+	// at the epoch this move publishes: a kill-failover with surviving
+	// entries resumes on the buddy itself when it can host, so replay
+	// normally never crosses another network hop. A draining buddy
+	// still holds the replicas — take them; only the new session lands
+	// elsewhere.
 	var entries []serve.ReplicaEntry
-	if !graceful && buddy != nil && buddy.state.Load() != stateDead {
-		entries = buddy.server().ReplicaTake(rt.extID)
+	if !graceful && rt.buddy != nil && rt.buddy.state() != stateDead {
+		entries = rt.buddy.server().ReplicaTake(rt.extID, c.tab.Load().epoch+1)
 	}
 	var target *node
 	var sess *serve.Session
-	if len(entries) > 0 && buddy.alive() {
-		if s2, err := buddy.server().CreateSession(rt.cfg); err == nil {
-			target, sess = buddy, s2
+	if len(entries) > 0 && rt.buddy.alive() {
+		if s2, err := rt.buddy.server().CreateSession(rt.cfg); err == nil {
+			target, sess = rt.buddy, s2
 		}
-		// A buddy that cannot host (raced into draining or overload)
-		// falls through to placement: the replicas are already in hand,
-		// replay just crosses one extra hop instead of losing the
-		// session.
+		// A buddy that cannot host (draining or overloaded) falls through
+		// to placement: the replicas are already in hand, replay just
+		// crosses one extra hop instead of losing the session.
 	}
 	if target == nil {
-		if placed, err := c.place(rt.extID, n); err == nil {
+		if placed, err := c.place(rt.extID, rt.node); err == nil {
 			if s2, cerr := placed.server().CreateSession(rt.cfg); cerr == nil {
 				target, sess = placed, s2
 			}
 		}
 	}
+	moved := *rt
 	if target == nil {
 		// No survivor can host the session: it is gone, along with
 		// whatever the replicas could have recovered.
-		c.mu.Lock()
-		rt.epoch++
-		rt.shedFrames += shed
-		c.terminateRouteLocked(rt, shed)
-		c.mu.Unlock()
-		rt.repMu.Unlock()
-		c.lostSessions.Add(1)
+		moved.closed = true
+		moved.shedFrames += shed
+		c.commit(func(t *table) {
+			t.put(rt, &moved)
+			t.shed += shed
+			t.lost++
+		})
 		return
 	}
-	// Replay before committing the route: the new session is only
-	// reachable through this sweep until the route flips, so the
-	// replayed chunks re-enter ingest strictly before any new client
-	// chunk — preserving the session's watermark ordering.
+	// Replay before publishing the move: the new session is reachable
+	// only through this sweep until then, so the replayed chunks
+	// re-enter ingest strictly before any new client chunk — preserving
+	// the session's watermark ordering.
 	var recovered uint64
 	if len(entries) > 0 {
 		shed = 0
 		recovered = target.server().Replay(sess.ID, entries)
 	}
-	c.mu.Lock()
-	if rt.closed {
-		// A client close landed while we re-created the session:
-		// undo the new copy instead of committing an orphan the
-		// fleet's load signal would count forever. The route's
-		// counters were already folded by that close, so the late
-		// shed goes straight into the closed roll-up. The close runs
-		// after repMu is released: it pumps the target's scheduler, whose
-		// completions fire the result hook, which takes repMu.
-		rt.shedFrames += shed
-		c.closedShed += shed
-		c.mu.Unlock()
-		rt.repMu.Unlock()
-		_, _ = target.server().CloseSession(sess.ID)
-		return
-	}
-	prevBuddy := rt.buddy
-	rt.epoch++
-	rt.node = target
-	rt.localID = sess.ID
-	rt.buddy = nil // entries consumed; next ingest re-homes the replica
-	rt.shedFrames += shed
-	rt.recoveredFrames += recovered
-	rt.failovers++
-	c.mu.Unlock()
-	if graceful && prevBuddy != nil && prevBuddy.state.Load() != stateDead {
+	moved.node, moved.srv, moved.localID, moved.buddy = target, target.server(), sess.ID, nil
+	moved.shedFrames += shed
+	moved.recoveredFrames += recovered
+	moved.failovers++
+	t := c.commit(func(t *table) {
+		t.put(rt, &moved)
+		t.failovers++
+		t.shed += shed
+		t.recovered += recovered
+	})
+	if graceful {
 		// A graceful move executed every queued frame during close; the
 		// old incarnation's replica entries are stale (their sequence
-		// numbers belong to the closed journal) and must not replay
-		// into the re-created session later.
-		prevBuddy.server().ReplicaDrop(rt.extID)
+		// numbers belong to the closed journal).
+		c.dropReplicas(rt, t.epoch)
 	}
-	rt.repMu.Unlock()
 	// Annotate the move on the fleet track: a graceful migration shed
 	// nothing, a replayed kill-failover carries the frames it
 	// recovered, a bare kill-failover the frames it lost.
+	move := rt.extID + ":" + rt.node.name + ">" + target.name
 	switch {
 	case graceful:
-		c.mark("migrate:"+rt.extID+":"+n.name+">"+target.name, int64(shed))
-	case recovered > 0 || len(entries) > 0:
-		c.mark("replay:"+rt.extID+":"+n.name+">"+target.name, int64(recovered))
+		c.mark("migrate:"+move, int64(shed))
+	case len(entries) > 0:
+		c.mark("replay:"+move, int64(recovered))
 	default:
-		c.mark("failover:"+rt.extID+":"+n.name+">"+target.name, int64(shed))
+		c.mark("failover:"+move, int64(shed))
 	}
-}
-
-// terminateRouteLocked folds a terminating route's failover counters
-// into the monotonic closed roll-up; callers hold c.mu and must have
-// applied any final shed to rt before calling. Safe against a
-// concurrent client close: if the route is already closed (and hence
-// already folded), only the late shed delta is added.
-func (c *Cluster) terminateRouteLocked(rt *route, lateShed uint64) {
-	if rt.closed {
-		c.closedShed += lateShed
-		return
-	}
-	rt.closed = true
-	c.foldClosedLocked(rt)
-}
-
-// foldClosedLocked moves a route's failover counters from the live sum
-// into the closed roll-up; called exactly once, under c.mu, when
-// rt.closed flips to true.
-func (c *Cluster) foldClosedLocked(rt *route) {
-	c.closedFailovers += uint64(rt.failovers)
-	c.closedShed += rt.shedFrames
-	c.closedRecovered += rt.recoveredFrames
-}
-
-// failoverCounts sums the fleet's monotonic failover accounting: the
-// closed roll-up plus every open route's live counters, read in one
-// critical section so a closing session can never be counted in
-// neither (an under-count) or both (a double count).
-func (c *Cluster) failoverCounts() (sessions, shed, recovered uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sessions, shed, recovered = c.closedFailovers, c.closedShed, c.closedRecovered
-	for _, rt := range c.routes {
-		if rt.closed {
-			continue
-		}
-		sessions += uint64(rt.failovers)
-		shed += rt.shedFrames
-		recovered += rt.recoveredFrames
-	}
-	return sessions, shed, recovered
 }
 
 // buddyFor resolves a session owner's deterministic replication buddy:
@@ -981,87 +911,87 @@ func (c *Cluster) buddyFor(owner *node) *node {
 	return nil
 }
 
-// replicate copies one journaled chunk to the session's buddy node and
-// trims the replica log to the chunk's ack watermark. When the buddy
-// changed since the last chunk (fleet membership moved), surviving
-// entries re-home to the new buddy first so the unacknowledged window
-// stays whole on one node. The whole exchange runs under the route's
-// replication mutex: re-home plus append is atomic against concurrent
-// appends, and a failover sweep that won the race has already bumped
-// the epoch — the stale chunk is dropped (its frames are counted shed
-// by the sweep's snapshot) instead of stranding an old-incarnation
-// entry that a later failover would replay.
-func (c *Cluster) replicate(rt *route, owner *node, epoch uint64, chunk serve.Chunk, res serve.IngestResult) {
+// replicate copies one journaled chunk, ingested into rt as table t
+// routed it, to the session's buddy, trimming the replica log to the
+// chunk's ack watermark. When fleet membership moved the buddy, or the
+// buddy refused the append because its log was taken or dropped since t,
+// the owner re-homes the route first and the append goes where the
+// route now points. It reports false, storing nothing, when rt's
+// incarnation has moved or closed: the chunk belongs to a superseded
+// incarnation.
+func (c *Cluster) replicate(t *table, rt *route, chunk serve.Chunk, res serve.IngestResult) bool {
 	entry, err := serve.ChunkReplica(res.Seq, chunk)
 	if err != nil {
-		return
+		return true
 	}
-	rt.repMu.Lock()
-	defer rt.repMu.Unlock()
-	buddy := c.buddyFor(owner)
-	c.mu.Lock()
-	if rt.epoch != epoch || rt.closed {
-		// The route flipped (failover, migration) or closed after this
-		// chunk was ingested; its journal entry belongs to the dead
-		// incarnation.
-		c.mu.Unlock()
-		return
+	for refused := false; ; refused = true {
+		if refused || rt.buddy != c.buddyFor(rt.node) {
+			if t, rt = c.rehome(rt); rt == nil {
+				return false
+			}
+		}
+		if rt.buddy == nil || rt.buddy.server().ReplicaAppend(rt.extID, entry, res.AckSeq, t.epoch) {
+			return true
+		}
 	}
-	prev := rt.buddy
-	rt.buddy = buddy
-	extID := rt.extID
-	c.mu.Unlock()
-	if prev != nil && prev != buddy && prev.state.Load() != stateDead {
-		moved := prev.server().ReplicaTake(extID)
-		if buddy != nil {
-			for _, e := range moved {
-				buddy.server().ReplicaAppend(extID, e, 0)
+}
+
+// rehome points rt's replicas at its owner's current buddy, moving the
+// surviving entries there, and returns the table and route as they now
+// stand: a nil route when rt's incarnation has moved or closed.
+func (c *Cluster) rehome(rt *route) (*table, *route) {
+	c.owner.Lock()
+	defer c.owner.Unlock()
+	t := c.tab.Load()
+	cur := t.open[rt.extID]
+	if cur == nil || cur.srv != rt.srv || cur.localID != rt.localID {
+		return t, nil
+	}
+	buddy := c.buddyFor(cur.node)
+	if buddy == cur.buddy {
+		return t, cur
+	}
+	next := *cur
+	next.buddy = buddy
+	t = c.commit(func(t *table) { t.put(cur, &next) })
+	// Publish first, then take: an append routed by the old table either
+	// lands before the take and moves with the log, or is refused.
+	if prev := cur.buddy; prev != nil && prev.state() != stateDead {
+		for _, e := range prev.server().ReplicaTake(cur.extID, t.epoch) {
+			if buddy != nil {
+				buddy.server().ReplicaAppend(cur.extID, e, 0, t.epoch)
 			}
 		}
 	}
-	if buddy == nil {
-		return
-	}
-	buddy.server().ReplicaAppend(extID, entry, res.AckSeq)
-	if prev != buddy {
+	if buddy != nil {
 		// Buddy (re)assignment is rare — mark it; per-chunk appends are
 		// far too hot for the bounded ctl ring.
-		c.mark("replicate:"+extID+">"+buddy.name, 1)
+		c.mark("replicate:"+cur.extID+">"+buddy.name, 1)
 	}
+	return t, &next
 }
 
 // resultHook builds node n's serve.Config.OnResult callback: it maps
 // the node-local session back to its fleet route and ships the result
 // to the route's buddy, carrying the session's sequence watermark —
-// and the catch-up ring contents — across a future failover. Results follow the chunks' buddy (rt.buddy, set by
-// replicate) so the whole journal survives together on one node; a
-// result that outruns its session's first replicated chunk is simply
-// skipped, the next append carries the watermark forward.
+// and the catch-up ring contents — across a future failover. Results
+// follow the chunks' buddy so the whole journal survives together on
+// one node; a result that outruns its session's first replicated chunk
+// is skipped, the next append carries the watermark forward. A node
+// close fires the hook on the closing goroutine, under the owner mutex
+// when the owner closes, so the hook reads the published table and
+// takes no lock; a refused append retries on the newer table the take
+// or drop that refused it published.
 func (c *Cluster) resultHook(n *node) func(string, serve.ResultEvent, uint64) {
 	return func(localID string, ev serve.ResultEvent, ackSeq uint64) {
-		c.mu.Lock()
-		var rt *route
-		for _, r := range c.routes {
-			if r.node == n && r.localID == localID && !r.closed {
-				rt = r
-				break
+		for {
+			t := c.tab.Load()
+			rt := t.local[localKey{n, localID}]
+			if rt == nil || rt.buddy == nil || rt.buddy.state() == stateDead ||
+				rt.buddy.server().ReplicaAppend(rt.extID, serve.ReplicaEntry{Seq: ev.Seq, Result: ev}, ackSeq, t.epoch) {
+				return
 			}
 		}
-		c.mu.Unlock()
-		if rt == nil {
-			return
-		}
-		rt.repMu.Lock()
-		defer rt.repMu.Unlock()
-		c.mu.Lock()
-		stale := rt.closed || rt.node != n || rt.localID != localID
-		buddy := rt.buddy
-		extID := rt.extID
-		c.mu.Unlock()
-		if stale || buddy == nil || buddy.state.Load() == stateDead {
-			return
-		}
-		buddy.server().ReplicaAppend(extID, serve.ReplicaEntry{Seq: ev.Seq, Result: ev}, ackSeq)
 	}
 }
 
@@ -1071,124 +1001,124 @@ func (c *Cluster) resultHook(n *node) func(string, serve.ResultEvent, uint64) {
 // CreateSession places a session on the fleet and returns its snapshot
 // under the fleet-wide ID.
 func (c *Cluster) CreateSession(cfg serve.SessionConfig) (serve.SessionSnapshot, error) {
-	extID := fmt.Sprintf("c%d", c.nextID.Add(1))
+	seq := c.nextID.Add(1)
+	extID := fmt.Sprintf("c%d", seq)
+	c.owner.Lock()
 	n, err := c.place(extID, nil)
 	if err != nil {
+		c.owner.Unlock()
 		return serve.SessionSnapshot{}, err
 	}
-	sess, err := n.server().CreateSession(cfg)
+	srv := n.server()
+	sess, err := srv.CreateSession(cfg)
 	if err != nil {
+		c.owner.Unlock()
 		return serve.SessionSnapshot{}, err
 	}
-	rt := &route{extID: extID, cfg: cfg, node: n, localID: sess.ID}
-	c.mu.Lock()
-	c.routes[extID] = rt
-	c.order = append(c.order, extID)
-	c.mu.Unlock()
-	// The create can race a kill/drain: placement saw the node up, but
-	// by the time the route registers the migration sweep may already
-	// have run and missed it. Re-check and move the session ourselves.
-	switch n.state.Load() {
-	case stateDead:
-		c.failoverNode(n)
-	case stateDraining:
-		c.migrate(n, true)
-	}
+	rt := &route{extID: extID, seq: seq, cfg: cfg, node: n, srv: srv, localID: sess.ID}
+	c.commit(func(t *table) { t.put(nil, rt) })
+	c.owner.Unlock()
 	return c.snapshotRoute(rt)
 }
 
-// endpoint resolves a route to its current owner, failing the owner's
-// sessions over first when it is dead (a request can race the probe).
-// A route that ended on a dead node (lost session, or closed before
-// the node died) is rejected rather than proxied: the corpse would
-// accept frames no worker will ever drain.
-func (c *Cluster) endpoint(extID string) (*node, string, *route, error) {
-	for {
-		c.mu.Lock()
-		rt, ok := c.routes[extID]
-		if !ok {
-			c.mu.Unlock()
-			return nil, "", nil, fmt.Errorf("%w: %q", serve.ErrNoSession, extID)
-		}
-		n, localID, closed := rt.node, rt.localID, rt.closed
-		c.mu.Unlock()
-		if n.state.Load() == stateDead {
-			if closed {
-				return nil, "", nil, fmt.Errorf("cluster: session %q is closed (node %s is dead)", extID, n.name)
-			}
-			c.failoverNode(n)
-			continue
-		}
-		return n, localID, rt, nil
+// route resolves a fleet-wide ID to its route and the table it was
+// resolved from, failing the owner's sessions over first when it is
+// dead (a request can race the probe).
+func (c *Cluster) route(extID string) (*table, *route, error) {
+	t := c.tab.Load()
+	if rt := t.open[extID]; rt == nil || rt.node.state() != stateDead {
+		return resolved(t, extID)
 	}
+	c.owner.Lock()
+	defer c.owner.Unlock()
+	return c.routeLocked(extID)
 }
 
-// Ingest hands one chunk to the session's owning node. A load-driven
-// migration can flip the route mid-request; when the send fails and
-// the route has moved, the same chunk retries against the new owner
-// instead of surfacing a spurious error to the client.
+// routeLocked is route for a caller that holds the owner mutex.
+func (c *Cluster) routeLocked(extID string) (*table, *route, error) {
+	if rt := c.tab.Load().open[extID]; rt != nil && rt.node.state() == stateDead {
+		c.migrate(rt.node, false)
+	}
+	return resolved(c.tab.Load(), extID)
+}
+
+// resolved returns extID's route in t. A closed route that ended on a
+// dead node (lost session, or closed before the node died) is rejected
+// rather than proxied: the corpse would accept frames no worker will
+// ever drain. An open route whose node dies after t was read is
+// returned; the dead server refuses the call, and Ingest retries.
+func resolved(t *table, extID string) (*table, *route, error) {
+	rt := t.lookup(extID)
+	if rt == nil {
+		return nil, nil, fmt.Errorf("%w: %q", serve.ErrNoSession, extID)
+	}
+	if rt.closed && rt.node.state() == stateDead {
+		return nil, nil, fmt.Errorf("cluster: session %q is closed (node %s is dead)", extID, rt.node.name)
+	}
+	return t, rt, nil
+}
+
+// Ingest hands one chunk to the session's owning node. A move can close
+// the session under the chunk; the same chunk then retries against the
+// new owner instead of surfacing a spurious error to the client.
 func (c *Cluster) Ingest(extID string, chunk serve.Chunk) (serve.IngestResult, error) {
+	stranded := false
 	for {
-		n, localID, rt, err := c.endpoint(extID)
+		t, rt, err := c.route(extID)
 		if err != nil {
 			return serve.IngestResult{}, err
 		}
-		// Capture the route's epoch before the send: if a failover sweep
-		// flips the route while the chunk is in flight, the bumped epoch
-		// tells replicate the entry belongs to the dead incarnation. A
-		// route that moved between resolution and here re-resolves; a
-		// closed route proceeds — the server owns that error, and
-		// replicate's epoch/closed check drops any journal entry.
-		c.mu.Lock()
-		epoch := rt.epoch
-		current := rt.node == n && rt.localID == localID
-		c.mu.Unlock()
-		if !current {
-			continue
-		}
-		res, err := n.server().IngestChunk(localID, chunk)
+		res, err := rt.srv.IngestChunk(rt.localID, chunk)
 		if err == nil {
 			// Router-hop annotation: which node served this chunk, and how
 			// many frames the hop produced.
-			c.mark("hop:"+rt.extID+">"+n.name, int64(res.Frames))
-			if res.Seq > 0 {
-				// Journaled chunk: replicate it to the buddy before acking
-				// the client, so a kill after this return can replay it.
-				c.replicate(rt, n, epoch, chunk, res)
+			c.mark("hop:"+rt.extID+">"+rt.node.name, int64(res.Frames))
+			// Journaled chunk: replicate it to the buddy before acking the
+			// client, so a kill after this return can replay it. When the
+			// owner died and its failover took the replica log first, the
+			// chunk is stranded in the dead incarnation: send it to the new
+			// owner instead, which recovers its frames as a replay would.
+			if res.Seq > 0 && !c.replicate(t, rt, chunk, res) && rt.dead() {
+				stranded = true
+				continue
+			}
+			if stranded {
+				c.recovered(extID, uint64(res.Frames))
 			}
 			return res, nil
 		}
-		if n.state.Load() == stateDead {
-			// The owner died between route resolution and the send (a
-			// closed server rejects ingest rather than stranding frames on
-			// the corpse); loop — endpoint fails the session over and the
-			// chunk retries against the new owner.
-			continue
-		}
-		// A drain closes the session on its owner before it moves the
-		// route, and holds migMu until the route has moved.
-		draining := n.state.Load() == stateDraining
-		if draining {
-			c.migMu.Lock()
-		}
-		c.mu.Lock()
-		moved := rt.node != n || rt.localID != localID
-		c.mu.Unlock()
-		if draining {
-			c.migMu.Unlock()
-		}
-		if !moved {
+		// The owner applies a move whole, so once it is idle the table
+		// says whether one moved this incarnation (a drain closes the
+		// session before it moves the route) or its node died under the
+		// chunk (a closed server rejects ingest); either way, retry.
+		c.owner.Lock()
+		now := c.tab.Load().lookup(extID)
+		c.owner.Unlock()
+		if now != nil && now.srv == rt.srv && now.localID == rt.localID && !rt.dead() {
 			return res, err
 		}
 	}
 }
 
+// recovered counts n frames a chunk stranded on a dead owner framed
+// again on session extID's new owner.
+func (c *Cluster) recovered(extID string, n uint64) {
+	c.owner.Lock()
+	defer c.owner.Unlock()
+	c.commit(func(t *table) {
+		if rt := t.lookup(extID); rt != nil {
+			next := *rt
+			next.recoveredFrames += n
+			t.put(rt, &next)
+		}
+		t.recovered += n
+	})
+}
+
 // Snapshot returns the session's state under its fleet-wide ID.
 func (c *Cluster) Snapshot(extID string) (serve.SessionSnapshot, error) {
-	c.mu.Lock()
-	rt, ok := c.routes[extID]
-	c.mu.Unlock()
-	if !ok {
+	rt := c.tab.Load().lookup(extID)
+	if rt == nil {
 		return serve.SessionSnapshot{}, fmt.Errorf("%w: %q", serve.ErrNoSession, extID)
 	}
 	return c.snapshotRoute(rt)
@@ -1198,41 +1128,38 @@ func (c *Cluster) Snapshot(extID string) (serve.SessionSnapshot, error) {
 // the fleet view: fleet-wide ID, node name, failover accounting,
 // lost-session state.
 func (c *Cluster) snapshotRoute(rt *route) (serve.SessionSnapshot, error) {
-	c.mu.Lock()
-	n, localID, closed := rt.node, rt.localID, rt.closed
-	extID := rt.extID
-	failovers, shed, recovered, migrations := rt.failovers, rt.shedFrames, rt.recoveredFrames, rt.migrations
-	c.mu.Unlock()
-	snap, err := n.server().Snapshot(localID)
+	snap, err := rt.srv.Snapshot(rt.localID)
 	if err != nil {
-		if closed {
-			// Lost to a total failover or evicted after close: report the
-			// terminal state instead of a routing error.
-			snap = serve.SessionSnapshot{State: "closed"}
-		} else {
+		if !rt.closed {
 			return serve.SessionSnapshot{}, err
 		}
+		// Lost to a total failover or evicted on the node after close:
+		// report the terminal state instead of a routing error.
+		snap = serve.SessionSnapshot{State: "closed"}
 	}
-	snap.ID = extID
-	snap.Node = n.name
-	snap.Failovers = failovers
-	snap.FailoverShedFrames = shed
-	snap.FailoverRecoveredFrames = recovered
-	snap.Migrations = migrations
-	if closed && snap.State == "active" {
+	if rt.closed && snap.State == "active" {
 		snap.State = "closed"
 	}
-	return snap, nil
+	return rt.fleetView(snap), nil
 }
 
-// Snapshots lists every routed session in creation order.
+// fleetView rewrites a node snapshot of rt's session to the fleet view.
+func (rt *route) fleetView(snap serve.SessionSnapshot) serve.SessionSnapshot {
+	snap.ID = rt.extID
+	snap.Node = rt.node.name
+	snap.Failovers = rt.failovers
+	snap.FailoverShedFrames = rt.shedFrames
+	snap.FailoverRecoveredFrames = rt.recoveredFrames
+	snap.Migrations = rt.migrations
+	return snap
+}
+
+// Snapshots lists every routed session in creation order: the open
+// ones and the newest serve.MaxClosed closed ones.
 func (c *Cluster) Snapshots() []serve.SessionSnapshot {
-	c.mu.Lock()
-	routes := make([]*route, 0, len(c.order))
-	for _, id := range c.order {
-		routes = append(routes, c.routes[id])
-	}
-	c.mu.Unlock()
+	t := c.tab.Load()
+	routes := append(t.opened(nil), t.closed...)
+	slices.SortFunc(routes, func(a, b *route) int { return cmp.Compare(a.seq, b.seq) })
 	out := make([]serve.SessionSnapshot, 0, len(routes))
 	for _, rt := range routes {
 		snap, err := c.snapshotRoute(rt)
@@ -1245,66 +1172,45 @@ func (c *Cluster) Snapshots() []serve.SessionSnapshot {
 }
 
 // CloseSession closes the session on its owning node and returns the
-// final snapshot under the fleet-wide ID. A migration can move the
-// session while the close is in flight; the stale close lands on the
-// old (already-closed) local session, so re-resolve and close the new
-// owner too — otherwise the migrated copy would leak as an orphan.
+// final snapshot under the fleet-wide ID.
 func (c *Cluster) CloseSession(extID string) (serve.SessionSnapshot, error) {
-	var (
-		snap *serve.SessionSnapshot
-		n    *node
-		rt   *route
-	)
-	for {
-		var localID string
-		var err error
-		n, localID, rt, err = c.endpoint(extID)
-		if err != nil {
-			return serve.SessionSnapshot{}, err
-		}
-		snap, err = n.server().CloseSession(localID)
-		if err != nil {
-			return serve.SessionSnapshot{}, err
-		}
-		// Marking closed in the same critical section as the moved check
-		// makes this atomic against a migration commit: either the
-		// migration already flipped the route (we loop and close the new
-		// copy) or it will see closed and undo itself. Folding the
-		// route's failover counters into the monotonic closed roll-up in
-		// the same section keeps the fleet totals from under-counting
-		// across the close.
-		c.mu.Lock()
-		moved := rt.node != n || rt.localID != localID
-		if !moved {
-			rt.closed = true
-			c.foldClosedLocked(rt)
-		}
-		c.mu.Unlock()
-		if !moved {
-			break
-		}
+	c.owner.Lock()
+	defer c.owner.Unlock()
+	_, rt, err := c.routeLocked(extID)
+	if err != nil {
+		return serve.SessionSnapshot{}, err
 	}
-	c.mu.Lock()
-	failovers, shed, recovered, migrations := rt.failovers, rt.shedFrames, rt.recoveredFrames, rt.migrations
-	buddy := rt.buddy
-	c.mu.Unlock()
-	if buddy != nil && buddy.state.Load() != stateDead {
+	snap, err := rt.srv.CloseSession(rt.localID)
+	if err != nil {
+		return serve.SessionSnapshot{}, err
+	}
+	if !rt.closed {
+		closed := *rt
+		closed.closed = true
+		t := c.commit(func(t *table) { t.put(rt, &closed) })
 		// The session is done; its replicated journal has nothing left to
-		// recover. The drop serializes with in-flight replication so a
-		// late append cannot resurrect the log after it (the route is
-		// marked closed above, so appends arriving later skip themselves).
-		rt.repMu.Lock()
-		buddy.server().ReplicaDrop(extID)
-		rt.repMu.Unlock()
+		// recover, and the fence keeps a late append from resurrecting it.
+		c.dropReplicas(rt, t.epoch)
 	}
-	out := *snap
-	out.ID = extID
-	out.Node = n.name
-	out.Failovers = failovers
-	out.FailoverShedFrames = shed
-	out.FailoverRecoveredFrames = recovered
-	out.Migrations = migrations
-	return out, nil
+	return rt.fleetView(*snap), nil
+}
+
+// Journal reports session extID's journal as its owner keeps it and
+// every entry the fleet's live nodes hold for it in their replica
+// stores, in node order.
+func (c *Cluster) Journal(extID string) (serve.JournalStats, []serve.ReplicaEntry, error) {
+	rt := c.tab.Load().lookup(extID)
+	if rt == nil {
+		return serve.JournalStats{}, nil, fmt.Errorf("%w: %q", serve.ErrNoSession, extID)
+	}
+	var log []serve.ReplicaEntry
+	for _, n := range c.nodes {
+		if n.state() != stateDead {
+			log = append(log, n.server().ReplicaLog(extID)...)
+		}
+	}
+	st, err := rt.srv.SessionJournalStats(rt.localID)
+	return st, log, err
 }
 
 // NodeNames lists the fleet members in construction order.
@@ -1334,7 +1240,7 @@ func (c *Cluster) aliveNodes(exclude *node) []*node {
 // queues are frozen evidence for the failover accounting.
 func (c *Cluster) Pump() {
 	for _, n := range c.nodes {
-		if n.state.Load() != stateDead {
+		if n.state() != stateDead {
 			n.server().Pump()
 		}
 	}
@@ -1395,10 +1301,8 @@ func (c *Cluster) NodeStats() []NodeStats {
 // incarnation.
 func (c *Cluster) FleetTotals() serve.SessionTotals {
 	var t serve.SessionTotals
-	for _, n := range c.nodes {
-		for _, srv := range n.incarnations() {
-			t.Merge(srv.Totals())
-		}
+	for _, srv := range c.servers() {
+		t.Merge(srv.Totals())
 	}
 	return t
 }
@@ -1408,23 +1312,17 @@ func (c *Cluster) FleetTotals() serve.SessionTotals {
 // coalesced members, occupancy).
 func (c *Cluster) SchedTotals() sched.Stats {
 	var t sched.Stats
-	for _, n := range c.nodes {
-		for _, srv := range n.incarnations() {
-			t.Merge(srv.SchedStats())
-		}
+	for _, srv := range c.servers() {
+		t.Merge(srv.SchedStats())
 	}
 	return t
 }
 
 // sessionsOn counts open routed sessions per node name.
 func (c *Cluster) sessionsOn() map[string]int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	out := map[string]int{}
-	for _, rt := range c.routes {
-		if !rt.closed {
-			out[rt.node.name]++
-		}
+	for _, rt := range c.tab.Load().local {
+		out[rt.node.name]++
 	}
 	return out
 }

@@ -74,7 +74,7 @@ func newTestClusterURL(t *testing.T, cfg Config) (testCluster, func()) {
 	}
 }
 
-func specs(t *testing.T, s string) []NodeSpec {
+func specs(t testing.TB, s string) []NodeSpec {
 	t.Helper()
 	out, err := ParseNodeSpecs(s)
 	if err != nil {
@@ -482,10 +482,8 @@ func TestFailoverShedsQueuedFrames(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateSession: %v", err)
 	}
-	c.mu.Lock()
-	rt := c.routes[snap.ID]
+	rt := c.tab.Load().lookup(snap.ID)
 	owner, localID := rt.node, rt.localID
-	c.mu.Unlock()
 
 	// Queue a burst before the kill; under ManualDrain it stays queued.
 	stream := genStream(t, nn.MustByName(nn.DOTIE).Input.Preset, 3, 100_000)
@@ -559,9 +557,7 @@ func TestJournalFailoverRecoversQueuedFrames(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateSession: %v", err)
 	}
-	c.mu.Lock()
-	owner := c.routes[snap.ID].node
-	c.mu.Unlock()
+	owner := c.tab.Load().lookup(snap.ID).node
 
 	stream := genStream(t, nn.MustByName(nn.DOTIE).Input.Preset, 7, 150_000)
 	var queued uint64
@@ -642,9 +638,7 @@ func TestFailoverCountersSurviveClose(t *testing.T) {
 	if _, err := cl.SendEvents(snap.ID, stream); err != nil {
 		t.Fatalf("SendEvents: %v", err)
 	}
-	c.mu.Lock()
-	owner := c.routes[snap.ID].node
-	c.mu.Unlock()
+	owner := c.tab.Load().lookup(snap.ID).node
 	if err := c.KillNode(owner.name); err != nil {
 		t.Fatalf("KillNode: %v", err)
 	}
@@ -680,6 +674,87 @@ func TestFailoverCountersSurviveClose(t *testing.T) {
 	}
 }
 
+// TestRouteHistoryBounded: the route table does not grow with the
+// session history. After 4 x serve.MaxClosed create/close cycles it
+// holds the open routes plus at most MaxClosed closed ones; the fleet's
+// failover totals, in Health and in /metrics, keep counting a
+// failed-over session whose route was evicted; and a GET of the evicted
+// session answers 404, as a node answers for a session it evicted.
+func TestRouteHistoryBounded(t *testing.T) {
+	cfg := Config{Nodes: specs(t, "xavier:3")}
+	cfg.Node.QueueCap = 1024
+	cfg.Node.ManualDrain = true
+	c, cl, stop := newTestCluster(t, cfg)
+	defer stop()
+	dotie := serve.SessionConfig{Network: nn.DOTIE, Level: 1}
+
+	open, err := cl.CreateSession(dotie)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone, err := cl.CreateSession(dotie)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.SendEvents(gone.ID, genStream(t, nn.MustByName(nn.DOTIE).Input.Preset, 9, 80_000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.KillNode(c.tab.Load().lookup(gone.ID).node.name); err != nil {
+		t.Fatal(err)
+	}
+	c.ProbeNow()
+	c.Pump()
+	if _, err := cl.CloseSession(gone.ID); err != nil {
+		t.Fatal(err)
+	}
+	before := c.Health()
+	if before.FailoverSessions == 0 || before.FailoverShedFrames == 0 {
+		t.Fatalf("no failover to keep count of: %+v", before)
+	}
+	pre, err := cl.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for i := 0; i < 4*serve.MaxClosed; i++ {
+		snap, err := c.CreateSession(dotie)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.CloseSession(snap.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tab := c.tab.Load()
+	if len(tab.open) != 1 || len(tab.local) != 1 || len(tab.closed) > serve.MaxClosed {
+		t.Fatalf("route table holds %d open routes (%d indexed) and %d closed, want 1 and at most %d",
+			len(tab.open), len(tab.local), len(tab.closed), serve.MaxClosed)
+	}
+	if _, ok := tab.open[open.ID]; !ok {
+		t.Fatal("the open session's route was evicted")
+	}
+	after := c.Health()
+	if after.FailoverSessions != before.FailoverSessions || after.FailoverShedFrames != before.FailoverShedFrames ||
+		after.FailoverRecoveredFrames != before.FailoverRecoveredFrames {
+		t.Fatalf("failover totals moved across the eviction: %+v -> %+v", before, after)
+	}
+	post, err := cl.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"evcluster_failover_sessions_total", "evcluster_failover_shed_frames_total", "evcluster_failover_recovered_frames_total"} {
+		if got, want := metricValue(t, post, name), metricValue(t, pre, name); got != want {
+			t.Errorf("%s moved across the eviction: %v -> %v", name, want, got)
+		}
+	}
+	if _, err := cl.Session(gone.ID); err == nil || !strings.Contains(err.Error(), "404") {
+		t.Fatalf("GET of an evicted session: err = %v, want a 404", err)
+	}
+	if _, err := cl.Session(open.ID); err != nil {
+		t.Fatalf("GET of the open session: %v", err)
+	}
+}
+
 // TestJournalReplayNoCrossArenaRelease regression-tests the frame
 // ownership rule across failover: the corpse's frozen queue frames
 // belong to the dead arena and must never be recycled by the new
@@ -697,9 +772,7 @@ func TestJournalReplayNoCrossArenaRelease(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateSession: %v", err)
 	}
-	c.mu.Lock()
-	owner := c.routes[snap.ID].node
-	c.mu.Unlock()
+	owner := c.tab.Load().lookup(snap.ID).node
 	stream := genStream(t, nn.MustByName(nn.DOTIE).Input.Preset, 13, 100_000)
 	res, err := cl.SendEvents(snap.ID, stream)
 	if err != nil {
@@ -755,10 +828,8 @@ func TestStreamResumesAcrossFailover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateSession: %v", err)
 	}
-	c.mu.Lock()
-	rt := c.routes[snap.ID]
+	rt := c.tab.Load().lookup(snap.ID)
 	owner, localID := rt.node, rt.localID
-	c.mu.Unlock()
 
 	// Phase A drains to completion: its results are streamable.
 	stream := genStream(t, nn.MustByName(nn.DOTIE).Input.Preset, 17, 160_000)
@@ -859,10 +930,8 @@ func TestResultReplicationSeedsResumedJournal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateSession: %v", err)
 	}
-	c.mu.Lock()
-	rt := c.routes[snap.ID]
+	rt := c.tab.Load().lookup(snap.ID)
 	owner, localID := rt.node, rt.localID
-	c.mu.Unlock()
 
 	// Phase A drains fully: every chunk acks, so only replicated
 	// results keep the sequence watermark alive on the buddy.
@@ -910,9 +979,8 @@ func TestResultReplicationSeedsResumedJournal(t *testing.T) {
 
 	// The resumed journal must start past the dead incarnation's
 	// watermark, not at zero.
-	c.mu.Lock()
+	rt = c.tab.Load().lookup(snap.ID)
 	newNode, newLocal := rt.node, rt.localID
-	c.mu.Unlock()
 	nst, err := newNode.server().SessionJournalStats(newLocal)
 	if err != nil {
 		t.Fatalf("SessionJournalStats after failover: %v", err)
@@ -994,10 +1062,8 @@ func TestFailoverFallsBackWhenBuddyDraining(t *testing.T) {
 	if queued == 0 {
 		t.Fatal("nothing queued before the kill")
 	}
-	c.mu.Lock()
-	rt := c.routes[snap.ID]
+	rt := c.tab.Load().lookup(snap.ID)
 	owner, buddy := rt.node, rt.buddy
-	c.mu.Unlock()
 	if buddy == nil {
 		t.Fatal("no buddy after journaled ingest")
 	}
@@ -1066,11 +1132,9 @@ func TestStaleReplicationDropped(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SendEvents: %v", err)
 	}
-	c.mu.Lock()
-	rt := c.routes[snap.ID]
+	stale := c.tab.Load() // the table the late replication was routed by
+	rt := stale.lookup(snap.ID)
 	owner := rt.node
-	staleEpoch := rt.epoch
-	c.mu.Unlock()
 
 	if err := c.KillNode(owner.name); err != nil {
 		t.Fatalf("KillNode: %v", err)
@@ -1080,17 +1144,15 @@ func TestStaleReplicationDropped(t *testing.T) {
 	// A replication captured before the kill arrives late: it must see
 	// the bumped epoch and drop instead of stranding a stale entry.
 	late := serve.IngestResult{Seq: res.Seq + 1}
-	c.replicate(rt, owner, staleEpoch, serve.StreamChunk(stream.Slice(30_000, 60_000)), late)
+	c.replicate(stale, rt, serve.StreamChunk(stream.Slice(30_000, 60_000)), late)
 	for _, n := range c.nodes {
 		if sessions, entries := n.server().ReplicaStats(); sessions != 0 || entries != 0 {
 			t.Fatalf("stale replication stranded %d entries on %s", entries, n.name)
 		}
 	}
-	c.mu.Lock()
-	if rt.buddy != nil {
+	if rt := c.tab.Load().lookup(snap.ID); rt.buddy != nil {
 		t.Fatalf("stale replication re-homed the buddy to %s", rt.buddy.name)
 	}
-	c.mu.Unlock()
 }
 
 // TestNoSurvivorsLosesSessions kills every node and checks sessions

@@ -123,13 +123,11 @@ func TestRouterIngestAllocBudget(t *testing.T) {
 		}
 		stored := 0
 		router := measure("router", c.Handler(), snap.ID, c.Pump, func(i int) {
-			c.mu.Lock()
-			buddy := c.routes[snap.ID].buddy
-			c.mu.Unlock()
+			buddy := c.tab.Load().lookup(snap.ID).buddy
 			if buddy == nil {
 				return
 			}
-			for _, e := range buddy.server().ReplicaTake(snap.ID) {
+			for _, e := range buddy.server().ReplicaTake(snap.ID, 0) {
 				if i >= bodies/2 {
 					stored += cap(e.Body)
 				}
@@ -264,12 +262,10 @@ func FuzzRouterIngestWire(f *testing.F) {
 			if node != router {
 				t.Fatalf("body %d: node answered %+v, router %+v", i, node, router)
 			}
-			c.mu.Lock()
-			buddy := c.routes[snap.ID].buddy
-			c.mu.Unlock()
+			buddy := c.tab.Load().lookup(snap.ID).buddy
 			var log []serve.ReplicaEntry
 			if buddy != nil {
-				log = buddy.server().ReplicaTake(snap.ID)
+				log = buddy.server().ReplicaTake(snap.ID, 0)
 			}
 			if node.code != http.StatusOK {
 				if len(log) != 0 {
@@ -342,9 +338,7 @@ func TestRouterIngestDuringMigration(t *testing.T) {
 		select {
 		case <-done:
 		default:
-			c.mu.Lock()
-			owner := c.routes[ids[k%senders]].node.name
-			c.mu.Unlock()
+			owner := c.tab.Load().lookup(ids[k%senders]).node.name
 			if c.DrainNode(owner) == nil {
 				moves++
 				if err := c.UndrainNode(owner); err != nil {
@@ -363,7 +357,7 @@ func TestRouterIngestDuringMigration(t *testing.T) {
 	}
 	for _, n := range c.nodes {
 		for _, id := range ids {
-			for _, e := range n.server().ReplicaTake(id) {
+			for _, e := range n.server().ReplicaTake(id, 0) {
 				if e.Body == nil {
 					continue
 				}
@@ -413,9 +407,7 @@ func TestJournalReplaysCountZeroBody(t *testing.T) {
 				t.Fatalf("count 0 %v, body %d: HTTP %d %s", countZero, i, rec.Code, rec.Body.Bytes())
 			}
 		}
-		c.mu.Lock()
-		owner := c.routes[snap.ID].node.name
-		c.mu.Unlock()
+		owner := c.tab.Load().lookup(snap.ID).node.name
 		if err := c.KillNode(owner); err != nil {
 			t.Fatal(err)
 		}

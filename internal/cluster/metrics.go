@@ -38,8 +38,9 @@ type Health struct {
 	NodesTotal         int    `json:"nodes_total"`
 	FailoverSessions   uint64 `json:"failover_sessions"`
 	FailoverShedFrames uint64 `json:"failover_shed_frames"`
-	// FailoverRecoveredFrames counts frames regenerated by replaying
-	// replicated journals after node kills (lossless failover).
+	// FailoverRecoveredFrames counts frames regenerated after node kills
+	// (lossless failover): by replaying replicated journals, or by
+	// re-sending a chunk a dying owner took after its log was taken.
 	FailoverRecoveredFrames uint64 `json:"failover_recovered_frames"`
 	LostSessions            uint64 `json:"lost_sessions"`
 	// RebalanceMigrations counts load-driven session moves (the
@@ -57,11 +58,11 @@ func (c *Cluster) Health() Health {
 		Policy:     string(c.cfg.Policy),
 		NodesTotal: len(c.nodes),
 
-		SessionsTotal:       int(c.nextID.Load()),
-		LostSessions:        c.lostSessions.Load(),
-		RebalanceMigrations: c.migrations.Load(),
+		SessionsTotal: int(c.nextID.Load()),
 	}
-	h.FailoverSessions, h.FailoverShedFrames, h.FailoverRecoveredFrames = c.failoverCounts()
+	t := c.tab.Load()
+	h.FailoverSessions, h.FailoverShedFrames, h.FailoverRecoveredFrames = t.failovers, t.shed, t.recovered
+	h.LostSessions, h.RebalanceMigrations = t.lost, t.migrations
 	if h.Mapper == "" {
 		h.Mapper = string(serve.MapperRR)
 	}
@@ -181,7 +182,7 @@ func (c *Cluster) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	// Every alive node's own series, scoped by node.
 	for _, n := range c.nodes {
-		if n.state.Load() == stateDead {
+		if n.state() == stateDead {
 			continue
 		}
 		n.server().WriteMetrics(pw, "evserve", serve.PromLabels("node", n.name))

@@ -91,12 +91,12 @@ func (c *Cluster) handleGet(w http.ResponseWriter, r *http.Request) {
 // reconnects with since=<last seq> and the resumed session's journal
 // (re-seeded from the replicated log) serves the catch-up.
 func (c *Cluster) handleStream(w http.ResponseWriter, r *http.Request) {
-	n, localID, _, err := c.endpoint(r.PathValue("id"))
+	_, rt, err := c.route(r.PathValue("id"))
 	if err != nil {
 		writeError(w, serve.ErrorStatus(err), err)
 		return
 	}
-	n.server().ServeStream(w, r, localID)
+	rt.srv.ServeStream(w, r, rt.localID)
 }
 
 func (c *Cluster) handleClose(w http.ResponseWriter, r *http.Request) {

@@ -35,11 +35,28 @@ func TestSessionAPIStatusParity(t *testing.T) {
 
 	// Each side names its first session, stops admitting and stops
 	// altogether its own way.
+	dotieCfg := serve.SessionConfig{Network: nn.DOTIE, Level: 2}
 	sides := []struct {
-		name, base, id string
-		drain, kill    func()
+		name, base, id     string
+		drain, kill, evict func()
 	}{
-		{"node", nodeHTTP.URL, "s1", func() { srv.SetDraining(true) }, srv.Close},
+		{"node", nodeHTTP.URL, "s1", func() { srv.SetDraining(true) }, srv.Close, func() {
+			// Close the first session, then MaxClosed more: the server
+			// forgets the first.
+			for id := "s1"; ; {
+				if _, err := srv.CloseSession(id); err != nil {
+					t.Fatal(err)
+				}
+				if srv.Totals().Sessions > serve.MaxClosed {
+					return
+				}
+				sess, err := srv.CreateSession(dotieCfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				id = sess.ID
+			}
+		}},
 		{"cluster", tc.base, "c1", func() {
 			if err := tc.c.DrainNode("xavier0"); err != nil {
 				t.Errorf("DrainNode: %v", err)
@@ -47,6 +64,20 @@ func TestSessionAPIStatusParity(t *testing.T) {
 		}, func() {
 			if err := tc.c.KillNode("xavier0"); err != nil {
 				t.Errorf("KillNode: %v", err)
+			}
+		}, func() {
+			for id := "c1"; ; {
+				if _, err := tc.c.CloseSession(id); err != nil {
+					t.Fatal(err)
+				}
+				if tc.c.FleetTotals().Sessions > serve.MaxClosed {
+					return
+				}
+				snap, err := tc.c.CreateSession(dotieCfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				id = snap.ID
 			}
 		}},
 	}
@@ -76,7 +107,7 @@ func TestSessionAPIStatusParity(t *testing.T) {
 	rows := []struct {
 		what, method, path string
 		body               []byte
-		drain, kill        bool // change each side's state first
+		drain, kill, evict bool // change each side's state first
 		want               int
 		wantText           string
 	}{
@@ -91,6 +122,7 @@ func TestSessionAPIStatusParity(t *testing.T) {
 		{what: "chunk over the work bounds", method: "POST", path: "/v1/sessions/{id}/events", body: evar(unbounded), want: 400},
 		{what: "chunk before the watermark", method: "POST", path: "/v1/sessions/{id}/events", body: first, want: 409},
 		{what: "stream without a journal", method: "GET", path: "/v1/sessions/{id}/stream", want: 409},
+		{what: "get an evicted closed session", method: "GET", path: "/v1/sessions/{id}", evict: true, want: 404, wantText: serve.ErrNoSession.Error()},
 		{what: "create with an unknown network", method: "POST", path: "/v1/sessions", body: []byte(`{"network":"nope"}`), want: 409},
 		{what: "create with an undecodable config", method: "POST", path: "/v1/sessions", body: []byte(`{`), want: 400},
 		{what: "create while draining", method: "POST", path: "/v1/sessions", body: []byte(dotie), drain: true, want: 503},
@@ -104,6 +136,9 @@ func TestSessionAPIStatusParity(t *testing.T) {
 			}
 			if row.kill {
 				side.kill()
+			}
+			if row.evict {
+				side.evict()
 			}
 			req, err := http.NewRequest(row.method, side.base+strings.ReplaceAll(row.path, "{id}", side.id), bytes.NewReader(row.body))
 			if err != nil {

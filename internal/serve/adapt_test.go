@@ -57,7 +57,7 @@ func TestMetricsQuantileOrder(t *testing.T) {
 
 // TestMetricsClosedSessionFinalOnce is the regression test for the
 // closed-session retention bug: a closed session's final counters are
-// exposed at most once (newest maxClosed finals when scrapes lag), and
+// exposed at most once (newest MaxClosed finals when scrapes lag), and
 // the server-wide totals must not change with scrape timing or
 // closed-session eviction.
 func TestMetricsClosedSessionFinalOnce(t *testing.T) {
@@ -69,7 +69,7 @@ func TestMetricsClosedSessionFinalOnce(t *testing.T) {
 
 	stream := genStream(t, nn.MustByName(nn.DOTIE).Input.Preset, 21, 80_000)
 	var ids []string
-	for i := 0; i < maxClosed+1; i++ {
+	for i := 0; i < MaxClosed+1; i++ {
 		sess, err := srv.CreateSession(SessionConfig{Network: nn.DOTIE, Level: 2})
 		if err != nil {
 			t.Fatalf("CreateSession: %v", err)
@@ -82,18 +82,18 @@ func TestMetricsClosedSessionFinalOnce(t *testing.T) {
 			t.Fatalf("CloseSession: %v", err)
 		}
 	}
-	// Closing maxClosed+1 sessions already evicted the first session's
+	// Closing MaxClosed+1 sessions already evicted the first session's
 	// snapshot — its counters must still be in the totals.
 	if _, ok := srv.Session(ids[0]); ok {
 		t.Fatalf("session %s not evicted (test premise)", ids[0])
 	}
 
 	// Every session closed before any scrape, so the emit-once queue
-	// kept only the newest maxClosed finals — the oldest one's counters
+	// kept only the newest MaxClosed finals — the oldest one's counters
 	// survive solely in the totals.
 	first := scrape(srv)
 	if strings.Contains(first, `session="`+ids[0]+`"`) {
-		t.Fatalf("first scrape exposed an unretained final beyond the maxClosed bound")
+		t.Fatalf("first scrape exposed an unretained final beyond the MaxClosed bound")
 	}
 	for _, id := range ids[1:] {
 		if !strings.Contains(first, `session="`+id+`"`) {
@@ -105,7 +105,7 @@ func TestMetricsClosedSessionFinalOnce(t *testing.T) {
 	if want := fmt.Sprintf("%d", total.EventsIn); eventsTotal != want {
 		t.Fatalf("evserve_events_total = %s, want %s", eventsTotal, want)
 	}
-	if total.Sessions != maxClosed+1 || total.EventsIn != (maxClosed+1)*uint64(stream.Len()) {
+	if total.Sessions != MaxClosed+1 || total.EventsIn != (MaxClosed+1)*uint64(stream.Len()) {
 		t.Fatalf("totals wrong: %+v (stream has %d events)", total, stream.Len())
 	}
 

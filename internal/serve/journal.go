@@ -57,6 +57,7 @@ type chunkMark struct {
 // JournalStats is one session journal's observable state.
 type JournalStats struct {
 	Seq      uint64 // last sequence number assigned
+	AckSeq   uint64 // ack watermark: every chunk at or below it retired
 	Unacked  int    // chunk marks not yet retired
 	Retained int    // result events in the catch-up ring
 }
@@ -208,7 +209,7 @@ func (j *journal) broadcastLocked() {
 func (j *journal) stats() JournalStats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return JournalStats{Seq: j.seq, Unacked: len(j.chunks), Retained: j.n}
+	return JournalStats{Seq: j.seq, AckSeq: j.ackSeq, Unacked: len(j.chunks), Retained: j.n}
 }
 
 // ReplicaEntry is one journal entry held in a buddy node's replica
@@ -242,22 +243,27 @@ func ChunkReplica(seq uint64, c Chunk) (ReplicaEntry, error) {
 // counter seeds from the log's last seq — results included, since they
 // share the chunk sequence — so nothing the resumed session assigns
 // collides with a seq a streaming client has already consumed; result
-// entries refill the catch-up ring under their original seqs; chunk
-// entries re-enter IngestChunk, their EVAR framing and every event
-// checked as on first ingest. An entry that fails either check is
-// skipped: replay recovers what it can of an already-failed node and
-// is never a new failure. Replay does nothing on an unknown or
-// unjournaled session.
+// entries refill the catch-up ring under their original seqs, all of
+// them before any chunk, so a result of a replayed chunk, which takes
+// a seq past the log's, lands after them; chunk entries re-enter
+// IngestChunk, their EVAR framing and every event checked as on first
+// ingest. An entry that fails either check is skipped: replay recovers
+// what it can of an already-failed node and is never a new failure.
+// Replay does nothing on an unknown or unjournaled session.
 func (s *Server) Replay(id string, log []ReplicaEntry) uint64 {
 	sess, ok := s.Session(id)
 	if !ok || sess.journal == nil || len(log) == 0 {
 		return 0
 	}
 	sess.journal.seed(log[len(log)-1].Seq)
-	var recovered uint64
 	for _, e := range log {
 		if e.Body == nil {
 			sess.journal.restore(e.Result)
+		}
+	}
+	var recovered uint64
+	for _, e := range log {
+		if e.Body == nil {
 			continue
 		}
 		c, err := evarChunk(e.Body)
@@ -289,22 +295,64 @@ func (s *Server) SessionJournalStats(id string) (JournalStats, error) {
 // keyed by fleet-wide session ID. It lives on the buddy server (not
 // the router) so a dead buddy genuinely loses its replicas — exactly
 // the failure model a real fleet has.
+//
+// Every call carries the router's epoch (its route table version). A
+// take or drop fences the session at its epoch, and an append older
+// than the session's fence is refused: it was routed before the take
+// or drop and belongs to a superseded incarnation. Fences outlive
+// their logs; the store keeps the newest MaxClosed and refuses an
+// append below the highest one it forgot.
 type replicaStore struct {
-	mu   sync.Mutex
-	logs map[string][]ReplicaEntry
+	mu     sync.Mutex
+	logs   map[string][]ReplicaEntry
+	fences map[string]uint64
+	order  []string // fenced sessions, oldest first
+	floor  uint64
 }
 
-// ReplicaAppend stores journal entry e for extID, inserted by
-// sequence number (concurrent ingests can replicate out of order;
-// Replay reads the log front to back, so it must be sorted), and trims
-// the log so it stays bounded: chunk entries retire at or below the
-// ack watermark, result entries are capped at the catch-up ring size
-// (they exist to re-seed the resumed journal's ring and seq counter,
-// so they outlive their chunk's ack).
-func (s *Server) ReplicaAppend(extID string, e ReplicaEntry, ackSeq uint64) {
+// fencedLocked reports whether an append for extID at epoch is refused.
+func (rs *replicaStore) fencedLocked(extID string, epoch uint64) bool {
+	fence, ok := rs.fences[extID]
+	if !ok {
+		fence = rs.floor
+	}
+	return epoch < fence
+}
+
+// fenceLocked raises extID's fence to epoch and removes its log.
+func (rs *replicaStore) fenceLocked(extID string, epoch uint64) []ReplicaEntry {
+	log := rs.logs[extID]
+	delete(rs.logs, extID)
+	if rs.fences == nil {
+		rs.fences = map[string]uint64{}
+	}
+	if _, ok := rs.fences[extID]; !ok {
+		rs.order = append(rs.order, extID)
+		if len(rs.order) > MaxClosed {
+			rs.floor = max(rs.floor, rs.fences[rs.order[0]])
+			delete(rs.fences, rs.order[0])
+			rs.order = rs.order[1:]
+		}
+	}
+	rs.fences[extID] = max(rs.fences[extID], epoch)
+	return log
+}
+
+// ReplicaAppend stores journal entry e for extID, routed at epoch,
+// inserted by sequence number (concurrent ingests can replicate out of
+// order; Replay reads the log front to back, so it must be sorted), and
+// trims the log so it stays bounded: chunk entries retire at or below
+// the ack watermark, result entries are capped at the catch-up ring
+// size (they exist to re-seed the resumed journal's ring and seq
+// counter, so they outlive their chunk's ack). It reports false, and
+// stores nothing, when epoch is below the session's fence.
+func (s *Server) ReplicaAppend(extID string, e ReplicaEntry, ackSeq, epoch uint64) bool {
 	rs := &s.replicas
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
+	if rs.fencedLocked(extID, epoch) {
+		return false
+	}
 	if rs.logs == nil {
 		rs.logs = map[string][]ReplicaEntry{}
 	}
@@ -345,24 +393,33 @@ func (s *Server) ReplicaAppend(extID string, e ReplicaEntry, ackSeq uint64) {
 	copy(log[at+1:], log[at:])
 	log[at] = e
 	rs.logs[extID] = log
+	return true
 }
 
 // ReplicaTake removes and returns extID's replica log in sequence
-// order — the input of Replay.
-func (s *Server) ReplicaTake(extID string) []ReplicaEntry {
+// order — the input of Replay — and fences the session at epoch.
+func (s *Server) ReplicaTake(extID string, epoch uint64) []ReplicaEntry {
 	rs := &s.replicas
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	log := rs.logs[extID]
-	delete(rs.logs, extID)
-	return log
+	return rs.fenceLocked(extID, epoch)
 }
 
-// ReplicaDrop discards extID's replica log (session closed).
-func (s *Server) ReplicaDrop(extID string) {
+// ReplicaLog returns a copy of extID's replica log in sequence order
+// and leaves the store as it is.
+func (s *Server) ReplicaLog(extID string) []ReplicaEntry {
 	rs := &s.replicas
 	rs.mu.Lock()
-	delete(rs.logs, extID)
+	defer rs.mu.Unlock()
+	return append([]ReplicaEntry(nil), rs.logs[extID]...)
+}
+
+// ReplicaDrop discards extID's replica log (session closed or moved
+// gracefully) and fences the session at epoch.
+func (s *Server) ReplicaDrop(extID string, epoch uint64) {
+	rs := &s.replicas
+	rs.mu.Lock()
+	rs.fenceLocked(extID, epoch)
 	rs.mu.Unlock()
 }
 

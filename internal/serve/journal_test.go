@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -414,33 +415,82 @@ func TestReplicaAppendSortedAndKindAware(t *testing.T) {
 	result := func(seq uint64) ReplicaEntry { return ReplicaEntry{Seq: seq, Result: ResultEvent{Seq: seq}} }
 
 	// Out-of-order appends sort by seq.
-	srv.ReplicaAppend("s", chunk(5), 0)
-	srv.ReplicaAppend("s", chunk(3), 0)
-	srv.ReplicaAppend("s", result(4), 0)
-	if log := srv.ReplicaTake("s"); !reflect.DeepEqual(log, []ReplicaEntry{chunk(3), result(4), chunk(5)}) {
+	srv.ReplicaAppend("s", chunk(5), 0, 0)
+	srv.ReplicaAppend("s", chunk(3), 0, 0)
+	srv.ReplicaAppend("s", result(4), 0, 0)
+	if log := srv.ReplicaTake("s", 0); !reflect.DeepEqual(log, []ReplicaEntry{chunk(3), result(4), chunk(5)}) {
 		t.Fatalf("log not seq-sorted: %+v", log)
 	}
 
 	// The ack watermark retires chunks but keeps results: they carry
 	// the sequence watermark and the catch-up ring across a failover.
-	srv.ReplicaAppend("s", chunk(1), 0)
-	srv.ReplicaAppend("s", result(2), 0)
-	srv.ReplicaAppend("s", chunk(3), 2)
-	if log := srv.ReplicaTake("s"); !reflect.DeepEqual(log, []ReplicaEntry{result(2), chunk(3)}) {
+	srv.ReplicaAppend("s", chunk(1), 0, 0)
+	srv.ReplicaAppend("s", result(2), 0, 0)
+	srv.ReplicaAppend("s", chunk(3), 2, 0)
+	if log := srv.ReplicaTake("s", 0); !reflect.DeepEqual(log, []ReplicaEntry{result(2), chunk(3)}) {
 		t.Fatalf("ack trim wrong: %+v", log)
 	}
 
 	// Result entries are bounded by the ring cap, oldest shed first.
 	for i := 0; i < journalResultCap+10; i++ {
-		srv.ReplicaAppend("s", result(uint64(i+1)), 0)
+		srv.ReplicaAppend("s", result(uint64(i+1)), 0, 0)
 	}
-	log := srv.ReplicaTake("s")
+	log := srv.ReplicaTake("s", 0)
 	if len(log) != journalResultCap {
 		t.Fatalf("replica retained %d results, want %d", len(log), journalResultCap)
 	}
 	if log[0].Seq != 11 || log[len(log)-1].Seq != journalResultCap+10 {
 		t.Fatalf("replica result window [%d, %d], want [11, %d]",
 			log[0].Seq, log[len(log)-1].Seq, journalResultCap+10)
+	}
+}
+
+// TestReplicaAppendFenced pins the replica store's epoch fence: a take
+// or drop fences the session at its epoch, an append routed at an
+// older epoch is refused and stores nothing, one at or past the fence
+// lands, other sessions are not fenced, and the store forgets all but
+// the newest MaxClosed fences while still refusing appends below the
+// highest fence it forgot.
+func TestReplicaAppendFenced(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ManualDrain = true
+	srv, _, stop := newTestServer(t, cfg)
+	defer stop()
+	chunk := ReplicaEntry{Seq: 1, Body: []byte{1}}
+
+	if !srv.ReplicaAppend("s", chunk, 0, 3) {
+		t.Fatal("an unfenced session refused an append")
+	}
+	if got := srv.ReplicaTake("s", 5); len(got) != 1 {
+		t.Fatalf("take returned %d entries, want 1", len(got))
+	}
+	if srv.ReplicaAppend("s", chunk, 0, 4) {
+		t.Fatal("an append routed before the take landed")
+	}
+	if !srv.ReplicaAppend("other", chunk, 0, 4) {
+		t.Fatal("a take fenced another session")
+	}
+	if !srv.ReplicaAppend("s", chunk, 0, 5) {
+		t.Fatal("an append at the take's epoch was refused")
+	}
+	srv.ReplicaDrop("s", 7)
+	if srv.ReplicaAppend("s", chunk, 0, 6) || len(srv.ReplicaLog("s")) != 0 {
+		t.Fatal("an append routed before the drop landed")
+	}
+
+	// Fence MaxClosed more sessions: "s" (fenced at 7) is forgotten,
+	// and the floor it leaves still refuses what its fence refused.
+	for i := 0; i < MaxClosed; i++ {
+		srv.ReplicaDrop(fmt.Sprintf("x%d", i), 2)
+	}
+	if srv.ReplicaAppend("s", chunk, 0, 6) {
+		t.Fatal("forgetting a fence let an append below it land")
+	}
+	if !srv.ReplicaAppend("s", chunk, 0, 7) {
+		t.Fatal("an append at the floor was refused")
+	}
+	if sessions, _ := srv.ReplicaStats(); sessions != 2 {
+		t.Fatalf("store holds %d logs, want 2 (other, s)", sessions)
 	}
 }
 

@@ -529,7 +529,7 @@ func TestClosedSessionEviction(t *testing.T) {
 	}
 	defer srv.Close()
 	var ids []string
-	for i := 0; i < maxClosed+2; i++ {
+	for i := 0; i < MaxClosed+2; i++ {
 		sess, err := srv.CreateSession(SessionConfig{Network: nn.DOTIE, Level: 1})
 		if err != nil {
 			t.Fatalf("CreateSession: %v", err)

@@ -117,10 +117,11 @@ type AdaptConfig struct {
 // cluster router alike; a longer body is answered 413.
 const MaxBodyBytes = 64 << 20
 
-// maxClosed bounds how many closed sessions are retained for stats and
+// MaxClosed bounds how many closed sessions are retained for stats and
 // /metrics before the oldest are evicted, keeping a long-lived server's
-// memory and scrape size bounded.
-const maxClosed = 64
+// memory and scrape size bounded. The cluster router bounds its closed
+// routes and a replica store its fences by it too.
+const MaxClosed = 64
 
 // drainBatch caps the frames a worker drains from a session per pass,
 // so one flooding session cannot monopolize a worker.
@@ -1120,7 +1121,7 @@ func (s *Server) CloseSession(id string) (*SessionSnapshot, error) {
 		// Retain a bounded closed-session history for stats; evict the
 		// oldest so a long-lived server's memory and /metrics stay flat.
 		s.closedOrder = append(s.closedOrder, id)
-		for len(s.closedOrder) > maxClosed {
+		for len(s.closedOrder) > MaxClosed {
 			delete(s.sessions, s.closedOrder[0])
 			s.closedOrder = s.closedOrder[1:]
 		}
@@ -1128,11 +1129,11 @@ func (s *Server) CloseSession(id string) (*SessionSnapshot, error) {
 		s.closedTotals.add(final)
 		s.totalsMu.Unlock()
 		// The emit-once queue is bounded like the retained history: on a
-		// server nobody scrapes, only the newest maxClosed finals are
+		// server nobody scrapes, only the newest MaxClosed finals are
 		// kept (their counters live on in closedTotals regardless).
 		s.closedUnscraped = append(s.closedUnscraped, final)
-		if len(s.closedUnscraped) > maxClosed {
-			s.closedUnscraped = s.closedUnscraped[len(s.closedUnscraped)-maxClosed:]
+		if len(s.closedUnscraped) > MaxClosed {
+			s.closedUnscraped = s.closedUnscraped[len(s.closedUnscraped)-MaxClosed:]
 		}
 		s.sessMu.Unlock()
 		if sess.journal != nil {
