@@ -166,9 +166,13 @@ type Config struct {
 	// RebalanceGap > 0 (the rebalancer itself must be enabled).
 	RebalanceQueueDepth int
 	// Elapsed reports time since the cluster started, feeding the load
-	// rebalancer's cooldown gate. nil uses the wall clock; a
-	// deterministic driver (the scenario harness) injects its virtual
-	// clock so migration pacing replays identically under one seed.
+	// rebalancer's cooldown gate and the fleet trace's instants. nil
+	// uses the wall clock; a deterministic driver (the scenario harness)
+	// injects its virtual clock so migration pacing replays identically
+	// under one seed. It is called with the cluster's owner mutex held
+	// (probe passes, kill, drain, revive, undrain and every session
+	// move), so it must not call into the Cluster: such a call
+	// deadlocks.
 	Elapsed func() time.Duration
 	// Node is the base per-node server config; Platform is overridden
 	// by each NodeSpec, Workers only when the spec sets it.

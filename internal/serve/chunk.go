@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"net/http"
 	"sync"
 
@@ -69,39 +70,29 @@ func (c Chunk) tEnd() int64 {
 	return 0
 }
 
-// check applies checkEvent to every event of the chunk in order and
-// returns the first failure. It changes nothing but scratch, so a
-// chunk is refused before any state has changed. An EVAR body that
-// fits scratch is decoded into it on the way, and segment then hands
-// it out without decoding it again.
+// check returns the first event of the chunk that fails checkEvent,
+// or nil. It changes nothing but scratch, so a chunk is refused before
+// any state has changed. One fold (passes) decides for a stream chunk
+// whole, for an EVAR body that fits scratch once decoded into it, and
+// for a larger body per decoded segment; checkEvent runs event by
+// event only where the fold fails, to name the failure. An EVAR body
+// that fits scratch is left decoded there, and segment then hands it
+// out without decoding it again.
 func (c Chunk) check(scratch []events.Event) error {
-	prev := int64(math.MinInt64)
 	if len(c.evs) > 0 {
-		for i, e := range c.evs {
-			if err := checkEvent(e, i, c.w, c.h, prev); err != nil {
-				return err
-			}
-			prev = e.TS
-		}
-		return nil
+		return checkEvents(c.evs, 0, c.w, c.h, math.MinInt64)
 	}
-	if n := c.recs.Len(); n <= len(scratch) {
-		out := scratch[:n]
-		for i := range out {
-			e := c.recs.At(i)
-			if err := checkEvent(e, i, c.w, c.h, prev); err != nil {
-				return err
-			}
-			out[i], prev = e, e.TS
-		}
-		return nil
+	n := c.recs.Len()
+	if n <= len(scratch) {
+		return checkEvents(c.decode(0, scratch[:n]), 0, c.w, c.h, math.MinInt64)
 	}
-	for i := range c.recs.Len() {
-		e := c.recs.At(i)
-		if err := checkEvent(e, i, c.w, c.h, prev); err != nil {
+	prev := int64(math.MinInt64)
+	for i := 0; i < n; {
+		seg := c.decode(i, scratch[:min(len(scratch), n-i)])
+		if err := checkEvents(seg, i, c.w, c.h, prev); err != nil {
 			return err
 		}
-		prev = e.TS
+		i, prev = i+len(seg), seg[len(seg)-1].TS
 	}
 	return nil
 }
@@ -117,11 +108,58 @@ func (c Chunk) segment(i int, scratch []events.Event) []events.Event {
 	if n <= len(scratch) {
 		return scratch[:n] // decoded by check
 	}
-	seg := scratch[:min(len(scratch), n-i)]
+	return c.decode(i, scratch[:min(len(scratch), n-i)])
+}
+
+// decode fills seg with the EVAR records from record i on and returns
+// it.
+func (c Chunk) decode(i int, seg []events.Event) []events.Event {
 	for k := range seg {
 		seg[k] = c.recs.At(i + k)
 	}
 	return seg
+}
+
+// checkEvents returns the first event of evs that fails checkEvent,
+// or nil. evs are a chunk's events from index base on, and prev is the
+// timestamp of the event ahead of them. passes decides for all of them
+// at once; only when it says no are they walked one by one.
+func checkEvents(evs []events.Event, base, w, h int, prev int64) error {
+	if passes(evs, w, h, prev) {
+		return nil
+	}
+	for i, e := range evs {
+		if err := checkEvent(e, base+i, w, h, prev); err != nil {
+			return err
+		}
+		prev = e.TS
+	}
+	return nil
+}
+
+// passes reports whether every event of evs meets checkEvent's rule,
+// the event ahead of evs being at prev, in one fold with no call and
+// no branch per event: the largest X and Y, compared with w and h once
+// at the end; an OR of every polarity's distance from ±1 (uint8(p)+1
+// is 0 or 2 exactly for p = -1 or 1); and an OR of the borrow of each
+// timestamp less the one before. The timestamps are compared as
+// uint64(ts) ^ 1<<63, which orders like int64 from one end to the
+// other, so the borrow is exact wherever two timestamps lie.
+func passes(evs []events.Event, w, h int, prev int64) bool {
+	const flip = 1 << 63
+	var maxX, maxY uint16
+	var pol uint8
+	var borrow uint64
+	last := uint64(prev) ^ flip
+	for _, e := range evs {
+		ts := uint64(e.TS) ^ flip
+		_, b := bits.Sub64(ts, last, 0)
+		borrow |= b
+		last = ts
+		maxX, maxY = max(maxX, e.X), max(maxY, e.Y)
+		pol |= (uint8(e.Pol) + 1) &^ 2
+	}
+	return int(maxX) < w && int(maxY) < h && pol|uint8(borrow) == 0
 }
 
 // checkEvent is the rule every ingested event meets, as event i of a

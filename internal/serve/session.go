@@ -236,9 +236,11 @@ func (s *Session) sampleLocked() control.SessionSample {
 }
 
 // ingest converts one event chunk into frames and queues them,
-// shedding per the drop policy. Every event must pass checkEvent and
-// the chunk must not precede what the session has already consumed; a
-// rejected chunk changes no session state.
+// shedding per the drop policy. Every event must pass checkEvent's
+// rule — decided for the whole chunk by one fold, the rule itself run
+// event by event only to name the first failure — and the chunk must
+// not precede what the session has already consumed; a rejected chunk
+// changes no session state.
 func (s *Session) ingest(ch Chunk) (IngestResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -474,10 +476,11 @@ func (c *ingestConverter) anchor(ts int64) int64 {
 	return ts - r
 }
 
-// admit checks a chunk where it lies, before anything changes: every
-// event against checkEvent, then the chunk against the work bounds,
-// the session's geometry and its watermark. It writes nothing but
-// scratch, the chunk's decode segment.
+// admit checks a chunk where it lies, before anything changes: its
+// events by one fold over them (Chunk.check, which runs checkEvent
+// event by event only to name a failure), then the chunk against the
+// work bounds, the session's geometry and its watermark. It writes
+// nothing but scratch, the chunk's decode segment.
 func (c *ingestConverter) admit(ch Chunk, scratch []events.Event) error {
 	if ch.w <= 0 || ch.h <= 0 {
 		return fmt.Errorf("serve: invalid chunk: %w", events.ErrNoGeometry)
