@@ -74,9 +74,13 @@ bench-smoke:
 # detector too. The cluster's schedule explorer runs in the harness
 # package; its wall-clock variants (worker pools, senders, stream
 # readers and node chaos racing the router's lock-free route table and
-# its one owner) run 10 more times at each width.
+# its one owner) run 10 more times at each width, and so does the
+# serving parity oracle on worker goroutines: a session's chunks,
+# execute passes and completions interleave as the host schedules
+# them, and its snapshot must still equal the paper run's.
 SCHED_STRESS := -count=20 -run 'TestCoreMatchesReference|TestPumpNestedInDone' ./internal/sched
 EXPLORE_STRESS := -count=10 -run 'TestExploreWallClock' ./internal/harness
+SERVE_RACE := -count=10 -run 'TestServedWallClockMatchesPaperRun' ./internal/serve
 PIPELINE_RACE := -run 'TestRunDeterminism|TestRunReturnsEveryFrame|TestRunFramesSharedSet|TestConvertStream' ./internal/pipeline
 SCENE_RACE := -run 'TestCameraBandsMatchSerial|TestSequenceDeterminism|TestPresetStreamsPinned' ./internal/scene
 scenarios:
@@ -85,11 +89,13 @@ scenarios:
 	GOMAXPROCS=2 $(GO) test -race -count=1 $(SCENE_RACE)
 	GOMAXPROCS=2 $(GO) test -race $(SCHED_STRESS)
 	GOMAXPROCS=2 $(GO) test -race $(EXPLORE_STRESS)
+	GOMAXPROCS=2 $(GO) test -race $(SERVE_RACE)
 	GOMAXPROCS=8 $(GO) test -race -count=1 ./internal/harness/... ./internal/par/... ./internal/sched/... ./cmd/evscenario/...
 	GOMAXPROCS=8 $(GO) test -race -count=1 $(PIPELINE_RACE)
 	GOMAXPROCS=8 $(GO) test -race -count=1 $(SCENE_RACE)
 	GOMAXPROCS=8 $(GO) test -race $(SCHED_STRESS)
 	GOMAXPROCS=8 $(GO) test -race $(EXPLORE_STRESS)
+	GOMAXPROCS=8 $(GO) test -race $(SERVE_RACE)
 
 # Short coverage-guided fuzz pass over every fuzz function of every
 # package, as `go test -list` reports them, so the list cannot drift

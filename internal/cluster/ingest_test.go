@@ -25,13 +25,16 @@ import (
 // costs at serve.Server.Handler, plus, with the journal on, the replica
 // bytes the buddy stores. Each row posts the same 100 bodies of 20 ms
 // of a half-scale DOTIE scene to one DOTIE level-2 session, pumping
-// after each, and reads the server side's TotalAlloc over the second,
-// warm half; requests and recorders are built before the measurement.
+// after each, and reads the server side's TotalAlloc per body; requests
+// and recorders are built before the measurement. The budget holds over
+// the warm part: the second half, and with the journal on not before
+// the node's result ring is full — until then the ring and the buddy's
+// log grow once to their bounds, which is setup, not a cost per event.
 // The node row runs with the journal set as in the router row, so the
 // node's own journal is on both sides. With the journal on, the
-// buddy's replica log is taken after each post and each pump, before a
-// result append trims the chunk entry, and the capacity of its chunk
-// entries' bodies summed: each the body as received.
+// buddy's replica log is read after each post and each pump, before a
+// result append trims the chunk entry, and the capacity of each chunk
+// entry's body counted once: each the body as received.
 func TestRouterIngestAllocBudget(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("generates 2 s of scene; the race detector's instrumentation allocates")
@@ -49,7 +52,7 @@ func TestRouterIngestAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := make([][]byte, bodies)
-	warmEvents := 0
+	evs := make([]int, bodies)
 	for i := range body {
 		s := stream.Slice(int64(i)*chunkUS, int64(i+1)*chunkUS)
 		var b bytes.Buffer
@@ -57,9 +60,7 @@ func TestRouterIngestAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		body[i] = b.Bytes()
-		if i >= bodies/2 {
-			warmEvents += s.Len()
-		}
+		evs[i] = s.Len()
 	}
 	dotie := serve.SessionConfig{Network: nn.DOTIE, Level: 2}
 	// sync.Pool keeps a body buffer per P: on one P every request reads
@@ -67,10 +68,9 @@ func TestRouterIngestAllocBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 
 	// measure posts every body to h's session id and pumps behind each,
-	// calling take(i) outside the measurement after the post of body i
-	// and after its pump, and returns the warm half's bytes allocated
-	// per event.
-	measure := func(name string, h http.Handler, id string, pump func(), take func(i int)) float64 {
+	// calling after(i) outside the measurement after the post of body i
+	// and after its pump, and returns the bytes allocated per body.
+	measure := func(name string, h http.Handler, id string, pump func(), after func(i int)) []uint64 {
 		reqs := make([]*http.Request, bodies)
 		recs := make([]*httptest.ResponseRecorder, bodies)
 		for i := range reqs {
@@ -78,17 +78,15 @@ func TestRouterIngestAllocBudget(t *testing.T) {
 			reqs[i].Header.Set("Content-Type", "application/octet-stream")
 			recs[i] = httptest.NewRecorder()
 		}
-		var alloc uint64
+		alloc := make([]uint64, bodies)
 		var ms runtime.MemStats
 		timed := func(i int, f func()) {
 			runtime.ReadMemStats(&ms)
 			before := ms.TotalAlloc
 			f()
 			runtime.ReadMemStats(&ms)
-			if i >= bodies/2 {
-				alloc += ms.TotalAlloc - before
-			}
-			take(i)
+			alloc[i] += ms.TotalAlloc - before
+			after(i)
 		}
 		for i := range reqs {
 			timed(i, func() { h.ServeHTTP(recs[i], reqs[i]) })
@@ -97,7 +95,7 @@ func TestRouterIngestAllocBudget(t *testing.T) {
 			}
 			timed(i, pump)
 		}
-		return float64(alloc) / float64(warmEvents)
+		return alloc
 	}
 
 	for _, journal := range []bool{false, true} {
@@ -110,8 +108,19 @@ func TestRouterIngestAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		node := measure("node", srv.Handler(), sess.ID, srv.Pump, func(int) {})
+		// warm is the first measured body: the second half's first, or
+		// the first after the one that filled the result ring.
+		warm, retained := bodies/2, 0
+		node := measure("node", srv.Handler(), sess.ID, srv.Pump, func(i int) {
+			if st, err := srv.SessionJournalStats(sess.ID); err == nil && st.Retained > retained {
+				retained = st.Retained
+				warm = max(warm, i+1)
+			}
+		})
 		srv.Close()
+		if warm > bodies*3/4 {
+			t.Fatalf("journal %v: the result ring still grew at body %d of %d", journal, warm-1, bodies)
+		}
 
 		c, err := New(Config{Nodes: specs(t, "xavier:2"), Node: nodeCfg, ProbeInterval: -1})
 		if err != nil {
@@ -122,29 +131,40 @@ func TestRouterIngestAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		stored := 0
+		var seen uint64
 		router := measure("router", c.Handler(), snap.ID, c.Pump, func(i int) {
 			buddy := c.tab.Load().lookup(snap.ID).buddy
 			if buddy == nil {
 				return
 			}
-			for _, e := range buddy.server().ReplicaTake(snap.ID, 0) {
-				if i >= bodies/2 {
-					stored += cap(e.Body)
+			for _, e := range buddy.server().ReplicaLog(snap.ID) {
+				if e.Body != nil && e.Seq > seen {
+					seen = e.Seq
+					if i >= warm {
+						stored += cap(e.Body)
+					}
 				}
 			}
 		})
 		c.Close()
 
+		warmEvents, nodeB, routerB := 0, uint64(0), uint64(0)
+		for i := warm; i < bodies; i++ {
+			warmEvents += evs[i]
+			nodeB += node[i]
+			routerB += router[i]
+		}
+		perNode, perRouter := float64(nodeB)/float64(warmEvents), float64(routerB)/float64(warmEvents)
 		replica := float64(stored) / float64(warmEvents)
-		budget := 1.2*node + replica
-		t.Logf("journal %-5v: node %.2f B/event, router %.2f B/event, replica %.2f B/event stored, budget %.2f",
-			journal, node, router, replica, budget)
+		budget := 1.2*perNode + replica
+		t.Logf("journal %-5v: bodies %d to %d: node %.2f B/event, router %.2f B/event, replica %.2f B/event stored, budget %.2f",
+			journal, warm, bodies-1, perNode, perRouter, replica, budget)
 		if journal && stored == 0 {
 			t.Fatal("journal on, yet the buddy stored no replica bytes")
 		}
-		if router > budget {
+		if perRouter > budget {
 			t.Errorf("journal %v: router ingest allocates %.2f B/event, over the budget of %.2f (1.2 x node %.2f + replica %.2f)",
-				journal, router, budget, node, replica)
+				journal, perRouter, budget, perNode, replica)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package control_test
 
 import (
-	"math"
 	"sort"
 	"testing"
 
@@ -57,12 +56,14 @@ type simResult struct {
 	mergeRatio    float64
 }
 
-// simulate replays the frame stream through a bounded ingest queue,
-// the Stepper and the Eq. 3 cost model in virtual time — the same
-// drain loop the serving layer runs, minus HTTP and goroutines, so the
-// frozen-vs-adaptive comparison is exactly reproducible. When rt is
-// non-nil the controller observes telemetry after every invocation and
-// its retunes are applied mid-stream.
+// simulate replays the frame stream through the serving layer's step
+// in virtual time, minus HTTP and goroutines, so the frozen-vs-adaptive
+// comparison is exactly reproducible: each frame arrives once the clock
+// reaches its T1 into the Stepper's hold, bounded at 64 frames with
+// drop-oldest like a session's ingest queue, and the Stepper releases
+// one invocation at a time, priced by the Eq. 3 cost model. When rt is
+// non-nil the controller observes telemetry before every release, as
+// a session's execute pass does, and its retunes apply mid-stream.
 func simulate(t testing.TB, net *nn.Network, frames []*sparse.Frame, anchor dsfa.Config, rt *control.Retuner) simResult {
 	t.Helper()
 	model := perf.NewModel(hw.Xavier())
@@ -75,72 +76,35 @@ func simulate(t testing.TB, net *nn.Network, frames []*sparse.Frame, anchor dsfa
 		t.Fatal(err)
 	}
 
-	const queueCap, drainBatch = 64, 32
+	const queueCap = 64
 	var (
-		queue      []*sparse.Frame
 		queueDrops int
 		denSum     float64
 		denN       int
-		clock      float64
 		latencies  []float64
 		res        simResult
 	)
 	idx := 0
-	deliver := func() {
-		for idx < len(frames) && float64(frames[idx].T1) <= clock {
-			f := frames[idx]
-			idx++
-			denSum += f.Density()
-			denN++
-			if len(queue) >= queueCap {
-				queue = queue[1:] // drop-oldest, like the serving queue
-				queueDrops++
-			}
-			queue = append(queue, f)
+	arrive := func() {
+		f := frames[idx]
+		idx++
+		denSum += f.Density()
+		denN++
+		if st.Held() >= queueCap {
+			st.Shed() // drop-oldest, like the serving queue
+			queueDrops++
 		}
+		st.Push(f)
 	}
 	for {
-		deliver()
-		n := len(queue)
-		if n > drainBatch {
-			n = drainBatch
+		for idx < len(frames) && float64(frames[idx].T1) <= st.Clock() {
+			arrive()
 		}
-		for _, f := range queue[:n] {
-			st.Push(f)
-		}
-		queue = queue[n:]
-
-		inv := st.Next(clock)
-		if inv == nil {
-			if idx >= len(frames) && len(queue) == 0 {
-				inv = st.Flush()
-				if inv == nil {
-					break
-				}
-			} else if len(queue) > 0 {
-				// Backlogged frames are already formed; feed them now.
-				continue
-			} else {
-				clock = math.Max(clock, float64(frames[idx].T1))
-				continue
-			}
-		}
-		start := math.Max(clock, inv.ReadyUS)
-		dur, _ := pipeline.InvocationCost(model, net, plan, inv)
-		end := start + dur
-		for _, rr := range inv.PerRaw {
-			for k := 0; k < rr.N; k++ {
-				latencies = append(latencies, end-rr.ReadyUS)
-			}
-		}
-		res.invocations++
-		clock = end
-
 		if rt != nil {
 			sample := control.SessionSample{
-				StreamUS:      int64(clock),
+				StreamUS:      int64(st.Clock()),
 				FramesDropped: uint64(queueDrops + st.Stats().DroppedFrames),
-				QueueLen:      len(queue),
+				QueueLen:      st.Held(),
 				QueueCap:      queueCap,
 				AggQueued:     st.Queued(),
 				DensitySum:    denSum,
@@ -153,6 +117,25 @@ func simulate(t testing.TB, net *nn.Network, frames []*sparse.Frame, anchor dsfa
 			}
 			res.retunes = rt.Retunes()
 		}
+		inv := st.Release(idx == len(frames))
+		if inv == nil {
+			if idx == len(frames) {
+				break
+			}
+			// Idle: the next frame to form arrives, and the step waits
+			// for it.
+			arrive()
+			continue
+		}
+		dur, _ := pipeline.InvocationCost(model, net, plan, inv)
+		end := inv.ReadyUS + dur
+		for _, rr := range inv.PerRaw {
+			for k := 0; k < rr.N; k++ {
+				latencies = append(latencies, end-rr.ReadyUS)
+			}
+		}
+		res.invocations++
+		st.Done(end)
 	}
 	stats := st.Stats()
 	res.drops = queueDrops + stats.DroppedFrames

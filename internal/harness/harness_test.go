@@ -44,16 +44,16 @@ func TestScenarioLibrary(t *testing.T) {
 // the mapper, the serving core) fails TestScenarioDeterminism, so one
 // that means to re-pins here and says so.
 var timelinePins = map[string]uint64{
-	"batched-burst":      0xe40e3adc276c7125,
-	"drain-rebalance":    0x6b95c996707fb636,
-	"dynamics-flip":      0x25bf74fc6265f381,
-	"flash-crowd":        0x0f7a537c82443de0,
-	"hot-node-migration": 0x46128bf2d8d1682a,
-	"journal-catchup":    0x7d5602de9a8e1fc7,
-	"mixed-platform":     0x43b2bfcdbb0654c2,
-	"rolling-kill":       0x12b3e3c8f424a0c9,
-	"soak":               0xbefb3e755250d1d7,
-	"steady":             0x5d220d910e339e7f,
+	"batched-burst":      0xc5ee0ec379b9cb6e,
+	"drain-rebalance":    0xfa1da673356d6fcb,
+	"dynamics-flip":      0x04f2db93ac55a58b,
+	"flash-crowd":        0x7c0eb9f7d2c59846,
+	"hot-node-migration": 0xc6baa1a8343adfda,
+	"journal-catchup":    0x4b005738e337e087,
+	"mixed-platform":     0x3fae289b634f1013,
+	"rolling-kill":       0xf81b673cbb72cacd,
+	"soak":               0x4c071adc2163e2a1,
+	"steady":             0x63ba8a7dbd9d9d48,
 }
 
 // TestScenarioDeterminism replays every scenario under the same seed

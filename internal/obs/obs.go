@@ -27,7 +27,8 @@ type Stage uint8
 const (
 	// StageIngest covers E2SF conversion of one event chunk.
 	StageIngest Stage = iota
-	// StageQueue is a frame's wait in the bounded ingest queue.
+	// StageQueue is a frame's wait from its T1 until the session's
+	// stepper releases it from the hold, the ingest queue.
 	StageQueue
 	// StageAgg is raw-frame residency inside a DSFA bucket.
 	StageAgg

@@ -306,16 +306,44 @@ func runFrames(cfg Config, frames []*sparse.Frame, grids *mem.FramePool, invs *m
 	rep.AccuracyDelta = quantDelta + mergePenalty
 	rep.Accuracy = quant.EvEdgeAccuracy(cfg.Net, rep.AccuracyDelta)
 
-	exec := runExecutor(model, cfg, plan, frames, grids, invs)
-	busyPerDev := exec.busyPerDev
-	latencies := exec.latencies
-	rep.Invocations = exec.invocations
-	rep.BatchedUnits = exec.batchedUnits
-	rep.MergeRatio = exec.mergeRatio
-	rep.DroppedFrames = exec.dropped
+	// The step a served session runs, on a synchronous clock: every
+	// frame is held from the start, each invocation starts when the
+	// stepper releases it and is done cost later. At LevelDSFA and above
+	// frames formed while the hardware was busy merge — the paper's
+	// backlog-clearing behaviour (Sec. 4.2). The stepper borrows grids
+	// from grids and invocations from invs, as a session's does, and
+	// only reads the frames.
+	st, err := NewStepper(cfg.Level, TunedDSFA(cfg.Net))
+	if err != nil {
+		return nil, err
+	}
+	st.SetPools(invs, grids)
+	for _, f := range frames {
+		st.Push(f)
+	}
+	busyPerDev := make([]float64, len(cfg.Platform.Devices))
+	latencies := make([]float64, 0, len(frames))
+	for inv := st.Release(true); inv != nil; inv = st.Release(true) {
+		end := inv.ReadyUS + invocationCost(model, cfg.Net, plan, inv, busyPerDev)
+		for _, rr := range inv.PerRaw {
+			for k := 0; k < rr.N; k++ {
+				latencies = append(latencies, end-rr.ReadyUS)
+			}
+		}
+		rep.Invocations++
+		rep.BatchedUnits += len(inv.Inputs)
+		invs.Put(inv)
+		st.Done(end)
+	}
+	rep.MergeRatio = 1
+	if cfg.Level >= LevelDSFA {
+		stats := st.Stats()
+		rep.MergeRatio = stats.MergeRatio()
+		rep.DroppedFrames = stats.DroppedFrames
+	}
 
-	horizon := math.Max(exec.makespan, float64(cfg.DurUS))
-	rep.MakespanUS = exec.makespan
+	rep.MakespanUS = st.Clock()
+	horizon := math.Max(rep.MakespanUS, float64(cfg.DurUS))
 	rep.ThroughputFPS = float64(rep.RawFrames) / (horizon * 1e-6)
 	var energy float64
 	for _, d := range cfg.Platform.Devices {
@@ -550,86 +578,4 @@ func buildPlan(cfg Config, model *perf.Model, frames []*sparse.Frame, density fl
 	copy(p.Device, res.Assignment.Device[0])
 	copy(p.Prec, res.Assignment.Prec[0])
 	return p, res, mergePenalty, nil
-}
-
-// execResult aggregates the executor loop's accounting.
-type execResult struct {
-	latencies    []float64
-	busyPerDev   []float64 // by device ID
-	invocations  int
-	batchedUnits int
-	makespan     float64
-	mergeRatio   float64
-	dropped      int
-}
-
-// runExecutor simulates the streaming executor by driving the Stepper
-// the same way a live server would. Below LevelDSFA the stepper is a
-// FIFO, so every frame is one invocation served at the later of its T1
-// and the previous end. At LevelDSFA and above, frames enter the
-// aggregator as they are produced and a batch is dispatched whenever
-// the hardware becomes available — so during bursts (or on slow
-// mappings) frames accumulate and merge, which is exactly the
-// backlog-clearing behaviour of the paper's Sec. 4.2.
-//
-// The stepper borrows grids from grids and invocations from invs, as a
-// server session's does, and each invocation goes back once it is
-// served. The executor only reads the frames: it releases none.
-func runExecutor(model *perf.Model, cfg Config, p *ExecPlan, frames []*sparse.Frame, grids *mem.FramePool, invs *mem.Pool[Invocation]) *execResult {
-	res := &execResult{busyPerDev: make([]float64, len(cfg.Platform.Devices)), mergeRatio: 1}
-	serve := func(inv *Invocation, startAfter float64) float64 {
-		start := math.Max(startAfter, inv.ReadyUS)
-		end := start + invocationCost(model, cfg.Net, p, inv, res.busyPerDev)
-		for _, rr := range inv.PerRaw {
-			for k := 0; k < rr.N; k++ {
-				res.latencies = append(res.latencies, end-rr.ReadyUS)
-			}
-		}
-		res.invocations++
-		res.batchedUnits += len(inv.Inputs)
-		return end
-	}
-
-	st, err := NewStepper(cfg.Level, TunedDSFA(cfg.Net))
-	if err != nil {
-		// TunedDSFA only returns validated tunings; fail loud.
-		panic(err)
-	}
-	st.SetPools(invs, grids)
-
-	var t float64
-	idx := 0
-	for {
-		// Deliver frames that have formed by the time the hardware
-		// frees up.
-		for idx < len(frames) && float64(frames[idx].T1) <= t {
-			st.Push(frames[idx])
-			idx++
-		}
-		// The hardware is available: dispatch ready (full or stale)
-		// buckets; open buckets keep filling to preserve merging.
-		inv := st.Next(t)
-		if inv == nil {
-			if idx >= len(frames) {
-				// End of stream: flush whatever remains.
-				inv = st.Flush()
-				if inv == nil {
-					break
-				}
-			} else {
-				// Idle until the next frame forms.
-				t = math.Max(t, float64(frames[idx].T1))
-				continue
-			}
-		}
-		t = serve(inv, t)
-		invs.Put(inv)
-	}
-	if cfg.Level >= LevelDSFA {
-		stats := st.Stats()
-		res.mergeRatio = stats.MergeRatio()
-		res.dropped = stats.DroppedFrames
-	}
-	res.makespan = t
-	return res
 }

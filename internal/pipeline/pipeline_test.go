@@ -44,6 +44,75 @@ func quickRun(t *testing.T, name string, lvl Level) *Report {
 	return rep
 }
 
+// TestStepperRelease walks a level-1 stepper through its three rules:
+// a held frame leaves at its own T1, one invocation is in flight, and
+// an invocation is ready no earlier than the clock that released it.
+// Left names exactly the frames each Release took out of the hold. A
+// stepper whose hold never empties compacts it in place, so the
+// Push/Release/Done cycle allocates nothing once warm.
+func TestStepperRelease(t *testing.T) {
+	st, err := NewStepper(LevelE2SF, dsfa.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := []*sparse.Frame{{H: 1, W: 1, T1: 100}, {H: 1, W: 1, T1: 150}, {H: 1, W: 1, T1: 400}}
+	for _, fr := range f {
+		st.Push(fr)
+	}
+	step := func(want *sparse.Frame, ready, end float64) {
+		t.Helper()
+		inv := st.Release(false)
+		if inv == nil || inv.Frames[0] != want || inv.ReadyUS != ready || !st.InFlight() {
+			t.Fatalf("Release at clock %v: %+v, want frame T1 %d ready at %v", st.Clock(), inv, want.T1, ready)
+		}
+		if left := st.Left(); len(left) != 1 || left[0] != want {
+			t.Fatalf("Left after releasing T1 %d: %v", want.T1, left)
+		}
+		if again := st.Release(true); again != nil || len(st.Left()) != 0 {
+			t.Fatalf("Release with an invocation in flight: %+v, left %v", again, st.Left())
+		}
+		st.Done(end)
+	}
+	step(f[0], 100, 300) // idle: the clock moves to the first T1
+	step(f[1], 300, 350) // formed while busy: ready at the release clock
+	step(f[2], 400, 500) // idle again: the clock moves to T1 400
+	if inv := st.Release(true); inv != nil || st.Pending() != 0 || st.Clock() != 500 {
+		t.Fatalf("drained stepper: %+v, %d pending, clock %v", inv, st.Pending(), st.Clock())
+	}
+
+	ring := make([]*sparse.Frame, 8)
+	for i := range ring {
+		ring[i] = &sparse.Frame{H: 1, W: 1}
+	}
+	t1 := int64(1000)
+	push := func() {
+		fr := ring[t1%int64(len(ring))]
+		fr.T1 = t1
+		t1++
+		st.Push(fr)
+	}
+	for range 4 {
+		push()
+	}
+	// Four frames stay held through every cycle: the hold never empties.
+	cycle := func() {
+		push()
+		inv := st.Release(false)
+		st.Done(inv.ReadyUS)
+		st.invPool.Put(inv)
+	}
+	for range 64 {
+		cycle()
+	}
+	if a := testing.AllocsPerRun(1, func() {
+		for range 4096 {
+			cycle()
+		}
+	}); a != 0 || st.Pending() != 4 {
+		t.Fatalf("4 096 Push/Release/Done cycles on a hold of %d: %v allocs, want 0", st.Pending(), a)
+	}
+}
+
 // TestPlanSlotCarriesExecutionState: Swap must carry FramingOps
 // (execution state) into the new plan, and Equal must ignore it so
 // no-op remaps aren't counted.

@@ -208,22 +208,36 @@ func fillSingleFrameInv(inv *Invocation, f *sparse.Frame) *Invocation {
 	return inv
 }
 
-// Stepper turns a stream of sparse frames into inference invocations
-// one step at a time — the per-frame execution unit factored out of
-// Run so a long-lived server can drive the pipeline incrementally
-// instead of batch-only. Below LevelDSFA every pushed frame becomes
-// one FIFO invocation; at LevelDSFA and above frames enter the
-// Dynamic Sparse Frame Aggregator and invocations are formed whenever
-// the hardware reports itself available (Next) or the stream ends
-// (Flush).
+// Stepper is the one execution step of E2SF -> DSFA -> engine that
+// both of its callers run: RunFrames against a synchronous clock, and a
+// served session against the shared engine. It owns three things.
+//
+//   - The hold: every pushed frame waits here, in push order, until the
+//     clock reaches its T1 — the moment it formed — whatever chunk or
+//     slice carried it. Below LevelDSFA each frame that leaves becomes
+//     one invocation; at LevelDSFA and above it enters the Dynamic
+//     Sparse Frame Aggregator.
+//   - The clock: the hardware-available time the step decides at. It
+//     moves only when an invocation completes (Done) or, while idle,
+//     to the next held frame's T1.
+//   - One invocation in flight: Release hands out nothing until the
+//     previous invocation is Done, so frames that form while the
+//     hardware is busy pile up and merge (the paper's Sec. 4.2).
+//
+// Push, Next and Flush also work alone, without the clock, for callers
+// that time the step themselves.
 type Stepper struct {
 	level Level
 	agg   *dsfa.Aggregator // nil below LevelDSFA
-	// fifo is a head-indexed ring-ish queue: Next consumes from head,
-	// and when it empties the slice rewinds to the front, so a stepper
-	// that keeps up never re-allocates.
-	fifo []*sparse.Frame
-	head int
+	// hold is the FIFO of frames not yet released, from head on; left
+	// is where the last Release started taking. Frames that left stay
+	// in the slice until the next Push rewinds or compacts it, so Left
+	// can name them; a stepper that keeps up never re-allocates.
+	hold  []*sparse.Frame
+	head  int
+	left  int
+	clock float64
+	busy  bool
 	// invPool supplies the invocations: a pool of the stepper's own
 	// unless SetPools shares one, to which the serving layer and the
 	// offline executor return them once served.
@@ -257,41 +271,48 @@ func (s *Stepper) SetPools(invs *mem.Pool[Invocation], frames *mem.FramePool) {
 	}
 }
 
-// Push inserts a raw sparse frame produced by E2SF.
+// Push holds a raw sparse frame produced by E2SF until the clock
+// reaches its T1. Frames are pushed in T1 order.
 func (s *Stepper) Push(f *sparse.Frame) {
-	if s.agg == nil {
-		s.fifo = append(s.fifo, f)
-		return
+	if s.head == len(s.hold) {
+		clear(s.hold)
+		s.hold, s.head, s.left = s.hold[:0], 0, 0
+	} else if s.head > 0 && len(s.hold) == cap(s.hold) {
+		n := copy(s.hold, s.hold[s.head:])
+		clear(s.hold[n:])
+		s.hold, s.head, s.left = s.hold[:n], 0, 0
 	}
-	s.agg.Push(f)
+	s.hold = append(s.hold, f)
 }
 
-// popFifo removes and returns the oldest FIFO frame; callers have
-// checked non-emptiness.
-func (s *Stepper) popFifo() *sparse.Frame {
-	f := s.fifo[s.head]
-	s.fifo[s.head] = nil
+// formed reports whether the oldest held frame has formed by nowUS.
+func (s *Stepper) formed(nowUS float64) bool {
+	return s.head < len(s.hold) && float64(s.hold[s.head].T1) <= nowUS
+}
+
+// take removes and returns the oldest held frame; callers have checked
+// that there is one.
+func (s *Stepper) take() *sparse.Frame {
+	f := s.hold[s.head]
 	s.head++
-	if s.head == len(s.fifo) {
-		s.fifo = s.fifo[:0]
-		s.head = 0
-	}
 	return f
 }
 
-// fifoLen returns the number of frames waiting in the FIFO.
-func (s *Stepper) fifoLen() int { return len(s.fifo) - s.head }
-
-// Next returns the next invocation ready at hardware-available time
-// nowUS, or nil when nothing is ready yet. At LevelDSFA and above this
-// is the paper's hardware-became-available dispatch: full or stale
-// buckets drain, open buckets keep filling.
+// Next returns the invocation ready when the hardware is available at
+// nowUS, or nil when nothing is. Below LevelDSFA that is the oldest
+// held frame, if it formed by nowUS. At LevelDSFA and above every held
+// frame formed by nowUS enters the aggregator first; then full or
+// stale buckets drain and open buckets keep filling — the paper's
+// hardware-became-available dispatch.
 func (s *Stepper) Next(nowUS float64) *Invocation {
 	if s.agg == nil {
-		if s.fifoLen() == 0 {
+		if !s.formed(nowUS) {
 			return nil
 		}
-		return fillSingleFrameInv(s.invPool.Get(), s.popFifo())
+		return fillSingleFrameInv(s.invPool.Get(), s.take())
+	}
+	for s.formed(nowUS) {
+		s.agg.Push(s.take())
 	}
 	b := s.agg.DispatchReady(int64(nowUS))
 	if b == nil {
@@ -300,15 +321,19 @@ func (s *Stepper) Next(nowUS float64) *Invocation {
 	return fillInvFromBatch(s.invPool.Get(), b)
 }
 
-// Flush drains everything still buffered — open buckets included — as
-// one final invocation, or nil if nothing is pending. Use at end of
-// stream or session close.
+// Flush drains what is buffered whatever the time — below LevelDSFA
+// the oldest held frame, at LevelDSFA and above every held frame and
+// every bucket, open ones included, as one invocation — or returns nil
+// if nothing is pending. Use at end of stream or session close.
 func (s *Stepper) Flush() *Invocation {
 	if s.agg == nil {
-		if s.fifoLen() == 0 {
+		if s.head == len(s.hold) {
 			return nil
 		}
-		return fillSingleFrameInv(s.invPool.Get(), s.popFifo())
+		return fillSingleFrameInv(s.invPool.Get(), s.take())
+	}
+	for s.head < len(s.hold) {
+		s.agg.Push(s.take())
 	}
 	b := s.agg.Dispatch()
 	if b == nil {
@@ -317,12 +342,77 @@ func (s *Stepper) Flush() *Invocation {
 	return fillInvFromBatch(s.invPool.Get(), b)
 }
 
-// Pending returns raw frames buffered but not yet dispatched.
-func (s *Stepper) Pending() int {
-	if s.agg == nil {
-		return s.fifoLen()
+// Release returns the next invocation to execute, or nil while one is
+// in flight or nothing is ready. It tries Next at the clock; when
+// nothing is ready and frames are held, the hardware idles until the
+// next held frame forms, so the clock moves to that T1 and Next is
+// tried again. At eos (end of stream) with nothing held it Flushes.
+// The invocation starts no earlier than the clock that released it:
+// its ReadyUS is raised to the clock. Report its completion with Done.
+func (s *Stepper) Release(eos bool) *Invocation {
+	s.left = s.head
+	if s.busy {
+		return nil
 	}
-	return s.agg.PendingFrames()
+	inv := s.Next(s.clock)
+	for inv == nil && s.head < len(s.hold) {
+		s.clock = math.Max(s.clock, float64(s.hold[s.head].T1))
+		inv = s.Next(s.clock)
+	}
+	if inv == nil && eos {
+		inv = s.Flush()
+	}
+	if inv == nil {
+		return nil
+	}
+	inv.ReadyUS = math.Max(inv.ReadyUS, s.clock)
+	s.busy = true
+	return inv
+}
+
+// Done reports that the invocation Release handed out completed at
+// endUS: the hardware is available again from then on.
+func (s *Stepper) Done(endUS float64) {
+	s.busy = false
+	s.clock = math.Max(s.clock, endUS)
+}
+
+// Left returns the frames the last Release took out of the hold,
+// oldest first. Each left at the later of its T1 and the clock the
+// Release started at. The slice is valid until the next Push or Shed.
+func (s *Stepper) Left() []*sparse.Frame { return s.hold[s.left:s.head] }
+
+// Held returns how many pushed frames the hold still keeps: not yet
+// released, nor in the aggregator.
+func (s *Stepper) Held() int { return len(s.hold) - s.head }
+
+// Shed removes and returns the oldest held frame, which then belongs
+// to the caller again, or nil when the hold is empty: a bounded
+// caller's drop-oldest.
+func (s *Stepper) Shed() *sparse.Frame {
+	if s.head == len(s.hold) {
+		return nil
+	}
+	f := s.take()
+	s.left = s.head
+	return f
+}
+
+// Clock returns the step's hardware-available time.
+func (s *Stepper) Clock() float64 { return s.clock }
+
+// InFlight reports whether an invocation Release handed out is not
+// Done yet.
+func (s *Stepper) InFlight() bool { return s.busy }
+
+// Pending returns raw frames pushed but not yet released: held ones
+// plus, at LevelDSFA and above, those in the aggregator.
+func (s *Stepper) Pending() int {
+	n := s.Held()
+	if s.agg != nil {
+		n += s.agg.PendingFrames()
+	}
+	return n
 }
 
 // Queued returns merged buckets awaiting dispatch (0 below LevelDSFA).

@@ -153,7 +153,7 @@ func TestAdaptiveRetuneFires(t *testing.T) {
 		if _, err := sess.ingest(StreamChunk(c)); err != nil {
 			t.Fatalf("ingest: %v", err)
 		}
-		srv.execute(sess, sess.queue.drain(0), false, false)
+		srv.execute(sess, false)
 		srv.sched.Drain()
 	}
 	snap := sess.snapshot()
@@ -216,7 +216,7 @@ func TestAdaptiveRemapSearches(t *testing.T) {
 		if _, err := sess.ingest(StreamChunk(stream)); err != nil {
 			t.Fatalf("ingest: %v", err)
 		}
-		srv.execute(sess, sess.queue.drain(0), false, false)
+		srv.execute(sess, false)
 		srv.sched.Drain()
 	}
 	srv.maybeRemap()
@@ -244,5 +244,61 @@ func TestAdaptRemapRequiresNMP(t *testing.T) {
 	cfg.Adapt.Remap = true
 	if _, err := New(cfg); err == nil {
 		t.Fatal("adaptive remap accepted without the NMP mapper")
+	}
+}
+
+// TestRetuneSeesIngestBacklog: the frames a session holds are its
+// ingest queue's fill in the controller's sample, so frames that pile
+// up while an invocation is in flight press the controller to widen
+// DSFA without a single drop. A chunk of three windows arrives while
+// the session's first invocation runs and fills the 20-frame queue
+// past 15, its high water mark; a chunk of one window does not.
+func TestRetuneSeesIngestBacklog(t *testing.T) {
+	in := nn.MustByName(nn.DOTIE).Input
+	w := in.WindowUS
+	perWindow := (in.NumBins + in.GroupK - 1) / in.GroupK
+	stream := genStream(t, in.Preset, 23, 5*w)
+	for _, tc := range []struct {
+		windows int64
+		widens  bool
+	}{{3, true}, {1, false}} {
+		cfg := Config{ManualDrain: true}
+		cfg.Adapt.Retune = true
+		cfg.Adapt.DSFA = control.DSFAConfig{DecideEveryUS: 1}
+		srv, err := New(cfg)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		sess, err := srv.CreateSession(SessionConfig{Network: nn.DOTIE, Level: 2, QueueCap: 4 * perWindow})
+		if err != nil {
+			t.Fatalf("CreateSession: %v", err)
+		}
+		// The first window's frames: the first pass seeds the controller
+		// and puts one invocation in flight.
+		if _, err := sess.ingest(StreamChunk(stream.Slice(0, w+w/2))); err != nil {
+			t.Fatalf("ingest: %v", err)
+		}
+		srv.execute(sess, false)
+		if !sess.stepper.InFlight() {
+			t.Fatal("test premise broken: no invocation in flight after the first pass")
+		}
+		res, err := sess.ingest(StreamChunk(stream.Slice(w+w/2, (tc.windows+1)*w+w/2)))
+		if err != nil {
+			t.Fatalf("ingest: %v", err)
+		}
+		sess.mu.Lock()
+		sample := sess.sampleLocked()
+		sess.mu.Unlock()
+		if res.Frames != int(tc.windows)*perWindow || sample.QueueLen < res.Frames || res.Dropped != 0 {
+			t.Fatalf("%d-window chunk: %+v; sample reads %d of %d frames held", tc.windows, res, sample.QueueLen, sample.QueueCap)
+		}
+		// The completion's pass decides on what the session holds.
+		srv.Pump()
+		snap := sess.snapshot()
+		srv.Close()
+		if (snap.Retunes > 0) != tc.widens || snap.FramesDropped+snap.FramesDroppedDSFA != 0 {
+			t.Fatalf("%d-window chunk held %d of %d frames: %d retunes, %d+%d drops; want retunes %v, no drops",
+				tc.windows, sample.QueueLen, sample.QueueCap, snap.Retunes, snap.FramesDropped, snap.FramesDroppedDSFA, tc.widens)
+		}
 	}
 }

@@ -75,11 +75,10 @@ type journal struct {
 	head    int
 	n       int
 	closed  bool
-	notify  chan struct{}
-}
-
-func newJournal() *journal {
-	return &journal{notify: make(chan struct{})}
+	// notify is the channel the waiting subscribers hold, made by the
+	// first wait after a broadcast: nil while nobody waits, so an
+	// append with no subscriber allocates nothing.
+	notify chan struct{}
 }
 
 // appendChunk assigns the next sequence number to an ingested chunk
@@ -178,9 +177,11 @@ func (j *journal) seed(seq uint64) {
 // before reading resultsSince to avoid a lost wakeup.
 func (j *journal) wait() <-chan struct{} {
 	j.mu.Lock()
-	ch := j.notify
-	j.mu.Unlock()
-	return ch
+	defer j.mu.Unlock()
+	if j.notify == nil {
+		j.notify = make(chan struct{})
+	}
+	return j.notify
 }
 
 // close marks the journal final (session closed) and wakes streams so
@@ -200,10 +201,13 @@ func (j *journal) isClosed() bool {
 	return j.closed
 }
 
-// broadcastLocked wakes every subscriber; callers hold j.mu.
+// broadcastLocked wakes every subscriber, if any waits; callers hold
+// j.mu.
 func (j *journal) broadcastLocked() {
-	close(j.notify)
-	j.notify = make(chan struct{})
+	if j.notify != nil {
+		close(j.notify)
+		j.notify = nil
+	}
 }
 
 func (j *journal) stats() JournalStats {

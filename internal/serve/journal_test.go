@@ -23,7 +23,7 @@ import (
 // retire in order once the completed count reaches their cumulative
 // frame watermark, and the ack sequence never regresses.
 func TestJournalAckWatermark(t *testing.T) {
-	j := newJournal()
+	j := new(journal)
 	if seq := j.appendChunk(10); seq != 1 {
 		t.Fatalf("first chunk seq = %d", seq)
 	}
@@ -53,11 +53,35 @@ func TestJournalAckWatermark(t *testing.T) {
 	}
 }
 
+// TestJournalWakeup: a channel taken by wait before an append is
+// closed by that append (no lost wakeup), and once the ring is full an
+// append with nobody waiting allocates nothing — no notify channel is
+// made for a subscriber that does not exist.
+func TestJournalWakeup(t *testing.T) {
+	j := new(journal)
+	wake := j.wait()
+	j.appendResult(1, 1, 1)
+	select {
+	case <-wake:
+	default:
+		t.Fatal("an append did not close the channel wait returned before it")
+	}
+	if again := j.wait(); again == wake {
+		t.Fatal("wait after a broadcast returned the closed channel")
+	}
+	for i := 0; i < journalResultCap; i++ {
+		j.appendResult(1, 1, 1)
+	}
+	if a := testing.AllocsPerRun(100, func() { j.appendResult(1, 1, 1) }); a != 0 {
+		t.Fatalf("appendResult with no subscriber: %v allocs, want 0", a)
+	}
+}
+
 // TestJournalResultRing checks the catch-up ring: interleaved chunk and
 // result entries share one sequence, resultsSince honors the cursor,
 // and the ring overwrites oldest-first at capacity.
 func TestJournalResultRing(t *testing.T) {
-	j := newJournal()
+	j := new(journal)
 	j.appendChunk(5) // seq 1
 	for i := 0; i < 3; i++ {
 		j.appendResult(float64(i), 1, 1) // seq 2,3,4
@@ -71,7 +95,7 @@ func TestJournalResultRing(t *testing.T) {
 	}
 
 	// Fill past capacity: the ring keeps the newest journalResultCap.
-	full := newJournal()
+	full := new(journal)
 	for i := 0; i < journalResultCap+10; i++ {
 		full.appendResult(float64(i), 1, 1)
 	}
@@ -92,7 +116,7 @@ func TestJournalResultRing(t *testing.T) {
 
 // TestJournalSeed checks the failover seed only raises the counter.
 func TestJournalSeed(t *testing.T) {
-	j := newJournal()
+	j := new(journal)
 	j.seed(7)
 	if seq := j.appendChunk(1); seq != 8 {
 		t.Fatalf("seq after seed(7) = %d", seq)
@@ -381,7 +405,7 @@ func TestStreamResultsDroppedIsError(t *testing.T) {
 // results keep their original sequence numbers, raise the counter past
 // themselves, and interleave correctly with freshly appended results.
 func TestJournalRestore(t *testing.T) {
-	j := newJournal()
+	j := new(journal)
 	j.restore(ResultEvent{Seq: 4, Frames: 2})
 	j.restore(ResultEvent{Seq: 6, Frames: 3})
 	if st := j.stats(); st.Seq != 6 {

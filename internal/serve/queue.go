@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"evedge/internal/pipeline"
 	"evedge/internal/sparse"
 )
 
@@ -39,98 +40,59 @@ func ParseDropPolicy(s string) (DropPolicy, error) {
 	return 0, fmt.Errorf("serve: unknown drop policy %q", s)
 }
 
-// frameQueue is the bounded per-session ingest queue sitting between
-// the HTTP ingest path and the worker pool. It is the session's
-// explicit backpressure point: pushes never block, overflow drops per
-// the policy, and every drop is counted so clients can observe the
-// shedding in /metrics and ingest responses.
+// frameQueue is the session's bounded ingest queue: the hold of its
+// stepper, where every frame waits until the step releases it, bounded
+// at cap frames. It is the session's explicit backpressure point:
+// pushes never block, overflow drops per the policy, and every drop is
+// counted so clients can observe the shedding in /metrics and ingest
+// responses. The bound is host-side: it counts what the session holds
+// between execute passes, which a virtual-time driver empties after
+// every chunk. The session lock guards it, as it does the stepper.
 type frameQueue struct {
-	mu      sync.Mutex
-	buf     []*sparse.Frame
+	st      *pipeline.Stepper
 	cap     int
 	policy  DropPolicy
 	pushed  uint64
 	dropped uint64
 	// recycle, if non-nil, receives every frame the queue sheds so the
-	// arena reclaims it immediately instead of waiting for GC. Called
-	// under mu; the hook must not call back into the queue.
+	// arena reclaims it immediately instead of waiting for GC.
 	recycle func(*sparse.Frame)
 }
 
-func newFrameQueue(capacity int, policy DropPolicy) *frameQueue {
+func newFrameQueue(st *pipeline.Stepper, capacity int, policy DropPolicy) *frameQueue {
 	if capacity <= 0 {
 		capacity = 64
 	}
-	return &frameQueue{cap: capacity, policy: policy}
+	return &frameQueue{st: st, cap: capacity, policy: policy}
 }
 
-// push enqueues a frame, shedding per the policy when full. It returns
-// how many frames were dropped by this push (0 or 1).
+// push holds a frame in the stepper, shedding per the policy when the
+// hold is full. It returns how many frames were dropped by this push
+// (0 or 1).
 func (q *frameQueue) push(f *sparse.Frame) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	q.pushed++
-	if len(q.buf) >= q.cap {
-		q.dropped++
-		if q.policy == DropNewest {
-			if q.recycle != nil {
-				q.recycle(f)
-			}
-			return 1
-		}
-		// Drop-oldest: evict the head to admit the fresh frame.
-		head := q.buf[0]
-		copy(q.buf, q.buf[1:])
-		q.buf = q.buf[:len(q.buf)-1]
-		q.buf = append(q.buf, f)
-		if q.recycle != nil {
-			q.recycle(head)
-		}
-		return 1
+	if q.st.Held() < q.cap {
+		q.st.Push(f)
+		return 0
 	}
-	q.buf = append(q.buf, f)
-	return 0
+	q.dropped++
+	if q.policy == DropOldest {
+		// Evict the oldest held frame to admit the fresh one.
+		head := q.st.Shed()
+		q.st.Push(f)
+		f = head
+	}
+	if q.recycle != nil {
+		q.recycle(f)
+	}
+	return 1
 }
 
-// drain removes and returns up to max frames (all when max <= 0).
-func (q *frameQueue) drain(max int) []*sparse.Frame {
-	return q.drainInto(nil, max)
-}
-
-// drainInto is drain appending into a caller-owned scratch slice — the
-// worker hot path's zero-allocation variant.
-func (q *frameQueue) drainInto(dst []*sparse.Frame, max int) []*sparse.Frame {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	n := len(q.buf)
-	if max > 0 && n > max {
-		n = max
-	}
-	if n == 0 {
-		return dst
-	}
-	dst = append(dst, q.buf[:n]...)
-	rest := copy(q.buf, q.buf[n:])
-	for i := rest; i < len(q.buf); i++ {
-		q.buf[i] = nil
-	}
-	q.buf = q.buf[:rest]
-	return dst
-}
-
-// len returns the queued frame count.
-func (q *frameQueue) len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.buf)
-}
+// len returns the held frame count.
+func (q *frameQueue) len() int { return q.st.Held() }
 
 // stats returns total pushed and dropped frame counts.
-func (q *frameQueue) stats() (pushed, dropped uint64) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.pushed, q.dropped
-}
+func (q *frameQueue) stats() (pushed, dropped uint64) { return q.pushed, q.dropped }
 
 // runQueue is the server's FIFO of sessions with work pending: ingest
 // and completion callbacks push, the workers — or Pump under

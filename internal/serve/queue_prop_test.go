@@ -2,111 +2,116 @@ package serve
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
+	"evedge/internal/dsfa"
+	"evedge/internal/nn"
+	"evedge/internal/pipeline"
 	"evedge/internal/sparse"
 )
 
-// TestFrameQueueProperty hammers the bounded ingest queue with
-// randomized concurrent pushers and a concurrent drainer under both
+// drain sheds and returns up to max held frames, oldest first (all
+// when max <= 0): the tests' view of what a queue holds.
+func (q *frameQueue) drain(max int) []*sparse.Frame {
+	var out []*sparse.Frame
+	for max <= 0 || len(out) < max {
+		f := q.st.Shed()
+		if f == nil {
+			break
+		}
+		out = append(out, f)
+	}
+	return out
+}
+
+// newTestQueue bounds the hold of a fresh stepper at level: baseline
+// (one frame per invocation) unless the level aggregates.
+func newTestQueue(t *testing.T, level pipeline.Level, capacity int, policy DropPolicy) *frameQueue {
+	t.Helper()
+	var cfg dsfa.Config
+	if level >= pipeline.LevelDSFA {
+		cfg = pipeline.TunedDSFA(nn.MustByName(nn.DOTIE))
+	}
+	st, err := pipeline.NewStepper(level, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newFrameQueue(st, capacity, policy)
+}
+
+// TestFrameQueueProperty drives the bounded ingest queue through
+// random interleavings of pushes, test drains and the stepper's own
+// Release/Done steps, below DSFA and at the DSFA level, under both
 // drop policies, then checks the queue's contracts:
 //
-//   - capacity is never exceeded (observed at every drain and at the
-//     end);
-//   - accounting conserves: pushed == dropped + drained + remaining;
-//   - no frame is duplicated or invented: every frame that comes out
-//     went in exactly once (frames carry unique T0 stamps).
+//   - capacity is never exceeded (observed after every operation);
+//   - accounting conserves: pushed == dropped + drained + served, once
+//     the stepper is flushed;
+//   - no frame is duplicated or invented: every frame that comes out —
+//     shed, drained or in an invocation — went in exactly once (frames
+//     carry unique T0 stamps).
 func TestFrameQueueProperty(t *testing.T) {
 	for _, policy := range []DropPolicy{DropOldest, DropNewest} {
-		policy := policy
 		t.Run(policy.String(), func(t *testing.T) {
-			const (
-				pushers   = 4
-				perPusher = 500
-				capacity  = 17
-			)
-			rng := rand.New(rand.NewSource(42))
-			seeds := make([]int64, pushers)
-			for i := range seeds {
-				seeds[i] = rng.Int63()
-			}
-			q := newFrameQueue(capacity, policy)
-
-			var pushWG sync.WaitGroup
-			for p := 0; p < pushers; p++ {
-				pushWG.Add(1)
-				go func(p int) {
-					defer pushWG.Done()
-					prng := rand.New(rand.NewSource(seeds[p]))
-					for i := 0; i < perPusher; i++ {
-						// Unique T0 identifies the frame across its lifetime.
-						id := int64(p*perPusher + i)
-						q.push(sparse.NewFrame(2, 2, id, id+1))
-						if prng.Intn(8) == 0 {
-							// Yield occasionally to vary the interleaving.
-							for s := prng.Intn(64); s > 0; s-- {
-								_ = s
-							}
-						}
+			for _, level := range []pipeline.Level{pipeline.LevelBaseline, pipeline.LevelDSFA} {
+				const (
+					pushes   = 2000
+					capacity = 17
+				)
+				rng := rand.New(rand.NewSource(42 + int64(level)))
+				q := newTestQueue(t, level, capacity, policy)
+				seen := make(map[int64]int) // T0 -> times seen out
+				out := func(f *sparse.Frame) { seen[f.T0]++ }
+				q.recycle = out
+				var drained, served uint64
+				serve := func(inv *pipeline.Invocation) {
+					for _, f := range inv.Frames {
+						out(f)
 					}
-				}(p)
-			}
-
-			drained := make(map[int64]int) // T0 -> times seen out
-			overCap := 0
-			var drainWG sync.WaitGroup
-			stop := make(chan struct{})
-			drainWG.Add(1)
-			go func() {
-				defer drainWG.Done()
-				drng := rand.New(rand.NewSource(7))
-				for {
-					out := q.drain(drng.Intn(5)) // 0 = drain all
-					if len(out) > capacity {
-						overCap++
-					}
-					for _, f := range out {
-						drained[f.T0]++
-					}
-					select {
-					case <-stop:
-						if q.len() == 0 {
-							return
+					served += uint64(len(inv.Frames))
+					q.st.Done(inv.ReadyUS + float64(rng.Intn(3000)))
+				}
+				for id := int64(0); id < pushes; {
+					switch op := rng.Intn(10); {
+					case op < 7:
+						// Frames form 1 ms apart, in push order.
+						q.push(sparse.NewFrame(2, 2, id, 1000*(id+1)))
+						id++
+					case op < 8:
+						for _, f := range q.drain(rng.Intn(5)) { // 0 = drain all
+							out(f)
+							drained++
 						}
 					default:
+						if inv := q.st.Release(false); inv != nil {
+							serve(inv)
+						}
+					}
+					if n := q.len(); n > capacity {
+						t.Fatalf("level %v: queue holds %d frames, capacity %d", level, n, capacity)
 					}
 				}
-			}()
-			pushWG.Wait()
-			close(stop)
-			drainWG.Wait()
-
-			pushed, dropped := q.stats()
-			if pushed != uint64(pushers*perPusher) {
-				t.Fatalf("pushed = %d, want %d", pushed, pushers*perPusher)
-			}
-			if n := q.len(); n > capacity {
-				t.Errorf("queue holds %d frames, capacity %d", n, capacity)
-			}
-			if overCap > 0 {
-				t.Errorf("drainer observed over-capacity batches %d times", overCap)
-			}
-			var outN uint64
-			for t0, n := range drained {
-				if n != 1 {
-					t.Errorf("frame T0=%d drained %d times", t0, n)
+				for inv := q.st.Release(true); inv != nil; inv = q.st.Release(true) {
+					serve(inv)
 				}
-				outN += uint64(n)
-			}
-			// The drainer exits only on an empty queue after the last
-			// push, so nothing remains and every frame either drained
-			// exactly once or was dropped.
-			if rest := q.drain(0); len(rest) != 0 {
-				t.Errorf("queue still holds %d frames after the drainer finished", len(rest))
-			}
-			if outN+dropped != pushed {
-				t.Errorf("conservation: drained %d + dropped %d != pushed %d", outN, dropped, pushed)
+				pushed, dropped := q.stats()
+				if pushed != pushes || q.st.Pending() != 0 {
+					t.Fatalf("level %v: pushed = %d, want %d; %d frames still pending", level, pushed, pushes, q.st.Pending())
+				}
+				// Frames the aggregator sheds come out in an invocation's
+				// Frames too, so served counts them.
+				if dropped+drained+served != pushed {
+					t.Errorf("level %v: conservation: dropped %d + drained %d + served %d != pushed %d",
+						level, dropped, drained, served, pushed)
+				}
+				if len(seen) != pushes {
+					t.Errorf("level %v: %d distinct frames came out of %d pushed", level, len(seen), pushes)
+				}
+				for t0, n := range seen {
+					if n != 1 {
+						t.Errorf("level %v: frame T0=%d came out %d times", level, t0, n)
+					}
+				}
 			}
 		})
 	}

@@ -9,7 +9,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -66,7 +65,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *Client, func()) {
 }
 
 func TestFrameQueueDropOldest(t *testing.T) {
-	q := newFrameQueue(2, DropOldest)
+	q := newTestQueue(t, pipeline.LevelBaseline, 2, DropOldest)
 	f := func(id int64) *sparse.Frame { return sparse.NewFrame(4, 4, id, id+1) }
 	if d := q.push(f(0)); d != 0 {
 		t.Fatalf("push 0 dropped %d", d)
@@ -86,7 +85,7 @@ func TestFrameQueueDropOldest(t *testing.T) {
 }
 
 func TestFrameQueueDropNewest(t *testing.T) {
-	q := newFrameQueue(2, DropNewest)
+	q := newTestQueue(t, pipeline.LevelBaseline, 2, DropNewest)
 	f := func(id int64) *sparse.Frame { return sparse.NewFrame(4, 4, id, id+1) }
 	q.push(f(0))
 	q.push(f(1))
@@ -102,57 +101,78 @@ func TestFrameQueueDropNewest(t *testing.T) {
 	}
 }
 
-// TestFrameQueueConcurrent hammers one queue from concurrent pushers
-// and drainers under both drop policies (run with -race): no frame may
-// be both delivered and counted dropped, and none may vanish.
+// TestFrameQueueConcurrent hammers one session's ingest queue from
+// concurrent pushers while concurrent workers step the session, under
+// both drop policies and at levels 0 and 2 (run with -race): pushes
+// and execute passes meet only under the session lock, and no frame
+// may be both served and counted dropped, nor vanish — the arena
+// panics on a frame released twice.
 func TestFrameQueueConcurrent(t *testing.T) {
 	for _, policy := range []DropPolicy{DropOldest, DropNewest} {
 		t.Run(policy.String(), func(t *testing.T) {
-			const (
-				pushers   = 4
-				perPusher = 500
-			)
-			q := newFrameQueue(8, policy)
-			var wg sync.WaitGroup
-			var drained atomic.Int64
-			stopDrain := make(chan struct{})
-			var drainWG sync.WaitGroup
-			for d := 0; d < 2; d++ {
-				drainWG.Add(1)
-				go func() {
-					defer drainWG.Done()
-					for {
-						n := len(q.drain(16))
-						drained.Add(int64(n))
-						if n == 0 {
+			for _, level := range []int{0, 2} {
+				const (
+					pushers   = 4
+					perPusher = 500
+				)
+				srv, err := New(Config{ManualDrain: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sess, err := srv.CreateSession(SessionConfig{Network: nn.DOTIE, Level: level, QueueCap: 8, DropPolicy: policy.String()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var wg sync.WaitGroup
+				stopDrain := make(chan struct{})
+				var drainWG sync.WaitGroup
+				for d := 0; d < 2; d++ {
+					drainWG.Add(1)
+					go func() {
+						defer drainWG.Done()
+						for {
 							select {
 							case <-stopDrain:
 								return
 							default:
 							}
+							srv.execute(sess, false)
+							srv.sched.Pump()
 						}
-					}
-				}()
-			}
-			for p := 0; p < pushers; p++ {
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					for i := 0; i < perPusher; i++ {
-						q.push(sparse.NewFrame(4, 4, int64(p*perPusher+i), int64(p*perPusher+i)+1))
-					}
-				}(p)
-			}
-			wg.Wait()
-			close(stopDrain)
-			drainWG.Wait()
-			drained.Add(int64(len(q.drain(0))))
-			pushed, dropped := q.stats()
-			if pushed != pushers*perPusher {
-				t.Fatalf("pushed %d, want %d", pushed, pushers*perPusher)
-			}
-			if got := uint64(drained.Load()) + dropped; got != pushed {
-				t.Fatalf("drained %d + dropped %d != pushed %d", drained.Load(), dropped, pushed)
+					}()
+				}
+				var next int64 // guarded by sess.mu: frames form in push order
+				for p := 0; p < pushers; p++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := 0; i < perPusher; i++ {
+							sess.mu.Lock()
+							next++
+							f := srv.arena.Frames.Get(4, 4, 100*(next-1), 100*next, 0)
+							sess.framesIn++
+							sess.queue.push(f)
+							sess.mu.Unlock()
+						}
+					}()
+				}
+				wg.Wait()
+				close(stopDrain)
+				drainWG.Wait()
+				fin, err := srv.CloseSession(sess.ID)
+				srv.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				pushed, dropped := sess.queue.stats()
+				if pushed != pushers*perPusher || fin.FramesIn != pushed || fin.FramesDropped != dropped {
+					t.Fatalf("level %d: pushed %d, want %d; snapshot %d in, %d dropped, queue %d dropped",
+						level, pushed, pushers*perPusher, fin.FramesIn, fin.FramesDropped, dropped)
+				}
+				if got := fin.RawFramesDone + fin.FramesDropped + fin.FramesDroppedDSFA; got != pushed || fin.QueueLen+fin.AggPending != 0 {
+					t.Fatalf("level %d: done %d + dropped %d + DSFA-dropped %d != pushed %d (%d still held)",
+						level, fin.RawFramesDone, fin.FramesDropped, fin.FramesDroppedDSFA, pushed, fin.QueueLen+fin.AggPending)
+				}
 			}
 		})
 	}
@@ -995,8 +1015,11 @@ func TestHTTPIngestPooledChunk(t *testing.T) {
 // with pending work — more than any fixed bound — without blocking
 // Ingest (a bounded queue hangs this test until the suite timeout), and
 // the one Pump that follows drains them in the order they were
-// scheduled. Serialized dispatch (BatchMax 1) makes that order
-// observable as the order in which sessions see their results.
+// scheduled. A session keeps one invocation in flight and its
+// completion re-schedules it, so the Pump serves every session's first
+// frame in creation order, then every second one, once per frame of the
+// window. Serialized dispatch (BatchMax 1) makes that order observable
+// as the order in which sessions see their results.
 func TestManualDrainManySessionsNoDeadlock(t *testing.T) {
 	var order []string
 	cfg := Config{ManualDrain: true, BatchMax: 1, Journal: true}
@@ -1026,8 +1049,14 @@ func TestManualDrainManySessionsNoDeadlock(t *testing.T) {
 		}
 	}
 	srv.Pump()
-	if !slices.Equal(order, ids) {
-		t.Fatalf("one Pump served %d sessions, want all %d in creation order (first %v...)", len(order), len(ids), order[:min(len(order), 5)])
+	in := nn.MustByName(nn.DOTIE).Input
+	var want []string
+	for range (in.NumBins + in.GroupK - 1) / in.GroupK {
+		want = append(want, ids...)
+	}
+	if !slices.Equal(order, want) {
+		t.Fatalf("one Pump served %d results, want %d: all %d sessions in creation order once per frame of the window (first %v...)",
+			len(order), len(want), len(ids), order[:min(len(order), 5)])
 	}
 }
 

@@ -123,10 +123,6 @@ const MaxBodyBytes = 64 << 20
 // routes and a replica store its fences by it too.
 const MaxClosed = 64
 
-// drainBatch caps the frames a worker drains from a session per pass,
-// so one flooding session cannot monopolize a worker.
-const drainBatch = 32
-
 // ErrNoSession reports an unknown session ID.
 var ErrNoSession = errors.New("serve: no such session")
 
@@ -284,13 +280,9 @@ type Server struct {
 	arena    *mem.Arena
 	invPool  *mem.Pool[pipeline.Invocation]
 	pendPool *mem.Pool[pendingInv]
-	// drainBufs recycles the worker-side frame slices; dispatchScr the
-	// per-dispatch merge scratch; pendLists the per-execute submission
-	// lists. All three are sync.Pools because workers drain sessions
-	// and pump the scheduler concurrently.
-	drainBufs   sync.Pool
+	// dispatchScr recycles the per-dispatch merge scratch; a sync.Pool
+	// because workers pump the scheduler concurrently.
 	dispatchScr sync.Pool
-	pendLists   sync.Pool
 
 	// tracer records frame-lifecycle spans; nil when tracing is off
 	// (every obs method is a no-op on nil). devTrackH holds one
@@ -395,15 +387,7 @@ func New(cfg Config) (*Server, error) {
 		p.payload.plan = pipeline.ExecPlan{}
 		p.payload.trackH = nil
 	})
-	s.drainBufs.New = func() any {
-		b := make([]*sparse.Frame, 0, drainBatch)
-		return &b
-	}
 	s.dispatchScr.New = func() any { return &dispatchScratch{} }
-	s.pendLists.New = func() any {
-		l := make([]*pendingInv, 0, 16)
-		return &l
-	}
 	schedCfg := sched.Config{
 		Dispatch: s.dispatchBatch,
 		MaxBatch: cfg.BatchMax,
@@ -501,8 +485,8 @@ func (s *Server) worker() {
 // Config.ManualDrain, where no background goroutines exist: the
 // caller owns execution order — run-queue FIFO, then scheduler
 // submission order — deterministic for a single-threaded driver.
-// Completion callbacks can re-schedule sessions (the virtual clock
-// advanced, making more DSFA buckets dispatchable), hence the loop.
+// Completion callbacks re-schedule sessions that still hold frames
+// (the session's next invocation can go), hence the loop.
 func (s *Server) Pump() {
 	for {
 		worked := false
@@ -526,27 +510,12 @@ func (s *Server) schedule(sess *Session) {
 	}
 }
 
-// drainSession drains the session's ingest queue in bounded batches.
-// Clearing the scheduled flag before draining guarantees no lost
-// wakeup: a push that lands after the flag clears re-enqueues the
-// session. An empty pass still runs execute once — a completion
-// callback re-schedules the session exactly so that newly-dispatchable
-// DSFA buckets (the virtual clock advanced) reach the scheduler.
+// drainSession runs one execute pass for the session. Clearing the
+// scheduled flag first guarantees no lost wakeup: an ingest or a
+// completion that lands after the flag clears re-enqueues the session.
 func (s *Server) drainSession(sess *Session) {
 	sess.scheduled.Store(false)
-	bufp := s.drainBufs.Get().(*[]*sparse.Frame)
-	buf := *bufp
-	for {
-		buf = s.execute(sess, buf[:0], true, false)
-		if len(buf) == 0 {
-			break
-		}
-	}
-	for i := range buf {
-		buf[i] = nil
-	}
-	*bufp = buf[:0]
-	s.drainBufs.Put(bufp)
+	s.execute(sess, false)
 	s.maybeRemap()
 }
 
@@ -625,39 +594,21 @@ func planSig(p *pipeline.ExecPlan) string {
 	return fmt.Sprintf("%v|%v|%v|%d", p.Device, p.Prec, p.Sparse, p.FramingOps)
 }
 
-// aggSpan buffers one DSFA bucket-residency span during an execute
-// pass until the bulk SpansFunc flush.
-type aggSpan struct {
-	start, dur float64
-	count      int64
-}
-
-// execute pushes frames through the session's stepper and submits
-// every ready invocation to the execution scheduler, and returns
-// frames. With drain set it first moves up to drainBatch frames from
-// the session's ingest queue onto frames under the session lock, so
-// whenever that lock is free every frame in is queued, in the stepper
-// or counted done or dropped — a close's final snapshot never misses
-// frames a worker holds. flush drains open aggregator buckets too
-// (session close). Execution is asynchronous:
-// completion lands in complete, which records latencies, advances the
-// session clock and re-schedules the session. Invocation-side counters
-// (invocs, rawDone, batched) advance at submission — the frames have
-// irrevocably left the stepper — so frame conservation holds at every
-// scheduler-quiescent point.
-func (s *Server) execute(sess *Session, frames []*sparse.Frame, drain, flush bool) []*sparse.Frame {
-	pendp := s.pendLists.Get().(*[]*pendingInv)
-	pends := (*pendp)[:0]
+// execute submits the one invocation the session's stepper releases,
+// if any, to the execution scheduler. It runs under the session lock,
+// so whenever that lock is free every frame in is held, in the
+// aggregator or counted done or dropped — a close's final snapshot
+// never misses frames a worker holds. flush ends the stream (session
+// close): open aggregator buckets go too. Execution is asynchronous:
+// completion lands in complete, which records latencies, reports the
+// completion to the stepper and re-schedules the session while it
+// holds frames.
+// Invocation-side counters (invocs, rawDone, batched) advance at
+// submission — the frames have irrevocably left the stepper — so frame
+// conservation holds at every scheduler-quiescent point.
+func (s *Server) execute(sess *Session, flush bool) {
 	traced := s.tracer != nil
-	// Aggregation spans buffer on the stack until one bulk flush after
-	// the invocation loop; a pass rarely releases more than a handful
-	// of invocations, so the spill append stays cold.
-	var aggArr [32]aggSpan
-	aggs := aggArr[:0]
 	sess.mu.Lock()
-	if drain {
-		frames = sess.queue.drainInto(frames, drainBatch)
-	}
 	// A worker scheduled before CloseSession can still get here after
 	// the close's final flush ran. Serving in flush mode keeps whatever
 	// it finds from being stranded in open aggregator buckets — and if the
@@ -667,54 +618,41 @@ func (s *Server) execute(sess *Session, frames []*sparse.Frame, drain, flush boo
 		flush = true
 	}
 	tallied := sess.tallied
-	var preInvocs, preRaw, preDrops, preRetunes uint64
+	var preDrops, preRetunes uint64
 	if tallied {
-		preInvocs, preRaw = sess.invocs, sess.rawDone
 		preDrops = uint64(sess.stepper.Stats().DroppedFrames)
 		if sess.retuner != nil {
 			preRetunes = sess.retuner.Retunes()
 		}
 	}
+	// The control plane swaps plans and DSFA tunings only at this
+	// boundary: queued frames are never dropped by an adaptation, they
+	// simply execute under the new decision.
+	s.adaptLocked(sess)
+	released := sess.stepper.Clock()
+	inv := sess.stepper.Release(flush)
 	if traced {
-		// Queue-wait spans: a frame became available at its window end
-		// (T1) and leaves the ingest queue at the session's virtual now.
+		// Queue-wait spans: a frame became available at its T1 and left
+		// the hold at the later of T1 and the clock that released it.
 		// Bulk direct-write API: per-frame volume is the hot spot.
-		sess.trackH.SpansFunc(obs.StageQueue, "queue", len(frames),
+		left := sess.stepper.Left()
+		sess.trackH.SpansFunc(obs.StageQueue, "queue", len(left),
 			func(i int) (float64, float64, int64) {
-				t1 := float64(frames[i].T1)
-				return t1 + sess.epochUS, sess.clockUS - t1, 1
+				t1 := float64(left[i].T1)
+				return t1 + sess.epochUS, max(released-t1, 0), 1
 			})
 	}
-	for _, f := range frames {
-		sess.stepper.Push(f)
-	}
-	for {
-		// The control plane swaps plans and DSFA tunings only at this
-		// boundary: queued frames are never dropped by an adaptation,
-		// they simply execute under the new decision.
-		s.adaptLocked(sess)
-		inv := sess.stepper.Next(sess.clockUS)
-		if inv == nil {
-			if !flush {
-				break
-			}
-			inv = sess.stepper.Flush()
-			if inv == nil {
-				break
-			}
-		}
+	var p *pendingInv
+	if inv != nil {
 		plan := sess.plan.Load()
 		if traced && len(inv.PerRaw) > 0 {
 			// DSFA bucket residency: earliest member frame ready to the
 			// invocation's release.
 			first := inv.PerRaw[0].ReadyUS
 			for _, rr := range inv.PerRaw {
-				if rr.ReadyUS < first {
-					first = rr.ReadyUS
-				}
+				first = min(first, rr.ReadyUS)
 			}
-			aggs = append(aggs, aggSpan{start: first + sess.epochUS,
-				dur: inv.ReadyUS - first, count: int64(inv.Raw)})
+			sess.trackH.Span(obs.StageAgg, "agg", first+sess.epochUS, inv.ReadyUS+sess.epochUS, int64(inv.Raw))
 		}
 		// Shift the invocation into the engine's virtual timeline; the
 		// completion path attributes latencies back in stream time
@@ -734,7 +672,7 @@ func (s *Server) execute(sess *Session, frames []*sparse.Frame, drain, flush boo
 			// the first invocation, so pointer identity keys the cache.
 			sess.sigPlan, sess.planSig = plan, planSig(plan)
 		}
-		p := s.newPending()
+		p = s.newPending()
 		p.sess = sess
 		p.payload.inv = inv
 		p.payload.net = sess.Net
@@ -743,19 +681,13 @@ func (s *Server) execute(sess *Session, frames []*sparse.Frame, drain, flush boo
 		p.req.Session = sess.ID
 		p.req.Key = sched.Key{Device: plan.Device[0], Net: sess.Net.Name, Sig: sess.planSig}
 		p.req.Units = inv.Raw
-		pends = append(pends, p)
 	}
 	if traced {
-		sess.trackH.SpansFunc(obs.StageAgg, "agg", len(aggs),
-			func(i int) (float64, float64, int64) {
-				a := &aggs[i]
-				return a.start, a.dur, a.count
-			})
 		// DSFA shed marks: the aggregator's bounded inference queue
 		// dropped raw frames since the last pass.
 		if drops := uint64(sess.stepper.Stats().DroppedFrames); drops > sess.lastDSFADrops {
 			sess.trackH.Instant(obs.StageAgg, "dsfa-drop",
-				sess.clockUS+sess.epochUS, int64(drops-sess.lastDSFADrops))
+				sess.stepper.Clock()+sess.epochUS, int64(drops-sess.lastDSFADrops))
 			sess.lastDSFADrops = drops
 		}
 	}
@@ -764,9 +696,10 @@ func (s *Server) execute(sess *Session, frames []*sparse.Frame, drain, flush boo
 		// roll-up; contribute this pass's submission-side deltas directly
 		// (completion-side latency deltas fold in complete).
 		d := SessionTotals{
-			Invocations:       sess.invocs - preInvocs,
-			RawFramesDone:     sess.rawDone - preRaw,
 			FramesDroppedDSFA: uint64(sess.stepper.Stats().DroppedFrames) - preDrops,
+		}
+		if inv != nil {
+			d.Invocations, d.RawFramesDone = 1, uint64(inv.Raw)
 		}
 		if sess.retuner != nil {
 			d.Retunes = sess.retuner.Retunes() - preRetunes
@@ -779,19 +712,12 @@ func (s *Server) execute(sess *Session, frames []*sparse.Frame, drain, flush boo
 	}
 	sess.mu.Unlock()
 	// Submit outside sess.mu: the pump that follows completes requests
-	// on this goroutine, and complete re-acquires the session lock.
-	// The pending structs themselves are NOT returned here — the
-	// scheduler's Release hook recycles each one after its batch
-	// completes; only the list scratch goes back.
-	for _, p := range pends {
+	// on this goroutine, and complete re-acquires the session lock. The
+	// pending struct is NOT returned here — the scheduler's Release hook
+	// recycles it after its batch completes.
+	if p != nil {
 		s.sched.Submit(&p.req)
 	}
-	for i := range pends {
-		pends[i] = nil
-	}
-	*pendp = pends[:0]
-	s.pendLists.Put(pendp)
-	return frames
 }
 
 // dispatchBatch executes one scheduler micro-batch: compatible
@@ -916,11 +842,11 @@ func dispatchName(n int) string {
 }
 
 // complete is the scheduler's completion callback for one session
-// submission: attribute per-raw-frame latencies in stream time,
-// advance the session's virtual hardware-available clock, and
-// re-schedule the session so DSFA buckets that became stale under the
-// new clock get drained. A session already handed off to the closed
-// roll-up folds its latency deltas into the server totals directly.
+// submission: attribute per-raw-frame latencies in stream time, report
+// the completion to the stepper, and re-schedule the session while it
+// holds frames, so its next invocation goes. A session already handed
+// off to the closed roll-up folds its latency deltas into the server
+// totals directly.
 func (s *Server) complete(sess *Session, perRaw []pipeline.RawRef, engEnd float64) {
 	sess.mu.Lock()
 	end := engEnd - sess.epochUS
@@ -943,11 +869,8 @@ func (s *Server) complete(sess *Session, perRaw []pipeline.RawRef, engEnd float6
 				return rr.ReadyUS + sess.epochUS, end - rr.ReadyUS, int64(rr.N)
 			})
 	}
-	advanced := false
-	if end > sess.clockUS {
-		sess.clockUS = end
-		advanced = true
-	}
+	sess.stepper.Done(end)
+	pending := sess.stepper.Pending() > 0
 	var resultEv ResultEvent
 	var resultAck uint64
 	if sess.journal != nil && dCount > 0 {
@@ -971,7 +894,7 @@ func (s *Server) complete(sess *Session, perRaw []pipeline.RawRef, engEnd float6
 		s.closedTotals.Merge(SessionTotals{LatencyCount: dCount, LatencySumUS: dSum})
 		s.totalsMu.Unlock()
 	}
-	if advanced {
+	if pending {
 		s.schedule(sess)
 	}
 }
@@ -987,7 +910,7 @@ func (s *Server) adaptLocked(sess *Session) {
 		// The derived tuning is valid by construction; a failed retune
 		// would leave the old tuning in place, which is safe.
 		if sess.stepper.Retune(cfg) == nil {
-			s.ctlTrack.Instant(obs.StageCtl, "retune:"+sess.ID, sess.clockUS+sess.epochUS, 1)
+			s.ctlTrack.Instant(obs.StageCtl, "retune:"+sess.ID, sess.stepper.Clock()+sess.epochUS, 1)
 		}
 	}
 }
@@ -1037,7 +960,7 @@ func (s *Server) CreateSession(cfg SessionConfig) (*Session, error) {
 	sess.tracer = s.tracer
 	sess.trackH = s.tracer.Track(sess.track)
 	if s.cfg.Journal {
-		sess.journal = newJournal()
+		sess.journal = new(journal)
 	}
 	s.sessMu.Lock()
 	s.sessions[id] = sess
@@ -1078,29 +1001,32 @@ func (s *Server) CloseSession(id string) (*SessionSnapshot, error) {
 	sess.mu.Lock()
 	alreadyClosed := sess.closed
 	sess.closed = true
-	var tail []*sparse.Frame
 	var err error
 	if !alreadyClosed {
+		// The converter's trailing frame joins what ingest left held:
+		// flushed partial frames are E2SF output like any other, so they
+		// are counted, or frame conservation (frames_in == done + dropped
+		// + in-flight) breaks by one per count-framed close. The close
+		// serves them all, past the queue's bound.
+		var tail []*sparse.Frame
 		tail, err = sess.conv.flush()
-		// Flushed partial frames are E2SF output like any other: count
-		// them, or frame conservation (frames_in == done + dropped +
-		// in-flight) breaks by one per count-framed close.
 		sess.framesIn += uint64(len(tail))
+		for _, f := range tail {
+			sess.stepper.Push(f)
+		}
 	}
 	sess.mu.Unlock()
 	s.sessMu.Unlock()
 	if !alreadyClosed {
-		// Drain whatever ingest left behind, then flush the aggregator —
-		// even when the converter flush or the rebalance fails, so a
-		// failed close never strands queued frames behind a session that
-		// now rejects ingest.
-		tail = append(sess.queue.drain(0), tail...)
-		s.execute(sess, tail, false, true)
-		// Settle the session's scheduler backlog before taking finals:
-		// the flush submissions must complete (latencies observed, clock
-		// advanced) so the terminal snapshot is whole. Wait pumps on this
-		// goroutine, so no lock is held here.
-		s.sched.Wait(sess.ID)
+		// Serve everything held, one invocation at a time — even when the
+		// converter flush or the rebalance fails, so a failed close never
+		// strands frames behind a session that now rejects ingest. Each
+		// invocation must complete (latencies observed, clock advanced)
+		// before the next goes and before finals are taken; Wait pumps on
+		// this goroutine, so no lock is held here.
+		for s.closeStep(sess) {
+			s.sched.Wait(sess.ID)
+		}
 		// Hand the session from the active roll-up to the closed one in
 		// a single sessMu critical section (sessMu -> sess.mu, the same
 		// order the create/close paths use): the tallied flag and the
@@ -1150,6 +1076,16 @@ func (s *Server) CloseSession(id string) (*SessionSnapshot, error) {
 	}
 	snap := sess.snapshot()
 	return &snap, nil
+}
+
+// closeStep runs one flushing execute pass for a closing session and
+// reports whether its stepper still holds a frame or an invocation in
+// flight; a closed session takes no more ingest.
+func (s *Server) closeStep(sess *Session) bool {
+	s.execute(sess, true)
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	return sess.stepper.Pending() > 0 || sess.stepper.InFlight()
 }
 
 // Session returns a session by ID.
@@ -1325,7 +1261,9 @@ func (s *Server) Load() NodeLoad {
 	l := NodeLoad{SessionsActive: len(active), CapacityMACs: s.capacityMACs}
 	for _, sess := range active {
 		l.CostMACs += float64(sess.Net.TotalMACs())
+		sess.mu.Lock()
 		l.QueuedFrames += sess.queue.len()
+		sess.mu.Unlock()
 	}
 	if l.CapacityMACs > 0 {
 		l.Utilization = l.CostMACs / l.CapacityMACs

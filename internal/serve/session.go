@@ -81,8 +81,11 @@ type SessionSnapshot struct {
 	// inference queue shed, on top of the ingest-queue drops above.
 	FramesDroppedDSFA uint64 `json:"frames_dropped_dsfa"`
 	// AggPending counts raw frames buffered inside the DSFA aggregator
-	// (open buckets plus the merged queue) — with QueueLen, the
-	// session's whole in-flight residual, so harnesses can check frame
+	// at level 2 and up (open buckets plus the merged queue). QueueLen
+	// counts the frames the ingest queue holds: the stepper's hold,
+	// frames waiting for the clock to reach their T1 or for the
+	// invocation in flight to complete. Together they are the session's
+	// whole in-flight residual, so harnesses can check frame
 	// conservation: FramesIn == RawFramesDone + FramesDropped +
 	// FramesDroppedDSFA + QueueLen + AggPending at any quiescent point.
 	AggPending    int            `json:"agg_pending,omitempty"`
@@ -109,15 +112,15 @@ type SessionSnapshot struct {
 
 // Session is one client's stream bound to a network and an
 // optimization level. The HTTP ingest path converts event chunks to
-// sparse frames and pushes them into the bounded queue; workers drain
-// the queue through the pipeline Stepper onto the shared engine.
+// sparse frames and pushes them into the bounded queue, the hold of
+// the session's pipeline Stepper; workers step it onto the shared
+// engine.
 type Session struct {
 	ID    string
 	Net   *nn.Network
 	Level pipeline.Level
 
-	queue *frameQueue
-	lat   *latencyRecorder
+	lat *latencyRecorder
 
 	// scheduled marks the session as sitting in the worker run queue,
 	// so concurrent ingests enqueue it at most once; runNext is its
@@ -148,6 +151,7 @@ type Session struct {
 	mu       sync.Mutex
 	conv     *ingestConverter
 	stepper  *pipeline.Stepper
+	queue    *frameQueue      // bounds the stepper's hold
 	retuner  *control.Retuner // nil when adaptation is off or below LevelDSFA
 	usedDevs map[int]bool     // devices invocations actually ran on
 	// sigPlan/planSig cache the coalescing signature of the installed
@@ -177,11 +181,6 @@ type Session struct {
 	// starts at the engine's current horizon, not at virtual zero
 	// (which would queue its frames behind all history).
 	epochUS float64
-	// clockUS is the session's virtual hardware-available time: the
-	// later of the last invocation's completion and the stream
-	// watermark. DSFA staleness and dispatch decisions use it the same
-	// way the offline executor uses its loop clock.
-	clockUS float64
 	// lastDSFADrops is the aggregator drop count already emitted as
 	// trace instants, so each execute pass marks only the delta.
 	lastDSFADrops uint64
@@ -203,7 +202,7 @@ func newSession(id string, net *nn.Network, level pipeline.Level, queueCap int, 
 		track:    "sess/" + id,
 		Net:      net,
 		Level:    level,
-		queue:    newFrameQueue(queueCap, policy),
+		queue:    newFrameQueue(stepper, queueCap, policy),
 		lat:      newLatencyRecorder(),
 		conv:     &ingestConverter{spec: net.Input},
 		stepper:  stepper,
@@ -225,7 +224,7 @@ func newSession(id string, net *nn.Network, level pipeline.Level, queueCap int, 
 func (s *Session) sampleLocked() control.SessionSample {
 	_, qDropped := s.queue.stats()
 	return control.SessionSample{
-		StreamUS:      int64(s.clockUS),
+		StreamUS:      int64(s.stepper.Clock()),
 		FramesDropped: qDropped + uint64(s.stepper.Stats().DroppedFrames),
 		QueueLen:      s.queue.len(),
 		QueueCap:      s.queue.cap,
@@ -269,9 +268,6 @@ func (s *Session) ingest(ch Chunk) (IngestResult, error) {
 	if s.Level == pipeline.LevelBaseline && s.plan.FramingOps() == 0 && len(frames) > 0 {
 		// Dense event-frame construction: full tensor stores per frame.
 		s.plan.SetFramingOps(int64(2 * frames[0].H * frames[0].W))
-	}
-	if float64(tEnd) > s.clockUS {
-		s.clockUS = float64(tEnd)
 	}
 	res.Events = ch.len()
 	res.Frames = len(frames)
@@ -331,7 +327,7 @@ func (s *Session) snapshotLocked() SessionSnapshot {
 	}
 	_, snap.FramesDropped = s.queue.stats()
 	snap.FramesDroppedDSFA = uint64(s.stepper.Stats().DroppedFrames)
-	snap.AggPending = s.stepper.Pending()
+	snap.AggPending = s.stepper.Pending() - s.stepper.Held()
 	snap.Remaps = s.plan.Swaps()
 	if s.retuner != nil {
 		snap.Retunes = s.retuner.Retunes()
