@@ -54,7 +54,6 @@ var uncalledKept = map[string]string{
 	"hw.Engine.Timeline":               "bench binding: bench/pump_layers.go calls NewEngine(p, false); ROADMAP item 4(d) re-points it so the record mode can go",
 	"serve.Client.Session":             "test fixture: reads one session over HTTP in the serve and cluster tests",
 	"serve.Client.Sessions":            "test fixture: lists the sessions over HTTP in the cluster tests",
-	"sparse.Frame.Set":                 "test fixture: builds frames in the tests of six packages",
 	"sparse.Frame.Clone":               "test fixture: copies frames in the dsfa and sparse tests",
 	"sparse.Frame.Get":                 "test oracle: one cell of a frame in the dsfa, e2sf and sparse tests",
 	"sparse.Frame.Validate":            "test oracle: the frame invariants the e2sf and sparse tests check",

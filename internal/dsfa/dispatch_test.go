@@ -132,15 +132,17 @@ func sameFrame(got, want *sparse.Frame) error {
 		return fmt.Errorf("frame %dx%d [%d,%d), want %dx%d [%d,%d)",
 			got.H, got.W, got.T0, got.T1, want.H, want.W, want.T0, want.T1)
 	}
-	if len(got.Ys) != len(want.Ys) {
-		return fmt.Errorf("%d entries, want %d", len(got.Ys), len(want.Ys))
+	if len(got.Cells) != len(want.Cells) {
+		return fmt.Errorf("%d entries, want %d", len(got.Cells), len(want.Cells))
 	}
-	for i := range want.Ys {
-		if got.Ys[i] != want.Ys[i] || got.Xs[i] != want.Xs[i] ||
+	for i := range want.Cells {
+		gy, gx := got.YX(i)
+		wy, wx := want.YX(i)
+		if gy != wy || gx != wx ||
 			math.Float32bits(got.Pos[i]) != math.Float32bits(want.Pos[i]) ||
 			math.Float32bits(got.Neg[i]) != math.Float32bits(want.Neg[i]) {
 			return fmt.Errorf("entry %d = (%d,%d,%v,%v), want (%d,%d,%v,%v)", i,
-				got.Ys[i], got.Xs[i], got.Pos[i], got.Neg[i], want.Ys[i], want.Xs[i], want.Pos[i], want.Neg[i])
+				gy, gx, got.Pos[i], got.Neg[i], wy, wx, want.Pos[i], want.Neg[i])
 		}
 	}
 	return nil

@@ -485,7 +485,7 @@ func (a *Aggregator) sum(m *Merged) *sparse.Frame {
 	// The members' entries bound the merged frame's.
 	entries := 0
 	for _, f := range m.Frames {
-		entries += len(f.Ys)
+		entries += len(f.Cells)
 	}
 	merged := a.pool.Get(h, w, 0, 0, entries)
 	acc := a.pool.GetAccum(h, w)

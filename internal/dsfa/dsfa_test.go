@@ -370,9 +370,8 @@ func BenchmarkAggregatorPushDispatch(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, t := range templates {
-					f := pool.Get(h, w, t.T0, t.T1, len(t.Ys))
-					f.Ys = append(f.Ys, t.Ys...)
-					f.Xs = append(f.Xs, t.Xs...)
+					f := pool.Get(h, w, t.T0, t.T1, len(t.Cells))
+					f.Cells = append(f.Cells, t.Cells...)
 					f.Pos = append(f.Pos, t.Pos...)
 					f.Neg = append(f.Neg, t.Neg...)
 					agg.Push(f)

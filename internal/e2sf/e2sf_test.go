@@ -42,8 +42,25 @@ func TestNewValidation(t *testing.T) {
 	if _, err := NewFused(Config{Width: 10, Height: 10, NumBins: 0}, nil); err == nil {
 		t.Fatal("zero bins accepted")
 	}
-	if _, err := NewFused(Config{Width: 1 << 16, Height: 1 << 16, NumBins: 1}, nil); err == nil {
-		t.Fatal("geometry overflowing int32 keys accepted")
+	// A frame's cell index is y<<s | x with s the bit length of W-1 (at
+	// least 6), so the geometry fits when H<<s stays within int32. No
+	// grid is allocated: the converter borrows one per conversion.
+	for _, g := range []struct {
+		w, h int
+		ok   bool
+	}{
+		{1 << 16, 1 << 16, false},
+		{65537, 16384, false}, // W·H < 2^31, but H<<17 = 2^31
+		{65536, 16384, true},  // H<<16 = 2^30
+		{64, 1<<25 - 1, true}, // s = 6 below W = 64
+		{64, 1 << 25, false},
+		{65, 1<<24 - 1, true}, // s = 7 from W = 65
+		{65, 1 << 24, false},
+	} {
+		_, err := NewFused(Config{Width: g.w, Height: g.h, NumBins: 1}, nil)
+		if (err == nil) != g.ok {
+			t.Fatalf("%dx%d: NewFused error %v, want accepted = %v", g.w, g.h, err, g.ok)
+		}
 	}
 	c := mustFused(t, 10, 10, 4)
 	if c.cfg.NumBins != 4 {

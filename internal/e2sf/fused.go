@@ -2,7 +2,6 @@ package e2sf
 
 import (
 	"fmt"
-	"math"
 
 	"evedge/internal/events"
 	"evedge/internal/mem"
@@ -55,8 +54,8 @@ func NewFused(cfg Config, pool *mem.FramePool) (*Fused, error) {
 	if cfg.NumBins <= 0 {
 		return nil, fmt.Errorf("e2sf: NumBins must be positive, got %d", cfg.NumBins)
 	}
-	if int64(cfg.Width)*int64(cfg.Height) > math.MaxInt32 {
-		return nil, fmt.Errorf("e2sf: geometry %dx%d overflows int32 keys", cfg.Width, cfg.Height)
+	if !sparse.CellsFit(cfg.Height, cfg.Width) {
+		return nil, fmt.Errorf("e2sf: geometry %dx%d overflows int32 cell indexes", cfg.Width, cfg.Height)
 	}
 	if pool == nil {
 		pool = mem.NewFramePool()

@@ -12,6 +12,8 @@ import (
 
 	"evedge/internal/events"
 	"evedge/internal/mem"
+	"evedge/internal/nn"
+	"evedge/internal/scene"
 	"evedge/internal/sparse"
 )
 
@@ -52,12 +54,12 @@ func framesEqual(t *testing.T, ctx string, got, want *sparse.Frame) {
 	if got.NNZ() != want.NNZ() {
 		t.Fatalf("%s: NNZ = %d, want %d", ctx, got.NNZ(), want.NNZ())
 	}
-	for i := range want.Ys {
-		if got.Ys[i] != want.Ys[i] || got.Xs[i] != want.Xs[i] ||
-			got.Pos[i] != want.Pos[i] || got.Neg[i] != want.Neg[i] {
+	for i := range want.Cells {
+		gy, gx := got.YX(i)
+		wy, wx := want.YX(i)
+		if gy != wy || gx != wx || got.Pos[i] != want.Pos[i] || got.Neg[i] != want.Neg[i] {
 			t.Fatalf("%s: entry %d = (%d,%d,%v,%v), want (%d,%d,%v,%v)", ctx, i,
-				got.Ys[i], got.Xs[i], got.Pos[i], got.Neg[i],
-				want.Ys[i], want.Xs[i], want.Pos[i], want.Neg[i])
+				gy, gx, got.Pos[i], got.Neg[i], wy, wx, want.Pos[i], want.Neg[i])
 		}
 	}
 }
@@ -309,7 +311,7 @@ func TestFusedSharedPoolConcurrent(t *testing.T) {
 	cfg := Config{Width: 70, Height: 40, NumBins: 4}
 	pool := mem.NewFramePool()
 	same := func(a, b *sparse.Frame) bool {
-		return a.T0 == b.T0 && a.T1 == b.T1 && slices.Equal(a.Ys, b.Ys) && slices.Equal(a.Xs, b.Xs) &&
+		return a.T0 == b.T0 && a.T1 == b.T1 && slices.Equal(a.Cells, b.Cells) &&
 			slices.Equal(a.Pos, b.Pos) && slices.Equal(a.Neg, b.Neg)
 	}
 	var wg sync.WaitGroup
@@ -383,9 +385,55 @@ func TestFusedValidation(t *testing.T) {
 	}
 }
 
+// spikeflownetStream is one second of the half-scale IndoorFlying2
+// stream at seed 7, SpikeFlowNet's input.
+var spikeflownetStream = sync.OnceValues(func() (*events.Stream, error) {
+	seq, err := scene.NewSequence(scene.IndoorFlying2, scene.Half, 7)
+	if err != nil {
+		return nil, err
+	}
+	return seq.Generate(1_000_000)
+})
+
 // BenchmarkE2SFConvert compares the map-per-bin reference against
-// Fused, pooled and unpooled.
+// Fused, pooled and unpooled, on a uniform random stream; the
+// spikeflownet-count row count-frames a real stream as a served
+// SpikeFlowNet session does (serve's emitRun): each run of the zoo's N
+// events (225 at half scale) converted over its own span into a frame
+// from the session's pool, which goes back once read.
 func BenchmarkE2SFConvert(b *testing.B) {
+	b.Run("spikeflownet-count", func(b *testing.B) {
+		s, err := spikeflownetStream()
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := nn.MustByName(nn.SpikeFlowNet).Input.EventsPerFrame(s.Width, s.Height)
+		pool := mem.NewFramePool()
+		fused, err := NewFused(Config{Width: s.Width, Height: s.Height, NumBins: 1}, pool)
+		if err != nil {
+			b.Fatal(err)
+		}
+		run := events.NewStream(s.Width, s.Height)
+		out := make([]*sparse.Frame, 0, 1)
+		convert := func() {
+			for evs := s.Events; len(evs) >= n; evs = evs[n:] {
+				run.Events = evs[:n]
+				out, _, err = fused.ConvertByCountAppend(out[:0], run, evs[0].TS, evs[n-1].TS+1, n)
+				if err != nil {
+					b.Fatal(err)
+				}
+				pool.Put(out[0])
+			}
+		}
+		convert()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			convert()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(s.Events)/n*n), "ns/event")
+	})
+
 	rng := rand.New(rand.NewSource(9))
 	cfg := Config{Width: 128, Height: 128, NumBins: 8}
 	s := randStream(rng, 128, 128, 8192, 0, 10000)

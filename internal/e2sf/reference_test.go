@@ -27,15 +27,12 @@ func (c pixelCounts) add(e events.Event, w int) {
 	c[k] = v
 }
 
-// frame emits the counts as a sorted h x w frame; no counts, nil
-// channel slices.
+// frame emits the counts as a sorted h x w frame, each key's (y, x)
+// set in key order; no counts, nil channel slices.
 func (c pixelCounts) frame(h, w int, t0, t1 int64) *sparse.Frame {
 	f := sparse.NewFrame(h, w, t0, t1)
 	for _, k := range slices.Sorted(maps.Keys(c)) {
-		f.Ys = append(f.Ys, int32(k/int64(w)))
-		f.Xs = append(f.Xs, int32(k%int64(w)))
-		f.Pos = append(f.Pos, c[k][0])
-		f.Neg = append(f.Neg, c[k][1])
+		f.Set(int32(k/int64(w)), int32(k%int64(w)), c[k][0], c[k][1])
 	}
 	return f
 }

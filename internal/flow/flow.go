@@ -42,8 +42,9 @@ func MaskedAEE(pred, gt *scene.FlowField, frame *sparse.Frame) (float64, error) 
 		return 0, fmt.Errorf("flow: no active pixels to evaluate")
 	}
 	var s float64
-	for i := range frame.Ys {
-		idx := int(frame.Ys[i])*pred.W + int(frame.Xs[i])
+	for i := range frame.Cells {
+		y, x := frame.YX(i)
+		idx := int(y)*pred.W + int(x)
 		du := float64(pred.U[idx] - gt.U[idx])
 		dv := float64(pred.V[idx] - gt.V[idx])
 		s += math.Sqrt(du*du + dv*dv)

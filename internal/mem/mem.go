@@ -79,7 +79,7 @@ const frameClasses = 64
 // capClass is f's class: bits.Len of the room its channel slices all
 // have.
 func capClass(f *sparse.Frame) int {
-	return bits.Len(uint(min(cap(f.Ys), cap(f.Xs), cap(f.Pos), cap(f.Neg))))
+	return bits.Len(uint(min(cap(f.Cells), cap(f.Pos), cap(f.Neg))))
 }
 
 // fitClass picks the free class Get lends from for a frame that will

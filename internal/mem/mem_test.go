@@ -33,7 +33,7 @@ func TestFramePoolReuse(t *testing.T) {
 // sized returns a free-standing frame with room for n entries.
 func sized(n int) *sparse.Frame {
 	f := sparse.NewFrame(1, 1, 0, 1)
-	f.Ys, f.Xs = make([]int32, 0, n), make([]int32, 0, n)
+	f.Cells = make([]int32, 0, n)
 	f.Pos, f.Neg = make([]float32, 0, n), make([]float32, 0, n)
 	return f
 }
@@ -61,7 +61,7 @@ func TestFramePoolReuseBySize(t *testing.T) {
 		{5000, three, "5000 entries again: the largest class left"},
 	} {
 		if got := p.Get(1, 1, 0, 1, c.entries); got != c.want {
-			t.Fatalf("%s: got a frame with room for %d", c.what, cap(got.Ys))
+			t.Fatalf("%s: got a frame with room for %d", c.what, cap(got.Cells))
 		}
 	}
 	if st := p.Stats(); st.Gets != 6 || st.News != 0 {

@@ -378,9 +378,10 @@ func hashFrames(frames []*sparse.Frame) uint64 {
 	for _, f := range frames {
 		b = binary.LittleEndian.AppendUint64(b[:0], uint64(f.T0))
 		b = binary.LittleEndian.AppendUint64(b, uint64(f.T1))
-		for i := range f.Ys {
-			b = binary.LittleEndian.AppendUint32(b, uint32(f.Ys[i]))
-			b = binary.LittleEndian.AppendUint32(b, uint32(f.Xs[i]))
+		for i := range f.Cells {
+			y, x := f.YX(i)
+			b = binary.LittleEndian.AppendUint32(b, uint32(y))
+			b = binary.LittleEndian.AppendUint32(b, uint32(x))
 			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(f.Pos[i]))
 			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(f.Neg[i]))
 		}
@@ -391,7 +392,7 @@ func hashFrames(frames []*sparse.Frame) uint64 {
 
 // TestRunWarmAllocBudget: a run on pools that identical runs have
 // warmed takes its frames from them, so it allocates well under what
-// the frames' channel slices would cost (16 B per entry) if it
+// the frames' channel slices would cost (12 B per entry) if it
 // allocated them again, as every run did before Run borrowed its
 // frames. The pool lends by capacity class, so the first warm runs
 // still regrow the frames it hands to emissions larger than their
@@ -435,7 +436,8 @@ func TestRunPoolsSurviveGC(t *testing.T) {
 }
 
 // checkWarmAlloc fails unless one call of runOnce allocates under a
-// quarter of what cfg's frames' channel slices cost (16 B per entry).
+// quarter of what cfg's frames' channel slices cost (12 B per entry:
+// a cell index and two counts).
 // Its callers run at GOMAXPROCS 1, so conversions run on one shard:
 // on more, how many grids the pool holds and which frame it lends to
 // which emission depend on how the shards happened to overlap in the
@@ -449,7 +451,7 @@ func checkWarmAlloc(t *testing.T, cfg Config, runOnce func() error) {
 	}
 	entries := 0
 	for _, f := range frames {
-		entries += len(f.Ys)
+		entries += len(f.Cells)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -457,10 +459,10 @@ func checkWarmAlloc(t *testing.T, cfg Config, runOnce func() error) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	alloc, budget := after.TotalAlloc-before.TotalAlloc, uint64(16*entries/4)
-	t.Logf("warm run allocated %d B, %.1f %% of 16 B x %d entries", alloc, 100*float64(alloc)/float64(16*entries), entries)
+	alloc, budget := after.TotalAlloc-before.TotalAlloc, uint64(12*entries/4)
+	t.Logf("warm run allocated %d B, %.1f %% of 12 B x %d entries", alloc, 100*float64(alloc)/float64(12*entries), entries)
 	if alloc >= budget {
-		t.Fatalf("warm run allocated %d B, budget %d B (25 %% of 16 B x %d entries)", alloc, budget, entries)
+		t.Fatalf("warm run allocated %d B, budget %d B (25 %% of 12 B x %d entries)", alloc, budget, entries)
 	}
 }
 
@@ -544,10 +546,7 @@ func (c pixelCounts) add(e events.Event, w int) {
 func (c pixelCounts) frame(h, w int, t0, t1 int64) *sparse.Frame {
 	f := sparse.NewFrame(h, w, t0, t1)
 	for _, k := range slices.Sorted(maps.Keys(c)) {
-		f.Ys = append(f.Ys, int32(k/int64(w)))
-		f.Xs = append(f.Xs, int32(k%int64(w)))
-		f.Pos = append(f.Pos, c[k][0])
-		f.Neg = append(f.Neg, c[k][1])
+		f.Set(int32(k/int64(w)), int32(k%int64(w)), c[k][0], c[k][1])
 	}
 	return f
 }
@@ -644,7 +643,7 @@ func sameFrames(t *testing.T, ctx string, got, want []*sparse.Frame) {
 	for i, f := range got {
 		r := want[i]
 		if f.H != r.H || f.W != r.W || f.T0 != r.T0 || f.T1 != r.T1 ||
-			!slices.Equal(f.Ys, r.Ys) || !slices.Equal(f.Xs, r.Xs) ||
+			!slices.Equal(f.Cells, r.Cells) ||
 			!slices.Equal(bits(f.Pos), bits(r.Pos)) || !slices.Equal(bits(f.Neg), bits(r.Neg)) {
 			t.Fatalf("%s: frame %d [%d,%d) nnz %d != reference [%d,%d) nnz %d",
 				ctx, i, f.T0, f.T1, f.NNZ(), r.T0, r.T1, r.NNZ())

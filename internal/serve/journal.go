@@ -308,10 +308,81 @@ func (s *Server) SessionJournalStats(id string) (JournalStats, error) {
 // append below the highest one it forgot.
 type replicaStore struct {
 	mu     sync.Mutex
-	logs   map[string][]ReplicaEntry
+	logs   map[string]*replicaLog
 	fences map[string]uint64
 	order  []string // fenced sessions, oldest first
 	floor  uint64
+}
+
+// replicaLog is one session's replica log as two queues sorted by
+// seq: the chunk entries, trimmed from the front as the ack watermark
+// passes them, and the result entries, at most journalResultCap, the
+// oldest shed first. An append touches only the ends of one queue, so
+// it costs O(1) amortized however long the log is; the two merge by
+// seq only when the log is read (ReplicaTake, ReplicaLog).
+type replicaLog struct {
+	chunks, results seqQueue
+}
+
+// entries returns the log's entries merged in sequence order, nil when
+// it holds none.
+func (l *replicaLog) entries() []ReplicaEntry {
+	if l == nil || l.chunks.n+l.results.n == 0 {
+		return nil
+	}
+	out := make([]ReplicaEntry, 0, l.chunks.n+l.results.n)
+	c, r := 0, 0
+	for c < l.chunks.n && r < l.results.n {
+		if ce, re := l.chunks.at(c), l.results.at(r); re.Seq < ce.Seq {
+			out, r = append(out, *re), r+1
+		} else {
+			out, c = append(out, *ce), c+1
+		}
+	}
+	for ; c < l.chunks.n; c++ {
+		out = append(out, *l.chunks.at(c))
+	}
+	for ; r < l.results.n; r++ {
+		out = append(out, *l.results.at(r))
+	}
+	return out
+}
+
+// seqQueue is a ring of replica entries kept sorted by seq, oldest at
+// head. A push inserts from the tail, O(1) in the common in-order case
+// (concurrent ingests can replicate out of order); a pop advances the
+// head. The ring doubles when full, so its size is the next power of
+// two at or above the most entries it has held.
+type seqQueue struct {
+	buf  []ReplicaEntry // len is zero or a power of two
+	head int
+	n    int
+}
+
+// at returns the i-th oldest entry.
+func (q *seqQueue) at(i int) *ReplicaEntry { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
+
+// pop drops the oldest entry, releasing its body to the collector.
+func (q *seqQueue) pop() {
+	*q.at(0) = ReplicaEntry{}
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+}
+
+func (q *seqQueue) push(e ReplicaEntry) {
+	if q.n == len(q.buf) {
+		grown := make([]ReplicaEntry, max(4, 2*len(q.buf)))
+		for i := range q.n {
+			grown[i] = *q.at(i)
+		}
+		q.buf, q.head = grown, 0
+	}
+	i := q.n
+	for ; i > 0 && q.at(i-1).Seq > e.Seq; i-- {
+		*q.at(i) = *q.at(i - 1)
+	}
+	*q.at(i) = e
+	q.n++
 }
 
 // fencedLocked reports whether an append for extID at epoch is refused.
@@ -325,7 +396,7 @@ func (rs *replicaStore) fencedLocked(extID string, epoch uint64) bool {
 
 // fenceLocked raises extID's fence to epoch and removes its log.
 func (rs *replicaStore) fenceLocked(extID string, epoch uint64) []ReplicaEntry {
-	log := rs.logs[extID]
+	log := rs.logs[extID].entries()
 	delete(rs.logs, extID)
 	if rs.fences == nil {
 		rs.fences = map[string]uint64{}
@@ -358,45 +429,26 @@ func (s *Server) ReplicaAppend(extID string, e ReplicaEntry, ackSeq, epoch uint6
 		return false
 	}
 	if rs.logs == nil {
-		rs.logs = map[string][]ReplicaEntry{}
+		rs.logs = map[string]*replicaLog{}
 	}
 	log := rs.logs[extID]
-	results := 0
-	if e.Body == nil {
-		results++
+	if log == nil {
+		log = &replicaLog{}
+		rs.logs[extID] = log
 	}
-	keep := log[:0]
-	for _, k := range log {
-		if k.Body != nil && k.Seq <= ackSeq {
-			continue
-		}
-		if k.Body == nil {
-			results++
-		}
-		keep = append(keep, k)
+	// The chunk queue is sorted, so the entries at or below the ack
+	// are its front.
+	for log.chunks.n > 0 && log.chunks.at(0).Seq <= ackSeq {
+		log.chunks.pop()
 	}
-	log = keep
-	for results > journalResultCap {
-		// Shed the oldest retained result; the log is sorted, so the
-		// first result entry is the oldest.
-		for i, k := range log {
-			if k.Body == nil {
-				log = append(log[:i], log[i+1:]...)
-				break
-			}
-		}
-		results--
+	if e.Body != nil {
+		log.chunks.push(e)
+		return true
 	}
-	// Sorted insert; appends land at the tail in the common in-order
-	// case.
-	at := len(log)
-	for at > 0 && log[at-1].Seq > e.Seq {
-		at--
+	if log.results.n == journalResultCap {
+		log.results.pop()
 	}
-	log = append(log, ReplicaEntry{})
-	copy(log[at+1:], log[at:])
-	log[at] = e
-	rs.logs[extID] = log
+	log.results.push(e)
 	return true
 }
 
@@ -415,7 +467,7 @@ func (s *Server) ReplicaLog(extID string) []ReplicaEntry {
 	rs := &s.replicas
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	return append([]ReplicaEntry(nil), rs.logs[extID]...)
+	return rs.logs[extID].entries()
 }
 
 // ReplicaDrop discards extID's replica log (session closed or moved
@@ -435,7 +487,7 @@ func (s *Server) ReplicaStats() (sessions, entries int) {
 	defer rs.mu.Unlock()
 	for _, log := range rs.logs {
 		sessions++
-		entries += len(log)
+		entries += log.chunks.n + log.results.n
 	}
 	return
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -14,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"evedge/internal/events"
 	"evedge/internal/nn"
@@ -515,6 +517,67 @@ func TestReplicaAppendFenced(t *testing.T) {
 	}
 	if sessions, _ := srv.ReplicaStats(); sessions != 2 {
 		t.Fatalf("store holds %d logs, want 2 (other, s)", sessions)
+	}
+}
+
+// TestReplicaAppendConstantTime: an append costs the same however
+// long the log is. A session holding n unacked chunk entries (the ack
+// trails the newest chunk by n) and a full result cap appends one chunk
+// and one result per step; at n = 20 000 a step takes at most twice
+// what it takes at n = 100, and once the log is warm a step allocates
+// nothing. The two sizes are timed in turn, so load from elsewhere on
+// the host falls on both.
+func TestReplicaAppendConstantTime(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ManualDrain = true
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	body := []byte{1}
+	// stepper returns one step of a session holding held chunks.
+	stepper := func(id string, held uint64) func() {
+		var seq uint64
+		return func() {
+			seq++
+			ack := seq - min(seq, 2*held) // chunks take the odd seqs
+			srv.ReplicaAppend(id, ReplicaEntry{Seq: seq, Body: body}, ack, 0)
+			seq++
+			srv.ReplicaAppend(id, ReplicaEntry{Seq: seq, Result: ResultEvent{Seq: seq}}, ack, 0)
+		}
+	}
+	sizes := []uint64{100, 20000}
+	steps := make([]func(), len(sizes))
+	for i, held := range sizes {
+		steps[i] = stepper(fmt.Sprint(held), held)
+		// Warm: both rings reach their steady length and size.
+		for range 3 * (held + journalResultCap) {
+			steps[i]()
+		}
+	}
+	if _, entries := srv.ReplicaStats(); entries != 20100+2*journalResultCap {
+		t.Fatalf("logs hold %d entries, want %d", entries, 20100+2*journalResultCap)
+	}
+	const n = 20000
+	best := []time.Duration{math.MaxInt64, math.MaxInt64}
+	for range 5 {
+		for i, step := range steps {
+			start := time.Now()
+			for range n {
+				step()
+			}
+			best[i] = min(best[i], time.Since(start)/n)
+		}
+	}
+	t.Logf("ns per chunk+result step: %d at 100 chunks held, %d at 20 000", best[0].Nanoseconds(), best[1].Nanoseconds())
+	if best[1] > 2*best[0] {
+		t.Fatalf("a step at 20 000 chunks held takes %v, more than twice the %v at 100", best[1], best[0])
+	}
+	for i, step := range steps {
+		if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+			t.Fatalf("a warm step at %d chunks held allocates %.3f times, want 0", sizes[i], allocs)
+		}
 	}
 }
 

@@ -46,7 +46,7 @@ func chunks(s *events.Stream, durUS, chunkUS int64) []*events.Stream {
 // entries.
 func sameFrame(a, b *sparse.Frame) bool {
 	return a.T0 == b.T0 && a.T1 == b.T1 &&
-		slices.Equal(a.Ys, b.Ys) && slices.Equal(a.Xs, b.Xs) &&
+		slices.Equal(a.Cells, b.Cells) &&
 		slices.Equal(a.Pos, b.Pos) && slices.Equal(a.Neg, b.Neg)
 }
 

@@ -28,22 +28,24 @@ import (
 // Not safe for concurrent use.
 type Accum struct {
 	h, w   int
-	stride int          // occupancy words per row: ceil(w / 64) rounded up to a power of two
+	stride int          // occupancy words per row: 1<<(cellShift(w)-6)
 	px     [][2]float32 // h*w cells, {pos, neg}
-	occ    []uint64     // h*stride words: bit x&63 of word y*stride + x>>6
+	occ    []uint64     // one bit per cell index c = y<<cellShift(w) | x: bit c&63 of word c>>6
 	sum    []uint64     // ceil(len(occ) / 64) words: bit i&63 of word i>>6 set when occ[i] is not zero
 	calls  int          // Touch calls since the last Emit: an upper bound on the touched cells
 }
 
-// NewAccum returns an all-zero h x w grid.
+// NewAccum returns an all-zero h x w grid. Panics on a geometry whose
+// cell indexes do not fit in an int32 (CellsFit).
 func NewAccum(h, w int) *Accum {
-	if h <= 0 || w <= 0 {
+	if !CellsFit(h, w) {
 		panic(fmt.Sprintf("sparse: invalid accumulator geometry %dx%d", h, w))
 	}
-	// A power-of-two row stride lets Emit recover (y, x) from an
-	// occupancy word's index with a shift and a mask — no division, no
-	// lookup table; the padding words are never set, so never visited.
-	stride := 1 << bits.Len(uint((w+63)/64-1))
+	// The occupancy bitmap is indexed by the frame's cell index, whose
+	// power-of-two row stride makes the bit Emit walks the index it
+	// stores — no division, no lookup table; the padding bits are
+	// never set, so never visited.
+	stride := 1 << (cellShift(w) - 6)
 	return &Accum{
 		h: h, w: w, stride: stride,
 		px:  make([][2]float32, h*w),
@@ -95,22 +97,21 @@ func (a *Accum) touched() int {
 
 // UnionCount returns the number of distinct cells the frames occupy —
 // the NNZ Merge would give their sum, since Merge emits every touched
-// cell, even one whose values sum to zero. It marks the cells in the
-// occupancy bitmaps only, counts them by popcount over the words the
-// summary names and clears those words as it goes, so no pixel cell is
-// read or written and the grid is left as clean as it must be on entry.
-// Frames need not be sorted. Panics on geometry mismatch.
+// cell, even one whose values sum to zero. A frame's cell index is the
+// cell's occupancy bit, so each entry sets bit p of the bitmap with no
+// decoding; the cells are then counted by popcount over the words the
+// summary names, which are cleared as they are read. No pixel cell is
+// read or written, and the grid is left as clean as it must be on
+// entry. Frames need not be sorted. Panics on geometry mismatch.
 func (a *Accum) UnionCount(frames []*Frame) int {
-	occ, sum, stride := a.occ, a.sum, a.stride
+	occ, sum := a.occ, a.sum
 	for _, f := range frames {
 		if f.H != a.h || f.W != a.w {
 			panic(fmt.Sprintf("sparse: union geometry mismatch %dx%d vs %dx%d", f.H, f.W, a.h, a.w))
 		}
-		xs := f.Xs[:len(f.Ys)]
-		for i, y := range f.Ys {
-			x := int(xs[i])
-			j := int(y)*stride + x>>6
-			occ[j] |= 1 << (x & 63)
+		for _, p := range f.Cells {
+			j := int(p) >> 6
+			occ[j] |= 1 << (p & 63)
 			sum[j>>6] |= 1 << (j & 63)
 		}
 	}
@@ -149,17 +150,19 @@ func room[T any](s []T, n int) []T {
 // Emit appends every touched cell, scaled, to out's channel slices in
 // (y, x) order and leaves the grid all-zero. out must have the grid's
 // geometry and — for the result to stay sorted — no entries at or past
-// the first touched cell; callers pass a freshly Reset frame.
+// the first touched cell; callers pass a freshly Reset frame. The
+// occupancy bit the walk finds is the cell's index, stored as it is:
+// three stores per cell (index, pos, neg).
 //
 // Space is reserved once per call, not per cell. The Touch calls since
 // the last emission bound the touched cells from above (a frame's
 // event count for E2SF, the members' entries for DSFA), so a warm
-// pooled frame with that much room in all four slices is stored into
+// pooled frame with that much room in all three slices is stored into
 // as it is. Otherwise the cells are counted exactly — a popcount over
 // the set occupancy words only — and each slice that is short of the
 // count grows once: a frame with no backing arrays yet (a frame of
 // pipeline.ConvertStream, which its caller owns, and the first use of a
-// pooled frame on a cold server or in a cold pipeline.Run) gets its four
+// pooled frame on a cold server or in a cold pipeline.Run) gets its three
 // arrays at their final length instead of doubling its way up from
 // nothing, and an emission that touched nothing leaves such a frame's
 // slices nil.
@@ -172,36 +175,38 @@ func (a *Accum) Emit(out *Frame, scale float32) {
 		return
 	}
 	a.calls = 0
-	n := len(out.Ys)
-	if min(cap(out.Ys), cap(out.Xs), cap(out.Pos), cap(out.Neg))-n < more {
+	n := len(out.Cells)
+	if min(cap(out.Cells), cap(out.Pos), cap(out.Neg))-n < more {
 		more = a.touched()
-		out.Ys, out.Xs = room(out.Ys, more), room(out.Xs, more)
+		out.Cells = room(out.Cells, more)
 		out.Pos, out.Neg = room(out.Pos, more), room(out.Neg, more)
 	}
-	ys := out.Ys[:n+more]
-	xs, pos, neg := out.Xs[:len(ys)], out.Pos[:len(ys)], out.Neg[:len(ys)]
+	cells := out.Cells[:n+more]
+	pos, neg := out.Pos[:len(cells)], out.Neg[:len(cells)]
 	sum, occ, px, w := a.sum, a.occ, a.px, a.w
 	// & 63 tells the compiler the shift count is in range.
-	shift, mask := bits.TrailingZeros(uint(a.stride))&63, a.stride-1
+	shift := cellShift(w) & 63
+	mask := 1<<shift - 1
 	for si, s := range sum {
 		sum[si] = 0
 		for ; s != 0; s &= s - 1 {
 			i := si<<6 + bits.TrailingZeros64(s)
 			word := occ[i]
 			occ[i] = 0
-			y, x0 := i>>shift, (i&mask)<<6
+			c0 := i << 6 // cell index of the word's bit 0
+			y, x0 := c0>>shift, c0&mask
 			row := px[y*w+x0:]
 			for ; word != 0; word &= word - 1 {
 				x := bits.TrailingZeros64(word)
 				c := &row[x]
-				ys[n], xs[n] = int32(y), int32(x0+x)
+				cells[n] = int32(c0 + x)
 				pos[n], neg[n] = c[0]*scale, c[1]*scale
 				*c = [2]float32{}
 				n++
 			}
 		}
 	}
-	out.Ys, out.Xs, out.Pos, out.Neg = ys[:n], xs[:n], pos[:n], neg[:n]
+	out.Cells, out.Pos, out.Neg = cells[:n], pos[:n], neg[:n]
 }
 
 // Merge writes into out (typically a pooled frame, whose slice
@@ -227,8 +232,9 @@ func (a *Accum) Merge(out *Frame, frames []*Frame, scale float32) {
 	}
 	for _, f := range frames {
 		f.ensureSorted()
-		for i, y := range f.Ys {
-			c := a.Touch(int(y), int(f.Xs[i]))
+		for i := range f.Cells {
+			y, x := f.YX(i)
+			c := a.Touch(int(y), int(x))
 			c[0] += f.Pos[i]
 			c[1] += f.Neg[i]
 		}

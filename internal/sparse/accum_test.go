@@ -8,14 +8,16 @@ import (
 	"testing"
 )
 
-// framesBitEqual compares geometry, time bounds, coordinates and the
-// float32 bit patterns of both channels.
+// framesBitEqual compares geometry, time bounds, decoded coordinates
+// and the float32 bit patterns of both channels.
 func framesBitEqual(a, b *Frame) bool {
-	if a.H != b.H || a.W != b.W || a.T0 != b.T0 || a.T1 != b.T1 || len(a.Ys) != len(b.Ys) {
+	if a.H != b.H || a.W != b.W || a.T0 != b.T0 || a.T1 != b.T1 || len(a.Cells) != len(b.Cells) {
 		return false
 	}
-	for i := range a.Ys {
-		if a.Ys[i] != b.Ys[i] || a.Xs[i] != b.Xs[i] ||
+	for i := range a.Cells {
+		ay, ax := a.YX(i)
+		by, bx := b.YX(i)
+		if ay != by || ax != bx ||
 			math.Float32bits(a.Pos[i]) != math.Float32bits(b.Pos[i]) ||
 			math.Float32bits(a.Neg[i]) != math.Float32bits(b.Neg[i]) {
 			return false
@@ -42,8 +44,8 @@ func checkAccumMerge(t *testing.T, acc *Accum, frames []*Frame) {
 		}
 		again := NewFrame(acc.H(), acc.W(), 0, 0)
 		acc.Emit(again, 1)
-		if len(again.Ys) != 0 {
-			t.Fatalf("%dx%d: second Emit produced %d entries", acc.H(), acc.W(), len(again.Ys))
+		if len(again.Cells) != 0 {
+			t.Fatalf("%dx%d: second Emit produced %d entries", acc.H(), acc.W(), len(again.Cells))
 		}
 	}
 }
@@ -106,8 +108,9 @@ func TestAccumUnionCountMatchesMerge(t *testing.T) {
 			frames := randMembers(r, h, w)
 			cells := map[[2]int32]bool{}
 			for _, f := range frames {
-				for i, y := range f.Ys {
-					cells[[2]int32{y, f.Xs[i]}] = true
+				for i := range f.Cells {
+					y, x := f.YX(i)
+					cells[[2]int32{y, x}] = true
 				}
 			}
 			n := acc.UnionCount(frames) // before Merge sorts the members
@@ -137,14 +140,16 @@ func TestAccumTouchOverwriteAndZeroCells(t *testing.T) {
 	acc.Touch(0, 64)
 	f := NewFrame(2, 70, 0, 1)
 	acc.Emit(f, 2)
-	want := &Frame{H: 2, W: 70, T1: 1, Ys: []int32{0, 1}, Xs: []int32{64, 69}, Pos: []float32{0, 1}, Neg: []float32{0, 0}}
+	want := NewFrame(2, 70, 0, 1)
+	want.Set(0, 64, 0, 0)
+	want.Set(1, 69, 1, 0)
 	if !framesBitEqual(f, want) {
 		t.Fatalf("got %+v want %+v", f, want)
 	}
 }
 
 // TestAccumEmitSizesFreshFrame pins when Emit sizes its output: a
-// frame with no backing arrays gets all four slices at exactly the
+// frame with no backing arrays gets all three slices at exactly the
 // touched count (one allocation each, no growth), a frame that brings
 // capacity is appended to without a count or an allocation, and an
 // empty emission leaves a fresh frame's slices nil.
@@ -166,34 +171,34 @@ func TestAccumEmitSizesFreshFrame(t *testing.T) {
 	fresh := &Frame{H: h, W: w}
 	acc.Emit(fresh, 1)
 	for name, n := range map[string][2]int{
-		"Ys": {len(fresh.Ys), cap(fresh.Ys)}, "Xs": {len(fresh.Xs), cap(fresh.Xs)},
-		"Pos": {len(fresh.Pos), cap(fresh.Pos)}, "Neg": {len(fresh.Neg), cap(fresh.Neg)},
+		"Cells": {len(fresh.Cells), cap(fresh.Cells)},
+		"Pos":   {len(fresh.Pos), cap(fresh.Pos)}, "Neg": {len(fresh.Neg), cap(fresh.Neg)},
 	} {
 		if n[0] != len(cells) || n[1] != len(cells) {
 			t.Fatalf("fresh frame %s: len %d cap %d, want both %d", name, n[0], n[1], len(cells))
 		}
 	}
-	if allocs := testing.AllocsPerRun(10, func() { touch(); acc.Emit(&Frame{H: h, W: w}, 1) }); allocs != 4 {
-		t.Fatalf("emission into a fresh frame: %.1f allocations, want 4", allocs)
+	if allocs := testing.AllocsPerRun(10, func() { touch(); acc.Emit(&Frame{H: h, W: w}, 1) }); allocs != 3 {
+		t.Fatalf("emission into a fresh frame: %.1f allocations, want 3", allocs)
 	}
 
 	// A warm frame with room to spare keeps its arrays.
 	warm := NewFrame(h, w, 0, 1)
-	warm.Ys, warm.Xs = make([]int32, 0, 1000), make([]int32, 0, 1000)
+	warm.Cells = make([]int32, 0, 1000)
 	warm.Pos, warm.Neg = make([]float32, 0, 1000), make([]float32, 0, 1000)
 	if allocs := testing.AllocsPerRun(10, func() { touch(); warm.Reset(h, w, 0, 1); acc.Emit(warm, 1) }); allocs != 0 {
 		t.Fatalf("emission into a warm frame: %.1f allocations, want 0", allocs)
 	}
-	if len(warm.Ys) != len(cells) || cap(warm.Ys) != 1000 || cap(warm.Xs) != 1000 || cap(warm.Pos) != 1000 || cap(warm.Neg) != 1000 {
-		t.Fatalf("warm frame: len %d cap %d, want %d entries in the 1000-entry arrays it brought", len(warm.Ys), cap(warm.Ys), len(cells))
+	if len(warm.Cells) != len(cells) || cap(warm.Cells) != 1000 || cap(warm.Pos) != 1000 || cap(warm.Neg) != 1000 {
+		t.Fatalf("warm frame: len %d cap %d, want %d entries in the 1000-entry arrays it brought", len(warm.Cells), cap(warm.Cells), len(cells))
 	}
-	if !framesBitEqual(&Frame{H: h, W: w, Ys: warm.Ys, Xs: warm.Xs, Pos: warm.Pos, Neg: warm.Neg}, fresh) {
+	if !framesBitEqual(&Frame{H: h, W: w, Cells: warm.Cells, Pos: warm.Pos, Neg: warm.Neg}, fresh) {
 		t.Fatal("sized and appended emissions differ")
 	}
 
 	empty := &Frame{H: h, W: w}
 	acc.Emit(empty, 1)
-	if empty.Ys != nil || empty.Xs != nil || empty.Pos != nil || empty.Neg != nil {
+	if empty.Cells != nil || empty.Pos != nil || empty.Neg != nil {
 		t.Fatalf("empty emission into a fresh frame left non-nil slices: %+v", empty)
 	}
 }
@@ -233,12 +238,11 @@ func (m *denseMirror) add(acc *Accum, y, x int, pos, neg float32) {
 func (m *denseMirror) checkEmit(t testing.TB, acc *Accum, out *Frame, scale float32, label string) {
 	t.Helper()
 	want := &Frame{H: m.h, W: m.w, T0: out.T0, T1: out.T1,
-		Ys: slices.Clone(out.Ys), Xs: slices.Clone(out.Xs), Pos: slices.Clone(out.Pos), Neg: slices.Clone(out.Neg)}
+		Cells: slices.Clone(out.Cells), Pos: slices.Clone(out.Pos), Neg: slices.Clone(out.Neg)}
 	for y := 0; y < m.h; y++ {
 		for x := 0; x < m.w; x++ {
 			if i := y*m.w + x; m.on[i] {
-				want.Ys, want.Xs = append(want.Ys, int32(y)), append(want.Xs, int32(x))
-				want.Pos, want.Neg = append(want.Pos, m.cell[i][0]*scale), append(want.Neg, m.cell[i][1]*scale)
+				want.Set(int32(y), int32(x), m.cell[i][0]*scale, m.cell[i][1]*scale)
 				m.on[i], m.cell[i] = false, [2]float32{}
 			}
 		}
@@ -246,33 +250,30 @@ func (m *denseMirror) checkEmit(t testing.TB, acc *Accum, out *Frame, scale floa
 	m.n = 0
 	acc.Emit(out, scale)
 	if !framesBitEqual(out, want) {
-		t.Fatalf("%dx%d scale %g, %s: emission differs from the dense scan: got %d entries, want %d", m.h, m.w, scale, label, len(out.Ys), len(want.Ys))
+		t.Fatalf("%dx%d scale %g, %s: emission differs from the dense scan: got %d entries, want %d", m.h, m.w, scale, label, len(out.Cells), len(want.Cells))
 	}
 	if !acc.Clean() || acc.calls != 0 {
 		t.Fatalf("%dx%d, %s: after Emit Clean() = %v, call counter %d", m.h, m.w, label, acc.Clean(), acc.calls)
 	}
 	acc.Emit(out, scale)
-	if len(out.Ys) != len(want.Ys) {
-		t.Fatalf("%dx%d, %s: second Emit appended %d entries", m.h, m.w, label, len(out.Ys)-len(want.Ys))
+	if len(out.Cells) != len(want.Cells) {
+		t.Fatalf("%dx%d, %s: second Emit appended %d entries", m.h, m.w, label, len(out.Cells)-len(want.Cells))
 	}
 }
 
-// frameWithCaps returns an empty h x w frame whose four channel slices
-// have the given capacities; a capacity of zero or less is a slice
-// with no backing array.
-func frameWithCaps(h, w int, c [4]int) *Frame {
+// frameWithCaps returns an empty h x w frame whose three channel
+// slices have the given capacities; a capacity of zero or less is a
+// slice with no backing array.
+func frameWithCaps(h, w int, c [3]int) *Frame {
 	f := &Frame{H: h, W: w, T1: 1}
 	if c[0] > 0 {
-		f.Ys = make([]int32, 0, c[0])
+		f.Cells = make([]int32, 0, c[0])
 	}
 	if c[1] > 0 {
-		f.Xs = make([]int32, 0, c[1])
+		f.Pos = make([]float32, 0, c[1])
 	}
 	if c[2] > 0 {
-		f.Pos = make([]float32, 0, c[2])
-	}
-	if c[3] > 0 {
-		f.Neg = make([]float32, 0, c[3])
+		f.Neg = make([]float32, 0, c[2])
 	}
 	return f
 }
@@ -313,12 +314,12 @@ func TestAccumEmitMatchesDenseScan(t *testing.T) {
 			}},
 		}
 		// Output frames by capacity relative to the n cells on: no
-		// arrays, exact, one short, four unequal ones.
-		capacities := []func(n int) [4]int{
-			func(int) [4]int { return [4]int{} },
-			func(n int) [4]int { return [4]int{n, n, n, n} },
-			func(n int) [4]int { return [4]int{n - 1, n - 1, n - 1, n - 1} },
-			func(n int) [4]int { return [4]int{n - 1, n + 3, 2 * n, n} },
+		// arrays, exact, one short, three unequal ones.
+		capacities := []func(n int) [3]int{
+			func(int) [3]int { return [3]int{} },
+			func(n int) [3]int { return [3]int{n, n, n} },
+			func(n int) [3]int { return [3]int{n - 1, n - 1, n - 1} },
+			func(n int) [3]int { return [3]int{n - 1, n + 3, 2 * n} },
 		}
 		for _, f := range fills {
 			for _, scale := range []float32{1, 1.0 / 3} {
@@ -332,7 +333,7 @@ func TestAccumEmitMatchesDenseScan(t *testing.T) {
 				f.fill()
 				out := NewFrame(h, w, 0, 1)
 				if !m.on[0] {
-					out.Ys, out.Xs, out.Pos, out.Neg = []int32{0}, []int32{0}, []float32{9}, []float32{8}
+					out.Set(0, 0, 9, 8)
 				}
 				m.checkEmit(t, acc, out, scale, "cells "+f.name+", prefixed frame")
 			}
@@ -343,7 +344,7 @@ func TestAccumEmitMatchesDenseScan(t *testing.T) {
 // TestAccumEmitReservesOnce pins the reservation step's allocations:
 // none into a frame with room, and into a pooled frame one entry short
 // at most one growth per slice — not a doubling chain inside the walk.
-// (TestAccumEmitSizesFreshFrame pins the fresh frame's exactly four.)
+// (TestAccumEmitSizesFreshFrame pins the fresh frame's exactly three.)
 func TestAccumEmitReservesOnce(t *testing.T) {
 	const h, w, n = 70, 130, 500
 	acc := NewAccum(h, w)
@@ -355,19 +356,19 @@ func TestAccumEmitReservesOnce(t *testing.T) {
 	out := &Frame{H: h, W: w}
 	touch()
 	acc.Emit(out, 1)
-	if len(out.Ys) != n {
-		t.Fatalf("%d cells emitted, want %d distinct", len(out.Ys), n)
+	if len(out.Cells) != n {
+		t.Fatalf("%d cells emitted, want %d distinct", len(out.Cells), n)
 	}
 	if allocs := testing.AllocsPerRun(10, func() { touch(); out.Reset(h, w, 0, 1); acc.Emit(out, 1) }); allocs != 0 {
 		t.Fatalf("emission into a frame of exactly enough room: %.1f allocations, want 0", allocs)
 	}
 	frames := make([]*Frame, 11) // AllocsPerRun's warm-up call and its 10 runs
 	for i := range frames {
-		frames[i] = frameWithCaps(h, w, [4]int{n - 1, n - 1, n - 1, n - 1})
+		frames[i] = frameWithCaps(h, w, [3]int{n - 1, n - 1, n - 1})
 	}
 	i := 0
-	if allocs := testing.AllocsPerRun(10, func() { touch(); acc.Emit(frames[i], 1); i++ }); allocs > 4 {
-		t.Fatalf("emission into a frame one entry short: %.1f allocations, want at most 4", allocs)
+	if allocs := testing.AllocsPerRun(10, func() { touch(); acc.Emit(frames[i], 1); i++ }); allocs > 3 {
+		t.Fatalf("emission into a frame one entry short: %.1f allocations, want at most 3", allocs)
 	}
 }
 
@@ -429,7 +430,7 @@ func FuzzAccumMerge(f *testing.F) {
 }
 
 // FuzzAccumEmit decodes the input into a geometry of at most 4 Kpx,
-// four starting capacities, a scale and a touch list, and holds Emit
+// three starting capacities, a scale and a touch list, and holds Emit
 // to the dense scan of TestAccumEmitMatchesDenseScan — twice, so the
 // second round runs on whatever the first left in the grid.
 func FuzzAccumEmit(f *testing.F) {
@@ -449,7 +450,8 @@ func FuzzAccumEmit(f *testing.F) {
 		}
 		w := 1 + (next()|next()<<8)%4096
 		h := 1 + next()%(4096/w)
-		caps := [4]int{next(), next(), next(), next()}
+		caps := [3]int{next(), next(), next()}
+		next() // a fourth capacity byte, kept so the committed seeds decode as they were written
 		scale := []float32{1, 1.0 / 3, 0, -2}[next()%4]
 		acc, m := NewAccum(h, w), newDenseMirror(h, w)
 		out := frameWithCaps(h, w, caps)

@@ -3,7 +3,10 @@ package sparse
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
+
+	"evedge/internal/scene"
 )
 
 // benchInput builds a 64x64 input tensor with ~density fraction of
@@ -126,17 +129,64 @@ func BenchmarkMergeAdd(b *testing.B) {
 // unionSink keeps BenchmarkUnionCount's result live.
 var unionSink int
 
-// BenchmarkUnionCount prices BenchmarkMergeAdd's bucket as DSFA's
-// dispatch does: its union counted on the occupancy bitmaps, no pixel
-// summed.
-func BenchmarkUnionCount(b *testing.B) {
-	frames := mergeMembers()
-	acc := NewAccum(64, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		unionSink = acc.UnionCount(frames)
+// spikeflownetFrames count-frames one second of the half-scale
+// IndoorFlying2 stream (seed 7) as E2SF does for SpikeFlowNet: every
+// run of 225 events (the zoo's N at 173 x 130,
+// nn.InputSpec.EventsPerFrame) touched into a grid and emitted.
+var spikeflownetFrames = sync.OnceValues(func() ([]*Frame, error) {
+	const n = 225
+	seq, err := scene.NewSequence(scene.IndoorFlying2, scene.Half, 7)
+	if err != nil {
+		return nil, err
 	}
+	s, err := seq.Generate(1_000_000)
+	if err != nil {
+		return nil, err
+	}
+	acc := NewAccum(s.Height, s.Width)
+	var frames []*Frame
+	for evs := s.Events; len(evs) >= n; evs = evs[n:] {
+		for _, e := range evs[:n] {
+			acc.Touch(int(e.Y), int(e.X))[uint8(e.Pol)>>7]++
+		}
+		f := NewFrame(s.Height, s.Width, evs[0].TS, evs[n-1].TS+1)
+		acc.Emit(f, 1)
+		frames = append(frames, f)
+	}
+	return frames, nil
+})
+
+// BenchmarkUnionCount prices a bucket as DSFA's dispatch does: its
+// union counted on the occupancy bitmaps, no pixel summed. The
+// synthetic row is BenchmarkMergeAdd's bucket; the spikeflownet row
+// counts every three consecutive real count frames, and its ns/event
+// divides by the 675 events they hold.
+func BenchmarkUnionCount(b *testing.B) {
+	b.Run("synthetic", func(b *testing.B) {
+		frames := mergeMembers()
+		acc := NewAccum(64, 64)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			unionSink = acc.UnionCount(frames)
+		}
+	})
+	b.Run("spikeflownet-3", func(b *testing.B) {
+		frames, err := spikeflownetFrames()
+		if err != nil {
+			b.Fatal(err)
+		}
+		buckets := len(frames) / 3
+		acc := NewAccum(frames[0].H, frames[0].W)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for k := 0; k < buckets; k++ {
+				unionSink = acc.UnionCount(frames[3*k : 3*k+3])
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(buckets*3*225), "ns/event")
+	})
 }
 
 // BenchmarkAccumEmit is the activity-proportional curve of the

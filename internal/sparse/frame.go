@@ -2,23 +2,28 @@ package sparse
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
 // Frame is a two-channel sparse event frame in coordinate (COO-like)
 // form, exactly as produced by the paper's Event2Sparse Frame
-// converter: row indices, column indices, and the accumulated positive
-// and negative polarity counts stored as separate channels. Only
-// pixels with at least one event appear.
+// converter: one cell index per active pixel and the accumulated
+// positive and negative polarity counts stored as separate channels.
+// Only pixels with at least one event appear.
 //
-// Entries are kept sorted by (Y, X) so frames can be merged with a
-// linear pass.
+// A cell index is y<<cellShift(W) | x: the row stride is W rounded up
+// to a power of two, at least 64, which is exactly Accum's occupancy
+// bit index, so Emit stores the bit it walks as it is. Index order is
+// (y, x) order, entries are kept sorted by it so frames can be merged
+// with a linear pass, and YX decodes an entry with a shift and a mask.
 type Frame struct {
-	H, W int
-	Ys   []int32
-	Xs   []int32
-	Pos  []float32 // accumulated positive-polarity events per pixel
-	Neg  []float32 // accumulated negative-polarity events per pixel
+	H, W  int
+	Cells []int32   // y<<cellShift(W) | x per entry
+	Pos   []float32 // accumulated positive-polarity events per pixel
+	Neg   []float32 // accumulated negative-polarity events per pixel
 
 	// T0 and T1 bound the time interval (microseconds) whose events
 	// were accumulated into the frame. DSFA uses T0 as the frame's
@@ -34,6 +39,19 @@ type Frame struct {
 	unsorted int
 }
 
+// cellShift returns the row shift of a w-wide frame's cell index: the
+// bit length of w-1, at least 6, so a row spans whole 64-bit
+// occupancy words.
+func cellShift(w int) int { return max(6, bits.Len(uint(w-1))) }
+
+// CellsFit reports whether every cell index of an h x w geometry fits
+// in an int32: h<<cellShift(w) must not exceed math.MaxInt32. The
+// dense grid, h*w cells, is never larger.
+func CellsFit(h, w int) bool {
+	s := cellShift(w)
+	return h > 0 && w > 0 && s < 31 && h <= math.MaxInt32>>s
+}
+
 // NewFrame returns an empty sparse frame with the given geometry and
 // time bounds.
 func NewFrame(h, w int, t0, t1 int64) *Frame {
@@ -45,15 +63,21 @@ func NewFrame(h, w int, t0, t1 int64) *Frame {
 // the pooled-construction twin of NewFrame.
 func (f *Frame) Reset(h, w int, t0, t1 int64) {
 	f.H, f.W, f.T0, f.T1 = h, w, t0, t1
-	f.Ys = f.Ys[:0]
-	f.Xs = f.Xs[:0]
+	f.Cells = f.Cells[:0]
 	f.Pos = f.Pos[:0]
 	f.Neg = f.Neg[:0]
 	f.unsorted = 0
 }
 
+// YX decodes entry i's cell index into its row and column.
+func (f *Frame) YX(i int) (y, x int32) {
+	s := cellShift(f.W)
+	c := f.Cells[i]
+	return c >> s, c & (1<<s - 1)
+}
+
 // NNZ returns the number of stored (active) pixels.
-func (f *Frame) NNZ() int { f.ensureSorted(); return len(f.Ys) }
+func (f *Frame) NNZ() int { f.ensureSorted(); return len(f.Cells) }
 
 // Density returns NNZ / (H*W): the fraction of active pixels, i.e. the
 // spatial density the paper plots in Figures 1 and 3.
@@ -75,33 +99,37 @@ func (f *Frame) EventCount() float64 {
 	return s
 }
 
-// Validate checks the structural invariants: coordinates in bounds,
-// entries sorted by (Y, X) with no duplicates, and no all-zero entries.
+// Validate checks the structural invariants: cells in bounds, entries
+// sorted by (y, x) with no duplicates, and no all-zero entries.
 func (f *Frame) Validate() error {
 	f.ensureSorted()
-	if len(f.Ys) != len(f.Xs) || len(f.Ys) != len(f.Pos) || len(f.Ys) != len(f.Neg) {
-		return fmt.Errorf("sparse: frame channel lengths differ: %d %d %d %d",
-			len(f.Ys), len(f.Xs), len(f.Pos), len(f.Neg))
+	if len(f.Cells) != len(f.Pos) || len(f.Cells) != len(f.Neg) {
+		return fmt.Errorf("sparse: frame channel lengths differ: %d %d %d",
+			len(f.Cells), len(f.Pos), len(f.Neg))
 	}
-	for i := range f.Ys {
-		if f.Ys[i] < 0 || int(f.Ys[i]) >= f.H || f.Xs[i] < 0 || int(f.Xs[i]) >= f.W {
+	for i := range f.Cells {
+		if y, x := f.YX(i); y < 0 || int(y) >= f.H || int(x) >= f.W {
 			return fmt.Errorf("sparse: frame entry %d at (%d,%d) outside %dx%d",
-				i, f.Ys[i], f.Xs[i], f.H, f.W)
+				i, y, x, f.H, f.W)
 		}
 		if f.Pos[i] == 0 && f.Neg[i] == 0 {
 			return fmt.Errorf("sparse: frame entry %d is all-zero", i)
 		}
-		if i > 0 {
-			prev, cur := f.key(i-1), f.key(i)
-			if cur <= prev {
-				return fmt.Errorf("sparse: frame entries not strictly sorted at %d", i)
-			}
+		if i > 0 && f.Cells[i] <= f.Cells[i-1] {
+			return fmt.Errorf("sparse: frame entries not strictly sorted at %d", i)
 		}
 	}
 	return nil
 }
 
-func (f *Frame) key(i int) int64 { return int64(f.Ys[i])*int64(f.W) + int64(f.Xs[i]) }
+// cell returns the cell index of (y, x), or false when the pixel lies
+// outside the frame.
+func (f *Frame) cell(y, x int32) (int32, bool) {
+	if y < 0 || int(y) >= f.H || x < 0 || int(x) >= f.W {
+		return 0, false
+	}
+	return y<<cellShift(f.W) | x, true
+}
 
 // Set inserts or overwrites the entry at (y, x). In-place overwrites
 // of already-sorted entries and in-order appends are O(log n) / O(1);
@@ -109,21 +137,24 @@ func (f *Frame) key(i int) int64 { return int64(f.Ys[i])*int64(f.W) + int64(f.Xs
 // with one sort on the next order-dependent read, so building a frame
 // of n scattered Sets costs O(n log n) total instead of the old
 // sorted-insert's O(n^2). Bulk counting construction goes through
-// Accum, as the fused E2SF kernel does.
+// Accum, as the fused E2SF kernel does. Panics on a pixel outside the
+// frame.
 func (f *Frame) Set(y, x int32, pos, neg float32) {
-	k := int64(y)*int64(f.W) + int64(x)
+	k, ok := f.cell(y, x)
+	if !ok {
+		panic(fmt.Sprintf("sparse: Set (%d,%d) outside %dx%d frame", y, x, f.H, f.W))
+	}
 	if f.unsorted == 0 {
-		n := len(f.Ys)
-		if n == 0 || f.key(n-1) < k {
+		n := len(f.Cells)
+		if n == 0 || f.Cells[n-1] < k {
 			// In-order append keeps the frame sorted for free.
-			f.Ys = append(f.Ys, y)
-			f.Xs = append(f.Xs, x)
+			f.Cells = append(f.Cells, k)
 			f.Pos = append(f.Pos, pos)
 			f.Neg = append(f.Neg, neg)
 			return
 		}
-		i := sort.Search(n, func(i int) bool { return f.key(i) >= k })
-		if i < n && f.key(i) == k {
+		i, found := slices.BinarySearch(f.Cells, k)
+		if found {
 			f.Pos[i], f.Neg[i] = pos, neg
 			return
 		}
@@ -131,8 +162,7 @@ func (f *Frame) Set(y, x int32, pos, neg float32) {
 	// Out-of-order (or already dirty): append to the unsorted tail.
 	// Duplicates are resolved last-wins at compaction, matching the
 	// old overwrite semantics.
-	f.Ys = append(f.Ys, y)
-	f.Xs = append(f.Xs, x)
+	f.Cells = append(f.Cells, k)
 	f.Pos = append(f.Pos, pos)
 	f.Neg = append(f.Neg, neg)
 	f.unsorted++
@@ -140,45 +170,46 @@ func (f *Frame) Set(y, x int32, pos, neg float32) {
 
 // ensureSorted compacts the unsorted tail Set may have left: one
 // stable sort over all entries, then a sweep keeping the last write
-// per duplicate key. No-op (one integer compare) when clean.
+// per duplicate cell. No-op (one integer compare) when clean.
 func (f *Frame) ensureSorted() {
 	if f.unsorted == 0 {
 		return
 	}
-	n := len(f.Ys)
+	n := len(f.Cells)
 	perm := make([]int, n)
 	for i := range perm {
 		perm[i] = i
 	}
-	sort.SliceStable(perm, func(a, b int) bool { return f.key(perm[a]) < f.key(perm[b]) })
-	ys := make([]int32, 0, n)
-	xs := make([]int32, 0, n)
+	sort.SliceStable(perm, func(a, b int) bool { return f.Cells[perm[a]] < f.Cells[perm[b]] })
+	cells := make([]int32, 0, n)
 	pos := make([]float32, 0, n)
 	neg := make([]float32, 0, n)
 	for i := 0; i < n; {
 		j := i
-		for j+1 < n && f.key(perm[j+1]) == f.key(perm[i]) {
+		for j+1 < n && f.Cells[perm[j+1]] == f.Cells[perm[i]] {
 			j++
 		}
 		// Stable sort keeps duplicates in insertion order; the last one
 		// is the surviving write.
 		p := perm[j]
-		ys = append(ys, f.Ys[p])
-		xs = append(xs, f.Xs[p])
+		cells = append(cells, f.Cells[p])
 		pos = append(pos, f.Pos[p])
 		neg = append(neg, f.Neg[p])
 		i = j + 1
 	}
-	f.Ys, f.Xs, f.Pos, f.Neg = ys, xs, pos, neg
+	f.Cells, f.Pos, f.Neg = cells, pos, neg
 	f.unsorted = 0
 }
 
-// Get returns the (pos, neg) accumulation at (y, x), zeroes if absent.
+// Get returns the (pos, neg) accumulation at (y, x), zeroes if absent
+// or outside the frame.
 func (f *Frame) Get(y, x int32) (pos, neg float32) {
 	f.ensureSorted()
-	k := int64(y)*int64(f.W) + int64(x)
-	i := sort.Search(len(f.Ys), func(i int) bool { return f.key(i) >= k })
-	if i < len(f.Ys) && f.key(i) == k {
+	k, ok := f.cell(y, x)
+	if !ok {
+		return 0, 0
+	}
+	if i, found := slices.BinarySearch(f.Cells, k); found {
 		return f.Pos[i], f.Neg[i]
 	}
 	return 0, 0
@@ -188,8 +219,7 @@ func (f *Frame) Get(y, x int32) (pos, neg float32) {
 func (f *Frame) Clone() *Frame {
 	f.ensureSorted()
 	out := &Frame{H: f.H, W: f.W, T0: f.T0, T1: f.T1}
-	out.Ys = append([]int32(nil), f.Ys...)
-	out.Xs = append([]int32(nil), f.Xs...)
+	out.Cells = append([]int32(nil), f.Cells...)
 	out.Pos = append([]float32(nil), f.Pos...)
 	out.Neg = append([]float32(nil), f.Neg...)
 	return out
@@ -207,9 +237,10 @@ func (f *Frame) DenseInto(t *Tensor) {
 	}
 	f.ensureSorted()
 	t.Zero()
-	for i := range f.Ys {
-		t.Set(0, int(f.Ys[i]), int(f.Xs[i]), f.Pos[i])
-		t.Set(1, int(f.Ys[i]), int(f.Xs[i]), f.Neg[i])
+	for i := range f.Cells {
+		y, x := f.YX(i)
+		t.Set(0, int(y), int(x), f.Pos[i])
+		t.Set(1, int(y), int(x), f.Neg[i])
 	}
 }
 
@@ -226,10 +257,7 @@ func FromDense(t *Tensor, t0, t1 int64) (*Frame, error) {
 		for x := 0; x < t.W; x++ {
 			p, n := t.At(0, y, x), t.At(1, y, x)
 			if p != 0 || n != 0 {
-				f.Ys = append(f.Ys, int32(y))
-				f.Xs = append(f.Xs, int32(x))
-				f.Pos = append(f.Pos, p)
-				f.Neg = append(f.Neg, n)
+				f.Set(int32(y), int32(x), p, n)
 			}
 		}
 	}

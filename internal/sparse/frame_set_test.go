@@ -1,8 +1,11 @@
 package sparse
 
 import (
+	"cmp"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -69,10 +72,14 @@ func TestFrameSetMatchesSortedInsert(t *testing.T) {
 			t.Fatalf("trial %d: NNZ = %d, want %d", trial, f.NNZ(), len(ref.ys))
 		}
 		if len(ref.ys) > 0 {
-			if !reflect.DeepEqual(f.Ys, ref.ys) || !reflect.DeepEqual(f.Xs, ref.xs) ||
+			ys, xs := make([]int32, len(f.Cells)), make([]int32, len(f.Cells))
+			for i := range f.Cells {
+				ys[i], xs[i] = f.YX(i)
+			}
+			if !reflect.DeepEqual(ys, ref.ys) || !reflect.DeepEqual(xs, ref.xs) ||
 				!reflect.DeepEqual(f.Pos, ref.pos) || !reflect.DeepEqual(f.Neg, ref.neg) {
 				t.Fatalf("trial %d: frame state diverged from sorted-insert reference\n got ys=%v xs=%v pos=%v neg=%v\nwant ys=%v xs=%v pos=%v neg=%v",
-					trial, f.Ys, f.Xs, f.Pos, f.Neg, ref.ys, ref.xs, ref.pos, ref.neg)
+					trial, ys, xs, f.Pos, f.Neg, ref.ys, ref.xs, ref.pos, ref.neg)
 			}
 		}
 	}
@@ -107,10 +114,9 @@ func TestFrameSetLastWriteWins(t *testing.T) {
 // deferred-sort machinery must not silently repair foreign data.
 func TestValidateStillRejectsUnsortedWireData(t *testing.T) {
 	f := &Frame{H: 4, W: 4, T0: 0, T1: 1,
-		Ys:  []int32{2, 0},
-		Xs:  []int32{0, 0},
-		Pos: []float32{1, 1},
-		Neg: []float32{0, 0},
+		Cells: []int32{2 << 6, 0}, // (2, 0) before (0, 0)
+		Pos:   []float32{1, 1},
+		Neg:   []float32{0, 0},
 	}
 	if err := f.Validate(); err == nil {
 		t.Fatalf("Validate accepted out-of-order direct-constructed frame")
@@ -134,4 +140,75 @@ func TestFrameSetInOrderAppendIsZeroAllocAtCapacity(t *testing.T) {
 	if n != 0 {
 		t.Fatalf("in-order Set at capacity allocates %.1f allocs/op, want 0", n)
 	}
+}
+
+// cellWidths straddle the edges of the cell index's row stride: one
+// word (1, 63, 64), the first padded stride (65, 127, 128), the next
+// (129, 173 — the half-scale sensor) and the full-scale 346.
+var cellWidths = []int{1, 63, 64, 65, 127, 128, 129, 173, 346}
+
+// FuzzFrameCells builds a frame by Set over a geometry of one of
+// cellWidths and a map of (y, x) to the last counts set there, and
+// holds Get, Validate, NNZ, the (y, x) order YX decodes, a Clone and
+// DenseInto to the map.
+func FuzzFrameCells(f *testing.F) {
+	for i := range cellWidths {
+		f.Add([]byte{byte(i), 69, 0, 0, 0, 1, 69, 255, 1, 2, 3, 4, 5, 6, 7, 8})
+	}
+	f.Add([]byte{8, 3, 2, 89, 1, 7, 2, 89, 1, 9, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		w := cellWidths[next()%len(cellWidths)]
+		h := 1 + next()%70
+		fr := NewFrame(h, w, 0, 1)
+		ref := map[[2]int32][2]float32{}
+		// Each 4-byte record sets one pixel: y, x (two bytes), counts.
+		for len(data) >= 4 {
+			y, x := int32(next()%h), int32((next()|next()<<8)%w)
+			v := next()
+			c := [2]float32{float32(v & 15), float32(v>>4) + 0.5}
+			fr.Set(y, x, c[0], c[1])
+			ref[[2]int32{y, x}] = c
+		}
+		keys := slices.SortedFunc(maps.Keys(ref), func(a, b [2]int32) int {
+			return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+		})
+		for _, g := range []*Frame{fr, fr.Clone()} {
+			if err := g.Validate(); err != nil {
+				t.Fatalf("%dx%d: %v", h, w, err)
+			}
+			if g.NNZ() != len(ref) {
+				t.Fatalf("%dx%d: NNZ %d, want %d", h, w, g.NNZ(), len(ref))
+			}
+			for i, k := range keys {
+				if y, x := g.YX(i); y != k[0] || x != k[1] || g.Pos[i] != ref[k][0] || g.Neg[i] != ref[k][1] {
+					t.Fatalf("%dx%d: entry %d = (%d,%d,%v,%v), want (%d,%d,%v)", h, w, i, y, x, g.Pos[i], g.Neg[i], k[0], k[1], ref[k])
+				}
+			}
+			d := dense(g)
+			for y := range int32(h) {
+				for x := range int32(w) {
+					want := ref[[2]int32{y, x}]
+					if p, n := g.Get(y, x); p != want[0] || n != want[1] {
+						t.Fatalf("%dx%d: Get(%d,%d) = (%v,%v), want %v", h, w, y, x, p, n, want)
+					}
+					if p, n := d.At(0, int(y), int(x)), d.At(1, int(y), int(x)); p != want[0] || n != want[1] {
+						t.Fatalf("%dx%d: dense (%d,%d) = (%v,%v), want %v", h, w, y, x, p, n, want)
+					}
+				}
+			}
+			for _, out := range [][2]int32{{-1, 0}, {int32(h), 0}, {0, -1}, {0, int32(w)}} {
+				if p, n := g.Get(out[0], out[1]); p != 0 || n != 0 {
+					t.Fatalf("%dx%d: Get%v outside the frame = (%v,%v)", h, w, out, p, n)
+				}
+			}
+		}
+	})
 }

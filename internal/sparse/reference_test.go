@@ -190,9 +190,10 @@ func TestSiteConvOperandsAreChannelConcat(t *testing.T) {
 }
 
 // referenceMerge is the k-way coordinate merge DSFA combined buckets
-// with before Accum.Merge: per output key, the members holding it are
-// summed in argument order from zero, then scaled. Time bounds become
-// the union; members' unsorted Set tails are compacted first.
+// with before Accum.Merge: per output key y*W+x, of each entry's
+// decoded (y, x), the members holding it are summed in argument order
+// from zero, then scaled. Time bounds become the union; members'
+// unsorted Set tails are compacted first.
 func referenceMerge(frames []*Frame, scale float32) *Frame {
 	for _, f := range frames {
 		f.ensureSorted()
@@ -207,8 +208,8 @@ func referenceMerge(frames []*Frame, scale float32) *Frame {
 	for {
 		best := int64(-1)
 		for fi, f := range frames {
-			if idx[fi] < len(f.Ys) {
-				if k := f.key(idx[fi]); best == -1 || k < best {
+			if idx[fi] < len(f.Cells) {
+				if k := refKey(f, idx[fi]); best == -1 || k < best {
 					best = k
 				}
 			}
@@ -218,17 +219,20 @@ func referenceMerge(frames []*Frame, scale float32) *Frame {
 		}
 		var pos, neg float32
 		for fi, f := range frames {
-			if idx[fi] < len(f.Ys) && f.key(idx[fi]) == best {
+			if idx[fi] < len(f.Cells) && refKey(f, idx[fi]) == best {
 				pos += f.Pos[idx[fi]]
 				neg += f.Neg[idx[fi]]
 				idx[fi]++
 			}
 		}
-		out.Ys = append(out.Ys, int32(best/int64(w)))
-		out.Xs = append(out.Xs, int32(best%int64(w)))
-		out.Pos = append(out.Pos, pos*scale)
-		out.Neg = append(out.Neg, neg*scale)
+		out.Set(int32(best/int64(w)), int32(best%int64(w)), pos*scale, neg*scale)
 	}
+}
+
+// refKey is entry i's row-major pixel key, y*W+x.
+func refKey(f *Frame, i int) int64 {
+	y, x := f.YX(i)
+	return int64(y)*int64(f.W) + int64(x)
 }
 
 // mergeAdd and mergeAverage are the DSFA combine modes as the

@@ -80,15 +80,15 @@ func (a *ActiveSet) appendSite(y, x int32) {
 }
 
 // BuildFromFrame materializes the rulebook straight off a sparse
-// frame's sorted COO coordinates in O(nnz) — no dense scan. The
-// frame's entry set IS the active-site set of its two-channel tensor
-// (entries with zero counts in both polarities are structurally
-// excluded).
+// frame's sorted cell indexes, decoded by YX, in O(nnz) — no dense
+// scan. The frame's entry set IS the active-site set of its
+// two-channel tensor (entries with zero counts in both polarities are
+// structurally excluded).
 func (a *ActiveSet) BuildFromFrame(f *Frame, k int) {
 	f.NNZ() // force lazy sort compaction before reading coordinates
 	a.Reset(f.H, f.W, k)
-	for i := range f.Ys {
-		a.appendSite(f.Ys[i], f.Xs[i])
+	for i := range f.Cells {
+		a.appendSite(f.YX(i))
 	}
 }
 
@@ -289,8 +289,8 @@ func (c *RulebookCache) Observe(f *Frame) (*ActiveSet, bool) {
 	}
 	covered := coveredCount(c.cur, f)
 	overlap := 1.0 // an empty frame contradicts nothing
-	if len(f.Ys) > 0 {
-		overlap = float64(covered) / float64(len(f.Ys))
+	if len(f.Cells) > 0 {
+		overlap = float64(covered) / float64(len(f.Cells))
 	}
 	if overlap < c.minOverlap {
 		c.cur.BuildFromFrame(f, c.k)
@@ -308,8 +308,8 @@ func (c *RulebookCache) Observe(f *Frame) (*ActiveSet, bool) {
 	next.Reset(f.H, f.W, c.k)
 	i, j := 0, 0
 	prev := c.cur
-	for j < len(f.Ys) {
-		fy, fx := f.Ys[j], f.Xs[j]
+	for j < len(f.Cells) {
+		fy, fx := f.YX(j)
 		for i < len(prev.Ys) && (prev.Ys[i] < fy || (prev.Ys[i] == fy && prev.Xs[i] < fx)) {
 			i++ // site departed
 		}
@@ -343,8 +343,8 @@ func (c *RulebookCache) Observe(f *Frame) (*ActiveSet, bool) {
 func coveredCount(a *ActiveSet, f *Frame) int {
 	r := int32(a.K / 2)
 	n := 0
-	for j := range f.Ys {
-		if coveredAt(a, f.Ys[j], f.Xs[j], r) {
+	for j := range f.Cells {
+		if y, x := f.YX(j); coveredAt(a, y, x, r) {
 			n++
 		}
 	}
