@@ -999,8 +999,8 @@ func (c *Cluster) resultHook(n *node) func(string, serve.ResultEvent, uint64) {
 	}
 }
 
-// --- session lifecycle (programmatic surface; HTTP handlers proxy
-// through these) ---
+// --- session lifecycle (programmatic surface; the router's
+// serve.SessionAPI mounts these) ---
 
 // CreateSession places a session on the fleet and returns its snapshot
 // under the fleet-wide ID.

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"mime"
 	"net/http"
 	"sync"
 
@@ -227,15 +228,15 @@ func IngestHandler(ingest func(id string, c Chunk) (IngestResult, error)) http.H
 			if errors.As(err, new(*http.MaxBytesError)) {
 				status = http.StatusRequestEntityTooLarge
 			}
-			writeError(w, status, err)
+			WriteError(w, status, err)
 			return
 		}
 		res, err := ingest(r.PathValue("id"), c)
 		if err != nil {
-			writeError(w, ErrorStatus(err), err)
+			WriteError(w, ErrorStatus(err), err)
 			return
 		}
-		writeJSON(w, http.StatusOK, res)
+		WriteJSON(w, http.StatusOK, res)
 	}
 }
 
@@ -266,4 +267,58 @@ func releaseBody(buf *bytes.Buffer) {
 	if buf.Cap() <= maxPooledBody {
 		bodies.Put(buf)
 	}
+}
+
+// isJSON reports whether an ingest body's media type selects the JSON
+// wire format (parameters like charset are tolerated); anything else,
+// unparseable types included, is EVAR binary.
+func isJSON(contentType string) bool {
+	mt, _, err := mime.ParseMediaType(contentType)
+	return err == nil && mt == "application/json"
+}
+
+// EventJSON is one AER event on the JSON wire format: p is 1 (ON) or
+// -1/0 (OFF), matching the text codec's convention.
+type EventJSON struct {
+	X  uint16 `json:"x"`
+	Y  uint16 `json:"y"`
+	TS int64  `json:"ts"`
+	P  int8   `json:"p"`
+}
+
+// ChunkJSON is the JSON ingest payload.
+type ChunkJSON struct {
+	Width  int         `json:"width"`
+	Height int         `json:"height"`
+	Events []EventJSON `json:"events"`
+}
+
+// Stream converts the JSON chunk to an event stream.
+func (c *ChunkJSON) Stream() (*events.Stream, error) {
+	if c.Width <= 0 || c.Height <= 0 {
+		return nil, fmt.Errorf("serve: JSON chunk has no sensor geometry")
+	}
+	s := events.NewStream(c.Width, c.Height)
+	s.Events = make([]events.Event, len(c.Events))
+	for i, e := range c.Events {
+		pol := events.Off
+		if e.P == 1 {
+			pol = events.On
+		}
+		s.Events[i] = events.Event{X: e.X, Y: e.Y, TS: e.TS, Pol: pol}
+	}
+	return s, nil
+}
+
+// ChunkFromStream converts an event stream to the JSON wire format.
+func ChunkFromStream(s *events.Stream) *ChunkJSON {
+	c := &ChunkJSON{Width: s.Width, Height: s.Height, Events: make([]EventJSON, len(s.Events))}
+	for i, e := range s.Events {
+		p := int8(-1)
+		if e.Pol == events.On {
+			p = 1
+		}
+		c.Events[i] = EventJSON{X: e.X, Y: e.Y, TS: e.TS, P: p}
+	}
+	return c
 }

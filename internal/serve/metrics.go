@@ -5,6 +5,10 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
+
+	"evedge/internal/mem"
+	"evedge/internal/obs"
 )
 
 // latencyRecorder keeps bounded-memory latency statistics: exact
@@ -168,4 +172,156 @@ func PromLabels(kv ...string) string {
 		parts = append(parts, kv[i]+`="`+promLabelEscaper.Replace(kv[i+1])+`"`)
 	}
 	return strings.Join(parts, ",")
+}
+
+// WriteMetrics renders the server's metrics into pw under the given
+// metric namespace; extraLabels (pre-rendered `k="v",...`) are
+// prepended to every labelled sample so a cluster can scope each
+// node's series with a node label.
+func (s *Server) WriteMetrics(pw *PromWriter, ns, extraLabels string) {
+	lbls := func(kv ...string) string {
+		l := PromLabels(kv...)
+		switch {
+		case extraLabels == "":
+			return l
+		case l == "":
+			return extraLabels
+		}
+		return extraLabels + "," + l
+	}
+	s.sessMu.Lock()
+	active := len(s.order)
+	s.sessMu.Unlock()
+	pw.Gauge(ns+"_uptime_seconds", "Server uptime.", lbls(), time.Since(s.start).Seconds())
+	pw.Gauge(ns+"_sessions_active", "Sessions currently accepting events.", lbls(), float64(active))
+	pw.Gauge(ns+"_sessions_total", "Sessions created since start.", lbls(), float64(s.nextID.Load()))
+	makespan := s.engine.Makespan()
+	pw.Gauge(ns+"_engine_makespan_us", "Virtual time the last device queue drains.", lbls(), makespan)
+	depths := s.sched.QueueDepths()
+	for _, d := range s.cfg.Platform.Devices {
+		pw.Counter(ns+"_device_busy_us", "Accumulated busy time per device.",
+			lbls("device", d.Name), s.engine.BusyTime(d))
+		pw.Gauge(ns+"_sched_queue_depth", "Invocations waiting in the device's scheduler run queue.",
+			lbls("device", d.Name), float64(depths[d.ID]))
+	}
+	st := s.sched.Stats()
+	pw.Counter(ns+"_sched_submitted_total", "Invocations submitted to the execution scheduler.", lbls(), float64(st.Submitted))
+	pw.Counter(ns+"_sched_dispatches_total", "Micro-batches dispatched on the engine.", lbls(), float64(st.Dispatches))
+	pw.Counter(ns+"_sched_coalesced_total", "Invocations that rode a multi-member micro-batch.", lbls(), float64(st.Coalesced))
+	pw.Gauge(ns+"_sched_batch_occupancy", "Mean invocations per dispatch (1 = serialized).", lbls(), st.Occupancy())
+	pw.Gauge(ns+"_sched_batch_max_len", "Largest micro-batch dispatched so far.", lbls(), float64(st.MaxBatchLen))
+
+	// Arena traffic: misses (Gets that allocated) should stay flat once
+	// the pools warm up — a climbing miss counter under steady load is
+	// the leak/regression signal the alloc gate watches.
+	ast := s.arena.Stats()
+	for _, p := range [...]struct {
+		name string
+		st   mem.PoolStats
+	}{
+		{"frames", ast.Frames}, {"accums", ast.Accums},
+		{"invocations", s.invPool.Stats()}, {"requests", s.pendPool.Stats()},
+	} {
+		pw.Counter(ns+"_pool_gets_total", "Objects borrowed from the arena pool.", lbls("pool", p.name), float64(p.st.Gets))
+		pw.Counter(ns+"_pool_misses_total", "Borrows that allocated because the free list was empty.", lbls("pool", p.name), float64(p.st.News))
+		pw.Gauge(ns+"_pool_live", "Objects currently borrowed from the pool.", lbls("pool", p.name), float64(p.st.Live()))
+	}
+
+	if s.tracer != nil {
+		// Per-stage latency histograms from the frame-lifecycle tracer:
+		// one series per lifecycle stage that has observed anything.
+		for _, h := range s.tracer.Hists() {
+			if h.Count == 0 {
+				continue
+			}
+			pw.Histogram(ns+"_stage_latency_us", "Frame-lifecycle stage latency (virtual us).",
+				lbls("stage", h.Stage), obs.BucketBoundsUS, h.Counts, h.SumUS, h.Count)
+		}
+		pw.Counter(ns+"_trace_events_total", "Trace events recorded since start.", lbls(), float64(s.tracer.Recorded()))
+		pw.Counter(ns+"_trace_events_dropped_total", "Trace events overwritten in full ring buffers.", lbls(), float64(s.tracer.Dropped()))
+	}
+
+	// One snapshot pass feeds both the totals and the per-session
+	// series. Reading closedTotals and the active set under one lock
+	// acquisition keeps the roll-up consistent with the close path's
+	// atomic active->closed handoff.
+	s.sessMu.Lock()
+	totals := s.closedTotals
+	activeSessions := s.activeSessionsLocked()
+	finals := s.closedUnscraped
+	s.closedUnscraped = nil
+	s.sessMu.Unlock()
+	activeSnaps := make([]SessionSnapshot, len(activeSessions))
+	for i, sess := range activeSessions {
+		activeSnaps[i] = sess.snapshot()
+		totals.add(activeSnaps[i])
+	}
+
+	// Monotonic server-wide totals: closed sessions are folded in at
+	// close time, so these do not depend on retention or scrape timing.
+	pw.Counter(ns+"_events_total", "Events ingested across all sessions ever.", lbls(), float64(totals.EventsIn))
+	pw.Counter(ns+"_frames_total", "Sparse frames produced across all sessions ever.", lbls(), float64(totals.FramesIn))
+	pw.Counter(ns+"_frames_dropped_total", "Frames shed by ingest queues across all sessions ever.", lbls(), float64(totals.FramesDropped))
+	pw.Counter(ns+"_frames_dropped_dsfa_total", "Raw frames shed by DSFA queues across all sessions ever.", lbls(), float64(totals.FramesDroppedDSFA))
+	pw.Counter(ns+"_invocations_total", "Inference launches across all sessions ever.", lbls(), float64(totals.Invocations))
+	pw.Counter(ns+"_raw_frames_done_total", "Raw frames completed across all sessions ever.", lbls(), float64(totals.RawFramesDone))
+	pw.Counter(ns+"_retunes_total", "DSFA retunes applied by the online controller.", lbls(), float64(totals.Retunes))
+	pw.Counter(ns+"_remaps_total", "Execution plans installed after the first, all sessions ever.", lbls(), float64(totals.Remaps))
+
+	if s.cfg.Journal {
+		// Journal gauges: the live replication/catch-up state. Unacked
+		// chunks bound how much a failover replay re-ingests; replica
+		// counts show what this node holds on behalf of its buddies.
+		var unacked, retained int
+		var maxSeq uint64
+		for _, sess := range activeSessions {
+			if sess.journal == nil {
+				continue
+			}
+			jst := sess.journal.stats()
+			unacked += jst.Unacked
+			retained += jst.Retained
+			if jst.Seq > maxSeq {
+				maxSeq = jst.Seq
+			}
+		}
+		pw.Gauge(ns+"_journal_unacked_chunks", "Journal chunk entries not yet retired by the ack watermark.", lbls(), float64(unacked))
+		pw.Gauge(ns+"_journal_results_retained", "Result events retained for SSE catch-up across active sessions.", lbls(), float64(retained))
+		pw.Gauge(ns+"_journal_max_seq", "Highest journal sequence number assigned across active sessions.", lbls(), float64(maxSeq))
+		rsess, rent := s.ReplicaStats()
+		pw.Gauge(ns+"_journal_replica_sessions", "Sessions this node holds journal replicas for as a buddy.", lbls(), float64(rsess))
+		pw.Gauge(ns+"_journal_replica_entries", "Replicated journal entries held for buddy sessions.", lbls(), float64(rent))
+	}
+
+	if s.planner != nil {
+		searches, committed, lastGain := s.planner.Stats()
+		pw.Counter(ns+"_control_remap_searches_total", "Warm-started NMP searches triggered by load imbalance.", lbls(), float64(searches))
+		pw.Counter(ns+"_control_remaps_total", "Warm-started remaps that predicted enough gain to install.", lbls(), float64(committed))
+		pw.Gauge(ns+"_control_remap_last_gain", "Fractional predicted-latency gain of the last installed remap.", lbls(), lastGain)
+		pw.Gauge(ns+"_control_remap_cooldown_us", "Virtual time until the next remap is allowed.", lbls(), s.planner.CooldownRemainingUS(makespan))
+	}
+
+	// Per-session series: active sessions every scrape; a closed
+	// session's final counters exactly once, on the first scrape after
+	// its close (its contribution lives on in the *_total rollups).
+	for _, snap := range append(activeSnaps, finals...) {
+		lbl := lbls("session", snap.ID, "network", snap.Network)
+		pw.Counter(ns+"_session_events_total", "Events ingested.", lbl, float64(snap.EventsIn))
+		pw.Counter(ns+"_session_frames_total", "Sparse frames produced by E2SF.", lbl, float64(snap.FramesIn))
+		pw.Counter(ns+"_session_frames_dropped_total", "Frames shed by the bounded ingest queue.", lbl, float64(snap.FramesDropped))
+		pw.Counter(ns+"_session_frames_dropped_dsfa_total", "Raw frames shed by the DSFA inference queue.", lbl, float64(snap.FramesDroppedDSFA))
+		pw.Counter(ns+"_session_invocations_total", "Inference launches after DSFA merging.", lbl, float64(snap.Invocations))
+		pw.Counter(ns+"_session_raw_frames_done_total", "Raw frames whose inference completed.", lbl, float64(snap.RawFramesDone))
+		pw.Counter(ns+"_session_retunes_total", "DSFA retunes applied to the session.", lbl, float64(snap.Retunes))
+		pw.Counter(ns+"_session_remaps_total", "Plans installed for the session after the first.", lbl, float64(snap.Remaps))
+		pw.Gauge(ns+"_session_queue_len", "Frames waiting in the ingest queue.", lbl, float64(snap.QueueLen))
+		pw.Gauge(ns+"_session_throughput_fps", "Raw frames served per stream-second.", lbl, snap.ThroughputFPS)
+		for _, qv := range []struct {
+			q string
+			v float64
+		}{{"0.5", snap.Latency.P50US}, {"0.99", snap.Latency.P99US}} {
+			pw.Gauge(ns+"_session_latency_us", "Per-raw-frame latency (virtual us).",
+				lbls("session", snap.ID, "network", snap.Network, "quantile", qv.q), qv.v)
+		}
+	}
 }

@@ -52,7 +52,6 @@ type frameQueue struct {
 	st      *pipeline.Stepper
 	cap     int
 	policy  DropPolicy
-	pushed  uint64
 	dropped uint64
 	// recycle, if non-nil, receives every frame the queue sheds so the
 	// arena reclaims it immediately instead of waiting for GC.
@@ -70,7 +69,6 @@ func newFrameQueue(st *pipeline.Stepper, capacity int, policy DropPolicy) *frame
 // hold is full. It returns how many frames were dropped by this push
 // (0 or 1).
 func (q *frameQueue) push(f *sparse.Frame) int {
-	q.pushed++
 	if q.st.Held() < q.cap {
 		q.st.Push(f)
 		return 0
@@ -91,8 +89,9 @@ func (q *frameQueue) push(f *sparse.Frame) int {
 // len returns the held frame count.
 func (q *frameQueue) len() int { return q.st.Held() }
 
-// stats returns total pushed and dropped frame counts.
-func (q *frameQueue) stats() (pushed, dropped uint64) { return q.pushed, q.dropped }
+// stats returns the dropped frame count; the session counts the frames
+// pushed (framesIn).
+func (q *frameQueue) stats() (dropped uint64) { return q.dropped }
 
 // runQueue is the server's FIFO of sessions with work pending: ingest
 // and completion callbacks push, the workers — or Pump under

@@ -78,9 +78,8 @@ func TestFrameQueueDropOldest(t *testing.T) {
 	if len(got) != 2 || got[0].T0 != 1 || got[1].T0 != 2 {
 		t.Fatalf("drop-oldest kept %v, want frames 1,2", []int64{got[0].T0, got[1].T0})
 	}
-	pushed, dropped := q.stats()
-	if pushed != 3 || dropped != 1 {
-		t.Fatalf("stats = %d pushed %d dropped, want 3/1", pushed, dropped)
+	if dropped := q.stats(); dropped != 1 {
+		t.Fatalf("stats = %d dropped, want 1", dropped)
 	}
 }
 
@@ -164,10 +163,10 @@ func TestFrameQueueConcurrent(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pushed, dropped := sess.queue.stats()
-				if pushed != pushers*perPusher || fin.FramesIn != pushed || fin.FramesDropped != dropped {
-					t.Fatalf("level %d: pushed %d, want %d; snapshot %d in, %d dropped, queue %d dropped",
-						level, pushed, pushers*perPusher, fin.FramesIn, fin.FramesDropped, dropped)
+				const pushed = pushers * perPusher
+				if dropped := sess.queue.stats(); fin.FramesIn != pushed || fin.FramesDropped != dropped {
+					t.Fatalf("level %d: snapshot %d in, want %d; %d dropped, queue %d dropped",
+						level, fin.FramesIn, pushed, fin.FramesDropped, dropped)
 				}
 				if got := fin.RawFramesDone + fin.FramesDropped + fin.FramesDroppedDSFA; got != pushed || fin.QueueLen+fin.AggPending != 0 {
 					t.Fatalf("level %d: done %d + dropped %d + DSFA-dropped %d != pushed %d (%d still held)",

@@ -1,15 +1,11 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"mime"
 	"net/http"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,7 +14,6 @@ import (
 	"evedge/internal/events"
 	"evedge/internal/hw"
 	"evedge/internal/mem"
-	"evedge/internal/nmp"
 	"evedge/internal/nn"
 	"evedge/internal/obs"
 	"evedge/internal/perf"
@@ -154,16 +149,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// serveNMPConfig is the reduced search MapperNMP runs: small enough to
-// run at session-create latency, large enough to beat round-robin
-// placements.
-func serveNMPConfig() nmp.Config {
-	cfg := nmp.DefaultConfig()
-	cfg.Population = 12
-	cfg.Generations = 8
-	return cfg
-}
-
 // Health is the /healthz payload.
 type Health struct {
 	Status         string  `json:"status"`
@@ -173,30 +158,6 @@ type Health struct {
 	Workers        int     `json:"workers"`
 	Platform       string  `json:"platform"`
 	Mapper         string  `json:"mapper"`
-}
-
-// NodeLoad is the server's load signal: what a fleet router needs to
-// place sessions across heterogeneous nodes. Cost is the sum of the
-// active sessions' per-inference dense MACs; Capacity is the
-// platform's aggregate peak MAC rate at each device's best precision,
-// so Utilization compares fairly across e.g. a Xavier and an Orin
-// (the same session set loads the bigger platform less).
-type NodeLoad struct {
-	SessionsActive int     `json:"sessions_active"`
-	QueuedFrames   int     `json:"queued_frames"`
-	CostMACs       float64 `json:"cost_macs"`
-	CapacityMACs   float64 `json:"capacity_macs"`
-	Utilization    float64 `json:"utilization"`
-	// PendingInvocations counts invocations sitting in the execution
-	// scheduler's run queues right now — the live queue-depth signal
-	// the fleet rebalancer consumes on top of the capacity-weighted
-	// utilization. BacklogUS is the cumulative drain-time spread
-	// between the node's busiest and idlest device (virtual us): it
-	// grows over the node's lifetime and never decays, so it is an
-	// operator-facing imbalance gauge, not a live backlog — the
-	// migration gate must not compare it against time thresholds.
-	PendingInvocations int     `json:"pending_invocations"`
-	BacklogUS          float64 `json:"backlog_us"`
 }
 
 // SessionTotals is the monotonic roll-up of session counters: active
@@ -233,9 +194,8 @@ func (t *SessionTotals) add(s SessionSnapshot) {
 	t.LatencyCount += s.Latency.Count
 }
 
-// Merge folds another roll-up into the totals: a late-execute delta on
-// the close path, or a whole node incarnation's totals when a fleet
-// aggregates across revives.
+// Merge folds another roll-up into the totals: a whole node
+// incarnation's totals when a fleet aggregates across revives.
 func (t *SessionTotals) Merge(d SessionTotals) {
 	t.Sessions += d.Sessions
 	t.EventsIn += d.EventsIn
@@ -312,12 +272,13 @@ type Server struct {
 	// — each is exposed exactly once. Guarded by sessMu.
 	closedUnscraped []SessionSnapshot
 
-	// totalsMu guards closedTotals, which accumulates final counters of
-	// every closed session (including ones later evicted) so totals
-	// never depend on scrape timing. It is a leaf lock: execute folds
-	// late deltas under sess.mu, the close path and readers take it
-	// after sessMu — never the other way around.
-	totalsMu     sync.Mutex
+	// closedTotals accumulates the final counters of every closed
+	// session (including ones later evicted) so totals never depend on
+	// scrape timing. Guarded by sessMu: CloseSession alone writes it,
+	// and the finals it adds are final — they are taken once nothing is
+	// held or in flight, a closed session refuses ingest, and an execute
+	// that reaches a tallied session returns before it can move a
+	// counter.
 	closedTotals SessionTotals
 
 	// planner gates online remaps (nil when Adapt.Remap is off).
@@ -382,10 +343,10 @@ func New(cfg Config) (*Server, error) {
 		p.req.Session = ""
 		p.req.Key = sched.Key{}
 		p.req.Units = 0
-		p.payload.inv = nil
-		p.payload.net = nil
-		p.payload.plan = pipeline.ExecPlan{}
-		p.payload.trackH = nil
+		p.inv = nil
+		p.net = nil
+		p.plan = pipeline.ExecPlan{}
+		p.trackH = nil
 	})
 	s.dispatchScr.New = func() any { return &dispatchScratch{} }
 	schedCfg := sched.Config{
@@ -417,17 +378,33 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.planner = control.NewRemapPlanner(cfg.Adapt.Planner)
 	}
+	api := SessionAPI{
+		Create: func(cfg SessionConfig) (SessionSnapshot, error) {
+			sess, err := s.CreateSession(cfg)
+			if err != nil {
+				return SessionSnapshot{}, err
+			}
+			return sess.snapshot(), nil
+		},
+		List:   s.Snapshots,
+		Get:    s.Snapshot,
+		Ingest: s.IngestChunk,
+		Stream: s.ServeStream,
+		Close: func(id string) (SessionSnapshot, error) {
+			snap, err := s.CloseSession(id)
+			if err != nil {
+				return SessionSnapshot{}, err
+			}
+			return *snap, nil
+		},
+		Health: func() any { return s.Health() },
+	}
+	if s.tracer != nil {
+		api.Trace = s.WriteTrace
+	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/sessions", s.handleCreate)
-	s.mux.HandleFunc("GET /v1/sessions", s.handleList)
-	s.mux.HandleFunc("GET /v1/sessions/{id}", s.handleGet)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/events", IngestHandler(s.IngestChunk))
-	s.mux.HandleFunc("GET /v1/sessions/{id}/stream", s.handleStream)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/close", s.handleClose)
-	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleClose)
-	s.mux.HandleFunc("GET /healthz", s.handleHealth)
+	api.Mount(s.mux)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /v1/trace", s.handleTrace)
 	if !cfg.ManualDrain {
 		for i := 0; i < cfg.Workers; i++ {
 			s.wg.Add(1)
@@ -519,402 +496,6 @@ func (s *Server) drainSession(sess *Session) {
 	s.maybeRemap()
 }
 
-// invPayload is what a session submission carries through the
-// scheduler to dispatch: the invocation (ready time already shifted
-// into engine virtual time) and a snapshot of the plan it priced
-// under.
-type invPayload struct {
-	inv  *pipeline.Invocation
-	net  *nn.Network
-	plan pipeline.ExecPlan
-	// trackH is the submitting session's cached trace-ring handle (nil,
-	// a no-op, when tracing is off).
-	trackH *obs.Track
-	// pend points back at the pooled submission this payload is part
-	// of, so the scheduler's Release hook can recycle the whole unit.
-	pend *pendingInv
-}
-
-// pendingInv is one pooled scheduler submission: the request, its
-// payload and the completion closure live in a single recycled struct,
-// so the steady-state execute path allocates none of them. The Done
-// closure is bound once, at the struct's first use, and captures only
-// the struct pointer; resets preserve it.
-type pendingInv struct {
-	srv     *Server
-	sess    *Session
-	req     sched.Request
-	payload invPayload
-}
-
-// newPending borrows a submission unit and ensures its one-time
-// self-referential bindings are in place.
-func (s *Server) newPending() *pendingInv {
-	p := s.pendPool.Get()
-	if p.req.Done == nil {
-		p.srv = s
-		p.payload.pend = p
-		p.req.Payload = &p.payload
-		p.req.Done = func(end float64) {
-			p.srv.complete(p.sess, p.payload.inv.PerRaw, end)
-		}
-	}
-	return p
-}
-
-// releaseRequest is the scheduler's Release hook: after a request's
-// batch dispatched and every callback ran, its raw frames — a
-// dispatched bucket's members and the frames DSFA shed since its
-// previous dispatch, which the stepper and the aggregator only read —
-// go back to the arena, the invocation to the invocation pool, and the
-// submission unit to the pending pool. A frame that entered the
-// stepper goes back to the arena here and nowhere else.
-func (s *Server) releaseRequest(r *sched.Request) {
-	p := r.Payload.(*invPayload)
-	inv := p.inv
-	for _, f := range inv.Frames {
-		s.arena.Frames.Put(f)
-	}
-	s.invPool.Put(inv)
-	s.pendPool.Put(p.pend)
-}
-
-// dispatchScratch is the per-dispatch merge state (pooled: workers
-// pumping the scheduler dispatch for different devices concurrently).
-type dispatchScratch struct {
-	inv  pipeline.Invocation
-	invs []*pipeline.Invocation
-	ids  []string
-}
-
-// planSig fingerprints a plan's pricing-relevant identity — device and
-// precision per layer, sparse path, framing overhead — so the
-// scheduler coalesces only invocations that cost identically.
-func planSig(p *pipeline.ExecPlan) string {
-	return fmt.Sprintf("%v|%v|%v|%d", p.Device, p.Prec, p.Sparse, p.FramingOps)
-}
-
-// execute submits the one invocation the session's stepper releases,
-// if any, to the execution scheduler. It runs under the session lock,
-// so whenever that lock is free every frame in is held, in the
-// aggregator or counted done or dropped — a close's final snapshot
-// never misses frames a worker holds. flush ends the stream (session
-// close): open aggregator buckets go too. Execution is asynchronous:
-// completion lands in complete, which records latencies, reports the
-// completion to the stepper and re-schedules the session while it
-// holds frames.
-// Invocation-side counters (invocs, rawDone, batched) advance at
-// submission — the frames have irrevocably left the stepper — so frame
-// conservation holds at every scheduler-quiescent point.
-func (s *Server) execute(sess *Session, flush bool) {
-	traced := s.tracer != nil
-	sess.mu.Lock()
-	// A worker scheduled before CloseSession can still get here after
-	// the close's final flush ran. Serving in flush mode keeps whatever
-	// it finds from being stranded in open aggregator buckets — and if the
-	// close already folded the session's finals into the server totals,
-	// this call's deltas are folded directly so no counter is lost.
-	if sess.closed {
-		flush = true
-	}
-	tallied := sess.tallied
-	var preDrops, preRetunes uint64
-	if tallied {
-		preDrops = uint64(sess.stepper.Stats().DroppedFrames)
-		if sess.retuner != nil {
-			preRetunes = sess.retuner.Retunes()
-		}
-	}
-	// The control plane swaps plans and DSFA tunings only at this
-	// boundary: queued frames are never dropped by an adaptation, they
-	// simply execute under the new decision.
-	s.adaptLocked(sess)
-	released := sess.stepper.Clock()
-	inv := sess.stepper.Release(flush)
-	if traced {
-		// Queue-wait spans: a frame became available at its T1 and left
-		// the hold at the later of T1 and the clock that released it.
-		// Bulk direct-write API: per-frame volume is the hot spot.
-		left := sess.stepper.Left()
-		sess.trackH.SpansFunc(obs.StageQueue, "queue", len(left),
-			func(i int) (float64, float64, int64) {
-				t1 := float64(left[i].T1)
-				return t1 + sess.epochUS, max(released-t1, 0), 1
-			})
-	}
-	var p *pendingInv
-	if inv != nil {
-		plan := sess.plan.Load()
-		if traced && len(inv.PerRaw) > 0 {
-			// DSFA bucket residency: earliest member frame ready to the
-			// invocation's release.
-			first := inv.PerRaw[0].ReadyUS
-			for _, rr := range inv.PerRaw {
-				first = min(first, rr.ReadyUS)
-			}
-			sess.trackH.Span(obs.StageAgg, "agg", first+sess.epochUS, inv.ReadyUS+sess.epochUS, int64(inv.Raw))
-		}
-		// Shift the invocation into the engine's virtual timeline; the
-		// completion path attributes latencies back in stream time
-		// (PerRaw keeps unshifted ready times). The stepper handed the
-		// invocation over, so the shift mutates in place — no copy. The
-		// plan is snapshotted by value so a later SetFramingOps cannot
-		// race the worker that dispatches this invocation.
-		inv.ReadyUS += sess.epochUS
-		for _, d := range plan.Device {
-			sess.usedDevs[d] = true
-		}
-		sess.invocs++
-		sess.batched += uint64(len(inv.Inputs))
-		sess.rawDone += uint64(inv.Raw)
-		if sess.sigPlan != plan {
-			// Plan swaps install a new pointer; FramingOps is fixed before
-			// the first invocation, so pointer identity keys the cache.
-			sess.sigPlan, sess.planSig = plan, planSig(plan)
-		}
-		p = s.newPending()
-		p.sess = sess
-		p.payload.inv = inv
-		p.payload.net = sess.Net
-		p.payload.plan = *plan
-		p.payload.trackH = sess.trackH
-		p.req.Session = sess.ID
-		p.req.Key = sched.Key{Device: plan.Device[0], Net: sess.Net.Name, Sig: sess.planSig}
-		p.req.Units = inv.Raw
-	}
-	if traced {
-		// DSFA shed marks: the aggregator's bounded inference queue
-		// dropped raw frames since the last pass.
-		if drops := uint64(sess.stepper.Stats().DroppedFrames); drops > sess.lastDSFADrops {
-			sess.trackH.Instant(obs.StageAgg, "dsfa-drop",
-				sess.stepper.Clock()+sess.epochUS, int64(drops-sess.lastDSFADrops))
-			sess.lastDSFADrops = drops
-		}
-	}
-	if tallied {
-		// The session's finals were already folded into the closed
-		// roll-up; contribute this pass's submission-side deltas directly
-		// (completion-side latency deltas fold in complete).
-		d := SessionTotals{
-			FramesDroppedDSFA: uint64(sess.stepper.Stats().DroppedFrames) - preDrops,
-		}
-		if inv != nil {
-			d.Invocations, d.RawFramesDone = 1, uint64(inv.Raw)
-		}
-		if sess.retuner != nil {
-			d.Retunes = sess.retuner.Retunes() - preRetunes
-		}
-		if d != (SessionTotals{}) {
-			s.totalsMu.Lock()
-			s.closedTotals.Merge(d)
-			s.totalsMu.Unlock()
-		}
-	}
-	sess.mu.Unlock()
-	// Submit outside sess.mu: the pump that follows completes requests
-	// on this goroutine, and complete re-acquires the session lock. The
-	// pending struct is NOT returned here — the scheduler's Release hook
-	// recycles it after its batch completes.
-	if p != nil {
-		s.sched.Submit(&p.req)
-	}
-}
-
-// dispatchBatch executes one scheduler micro-batch: compatible
-// invocations (same network, identical plan) merge into a single
-// batched inference priced once on the shared engine. All members
-// complete at the batch end — early members pay the coalescing delay,
-// which is exactly the latency/throughput trade MaxBatch bounds.
-func (s *Server) dispatchBatch(batch []*sched.Request) float64 {
-	first := batch[0].Payload.(*invPayload)
-	inv := first.inv
-	// Span tags only matter when someone records them; with tracing and
-	// engine recording both off the join would be a per-dispatch
-	// allocation nobody reads.
-	named := s.tracer != nil || s.engine.Recording()
-	tag := batch[0].Session
-	var scr *dispatchScratch
-	if len(batch) > 1 {
-		scr = s.dispatchScr.Get().(*dispatchScratch)
-		scr.invs = scr.invs[:0]
-		for _, r := range batch {
-			scr.invs = append(scr.invs, r.Payload.(*invPayload).inv)
-		}
-		scr.inv.Inputs = scr.inv.Inputs[:0]
-		scr.inv.PerRaw = scr.inv.PerRaw[:0]
-		scr.inv.Raw, scr.inv.ReadyUS = 0, 0
-		inv = pipeline.MergeInvocationsInto(&scr.inv, scr.invs)
-		if named {
-			scr.ids = scr.ids[:0]
-			for _, r := range batch {
-				scr.ids = append(scr.ids, r.Session)
-			}
-			tag = strings.Join(scr.ids, "+")
-		}
-		defer func() {
-			for i := range scr.invs {
-				scr.invs[i] = nil
-			}
-			s.dispatchScr.Put(scr)
-		}()
-	}
-	// Traced dispatch: the execution observer folds the per-layer
-	// callbacks into one busy span per device (first layer start to
-	// last layer end on that device, Count = layers) plus the UM-bus
-	// transfers; afterwards each batch member gets a coalesce-wait
-	// span from its own readiness to the batch's first engine start
-	// (early members pay the coalescing delay — exactly the
-	// latency/throughput trade MaxBatch bounds). Untraced, observe
-	// stays nil and execStart negative.
-	var devs []devExtent
-	execStart := -1.0
-	var observe pipeline.ExecObserver
-	if s.tracer != nil {
-		devs = make([]devExtent, len(s.devTrackH))
-		observe = func(dev int, name string, startUS, endUS float64, um bool) {
-			if um {
-				s.umTrack.Span(obs.StageComms, name, startUS, endUS, 0)
-				return
-			}
-			if execStart < 0 || startUS < execStart {
-				execStart = startUS
-			}
-			d := &devs[dev]
-			if d.layers == 0 || startUS < d.start {
-				d.start = startUS
-			}
-			if endUS > d.end {
-				d.end = endUS
-			}
-			d.layers++
-		}
-	}
-	end := pipeline.ScheduleOnEngine(s.engine, s.model, first.net, &first.plan, inv, tag, observe)
-	if execStart >= 0 {
-		name := "batch:" + tag
-		for i := range devs {
-			if devs[i].layers > 0 {
-				s.devTrackH[i].Span(obs.StageExec, name, devs[i].start, devs[i].end, devs[i].layers)
-			}
-		}
-		for _, r := range batch {
-			p := r.Payload.(*invPayload)
-			p.trackH.Span(obs.StageBatch, name, p.inv.ReadyUS, execStart, int64(r.Units))
-		}
-	}
-	return end
-}
-
-// devExtent accumulates one device's busy extent across a dispatch's
-// per-layer execution callbacks.
-type devExtent struct {
-	start, end float64
-	layers     int64
-}
-
-// observeDispatch is the scheduler's post-dispatch hook under tracing:
-// one instant per micro-batch on the scheduler track, carrying the
-// member count in its name and the raw-frame units in Count — the
-// occupancy signal, span-aligned with the exec spans it produced.
-func (s *Server) observeDispatch(batch []*sched.Request, endUS float64) {
-	var units int64
-	for _, r := range batch {
-		units += int64(r.Units)
-	}
-	s.schedTrack.Instant(obs.StageCtl, dispatchName(len(batch)), endUS, units)
-}
-
-// dispatchNames caches the scheduler-instant labels for common batch
-// sizes so observeDispatch never formats in the dispatch path.
-var dispatchNames = [...]string{
-	"dispatch[0]", "dispatch[1]", "dispatch[2]", "dispatch[3]",
-	"dispatch[4]", "dispatch[5]", "dispatch[6]", "dispatch[7]",
-	"dispatch[8]", "dispatch[9]", "dispatch[10]", "dispatch[11]",
-	"dispatch[12]", "dispatch[13]", "dispatch[14]", "dispatch[15]",
-	"dispatch[16]",
-}
-
-func dispatchName(n int) string {
-	if n >= 0 && n < len(dispatchNames) {
-		return dispatchNames[n]
-	}
-	return "dispatch[" + strconv.Itoa(n) + "]"
-}
-
-// complete is the scheduler's completion callback for one session
-// submission: attribute per-raw-frame latencies in stream time, report
-// the completion to the stepper, and re-schedule the session while it
-// holds frames, so its next invocation goes. A session already handed
-// off to the closed roll-up folds its latency deltas into the server
-// totals directly.
-func (s *Server) complete(sess *Session, perRaw []pipeline.RawRef, engEnd float64) {
-	sess.mu.Lock()
-	end := engEnd - sess.epochUS
-	var dCount uint64
-	var dSum float64
-	for _, rr := range perRaw {
-		lat := end - rr.ReadyUS
-		for k := 0; k < rr.N; k++ {
-			sess.lat.observe(lat)
-		}
-		dCount += uint64(rr.N)
-		dSum += lat * float64(rr.N)
-	}
-	if s.tracer != nil {
-		// End-to-end frame spans: stream readiness to completion, in
-		// engine time so they nest under the session's other lanes.
-		sess.trackH.SpansFunc(obs.StageFrame, "frame", len(perRaw),
-			func(i int) (float64, float64, int64) {
-				rr := perRaw[i]
-				return rr.ReadyUS + sess.epochUS, end - rr.ReadyUS, int64(rr.N)
-			})
-	}
-	sess.stepper.Done(end)
-	pending := sess.stepper.Pending() > 0
-	var resultEv ResultEvent
-	var resultAck uint64
-	if sess.journal != nil && dCount > 0 {
-		// One journaled result per completed batch: completion instant in
-		// stream time, mean per-raw latency, raw frames served. The
-		// append wakes SSE subscribers; the ack sweep keeps the chunk
-		// watermark fresh for replica trimming.
-		resultEv = ResultEvent{DoneUS: end, LatUS: dSum / float64(dCount), Frames: int(dCount)}
-		resultEv.Seq = sess.journal.appendResult(resultEv.DoneUS, resultEv.LatUS, resultEv.Frames)
-		resultAck = sess.journal.ack(sess.completedLocked())
-	}
-	tallied := sess.tallied
-	sess.mu.Unlock()
-	if resultEv.Seq > 0 && s.cfg.OnResult != nil {
-		// Outside sess.mu: the hook takes cluster-side locks to ship the
-		// result to the buddy node.
-		s.cfg.OnResult(sess.ID, resultEv, resultAck)
-	}
-	if tallied && dCount > 0 {
-		s.totalsMu.Lock()
-		s.closedTotals.Merge(SessionTotals{LatencyCount: dCount, LatencySumUS: dSum})
-		s.totalsMu.Unlock()
-	}
-	if pending {
-		s.schedule(sess)
-	}
-}
-
-// adaptLocked runs one retune decision for the session; callers hold
-// sess.mu. Decisions are rate-limited by the controller itself
-// (DecideEveryUS of stream time), so calling per invocation is cheap.
-func (s *Server) adaptLocked(sess *Session) {
-	if sess.retuner == nil {
-		return
-	}
-	if cfg, ok := sess.retuner.Observe(sess.sampleLocked()); ok {
-		// The derived tuning is valid by construction; a failed retune
-		// would leave the old tuning in place, which is safe.
-		if sess.stepper.Retune(cfg) == nil {
-			s.ctlTrack.Instant(obs.StageCtl, "retune:"+sess.ID, sess.stepper.Clock()+sess.epochUS, 1)
-		}
-	}
-}
-
 // CreateSession registers a session programmatically (the HTTP create
 // handler goes through here too) and rebalances placement.
 func (s *Server) CreateSession(cfg SessionConfig) (*Session, error) {
@@ -957,8 +538,7 @@ func (s *Server) CreateSession(cfg SessionConfig) (*Session, error) {
 		return nil, err
 	}
 	sess.epochUS = s.engine.Makespan()
-	sess.tracer = s.tracer
-	sess.trackH = s.tracer.Track(sess.track)
+	sess.trackH = s.tracer.Track("sess/" + id)
 	if s.cfg.Journal {
 		sess.journal = new(journal)
 	}
@@ -1032,11 +612,10 @@ func (s *Server) CloseSession(id string) (*SessionSnapshot, error) {
 		// order the create/close paths use): the tallied flag and the
 		// final snapshot are taken under sess.mu, so a worker execute is
 		// either serialized before them (its counters are in the
-		// snapshot) or sees tallied and folds its own deltas into
-		// closedTotals after the session has already left s.order.
-		// Concurrent Totals()/scrapes block on sessMu through the
-		// handoff and so can never see the session in neither roll-up
-		// (a counter dip) or in both (a double count).
+		// snapshot) or sees tallied and returns without touching the
+		// session. Concurrent Totals()/scrapes block on sessMu through
+		// the handoff and so can never see the session in neither
+		// roll-up (a counter dip) or in both (a double count).
 		s.sessMu.Lock()
 		sess.mu.Lock()
 		sess.tallied = true
@@ -1051,9 +630,7 @@ func (s *Server) CloseSession(id string) (*SessionSnapshot, error) {
 			delete(s.sessions, s.closedOrder[0])
 			s.closedOrder = s.closedOrder[1:]
 		}
-		s.totalsMu.Lock()
 		s.closedTotals.add(final)
-		s.totalsMu.Unlock()
 		// The emit-once queue is bounded like the retained history: on a
 		// server nobody scrapes, only the newest MaxClosed finals are
 		// kept (their counters live on in closedTotals regardless).
@@ -1184,44 +761,13 @@ func (s *Server) activeSessions() []*Session {
 // per-session snapshots.
 func (s *Server) Totals() SessionTotals {
 	s.sessMu.Lock()
-	s.totalsMu.Lock()
 	t := s.closedTotals
-	s.totalsMu.Unlock()
 	active := s.activeSessionsLocked()
 	s.sessMu.Unlock()
 	for _, sess := range active {
 		t.add(sess.snapshot())
 	}
 	return t
-}
-
-// deviceSignals snapshots per-device utilization, engine backlog and
-// scheduler queue depth — the control plane's per-PE input, sourced
-// from the execution scheduler's signals instead of ad-hoc engine
-// reads. Backlog is measured relative to the least-backlogged device:
-// at the makespan every absolute backlog is zero by definition, but
-// the spread between device drain times is exactly the queue imbalance
-// the remap gate wants to see. Queued adds the not-yet-dispatched
-// invocations sitting in the scheduler's run queues.
-func (s *Server) deviceSignals() ([]control.DeviceSignals, float64) {
-	now := s.engine.Makespan()
-	depths := s.sched.QueueDepths()
-	devs := make([]control.DeviceSignals, len(s.cfg.Platform.Devices))
-	minFree := 0.0
-	for i, d := range s.cfg.Platform.Devices {
-		free := s.engine.BusyUntil(d)
-		devs[i] = control.DeviceSignals{BacklogUS: free, Queued: depths[d.ID]}
-		if now > 0 {
-			devs[i].Utilization = s.engine.BusyTime(d) / now
-		}
-		if i == 0 || free < minFree {
-			minFree = free
-		}
-	}
-	for i := range devs {
-		devs[i].BacklogUS -= minFree
-	}
-	return devs, now
 }
 
 // SchedStats exposes the execution scheduler's counters (dispatches,
@@ -1254,37 +800,6 @@ func (s *Server) Health() Health {
 	}
 }
 
-// Load returns the node-load signal a fleet router places against:
-// active-session inference cost weighted by the platform's capacity.
-func (s *Server) Load() NodeLoad {
-	active := s.activeSessions()
-	l := NodeLoad{SessionsActive: len(active), CapacityMACs: s.capacityMACs}
-	for _, sess := range active {
-		l.CostMACs += float64(sess.Net.TotalMACs())
-		sess.mu.Lock()
-		l.QueuedFrames += sess.queue.len()
-		sess.mu.Unlock()
-	}
-	if l.CapacityMACs > 0 {
-		l.Utilization = l.CostMACs / l.CapacityMACs
-	}
-	for _, n := range s.sched.QueueDepths() {
-		l.PendingInvocations += n
-	}
-	var minBusy, maxBusy float64
-	for i, d := range s.cfg.Platform.Devices {
-		b := s.engine.BusyUntil(d)
-		if i == 0 || b < minBusy {
-			minBusy = b
-		}
-		if b > maxBusy {
-			maxBusy = b
-		}
-	}
-	l.BacklogUS = maxBusy - minBusy
-	return l
-}
-
 // Platform returns the platform model the server executes on.
 func (s *Server) Platform() *hw.Platform { return s.cfg.Platform }
 
@@ -1292,228 +807,6 @@ func (s *Server) Platform() *hw.Platform { return s.cfg.Platform }
 // accumulation grids, active sets) — the alloc-regression harness and
 // /metrics read it.
 func (s *Server) ArenaStats() mem.ArenaStats { return s.arena.Stats() }
-
-// rebalance recomputes the placement of all active sessions under the
-// configured policy and installs the per-session plans. The placement
-// computation (which for MapperNMP is an evolutionary search taking
-// real time) runs outside sessMu so ingest, stats and health traffic
-// are never stalled behind it; a generation check detects a
-// concurrently changed session set and retries.
-func (s *Server) rebalance() error {
-	for {
-		s.sessMu.Lock()
-		gen := s.placeGen
-		active := s.activeSessionsLocked()
-		s.sessMu.Unlock()
-		if len(active) == 0 {
-			return nil
-		}
-		nets := make([]*nn.Network, len(active))
-		for i, sess := range active {
-			nets[i] = sess.Net
-		}
-		var asg *taskgraph.Assignment
-		var err error
-		if s.cfg.Mapper == MapperNMP {
-			asg, err = s.searchAssignment(nets)
-		} else {
-			asg, err = nmp.RRNetwork(nets, s.cfg.Platform)
-		}
-		if err != nil {
-			return err
-		}
-		s.sessMu.Lock()
-		if gen != s.placeGen {
-			// The active set changed while we searched; recompute.
-			s.sessMu.Unlock()
-			continue
-		}
-		if err := s.installLocked(active, asg); err != nil {
-			s.sessMu.Unlock()
-			return err
-		}
-		s.sessMu.Unlock()
-		return nil
-	}
-}
-
-// installLocked installs a multi-task assignment over the active
-// sessions' plan slots and records it as the warm-start seed. No-op
-// plans (same mapping as installed) are skipped so they do not count
-// as remaps. Callers hold sessMu with the generation verified.
-func (s *Server) installLocked(active []*Session, asg *taskgraph.Assignment) error {
-	for i, sess := range active {
-		plan, err := pipeline.PlanFromAssignment(asg, i, sess.Level >= pipeline.LevelE2SF)
-		if err != nil {
-			return err
-		}
-		if plan.Equal(sess.plan.Load()) {
-			continue
-		}
-		sess.plan.Swap(plan)
-	}
-	s.lastAsg = asg
-	return nil
-}
-
-// maybeRemap runs one pass of the online remap loop: if device load
-// signals show enough imbalance and the cooldown has expired, a
-// warm-started incremental search (nmp.SearchFrom) runs from the live
-// assignment, and its result is installed only when it predicts enough
-// improvement. Called from workers after a drain pass; the planner's
-// in-flight claim keeps it single-threaded.
-func (s *Server) maybeRemap() {
-	if s.planner == nil {
-		return
-	}
-	// Cheap gate first: maybeRemap runs on every drain completion, and
-	// during cooldown (or with a search in flight) the full signals
-	// snapshot would be discarded anyway.
-	clock := s.engine.Makespan()
-	if !s.planner.Ready(clock) {
-		return
-	}
-	devs, now := s.deviceSignals()
-	if !s.planner.ShouldRemap(now, devs) {
-		return
-	}
-
-	s.sessMu.Lock()
-	gen := s.placeGen
-	active := s.activeSessionsLocked()
-	cur := s.lastAsg
-	s.sessMu.Unlock()
-	if cur == nil || len(active) == 0 || len(cur.Device) != len(active) {
-		// No installed assignment to warm-start from (rebalance pending
-		// or racing); release the claim and let the cooldown pace retry.
-		s.planner.Done(now)
-		return
-	}
-
-	nets := make([]*nn.Network, len(active))
-	for i, sess := range active {
-		nets[i] = sess.Net
-	}
-	mapper, err := s.buildMapper(nets)
-	if err != nil {
-		s.planner.Done(now)
-		return
-	}
-	curLat, _, err := mapper.Predict(cur)
-	if err != nil {
-		s.planner.Done(now)
-		return
-	}
-	res, err := mapper.SearchFrom(cur, s.planner.Budget())
-	if err != nil {
-		s.planner.Done(now)
-		return
-	}
-	gain := 0.0
-	if curLat > 0 {
-		gain = (curLat - res.LatencyUS) / curLat
-	}
-	if !s.planner.Accept(curLat, res.LatencyUS) {
-		s.planner.Done(now)
-		return
-	}
-
-	s.sessMu.Lock()
-	if gen != s.placeGen {
-		// Session churn while searching: its rebalance installed a fresh
-		// placement; drop this stale candidate.
-		s.sessMu.Unlock()
-		s.planner.Done(now)
-		return
-	}
-	err = s.installLocked(active, res.Assignment)
-	s.sessMu.Unlock()
-	if err != nil {
-		s.planner.Done(now)
-		return
-	}
-	s.planner.Committed(now, gain)
-	s.ctlTrack.Instant(obs.StageCtl, "remap", now, int64(len(active)))
-}
-
-// buildMapper profiles the workload and configures the Network Mapper
-// (whose accuracy budgets default to Table 2) — shared by the create/close
-// rebalance (full search) and the online remap (warm-started search).
-func (s *Server) buildMapper(nets []*nn.Network) (*nmp.Mapper, error) {
-	db, err := perf.BuildProfileDB(s.model, nets, true, nil)
-	if err != nil {
-		return nil, err
-	}
-	return nmp.NewMapper(db, s.model, serveNMPConfig())
-}
-
-// searchAssignment runs the full Network Mapper search over the active
-// workload.
-func (s *Server) searchAssignment(nets []*nn.Network) (*taskgraph.Assignment, error) {
-	mapper, err := s.buildMapper(nets)
-	if err != nil {
-		return nil, err
-	}
-	res, err := mapper.Search()
-	if err != nil {
-		return nil, err
-	}
-	return res.Assignment, nil
-}
-
-// --- HTTP handlers ---
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	var cfg SessionConfig
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&cfg); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding session config: %w", err))
-		return
-	}
-	sess, err := s.CreateSession(cfg)
-	if err != nil {
-		writeError(w, ErrorStatus(err), err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, sess.snapshot())
-}
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Snapshots())
-}
-
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	snap, err := s.Snapshot(r.PathValue("id"))
-	if err != nil {
-		writeError(w, ErrorStatus(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, snap)
-}
-
-func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
-	snap, err := s.CloseSession(r.PathValue("id"))
-	if err != nil {
-		writeError(w, ErrorStatus(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, snap)
-}
-
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Health())
-}
 
 // Tracer returns the server's frame-lifecycle tracer, nil when
 // tracing is off. Callers (cluster trace merging, the harness) treat
@@ -1532,231 +825,7 @@ func (s *Server) StageHists() []obs.HistSnapshot {
 // WriteTrace renders the retained spans as Chrome trace-event JSON.
 func (s *Server) WriteTrace(w io.Writer) error {
 	if s.tracer == nil {
-		return fmt.Errorf("serve: tracing disabled")
+		return errTracingDisabled
 	}
 	return obs.WriteChrome(w, s.tracer)
-}
-
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if s.tracer == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("serve: tracing disabled (set Config.Trace.Enabled)"))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = s.WriteTrace(w)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	pw := NewPromWriter()
-	s.WriteMetrics(pw, "evserve", "")
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_, _ = w.Write([]byte(pw.String()))
-}
-
-// WriteMetrics renders the server's metrics into pw under the given
-// metric namespace; extraLabels (pre-rendered `k="v",...`) are
-// prepended to every labelled sample so a cluster can scope each
-// node's series with a node label.
-func (s *Server) WriteMetrics(pw *PromWriter, ns, extraLabels string) {
-	lbls := func(kv ...string) string {
-		l := PromLabels(kv...)
-		switch {
-		case extraLabels == "":
-			return l
-		case l == "":
-			return extraLabels
-		}
-		return extraLabels + "," + l
-	}
-	s.sessMu.Lock()
-	active := len(s.order)
-	s.sessMu.Unlock()
-	pw.Gauge(ns+"_uptime_seconds", "Server uptime.", lbls(), time.Since(s.start).Seconds())
-	pw.Gauge(ns+"_sessions_active", "Sessions currently accepting events.", lbls(), float64(active))
-	pw.Gauge(ns+"_sessions_total", "Sessions created since start.", lbls(), float64(s.nextID.Load()))
-	makespan := s.engine.Makespan()
-	pw.Gauge(ns+"_engine_makespan_us", "Virtual time the last device queue drains.", lbls(), makespan)
-	depths := s.sched.QueueDepths()
-	for _, d := range s.cfg.Platform.Devices {
-		pw.Counter(ns+"_device_busy_us", "Accumulated busy time per device.",
-			lbls("device", d.Name), s.engine.BusyTime(d))
-		pw.Gauge(ns+"_sched_queue_depth", "Invocations waiting in the device's scheduler run queue.",
-			lbls("device", d.Name), float64(depths[d.ID]))
-	}
-	st := s.sched.Stats()
-	pw.Counter(ns+"_sched_submitted_total", "Invocations submitted to the execution scheduler.", lbls(), float64(st.Submitted))
-	pw.Counter(ns+"_sched_dispatches_total", "Micro-batches dispatched on the engine.", lbls(), float64(st.Dispatches))
-	pw.Counter(ns+"_sched_coalesced_total", "Invocations that rode a multi-member micro-batch.", lbls(), float64(st.Coalesced))
-	pw.Gauge(ns+"_sched_batch_occupancy", "Mean invocations per dispatch (1 = serialized).", lbls(), st.Occupancy())
-	pw.Gauge(ns+"_sched_batch_max_len", "Largest micro-batch dispatched so far.", lbls(), float64(st.MaxBatchLen))
-
-	// Arena traffic: misses (Gets that allocated) should stay flat once
-	// the pools warm up — a climbing miss counter under steady load is
-	// the leak/regression signal the alloc gate watches.
-	ast := s.arena.Stats()
-	for _, p := range [...]struct {
-		name string
-		st   mem.PoolStats
-	}{
-		{"frames", ast.Frames}, {"accums", ast.Accums},
-		{"invocations", s.invPool.Stats()}, {"requests", s.pendPool.Stats()},
-	} {
-		pw.Counter(ns+"_pool_gets_total", "Objects borrowed from the arena pool.", lbls("pool", p.name), float64(p.st.Gets))
-		pw.Counter(ns+"_pool_misses_total", "Borrows that allocated because the free list was empty.", lbls("pool", p.name), float64(p.st.News))
-		pw.Gauge(ns+"_pool_live", "Objects currently borrowed from the pool.", lbls("pool", p.name), float64(p.st.Live()))
-	}
-
-	if s.tracer != nil {
-		// Per-stage latency histograms from the frame-lifecycle tracer:
-		// one series per lifecycle stage that has observed anything.
-		for _, h := range s.tracer.Hists() {
-			if h.Count == 0 {
-				continue
-			}
-			pw.Histogram(ns+"_stage_latency_us", "Frame-lifecycle stage latency (virtual us).",
-				lbls("stage", h.Stage), obs.BucketBoundsUS, h.Counts, h.SumUS, h.Count)
-		}
-		pw.Counter(ns+"_trace_events_total", "Trace events recorded since start.", lbls(), float64(s.tracer.Recorded()))
-		pw.Counter(ns+"_trace_events_dropped_total", "Trace events overwritten in full ring buffers.", lbls(), float64(s.tracer.Dropped()))
-	}
-
-	// One snapshot pass feeds both the totals and the per-session
-	// series. Reading closedTotals and the active set under one lock
-	// acquisition keeps the roll-up consistent with the close path's
-	// atomic active->closed handoff.
-	s.sessMu.Lock()
-	s.totalsMu.Lock()
-	totals := s.closedTotals
-	s.totalsMu.Unlock()
-	activeSessions := s.activeSessionsLocked()
-	finals := s.closedUnscraped
-	s.closedUnscraped = nil
-	s.sessMu.Unlock()
-	activeSnaps := make([]SessionSnapshot, len(activeSessions))
-	for i, sess := range activeSessions {
-		activeSnaps[i] = sess.snapshot()
-		totals.add(activeSnaps[i])
-	}
-
-	// Monotonic server-wide totals: closed sessions are folded in at
-	// close time, so these do not depend on retention or scrape timing.
-	pw.Counter(ns+"_events_total", "Events ingested across all sessions ever.", lbls(), float64(totals.EventsIn))
-	pw.Counter(ns+"_frames_total", "Sparse frames produced across all sessions ever.", lbls(), float64(totals.FramesIn))
-	pw.Counter(ns+"_frames_dropped_total", "Frames shed by ingest queues across all sessions ever.", lbls(), float64(totals.FramesDropped))
-	pw.Counter(ns+"_frames_dropped_dsfa_total", "Raw frames shed by DSFA queues across all sessions ever.", lbls(), float64(totals.FramesDroppedDSFA))
-	pw.Counter(ns+"_invocations_total", "Inference launches across all sessions ever.", lbls(), float64(totals.Invocations))
-	pw.Counter(ns+"_raw_frames_done_total", "Raw frames completed across all sessions ever.", lbls(), float64(totals.RawFramesDone))
-	pw.Counter(ns+"_retunes_total", "DSFA retunes applied by the online controller.", lbls(), float64(totals.Retunes))
-	pw.Counter(ns+"_remaps_total", "Execution plans installed after the first, all sessions ever.", lbls(), float64(totals.Remaps))
-
-	if s.cfg.Journal {
-		// Journal gauges: the live replication/catch-up state. Unacked
-		// chunks bound how much a failover replay re-ingests; replica
-		// counts show what this node holds on behalf of its buddies.
-		var unacked, retained int
-		var maxSeq uint64
-		for _, sess := range activeSessions {
-			if sess.journal == nil {
-				continue
-			}
-			jst := sess.journal.stats()
-			unacked += jst.Unacked
-			retained += jst.Retained
-			if jst.Seq > maxSeq {
-				maxSeq = jst.Seq
-			}
-		}
-		pw.Gauge(ns+"_journal_unacked_chunks", "Journal chunk entries not yet retired by the ack watermark.", lbls(), float64(unacked))
-		pw.Gauge(ns+"_journal_results_retained", "Result events retained for SSE catch-up across active sessions.", lbls(), float64(retained))
-		pw.Gauge(ns+"_journal_max_seq", "Highest journal sequence number assigned across active sessions.", lbls(), float64(maxSeq))
-		rsess, rent := s.ReplicaStats()
-		pw.Gauge(ns+"_journal_replica_sessions", "Sessions this node holds journal replicas for as a buddy.", lbls(), float64(rsess))
-		pw.Gauge(ns+"_journal_replica_entries", "Replicated journal entries held for buddy sessions.", lbls(), float64(rent))
-	}
-
-	if s.planner != nil {
-		searches, committed, lastGain := s.planner.Stats()
-		pw.Counter(ns+"_control_remap_searches_total", "Warm-started NMP searches triggered by load imbalance.", lbls(), float64(searches))
-		pw.Counter(ns+"_control_remaps_total", "Warm-started remaps that predicted enough gain to install.", lbls(), float64(committed))
-		pw.Gauge(ns+"_control_remap_last_gain", "Fractional predicted-latency gain of the last installed remap.", lbls(), lastGain)
-		pw.Gauge(ns+"_control_remap_cooldown_us", "Virtual time until the next remap is allowed.", lbls(), s.planner.CooldownRemainingUS(makespan))
-	}
-
-	// Per-session series: active sessions every scrape; a closed
-	// session's final counters exactly once, on the first scrape after
-	// its close (its contribution lives on in the *_total rollups).
-	for _, snap := range append(activeSnaps, finals...) {
-		lbl := lbls("session", snap.ID, "network", snap.Network)
-		pw.Counter(ns+"_session_events_total", "Events ingested.", lbl, float64(snap.EventsIn))
-		pw.Counter(ns+"_session_frames_total", "Sparse frames produced by E2SF.", lbl, float64(snap.FramesIn))
-		pw.Counter(ns+"_session_frames_dropped_total", "Frames shed by the bounded ingest queue.", lbl, float64(snap.FramesDropped))
-		pw.Counter(ns+"_session_frames_dropped_dsfa_total", "Raw frames shed by the DSFA inference queue.", lbl, float64(snap.FramesDroppedDSFA))
-		pw.Counter(ns+"_session_invocations_total", "Inference launches after DSFA merging.", lbl, float64(snap.Invocations))
-		pw.Counter(ns+"_session_raw_frames_done_total", "Raw frames whose inference completed.", lbl, float64(snap.RawFramesDone))
-		pw.Counter(ns+"_session_retunes_total", "DSFA retunes applied to the session.", lbl, float64(snap.Retunes))
-		pw.Counter(ns+"_session_remaps_total", "Plans installed for the session after the first.", lbl, float64(snap.Remaps))
-		pw.Gauge(ns+"_session_queue_len", "Frames waiting in the ingest queue.", lbl, float64(snap.QueueLen))
-		pw.Gauge(ns+"_session_throughput_fps", "Raw frames served per stream-second.", lbl, snap.ThroughputFPS)
-		for _, qv := range []struct {
-			q string
-			v float64
-		}{{"0.5", snap.Latency.P50US}, {"0.99", snap.Latency.P99US}} {
-			pw.Gauge(ns+"_session_latency_us", "Per-raw-frame latency (virtual us).",
-				lbls("session", snap.ID, "network", snap.Network, "quantile", qv.q), qv.v)
-		}
-	}
-}
-
-// isJSON reports whether an ingest body's media type selects the JSON
-// wire format (parameters like charset are tolerated); anything else,
-// unparseable types included, is EVAR binary.
-func isJSON(contentType string) bool {
-	mt, _, err := mime.ParseMediaType(contentType)
-	return err == nil && mt == "application/json"
-}
-
-// EventJSON is one AER event on the JSON wire format: p is 1 (ON) or
-// -1/0 (OFF), matching the text codec's convention.
-type EventJSON struct {
-	X  uint16 `json:"x"`
-	Y  uint16 `json:"y"`
-	TS int64  `json:"ts"`
-	P  int8   `json:"p"`
-}
-
-// ChunkJSON is the JSON ingest payload.
-type ChunkJSON struct {
-	Width  int         `json:"width"`
-	Height int         `json:"height"`
-	Events []EventJSON `json:"events"`
-}
-
-// Stream converts the JSON chunk to an event stream.
-func (c *ChunkJSON) Stream() (*events.Stream, error) {
-	if c.Width <= 0 || c.Height <= 0 {
-		return nil, fmt.Errorf("serve: JSON chunk has no sensor geometry")
-	}
-	s := events.NewStream(c.Width, c.Height)
-	s.Events = make([]events.Event, len(c.Events))
-	for i, e := range c.Events {
-		pol := events.Off
-		if e.P == 1 {
-			pol = events.On
-		}
-		s.Events[i] = events.Event{X: e.X, Y: e.Y, TS: e.TS, Pol: pol}
-	}
-	return s, nil
-}
-
-// ChunkFromStream converts an event stream to the JSON wire format.
-func ChunkFromStream(s *events.Stream) *ChunkJSON {
-	c := &ChunkJSON{Width: s.Width, Height: s.Height, Events: make([]EventJSON, len(s.Events))}
-	for i, e := range s.Events {
-		p := int8(-1)
-		if e.Pol == events.On {
-			p = 1
-		}
-		c.Events[i] = EventJSON{X: e.X, Y: e.Y, TS: e.TS, P: p}
-	}
-	return c
 }

@@ -133,14 +133,10 @@ type Session struct {
 	// queued frames.
 	plan *pipeline.PlanSlot
 
-	// tracer is the owning server's frame-lifecycle tracer; nil when
-	// tracing is off (set once at creation, before the first ingest).
-	tracer *obs.Tracer
-	// track is the session's trace lane name ("sess/"+ID), cached so
-	// the per-frame hot paths never concatenate strings; trackH is the
-	// lane's cached ring handle, so they never pay a map lookup either
-	// (nil when tracing is off — the no-op handle).
-	track  string
+	// trackH is the session's trace lane ("sess/"+ID), its ring handle
+	// cached so the per-frame hot paths never build a lane name or pay a
+	// map lookup; nil when tracing is off — the no-op handle (set once
+	// at creation, before the first ingest).
 	trackH *obs.Track
 
 	// journal sequences ingest chunks and results for failover
@@ -163,9 +159,10 @@ type Session struct {
 	created time.Time
 	closed  bool
 	// tallied marks the final counters as folded into the server's
-	// closed-session totals; an execute that finishes afterwards (a
-	// worker holding frames drained before the close) contributes its
-	// deltas to the totals directly so nothing is lost.
+	// closed-session totals. They stay final: the close takes them once
+	// nothing is held or in flight, a closed session refuses ingest,
+	// and an execute that finds tallied set (a worker scheduled before
+	// the close) returns without touching the session.
 	tallied  bool
 	eventsIn uint64
 	framesIn uint64
@@ -199,7 +196,6 @@ func newSession(id string, net *nn.Network, level pipeline.Level, queueCap int, 
 	}
 	s := &Session{
 		ID:       id,
-		track:    "sess/" + id,
 		Net:      net,
 		Level:    level,
 		queue:    newFrameQueue(stepper, queueCap, policy),
@@ -222,7 +218,7 @@ func newSession(id string, net *nn.Network, level pipeline.Level, queueCap int, 
 // sampleLocked builds the controller's telemetry snapshot; callers
 // hold s.mu.
 func (s *Session) sampleLocked() control.SessionSample {
-	_, qDropped := s.queue.stats()
+	qDropped := s.queue.stats()
 	return control.SessionSample{
 		StreamUS:      int64(s.stepper.Clock()),
 		FramesDropped: qDropped + uint64(s.stepper.Stats().DroppedFrames),
@@ -252,7 +248,7 @@ func (s *Session) ingest(ch Chunk) (IngestResult, error) {
 		return res, err
 	}
 	tEnd := ch.tEnd()
-	if s.tracer != nil && len(frames) > 0 {
+	if s.trackH != nil && len(frames) > 0 {
 		// One ingest span per chunk that produced frames: the E2SF
 		// conversion window, from the first emitted frame's start to the
 		// chunk's watermark (stream time shifted into engine time).
@@ -274,7 +270,7 @@ func (s *Session) ingest(ch Chunk) (IngestResult, error) {
 	for _, f := range frames {
 		res.Dropped += s.queue.push(f)
 	}
-	if s.tracer != nil && res.Dropped > 0 {
+	if s.trackH != nil && res.Dropped > 0 {
 		// Ingest-queue shedding mark, carrying the shed count.
 		s.trackH.Instant(obs.StageQueue, "shed", float64(tEnd)+s.epochUS, int64(res.Dropped))
 	}
@@ -291,7 +287,7 @@ func (s *Session) ingest(ch Chunk) (IngestResult, error) {
 // shed by the aggregator. A journal chunk retires once this reaches
 // the frames_in watermark recorded at its ingest; callers hold s.mu.
 func (s *Session) completedLocked() uint64 {
-	_, qDropped := s.queue.stats()
+	qDropped := s.queue.stats()
 	return s.rawDone + qDropped + uint64(s.stepper.Stats().DroppedFrames)
 }
 
@@ -325,7 +321,7 @@ func (s *Session) snapshotLocked() SessionSnapshot {
 	if s.closed {
 		snap.State = "closed"
 	}
-	_, snap.FramesDropped = s.queue.stats()
+	snap.FramesDropped = s.queue.stats()
 	snap.FramesDroppedDSFA = uint64(s.stepper.Stats().DroppedFrames)
 	snap.AggPending = s.stepper.Pending() - s.stepper.Held()
 	snap.Remaps = s.plan.Swaps()

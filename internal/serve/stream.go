@@ -21,10 +21,6 @@ import (
 // server runs without the journal (Config.Journal == false).
 var ErrJournalDisabled = errors.New("serve: journaling disabled")
 
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	s.ServeStream(w, r, r.PathValue("id"))
-}
-
 // ServeStream streams session id's results over SSE until the session
 // closes, the server stops, or the client goes away. It is exported so
 // the cluster router can proxy streams to the owning node using the
@@ -33,26 +29,26 @@ func (s *Server) ServeStream(w http.ResponseWriter, r *http.Request, id string) 
 	sess, ok := s.Session(id)
 	if !ok {
 		err := fmt.Errorf("%w: %q", ErrNoSession, id)
-		writeError(w, ErrorStatus(err), err)
+		WriteError(w, ErrorStatus(err), err)
 		return
 	}
 	j := sess.journal
 	if j == nil {
-		writeError(w, ErrorStatus(ErrJournalDisabled), ErrJournalDisabled)
+		WriteError(w, ErrorStatus(ErrJournalDisabled), ErrJournalDisabled)
 		return
 	}
 	var since uint64
 	if v := r.URL.Query().Get("since"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad since %q: %w", v, err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: bad since %q: %w", v, err))
 			return
 		}
 		since = n
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, errors.New("serve: streaming unsupported"))
+		WriteError(w, http.StatusInternalServerError, errors.New("serve: streaming unsupported"))
 		return
 	}
 	h := w.Header()
