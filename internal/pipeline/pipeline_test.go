@@ -21,6 +21,7 @@ import (
 	"evedge/internal/quant"
 	"evedge/internal/scene"
 	"evedge/internal/sparse"
+	"evedge/internal/taskgraph"
 )
 
 // quickRun executes a short Half-scale run with a small search budget.
@@ -114,8 +115,9 @@ func TestStepperRelease(t *testing.T) {
 }
 
 // TestPlanSlotCarriesExecutionState: Swap must carry FramingOps
-// (execution state) into the new plan, and Equal must ignore it so
-// no-op remaps aren't counted.
+// (execution state) into the new plan, and MapsLike must ignore it so
+// no-op remaps aren't counted; it compares the whole row, device and
+// precision, and refuses a task the assignment does not have.
 func TestPlanSlotCarriesExecutionState(t *testing.T) {
 	a := &ExecPlan{Device: []int{0, 1}, Prec: []nn.Precision{nn.FP16, nn.FP16}}
 	s := NewPlanSlot(a)
@@ -125,10 +127,18 @@ func TestPlanSlotCarriesExecutionState(t *testing.T) {
 	if got := s.Load(); got.FramingOps != 77 {
 		t.Fatalf("swap dropped execution state: framing=%d", got.FramingOps)
 	}
-	x := &ExecPlan{Device: []int{0}, Prec: []nn.Precision{nn.FP16}, FramingOps: 1}
-	y := &ExecPlan{Device: []int{0}, Prec: []nn.Precision{nn.FP16}}
-	if !x.Equal(y) {
-		t.Fatal("Equal must ignore FramingOps")
+	x := &ExecPlan{Device: []int{0}, Prec: []nn.Precision{nn.FP16}, FramingOps: 1, Sparse: true}
+	asg := &taskgraph.Assignment{
+		Device: [][]int{{1}, {0}, {0}, {0, 0}},
+		Prec:   [][]nn.Precision{{nn.FP16}, {nn.FP16}, {nn.FP32}, {nn.FP16, nn.FP16}},
+	}
+	for task, want := range []bool{false, true, false, false} {
+		if got := x.MapsLike(asg, task); got != want {
+			t.Errorf("MapsLike(row %d) = %v, want %v", task, got, want)
+		}
+	}
+	if x.MapsLike(asg, 4) || x.MapsLike(asg, -1) || x.MapsLike(nil, 0) {
+		t.Error("MapsLike matched a row the assignment does not have")
 	}
 }
 

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"evedge/internal/dsfa"
@@ -28,23 +29,14 @@ type ExecPlan struct {
 	FramingOps int64
 }
 
-// Equal reports whether two plans map every layer to the same device
-// and precision (framing overhead and the sparse flag excluded — they
-// are representation/execution state, not mapping decisions). The
-// control plane uses it to skip counting no-op plan installs as remaps.
-func (p *ExecPlan) Equal(o *ExecPlan) bool {
-	if p == nil || o == nil {
-		return p == o
-	}
-	if len(p.Device) != len(o.Device) || len(p.Prec) != len(o.Prec) {
-		return false
-	}
-	for i := range p.Device {
-		if p.Device[i] != o.Device[i] || p.Prec[i] != o.Prec[i] {
-			return false
-		}
-	}
-	return true
+// MapsLike reports whether p maps every layer to the device and
+// precision row task of asg gives it (framing overhead and the sparse
+// flag are execution state, not mapping decisions, and are ignored).
+// The control plane uses it to leave a session whose row did not change
+// on its installed plan: no plan built, no remap counted.
+func (p *ExecPlan) MapsLike(asg *taskgraph.Assignment, task int) bool {
+	return asg != nil && task >= 0 && task < len(asg.Device) && task < len(asg.Prec) &&
+		slices.Equal(p.Device, asg.Device[task]) && slices.Equal(p.Prec, asg.Prec[task])
 }
 
 // DefaultPlan maps every layer to the GPU at FP16 — the all-GPU

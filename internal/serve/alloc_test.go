@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -510,5 +511,149 @@ func TestServerReturnsEveryFrame(t *testing.T) {
 	st := srv.ArenaStats()
 	if st.Frames.Gets == 0 || st.Frames.Gets != st.Frames.Puts || st.Accums.Live() != 0 {
 		t.Fatalf("arena at quiescence: frames %+v, grids %+v; want every lent frame and grid back", st.Frames, st.Accums)
+	}
+}
+
+// lifecycleSessions and lifecycleChunkUS shape the session-lifecycle
+// gates: the serve_pump_batch pass in small — eight SpikeFlowNet
+// sessions at the DSFA level (count framing) on one fresh server, fed
+// one second of stream each in 20 ms chunks, a Pump after every round.
+const (
+	lifecycleSessions = 8
+	lifecycleDurUS    = 1_000_000
+	lifecycleChunkUS  = 20_000
+)
+
+var lifecycleFeed struct {
+	once   sync.Once
+	chunks [][]*events.Stream // [session][round]
+	err    error
+}
+
+// lifecycleChunks renders the sessions' streams once per test binary.
+func lifecycleChunks(t *testing.T) [][]*events.Stream {
+	t.Helper()
+	lifecycleFeed.once.Do(func() {
+		p := nn.MustByName(nn.SpikeFlowNet).Input.Preset
+		for i := range lifecycleSessions {
+			seq, err := scene.NewSequence(p, scene.Half, int64(107+i))
+			if err != nil {
+				lifecycleFeed.err = err
+				return
+			}
+			s, err := seq.Generate(lifecycleDurUS)
+			if err != nil {
+				lifecycleFeed.err = err
+				return
+			}
+			lifecycleFeed.chunks = append(lifecycleFeed.chunks, chunks(s, lifecycleDurUS, lifecycleChunkUS))
+		}
+	})
+	if lifecycleFeed.err != nil {
+		t.Fatalf("generate streams: %v", lifecycleFeed.err)
+	}
+	return lifecycleFeed.chunks
+}
+
+// runLifecycle creates the sessions on srv, feeds every round and
+// closes them. onIngest, when set, sees each session's emitted frames
+// right after the chunk that produced them.
+func runLifecycle(t *testing.T, srv *Server, feed [][]*events.Stream, onIngest func([]*sparse.Frame)) {
+	t.Helper()
+	sessions := make([]*Session, len(feed))
+	for i := range sessions {
+		sess, err := srv.CreateSession(SessionConfig{Network: nn.SpikeFlowNet, Level: 2})
+		if err != nil {
+			t.Fatalf("CreateSession: %v", err)
+		}
+		sessions[i] = sess
+	}
+	for r := range feed[0] {
+		for i, sess := range sessions {
+			if _, err := srv.Ingest(sess.ID, feed[i][r]); err != nil {
+				t.Fatalf("Ingest: %v", err)
+			}
+			if onIngest != nil {
+				onIngest(sess.conv.frames)
+			}
+		}
+		srv.Pump()
+	}
+	for _, sess := range sessions {
+		if _, err := srv.CloseSession(sess.ID); err != nil {
+			t.Fatalf("CloseSession: %v", err)
+		}
+	}
+}
+
+func lifecycleServer(t *testing.T) *Server {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Mapper = MapperRR
+	cfg.BatchMax = 8
+	cfg.ManualDrain = true
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	return srv
+}
+
+// lifecycleBudget bounds the heap bytes of one lifecycle run. The run
+// measured ≈ 545 KB on linux/amd64, Go 1.24; it measured ≈ 950 KB
+// while each session allocated its whole latency window at create and
+// pooled frames and count-framing tails grew by doubling. The budget
+// is the measured figure plus a fifth: the eight eager windows alone
+// (256 KiB) would trip it.
+const lifecycleBudget = 640 << 10
+
+// TestSessionLifecycleAllocBudget is the per-session fixed-cost gate:
+// everything a fresh server allocates from the first CreateSession to
+// the last CloseSession of the lifecycle run — the one accumulation
+// grid, each session's state, the frames the pool lends, the
+// latency windows, the closes' snapshots and rebalances — stays under
+// lifecycleBudget bytes.
+func TestSessionLifecycleAllocBudget(t *testing.T) {
+	feed := lifecycleChunks(t)
+	srv := lifecycleServer(t)
+	defer srv.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	runLifecycle(t, srv, feed, nil)
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("lifecycle run allocated %d B (budget %d B)", got, lifecycleBudget)
+	if raceEnabled {
+		return // the detector's instrumentation allocates on its own
+	}
+	if got > lifecycleBudget {
+		t.Fatalf("lifecycle run allocated %d B, over the %d B budget", got, lifecycleBudget)
+	}
+}
+
+// TestCountFramedFramesSizedOnce: a count-framed session's pooled
+// frames are sized once, at the bound of a run, and never regrow. Each
+// frame's three arrays are allocated by its first emission and keep
+// their capacities through every later one, so the pool allocates
+// one array set per frame it makes.
+func TestCountFramedFramesSizedOnce(t *testing.T) {
+	feed := lifecycleChunks(t)
+	srv := lifecycleServer(t)
+	defer srv.Close()
+	caps := map[*sparse.Frame][3]int{}
+	emissions := 0
+	runLifecycle(t, srv, feed, func(frames []*sparse.Frame) {
+		for _, f := range frames {
+			emissions++
+			c := [3]int{cap(f.Cells), cap(f.Pos), cap(f.Neg)}
+			if was, ok := caps[f]; ok && was != c {
+				t.Fatalf("pooled frame regrew from capacities %v to %v", was, c)
+			}
+			caps[f] = c
+		}
+	})
+	t.Logf("%d emissions into %d pooled frames", emissions, len(caps))
+	if made := srv.ArenaStats().Frames.News; made != uint64(len(caps)) || emissions <= 2*len(caps) {
+		t.Fatalf("%d emissions into %d distinct frames, pool made %d: want every frame made by the pool seen and reused", emissions, len(caps), made)
 	}
 }

@@ -14,7 +14,8 @@ import (
 // takes a session's finals only once nothing is held or in flight, so
 // nothing that runs afterwards — a worker woken before the close, a
 // stale execute pass, the retune controller — moves a counter. The
-// finals folded into Totals are the finals the close returned.
+// finals folded into Totals are the finals the close returned, and
+// they are what Snapshot reports for the session afterwards.
 func TestClosedSessionFinalsAreFinal(t *testing.T) {
 	t.Run("virtual", func(t *testing.T) {
 		cfg := Config{ManualDrain: true}
@@ -51,6 +52,9 @@ func TestClosedSessionFinalsAreFinal(t *testing.T) {
 		}
 		if fin.RawFramesDone == 0 {
 			t.Fatalf("test premise broken: nothing served (%+v)", fin)
+		}
+		if snap, err := srv.Snapshot(sess.ID); err != nil || !reflect.DeepEqual(snap, *fin) {
+			t.Fatalf("Snapshot after the close = %+v (%v), CloseSession returned %+v", snap, err, *fin)
 		}
 		totals := srv.Totals()
 		var want SessionTotals
@@ -125,8 +129,11 @@ func TestClosedSessionFinalsAreFinal(t *testing.T) {
 			return
 		}
 		var want SessionTotals
-		for _, fin := range finals {
+		for i, fin := range finals {
 			want.add(fin)
+			if snap, err := srv.Snapshot(ids[i]); err != nil || !reflect.DeepEqual(snap, fin) {
+				t.Fatalf("%s: Snapshot after the close = %+v (%v), CloseSession returned %+v", ids[i], snap, err, fin)
+			}
 		}
 		got := srv.Totals()
 		// Closes fold their finals in whatever order they ran, so the

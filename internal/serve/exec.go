@@ -142,7 +142,7 @@ func (s *Server) execute(sess *Session, flush bool) {
 		// race the worker that dispatches this invocation.
 		inv.ReadyUS += sess.epochUS
 		for _, d := range plan.Device {
-			sess.usedDevs[d] = true
+			sess.usedDevs.add(d)
 		}
 		sess.invocs++
 		sess.batched += uint64(len(inv.Inputs))

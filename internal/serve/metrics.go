@@ -1,8 +1,8 @@
 package serve
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -15,7 +15,10 @@ import (
 // count/sum/max over the session lifetime plus a sliding window of
 // recent observations for quantiles. 4096 samples bound the memory of
 // a long-lived session while keeping p99 meaningful (≈41 samples past
-// the 99th percentile).
+// the 99th percentile). The window starts empty and doubles as
+// observations arrive, up to latencyWindow, so a short session holds
+// what it recorded rather than the whole window; once full it is the
+// same ring as ever, so the summary does not depend on how it grew.
 type latencyRecorder struct {
 	mu    sync.Mutex
 	ring  []float64
@@ -23,12 +26,19 @@ type latencyRecorder struct {
 	count uint64
 	sum   float64
 	max   float64
+	// sorted is snapshot's scratch, kept with the ring's capacity so a
+	// scrape sorts the window without allocating a copy of it.
+	sorted []float64
 }
 
-const latencyWindow = 4096
+const (
+	latencyWindow = 4096
+	// latencyRingMin is the window's first allocation.
+	latencyRingMin = 64
+)
 
 func newLatencyRecorder() *latencyRecorder {
-	return &latencyRecorder{ring: make([]float64, 0, latencyWindow)}
+	return &latencyRecorder{}
 }
 
 func (r *latencyRecorder) observe(v float64) {
@@ -39,12 +49,17 @@ func (r *latencyRecorder) observe(v float64) {
 	if v > r.max {
 		r.max = v
 	}
-	if len(r.ring) < latencyWindow {
-		r.ring = append(r.ring, v)
-	} else {
+	switch n := len(r.ring); {
+	case n == latencyWindow:
 		r.ring[r.next] = v
 		r.next = (r.next + 1) % latencyWindow
+		return
+	case n == cap(r.ring):
+		grown := make([]float64, n, min(max(2*n, latencyRingMin), latencyWindow))
+		copy(grown, r.ring)
+		r.ring = grown
 	}
+	r.ring = append(r.ring, v)
 }
 
 // LatencySummary is a snapshot of the recorder. Quantiles come from
@@ -67,7 +82,10 @@ func (r *latencyRecorder) snapshot() LatencySummary {
 	if len(r.ring) == 0 {
 		return s
 	}
-	win := append([]float64(nil), r.ring...)
+	if cap(r.sorted) < len(r.ring) {
+		r.sorted = make([]float64, 0, cap(r.ring))
+	}
+	win := append(r.sorted[:0], r.ring...)
 	sort.Float64s(win)
 	s.P50US = quantile(win, 0.50)
 	s.P99US = quantile(win, 0.99)
@@ -89,9 +107,13 @@ func quantile(sorted []float64, q float64) float64 {
 // PromWriter accumulates Prometheus text-exposition output with
 // per-metric HELP/TYPE headers emitted once. Exported so the cluster
 // layer can merge per-node and fleet-level series into one scrape.
+// Numbers are appended through strconv into one scratch array, not
+// formatted through fmt, so a sample costs no allocation of its own;
+// 'g' at precision -1 prints what %g prints, +Inf and NaN included.
 type PromWriter struct {
 	b      strings.Builder
 	headed map[string]bool
+	num    [32]byte
 }
 
 // NewPromWriter returns an empty exposition buffer.
@@ -110,16 +132,46 @@ func (w *PromWriter) Gauge(name, help, labels string, v float64) {
 	w.sample(name, "gauge", help, labels, v)
 }
 
-func (w *PromWriter) sample(name, typ, help, labels string, v float64) {
-	if !w.headed[name] {
-		w.headed[name] = true
-		fmt.Fprintf(&w.b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+// head writes name's HELP/TYPE header the first time name is seen.
+func (w *PromWriter) head(name, typ, help string) {
+	if w.headed[name] {
+		return
 	}
+	w.headed[name] = true
+	for _, s := range [...]string{"# HELP ", name, " ", help, "\n# TYPE ", name, " ", typ, "\n"} {
+		w.b.WriteString(s)
+	}
+}
+
+// series writes `name+suffix{labels} ` (or `name+suffix ` when labels
+// is empty).
+func (w *PromWriter) series(name, suffix, labels string) {
+	w.b.WriteString(name)
+	w.b.WriteString(suffix)
 	if labels != "" {
-		fmt.Fprintf(&w.b, "%s{%s} %g\n", name, labels, v)
-	} else {
-		fmt.Fprintf(&w.b, "%s %g\n", name, v)
+		w.b.WriteByte('{')
+		w.b.WriteString(labels)
+		w.b.WriteByte('}')
 	}
+	w.b.WriteByte(' ')
+}
+
+// writeFloat ends a sample line with v as %g prints it.
+func (w *PromWriter) writeFloat(v float64) {
+	w.b.Write(strconv.AppendFloat(w.num[:0], v, 'g', -1, 64))
+	w.b.WriteByte('\n')
+}
+
+// writeUint ends a sample line with v in decimal.
+func (w *PromWriter) writeUint(v uint64) {
+	w.b.Write(strconv.AppendUint(w.num[:0], v, 10))
+	w.b.WriteByte('\n')
+}
+
+func (w *PromWriter) sample(name, typ, help, labels string, v float64) {
+	w.head(name, typ, help)
+	w.series(name, "", labels)
+	w.writeFloat(v)
 }
 
 // Histogram emits one cumulative histogram: `name_bucket{le=...}`
@@ -128,30 +180,29 @@ func (w *PromWriter) sample(name, typ, help, labels string, v float64) {
 // labels is a pre-rendered `k="v",...` string merged before the le
 // label.
 func (w *PromWriter) Histogram(name, help, labels string, bounds []float64, counts []uint64, sum float64, count uint64) {
-	if !w.headed[name] {
-		w.headed[name] = true
-		fmt.Fprintf(&w.b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, "histogram")
-	}
-	join := func(le string) string {
-		if labels == "" {
-			return le
-		}
-		return labels + "," + le
-	}
+	w.head(name, "histogram", help)
 	var cum uint64
 	for i, c := range counts {
 		cum += c
-		le := "+Inf"
-		if i < len(bounds) {
-			le = fmt.Sprintf("%g", bounds[i])
+		w.b.WriteString(name)
+		w.b.WriteString("_bucket{")
+		if labels != "" {
+			w.b.WriteString(labels)
+			w.b.WriteByte(',')
 		}
-		fmt.Fprintf(&w.b, "%s_bucket{%s} %d\n", name, join(fmt.Sprintf("le=%q", le)), cum)
+		w.b.WriteString(`le="`)
+		if i < len(bounds) {
+			w.b.Write(strconv.AppendFloat(w.num[:0], bounds[i], 'g', -1, 64))
+		} else {
+			w.b.WriteString("+Inf")
+		}
+		w.b.WriteString(`"} `)
+		w.writeUint(cum)
 	}
-	if labels != "" {
-		fmt.Fprintf(&w.b, "%s_sum{%s} %g\n%s_count{%s} %d\n", name, labels, sum, name, labels, count)
-	} else {
-		fmt.Fprintf(&w.b, "%s_sum %g\n%s_count %d\n", name, sum, name, count)
-	}
+	w.series(name, "_sum", labels)
+	w.writeFloat(sum)
+	w.series(name, "_count", labels)
+	w.writeUint(count)
 }
 
 // String returns the accumulated exposition text.
@@ -167,11 +218,17 @@ var promLabelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 // quotes/backslashes/newlines in values so a hostile session ID or
 // network name cannot corrupt the exposition format.
 func PromLabels(kv ...string) string {
-	var parts []string
+	var b strings.Builder
 	for i := 0; i+1 < len(kv); i += 2 {
-		parts = append(parts, kv[i]+`="`+promLabelEscaper.Replace(kv[i+1])+`"`)
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(kv[i])
+		b.WriteString(`="`)
+		promLabelEscaper.WriteString(&b, kv[i+1])
+		b.WriteByte('"')
 	}
-	return strings.Join(parts, ",")
+	return b.String()
 }
 
 // WriteMetrics renders the server's metrics into pw under the given

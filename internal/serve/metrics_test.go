@@ -2,6 +2,9 @@ package serve
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -186,6 +189,177 @@ func TestLatencyRecorderWraparound(t *testing.T) {
 	}
 	if want := float64(3*latencyWindow+1) / 2; s.MeanUS != want {
 		t.Fatalf("lifetime mean = %g, want %g", s.MeanUS, want)
+	}
+}
+
+// eagerLatencyRing is the recorder as it was before its window grew
+// with use: the whole window allocated up front, a copy of it sorted
+// per summary. It is the reference the growing recorder must match.
+type eagerLatencyRing struct {
+	ring  []float64
+	next  int
+	count uint64
+	sum   float64
+	max   float64
+}
+
+func (r *eagerLatencyRing) observe(v float64) {
+	if r.ring == nil {
+		r.ring = make([]float64, 0, latencyWindow)
+	}
+	r.count++
+	r.sum += v
+	if v > r.max {
+		r.max = v
+	}
+	if len(r.ring) < latencyWindow {
+		r.ring = append(r.ring, v)
+	} else {
+		r.ring[r.next] = v
+		r.next = (r.next + 1) % latencyWindow
+	}
+}
+
+func (r *eagerLatencyRing) snapshot() LatencySummary {
+	s := LatencySummary{Count: r.count, MaxUS: r.max}
+	if r.count > 0 {
+		s.MeanUS = r.sum / float64(r.count)
+	}
+	if len(r.ring) == 0 {
+		return s
+	}
+	win := append([]float64(nil), r.ring...)
+	sort.Float64s(win)
+	s.P50US = quantile(win, 0.50)
+	s.P99US = quantile(win, 0.99)
+	return s
+}
+
+// TestLatencyRecorderMatchesEagerRing: the window that starts empty and
+// doubles gives the summary the eager window gave — count, mean, max,
+// P50 and P99 equal bit for bit — at every count around the window's
+// edge and well past it, summarized once or after every observation.
+// Its ring never outgrows the window and a short session holds no more
+// than twice what it recorded.
+func TestLatencyRecorderMatchesEagerRing(t *testing.T) {
+	for _, n := range []int{0, 1, latencyWindow - 1, latencyWindow, latencyWindow + 1, 10_000} {
+		rng := rand.New(rand.NewSource(int64(n) + 3))
+		got, want := newLatencyRecorder(), &eagerLatencyRing{}
+		for i := 0; i < n; i++ {
+			v := math.Round(rng.ExpFloat64()*1e6) / 100
+			got.observe(v)
+			want.observe(v)
+			if i%97 == 0 { // interleaved summaries reuse the scratch
+				if g, w := got.snapshot(), want.snapshot(); g != w {
+					t.Fatalf("n=%d after %d observations: summary %+v, eager ring %+v", n, i+1, g, w)
+				}
+			}
+		}
+		if g, w := got.snapshot(), want.snapshot(); g != w {
+			t.Fatalf("n=%d: summary %+v, eager ring %+v", n, g, w)
+		}
+		if c := cap(got.ring); c > latencyWindow || c > max(2*n, latencyRingMin) {
+			t.Fatalf("n=%d: ring capacity %d, want at most min(%d, max(2n, %d))", n, c, latencyWindow, latencyRingMin)
+		}
+		if n == 0 && got.ring != nil {
+			t.Fatalf("an idle recorder allocated a %d-sample window", cap(got.ring))
+		}
+	}
+}
+
+// TestLatencySnapshotAllocs: once a summary has sized its scratch, a
+// scrape sorts the window without copying it to the heap.
+func TestLatencySnapshotAllocs(t *testing.T) {
+	r := newLatencyRecorder()
+	for i := 0; i < latencyWindow+10; i++ {
+		r.observe(float64(i % 331))
+	}
+	r.snapshot()
+	if allocs := testing.AllocsPerRun(20, func() { r.snapshot() }); allocs != 0 {
+		t.Fatalf("snapshot of a full window: %.1f allocations, want 0", allocs)
+	}
+}
+
+// fmtPromWriter renders the exposition through fmt, as PromWriter did
+// before it appended through strconv: the byte-for-byte reference.
+type fmtPromWriter struct {
+	b      strings.Builder
+	headed map[string]bool
+}
+
+func (w *fmtPromWriter) sample(name, typ, help, labels string, v float64) {
+	if !w.headed[name] {
+		w.headed[name] = true
+		fmt.Fprintf(&w.b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	}
+	if labels != "" {
+		fmt.Fprintf(&w.b, "%s{%s} %g\n", name, labels, v)
+	} else {
+		fmt.Fprintf(&w.b, "%s %g\n", name, v)
+	}
+}
+
+func (w *fmtPromWriter) histogram(name, help, labels string, bounds []float64, counts []uint64, sum float64, count uint64) {
+	if !w.headed[name] {
+		w.headed[name] = true
+		fmt.Fprintf(&w.b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, "histogram")
+	}
+	join := func(le string) string {
+		if labels == "" {
+			return le
+		}
+		return labels + "," + le
+	}
+	var cum uint64
+	for i, c := range counts {
+		cum += c
+		le := "+Inf"
+		if i < len(bounds) {
+			le = fmt.Sprintf("%g", bounds[i])
+		}
+		fmt.Fprintf(&w.b, "%s_bucket{%s} %d\n", name, join(fmt.Sprintf("le=%q", le)), cum)
+	}
+	if labels != "" {
+		fmt.Fprintf(&w.b, "%s_sum{%s} %g\n%s_count{%s} %d\n", name, labels, sum, name, labels, count)
+	} else {
+		fmt.Fprintf(&w.b, "%s_sum %g\n%s_count %d\n", name, sum, name, count)
+	}
+}
+
+// TestPromWriterMatchesFmt: the strconv exposition is byte for byte
+// what the fmt one printed — infinities, NaN, signed zero, tiny and
+// huge values, exponents, repeated headers, escaped label values and
+// histograms with and without labels.
+func TestPromWriterMatchesFmt(t *testing.T) {
+	values := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, 1234.5, 1e21, 1e-7, 123456789,
+		1.0 / 3, math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
+		float64(1 << 53), 4.2e6, 17}
+	labelSets := []string{"", PromLabels("session", "s1"),
+		PromLabels("session", "x\"} 1\nevil{a=\"", "network", `back\slash`),
+		PromLabels("node", "n0", "quantile", "0.99")}
+	got := NewPromWriter()
+	want := &fmtPromWriter{headed: map[string]bool{}}
+	for i, v := range values {
+		for j, l := range labelSets {
+			name := fmt.Sprintf("m%d", (i+j)%5)
+			got.Gauge(name, "Help text.", l, v)
+			want.sample(name, "gauge", "Help text.", l, v)
+			got.Counter("c_total", "A counter.", l, v)
+			want.sample("c_total", "counter", "A counter.", l, v)
+		}
+	}
+	bounds := []float64{0.5, 1, 100, 1e6, math.Inf(1)}
+	counts := []uint64{0, 3, 1, 1 << 40, 2, 7}
+	for _, l := range labelSets {
+		for _, sum := range []float64{0, 1234.5, math.NaN(), math.Inf(1)} {
+			got.Histogram("h_us", "A histogram.", l, bounds, counts, sum, 1<<40+13)
+			want.histogram("h_us", "A histogram.", l, bounds, counts, sum, 1<<40+13)
+		}
+	}
+	got.Histogram("h2", "No bounds.", "", nil, []uint64{5}, 2.5, 5)
+	want.histogram("h2", "No bounds.", "", nil, []uint64{5}, 2.5, 5)
+	if g, w := got.String(), want.b.String(); g != w {
+		t.Fatalf("exposition differs from the fmt rendering:\n got %q\nwant %q", g, w)
 	}
 }
 

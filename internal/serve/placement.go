@@ -140,17 +140,18 @@ func (s *Server) rebalance() error {
 }
 
 // installLocked installs a multi-task assignment over the active
-// sessions' plan slots and records it as the warm-start seed. No-op
-// plans (same mapping as installed) are skipped so they do not count
-// as remaps. Callers hold sessMu with the generation verified.
+// sessions' plan slots and records it as the warm-start seed. A
+// session whose assignment row maps every layer as its installed plan
+// does keeps that plan: no plan is built for it and no remap counted.
+// Callers hold sessMu with the generation verified.
 func (s *Server) installLocked(active []*Session, asg *taskgraph.Assignment) error {
 	for i, sess := range active {
+		if sess.plan.Load().MapsLike(asg, i) {
+			continue
+		}
 		plan, err := pipeline.PlanFromAssignment(asg, i, sess.Level >= pipeline.LevelE2SF)
 		if err != nil {
 			return err
-		}
-		if plan.Equal(sess.plan.Load()) {
-			continue
 		}
 		sess.plan.Swap(plan)
 	}

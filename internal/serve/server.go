@@ -570,7 +570,8 @@ func (s *Server) removeFromOrderLocked(id string) {
 }
 
 // CloseSession flushes and closes a session, rebalances the remaining
-// ones, and returns the final snapshot.
+// ones, and returns the final snapshot: the one folded into the
+// closed-session totals, which nothing after the close moves.
 func (s *Server) CloseSession(id string) (*SessionSnapshot, error) {
 	s.sessMu.Lock()
 	sess, ok := s.sessions[id]
@@ -597,7 +598,10 @@ func (s *Server) CloseSession(id string) (*SessionSnapshot, error) {
 	}
 	sess.mu.Unlock()
 	s.sessMu.Unlock()
-	if !alreadyClosed {
+	var final SessionSnapshot
+	if alreadyClosed {
+		final = sess.snapshot()
+	} else {
 		// Serve everything held, one invocation at a time — even when the
 		// converter flush or the rebalance fails, so a failed close never
 		// strands frames behind a session that now rejects ingest. Each
@@ -619,7 +623,7 @@ func (s *Server) CloseSession(id string) (*SessionSnapshot, error) {
 		s.sessMu.Lock()
 		sess.mu.Lock()
 		sess.tallied = true
-		final := sess.snapshotLocked()
+		final = sess.snapshotLocked()
 		sess.mu.Unlock()
 		s.removeFromOrderLocked(id)
 		s.placeGen++
@@ -651,8 +655,7 @@ func (s *Server) CloseSession(id string) (*SessionSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap := sess.snapshot()
-	return &snap, nil
+	return &final, nil
 }
 
 // closeStep runs one flushing execute pass for a closing session and

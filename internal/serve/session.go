@@ -12,7 +12,9 @@ package serve
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -149,7 +151,7 @@ type Session struct {
 	stepper  *pipeline.Stepper
 	queue    *frameQueue      // bounds the stepper's hold
 	retuner  *control.Retuner // nil when adaptation is off or below LevelDSFA
-	usedDevs map[int]bool     // devices invocations actually ran on
+	usedDevs devMask          // devices invocations actually ran on
 	// sigPlan/planSig cache the coalescing signature of the installed
 	// plan so the submit hot path does not re-format the per-layer
 	// slices on every invocation; a plan swap installs a new pointer,
@@ -195,17 +197,16 @@ func newSession(id string, net *nn.Network, level pipeline.Level, queueCap int, 
 		return nil, err
 	}
 	s := &Session{
-		ID:       id,
-		Net:      net,
-		Level:    level,
-		queue:    newFrameQueue(stepper, queueCap, policy),
-		lat:      newLatencyRecorder(),
-		conv:     &ingestConverter{spec: net.Input},
-		stepper:  stepper,
-		retuner:  retuner,
-		plan:     pipeline.NewPlanSlot(plan),
-		usedDevs: map[int]bool{},
-		created:  time.Now(),
+		ID:      id,
+		Net:     net,
+		Level:   level,
+		queue:   newFrameQueue(stepper, queueCap, policy),
+		lat:     newLatencyRecorder(),
+		conv:    &ingestConverter{spec: net.Input},
+		stepper: stepper,
+		retuner: retuner,
+		plan:    pipeline.NewPlanSlot(plan),
+		created: time.Now(),
 	}
 	if arena != nil {
 		s.conv.pool = arena.Frames
@@ -339,25 +340,50 @@ func (s *Session) snapshotLocked() SessionSnapshot {
 }
 
 // planDevicesLocked lists the distinct device IDs the session executed
-// on (or, before the first invocation, the ones its plan would use).
+// on (or, before the first invocation, the ones its plan would use),
+// in ID order.
 func (s *Session) planDevicesLocked() []string {
 	seen := s.usedDevs
-	if len(seen) == 0 {
-		seen = map[int]bool{}
+	if seen.empty() {
+		seen = nil
 		for _, d := range s.plan.Load().Device {
-			seen[d] = true
+			seen.add(d)
 		}
 	}
-	ids := make([]int, 0, len(seen))
-	for d := range seen {
-		ids = append(ids, d)
+	n := 0
+	for _, word := range seen {
+		n += bits.OnesCount64(word)
 	}
-	sort.Ints(ids)
-	out := make([]string, len(ids))
-	for i, d := range ids {
-		out[i] = fmt.Sprintf("dev%d", d)
+	out := make([]string, 0, n)
+	for w, word := range seen {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, "dev"+strconv.Itoa(w<<6+bits.TrailingZeros64(word)))
+		}
 	}
 	return out
+}
+
+// devMask is a set of device IDs, bit d&63 of word d>>6 for device d:
+// marking the devices of an invocation's plan writes bits, not map
+// entries, and the set lists itself in ID order.
+type devMask []uint64
+
+// add puts device d in the set.
+func (m *devMask) add(d int) {
+	for d>>6 >= len(*m) {
+		*m = append(*m, 0)
+	}
+	(*m)[d>>6] |= 1 << (d & 63)
+}
+
+// empty reports whether the set holds no device.
+func (m devMask) empty() bool {
+	for _, w := range m {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // ingestConverter is the incremental Event2Sparse Frame state of one
@@ -378,6 +404,9 @@ func (s *Session) planDevicesLocked() []string {
 // from the segment, and the events the segment leaves open are copied
 // into buf. So buf holds only that tail — at most one run or window of
 // events — and is all a session keeps of a chunk once ingest returns.
+// Count framing bounds the tail by count, so its buffer is sized once,
+// with the geometry; time framing's window holds what the stream puts
+// in it, and its buffer grows as append grows it.
 type ingestConverter struct {
 	spec      nn.InputSpec
 	pool      *mem.FramePool  // nil: frames are freshly allocated
@@ -522,6 +551,13 @@ func (c *ingestConverter) ingest(ch Chunk) ([]*sparse.Frame, error) {
 		c.buf.Width, c.buf.Height = ch.w, ch.h
 		c.view.Width, c.view.Height = ch.w, ch.h
 		c.count = c.spec.EventsPerFrame(ch.w, ch.h)
+		if c.spec.Framing == nn.FrameByCount {
+			// A run's tail never outgrows one run, so the buffer is
+			// allocated here once instead of doubling up from empty —
+			// up to one decode segment of events, so that a first chunk
+			// declaring a huge sensor buys no more than that up front.
+			c.buf.Events = make([]events.Event, 0, min(c.count, segmentEvents))
+		}
 	}
 	n := ch.len()
 	if n > 0 {

@@ -132,10 +132,10 @@ func (a *Accum) UnionCount(frames []*Frame) int {
 
 // room returns s, entries kept, with capacity for n more. A slice
 // with no backing array gets exactly n, so a fresh frame is allocated
-// once at its final length. One that brought capacity belongs to a
-// pooled frame too small for this emission — mem.FramePool lends the
-// frame whose capacity class fits the emission's bound, so that
-// happens only when no free frame is large enough — and at least
+// once, at the size Emit picks for it. One that brought capacity
+// belongs to a pooled frame too small for this emission — mem.FramePool
+// lends the frame whose capacity class fits the emission's bound, so
+// that happens only when no free frame is large enough — and at least
 // doubles, as append would have grown it, which files the frame in a
 // higher class for the emissions of this size that follow.
 func room[T any](s []T, n int) []T {
@@ -160,12 +160,17 @@ func room[T any](s []T, n int) []T {
 // pooled frame with that much room in all three slices is stored into
 // as it is. Otherwise the cells are counted exactly — a popcount over
 // the set occupancy words only — and each slice that is short of the
-// count grows once: a frame with no backing arrays yet (a frame of
+// count grows once. A frame with no backing arrays yet (a frame of
 // pipeline.ConvertStream, which its caller owns, and the first use of a
 // pooled frame on a cold server or in a cold pipeline.Run) gets its three
-// arrays at their final length instead of doubling its way up from
-// nothing, and an emission that touched nothing leaves such a frame's
-// slices nil.
+// arrays at once instead of doubling its way up from nothing: sized at
+// the bound when bound and count share a capacity class (bits.Len, the
+// class mem.FramePool files frames by) — a count-framed E2SF frame,
+// whose bound is its event count, then holds every later frame of that
+// stream when the pool lends it again — and at the count otherwise, so
+// a bound far above the count (a DSFA bucket of overlapping members)
+// costs nothing. An emission that touched nothing leaves such a
+// frame's slices nil.
 func (a *Accum) Emit(out *Frame, scale float32) {
 	if out.H != a.h || out.W != a.w {
 		panic(fmt.Sprintf("sparse: Emit into %dx%d frame from %dx%d accumulator", out.H, out.W, a.h, a.w))
@@ -177,7 +182,13 @@ func (a *Accum) Emit(out *Frame, scale float32) {
 	a.calls = 0
 	n := len(out.Cells)
 	if min(cap(out.Cells), cap(out.Pos), cap(out.Neg))-n < more {
+		bound := more
 		more = a.touched()
+		if cap(out.Cells)|cap(out.Pos)|cap(out.Neg) == 0 && bits.Len(uint(bound)) == bits.Len(uint(more)) {
+			// Same class: the pool files the frame where it would have
+			// anyway, and no later emission of this bound regrows it.
+			more = bound
+		}
 		out.Cells = room(out.Cells, more)
 		out.Pos, out.Neg = room(out.Pos, more), room(out.Neg, more)
 	}

@@ -150,7 +150,9 @@ func TestAccumTouchOverwriteAndZeroCells(t *testing.T) {
 
 // TestAccumEmitSizesFreshFrame pins when Emit sizes its output: a
 // frame with no backing arrays gets all three slices at exactly the
-// touched count (one allocation each, no growth), a frame that brings
+// touched count when every cell is touched once (one allocation each,
+// no growth; TestAccumEmitFreshFrameTakesBound covers repeated
+// touches), a frame that brings
 // capacity is appended to without a count or an allocation, and an
 // empty emission leaves a fresh frame's slices nil.
 func TestAccumEmitSizesFreshFrame(t *testing.T) {
@@ -200,6 +202,51 @@ func TestAccumEmitSizesFreshFrame(t *testing.T) {
 	acc.Emit(empty, 1)
 	if empty.Cells != nil || empty.Pos != nil || empty.Neg != nil {
 		t.Fatalf("empty emission into a fresh frame left non-nil slices: %+v", empty)
+	}
+}
+
+// TestAccumEmitFreshFrameTakesBound: when cells are touched more than
+// once, a fresh frame is sized at the Touch bound if the bound and the
+// touched count share a capacity class (bits.Len), so a later emission
+// of up to that bound fits without regrowing, and at the touched count
+// otherwise. Either way the entries are the same.
+func TestAccumEmitFreshFrameTakesBound(t *testing.T) {
+	const h, w = 40, 90
+	acc := NewAccum(h, w)
+	emit := func(distinct, touches int) *Frame {
+		for i := 0; i < touches; i++ {
+			c := i % distinct
+			acc.Touch(c/w, c%w)[i&1] += float32(i)
+		}
+		f := &Frame{H: h, W: w, T1: 1}
+		acc.Emit(f, 0.5)
+		if len(f.Cells) != distinct {
+			t.Fatalf("%d touches of %d cells emitted %d entries", touches, distinct, len(f.Cells))
+		}
+		return f
+	}
+	for _, c := range []struct{ distinct, touches, want int }{
+		{184, 225, 225}, // class 8 both: sized at the bound
+		{128, 255, 255}, // the class's two ends
+		{127, 225, 127}, // count in class 7, bound in 8: the count
+		{255, 256, 255}, // bound one class up: the count
+		{300, 300, 300}, // no repeats: bound and count agree
+		{1000, 3000, 1000},
+	} {
+		f := emit(c.distinct, c.touches)
+		if cap(f.Cells) != c.want || cap(f.Pos) != c.want || cap(f.Neg) != c.want {
+			t.Errorf("%d cells touched %d times: capacities %d/%d/%d, want %d",
+				c.distinct, c.touches, cap(f.Cells), cap(f.Pos), cap(f.Neg), c.want)
+		}
+		exact := frameWithCaps(h, w, [3]int{c.distinct, c.distinct, c.distinct})
+		for i := 0; i < c.touches; i++ {
+			d := i % c.distinct
+			acc.Touch(d/w, d%w)[i&1] += float32(i)
+		}
+		acc.Emit(exact, 0.5)
+		if !framesBitEqual(f, exact) {
+			t.Errorf("%d cells touched %d times: the bound-sized frame's entries differ", c.distinct, c.touches)
+		}
 	}
 }
 
