@@ -147,7 +147,7 @@ func BenchmarkAblationE2SFDirect(b *testing.B) {
 	}
 	b.Run("direct", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := conv.ConvertGrouped(stream, 0, 100_000, 1); err != nil {
+			if _, _, err := conv.ConvertGroupedAppend(nil, stream, 0, 100_000, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -155,7 +155,7 @@ func BenchmarkAblationE2SFDirect(b *testing.B) {
 	b.Run("dense-then-sparsify", func(b *testing.B) {
 		dense := sparse.NewTensor(2, 260, 346)
 		for i := 0; i < b.N; i++ {
-			frames, _, err := conv.ConvertGrouped(stream, 0, 100_000, 1)
+			frames, _, err := conv.ConvertGroupedAppend(nil, stream, 0, 100_000, 1)
 			if err != nil {
 				b.Fatal(err)
 			}

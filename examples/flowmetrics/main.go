@@ -45,7 +45,7 @@ func run(out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	frames, _, err := conv.ConvertGrouped(stream, 0, 25_000, 1)
+	frames, _, err := conv.ConvertGroupedAppend(nil, stream, 0, 25_000, 1)
 	if err != nil {
 		return err
 	}

@@ -37,7 +37,7 @@ var uncalledKept = map[string]string{
 	"nn.Runtime.InputLayerIDs":         "test observer: the runtime's input layers",
 	"perf.Model.NetworkTimeUS":         "test observer: whole-network cost-model time",
 	"perf.Model.InputCommUS":           "test observer: cost-model input transfer time",
-	"e2sf.Fused.ConvertByCount":        "test observer: count framing into fresh frames",
+	"e2sf.Framer.Tail":                 "test observer: the events a framer keeps, which the e2sf and serve tests bound to one run or window",
 	"events.ReadText":                  "reads what evtrace -text writes",
 	"par.Scratch.GrowI32":              "kernel library that ROADMAP item 3 decides on numbers",
 	"par.Scratch.GrowF32":              "kernel library that ROADMAP item 3 decides on numbers",

@@ -12,13 +12,22 @@
 // (row indices, column indices, polarity channels), so downstream
 // compute is proportional to the number of generated events.
 //
-// Fused is the converter. It counts events into a dense accumulation
+// Fused is the kernel. It counts events into a dense accumulation
 // grid with bitmap occupancy (sparse.Accum) and reads each frame out
 // of it in (y, x) order, zeroing as it goes; the grid is borrowed from
 // the frame pool for the length of one conversion call and goes back
 // all-zero, so a converter holds no W x H state between calls. It
-// frames by time (Eq. 1 bins, grouped into SNN timesteps) or by event
-// count.
+// converts one interval of a stream by time (Eq. 1 bins, grouped into
+// SNN timesteps) or by event count.
+//
+// Framer is the rule. It takes a stream a segment at a time and frames
+// each unit Fused converts — a run of N events, T0 the previous run's
+// T1, or a window on a multiple of its length — once the stream has
+// passed it; Close ends the stream at an instant, framing the partial
+// run and every window that ends by then. The offline conversion (a
+// framer per shard) and a served session (one, seeded at its first
+// event) both frame through it, so a stream frames alike however it is
+// cut.
 package e2sf
 
 // Config controls a conversion.

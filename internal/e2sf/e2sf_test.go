@@ -80,7 +80,7 @@ func TestConvertBinAssignment(t *testing.T) {
 		events.Event{X: 2, Y: 1, TS: 100, Pol: events.On},  // outside
 		events.Event{X: 3, Y: 1, TS: 2000, Pol: events.On}, // outside
 	)
-	frames, _, err := mustFused(t, 4, 4, 4).ConvertGrouped(s, 0, 100, 1)
+	frames, _, err := mustFused(t, 4, 4, 4).ConvertGroupedAppend(nil, s, 0, 100, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestConvertPolarityAccumulation(t *testing.T) {
 		events.Event{X: 0, Y: 0, TS: 2, Pol: events.On},
 		events.Event{X: 0, Y: 0, TS: 3, Pol: events.Off},
 	)
-	frames, _, err := mustFused(t, 2, 2, 1).ConvertGrouped(s, 0, 10, 1)
+	frames, _, err := mustFused(t, 2, 2, 1).ConvertGroupedAppend(nil, s, 0, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,10 +129,10 @@ func TestConvertPolarityAccumulation(t *testing.T) {
 func TestConvertErrors(t *testing.T) {
 	c := mustFused(t, 4, 4, 2)
 	s := mkStream(4, 4)
-	if _, _, err := c.ConvertGrouped(s, 10, 10, 1); err == nil {
+	if _, _, err := c.ConvertGroupedAppend(nil, s, 10, 10, 1); err == nil {
 		t.Fatal("empty window accepted")
 	}
-	if _, _, err := c.ConvertGrouped(mkStream(8, 8), 0, 10, 1); err == nil {
+	if _, _, err := c.ConvertGroupedAppend(nil, mkStream(8, 8), 0, 10, 1); err == nil {
 		t.Fatal("geometry mismatch accepted")
 	}
 }
@@ -141,7 +141,7 @@ func TestLastBinClamp(t *testing.T) {
 	// An event exactly at the final microsecond before tEnd lands in
 	// the last bin even with floating point rounding.
 	s := mkStream(2, 2, events.Event{X: 0, Y: 0, TS: 99, Pol: events.On})
-	frames, _, err := mustFused(t, 2, 2, 3).ConvertGrouped(s, 0, 100, 1)
+	frames, _, err := mustFused(t, 2, 2, 3).ConvertGroupedAppend(nil, s, 0, 100, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestConservationProperty(t *testing.T) {
 	f := func(seed int64, nbRaw uint8) bool {
 		nB := int(nbRaw)%16 + 1
 		s := scene.GenerateUniform(32, 24, 50_000, 100_000, seed)
-		frames, st, err := mustFused(t, 32, 24, nB).ConvertGrouped(s, 0, 100_000, 1)
+		frames, st, err := mustFused(t, 32, 24, nB).ConvertGroupedAppend(nil, s, 0, 100_000, 1)
 		if err != nil {
 			return false
 		}
@@ -179,7 +179,7 @@ func TestBinBoundsProperty(t *testing.T) {
 		nB := 1 + r.Intn(12)
 		tEnd := int64(1000 + r.Intn(100_000))
 		s := scene.GenerateUniform(16, 16, 20_000, tEnd, seed)
-		frames, _, err := mustFused(t, 16, 16, nB).ConvertGrouped(s, 0, tEnd, 1)
+		frames, _, err := mustFused(t, 16, 16, nB).ConvertGroupedAppend(nil, s, 0, tEnd, 1)
 		if err != nil {
 			return false
 		}
@@ -208,7 +208,7 @@ func TestConvertDense(t *testing.T) {
 		events.Event{X: 1, Y: 2, TS: 5, Pol: events.On},
 		events.Event{X: 3, Y: 0, TS: 15, Pol: events.Off},
 	)
-	frames, _, err := mustFused(t, 4, 4, 2).ConvertGrouped(s, 0, 20, 1)
+	frames, _, err := mustFused(t, 4, 4, 2).ConvertGroupedAppend(nil, s, 0, 20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,11 +234,11 @@ func TestConvertDense(t *testing.T) {
 func TestGroupBins(t *testing.T) {
 	c := mustFused(t, 8, 8, 5)
 	s := scene.GenerateUniform(8, 8, 100_000, 50_000, 3)
-	frames, _, err := c.ConvertGrouped(s, 0, 50_000, 1)
+	frames, _, err := c.ConvertGroupedAppend(nil, s, 0, 50_000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups, _, err := c.ConvertGrouped(s, 0, 50_000, 2)
+	groups, _, err := c.ConvertGroupedAppend(nil, s, 0, 50_000, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestDensityTracksBinCount(t *testing.T) {
 	// More bins -> fewer events per bin -> lower per-frame density.
 	s := scene.GenerateUniform(32, 32, 200_000, 100_000, 5)
 	density := func(nB int) float64 {
-		frames, _, err := mustFused(t, 32, 32, nB).ConvertGrouped(s, 0, 100_000, 1)
+		frames, _, err := mustFused(t, 32, 32, nB).ConvertGroupedAppend(nil, s, 0, 100_000, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

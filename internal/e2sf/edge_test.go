@@ -14,7 +14,7 @@ func TestGroupBinsEmptyInput(t *testing.T) {
 	// No events: every group is still emitted, empty, for any group size.
 	s := events.NewStream(4, 4)
 	for _, k := range []int{1, 3} {
-		out, st, err := mustFused(t, 4, 4, 3).ConvertGrouped(s, 0, 30, k)
+		out, st, err := mustFused(t, 4, 4, 3).ConvertGroupedAppend(nil, s, 0, 30, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,7 +33,7 @@ func TestGroupBinsKLargerThanFrames(t *testing.T) {
 		events.Event{TS: 15, X: 1, Y: 1, Pol: events.On},
 		events.Event{TS: 16, X: 1, Y: 1, Pol: events.Off},
 	)
-	got, _, err := mustFused(t, 4, 4, 2).ConvertGrouped(s, 0, 20, 5)
+	got, _, err := mustFused(t, 4, 4, 2).ConvertGroupedAppend(nil, s, 0, 20, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestGroupBinsKLargerThanFrames(t *testing.T) {
 func TestGroupBinsInvalidK(t *testing.T) {
 	c := mustFused(t, 4, 4, 2)
 	for _, k := range []int{0, -1} {
-		if _, _, err := c.ConvertGrouped(events.NewStream(4, 4), 0, 20, k); err == nil {
+		if _, _, err := c.ConvertGroupedAppend(nil, events.NewStream(4, 4), 0, 20, k); err == nil {
 			t.Fatalf("k=%d accepted", k)
 		}
 	}
@@ -56,7 +56,7 @@ func TestGroupBinsInvalidK(t *testing.T) {
 
 func TestConvertByCountEmptyStream(t *testing.T) {
 	s := events.NewStream(8, 8)
-	out, st, err := mustFused(t, 8, 8, 2).ConvertByCount(s, 0, 100, 10)
+	out, st, err := mustFused(t, 8, 8, 2).ConvertByCountAppend(nil, s, 0, 100, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,14 +70,14 @@ func TestConvertEmptyStreamEmitsEmptyBins(t *testing.T) {
 	// (per group when grouping) to preserve temporal alignment.
 	fused := mustFused(t, 8, 8, 4)
 	s := events.NewStream(8, 8)
-	frames, _, err := fused.ConvertGrouped(s, 0, 100, 1)
+	frames, _, err := fused.ConvertGroupedAppend(nil, s, 0, 100, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(frames) != 4 {
 		t.Fatalf("empty stream emitted %d frames, want 4", len(frames))
 	}
-	got, _, err := fused.ConvertGrouped(s, 0, 100, 2)
+	got, _, err := fused.ConvertGroupedAppend(nil, s, 0, 100, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestConvertByCountZeroCountChunk(t *testing.T) {
 	s := mkStream(8, 8,
 		events.Event{TS: 500, X: 1, Y: 1, Pol: events.On},
 	)
-	fout, _, err := fused.ConvertByCount(s, 0, 100, 1)
+	fout, _, err := fused.ConvertByCountAppend(nil, s, 0, 100, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestConvertByCountZeroCountChunk(t *testing.T) {
 		t.Fatalf("zero-count chunk: frames=%d", len(fout))
 	}
 	// The event outside the first window is still convertible after.
-	fout, _, err = fused.ConvertByCount(s, 400, 600, 1)
+	fout, _, err = fused.ConvertByCountAppend(nil, s, 400, 600, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestConvertByCountTrailingPartial(t *testing.T) {
 		events.Event{TS: 20, X: 2, Y: 3, Pol: events.Off},
 	)
 	want := referenceByCount(cfg, s, 0, 100, 50)
-	got, _, err := mustFused(t, 8, 8, 2).ConvertByCount(s, 0, 100, 50)
+	got, _, err := mustFused(t, 8, 8, 2).ConvertByCountAppend(nil, s, 0, 100, 50)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,9 +35,9 @@ import (
 // another pixel or panics. Streams arriving from outside the program
 // are checked event by event where they enter (serve's ingest).
 //
-// A Fused is NOT safe for concurrent use — it is per-session state,
-// like the ingestConverter that owns it. Converters sharing one
-// FramePool may run concurrently: each call borrows its own grid.
+// A Fused is NOT safe for concurrent use — it is per-framer state,
+// like the Framer that drives it. Converters sharing one FramePool may
+// run concurrently: each call borrows its own grid.
 type Fused struct {
 	cfg  Config
 	pool *mem.FramePool
@@ -89,20 +89,13 @@ func (k *Fused) checkWindow(s *events.Stream, tStart, tEnd int64) error {
 	return nil
 }
 
-// ConvertGrouped bins the events of s that fall in [tStart, tEnd) per
-// Eq. 1 and returns one frame per group of groupK consecutive bins —
-// the paper's "presented sequentially over B/k timesteps" input mode
-// for SNNs; groupK 1 is one frame per bin. The last group may cover
-// fewer bins, and empty groups still yield empty frames, preserving
-// temporal alignment. The stream must be sorted. Stats are reported
-// over the emitted group frames, matching what the serving path
-// observes.
-func (k *Fused) ConvertGrouped(s *events.Stream, tStart, tEnd int64, groupK int) ([]*sparse.Frame, Stats, error) {
-	return k.ConvertGroupedAppend(nil, s, tStart, tEnd, groupK)
-}
-
-// ConvertGroupedAppend is ConvertGrouped appending into dst, so a
-// caller-owned output slice is reused across chunks.
+// ConvertGroupedAppend bins the events of s that fall in [tStart,
+// tEnd) per Eq. 1 and appends to dst one frame per group of groupK
+// consecutive bins — the paper's "presented sequentially over B/k
+// timesteps" input mode for SNNs; groupK 1 is one frame per bin. The
+// last group may cover fewer bins, and empty groups still yield empty
+// frames, preserving temporal alignment. The stream must be sorted.
+// Stats are reported over the emitted group frames.
 func (k *Fused) ConvertGroupedAppend(dst []*sparse.Frame, s *events.Stream, tStart, tEnd int64, groupK int) ([]*sparse.Frame, Stats, error) {
 	var st Stats
 	if err := k.checkWindow(s, tStart, tEnd); err != nil {
@@ -191,18 +184,14 @@ func firstOffset(bin int, biS float64, span int64) int64 {
 	return hi
 }
 
-// ConvertByCount implements the count-based framing of prior works
-// ([7] SpikeFlowNet, [8] Fusion-FlowNet: "construct event frames by
-// statically counting the number of events"): a frame every
-// countPerFrame events with T1 just past the closing event, so the
-// frame rate tracks scene activity — the behaviour that creates frame
-// backlog during bursts and motivates DSFA. A trailing partial frame
-// ending at tEnd is emitted if the window ends mid-count.
-func (k *Fused) ConvertByCount(s *events.Stream, tStart, tEnd int64, countPerFrame int) ([]*sparse.Frame, Stats, error) {
-	return k.ConvertByCountAppend(nil, s, tStart, tEnd, countPerFrame)
-}
-
-// ConvertByCountAppend is ConvertByCount appending into dst.
+// ConvertByCountAppend implements the count-based framing of prior
+// works ([7] SpikeFlowNet, [8] Fusion-FlowNet: "construct event frames
+// by statically counting the number of events") over the events of s
+// in [tStart, tEnd), appending into dst: a frame every countPerFrame
+// events with T1 just past the closing event, so the frame rate tracks
+// scene activity — the behaviour that creates frame backlog during
+// bursts and motivates DSFA. A trailing partial frame ending at tEnd is
+// emitted if the window ends mid-count.
 func (k *Fused) ConvertByCountAppend(dst []*sparse.Frame, s *events.Stream, tStart, tEnd int64, countPerFrame int) ([]*sparse.Frame, Stats, error) {
 	var st Stats
 	if err := k.checkWindow(s, tStart, tEnd); err != nil {

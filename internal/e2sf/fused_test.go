@@ -69,7 +69,7 @@ func framesEqual(t *testing.T, ctx string, got, want *sparse.Frame) {
 func checkGroupedParity(t *testing.T, ctx string, cfg Config, s *events.Stream, t0, t1 int64, groupK int) {
 	t.Helper()
 	want := referenceConvert(cfg, s, t0, t1, groupK)
-	got, fSt, err := mustFused(t, cfg.Width, cfg.Height, cfg.NumBins).ConvertGrouped(s, t0, t1, groupK)
+	got, fSt, err := mustFused(t, cfg.Width, cfg.Height, cfg.NumBins).ConvertGroupedAppend(nil, s, t0, t1, groupK)
 	if err != nil {
 		t.Fatalf("%s: %v", ctx, err)
 	}
@@ -229,7 +229,7 @@ func TestFusedConvertByCountParity(t *testing.T) {
 		cpf := 1 + rng.Intn(50)
 
 		want := referenceByCount(cfg, s, t0, t1, cpf)
-		got, fSt, err := mustFused(t, w, h, cfg.NumBins).ConvertByCount(s, t0, t1, cpf)
+		got, fSt, err := mustFused(t, w, h, cfg.NumBins).ConvertByCountAppend(nil, s, t0, t1, cpf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +257,7 @@ func TestFusedScratchReuseAcrossChunks(t *testing.T) {
 		t1 := t0 + 1000
 		s := randStream(rng, 10, 10, rng.Intn(200), t0, t1)
 		want := referenceConvert(cfg, s, t0, t1, 2)
-		got, _, err := fused.ConvertGrouped(s, t0, t1, 2)
+		got, _, err := fused.ConvertGroupedAppend(nil, s, t0, t1, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,11 +335,11 @@ func TestFusedSharedPoolConcurrent(t *testing.T) {
 				s := randStream(rng, cfg.Width, cfg.Height, rng.Intn(600), t0, t0+1000)
 				var got, want []*sparse.Frame
 				if cpf := 1 + rng.Intn(80); c%2 == 0 {
-					got, _, _ = pooled.ConvertGrouped(s, t0, t0+1000, 2)
-					want, _, _ = serial.ConvertGrouped(s, t0, t0+1000, 2)
+					got, _, _ = pooled.ConvertGroupedAppend(nil, s, t0, t0+1000, 2)
+					want, _, _ = serial.ConvertGroupedAppend(nil, s, t0, t0+1000, 2)
 				} else {
-					got, _, _ = pooled.ConvertByCount(s, t0, t0+1000, cpf)
-					want, _, _ = serial.ConvertByCount(s, t0, t0+1000, cpf)
+					got, _, _ = pooled.ConvertByCountAppend(nil, s, t0, t0+1000, cpf)
+					want, _, _ = serial.ConvertByCountAppend(nil, s, t0, t0+1000, cpf)
 				}
 				if len(got) != len(want) {
 					t.Errorf("worker %d chunk %d: %d frames, serial %d", g, c, len(got), len(want))
@@ -368,16 +368,16 @@ func TestFusedValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := events.NewStream(8, 8)
-	if _, _, err := fused.ConvertGrouped(s, 10, 10, 1); err == nil {
+	if _, _, err := fused.ConvertGroupedAppend(nil, s, 10, 10, 1); err == nil {
 		t.Fatal("empty interval accepted")
 	}
-	if _, _, err := fused.ConvertGrouped(s, 0, 10, 0); err == nil {
+	if _, _, err := fused.ConvertGroupedAppend(nil, s, 0, 10, 0); err == nil {
 		t.Fatal("zero group size accepted")
 	}
-	if _, _, err := fused.ConvertGrouped(events.NewStream(4, 4), 0, 10, 1); err == nil {
+	if _, _, err := fused.ConvertGroupedAppend(nil, events.NewStream(4, 4), 0, 10, 1); err == nil {
 		t.Fatal("geometry mismatch accepted")
 	}
-	if _, _, err := fused.ConvertByCount(s, 0, 10, 0); err == nil {
+	if _, _, err := fused.ConvertByCountAppend(nil, s, 0, 10, 0); err == nil {
 		t.Fatal("zero countPerFrame accepted")
 	}
 	if _, err := NewFused(Config{Width: 0, Height: 1, NumBins: 1}, nil); err == nil {
@@ -397,10 +397,9 @@ var spikeflownetStream = sync.OnceValues(func() (*events.Stream, error) {
 
 // BenchmarkE2SFConvert compares the map-per-bin reference against
 // Fused, pooled and unpooled, on a uniform random stream; the
-// spikeflownet-count row count-frames a real stream as a served
-// SpikeFlowNet session does (serve's emitRun): each run of the zoo's N
-// events (225 at half scale) converted over its own span into a frame
-// from the session's pool, which goes back once read.
+// spikeflownet-count row count-frames a real stream one run at a time:
+// each run of the zoo's N events (225 at half scale) converted over its
+// own span into a frame from a pool, which goes back once read.
 func BenchmarkE2SFConvert(b *testing.B) {
 	b.Run("spikeflownet-count", func(b *testing.B) {
 		s, err := spikeflownetStream()
@@ -448,7 +447,7 @@ func BenchmarkE2SFConvert(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := fused.ConvertGrouped(s, 0, 10000, 2); err != nil {
+			if _, _, err := fused.ConvertGroupedAppend(nil, s, 0, 10000, 2); err != nil {
 				b.Fatal(err)
 			}
 		}

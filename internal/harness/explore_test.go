@@ -36,7 +36,7 @@ import (
 //     ring retains, and a closed session's replicas are gone;
 //   - at-least-once: no more frames leave the fleet's pipelines, done
 //     or dropped, than the client's chunks and the replays framed (and
-//     one flush per session, one frame per failover), and a reader gets
+//     one close per session, one frame per failover), and a reader gets
 //     no more frames than its session framed and recovered;
 //   - conservation: the fleet's frames_in equals done + dropped + every
 //     residual, dead incarnations included, after every op.
@@ -135,6 +135,14 @@ const (
 	xChunkUS  = 10_000
 	xEventsPS = 8_000 // events per stream-second of an ingest
 )
+
+// xCloseFrames is the most frames a session's close frames: xMix's
+// networks frame by time, and a close frames the window its last event
+// ends, when that event lies on the window's last microsecond.
+var xCloseFrames = func() uint64 {
+	in := nn.MustByName(nn.DOTIE).Input
+	return uint64((in.NumBins + in.GroupK - 1) / in.GroupK)
+}()
 
 // xsess is one explored session and its since=<seq> reader.
 type xsess struct {
@@ -508,13 +516,13 @@ func (e *explorer) check() error {
 		sent += s.sent
 	}
 	// Frames leave the pipelines (done or dropped) at most once per
-	// client chunk or replay that framed them, plus one flush per
-	// session. A chunk a dead owner took after its failover took the
+	// client chunk or replay that framed them, plus what each session's
+	// close framed. A chunk a dead owner took after its failover took the
 	// replica log goes to the new owner (counted recovered), and its
 	// first copy, framed by the old converter, may hold one frame more:
 	// one per failover.
 	h := e.c.Health()
-	if left := totals.FramesIn - residual; left > sent+h.FailoverRecoveredFrames+totals.Sessions+h.FailoverSessions {
+	if left := totals.FramesIn - residual; left > sent+h.FailoverRecoveredFrames+totals.Sessions*xCloseFrames+h.FailoverSessions {
 		return fmt.Errorf("at-least-once: %d frames done or dropped, client chunks framed %d, replays %d, sessions %d, failovers %d",
 			left, sent, h.FailoverRecoveredFrames, totals.Sessions, h.FailoverSessions)
 	}
@@ -564,8 +572,8 @@ func (e *explorer) checkSession(s *xsess) error {
 			return fmt.Errorf("replica: %s holds result %d its ring does not retain", s.id, r.Seq)
 		}
 	}
-	// Each incarnation may flush one partial frame at close.
-	if limit := s.sent + snap.FailoverRecoveredFrames + uint64(s.failovers+s.migrations+1); s.got > limit {
+	// Each incarnation's close may frame one window.
+	if limit := s.sent + snap.FailoverRecoveredFrames + uint64(s.failovers) + uint64(s.migrations+1)*xCloseFrames; s.got > limit {
 		return fmt.Errorf("at-least-once: %s's reader got %d frames, the session framed %d and recovered %d",
 			s.id, s.got, s.sent, snap.FailoverRecoveredFrames)
 	}

@@ -50,10 +50,10 @@ var timelinePins = map[string]uint64{
 	"flash-crowd":        0x7c0eb9f7d2c59846,
 	"hot-node-migration": 0xc6baa1a8343adfda,
 	"journal-catchup":    0x4b005738e337e087,
-	"mixed-platform":     0x3fae289b634f1013,
+	"mixed-platform":     0xc24b5fc27e9e4c6b,
 	"rolling-kill":       0xf81b673cbb72cacd,
 	"soak":               0x4c071adc2163e2a1,
-	"steady":             0x63ba8a7dbd9d9d48,
+	"steady":             0x1905fd17fb853410,
 }
 
 // TestScenarioDeterminism replays every scenario under the same seed

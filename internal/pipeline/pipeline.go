@@ -379,13 +379,10 @@ func meanDensity(frames []*sparse.Frame) float64 {
 	return sum / float64(len(frames))
 }
 
-// ConvertStream runs E2SF per the network's input spec: count-based
-// framing emits a frame every N events, N the zoo's
-// InputSpec.EventsPerFrame at the stream's geometry (the N a served
-// session frames with), so bursts raise the realized frame rate; time
-// framing bins each accumulation window and groups bins into inference
-// inputs. The frames are freshly allocated and the caller owns them;
-// the float64 is their mean spatial density.
+// ConvertStream frames [0, durUS) of stream by the network's input
+// spec (NewFramer): count framing's bursts raise the realized frame
+// rate, time framing's does not. The frames are freshly allocated and
+// the caller owns them; the float64 is their mean spatial density.
 func ConvertStream(net *nn.Network, stream *events.Stream, durUS int64) ([]*sparse.Frame, float64, error) {
 	frames, err := convertStream(net, stream, durUS, nil, convertShards())
 	return frames, meanDensity(frames), err
@@ -395,75 +392,63 @@ func ConvertStream(net *nn.Network, stream *events.Stream, durUS int64) ([]*spar
 // grids from pool, or, when pool is nil, from a private pool of each
 // converter's, which leaves the frames the caller's, and converting
 // on up to shards goroutines. Its jobs — one window for time framing,
-// one run of N events for count framing — are independent and each
-// yields a known number of frames, so every shard converts a
-// contiguous range of jobs with a converter of its own straight into
-// its slots of the output: the frames are the serial converter's, bit
-// for bit, in the same order. Everything that can fail is checked
-// before any shard starts, so an error leaves nothing borrowed.
+// one run of N events for count framing — each yield a known number of
+// frames, so every shard frames a contiguous range of jobs with a
+// framer of its own, seeded where the range starts, straight into its
+// slots of the output: the frames are one framer's, bit for bit, in the
+// same order. Everything that can fail is checked before any shard
+// starts, so an error leaves nothing borrowed.
 func convertStream(net *nn.Network, stream *events.Stream, durUS int64, pool *mem.FramePool, shards int) ([]*sparse.Frame, error) {
 	in := net.Input
-	ecfg := e2sf.Config{Width: stream.Width, Height: stream.Height, NumBins: in.NumBins}
-	if _, err := e2sf.NewFused(ecfg, pool); err != nil {
+	w, h := stream.Width, stream.Height
+	// A shard's NewFramer cannot fail once this one has not.
+	if _, err := NewFramer(in, w, h, 0, pool); err != nil {
 		return nil, err
 	}
-	// newConv returns a shard's converter; ecfg is valid.
-	newConv := func() *e2sf.Fused {
-		conv, _ := e2sf.NewFused(ecfg, pool)
-		return conv
-	}
-	var out []*sparse.Frame
+	evs := stream.Window(0, max(durUS, 0))
 	if in.Framing == nn.FrameByCount {
-		if durUS <= 0 {
-			return nil, fmt.Errorf("pipeline: empty interval [0, %d)", durUS)
-		}
-		count := in.EventsPerFrame(stream.Width, stream.Height)
 		// Job j is events [j·count, (j+1)·count) and one frame; the last
-		// may be partial and ends at durUS.
-		evs := stream.Window(0, durUS)
+		// may be partial and ends at durUS. A range starts where the
+		// previous range's last run ended.
+		count := in.EventsPerFrame(w, h)
 		jobs := (len(evs) + count - 1) / count
-		out = make([]*sparse.Frame, jobs)
+		out := make([]*sparse.Frame, jobs)
 		shard(jobs, shards, func(a, b int) {
-			view := events.Stream{Width: stream.Width, Height: stream.Height, Events: evs[a*count : min(b*count, len(evs))]}
-			// The range's first frame starts where the previous range's
-			// last one ended, which is past its first event when the two
-			// share a timestamp: convert from the earlier of the two,
-			// then chain the bound.
-			prevT1, tEnd := int64(0), durUS
+			seed := int64(0)
 			if a > 0 {
-				prevT1 = evs[a*count-1].TS + 1
+				seed = evs[a*count-1].TS + 1
 			}
-			if b < jobs {
-				tEnd = view.TEnd() + 1
-			}
-			// It cannot fail: the interval holds an event and count > 0.
-			_, _, _ = newConv().ConvertByCountAppend(out[a:a:b], &view, min(view.TStart(), prevT1), tEnd, count)
-			out[a].T0 = prevT1
+			fr, _ := NewFramer(in, w, h, seed, pool)
+			fr.Close(out[a:a:b], evs[a*count:min(b*count, len(evs))], durUS)
 		})
-	} else {
-		if in.WindowUS <= 0 {
-			return nil, fmt.Errorf("pipeline: empty window [0, %d)", in.WindowUS)
-		}
-		windows := int(max(durUS, 0) / in.WindowUS)
-		if windows > 0 && in.GroupK <= 0 {
-			return nil, fmt.Errorf("pipeline: group size must be positive, got %d", in.GroupK)
-		}
-		perWindow := 0
-		if windows > 0 {
-			perWindow = (in.NumBins + in.GroupK - 1) / in.GroupK
-		}
-		out = make([]*sparse.Frame, windows*perWindow)
-		shard(windows, shards, func(a, b int) {
-			conv := newConv()
-			dst := out[a*perWindow : a*perWindow : b*perWindow]
-			for w := a; w < b; w++ {
-				t0 := int64(w) * in.WindowUS
-				// It cannot fail: the window and GroupK were checked above.
-				dst, _, _ = conv.ConvertGroupedAppend(dst, stream, t0, t0+in.WindowUS, in.GroupK)
-			}
-		})
+		return out, nil
 	}
+	windows := int(max(durUS, 0) / in.WindowUS)
+	perWindow := (in.NumBins + in.GroupK - 1) / in.GroupK
+	out := make([]*sparse.Frame, windows*perWindow)
+	shard(windows, shards, func(a, b int) {
+		t0, t1 := int64(a)*in.WindowUS, int64(b)*in.WindowUS
+		fr, _ := NewFramer(in, w, h, t0, pool)
+		fr.Close(out[a*perWindow:a*perWindow:b*perWindow], stream.Window(t0, t1), t1)
+	})
 	return out, nil
+}
+
+// NewFramer returns the framer of a network's input on a w x h stream,
+// its first run or window starting at seed: a frame every N events (the
+// zoo's InputSpec.EventsPerFrame at that geometry) or each window's
+// Eq. 1 bins grouped into inference inputs, on frames and grids from
+// pool (nil: fresh frames, the caller's). A served session frames
+// through it too.
+func NewFramer(in nn.InputSpec, w, h int, seed int64, pool *mem.FramePool) (*e2sf.Framer, error) {
+	conv, err := e2sf.NewFused(e2sf.Config{Width: w, Height: h, NumBins: in.NumBins}, pool)
+	if err != nil {
+		return nil, err
+	}
+	if in.Framing == nn.FrameByCount {
+		return e2sf.NewCountFramer(conv, seed, in.EventsPerFrame(w, h))
+	}
+	return e2sf.NewWindowFramer(conv, seed, in.WindowUS, in.GroupK)
 }
 
 // convertShards is the shard count of a run's conversion: one per core,

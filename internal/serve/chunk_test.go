@@ -102,8 +102,8 @@ func TestIngestEventChecks(t *testing.T) {
 			before := convState(conv)
 			_, err := conv.ingest(ep.chunk(t, c.chunk))
 			if c.want == nil {
-				if err != nil || conv.buf.Len() != primer.Len()+c.chunk.Len() {
-					t.Fatalf("%s/%s: %v, %d events buffered", c.name, ep.name, err, conv.buf.Len())
+				if err != nil || len(tail(conv)) != primer.Len()+c.chunk.Len() {
+					t.Fatalf("%s/%s: %v, %d events buffered", c.name, ep.name, err, len(tail(conv)))
 				}
 				continue
 			}
@@ -175,7 +175,7 @@ func TestIngestRefusedChunkLeavesBuffer(t *testing.T) {
 					t.Fatalf("%s/%s: first chunk: %v", c.net, ep.name, err)
 				}
 			}
-			if hit.buf.Len() == 0 {
+			if len(tail(hit)) == 0 {
 				t.Fatalf("%s/%s: first chunk left nothing buffered, want an open unit", c.net, ep.name)
 			}
 			for i, bad := range refused {
@@ -295,11 +295,7 @@ func TestIngestChunkSplitInvariance(t *testing.T) {
 					frames = append(frames, fs...)
 				}
 				state := convState(c)
-				tail, err := c.flush()
-				if err != nil {
-					t.Fatalf("%s/%s: flush: %v", name, ep.name, err)
-				}
-				return append(frames, tail...), state
+				return append(frames, c.close()...), state
 			}
 			want, wantState := feed(splits["whole"])
 			if len(want) < 8 {
@@ -366,12 +362,12 @@ func TestIngestBufferHoldsOnlyTail(t *testing.T) {
 				if _, err := c.ingest(ep.chunk(t, big)); err != nil {
 					t.Fatalf("%s/%s: round %d: %v", name, ep.name, round, err)
 				}
-				if c.buf.Len() == 0 || c.buf.Len() >= unit {
-					t.Fatalf("%s/%s: round %d: %d events buffered, want an open unit of fewer than %d", name, ep.name, round, c.buf.Len(), unit)
+				if held := tail(c); len(held) == 0 || len(held) >= unit {
+					t.Fatalf("%s/%s: round %d: %d events buffered, want an open unit of fewer than %d", name, ep.name, round, len(held), unit)
 				}
-				if cap(c.buf.Events) > 2*unit {
+				if cap(tail(c)) > 2*unit {
 					t.Fatalf("%s/%s: round %d: after a %d-event chunk the buffer has capacity for %d events, over two units of %d",
-						name, ep.name, round, n, cap(c.buf.Events), unit)
+						name, ep.name, round, n, cap(tail(c)), unit)
 				}
 			}
 		}
@@ -402,8 +398,8 @@ func TestCountFramingAtZooN(t *testing.T) {
 				ctx := name + "/" + c.name + "/" + ep.name
 				conv := &ingestConverter{spec: spec}
 				frames, err := conv.ingest(ep.chunk(t, evStream(w, h, c.first...)))
-				if err != nil || len(frames) != 0 || conv.count != n {
-					t.Fatalf("%s: first chunk framed %d with N %d (%v), want none at N %d", ctx, len(frames), conv.count, err, n)
+				if err != nil || len(frames) != 0 || cap(tail(conv)) != n {
+					t.Fatalf("%s: first chunk framed %d, its run sized for %d events (%v), want none, sized for N %d", ctx, len(frames), cap(tail(conv)), err, n)
 				}
 				// Two runs and three events more: the first run closes on
 				// the first chunk's events, the second straight from this.
@@ -421,8 +417,8 @@ func TestCountFramingAtZooN(t *testing.T) {
 						t.Fatalf("%s: frame %d holds %v events, want %d", ctx, i, f.EventCount(), n)
 					}
 				}
-				if frames[0].T0 != c.first[0].TS || conv.buf.Len() != 3 {
-					t.Fatalf("%s: first frame starts at %dus, want %dus; %d events buffered, want 3", ctx, frames[0].T0, c.first[0].TS, conv.buf.Len())
+				if frames[0].T0 != c.first[0].TS || len(tail(conv)) != 3 {
+					t.Fatalf("%s: first frame starts at %dus, want %dus; %d events buffered, want 3", ctx, frames[0].T0, c.first[0].TS, len(tail(conv)))
 				}
 			}
 		}

@@ -57,7 +57,7 @@ func FuzzDecodeChunk(f *testing.F) {
 		for _, spec := range specs {
 			conv := &ingestConverter{spec: spec} // time and count framing
 			if _, err := conv.ingest(ch); err == nil {
-				_, _ = conv.flush() // an error is a rejection; only a panic fails
+				conv.close() // an error is a rejection; only a panic fails
 			}
 		}
 	})

@@ -44,11 +44,23 @@ func edgeSession(t *testing.T, network string) (*Server, *Session) {
 }
 
 // convState renders everything a refused chunk must leave as it was:
-// the converter's existence, anchoring, cursors and buffered events.
+// the converter's geometry, epoch and watermark, and its framer's open
+// run or window: where it starts and the events kept of it.
 func convState(c *ingestConverter) string {
-	return fmt.Sprintf("fused=%t anchored=%t start=%d watermark=%d win=%d fr=%d count=%d buf=%dx%d %v",
-		c.fz != nil, c.anchored, c.startTS, c.watermark, c.winStart, c.frStart, c.count,
-		c.buf.Width, c.buf.Height, c.buf.Events)
+	s := fmt.Sprintf("geometry=%dx%d start=%d watermark=%d", c.w, c.h, c.startTS, c.watermark)
+	if c.fr != nil {
+		s += fmt.Sprintf(" open at %d: %v", c.fr.Start(), c.fr.Tail())
+	}
+	return s
+}
+
+// tail is the events the converter's framer keeps, none before the
+// first events.
+func tail(c *ingestConverter) []events.Event {
+	if c.fr == nil {
+		return nil
+	}
+	return c.fr.Tail()
 }
 
 // refuseUnchanged requires both entry points to answer bad with
@@ -107,12 +119,12 @@ func TestIngestTimeFramingAcross2To62(t *testing.T) {
 						framed += int(f.EventCount())
 					}
 					conv := sess.conv
-					if frames == 0 || framed+conv.buf.Len() != ingested {
-						t.Fatalf("%d frames hold %d events, %d buffered, %d ingested", frames, framed, conv.buf.Len(), ingested)
+					if frames == 0 || framed+len(tail(conv)) != ingested {
+						t.Fatalf("%d frames hold %d events, %d buffered, %d ingested", frames, framed, len(tail(conv)), ingested)
 					}
-					for _, e := range conv.buf.Events {
-						if e.TS < conv.winStart {
-							t.Fatalf("event at %dus still buffered behind the next window at %dus", e.TS, conv.winStart)
+					for _, e := range tail(conv) {
+						if e.TS < conv.fr.Start() {
+							t.Fatalf("event at %dus still buffered behind the next window at %dus", e.TS, conv.fr.Start())
 						}
 					}
 				})
@@ -184,9 +196,9 @@ func TestIngestRefusesTimeFramingNearMinInt64(t *testing.T) {
 			for _, f := range frames {
 				framed += int(f.EventCount())
 			}
-			if frames[0].T0 > first.TStart() || framed == 0 || framed+sess.conv.buf.Len() != first.Len() {
+			if frames[0].T0 > first.TStart() || framed == 0 || framed+len(tail(sess.conv)) != first.Len() {
 				t.Fatalf("first frame starts at %dus, first event at %dus; %d events framed, %d buffered, %d ingested",
-					frames[0].T0, first.TStart(), framed, sess.conv.buf.Len(), first.Len())
+					frames[0].T0, first.TStart(), framed, len(tail(sess.conv)), first.Len())
 			}
 		})
 	}

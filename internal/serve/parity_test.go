@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -82,8 +83,9 @@ func near(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Abs(b) }
 
 // paperEnded is the paper run of stream ended where a session ends it,
 // at the last event + 1 µs: a session never learns where the stream
-// ends, so it closes a trailing partial count run there, and it never
-// closes a window no event at or past its end arrives for.
+// ends, but once it closes no event at or past that instant can
+// arrive, so it frames the trailing partial count run ending there, or
+// the window ending there, and no later one.
 func paperEnded(t *testing.T, net *nn.Network, level int, stream *events.Stream) *pipeline.Report {
 	t.Helper()
 	rep, err := pipeline.Run(pipeline.Config{Net: net, Level: pipeline.Level(level), DurUS: stream.TEnd() + 1, Stream: stream})
@@ -121,9 +123,11 @@ func matchesPaper(served *SessionSnapshot, paper *pipeline.Report) bool {
 // exactly the paper run's RawFrames: both frame with the zoo's N, and
 // the trailing partial run is closed at the last event either way.
 // DOTIE serves 995 frames of 1 000: the paper run closes its last
-// window [995 ms, 1 s) at durUS, but a session closes a window only
-// when an event at or past its end arrives, and the stream has no
-// event at or past 1 s.
+// window [995 ms, 1 s) at durUS, but the stream's last event lies
+// before 999 999 µs, so the session's close at the last event + 1 µs
+// ends no window. The last row is a DOTIE stream whose last event lies
+// at 99 999 µs, on a window's last microsecond: closed there, the
+// session frames that window, all 100 frames of the paper run.
 func TestServedSessionMatchesPaperRun(t *testing.T) {
 	const durUS = 1_000_000
 	for _, seed := range []int64{7, 11} {
@@ -145,17 +149,37 @@ func TestServedSessionMatchesPaperRun(t *testing.T) {
 					t.Fatalf("%s seed %d level %d: the paper run frames %d ended at the last event, %d at 1 s; want %d less",
 						name, seed, level, paper.RawFrames, full.RawFrames, lost)
 				}
-				for _, periods := range []int64{1, 4} {
-					served := servedRun(t, name, level, chunks(stream, durUS, periods*period(in)))
-					t.Logf("%s seed %d level %d, %d-period chunks: frames %d / %d; invocations %d / %d; merge ratio %.4f / %.4f; mean latency %.3f / %.3f µs; p99 %.3f / %.3f µs (served / paper)",
-						name, seed, level, periods, served.FramesIn, paper.RawFrames, served.Invocations, paper.Invocations,
-						served.MergeRatio, paper.MergeRatio, served.Latency.MeanUS, paper.MeanLatencyUS, served.Latency.P99US, paper.P99LatencyUS)
-					if !matchesPaper(served, paper) {
-						t.Errorf("%s seed %d level %d, %d-period chunks: served %+v, paper run %+v",
-							name, seed, level, periods, *served, *paper)
-					}
-				}
+				checkParity(t, fmt.Sprintf("%s seed %d level %d", name, seed, level), net, level, stream, durUS, paper)
 			}
+		}
+	}
+	// The window-edge row: DOTIE at seed 7, cut to end at 99 999 µs.
+	const edgeUS = 100_000
+	net := nn.MustByName(nn.DOTIE)
+	stream := genStream(t, net.Input.Preset, 7, edgeUS).Slice(0, edgeUS-1)
+	last := stream.Events[stream.Len()-1]
+	last.TS = edgeUS - 1
+	stream.Append(last)
+	for level := 0; level <= 2; level++ {
+		paper := paperEnded(t, net, level, stream)
+		if paper.RawFrames != 100 {
+			t.Fatalf("DOTIE to 99 999 µs level %d: the paper run frames %d, want 100", level, paper.RawFrames)
+		}
+		checkParity(t, fmt.Sprintf("DOTIE to 99 999 µs level %d", level), net, level, stream, edgeUS, paper)
+	}
+}
+
+// checkParity serves stream, durUS long, in chunks of one and of four
+// frame periods, and requires each session to match the paper run.
+func checkParity(t *testing.T, ctx string, net *nn.Network, level int, stream *events.Stream, durUS int64, paper *pipeline.Report) {
+	t.Helper()
+	for _, periods := range []int64{1, 4} {
+		served := servedRun(t, net.Name, level, chunks(stream, durUS, periods*period(net.Input)))
+		t.Logf("%s, %d-period chunks: frames %d / %d; invocations %d / %d; merge ratio %.4f / %.4f; mean latency %.3f / %.3f µs; p99 %.3f / %.3f µs (served / paper)",
+			ctx, periods, served.FramesIn, paper.RawFrames, served.Invocations, paper.Invocations,
+			served.MergeRatio, paper.MergeRatio, served.Latency.MeanUS, paper.MeanLatencyUS, served.Latency.P99US, paper.P99LatencyUS)
+		if !matchesPaper(served, paper) {
+			t.Errorf("%s, %d-period chunks: served %+v, paper run %+v", ctx, periods, *served, *paper)
 		}
 	}
 }

@@ -220,44 +220,50 @@ func TestMapperPolicyErrors(t *testing.T) {
 	}
 }
 
-// TestIngestConverterMatchesOffline feeds a stream chunk-by-chunk and
-// checks the incremental frames agree with the offline ConvertStream
-// on every completed window (time framing).
+// TestIngestConverterMatchesOffline feeds a stream chunk by chunk and
+// closes the session: its frames must be the offline ConvertStream's
+// of the stream ended at the last event + 1 µs, entry for entry and
+// bound for bound, for a time-framed network (DOTIE) and a count-framed
+// one (SpikeFlowNet). One difference is left, the seed: the offline
+// conversion starts its first run at 0, a session at its first event,
+// so the first count-framed frame's T0 differs and nothing else does.
 func TestIngestConverterMatchesOffline(t *testing.T) {
-	net := nn.MustByName(nn.DOTIE) // FrameByTime, 5 ms windows
 	const dur = 200_000
-	stream := genStream(t, net.Input.Preset, 3, dur)
-
-	offline, _, err := pipeline.ConvertStream(net, stream, dur)
-	if err != nil {
-		t.Fatalf("ConvertStream: %v", err)
-	}
-
-	conv := &ingestConverter{spec: net.Input}
-	var inc []*sparse.Frame
-	for _, c := range chunks(stream, dur, 17_000) {
-		fs, err := conv.ingest(StreamChunk(c))
+	for _, name := range []string{nn.DOTIE, nn.SpikeFlowNet} {
+		net := nn.MustByName(name)
+		stream := genStream(t, net.Input.Preset, 3, dur)
+		offline, _, err := pipeline.ConvertStream(net, stream, stream.TEnd()+1)
 		if err != nil {
-			t.Fatalf("ingest: %v", err)
+			t.Fatalf("%s: ConvertStream: %v", name, err)
 		}
-		inc = append(inc, fs...)
-	}
-	if len(inc) == 0 {
-		t.Fatal("incremental conversion produced no frames")
-	}
-	if len(inc) > len(offline) {
-		t.Fatalf("incremental produced %d frames, offline %d", len(inc), len(offline))
-	}
-	for i, f := range inc {
-		o := offline[i]
-		if f.T0 != o.T0 || f.T1 != o.T1 || f.NNZ() != o.NNZ() {
-			t.Fatalf("frame %d: incremental {%d,%d,nnz=%d} != offline {%d,%d,nnz=%d}",
-				i, f.T0, f.T1, f.NNZ(), o.T0, o.T1, o.NNZ())
+		conv := &ingestConverter{spec: net.Input}
+		var inc []*sparse.Frame
+		for _, c := range chunks(stream, dur, 17_000) {
+			fs, err := conv.ingest(StreamChunk(c))
+			if err != nil {
+				t.Fatalf("%s: ingest: %v", name, err)
+			}
+			inc = append(inc, fs...)
 		}
-	}
-	// The tail gap is at most the frames of one incomplete window.
-	if len(offline)-len(inc) > net.Input.NumBins {
-		t.Fatalf("incremental trails offline by %d frames", len(offline)-len(inc))
+		inc = append(inc, conv.close()...)
+		if len(inc) == 0 || len(inc) != len(offline) {
+			t.Fatalf("%s: incremental produced %d frames, offline %d", name, len(inc), len(offline))
+		}
+		if net.Input.Framing == nn.FrameByCount {
+			if inc[0].T0 != stream.TStart() || offline[0].T0 != 0 {
+				t.Fatalf("%s: first frame starts at %dus served, %dus offline; want the first event's %dus and 0",
+					name, inc[0].T0, offline[0].T0, stream.TStart())
+			}
+			first := *inc[0]
+			first.T0 = 0
+			inc[0] = &first
+		}
+		for i, f := range inc {
+			if o := offline[i]; !sameFrame(f, o) {
+				t.Fatalf("%s: frame %d: incremental {%d,%d,nnz=%d} != offline {%d,%d,nnz=%d}",
+					name, i, f.T0, f.T1, f.NNZ(), o.T0, o.T1, o.NNZ())
+			}
+		}
 	}
 }
 
@@ -445,11 +451,7 @@ func TestIngestConverterCountFraming(t *testing.T) {
 		frames = append(frames, fs...)
 		total += c.Len()
 	}
-	tail, err := conv.flush()
-	if err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	frames = append(frames, tail...)
+	frames = append(frames, conv.close()...)
 	if len(frames) < 2 {
 		t.Fatalf("count framing produced %d frames", len(frames))
 	}
@@ -531,8 +533,8 @@ func TestIngestConverterNegativeEpoch(t *testing.T) {
 				framed += int(f.EventCount())
 			}
 		}
-		if framed == 0 || framed+conv.buf.Len() != eventsIn {
-			t.Fatalf("first event at %dus: %d events framed + %d buffered, %d ingested", first, framed, conv.buf.Len(), eventsIn)
+		if framed == 0 || framed+len(tail(conv)) != eventsIn {
+			t.Fatalf("first event at %dus: %d events framed + %d buffered, %d ingested", first, framed, len(tail(conv)), eventsIn)
 		}
 		if got := conv.span(); got != 299*60 {
 			t.Fatalf("first event at %dus: span = %d, want %d", first, got, 299*60)

@@ -19,7 +19,6 @@ import (
 	"evedge/internal/perf"
 	"evedge/internal/pipeline"
 	"evedge/internal/sched"
-	"evedge/internal/sparse"
 	"evedge/internal/taskgraph"
 )
 
@@ -582,15 +581,13 @@ func (s *Server) CloseSession(id string) (*SessionSnapshot, error) {
 	sess.mu.Lock()
 	alreadyClosed := sess.closed
 	sess.closed = true
-	var err error
 	if !alreadyClosed {
-		// The converter's trailing frame joins what ingest left held:
-		// flushed partial frames are E2SF output like any other, so they
-		// are counted, or frame conservation (frames_in == done + dropped
-		// + in-flight) breaks by one per count-framed close. The close
-		// serves them all, past the queue's bound.
-		var tail []*sparse.Frame
-		tail, err = sess.conv.flush()
+		// The frames the close completes join what ingest left held:
+		// they are E2SF output like any other, so they are counted, or
+		// frame conservation (frames_in == done + dropped + in-flight)
+		// breaks at every close that frames. The close serves them all,
+		// past the queue's bound.
+		tail := sess.conv.close()
 		sess.framesIn += uint64(len(tail))
 		for _, f := range tail {
 			sess.stepper.Push(f)
@@ -602,9 +599,9 @@ func (s *Server) CloseSession(id string) (*SessionSnapshot, error) {
 	if alreadyClosed {
 		final = sess.snapshot()
 	} else {
-		// Serve everything held, one invocation at a time — even when the
-		// converter flush or the rebalance fails, so a failed close never
-		// strands frames behind a session that now rejects ingest. Each
+		// Serve everything held, one invocation at a time — before the
+		// rebalance, which may fail, so a failed close never strands
+		// frames behind a session that now rejects ingest. Each
 		// invocation must complete (latencies observed, clock advanced)
 		// before the next goes and before finals are taken; Wait pumps on
 		// this goroutine, so no lock is held here.
@@ -648,12 +645,9 @@ func (s *Server) CloseSession(id string) (*SessionSnapshot, error) {
 			// stream complete so SSE subscribers drain and finish.
 			sess.journal.close()
 		}
-		if rerr := s.rebalance(); rerr != nil && err == nil {
-			err = rerr
+		if err := s.rebalance(); err != nil {
+			return nil, err
 		}
-	}
-	if err != nil {
-		return nil, err
 	}
 	return &final, nil
 }

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -386,40 +385,20 @@ func (m devMask) empty() bool {
 	return true
 }
 
-// ingestConverter is the incremental Event2Sparse Frame state of one
-// session: the events of the run or window not yet framed plus the
-// framing cursor. Time framing emits one grouped frame set per
-// completed accumulation window; count framing emits a frame every N
-// events, N the zoo's InputSpec.EventsPerFrame at the session's
-// geometry: the N the offline ConvertStream frames with, from the
-// first event on. Conversion runs through e2sf.Fused: emitted frames
-// come from the arena's frame pool, as does the accumulation grid for
-// the length of each conversion call (so a session holds no W x H
-// state), and the emit slice is reused across ingests — the
-// steady-state ingest path allocates nothing.
-//
-// A chunk is checked where it lies and converted by segment: the
-// events that complete the open run or window are appended to buf and
-// that unit is framed from there, every later complete unit straight
-// from the segment, and the events the segment leaves open are copied
-// into buf. So buf holds only that tail — at most one run or window of
-// events — and is all a session keeps of a chunk once ingest returns.
-// Count framing bounds the tail by count, so its buffer is sized once,
-// with the geometry; time framing's window holds what the stream puts
-// in it, and its buffer grows as append grows it.
+// ingestConverter is the ingest side of one session: the wire check,
+// the work bounds, the geometry the first chunk declares and the
+// watermark. It hands each accepted chunk, a segment at a time, to the
+// session's framer (pipeline.NewFramer, as the offline conversion
+// frames). Frames and grids come from the arena's frame pool and the
+// emit slice is reused, so a warm ingest allocates nothing.
 type ingestConverter struct {
 	spec      nn.InputSpec
 	pool      *mem.FramePool  // nil: frames are freshly allocated
-	fz        *e2sf.Fused     // nil until the first chunk is accepted
-	buf       events.Stream   // the unframed tail; the first accepted chunk's geometry
-	view      events.Stream   // reusable view of a segment or run, buf's geometry
+	w, h      int             // the first accepted chunk's geometry; 0 before it
+	fr        *e2sf.Framer    // nil until the first events
 	frames    []*sparse.Frame // per-ingest emit scratch, reused
-	anchored  bool            // startTS/winStart initialized from the first events
 	startTS   int64           // first timestamp seen (stream epoch)
 	watermark int64           // latest timestamp consumed
-	winStart  int64           // next window start (time framing)
-	frStart   int64           // next frame start (count framing)
-	count     int             // events per frame (count framing), set with the geometry
 }
 
 // span is the stream time the session has covered so far.
@@ -430,9 +409,9 @@ func (c *ingestConverter) span() int64 { return c.watermark - c.startTS }
 // every window up to the chunk's last timestamp, empty or not, so
 // without them a few bytes of body buy W x H of grid or an arbitrary
 // number of frames. Count framing is bounded by the body size already.
-// Timestamps also keep a margin from both ends of int64: anchoring
-// reaches up to one window below the first timestamp and framing one
-// window (count framing: one microsecond) above the last.
+// Timestamps also keep a margin from both ends of int64: the first
+// window reaches up to one window below the first timestamp and
+// framing one window (count framing: one microsecond) above the last.
 const (
 	// maxSessionPixels is above any shipping event sensor (1 Mpx class).
 	maxSessionPixels = 4 << 20
@@ -444,7 +423,7 @@ const (
 // checkBounds rejects a chunk of checked events that would exceed the
 // work bounds, reading converter state without changing it.
 func (c *ingestConverter) checkBounds(ch Chunk) error {
-	if c.fz == nil && int64(ch.w)*int64(ch.h) > maxSessionPixels {
+	if c.w == 0 && int64(ch.w)*int64(ch.h) > maxSessionPixels {
 		return fmt.Errorf("%w: sensor %dx%d is over %d pixels",
 			ErrChunkTooLarge, ch.w, ch.h, maxSessionPixels)
 	}
@@ -463,9 +442,10 @@ func (c *ingestConverter) checkBounds(ch Chunk) error {
 	if c.spec.Framing == nn.FrameByCount {
 		return nil
 	}
-	winStart := c.winStart
-	if !c.anchored {
-		winStart = c.anchor(tStart)
+	// The open window, or the one the first event will open.
+	winStart := e2sf.WindowStart(tStart, c.spec.WindowUS)
+	if c.fr != nil {
+		winStart = c.fr.Start()
 	}
 	if tEnd < winStart {
 		return nil
@@ -483,20 +463,6 @@ func (c *ingestConverter) checkBounds(ch Chunk) error {
 	return nil
 }
 
-// anchor aligns a stream's first timestamp down to a window boundary:
-// client timestamps need not start near zero, and walking windows up
-// from 0 would loop per-window all the way to the first timestamp.
-// Down means floor — Go's % truncates toward zero, which for a
-// negative timestamp would put the first window above the first event
-// and trim it away unframed.
-func (c *ingestConverter) anchor(ts int64) int64 {
-	r := ts % c.spec.WindowUS
-	if r < 0 {
-		r += c.spec.WindowUS
-	}
-	return ts - r
-}
-
 // admit checks a chunk where it lies, before anything changes: its
 // events by one fold over them (Chunk.check, which runs checkEvent
 // event by event only to name a failure), then the chunk against the
@@ -512,13 +478,13 @@ func (c *ingestConverter) admit(ch Chunk, scratch []events.Event) error {
 	if err := c.checkBounds(ch); err != nil {
 		return err
 	}
-	if c.fz != nil && (ch.w != c.buf.Width || ch.h != c.buf.Height) {
+	if c.w != 0 && (ch.w != c.w || ch.h != c.h) {
 		return fmt.Errorf("serve: chunk geometry %dx%d != session %dx%d",
-			ch.w, ch.h, c.buf.Width, c.buf.Height)
+			ch.w, ch.h, c.w, c.h)
 	}
-	// Until the first events anchor the session there is no watermark
-	// to be behind: a stream may start below zero.
-	if c.anchored && ch.len() > 0 && ch.tStart() < c.watermark {
+	// Until the first events there is no watermark to be behind: a
+	// stream may start below zero.
+	if c.fr != nil && ch.len() > 0 && ch.tStart() < c.watermark {
 		return fmt.Errorf("serve: chunk starts at %dus, before session watermark %dus",
 			ch.tStart(), c.watermark)
 	}
@@ -528,8 +494,9 @@ func (c *ingestConverter) admit(ch Chunk, scratch []events.Event) error {
 // ingest frames what one chunk completes. Chunks are outside input and
 // e2sf.Fused indexes its grid unchecked, so the chunk is checked whole
 // first — each event, then the work bounds and the session — and a
-// chunk refused at any step changes no converter state. The returned
-// slice is converter-owned scratch, valid until the next ingest.
+// chunk refused at any step changes no converter state. The first
+// events seed the framer at the stream's own epoch. The returned slice
+// is converter-owned scratch, valid until the next ingest.
 func (c *ingestConverter) ingest(ch Chunk) ([]*sparse.Frame, error) {
 	var scratch []events.Event
 	if len(ch.evs) == 0 && ch.len() > 0 {
@@ -540,146 +507,35 @@ func (c *ingestConverter) ingest(ch Chunk) ([]*sparse.Frame, error) {
 	if err := c.admit(ch, scratch); err != nil {
 		return nil, err
 	}
-	if c.fz == nil {
-		fz, err := e2sf.NewFused(e2sf.Config{
-			Width: ch.w, Height: ch.h, NumBins: c.spec.NumBins,
-		}, c.pool)
+	n := ch.len()
+	if c.fr == nil && n > 0 {
+		fr, err := pipeline.NewFramer(c.spec, ch.w, ch.h, ch.tStart(), c.pool)
 		if err != nil {
 			return nil, err
 		}
-		c.fz = fz
-		c.buf.Width, c.buf.Height = ch.w, ch.h
-		c.view.Width, c.view.Height = ch.w, ch.h
-		c.count = c.spec.EventsPerFrame(ch.w, ch.h)
-		if c.spec.Framing == nn.FrameByCount {
-			// A run's tail never outgrows one run, so the buffer is
-			// allocated here once instead of doubling up from empty —
-			// up to one decode segment of events, so that a first chunk
-			// declaring a huge sensor buys no more than that up front.
-			c.buf.Events = make([]events.Event, 0, min(c.count, segmentEvents))
-		}
+		c.fr, c.startTS = fr, ch.tStart()
 	}
-	n := ch.len()
-	if n > 0 {
-		if !c.anchored {
-			c.anchored = true
-			// First events: anchor framing at the stream's own epoch.
-			c.startTS = ch.tStart()
-			c.frStart = c.startTS
-			if c.spec.WindowUS > 0 {
-				c.winStart = c.anchor(c.startTS)
-			}
-		}
-		c.watermark = ch.tEnd()
-	}
-	byCount := c.spec.Framing == nn.FrameByCount
+	c.w, c.h = ch.w, ch.h
 	out := c.frames[:0]
-	var err error
-	for i := 0; i < n && err == nil; {
+	for i := 0; i < n; {
 		seg := ch.segment(i, scratch)
 		i += len(seg)
-		if byCount {
-			out, err = c.convertRuns(out, seg)
-		} else {
-			out, err = c.convertWindows(out, seg)
-		}
+		out = c.fr.Push(out, seg)
 	}
-	c.view.Events = nil // keep no reference to the chunk
-	if err != nil {
-		return nil, err
+	if n > 0 {
+		c.watermark = ch.tEnd()
 	}
 	c.frames = out
 	return out, nil
 }
 
-// convertWindows frames every accumulation window that seg's last
-// event closes, exactly as the offline ConvertStream does: the open
-// window from the buffer, completed by seg's first events, then every
-// later window straight from seg. The events of the window seg leaves
-// open become the buffer.
-func (c *ingestConverter) convertWindows(out []*sparse.Frame, seg []events.Event) ([]*sparse.Frame, error) {
-	end := seg[len(seg)-1].TS
-	c.view.Events = seg
-	var err error
-	for c.winStart+c.spec.WindowUS <= end {
-		t1 := c.winStart + c.spec.WindowUS
-		src := &c.view
-		if c.buf.Len() > 0 {
-			// The buffer holds the window's earlier events, all of them
-			// from winStart on.
-			k := sort.Search(len(seg), func(i int) bool { return seg[i].TS >= t1 })
-			c.buf.Events = append(c.buf.Events, seg[:k]...)
-			seg, src = seg[k:], &c.buf
-			c.view.Events = seg
-		}
-		out, _, err = c.fz.ConvertGroupedAppend(out, src, c.winStart, t1, c.spec.GroupK)
-		if err != nil {
-			return nil, err
-		}
-		c.buf.Events = c.buf.Events[:0]
-		c.winStart = t1
+// close ends the session's stream: no event at or past the watermark
+// + 1 µs can arrive any more, so the framer frames the partial count
+// run ending there, or the window ending there, and drops the rest.
+func (c *ingestConverter) close() []*sparse.Frame {
+	if c.fr == nil {
+		return nil
 	}
-	i := sort.Search(len(seg), func(i int) bool { return seg[i].TS >= c.winStart })
-	c.buf.Events = append(c.buf.Events, seg[i:]...)
-	return out, nil
-}
-
-// convertRuns frames every complete run of count events: the open run
-// from the buffer, completed by seg's first events, then every later
-// run straight from seg. The events of the run seg leaves open become
-// the buffer.
-func (c *ingestConverter) convertRuns(out []*sparse.Frame, seg []events.Event) ([]*sparse.Frame, error) {
-	var err error
-	if n := c.buf.Len(); n > 0 {
-		k := min(c.count-n, len(seg))
-		c.buf.Events = append(c.buf.Events, seg[:k]...)
-		if seg = seg[k:]; c.buf.Len() < c.count {
-			return out, nil
-		}
-		if out, err = c.emitRun(out, c.buf.Events); err != nil {
-			return nil, err
-		}
-		c.buf.Events = c.buf.Events[:0]
-	}
-	for ; len(seg) >= c.count; seg = seg[c.count:] {
-		if out, err = c.emitRun(out, seg[:c.count]); err != nil {
-			return nil, err
-		}
-	}
-	c.buf.Events = append(c.buf.Events, seg...)
-	return out, nil
-}
-
-// emitRun appends the frame of one run of events to out.
-func (c *ingestConverter) emitRun(out []*sparse.Frame, run []events.Event) ([]*sparse.Frame, error) {
-	// Convert over the run's own span (duplicate timestamps at the
-	// previous frame's boundary must not be sliced away), then chain
-	// T0 to the previous frame's end.
-	c.view.Events = run
-	t0, t1 := run[0].TS, run[len(run)-1].TS+1
-	frames, _, err := c.fz.ConvertByCountAppend(out, &c.view, t0, t1, len(run))
-	if err != nil {
-		return nil, err
-	}
-	for _, f := range frames[len(out):] {
-		f.T0 = c.frStart
-		c.frStart = f.T1
-	}
-	return frames, nil
-}
-
-// flush frames whatever a session close leaves buffered: count framing
-// emits the trailing partial frame; time framing drops the incomplete
-// window, matching the offline converter.
-func (c *ingestConverter) flush() ([]*sparse.Frame, error) {
-	if c.spec.Framing != nn.FrameByCount || c.buf.Len() == 0 {
-		return nil, nil
-	}
-	out, err := c.emitRun(c.frames[:0], c.buf.Events)
-	if err != nil {
-		return nil, err
-	}
-	c.buf.Events = c.buf.Events[:0]
-	c.frames = out
-	return out, nil
+	c.frames = c.fr.Close(c.frames[:0], nil, c.watermark+1)
+	return c.frames
 }
