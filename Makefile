@@ -50,11 +50,13 @@ bench-e2e:
 # to the cluster router allocates at most 1.2x what it does at a node,
 # plus, with the journal on, the chunk bodies the buddy's replica log
 # keeps (each body as posted; a result entry is a value, no bytes).
-# Eight count-framed sessions on a fresh server, from create through one
-# second of stream to close, allocate under 640 KiB in all, and their
-# pooled frames are sized once and never regrow.
+# Eight count-framed sessions on a fresh server on cold pools, from
+# create through one second of stream to close, allocate under 640 KiB
+# in all, and their pooled frames are sized once and never regrow; run
+# again on a server that starts on the pools the first one handed on at
+# its close, they make no frame or grid and allocate under 168 KiB.
 bench-smoke:
-	$(GO) test -run '^TestAllocSmoke$$|^TestAllocRegression|^TestClientRoundTripAllocBudget$$|^TestSessionLifecycleAllocBudget$$|^TestCountFramedFramesSizedOnce$$' -count=1 -v ./internal/serve
+	$(GO) test -run '^TestAllocSmoke$$|^TestAllocRegression|^TestClientRoundTripAllocBudget$$|^TestSessionLifecycleAllocBudget$$|^TestCountFramedFramesSizedOnce$$|^TestServerStartsOnHandedOnPools$$' -count=1 -v ./internal/serve
 	$(GO) test -run '^TestRouterIngestAllocBudget$$' -count=1 -v ./internal/cluster
 	$(GO) test -run '^TestQueueOverflowZeroAlloc$$' -count=1 -v ./internal/dsfa
 	$(GO) test -run '^TestPlacementSearchAllocBudget$$|^TestBuildIntoSteadyStateZeroAlloc$$' -count=1 -v ./internal/nmp ./internal/taskgraph

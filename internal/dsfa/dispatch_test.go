@@ -94,10 +94,10 @@ func (a closeAgg) combineInto(b *bucket, m *Merged) {
 	if b.mode == CAverage {
 		scale = 1 / float32(len(b.frames))
 	}
-	acc, merged := a.pool.GetAccum(b.frames[0].H, b.frames[0].W), &sparse.Frame{}
+	acc, merged := a.frames().GetAccum(b.frames[0].H, b.frames[0].W), &sparse.Frame{}
 	acc.Merge(merged, b.frames, scale)
 	m.Frames = append(m.Frames, merged)
-	a.pool.PutAccum(acc)
+	a.frames().PutAccum(acc)
 }
 
 func (a closeAgg) DispatchReady(nowUS int64) *Batch {
@@ -174,7 +174,7 @@ func sameBatch(a *Aggregator, got, want *Batch) error {
 		sum := a.sum(m)
 		err := sameFrame(sum, w.Frames[0])
 		if len(m.Frames) > 1 {
-			a.pool.Put(sum)
+			a.frames().Put(sum)
 		}
 		if err != nil {
 			return fmt.Errorf("bucket %d sum: %v", i, err)

@@ -202,7 +202,9 @@ type Aggregator struct {
 	queue   []Merged
 	stats   Stats
 
-	// pool lends the grids dispatch prices on and the frames sum makes.
+	// pool lends the grids dispatch prices on and the frames sum makes:
+	// the one SetPool shared, else one of the aggregator's own, made at
+	// first use (see frames).
 	pool *mem.FramePool
 	// Bucket structs, queue and shed storage and the one Batch are
 	// recycled: spare and the batch's slices swap with queue and shed
@@ -214,12 +216,12 @@ type Aggregator struct {
 }
 
 // New validates cfg and returns an empty aggregator lending grids from
-// a frame pool of its own.
+// a frame pool of its own, unless SetPool shares one first.
 func New(cfg Config) (*Aggregator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Aggregator{cfg: cfg, pool: mem.NewFramePool()}, nil
+	return &Aggregator{cfg: cfg}, nil
 }
 
 // Config returns the aggregator's configuration.
@@ -231,6 +233,16 @@ func (a *Aggregator) Config() Config { return a.cfg }
 // aggregator returns no pushed frame to p. Set it before the first
 // dispatch.
 func (a *Aggregator) SetPool(p *mem.FramePool) { a.pool = p }
+
+// frames is the pool the aggregator lends from, its own made now when
+// SetPool shared none: every product caller shares one, so the private
+// pool is only ever built for an aggregator used alone.
+func (a *Aggregator) frames() *mem.FramePool {
+	if a.pool == nil {
+		a.pool = mem.NewFramePool()
+	}
+	return a.pool
+}
 
 // newBucket takes a bucket from the freelist or allocates one.
 func (a *Aggregator) newBucket(mode CMode) *bucket {
@@ -453,9 +465,10 @@ func (a *Aggregator) price(m *Merged) {
 		m.Density = f.Density()
 		return
 	}
-	acc := a.pool.GetAccum(f.H, f.W)
+	pool := a.frames()
+	acc := pool.GetAccum(f.H, f.W)
 	m.Density = float64(acc.UnionCount(m.Frames)) / float64(f.H*f.W)
-	a.pool.PutAccum(acc)
+	pool.PutAccum(acc)
 }
 
 // sum returns the pixels of a dispatched slot's model input, bit for
@@ -487,10 +500,11 @@ func (a *Aggregator) sum(m *Merged) *sparse.Frame {
 	for _, f := range m.Frames {
 		entries += len(f.Cells)
 	}
-	merged := a.pool.Get(h, w, 0, 0, entries)
-	acc := a.pool.GetAccum(h, w)
+	pool := a.frames()
+	merged := pool.Get(h, w, 0, 0, entries)
+	acc := pool.GetAccum(h, w)
 	acc.Merge(merged, m.Frames, scale)
-	a.pool.PutAccum(acc)
+	pool.PutAccum(acc)
 	return merged
 }
 

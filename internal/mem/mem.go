@@ -7,6 +7,12 @@
 // runs at zero allocations per frame (see serve's alloc-regression
 // test).
 //
+// Pools outlive their owner. An owner that is done with its pools — an
+// offline pipeline run, or a serving node closed with every session
+// closed and everything it lent back — files them on an Idle list, and
+// the next owner of the same kind starts on their warm frames and
+// grids instead of allocating them again.
+//
 // Every pool carries a double-release tripwire: Put panics loudly when
 // handed an object that is already free. Use-after-release bugs in a
 // pooled system otherwise surface as silent cross-session data
@@ -21,6 +27,7 @@ package mem
 
 import (
 	"math/bits"
+	"runtime"
 	"sync"
 
 	"evedge/internal/sparse"
@@ -160,6 +167,17 @@ func (p *FramePool) Put(f *sparse.Frame) {
 	p.mu.Unlock()
 }
 
+// zeroStats zeroes the frame and grid counters; nothing may be
+// borrowed (see Pool.ZeroStats).
+func (p *FramePool) zeroStats() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.stats.Live() != 0 || p.accumStats.Live() != 0 {
+		panic("mem: zeroing the counters of a pool with objects borrowed")
+	}
+	p.stats, p.accumStats = PoolStats{}, PoolStats{}
+}
+
 // Stats snapshots the frame counters.
 func (p *FramePool) Stats() PoolStats {
 	p.mu.Lock()
@@ -287,9 +305,71 @@ func (p *Pool[T]) Stats() PoolStats {
 	return p.stats
 }
 
+// ZeroStats zeroes the counters, so a pool taken off an Idle list
+// counts only its new owner's traffic. Nothing may be borrowed: a
+// later Put would count a return of an object the counters never saw
+// lent, so that panics.
+func (p *Pool[T]) ZeroStats() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.stats.Live() != 0 {
+		panic("mem: zeroing the counters of a pool with objects borrowed")
+	}
+	p.stats = PoolStats{}
+}
+
+// Idle is a bounded free list of idle pool bundles, each package's own
+// (the offline pipeline's run pools, a server's arena and structs):
+// an owner done with its bundle Puts it, and the next owner Gets it
+// and converts into, and executes from, the objects an earlier one
+// returned. Get removes the entry it returns, so concurrent owners
+// never share one. It is a plain free list, not a sync.Pool, so idle
+// pools survive garbage collections; it keeps the GOMAXPROCS most
+// recently filed entries, as many owners as can usefully overlap.
+// The zero value is ready but builds nothing: set New.
+type Idle[T any] struct {
+	// New builds a bundle when none is idle.
+	New func() *T
+
+	mu   sync.Mutex
+	free []*T
+}
+
+// Get takes the most recently filed bundle, or a New one when none is
+// idle.
+func (l *Idle[T]) Get() *T {
+	l.mu.Lock()
+	if n := len(l.free); n > 0 {
+		x := l.free[n-1]
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
+		l.mu.Unlock()
+		return x
+	}
+	l.mu.Unlock()
+	return l.New()
+}
+
+// Put files x as the most recently idle bundle, dropping the least
+// recently filed ones beyond GOMAXPROCS. Whoever puts x must have had
+// back everything x lent and must not borrow from it again.
+func (l *Idle[T]) Put(x *T) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if drop := len(l.free) + 1 - runtime.GOMAXPROCS(0); drop > 0 {
+		n := copy(l.free, l.free[drop:])
+		clear(l.free[n:])
+		l.free = l.free[:n]
+	}
+	l.free = append(l.free, x)
+}
+
 // Arena bundles the pools one serving node shares across all sessions:
 // frames flow ingest→DSFA→dispatch→release regardless of which session
-// produced them, so one free list per type maximizes reuse.
+// produced them, so one free list per type maximizes reuse. An arena
+// can outlive its node: a node closed with every session closed and
+// every frame and grid back hands its arena to the next node the
+// process builds (see serve's Server.Close).
 type Arena struct {
 	Frames *FramePool
 }
@@ -305,6 +385,10 @@ type ArenaStats struct {
 	Accums PoolStats `json:"accums"`
 	Total  PoolStats `json:"total"`
 }
+
+// ZeroStats zeroes every pool's counters, for a new owner; nothing may
+// be borrowed (see Pool.ZeroStats).
+func (a *Arena) ZeroStats() { a.Frames.zeroStats() }
 
 // Stats snapshots every pool.
 func (a *Arena) Stats() ArenaStats {

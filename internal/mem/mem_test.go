@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"runtime"
 	"testing"
 
 	"evedge/internal/sparse"
@@ -249,5 +250,71 @@ func TestArenaStatsTotal(t *testing.T) {
 	}
 	if st.Accums.Gets != 1 || st.Frames.Gets != 1 {
 		t.Fatalf("per-pool stats = %+v", st)
+	}
+}
+
+// TestIdleKeepsNewestBounded: Get takes the most recently filed bundle
+// first and builds a New one only when none is idle, and Put keeps the
+// GOMAXPROCS most recently filed bundles.
+func TestIdleKeepsNewestBounded(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	built := 0
+	l := Idle[int]{New: func() *int { built++; return new(int) }}
+	a, b, c := new(int), new(int), new(int)
+	l.Put(a)
+	l.Put(b)
+	l.Put(c) // drops a, the least recently filed
+	for i, want := range []*int{c, b} {
+		if got := l.Get(); got != want {
+			t.Fatalf("Get %d: %p, want %p", i, got, want)
+		}
+	}
+	if got := l.Get(); got == a || built != 1 {
+		t.Fatalf("empty list: Get returned %p (a %p), %d built; want a New one", got, a, built)
+	}
+}
+
+// TestIdleSurvivesGC: an idle bundle is still there after garbage
+// collections, unlike a sync.Pool's.
+func TestIdleSurvivesGC(t *testing.T) {
+	l := Idle[FramePool]{New: NewFramePool}
+	p := NewFramePool()
+	l.Put(p)
+	runtime.GC()
+	runtime.GC()
+	if got := l.Get(); got != p {
+		t.Fatal("the idle pool was dropped by a collection")
+	}
+}
+
+// TestZeroStats: an arena's and a pool's counters restart at zero for
+// a new owner, and zeroing them with an object borrowed panics.
+func TestZeroStats(t *testing.T) {
+	a := NewArena()
+	a.Frames.Put(a.Frames.Get(2, 2, 0, 1, 0))
+	a.Frames.PutAccum(a.Frames.GetAccum(2, 2))
+	a.ZeroStats()
+	if st := a.Stats(); st != (ArenaStats{}) {
+		t.Fatalf("arena counters after ZeroStats: %+v", st)
+	}
+	p := NewPool[int](nil)
+	p.Put(p.Get())
+	p.ZeroStats()
+	if st := p.Stats(); st != (PoolStats{}) {
+		t.Fatalf("pool counters after ZeroStats: %+v", st)
+	}
+	for name, zero := range map[string]func(){
+		"frame": func() { b := NewArena(); b.Frames.Get(2, 2, 0, 1, 0); b.ZeroStats() },
+		"grid":  func() { b := NewArena(); b.Frames.GetAccum(2, 2); b.ZeroStats() },
+		"pool":  func() { q := NewPool[int](nil); q.Get(); q.ZeroStats() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s borrowed: ZeroStats did not panic", name)
+				}
+			}()
+			zero()
+		}()
 	}
 }

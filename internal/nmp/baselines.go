@@ -75,19 +75,53 @@ func AllGPU(nets []*nn.Network, p *hw.Platform, prec nn.Precision) (*taskgraph.A
 // to a processing element and the rest of the networks are distributed
 // in a cyclic manner").
 func RRNetwork(nets []*nn.Network, p *hw.Platform) (*taskgraph.Assignment, error) {
+	return RRNetworkFrom(nil, nets, p)
+}
+
+// RRNetworkFrom is RRNetwork reusing prev's rows (prev may be nil): a
+// round-robin row depends only on its task's position and layer count,
+// so where prev's row at the same position already maps that many
+// layers to the same device and precision, the result shares it
+// instead of building it. A serving node re-placing its sessions on
+// every create and close thus builds only the rows of sessions that
+// moved. Shared rows must not be changed in place; Clone first.
+func RRNetworkFrom(prev *taskgraph.Assignment, nets []*nn.Network, p *hw.Platform) (*taskgraph.Assignment, error) {
 	accs := accelerators(p)
 	if len(accs) == 0 {
 		return nil, fmt.Errorf("nmp: platform %q has no accelerators", p.Name)
 	}
-	asg := taskgraph.NewAssignment(nets)
-	for t := range nets {
+	asg := &taskgraph.Assignment{
+		Device: make([][]int, len(nets)),
+		Prec:   make([][]nn.Precision, len(nets)),
+	}
+	for t, net := range nets {
 		d := accs[t%len(accs)]
-		for l := range nets[t].Layers {
-			asg.Device[t][l] = d.ID
-			asg.Prec[t][l] = deployPrec(d)
+		prec := deployPrec(d)
+		if prev != nil && t < len(prev.Device) && t < len(prev.Prec) && uniformRow(prev.Device[t], prev.Prec[t], len(net.Layers), d.ID, prec) {
+			asg.Device[t], asg.Prec[t] = prev.Device[t], prev.Prec[t]
+			continue
+		}
+		asg.Device[t] = make([]int, len(net.Layers))
+		asg.Prec[t] = make([]nn.Precision, len(net.Layers))
+		for l := range net.Layers {
+			asg.Device[t][l], asg.Prec[t][l] = d.ID, prec
 		}
 	}
 	return asg, nil
+}
+
+// uniformRow reports whether a row maps exactly n layers, every one to
+// device d at precision prec.
+func uniformRow(dev []int, precs []nn.Precision, n, d int, prec nn.Precision) bool {
+	if len(dev) != n || len(precs) != n {
+		return false
+	}
+	for l := range dev {
+		if dev[l] != d || precs[l] != prec {
+			return false
+		}
+	}
+	return true
 }
 
 // deployPrec is the non-quantized deployment precision: FP16 where

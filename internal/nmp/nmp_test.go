@@ -2,6 +2,7 @@ package nmp
 
 import (
 	"hash/fnv"
+	"slices"
 	"sync"
 	"testing"
 
@@ -415,4 +416,53 @@ func TestConcurrentEvaluatePredictSearch(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestRRNetworkFromSharesUnmovedRows: RRNetworkFrom places a workload
+// as RRNetwork does whatever prev it is given, and shares prev's row at
+// a position exactly when that row already holds the placement: after
+// an append (a session created) every earlier row, after a removal (a
+// session closed) every row whose position's device and layer count
+// stayed.
+func TestRRNetworkFromSharesUnmovedRows(t *testing.T) {
+	platform := hw.Xavier()
+	flow, dotie := nn.MustByName(nn.SpikeFlowNet), nn.MustByName(nn.DOTIE)
+	nets := []*nn.Network{flow, flow, dotie, flow, flow}
+	prev, err := RRNetwork(nets, platform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := func(a, b []int) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
+	for _, c := range []struct {
+		name   string
+		nets   []*nn.Network
+		shares []bool
+	}{
+		{"same", nets, []bool{true, true, true, true, true}},
+		{"append", append(nets[:5:5], dotie), []bool{true, true, true, true, true, false}},
+		// Removing task 1 moves DOTIE to position 1: row 1 no longer
+		// fits, and row 2 (SpikeFlowNet now) has DOTIE's length.
+		{"remove", []*nn.Network{flow, dotie, flow, flow}, []bool{true, false, false, true}},
+		{"empty", nil, nil},
+	} {
+		want, err := RRNetwork(c.nets, platform)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RRNetworkFrom(prev, c.nets, platform)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Device) != len(want.Device) {
+			t.Fatalf("%s: %d rows, want %d", c.name, len(got.Device), len(want.Device))
+		}
+		for i := range want.Device {
+			if !slices.Equal(got.Device[i], want.Device[i]) || !slices.Equal(got.Prec[i], want.Prec[i]) {
+				t.Fatalf("%s: row %d maps %v %v, RRNetwork %v %v", c.name, i, got.Device[i], got.Prec[i], want.Device[i], want.Prec[i])
+			}
+			if s := i < len(prev.Device) && shared(got.Device[i], prev.Device[i]); s != c.shares[i] {
+				t.Errorf("%s: row %d shared = %v, want %v", c.name, i, s, c.shares[i])
+			}
+		}
+	}
 }

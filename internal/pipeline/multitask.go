@@ -83,12 +83,12 @@ func RunMultiTask(cfg MultiTaskConfig) (*MultiTaskReport, error) {
 	// borrows them and returned once the jobs have run (or on an error
 	// exit, the frames of the tasks converted so far).
 	var jobs []invocationJob
-	pools := getRunPools()
+	pools := idleRunPools.Get()
 	defer func() {
 		for _, job := range jobs {
 			pools.frames.Put(job.frame)
 		}
-		putRunPools(pools)
+		idleRunPools.Put(pools)
 	}()
 	rep := &MultiTaskReport{
 		Tasks:        make([]TaskReport, len(cfg.Nets)),

@@ -165,48 +165,21 @@ type runPools struct {
 	invs   *mem.Pool[Invocation]
 }
 
-// idleRunPools recycles runPools across Run and RunMultiTask calls, so
-// a warm run converts into and executes from the frames an earlier run
-// returned. getRunPools removes the entry it returns, so concurrent runs
-// never share one. It is a plain free list, not a sync.Pool, so warm
-// pools survive garbage collections; putRunPools keeps at most
-// GOMAXPROCS entries, as many as runs can usefully overlap.
-var idleRunPools struct {
-	sync.Mutex
-	free []*runPools
-}
-
-// getRunPools takes a runPools for one run; the run hands it to
-// putRunPools once every frame it borrowed has been returned.
-func getRunPools() *runPools {
-	idleRunPools.Lock()
-	defer idleRunPools.Unlock()
-	if n := len(idleRunPools.free); n > 0 {
-		p := idleRunPools.free[n-1]
-		idleRunPools.free[n-1] = nil
-		idleRunPools.free = idleRunPools.free[:n-1]
-		return p
-	}
+// idleRunPools recycles runPools across Run, RunFrames and RunMultiTask
+// calls (see mem.Idle), so a warm run converts into and executes from
+// the frames an earlier run returned. A run puts its pools back once
+// every frame it borrowed has been returned.
+var idleRunPools = mem.Idle[runPools]{New: func() *runPools {
 	return &runPools{frames: mem.NewFramePool(), invs: NewInvocationPool()}
-}
-
-// putRunPools files p as idle, or drops it when GOMAXPROCS entries
-// already are.
-func putRunPools(p *runPools) {
-	idleRunPools.Lock()
-	defer idleRunPools.Unlock()
-	if len(idleRunPools.free) < runtime.GOMAXPROCS(0) {
-		idleRunPools.free = append(idleRunPools.free, p)
-	}
-}
+}}
 
 // Run converts cfg's stream and runs RunFrames over the frames. Its
 // frames, grids and invocations come from pools reused across runs,
 // and every one is returned before Run does, on error exits too.
 func Run(cfg Config) (*Report, error) {
-	pools := getRunPools()
+	pools := idleRunPools.Get()
 	rep, err := run(cfg, pools.frames, pools.invs)
-	putRunPools(pools)
+	idleRunPools.Put(pools)
 	return rep, err
 }
 
@@ -267,9 +240,9 @@ func resolve(cfg *Config) error {
 // none, so concurrent calls, at every level say, may share one set;
 // its grids and invocations come from the pools Run reuses.
 func RunFrames(cfg Config, frames []*sparse.Frame) (*Report, error) {
-	pools := getRunPools()
+	pools := idleRunPools.Get()
 	rep, err := runFrames(cfg, frames, pools.frames, pools.invs)
-	putRunPools(pools)
+	idleRunPools.Put(pools)
 	return rep, err
 }
 

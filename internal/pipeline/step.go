@@ -230,16 +230,16 @@ type Stepper struct {
 	left  int
 	clock float64
 	busy  bool
-	// invPool supplies the invocations: a pool of the stepper's own
-	// unless SetPools shares one, to which the serving layer and the
-	// offline executor return them once served.
+	// invPool supplies the invocations: the one SetPools shared, to
+	// which the serving layer and the offline executor return them once
+	// served, else one of the stepper's own, made at first use (invs).
 	invPool *mem.Pool[Invocation]
 }
 
 // NewStepper builds a stepper for the level. The DSFA config is only
 // consulted at LevelDSFA and above; pass the zero value otherwise.
 func NewStepper(level Level, cfg dsfa.Config) (*Stepper, error) {
-	s := &Stepper{level: level, invPool: NewInvocationPool()}
+	s := &Stepper{level: level}
 	if level >= LevelDSFA {
 		agg, err := dsfa.New(cfg)
 		if err != nil {
@@ -261,6 +261,14 @@ func (s *Stepper) SetPools(invs *mem.Pool[Invocation], frames *mem.FramePool) {
 	if s.agg != nil && frames != nil {
 		s.agg.SetPool(frames)
 	}
+}
+
+// invs is the pool Release and Flush take invocations from.
+func (s *Stepper) invs() *mem.Pool[Invocation] {
+	if s.invPool == nil {
+		s.invPool = NewInvocationPool()
+	}
+	return s.invPool
 }
 
 // Push holds a raw sparse frame produced by E2SF until the clock
@@ -301,7 +309,7 @@ func (s *Stepper) Next(nowUS float64) *Invocation {
 		if !s.formed(nowUS) {
 			return nil
 		}
-		return fillSingleFrameInv(s.invPool.Get(), s.take())
+		return fillSingleFrameInv(s.invs().Get(), s.take())
 	}
 	for s.formed(nowUS) {
 		s.agg.Push(s.take())
@@ -310,7 +318,7 @@ func (s *Stepper) Next(nowUS float64) *Invocation {
 	if b == nil {
 		return nil
 	}
-	return fillInvFromBatch(s.invPool.Get(), b)
+	return fillInvFromBatch(s.invs().Get(), b)
 }
 
 // Flush drains what is buffered whatever the time — below LevelDSFA
@@ -322,7 +330,7 @@ func (s *Stepper) Flush() *Invocation {
 		if s.head == len(s.hold) {
 			return nil
 		}
-		return fillSingleFrameInv(s.invPool.Get(), s.take())
+		return fillSingleFrameInv(s.invs().Get(), s.take())
 	}
 	for s.head < len(s.hold) {
 		s.agg.Push(s.take())
@@ -331,7 +339,7 @@ func (s *Stepper) Flush() *Invocation {
 	if b == nil {
 		return nil
 	}
-	return fillInvFromBatch(s.invPool.Get(), b)
+	return fillInvFromBatch(s.invs().Get(), b)
 }
 
 // Release returns the next invocation to execute, or nil while one is

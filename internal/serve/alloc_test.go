@@ -3,9 +3,11 @@ package serve
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 	"unsafe"
 
 	"evedge/internal/dsfa"
@@ -556,9 +558,10 @@ func lifecycleChunks(t *testing.T) [][]*events.Stream {
 }
 
 // runLifecycle creates the sessions on srv, feeds every round and
-// closes them. onIngest, when set, sees each session's emitted frames
-// right after the chunk that produced them.
-func runLifecycle(t *testing.T, srv *Server, feed [][]*events.Stream, onIngest func([]*sparse.Frame)) {
+// closes them, returning their final snapshots. onIngest, when set,
+// sees each session's emitted frames right after the chunk that
+// produced them.
+func runLifecycle(t *testing.T, srv *Server, feed [][]*events.Stream, onIngest func([]*sparse.Frame)) []SessionSnapshot {
 	t.Helper()
 	sessions := make([]*Session, len(feed))
 	for i := range sessions {
@@ -579,20 +582,33 @@ func runLifecycle(t *testing.T, srv *Server, feed [][]*events.Stream, onIngest f
 		}
 		srv.Pump()
 	}
-	for _, sess := range sessions {
-		if _, err := srv.CloseSession(sess.ID); err != nil {
+	finals := make([]SessionSnapshot, len(sessions))
+	for i, sess := range sessions {
+		fin, err := srv.CloseSession(sess.ID)
+		if err != nil {
 			t.Fatalf("CloseSession: %v", err)
 		}
+		finals[i] = *fin
 	}
+	return finals
 }
 
-func lifecycleServer(t *testing.T) *Server {
-	t.Helper()
+// lifecycleConfig is the lifecycle run's server: the serve_pump_batch
+// pass's settings.
+func lifecycleConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Mapper = MapperRR
 	cfg.BatchMax = 8
 	cfg.ManualDrain = true
-	srv, err := New(cfg)
+	return cfg
+}
+
+// lifecycleServer is New(lifecycleConfig()), on fresh pools instead of
+// any an earlier server handed on: the cold start the first server of
+// a process makes, whatever tests ran before.
+func lifecycleServer(t *testing.T) *Server {
+	t.Helper()
+	srv, err := newServer(lifecycleConfig(), idleServerPools.New())
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -600,7 +616,7 @@ func lifecycleServer(t *testing.T) *Server {
 }
 
 // lifecycleBudget bounds the heap bytes of one lifecycle run. The run
-// measured ≈ 545 KB on linux/amd64, Go 1.24; it measured ≈ 950 KB
+// measured ≈ 521 KB on linux/amd64, Go 1.24; it measured ≈ 950 KB
 // while each session allocated its whole latency window at create and
 // pooled frames and count-framing tails grew by doubling. The budget
 // is the measured figure plus a fifth: the eight eager windows alone
@@ -608,7 +624,7 @@ func lifecycleServer(t *testing.T) *Server {
 const lifecycleBudget = 640 << 10
 
 // TestSessionLifecycleAllocBudget is the per-session fixed-cost gate:
-// everything a fresh server allocates from the first CreateSession to
+// everything a fresh server on cold pools allocates from the first CreateSession to
 // the last CloseSession of the lifecycle run — the one accumulation
 // grid, each session's state, the frames the pool lends, the
 // latency windows, the closes' snapshots and rebalances — stays under
@@ -632,7 +648,8 @@ func TestSessionLifecycleAllocBudget(t *testing.T) {
 }
 
 // TestCountFramedFramesSizedOnce: a count-framed session's pooled
-// frames are sized once, at the bound of a run, and never regrow. Each
+// frames are sized once, at the bound of a run, and never regrow, from
+// a cold pool on. Each
 // frame's three arrays are allocated by its first emission and keep
 // their capacities through every later one, so the pool allocates
 // one array set per frame it makes.
@@ -655,5 +672,122 @@ func TestCountFramedFramesSizedOnce(t *testing.T) {
 	t.Logf("%d emissions into %d pooled frames", emissions, len(caps))
 	if made := srv.ArenaStats().Frames.News; made != uint64(len(caps)) || emissions <= 2*len(caps) {
 		t.Fatalf("%d emissions into %d distinct frames, pool made %d: want every frame made by the pool seen and reused", emissions, len(caps), made)
+	}
+}
+
+// warmLifecycleBudget bounds the heap bytes of the lifecycle run on a
+// server that starts on the pools the same run handed on: no frame, no
+// grid, only the sessions' own state. The run measured ≈ 141 KB on
+// linux/amd64, Go 1.24, against ≈ 521 KB cold; the budget is the
+// measured figure plus a fifth, and the grid alone (≈ 185 KB) would
+// trip it.
+const warmLifecycleBudget = 168 << 10
+
+// TestServerStartsOnHandedOnPools: a server closed with every session
+// closed and everything it lent back hands its pools on, and the next
+// New starts on them. The second lifecycle run makes no frame and no
+// grid, allocates under warmLifecycleBudget, serves what the first did
+// to the last latency, and counts only its own pool traffic, while the
+// first server keeps reporting the counters it closed with.
+func TestServerStartsOnHandedOnPools(t *testing.T) {
+	feed := lifecycleChunks(t)
+	first := lifecycleServer(t)
+	want := runLifecycle(t, first, feed, nil)
+	firstStats := first.ArenaStats()
+	first.Close()
+	if first.handedOn.Load() == nil {
+		t.Fatal("a server closed with every session closed kept its pools")
+	}
+
+	srv, err := New(lifecycleConfig())
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer srv.Close()
+	if st := srv.ArenaStats(); st.Total != (mem.PoolStats{}) {
+		t.Fatalf("a new server's pool counters start at %+v, want zero", st.Total)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := runLifecycle(t, srv, feed, nil)
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("warm lifecycle run allocated %d B (budget %d B)", bytes, warmLifecycleBudget)
+
+	st := srv.ArenaStats()
+	if st.Frames.News != 0 || st.Accums.News != 0 {
+		t.Fatalf("warm run made %d frames and %d grids, want none", st.Frames.News, st.Accums.News)
+	}
+	if st.Frames.Gets != firstStats.Frames.Gets || st.Accums.Gets != firstStats.Accums.Gets {
+		t.Fatalf("warm run counted %d frame and %d grid borrows, the first run %d and %d: want only its own traffic",
+			st.Frames.Gets, st.Accums.Gets, firstStats.Frames.Gets, firstStats.Accums.Gets)
+	}
+	// Nothing reaches the handed-on pools through the first server: a
+	// create is refused and a repeated close only reads its final.
+	if _, err := first.CreateSession(SessionConfig{Network: nn.SpikeFlowNet, Level: 2}); err != ErrServerClosed {
+		t.Fatalf("CreateSession after Close: %v, want ErrServerClosed", err)
+	}
+	if fin, err := first.CloseSession(want[0].ID); err != nil || fin.RawFramesDone != want[0].RawFramesDone {
+		t.Fatalf("CloseSession after Close: %v, %v", fin, err)
+	}
+	if now := srv.ArenaStats(); now != st {
+		t.Fatalf("the first server's calls moved the second's pools: %+v, were %+v", now, st)
+	}
+	if was := first.ArenaStats(); was != firstStats {
+		t.Fatalf("the first server's counters moved after the hand-on: %+v, closed with %+v", was, firstStats)
+	}
+	for i := range want {
+		want[i].CreatedAt, got[i].CreatedAt = time.Time{}, time.Time{}
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("session %d on handed-on pools: %+v\nwant %+v", i, got[i], want[i])
+		}
+	}
+	if !raceEnabled && bytes > warmLifecycleBudget {
+		t.Fatalf("warm lifecycle run allocated %d B, over the %d B budget", bytes, warmLifecycleBudget)
+	}
+}
+
+// TestServerKeepsLentPools: a server closed while something can still
+// borrow from its pools or has not returned to them keeps them — with a
+// session open (a killed node, whose frames stay frozen in its queues),
+// or with a frame lent — and reports live counters; the next New starts
+// on other pools.
+func TestServerKeepsLentPools(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		hold func(t *testing.T, srv *Server)
+	}{
+		{"open session", func(t *testing.T, srv *Server) {
+			sess, err := srv.CreateSession(SessionConfig{Network: nn.SpikeFlowNet, Level: 2})
+			if err != nil {
+				t.Fatalf("CreateSession: %v", err)
+			}
+			if _, err := srv.Ingest(sess.ID, lifecycleChunks(t)[0][0]); err != nil {
+				t.Fatalf("Ingest: %v", err)
+			}
+		}},
+		{"frame lent", func(t *testing.T, srv *Server) {
+			srv.arena.Frames.Get(4, 4, 0, 1, 0)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			srv := lifecycleServer(t)
+			c.hold(t, srv)
+			srv.Close()
+			if srv.handedOn.Load() != nil {
+				t.Fatal("pools handed on")
+			}
+			next, err := New(lifecycleConfig())
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			defer next.Close()
+			if next.arena == srv.arena || next.invPool == srv.invPool || next.pendPool == srv.pendPool {
+				t.Fatal("the next server took the closed one's pools")
+			}
+			if srv.ArenaStats().Frames.Live() == 0 {
+				t.Fatal("the kept arena lends nothing")
+			}
+		})
 	}
 }

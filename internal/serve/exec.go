@@ -32,17 +32,31 @@ type pendingInv struct {
 }
 
 // newPending borrows a submission unit and ensures its one-time
-// self-referential bindings are in place.
+// self-referential bindings are in place. The pool may have served an
+// earlier server, so the unit is bound to this one on every borrow.
 func (s *Server) newPending() *pendingInv {
 	p := s.pendPool.Get()
+	p.srv = s
 	if p.req.Done == nil {
-		p.srv = s
 		p.req.Payload = p
 		p.req.Done = func(end float64) {
 			p.srv.complete(p.sess, p.inv.PerRaw, end)
 		}
 	}
 	return p
+}
+
+// resetPending is the pending pool's reset hook: a borrowed unit
+// keeps only its bindings.
+func resetPending(p *pendingInv) {
+	p.sess = nil
+	p.req.Session = ""
+	p.req.Key = sched.Key{}
+	p.req.Units = 0
+	p.inv = nil
+	p.net = nil
+	p.plan = pipeline.ExecPlan{}
+	p.trackH = nil
 }
 
 // releaseRequest is the scheduler's Release hook: after a request's

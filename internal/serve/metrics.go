@@ -246,11 +246,30 @@ func (s *Server) WriteMetrics(pw *PromWriter, ns, extraLabels string) {
 		}
 		return extraLabels + "," + l
 	}
+	// One snapshot pass feeds both the totals and the per-session
+	// series. Reading closedTotals and the active set under one lock
+	// acquisition keeps the roll-up consistent with the close path's
+	// atomic active->closed handoff.
 	s.sessMu.Lock()
-	active := len(s.order)
+	totals := s.closedTotals
+	activeSessions := s.activeSessionsLocked()
+	finals := s.closedUnscraped
+	s.closedUnscraped = nil
 	s.sessMu.Unlock()
+	activeSnaps := make([]SessionSnapshot, len(activeSessions))
+	for i, sess := range activeSessions {
+		activeSnaps[i] = sess.snapshot()
+		totals.add(activeSnaps[i])
+	}
+	sessions := append(activeSnaps, finals...)
+	var hists []obs.HistSnapshot
+	if s.tracer != nil {
+		hists = s.tracer.Hists()
+	}
+	pw.b.Grow(s.metricsSize(sessions, hists, len(ns), len(extraLabels)))
+
 	pw.Gauge(ns+"_uptime_seconds", "Server uptime.", lbls(), time.Since(s.start).Seconds())
-	pw.Gauge(ns+"_sessions_active", "Sessions currently accepting events.", lbls(), float64(active))
+	pw.Gauge(ns+"_sessions_active", "Sessions currently accepting events.", lbls(), float64(len(activeSessions)))
 	pw.Gauge(ns+"_sessions_total", "Sessions created since start.", lbls(), float64(s.nextID.Load()))
 	makespan := s.engine.Makespan()
 	pw.Gauge(ns+"_engine_makespan_us", "Virtual time the last device queue drains.", lbls(), makespan)
@@ -271,13 +290,13 @@ func (s *Server) WriteMetrics(pw *PromWriter, ns, extraLabels string) {
 	// Arena traffic: misses (Gets that allocated) should stay flat once
 	// the pools warm up — a climbing miss counter under steady load is
 	// the leak/regression signal the alloc gate watches.
-	ast := s.arena.Stats()
+	ps := s.poolStats()
 	for _, p := range [...]struct {
 		name string
 		st   mem.PoolStats
 	}{
-		{"frames", ast.Frames}, {"accums", ast.Accums},
-		{"invocations", s.invPool.Stats()}, {"requests", s.pendPool.Stats()},
+		{"frames", ps.arena.Frames}, {"accums", ps.arena.Accums},
+		{"invocations", ps.invs}, {"requests", ps.requests},
 	} {
 		pw.Counter(ns+"_pool_gets_total", "Objects borrowed from the arena pool.", lbls("pool", p.name), float64(p.st.Gets))
 		pw.Counter(ns+"_pool_misses_total", "Borrows that allocated because the free list was empty.", lbls("pool", p.name), float64(p.st.News))
@@ -287,7 +306,7 @@ func (s *Server) WriteMetrics(pw *PromWriter, ns, extraLabels string) {
 	if s.tracer != nil {
 		// Per-stage latency histograms from the frame-lifecycle tracer:
 		// one series per lifecycle stage that has observed anything.
-		for _, h := range s.tracer.Hists() {
+		for _, h := range hists {
 			if h.Count == 0 {
 				continue
 			}
@@ -296,22 +315,6 @@ func (s *Server) WriteMetrics(pw *PromWriter, ns, extraLabels string) {
 		}
 		pw.Counter(ns+"_trace_events_total", "Trace events recorded since start.", lbls(), float64(s.tracer.Recorded()))
 		pw.Counter(ns+"_trace_events_dropped_total", "Trace events overwritten in full ring buffers.", lbls(), float64(s.tracer.Dropped()))
-	}
-
-	// One snapshot pass feeds both the totals and the per-session
-	// series. Reading closedTotals and the active set under one lock
-	// acquisition keeps the roll-up consistent with the close path's
-	// atomic active->closed handoff.
-	s.sessMu.Lock()
-	totals := s.closedTotals
-	activeSessions := s.activeSessionsLocked()
-	finals := s.closedUnscraped
-	s.closedUnscraped = nil
-	s.sessMu.Unlock()
-	activeSnaps := make([]SessionSnapshot, len(activeSessions))
-	for i, sess := range activeSessions {
-		activeSnaps[i] = sess.snapshot()
-		totals.add(activeSnaps[i])
 	}
 
 	// Monotonic server-wide totals: closed sessions are folded in at
@@ -361,7 +364,7 @@ func (s *Server) WriteMetrics(pw *PromWriter, ns, extraLabels string) {
 	// Per-session series: active sessions every scrape; a closed
 	// session's final counters exactly once, on the first scrape after
 	// its close (its contribution lives on in the *_total rollups).
-	for _, snap := range append(activeSnaps, finals...) {
+	for _, snap := range sessions {
 		lbl := lbls("session", snap.ID, "network", snap.Network)
 		pw.Counter(ns+"_session_events_total", "Events ingested.", lbl, float64(snap.EventsIn))
 		pw.Counter(ns+"_session_frames_total", "Sparse frames produced by E2SF.", lbl, float64(snap.FramesIn))
@@ -381,4 +384,50 @@ func (s *Server) WriteMetrics(pw *PromWriter, ns, extraLabels string) {
 				lbls("session", snap.ID, "network", snap.Network, "quantile", qv.q), qv.v)
 		}
 	}
+}
+
+// Lengths metricsSize budgets: a HELP/TYPE header pair and a sample
+// line, each without the namespace, labels and separators, a little
+// over the longest WriteMetrics writes.
+const (
+	promHeaderBytes = 110
+	promSampleBytes = 40
+)
+
+// metricsSize is about what WriteMetrics writes: its header pairs and
+// sample lines, each with the namespace (twice in a header) and every
+// sample with the extra labels, the sessions' lines with their own
+// labels. WriteMetrics grows the exposition buffer by it once instead
+// of doubling it up from empty.
+func (s *Server) metricsSize(sessions []SessionSnapshot, hists []obs.HistSnapshot, ns, extra int) int {
+	// What every scrape writes: the four server gauges, two series per
+	// device, five scheduler series, three series for each of four
+	// pools, and eight totals.
+	headers := 4 + 2 + 5 + 3 + 8
+	samples := 4 + 2*len(s.cfg.Platform.Devices) + 5 + 3*4 + 8
+	labels := samples * extra
+	if s.tracer != nil {
+		headers += 3
+		samples += 2
+		for _, h := range hists {
+			if h.Count > 0 {
+				samples += len(h.Counts) + 2
+				labels += (len(h.Counts) + 2) * (len(h.Stage) + len(`stage="",le="+Inf"`) + extra)
+			}
+		}
+	}
+	if s.cfg.Journal {
+		headers, samples = headers+5, samples+5
+	}
+	if s.planner != nil {
+		headers, samples = headers+4, samples+4
+	}
+	if len(sessions) > 0 {
+		headers += 11
+	}
+	for _, snap := range sessions {
+		samples += 12
+		labels += 12 * (len(snap.ID) + len(snap.Network) + len(`session="",network="",quantile="0.99"`) + extra)
+	}
+	return headers*(promHeaderBytes+2*ns) + samples*(promSampleBytes+ns) + labels
 }

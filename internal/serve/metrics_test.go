@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"evedge/internal/nn"
 	"evedge/internal/obs"
 )
 
@@ -376,4 +377,72 @@ func TestQuantileBounds(t *testing.T) {
 func ExamplePromLabels() {
 	fmt.Println(PromLabels("session", "s1", "network", "DOTIE"))
 	// Output: session="s1",network="DOTIE"
+}
+
+// TestMetricsSizeFitsScrape: WriteMetrics grows its buffer once, by
+// metricsSize, and that holds the whole scrape without wasting half of
+// it — on a fresh server, with eight sessions open, with their finals
+// once they closed (what a benchmark pass scrapes), and with tracing,
+// the journal, the remap planner and a node label all on.
+func TestMetricsSizeFitsScrape(t *testing.T) {
+	feed := lifecycleChunks(t)
+	full := lifecycleConfig()
+	full.Mapper = MapperNMP
+	full.Adapt.Remap = true
+	full.Trace = obs.Config{Enabled: true, Node: "n0"}
+	full.Journal = true
+	for _, c := range []struct {
+		name   string
+		cfg    Config
+		open   bool
+		rounds int
+		extra  string
+	}{
+		{"fresh", lifecycleConfig(), false, 0, ""},
+		{"open", lifecycleConfig(), true, 3, ""},
+		{"closed", lifecycleConfig(), false, 3, ""},
+		{"everything on", full, true, 3, `node="xavier0"`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			srv, err := New(c.cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			defer srv.Close()
+			var ids []string
+			if c.rounds > 0 {
+				for i := range feed {
+					sess, err := srv.CreateSession(SessionConfig{Network: nn.SpikeFlowNet, Level: 2})
+					if err != nil {
+						t.Fatalf("CreateSession: %v", err)
+					}
+					ids = append(ids, sess.ID)
+					for r := range c.rounds {
+						if _, err := srv.Ingest(sess.ID, feed[i][r]); err != nil {
+							t.Fatalf("Ingest: %v", err)
+						}
+					}
+				}
+				srv.Pump()
+			}
+			if !c.open {
+				for _, id := range ids {
+					if _, err := srv.CloseSession(id); err != nil {
+						t.Fatalf("CloseSession: %v", err)
+					}
+				}
+			}
+			hint := srv.metricsSize(srv.Snapshots(), srv.StageHists(), len("evserve"), len(c.extra))
+			pw := NewPromWriter()
+			srv.WriteMetrics(pw, "evserve", c.extra)
+			n := pw.b.Len()
+			t.Logf("scrape %d B, sized for %d B (%.2fx)", n, hint, float64(hint)/float64(n))
+			if n > hint {
+				t.Fatalf("scrape of %d B outgrew the %d B it was sized for", n, hint)
+			}
+			if 2*hint > 3*n {
+				t.Fatalf("scrape of %d B sized at %d B: over half again what it writes", n, hint)
+			}
+		})
+	}
 }

@@ -106,6 +106,7 @@ func (s *Server) rebalance() error {
 		s.sessMu.Lock()
 		gen := s.placeGen
 		active := s.activeSessionsLocked()
+		prev := s.lastAsg
 		s.sessMu.Unlock()
 		if len(active) == 0 {
 			return nil
@@ -119,7 +120,8 @@ func (s *Server) rebalance() error {
 		if s.cfg.Mapper == MapperNMP {
 			asg, err = s.searchAssignment(nets)
 		} else {
-			asg, err = nmp.RRNetwork(nets, s.cfg.Platform)
+			// Round-robin rows are rebuilt only for sessions that moved.
+			asg, err = nmp.RRNetworkFrom(prev, nets, s.cfg.Platform)
 		}
 		if err != nil {
 			return err

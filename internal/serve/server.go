@@ -230,15 +230,13 @@ type Server struct {
 	engine *hw.Engine
 	sched  *sched.Scheduler
 
-	// arena pools the objects the steady-state frame path churns
-	// through: sparse frames flow ingest→DSFA→dispatch→release and are
-	// recycled by the scheduler's Release hook; invocation and request
-	// structs cycle through invPool/pendPool the same way. Sessions
-	// share the arena, so frames released by one session's completions
-	// feed another's ingest.
-	arena    *mem.Arena
-	invPool  *mem.Pool[pipeline.Invocation]
-	pendPool *mem.Pool[pendingInv]
+	// serverPools lends what the steady-state frame path churns
+	// through (see serverPools); Close hands them on to the next New
+	// when nothing can borrow from them again. handedOn then holds the
+	// counters they had, which ArenaStats and /metrics report from
+	// there on; nil while the server owns its pools.
+	*serverPools
+	handedOn atomic.Pointer[poolStats]
 	// dispatchScr recycles the per-dispatch merge scratch; a sync.Pool
 	// because workers pump the scheduler concurrently.
 	dispatchScr sync.Pool
@@ -302,9 +300,61 @@ type Server struct {
 	capacityMACs float64
 }
 
+// serverPools is what a server lends from: sparse frames flow
+// ingest→DSFA→dispatch→release through the arena and are recycled by
+// the scheduler's Release hook; invocation and request structs cycle
+// through invPool/pendPool the same way. Sessions share them, so frames
+// released by one session's completions feed another's ingest.
+type serverPools struct {
+	arena    *mem.Arena
+	invPool  *mem.Pool[pipeline.Invocation]
+	pendPool *mem.Pool[pendingInv]
+}
+
+// idleServerPools holds the pools closed servers handed on, for the
+// next New (see mem.Idle).
+var idleServerPools = mem.Idle[serverPools]{New: func() *serverPools {
+	return &serverPools{
+		arena:    mem.NewArena(),
+		invPool:  pipeline.NewInvocationPool(),
+		pendPool: mem.NewPool(resetPending),
+	}
+}}
+
+// poolStats snapshots every pool's counters.
+type poolStats struct {
+	arena          mem.ArenaStats
+	invs, requests mem.PoolStats
+}
+
+func (p *serverPools) stats() poolStats {
+	return poolStats{arena: p.arena.Stats(), invs: p.invPool.Stats(), requests: p.pendPool.Stats()}
+}
+
+// poolStats snapshots the server's pool counters: live while it owns
+// its pools, frozen at the hand-on after. The live read comes first: a
+// new owner zeroes the counters only after Close froze them, so a read
+// that saw the zeroing also sees the frozen copy.
+func (s *Server) poolStats() poolStats {
+	st := s.serverPools.stats()
+	if frozen := s.handedOn.Load(); frozen != nil {
+		return *frozen
+	}
+	return st
+}
+
 // New validates cfg, starts the worker pool and returns the server.
-// Call Close to stop the workers.
+// Call Close to stop the workers. The server starts on the pools the
+// last server closed with nothing borrowed handed on, if any is idle:
+// a process that builds several servers, one after another, makes its
+// frames and grids once.
 func New(cfg Config) (*Server, error) {
+	return newServer(cfg, nil)
+}
+
+// newServer is New lending from pools, or from idle ones when pools is
+// nil.
+func newServer(cfg Config, pools *serverPools) (*Server, error) {
 	def := DefaultConfig()
 	if cfg.Platform == nil {
 		cfg.Platform = hw.Xavier()
@@ -330,23 +380,11 @@ func New(cfg Config) (*Server, error) {
 		model:    perf.NewModel(cfg.Platform),
 		engine:   hw.NewEngine(cfg.Platform, false),
 		tracer:   obs.NewTracer(cfg.Trace),
-		arena:    mem.NewArena(),
-		invPool:  pipeline.NewInvocationPool(),
 		sessions: map[string]*Session{},
 		stopped:  make(chan struct{}),
 		start:    time.Now(),
 	}
 	s.runq.ready.L = &s.runq.mu
-	s.pendPool = mem.NewPool(func(p *pendingInv) {
-		p.sess = nil
-		p.req.Session = ""
-		p.req.Key = sched.Key{}
-		p.req.Units = 0
-		p.inv = nil
-		p.net = nil
-		p.plan = pipeline.ExecPlan{}
-		p.trackH = nil
-	})
 	s.dispatchScr.New = func() any { return &dispatchScratch{} }
 	schedCfg := sched.Config{
 		Dispatch: s.dispatchBatch,
@@ -404,6 +442,15 @@ func New(cfg Config) (*Server, error) {
 	s.mux = http.NewServeMux()
 	api.Mount(s.mux)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	// The pools are taken last, past every error exit, so a refused
+	// config never drops an idle bundle.
+	if pools == nil {
+		pools = idleServerPools.Get()
+		pools.arena.ZeroStats()
+		pools.invPool.ZeroStats()
+		pools.pendPool.ZeroStats()
+	}
+	s.serverPools = pools
 	if !cfg.ManualDrain {
 		for i := 0; i < cfg.Workers; i++ {
 			s.wg.Add(1)
@@ -422,6 +469,13 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // in place — a closed server rejects further ingest (ErrServerClosed),
 // so its arena-owned frames stay frozen in their queues and are never
 // recycled across arenas by a concurrent failover.
+//
+// A server closed with every session closed and every frame, grid,
+// invocation and request back in its pools hands those pools on: the
+// next New in the process starts on them, with their counters zeroed.
+// From then on ArenaStats and /metrics report the counters the pools
+// had at the hand-on. A server closed with a session open keeps its
+// pools, frames frozen in place.
 func (s *Server) Close() {
 	s.stop.Do(func() {
 		close(s.stopped)
@@ -431,6 +485,25 @@ func (s *Server) Close() {
 	s.sched.Close()
 	// Recycle trace ring storage (export traces before Close).
 	s.tracer.Close()
+	s.handOn()
+}
+
+// handOn files the server's pools as idle when nothing can borrow from
+// them again: no session is open — none ingests, frames at its close or
+// executes, and CreateSession, which looks at stopped under sessMu,
+// adds none — and every pool has back all it lent.
+func (s *Server) handOn() {
+	s.sessMu.Lock()
+	defer s.sessMu.Unlock()
+	if len(s.order) > 0 || s.handedOn.Load() != nil {
+		return
+	}
+	st := s.serverPools.stats()
+	if st.arena.Total.Live() != 0 || st.invs.Live() != 0 || st.requests.Live() != 0 {
+		return
+	}
+	s.handedOn.Store(&st)
+	idleServerPools.Put(s.serverPools)
 }
 
 // stoppedNow reports whether Close has run.
@@ -542,6 +615,12 @@ func (s *Server) CreateSession(cfg SessionConfig) (*Session, error) {
 		sess.journal = new(journal)
 	}
 	s.sessMu.Lock()
+	if s.stoppedNow() {
+		// Close ran since the check above; it may have handed the pools
+		// on when no session was open.
+		s.sessMu.Unlock()
+		return nil, ErrServerClosed
+	}
 	s.sessions[id] = sess
 	s.order = append(s.order, id)
 	s.placeGen++
@@ -801,9 +880,10 @@ func (s *Server) Health() Health {
 func (s *Server) Platform() *hw.Platform { return s.cfg.Platform }
 
 // ArenaStats snapshots the server's pool counters (frames,
-// accumulation grids, active sets) — the alloc-regression harness and
-// /metrics read it.
-func (s *Server) ArenaStats() mem.ArenaStats { return s.arena.Stats() }
+// accumulation grids) — the alloc-regression harness and /metrics read
+// it. They count this server's traffic only, also on pools an earlier
+// server handed on.
+func (s *Server) ArenaStats() mem.ArenaStats { return s.poolStats().arena }
 
 // Tracer returns the server's frame-lifecycle tracer, nil when
 // tracing is off. Callers (cluster trace merging, the harness) treat
